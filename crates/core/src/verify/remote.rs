@@ -65,7 +65,12 @@
 //!   (`tlc_net::readiness`: epoll on Linux, poll(2) fallback):
 //!   `SO_REUSEPORT`-sharded acceptor/event threads, each owning its
 //!   slice of the connection table and its own verifier service shard,
-//!   reading into pooled buffers that the codec decodes zero-copy.
+//!   reading into pooled buffers that the codec decodes zero-copy, and
+//!   woken for verdicts by the service's workers instead of polling.
+//!
+//! Either loop tells its service when its submitters go idle
+//! ([`VerifierService::kick`]), so a light-load verdict never waits for
+//! a batch to fill or a deadline to pass.
 //!
 //! Both backends dispatch into one [`IngressCore`], so the shed
 //! ladder, DRR lanes, misbehavior scoring, and every protocol handler
@@ -321,6 +326,10 @@ pub struct IngressReport {
     /// flight. These live outside [`IngressStats`] because the STATS
     /// wire snapshot is a frozen 16-field format.
     pub pool: PoolStats,
+    /// Times a shard loop was woken by its verifier workers' waker
+    /// (coalesced: one wake-up can announce several batches). Zero
+    /// under the legacy loop, which polls.
+    pub waker_wakeups: u64,
 }
 
 impl IngressReport {
@@ -345,6 +354,11 @@ impl IngressReport {
             ("rejected", self.service.rejected),
             ("replayed", self.service.replayed),
             ("unclaimed_results", self.service.unclaimed_results as u64),
+            ("batches", self.service.batches),
+            ("deadline_flushes", self.service.deadline_flushes),
+            ("idle_flushes", self.service.idle_flushes),
+            ("kicks", self.service.kicks),
+            ("waker_wakeups", self.waker_wakeups),
         ];
         for (name, v) in totals {
             let _ = writeln!(out, "# TYPE tlc_service_{name}_total counter");
@@ -426,6 +440,9 @@ struct IngressCore {
     service: VerifierService,
     config: IngressConfig,
     conns: Vec<Conn>,
+    /// conn id -> current index in `conns`, kept exact across removals
+    /// so routing a verdict costs one lookup, not a table scan.
+    index: HashMap<u64, usize>,
     /// service tag -> originating connection + the tag it used.
     routes: HashMap<u64, Route>,
     /// raw relationship id -> its admission lane.
@@ -448,6 +465,7 @@ impl IngressCore {
             service,
             config,
             conns: Vec::new(),
+            index: HashMap::new(),
             routes: HashMap::new(),
             lanes: HashMap::new(),
             lane_order: Vec::new(),
@@ -548,25 +566,8 @@ impl IngressServer {
     }
 
     /// The legacy tick loop: one thread, O(conns) per iteration.
-    fn run_poll(mut self, stop: &AtomicBool) -> IngressReport {
-        while !stop.load(Ordering::Relaxed) {
-            self.core.deal_credits();
-            let mut activity = false;
-            activity |= self.accept_new();
-            activity |= self.core.poll_conns();
-            activity |= self.core.pump_verdicts();
-            self.core.apply_backpressure();
-            activity |= self.core.flush_and_reap();
-            if !activity {
-                std::thread::sleep(self.core.config.poll_sleep);
-            }
-        }
-        let ingress = self.core.shutdown_notices();
-        IngressReport {
-            service: self.core.service.finish(),
-            ingress,
-            pool: PoolStats::default(),
-        }
+    fn run_poll(self, stop: &AtomicBool) -> IngressReport {
+        self.core.run_ticks(&self.listener, stop)
     }
 
     /// Spawns [`run`](Self::run) on a background thread.
@@ -579,27 +580,62 @@ impl IngressServer {
             .spawn(move || self.run(&flag))?;
         Ok(IngressHandle { addr, stop, thread })
     }
+}
 
-    /// Accepts every connection currently pending. Returns whether any
-    /// arrived.
-    fn accept_new(&mut self) -> bool {
+impl IngressCore {
+    /// The tick loop over this core until `stop`, then teardown. Also
+    /// what a readiness shard degrades to when it cannot build its
+    /// registry.
+    fn run_ticks(mut self, listener: &TcpListener, stop: &AtomicBool) -> IngressReport {
+        while !stop.load(Ordering::Relaxed) {
+            self.deal_credits();
+            let mut activity = self.accept_pending(listener).0;
+            activity |= self.poll_conns();
+            activity |= self.pump_verdicts();
+            self.apply_backpressure();
+            activity |= self.flush_and_reap();
+            if !activity {
+                // Going idle: whatever was relayed since the last kick
+                // is all the input there is, so its partial batches
+                // flush now instead of sitting out `flush_deadline`.
+                self.service.kick();
+                std::thread::sleep(self.config.poll_sleep);
+            }
+        }
+        self.into_report(PoolStats::default(), 0)
+    }
+
+    /// Teardown: shutdown notices out, service drained and joined.
+    fn into_report(mut self, pool: PoolStats, waker_wakeups: u64) -> IngressReport {
+        let ingress = self.shutdown_notices();
+        IngressReport {
+            service: self.service.finish(),
+            ingress,
+            pool,
+            waker_wakeups,
+        }
+    }
+
+    /// Accepts every connection currently pending on `listener`.
+    /// Returns whether any arrived and the table indices of those
+    /// admitted (arrivals can also be shed).
+    fn accept_pending(&mut self, listener: &TcpListener) -> (bool, Vec<usize>) {
         let mut any = false;
+        let mut admitted = Vec::new();
         loop {
-            match self.listener.accept() {
+            match listener.accept() {
                 Ok((stream, _peer)) => {
-                    self.core.admit(stream);
                     any = true;
+                    admitted.extend(self.admit(stream));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
         }
-        any
+        (any, admitted)
     }
-}
 
-impl IngressCore {
     /// See [`IngressServer::shed_level`]. (`max_conns` is a separate
     /// accept-time check — a full but healthy connection table sheds
     /// new arrivals without touching admission for the sessions
@@ -676,7 +712,23 @@ impl IngressCore {
             quarantine: 0,
         });
         self.stats.connections += 1;
-        Some(self.conns.len() - 1)
+        let i = self.conns.len() - 1;
+        self.index.insert(id, i);
+        Some(i)
+    }
+
+    /// Drops connection `i` from the table (`swap_remove`, so the last
+    /// connection takes its slot) and accounts the close.
+    fn remove_conn(&mut self, i: usize) {
+        let conn = self.conns.swap_remove(i);
+        self.index.remove(&conn.id);
+        if conn.quarantine > 0 {
+            self.quarantined -= 1;
+        }
+        self.stats.connections_closed += 1;
+        if let Some(moved) = self.conns.get(i) {
+            self.index.insert(moved.id, i);
+        }
     }
 
     /// Polls every connection for inbound frames and handles them.
@@ -1085,7 +1137,7 @@ impl IngressCore {
             if let Some(lane) = self.lanes.get_mut(&r.relationship.raw()) {
                 lane.inflight = lane.inflight.saturating_sub(1);
             }
-            let Some(i) = self.conns.iter().position(|c| c.id == route.conn_id) else {
+            let Some(&i) = self.index.get(&route.conn_id) else {
                 // Client disconnected mid-batch: the verdict is
                 // discarded deterministically and counted.
                 self.stats.orphaned_verdicts += 1;
@@ -1211,6 +1263,13 @@ impl IngressCore {
         });
         self.quarantined -= reaped_quarantined.min(self.quarantined);
         self.stats.connections_closed += closed;
+        if closed > 0 {
+            // `retain` keeps table order (the tick loop's poll order)
+            // but shifts every later index.
+            self.index.clear();
+            let ids = self.conns.iter().enumerate().map(|(i, c)| (c.id, i));
+            self.index.extend(ids);
+        }
         any
     }
 

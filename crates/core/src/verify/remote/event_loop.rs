@@ -7,7 +7,7 @@
 //! elsewhere) and touches only sockets with something to say, so a
 //! mostly-idle C100K table costs near zero between bursts.
 //!
-//! Three structural differences from the tick loop, none visible on
+//! Four structural differences from the tick loop, none visible on
 //! the wire:
 //!
 //! * **Shards.** With `SO_REUSEPORT` available, `config.shards`
@@ -30,12 +30,23 @@
 //! * **Interest masking as backpressure.** Where the tick loop calls
 //!   `pause()`/`resume()` per tick, this loop additionally masks read
 //!   interest so a paused connection costs zero wakeups.
+//! * **Wake-driven verdicts.** Verdicts come from the service's worker
+//!   threads, not from a socket, so the shard registers a
+//!   [`tlc_net::readiness::Waker`] and installs it as its service's
+//!   notifier: a flushed batch makes `wait` return, and the verdict
+//!   queue is read then and only then — there is no timed poll for it.
+//!   The other half of the same design is the *idle kick*: when the
+//!   loop has relayed submissions and a zero-timeout probe shows no
+//!   more input waiting, it tells the service its submitter went idle
+//!   ([`VerifierService::kick`]) before it blocks, so a light-load
+//!   verdict costs a verify and a few thread hops, not a batch timer.
+//!   A session that submits nothing (SETTLE) pays for neither.
 //!
 //! Everything protocol-visible — BUSY semantics, the shed ladder,
 //! quarantine scoring, verdict routing — is the same [`IngressCore`]
 //! code both backends share; the conformance suite runs against both.
 
-use super::{IngressCore, IngressReport, IngressServer, IngressStats, Phase};
+use super::{IngressReport, IngressServer, IngressStats};
 use crate::verify::service::ServiceReport;
 use std::sync::atomic::AtomicBool;
 
@@ -52,16 +63,16 @@ pub(super) fn run(server: IngressServer, stop: &AtomicBool) -> IngressReport {
 /// Merges per-shard reports: ingress counters and pool counters sum;
 /// service shard lists concatenate with re-numbered shard ids;
 /// throughput is recomputed over the longest shard's elapsed time.
-fn merge_reports(
-    parts: Vec<(ServiceReport, IngressStats, tlc_net::PoolStats)>,
-    join_panics: usize,
-) -> IngressReport {
+fn merge_reports(parts: Vec<IngressReport>, join_panics: usize) -> IngressReport {
     let mut service = ServiceReport {
         shards: Vec::new(),
         accepted: 0,
         rejected: 0,
         replayed: 0,
         batches: 0,
+        deadline_flushes: 0,
+        idle_flushes: 0,
+        kicks: 0,
         worker_panics: join_panics,
         unclaimed_results: 0,
         elapsed: std::time::Duration::ZERO,
@@ -69,7 +80,15 @@ fn merge_reports(
     };
     let mut ingress = IngressStats::default();
     let mut pool = tlc_net::PoolStats::default();
-    for (sr, ig, ps) in parts {
+    let mut waker_wakeups = 0;
+    for part in parts {
+        let IngressReport {
+            service: sr,
+            ingress: ig,
+            pool: ps,
+            waker_wakeups: woken,
+        } = part;
+        waker_wakeups += woken;
         let base = service.shards.len();
         for mut sh in sr.shards {
             sh.shard += base;
@@ -79,6 +98,9 @@ fn merge_reports(
         service.rejected += sr.rejected;
         service.replayed += sr.replayed;
         service.batches += sr.batches;
+        service.deadline_flushes += sr.deadline_flushes;
+        service.idle_flushes += sr.idle_flushes;
+        service.kicks += sr.kicks;
         service.worker_panics += sr.worker_panics;
         service.unclaimed_results += sr.unclaimed_results;
         service.elapsed = service.elapsed.max(sr.elapsed);
@@ -98,6 +120,7 @@ fn merge_reports(
         service,
         ingress,
         pool,
+        waker_wakeups,
     }
 }
 
@@ -136,17 +159,17 @@ mod imp {
 
 #[cfg(unix)]
 mod imp {
-    use super::{merge_reports, IngressCore, IngressReport, IngressServer, IngressStats, Phase};
-    use crate::verify::service::{ServiceReport, VerifierService};
+    use super::super::{IngressCore, Phase};
+    use super::{merge_reports, IngressReport, IngressServer};
+    use crate::verify::service::VerifierService;
     use std::collections::{HashMap, HashSet};
-    use std::io;
     use std::net::TcpListener;
     use std::os::unix::io::AsRawFd;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
     use tlc_net::bufpool::{BufferPool, PooledBuf};
-    use tlc_net::readiness::{Event, Interest, Readiness, Token};
+    use tlc_net::readiness::{Event, Interest, Readiness, Token, Waker};
     use tlc_net::wire::{split_frame, HEADER_LEN};
-    use tlc_net::PoolStats;
 
     pub(super) fn run(server: IngressServer, stop: &AtomicBool) -> IngressReport {
         let IngressServer {
@@ -211,12 +234,8 @@ mod imp {
     }
 
     /// One shard: a readiness registry, a buffer pool, and a private
-    /// [`IngressCore`]. Returns the shard's final reports.
-    fn shard_loop(
-        core: IngressCore,
-        listener: TcpListener,
-        stop: &AtomicBool,
-    ) -> (ServiceReport, IngressStats, PoolStats) {
+    /// [`IngressCore`]. Returns the shard's final report.
+    fn shard_loop(core: IngressCore, listener: TcpListener, stop: &AtomicBool) -> IngressReport {
         match Shard::new(core, listener) {
             Ok(shard) => shard.run(stop),
             // Readiness construction failed (fd exhaustion, odd
@@ -224,52 +243,9 @@ mod imp {
             // rather than dying.
             Err(parts) => {
                 let (core, listener) = *parts;
-                fallback_loop(core, listener, stop)
+                core.run_ticks(&listener, stop)
             }
         }
-    }
-
-    /// The legacy tick loop over a bare core + listener, for shards
-    /// that could not build a readiness registry.
-    fn fallback_loop(
-        mut core: IngressCore,
-        listener: TcpListener,
-        stop: &AtomicBool,
-    ) -> (ServiceReport, IngressStats, PoolStats) {
-        while !stop.load(Ordering::Relaxed) {
-            core.deal_credits();
-            let mut activity = accept_into(&listener, &mut core).0;
-            activity |= core.poll_conns();
-            activity |= core.pump_verdicts();
-            core.apply_backpressure();
-            activity |= core.flush_and_reap();
-            if !activity {
-                std::thread::sleep(core.config.poll_sleep);
-            }
-        }
-        let ingress = core.shutdown_notices();
-        (core.service.finish(), ingress, PoolStats::default())
-    }
-
-    /// Accepts every pending connection into `core`. Returns
-    /// `(any_accepted, new_indices)`.
-    fn accept_into(listener: &TcpListener, core: &mut IngressCore) -> (bool, Vec<usize>) {
-        let mut any = false;
-        let mut admitted = Vec::new();
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    any = true;
-                    if let Some(i) = core.admit(stream) {
-                        admitted.push(i);
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-        (any, admitted)
     }
 
     /// Socket reads per connection per wakeup. Bounds how long one
@@ -277,16 +253,28 @@ mod imp {
     /// re-reports whatever is left.
     const READS_PER_WAKEUP: usize = 4;
 
+    /// Longest the loop sleeps with nothing to do: the only thing left
+    /// that the kernel cannot wake it for is the `stop` flag.
+    const STOP_CHECK_MS: i32 = 10;
+
+    /// Wait bound while any connection is quarantined. Sentences are
+    /// counted in loop iterations (`quarantine_polls`); before the
+    /// waker, a loop with verdicts pending iterated at least once a
+    /// millisecond and an idle one every 10 ms. Bounding the wait to
+    /// 1 ms whenever a sentence is running keeps every sentence's
+    /// wall-clock length at or under the shorter of the two.
+    const QUARANTINE_TICK_MS: i32 = 1;
+
     struct Shard {
         core: IngressCore,
         listener: TcpListener,
         ready: Readiness,
+        /// Fired by the service's signature workers per flushed batch.
+        waker: Waker,
+        wakeups: u64,
         pool: BufferPool,
         /// conn id -> buffer holding a partial frame between wakeups.
         bufs: HashMap<u64, PooledBuf>,
-        /// conn id -> current index in `core.conns` (kept exact across
-        /// `swap_remove`).
-        index: HashMap<u64, usize>,
         /// conn id -> interest currently registered with the kernel,
         /// to skip no-op `modify` syscalls.
         armed: HashMap<u64, Interest>,
@@ -300,19 +288,21 @@ mod imp {
 
     impl Shard {
         fn new(
-            core: IngressCore,
+            mut core: IngressCore,
             listener: TcpListener,
         ) -> Result<Shard, Box<(IngressCore, TcpListener)>> {
-            let mut ready = match Readiness::new() {
-                Ok(r) => r,
-                Err(_) => return Err(Box::new((core, listener))),
-            };
-            if ready
-                .register(listener.as_raw_fd(), Token::LISTENER, Interest::READ)
-                .is_err()
-            {
+            let registry = Readiness::new().and_then(|mut ready| {
+                ready.register(listener.as_raw_fd(), Token::LISTENER, Interest::READ)?;
+                let waker = Waker::new(&mut ready)?;
+                Ok((ready, waker))
+            });
+            let Ok((ready, waker)) = registry else {
                 return Err(Box::new((core, listener)));
-            }
+            };
+            // Installed before the first accept, so every batch this
+            // shard ever flushes announces itself.
+            let handle = waker.handle();
+            core.service.set_notifier(Arc::new(move || handle.wake()));
             // One max-size frame per buffer: a full buffer therefore
             // always contains a complete frame or an oversize error,
             // so parsing can never deadlock on "need more room".
@@ -323,70 +313,72 @@ mod imp {
                 core,
                 listener,
                 ready,
+                waker,
+                wakeups: 0,
                 pool,
                 bufs: HashMap::new(),
-                index: HashMap::new(),
                 armed: HashMap::new(),
                 deferred: HashSet::new(),
                 prev_global: false,
             })
         }
 
-        fn run(mut self, stop: &AtomicBool) -> (ServiceReport, IngressStats, PoolStats) {
+        fn run(mut self, stop: &AtomicBool) -> IngressReport {
             let mut events: Vec<Event> = Vec::new();
             let mut touched: Vec<usize> = Vec::new();
             let mut scratch_ids: Vec<u64> = Vec::new();
             while !stop.load(Ordering::Relaxed) {
                 self.core.deal_credits();
-                // Verdicts come from worker threads the kernel can't
-                // wake us for, so cap the sleep while any are pending.
-                let timeout = if self.core.routes.is_empty() { 10 } else { 1 };
-                match self.ready.wait(&mut events, timeout) {
-                    Ok(_) => {}
-                    Err(_) => {
-                        // A broken registry would spin; breathe instead.
-                        std::thread::sleep(self.core.config.poll_sleep);
-                        continue;
-                    }
+                let timeout = if self.core.quarantined > 0 {
+                    QUARANTINE_TICK_MS
+                } else {
+                    STOP_CHECK_MS
+                };
+                // About to block. If submissions were relayed since the
+                // last kick, look once without blocking: more input
+                // waiting means batches are still filling; none means
+                // the submitters went idle, and the service is told so.
+                // A loop that relayed nothing skips the probe.
+                let probing = self.core.service.kick_due();
+                let first = if probing { 0 } else { timeout };
+                let mut waited = self.ready.wait(&mut events, first);
+                if probing && matches!(waited, Ok(0)) {
+                    self.core.service.kick();
+                    waited = self.ready.wait(&mut events, timeout);
                 }
+                if waited.is_err() {
+                    // A broken registry would spin; breathe instead.
+                    std::thread::sleep(self.core.config.poll_sleep);
+                    continue;
+                }
+                let mut woken = false;
                 for ev in events.iter().copied() {
-                    if ev.token == Token::LISTENER {
-                        self.accept_ready();
-                    } else {
-                        self.conn_event(ev);
+                    match ev.token {
+                        Token::LISTENER => self.accept_ready(),
+                        Token::WAKER => woken = true,
+                        _ => self.conn_event(ev),
                     }
                 }
 
-                // Verdict completions: refresh exactly the connections
-                // that got frames queued or windows freed. Indices are
-                // captured as ids first because refresh can reorder
-                // the table (swap_remove).
-                touched.clear();
-                self.core.pump_verdicts_into(&mut touched);
-                scratch_ids.clear();
-                for &i in &touched {
-                    if let Some(c) = self.core.conns.get(i) {
-                        scratch_ids.push(c.id);
-                    }
-                }
-                for &id in &scratch_ids {
-                    self.refresh_id(id);
+                // Verdict completions, read only when the workers said
+                // so (drain first: see `Waker::drain`). Refresh exactly
+                // the connections that got frames queued or windows
+                // freed.
+                if woken {
+                    self.wakeups += 1;
+                    self.waker.drain();
+                    touched.clear();
+                    self.core.pump_verdicts_into(&mut touched);
+                    self.refresh_touched(&touched, &mut scratch_ids);
                 }
 
                 // Quarantine sentences tick per loop iteration, like
-                // the legacy loop ticks per poll iteration.
+                // the legacy loop ticks per poll iteration; the wait
+                // above is bounded while any is running.
                 if self.core.quarantined > 0 {
                     touched.clear();
                     self.core.tick_quarantines(&mut touched);
-                    scratch_ids.clear();
-                    for &i in &touched {
-                        if let Some(c) = self.core.conns.get(i) {
-                            scratch_ids.push(c.id);
-                        }
-                    }
-                    for &id in &scratch_ids {
-                        self.refresh_id(id);
-                    }
+                    self.refresh_touched(&touched, &mut scratch_ids);
                 }
 
                 // Ladder transitions pause/resume the whole table.
@@ -405,22 +397,31 @@ mod imp {
                     }
                 }
             }
+            // Buffers still held at shutdown are intentionally *not*
+            // recycles: stats are taken before they drop.
             let pool_stats = self.pool.stats();
-            // Drop retained buffers before the pool's stats were taken?
-            // No: stats count checkouts/recycles, and buffers still
-            // held at shutdown are intentionally *not* recycles.
-            let ingress = self.core.shutdown_notices();
-            (self.core.service.finish(), ingress, pool_stats)
+            self.core.into_report(pool_stats, self.wakeups)
+        }
+
+        /// Refreshes the connections at table indices `touched`. The
+        /// indices are turned into ids first because a refresh can
+        /// reorder the table (swap_remove).
+        fn refresh_touched(&mut self, touched: &[usize], ids: &mut Vec<u64>) {
+            ids.clear();
+            let conns = &self.core.conns;
+            ids.extend(touched.iter().filter_map(|&i| conns.get(i).map(|c| c.id)));
+            for &id in ids.iter() {
+                self.refresh_id(id);
+            }
         }
 
         /// Drains the accept queue, registering every admitted socket
         /// for readable events under its connection id.
         fn accept_ready(&mut self) {
-            let (_, admitted) = accept_into(&self.listener, &mut self.core);
+            let (_, admitted) = self.core.accept_pending(&self.listener);
             for i in admitted {
                 let id = self.core.conns[i].id;
                 let fd = self.core.conns[i].driver.stream().as_raw_fd();
-                self.index.insert(id, i);
                 if self.ready.register(fd, Token(id), Interest::READ).is_ok() {
                     self.armed.insert(id, Interest::READ);
                 } else {
@@ -435,7 +436,7 @@ mod imp {
         /// One readiness notification for a connection.
         fn conn_event(&mut self, ev: Event) {
             let id = ev.token.0;
-            let Some(&i) = self.index.get(&id) else {
+            let Some(&i) = self.core.index.get(&id) else {
                 // Reaped earlier in this same batch.
                 return;
             };
@@ -533,7 +534,7 @@ mod imp {
         /// reaps if finished, otherwise updates pause bookkeeping and
         /// the registered interest (skipping no-op syscalls).
         fn refresh_id(&mut self, id: u64) {
-            let Some(&i) = self.index.get(&id) else {
+            let Some(&i) = self.core.index.get(&id) else {
                 return;
             };
             if self.core.conns[i].driver.flush().is_err() {
@@ -581,8 +582,7 @@ mod imp {
         }
 
         /// Removes connection at index `i`: deregisters the fd, drops
-        /// its buffer back to the pool, and keeps the id→index map
-        /// exact across the `swap_remove`.
+        /// its buffer back to the pool, and hands the table slot back.
         fn remove_at(&mut self, i: usize) {
             let id = self.core.conns[i].id;
             let fd = self.core.conns[i].driver.stream().as_raw_fd();
@@ -590,16 +590,7 @@ mod imp {
             self.bufs.remove(&id);
             self.armed.remove(&id);
             self.deferred.remove(&id);
-            self.index.remove(&id);
-            if self.core.conns[i].quarantine > 0 {
-                self.core.quarantined -= 1;
-            }
-            self.core.conns.swap_remove(i);
-            self.core.stats.connections_closed += 1;
-            if i < self.core.conns.len() {
-                let moved = self.core.conns[i].id;
-                self.index.insert(moved, i);
-            }
+            self.core.remove_conn(i);
         }
     }
 }

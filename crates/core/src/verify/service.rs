@@ -18,12 +18,13 @@
 //! * **signature batching** — the signature worker accumulates prepared
 //!   proofs per relationship and verifies them through the multi-lane
 //!   RSA kernel ([`Verifier::verify_batch_prehashed`]). A batch flushes
-//!   when it reaches [`ServiceConfig::batch_size`] or when its oldest
-//!   entry has waited [`ServiceConfig::flush_deadline`], so a trickle of
-//!   submissions still completes promptly. Results for a relationship
-//!   are always delivered in submission order, and the replay-cache
-//!   semantics are exactly those of sequential [`Verifier::verify`]
-//!   calls.
+//!   when it reaches [`ServiceConfig::batch_size`], when the submitter
+//!   goes idle ([`VerifierService::kick`], an in-band marker behind its
+//!   last submission), or — the backstop — when its oldest entry has
+//!   waited [`ServiceConfig::flush_deadline`]. Results for a
+//!   relationship are always delivered in submission order, and the
+//!   replay-cache semantics are exactly those of sequential
+//!   [`Verifier::verify`] calls.
 //!
 //! Registering the same `(plan, edge key, operator key)` relationship
 //! twice yields the same [`RelationshipId`] — the registry deduplicates,
@@ -36,6 +37,7 @@ use crate::messages::{PocDigests, PocMsg};
 use crate::plan::DataPlan;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tlc_crypto::encoding::key_fingerprint;
@@ -133,8 +135,12 @@ pub struct ServiceConfig {
     /// Proofs per relationship accumulated before a signature batch is
     /// verified (the multi-lane kernel saturates around 32).
     pub batch_size: usize,
-    /// Longest a prepared proof may wait for its batch to fill before
-    /// the partial batch is flushed anyway.
+    /// Starvation backstop: the longest a prepared proof may wait when
+    /// neither trigger above it fires — its batch never fills and no
+    /// [`kick`](VerifierService::kick) follows it, because input for
+    /// *other* relationships keeps the submitter from ever going idle.
+    /// A light-load verdict does not wait for this; the idle kick
+    /// flushes it.
     pub flush_deadline: Duration,
     /// Capacity of the bounded hash→signature queue per shard; bounds
     /// memory and applies backpressure to the hash stage.
@@ -152,8 +158,14 @@ impl Default for ServiceConfig {
     }
 }
 
+/// Called by a signature worker once per flushed batch, after the
+/// batch's results are queued: the hook an event loop uses to learn
+/// that [`VerifierService::try_collect_results`] has something for it
+/// without polling. Runs on the worker thread, so it must be cheap and
+/// must not block.
+pub type Notifier = Arc<dyn Fn() + Send + Sync>;
+
 /// Work items sent to a shard's hash worker.
-#[derive(Debug)]
 enum Job {
     Register {
         rel: RelationshipId,
@@ -167,6 +179,10 @@ enum Job {
         tag: u64,
         poc: PocMsg,
     },
+    /// Drain marker: batches holding anything submitted before it are
+    /// flushed once the signature stage's queue runs dry.
+    Kick,
+    Notify(Notifier),
 }
 
 /// Items flowing from a shard's hash stage to its signature stage.
@@ -174,7 +190,6 @@ enum Job {
 // boxing it would buy nothing on the rare variant and cost one heap
 // round trip per verified proof.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
 enum StageMsg {
     Register {
         rel: RelationshipId,
@@ -189,6 +204,8 @@ enum StageMsg {
         poc: PocMsg,
         digests: PocDigests,
     },
+    Kick,
+    Notify(Notifier),
 }
 
 /// Outcome of one submitted proof.
@@ -221,6 +238,10 @@ pub struct ShardStats {
     pub batches: u64,
     /// Batches flushed because the deadline expired before they filled.
     pub deadline_flushes: u64,
+    /// Partial batches flushed because the submitter went idle before
+    /// they filled: by a [`kick`](VerifierService::kick), or at
+    /// teardown.
+    pub idle_flushes: u64,
 }
 
 /// Aggregate report returned by [`VerifierService::finish`].
@@ -236,6 +257,13 @@ pub struct ServiceReport {
     pub replayed: u64,
     /// Total signature batches verified across shards.
     pub batches: u64,
+    /// Batches flushed by an expired deadline, across shards.
+    pub deadline_flushes: u64,
+    /// Partial batches flushed by an idle kick, across shards.
+    pub idle_flushes: u64,
+    /// Drain markers sent by [`VerifierService::kick`] (one per shard
+    /// that had taken a submission since its previous marker).
+    pub kicks: u64,
     /// Shard worker threads that terminated by panicking instead of
     /// draining cleanly (0 on every healthy run).
     pub worker_panics: usize,
@@ -274,6 +302,9 @@ pub struct VerifierService {
     next_tag: u64,
     outstanding: usize,
     first_submit: Option<Instant>,
+    /// Per shard: a submission was sent since the shard's last kick.
+    unkicked: Vec<bool>,
+    kicks: u64,
 }
 
 impl VerifierService {
@@ -321,6 +352,8 @@ impl VerifierService {
             next_tag: 0,
             outstanding: 0,
             first_submit: None,
+            unkicked: vec![false; config.workers],
+            kicks: 0,
         }
     }
 
@@ -404,7 +437,40 @@ impl VerifierService {
         self.next_tag += 1;
         self.first_submit.get_or_insert_with(Instant::now);
         self.outstanding += 1;
+        self.unkicked[shard] = true;
         Ok(tag)
+    }
+
+    /// Whether any shard has taken a submission since its last
+    /// [`kick`](Self::kick) — i.e. whether a kick would do anything.
+    pub fn kick_due(&self) -> bool {
+        self.unkicked.contains(&true)
+    }
+
+    /// Tells the service its submitter is going idle: every proof
+    /// submitted so far is verified without waiting for its batch to
+    /// fill or its deadline to pass. The marker travels in-band behind
+    /// those proofs and takes effect when the signature worker has
+    /// nothing else queued, so a worker that is behind keeps filling
+    /// batches from its backlog and one that is idle flushes at once.
+    /// Shards with nothing new since their last kick are not touched.
+    pub fn kick(&mut self) {
+        for (shard, unkicked) in self.unkicked.iter_mut().enumerate() {
+            if std::mem::take(unkicked) {
+                // A shard that hung up has nothing left to flush.
+                let _ = self.job_txs[shard].send(Job::Kick);
+                self.kicks += 1;
+            }
+        }
+    }
+
+    /// Installs `notifier` on every shard's signature worker. In-band
+    /// like everything else: batches flushed for submissions made after
+    /// this call are guaranteed to fire it.
+    pub fn set_notifier(&mut self, notifier: Notifier) {
+        for tx in &self.job_txs {
+            let _ = tx.send(Job::Notify(Arc::clone(&notifier)));
+        }
     }
 
     /// Submits a batch under one relationship; returns the tag range as
@@ -433,6 +499,9 @@ impl VerifierService {
     ///
     /// [`finish`]: Self::finish
     pub fn collect_results(&mut self) -> Result<Vec<SubmissionResult>, ServiceError> {
+        // About to block with no more input coming: partial batches
+        // must not sit out their deadline.
+        self.kick();
         let mut out = Vec::with_capacity(self.outstanding);
         while self.outstanding > 0 {
             match self.result_rx.recv() {
@@ -508,6 +577,8 @@ impl VerifierService {
         let rejected = shards.iter().map(|s| s.rejected).sum();
         let replayed = shards.iter().map(|s| s.replayed).sum();
         let batches = shards.iter().map(|s| s.batches).sum();
+        let deadline_flushes = shards.iter().map(|s| s.deadline_flushes).sum();
+        let idle_flushes = shards.iter().map(|s| s.idle_flushes).sum();
         let processed: u64 = accepted + rejected;
         let pocs_per_hour = if elapsed.as_secs_f64() > 0.0 {
             processed as f64 / elapsed.as_secs_f64() * 3600.0
@@ -520,6 +591,9 @@ impl VerifierService {
             rejected,
             replayed,
             batches,
+            deadline_flushes,
+            idle_flushes,
+            kicks: self.kicks,
             worker_panics,
             unclaimed_results,
             elapsed,
@@ -556,6 +630,8 @@ fn hash_worker(jobs: Receiver<Job>, stage: Sender<StageMsg>) {
                     digests,
                 }
             }
+            Job::Kick => StageMsg::Kick,
+            Job::Notify(n) => StageMsg::Notify(n),
         };
         if stage.send(msg).is_err() {
             // Signature stage gone (service torn down mid-flight).
@@ -568,22 +644,33 @@ fn hash_worker(jobs: Receiver<Job>, stage: Sender<StageMsg>) {
 struct PendingBatch {
     /// When the oldest entry was enqueued (deadline base).
     since: Instant,
+    /// A kick arrived behind (some of) these entries: flush when the
+    /// worker's input runs dry.
+    kicked: bool,
     tags: Vec<u64>,
     items: Vec<(PocMsg, PocDigests)>,
 }
 
-struct ShardCounters {
-    accepted: u64,
-    rejected: u64,
-    replayed: u64,
-    batches: u64,
-    deadline_flushes: u64,
+/// Why a partial batch was flushed before it filled.
+#[derive(Clone, Copy)]
+enum Early {
+    Deadline,
+    Kick,
 }
 
 /// Stage 2 of a shard: owns the `Verifier` (and replay cache) of every
 /// relationship pinned to it; no locks, no sharing. Accumulates prepared
 /// proofs into per-relationship batches and verifies them through the
 /// multi-lane RSA kernel.
+struct SignatureStage {
+    shard: usize,
+    verifiers: HashMap<RelationshipId, Verifier>,
+    pending: HashMap<RelationshipId, PendingBatch>,
+    results: Sender<SubmissionResult>,
+    notifier: Option<Notifier>,
+    stats: ShardStats,
+}
+
 fn signature_worker(
     shard: usize,
     batch_size: usize,
@@ -592,53 +679,55 @@ fn signature_worker(
     results: Sender<SubmissionResult>,
     stats: Sender<ShardStats>,
 ) {
-    let mut verifiers: HashMap<RelationshipId, Verifier> = HashMap::new();
-    let mut pending: HashMap<RelationshipId, PendingBatch> = HashMap::new();
-    let mut counters = ShardCounters {
-        accepted: 0,
-        rejected: 0,
-        replayed: 0,
-        batches: 0,
-        deadline_flushes: 0,
+    let mut st = SignatureStage {
+        shard,
+        verifiers: HashMap::new(),
+        pending: HashMap::new(),
+        results,
+        notifier: None,
+        stats: ShardStats {
+            shard,
+            relationships: 0,
+            accepted: 0,
+            rejected: 0,
+            replayed: 0,
+            batches: 0,
+            deadline_flushes: 0,
+            idle_flushes: 0,
+        },
     };
     loop {
-        let msg = if pending.is_empty() {
-            match stage.recv() {
-                Ok(m) => m,
-                Err(_) => break,
-            }
-        } else {
+        let wait = (st.pending.values().map(|p| p.since).min())
+            .map(|oldest| (oldest + flush_deadline).saturating_duration_since(Instant::now()));
+        if wait.is_some_and(|w| w.is_zero()) {
+            // An overdue batch flushes before any queued input is
+            // looked at, or steady input would starve the backstop.
             let now = Instant::now();
-            let Some(earliest) = pending.values().map(|p| p.since).min() else {
-                // `pending.is_empty()` was checked above; unreachable, but
-                // an empty map simply means nothing is due yet.
-                continue;
-            };
-            let deadline = earliest + flush_deadline;
-            if deadline <= now {
-                flush_due(
-                    shard,
-                    flush_deadline,
-                    &mut pending,
-                    &mut verifiers,
-                    &results,
-                    &mut counters,
-                );
-                continue;
-            }
-            match stage.recv_timeout(deadline - now) {
+            st.flush_where(Early::Deadline, |b| b.since + flush_deadline <= now);
+            continue;
+        }
+        let msg = if st.pending.values().any(|b| b.kicked) {
+            // The submitter went idle behind the proofs a kick marked.
+            // What is already queued joins their batches first — under
+            // load the markers pile up behind the work and batches keep
+            // filling — and the flush comes when the queue runs dry,
+            // where this worker would otherwise go to sleep.
+            match stage.try_recv() {
                 Ok(m) => m,
-                Err(RecvTimeoutError::Timeout) => {
-                    flush_due(
-                        shard,
-                        flush_deadline,
-                        &mut pending,
-                        &mut verifiers,
-                        &results,
-                        &mut counters,
-                    );
+                Err(_) => {
+                    st.flush_where(Early::Kick, |b| b.kicked);
                     continue;
                 }
+            }
+        } else {
+            let next = match wait {
+                None => stage.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(w) => stage.recv_timeout(w),
+            };
+            match next {
+                Ok(m) => m,
+                // Overdue now: flushed at the top of the loop.
+                Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         };
@@ -650,7 +739,7 @@ fn signature_worker(
                 operator_key,
                 capacity,
             } => {
-                verifiers.entry(rel).or_insert_with(|| {
+                st.verifiers.entry(rel).or_insert_with(|| {
                     Verifier::with_capacity(plan, edge_key, operator_key, capacity)
                 });
             }
@@ -660,109 +749,94 @@ fn signature_worker(
                 poc,
                 digests,
             } => {
-                let batch = pending.entry(rel).or_insert_with(|| PendingBatch {
+                let batch = st.pending.entry(rel).or_insert_with(|| PendingBatch {
                     since: Instant::now(),
+                    kicked: false,
                     tags: Vec::with_capacity(batch_size),
                     items: Vec::with_capacity(batch_size),
                 });
                 batch.tags.push(tag);
                 batch.items.push((poc, digests));
                 if batch.items.len() >= batch_size {
-                    if let Some(batch) = pending.remove(&rel) {
-                        flush_batch(shard, rel, batch, &mut verifiers, &results, &mut counters);
+                    if let Some(batch) = st.pending.remove(&rel) {
+                        st.flush_batch(rel, batch);
                     }
                 }
             }
+            StageMsg::Kick => {
+                // Only what precedes the marker is covered: batches
+                // begun after it wait for their own.
+                st.pending.values_mut().for_each(|b| b.kicked = true);
+            }
+            StageMsg::Notify(n) => st.notifier = Some(n),
         }
     }
-    // Hash stage hung up: flush whatever is still pending, in stable
-    // (relationship id) order for determinism.
-    let mut leftover: Vec<(RelationshipId, PendingBatch)> = pending.drain().collect();
-    leftover.sort_by_key(|(rel, _)| *rel);
-    for (rel, batch) in leftover {
-        flush_batch(shard, rel, batch, &mut verifiers, &results, &mut counters);
-    }
-    let _ = stats.send(ShardStats {
-        shard,
-        relationships: verifiers.len(),
-        accepted: counters.accepted,
-        rejected: counters.rejected,
-        replayed: counters.replayed,
-        batches: counters.batches,
-        deadline_flushes: counters.deadline_flushes,
-    });
+    // Hash stage hung up: flush whatever is still pending.
+    st.flush_where(Early::Kick, |_| true);
+    st.stats.relationships = st.verifiers.len();
+    let _ = stats.send(st.stats);
 }
 
-/// Flushes every pending batch whose oldest entry has exceeded the
-/// deadline.
-fn flush_due(
-    shard: usize,
-    flush_deadline: Duration,
-    pending: &mut HashMap<RelationshipId, PendingBatch>,
-    verifiers: &mut HashMap<RelationshipId, Verifier>,
-    results: &Sender<SubmissionResult>,
-    counters: &mut ShardCounters,
-) {
-    let now = Instant::now();
-    let mut due: Vec<RelationshipId> = pending
-        .iter()
-        .filter(|(_, b)| b.since + flush_deadline <= now)
-        .map(|(rel, _)| *rel)
-        .collect();
-    due.sort();
-    for rel in due {
-        if let Some(batch) = pending.remove(&rel) {
-            counters.deadline_flushes += 1;
-            flush_batch(shard, rel, batch, verifiers, results, counters);
+impl SignatureStage {
+    /// Flushes every pending batch `due` selects, in stable
+    /// (relationship id) order for determinism, charging each to
+    /// `cause`'s counter.
+    fn flush_where(&mut self, cause: Early, due: impl Fn(&PendingBatch) -> bool) {
+        let mut rels: Vec<RelationshipId> = self
+            .pending
+            .iter()
+            .filter(|(_, b)| due(b))
+            .map(|(rel, _)| *rel)
+            .collect();
+        rels.sort();
+        for rel in rels {
+            if let Some(batch) = self.pending.remove(&rel) {
+                match cause {
+                    Early::Deadline => self.stats.deadline_flushes += 1,
+                    Early::Kick => self.stats.idle_flushes += 1,
+                }
+                self.flush_batch(rel, batch);
+            }
         }
     }
-}
 
-/// Verifies one accumulated batch and emits its results in submission
-/// order.
-fn flush_batch(
-    shard: usize,
-    rel: RelationshipId,
-    batch: PendingBatch,
-    verifiers: &mut HashMap<RelationshipId, Verifier>,
-    results: &Sender<SubmissionResult>,
-    counters: &mut ShardCounters,
-) {
-    let Some(verifier) = verifiers.get_mut(&rel) else {
-        // Register precedes submit on the same queue, so this is a
-        // protocol violation; surface it as per-proof rejections rather
-        // than taking the shard down.
-        counters.rejected += batch.tags.len() as u64;
-        for tag in batch.tags {
-            let _ = results.send(SubmissionResult {
+    /// Verifies one accumulated batch, emits its results in submission
+    /// order, and fires the notifier once.
+    fn flush_batch(&mut self, rel: RelationshipId, batch: PendingBatch) {
+        let shard = self.shard;
+        let verdicts = match self.verifiers.get_mut(&rel) {
+            Some(verifier) => {
+                let items: Vec<(&PocMsg, &PocDigests)> =
+                    batch.items.iter().map(|(p, d)| (p, d)).collect();
+                self.stats.batches += 1;
+                verifier.verify_batch_prehashed(&items)
+            }
+            // Register precedes submit on the same queue, so this is a
+            // protocol violation; surface it as per-proof rejections
+            // rather than taking the shard down.
+            None => vec![Err(VerifyError::Unregistered); batch.tags.len()],
+        };
+        for (tag, result) in batch.tags.into_iter().zip(verdicts) {
+            match &result {
+                Ok(_) => self.stats.accepted += 1,
+                Err(VerifyError::Replayed) => {
+                    self.stats.rejected += 1;
+                    self.stats.replayed += 1;
+                }
+                Err(_) => self.stats.rejected += 1,
+            }
+            // The receiver may have been dropped by an aborting caller;
+            // losing the result then is fine.
+            let _ = self.results.send(SubmissionResult {
                 relationship: rel,
                 tag,
                 shard,
-                result: Err(VerifyError::Unregistered),
+                result,
             });
         }
-        return;
-    };
-    let items: Vec<(&PocMsg, &PocDigests)> = batch.items.iter().map(|(p, d)| (p, d)).collect();
-    let verdicts = verifier.verify_batch_prehashed(&items);
-    counters.batches += 1;
-    for (tag, result) in batch.tags.into_iter().zip(verdicts) {
-        match &result {
-            Ok(_) => counters.accepted += 1,
-            Err(VerifyError::Replayed) => {
-                counters.rejected += 1;
-                counters.replayed += 1;
-            }
-            Err(_) => counters.rejected += 1,
+        if let Some(notify) = &self.notifier {
+            notify();
         }
-        // The receiver may have been dropped by an aborting caller;
-        // losing the result then is fine.
-        let _ = results.send(SubmissionResult {
-            relationship: rel,
-            tag,
-            shard,
-            result,
-        });
     }
 }
 
@@ -1038,8 +1112,86 @@ mod tests {
     }
 
     #[test]
+    fn collect_kicks_partial_batches_past_a_long_deadline() {
+        // Fewer proofs than a batch over two relationships and a
+        // deadline that never comes: only the kick `collect_results`
+        // sends before it blocks can flush them.
+        let plan = DataPlan::paper_default();
+        let mut svc = VerifierService::with_config(ServiceConfig {
+            workers: 2,
+            batch_size: 4,
+            flush_deadline: Duration::from_secs(600),
+            stage_queue_depth: 16,
+        });
+        let mut expected: HashMap<RelationshipId, Vec<u64>> = HashMap::new();
+        for (i, n) in [(0u64, 1u8), (1, 3)] {
+            let edge = KeyPair::generate_for_seed(1024, 7520 + i * 2).unwrap();
+            let op = KeyPair::generate_for_seed(1024, 7521 + i * 2).unwrap();
+            let rel = svc
+                .register(plan, edge.public.clone(), op.public.clone())
+                .unwrap();
+            for j in 0..n {
+                let poc = negotiate(&edge, &op, plan, 16 * i as u8 + 2 * j + 1, 2 * j + 2);
+                expected
+                    .entry(rel)
+                    .or_default()
+                    .push(svc.submit(rel, poc).unwrap());
+            }
+        }
+        assert!(svc.kick_due());
+        let results = svc.collect_results().unwrap();
+        assert!(!svc.kick_due());
+        assert!(results.iter().all(|r| r.result.is_ok()));
+        let mut got: HashMap<RelationshipId, Vec<u64>> = HashMap::new();
+        for r in &results {
+            got.entry(r.relationship).or_default().push(r.tag);
+        }
+        assert_eq!(got, expected);
+        // Nothing new since: a second kick sends no marker.
+        svc.kick();
+        let report = svc.finish();
+        assert_eq!(report.kicks, 2, "one marker per shard that took input");
+        assert_eq!((report.batches, report.idle_flushes), (2, 2));
+        assert_eq!(report.deadline_flushes, 0);
+    }
+
+    #[test]
+    fn notifier_fires_once_per_flushed_batch() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let plan = DataPlan::paper_default();
+        let edge = KeyPair::generate_for_seed(1024, 7540).unwrap();
+        let op = KeyPair::generate_for_seed(1024, 7541).unwrap();
+        let mut svc = VerifierService::with_config(ServiceConfig {
+            workers: 1,
+            batch_size: 2,
+            flush_deadline: Duration::from_secs(600),
+            stage_queue_depth: 16,
+        });
+        let fired = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&fired);
+        svc.set_notifier(Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        }));
+        let rel = svc
+            .register(plan, edge.public.clone(), op.public.clone())
+            .unwrap();
+        for i in 0..5u8 {
+            let poc = negotiate(&edge, &op, plan, 2 * i + 1, 2 * i + 2);
+            svc.submit(rel, poc).unwrap();
+        }
+        assert_eq!(svc.collect_results().unwrap().len(), 5);
+        let report = svc.finish();
+        // Two size-triggered batches and the kicked tail of one; every
+        // notification precedes the results it announces being read.
+        assert_eq!((report.batches, report.idle_flushes), (3, 1));
+        assert_eq!(fired.load(Ordering::SeqCst), 3);
+    }
+
+    #[test]
     fn deadline_flush_preserves_submission_order() {
-        // Fewer proofs than a batch: only the deadline can flush them.
+        // Fewer proofs than a batch and a caller that never kicks
+        // (`try_collect_results` does not): only the deadline backstop
+        // can flush them.
         let plan = DataPlan::paper_default();
         let edge = KeyPair::generate_for_seed(1024, 7600).unwrap();
         let op = KeyPair::generate_for_seed(1024, 7601).unwrap();
@@ -1057,7 +1209,11 @@ mod tests {
             let poc = negotiate(&edge, &op, plan, 2 * i + 1, 2 * i + 2);
             tags.push(svc.submit(rel, poc).unwrap());
         }
-        let results = svc.collect_results().unwrap();
+        let mut results = Vec::new();
+        while results.len() < tags.len() {
+            results.extend(svc.try_collect_results());
+            std::thread::sleep(Duration::from_millis(1));
+        }
         // Per relationship, results come back in submission order.
         let seen: Vec<u64> = results.iter().map(|r| r.tag).collect();
         assert_eq!(seen, tags);
@@ -1065,6 +1221,7 @@ mod tests {
         let report = svc.finish();
         assert_eq!(report.accepted, 3);
         assert!(report.shards[0].deadline_flushes >= 1);
+        assert_eq!(report.idle_flushes, 0);
     }
 
     #[test]

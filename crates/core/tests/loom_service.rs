@@ -5,7 +5,7 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p tlc-core --test loom_service
 //! ```
 //!
-//! Three models, from most abstract to most concrete:
+//! Five models, from most abstract to most concrete:
 //!
 //! 1. the bounded hash→signature stage queue (the protocol the vendored
 //!    crossbeam bounded channel implements): producers block on a full
@@ -13,8 +13,15 @@
 //! 2. the signature stage's flush-on-shutdown protocol: size-triggered
 //!    flushes racing a producer hang-up must still deliver exactly one
 //!    result per submission, in submission order;
-//! 3. the real [`VerifierService`] torn down with a partial batch still
-//!    buffered: `finish()` must flush it and account every proof.
+//! 3. the coalescing waker's protocol (`tlc_net::readiness::Waker`:
+//!    publish-then-wake against drain-then-look): a wake fired between
+//!    the loop's drain and its next wait is never lost, however many
+//!    wakes share one byte;
+//! 4. the real [`VerifierService`] torn down with a partial batch still
+//!    buffered: `finish()` must flush it and account every proof;
+//! 5. the real service with idle kicks racing size-triggered flushes
+//!    and teardown: every proof yields exactly one result and every
+//!    flushed batch exactly one notification.
 //!
 //! `loom::model` re-runs each body under perturbed schedules
 //! (`LOOM_ITERS` controls how many), so the assertions hold across
@@ -22,6 +29,7 @@
 
 #![cfg(loom)]
 
+use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
 use std::collections::VecDeque;
@@ -182,6 +190,85 @@ fn flush_on_shutdown_delivers_exactly_one_result_per_tag() {
     });
 }
 
+/// The waker's two halves over loom primitives: `pipe` stands for the
+/// socket pair's unread bytes (level-triggered: `wait` returns while it
+/// is non-zero, only `drain` empties it), `armed` is the coalescing flag.
+struct ModelWaker {
+    armed: AtomicBool,
+    pipe: Mutex<usize>,
+    readable: Condvar,
+}
+
+impl ModelWaker {
+    fn wake(&self) {
+        if !self.armed.swap(true, Ordering::SeqCst) {
+            *self.pipe.lock().unwrap() += 1;
+            self.readable.notify_one();
+        }
+    }
+
+    /// Blocks until readable; a lost wake-up shows as the timeout.
+    fn wait(&self) {
+        let mut bytes = self.pipe.lock().unwrap();
+        while *bytes == 0 {
+            let (guard, timeout) = self
+                .readable
+                .wait_timeout(bytes, Duration::from_secs(10))
+                .unwrap();
+            assert!(
+                !timeout.timed_out(),
+                "wake-up lost: loop would sleep forever"
+            );
+            bytes = guard;
+        }
+    }
+
+    fn drain(&self) {
+        *self.pipe.lock().unwrap() = 0;
+        self.armed.store(false, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn wake_between_drain_and_next_wait_is_not_lost() {
+    loom::model(|| {
+        const RESULTS: u64 = 12;
+        let waker = Arc::new(ModelWaker {
+            armed: AtomicBool::new(false),
+            pipe: Mutex::new(0),
+            readable: Condvar::new(),
+        });
+        let queue = Arc::new(Mutex::new(VecDeque::new()));
+
+        let worker = {
+            let (waker, queue) = (Arc::clone(&waker), Arc::clone(&queue));
+            thread::spawn(move || {
+                for tag in 0..RESULTS {
+                    // Publish, then wake.
+                    queue.lock().unwrap().push_back(tag);
+                    waker.wake();
+                    thread::explore();
+                }
+            })
+        };
+
+        // The shard loop: block, drain, then look. It reads the queue
+        // only when woken, so any lost wake-up strands a result.
+        let mut got = Vec::new();
+        let mut wakeups = 0u64;
+        while (got.len() as u64) < RESULTS {
+            waker.wait();
+            wakeups += 1;
+            waker.drain();
+            thread::explore();
+            got.extend(queue.lock().unwrap().drain(..));
+        }
+        worker.join().unwrap();
+        assert_eq!(got, (0..RESULTS).collect::<Vec<_>>());
+        assert!(wakeups <= RESULTS, "coalescing never adds wake-ups");
+    });
+}
+
 /// Keys and proofs are expensive to make and pure data — generate them
 /// once, clone per iteration.
 fn proof_corpus() -> &'static (DataPlan, KeyPair, KeyPair, Vec<PocMsg>) {
@@ -253,5 +340,47 @@ fn service_finish_flushes_partial_batches() {
             (pocs.len() as u64, 0),
             "shutdown must flush the partial batch, dropping nothing"
         );
+    });
+}
+
+#[test]
+fn kicks_racing_size_flushes_and_teardown_lose_nothing() {
+    let (plan, edge, op, pocs) = proof_corpus();
+    loom::model(move || {
+        // Batch size 2, an hour-long deadline, three proofs: the kick
+        // behind the first flushes it alone, the next two fill a batch,
+        // and the last kick has nothing left — all while `finish` is
+        // already closing the queues the markers travel on.
+        let mut svc = VerifierService::with_config(ServiceConfig {
+            workers: 2,
+            batch_size: 2,
+            flush_deadline: Duration::from_secs(3600),
+            stage_queue_depth: 2,
+        });
+        let notified = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&notified);
+        svc.set_notifier(std::sync::Arc::new(move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+        }));
+        let rel = svc
+            .register(*plan, edge.public.clone(), op.public.clone())
+            .unwrap();
+        svc.submit(rel, pocs[0].clone()).unwrap();
+        svc.kick();
+        svc.submit(rel, pocs[1].clone()).unwrap();
+        svc.submit(rel, pocs[2].clone()).unwrap();
+        svc.kick();
+        let report = svc.finish();
+        assert_eq!(report.worker_panics, 0);
+        assert_eq!(
+            (report.accepted, report.rejected, report.unclaimed_results),
+            (3, 0, 3),
+            "a lost result would be missing, a duplicated one a replay"
+        );
+        assert_eq!(
+            (report.batches, report.idle_flushes, report.kicks),
+            (2, 1, 2)
+        );
+        assert_eq!(notified.load(Ordering::SeqCst), report.batches);
     });
 }

@@ -16,7 +16,10 @@
 //!   flight than pooled buffers, every connection still completes once
 //!   buffers recycle, and the report shows the deferrals;
 //! * a framing violation poisons only its own connection — the typed
-//!   `ERROR`/`Protocol` close, with neighbours unaffected.
+//!   `ERROR`/`Protocol` close, with neighbours unaffected;
+//! * a light-load verdict is driven by the idle kick and (readiness
+//!   loop) the workers' waker, never by a timer — and a session that
+//!   submits nothing causes neither.
 //!
 //! Tests construct `IngressConfig { backend, shards, .. }` directly so
 //! they hold regardless of the environment's backend selection.
@@ -27,8 +30,11 @@ use std::time::Duration;
 use tlc_core::messages::{PocMsg, NONCE_LEN};
 use tlc_core::plan::DataPlan;
 use tlc_core::protocol::{run_negotiation, Endpoint};
+use tlc_core::roaming::{RoamingAgreement, Serving};
 use tlc_core::strategy::{Knowledge, OptimalStrategy, Role};
-use tlc_core::verify::remote::codec::{Fault, Hello, HelloAck, MAGIC, PROTOCOL_VERSION};
+use tlc_core::verify::remote::codec::{
+    Fault, Hello, HelloAck, SettleResult, MAGIC, PROTOCOL_VERSION,
+};
 use tlc_core::verify::remote::{
     IngressBackend, IngressConfig, IngressHandle, IngressServer, RemoteVerifier,
 };
@@ -105,11 +111,20 @@ fn material(idx: u64, n: usize) -> Material {
 }
 
 fn spawn_backend(backend: IngressBackend, shards: usize, ingress: IngressConfig) -> IngressHandle {
+    spawn_with_service(ServiceConfig::default(), backend, shards, ingress)
+}
+
+fn spawn_with_service(
+    service: ServiceConfig,
+    backend: IngressBackend,
+    shards: usize,
+    ingress: IngressConfig,
+) -> IngressHandle {
     IngressServer::bind(
         ("127.0.0.1", 0),
         ServiceConfig {
             workers: 2,
-            ..ServiceConfig::default()
+            ..service
         },
         IngressConfig {
             backend,
@@ -396,4 +411,82 @@ fn framing_violation_poisons_only_its_connection() {
     let report = handle.shutdown().unwrap();
     assert_eq!(report.ingress.protocol_errors, 1);
     assert_eq!(report.ingress.accepted, m.pocs.len() as u64);
+}
+
+// ---------------------------------------------------------------------
+// Wake-driven verdict path: idle kick in, waker out, no timers
+// ---------------------------------------------------------------------
+
+/// Depth-1 submit→verdict with a flush deadline that never comes: each
+/// proof is a partial batch only the server's idle kick can flush, and
+/// (readiness loop) only the workers' waker can announce. A server
+/// that leaned on either timer hangs here.
+#[test]
+fn depth_one_verdicts_need_no_timer_on_either_backend() {
+    let m = material(40, 3);
+    for backend in [IngressBackend::Poll, IngressBackend::Epoll] {
+        let handle = spawn_with_service(
+            ServiceConfig {
+                flush_deadline: Duration::from_secs(600),
+                ..ServiceConfig::default()
+            },
+            backend,
+            1,
+            IngressConfig::default(),
+        );
+        let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
+        let rel = client
+            .register(m.plan, m.edge.public.clone(), m.op.public.clone())
+            .unwrap();
+        for poc in &m.pocs {
+            let tag = client.submit(rel, poc).unwrap();
+            let results = client.collect_results().unwrap();
+            assert_eq!(results.len(), 1, "{backend:?}");
+            assert_eq!(results[0].tag, tag);
+            assert!(results[0].result.is_ok(), "{backend:?}: {:?}", results[0]);
+        }
+        client.goodbye().unwrap();
+
+        let report = handle.shutdown().unwrap();
+        let n = m.pocs.len() as u64;
+        let svc = &report.service;
+        assert_eq!((svc.batches, svc.idle_flushes), (n, n), "{backend:?}");
+        assert_eq!((svc.kicks, svc.deadline_flushes), (n, 0), "{backend:?}");
+        let readiness = backend == IngressBackend::Epoll && tlc_net::Readiness::available();
+        let wakeups = if readiness { n } else { 0 };
+        assert_eq!(report.waker_wakeups, wakeups, "{backend:?}");
+        let text = report.to_prometheus();
+        assert!(text.contains(&format!("tlc_service_idle_flushes_total {n}\n")));
+        assert!(text.contains(&format!("tlc_service_waker_wakeups_total {wakeups}\n")));
+    }
+}
+
+/// A session that only settles relays no submission, so the loop never
+/// probes, never kicks, and is never woken by a worker: the bypass
+/// workloads pay nothing for the verdict path.
+#[test]
+fn settle_only_session_causes_no_kick_or_wake() {
+    let m = material(41, 0);
+    let agreement = RoamingAgreement::paper_default();
+    for backend in [IngressBackend::Poll, IngressBackend::Epoll] {
+        let handle = spawn_backend(backend, 1, IngressConfig::default());
+        let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
+        let rel = client
+            .register(m.plan, m.edge.public.clone(), m.op.public.clone())
+            .unwrap();
+        for i in 0..32u64 {
+            let charged = 1_000_000 + i;
+            let split = agreement.split_volume(charged, Serving::Visited);
+            let got = client
+                .settle(rel, Serving::Visited, charged, split)
+                .unwrap();
+            assert_eq!(got, SettleResult::Conserved);
+        }
+        client.goodbye().unwrap();
+
+        let report = handle.shutdown().unwrap();
+        let svc = &report.service;
+        assert_eq!((svc.kicks, svc.idle_flushes, svc.batches), (0, 0, 0));
+        assert_eq!(report.waker_wakeups, 0, "{backend:?}");
+    }
 }

@@ -601,16 +601,43 @@ fn stalled_reader_is_capped_and_accounted_exactly() {
 #[test]
 fn mid_batch_death_accounts_every_orphan() {
     const N: usize = 5;
-    let handle = spawn_server(IngressConfig::default(), 1);
     let m = material(600, N);
-    let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
-    let rel = client
-        .register(m.plan, m.edge.public.clone(), m.op.public.clone())
-        .unwrap();
-    let (_, count) = client.submit_batch(rel, &m.pocs).unwrap();
-    assert_eq!(count, N);
+    // The whole session is pipelined into the listener's backlog and
+    // the socket dropped before the server thread exists, so the death
+    // precedes every verdict by construction. (Against a running server
+    // it is a race the client used to win only by the batch timer's
+    // 2 ms; a kicked batch of five is verified sooner than a preempted
+    // client gets to close.) The first relationship a server issues is 0.
+    let server = IngressServer::bind(
+        ("127.0.0.1", 0),
+        ServiceConfig::default(),
+        IngressConfig::default(),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.local_addr().unwrap()).unwrap();
+    let hello = Hello {
+        magic: MAGIC,
+        version: PROTOCOL_VERSION,
+        window: 0,
+    };
+    let register = Register {
+        req: 1,
+        capacity: 0,
+        plan: m.plan,
+        edge_key: m.edge.public.clone(),
+        operator_key: m.op.public.clone(),
+    };
+    let batch = SubmitBatch {
+        rel: 0,
+        first_tag: 0,
+        pocs: m.pocs.iter().map(|p| p.encode()).collect(),
+    };
+    for frame in [hello.to_frame(), register.to_frame(), batch.to_frame()] {
+        stream.write_all(&frame.encode().unwrap()).unwrap();
+    }
     // Death, mid-batch: nothing collected, socket dropped.
-    drop(client);
+    drop(stream);
+    let handle = server.spawn().unwrap();
     std::thread::sleep(std::time::Duration::from_millis(300));
     let report = handle.shutdown().unwrap();
     let ing = &report.ingress;

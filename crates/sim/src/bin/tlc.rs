@@ -15,7 +15,8 @@
 //! tlc keygen --seed N               print a deterministic RSA-1024 public key
 //! ```
 //!
-//! No external arg-parsing crates: flags are simple `--key value` pairs.
+//! No external arg-parsing crates: flags are simple `--key value` pairs,
+//! and a flag its sub-command does not know is an error, not a no-op.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -44,7 +45,17 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = parse_flags(&args[1..]);
+    let Some(known) = known_flags(cmd) else {
+        eprintln!("unknown command `{cmd}`\n{USAGE}");
+        return ExitCode::FAILURE;
+    };
+    let flags = match parse_flags(&args[1..], known) {
+        Ok(flags) => flags,
+        Err(flag) => {
+            eprintln!("unknown flag `--{flag}` for `tlc {cmd}`\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
     let scale = if flags.contains_key("full") {
         RunScale::Full
     } else {
@@ -71,12 +82,22 @@ fn main() -> ExitCode {
                 }
             }
         }
-        other => {
-            eprintln!("unknown command `{other}`\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        _ => unreachable!("known_flags accepts only the commands above"),
     }
     ExitCode::SUCCESS
+}
+
+/// The flags each sub-command reads; `None` for an unknown command.
+fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "eval" | "experiment" => &["full"],
+        "negotiate" => &[
+            "sent", "received", "c", "strategy", "loss", "dup", "reorder", "seed",
+        ],
+        "verify" => &["poc", "c"],
+        "keygen" => &["seed"],
+        _ => return None,
+    })
 }
 
 const USAGE: &str = "usage: tlc <eval|experiment|negotiate|verify|keygen> [flags]\n\
@@ -87,11 +108,17 @@ const USAGE: &str = "usage: tlc <eval|experiment|negotiate|verify|keygen> [flags
   tlc verify --poc HEX [--c 0.5]\n\
   tlc keygen --seed N";
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Collects `--key value` / bare `--key` pairs. A key outside `known`
+/// is returned as the error: a typo'd `--los 0.2` must not silently run
+/// the clean path.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         if let Some(key) = args[i].strip_prefix("--") {
+            if !known.contains(&key) {
+                return Err(key.to_string());
+            }
             let value = args
                 .get(i + 1)
                 .filter(|v| !v.starts_with("--"))
@@ -108,7 +135,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             i += 1;
         }
     }
-    out
+    Ok(out)
 }
 
 fn flag_u64(flags: &HashMap<String, String>, key: &str) -> Option<u64> {
