@@ -1,4 +1,19 @@
-//! Library stub for the bench crate; the real content lives in
-//! `benches/` and `src/bin/`.
+//! Helpers shared by the bench crate's targets; the benches and
+//! report writers themselves live in `benches/` and `src/bin/`.
 
 #![forbid(unsafe_code)]
+
+/// `n` messages of `len` bytes, no two alike (`len` ≥ 8).
+///
+/// Signing is timed over a rotating set of these: one fixed message
+/// lets the branch predictor learn the whole exponentiation and reads
+/// ~20% low against what a negotiator pays, where every message is new.
+pub fn distinct_messages(n: usize, len: usize) -> Vec<Vec<u8>> {
+    (0..n as u64)
+        .map(|i| {
+            let mut m = vec![0xA5u8; len];
+            m[..8].copy_from_slice(&i.to_be_bytes());
+            m
+        })
+        .collect()
+}

@@ -297,9 +297,17 @@ impl CdaMsg {
         Ok(msg)
     }
 
+    /// Verifies the CDA's own signature only. Sufficient when the
+    /// embedded CDR is byte-equal to one the caller signed itself;
+    /// anyone else wants [`CdaMsg::verify`].
+    pub(crate) fn verify_outer(&self, sender_key: &PublicKey) -> Result<(), MessageError> {
+        pkcs1::verify(sender_key, &self.body(), &self.signature)?;
+        Ok(())
+    }
+
     /// Verifies the CDA signature *and* the embedded CDR's signature.
     pub fn verify(&self, sender_key: &PublicKey, peer_key: &PublicKey) -> Result<(), MessageError> {
-        pkcs1::verify(sender_key, &self.body(), &self.signature)?;
+        self.verify_outer(sender_key)?;
         self.peer_cdr.verify(peer_key)
     }
 
@@ -438,17 +446,29 @@ impl PocMsg {
         Ok(msg)
     }
 
-    /// Verifies the whole signature chain: PoC by the finalizer, CDA by
-    /// the other party, embedded CDR by the finalizer again.
-    pub fn verify_chain(
+    /// `(finalizer, other)` keys as the PoC's role names them.
+    fn chain_keys<'k>(
+        &self,
+        edge_key: &'k PublicKey,
+        operator_key: &'k PublicKey,
+    ) -> (&'k PublicKey, &'k PublicKey) {
+        match self.role {
+            Role::Edge => (edge_key, operator_key),
+            Role::Operator => (operator_key, edge_key),
+        }
+    }
+
+    /// Verifies the PoC's own signature and the role coherence of what
+    /// it embeds, but neither embedded signature. Sufficient when the
+    /// embedded CDA is byte-equal to one the caller signed itself over a
+    /// CDR it had already verified; anyone else — every third party —
+    /// wants [`PocMsg::verify_chain`].
+    pub(crate) fn verify_outer(
         &self,
         edge_key: &PublicKey,
         operator_key: &PublicKey,
     ) -> Result<(), MessageError> {
-        let (finalizer_key, other_key) = match self.role {
-            Role::Edge => (edge_key, operator_key),
-            Role::Operator => (operator_key, edge_key),
-        };
+        let (finalizer_key, _) = self.chain_keys(edge_key, operator_key);
         pkcs1::verify(finalizer_key, &self.body(), &self.signature)?;
         // The CDA must come from the *other* party and embed the
         // finalizer's own CDR.
@@ -458,6 +478,18 @@ impl PocMsg {
         if self.cda.peer_cdr.role != self.role {
             return Err(MessageError::Malformed("embedded CDR role mismatch"));
         }
+        Ok(())
+    }
+
+    /// Verifies the whole signature chain: PoC by the finalizer, CDA by
+    /// the other party, embedded CDR by the finalizer again.
+    pub fn verify_chain(
+        &self,
+        edge_key: &PublicKey,
+        operator_key: &PublicKey,
+    ) -> Result<(), MessageError> {
+        self.verify_outer(edge_key, operator_key)?;
+        let (finalizer_key, other_key) = self.chain_keys(edge_key, operator_key);
         self.cda.verify(other_key, finalizer_key)
     }
 
@@ -570,10 +602,7 @@ pub fn verify_chains_batch_prehashed(
 ) -> Vec<Result<(), MessageError>> {
     let mut reqs = Vec::with_capacity(items.len() * 3);
     for (poc, d) in items {
-        let (finalizer_key, other_key) = match poc.role {
-            Role::Edge => (edge_key, operator_key),
-            Role::Operator => (operator_key, edge_key),
-        };
+        let (finalizer_key, other_key) = poc.chain_keys(edge_key, operator_key);
         reqs.push(pkcs1::VerifyRequest {
             key: finalizer_key,
             digest: d.poc,

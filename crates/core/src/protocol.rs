@@ -150,7 +150,9 @@ pub struct Endpoint {
     bounds: Bounds,
     round: u32,
     max_rounds: u32,
-    /// The last CDR we sent (to match CDA echoes).
+    /// The last CDR we sent (to match CDA echoes). `None` while the
+    /// standing claim has not been signed: it went out inside a CDA, or
+    /// nothing has been sent yet.
     last_sent_cdr: Option<CdrMsg>,
     /// Our standing claim for the round in progress.
     last_own_claim: Option<u64>,
@@ -235,16 +237,23 @@ impl Endpoint {
         Ok(Message::Cdr(cdr))
     }
 
-    fn make_cdr(&mut self) -> Result<CdrMsg, ProtocolError> {
+    /// Opens a round: advances the round counter (failing once it passes
+    /// the cap) and asks the strategy for this round's claim. Signs
+    /// nothing — a signature is made only for a message that is sent.
+    fn next_claim(&mut self) -> Result<u64, ProtocolError> {
         self.round += 1;
         if self.round > self.max_rounds {
             return Err(ProtocolError::Stalled {
                 rounds: self.round - 1,
             });
         }
-        let claim = self
+        Ok(self
             .strategy
-            .claim(&self.knowledge, &self.bounds, self.round);
+            .claim(&self.knowledge, &self.bounds, self.round))
+    }
+
+    /// Signs and transmits `claim` as the CDR of the round in progress.
+    fn send_cdr(&mut self, claim: u64) -> Result<CdrMsg, ProtocolError> {
         let cdr = CdrMsg::sign(
             self.role,
             self.plan,
@@ -259,6 +268,11 @@ impl Endpoint {
         self.last_own_claim = Some(claim);
         self.last_peer_claim = None;
         Ok(cdr)
+    }
+
+    fn make_cdr(&mut self) -> Result<CdrMsg, ProtocolError> {
+        let claim = self.next_claim()?;
+        self.send_cdr(claim)
     }
 
     fn note_sent(&mut self, bytes: usize) {
@@ -346,14 +360,13 @@ impl Endpoint {
         let own_claim = match (self.state, self.last_own_claim) {
             (State::SentCdr, Some(claim)) => claim,
             _ => {
-                // Compute a fresh claim; it travels inside the CDA (accept)
-                // or a counter-CDR (reject) — build the CDR but only count
-                // its transmission if we actually send it.
-                let c = self.make_unsent_cdr()?;
-                let usage = c.usage;
-                self.last_sent_cdr = Some(c);
-                self.last_own_claim = Some(usage);
-                usage
+                // A fresh claim travels inside the CDA (accept) or a
+                // counter-CDR (reject); whichever is sent gets signed.
+                // Until then: claim made, nothing signed.
+                let claim = self.next_claim()?;
+                self.last_sent_cdr = None;
+                self.last_own_claim = Some(claim);
+                claim
             }
         };
         self.last_peer_claim = Some(cdr.usage);
@@ -380,16 +393,8 @@ impl Endpoint {
             self.bounds = self.bounds.tighten(own_claim, cdr.usage);
             self.last_own_claim = None;
             self.last_peer_claim = None;
-            let reply = match (self.state, &self.last_sent_cdr) {
-                (State::Null, Some(mine)) | (State::SentCda, Some(mine))
-                    if mine.usage == own_claim =>
-                {
-                    // Send the standing (untransmitted) claim as-is.
-                    let cdr_out = mine.clone();
-                    self.note_sent(cdr_out.encode().len());
-                    self.last_own_claim = Some(cdr_out.usage);
-                    cdr_out
-                }
+            let reply = match self.state {
+                State::Null | State::SentCda => self.send_cdr(own_claim)?,
                 _ => self.make_cdr()?,
             };
             self.state = State::SentCdr;
@@ -397,45 +402,29 @@ impl Endpoint {
         }
     }
 
-    /// Builds and signs a CDR for this round without counting it as
-    /// transmitted (it may travel embedded in a CDA instead).
-    fn make_unsent_cdr(&mut self) -> Result<CdrMsg, ProtocolError> {
-        self.round += 1;
-        if self.round > self.max_rounds {
-            return Err(ProtocolError::Stalled {
-                rounds: self.round - 1,
-            });
-        }
-        let claim = self
-            .strategy
-            .claim(&self.knowledge, &self.bounds, self.round);
-        let cdr = CdrMsg::sign(
-            self.role,
-            self.plan,
-            self.round as u64,
-            self.nonce,
-            claim,
-            &self.own_key,
-        )?;
-        self.stats.signatures_made += 1;
-        Ok(cdr)
-    }
-
     fn on_cda(&mut self, cda: &CdaMsg) -> Result<Option<Message>, ProtocolError> {
         if self.state != State::SentCdr {
             return Err(ProtocolError::UnexpectedMessage("CDA without pending CDR"));
         }
-        cda.verify(&self.peer_key, &self.own_key.public)?;
-        self.stats.signatures_checked += 2;
+        // The CDA must echo exactly the CDR we last sent. A byte-equal
+        // echo carries a signature we made ourselves, so only the CDA's
+        // own signature is new; anything else gets the full check first,
+        // so a forged echo is a signature error, not an `EchoMismatch`.
+        let echoed = self.last_sent_cdr.as_ref() == Some(&cda.peer_cdr);
+        if echoed {
+            cda.verify_outer(&self.peer_key)?;
+            self.stats.signatures_checked += 1;
+        } else {
+            cda.verify(&self.peer_key, &self.own_key.public)?;
+            self.stats.signatures_checked += 2;
+        }
         self.check_plan(&cda.plan)?;
-        // The CDA must echo exactly the CDR we last sent.
-        let mine = self.last_sent_cdr.as_ref().expect("SentCdr implies a CDR");
-        if cda.peer_cdr != *mine {
+        if !echoed {
             return Err(ProtocolError::EchoMismatch);
         }
         self.check_peer_bounds(cda.usage)?;
 
-        let own_claim = mine.usage;
+        let own_claim = cda.peer_cdr.usage;
         let decision = self.strategy.decide(&self.knowledge, own_claim, cda.usage);
         if decision == Decision::Accept {
             let (edge_claim, op_claim) = match self.role {
@@ -483,8 +472,21 @@ impl Endpoint {
             Role::Edge => (&self.own_key.public, &self.peer_key),
             Role::Operator => (&self.peer_key, &self.own_key.public),
         };
-        poc.verify_chain(edge_key, op_key)?;
-        self.stats.signatures_checked += 3;
+        // A PoC built on the CDA we sent (still held by the
+        // retransmission cache) embeds a signature we made over a CDR
+        // that already passed `on_cdr`: only the PoC's own signature is
+        // new. Any other CDA gets the full chain.
+        let on_our_cda = matches!(
+            &self.last_rx,
+            LastRx::Msg(_, Some(Message::Cda(sent))) if *sent == poc.cda
+        );
+        if on_our_cda {
+            poc.verify_outer(edge_key, op_key)?;
+            self.stats.signatures_checked += 1;
+        } else {
+            poc.verify_chain(edge_key, op_key)?;
+            self.stats.signatures_checked += 3;
+        }
         self.check_plan(&poc.plan)?;
         // Recompute the charge from the embedded claims.
         let expected = charge_for(
@@ -667,6 +669,17 @@ mod tests {
     use tlc_crypto::KeyPair;
     use tlc_net::rng::SimRng;
 
+    /// `(edge, operator)` key pairs, generated once for the module.
+    fn keys() -> &'static (KeyPair, KeyPair) {
+        static KEYS: std::sync::OnceLock<(KeyPair, KeyPair)> = std::sync::OnceLock::new();
+        KEYS.get_or_init(|| {
+            (
+                KeyPair::generate_for_seed(1024, 11).unwrap(),
+                KeyPair::generate_for_seed(1024, 22).unwrap(),
+            )
+        })
+    }
+
     fn setup(
         edge_strategy: Box<dyn Strategy>,
         op_strategy: Box<dyn Strategy>,
@@ -674,8 +687,7 @@ mod tests {
         received: u64,
     ) -> (Endpoint, Endpoint) {
         let plan = DataPlan::paper_default();
-        let edge_keys = KeyPair::generate_for_seed(1024, 11).unwrap();
-        let op_keys = KeyPair::generate_for_seed(1024, 22).unwrap();
+        let (edge_keys, op_keys) = keys();
         let edge = Endpoint::new(
             Role::Edge,
             plan,
@@ -996,6 +1008,349 @@ mod tests {
         let edge_pub = &edge.own_key.public;
         let op_pub = &op.own_key.public;
         crate::verify::verify_poc(poc, &DataPlan::paper_default(), edge_pub, op_pub).unwrap();
+    }
+
+    /// Shuttles messages until the negotiation completes or errors,
+    /// returning every message that crossed the wire, in order.
+    fn transcript(initiator: &mut Endpoint, responder: &mut Endpoint) -> Vec<Message> {
+        let mut wire = vec![initiator.initiate().unwrap()];
+        let mut to_responder = true;
+        loop {
+            let rx = if to_responder {
+                &mut *responder
+            } else {
+                &mut *initiator
+            };
+            match rx.handle(wire.last().unwrap()) {
+                Ok(Some(reply)) => {
+                    wire.push(reply);
+                    to_responder = !to_responder;
+                }
+                Ok(None) | Err(_) => return wire,
+            }
+        }
+    }
+
+    fn grumpy(reject_first: u32) -> Box<dyn Strategy> {
+        Box::new(GrumpyOptimal {
+            reject_first,
+            decisions: 0,
+        })
+    }
+
+    #[test]
+    fn honest_cycle_signs_three_and_checks_three() {
+        let (mut edge, mut op) = setup(
+            Box::new(HonestStrategy),
+            Box::new(HonestStrategy),
+            5000,
+            4000,
+        );
+        let (_, msgs) = run_negotiation(&mut op, &mut edge).unwrap();
+        let (es, os) = (edge.stats(), op.stats());
+        assert_eq!(msgs, 3);
+        assert_eq!(es.msgs_sent + os.msgs_sent, 3);
+        assert_eq!(es.signatures_made + os.signatures_made, 3);
+        assert_eq!(es.signatures_checked + os.signatures_checked, 3);
+    }
+
+    #[test]
+    fn multi_round_transcripts_match_eager_signing_digest() {
+        // Every message of every negotiation below, hashed in order. The
+        // digest was recorded from the commit that still signed a CDR per
+        // claim (sent or not) and re-verified every embedded signature:
+        // signing on send must not move one wire byte.
+        const WIRE_DIGEST: &str =
+            "726f8ccd034cae211f13506dcb5c4b1d9b9efbbb2bece937306052f28ecb331d";
+        let mut hash = tlc_crypto::sha256::Sha256::new();
+        let mut total = 0;
+        let mut absorb = |wire: &[Message], edge: &Endpoint, op: &Endpoint| {
+            for ep in [edge, op] {
+                assert_eq!(ep.state(), State::Done);
+                assert_eq!(
+                    ep.stats().signatures_made,
+                    ep.stats().msgs_sent,
+                    "one signature per transmitted message"
+                );
+            }
+            total += wire.len();
+            for m in wire {
+                hash.update(&m.encode());
+            }
+        };
+        for (e, o, edge_first) in [
+            (0, 1, false),
+            (1, 0, false),
+            (2, 2, false),
+            (3, 1, false),
+            (1, 3, false),
+            (1, 1, true),
+            (0, 2, true),
+        ] {
+            let (mut edge, mut op) = setup(grumpy(e), grumpy(o), 1000, 800);
+            let wire = if edge_first {
+                transcript(&mut edge, &mut op)
+            } else {
+                transcript(&mut op, &mut edge)
+            };
+            absorb(&wire, &edge, &op);
+        }
+        for seed in 0..8u64 {
+            let (mut edge, mut op) = setup(
+                Box::new(RandomSelfishStrategy::new(SimRng::new(seed))),
+                Box::new(RandomSelfishStrategy::new(SimRng::new(seed + 700))),
+                1_000_000,
+                900_000,
+            );
+            let wire = if seed % 2 == 0 {
+                transcript(&mut op, &mut edge)
+            } else {
+                transcript(&mut edge, &mut op)
+            };
+            absorb(&wire, &edge, &op);
+        }
+        assert_eq!(total, 133, "messages across all transcripts");
+        let digest: String = hash.finalize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(digest, WIRE_DIGEST);
+    }
+
+    fn bad_signature(r: Result<Option<Message>, ProtocolError>) -> bool {
+        matches!(r, Err(ProtocolError::Message(MessageError::BadSignature)))
+    }
+
+    #[test]
+    fn cda_with_forged_echo_is_a_signature_error() {
+        let (edge_keys, _) = keys();
+        let (mut edge, mut op) = setup(
+            Box::new(OptimalStrategy),
+            Box::new(OptimalStrategy),
+            1000,
+            800,
+        );
+        let cdr = op.initiate().unwrap();
+        let Some(Message::Cda(cda)) = edge.handle(&cdr).unwrap() else {
+            panic!("edge accepts with a CDA");
+        };
+        // One bit of the echoed CDR's signature flipped in flight: the
+        // CDA's own signature no longer covers its body.
+        let mut in_flight = cda.clone();
+        in_flight.peer_cdr.signature[7] ^= 0x10;
+        assert!(bad_signature(op.handle(&Message::Cda(in_flight))));
+        // The same forgery under a *valid* CDA signature (the edge signs
+        // over the tampered echo): still the embedded CDR's signature
+        // error, not `EchoMismatch`.
+        let mut forged = cda.peer_cdr.clone();
+        forged.signature[7] ^= 0x10;
+        let resigned = CdaMsg::sign(
+            Role::Edge,
+            cda.plan,
+            cda.nonce,
+            cda.usage,
+            forged,
+            &edge_keys.private,
+        )
+        .unwrap();
+        assert!(bad_signature(op.handle(&Message::Cda(resigned))));
+        assert_eq!(
+            op.stats().signatures_checked,
+            0,
+            "failed checks don't count"
+        );
+        // Neither attempt moved the state machine: the real CDA completes.
+        assert!(matches!(
+            op.handle(&Message::Cda(cda)),
+            Ok(Some(Message::Poc(_)))
+        ));
+    }
+
+    #[test]
+    fn cda_echoing_an_older_signed_cdr_is_echo_mismatch() {
+        let (edge_keys, _) = keys();
+        let (mut edge, mut op) = setup(Box::new(OptimalStrategy), grumpy(1), 1000, 800);
+        let Message::Cdr(first) = op.initiate().unwrap() else {
+            panic!("initiate sends a CDR");
+        };
+        let cda = edge.handle(&Message::Cdr(first.clone())).unwrap().unwrap();
+        let second = op.handle(&cda).unwrap().unwrap();
+        assert!(matches!(second, Message::Cdr(_)), "operator re-claims");
+        // The edge accepts the *first* CDR again (under a new claim, so
+        // this is no retransmission of its first CDA): both signatures
+        // are genuine, the echo is stale.
+        let stale = CdaMsg::sign(
+            Role::Edge,
+            first.plan,
+            [0xEE; 16],
+            801,
+            first,
+            &edge_keys.private,
+        )
+        .unwrap();
+        let before = op.stats().signatures_checked;
+        assert!(matches!(
+            op.handle(&Message::Cda(stale)),
+            Err(ProtocolError::EchoMismatch)
+        ));
+        // A non-equal echo takes the full check (CDA + embedded CDR).
+        assert_eq!(op.stats().signatures_checked, before + 2);
+    }
+
+    /// The operator finalizes `cda` into a PoC the honest way.
+    fn poc_over(cda: &CdaMsg) -> Message {
+        let (_, op_keys) = keys();
+        let plan = DataPlan::paper_default();
+        let charge = charge_for(
+            UsagePair {
+                edge: cda.usage,
+                operator: cda.peer_cdr.usage,
+            },
+            plan.loss_weight,
+        );
+        Message::Poc(
+            PocMsg::sign(
+                Role::Operator,
+                plan,
+                charge,
+                cda.clone(),
+                cda.nonce,
+                cda.peer_cdr.nonce,
+                &op_keys.private,
+            )
+            .unwrap(),
+        )
+    }
+
+    #[test]
+    fn poc_with_forged_cda_signature_is_a_signature_error() {
+        let (mut edge, mut op) = setup(
+            Box::new(OptimalStrategy),
+            Box::new(OptimalStrategy),
+            1000,
+            800,
+        );
+        let cdr = op.initiate().unwrap();
+        let Some(Message::Cda(mut cda)) = edge.handle(&cdr).unwrap() else {
+            panic!("edge accepts with a CDA");
+        };
+        // The operator finalizes over a CDA whose signature it damaged;
+        // its own PoC signature is valid.
+        cda.signature[3] ^= 0x01;
+        assert!(bad_signature(edge.handle(&poc_over(&cda))));
+        assert_eq!(edge.state(), State::SentCda);
+    }
+
+    #[test]
+    fn poc_on_an_older_signed_cda_keeps_the_full_chain_verdict() {
+        let (mut edge, mut op) = setup(Box::new(OptimalStrategy), grumpy(1), 1000, 800);
+        let m1 = op.initiate().unwrap();
+        let Some(Message::Cda(old_cda)) = edge.handle(&m1).unwrap() else {
+            panic!("edge accepts with a CDA");
+        };
+        let m3 = op.handle(&Message::Cda(old_cda.clone())).unwrap().unwrap();
+        let Some(Message::Cda(new_cda)) = edge.handle(&m3).unwrap() else {
+            panic!("edge re-accepts with a CDA");
+        };
+        assert_ne!(old_cda, new_cda);
+        // A PoC over the CDA of the rejected round: every signature in it
+        // is genuine, so it is judged — as it always was — by the full
+        // chain, and accepted.
+        let before = edge.stats().signatures_checked;
+        assert!(matches!(edge.handle(&poc_over(&old_cda)), Ok(None)));
+        assert_eq!(edge.state(), State::Done);
+        assert_eq!(edge.stats().signatures_checked, before + 3);
+    }
+
+    /// "Crashes" `ep`: a new endpoint from its snapshot plus the
+    /// long-term configuration. `ep` itself lives on as the un-crashed
+    /// run to compare against.
+    fn crash(ep: &Endpoint, strategy: Box<dyn Strategy>) -> Endpoint {
+        Endpoint::restore(
+            ep.snapshot(),
+            ep.role,
+            ep.plan,
+            ep.knowledge,
+            strategy,
+            ep.own_key.clone(),
+            ep.peer_key.clone(),
+            ep.max_rounds,
+        )
+    }
+
+    /// Delivers `msg` to the un-crashed endpoint and to its restored
+    /// twin: same reply bytes, same number of signatures checked.
+    fn deliver_to_both(live: &mut Endpoint, restored: &mut Endpoint, msg: &Message) -> u64 {
+        let before = (
+            live.stats().signatures_checked,
+            restored.stats().signatures_checked,
+        );
+        let a = live.handle(msg).unwrap();
+        let b = restored.handle(msg).unwrap();
+        assert_eq!(
+            a.as_ref().map(Message::encode),
+            b.as_ref().map(Message::encode),
+            "restored reply differs from the un-crashed run"
+        );
+        assert_eq!(live.state(), restored.state());
+        let checked = restored.stats().signatures_checked - before.1;
+        assert_eq!(live.stats().signatures_checked - before.0, checked);
+        checked
+    }
+
+    #[test]
+    fn restored_responder_in_sent_cda_replies_identically_and_verifies_once() {
+        // (i) The peer accepts: its PoC arrives after the crash.
+        let (mut edge, mut op) = setup(
+            Box::new(OptimalStrategy),
+            Box::new(OptimalStrategy),
+            1000,
+            800,
+        );
+        let cdr = op.initiate().unwrap();
+        let cda = edge.handle(&cdr).unwrap().unwrap();
+        assert_eq!(edge.state(), State::SentCda);
+        assert!(edge.last_sent_cdr.is_none(), "claim made, CDR unsigned");
+        let mut edge2 = crash(&edge, Box::new(OptimalStrategy));
+        let poc = op.handle(&cda).unwrap().unwrap();
+        assert_eq!(deliver_to_both(&mut edge, &mut edge2, &poc), 1);
+        assert_eq!(edge2.proof(), op.proof());
+
+        // (ii) The peer rejects: its counter-CDR arrives after the crash.
+        let (mut edge, mut op) = setup(Box::new(OptimalStrategy), grumpy(1), 1000, 800);
+        let cdr = op.initiate().unwrap();
+        let cda = edge.handle(&cdr).unwrap().unwrap();
+        let mut edge2 = crash(&edge, Box::new(OptimalStrategy));
+        let counter = op.handle(&cda).unwrap().unwrap();
+        assert!(matches!(counter, Message::Cdr(_)));
+        assert_eq!(deliver_to_both(&mut edge, &mut edge2, &counter), 1);
+        assert_eq!(edge2.stats().signatures_made, edge2.stats().msgs_sent);
+    }
+
+    #[test]
+    fn restored_initiator_in_sent_cdr_replies_identically_and_verifies_once() {
+        // (i) The peer accepts: its CDA arrives after the crash.
+        let (mut edge, mut op) = setup(
+            Box::new(OptimalStrategy),
+            Box::new(OptimalStrategy),
+            1000,
+            800,
+        );
+        let cdr = op.initiate().unwrap();
+        let mut op2 = crash(&op, Box::new(OptimalStrategy));
+        let cda = edge.handle(&cdr).unwrap().unwrap();
+        assert_eq!(deliver_to_both(&mut op, &mut op2, &cda), 1);
+        assert_eq!(op2.proof(), op.proof());
+        assert!(edge
+            .handle(&Message::Poc(op2.proof().unwrap().clone()))
+            .unwrap()
+            .is_none());
+
+        // (ii) The peer rejects with a counter-CDR.
+        let (mut edge, mut op) = setup(grumpy(1), Box::new(OptimalStrategy), 1000, 800);
+        let cdr = op.initiate().unwrap();
+        let mut op2 = crash(&op, Box::new(OptimalStrategy));
+        let counter = edge.handle(&cdr).unwrap().unwrap();
+        assert!(matches!(counter, Message::Cdr(_)));
+        assert_eq!(deliver_to_both(&mut op, &mut op2, &counter), 1);
+        assert_eq!(op2.stats().signatures_made, op2.stats().msgs_sent);
     }
 
     #[test]

@@ -25,7 +25,9 @@ pub const DEFAULT_MODULUS_BITS: usize = 1024;
 ///
 /// Carries a lazily-built, shared [`MontgomeryCtx`] for `n`, so the REDC
 /// constants are computed once per key lifetime rather than once per
-/// exponentiation. Clones share the cached context.
+/// exponentiation. Clones share the *cell*, not a copy of its contents:
+/// whichever of a key and its clones is used first builds the context
+/// for all of them, whether the clone was taken before or after.
 #[derive(Clone)]
 pub struct PublicKey {
     /// Modulus.
@@ -33,7 +35,7 @@ pub struct PublicKey {
     /// Public exponent.
     pub e: BigUint,
     /// Cached Montgomery context for `n` (built on first use).
-    ctx: OnceLock<Arc<MontgomeryCtx>>,
+    ctx: Arc<OnceLock<MontgomeryCtx>>,
 }
 
 impl PartialEq for PublicKey {
@@ -76,9 +78,9 @@ pub struct PrivateKey {
     /// `q^-1 mod p`.
     qinv: BigUint,
     /// Cached Montgomery context for `p`.
-    p_ctx: OnceLock<Arc<MontgomeryCtx>>,
+    p_ctx: Arc<OnceLock<MontgomeryCtx>>,
     /// Cached Montgomery context for `q`.
-    q_ctx: OnceLock<Arc<MontgomeryCtx>>,
+    q_ctx: Arc<OnceLock<MontgomeryCtx>>,
 }
 
 impl std::fmt::Debug for PrivateKey {
@@ -111,9 +113,9 @@ impl Drop for PrivateKey {
         // buffers return to the allocator. Volatile writes keep the
         // stores from being elided as dead. Transient `BigUint`
         // temporaries inside an exponentiation are *not* covered, nor
-        // are the per-prime Montgomery contexts (shared via `Arc` with
-        // any clone, so scrubbing them here could corrupt a live
-        // sibling).
+        // are the per-prime Montgomery contexts (their cells are
+        // shared via `Arc` with every clone, so scrubbing them here
+        // could corrupt a live sibling).
         for secret in [
             &mut self.d,
             &mut self.p,
@@ -159,7 +161,7 @@ impl PublicKey {
         PublicKey {
             n,
             e,
-            ctx: OnceLock::new(),
+            ctx: Arc::default(),
         }
     }
 
@@ -176,10 +178,7 @@ impl PublicKey {
         if self.n.is_zero() || !self.n.bit(0) {
             return None;
         }
-        Some(
-            self.ctx
-                .get_or_init(|| Arc::new(MontgomeryCtx::new(&self.n))),
-        )
+        Some(self.ctx.get_or_init(|| MontgomeryCtx::new(&self.n)))
     }
 
     /// Raw public-key operation `m^e mod n`.
@@ -215,14 +214,12 @@ impl PrivateKey {
 
     /// Cached Montgomery context for prime `p` (primes are always odd).
     fn p_ctx(&self) -> &MontgomeryCtx {
-        self.p_ctx
-            .get_or_init(|| Arc::new(MontgomeryCtx::new(&self.p)))
+        self.p_ctx.get_or_init(|| MontgomeryCtx::new(&self.p))
     }
 
     /// Cached Montgomery context for prime `q`.
     fn q_ctx(&self) -> &MontgomeryCtx {
-        self.q_ctx
-            .get_or_init(|| Arc::new(MontgomeryCtx::new(&self.q)))
+        self.q_ctx.get_or_init(|| MontgomeryCtx::new(&self.q))
     }
 
     /// Raw private-key operation `c^d mod n` via CRT.
@@ -287,8 +284,8 @@ impl KeyPair {
                     dp,
                     dq,
                     qinv,
-                    p_ctx: OnceLock::new(),
-                    q_ctx: OnceLock::new(),
+                    p_ctx: Arc::default(),
+                    q_ctx: Arc::default(),
                 },
             });
         }
@@ -405,6 +402,25 @@ mod tests {
         let c = a.public.raw_encrypt(&m).unwrap();
         // Decrypting with the wrong key yields garbage, not the message.
         assert_ne!(b.private.raw_decrypt(&c).unwrap(), m);
+    }
+
+    #[test]
+    fn clone_taken_before_first_use_shares_the_contexts() {
+        // Negotiators clone a never-used key per cycle; each clone must
+        // find the contexts an earlier clone built, not rebuild them.
+        let kp = test_keypair(512);
+        let (private, public) = (kp.private.clone(), kp.public.clone());
+        assert!(std::ptr::eq(private.p_ctx(), kp.private.p_ctx()));
+        assert!(std::ptr::eq(private.q_ctx(), kp.private.q_ctx()));
+        assert!(std::ptr::eq(
+            public.mont_ctx().unwrap(),
+            kp.public.mont_ctx().unwrap()
+        ));
+        // The pair's two copies of the public half are one key.
+        assert!(std::ptr::eq(
+            kp.private.public.mont_ctx().unwrap(),
+            public.mont_ctx().unwrap()
+        ));
     }
 
     #[test]
