@@ -18,11 +18,8 @@
 //! `BENCH_ingress.json` in the working directory:
 //!
 //! ```text
-//! ingress_throughput --backend epoll --conns 10000 --shards 4 --duration 3
+//! ingress_throughput --conns 10000 --shards 4 --duration 3
 //! ```
-//!
-//! `--backend {poll,epoll}` selects the server loop in both modes
-//! (default: the `TLC_INGRESS_BACKEND` env, i.e. legacy poll).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -32,7 +29,7 @@ use tlc_core::plan::DataPlan;
 use tlc_core::protocol::{run_negotiation, Endpoint};
 use tlc_core::strategy::{Knowledge, OptimalStrategy, Role};
 use tlc_core::verify::remote::codec::{Hello, MAGIC, PROTOCOL_VERSION};
-use tlc_core::verify::remote::{IngressBackend, IngressConfig, IngressServer, RemoteVerifier};
+use tlc_core::verify::remote::{IngressConfig, IngressServer, RemoteVerifier};
 use tlc_core::verify::service::{ServiceConfig, VerifierService};
 use tlc_crypto::{KeyPair, PublicKey};
 use tlc_net::wire::{FrameDecoder, FrameKind};
@@ -116,15 +113,6 @@ fn main() {
     }
 
     let metrics = args.iter().any(|a| a == "--metrics");
-    let backend = match arg_value(&args, "--backend").as_deref() {
-        Some("epoll") => Some(IngressBackend::Epoll),
-        Some("poll") => Some(IngressBackend::Poll),
-        Some(other) => {
-            eprintln!("unknown --backend {other} (want poll|epoll)");
-            std::process::exit(2);
-        }
-        None => None,
-    };
 
     if let Some(conns) = arg_value(&args, "--conns").and_then(|v| v.parse::<usize>().ok()) {
         let max_shards: usize = arg_value(&args, "--shards")
@@ -136,17 +124,16 @@ fn main() {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(3.0),
         );
-        let backend = backend.unwrap_or(IngressBackend::Epoll);
-        c100k_bench(conns, max_shards, duration, backend);
+        c100k_bench(conns, max_shards, duration);
         return;
     }
 
-    conformance_bench(metrics, backend);
+    conformance_bench(metrics);
 }
 
 // ── Conformance smoke (the original bench) ─────────────────────────────
 
-fn conformance_bench(metrics: bool, backend: Option<IngressBackend>) {
+fn conformance_bench(metrics: bool) {
     let cycles: usize = std::env::var("TLC_BENCH_POCS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -177,17 +164,13 @@ fn conformance_bench(metrics: bool, backend: Option<IngressBackend>) {
     local.sort_by_key(|r| r.tag);
 
     // ── Over TCP ────────────────────────────────────────────────────────
-    let mut config = IngressConfig::default();
-    if let Some(b) = backend {
-        config.backend = b;
-    }
     let server = IngressServer::bind(
         ("127.0.0.1", 0),
         ServiceConfig {
             workers,
             ..ServiceConfig::default()
         },
-        config,
+        IngressConfig::default(),
     )
     .expect("bind");
     let handle = server.spawn().expect("spawn ingress");
@@ -250,7 +233,12 @@ struct Run {
     pool_exhausted: u64,
 }
 
-fn c100k_bench(conns: usize, max_shards: usize, duration: Duration, backend: IngressBackend) {
+fn c100k_bench(conns: usize, max_shards: usize, duration: Duration) {
+    // The poller this platform builds — what every shard waits on.
+    let backend = tlc_net::Readiness::new()
+        .expect("readiness registry")
+        .backend()
+        .name();
     // Each held connection costs one server fd here plus one client fd
     // in the child; lift our soft limit toward the hard cap for the
     // server side (the child lifts its own).
@@ -259,9 +247,8 @@ fn c100k_bench(conns: usize, max_shards: usize, duration: Duration, backend: Ing
         .map(|n| n.get())
         .unwrap_or(1);
     println!(
-        "C100K bench: backend={} conns={conns} shards<=1..{max_shards} \
+        "C100K bench: backend={backend} conns={conns} shards<=1..{max_shards} \
          duration={:.1}s host_cpus={host_cpus} nofile={got}",
-        backend.name(),
         duration.as_secs_f64(),
     );
 
@@ -285,7 +272,6 @@ fn c100k_bench(conns: usize, max_shards: usize, duration: Duration, backend: Ing
     let mut runs: Vec<Run> = Vec::new();
     for &shards in &shard_counts {
         let config = IngressConfig {
-            backend,
             shards,
             max_conns: conns + 1024,
             ..IngressConfig::default()
@@ -323,7 +309,7 @@ fn c100k_bench(conns: usize, max_shards: usize, duration: Duration, backend: Ing
             .unwrap_or(0);
         println!("shards={shards}: holding {held}/{conns} idle connections");
 
-        // Idle soak: the whole point of the readiness backend is that
+        // Idle soak: the whole point of the readiness loop is that
         // a full-but-quiet table costs nothing. Sit on it for the
         // requested duration before measuring.
         std::thread::sleep(duration);
@@ -384,20 +370,14 @@ fn c100k_bench(conns: usize, max_shards: usize, duration: Duration, backend: Ing
 }
 
 /// Writes `BENCH_ingress.json` (hand-rolled: no serde in the tree).
-fn write_json(
-    conns: usize,
-    duration: Duration,
-    backend: IngressBackend,
-    host_cpus: usize,
-    runs: &[Run],
-) {
+fn write_json(conns: usize, duration: Duration, backend: &str, host_cpus: usize, runs: &[Run]) {
     let rate = |r: &Run| -> f64 { r.pocs as f64 / r.elapsed.as_secs_f64().max(f64::MIN_POSITIVE) };
     let base = runs.first().map(rate).unwrap_or(0.0);
     let peak = runs.iter().map(rate).fold(0.0f64, f64::max);
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"ingress_throughput\",\n");
-    out.push_str(&format!("  \"backend\": \"{}\",\n", backend.name()));
+    out.push_str(&format!("  \"backend\": \"{backend}\",\n"));
     out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     out.push_str(&format!("  \"target_conns\": {conns},\n"));
     out.push_str(&format!(

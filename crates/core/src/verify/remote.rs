@@ -9,10 +9,10 @@
 //!
 //! * [`codec`] — payload grammars for every [`FrameKind`]; the byte-
 //!   exact conformance surface pinned by `tests/wire_conformance.rs`,
-//! * [`IngressServer`] — a non-blocking poll loop multiplexing many
-//!   client connections onto one service, pausing reads per connection
-//!   when its in-flight window (or the service's global outstanding
-//!   cap) is exceeded,
+//! * [`IngressServer`] — a readiness-driven event loop multiplexing
+//!   many client connections onto the service, pausing reads per
+//!   connection when its in-flight window (or the service's global
+//!   outstanding cap) is exceeded,
 //! * [`RemoteVerifier`] — a blocking client mirroring the in-process
 //!   API: `register` / `submit` / `submit_batch` / `collect_results`
 //!   with the same typed [`ServiceError`] / [`VerifyError`] surface.
@@ -54,32 +54,22 @@
 //! `ChargeMismatch` operands) so a tampered PoC rejected over TCP is
 //! indistinguishable from one rejected in-process.
 //!
-//! ## Backends (DESIGN §12)
+//! ## Server loop (DESIGN §12)
 //!
-//! Two server loops drive the same protocol core:
-//!
-//! * [`IngressBackend::Poll`] — the legacy tick loop: walk every
-//!   connection per 200 µs iteration. O(conns) per tick, trivially
-//!   portable, the conformance reference.
-//! * [`IngressBackend::Epoll`] — the readiness event loop
-//!   (`tlc_net::readiness`: epoll on Linux, poll(2) fallback):
-//!   `SO_REUSEPORT`-sharded acceptor/event threads, each owning its
-//!   slice of the connection table and its own verifier service shard,
-//!   reading into pooled buffers that the codec decodes zero-copy, and
-//!   woken for verdicts by the service's workers instead of polling.
-//!
-//! Either loop tells its service when its submitters go idle
+//! The server blocks in `tlc_net::readiness` (epoll on Linux, poll(2)
+//! on other Unix) on `SO_REUSEPORT`-sharded acceptor/event threads,
+//! each owning its slice of the connection table and its own verifier
+//! service pool, reading into pooled buffers that the codec decodes
+//! zero-copy, and woken for verdicts by the service's workers. A shard
+//! tells its service when its submitters go idle
 //! ([`VerifierService::kick`]), so a light-load verdict never waits for
-//! a batch to fill or a deadline to pass.
-//!
-//! Both backends dispatch into one [`IngressCore`], so the shed
-//! ladder, DRR lanes, misbehavior scoring, and every protocol handler
-//! are byte-identical — which the conformance suites prove by running
-//! under `TLC_INGRESS_BACKEND=epoll`.
+//! a batch to fill or a deadline to pass. Every shard dispatches into
+//! its own [`IngressCore`]: the shed ladder, DRR lanes, misbehavior
+//! scoring, and every protocol handler.
 //!
 //! No wall-clock time is read anywhere here (tlc-lint's determinism
-//! rule): the poll loop paces itself with a fixed `thread::sleep` when
-//! idle, and all ordering comes from the sockets and channels.
+//! rule): the loop blocks in the kernel under a fixed wait bound, and
+//! all ordering comes from the sockets and channels.
 
 use crate::messages::PocMsg;
 use crate::plan::DataPlan;
@@ -90,11 +80,12 @@ use crate::verify::{VerifyError, DEFAULT_REPLAY_CAPACITY};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use tlc_net::bufpool::PoolStats;
-use tlc_net::ingress::{ConnDriver, DriverError};
+use tlc_net::bufpool::{PoolStats, PooledBuf};
+use tlc_net::ingress::ConnDriver;
+use tlc_net::readiness::Interest;
 use tlc_net::rng::SimRng;
 use tlc_net::wire::{Frame, FrameDecoder, FrameKind, WireError, DEFAULT_MAX_PAYLOAD};
 
@@ -163,47 +154,6 @@ impl From<ServiceError> for RemoteError {
     }
 }
 
-/// Which server loop drives ingress I/O. Both run the identical
-/// protocol core; they differ only in how sockets are discovered to be
-/// ready and how many threads share the work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngressBackend {
-    /// Legacy tick loop: every connection polled each iteration.
-    /// Single-threaded, O(conns) per tick, fully portable — the
-    /// conformance reference.
-    Poll,
-    /// Readiness-driven event loop over `tlc_net::readiness` (epoll on
-    /// Linux, poll(2) elsewhere) with `SO_REUSEPORT` acceptor shards
-    /// and pooled zero-copy frame buffers. Falls back to [`Poll`]
-    /// semantics transparently where no readiness backend exists.
-    ///
-    /// [`Poll`]: IngressBackend::Poll
-    Epoll,
-}
-
-impl IngressBackend {
-    /// Reads `TLC_INGRESS_BACKEND` (`poll`/`legacy` or
-    /// `epoll`/`readiness`); unset or unrecognised means [`Poll`].
-    /// This is how the conformance and soak suites are parameterized
-    /// over both backends without code changes.
-    ///
-    /// [`Poll`]: IngressBackend::Poll
-    pub fn from_env() -> IngressBackend {
-        match std::env::var("TLC_INGRESS_BACKEND").as_deref() {
-            Ok("epoll") | Ok("readiness") => IngressBackend::Epoll,
-            _ => IngressBackend::Poll,
-        }
-    }
-
-    /// Stable name for logs and bench JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            IngressBackend::Poll => "poll",
-            IngressBackend::Epoll => "epoll",
-        }
-    }
-}
-
 fn shards_from_env() -> usize {
     std::env::var("TLC_INGRESS_SHARDS")
         .ok()
@@ -225,10 +175,6 @@ pub struct IngressConfig {
     pub service_inflight_cap: usize,
     /// Maximum proofs accepted in one SUBMIT_BATCH frame.
     pub max_batch: u32,
-    /// Sleep between poll iterations when no I/O happened.
-    pub poll_sleep: Duration,
-    /// Frame budget per connection per poll iteration.
-    pub frames_per_poll: usize,
     /// Outstanding watermark for the [`ShedLevel::ShedSubmits`] rung:
     /// at or above it, new submits are answered with BUSY instead of
     /// relayed. Must sit above `service_inflight_cap` for the ladder
@@ -237,8 +183,9 @@ pub struct IngressConfig {
     /// Outstanding watermark for [`ShedLevel::ShedConnections`]: at or
     /// above it, new connections are answered BUSY and dropped.
     pub shed_conn_watermark: usize,
-    /// Open-connection cap (accept-queue pressure proxy); at or above
-    /// it new connections are shed regardless of backlog.
+    /// Open-connection cap across every shard (accept-queue pressure
+    /// proxy); at or above it new connections are shed regardless of
+    /// backlog.
     pub max_conns: usize,
     /// Base retry-after hint carried in BUSY frames, milliseconds.
     pub retry_after_ms: u32,
@@ -249,20 +196,20 @@ pub struct IngressConfig {
     /// debt cap; submits beyond it are shed and scored as misbehavior.
     pub debt_factor: u32,
     /// Misbehavior score at which a connection is quarantined (reads
-    /// paused, submits shed) for `quarantine_polls` iterations.
+    /// paused, submits shed) for `quarantine_polls` loop iterations.
     pub quarantine_threshold: u32,
     /// Misbehavior score at which a connection receives a typed
     /// goodbye and closes.
     pub goodbye_threshold: u32,
-    /// Poll iterations a quarantined connection stays paused before
-    /// its score decays.
+    /// Shard-loop iterations a quarantined connection stays paused
+    /// before its score decays. The loop waits at most 1 ms per
+    /// iteration while a sentence runs, so this is also the sentence's
+    /// upper bound in milliseconds.
     pub quarantine_polls: u32,
-    /// Which server loop to run. Defaults from `TLC_INGRESS_BACKEND`.
-    pub backend: IngressBackend,
-    /// Acceptor/event shards for the [`IngressBackend::Epoll`] backend
-    /// (ignored by the legacy loop). Each shard owns a `SO_REUSEPORT`
-    /// listener, its slice of the connection table, and its own
-    /// verifier service pool. Defaults from `TLC_INGRESS_SHARDS`.
+    /// Acceptor/event shards. Each owns a `SO_REUSEPORT` listener, its
+    /// slice of the connection table, and its own verifier service
+    /// pool; where the platform cannot share the address the server
+    /// runs one. Defaults from `TLC_INGRESS_SHARDS`.
     pub shards: usize,
 }
 
@@ -273,8 +220,6 @@ impl Default for IngressConfig {
             max_payload: DEFAULT_MAX_PAYLOAD,
             service_inflight_cap: 4096,
             max_batch: 1024,
-            poll_sleep: Duration::from_micros(200),
-            frames_per_poll: 32,
             shed_submit_watermark: 8192,
             shed_conn_watermark: 16384,
             max_conns: 1024,
@@ -284,7 +229,6 @@ impl Default for IngressConfig {
             quarantine_threshold: 32,
             goodbye_threshold: 128,
             quarantine_polls: 256,
-            backend: IngressBackend::from_env(),
             shards: shards_from_env(),
         }
     }
@@ -319,16 +263,14 @@ pub struct IngressReport {
     pub service: ServiceReport,
     /// Ingress counters accumulated over the server's lifetime.
     pub ingress: IngressStats,
-    /// Read-buffer pool counters from the readiness backend, summed
-    /// across shards (all zero under the legacy loop, which does not
-    /// pool). `exhausted` counts deferred reads — wakeups where a
-    /// connection's read was postponed because every buffer was in
-    /// flight. These live outside [`IngressStats`] because the STATS
-    /// wire snapshot is a frozen 16-field format.
+    /// Read-buffer pool counters, summed across shards. `exhausted`
+    /// counts deferred reads — wakeups where a connection's read was
+    /// postponed because every buffer was in flight. These live
+    /// outside [`IngressStats`] because the STATS wire snapshot is a
+    /// frozen 16-field format.
     pub pool: PoolStats,
     /// Times a shard loop was woken by its verifier workers' waker
-    /// (coalesced: one wake-up can announce several batches). Zero
-    /// under the legacy loop, which polls.
+    /// (coalesced: one wake-up can announce several batches).
     pub waker_wakeups: u64,
 }
 
@@ -410,8 +352,16 @@ struct Conn {
     /// Crossing `quarantine_threshold` quarantines the connection;
     /// crossing `goodbye_threshold` closes it with a typed fault.
     score: u32,
-    /// Poll iterations left in quarantine (0 = not quarantined).
+    /// Loop iterations left in quarantine (0 = not quarantined).
     quarantine: u32,
+    /// Pooled buffer holding a partial frame between wakeups.
+    buf: Option<PooledBuf>,
+    /// Interest currently registered with the kernel, to skip no-op
+    /// `modify` syscalls.
+    armed: Interest,
+    /// A read was postponed because the buffer pool was empty; read
+    /// interest stays masked until buffers return.
+    deferred: bool,
 }
 
 struct Route {
@@ -425,17 +375,17 @@ struct Lane {
     /// Submissions from this relationship inside the service — the
     /// lane's *deficit*, charged against its next credit share.
     inflight: u32,
-    /// Admission credits left this tick; a submit needs one to pass
-    /// the [`ShedLevel::ShedSubmits`] rung.
+    /// Admission credits left until the next deal; a submit needs one
+    /// to pass the [`ShedLevel::ShedSubmits`] rung.
     credits: u32,
 }
 
-/// The protocol and admission engine shared by both backends: the
-/// connection table, verdict routes, DRR lanes, shed ladder, and every
-/// frame handler. The legacy tick loop drives one of these on one
-/// thread; the readiness event loop gives each `SO_REUSEPORT` shard
-/// its own instance (own service pool, own connection slice), so
-/// shed/DRR/misbehavior decisions stay shard-local and lock-free.
+/// The protocol and admission engine: the connection table, verdict
+/// routes, DRR lanes, shed ladder, and every frame handler. Each
+/// `SO_REUSEPORT` shard has its own instance (own service pool, own
+/// connection slice), so shed/DRR/misbehavior decisions stay
+/// shard-local and lock-free; only the open-connection count is
+/// shared.
 struct IngressCore {
     service: VerifierService,
     config: IngressConfig,
@@ -452,6 +402,10 @@ struct IngressCore {
     lane_order: Vec<u64>,
     rr_cursor: usize,
     next_conn: u64,
+    /// Connections open across every shard of this server, checked
+    /// against `max_conns` at admission. A bare count: it publishes no
+    /// other data, so every access is `Relaxed`.
+    open: Arc<AtomicUsize>,
     stats: IngressStats,
     /// Connections currently serving a quarantine sentence — lets the
     /// event loop skip quarantine ticking entirely in the (typical)
@@ -460,7 +414,7 @@ struct IngressCore {
 }
 
 impl IngressCore {
-    fn new(service: VerifierService, config: IngressConfig) -> IngressCore {
+    fn new(service: VerifierService, config: IngressConfig, open: Arc<AtomicUsize>) -> IngressCore {
         IngressCore {
             service,
             config,
@@ -471,6 +425,7 @@ impl IngressCore {
             lane_order: Vec::new(),
             rr_cursor: 0,
             next_conn: 0,
+            open,
             stats: IngressStats::default(),
             quarantined: 0,
         }
@@ -479,95 +434,87 @@ impl IngressCore {
 
 /// TCP front-end for a [`VerifierService`].
 ///
-/// With the default [`IngressBackend::Poll`] backend this is
-/// single-threaded: [`run`](Self::run) owns the accept loop, every
-/// connection, and the service, so no locking is needed anywhere.
-/// Under [`IngressBackend::Epoll`] the run loop fans out into
-/// `config.shards` readiness-driven threads, each owning a disjoint
-/// shard of connections and its own service pool — still no shared
-/// locks. Use [`spawn`](Self::spawn) to run either on a background
-/// thread with a stop handle.
+/// [`run`](Self::run) drives one readiness-driven thread per shard,
+/// each owning a disjoint slice of the connections and its own service
+/// pool, so no locking is needed anywhere. Use [`spawn`](Self::spawn)
+/// to run it on a background thread with a stop handle.
 pub struct IngressServer {
-    listener: TcpListener,
-    /// Kept so the epoll backend can build per-shard service pools with
-    /// the worker budget split across shards.
-    service_config: ServiceConfig,
-    /// Whether `listener` was bound with `SO_REUSEPORT` (epoll backend
-    /// on a supporting platform) — the precondition for extra shard
-    /// listeners sharing the address.
-    reuseport: bool,
-    core: IngressCore,
+    /// One per bound listener; never empty.
+    shards: Vec<event_loop::Shard>,
 }
 
 impl IngressServer {
-    /// Binds a listener and wraps a freshly spawned service.
+    /// Binds the listeners and builds one shard — readiness registry,
+    /// waker, freshly spawned service — per listener.
     ///
-    /// Under the epoll backend the listener is bound with
-    /// `SO_REUSEPORT` where the platform allows, so [`run`](Self::run)
-    /// can add shard listeners on the same address; where it doesn't,
-    /// the server degrades to one shard (and, with no readiness
-    /// backend at all, to the legacy loop) — never to an error.
+    /// The address is bound with `SO_REUSEPORT` where the platform
+    /// allows, once per configured shard; where it doesn't, or an
+    /// extra shard cannot be built, the server runs the shards it has.
+    /// Failing to build the first is the returned error
+    /// ([`io::ErrorKind::Unsupported`] off Unix).
     pub fn bind(
         addr: impl ToSocketAddrs,
         service_config: ServiceConfig,
         config: IngressConfig,
     ) -> io::Result<IngressServer> {
-        let mut reuseport = false;
-        let listener = match config.backend {
-            IngressBackend::Epoll => {
-                let resolved = addr.to_socket_addrs()?.next().ok_or_else(|| {
-                    io::Error::new(io::ErrorKind::InvalidInput, "no address to bind")
-                })?;
-                match tlc_net::try_bind_reuseport(resolved) {
-                    Some(l) => {
-                        reuseport = true;
-                        l
-                    }
-                    None => {
-                        let l = TcpListener::bind(resolved)?;
-                        l.set_nonblocking(true)?;
-                        l
+        let resolved = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address to bind"))?;
+        let mut listeners = Vec::new();
+        match tlc_net::try_bind_reuseport(resolved) {
+            Some(first) => {
+                // A failed extra bind just shrinks the shard count (the
+                // kernel only balances across sockets that exist).
+                let shared = first.local_addr();
+                listeners.push(first);
+                if let Ok(addr) = shared {
+                    for _ in 1..config.shards {
+                        match tlc_net::try_bind_reuseport(addr) {
+                            Some(l) => listeners.push(l),
+                            None => break,
+                        }
                     }
                 }
             }
-            IngressBackend::Poll => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                l
+            None => {
+                let only = TcpListener::bind(resolved)?;
+                only.set_nonblocking(true)?;
+                listeners.push(only);
             }
-        };
-        Ok(IngressServer {
-            listener,
-            service_config,
-            reuseport,
-            core: IngressCore::new(VerifierService::with_config(service_config), config),
-        })
-    }
-
-    /// Current rung of the overload ladder, from the service backlog.
-    pub fn shed_level(&self) -> ShedLevel {
-        self.core.shed_level()
+        }
+        // The worker budget is split across the shards' service pools
+        // so total worker threads stay comparable.
+        let mut per_shard = service_config;
+        if listeners.len() > 1 {
+            per_shard.workers = service_config.workers.div_ceil(listeners.len()).max(1);
+        }
+        let open = Arc::new(AtomicUsize::new(0));
+        let mut shards = Vec::with_capacity(listeners.len());
+        for listener in listeners {
+            match event_loop::Shard::new(listener, per_shard, config, Arc::clone(&open)) {
+                Ok(shard) => shards.push(shard),
+                Err(e) if shards.is_empty() => return Err(e),
+                Err(_) => break,
+            }
+        }
+        Ok(IngressServer { shards })
     }
 
     /// The bound address (useful after binding port 0).
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// Runs the configured backend until `stop` is set, then tears the
-    /// service down and returns the combined report. Open sessions
-    /// receive an ERROR/Shutdown frame (best-effort) before their
-    /// sockets drop.
-    pub fn run(self, stop: &AtomicBool) -> IngressReport {
-        match self.core.config.backend {
-            IngressBackend::Poll => self.run_poll(stop),
-            IngressBackend::Epoll => event_loop::run(self, stop),
+        match self.shards.first() {
+            Some(shard) => shard.listener.local_addr(),
+            None => Err(io::ErrorKind::NotConnected.into()),
         }
     }
 
-    /// The legacy tick loop: one thread, O(conns) per iteration.
-    fn run_poll(self, stop: &AtomicBool) -> IngressReport {
-        self.core.run_ticks(&self.listener, stop)
+    /// Runs every shard's loop until `stop` is set, then tears the
+    /// services down and returns the combined report. Open sessions
+    /// receive an ERROR/Shutdown frame (best-effort) before their
+    /// sockets drop.
+    pub fn run(self, stop: &AtomicBool) -> IngressReport {
+        event_loop::run(self, stop)
     }
 
     /// Spawns [`run`](Self::run) on a background thread.
@@ -583,63 +530,45 @@ impl IngressServer {
 }
 
 impl IngressCore {
-    /// The tick loop over this core until `stop`, then teardown. Also
-    /// what a readiness shard degrades to when it cannot build its
-    /// registry.
-    fn run_ticks(mut self, listener: &TcpListener, stop: &AtomicBool) -> IngressReport {
-        while !stop.load(Ordering::Relaxed) {
-            self.deal_credits();
-            let mut activity = self.accept_pending(listener).0;
-            activity |= self.poll_conns();
-            activity |= self.pump_verdicts();
-            self.apply_backpressure();
-            activity |= self.flush_and_reap();
-            if !activity {
-                // Going idle: whatever was relayed since the last kick
-                // is all the input there is, so its partial batches
-                // flush now instead of sitting out `flush_deadline`.
-                self.service.kick();
-                std::thread::sleep(self.config.poll_sleep);
+    /// Teardown: a best-effort shutdown notice to every open session,
+    /// then the service drained and joined.
+    fn into_report(mut self, pool: PoolStats, waker_wakeups: u64) -> IngressReport {
+        let bye = Fault::Shutdown.to_frame();
+        for conn in &mut self.conns {
+            if conn.phase == Phase::Ready {
+                let _ = conn.driver.queue(&bye);
+                let _ = conn.driver.flush();
             }
         }
-        self.into_report(PoolStats::default(), 0)
-    }
-
-    /// Teardown: shutdown notices out, service drained and joined.
-    fn into_report(mut self, pool: PoolStats, waker_wakeups: u64) -> IngressReport {
-        let ingress = self.shutdown_notices();
         IngressReport {
             service: self.service.finish(),
-            ingress,
+            ingress: self.stats,
             pool,
             waker_wakeups,
         }
     }
 
-    /// Accepts every connection currently pending on `listener`.
-    /// Returns whether any arrived and the table indices of those
-    /// admitted (arrivals can also be shed).
-    fn accept_pending(&mut self, listener: &TcpListener) -> (bool, Vec<usize>) {
-        let mut any = false;
+    /// Accepts every connection currently pending on `listener` and
+    /// returns the ids of those admitted (arrivals can also be shed).
+    /// Ids, not table indices: removing one connection reorders the
+    /// table under the rest of the batch.
+    fn accept_pending(&mut self, listener: &TcpListener) -> Vec<u64> {
         let mut admitted = Vec::new();
         loop {
             match listener.accept() {
-                Ok((stream, _peer)) => {
-                    any = true;
-                    admitted.extend(self.admit(stream));
-                }
+                Ok((stream, _peer)) => admitted.extend(self.admit(stream)),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => break,
             }
         }
-        (any, admitted)
+        admitted
     }
 
-    /// See [`IngressServer::shed_level`]. (`max_conns` is a separate
-    /// accept-time check — a full but healthy connection table sheds
-    /// new arrivals without touching admission for the sessions
-    /// already in.)
+    /// Current rung of the overload ladder, from the service backlog.
+    /// (`max_conns` is a separate accept-time check — a full but
+    /// healthy connection table sheds new arrivals without touching
+    /// admission for the sessions already in.)
     fn shed_level(&self) -> ShedLevel {
         let backlog = self.service.outstanding();
         if backlog >= self.config.shed_conn_watermark {
@@ -653,26 +582,21 @@ impl IngressCore {
         }
     }
 
-    /// Best-effort shutdown notice to every open session; returns the
-    /// final stats snapshot.
-    fn shutdown_notices(&mut self) -> IngressStats {
-        let bye = Fault::Shutdown.to_frame();
-        for conn in &mut self.conns {
-            if conn.phase == Phase::Ready {
-                let _ = conn.driver.queue(&bye);
-                let _ = conn.driver.flush();
-            }
-        }
-        self.stats
-    }
-
     /// Admits (or sheds) one freshly accepted stream. Returns the new
-    /// connection's index in the table, or `None` when the arrival was
-    /// shed (typed BUSY answer) or rejected.
-    fn admit(&mut self, mut stream: TcpStream) -> Option<usize> {
-        if self.shed_level() >= ShedLevel::ShedConnections
-            || self.conns.len() >= self.config.max_conns.max(1)
-        {
+    /// connection's id, or `None` when the arrival was shed (typed
+    /// BUSY answer) or rejected.
+    fn admit(&mut self, mut stream: TcpStream) -> Option<u64> {
+        let cap = self.config.max_conns.max(1);
+        // The slot is claimed in the same step that checks the cap, so
+        // shards admitting at once cannot overshoot it together.
+        let claimed = self.shed_level() < ShedLevel::ShedConnections
+            && self
+                .open
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                    (n < cap).then_some(n + 1)
+                })
+                .is_ok();
+        if !claimed {
             // ShedConnections rung: answer with a typed BUSY (blocking
             // write of one tiny frame) and drop, rather than resetting
             // the peer with no explanation. The longer hint reflects
@@ -694,6 +618,7 @@ impl IngressCore {
         // on its next read, so a stream whose mode cannot be set is
         // rejected outright and counted — never admitted half-broken.
         if stream.set_nonblocking(true).is_err() {
+            self.open.fetch_sub(1, Ordering::Relaxed);
             self.stats.rejected_malformed += 1;
             return None;
         }
@@ -703,25 +628,29 @@ impl IngressCore {
         self.next_conn += 1;
         self.conns.push(Conn {
             id,
-            driver: ConnDriver::new(stream, self.config.max_payload),
+            driver: ConnDriver::new(stream),
             phase: Phase::AwaitHello,
             in_flight: 0,
             window: self.config.window,
             goodbye: false,
             score: 0,
             quarantine: 0,
+            buf: None,
+            armed: Interest::NONE,
+            deferred: false,
         });
         self.stats.connections += 1;
-        let i = self.conns.len() - 1;
-        self.index.insert(id, i);
-        Some(i)
+        self.index.insert(id, self.conns.len() - 1);
+        Some(id)
     }
 
     /// Drops connection `i` from the table (`swap_remove`, so the last
-    /// connection takes its slot) and accounts the close.
+    /// connection takes its slot; its pooled buffer goes back with it)
+    /// and accounts the close.
     fn remove_conn(&mut self, i: usize) {
         let conn = self.conns.swap_remove(i);
         self.index.remove(&conn.id);
+        self.open.fetch_sub(1, Ordering::Relaxed);
         if conn.quarantine > 0 {
             self.quarantined -= 1;
         }
@@ -729,43 +658,6 @@ impl IngressCore {
         if let Some(moved) = self.conns.get(i) {
             self.index.insert(moved.id, i);
         }
-    }
-
-    /// Polls every connection for inbound frames and handles them.
-    fn poll_conns(&mut self) -> bool {
-        let mut any = false;
-        let mut frames = Vec::new();
-        for i in 0..self.conns.len() {
-            if self.conns[i].phase == Phase::Closed {
-                continue;
-            }
-            frames.clear();
-            let budget = self.config.frames_per_poll;
-            if let Err(e) = self.conns[i].driver.poll_frames(budget, &mut frames) {
-                // Framing violation or transport failure: tell the peer
-                // if we still can, then close.
-                if let DriverError::Wire(_) = e {
-                    self.protocol_fault(i, "framing violation");
-                } else {
-                    self.conns[i].phase = Phase::Closed;
-                }
-                continue;
-            }
-            if !frames.is_empty() {
-                any = true;
-            }
-            for frame in frames.drain(..) {
-                if self.conns[i].phase == Phase::Closed {
-                    break;
-                }
-                self.handle_frame(i, frame.kind, &frame.payload);
-            }
-            // EOF with nothing left to send: reap.
-            if self.conns[i].driver.at_eof() && self.conns[i].driver.outbox_bytes() == 0 {
-                self.conns[i].phase = Phase::Closed;
-            }
-        }
-        any
     }
 
     /// Queues an ERROR/Protocol frame and closes the connection.
@@ -787,9 +679,8 @@ impl IngressCore {
     }
 
     /// Dispatches one inbound frame. Takes the kind and a borrowed
-    /// payload so the readiness loop can hand in zero-copy views
-    /// ([`tlc_net::wire::FrameRef`]) straight out of a pooled buffer;
-    /// the legacy loop passes its owned frames by reference.
+    /// payload so the shard loop can hand in zero-copy views
+    /// ([`tlc_net::wire::FrameRef`]) straight out of a pooled buffer.
     fn handle_frame(&mut self, i: usize, kind: FrameKind, payload: &[u8]) {
         match (self.conns[i].phase, kind) {
             (Phase::AwaitHello, FrameKind::Hello) => self.handle_hello(i, payload),
@@ -992,8 +883,8 @@ impl IngressCore {
 
     fn handle_submit(&mut self, i: usize, payload: &[u8]) {
         // Borrowed decode: the PoC bytes go straight from the frame
-        // payload (a pooled read buffer under the epoll backend) into
-        // the service without an intermediate copy.
+        // payload (a pooled read buffer) into the service without an
+        // intermediate copy.
         let sub = match SubmitRef::decode(payload) {
             Ok(s) => s,
             Err(detail) => return self.protocol_fault(i, detail),
@@ -1107,21 +998,13 @@ impl IngressCore {
         self.send(i, &fault.to_frame());
     }
 
-    /// Streams ready verdicts back to their connections.
-    fn pump_verdicts(&mut self) -> bool {
-        let mut touched = Vec::new();
-        self.pump_verdicts_into(&mut touched)
-    }
-
-    /// [`pump_verdicts`](Self::pump_verdicts), additionally recording
-    /// the index of every connection that had a frame queued (or its
-    /// phase changed) so the readiness loop can refresh exactly those —
-    /// flush, re-arm write interest, reap — without an O(conns) sweep.
-    /// Indices may repeat and are only valid until the next removal.
-    fn pump_verdicts_into(&mut self, touched: &mut Vec<usize>) -> bool {
-        let results = self.service.try_collect_results();
-        let any = !results.is_empty();
-        for r in results {
+    /// Streams ready verdicts back to their connections, recording the
+    /// id of every connection that had a frame queued (or its phase
+    /// changed) so the shard loop can refresh exactly those — flush,
+    /// re-arm write interest, reap — without an O(conns) sweep. Ids
+    /// may repeat.
+    fn pump_verdicts(&mut self, touched: &mut Vec<u64>) {
+        for r in self.service.try_collect_results() {
             let Some(route) = self.routes.remove(&r.tag) else {
                 // A tag the server never issued cannot come back; stay
                 // total and count it rather than panic.
@@ -1144,7 +1027,7 @@ impl IngressCore {
                 continue;
             };
             self.conns[i].in_flight = self.conns[i].in_flight.saturating_sub(1);
-            touched.push(i);
+            touched.push(route.conn_id);
             if self.conns[i].phase == Phase::Closed {
                 self.stats.orphaned_verdicts += 1;
                 continue;
@@ -1168,7 +1051,6 @@ impl IngressCore {
                 self.maybe_finish_goodbye(i);
             }
         }
-        any
     }
 
     /// After GOODBYE, once every in-flight verdict has been streamed,
@@ -1178,11 +1060,6 @@ impl IngressCore {
             self.send(i, &Frame::new(FrameKind::GoodbyeAck, Vec::new()));
             self.conns[i].phase = Phase::Closed;
         }
-    }
-
-    /// Whether the ladder demands a global read pause.
-    fn global_defer(&self) -> bool {
-        self.shed_level() >= ShedLevel::DeferReads
     }
 
     /// Whether connection `i` should have reads paused right now, given
@@ -1195,82 +1072,22 @@ impl IngressCore {
 
     /// Ticks every active quarantine sentence down by one; at expiry
     /// the score halves, so a reformed client recovers while a repeat
-    /// offender re-escalates. Indices of freshly expired sentences are
-    /// appended to `expired` (the readiness loop re-arms exactly those).
-    fn tick_quarantines(&mut self, expired: &mut Vec<usize>) {
+    /// offender re-escalates. Ids of freshly expired sentences are
+    /// appended to `expired` (the shard loop re-arms exactly those).
+    fn tick_quarantines(&mut self, expired: &mut Vec<u64>) {
         if self.quarantined == 0 {
             return;
         }
-        for (i, conn) in self.conns.iter_mut().enumerate() {
+        for conn in &mut self.conns {
             if conn.quarantine > 0 {
                 conn.quarantine -= 1;
                 if conn.quarantine == 0 {
                     conn.score /= 2;
                     self.quarantined -= 1;
-                    expired.push(i);
+                    expired.push(conn.id);
                 }
             }
         }
-    }
-
-    /// Pauses reads on connections over their window, in quarantine,
-    /// or globally when the ladder is at DeferReads or above; resumes
-    /// the rest. Quarantine sentences tick down first.
-    fn apply_backpressure(&mut self) {
-        let mut expired = Vec::new();
-        self.tick_quarantines(&mut expired);
-        let global = self.global_defer();
-        for i in 0..self.conns.len() {
-            if self.desired_pause(i, global) {
-                if !self.conns[i].paused() {
-                    self.stats.pauses += 1;
-                }
-                self.conns[i].driver.pause();
-            } else {
-                self.conns[i].driver.resume();
-            }
-        }
-    }
-
-    /// Flushes outboxes and drops closed connections. A `Closed`
-    /// connection gets one last best-effort flush so final frames
-    /// (GOODBYE_ACK, ERROR) usually reach the peer.
-    fn flush_and_reap(&mut self) -> bool {
-        let mut any = false;
-        let mut closed = 0u64;
-        for conn in &mut self.conns {
-            let before = conn.driver.outbox_bytes();
-            if conn.driver.flush().is_err() {
-                conn.phase = Phase::Closed;
-            }
-            if conn.driver.outbox_bytes() != before {
-                any = true;
-            }
-        }
-        let mut reaped_quarantined = 0usize;
-        self.conns.retain(|c| {
-            // Keep a closed conn alive while its farewell bytes are
-            // still draining and the socket is healthy.
-            let done =
-                c.phase == Phase::Closed && (c.driver.outbox_bytes() == 0 || c.driver.at_eof());
-            if done {
-                closed += 1;
-                if c.quarantine > 0 {
-                    reaped_quarantined += 1;
-                }
-            }
-            !done
-        });
-        self.quarantined -= reaped_quarantined.min(self.quarantined);
-        self.stats.connections_closed += closed;
-        if closed > 0 {
-            // `retain` keeps table order (the tick loop's poll order)
-            // but shifts every later index.
-            self.index.clear();
-            let ids = self.conns.iter().enumerate().map(|(i, c)| (c.id, i));
-            self.index.extend(ids);
-        }
-        any
     }
 
     fn stats_snapshot(&self) -> IngressStats {
@@ -1278,12 +1095,6 @@ impl IngressCore {
         s.open_connections = self.conns.len() as u64;
         s.service_outstanding = self.service.outstanding() as u64;
         s
-    }
-}
-
-impl Conn {
-    fn paused(&self) -> bool {
-        self.driver.paused()
     }
 }
 
@@ -1300,7 +1111,7 @@ impl IngressHandle {
         self.addr
     }
 
-    /// Signals the poll loop to stop and joins it, returning the
+    /// Signals the shard loops to stop and joins them, returning the
     /// combined report. A worker panic inside the loop yields a report
     /// with an empty service section rather than propagating.
     pub fn shutdown(self) -> Option<IngressReport> {

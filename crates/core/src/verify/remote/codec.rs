@@ -358,18 +358,11 @@ impl Submit {
         b.put_slice(&self.poc);
         Frame::new(FrameKind::Submit, b.to_vec())
     }
-
-    /// Decodes a SUBMIT payload. Delegates to [`SubmitRef::decode`] so
-    /// the owned and borrowed paths can never disagree.
-    pub fn decode(payload: &[u8]) -> Result<Submit, &'static str> {
-        SubmitRef::decode(payload).map(|s| s.to_owned())
-    }
 }
 
-/// Borrowed view of a SUBMIT payload: identical grammar and error
-/// strings as [`Submit::decode`], but the PoC bytes stay in the input
-/// buffer — the readiness ingress relays them to the service without
-/// an intermediate copy.
+/// Decoded view of a SUBMIT payload ([`Submit`]'s grammar): the PoC
+/// bytes stay in the input buffer — the ingress relays them to the
+/// service without an intermediate copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SubmitRef<'a> {
     /// Relationship id from REGISTERED.
@@ -397,15 +390,6 @@ impl<'a> SubmitRef<'a> {
             tag,
             poc: &payload[20..],
         })
-    }
-
-    /// Copies into an owned [`Submit`].
-    pub fn to_owned(self) -> Submit {
-        Submit {
-            rel: self.rel,
-            tag: self.tag,
-            poc: self.poc.to_vec(),
-        }
     }
 }
 
@@ -445,18 +429,10 @@ impl SubmitBatch {
         }
         Frame::new(FrameKind::SubmitBatch, b.to_vec())
     }
-
-    /// Decodes a SUBMIT_BATCH payload. Delegates to
-    /// [`SubmitBatchRef::decode`] so the owned and borrowed paths can
-    /// never disagree.
-    pub fn decode(payload: &[u8]) -> Result<SubmitBatch, &'static str> {
-        SubmitBatchRef::decode(payload).map(|b| b.to_owned())
-    }
 }
 
-/// Borrowed view of a SUBMIT_BATCH payload: identical grammar and
-/// error strings as [`SubmitBatch::decode`], with each PoC a slice of
-/// the frame payload instead of a copy.
+/// Decoded view of a SUBMIT_BATCH payload ([`SubmitBatch`]'s grammar),
+/// with each PoC a slice of the frame payload instead of a copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmitBatchRef<'a> {
     /// Relationship id from REGISTERED.
@@ -471,8 +447,7 @@ impl<'a> SubmitBatchRef<'a> {
     /// Decodes a SUBMIT_BATCH payload without copying any PoC bytes.
     /// The full grammar is validated (including the trailing-bytes
     /// check) before the caller sees the batch, so size-limit
-    /// enforcement downstream still happens strictly after decode —
-    /// the same order as the owned path always had.
+    /// enforcement downstream happens strictly after decode.
     pub fn decode(payload: &'a [u8]) -> Result<SubmitBatchRef<'a>, &'static str> {
         if payload.len() < 20 {
             return Err("truncated SUBMIT_BATCH");
@@ -508,15 +483,6 @@ impl<'a> SubmitBatchRef<'a> {
             first_tag,
             pocs,
         })
-    }
-
-    /// Copies into an owned [`SubmitBatch`].
-    pub fn to_owned(self) -> SubmitBatch {
-        SubmitBatch {
-            rel: self.rel,
-            first_tag: self.first_tag,
-            pocs: self.pocs.into_iter().map(|p| p.to_vec()).collect(),
-        }
     }
 }
 

@@ -1,14 +1,10 @@
-//! Readiness-driven, multi-shard ingress event loop (DESIGN.md §12).
+//! The ingress event loop: readiness-driven, one thread per shard
+//! (DESIGN.md §12).
 //!
-//! The legacy loop in [`super`] walks every connection each 200 µs
-//! tick; cost grows with the table whether peers are talking or not.
-//! This backend instead blocks in the kernel
-//! ([`tlc_net::readiness::Readiness`]: epoll on Linux, poll(2)
-//! elsewhere) and touches only sockets with something to say, so a
-//! mostly-idle C100K table costs near zero between bursts.
-//!
-//! Four structural differences from the tick loop, none visible on
-//! the wire:
+//! A shard blocks in the kernel ([`tlc_net::readiness::Readiness`]:
+//! epoll on Linux, poll(2) elsewhere) and touches only sockets with
+//! something to say, so a mostly-idle C100K table costs near zero
+//! between bursts.
 //!
 //! * **Shards.** With `SO_REUSEPORT` available, `config.shards`
 //!   acceptor/event threads each bind the same address and the kernel
@@ -24,12 +20,12 @@
 //!   borrowed views — no per-frame allocation, no copy between the
 //!   read buffer and the decoder. When the pool is empty the shard
 //!   *defers* the read (masks read interest, counts
-//!   [`PoolStats::exhausted`]) instead of allocating unboundedly;
-//!   level-triggered readiness re-reports the socket once a buffer
-//!   frees up.
-//! * **Interest masking as backpressure.** Where the tick loop calls
-//!   `pause()`/`resume()` per tick, this loop additionally masks read
-//!   interest so a paused connection costs zero wakeups.
+//!   [`tlc_net::PoolStats::exhausted`]) instead of allocating
+//!   unboundedly; level-triggered readiness re-reports the socket once
+//!   a buffer frees up.
+//! * **Interest masking as backpressure.** A paused connection (window
+//!   full, quarantined, ladder-wide defer) has its read interest
+//!   masked, so it costs zero wakeups until it resumes.
 //! * **Wake-driven verdicts.** Verdicts come from the service's worker
 //!   threads, not from a socket, so the shard registers a
 //!   [`tlc_net::readiness::Waker`] and installs it as its service's
@@ -43,21 +39,42 @@
 //!   A session that submits nothing (SETTLE) pays for neither.
 //!
 //! Everything protocol-visible — BUSY semantics, the shed ladder,
-//! quarantine scoring, verdict routing — is the same [`IngressCore`]
-//! code both backends share; the conformance suite runs against both.
+//! quarantine scoring, verdict routing — is [`IngressCore`]'s; this
+//! file only moves bytes and interest.
 
-use super::{IngressReport, IngressServer, IngressStats};
-use crate::verify::service::ServiceReport;
-use std::sync::atomic::AtomicBool;
+use super::{
+    IngressConfig, IngressCore, IngressReport, IngressServer, IngressStats, Phase, ShedLevel,
+};
+use crate::verify::service::{ServiceConfig, ServiceReport, VerifierService};
+use std::io;
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+use tlc_net::bufpool::BufferPool;
+use tlc_net::readiness::{raw_fd, Event, Interest, Readiness, Token, Waker};
+use tlc_net::wire::{split_frame, HEADER_LEN};
 
-/// Entry point from [`IngressServer::run`] for the epoll backend.
-/// Falls back to the legacy tick loop when no readiness syscall
-/// backend exists on this target (non-Unix builds).
+/// Runs every shard of `server` until `stop`: the first on this
+/// thread, the rest on scoped threads of their own.
 pub(super) fn run(server: IngressServer, stop: &AtomicBool) -> IngressReport {
-    if !tlc_net::Readiness::available() {
-        return server.run_poll(stop);
-    }
-    imp::run(server, stop)
+    let mut shards = server.shards.into_iter();
+    let first = shards.next();
+    let mut parts = Vec::new();
+    let mut join_panics = 0;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = shards
+            .map(|shard| s.spawn(move || shard.run(stop)))
+            .collect();
+        parts.extend(first.map(|shard| shard.run(stop)));
+        for h in handles {
+            match h.join() {
+                Ok(part) => parts.push(part),
+                Err(_) => join_panics += 1,
+            }
+        }
+    });
+    merge_reports(parts, join_panics)
 }
 
 /// Merges per-shard reports: ingress counters and pool counters sum;
@@ -75,7 +92,7 @@ fn merge_reports(parts: Vec<IngressReport>, join_panics: usize) -> IngressReport
         kicks: 0,
         worker_panics: join_panics,
         unclaimed_results: 0,
-        elapsed: std::time::Duration::ZERO,
+        elapsed: Duration::ZERO,
         pocs_per_hour: 0.0,
     };
     let mut ingress = IngressStats::default();
@@ -146,451 +163,384 @@ fn sum_stats(acc: &mut IngressStats, s: &IngressStats) {
     acc.misbehavior_closes += s.misbehavior_closes;
 }
 
-#[cfg(not(unix))]
-mod imp {
-    use super::*;
+/// Socket reads per connection per wakeup. Bounds how long one
+/// chatty peer can hold the loop; level-triggered readiness
+/// re-reports whatever is left.
+const READS_PER_WAKEUP: usize = 4;
 
-    /// Unreachable in practice: `Readiness::available()` is false off
-    /// Unix, so [`super::run`] already took the legacy path.
-    pub(super) fn run(server: IngressServer, stop: &AtomicBool) -> IngressReport {
-        server.run_poll(stop)
+/// Longest the loop sleeps with nothing to do: the only thing left
+/// that the kernel cannot wake it for is the `stop` flag.
+const STOP_CHECK_MS: i32 = 10;
+
+/// Wait bound while any connection is quarantined. Sentences are
+/// counted in loop iterations (`quarantine_polls`), so bounding the
+/// wait whenever one is running bounds every sentence's wall-clock
+/// length at `quarantine_polls` milliseconds.
+const QUARANTINE_TICK_MS: i32 = 1;
+
+/// Pause after a failed `wait`: a broken registry would otherwise spin.
+const BROKEN_REGISTRY_BACKOFF: Duration = Duration::from_micros(200);
+
+/// One shard: a listener, a readiness registry, a buffer pool, and a
+/// private [`IngressCore`].
+pub(super) struct Shard {
+    core: IngressCore,
+    pub(super) listener: TcpListener,
+    ready: Readiness,
+    /// Fired by the service's signature workers per flushed batch.
+    waker: Waker,
+    wakeups: u64,
+    pool: BufferPool,
+    /// Ids of connections whose read was deferred because the pool
+    /// was empty; re-armed as buffers return.
+    deferred: Vec<u64>,
+    /// Last observed global-defer verdict; a transition triggers a
+    /// full interest sweep.
+    prev_global: bool,
+}
+
+impl Shard {
+    /// Builds the registry first — the only step that can fail — so a
+    /// failure leaves no service threads behind.
+    pub(super) fn new(
+        listener: TcpListener,
+        service_config: ServiceConfig,
+        config: IngressConfig,
+        open: Arc<AtomicUsize>,
+    ) -> io::Result<Shard> {
+        let mut ready = Readiness::new()?;
+        ready.register(raw_fd(&listener), Token::LISTENER, Interest::READ)?;
+        let waker = Waker::new(&mut ready)?;
+        let mut core = IngressCore::new(VerifierService::with_config(service_config), config, open);
+        // Installed before the first accept, so every batch this
+        // shard ever flushes announces itself.
+        let handle = waker.handle();
+        core.service.set_notifier(Arc::new(move || handle.wake()));
+        // One max-size frame per buffer: a full buffer therefore
+        // always contains a complete frame or an oversize error, so
+        // parsing can never deadlock on "need more room".
+        let buf_size = HEADER_LEN + config.max_payload as usize;
+        let capacity = (config.max_conns / 4).clamp(64, 512);
+        Ok(Shard {
+            core,
+            listener,
+            ready,
+            waker,
+            wakeups: 0,
+            pool: BufferPool::new(capacity, buf_size),
+            deferred: Vec::new(),
+            prev_global: false,
+        })
+    }
+
+    /// The loop, until `stop`; returns the shard's final report.
+    fn run(mut self, stop: &AtomicBool) -> IngressReport {
+        let mut events: Vec<Event> = Vec::new();
+        let mut touched: Vec<u64> = Vec::new();
+        while !stop.load(Ordering::Relaxed) {
+            self.core.deal_credits();
+            let timeout = if self.core.quarantined > 0 {
+                QUARANTINE_TICK_MS
+            } else {
+                STOP_CHECK_MS
+            };
+            // About to block. If submissions were relayed since the
+            // last kick, look once without blocking: more input
+            // waiting means batches are still filling; none means the
+            // submitters went idle, and the service is told so. A loop
+            // that relayed nothing skips the probe.
+            let probing = self.core.service.kick_due();
+            let first = if probing { 0 } else { timeout };
+            let mut waited = self.ready.wait(&mut events, first);
+            if probing && matches!(waited, Ok(0)) {
+                self.core.service.kick();
+                waited = self.ready.wait(&mut events, timeout);
+            }
+            if waited.is_err() {
+                std::thread::sleep(BROKEN_REGISTRY_BACKOFF);
+                continue;
+            }
+            let mut woken = false;
+            for ev in events.iter().copied() {
+                match ev.token {
+                    Token::LISTENER => self.accept_ready(),
+                    Token::WAKER => woken = true,
+                    _ => self.conn_event(ev),
+                }
+            }
+
+            // Verdict completions, read only when the workers said so
+            // (drain first: see `Waker::drain`). Refresh exactly the
+            // connections that got frames queued or windows freed.
+            if woken {
+                self.wakeups += 1;
+                self.waker.drain();
+                self.core.pump_verdicts(&mut touched);
+                self.refresh_all(&mut touched);
+            }
+
+            // Quarantine sentences tick per loop iteration; the wait
+            // above is bounded while any is running.
+            if self.core.quarantined > 0 {
+                self.core.tick_quarantines(&mut touched);
+                self.refresh_all(&mut touched);
+            }
+
+            // Ladder transitions pause/resume the whole table.
+            let global = self.core.shed_level() >= ShedLevel::DeferReads;
+            if global != self.prev_global {
+                self.prev_global = global;
+                self.sweep_all();
+            }
+
+            // Buffers came back: wake the starved readers.
+            if !self.deferred.is_empty() && self.pool.available() > 0 {
+                touched.append(&mut self.deferred);
+                for &id in &touched {
+                    if let Some(&i) = self.core.index.get(&id) {
+                        self.core.conns[i].deferred = false;
+                    }
+                }
+                self.refresh_all(&mut touched);
+            }
+        }
+        // Buffers still held at shutdown are intentionally *not*
+        // recycles: stats are taken before they drop.
+        let pool_stats = self.pool.stats();
+        self.core.into_report(pool_stats, self.wakeups)
+    }
+
+    /// Refreshes every connection in `ids`, leaving it empty.
+    fn refresh_all(&mut self, ids: &mut Vec<u64>) {
+        for id in ids.drain(..) {
+            self.refresh_id(id);
+        }
+    }
+
+    /// Drains the accept queue, watching every admitted socket.
+    fn accept_ready(&mut self) {
+        for id in self.core.accept_pending(&self.listener) {
+            self.watch(id);
+        }
+    }
+
+    /// Registers connection `id` for readable events under its id.
+    fn watch(&mut self, id: u64) {
+        let Some(&i) = self.core.index.get(&id) else {
+            return;
+        };
+        let fd = raw_fd(self.core.conns[i].driver.stream());
+        if self.ready.register(fd, Token(id), Interest::READ).is_ok() {
+            self.core.conns[i].armed = Interest::READ;
+        } else {
+            // Unwatchable socket: close it now rather than carrying a
+            // connection that can never wake us.
+            self.core.conns[i].phase = Phase::Closed;
+            self.remove_at(i);
+        }
+    }
+
+    /// One readiness notification for a connection.
+    fn conn_event(&mut self, ev: Event) {
+        let id = ev.token.0;
+        let Some(&i) = self.core.index.get(&id) else {
+            // Reaped earlier in this same batch.
+            return;
+        };
+        if ev.readable || ev.closed {
+            self.read_conn(i);
+        }
+        // Writable (outbox draining), closed, or post-read state
+        // changes all funnel through one refresh.
+        self.refresh_id(id);
+    }
+
+    /// Reads and processes inbound bytes for connection `i`,
+    /// zero-copy out of a pooled buffer.
+    fn read_conn(&mut self, i: usize) {
+        let conn = &mut self.core.conns[i];
+        if conn.phase == Phase::Closed || conn.driver.paused() {
+            return;
+        }
+        let Some(mut buf) = conn.buf.take().or_else(|| self.pool.checkout()) else {
+            // Pool dry: defer — never allocate around the pool.
+            // Level-triggered readiness re-reports the socket once we
+            // re-arm.
+            if !conn.deferred {
+                conn.deferred = true;
+                self.deferred.push(conn.id);
+            }
+            return;
+        };
+        for _ in 0..READS_PER_WAKEUP {
+            match self.core.conns[i].driver.read_step(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => {
+                    if self.parse_frames(i, &mut buf) {
+                        break;
+                    }
+                    if self.core.conns[i].driver.paused() {
+                        break;
+                    }
+                }
+                Err(_) => {
+                    self.core.conns[i].phase = Phase::Closed;
+                    break;
+                }
+            }
+        }
+        // An empty buffer drops here, back to the pool.
+        if !buf.is_empty() {
+            self.core.conns[i].buf = Some(buf);
+        }
+    }
+
+    /// Parses every complete frame out of `buf` in place and hands
+    /// each to the protocol core as a borrowed view. Returns true when
+    /// the connection closed (fault or handler decision) and reading
+    /// should stop.
+    fn parse_frames(&mut self, i: usize, buf: &mut Vec<u8>) -> bool {
+        let max = self.core.config.max_payload;
+        let mut off = 0;
+        let mut fault = false;
+        while self.core.conns[i].phase != Phase::Closed {
+            match split_frame(&buf[off..], max) {
+                Ok(Some((view, used))) => {
+                    self.core.handle_frame(i, view.kind, view.payload);
+                    off += used;
+                }
+                Ok(None) => break,
+                Err(_) => {
+                    fault = true;
+                    break;
+                }
+            }
+        }
+        buf.drain(..off);
+        if fault {
+            // The stream cannot be resynced: typed close, and the
+            // poisoned bytes never touch another connection — the
+            // buffer is cleared before recycling.
+            self.core.protocol_fault(i, "framing violation");
+            buf.clear();
+        }
+        fault || self.core.conns[i].phase == Phase::Closed
+    }
+
+    /// Re-derives connection `id`'s liveness, pause state, and kernel
+    /// interest after anything changed: flushes the outbox, reaps if
+    /// finished, otherwise updates pause bookkeeping and the
+    /// registered interest (skipping no-op syscalls).
+    fn refresh_id(&mut self, id: u64) {
+        let Some(&i) = self.core.index.get(&id) else {
+            return;
+        };
+        if self.core.conns[i].driver.flush().is_err() {
+            self.core.conns[i].phase = Phase::Closed;
+        }
+        let at_eof = self.core.conns[i].driver.at_eof();
+        let outbox = self.core.conns[i].driver.outbox_bytes();
+        let closed = self.core.conns[i].phase == Phase::Closed;
+        // Reap when closed with nothing left to drain (or a dead
+        // socket), or on clean EOF with an empty outbox. A closed
+        // connection stays while its farewell bytes are still
+        // draining and the socket is healthy.
+        if (closed && (outbox == 0 || at_eof)) || (at_eof && outbox == 0) {
+            self.remove_at(i);
+            return;
+        }
+        let want_pause = self.core.desired_pause(i, self.prev_global);
+        let conn = &mut self.core.conns[i];
+        if want_pause {
+            if !conn.driver.paused() {
+                self.core.stats.pauses += 1;
+            }
+            conn.driver.pause();
+        } else if !closed {
+            conn.driver.resume();
+        }
+        let interest = Interest {
+            readable: !want_pause && !closed && !at_eof && !conn.deferred,
+            writable: outbox > 0,
+        };
+        if conn.armed != interest {
+            let fd = raw_fd(conn.driver.stream());
+            if self.ready.modify(fd, Token(id), interest).is_ok() {
+                conn.armed = interest;
+            }
+        }
+    }
+
+    /// Re-derives pause state and interest for every connection —
+    /// used on global-defer transitions. Iterates by id snapshot
+    /// because refresh can remove entries.
+    fn sweep_all(&mut self) {
+        let ids: Vec<u64> = self.core.conns.iter().map(|c| c.id).collect();
+        for id in ids {
+            self.refresh_id(id);
+        }
+    }
+
+    /// Removes connection at index `i`: deregisters the fd and hands
+    /// the table slot (and any pooled buffer) back.
+    fn remove_at(&mut self, i: usize) {
+        let _ = self
+            .ready
+            .deregister(raw_fd(self.core.conns[i].driver.stream()));
+        self.core.remove_conn(i);
     }
 }
 
-#[cfg(unix)]
-mod imp {
-    use super::super::{IngressCore, Phase};
-    use super::{merge_reports, IngressReport, IngressServer};
-    use crate::verify::service::VerifierService;
-    use std::collections::{HashMap, HashSet};
-    use std::net::TcpListener;
-    use std::os::unix::io::AsRawFd;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use tlc_net::bufpool::{BufferPool, PooledBuf};
-    use tlc_net::readiness::{Event, Interest, Readiness, Token, Waker};
-    use tlc_net::wire::{split_frame, HEADER_LEN};
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpStream;
 
-    pub(super) fn run(server: IngressServer, stop: &AtomicBool) -> IngressReport {
-        let IngressServer {
+    /// One connection of an accept batch that the registry refuses is
+    /// removed (reordering the table) without disturbing the rest of
+    /// the batch: the others still resolve and are registered.
+    #[test]
+    fn refused_registration_leaves_the_rest_of_the_batch_watched() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let open = Arc::new(AtomicUsize::new(0));
+        let mut shard = Shard::new(
             listener,
-            service_config,
-            reuseport,
-            core,
-        } = server;
-        let config = core.config;
-        let shards = if reuseport { config.shards.max(1) } else { 1 };
+            ServiceConfig::default(),
+            IngressConfig::default(),
+            Arc::clone(&open),
+        )
+        .unwrap();
 
-        if shards == 1 {
-            let part = shard_loop(core, listener, stop);
-            return merge_reports(vec![part], 0);
+        let clients: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let mut ids = Vec::new();
+        for _ in 0..200 {
+            ids.extend(shard.core.accept_pending(&shard.listener));
+            if ids.len() == clients.len() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(ids.len(), 3, "accept queue never delivered the batch");
+
+        // Occupy the first connection's fd so its registration fails.
+        let first = &shard.core.conns[shard.core.index[&ids[0]]];
+        let fd = raw_fd(first.driver.stream());
+        shard
+            .ready
+            .register(fd, Token(u64::MAX - 2), Interest::NONE)
+            .unwrap();
+        for &id in &ids {
+            shard.watch(id);
         }
 
-        // Multi-shard: gather the extra SO_REUSEPORT listeners first —
-        // a failed bind just shrinks the shard count (the kernel only
-        // balances across sockets that exist).
-        let addr = listener.local_addr().ok();
-        let mut listeners = vec![listener];
-        if let Some(addr) = addr {
-            for _ in 1..shards {
-                match tlc_net::try_bind_reuseport(addr) {
-                    Some(l) => listeners.push(l),
-                    None => break,
-                }
-            }
-        }
-        if listeners.len() == 1 {
-            if let Some(only) = listeners.pop() {
-                let part = shard_loop(core, only, stop);
-                return merge_reports(vec![part], 0);
-            }
-        }
-
-        // Retire the bind-time service (it has processed nothing — run
-        // starts before any accept) and split the worker budget across
-        // per-shard pools so total worker threads stay comparable.
-        let shards = listeners.len();
-        let IngressCore { service, .. } = core;
-        let retired = service.finish();
-        let mut per_shard = service_config;
-        per_shard.workers = (service_config.workers.div_ceil(shards)).max(1);
-
-        let mut parts = Vec::new();
-        let mut join_panics = retired.worker_panics;
-        std::thread::scope(|s| {
-            let mut handles = Vec::new();
-            for listener in listeners {
-                let core = IngressCore::new(VerifierService::with_config(per_shard), config);
-                handles.push(s.spawn(move || shard_loop(core, listener, stop)));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(part) => parts.push(part),
-                    Err(_) => join_panics += 1,
-                }
-            }
-        });
-        merge_reports(parts, join_panics)
-    }
-
-    /// One shard: a readiness registry, a buffer pool, and a private
-    /// [`IngressCore`]. Returns the shard's final report.
-    fn shard_loop(core: IngressCore, listener: TcpListener, stop: &AtomicBool) -> IngressReport {
-        match Shard::new(core, listener) {
-            Ok(shard) => shard.run(stop),
-            // Readiness construction failed (fd exhaustion, odd
-            // container): degrade to the tick loop over the same core
-            // rather than dying.
-            Err(parts) => {
-                let (core, listener) = *parts;
-                core.run_ticks(&listener, stop)
-            }
-        }
-    }
-
-    /// Socket reads per connection per wakeup. Bounds how long one
-    /// chatty peer can hold the loop; level-triggered readiness
-    /// re-reports whatever is left.
-    const READS_PER_WAKEUP: usize = 4;
-
-    /// Longest the loop sleeps with nothing to do: the only thing left
-    /// that the kernel cannot wake it for is the `stop` flag.
-    const STOP_CHECK_MS: i32 = 10;
-
-    /// Wait bound while any connection is quarantined. Sentences are
-    /// counted in loop iterations (`quarantine_polls`); before the
-    /// waker, a loop with verdicts pending iterated at least once a
-    /// millisecond and an idle one every 10 ms. Bounding the wait to
-    /// 1 ms whenever a sentence is running keeps every sentence's
-    /// wall-clock length at or under the shorter of the two.
-    const QUARANTINE_TICK_MS: i32 = 1;
-
-    struct Shard {
-        core: IngressCore,
-        listener: TcpListener,
-        ready: Readiness,
-        /// Fired by the service's signature workers per flushed batch.
-        waker: Waker,
-        wakeups: u64,
-        pool: BufferPool,
-        /// conn id -> buffer holding a partial frame between wakeups.
-        bufs: HashMap<u64, PooledBuf>,
-        /// conn id -> interest currently registered with the kernel,
-        /// to skip no-op `modify` syscalls.
-        armed: HashMap<u64, Interest>,
-        /// Connections whose read was deferred because the pool was
-        /// empty; re-armed as buffers return.
-        deferred: HashSet<u64>,
-        /// Last observed global-defer verdict; a transition triggers a
-        /// full interest sweep.
-        prev_global: bool,
-    }
-
-    impl Shard {
-        fn new(
-            mut core: IngressCore,
-            listener: TcpListener,
-        ) -> Result<Shard, Box<(IngressCore, TcpListener)>> {
-            let registry = Readiness::new().and_then(|mut ready| {
-                ready.register(listener.as_raw_fd(), Token::LISTENER, Interest::READ)?;
-                let waker = Waker::new(&mut ready)?;
-                Ok((ready, waker))
-            });
-            let Ok((ready, waker)) = registry else {
-                return Err(Box::new((core, listener)));
-            };
-            // Installed before the first accept, so every batch this
-            // shard ever flushes announces itself.
-            let handle = waker.handle();
-            core.service.set_notifier(Arc::new(move || handle.wake()));
-            // One max-size frame per buffer: a full buffer therefore
-            // always contains a complete frame or an oversize error,
-            // so parsing can never deadlock on "need more room".
-            let buf_size = HEADER_LEN + core.config.max_payload as usize;
-            let capacity = (core.config.max_conns / 4).clamp(64, 512);
-            let pool = BufferPool::new(capacity, buf_size);
-            Ok(Shard {
-                core,
-                listener,
-                ready,
-                waker,
-                wakeups: 0,
-                pool,
-                bufs: HashMap::new(),
-                armed: HashMap::new(),
-                deferred: HashSet::new(),
-                prev_global: false,
-            })
-        }
-
-        fn run(mut self, stop: &AtomicBool) -> IngressReport {
-            let mut events: Vec<Event> = Vec::new();
-            let mut touched: Vec<usize> = Vec::new();
-            let mut scratch_ids: Vec<u64> = Vec::new();
-            while !stop.load(Ordering::Relaxed) {
-                self.core.deal_credits();
-                let timeout = if self.core.quarantined > 0 {
-                    QUARANTINE_TICK_MS
-                } else {
-                    STOP_CHECK_MS
-                };
-                // About to block. If submissions were relayed since the
-                // last kick, look once without blocking: more input
-                // waiting means batches are still filling; none means
-                // the submitters went idle, and the service is told so.
-                // A loop that relayed nothing skips the probe.
-                let probing = self.core.service.kick_due();
-                let first = if probing { 0 } else { timeout };
-                let mut waited = self.ready.wait(&mut events, first);
-                if probing && matches!(waited, Ok(0)) {
-                    self.core.service.kick();
-                    waited = self.ready.wait(&mut events, timeout);
-                }
-                if waited.is_err() {
-                    // A broken registry would spin; breathe instead.
-                    std::thread::sleep(self.core.config.poll_sleep);
-                    continue;
-                }
-                let mut woken = false;
-                for ev in events.iter().copied() {
-                    match ev.token {
-                        Token::LISTENER => self.accept_ready(),
-                        Token::WAKER => woken = true,
-                        _ => self.conn_event(ev),
-                    }
-                }
-
-                // Verdict completions, read only when the workers said
-                // so (drain first: see `Waker::drain`). Refresh exactly
-                // the connections that got frames queued or windows
-                // freed.
-                if woken {
-                    self.wakeups += 1;
-                    self.waker.drain();
-                    touched.clear();
-                    self.core.pump_verdicts_into(&mut touched);
-                    self.refresh_touched(&touched, &mut scratch_ids);
-                }
-
-                // Quarantine sentences tick per loop iteration, like
-                // the legacy loop ticks per poll iteration; the wait
-                // above is bounded while any is running.
-                if self.core.quarantined > 0 {
-                    touched.clear();
-                    self.core.tick_quarantines(&mut touched);
-                    self.refresh_touched(&touched, &mut scratch_ids);
-                }
-
-                // Ladder transitions pause/resume the whole table.
-                let global = self.core.global_defer();
-                if global != self.prev_global {
-                    self.prev_global = global;
-                    self.sweep_all();
-                }
-
-                // Buffers came back: wake the starved readers.
-                if !self.deferred.is_empty() && self.pool.available() > 0 {
-                    scratch_ids.clear();
-                    scratch_ids.extend(self.deferred.drain());
-                    for &id in &scratch_ids {
-                        self.refresh_id(id);
-                    }
-                }
-            }
-            // Buffers still held at shutdown are intentionally *not*
-            // recycles: stats are taken before they drop.
-            let pool_stats = self.pool.stats();
-            self.core.into_report(pool_stats, self.wakeups)
-        }
-
-        /// Refreshes the connections at table indices `touched`. The
-        /// indices are turned into ids first because a refresh can
-        /// reorder the table (swap_remove).
-        fn refresh_touched(&mut self, touched: &[usize], ids: &mut Vec<u64>) {
-            ids.clear();
-            let conns = &self.core.conns;
-            ids.extend(touched.iter().filter_map(|&i| conns.get(i).map(|c| c.id)));
-            for &id in ids.iter() {
-                self.refresh_id(id);
-            }
-        }
-
-        /// Drains the accept queue, registering every admitted socket
-        /// for readable events under its connection id.
-        fn accept_ready(&mut self) {
-            let (_, admitted) = self.core.accept_pending(&self.listener);
-            for i in admitted {
-                let id = self.core.conns[i].id;
-                let fd = self.core.conns[i].driver.stream().as_raw_fd();
-                if self.ready.register(fd, Token(id), Interest::READ).is_ok() {
-                    self.armed.insert(id, Interest::READ);
-                } else {
-                    // Unwatchable socket: close it now rather than
-                    // carrying a connection that can never wake us.
-                    self.core.conns[i].phase = Phase::Closed;
-                    self.remove_at(i);
-                }
-            }
-        }
-
-        /// One readiness notification for a connection.
-        fn conn_event(&mut self, ev: Event) {
-            let id = ev.token.0;
-            let Some(&i) = self.core.index.get(&id) else {
-                // Reaped earlier in this same batch.
-                return;
-            };
-            if ev.readable || ev.closed {
-                self.read_conn(i);
-            }
-            // Writable (outbox draining), closed, or post-read state
-            // changes all funnel through one refresh.
-            self.refresh_id(id);
-        }
-
-        /// Reads and processes inbound bytes for connection `i`,
-        /// zero-copy out of a pooled buffer.
-        fn read_conn(&mut self, i: usize) {
-            if self.core.conns[i].phase == Phase::Closed || self.core.conns[i].driver.paused() {
-                return;
-            }
-            let id = self.core.conns[i].id;
-            let mut buf = match self.bufs.remove(&id) {
-                Some(b) => b,
-                None => match self.pool.checkout() {
-                    Some(b) => b,
-                    None => {
-                        // Pool dry: defer — never allocate around the
-                        // pool. Level-triggered readiness re-reports
-                        // the socket once we re-arm.
-                        self.deferred.insert(id);
-                        return;
-                    }
-                },
-            };
-            for _ in 0..READS_PER_WAKEUP {
-                match self.core.conns[i].driver.read_step(&mut buf) {
-                    Ok(0) => break,
-                    Ok(_) => {
-                        if self.parse_frames(i, &mut buf) {
-                            break;
-                        }
-                        if self.core.conns[i].driver.paused() {
-                            break;
-                        }
-                    }
-                    Err(_) => {
-                        self.core.conns[i].phase = Phase::Closed;
-                        break;
-                    }
-                }
-            }
-            if buf.is_empty() {
-                drop(buf); // returns to the pool
-            } else {
-                self.bufs.insert(id, buf);
-            }
-        }
-
-        /// Parses every complete frame out of `buf` in place and hands
-        /// each to the protocol core as a borrowed view. Returns true
-        /// when the connection closed (fault or handler decision) and
-        /// reading should stop.
-        fn parse_frames(&mut self, i: usize, buf: &mut Vec<u8>) -> bool {
-            let max = self.core.config.max_payload;
-            let mut off = 0;
-            let mut frames = 0u64;
-            let mut fault = false;
-            while self.core.conns[i].phase != Phase::Closed {
-                match split_frame(&buf[off..], max) {
-                    Ok(Some((view, used))) => {
-                        frames += 1;
-                        self.core.handle_frame(i, view.kind, view.payload);
-                        off += used;
-                    }
-                    Ok(None) => break,
-                    Err(_) => {
-                        fault = true;
-                        break;
-                    }
-                }
-            }
-            if frames > 0 {
-                self.core.conns[i].driver.note_frames_rx(frames);
-            }
-            buf.drain(..off);
-            if fault {
-                // Same close the legacy driver produces for a framing
-                // violation; the poisoned bytes never touch another
-                // connection — the buffer is cleared before recycling.
-                self.core.protocol_fault(i, "framing violation");
-                buf.clear();
-            }
-            fault || self.core.conns[i].phase == Phase::Closed
-        }
-
-        /// Re-derives connection `id`'s liveness, pause state, and
-        /// kernel interest after anything changed: flushes the outbox,
-        /// reaps if finished, otherwise updates pause bookkeeping and
-        /// the registered interest (skipping no-op syscalls).
-        fn refresh_id(&mut self, id: u64) {
-            let Some(&i) = self.core.index.get(&id) else {
-                return;
-            };
-            if self.core.conns[i].driver.flush().is_err() {
-                self.core.conns[i].phase = Phase::Closed;
-            }
-            let at_eof = self.core.conns[i].driver.at_eof();
-            let outbox = self.core.conns[i].driver.outbox_bytes();
-            let closed = self.core.conns[i].phase == Phase::Closed;
-            // Same reap condition as the legacy loop: closed with
-            // nothing left to drain (or a dead socket), or clean EOF
-            // with an empty outbox.
-            if (closed && (outbox == 0 || at_eof)) || (at_eof && outbox == 0) {
-                self.remove_at(i);
-                return;
-            }
-            let want_pause = self.core.desired_pause(i, self.prev_global);
-            if want_pause {
-                if !self.core.conns[i].driver.paused() {
-                    self.core.stats.pauses += 1;
-                }
-                self.core.conns[i].driver.pause();
-            } else if !closed {
-                self.core.conns[i].driver.resume();
-            }
-            let interest = Interest {
-                readable: !want_pause && !closed && !at_eof && !self.deferred.contains(&id),
-                writable: outbox > 0,
-            };
-            if self.armed.get(&id) != Some(&interest) {
-                let fd = self.core.conns[i].driver.stream().as_raw_fd();
-                if self.ready.modify(fd, Token(id), interest).is_ok() {
-                    self.armed.insert(id, interest);
-                }
-            }
-        }
-
-        /// Re-derives pause state and interest for every connection —
-        /// used on global-defer transitions. Iterates by id snapshot
-        /// because refresh can remove entries.
-        fn sweep_all(&mut self) {
-            let ids: Vec<u64> = self.core.conns.iter().map(|c| c.id).collect();
-            for id in ids {
-                self.refresh_id(id);
-            }
-        }
-
-        /// Removes connection at index `i`: deregisters the fd, drops
-        /// its buffer back to the pool, and hands the table slot back.
-        fn remove_at(&mut self, i: usize) {
-            let id = self.core.conns[i].id;
-            let fd = self.core.conns[i].driver.stream().as_raw_fd();
-            let _ = self.ready.deregister(fd);
-            self.bufs.remove(&id);
-            self.armed.remove(&id);
-            self.deferred.remove(&id);
-            self.core.remove_conn(i);
+        assert_eq!(shard.core.conns.len(), 2);
+        assert_eq!(open.load(Ordering::Relaxed), 2);
+        assert!(!shard.core.index.contains_key(&ids[0]));
+        for &id in &ids[1..] {
+            let conn = &shard.core.conns[shard.core.index[&id]];
+            assert_eq!((conn.id, conn.armed), (id, Interest::READ));
         }
     }
 }

@@ -1,28 +1,27 @@
-//! Backend-equivalence and resource-bound tests for the readiness
+//! Equivalence and resource-bound tests for the readiness
 //! (epoll/`SO_REUSEPORT`) ingress, DESIGN §12.
 //!
-//! `wire_conformance` and `soak_overload` already run against both
-//! backends via `TLC_INGRESS_BACKEND`; this suite pins the properties
-//! that only make sense when the backend is chosen *explicitly* in
-//! config rather than ambiently:
+//! `wire_conformance` and `soak_overload` pin the protocol; this suite
+//! pins the properties of the server loop itself:
 //!
-//! * the epoll loop returns the same verdicts as the legacy poll loop
+//! * the server returns the same verdicts as the in-process service
 //!   for the same proof set — accept and reject alike;
 //! * a multi-shard server (distinct `SO_REUSEPORT` listeners, one
 //!   connection table slice each) accounts every submission across
 //!   concurrent clients, and the merged report reconciles;
+//! * `max_conns` caps the server, not each shard;
 //! * buffer-pool exhaustion defers reads instead of allocating
 //!   unboundedly or dropping connections: with more partial frames in
 //!   flight than pooled buffers, every connection still completes once
 //!   buffers recycle, and the report shows the deferrals;
 //! * a framing violation poisons only its own connection — the typed
 //!   `ERROR`/`Protocol` close, with neighbours unaffected;
-//! * a light-load verdict is driven by the idle kick and (readiness
-//!   loop) the workers' waker, never by a timer — and a session that
-//!   submits nothing causes neither.
+//! * a light-load verdict is driven by the idle kick and the workers'
+//!   waker, never by a timer — and a session that submits nothing
+//!   causes neither.
 //!
-//! Tests construct `IngressConfig { backend, shards, .. }` directly so
-//! they hold regardless of the environment's backend selection.
+//! Tests construct `IngressConfig { shards, .. }` directly so they hold
+//! regardless of the environment's `TLC_INGRESS_SHARDS`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -36,9 +35,9 @@ use tlc_core::verify::remote::codec::{
     Fault, Hello, HelloAck, SettleResult, MAGIC, PROTOCOL_VERSION,
 };
 use tlc_core::verify::remote::{
-    IngressBackend, IngressConfig, IngressHandle, IngressServer, RemoteVerifier,
+    BackoffConfig, IngressConfig, IngressHandle, IngressServer, RemoteError, RemoteVerifier,
 };
-use tlc_core::verify::service::ServiceConfig;
+use tlc_core::verify::service::{ServiceConfig, ServiceError, SubmissionResult, VerifierService};
 use tlc_crypto::KeyPair;
 use tlc_net::wire::{FrameDecoder, FrameKind, DEFAULT_MAX_PAYLOAD};
 
@@ -110,13 +109,12 @@ fn material(idx: u64, n: usize) -> Material {
     }
 }
 
-fn spawn_backend(backend: IngressBackend, shards: usize, ingress: IngressConfig) -> IngressHandle {
-    spawn_with_service(ServiceConfig::default(), backend, shards, ingress)
+fn spawn_server(shards: usize, ingress: IngressConfig) -> IngressHandle {
+    spawn_with_service(ServiceConfig::default(), shards, ingress)
 }
 
 fn spawn_with_service(
     service: ServiceConfig,
-    backend: IngressBackend,
     shards: usize,
     ingress: IngressConfig,
 ) -> IngressHandle {
@@ -126,11 +124,7 @@ fn spawn_with_service(
             workers: 2,
             ..service
         },
-        IngressConfig {
-            backend,
-            shards,
-            ..ingress
-        },
+        IngressConfig { shards, ..ingress },
     )
     .unwrap()
     .spawn()
@@ -138,80 +132,75 @@ fn spawn_with_service(
 }
 
 // ---------------------------------------------------------------------
-// Backend equivalence: same proofs, same verdicts
+// Transport equivalence: same proofs, same verdicts
 // ---------------------------------------------------------------------
 
-/// Runs one client workload — good proofs plus a corrupted one — and
-/// returns every (tag, rendered result) pair.
-fn run_workload(handle: &IngressHandle, m: &Material, bad: &PocMsg) -> Vec<(u64, String)> {
-    let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
-    let rel = client
-        .register(m.plan, m.edge.public.clone(), m.op.public.clone())
-        .unwrap();
-    for poc in &m.pocs {
-        client.submit(rel, poc).unwrap();
-    }
-    client.submit(rel, bad).unwrap();
-    let mut out: Vec<(u64, String)> = client
-        .collect_results()
-        .unwrap()
+/// Renders results as tag-ordered (tag, result) pairs.
+fn rendered(results: Vec<SubmissionResult>) -> Vec<(u64, String)> {
+    let mut out: Vec<(u64, String)> = results
         .into_iter()
         .map(|r| (r.tag, format!("{:?}", r.result)))
         .collect();
-    client.goodbye().unwrap();
     out.sort();
     out
 }
 
-/// The epoll backend must be a drop-in: identical verdicts (accepts
-/// and the typed rejection for a cross-relationship proof) for the
-/// same submissions, in the same tag order.
+/// The TCP front-end must be a drop-in for the in-process service:
+/// identical verdicts (accepts and the typed rejection for a
+/// cross-relationship proof) for the same submissions, in the same
+/// tag order.
 #[test]
-fn epoll_backend_matches_poll_verdicts() {
+fn ingress_matches_in_process_verdicts() {
     let m = material(0, 4);
     // A proof from a different relationship: valid bytes, wrong keys —
     // the service rejects it for cause, exercising the error path.
     let stranger = material(1, 1);
     let bad = &stranger.pocs[0];
 
-    let poll = spawn_backend(IngressBackend::Poll, 1, IngressConfig::default());
-    let poll_results = run_workload(&poll, &m, bad);
-    let poll_report = poll.shutdown().unwrap();
-
-    let epoll = spawn_backend(IngressBackend::Epoll, 1, IngressConfig::default());
-    let epoll_results = run_workload(&epoll, &m, bad);
-    let epoll_report = epoll.shutdown().unwrap();
-
-    assert_eq!(
-        poll_results, epoll_results,
-        "backends disagreed on verdicts"
-    );
-    // Both saw one rejection (the stranger's proof) and m.pocs accepts.
-    for report in [&poll_report, &epoll_report] {
-        assert_eq!(report.ingress.accepted, m.pocs.len() as u64);
-        assert_eq!(report.ingress.rejected_malformed, 1);
-        assert_eq!(report.ingress.submissions, m.pocs.len() as u64 + 1);
+    let mut svc = VerifierService::new(2);
+    let rel = svc
+        .register(m.plan, m.edge.public.clone(), m.op.public.clone())
+        .unwrap();
+    for poc in m.pocs.iter().chain([bad]) {
+        svc.submit(rel, poc.clone()).unwrap();
     }
-    // The epoll backend actually pooled buffers for its reads.
-    if tlc_net::Readiness::available() {
-        assert!(epoll_report.pool.checkouts > 0, "epoll loop never pooled");
-        assert_eq!(epoll_report.pool.checkouts, epoll_report.pool.recycles);
+    let local = rendered(svc.collect_results().unwrap());
+    svc.finish();
+
+    let handle = spawn_server(1, IngressConfig::default());
+    let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
+    let rel = client
+        .register(m.plan, m.edge.public.clone(), m.op.public.clone())
+        .unwrap();
+    for poc in m.pocs.iter().chain([bad]) {
+        client.submit(rel, poc).unwrap();
     }
-    assert_eq!(poll_report.pool.checkouts, 0, "legacy loop must not pool");
+    let remote = rendered(client.collect_results().unwrap());
+    client.goodbye().unwrap();
+    let report = handle.shutdown().unwrap();
+
+    assert_eq!(local, remote, "TCP and in-process verdicts disagreed");
+    // One rejection (the stranger's proof) and m.pocs accepts.
+    assert_eq!(report.ingress.accepted, m.pocs.len() as u64);
+    assert_eq!(report.ingress.rejected_malformed, 1);
+    assert_eq!(report.ingress.submissions, m.pocs.len() as u64 + 1);
+    // The loop pooled buffers for its reads and returned every one.
+    assert!(report.pool.checkouts > 0, "loop never pooled");
+    assert_eq!(report.pool.checkouts, report.pool.recycles);
 }
 
 // ---------------------------------------------------------------------
 // Multi-shard soak: concurrent clients over SO_REUSEPORT listeners
 // ---------------------------------------------------------------------
 
-/// Several clients drive a two-shard epoll server concurrently; every
+/// Several clients drive a two-shard server concurrently; every
 /// proof draws an accept, and the merged report accounts connections,
 /// registrations, and submissions across shard-local counters.
 #[test]
 fn multi_shard_soak_accounts_every_submission() {
     const CLIENTS: usize = 4;
     const POCS_EACH: usize = 3;
-    let handle = spawn_backend(IngressBackend::Epoll, 2, IngressConfig::default());
+    let handle = spawn_server(2, IngressConfig::default());
     let addr = handle.addr();
 
     let mats: Vec<Material> = (10..10 + CLIENTS as u64)
@@ -251,6 +240,36 @@ fn multi_shard_soak_accounts_every_submission() {
     assert_eq!(report.service.rejected, 0);
 }
 
+/// `max_conns` is the server's cap, not each shard's: with one session
+/// held open on a two-shard server, every later handshake is shed with
+/// a typed BUSY whichever listener the kernel hands it to.
+#[test]
+fn max_conns_caps_the_server_not_each_shard() {
+    let handle = spawn_server(
+        2,
+        IngressConfig {
+            max_conns: 1,
+            ..IngressConfig::default()
+        },
+    );
+    let no_retry = BackoffConfig {
+        max_attempts: 0,
+        ..BackoffConfig::default()
+    };
+    let incumbent = RemoteVerifier::connect_with(handle.addr(), 0, no_retry).unwrap();
+    for k in 0..7 {
+        match RemoteVerifier::connect_with(handle.addr(), 0, no_retry) {
+            Err(RemoteError::Service(ServiceError::Overloaded { .. })) => {}
+            other => panic!("handshake {k}: {:?}", other.map(|_| "admitted")),
+        }
+    }
+    incumbent.goodbye().unwrap();
+
+    let report = handle.shutdown().unwrap();
+    assert_eq!(report.ingress.connections, 1);
+    assert_eq!(report.ingress.shed_connections, 7);
+}
+
 // ---------------------------------------------------------------------
 // Pool exhaustion: defer reads, never drop or balloon
 // ---------------------------------------------------------------------
@@ -260,16 +279,11 @@ fn multi_shard_soak_accounts_every_submission() {
 /// every handshake once buffers recycle — no connection is dropped,
 /// no unpooled allocation papers over the shortage.
 #[test]
-#[cfg_attr(not(unix), ignore = "readiness backend is unix-only")]
 fn pool_exhaustion_defers_reads_without_losing_connections() {
-    if !tlc_net::Readiness::available() {
-        return;
-    }
     // max_conns 128 clamps the pool to its 64-buffer floor; 96 partial
     // HELLOs then oversubscribe the pool by 32.
     const CONNS: usize = 96;
-    let handle = spawn_backend(
-        IngressBackend::Epoll,
+    let handle = spawn_server(
         1,
         IngressConfig {
             max_conns: 128,
@@ -339,12 +353,8 @@ fn pool_exhaustion_defers_reads_without_losing_connections() {
 /// to the same shard keeps its session, and the poisoned bytes never
 /// leak into a recycled buffer's next parse.
 #[test]
-#[cfg_attr(not(unix), ignore = "readiness backend is unix-only")]
 fn framing_violation_poisons_only_its_connection() {
-    if !tlc_net::Readiness::available() {
-        return;
-    }
-    let handle = spawn_backend(IngressBackend::Epoll, 1, IngressConfig::default());
+    let handle = spawn_server(1, IngressConfig::default());
     let addr = handle.addr();
     let m = material(30, 2);
 
@@ -419,46 +429,41 @@ fn framing_violation_poisons_only_its_connection() {
 
 /// Depth-1 submit→verdict with a flush deadline that never comes: each
 /// proof is a partial batch only the server's idle kick can flush, and
-/// (readiness loop) only the workers' waker can announce. A server
-/// that leaned on either timer hangs here.
+/// only the workers' waker can announce. A server that leaned on a
+/// timer for either hangs here.
 #[test]
-fn depth_one_verdicts_need_no_timer_on_either_backend() {
+fn depth_one_verdicts_need_no_timer() {
     let m = material(40, 3);
-    for backend in [IngressBackend::Poll, IngressBackend::Epoll] {
-        let handle = spawn_with_service(
-            ServiceConfig {
-                flush_deadline: Duration::from_secs(600),
-                ..ServiceConfig::default()
-            },
-            backend,
-            1,
-            IngressConfig::default(),
-        );
-        let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
-        let rel = client
-            .register(m.plan, m.edge.public.clone(), m.op.public.clone())
-            .unwrap();
-        for poc in &m.pocs {
-            let tag = client.submit(rel, poc).unwrap();
-            let results = client.collect_results().unwrap();
-            assert_eq!(results.len(), 1, "{backend:?}");
-            assert_eq!(results[0].tag, tag);
-            assert!(results[0].result.is_ok(), "{backend:?}: {:?}", results[0]);
-        }
-        client.goodbye().unwrap();
-
-        let report = handle.shutdown().unwrap();
-        let n = m.pocs.len() as u64;
-        let svc = &report.service;
-        assert_eq!((svc.batches, svc.idle_flushes), (n, n), "{backend:?}");
-        assert_eq!((svc.kicks, svc.deadline_flushes), (n, 0), "{backend:?}");
-        let readiness = backend == IngressBackend::Epoll && tlc_net::Readiness::available();
-        let wakeups = if readiness { n } else { 0 };
-        assert_eq!(report.waker_wakeups, wakeups, "{backend:?}");
-        let text = report.to_prometheus();
-        assert!(text.contains(&format!("tlc_service_idle_flushes_total {n}\n")));
-        assert!(text.contains(&format!("tlc_service_waker_wakeups_total {wakeups}\n")));
+    let handle = spawn_with_service(
+        ServiceConfig {
+            flush_deadline: Duration::from_secs(600),
+            ..ServiceConfig::default()
+        },
+        1,
+        IngressConfig::default(),
+    );
+    let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
+    let rel = client
+        .register(m.plan, m.edge.public.clone(), m.op.public.clone())
+        .unwrap();
+    for poc in &m.pocs {
+        let tag = client.submit(rel, poc).unwrap();
+        let results = client.collect_results().unwrap();
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].tag, tag);
+        assert!(results[0].result.is_ok(), "{:?}", results[0]);
     }
+    client.goodbye().unwrap();
+
+    let report = handle.shutdown().unwrap();
+    let n = m.pocs.len() as u64;
+    let svc = &report.service;
+    assert_eq!((svc.batches, svc.idle_flushes), (n, n));
+    assert_eq!((svc.kicks, svc.deadline_flushes), (n, 0));
+    assert_eq!(report.waker_wakeups, n);
+    let text = report.to_prometheus();
+    assert!(text.contains(&format!("tlc_service_idle_flushes_total {n}\n")));
+    assert!(text.contains(&format!("tlc_service_waker_wakeups_total {n}\n")));
 }
 
 /// A session that only settles relays no submission, so the loop never
@@ -468,25 +473,23 @@ fn depth_one_verdicts_need_no_timer_on_either_backend() {
 fn settle_only_session_causes_no_kick_or_wake() {
     let m = material(41, 0);
     let agreement = RoamingAgreement::paper_default();
-    for backend in [IngressBackend::Poll, IngressBackend::Epoll] {
-        let handle = spawn_backend(backend, 1, IngressConfig::default());
-        let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
-        let rel = client
-            .register(m.plan, m.edge.public.clone(), m.op.public.clone())
+    let handle = spawn_server(1, IngressConfig::default());
+    let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
+    let rel = client
+        .register(m.plan, m.edge.public.clone(), m.op.public.clone())
+        .unwrap();
+    for i in 0..32u64 {
+        let charged = 1_000_000 + i;
+        let split = agreement.split_volume(charged, Serving::Visited);
+        let got = client
+            .settle(rel, Serving::Visited, charged, split)
             .unwrap();
-        for i in 0..32u64 {
-            let charged = 1_000_000 + i;
-            let split = agreement.split_volume(charged, Serving::Visited);
-            let got = client
-                .settle(rel, Serving::Visited, charged, split)
-                .unwrap();
-            assert_eq!(got, SettleResult::Conserved);
-        }
-        client.goodbye().unwrap();
-
-        let report = handle.shutdown().unwrap();
-        let svc = &report.service;
-        assert_eq!((svc.kicks, svc.idle_flushes, svc.batches), (0, 0, 0));
-        assert_eq!(report.waker_wakeups, 0, "{backend:?}");
+        assert_eq!(got, SettleResult::Conserved);
     }
+    client.goodbye().unwrap();
+
+    let report = handle.shutdown().unwrap();
+    let svc = &report.service;
+    assert_eq!((svc.kicks, svc.idle_flushes, svc.batches), (0, 0, 0));
+    assert_eq!(report.waker_wakeups, 0);
 }

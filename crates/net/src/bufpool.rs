@@ -1,11 +1,9 @@
-//! Bounded, recycled read-buffer pool for the event-driven ingress
-//! (DESIGN.md §12).
+//! Bounded, recycled read-buffer pool for the ingress (DESIGN.md §12).
 //!
-//! The legacy read path copies every frame payload out of the driver's
-//! reassembly buffer into a fresh `Vec` before decode. At C100K scale
-//! that is per-frame allocator churn on the hottest path in the
-//! system. The readiness loop instead reads into a buffer checked out
-//! of a [`BufferPool`]: frames are parsed *in place* as borrowed
+//! Copying every frame payload into a fresh `Vec` before decode would
+//! be per-frame allocator churn on the hottest path in the system. The
+//! ingress loop instead reads into a buffer checked out of a
+//! [`BufferPool`]: frames are parsed *in place* as borrowed
 //! [`crate::wire::FrameRef`] views and the codec decodes payloads from
 //! those borrows, so a PoC travels socket → verifier without an
 //! intermediate copy.

@@ -2,28 +2,28 @@
 //!
 //! [`ConnDriver`] owns one byte stream (a `TcpStream` in deployment, any
 //! `Read + Write` in tests) and adapts it to the frame world of
-//! [`wire`](crate::wire): it pumps readable bytes through a
-//! [`FrameDecoder`], stages outbound frames in a write buffer that
-//! drains as the peer accepts bytes, and exposes an explicit *pause*
-//! switch — the backpressure primitive the ingress server flips when a
-//! connection's in-flight window or the verification pipeline is full.
-//! While paused the driver stops *reading*, so the kernel receive buffer
-//! fills and TCP flow control pushes back on the submitting client; no
-//! frame is ever dropped.
+//! [`wire`](crate::wire): it appends readable bytes to a caller-owned
+//! buffer that the caller parses in place with
+//! [`split_frame`](crate::wire::split_frame), stages outbound frames in
+//! a write buffer that drains as the peer accepts bytes, and exposes an
+//! explicit *pause* switch — the backpressure primitive the ingress
+//! server flips when a connection's in-flight window or the
+//! verification pipeline is full. While paused the driver stops
+//! *reading*, so the kernel receive buffer fills and TCP flow control
+//! pushes back on the submitting client; no frame is ever dropped.
 //!
 //! The driver is sans-IO-scheduler: it never blocks and never sleeps.
-//! `WouldBlock` from the stream simply ends the current poll, which is
-//! what lets one thread drive many connections round-robin.
+//! `WouldBlock` from the stream simply ends the current read, which is
+//! what lets one thread drive many connections.
 
-use crate::wire::{Frame, FrameDecoder, WireError, HEADER_LEN};
+use crate::wire::{Frame, WireError};
 use std::io::{self, Read, Write};
 
-/// Failures surfaced by a connection poll. Either the peer broke framing
-/// ([`WireError`], connection must close) or the transport failed.
+/// Failures surfaced by a connection read or flush: the transport
+/// failed. (Framing violations are the parser's to report — the driver
+/// never looks inside the bytes it moves.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverError {
-    /// Framing violation from the peer; the stream cannot be resynced.
-    Wire(WireError),
     /// Transport-level I/O failure (reset, broken pipe, …).
     Io(io::ErrorKind),
 }
@@ -31,19 +31,12 @@ pub enum DriverError {
 impl std::fmt::Display for DriverError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DriverError::Wire(e) => write!(f, "framing error: {e}"),
             DriverError::Io(k) => write!(f, "connection i/o error: {k:?}"),
         }
     }
 }
 
 impl std::error::Error for DriverError {}
-
-impl From<WireError> for DriverError {
-    fn from(e: WireError) -> Self {
-        DriverError::Wire(e)
-    }
-}
 
 /// Per-connection byte/frame counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,22 +45,19 @@ pub struct ConnStats {
     pub bytes_rx: u64,
     /// Bytes written to the stream.
     pub bytes_tx: u64,
-    /// Frames decoded.
-    pub frames_rx: u64,
     /// Frames queued for sending.
     pub frames_tx: u64,
     /// Transitions into the paused state.
     pub pauses: u64,
 }
 
-/// Read chunk size per `read` call. Small enough to keep per-poll work
+/// Read chunk size per `read` call. Small enough to keep per-wakeup work
 /// bounded, large enough to drain a window of verdict-sized frames.
 const READ_CHUNK: usize = 8 * 1024;
 
 /// One framed, pausable, non-blocking connection.
 pub struct ConnDriver<S> {
     stream: S,
-    decoder: FrameDecoder,
     out_buf: Vec<u8>,
     out_pos: usize,
     paused: bool,
@@ -76,12 +66,11 @@ pub struct ConnDriver<S> {
 }
 
 impl<S> ConnDriver<S> {
-    /// Wraps a stream with a decoder enforcing `max_payload`. For a
-    /// `TcpStream` the caller must have set it non-blocking.
-    pub fn new(stream: S, max_payload: u32) -> ConnDriver<S> {
+    /// Wraps a stream. For a `TcpStream` the caller must have set it
+    /// non-blocking.
+    pub fn new(stream: S) -> ConnDriver<S> {
         ConnDriver {
             stream,
-            decoder: FrameDecoder::new(max_payload),
             out_buf: Vec::new(),
             out_pos: 0,
             paused: false,
@@ -111,7 +100,7 @@ impl<S> ConnDriver<S> {
     }
 
     /// Pauses reads: buffered bytes stay in the kernel, TCP flow control
-    /// propagates to the peer. Already-decoded frames remain poppable.
+    /// propagates to the peer.
     pub fn pause(&mut self) {
         if !self.paused {
             self.paused = true;
@@ -132,11 +121,6 @@ impl<S> ConnDriver<S> {
     /// Unsent bytes staged in the write buffer.
     pub fn outbox_bytes(&self) -> usize {
         self.out_buf.len() - self.out_pos
-    }
-
-    /// Bytes buffered for the frame currently being decoded.
-    pub fn partial_bytes(&self) -> usize {
-        self.decoder.partial_bytes()
     }
 
     /// Stages a frame for sending; bytes move on the next
@@ -177,73 +161,15 @@ impl<S: Read + Write> ConnDriver<S> {
         Ok(true)
     }
 
-    /// Reads available bytes (unless paused) and appends up to `budget`
-    /// decoded frames to `out`. Reading stops as soon as the budget is
-    /// met, which bounds both decode work and frame-queue memory per
-    /// poll; undrained stream bytes wait in the kernel buffer.
-    pub fn poll_frames(&mut self, budget: usize, out: &mut Vec<Frame>) -> Result<(), DriverError> {
-        let mut taken = 0usize;
-        while taken < budget {
-            match self.decoder.next_frame() {
-                Some(f) => {
-                    self.stats.frames_rx += 1;
-                    out.push(f);
-                    taken += 1;
-                }
-                None => break,
-            }
-        }
-        if self.paused || self.eof {
-            return Ok(());
-        }
-        let mut chunk = [0u8; READ_CHUNK];
-        while taken < budget {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.stats.bytes_rx += n as u64;
-                    self.decoder.push(&chunk[..n])?;
-                    while taken < budget {
-                        match self.decoder.next_frame() {
-                            Some(f) => {
-                                self.stats.frames_rx += 1;
-                                out.push(f);
-                                taken += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(DriverError::Io(e.kind())),
-            }
-        }
-        Ok(())
-    }
-
-    /// Upper bound on bytes this driver buffers for *reading*: the
-    /// in-progress partial frame only (decoded frames are handed off by
-    /// [`poll_frames`](Self::poll_frames) under its budget).
-    pub fn read_buffer_cap(&self) -> usize {
-        HEADER_LEN + self.decoder.max_payload() as usize
-    }
-
-    /// One raw read appended to `buf` — the zero-copy path used by the
-    /// readiness event loop, which parses `buf` in place with
-    /// [`crate::wire::split_frame`] instead of pumping bytes through
-    /// the copying [`FrameDecoder`]. At most [`READ_CHUNK`] bytes per
-    /// call, never growing `buf` past its capacity (pooled buffers are
-    /// sized to hold any legal frame, so a full buffer means a complete
-    /// frame is parseable or the peer is over-cap).
+    /// One raw read appended to `buf`, which the ingress loop parses in
+    /// place with [`crate::wire::split_frame`]. At most [`READ_CHUNK`]
+    /// bytes per call, never growing `buf` past its capacity (pooled
+    /// buffers are sized to hold any legal frame, so a full buffer
+    /// means a complete frame is parseable or the peer is over-cap).
     ///
     /// Returns the bytes appended. `Ok(0)` is either `WouldBlock`
-    /// (kernel has nothing) or EOF — distinguish with
-    /// [`at_eof`](Self::at_eof). Respects [`pause`](Self::pause) like
-    /// [`poll_frames`](Self::poll_frames) does.
+    /// (kernel has nothing), a paused driver, or EOF — distinguish the
+    /// last with [`at_eof`](Self::at_eof).
     pub fn read_step(&mut self, buf: &mut Vec<u8>) -> Result<usize, DriverError> {
         if self.paused || self.eof {
             return Ok(0);
@@ -280,19 +206,12 @@ impl<S: Read + Write> ConnDriver<S> {
             }
         }
     }
-
-    /// Records `n` frames decoded outside the driver (the in-place
-    /// [`crate::wire::split_frame`] path), keeping
-    /// [`stats`](Self::stats) honest across both read paths.
-    pub fn note_frames_rx(&mut self, n: u64) {
-        self.stats.frames_rx += n;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::FrameKind;
+    use crate::wire::{split_frame, FrameKind};
     use std::collections::VecDeque;
 
     /// An in-memory stream: reads pop from `rx` (empty → WouldBlock),
@@ -346,20 +265,39 @@ mod tests {
         }
     }
 
+    /// What the ingress loop does with a readable connection: read
+    /// until the stream has nothing more, then parse every complete
+    /// frame out of `buf` in place, leaving a partial tail behind.
+    fn pump(
+        d: &mut ConnDriver<MemStream>,
+        buf: &mut Vec<u8>,
+        max_payload: u32,
+    ) -> Result<Vec<Frame>, WireError> {
+        while d.read_step(buf).unwrap() > 0 {}
+        let mut frames = Vec::new();
+        let mut off = 0;
+        while let Some((view, used)) = split_frame(&buf[off..], max_payload)? {
+            frames.push(view.to_owned());
+            off += used;
+        }
+        buf.drain(..off);
+        Ok(frames)
+    }
+
     #[test]
     fn frames_flow_both_ways() {
         let mut s = MemStream::new();
         let inbound = Frame::new(FrameKind::Submit, vec![1, 2, 3]);
         s.rx.push_back(inbound.encode().unwrap());
-        let mut d = ConnDriver::new(s, 1024);
-        let mut got = Vec::new();
-        d.poll_frames(8, &mut got).unwrap();
-        assert_eq!(got, vec![inbound]);
+        let mut d = ConnDriver::new(s);
+        let mut buf = Vec::with_capacity(64);
+        assert_eq!(pump(&mut d, &mut buf, 1024), Ok(vec![inbound]));
+        assert!(buf.is_empty());
         let outbound = Frame::new(FrameKind::Verdict, vec![9]);
         d.queue(&outbound).unwrap();
         assert!(d.flush().unwrap());
         assert_eq!(d.stream().tx, outbound.encode().unwrap());
-        assert_eq!(d.stats().frames_rx, 1);
+        assert_eq!(d.stats().bytes_rx, 8);
         assert_eq!(d.stats().frames_tx, 1);
     }
 
@@ -368,41 +306,21 @@ mod tests {
         let mut s = MemStream::new();
         let f = Frame::new(FrameKind::Submit, vec![7; 10]);
         s.rx.push_back(f.encode().unwrap());
-        let mut d = ConnDriver::new(s, 1024);
+        let mut d = ConnDriver::new(s);
+        let mut buf = Vec::with_capacity(64);
         d.pause();
-        let mut got = Vec::new();
-        d.poll_frames(8, &mut got).unwrap();
-        assert!(got.is_empty());
+        assert_eq!(pump(&mut d, &mut buf, 1024), Ok(vec![]));
         assert_eq!(d.stats().bytes_rx, 0);
         d.resume();
-        d.poll_frames(8, &mut got).unwrap();
-        assert_eq!(got, vec![f]);
+        assert_eq!(pump(&mut d, &mut buf, 1024), Ok(vec![f]));
         assert_eq!(d.stats().pauses, 1);
-    }
-
-    #[test]
-    fn budget_bounds_frames_per_poll() {
-        let mut s = MemStream::new();
-        let mut bytes = Vec::new();
-        for i in 0..5u8 {
-            bytes.extend(Frame::new(FrameKind::Submit, vec![i]).encode().unwrap());
-        }
-        s.rx.push_back(bytes);
-        let mut d = ConnDriver::new(s, 1024);
-        let mut got = Vec::new();
-        d.poll_frames(2, &mut got).unwrap();
-        assert_eq!(got.len(), 2);
-        d.poll_frames(2, &mut got).unwrap();
-        assert_eq!(got.len(), 4);
-        d.poll_frames(2, &mut got).unwrap();
-        assert_eq!(got.len(), 5);
     }
 
     #[test]
     fn partial_writes_drain_incrementally() {
         let mut s = MemStream::new();
         s.write_quota = 3;
-        let mut d = ConnDriver::new(s, 1024);
+        let mut d = ConnDriver::new(s);
         d.queue(&Frame::new(FrameKind::Stats, vec![1, 2, 3, 4, 5, 6, 7]))
             .unwrap();
         // 12 wire bytes at 3 per call: needs four successful writes.
@@ -419,11 +337,10 @@ mod tests {
     fn eof_detected() {
         let mut s = MemStream::new();
         s.closed = true;
-        let mut d = ConnDriver::new(s, 64);
-        let mut got = Vec::new();
-        d.poll_frames(4, &mut got).unwrap();
+        let mut d = ConnDriver::new(s);
+        let mut buf = Vec::with_capacity(64);
+        assert_eq!(pump(&mut d, &mut buf, 64), Ok(vec![]));
         assert!(d.at_eof());
-        assert!(got.is_empty());
     }
 
     #[test]
@@ -431,14 +348,12 @@ mod tests {
         let mut s = MemStream::new();
         let f = Frame::new(FrameKind::Submit, vec![5; 32]);
         s.rx.push_back(f.encode().unwrap());
-        let mut d = ConnDriver::new(s, 1024);
+        let mut d = ConnDriver::new(s);
         let mut buf = Vec::with_capacity(64);
         let n = d.read_step(&mut buf).unwrap();
         assert_eq!(n, f.wire_len());
         assert_eq!(buf.len(), f.wire_len());
-        let (view, used) = crate::wire::split_frame(&buf, 1024)
-            .unwrap()
-            .expect("frame");
+        let (view, used) = split_frame(&buf, 1024).unwrap().expect("frame");
         assert_eq!(view.to_owned(), f);
         assert_eq!(used, buf.len());
 
@@ -467,11 +382,11 @@ mod tests {
     fn framing_violation_surfaces_as_wire_error() {
         let mut s = MemStream::new();
         s.rx.push_back(vec![0xEE, 0, 0, 0, 0]);
-        let mut d = ConnDriver::new(s, 64);
-        let mut got = Vec::new();
+        let mut d = ConnDriver::new(s);
+        let mut buf = Vec::with_capacity(64);
         assert_eq!(
-            d.poll_frames(4, &mut got),
-            Err(DriverError::Wire(WireError::UnknownKind(0xEE)))
+            pump(&mut d, &mut buf, 64),
+            Err(WireError::UnknownKind(0xEE))
         );
     }
 }

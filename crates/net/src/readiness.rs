@@ -1,11 +1,10 @@
 //! OS readiness notification for the verifier ingress (DESIGN.md §12).
 //!
-//! The legacy ingress loop walks every connection per 200 µs tick, so
-//! per-tick cost grows linearly with the connection table. A carrier
-//! front door holds hundreds of thousands of mostly-idle peers; the
-//! event-driven loop in `tlc-core::verify::remote` instead blocks in
+//! A carrier front door holds hundreds of thousands of mostly-idle
+//! peers, so the ingress loop in `tlc-core::verify::remote` blocks in
 //! the kernel until some socket is actually ready. This module is the
-//! thin, std-only syscall shim underneath it:
+//! thin, std-only syscall shim underneath it, and the only place that
+//! knows how ready sockets are found:
 //!
 //! * [`Readiness`] — a safe registry/wait API over **epoll** on Linux
 //!   (level-triggered, the semantics the buffer-pool deferral relies
@@ -27,8 +26,8 @@
 //! arguments passed straight to the kernel.
 //!
 //! On non-Unix targets every constructor returns
-//! [`io::ErrorKind::Unsupported`]; the ingress server detects that at
-//! bind time and falls back to the legacy poll loop.
+//! [`io::ErrorKind::Unsupported`], which the ingress server hands back
+//! from `bind`.
 
 use std::io;
 use std::net::TcpListener;
@@ -38,14 +37,24 @@ use std::net::{SocketAddr, SocketAddrV4};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
-#[cfg(unix)]
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(unix)]
 use std::sync::Arc;
 
 #[cfg(not(unix))]
 /// Raw file descriptor stand-in so the API type-checks off Unix.
 pub type RawFd = i32;
+
+/// The descriptor to register `source` under.
+#[cfg(unix)]
+pub fn raw_fd(source: &impl AsRawFd) -> RawFd {
+    source.as_raw_fd()
+}
+
+/// Stand-in off Unix, where no [`Readiness`] exists to register with.
+#[cfg(not(unix))]
+pub fn raw_fd<T>(_source: &T) -> RawFd {
+    -1
+}
 
 /// Identifies a registered stream in [`Event`]s. The ingress uses the
 /// connection id; [`Token::LISTENER`] marks the acceptor socket.
@@ -384,12 +393,6 @@ impl Readiness {
         }
     }
 
-    /// Whether [`new`](Self::new) can succeed on this platform (the
-    /// ingress server probes this at bind time to pick a loop).
-    pub fn available() -> bool {
-        Readiness::new().is_ok()
-    }
-
     #[cfg(target_os = "linux")]
     fn epoll_mask(interest: Interest) -> u32 {
         let mut ev = sys_epoll::EPOLLRDHUP;
@@ -620,39 +623,45 @@ impl Readiness {
 /// "drain, then look" on the consumer side — a `wake` that finds the
 /// flag already set wrote nothing, but then the consumer has not yet
 /// cleared it, and clears it *before* it looks.
-#[cfg(unix)]
 pub struct Waker {
+    #[cfg(unix)]
     rx: UnixStream,
     shared: Arc<WakeShared>,
 }
 
-#[cfg(unix)]
 struct WakeShared {
+    #[cfg(unix)]
     tx: UnixStream,
     /// A byte is in flight (or about to be) and not yet drained.
     armed: AtomicBool,
 }
 
 /// The producer side of a [`Waker`]; clone one per producer thread.
-#[cfg(unix)]
 #[derive(Clone)]
 pub struct WakeHandle(Arc<WakeShared>);
 
-#[cfg(unix)]
 impl Waker {
-    /// Opens the pair and registers its read end with `ready`.
+    /// Opens the pair and registers its read end with `ready`. Off
+    /// Unix there is no registry to wake, and this fails like
+    /// [`Readiness::new`].
     pub fn new(ready: &mut Readiness) -> io::Result<Waker> {
-        let (rx, tx) = UnixStream::pair()?;
-        rx.set_nonblocking(true)?;
-        tx.set_nonblocking(true)?;
-        ready.register(rx.as_raw_fd(), Token::WAKER, Interest::READ)?;
-        Ok(Waker {
-            rx,
-            shared: Arc::new(WakeShared {
-                tx,
-                armed: AtomicBool::new(false),
-            }),
-        })
+        #[cfg(unix)]
+        {
+            let (rx, tx) = UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            ready.register(rx.as_raw_fd(), Token::WAKER, Interest::READ)?;
+            let armed = AtomicBool::new(false);
+            Ok(Waker {
+                rx,
+                shared: Arc::new(WakeShared { tx, armed }),
+            })
+        }
+        #[cfg(not(unix))]
+        {
+            let _ = ready;
+            Err(io::Error::new(io::ErrorKind::Unsupported, "no backend"))
+        }
     }
 
     /// A handle producers fire.
@@ -666,26 +675,31 @@ impl Waker {
     /// always writes a fresh byte and an earlier one is covered by the
     /// look that follows.
     pub fn drain(&mut self) {
-        use std::io::Read;
-        let mut sink = [0u8; 64];
-        // Non-blocking: stops at WouldBlock (drained), EOF or error.
-        while matches!(self.rx.read(&mut sink), Ok(n) if n > 0) {}
+        #[cfg(unix)]
+        {
+            use std::io::Read;
+            let mut sink = [0u8; 64];
+            // Non-blocking: stops at WouldBlock (drained), EOF or error.
+            while matches!(self.rx.read(&mut sink), Ok(n) if n > 0) {}
+        }
         self.shared.armed.store(false, Ordering::SeqCst);
     }
 }
 
-#[cfg(unix)]
 impl WakeHandle {
     /// Makes the waiter's next (or current) [`Readiness::wait`] return
     /// with [`Token::WAKER`]. Publish first, then call this. Never
     /// blocks; a failed write means the waiter is gone.
     pub fn wake(&self) {
-        use std::io::Write;
         // SeqCst pairs with the store in `drain`: either this swap sees
         // the cleared flag and writes, or it precedes the clear and the
         // waiter's look after the clear sees what was published.
         if !self.0.armed.swap(true, Ordering::SeqCst) {
-            let _ = (&self.0.tx).write(&[1]);
+            #[cfg(unix)]
+            {
+                use std::io::Write;
+                let _ = (&self.0.tx).write(&[1]);
+            }
         }
     }
 }
@@ -838,15 +852,7 @@ pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
 /// accept works), `None` when the caller should fall back to one std
 /// listener and a single shard.
 pub fn try_bind_reuseport(addr: std::net::SocketAddr) -> Option<TcpListener> {
-    #[cfg(unix)]
-    {
-        bind_reuseport(addr).ok()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = addr;
-        None
-    }
+    bind_reuseport(addr).ok()
 }
 
 #[cfg(all(test, unix))]

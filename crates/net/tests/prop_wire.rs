@@ -327,12 +327,30 @@ impl Write for ChunkStream {
     }
 }
 
+/// The ingress loop's parse step: every complete frame in `buf` is
+/// split out in place and appended to `out`; a partial tail stays.
+fn parse_buffered(
+    buf: &mut Vec<u8>,
+    max_payload: u32,
+    out: &mut Vec<Frame>,
+) -> Result<(), WireError> {
+    let mut off = 0;
+    while let Some((view, used)) = tlc_net::wire::split_frame(&buf[off..], max_payload)? {
+        out.push(view.to_owned());
+        off += used;
+    }
+    buf.drain(..off);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The connection driver surfaces decoder violations as typed
-    /// `DriverError::Wire` values and never panics, for arbitrary
-    /// chunkings of arbitrary bytes.
+    /// The connection driver's read path (one `read_step` into a
+    /// buffer sized for one max frame, parsed in place) surfaces
+    /// framing violations as typed `WireError` values and never panics
+    /// or outgrows its buffer, for arbitrary chunkings of arbitrary
+    /// bytes.
     #[test]
     fn conn_driver_is_total_over_garbage(
         chunks in proptest::collection::vec(
@@ -340,18 +358,21 @@ proptest! {
         closed in any::<bool>(),
     ) {
         let stream = ChunkStream { rx: chunks.into(), closed_after: closed };
-        let mut driver = ConnDriver::new(stream, 512);
+        let mut driver = ConnDriver::new(stream);
+        let mut buf = Vec::with_capacity(HEADER_LEN + 512);
         let mut frames = Vec::new();
         for _ in 0..50 {
-            match driver.poll_frames(8, &mut frames) {
-                Ok(()) => {}
-                Err(DriverError::Wire(_)) => break,
+            match driver.read_step(&mut buf) {
+                Ok(_) => {}
                 Err(DriverError::Io(k)) => {
                     prop_assert_ne!(k, io::ErrorKind::WouldBlock);
                     break;
                 }
             }
-            prop_assert!(driver.partial_bytes() <= HEADER_LEN + 512);
+            if parse_buffered(&mut buf, 512, &mut frames).is_err() {
+                break;
+            }
+            prop_assert!(buf.len() <= HEADER_LEN + 512);
             if driver.at_eof() {
                 break;
             }
@@ -376,12 +397,13 @@ proptest! {
             rx: chunked(&stream_bytes, &cuts).into(),
             closed_after: true,
         };
-        let mut driver = ConnDriver::new(stream, 256);
+        let mut driver = ConnDriver::new(stream);
+        let mut buf = Vec::with_capacity(HEADER_LEN + 256);
         let mut got = Vec::new();
         while !driver.at_eof() {
-            driver.poll_frames(4, &mut got).unwrap();
+            driver.read_step(&mut buf).unwrap();
+            parse_buffered(&mut buf, 256, &mut got).unwrap();
         }
-        driver.poll_frames(usize::MAX, &mut got).unwrap();
         prop_assert_eq!(got, frames);
     }
 }

@@ -17,8 +17,7 @@
 //! by the same key, so both backends produce *byte-identical* event
 //! streams for equal seeds — `TwinConfig::scheduler` (or
 //! `TLC_TWIN_SCHED=heap|wheel`) flips between them, and the
-//! `twin_equiv` suite pins the equivalence, exactly like
-//! `IngressConfig::backend` did for the poll/epoll ingress loops.
+//! `twin_equiv` suite pins the equivalence.
 //!
 //! Tokens are generational: a [`Token`] returned by
 //! [`Scheduler::schedule`] is invalidated by cancel/fire, and a stale
