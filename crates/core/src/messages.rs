@@ -14,7 +14,7 @@
 
 use crate::plan::DataPlan;
 use crate::strategy::Role;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use tlc_crypto::encoding::{put_u16, put_u32, put_u64, Reader};
 use tlc_crypto::pkcs1;
 use tlc_crypto::sha256;
 use tlc_crypto::{CryptoError, PrivateKey, PublicKey};
@@ -68,38 +68,37 @@ impl std::fmt::Display for MessageError {
 
 impl std::error::Error for MessageError {}
 
-fn put_role(buf: &mut BytesMut, role: Role) {
-    buf.put_u8(match role {
+/// A failed cursor read as this module's error.
+fn need<T>(read: Option<T>, what: &'static str) -> Result<T, MessageError> {
+    read.ok_or(MessageError::Malformed(what))
+}
+
+fn put_role(buf: &mut Vec<u8>, role: Role) {
+    buf.push(match role {
         Role::Edge => 0,
         Role::Operator => 1,
     });
 }
 
-fn get_role(buf: &mut Bytes) -> Result<Role, MessageError> {
-    if !buf.has_remaining() {
-        return Err(MessageError::Malformed("missing role"));
-    }
-    match buf.get_u8() {
+fn get_role(r: &mut Reader<'_>) -> Result<Role, MessageError> {
+    match need(r.u8(), "missing role")? {
         0 => Ok(Role::Edge),
         1 => Ok(Role::Operator),
         _ => Err(MessageError::Malformed("unknown role")),
     }
 }
 
-pub(crate) fn put_plan(buf: &mut BytesMut, plan: &DataPlan) {
-    buf.put_u64(plan.cycle.start_secs);
-    buf.put_u64(plan.cycle.end_secs);
+pub(crate) fn put_plan(buf: &mut Vec<u8>, plan: &DataPlan) {
+    put_u64(buf, plan.cycle.start_secs);
+    put_u64(buf, plan.cycle.end_secs);
     // The loss weight as its exact rational, 1e-4 resolution.
-    buf.put_u32((plan.loss_weight.as_f64() * 10_000.0).round() as u32);
+    put_u32(buf, (plan.loss_weight.as_f64() * 10_000.0).round() as u32);
 }
 
-pub(crate) fn get_plan(buf: &mut Bytes) -> Result<DataPlan, MessageError> {
-    if buf.remaining() < 20 {
-        return Err(MessageError::Malformed("truncated plan"));
-    }
-    let start = buf.get_u64();
-    let end = buf.get_u64();
-    let c_e4 = buf.get_u32();
+pub(crate) fn get_plan(r: &mut Reader<'_>) -> Result<DataPlan, MessageError> {
+    let start = need(r.u64(), "truncated plan")?;
+    let end = need(r.u64(), "truncated plan")?;
+    let c_e4 = need(r.u32(), "truncated plan")?;
     if end <= start || c_e4 > 10_000 {
         return Err(MessageError::Malformed("invalid plan fields"));
     }
@@ -109,29 +108,25 @@ pub(crate) fn get_plan(buf: &mut Bytes) -> Result<DataPlan, MessageError> {
     })
 }
 
-fn get_nonce(buf: &mut Bytes) -> Result<Nonce, MessageError> {
-    if buf.remaining() < NONCE_LEN {
-        return Err(MessageError::Malformed("truncated nonce"));
-    }
-    let mut n = [0u8; NONCE_LEN];
-    buf.copy_to_slice(&mut n);
-    Ok(n)
+/// Appends a `u16`-length-prefixed byte string: a signature or an
+/// embedded message.
+fn put_prefixed(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_u16(buf, bytes.len() as u16);
+    buf.extend_from_slice(bytes);
 }
 
-fn get_signature(buf: &mut Bytes) -> Result<Vec<u8>, MessageError> {
-    if buf.remaining() < 2 {
-        return Err(MessageError::Malformed("truncated signature header"));
-    }
-    let len = buf.get_u16() as usize;
-    if buf.remaining() < len {
-        return Err(MessageError::Malformed("truncated signature"));
-    }
-    Ok(buf.copy_to_bytes(len).to_vec())
+/// Reads what [`put_prefixed`] wrote, borrowed from the input.
+fn get_prefixed<'a>(
+    r: &mut Reader<'a>,
+    header: &'static str,
+    value: &'static str,
+) -> Result<&'a [u8], MessageError> {
+    let len = need(r.u16(), header)?;
+    need(r.take(len as usize), value)
 }
 
-fn put_signature(buf: &mut BytesMut, sig: &[u8]) {
-    buf.put_u16(sig.len() as u16);
-    buf.put_slice(sig);
+fn get_signature(r: &mut Reader<'_>) -> Result<Vec<u8>, MessageError> {
+    get_prefixed(r, "truncated signature header", "truncated signature").map(<[u8]>::to_vec)
 }
 
 /// A signed Charging Data Record.
@@ -152,14 +147,15 @@ pub struct CdrMsg {
 }
 
 impl CdrMsg {
-    fn body(&self) -> BytesMut {
-        let mut b = BytesMut::with_capacity(64);
-        b.put_u8(MsgType::Cdr as u8);
+    fn body(&self) -> Vec<u8> {
+        // Room for the signature `encode` appends: one allocation either way.
+        let mut b = Vec::with_capacity(64 + self.signature.len());
+        b.push(MsgType::Cdr as u8);
         put_role(&mut b, self.role);
         put_plan(&mut b, &self.plan);
-        b.put_u64(self.seq);
-        b.put_slice(&self.nonce);
-        b.put_u64(self.usage);
+        put_u64(&mut b, self.seq);
+        b.extend_from_slice(&self.nonce);
+        put_u64(&mut b, self.usage);
         b
     }
 
@@ -193,44 +189,26 @@ impl CdrMsg {
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = self.body();
-        put_signature(&mut b, &self.signature);
-        b.to_vec()
+        put_prefixed(&mut b, &self.signature);
+        b
     }
 
     /// Parses from wire bytes (does not verify the signature).
     pub fn decode(data: &[u8]) -> Result<Self, MessageError> {
-        let mut buf = Bytes::copy_from_slice(data);
-        let msg = Self::decode_from(&mut buf)?;
-        if buf.has_remaining() {
-            return Err(MessageError::Malformed("trailing bytes after CDR"));
-        }
-        Ok(msg)
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self, MessageError> {
-        if !buf.has_remaining() || buf.get_u8() != MsgType::Cdr as u8 {
+        let mut r = Reader::new(data);
+        if r.u8() != Some(MsgType::Cdr as u8) {
             return Err(MessageError::Malformed("not a CDR"));
         }
-        let role = get_role(buf)?;
-        let plan = get_plan(buf)?;
-        if buf.remaining() < 8 {
-            return Err(MessageError::Malformed("truncated CDR seq"));
-        }
-        let seq = buf.get_u64();
-        let nonce = get_nonce(buf)?;
-        if buf.remaining() < 8 {
-            return Err(MessageError::Malformed("truncated CDR usage"));
-        }
-        let usage = buf.get_u64();
-        let signature = get_signature(buf)?;
-        Ok(CdrMsg {
-            role,
-            plan,
-            seq,
-            nonce,
-            usage,
-            signature,
-        })
+        let msg = CdrMsg {
+            role: get_role(&mut r)?,
+            plan: get_plan(&mut r)?,
+            seq: need(r.u64(), "truncated CDR seq")?,
+            nonce: need(r.array(), "truncated nonce")?,
+            usage: need(r.u64(), "truncated CDR usage")?,
+            signature: get_signature(&mut r)?,
+        };
+        need(r.finish(), "trailing bytes after CDR")?;
+        Ok(msg)
     }
 }
 
@@ -255,22 +233,21 @@ pub struct CdaMsg {
 }
 
 impl CdaMsg {
-    fn body(&self) -> BytesMut {
+    fn body(&self) -> Vec<u8> {
         self.body_with(&self.peer_cdr.encode())
     }
 
     /// Canonical body given the already-encoded embedded CDR, so batch
     /// chain hashing can encode each message in the chain exactly once.
-    fn body_with(&self, peer_encoded: &[u8]) -> BytesMut {
-        let mut b = BytesMut::with_capacity(256);
-        b.put_u8(MsgType::Cda as u8);
+    fn body_with(&self, peer_encoded: &[u8]) -> Vec<u8> {
+        let mut b = Vec::with_capacity(64 + peer_encoded.len() + self.signature.len());
+        b.push(MsgType::Cda as u8);
         put_role(&mut b, self.role);
         put_plan(&mut b, &self.plan);
-        b.put_u64(self.seq);
-        b.put_slice(&self.nonce);
-        b.put_u64(self.usage);
-        b.put_u16(peer_encoded.len() as u16);
-        b.put_slice(peer_encoded);
+        put_u64(&mut b, self.seq);
+        b.extend_from_slice(&self.nonce);
+        put_u64(&mut b, self.usage);
+        put_prefixed(&mut b, peer_encoded);
         b
     }
 
@@ -314,54 +291,31 @@ impl CdaMsg {
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = self.body();
-        put_signature(&mut b, &self.signature);
-        b.to_vec()
+        put_prefixed(&mut b, &self.signature);
+        b
     }
 
     /// Parses from wire bytes (does not verify signatures).
     pub fn decode(data: &[u8]) -> Result<Self, MessageError> {
-        let mut buf = Bytes::copy_from_slice(data);
-        let msg = Self::decode_from(&mut buf)?;
-        if buf.has_remaining() {
-            return Err(MessageError::Malformed("trailing bytes after CDA"));
-        }
-        Ok(msg)
-    }
-
-    fn decode_from(buf: &mut Bytes) -> Result<Self, MessageError> {
-        if !buf.has_remaining() || buf.get_u8() != MsgType::Cda as u8 {
+        let mut r = Reader::new(data);
+        if r.u8() != Some(MsgType::Cda as u8) {
             return Err(MessageError::Malformed("not a CDA"));
         }
-        let role = get_role(buf)?;
-        let plan = get_plan(buf)?;
-        if buf.remaining() < 8 {
-            return Err(MessageError::Malformed("truncated CDA seq"));
-        }
-        let seq = buf.get_u64();
-        let nonce = get_nonce(buf)?;
-        if buf.remaining() < 8 {
-            return Err(MessageError::Malformed("truncated CDA usage"));
-        }
-        let usage = buf.get_u64();
-        if buf.remaining() < 2 {
-            return Err(MessageError::Malformed("truncated embedded CDR header"));
-        }
-        let peer_len = buf.get_u16() as usize;
-        if buf.remaining() < peer_len {
-            return Err(MessageError::Malformed("truncated embedded CDR"));
-        }
-        let peer_bytes = buf.copy_to_bytes(peer_len);
-        let peer_cdr = CdrMsg::decode(&peer_bytes)?;
-        let signature = get_signature(buf)?;
-        Ok(CdaMsg {
-            role,
-            plan,
-            seq,
-            nonce,
-            usage,
-            peer_cdr,
-            signature,
-        })
+        let msg = CdaMsg {
+            role: get_role(&mut r)?,
+            plan: get_plan(&mut r)?,
+            seq: need(r.u64(), "truncated CDA seq")?,
+            nonce: need(r.array(), "truncated nonce")?,
+            usage: need(r.u64(), "truncated CDA usage")?,
+            peer_cdr: CdrMsg::decode(get_prefixed(
+                &mut r,
+                "truncated embedded CDR header",
+                "truncated embedded CDR",
+            )?)?,
+            signature: get_signature(&mut r)?,
+        };
+        need(r.finish(), "trailing bytes after CDA")?;
+        Ok(msg)
     }
 }
 
@@ -387,19 +341,18 @@ pub struct PocMsg {
 }
 
 impl PocMsg {
-    fn body(&self) -> BytesMut {
+    fn body(&self) -> Vec<u8> {
         self.body_with(&self.cda.encode())
     }
 
     /// Canonical body given the already-encoded embedded CDA.
-    fn body_with(&self, cda_encoded: &[u8]) -> BytesMut {
-        let mut b = BytesMut::with_capacity(512);
-        b.put_u8(MsgType::Poc as u8);
+    fn body_with(&self, cda_encoded: &[u8]) -> Vec<u8> {
+        let mut b = Vec::with_capacity(96 + cda_encoded.len() + self.signature.len());
+        b.push(MsgType::Poc as u8);
         put_role(&mut b, self.role);
         put_plan(&mut b, &self.plan);
-        b.put_u64(self.charge);
-        b.put_u16(cda_encoded.len() as u16);
-        b.put_slice(cda_encoded);
+        put_u64(&mut b, self.charge);
+        put_prefixed(&mut b, cda_encoded);
         b
     }
 
@@ -411,10 +364,10 @@ impl PocMsg {
     pub fn chain_digests(&self) -> PocDigests {
         let mut cdr = self.cda.peer_cdr.body();
         let cdr_digest = sha256::digest(&cdr);
-        put_signature(&mut cdr, &self.cda.peer_cdr.signature);
+        put_prefixed(&mut cdr, &self.cda.peer_cdr.signature);
         let mut cda = self.cda.body_with(&cdr);
         let cda_digest = sha256::digest(&cda);
-        put_signature(&mut cda, &self.cda.signature);
+        put_prefixed(&mut cda, &self.cda.signature);
         let poc_body = self.body_with(&cda);
         PocDigests {
             poc: sha256::digest(&poc_body),
@@ -496,48 +449,33 @@ impl PocMsg {
     /// Serializes to wire bytes (signed body plus the two clear nonces).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = self.body();
-        put_signature(&mut b, &self.signature);
-        b.put_slice(&self.nonce_e);
-        b.put_slice(&self.nonce_o);
-        b.to_vec()
+        put_prefixed(&mut b, &self.signature);
+        b.extend_from_slice(&self.nonce_e);
+        b.extend_from_slice(&self.nonce_o);
+        b
     }
 
     /// Parses from wire bytes (does not verify signatures).
     pub fn decode(data: &[u8]) -> Result<Self, MessageError> {
-        let mut buf = Bytes::copy_from_slice(data);
-        if !buf.has_remaining() || buf.get_u8() != MsgType::Poc as u8 {
+        let mut r = Reader::new(data);
+        if r.u8() != Some(MsgType::Poc as u8) {
             return Err(MessageError::Malformed("not a PoC"));
         }
-        let role = get_role(&mut buf)?;
-        let plan = get_plan(&mut buf)?;
-        if buf.remaining() < 8 {
-            return Err(MessageError::Malformed("truncated PoC charge"));
-        }
-        let charge = buf.get_u64();
-        if buf.remaining() < 2 {
-            return Err(MessageError::Malformed("truncated embedded CDA header"));
-        }
-        let cda_len = buf.get_u16() as usize;
-        if buf.remaining() < cda_len {
-            return Err(MessageError::Malformed("truncated embedded CDA"));
-        }
-        let cda_bytes = buf.copy_to_bytes(cda_len);
-        let cda = CdaMsg::decode(&cda_bytes)?;
-        let signature = get_signature(&mut buf)?;
-        let nonce_e = get_nonce(&mut buf)?;
-        let nonce_o = get_nonce(&mut buf)?;
-        if buf.has_remaining() {
-            return Err(MessageError::Malformed("trailing bytes after PoC"));
-        }
-        Ok(PocMsg {
-            role,
-            plan,
-            charge,
-            cda,
-            nonce_e,
-            nonce_o,
-            signature,
-        })
+        let msg = PocMsg {
+            role: get_role(&mut r)?,
+            plan: get_plan(&mut r)?,
+            charge: need(r.u64(), "truncated PoC charge")?,
+            cda: CdaMsg::decode(get_prefixed(
+                &mut r,
+                "truncated embedded CDA header",
+                "truncated embedded CDA",
+            )?)?,
+            signature: get_signature(&mut r)?,
+            nonce_e: need(r.array(), "truncated nonce")?,
+            nonce_o: need(r.array(), "truncated nonce")?,
+        };
+        need(r.finish(), "trailing bytes after PoC")?;
+        Ok(msg)
     }
 
     /// The edge's claimed usage inside this proof.

@@ -54,8 +54,7 @@
 
 use crate::messages::PocMsg;
 use crate::plan::{charge_for, DataPlan, LossWeight, UsagePair};
-use crate::verify::{Verdict, Verifier, VerifyError, DEFAULT_REPLAY_CAPACITY};
-use std::collections::{HashSet, VecDeque};
+use crate::verify::{ReplayWindow, Verdict, Verifier, VerifyError, DEFAULT_REPLAY_CAPACITY};
 
 /// Which operator served a segment of the cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -281,14 +280,12 @@ pub fn bonded_volume(links: &[LinkCdr]) -> u64 {
 /// Replay-scoped verification across a roaming pair: one shared
 /// seen-nonce window over both per-relationship [`Verifier`]s, so a
 /// proof settled with either operator cannot be re-credited through
-/// the other. The shared window is FIFO-bounded exactly like each
+/// the other. The shared window is the same FIFO-bounded type as each
 /// relationship's own cache.
 pub struct RoamingVerifier {
     home: Verifier,
     visited: Verifier,
-    seen: HashSet<([u8; 16], [u8; 16])>,
-    order: VecDeque<([u8; 16], [u8; 16])>,
-    capacity: usize,
+    window: ReplayWindow,
     cross_rejected: u64,
 }
 
@@ -302,13 +299,10 @@ impl RoamingVerifier {
     /// Wraps the two relationship verifiers with a shared replay
     /// window retaining at most `capacity` accepted nonce pairs.
     pub fn with_capacity(home: Verifier, visited: Verifier, capacity: usize) -> Self {
-        assert!(capacity > 0, "replay cache needs at least one slot");
         RoamingVerifier {
             home,
             visited,
-            seen: HashSet::new(),
-            order: VecDeque::new(),
-            capacity,
+            window: ReplayWindow::new(capacity),
             cross_rejected: 0,
         }
     }
@@ -319,8 +313,7 @@ impl RoamingVerifier {
     /// [`Verifier::verify`] — so a cross-operator resubmission yields
     /// [`VerifyError::Replayed`], not a signature failure.
     pub fn verify(&mut self, serving: Serving, poc: &PocMsg) -> Result<Verdict, VerifyError> {
-        let key = (poc.nonce_e, poc.nonce_o);
-        if self.seen.contains(&key) {
+        if self.window.contains(poc) {
             self.cross_rejected = self.cross_rejected.saturating_add(1);
             return Err(VerifyError::Replayed);
         }
@@ -329,20 +322,9 @@ impl RoamingVerifier {
             Serving::Visited => self.visited.verify(poc),
         };
         if judged.is_ok() {
-            self.remember(key);
+            self.window.insert(poc);
         }
         judged
-    }
-
-    /// Commits an accepted nonce pair to the shared FIFO window.
-    fn remember(&mut self, key: ([u8; 16], [u8; 16])) {
-        if self.order.len() == self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.seen.remove(&oldest);
-            }
-        }
-        self.seen.insert(key);
-        self.order.push_back(key);
     }
 
     /// The home relationship's verifier.
@@ -363,7 +345,7 @@ impl RoamingVerifier {
 
     /// Nonce pairs currently retained in the shared window.
     pub fn replay_window_len(&self) -> usize {
-        self.order.len()
+        self.window.len()
     }
 }
 

@@ -10,7 +10,7 @@
 //! 4. that the charged volume replays Algorithm 1's pricing of the
 //!    embedded claims.
 
-use crate::messages::{self, MessageError, PocDigests, PocMsg};
+use crate::messages::{self, MessageError, Nonce, PocDigests, PocMsg};
 use crate::plan::{charge_for, DataPlan, UsagePair};
 use std::collections::{HashSet, VecDeque};
 use tlc_crypto::rng::RngSource;
@@ -186,22 +186,62 @@ pub fn unseal_poc(sealed: &[u8], verifier_key: &PrivateKey) -> Result<PocMsg, Me
 /// long-running service at ~32 MiB of nonces per relationship.
 pub const DEFAULT_REPLAY_CAPACITY: usize = 1 << 20;
 
+/// The seen-nonce cache behind replay rejection: the `(edge, operator)`
+/// nonce pairs of accepted proofs, bounded — once `capacity` pairs are
+/// held, each insert evicts the *oldest* (deterministic FIFO).
+pub(crate) struct ReplayWindow {
+    seen: HashSet<(Nonce, Nonce)>,
+    /// Insertion order of `seen`, for FIFO eviction.
+    order: VecDeque<(Nonce, Nonce)>,
+    capacity: usize,
+}
+
+impl ReplayWindow {
+    pub(crate) fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "replay cache needs at least one slot");
+        ReplayWindow {
+            seen: HashSet::new(),
+            order: VecDeque::new(),
+            capacity,
+        }
+    }
+
+    pub(crate) fn contains(&self, poc: &PocMsg) -> bool {
+        self.seen.contains(&(poc.nonce_e, poc.nonce_o))
+    }
+
+    pub(crate) fn insert(&mut self, poc: &PocMsg) {
+        let key = (poc.nonce_e, poc.nonce_o);
+        if self.order.len() == self.capacity {
+            if let Some(oldest) = self.order.pop_front() {
+                self.seen.remove(&oldest);
+            }
+        }
+        self.seen.insert(key);
+        self.order.push_back(key);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    pub(crate) fn capacity(&self) -> usize {
+        self.capacity
+    }
+}
+
 /// A stateful verifier service: Algorithm 2 plus a seen-nonce cache so an
 /// outdated PoC cannot be presented twice (the paper's replay defence).
 ///
-/// The cache is bounded: once `capacity` distinct nonce pairs have been
-/// accepted, each new acceptance evicts the *oldest* entry (deterministic
-/// FIFO). Replay rejection is exact within the retention window; proofs
-/// older than the window are outside the service's guarantee, exactly like
-/// any log-retention policy.
+/// The cache is a bounded FIFO window of accepted nonce pairs. Replay
+/// rejection is exact within the retention window; proofs older than the
+/// window are outside the service's guarantee, exactly like any
+/// log-retention policy.
 pub struct Verifier {
     plan: DataPlan,
     edge_key: PublicKey,
     operator_key: PublicKey,
-    seen: HashSet<([u8; 16], [u8; 16])>,
-    /// Insertion order of `seen`, for FIFO eviction.
-    order: VecDeque<([u8; 16], [u8; 16])>,
-    capacity: usize,
+    window: ReplayWindow,
     accepted: u64,
     rejected: u64,
 }
@@ -221,14 +261,11 @@ impl Verifier {
         operator_key: PublicKey,
         capacity: usize,
     ) -> Self {
-        assert!(capacity > 0, "replay cache needs at least one slot");
         Verifier {
             plan,
             edge_key,
             operator_key,
-            seen: HashSet::new(),
-            order: VecDeque::new(),
-            capacity,
+            window: ReplayWindow::new(capacity),
             accepted: 0,
             rejected: 0,
         }
@@ -237,8 +274,7 @@ impl Verifier {
     /// Verifies one proof, enforcing nonce freshness across calls (within
     /// the retention window).
     pub fn verify(&mut self, poc: &PocMsg) -> Result<Verdict, VerifyError> {
-        let key = (poc.nonce_e, poc.nonce_o);
-        if self.seen.contains(&key) {
+        if self.window.contains(poc) {
             // Replay check precedes crypto — same short-circuit as the
             // batched path.
             self.rejected += 1;
@@ -273,8 +309,7 @@ impl Verifier {
             .iter()
             .zip(judged)
             .map(|((poc, _), j)| {
-                let key = (poc.nonce_e, poc.nonce_o);
-                if self.seen.contains(&key) {
+                if self.window.contains(poc) {
                     self.rejected += 1;
                     return Err(VerifyError::Replayed);
                 }
@@ -289,15 +324,9 @@ impl Verifier {
         poc: &PocMsg,
         judged: Result<Verdict, VerifyError>,
     ) -> Result<Verdict, VerifyError> {
-        let key = (poc.nonce_e, poc.nonce_o);
         match judged {
             Ok(v) => {
-                if self.order.len() == self.capacity {
-                    let oldest = self.order.pop_front().expect("capacity > 0");
-                    self.seen.remove(&oldest);
-                }
-                self.seen.insert(key);
-                self.order.push_back(key);
+                self.window.insert(poc);
                 self.accepted += 1;
                 Ok(v)
             }
@@ -320,12 +349,12 @@ impl Verifier {
 
     /// Nonce pairs currently retained for replay rejection.
     pub fn replay_window_len(&self) -> usize {
-        self.order.len()
+        self.window.len()
     }
 
     /// Maximum nonce pairs retained.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.window.capacity()
     }
 }
 

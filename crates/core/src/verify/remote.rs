@@ -87,15 +87,15 @@ use tlc_net::bufpool::{PoolStats, PooledBuf};
 use tlc_net::ingress::ConnDriver;
 use tlc_net::readiness::Interest;
 use tlc_net::rng::SimRng;
-use tlc_net::wire::{Frame, FrameDecoder, FrameKind, WireError, DEFAULT_MAX_PAYLOAD};
+use tlc_net::wire::{Frame, FrameDecoder, FrameKind, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
 
 pub mod codec;
 mod event_loop;
 
 use codec::{
     BusyMsg, BusyScope, Fault, Hello, HelloAck, Register, Registered, SettleMsg, SettleResult,
-    SettleVerdictMsg, StatsSnapshot, Submit, SubmitBatch, SubmitBatchRef, SubmitRef, VerdictMsg,
-    MAGIC, PROTOCOL_VERSION,
+    SettleVerdictMsg, StatsSnapshot, SubmitBatchRef, SubmitRef, VerdictMsg, MAGIC,
+    PROTOCOL_VERSION,
 };
 
 /// Failures surfaced by the remote client (and, internally, the
@@ -1190,6 +1190,8 @@ struct Pending {
 pub struct RemoteVerifier<S = TcpStream> {
     stream: S,
     decoder: FrameDecoder,
+    /// The outgoing frame under construction, reused across sends.
+    tx: Vec<u8>,
     /// Window granted by the server; `submit` drains verdicts once this
     /// many submissions are outstanding.
     window: u32,
@@ -1268,6 +1270,7 @@ impl<S: Read + Write> RemoteVerifier<S> {
         let mut client = RemoteVerifier {
             stream,
             decoder: FrameDecoder::new(DEFAULT_MAX_PAYLOAD),
+            tx: Vec::new(),
             window: 1,
             max_payload: DEFAULT_MAX_PAYLOAD,
             outstanding: 0,
@@ -1358,24 +1361,16 @@ impl<S: Read + Write> RemoteVerifier<S> {
             self.pull_verdict()?;
         }
         let tag = self.next_tag;
-        let bytes = poc.encode();
-        let msg = Submit {
+        let p = Pending {
             rel: rel.raw(),
             tag,
-            poc: bytes.clone(),
+            poc: poc.encode(),
+            attempts: 0,
         };
-        self.send_frame(&msg.to_frame())?;
+        self.send_submit(&p)?;
         self.next_tag += 1;
         self.outstanding += 1;
-        self.pending.insert(
-            tag,
-            Pending {
-                rel: rel.raw(),
-                tag,
-                poc: bytes,
-                attempts: 0,
-            },
-        );
+        self.pending.insert(tag, p);
         Ok(tag)
     }
 
@@ -1432,13 +1427,10 @@ impl<S: Read + Write> RemoteVerifier<S> {
             self.pull_verdict()?;
         }
         let first = self.next_tag;
-        let msg = SubmitBatch {
-            rel: rel.raw(),
-            first_tag: first,
-            pocs: std::mem::take(chunk),
-        };
-        self.send_frame(&msg.to_frame())?;
-        for (k, poc) in msg.pocs.into_iter().enumerate() {
+        self.send_payload(FrameKind::SubmitBatch, |out| {
+            codec::put_submit_batch(out, rel.raw(), first, chunk)
+        })?;
+        for (k, poc) in chunk.drain(..).enumerate() {
             let tag = first.wrapping_add(k as u64);
             self.pending.insert(
                 tag,
@@ -1677,12 +1669,7 @@ impl<S: Read + Write> RemoteVerifier<S> {
             while self.outstanding >= self.window as usize {
                 self.pull_verdict()?;
             }
-            let msg = Submit {
-                rel: p.rel,
-                tag: p.tag,
-                poc: p.poc.clone(),
-            };
-            self.send_frame(&msg.to_frame())?;
+            self.send_submit(&p)?;
             self.outstanding += 1;
             self.pending.insert(p.tag, p);
         }
@@ -1710,9 +1697,34 @@ impl<S: Read + Write> RemoteVerifier<S> {
     }
 
     fn send_frame(&mut self, frame: &Frame) -> Result<(), RemoteError> {
-        let bytes = frame.encode()?;
+        self.send_payload(frame.kind, |out| out.extend_from_slice(&frame.payload))
+    }
+
+    /// (Re-)sends one submission from the bytes kept for its retry.
+    fn send_submit(&mut self, p: &Pending) -> Result<(), RemoteError> {
+        self.send_payload(FrameKind::Submit, |out| {
+            codec::put_submit(out, p.rel, p.tag, &p.poc)
+        })
+    }
+
+    /// Sends one frame whose payload `put` writes in place behind the
+    /// envelope header, so PoC bytes are copied once: into the buffer
+    /// handed to `write_all`.
+    fn send_payload(
+        &mut self,
+        kind: FrameKind,
+        put: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), RemoteError> {
+        self.tx.clear();
+        self.tx.extend_from_slice(&[kind.as_u8(), 0, 0, 0, 0]);
+        put(&mut self.tx);
+        let len = u32::try_from(self.tx.len() - HEADER_LEN).map_err(|_| WireError::Oversize {
+            len: u32::MAX,
+            max: u32::MAX,
+        })?;
+        self.tx[1..HEADER_LEN].copy_from_slice(&len.to_be_bytes());
         self.stream
-            .write_all(&bytes)
+            .write_all(&self.tx)
             .map_err(|e| RemoteError::Io(e.kind()))
     }
 

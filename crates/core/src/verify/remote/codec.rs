@@ -25,6 +25,12 @@
 //! SETTLE_VERDICT rel:u64 | tag:u64 | result:u8
 //! ```
 //!
+//! Every kind rejects trailing bytes: a payload decodes only if the
+//! grammar consumes all of it, so one value has one byte string. The
+//! seven fixed-width kinds (HELLO, HELLO_ACK, REGISTERED, STATS, BUSY,
+//! SETTLE, SETTLE_VERDICT) are declared once each through `flat_kind!`,
+//! which derives encoder, decoder and length from the field list.
+//!
 //! Verdict result encoding — code byte, then operands:
 //!
 //! ```text
@@ -51,8 +57,9 @@ use crate::messages::{get_plan, put_plan, MessageError};
 use crate::plan::DataPlan;
 use crate::roaming::{Serving, SettlementSplit};
 use crate::verify::{Verdict, VerifyError};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use tlc_crypto::encoding::{decode_public_key, encode_public_key};
+use tlc_crypto::encoding::{
+    decode_public_key, encode_public_key, put_u16, put_u32, put_u64, Reader,
+};
 use tlc_crypto::{CryptoError, PublicKey};
 use tlc_net::wire::{Frame, FrameKind};
 
@@ -167,73 +174,116 @@ fn resolve(table: &'static [&'static str], idx: u16, fallback: &'static str) -> 
     table.get(idx as usize).copied().unwrap_or(fallback)
 }
 
-/// HELLO payload: the client's opening.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Hello {
-    /// Must be [`MAGIC`].
-    pub magic: u32,
-    /// Client protocol version.
-    pub version: u16,
-    /// Requested in-flight window; 0 asks for the server default.
-    pub window: u32,
+/// One fixed-width field of a flat payload.
+trait Field: Sized {
+    /// Bytes on the wire.
+    const LEN: usize;
+
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// `None` when the payload ends first; `Some(Err(_))` when the bytes
+    /// are there but name no value of this type.
+    fn get(r: &mut Reader<'_>) -> Option<Result<Self, &'static str>>;
 }
 
-impl Hello {
-    /// Encodes into a HELLO frame.
-    pub fn to_frame(&self) -> Frame {
-        let mut b = BytesMut::with_capacity(10);
-        b.put_u32(self.magic);
-        b.put_u16(self.version);
-        b.put_u32(self.window);
-        Frame::new(FrameKind::Hello, b.to_vec())
-    }
+macro_rules! int_field {
+    ($($int:ident)+) => {$(
+        impl Field for $int {
+            const LEN: usize = std::mem::size_of::<$int>();
 
-    /// Decodes a HELLO payload.
-    pub fn decode(payload: &[u8]) -> Result<Hello, &'static str> {
-        if payload.len() != 10 {
-            return Err("truncated HELLO");
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_be_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>) -> Option<Result<Self, &'static str>> {
+                r.$int().map(Ok)
+            }
         }
-        let mut b = Bytes::copy_from_slice(payload);
-        Ok(Hello {
-            magic: b.get_u32(),
-            version: b.get_u16(),
-            window: b.get_u32(),
-        })
-    }
+    )+};
 }
 
-/// HELLO_ACK payload: the server's session grant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HelloAck {
-    /// Server protocol version.
-    pub version: u16,
-    /// Granted in-flight window (at least 1).
-    pub window: u32,
-    /// Largest frame payload the server accepts.
-    pub max_payload: u32,
-}
+int_field!(u16 u32 u64);
 
-impl HelloAck {
-    /// Encodes into a HELLO_ACK frame.
-    pub fn to_frame(&self) -> Frame {
-        let mut b = BytesMut::with_capacity(10);
-        b.put_u16(self.version);
-        b.put_u32(self.window);
-        b.put_u32(self.max_payload);
-        Frame::new(FrameKind::HelloAck, b.to_vec())
-    }
-
-    /// Decodes a HELLO_ACK payload.
-    pub fn decode(payload: &[u8]) -> Result<HelloAck, &'static str> {
-        if payload.len() != 10 {
-            return Err("truncated HELLO_ACK");
+/// Declares a flat payload: a struct whose `pub` fields, in wire order,
+/// are the whole grammar. The length, the encoder (`to_frame` when a
+/// frame kind is named) and `decode` all derive from that one list.
+/// `decode` reports any other payload length as `$truncated` before it
+/// looks at a value.
+macro_rules! flat_kind {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident $(as $kind:ident)?, $truncated:literal {
+            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)+
         }
-        let mut b = Bytes::copy_from_slice(payload);
-        Ok(HelloAck {
-            version: b.get_u16(),
-            window: b.get_u32(),
-            max_payload: b.get_u32(),
-        })
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)+
+        }
+
+        impl $name {
+            const LEN: usize = 0 $(+ <$ty as Field>::LEN)+;
+
+            fn payload(&self) -> Vec<u8> {
+                let mut out = Vec::with_capacity(Self::LEN);
+                $(self.$field.put(&mut out);)+
+                out
+            }
+
+            $(
+                /// Encodes into a frame of this payload's kind.
+                pub fn to_frame(&self) -> Frame {
+                    Frame::new(FrameKind::$kind, self.payload())
+                }
+            )?
+
+            /// Decodes a payload; anything but exactly the grammar's
+            /// length is a truncation.
+            pub fn decode(payload: &[u8]) -> Result<$name, &'static str> {
+                let mut r = Reader::new(payload);
+                $(let $field = <$ty as Field>::get(&mut r).ok_or($truncated)?;)+
+                r.finish().ok_or($truncated)?;
+                Ok($name { $($field: $field?,)+ })
+            }
+        }
+    };
+}
+
+/// Appends a `u32`-length-prefixed byte string (a key or a PoC).
+fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(out, bytes.len() as u32);
+    out.extend_from_slice(bytes);
+}
+
+/// Reads what [`put_blob`] wrote, borrowed from the payload.
+fn get_blob<'a>(r: &mut Reader<'a>) -> Option<&'a [u8]> {
+    let len = r.u32()?;
+    r.take(len as usize)
+}
+
+flat_kind! {
+    /// HELLO payload: the client's opening.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Hello as Hello, "truncated HELLO" {
+        /// Must be [`MAGIC`].
+        pub magic: u32,
+        /// Client protocol version.
+        pub version: u16,
+        /// Requested in-flight window; 0 asks for the server default.
+        pub window: u32,
+    }
+}
+
+flat_kind! {
+    /// HELLO_ACK payload: the server's session grant.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct HelloAck as HelloAck, "truncated HELLO_ACK" {
+        /// Server protocol version.
+        pub version: u16,
+        /// Granted in-flight window (at least 1).
+        pub window: u32,
+        /// Largest frame payload the server accepts.
+        pub max_payload: u32,
     }
 }
 
@@ -259,81 +309,42 @@ impl Register {
     pub fn to_frame(&self) -> Frame {
         let ek = encode_public_key(&self.edge_key);
         let ok = encode_public_key(&self.operator_key);
-        let mut b = BytesMut::with_capacity(40 + ek.len() + ok.len());
-        b.put_u32(self.req);
-        b.put_u64(self.capacity);
+        let mut b = Vec::with_capacity(40 + ek.len() + ok.len());
+        put_u32(&mut b, self.req);
+        put_u64(&mut b, self.capacity);
         put_plan(&mut b, &self.plan);
-        b.put_u32(ek.len() as u32);
-        b.put_slice(&ek);
-        b.put_u32(ok.len() as u32);
-        b.put_slice(&ok);
-        Frame::new(FrameKind::Register, b.to_vec())
+        put_blob(&mut b, &ek);
+        put_blob(&mut b, &ok);
+        Frame::new(FrameKind::Register, b)
     }
 
     /// Decodes a REGISTER payload.
     pub fn decode(payload: &[u8]) -> Result<Register, &'static str> {
-        let mut b = Bytes::copy_from_slice(payload);
-        if b.remaining() < 12 {
-            return Err("truncated REGISTER");
+        const CUT: &str = "truncated REGISTER";
+        fn get_key(r: &mut Reader<'_>) -> Result<PublicKey, &'static str> {
+            decode_public_key(get_blob(r).ok_or(CUT)?).map_err(|_| "bad key in REGISTER")
         }
-        let req = b.get_u32();
-        let capacity = b.get_u64();
-        let plan = get_plan(&mut b).map_err(|_| "bad plan in REGISTER")?;
-        let edge_key = get_key(&mut b)?;
-        let operator_key = get_key(&mut b)?;
-        if b.has_remaining() {
-            return Err("truncated REGISTER");
-        }
-        Ok(Register {
-            req,
-            capacity,
-            plan,
-            edge_key,
-            operator_key,
-        })
+        let mut r = Reader::new(payload);
+        let msg = Register {
+            req: r.u32().ok_or(CUT)?,
+            capacity: r.u64().ok_or(CUT)?,
+            plan: get_plan(&mut r).map_err(|_| "bad plan in REGISTER")?,
+            edge_key: get_key(&mut r)?,
+            operator_key: get_key(&mut r)?,
+        };
+        r.finish().ok_or(CUT)?;
+        Ok(msg)
     }
 }
 
-fn get_key(b: &mut Bytes) -> Result<PublicKey, &'static str> {
-    if b.remaining() < 4 {
-        return Err("truncated REGISTER");
-    }
-    let len = b.get_u32() as usize;
-    if b.remaining() < len {
-        return Err("truncated REGISTER");
-    }
-    let raw = b.copy_to_bytes(len);
-    decode_public_key(raw.chunk()).map_err(|_| "bad key in REGISTER")
-}
-
-/// REGISTERED payload: the relationship id grant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Registered {
-    /// Echo of the client's request id.
-    pub req: u32,
-    /// The issued relationship id.
-    pub rel: u64,
-}
-
-impl Registered {
-    /// Encodes into a REGISTERED frame.
-    pub fn to_frame(&self) -> Frame {
-        let mut b = BytesMut::with_capacity(12);
-        b.put_u32(self.req);
-        b.put_u64(self.rel);
-        Frame::new(FrameKind::Registered, b.to_vec())
-    }
-
-    /// Decodes a REGISTERED payload.
-    pub fn decode(payload: &[u8]) -> Result<Registered, &'static str> {
-        if payload.len() != 12 {
-            return Err("truncated REGISTERED");
-        }
-        let mut b = Bytes::copy_from_slice(payload);
-        Ok(Registered {
-            req: b.get_u32(),
-            rel: b.get_u64(),
-        })
+flat_kind! {
+    /// REGISTERED payload: the relationship id grant.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Registered as Registered, "truncated REGISTERED" {
+        /// Echo of the client's request id.
+        pub req: u32,
+        /// The issued relationship id.
+        pub rel: u64,
     }
 }
 
@@ -351,13 +362,20 @@ pub struct Submit {
 impl Submit {
     /// Encodes into a SUBMIT frame.
     pub fn to_frame(&self) -> Frame {
-        let mut b = BytesMut::with_capacity(20 + self.poc.len());
-        b.put_u64(self.rel);
-        b.put_u64(self.tag);
-        b.put_u32(self.poc.len() as u32);
-        b.put_slice(&self.poc);
-        Frame::new(FrameKind::Submit, b.to_vec())
+        let mut b = Vec::new();
+        put_submit(&mut b, self.rel, self.tag, &self.poc);
+        Frame::new(FrameKind::Submit, b)
     }
+}
+
+/// Appends a SUBMIT payload — what [`SubmitRef::decode`] reads back. The
+/// client writes the PoC bytes it keeps for retries straight through
+/// this, without building a [`Submit`].
+pub(super) fn put_submit(out: &mut Vec<u8>, rel: u64, tag: u64, poc: &[u8]) {
+    out.reserve(20 + poc.len());
+    put_u64(out, rel);
+    put_u64(out, tag);
+    put_blob(out, poc);
 }
 
 /// Decoded view of a SUBMIT payload ([`Submit`]'s grammar): the PoC
@@ -376,31 +394,16 @@ pub struct SubmitRef<'a> {
 impl<'a> SubmitRef<'a> {
     /// Decodes a SUBMIT payload without copying the PoC bytes.
     pub fn decode(payload: &'a [u8]) -> Result<SubmitRef<'a>, &'static str> {
-        if payload.len() < 20 {
-            return Err("truncated SUBMIT");
-        }
-        let rel = be_u64(payload);
-        let tag = be_u64(&payload[8..]);
-        let len = be_u32(&payload[16..]) as usize;
-        if payload.len() - 20 != len {
-            return Err("truncated SUBMIT");
-        }
-        Ok(SubmitRef {
-            rel,
-            tag,
-            poc: &payload[20..],
-        })
+        const CUT: &str = "truncated SUBMIT";
+        let mut r = Reader::new(payload);
+        let msg = SubmitRef {
+            rel: r.u64().ok_or(CUT)?,
+            tag: r.u64().ok_or(CUT)?,
+            poc: get_blob(&mut r).ok_or(CUT)?,
+        };
+        r.finish().ok_or(CUT)?;
+        Ok(msg)
     }
-}
-
-/// Big-endian u64 from the first 8 bytes. Callers length-check first.
-fn be_u64(b: &[u8]) -> u64 {
-    u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-}
-
-/// Big-endian u32 from the first 4 bytes. Callers length-check first.
-fn be_u32(b: &[u8]) -> u32 {
-    u32::from_be_bytes([b[0], b[1], b[2], b[3]])
 }
 
 /// SUBMIT_BATCH payload: contiguously tagged proofs under one
@@ -418,16 +421,21 @@ pub struct SubmitBatch {
 impl SubmitBatch {
     /// Encodes into a SUBMIT_BATCH frame.
     pub fn to_frame(&self) -> Frame {
-        let total: usize = self.pocs.iter().map(|p| p.len() + 4).sum();
-        let mut b = BytesMut::with_capacity(20 + total);
-        b.put_u64(self.rel);
-        b.put_u64(self.first_tag);
-        b.put_u32(self.pocs.len() as u32);
-        for poc in &self.pocs {
-            b.put_u32(poc.len() as u32);
-            b.put_slice(poc);
-        }
-        Frame::new(FrameKind::SubmitBatch, b.to_vec())
+        let mut b = Vec::new();
+        put_submit_batch(&mut b, self.rel, self.first_tag, &self.pocs);
+        Frame::new(FrameKind::SubmitBatch, b)
+    }
+}
+
+/// Appends a SUBMIT_BATCH payload — what [`SubmitBatchRef::decode`]
+/// reads back; the client's counterpart of [`put_submit`].
+pub(super) fn put_submit_batch(out: &mut Vec<u8>, rel: u64, first_tag: u64, pocs: &[Vec<u8>]) {
+    out.reserve(20 + pocs.iter().map(|p| 4 + p.len()).sum::<usize>());
+    put_u64(out, rel);
+    put_u64(out, first_tag);
+    put_u32(out, pocs.len() as u32);
+    for poc in pocs {
+        put_blob(out, poc);
     }
 }
 
@@ -449,35 +457,19 @@ impl<'a> SubmitBatchRef<'a> {
     /// check) before the caller sees the batch, so size-limit
     /// enforcement downstream happens strictly after decode.
     pub fn decode(payload: &'a [u8]) -> Result<SubmitBatchRef<'a>, &'static str> {
-        if payload.len() < 20 {
-            return Err("truncated SUBMIT_BATCH");
-        }
-        let rel = be_u64(payload);
-        let first_tag = be_u64(&payload[8..]);
-        let count = be_u32(&payload[16..]) as usize;
-        let mut rest = &payload[20..];
-        // The frame length is already capped by the decoder, so `count`
-        // cannot smuggle an over-allocation past this arithmetic: each
-        // item needs at least its 4-byte length prefix.
-        if count > rest.len() / 4 + 1 {
-            return Err("truncated SUBMIT_BATCH");
-        }
-        let mut pocs = Vec::with_capacity(count);
+        const CUT: &str = "truncated SUBMIT_BATCH";
+        let mut r = Reader::new(payload);
+        let rel = r.u64().ok_or(CUT)?;
+        let first_tag = r.u64().ok_or(CUT)?;
+        let count = r.u32().ok_or(CUT)? as usize;
+        // Each item needs at least its 4-byte length prefix, so a
+        // hostile `count` cannot reserve more than the (already capped)
+        // frame could hold.
+        let mut pocs = Vec::with_capacity(count.min(payload.len() / 4));
         for _ in 0..count {
-            if rest.len() < 4 {
-                return Err("truncated SUBMIT_BATCH");
-            }
-            let len = be_u32(rest) as usize;
-            rest = &rest[4..];
-            if rest.len() < len {
-                return Err("truncated SUBMIT_BATCH");
-            }
-            pocs.push(&rest[..len]);
-            rest = &rest[len..];
+            pocs.push(get_blob(&mut r).ok_or(CUT)?);
         }
-        if !rest.is_empty() {
-            return Err("truncated SUBMIT_BATCH");
-        }
+        r.finish().ok_or(CUT)?;
         Ok(SubmitBatchRef {
             rel,
             first_tag,
@@ -499,293 +491,200 @@ pub struct VerdictMsg {
     pub result: Result<Verdict, VerifyError>,
 }
 
+/// What every short read inside a VERDICT payload reports.
+const VERDICT_CUT: &str = "truncated VERDICT";
+
 impl VerdictMsg {
     /// Encodes into a VERDICT frame.
     pub fn to_frame(&self) -> Frame {
-        let mut b = BytesMut::with_capacity(64);
-        b.put_u64(self.rel);
-        b.put_u64(self.tag);
-        b.put_u32(self.shard);
+        let mut b = Vec::with_capacity(64);
+        put_u64(&mut b, self.rel);
+        put_u64(&mut b, self.tag);
+        put_u32(&mut b, self.shard);
         put_verify_result(&mut b, &self.result);
-        Frame::new(FrameKind::Verdict, b.to_vec())
+        Frame::new(FrameKind::Verdict, b)
     }
 
     /// Decodes a VERDICT payload.
     pub fn decode(payload: &[u8]) -> Result<VerdictMsg, &'static str> {
-        let mut b = Bytes::copy_from_slice(payload);
-        if b.remaining() < 21 {
-            return Err("truncated VERDICT");
-        }
-        let rel = b.get_u64();
-        let tag = b.get_u64();
-        let shard = b.get_u32();
-        let result = get_verify_result(&mut b)?;
-        if b.has_remaining() {
-            return Err("truncated VERDICT");
-        }
-        Ok(VerdictMsg {
-            rel,
-            tag,
-            shard,
-            result,
-        })
+        let mut r = Reader::new(payload);
+        let msg = VerdictMsg {
+            rel: r.u64().ok_or(VERDICT_CUT)?,
+            tag: r.u64().ok_or(VERDICT_CUT)?,
+            shard: r.u32().ok_or(VERDICT_CUT)?,
+            result: get_verify_result(&mut r)?,
+        };
+        r.finish().ok_or(VERDICT_CUT)?;
+        Ok(msg)
     }
 }
 
-fn put_verify_result(b: &mut BytesMut, result: &Result<Verdict, VerifyError>) {
+fn put_verify_result(b: &mut Vec<u8>, result: &Result<Verdict, VerifyError>) {
     match result {
         Ok(v) => {
-            b.put_u8(0);
-            b.put_u64(v.charge);
-            b.put_u64(v.edge_claim);
-            b.put_u64(v.operator_claim);
-            b.put_u64(v.rounds);
+            b.push(0);
+            put_u64(b, v.charge);
+            put_u64(b, v.edge_claim);
+            put_u64(b, v.operator_claim);
+            put_u64(b, v.rounds);
         }
         Err(VerifyError::Signature(m)) => {
-            b.put_u8(1);
+            b.push(1);
             put_message_error(b, m);
         }
-        Err(VerifyError::PlanMismatch) => b.put_u8(2),
-        Err(VerifyError::NonceMismatch) => b.put_u8(3),
-        Err(VerifyError::SequenceMismatch) => b.put_u8(4),
+        Err(VerifyError::PlanMismatch) => b.push(2),
+        Err(VerifyError::NonceMismatch) => b.push(3),
+        Err(VerifyError::SequenceMismatch) => b.push(4),
         Err(VerifyError::ChargeMismatch { claimed, expected }) => {
-            b.put_u8(5);
-            b.put_u64(*claimed);
-            b.put_u64(*expected);
+            b.push(5);
+            put_u64(b, *claimed);
+            put_u64(b, *expected);
         }
-        Err(VerifyError::Replayed) => b.put_u8(6),
-        Err(VerifyError::Unregistered) => b.put_u8(7),
+        Err(VerifyError::Replayed) => b.push(6),
+        Err(VerifyError::Unregistered) => b.push(7),
     }
 }
 
-fn get_verify_result(b: &mut Bytes) -> Result<Result<Verdict, VerifyError>, &'static str> {
-    if !b.has_remaining() {
-        return Err("truncated VERDICT");
-    }
-    match b.get_u8() {
-        0 => {
-            if b.remaining() < 32 {
-                return Err("truncated VERDICT");
-            }
-            Ok(Ok(Verdict {
-                charge: b.get_u64(),
-                edge_claim: b.get_u64(),
-                operator_claim: b.get_u64(),
-                rounds: b.get_u64(),
-            }))
-        }
-        1 => Ok(Err(VerifyError::Signature(get_message_error(b)?))),
-        2 => Ok(Err(VerifyError::PlanMismatch)),
-        3 => Ok(Err(VerifyError::NonceMismatch)),
-        4 => Ok(Err(VerifyError::SequenceMismatch)),
-        5 => {
-            if b.remaining() < 16 {
-                return Err("truncated VERDICT");
-            }
-            Ok(Err(VerifyError::ChargeMismatch {
-                claimed: b.get_u64(),
-                expected: b.get_u64(),
-            }))
-        }
-        6 => Ok(Err(VerifyError::Replayed)),
-        7 => Ok(Err(VerifyError::Unregistered)),
-        _ => Err("unknown verdict code"),
-    }
+fn get_verify_result(r: &mut Reader<'_>) -> Result<Result<Verdict, VerifyError>, &'static str> {
+    Ok(match r.u8().ok_or(VERDICT_CUT)? {
+        0 => Ok(Verdict {
+            charge: r.u64().ok_or(VERDICT_CUT)?,
+            edge_claim: r.u64().ok_or(VERDICT_CUT)?,
+            operator_claim: r.u64().ok_or(VERDICT_CUT)?,
+            rounds: r.u64().ok_or(VERDICT_CUT)?,
+        }),
+        1 => Err(VerifyError::Signature(get_message_error(r)?)),
+        2 => Err(VerifyError::PlanMismatch),
+        3 => Err(VerifyError::NonceMismatch),
+        4 => Err(VerifyError::SequenceMismatch),
+        5 => Err(VerifyError::ChargeMismatch {
+            claimed: r.u64().ok_or(VERDICT_CUT)?,
+            expected: r.u64().ok_or(VERDICT_CUT)?,
+        }),
+        6 => Err(VerifyError::Replayed),
+        7 => Err(VerifyError::Unregistered),
+        _ => return Err("unknown verdict code"),
+    })
 }
 
-fn put_message_error(b: &mut BytesMut, m: &MessageError) {
+fn put_message_error(b: &mut Vec<u8>, m: &MessageError) {
     match m {
-        MessageError::BadSignature => b.put_u8(0),
+        MessageError::BadSignature => b.push(0),
         MessageError::Malformed(s) => {
-            b.put_u8(1);
-            b.put_u16(intern(MALFORMED_STRINGS, s));
+            b.push(1);
+            put_u16(b, intern(MALFORMED_STRINGS, s));
         }
         MessageError::Crypto(c) => {
-            b.put_u8(2);
+            b.push(2);
             put_crypto_error(b, c);
         }
     }
 }
 
-fn get_message_error(b: &mut Bytes) -> Result<MessageError, &'static str> {
-    if !b.has_remaining() {
-        return Err("truncated VERDICT");
-    }
-    match b.get_u8() {
-        0 => Ok(MessageError::BadSignature),
-        1 => {
-            if b.remaining() < 2 {
-                return Err("truncated VERDICT");
-            }
-            let idx = b.get_u16();
-            Ok(MessageError::Malformed(resolve(
-                MALFORMED_STRINGS,
-                idx,
-                MALFORMED_FALLBACK,
-            )))
-        }
-        2 => Ok(MessageError::Crypto(get_crypto_error(b)?)),
-        _ => Err("unknown signature sub-code"),
-    }
+fn get_message_error(r: &mut Reader<'_>) -> Result<MessageError, &'static str> {
+    Ok(match r.u8().ok_or(VERDICT_CUT)? {
+        0 => MessageError::BadSignature,
+        1 => MessageError::Malformed(resolve(
+            MALFORMED_STRINGS,
+            r.u16().ok_or(VERDICT_CUT)?,
+            MALFORMED_FALLBACK,
+        )),
+        2 => MessageError::Crypto(get_crypto_error(r)?),
+        _ => return Err("unknown signature sub-code"),
+    })
 }
 
-fn put_crypto_error(b: &mut BytesMut, c: &CryptoError) {
+fn put_crypto_error(b: &mut Vec<u8>, c: &CryptoError) {
     match c {
-        CryptoError::MessageTooLarge => b.put_u8(0),
+        CryptoError::MessageTooLarge => b.push(0),
         CryptoError::InvalidKeySize(bits) => {
-            b.put_u8(1);
-            b.put_u64(*bits as u64);
+            b.push(1);
+            put_u64(b, *bits as u64);
         }
-        CryptoError::KeyTooSmallForDigest => b.put_u8(2),
+        CryptoError::KeyTooSmallForDigest => b.push(2),
         CryptoError::SignatureLength { expected, got } => {
-            b.put_u8(3);
-            b.put_u64(*expected as u64);
-            b.put_u64(*got as u64);
+            b.push(3);
+            put_u64(b, *expected as u64);
+            put_u64(b, *got as u64);
         }
-        CryptoError::BadSignature => b.put_u8(4),
+        CryptoError::BadSignature => b.push(4),
         CryptoError::Encoding(s) => {
-            b.put_u8(5);
-            b.put_u16(intern(ENCODING_STRINGS, s));
+            b.push(5);
+            put_u16(b, intern(ENCODING_STRINGS, s));
         }
-        CryptoError::Internal => b.put_u8(6),
+        CryptoError::Internal => b.push(6),
     }
 }
 
-fn get_crypto_error(b: &mut Bytes) -> Result<CryptoError, &'static str> {
-    if !b.has_remaining() {
-        return Err("truncated VERDICT");
-    }
-    match b.get_u8() {
-        0 => Ok(CryptoError::MessageTooLarge),
-        1 => {
-            if b.remaining() < 8 {
-                return Err("truncated VERDICT");
-            }
-            Ok(CryptoError::InvalidKeySize(b.get_u64() as usize))
-        }
-        2 => Ok(CryptoError::KeyTooSmallForDigest),
-        3 => {
-            if b.remaining() < 16 {
-                return Err("truncated VERDICT");
-            }
-            Ok(CryptoError::SignatureLength {
-                expected: b.get_u64() as usize,
-                got: b.get_u64() as usize,
-            })
-        }
-        4 => Ok(CryptoError::BadSignature),
-        5 => {
-            if b.remaining() < 2 {
-                return Err("truncated VERDICT");
-            }
-            let idx = b.get_u16();
-            Ok(CryptoError::Encoding(resolve(
-                ENCODING_STRINGS,
-                idx,
-                ENCODING_FALLBACK,
-            )))
-        }
-        6 => Ok(CryptoError::Internal),
-        _ => Err("unknown crypto code"),
-    }
+fn get_crypto_error(r: &mut Reader<'_>) -> Result<CryptoError, &'static str> {
+    Ok(match r.u8().ok_or(VERDICT_CUT)? {
+        0 => CryptoError::MessageTooLarge,
+        1 => CryptoError::InvalidKeySize(r.u64().ok_or(VERDICT_CUT)? as usize),
+        2 => CryptoError::KeyTooSmallForDigest,
+        3 => CryptoError::SignatureLength {
+            expected: r.u64().ok_or(VERDICT_CUT)? as usize,
+            got: r.u64().ok_or(VERDICT_CUT)? as usize,
+        },
+        4 => CryptoError::BadSignature,
+        5 => CryptoError::Encoding(resolve(
+            ENCODING_STRINGS,
+            r.u16().ok_or(VERDICT_CUT)?,
+            ENCODING_FALLBACK,
+        )),
+        6 => CryptoError::Internal,
+        _ => return Err("unknown crypto code"),
+    })
 }
 
-/// STATS payload: ingress counters. Also the type the server reports
-/// at shutdown (`IngressReport::ingress`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Connections accepted over the server's lifetime.
-    pub connections: u64,
-    /// Connections fully closed and reaped.
-    pub connections_closed: u64,
-    /// Connections currently open (snapshot-only; 0 in final reports).
-    pub open_connections: u64,
-    /// REGISTER requests granted.
-    pub registers: u64,
-    /// Proofs relayed into the service.
-    pub submissions: u64,
-    /// Verdicts streamed back to clients.
-    pub verdicts: u64,
-    /// Verdicts that were `Ok`.
-    pub accepted: u64,
-    /// Verdicts that were rejections for cause (bad signature, replay,
-    /// plan mismatch, …) — a malformed *proof*, never a shed.
-    pub rejected_malformed: u64,
-    /// Verdicts whose client was already gone (discarded, counted).
-    pub orphaned_verdicts: u64,
-    /// Protocol violations observed (each closes its connection).
-    pub protocol_errors: u64,
-    /// Transitions of some connection into the paused (backpressured)
-    /// state.
-    pub pauses: u64,
-    /// Submissions in flight inside the service at snapshot time.
-    pub service_outstanding: u64,
-    /// Submissions shed by admission control with a BUSY frame. Every
-    /// shed is answered, so `shed_overload` equals the BUSY frames
-    /// (scope Submit) sent — never a silent drop.
-    pub shed_overload: u64,
-    /// Connections turned away at accept time with BUSY (scope
-    /// Connection).
-    pub shed_connections: u64,
-    /// Connections placed in quarantine by the misbehavior score.
-    pub quarantines: u64,
-    /// Connections closed for exceeding the misbehavior limit.
-    pub misbehavior_closes: u64,
+flat_kind! {
+    /// STATS payload: ingress counters. Also the type the server reports
+    /// at shutdown (`IngressReport::ingress`).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct StatsSnapshot, "truncated STATS" {
+        /// Connections accepted over the server's lifetime.
+        pub connections: u64,
+        /// Connections fully closed and reaped.
+        pub connections_closed: u64,
+        /// Connections currently open (snapshot-only; 0 in final reports).
+        pub open_connections: u64,
+        /// REGISTER requests granted.
+        pub registers: u64,
+        /// Proofs relayed into the service.
+        pub submissions: u64,
+        /// Verdicts streamed back to clients.
+        pub verdicts: u64,
+        /// Verdicts that were `Ok`.
+        pub accepted: u64,
+        /// Verdicts that were rejections for cause (bad signature, replay,
+        /// plan mismatch, …) — a malformed *proof*, never a shed.
+        pub rejected_malformed: u64,
+        /// Verdicts whose client was already gone (discarded, counted).
+        pub orphaned_verdicts: u64,
+        /// Protocol violations observed (each closes its connection).
+        pub protocol_errors: u64,
+        /// Transitions of some connection into the paused (backpressured)
+        /// state.
+        pub pauses: u64,
+        /// Submissions in flight inside the service at snapshot time.
+        pub service_outstanding: u64,
+        /// Submissions shed by admission control with a BUSY frame. Every
+        /// shed is answered, so `shed_overload` equals the BUSY frames
+        /// (scope Submit) sent — never a silent drop.
+        pub shed_overload: u64,
+        /// Connections turned away at accept time with BUSY (scope
+        /// Connection).
+        pub shed_connections: u64,
+        /// Connections placed in quarantine by the misbehavior score.
+        pub quarantines: u64,
+        /// Connections closed for exceeding the misbehavior limit.
+        pub misbehavior_closes: u64,
+    }
 }
 
 impl StatsSnapshot {
-    const FIELDS: usize = 16;
-
     /// Encodes into a frame of the given kind (STATS).
     pub fn to_frame(&self, kind: FrameKind) -> Frame {
-        let mut b = BytesMut::with_capacity(8 * Self::FIELDS);
-        for v in [
-            self.connections,
-            self.connections_closed,
-            self.open_connections,
-            self.registers,
-            self.submissions,
-            self.verdicts,
-            self.accepted,
-            self.rejected_malformed,
-            self.orphaned_verdicts,
-            self.protocol_errors,
-            self.pauses,
-            self.service_outstanding,
-            self.shed_overload,
-            self.shed_connections,
-            self.quarantines,
-            self.misbehavior_closes,
-        ] {
-            b.put_u64(v);
-        }
-        Frame::new(kind, b.to_vec())
-    }
-
-    /// Decodes a STATS payload.
-    pub fn decode(payload: &[u8]) -> Result<StatsSnapshot, &'static str> {
-        if payload.len() != 8 * Self::FIELDS {
-            return Err("truncated STATS");
-        }
-        let mut b = Bytes::copy_from_slice(payload);
-        Ok(StatsSnapshot {
-            connections: b.get_u64(),
-            connections_closed: b.get_u64(),
-            open_connections: b.get_u64(),
-            registers: b.get_u64(),
-            submissions: b.get_u64(),
-            verdicts: b.get_u64(),
-            accepted: b.get_u64(),
-            rejected_malformed: b.get_u64(),
-            orphaned_verdicts: b.get_u64(),
-            protocol_errors: b.get_u64(),
-            pauses: b.get_u64(),
-            service_outstanding: b.get_u64(),
-            shed_overload: b.get_u64(),
-            shed_connections: b.get_u64(),
-            quarantines: b.get_u64(),
-            misbehavior_closes: b.get_u64(),
-        })
+        Frame::new(kind, self.payload())
     }
 
     /// Renders the counters in Prometheus text exposition format.
@@ -837,104 +736,86 @@ pub enum BusyScope {
     Submit = 1,
 }
 
-/// BUSY payload: typed load shedding — the overload answer that
-/// replaces a silent drop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BusyMsg {
-    /// What was shed.
-    pub scope: BusyScope,
-    /// Server's suggested backoff before retrying, in milliseconds.
-    pub retry_after_ms: u32,
-    /// Relationship of the shed submission (0 for Connection scope).
-    pub rel: u64,
-    /// Client tag of the shed submission (0 for Connection scope).
-    pub tag: u64,
-}
+impl Field for BusyScope {
+    const LEN: usize = 1;
 
-impl BusyMsg {
-    /// Encodes into a BUSY frame.
-    pub fn to_frame(&self) -> Frame {
-        let mut b = BytesMut::with_capacity(21);
-        b.put_u8(self.scope as u8);
-        b.put_u32(self.retry_after_ms);
-        b.put_u64(self.rel);
-        b.put_u64(self.tag);
-        Frame::new(FrameKind::Busy, b.to_vec())
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
     }
 
-    /// Decodes a BUSY payload.
-    pub fn decode(payload: &[u8]) -> Result<BusyMsg, &'static str> {
-        let mut b = Bytes::copy_from_slice(payload);
-        if b.remaining() < 21 {
-            return Err("truncated BUSY");
-        }
-        let scope = match b.get_u8() {
-            0 => BusyScope::Connection,
-            1 => BusyScope::Submit,
-            _ => return Err("unknown BUSY scope"),
-        };
-        Ok(BusyMsg {
-            scope,
-            retry_after_ms: b.get_u32(),
-            rel: b.get_u64(),
-            tag: b.get_u64(),
+    fn get(r: &mut Reader<'_>) -> Option<Result<Self, &'static str>> {
+        Some(match r.u8()? {
+            0 => Ok(BusyScope::Connection),
+            1 => Ok(BusyScope::Submit),
+            _ => Err("unknown BUSY scope"),
         })
     }
 }
 
-/// SETTLE payload: a three-party roaming settlement record submitted
-/// for conservation audit (DESIGN §14). The server replays the
-/// conservation law `home + visited + vendor == charged` and answers
-/// with a SETTLE_VERDICT; a split that fails the law is the roaming
-/// analogue of a charge that does not replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SettleMsg {
-    /// Relationship id from REGISTERED.
-    pub rel: u64,
-    /// Client-chosen correlation tag, echoed in the SETTLE_VERDICT.
-    pub tag: u64,
-    /// Which operator served the settled volume.
-    pub serving: Serving,
-    /// The negotiated charging volume being split.
-    pub charged: u64,
-    /// The proposed three-party split.
-    pub split: SettlementSplit,
+flat_kind! {
+    /// BUSY payload: typed load shedding — the overload answer that
+    /// replaces a silent drop.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct BusyMsg as Busy, "truncated BUSY" {
+        /// What was shed.
+        pub scope: BusyScope,
+        /// Server's suggested backoff before retrying, in milliseconds.
+        pub retry_after_ms: u32,
+        /// Relationship of the shed submission (0 for Connection scope).
+        pub rel: u64,
+        /// Client tag of the shed submission (0 for Connection scope).
+        pub tag: u64,
+    }
 }
 
-impl SettleMsg {
-    /// Encodes into a SETTLE frame.
-    pub fn to_frame(&self) -> Frame {
-        let mut b = BytesMut::with_capacity(49);
-        b.put_u64(self.rel);
-        b.put_u64(self.tag);
-        b.put_u8(self.serving.code());
-        b.put_u64(self.charged);
-        b.put_u64(self.split.home);
-        b.put_u64(self.split.visited);
-        b.put_u64(self.split.vendor);
-        Frame::new(FrameKind::Settle, b.to_vec())
+impl Field for Serving {
+    const LEN: usize = 1;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.code());
     }
 
-    /// Decodes a SETTLE payload.
-    pub fn decode(payload: &[u8]) -> Result<SettleMsg, &'static str> {
-        if payload.len() != 49 {
-            return Err("truncated SETTLE");
-        }
-        let mut b = Bytes::copy_from_slice(payload);
-        let rel = b.get_u64();
-        let tag = b.get_u64();
-        let serving = Serving::from_code(b.get_u8()).ok_or("unknown serving code")?;
-        Ok(SettleMsg {
-            rel,
-            tag,
-            serving,
-            charged: b.get_u64(),
-            split: SettlementSplit {
-                home: b.get_u64(),
-                visited: b.get_u64(),
-                vendor: b.get_u64(),
-            },
-        })
+    fn get(r: &mut Reader<'_>) -> Option<Result<Self, &'static str>> {
+        Some(Serving::from_code(r.u8()?).ok_or("unknown serving code"))
+    }
+}
+
+impl Field for SettlementSplit {
+    const LEN: usize = 24;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.home);
+        put_u64(out, self.visited);
+        put_u64(out, self.vendor);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Option<Result<Self, &'static str>> {
+        Some(Ok(SettlementSplit {
+            home: r.u64()?,
+            visited: r.u64()?,
+            vendor: r.u64()?,
+        }))
+    }
+}
+
+flat_kind! {
+    /// SETTLE payload: a three-party roaming settlement record submitted
+    /// for conservation audit (DESIGN §14). The server replays the
+    /// conservation law `home + visited + vendor == charged` and answers
+    /// with a SETTLE_VERDICT; a split that fails the law is the roaming
+    /// analogue of a charge that does not replay.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct SettleMsg as Settle, "truncated SETTLE" {
+        /// Relationship id from REGISTERED.
+        pub rel: u64,
+        /// Client-chosen correlation tag, echoed in the SETTLE_VERDICT.
+        pub tag: u64,
+        /// Which operator served the settled volume.
+        pub serving: Serving,
+        /// The negotiated charging volume being split.
+        pub charged: u64,
+        /// The proposed three-party split (`home | visited | vendor`).
+        pub split: SettlementSplit,
     }
 }
 
@@ -947,41 +828,32 @@ pub enum SettleResult {
     SplitMismatch = 1,
 }
 
-/// SETTLE_VERDICT payload: the conservation audit's answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SettleVerdictMsg {
-    /// Relationship the settlement was submitted under.
-    pub rel: u64,
-    /// The client's correlation tag.
-    pub tag: u64,
-    /// The audit result.
-    pub result: SettleResult,
-}
+impl Field for SettleResult {
+    const LEN: usize = 1;
 
-impl SettleVerdictMsg {
-    /// Encodes into a SETTLE_VERDICT frame.
-    pub fn to_frame(&self) -> Frame {
-        let mut b = BytesMut::with_capacity(17);
-        b.put_u64(self.rel);
-        b.put_u64(self.tag);
-        b.put_u8(self.result as u8);
-        Frame::new(FrameKind::SettleVerdict, b.to_vec())
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
     }
 
-    /// Decodes a SETTLE_VERDICT payload.
-    pub fn decode(payload: &[u8]) -> Result<SettleVerdictMsg, &'static str> {
-        if payload.len() != 17 {
-            return Err("truncated SETTLE_VERDICT");
-        }
-        let mut b = Bytes::copy_from_slice(payload);
-        let rel = b.get_u64();
-        let tag = b.get_u64();
-        let result = match b.get_u8() {
-            0 => SettleResult::Conserved,
-            1 => SettleResult::SplitMismatch,
-            _ => return Err("unknown settlement result"),
-        };
-        Ok(SettleVerdictMsg { rel, tag, result })
+    fn get(r: &mut Reader<'_>) -> Option<Result<Self, &'static str>> {
+        Some(match r.u8()? {
+            0 => Ok(SettleResult::Conserved),
+            1 => Ok(SettleResult::SplitMismatch),
+            _ => Err("unknown settlement result"),
+        })
+    }
+}
+
+flat_kind! {
+    /// SETTLE_VERDICT payload: the conservation audit's answer.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct SettleVerdictMsg as SettleVerdict, "truncated SETTLE_VERDICT" {
+        /// Relationship the settlement was submitted under.
+        pub rel: u64,
+        /// The client's correlation tag.
+        pub tag: u64,
+        /// The audit result.
+        pub result: SettleResult,
     }
 }
 
@@ -1014,82 +886,58 @@ pub enum Fault {
 impl Fault {
     /// Encodes into an ERROR frame.
     pub fn to_frame(&self) -> Frame {
-        let mut b = BytesMut::with_capacity(12);
+        let mut b = Vec::with_capacity(9);
         match self {
             Fault::ShardDown { shard } => {
-                b.put_u8(0);
-                b.put_u32(*shard);
+                b.push(0);
+                put_u32(&mut b, *shard);
             }
             Fault::ResultsClosed { outstanding } => {
-                b.put_u8(1);
-                b.put_u32(*outstanding);
+                b.push(1);
+                put_u32(&mut b, *outstanding);
             }
             Fault::UnknownRelationship(rel) => {
-                b.put_u8(2);
-                b.put_u64(*rel);
+                b.push(2);
+                put_u64(&mut b, *rel);
             }
             Fault::BadVersion { server } => {
-                b.put_u8(3);
-                b.put_u16(*server);
+                b.push(3);
+                put_u16(&mut b, *server);
             }
             Fault::Protocol(detail) => {
-                b.put_u8(4);
-                b.put_u16(intern(PROTOCOL_STRINGS, detail));
+                b.push(4);
+                put_u16(&mut b, intern(PROTOCOL_STRINGS, detail));
             }
-            Fault::Shutdown => b.put_u8(5),
+            Fault::Shutdown => b.push(5),
         }
-        Frame::new(FrameKind::Error, b.to_vec())
+        Frame::new(FrameKind::Error, b)
     }
 
     /// Decodes an ERROR payload.
     pub fn decode(payload: &[u8]) -> Result<Fault, &'static str> {
-        let mut b = Bytes::copy_from_slice(payload);
-        if !b.has_remaining() {
-            return Err("truncated ERROR");
-        }
-        match b.get_u8() {
-            0 => {
-                if b.remaining() < 4 {
-                    return Err("truncated ERROR");
-                }
-                Ok(Fault::ShardDown { shard: b.get_u32() })
-            }
-            1 => {
-                if b.remaining() < 4 {
-                    return Err("truncated ERROR");
-                }
-                Ok(Fault::ResultsClosed {
-                    outstanding: b.get_u32(),
-                })
-            }
-            2 => {
-                if b.remaining() < 8 {
-                    return Err("truncated ERROR");
-                }
-                Ok(Fault::UnknownRelationship(b.get_u64()))
-            }
-            3 => {
-                if b.remaining() < 2 {
-                    return Err("truncated ERROR");
-                }
-                Ok(Fault::BadVersion {
-                    server: b.get_u16(),
-                })
-            }
-            4 => {
-                if b.remaining() < 2 {
-                    return Err("truncated ERROR");
-                }
-                let idx = b.get_u16();
-                Ok(Fault::Protocol(resolve(
-                    PROTOCOL_STRINGS,
-                    idx,
-                    PROTOCOL_FALLBACK,
-                )))
-            }
-            5 => Ok(Fault::Shutdown),
-            _ => Err("unknown error code"),
-        }
+        const CUT: &str = "truncated ERROR";
+        let mut r = Reader::new(payload);
+        let fault = match r.u8().ok_or(CUT)? {
+            0 => Fault::ShardDown {
+                shard: r.u32().ok_or(CUT)?,
+            },
+            1 => Fault::ResultsClosed {
+                outstanding: r.u32().ok_or(CUT)?,
+            },
+            2 => Fault::UnknownRelationship(r.u64().ok_or(CUT)?),
+            3 => Fault::BadVersion {
+                server: r.u16().ok_or(CUT)?,
+            },
+            4 => Fault::Protocol(resolve(
+                PROTOCOL_STRINGS,
+                r.u16().ok_or(CUT)?,
+                PROTOCOL_FALLBACK,
+            )),
+            5 => Fault::Shutdown,
+            _ => return Err("unknown error code"),
+        };
+        r.finish().ok_or(CUT)?;
+        Ok(fault)
     }
 }
 
@@ -1148,12 +996,8 @@ mod tests {
     fn unknown_string_index_resolves_to_fallback() {
         // A server newer than this client may intern strings we don't
         // know; the decode must stay total.
-        let mut b = BytesMut::new();
-        b.put_u8(1); // Signature
-        b.put_u8(1); // Malformed
-        b.put_u16(u16::MAX);
-        let mut bytes = Bytes::copy_from_slice(&b.to_vec());
-        let got = get_verify_result(&mut bytes).unwrap();
+        // Signature, Malformed, index u16::MAX.
+        let got = get_verify_result(&mut Reader::new(&[1, 1, 0xFF, 0xFF])).unwrap();
         assert_eq!(
             got,
             Err(VerifyError::Signature(MessageError::Malformed(
@@ -1176,6 +1020,10 @@ mod tests {
             let frame = f.to_frame();
             assert_eq!(frame.kind, FrameKind::Error);
             assert_eq!(Fault::decode(&frame.payload), Ok(f));
+            // No slack bytes after any variant's operands.
+            let mut long = frame.payload;
+            long.push(0);
+            assert_eq!(Fault::decode(&long), Err("truncated ERROR"), "{f:?}");
         }
     }
 
@@ -1217,6 +1065,10 @@ mod tests {
             assert_eq!(frame.kind, FrameKind::Busy);
             assert_eq!(frame.payload.len(), 21);
             assert_eq!(BusyMsg::decode(&frame.payload), Ok(msg));
+            // Trailing bytes are a truncation-class violation too.
+            let mut long = frame.payload;
+            long.push(0);
+            assert_eq!(BusyMsg::decode(&long), Err("truncated BUSY"));
         }
         assert_eq!(BusyMsg::decode(&[1, 0, 0]), Err("truncated BUSY"));
         let mut bad = BusyMsg {

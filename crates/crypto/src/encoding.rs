@@ -4,11 +4,80 @@
 //! PoCs are later handed to third-party verifiers, so keys and signatures
 //! need a stable wire form. We use a minimal tag-length-value scheme rather
 //! than full ASN.1 DER: `u8` tag, `u32` big-endian length, raw bytes.
+//!
+//! Every byte grammar in the workspace (this one, `tlc_core::messages`, the
+//! verifier's frame payloads) is read through [`Reader`] and written with
+//! the `put_*` helpers, so a length check and the read it protects are one
+//! call.
 
 use crate::bigint::BigUint;
 use crate::error::CryptoError;
 use crate::rsa::PublicKey;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+
+/// A checked big-endian cursor over borrowed bytes. A read that would run
+/// past the end returns `None` and consumes nothing; nothing here can panic,
+/// and nothing is copied but the integers themselves.
+#[derive(Debug, Clone, Copy)]
+pub struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader(buf)
+    }
+
+    /// The next `n` bytes, borrowed from the input.
+    pub fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    /// The next `N` bytes as an array.
+    pub fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Option<u8> {
+        self.array().map(u8::from_be_bytes)
+    }
+
+    /// The next big-endian `u16`.
+    pub fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    /// The next big-endian `u32`.
+    pub fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    /// The next big-endian `u64`.
+    pub fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    /// The trailing-bytes check: `Some` only if the input is used up.
+    pub fn finish(self) -> Option<()> {
+        self.0.is_empty().then_some(())
+    }
+}
+
+/// Appends a big-endian `u16` to `out`.
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Appends a big-endian `u32` to `out`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
+
+/// Appends a big-endian `u64` to `out`.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_be_bytes());
+}
 
 /// TLV tag for an RSA public key container.
 const TAG_PUBLIC_KEY: u8 = 0x01;
@@ -16,52 +85,47 @@ const TAG_PUBLIC_KEY: u8 = 0x01;
 const TAG_INTEGER: u8 = 0x02;
 
 /// Appends one TLV field.
-pub fn put_field(out: &mut BytesMut, tag: u8, value: &[u8]) {
-    out.put_u8(tag);
-    out.put_u32(value.len() as u32);
-    out.put_slice(value);
+pub fn put_field(out: &mut Vec<u8>, tag: u8, value: &[u8]) {
+    out.push(tag);
+    put_u32(out, value.len() as u32);
+    out.extend_from_slice(value);
 }
 
 /// Reads one TLV field, checking the tag.
-pub fn get_field(buf: &mut Bytes, expected_tag: u8) -> Result<Bytes, CryptoError> {
-    if buf.remaining() < 5 {
-        return Err(CryptoError::Encoding("truncated TLV header"));
-    }
-    let tag = buf.get_u8();
+pub fn get_field<'a>(r: &mut Reader<'a>, expected_tag: u8) -> Result<&'a [u8], CryptoError> {
+    let header = r
+        .array::<5>()
+        .ok_or(CryptoError::Encoding("truncated TLV header"))?;
+    let [tag, len @ ..] = header;
     if tag != expected_tag {
         return Err(CryptoError::Encoding("unexpected TLV tag"));
     }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(CryptoError::Encoding("truncated TLV value"));
-    }
-    Ok(buf.copy_to_bytes(len))
+    r.take(u32::from_be_bytes(len) as usize)
+        .ok_or(CryptoError::Encoding("truncated TLV value"))
 }
 
 /// Serializes a public key as `TLV(pubkey, TLV(int, n) || TLV(int, e))`.
 pub fn encode_public_key(key: &PublicKey) -> Vec<u8> {
-    let mut inner = BytesMut::new();
+    let mut inner = Vec::new();
     put_field(&mut inner, TAG_INTEGER, &key.n.to_bytes_be());
     put_field(&mut inner, TAG_INTEGER, &key.e.to_bytes_be());
-    let mut out = BytesMut::new();
+    let mut out = Vec::with_capacity(5 + inner.len());
     put_field(&mut out, TAG_PUBLIC_KEY, &inner);
-    out.to_vec()
+    out
 }
 
 /// Parses a public key produced by [`encode_public_key`].
 pub fn decode_public_key(data: &[u8]) -> Result<PublicKey, CryptoError> {
-    let mut buf = Bytes::copy_from_slice(data);
-    let mut inner = get_field(&mut buf, TAG_PUBLIC_KEY)?;
-    if buf.has_remaining() {
-        return Err(CryptoError::Encoding("trailing bytes after public key"));
-    }
-    let n = get_field(&mut inner, TAG_INTEGER)?;
-    let e = get_field(&mut inner, TAG_INTEGER)?;
-    if inner.has_remaining() {
-        return Err(CryptoError::Encoding("trailing bytes inside public key"));
-    }
-    let n = BigUint::from_bytes_be(&n);
-    let e = BigUint::from_bytes_be(&e);
+    let mut outer = Reader::new(data);
+    let mut inner = Reader::new(get_field(&mut outer, TAG_PUBLIC_KEY)?);
+    outer
+        .finish()
+        .ok_or(CryptoError::Encoding("trailing bytes after public key"))?;
+    let n = BigUint::from_bytes_be(get_field(&mut inner, TAG_INTEGER)?);
+    let e = BigUint::from_bytes_be(get_field(&mut inner, TAG_INTEGER)?);
+    inner
+        .finish()
+        .ok_or(CryptoError::Encoding("trailing bytes inside public key"))?;
     if n.is_zero() || e.is_zero() {
         return Err(CryptoError::Encoding("zero modulus or exponent"));
     }
@@ -115,10 +179,10 @@ mod tests {
 
     #[test]
     fn zero_modulus_rejected() {
-        let mut inner = BytesMut::new();
+        let mut inner = Vec::new();
         put_field(&mut inner, TAG_INTEGER, &[]);
         put_field(&mut inner, TAG_INTEGER, &[1]);
-        let mut out = BytesMut::new();
+        let mut out = Vec::new();
         put_field(&mut out, TAG_PUBLIC_KEY, &inner);
         assert!(decode_public_key(&out).is_err());
     }
