@@ -189,6 +189,15 @@ fn service_level() -> f64 {
 }
 
 fn main() {
+    // Which paths this runner exercises: the checks below hold on every
+    // kernel, but only the ones named here were actually run.
+    let probe = KeyPair::generate_for_seed(1024, 0x57_0CE).expect("keygen");
+    println!(
+        "kernels: batch {}, sha256 {}",
+        probe.public.mont_ctx().map_or("none", |c| c.batch_kernel()),
+        sha256::kernel()
+    );
+
     let (scalar_ns, batch_ns) = signature_level(8);
     println!(
         "signature level: scalar {scalar_ns:.0} ns/verify, batched {batch_ns:.0} ns/verify, speedup {:.2}x",

@@ -32,7 +32,7 @@ use tlc_core::strategy::{Knowledge, OptimalStrategy, Role};
 use tlc_core::verify::service::VerifierService;
 use tlc_core::verify::{verify_poc, verify_poc_batch};
 use tlc_crypto::montgomery::MontgomeryCtx;
-use tlc_crypto::{pkcs1, KeyPair};
+use tlc_crypto::{pkcs1, sha256, KeyPair};
 
 /// Pre-optimization reference (mean methodology, same host class),
 /// recorded before the Montgomery caching + kernel work landed.
@@ -146,11 +146,15 @@ fn main() {
     let single_thread_pocs_per_hour = 3.6e12 / poc_verify_ns;
 
     // Batch-size sensitivity: per-PoC cost of the batched verification
-    // entry point at 1/8/32/128 proofs per call. The same 64 proofs are
-    // cycled, so every batch carries real, distinct signatures.
+    // entry point at 1/3/8/32/128 proofs per call (1 is the depth-1
+    // verdict path, one PoC's chain: three signatures under two keys;
+    // 3 is nine signatures: a full 8-lane call and a one-signature tail).
+    // The same 64 proofs are cycled, so every batch carries real,
+    // distinct signatures.
     let batch_kernel = MontgomeryCtx::new(&ek.public.n).batch_kernel();
+    let sha256_kernel = sha256::kernel();
     let mut batch_rows = Vec::new();
-    for batch in [1usize, 8, 32, 128] {
+    for batch in [1usize, 3, 8, 32, 128] {
         let refs: Vec<&PocMsg> = (0..batch).map(|i| &proofs[i % proofs.len()]).collect();
         let reps = (256 / batch).max(2);
         let per_poc_ns = min_ns(5, reps, || {
@@ -214,6 +218,7 @@ fn main() {
     println!("  \"single_thread_pocs_per_hour\": {single_thread_pocs_per_hour:.0},");
     println!("  \"paper_pocs_per_hour\": 230000,");
     println!("  \"batch_kernel\": \"{batch_kernel}\",");
+    println!("  \"sha256_kernel\": \"{sha256_kernel}\",");
     println!("  \"poc_verify_batched\": {{");
     for (i, (batch, ns, speedup)) in batch_rows.iter().enumerate() {
         let comma = if i + 1 == batch_rows.len() { "" } else { "," };

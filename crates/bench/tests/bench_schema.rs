@@ -60,6 +60,23 @@ fn bench_crypto_reports_fresh_and_fixed_message_signing() {
 }
 
 #[test]
+fn bench_crypto_names_its_kernels_and_the_one_poc_batch() {
+    // Every verify row depends on which kernels ran (IFMA lanes against
+    // interleaved scalar, SHA-NI against portable), and `batch_1` — one
+    // PoC's chain, the depth-1 verdict path — is the row the any-key
+    // lanes exist for.
+    let text = repo_file("BENCH_crypto.json");
+    for row in [
+        "\"batch_kernel\":",
+        "\"sha256_kernel\":",
+        "\"batch_1\":",
+        "\"batch_3\":",
+    ] {
+        assert!(text.contains(row), "BENCH_crypto.json has no {row} row");
+    }
+}
+
+#[test]
 fn bench_ingress_rows_record_host_cpus() {
     let text = repo_file("BENCH_ingress.json");
     assert!(text.contains("\"host_cpus\""));

@@ -411,6 +411,18 @@ impl PocMsg {
         }
     }
 
+    /// The CDA must come from the *other* party and embed the
+    /// finalizer's own CDR.
+    fn role_coherence(&self) -> Result<(), MessageError> {
+        if self.cda.role == self.role {
+            return Err(MessageError::Malformed("CDA role matches finalizer"));
+        }
+        if self.cda.peer_cdr.role != self.role {
+            return Err(MessageError::Malformed("embedded CDR role mismatch"));
+        }
+        Ok(())
+    }
+
     /// Verifies the PoC's own signature and the role coherence of what
     /// it embeds, but neither embedded signature. Sufficient when the
     /// embedded CDA is byte-equal to one the caller signed itself over a
@@ -423,27 +435,22 @@ impl PocMsg {
     ) -> Result<(), MessageError> {
         let (finalizer_key, _) = self.chain_keys(edge_key, operator_key);
         pkcs1::verify(finalizer_key, &self.body(), &self.signature)?;
-        // The CDA must come from the *other* party and embed the
-        // finalizer's own CDR.
-        if self.cda.role == self.role {
-            return Err(MessageError::Malformed("CDA role matches finalizer"));
-        }
-        if self.cda.peer_cdr.role != self.role {
-            return Err(MessageError::Malformed("embedded CDR role mismatch"));
-        }
-        Ok(())
+        self.role_coherence()
     }
 
     /// Verifies the whole signature chain: PoC by the finalizer, CDA by
-    /// the other party, embedded CDR by the finalizer again.
+    /// the other party, embedded CDR by the finalizer again. This is
+    /// [`verify_chains_batch_prehashed`] over a batch of one, so a single
+    /// proof's three signatures share a multi-lane kernel call too.
     pub fn verify_chain(
         &self,
         edge_key: &PublicKey,
         operator_key: &PublicKey,
     ) -> Result<(), MessageError> {
-        self.verify_outer(edge_key, operator_key)?;
-        let (finalizer_key, other_key) = self.chain_keys(edge_key, operator_key);
-        self.cda.verify(other_key, finalizer_key)
+        let digests = self.chain_digests();
+        verify_chains_batch_prehashed(&[(self, &digests)], edge_key, operator_key)
+            .pop()
+            .unwrap_or(Err(MessageError::Crypto(CryptoError::Internal)))
     }
 
     /// Serializes to wire bytes (signed body plus the two clear nonces).
@@ -557,23 +564,29 @@ pub fn verify_chains_batch_prehashed(
             signature: &poc.cda.peer_cdr.signature,
         });
     }
+    #[cfg(test)]
+    SIGNATURES_HANDED_DOWN.with(|n| n.set(n.get() + reqs.len()));
     let verdicts = pkcs1::verify_batch(&reqs);
     items
         .iter()
-        .enumerate()
-        .map(|(i, (poc, _))| {
-            verdicts[3 * i].clone()?;
-            if poc.cda.role == poc.role {
-                return Err(MessageError::Malformed("CDA role matches finalizer"));
-            }
-            if poc.cda.peer_cdr.role != poc.role {
-                return Err(MessageError::Malformed("embedded CDR role mismatch"));
-            }
-            verdicts[3 * i + 1].clone()?;
-            verdicts[3 * i + 2].clone()?;
+        .zip(verdicts.chunks_exact(3))
+        .map(|((poc, _), sigs)| {
+            sigs[0].clone()?;
+            poc.role_coherence()?;
+            sigs[1].clone()?;
+            sigs[2].clone()?;
             Ok(())
         })
         .collect()
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Signatures this thread has handed to [`pkcs1::verify_batch`]
+    /// through [`verify_chains_batch_prehashed`], for tests that assert
+    /// what work a caller did *not* ask for.
+    pub(crate) static SIGNATURES_HANDED_DOWN: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
 }
 
 /// Batch chain verification that hashes and verifies in one call; see

@@ -14,7 +14,7 @@ use crate::messages::{self, MessageError, Nonce, PocDigests, PocMsg};
 use crate::plan::{charge_for, DataPlan, UsagePair};
 use std::collections::{HashSet, VecDeque};
 use tlc_crypto::rng::RngSource;
-use tlc_crypto::{seal, PrivateKey, PublicKey};
+use tlc_crypto::{seal, CryptoError, PrivateKey, PublicKey};
 
 pub mod remote;
 pub mod service;
@@ -299,21 +299,52 @@ impl Verifier {
 
     /// [`verify_batch`](Self::verify_batch) over chains hashed elsewhere
     /// (the pipelined service's hash stage).
+    ///
+    /// A proof whose nonce pair is already in the replay window is
+    /// `Replayed` whatever its signatures say, so it is left out of the
+    /// RSA batch: a replay flood buys a hash lookup per proof, not three
+    /// signature checks.
     pub fn verify_batch_prehashed(
         &mut self,
         items: &[(&PocMsg, &PocDigests)],
     ) -> Vec<Result<Verdict, VerifyError>> {
-        let judged =
-            verify_poc_batch_prehashed(items, &self.plan, &self.edge_key, &self.operator_key);
+        let held: Vec<bool> = items
+            .iter()
+            .map(|(poc, _)| self.window.contains(poc))
+            .collect();
+        let fresh: Vec<(&PocMsg, &PocDigests)> = items
+            .iter()
+            .zip(&held)
+            .filter_map(|(item, held)| (!held).then_some(*item))
+            .collect();
+        let mut judged =
+            verify_poc_batch_prehashed(&fresh, &self.plan, &self.edge_key, &self.operator_key)
+                .into_iter();
         items
             .iter()
-            .zip(judged)
-            .map(|((poc, _), j)| {
+            .zip(held)
+            .map(|(item, held)| {
+                let poc = item.0;
+                // Taken before the window is consulted: every fresh
+                // item owns one slot of `judged`, replayed or not.
+                let stateless = if held { None } else { judged.next() };
                 if self.window.contains(poc) {
                     self.rejected += 1;
                     return Err(VerifyError::Replayed);
                 }
-                self.commit(poc, j)
+                let stateless = stateless.or_else(|| {
+                    // Held when the batch started, evicted by an accept
+                    // since (a full window): judged now, as the
+                    // sequential walk would.
+                    let (edge, op) = (&self.edge_key, &self.operator_key);
+                    verify_poc_batch_prehashed(&[*item], &self.plan, edge, op).pop()
+                });
+                // One verdict per item handed down; default-deny if not.
+                let missing = MessageError::Crypto(CryptoError::Internal);
+                self.commit(
+                    poc,
+                    stateless.unwrap_or(Err(VerifyError::Signature(missing))),
+                )
             })
             .collect()
     }
@@ -631,6 +662,74 @@ mod tests {
         assert_eq!(got[0], Err(VerifyError::Replayed));
         assert!(got[1].is_ok());
         assert_eq!((v.accepted(), v.rejected()), (2, 1));
+    }
+
+    #[test]
+    fn replayed_proofs_stay_out_of_the_rsa_batch() {
+        use crate::messages::SIGNATURES_HANDED_DOWN;
+        let plan = DataPlan::paper_default();
+        let edge = KeyPair::generate_for_seed(1024, 31).unwrap();
+        let op = KeyPair::generate_for_seed(1024, 32).unwrap();
+        let seen = negotiate_with_nonces(&plan, &edge, &op, 1, 2);
+        let seen_too = negotiate_with_nonces(&plan, &edge, &op, 3, 4);
+        let fresh = negotiate_with_nonces(&plan, &edge, &op, 5, 6);
+        let fresh_too = negotiate_with_nonces(&plan, &edge, &op, 7, 8);
+        // A replay whose signature no longer verifies is still a replay.
+        let mut seen_flipped = seen_too.clone();
+        seen_flipped.signature[9] ^= 0x40;
+        let batch = [&fresh, &seen, &seen_flipped, &fresh_too, &fresh];
+
+        let primed = || {
+            let mut v = Verifier::new(plan, edge.public.clone(), op.public.clone());
+            v.verify(&seen).unwrap();
+            v.verify(&seen_too).unwrap();
+            v
+        };
+        // The parent's answers: a sequential walk, replay check first.
+        let mut v_seq = primed();
+        let want: Vec<_> = batch.iter().map(|p| v_seq.verify(p)).collect();
+        assert_eq!(want[1], Err(VerifyError::Replayed));
+        assert_eq!(want[2], Err(VerifyError::Replayed));
+        assert_eq!(want[4], Err(VerifyError::Replayed), "in-batch duplicate");
+
+        let mut v_batch = primed();
+        let before = SIGNATURES_HANDED_DOWN.with(|n| n.get());
+        let got = v_batch.verify_batch(&batch);
+        let handed_down = SIGNATURES_HANDED_DOWN.with(|n| n.get()) - before;
+        assert_eq!(got, want);
+        assert_eq!(
+            (v_batch.accepted(), v_batch.rejected()),
+            (v_seq.accepted(), v_seq.rejected())
+        );
+        // Three signatures for each proof not in the window when the
+        // batch arrived (the in-batch duplicate is only decided at
+        // commit), none for the two that were.
+        assert_eq!(handed_down, 3 * 3);
+    }
+
+    #[test]
+    fn replay_evicted_mid_batch_is_judged_like_the_sequential_walk() {
+        let plan = DataPlan::paper_default();
+        let edge = KeyPair::generate_for_seed(1024, 31).unwrap();
+        let op = KeyPair::generate_for_seed(1024, 32).unwrap();
+        let a = negotiate_with_nonces(&plan, &edge, &op, 1, 2);
+        let b = negotiate_with_nonces(&plan, &edge, &op, 3, 4);
+        let c = negotiate_with_nonces(&plan, &edge, &op, 5, 6);
+        let primed = || {
+            let mut v = Verifier::with_capacity(plan, edge.public.clone(), op.public.clone(), 2);
+            v.verify(&a).unwrap();
+            v.verify(&b).unwrap();
+            v
+        };
+        // Accepting `c` evicts `a` from the two-slot window, so the `a`
+        // behind it is outside the retention guarantee and verifies.
+        let batch = [&c, &a, &b];
+        let mut v_seq = primed();
+        let want: Vec<_> = batch.iter().map(|p| v_seq.verify(p)).collect();
+        assert!(want[1].is_ok());
+        let mut v_batch = primed();
+        assert_eq!(v_batch.verify_batch(&batch), want);
+        assert_eq!(v_batch.replay_window_len(), v_seq.replay_window_len());
     }
 
     #[test]

@@ -1,61 +1,78 @@
-//! 8-lane batched modular exponentiation for 1024-bit moduli using
-//! AVX-512 IFMA (`vpmadd52{lo,hi}uq`).
+//! Multi-lane `base^65537 mod n` for 1024-bit moduli using AVX-512 IFMA
+//! (`vpmadd52{lo,hi}uq`), one key per lane.
 //!
 //! This is the multi-buffer RSA technique from Gueron & Krasnov's
 //! vectorized modular arithmetic line of work: operands are recoded into
-//! radix-2^52 (20 digits for a 1024-bit modulus), eight independent
-//! exponentiations ride in the eight 64-bit elements of a `__m512i`, and
-//! every digit-by-digit product uses the 52-bit fused multiply-add
+//! radix-2^52 (20 digits for a 1024-bit modulus), independent
+//! exponentiations ride in the 64-bit elements of a vector, and every
+//! digit-by-digit product uses the 52-bit fused multiply-add
 //! instructions. The almost-Montgomery multiplication (AMM) step keeps
 //! per-digit accumulators in redundant (unnormalized) 64-bit containers
 //! so no carry propagates inside the hot loop; one short vectorized
 //! carry-propagation pass renormalizes per AMM.
 //!
-//! Values travel the exponentiation chain in the almost-reduced range
-//! `[0, 2M)` (valid because `R = 2^1040 > 4M` for a 1024-bit `M`); only
-//! the final conversion out of Montgomery form fully reduces, so results
-//! are bit-for-bit the canonical `base^exp mod M` the scalar kernels
-//! produce.
+//! Every lane carries its own modulus: the modulus digits, `R² mod n`
+//! and `k0` are gathered per lane from each key's [`IfmaCtx1024`], so a
+//! call serves whatever signatures arrived, in arrival order, whichever
+//! keys they are under. One kernel body is instantiated at two widths —
+//! 8 lanes of a 512-bit vector and 4 lanes of a 256-bit one (`avx512vl`)
+//! — and [`modpow_f4`] picks by live count: a lone 512-bit call drops
+//! the core into a lower frequency licence that the scalar code around
+//! it then pays for, so up to four lanes are both cheaper and kinder to
+//! their neighbours on 256-bit vectors (DESIGN §8.1 has the
+//! measurements).
 //!
-//! Everything here is runtime-gated: [`available`] reports whether the
-//! CPU has AVX-512 IFMA, and `MontgomeryCtx::modpow_batch`
-//! (`crate::montgomery`) only routes full blocks of [`IFMA_LANES`] here
-//! when it does. On other architectures this module compiles to a stub
-//! that reports unavailability.
+//! The exponent is fixed at F4: into Montgomery form, sixteen dedicated
+//! squarings (cross products computed once and doubled), and one AMM by
+//! the *plain* base, which multiplies and leaves Montgomery form at once.
+//! Values travel the chain in the almost-reduced range `[0, 2M)` (valid
+//! because `R = 2^1040 > 4M` for a 1024-bit `M`); only the last step
+//! fully reduces, so results are bit-for-bit the canonical
+//! `base^65537 mod M` the scalar kernels produce.
+//!
+//! Everything here is runtime-gated: an [`IfmaCtx1024`] exists only on a
+//! CPU with AVX-512 IFMA, and `crate::montgomery::modpow_f4_lanes` routes
+//! here only lanes that hold one. On other architectures this module
+//! compiles to a stub that never yields a context.
 
 #[cfg(target_arch = "x86_64")]
-pub use imp::{available, IfmaCtx1024};
+pub use imp::{available, modpow_f4, vl_available, IfmaCtx1024};
 
 #[cfg(not(target_arch = "x86_64"))]
-pub use stub::{available, IfmaCtx1024};
+pub use stub::{available, modpow_f4, vl_available, IfmaCtx1024};
 
-/// Number of exponentiations carried per IFMA batch (one per 64-bit
-/// element of a 512-bit vector).
+/// Most exponentiations carried per kernel call (one per 64-bit element
+/// of a 512-bit vector).
 pub const IFMA_LANES: usize = 8;
+
+/// Live lanes at or below which a call runs on 256-bit vectors.
+pub const NARROW_LANES: usize = 4;
 
 /// Radix-2^52 digits in a 1024-bit operand (`ceil(1040 / 52)`).
 pub const DIGITS: usize = 20;
 
 #[cfg(target_arch = "x86_64")]
 mod imp {
-    use super::{DIGITS, IFMA_LANES};
+    use super::{DIGITS, IFMA_LANES, NARROW_LANES};
     use crate::bigint::BigUint;
-    use core::arch::x86_64::{
-        __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_madd52hi_epu64, _mm512_madd52lo_epu64,
-        _mm512_set1_epi64, _mm512_setzero_si512, _mm512_srli_epi64,
-    };
-    use std::cmp::Ordering;
 
     const MASK52: u64 = (1u64 << 52) - 1;
 
-    /// True when the running CPU can execute the IFMA kernels.
+    /// True when the running CPU can execute the 512-bit IFMA kernels.
     pub fn available() -> bool {
         std::arch::is_x86_feature_detected!("avx512f")
             && std::arch::is_x86_feature_detected!("avx512ifma")
     }
 
-    /// Per-modulus constants for the 8-lane 1024-bit IFMA path, derived
-    /// once per key (cached inside `MontgomeryCtx`).
+    /// True when the running CPU can also execute them on 256-bit vectors.
+    pub fn vl_available() -> bool {
+        available() && std::arch::is_x86_feature_detected!("avx512vl")
+    }
+
+    /// Per-modulus constants for the radix-2^52 lanes, derived once per
+    /// key (cached inside `MontgomeryCtx`). Holding one is the proof that
+    /// the CPU has AVX-512F + IFMA: [`IfmaCtx1024::new`] is the only
+    /// constructor and yields `None` elsewhere.
     pub struct IfmaCtx1024 {
         /// Modulus in radix-2^52.
         m: [u64; DIGITS],
@@ -64,9 +81,11 @@ mod imp {
         r2: [u64; DIGITS],
         /// `-m^{-1} mod 2^52`.
         k0: u64,
-        /// The modulus as a `BigUint` for the final exact reduction.
-        modulus: BigUint,
     }
+
+    /// One exponentiation: the key's constants and a base below its
+    /// modulus.
+    pub type Lane<'a> = (&'a IfmaCtx1024, &'a BigUint);
 
     /// Slices a little-endian u64 limb array into radix-2^52 digits.
     fn to_digits52(limbs: &[u64]) -> [u64; DIGITS] {
@@ -102,165 +121,454 @@ mod imp {
         BigUint { limbs }
     }
 
-    /// `__m512i` ↔ lane-array views (pure reinterpretation, no AVX
-    /// instruction involved).
-    fn lanes_of(v: __m512i) -> [u64; IFMA_LANES] {
-        // SAFETY: __m512i and [u64; 8] have identical size and layout.
-        unsafe { core::mem::transmute::<__m512i, [u64; IFMA_LANES]>(v) }
-    }
-
-    fn vec_of(lanes: [u64; IFMA_LANES]) -> __m512i {
-        // SAFETY: __m512i and [u64; 8] have identical size and layout.
-        unsafe { core::mem::transmute::<[u64; IFMA_LANES], __m512i>(lanes) }
+    /// `v -= m` when `v >= m`, on normalized radix-2^52 digits: the exact
+    /// reduction of an almost-reduced (`< 2m`) value.
+    fn reduce_once(v: &mut [u64; DIGITS], m: &[u64; DIGITS]) {
+        if v.iter().rev().lt(m.iter().rev()) {
+            return;
+        }
+        let mut borrow = 0u64;
+        for (d, md) in v.iter_mut().zip(m) {
+            let diff = d.wrapping_sub(*md).wrapping_sub(borrow);
+            borrow = diff >> 63;
+            *d = diff & MASK52;
+        }
+        debug_assert_eq!(borrow, 0);
     }
 
     impl IfmaCtx1024 {
-        /// Builds the constants for an odd 16-limb (1024-bit) modulus.
-        /// `n_prime64` is `-modulus^{-1} mod 2^64` from the scalar
-        /// Montgomery context; its low 52 bits are the radix-2^52
-        /// reduction factor.
-        pub fn new(modulus: &BigUint, n_prime64: u64) -> Self {
+        /// Builds the constants for an odd 16-limb (1024-bit) modulus, or
+        /// `None` when the CPU lacks AVX-512 IFMA. `n_prime64` is
+        /// `-modulus^{-1} mod 2^64` from the scalar Montgomery context;
+        /// its low 52 bits are the radix-2^52 reduction factor.
+        pub fn new(modulus: &BigUint, n_prime64: u64) -> Option<Self> {
             debug_assert_eq!(modulus.limbs.len(), 16);
-            let m = to_digits52(&modulus.limbs);
-            let r2_big = BigUint::one().shl(2 * 52 * DIGITS).rem(modulus);
-            let mut r2_limbs = r2_big.limbs.clone();
-            r2_limbs.resize(16, 0);
-            let r2 = to_digits52(&r2_limbs);
-            IfmaCtx1024 {
-                m,
-                r2,
+            if !available() {
+                return None;
+            }
+            let r2 = BigUint::one().shl(2 * 52 * DIGITS).rem(modulus);
+            Some(IfmaCtx1024 {
+                m: to_digits52(&modulus.limbs),
+                r2: to_digits52(&r2.limbs),
                 k0: n_prime64 & MASK52,
-                modulus: modulus.clone(),
-            }
-        }
-
-        /// Computes `bases[l]^exp mod m` for exactly [`IFMA_LANES`] bases,
-        /// each already reduced below the modulus. `exp` must be nonzero.
-        pub fn modpow8(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
-            debug_assert_eq!(bases.len(), IFMA_LANES);
-            debug_assert!(!exp.is_zero());
-            // SAFETY: callers only construct IfmaCtx1024 after
-            // `available()` confirmed AVX-512F + IFMA at runtime.
-            unsafe { self.modpow8_inner(bases, exp) }
-        }
-
-        // SAFETY: unsafe to *call* (not unsafe internally): the caller
-        // must guarantee the CPU supports AVX-512F + AVX-512 IFMA, as
-        // `modpow8` does by construction-gating on `available()`.
-        #[target_feature(enable = "avx512f,avx512ifma")]
-        unsafe fn modpow8_inner(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
-            let zero = _mm512_setzero_si512();
-
-            // Transpose the 8 operands into digit-major vectors: a[d]
-            // holds digit d of every lane.
-            let mut lane_digits = [[0u64; DIGITS]; IFMA_LANES];
-            for (l, base) in bases.iter().enumerate() {
-                debug_assert!(base.cmp_to(&self.modulus) == Ordering::Less);
-                let mut limbs = base.limbs.clone();
-                limbs.resize(16, 0);
-                lane_digits[l] = to_digits52(&limbs);
-            }
-            let a: [__m512i; DIGITS] = core::array::from_fn(|d| {
-                let mut lanes = [0u64; IFMA_LANES];
-                for (l, ld) in lane_digits.iter().enumerate() {
-                    lanes[l] = ld[d];
-                }
-                vec_of(lanes)
-            });
-
-            let m: [__m512i; DIGITS] =
-                core::array::from_fn(|d| _mm512_set1_epi64(self.m[d] as i64));
-            let r2: [__m512i; DIGITS] =
-                core::array::from_fn(|d| _mm512_set1_epi64(self.r2[d] as i64));
-            let k0 = _mm512_set1_epi64(self.k0 as i64);
-
-            // Into Montgomery form, then a left-to-right binary ladder
-            // (the same schedule as the scalar short-exponent path).
-            let base_m = amm(&a, &r2, &m, k0);
-            let mut acc = base_m;
-            let bits = exp.bit_len();
-            for i in (0..bits - 1).rev() {
-                acc = amm(&acc, &acc, &m, k0);
-                if exp.bit(i) {
-                    acc = amm(&acc, &base_m, &m, k0);
-                }
-            }
-
-            // Out of Montgomery form: multiply by 1.
-            let mut one = [zero; DIGITS];
-            one[0] = _mm512_set1_epi64(1);
-            let plain = amm(&acc, &one, &m, k0);
-
-            // Exact reduction per lane: AMM leaves values almost reduced.
-            (0..IFMA_LANES)
-                .map(|l| {
-                    let mut digits = [0u64; DIGITS];
-                    for (d, digit_vec) in plain.iter().enumerate() {
-                        digits[d] = lanes_of(*digit_vec)[l];
-                    }
-                    let mut v = from_digits52(&digits);
-                    while v.cmp_to(&self.modulus) != Ordering::Less {
-                        v = v.sub(&self.modulus);
-                    }
-                    v
-                })
-                .collect()
+            })
         }
     }
 
-    /// One almost-Montgomery multiplication over all 8 lanes:
-    /// `AMM(a, b) = a·b·2^(-52·DIGITS) mod m`, result in `[0, 2m)` with
-    /// normalized 52-bit digits. Inputs must have 52-bit digits and value
-    /// `< 2m`.
-    ///
-    /// Accumulators are redundant 64-bit containers: each of the `DIGITS`
-    /// rounds adds at most four sub-2^52 terms per container before the
-    /// one-digit shift, so containers peak well below 2^63 and no carry
-    /// propagates inside the hot loop.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    fn amm(
-        a: &[__m512i; DIGITS],
-        b: &[__m512i; DIGITS],
-        m: &[__m512i; DIGITS],
-        k0: __m512i,
-    ) -> [__m512i; DIGITS] {
-        let zero = _mm512_setzero_si512();
-        let mut r = [zero; DIGITS + 1];
-        for &bi in b.iter().take(DIGITS) {
-            // r += a * b[i]
-            for j in 0..DIGITS {
-                r[j] = _mm512_madd52lo_epu64(r[j], a[j], bi);
-                r[j + 1] = _mm512_madd52hi_epu64(r[j + 1], a[j], bi);
-            }
-            // y = r[0] · (-m^{-1}) mod 2^52; adding m·y zeroes the low
-            // digit (mod 2^52).
-            let y = _mm512_madd52lo_epu64(zero, r[0], k0);
-            for j in 0..DIGITS {
-                r[j] = _mm512_madd52lo_epu64(r[j], m[j], y);
-                r[j + 1] = _mm512_madd52hi_epu64(r[j + 1], m[j], y);
-            }
-            // Divide by 2^52: digit 0's container is ≡ 0 mod 2^52, so
-            // only its upper bits carry into the next digit.
-            let carry = _mm512_srli_epi64::<52>(r[0]);
-            r[0] = _mm512_add_epi64(r[1], carry);
-            for j in 1..DIGITS {
-                r[j] = r[j + 1];
-            }
-            r[DIGITS] = zero;
+    /// Computes `base^65537 mod n` for 1 to [`IFMA_LANES`] lanes in one
+    /// kernel call, each lane under its own key, results in lane order:
+    /// on 256-bit vectors for up to [`NARROW_LANES`] lanes where the CPU
+    /// has `avx512vl`, on 512-bit vectors otherwise. Lanes past the live
+    /// count compute on a copy of lane 0 and are dropped.
+    pub fn modpow_f4(lanes: &[Lane<'_>]) -> Vec<BigUint> {
+        debug_assert!((1..=IFMA_LANES).contains(&lanes.len()));
+        if lanes.len() <= NARROW_LANES && vl_available() {
+            // SAFETY: `vl_available()` just confirmed AVX-512F + IFMA +
+            // VL, the features the 256-bit body is compiled for.
+            unsafe { w256::modpow_f4(lanes) }
+        } else {
+            // SAFETY: every lane holds an `IfmaCtx1024`, which only
+            // exists after `available()` confirmed AVX-512F + IFMA.
+            unsafe { w512::modpow_f4(lanes) }
         }
-        // Renormalize the redundant containers to 52-bit digits.
-        let mask = _mm512_set1_epi64(MASK52 as i64);
-        let mut out = [zero; DIGITS];
-        let mut carry = zero;
-        for (j, slot) in out.iter_mut().enumerate() {
-            let v = _mm512_add_epi64(r[j], carry);
-            *slot = _mm512_and_si512(v, mask);
-            carry = _mm512_srli_epi64::<52>(v);
+    }
+
+    /// `$t[K] = $column::<K>($args..)` for each of the `2 * DIGITS` columns
+    /// of a square, in order — the compile-time loop `sqr` needs for its
+    /// column bounds to be constants.
+    macro_rules! each_square_column {
+        ($t:ident, $column:ident, $($arg:expr),*) => {
+            each_square_column!(@ $t, $column, ($($arg),*),
+                0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19
+                20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39);
+        };
+        (@ $t:ident, $column:ident, $args:tt, $($k:literal)*) => {
+            $( $t[$k] = $column::<$k> $args; )*
+        };
+    }
+
+    /// The kernel body at one vector width: `$lanes` 64-bit elements of
+    /// `$vec`, compiled for `$features`.
+    macro_rules! lane_kernels {
+        (
+            $width:ident, $vec:ident, $lanes:expr, $features:literal,
+            $setzero:ident, $set1:ident, $add:ident, $and:ident, $srli:ident,
+            $madd_lo:ident, $madd_hi:ident
+        ) => {
+            pub(super) mod $width {
+                use super::{from_digits52, reduce_once, to_digits52, Lane, MASK52};
+                use crate::bigint::BigUint;
+                use crate::ifma::DIGITS;
+                use core::arch::x86_64::{
+                    $add, $and, $madd_hi, $madd_lo, $set1, $setzero, $srli, $vec,
+                };
+
+                pub(super) const LANES: usize = $lanes;
+
+                /// One digit (or constant) of every lane.
+                pub(super) type V = $vec;
+
+                /// A value per lane, digit-major.
+                pub(super) type Digits = [V; DIGITS];
+
+                /// Vector ↔ lane-array views (pure reinterpretation, no
+                /// AVX instruction involved).
+                pub(super) fn lanes_of(v: V) -> [u64; LANES] {
+                    // SAFETY: the vector type and [u64; LANES] have
+                    // identical size and every bit pattern is valid in
+                    // both.
+                    unsafe { core::mem::transmute::<V, [u64; LANES]>(v) }
+                }
+
+                pub(super) fn vec_of(lanes: [u64; LANES]) -> V {
+                    // SAFETY: as in `lanes_of`.
+                    unsafe { core::mem::transmute::<[u64; LANES], V>(lanes) }
+                }
+
+                /// Transposes one radix-2^52 value per lane into
+                /// digit-major vectors: element `d` holds digit `d` of
+                /// every lane.
+                pub(super) fn gather<'a>(value: impl Fn(usize) -> &'a [u64; DIGITS]) -> Digits {
+                    core::array::from_fn(|d| vec_of(core::array::from_fn(|l| value(l)[d])))
+                }
+
+                /// Lane `l` of a digit-major value.
+                pub(super) fn scatter(v: &Digits, l: usize) -> [u64; DIGITS] {
+                    core::array::from_fn(|d| lanes_of(v[d])[l])
+                }
+
+                /// One Montgomery reduction round on the sliding window
+                /// `r`: adds the multiple of `m` that zeroes digit 0
+                /// (mod 2^52), divides by 2^52, and shifts `incoming` in
+                /// as the new top container. The shift is folded into
+                /// where each sum is written (a window shifted in place
+                /// compiles to a `memmove` call per round that keeps the
+                /// containers out of registers).
+                #[inline]
+                #[target_feature(enable = $features)]
+                fn reduce_round(
+                    r: &[V; DIGITS + 1],
+                    m: &Digits,
+                    k0: V,
+                    incoming: V,
+                ) -> [V; DIGITS + 1] {
+                    // y = r[0] · (-m^{-1}) mod 2^52.
+                    let y = $madd_lo($setzero(), r[0], k0);
+                    let mut out = [incoming; DIGITS + 1];
+                    for j in 0..DIGITS {
+                        out[j] = $madd_hi(r[j + 1], m[j], y);
+                    }
+                    for j in 1..DIGITS {
+                        out[j - 1] = $madd_lo(out[j - 1], m[j], y);
+                    }
+                    // Digit 0's container is ≡ 0 mod 2^52 once its low
+                    // half is in, so only its upper bits carry on.
+                    let carry = $srli::<52>($madd_lo(r[0], m[0], y));
+                    out[0] = $add(out[0], carry);
+                    out
+                }
+
+                /// Renormalizes the redundant containers of an
+                /// almost-reduced value to 52-bit digits.
+                #[inline]
+                #[target_feature(enable = $features)]
+                fn normalize(r: &[V; DIGITS + 1]) -> Digits {
+                    let mask = $set1(MASK52 as i64);
+                    let mut out = [$setzero(); DIGITS];
+                    let mut carry = $setzero();
+                    for (j, slot) in out.iter_mut().enumerate() {
+                        let v = $add(r[j], carry);
+                        *slot = $and(v, mask);
+                        carry = $srli::<52>(v);
+                    }
+                    // The value is < 2m < 2^1040, so nothing carries out
+                    // of the top digit.
+                    debug_assert_eq!(lanes_of(carry), [0u64; LANES]);
+                    out
+                }
+
+                /// One almost-Montgomery multiplication over all lanes:
+                /// `AMM(a, b) = a·b·2^(-52·DIGITS) mod m`, result in
+                /// `[0, 2m)` with normalized 52-bit digits. Inputs must
+                /// have 52-bit digits and value `< 2m`.
+                ///
+                /// Accumulators are redundant 64-bit containers: each of
+                /// the `DIGITS` rounds adds at most four sub-2^52 terms
+                /// per container before the one-digit shift, so
+                /// containers peak well below 2^63 and no carry
+                /// propagates inside the hot loop.
+                #[target_feature(enable = $features)]
+                pub(super) fn amm(a: &Digits, b: &Digits, m: &Digits, k0: V) -> Digits {
+                    let zero = $setzero();
+                    let mut r = [zero; DIGITS + 1];
+                    for &bi in b {
+                        for j in 0..DIGITS {
+                            r[j] = $madd_lo(r[j], a[j], bi);
+                            r[j + 1] = $madd_hi(r[j + 1], a[j], bi);
+                        }
+                        r = reduce_round(&r, m, k0, zero);
+                    }
+                    normalize(&r)
+                }
+
+                /// Column `K` of the 40-column square `a²`: every cross
+                /// product `a_i·a_j` (`i < j`, `i + j == K`) computed
+                /// once and the column doubled, plus the diagonal
+                /// `a_{K/2}²` — its low half on even columns, its high
+                /// half on odd ones. `hi_below` carries the high halves
+                /// of the cross products from column `K - 1` in and this
+                /// column's out. `K` is a constant so the pair loop
+                /// unrolls into straight-line code.
+                #[inline]
+                #[target_feature(enable = $features)]
+                fn square_column<const K: usize>(a: &Digits, hi_below: &mut V) -> V {
+                    // Both chains start from zero so that no column waits
+                    // for the one below it.
+                    let mut lo = $setzero();
+                    let mut hi = $setzero();
+                    for i in K.saturating_sub(DIGITS - 1)..K.div_ceil(2) {
+                        lo = $madd_lo(lo, a[i], a[K - i]);
+                        hi = $madd_hi(hi, a[i], a[K - i]);
+                    }
+                    let cross = $add(lo, *hi_below);
+                    *hi_below = hi;
+                    let doubled = $add(cross, cross);
+                    let d = a[K / 2];
+                    if K % 2 == 0 {
+                        $madd_lo(doubled, d, d)
+                    } else {
+                        $madd_hi(doubled, d, d)
+                    }
+                }
+
+                /// `AMM(a, a)` with about three quarters of the
+                /// multiplies: the 40-column square is product-scanned
+                /// ([`square_column`]), then the `DIGITS` reduction
+                /// rounds slide over the columns. Same contract and —
+                /// `R⁻¹`-multiples being unique — the same digits as
+                /// `amm(a, a, ..)`.
+                ///
+                /// A column takes at most 10 low and 10 high halves of
+                /// cross products (doubled: `< 40·2^52`), one diagonal
+                /// half, and 40 halves plus a carry from the reduction,
+                /// so containers stay below 2^60.
+                #[target_feature(enable = $features)]
+                pub(super) fn sqr(a: &Digits, m: &Digits, k0: V) -> Digits {
+                    let zero = $setzero();
+                    let mut t = [zero; 2 * DIGITS + 1];
+                    let mut hi_below = zero;
+                    each_square_column!(t, square_column, a, &mut hi_below);
+                    let mut r: [V; DIGITS + 1] = core::array::from_fn(|j| t[j]);
+                    for i in 0..DIGITS {
+                        r = reduce_round(&r, m, k0, t[i + DIGITS + 1]);
+                    }
+                    normalize(&r)
+                }
+
+                /// `base^65537 mod n` for `lanes.len()` (1..=LANES)
+                /// lanes; see [`super::modpow_f4`].
+                #[target_feature(enable = $features)]
+                pub(super) fn modpow_f4(lanes: &[Lane<'_>]) -> Vec<BigUint> {
+                    debug_assert!((1..=LANES).contains(&lanes.len()));
+                    // Dead lanes repeat lane 0: valid operands whose
+                    // results are never read.
+                    let lane = |l: usize| lanes.get(l).unwrap_or(&lanes[0]);
+                    let bases: [[u64; DIGITS]; LANES] =
+                        core::array::from_fn(|l| to_digits52(&lane(l).1.limbs));
+                    let a = gather(|l| &bases[l]);
+                    let m = gather(|l| &lane(l).0.m);
+                    let r2 = gather(|l| &lane(l).0.r2);
+                    let k0 = vec_of(core::array::from_fn(|l| lane(l).0.k0));
+
+                    // Into Montgomery form, 16 squarings, and the last
+                    // multiply by the plain base: a·R · a^65536·R · R⁻¹…
+                    // leaves a^65537 itself, almost reduced.
+                    let mut acc = amm(&a, &r2, &m, k0);
+                    for _ in 0..16 {
+                        acc = sqr(&acc, &m, k0);
+                    }
+                    let plain = amm(&acc, &a, &m, k0);
+
+                    lanes
+                        .iter()
+                        .enumerate()
+                        .map(|(l, (ctx, _))| {
+                            let mut digits = scatter(&plain, l);
+                            reduce_once(&mut digits, &ctx.m);
+                            from_digits52(&digits)
+                        })
+                        .collect()
+                }
+            }
+        };
+    }
+
+    lane_kernels!(
+        w512,
+        __m512i,
+        crate::ifma::IFMA_LANES,
+        "avx512f,avx512ifma",
+        _mm512_setzero_si512,
+        _mm512_set1_epi64,
+        _mm512_add_epi64,
+        _mm512_and_si512,
+        _mm512_srli_epi64,
+        _mm512_madd52lo_epu64,
+        _mm512_madd52hi_epu64
+    );
+
+    lane_kernels!(
+        w256,
+        __m256i,
+        crate::ifma::NARROW_LANES,
+        "avx512f,avx512ifma,avx512vl",
+        _mm256_setzero_si256,
+        _mm256_set1_epi64x,
+        _mm256_add_epi64,
+        _mm256_and_si256,
+        _mm256_srli_epi64,
+        _mm256_madd52lo_epu64,
+        _mm256_madd52hi_epu64
+    );
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::montgomery::MontgomeryCtx;
+
+        /// Deterministic 1024-bit values: xorshift bytes, top bit set.
+        fn pseudo(seed: u64) -> BigUint {
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut bytes = Vec::with_capacity(128);
+            for _ in 0..16 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                bytes.extend_from_slice(&x.to_be_bytes());
+            }
+            bytes[0] |= 0x80;
+            BigUint::from_bytes_be(&bytes)
         }
-        // The value is < 2m < 2^1040, so nothing carries out of the top
-        // digit.
-        debug_assert_eq!(lanes_of(carry), [0u64; IFMA_LANES]);
-        out
+
+        /// Eight distinct odd 1024-bit moduli with their contexts.
+        fn moduli() -> Vec<(BigUint, MontgomeryCtx)> {
+            (1..=8u64)
+                .map(|i| {
+                    let mut m = pseudo(i);
+                    m.limbs[0] |= 1;
+                    let ctx = MontgomeryCtx::new(&m);
+                    (m, ctx)
+                })
+                .collect()
+        }
+
+        /// The kernel-level laws, at one width.
+        macro_rules! width_tests {
+            ($width:ident, $have:expr, $what:literal) => {
+                mod $width {
+                    use super::super::$width::{
+                        amm, gather, modpow_f4, scatter, sqr, vec_of, LANES,
+                    };
+                    use super::super::{to_digits52, DIGITS};
+                    use super::{moduli, pseudo};
+                    use crate::bigint::BigUint;
+
+                    fn skip() -> bool {
+                        if !$have {
+                            eprintln!("skipping: this CPU lacks {}", $what);
+                        }
+                        !$have
+                    }
+
+                    #[test]
+                    fn squaring_matches_amm_digit_for_digit() {
+                        if skip() {
+                            return;
+                        }
+                        let keys = moduli();
+                        let ifma: Vec<_> = keys
+                            .iter()
+                            .map(|(_, c)| c.ifma_ctx().expect("ifma"))
+                            .collect();
+                        let m = gather(|l| &ifma[l].m);
+                        let k0 = vec_of(core::array::from_fn(|l| ifma[l].k0));
+                        let one = BigUint::one();
+                        for round in 0..4u64 {
+                            // Per lane: 0, 1, m - 1, the almost-reduced
+                            // 2m - 1, then random values below 2m.
+                            let operands: [[u64; DIGITS]; LANES] = core::array::from_fn(|l| {
+                                let modulus = &keys[l].0;
+                                let v = match (l + round as usize) % 8 {
+                                    0 => BigUint::zero(),
+                                    1 => one.clone(),
+                                    2 => modulus.sub(&one),
+                                    3 => modulus.shl(1).sub(&one),
+                                    _ => pseudo(100 * round + l as u64).rem(&modulus.shl(1)),
+                                };
+                                to_digits52(&v.limbs)
+                            });
+                            let a = gather(|l| &operands[l]);
+                            let (squared, multiplied) = unsafe {
+                                // SAFETY: `skip()` confirmed the features
+                                // both kernels are compiled for.
+                                (sqr(&a, &m, k0), amm(&a, &a, &m, k0))
+                            };
+                            for l in 0..LANES {
+                                assert_eq!(
+                                    scatter(&squared, l),
+                                    scatter(&multiplied, l),
+                                    "round {round} lane {l}"
+                                );
+                            }
+                        }
+                    }
+
+                    #[test]
+                    fn ladder_matches_scalar_modpow_at_every_live_count() {
+                        if skip() {
+                            return;
+                        }
+                        let keys = moduli();
+                        let f4 = BigUint::from_u64(65_537);
+                        let bases: Vec<BigUint> = keys
+                            .iter()
+                            .enumerate()
+                            .map(|(l, (m, _))| match l {
+                                0 => BigUint::zero(),
+                                1 => BigUint::one(),
+                                2 => m.sub(&BigUint::one()),
+                                _ => pseudo(7 + l as u64).rem(m),
+                            })
+                            .collect();
+                        for live in 1..=LANES {
+                            // Rotate so every key meets every lane and
+                            // lane 0 (which dead lanes copy) varies.
+                            let lanes: Vec<_> = (0..live)
+                                .map(|l| (l + live) % keys.len())
+                                .map(|k| (keys[k].1.ifma_ctx().expect("ifma"), &bases[k]))
+                                .collect();
+                            let got = unsafe {
+                                // SAFETY: `skip()` confirmed the features.
+                                modpow_f4(&lanes)
+                            };
+                            // Dead lanes never reach the results.
+                            assert_eq!(got.len(), live);
+                            for (l, g) in got.iter().enumerate() {
+                                let k = (l + live) % keys.len();
+                                assert_eq!(
+                                    *g,
+                                    keys[k].1.modpow(&bases[k], &f4),
+                                    "live {live} lane {l}"
+                                );
+                            }
+                        }
+                    }
+                }
+            };
+        }
+
+        width_tests!(w512, crate::ifma::available(), "avx512f + avx512ifma");
+        width_tests!(w256, crate::ifma::vl_available(), "avx512ifma + avx512vl");
     }
 }
 
@@ -273,19 +581,23 @@ mod stub {
         false
     }
 
-    /// Uninhabited on non-x86-64 targets: `available()` is false, so the
-    /// dispatcher never constructs one.
-    pub struct IfmaCtx1024 {
-        never: core::convert::Infallible,
+    /// As [`available`].
+    pub fn vl_available() -> bool {
+        false
     }
 
-    impl IfmaCtx1024 {
-        pub fn new(_modulus: &BigUint, _n_prime64: u64) -> Self {
-            unreachable!("IFMA context constructed on non-x86-64 target")
-        }
+    /// Uninhabited on non-x86-64 targets.
+    pub enum IfmaCtx1024 {}
 
-        pub fn modpow8(&self, _bases: &[BigUint], _exp: &BigUint) -> Vec<BigUint> {
-            match self.never {}
+    impl IfmaCtx1024 {
+        /// Never yields a context here.
+        pub fn new(_modulus: &BigUint, _n_prime64: u64) -> Option<Self> {
+            None
         }
+    }
+
+    /// No lane can exist, so there is nothing to compute.
+    pub fn modpow_f4(lanes: &[(&IfmaCtx1024, &BigUint)]) -> Vec<BigUint> {
+        lanes.iter().map(|(ctx, _)| match **ctx {}).collect()
     }
 }

@@ -27,7 +27,10 @@
 //! through interleaved variants of the fixed-width kernels: every inner
 //! step issues one multiply-accumulate per lane, and the lanes' carry
 //! chains are independent, so an out-of-order core overlaps their
-//! latencies instead of stalling on a single dependent chain.
+//! latencies instead of stalling on a single dependent chain. On an
+//! AVX-512 IFMA host the RSA-1024 verification case (`e = 65537`) goes
+//! to the vector lanes of [`crate::ifma`] instead, which take a
+//! different modulus in every lane (`modpow_f4_lanes`).
 //!
 //! # Constant-time posture (ROADMAP audit)
 //!
@@ -109,28 +112,26 @@ impl MontgomeryCtx {
         }
     }
 
-    /// The IFMA batch context for this modulus, built on first use;
-    /// `None` when the modulus is not 1024-bit or the CPU lacks AVX-512
-    /// IFMA.
-    fn ifma_ctx(&self) -> Option<&crate::ifma::IfmaCtx1024> {
+    /// The radix-2^52 lane constants for this modulus, built on first
+    /// use; `None` when the modulus is not 1024-bit or the CPU lacks
+    /// AVX-512 IFMA.
+    pub(crate) fn ifma_ctx(&self) -> Option<&crate::ifma::IfmaCtx1024> {
         self.ifma
             .get_or_init(|| {
-                if self.k() == 16 && crate::ifma::available() {
-                    Some(crate::ifma::IfmaCtx1024::new(&self.modulus(), self.n_prime))
-                } else {
-                    None
-                }
+                (self.k() == 16)
+                    .then(|| crate::ifma::IfmaCtx1024::new(&self.modulus(), self.n_prime))
+                    .flatten()
             })
             .as_ref()
     }
 
-    /// Human-readable name of the kernel [`Self::modpow_batch`] uses for
-    /// full-width batches on this host (for benchmark reports).
+    /// Human-readable name of the kernel batched F4 exponentiations
+    /// under this modulus run on, on this host (for benchmark reports).
     pub fn batch_kernel(&self) -> &'static str {
-        if self.ifma_ctx().is_some() {
-            "avx512-ifma-8-lane"
-        } else {
-            "interleaved-scalar"
+        match (self.ifma_ctx(), crate::ifma::vl_available()) {
+            (Some(_), true) => "avx512-ifma-any-key-8x512+4x256",
+            (Some(_), false) => "avx512-ifma-any-key-8x512",
+            (None, _) => "interleaved-scalar",
         }
     }
 
@@ -554,11 +555,11 @@ impl MontgomeryCtx {
     /// Computes `base^exp mod n` for every element of `bases`, bit-for-bit
     /// identical to calling [`Self::modpow`] per element.
     ///
-    /// Short exponents (the RSA verification case, `e = 65537`) at the
-    /// fixed RSA widths batch through the fastest kernel the host offers:
-    /// 8-lane AVX-512 IFMA for 1024-bit moduli on capable CPUs (see
-    /// [`crate::ifma`]), otherwise [`Self::BATCH_LANES`]-way interleaved
-    /// scalar kernels. Remainders and every other shape fall back to the
+    /// Short exponents (the RSA verification case) at the fixed RSA
+    /// widths batch through the fastest kernel the host offers: the
+    /// IFMA lanes of [`modpow_f4_lanes`] for `e = 65537` under a 1024-bit
+    /// modulus on capable CPUs, otherwise [`Self::BATCH_LANES`]-way
+    /// interleaved scalar kernels. Every other shape falls back to the
     /// scalar path, so callers never need to special-case batch size or
     /// modulus width.
     pub fn modpow_batch(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
@@ -566,39 +567,22 @@ impl MontgomeryCtx {
         let batchable = bases.len() >= 2 && (1..=SMALL_EXP_BITS).contains(&bits);
         match (batchable, self.k()) {
             (true, 8) => self.modpow_batch_fixed::<8>(bases, exp),
-            (true, 16) => match self.ifma_ctx() {
-                Some(_) => self.modpow_batch_ifma(bases, exp),
-                None => self.modpow_batch_fixed::<16>(bases, exp),
-            },
+            (true, 16) if exp.limbs == [F4] && self.ifma_ctx().is_some() => {
+                let modulus = self.modulus();
+                let reduced: Vec<BigUint> = bases
+                    .iter()
+                    .map(|b| match b.cmp_to(&modulus) {
+                        Ordering::Less => b.clone(),
+                        _ => b.rem(&modulus),
+                    })
+                    .collect();
+                let lanes: Vec<(&MontgomeryCtx, &BigUint)> =
+                    reduced.iter().map(|b| (self, b)).collect();
+                modpow_f4_lanes(&lanes)
+            }
+            (true, 16) => self.modpow_batch_fixed::<16>(bases, exp),
             _ => bases.iter().map(|b| self.modpow(b, exp)).collect(),
         }
-    }
-
-    /// IFMA batch path: full 8-lane blocks go through the AVX-512 kernel;
-    /// the tail reuses the interleaved scalar kernels.
-    fn modpow_batch_ifma(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
-        let ifma = self.ifma_ctx().expect("checked by dispatcher");
-        let modulus = self.modulus();
-        let mut out = Vec::with_capacity(bases.len());
-        let mut chunks = bases.chunks_exact(crate::ifma::IFMA_LANES);
-        for chunk in &mut chunks {
-            let reduced: Vec<BigUint> = chunk
-                .iter()
-                .map(|b| {
-                    if b.cmp_to(&modulus) == Ordering::Less {
-                        b.clone()
-                    } else {
-                        b.rem(&modulus)
-                    }
-                })
-                .collect();
-            out.extend(ifma.modpow8(&reduced, exp));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            out.extend(self.modpow_batch_fixed::<16>(rem, exp));
-        }
-        out
     }
 
     fn modpow_batch_fixed<const K: usize>(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
@@ -845,6 +829,38 @@ impl MontgomeryCtx {
     }
 }
 
+/// The RSA public exponent the IFMA lanes are specialized for.
+pub(crate) const F4: u64 = 65_537;
+
+/// Computes `base^65537 mod n` per lane, every lane under its own
+/// modulus, bit-for-bit identical to [`MontgomeryCtx::modpow`] per lane.
+/// Each base must be below its modulus.
+///
+/// Lanes fill kernel calls in the order given, [`IFMA_LANES`] to a call.
+/// A call left with a single lane runs the scalar kernel instead — one
+/// scalar exponentiation is cheaper than a vector call with one live
+/// lane — and so does a call holding a context without IFMA constants
+/// ([`MontgomeryCtx::ifma_ctx`]).
+///
+/// [`IFMA_LANES`]: crate::ifma::IFMA_LANES
+pub(crate) fn modpow_f4_lanes(lanes: &[(&MontgomeryCtx, &BigUint)]) -> Vec<BigUint> {
+    let mut out = Vec::with_capacity(lanes.len());
+    for call in lanes.chunks(crate::ifma::IFMA_LANES) {
+        let vector: Option<Vec<_>> = call
+            .iter()
+            .map(|(ctx, base)| Some((ctx.ifma_ctx()?, *base)))
+            .collect();
+        match vector {
+            Some(call) if call.len() > 1 => out.extend(crate::ifma::modpow_f4(&call)),
+            _ => {
+                let f4 = BigUint::from_u64(F4);
+                out.extend(call.iter().map(|(ctx, base)| ctx.modpow(base, &f4)));
+            }
+        }
+    }
+    out
+}
+
 fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
     debug_assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().rev().zip(b.iter().rev()) {
@@ -1004,8 +1020,11 @@ mod tests {
             let m = odd_modulus(limbs);
             let ctx = MontgomeryCtx::new(&m);
             assert_eq!(ctx.k(), limbs);
-            // Lengths covering the 4-lane chunks, the 2-lane remainder,
-            // and the scalar tail.
+            // Lengths covering the interleaved-scalar kernels' 2-lane
+            // chunks and scalar tail and, at 16 limbs on an IFMA host,
+            // every dispatch of `modpow_f4_lanes`: scalar at 1, one
+            // 256-bit call at 2-4, one 512-bit call at 5-8, and a full
+            // call plus a scalar tail at 9.
             for len in [0usize, 1, 2, 3, 4, 5, 6, 7, 9] {
                 let bases: Vec<BigUint> = (0..len).map(|i| pseudo_base(&m, i as u64 + 1)).collect();
                 let batch = ctx.modpow_batch(&bases, &e);

@@ -9,6 +9,7 @@
 
 use crate::bigint::BigUint;
 use crate::error::CryptoError;
+use crate::montgomery::{self, MontgomeryCtx};
 use crate::rsa::{PrivateKey, PublicKey};
 use crate::sha256;
 
@@ -104,8 +105,10 @@ fn finish_verify(
 
 /// One element of a [`verify_batch`] call.
 pub struct VerifyRequest<'a> {
-    /// Signer's public key. Requests sharing a key (by `(n, e)` value)
-    /// are exponentiated together through the interleaved lane kernels.
+    /// Signer's public key. On an IFMA host, requests under 1024-bit
+    /// F4 keys share kernel calls whatever their keys; other requests
+    /// sharing a key (by `(n, e)` value) are exponentiated together
+    /// through the interleaved lane kernels.
     pub key: &'a PublicKey,
     /// SHA-256 digest of the signed message.
     pub digest: [u8; sha256::DIGEST_LEN],
@@ -113,65 +116,79 @@ pub struct VerifyRequest<'a> {
     pub signature: &'a [u8],
 }
 
-/// Verifies a batch of signatures, amortizing each key's Montgomery
-/// context across its requests and interleaving independent modpows.
+/// The key's Montgomery context when its signatures can ride the
+/// any-key IFMA lanes: odd 1024-bit `n`, `e = 65537`, capable CPU.
+fn lane_ctx(key: &PublicKey) -> Option<&MontgomeryCtx> {
+    let ctx = key.mont_ctx()?;
+    (key.e.limbs == [montgomery::F4] && ctx.ifma_ctx().is_some()).then_some(ctx)
+}
+
+/// Verifies a batch of signatures through the widest kernel each request
+/// can use: the any-key IFMA lanes in request order where the key and
+/// the host allow, otherwise per key, amortizing the key's Montgomery
+/// context and interleaving independent modpows.
 ///
 /// Result `i` is exactly what
 /// `verify_prehashed(reqs[i].key, &reqs[i].digest, reqs[i].signature)`
 /// returns: a bad element fails alone without disturbing its neighbours,
 /// and every error variant and precedence matches the scalar path.
 pub fn verify_batch(reqs: &[VerifyRequest<'_>]) -> Vec<Result<(), CryptoError>> {
-    let mut results: Vec<Option<Result<(), CryptoError>>> = Vec::new();
-    results.resize_with(reqs.len(), || None);
+    // Default-deny: an element keeps this only if no kernel reports on it.
+    let mut results = vec![Err(CryptoError::Internal); reqs.len()];
 
-    // Group requests by key: `groups` holds (representative index, member
-    // indices). Batches are small (tens of requests over a handful of
-    // keys), so a linear scan beats hashing the moduli.
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    // Requests that pass the scalar path's structural checks, as
+    // (request index, s): lane-capable ones in request order, the rest
+    // grouped by key. Batches are small (tens of requests over a handful
+    // of keys), so a linear scan beats hashing the moduli.
+    let mut lanes: Vec<(usize, &MontgomeryCtx, BigUint)> = Vec::new();
+    let mut groups: Vec<(&PublicKey, Vec<usize>, Vec<BigUint>)> = Vec::new();
     for (i, req) in reqs.iter().enumerate() {
         let k = req.key.modulus_len();
         if req.signature.len() != k {
-            results[i] = Some(Err(CryptoError::SignatureLength {
+            results[i] = Err(CryptoError::SignatureLength {
                 expected: k,
                 got: req.signature.len(),
-            }));
+            });
             continue;
         }
-        match groups.iter_mut().find(|(rep, _)| reqs[*rep].key == req.key) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((i, vec![i])),
+        let s = BigUint::from_bytes_be(req.signature);
+        // The scalar path rejects s >= n before exponentiating.
+        if s.cmp_to(&req.key.n) != std::cmp::Ordering::Less {
+            results[i] = Err(CryptoError::MessageTooLarge);
+            continue;
+        }
+        if let Some(ctx) = lane_ctx(req.key) {
+            lanes.push((i, ctx, s));
+            continue;
+        }
+        match groups.iter_mut().find(|(key, ..)| *key == req.key) {
+            Some((_, members, bases)) => {
+                members.push(i);
+                bases.push(s);
+            }
+            None => groups.push((req.key, vec![i], vec![s])),
         }
     }
 
-    for (rep, members) in groups {
-        let key = reqs[rep].key;
-        let k = key.modulus_len();
-        // The scalar path rejects s >= n before exponentiating.
-        let mut bases = Vec::with_capacity(members.len());
-        let mut live = Vec::with_capacity(members.len());
-        for &i in &members {
-            let s = BigUint::from_bytes_be(reqs[i].signature);
-            if s.cmp_to(&key.n) != std::cmp::Ordering::Less {
-                results[i] = Some(Err(CryptoError::MessageTooLarge));
-            } else {
-                bases.push(s);
-                live.push(i);
-            }
-        }
+    let mut finish = |i: usize, m: &BigUint| {
+        results[i] = finish_verify(m, &reqs[i].digest, reqs[i].key.modulus_len());
+    };
+    let lane_inputs: Vec<_> = lanes.iter().map(|(_, ctx, s)| (*ctx, s)).collect();
+    let ms = montgomery::modpow_f4_lanes(&lane_inputs);
+    for ((i, ..), m) in lanes.iter().zip(&ms) {
+        finish(*i, m);
+    }
+    for (key, members, bases) in &groups {
         let ms: Vec<BigUint> = match key.mont_ctx() {
-            Some(ctx) => ctx.modpow_batch(&bases, &key.e),
+            Some(ctx) => ctx.modpow_batch(bases, &key.e),
             // Even/zero modulus: mirror `raw_encrypt`'s schoolbook fallback.
             None => bases.iter().map(|s| s.modpow(&key.e, &key.n)).collect(),
         };
-        for (m, &i) in ms.iter().zip(&live) {
-            results[i] = Some(finish_verify(m, &reqs[i].digest, k));
+        for (i, m) in members.iter().zip(&ms) {
+            finish(*i, m);
         }
     }
-
     results
-        .into_iter()
-        .map(|r| r.expect("every request resolved"))
-        .collect()
 }
 
 fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {

@@ -3,6 +3,11 @@
 //! Used as the message digest inside EMSA-PKCS1-v1_5 signatures and for
 //! content fingerprints in the TLC wire format. Streaming (`update`) and
 //! one-shot (`digest`) interfaces are provided.
+//!
+//! Blocks are compressed with the SHA extensions (`sha256rnds2`,
+//! `sha256msg1`, `sha256msg2`) where the CPU has them; the portable
+//! rounds are the fallback everywhere else and the oracle the tests hold
+//! the fast path to. [`kernel`] names the one in use.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -25,6 +30,45 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// Which block-compression routine a hasher runs. `ShaNi` is only ever
+/// produced by [`Kernel::detect`] (or a test) after the CPU probe said
+/// yes, which is what makes calling the `#[target_feature]` code sound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    ShaNi,
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU runs. `std` caches the CPUID probe, so
+    /// this is three relaxed loads per hasher.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sha")
+            && std::arch::is_x86_feature_detected!("ssse3")
+            && std::arch::is_x86_feature_detected!("sse4.1")
+        {
+            return Kernel::ShaNi;
+        }
+        Kernel::Portable
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Kernel::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi => "sha-ni",
+        }
+    }
+}
+
+/// Name of the compression kernel hashing runs on, on this host (for
+/// benchmark reports).
+pub fn kernel() -> &'static str {
+    Kernel::detect().name()
+}
+
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -32,6 +76,7 @@ pub struct Sha256 {
     buf: [u8; BLOCK_LEN],
     buf_len: usize,
     total_len: u64,
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
@@ -43,20 +88,26 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Fresh hasher with the FIPS initial state.
     pub fn new() -> Self {
+        Self::with_kernel(Kernel::detect())
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha256 {
             state: H0,
             buf: [0u8; BLOCK_LEN],
             buf_len: 0,
             total_len: 0,
+            kernel,
         }
     }
 
     /// Absorbs `data` into the hash state.
     ///
-    /// Aligned full blocks are compressed straight out of `data` — the
-    /// internal buffer is only touched for a partial leading block (left
-    /// over from a previous `update`) and the trailing remainder, so long
-    /// canonical encodings hash with no per-block copy.
+    /// All aligned full blocks are compressed straight out of `data` in
+    /// one kernel call — the internal buffer is only touched for a
+    /// partial leading block (left over from a previous `update`) and
+    /// the trailing remainder, so long canonical encodings hash with no
+    /// per-block copy.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
@@ -65,55 +116,62 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < BLOCK_LEN {
+                return;
             }
+            let block = self.buf;
+            self.compress(&block);
+            self.buf_len = 0;
         }
-        let mut blocks = rest.chunks_exact(BLOCK_LEN);
-        for block in &mut blocks {
-            let block: &[u8; BLOCK_LEN] = block.try_into().expect("exact chunk");
-            self.compress(block);
-        }
-        let rest = blocks.remainder();
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % BLOCK_LEN);
+        self.compress(blocks);
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes the hash, consuming the hasher.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+        // Padding, written in place: the buffered tail, 0x80, zeros, and
+        // the 64-bit big-endian bit length closing the first block with
+        // room for it — one block, or two when the tail runs past byte 55.
+        let mut pad = [0u8; 2 * BLOCK_LEN];
+        let tail = self.buf_len;
+        pad[..tail].copy_from_slice(&self.buf[..tail]);
+        pad[tail] = 0x80;
+        let end = if tail < BLOCK_LEN - 8 {
+            BLOCK_LEN
+        } else {
+            2 * BLOCK_LEN
+        };
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update_padding(&[0x80]);
-        while self.buf_len != 56 {
-            self.update_padding(&[0]);
-        }
-        self.update_padding(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        pad[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&pad[..end]);
+
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
 
-    /// `update` without advancing `total_len`, for the padding bytes only.
-    fn update_padding(&mut self, data: &[u8]) {
-        for &b in data {
-            self.buf[self.buf_len] = b;
-            self.buf_len += 1;
-            if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
+    /// Compresses `blocks` (a whole number of them) into the state.
+    fn compress(&mut self, blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % BLOCK_LEN, 0);
+        match self.kernel {
+            Kernel::Portable => compress_portable(&mut self.state, blocks),
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi => unsafe {
+                // SAFETY: `Kernel::ShaNi` exists only after the probe
+                // found sha + ssse3 + sse4.1 on this CPU (see `Kernel`).
+                compress_sha_ni(&mut self.state, blocks)
+            },
         }
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+/// The FIPS 180-4 rounds in portable Rust.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(BLOCK_LEN) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -126,7 +184,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -147,15 +205,73 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
+}
+
+/// The same rounds on the SHA extensions: four rounds per pair of
+/// `sha256rnds2`, the message schedule four words at a time through
+/// `sha256msg1`/`sha256msg2`. The instructions want the state as the
+/// two vectors `ABEF` and `CDGH` (high lane first).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    use core::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_loadu_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8,
+    };
+    let [a, b, c, d, e, f, g, h] = state.map(|w| w as i32);
+    let mut abef = _mm_set_epi32(a, b, e, f);
+    let mut cdgh = _mm_set_epi32(c, d, g, h);
+    // Big-endian message words to little-endian lanes.
+    let byte_swap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        // w[g % 4] holds schedule words 4g..4g+4 while round group g needs
+        // them, then is overwritten with those of group g + 4.
+        let mut w = [_mm_set_epi64x(0, 0); 4];
+        for g in 0..16 {
+            w[g % 4] = if g < 4 {
+                let words = unsafe {
+                    // SAFETY: `block` is 64 bytes, so bytes 16g..16g+16
+                    // are in bounds; `loadu` needs no alignment.
+                    _mm_loadu_si128(block.as_ptr().add(16 * g).cast())
+                };
+                _mm_shuffle_epi8(words, byte_swap)
+            } else {
+                // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16]
+                let (w16, w12, w8, w4) = (w[g % 4], w[(g + 1) % 4], w[(g + 2) % 4], w[(g + 3) % 4]);
+                let partial =
+                    _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12), _mm_alignr_epi8::<4>(w4, w8));
+                _mm_sha256msg2_epu32(partial, w4)
+            };
+            let k = unsafe {
+                // SAFETY: K has 64 words, so words 4g..4g+4 are in bounds.
+                _mm_loadu_si128(K.as_ptr().add(4 * g).cast::<__m128i>())
+            };
+            let wk = _mm_add_epi32(w[g % 4], k);
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    *state = [
+        _mm_extract_epi32::<3>(abef),
+        _mm_extract_epi32::<2>(abef),
+        _mm_extract_epi32::<3>(cdgh),
+        _mm_extract_epi32::<2>(cdgh),
+        _mm_extract_epi32::<1>(abef),
+        _mm_extract_epi32::<0>(abef),
+        _mm_extract_epi32::<1>(cdgh),
+        _mm_extract_epi32::<0>(cdgh),
+    ]
+    .map(|w| w as u32);
 }
 
 /// One-shot SHA-256.
@@ -241,6 +357,72 @@ mod tests {
         concat.extend_from_slice(c);
         assert_eq!(digest_parts(&[&a, &b, c]), digest(&concat));
         assert_eq!(digest_parts(&[]), digest(b""));
+    }
+
+    /// Every kernel this CPU can run, with a notice for the one it
+    /// cannot, so a log shows which paths a runner exercised.
+    fn kernels() -> Vec<Kernel> {
+        let mut all = vec![Kernel::Portable];
+        match Kernel::detect() {
+            Kernel::Portable => eprintln!("skipping the sha-ni kernel: this CPU lacks it"),
+            fast => all.push(fast),
+        }
+        all
+    }
+
+    fn digest_on(kernel: Kernel, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut h = Sha256::with_kernel(kernel);
+        for part in parts {
+            h.update(part);
+        }
+        h.finalize()
+    }
+
+    #[test]
+    fn nist_vectors_through_every_kernel() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ];
+        for kernel in kernels() {
+            for (msg, want) in vectors {
+                assert_eq!(hex(&digest_on(kernel, &[msg])), want, "{kernel:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_agree_on_every_length_and_every_two_part_split() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 7 + 3) as u8).collect();
+        for kernel in kernels() {
+            for len in 0..=data.len() {
+                let msg = &data[..len];
+                let want = digest_on(Kernel::Portable, &[msg]);
+                for split in 0..=len {
+                    let (a, b) = msg.split_at(split);
+                    assert_eq!(
+                        digest_on(kernel, &[a, b]),
+                        want,
+                        "{kernel:?} len {len} split {split}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

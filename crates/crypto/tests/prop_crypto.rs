@@ -230,3 +230,102 @@ proptest! {
         }
     }
 }
+
+/// The keys [`any_key_batch_matches_scalar_elementwise`] draws from,
+/// each with the private key that signs for it and 17 signatures made
+/// once. Two ordinary RSA-1024 keys ride the any-key lanes; the RSA-512
+/// key, the non-F4 exponent and the even modulus must each keep their
+/// per-key path. The last two reuse key 0's modulus (plus one, for the
+/// even one) and its signer: nothing verifies under them, which the
+/// batch has to report exactly as the scalar path does.
+struct PoolKey {
+    public: tlc_crypto::PublicKey,
+    verifies: bool,
+    sigs: Vec<Vec<u8>>,
+}
+
+const POOL_MSGS: usize = 17;
+
+fn pool_msg(i: usize) -> [u8; 3] {
+    [i as u8, 0x5A, 0xC3]
+}
+
+fn key_pool() -> &'static [PoolKey] {
+    use std::sync::OnceLock;
+    use tlc_crypto::PublicKey;
+    static POOL: OnceLock<Vec<PoolKey>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let (ka, kb) = cached_keys();
+        let small = KeyPair::generate_for_seed(512, 0x512).unwrap();
+        let a = &ka.public;
+        let odd_exponent = PublicKey::new(a.n.clone(), BigUint::from_u64(3));
+        let even_modulus = PublicKey::new(a.n.add(&BigUint::from_u64(1)), a.e.clone());
+        [
+            (ka.public.clone(), ka, true),
+            (kb.public.clone(), kb, true),
+            (small.public.clone(), &small, true),
+            (odd_exponent, ka, false),
+            (even_modulus, ka, false),
+        ]
+        .into_iter()
+        .map(|(public, signer, verifies)| PoolKey {
+            public,
+            verifies,
+            sigs: (0..POOL_MSGS)
+                .map(|i| pkcs1::sign(&signer.private, &pool_msg(i)).unwrap())
+                .collect(),
+        })
+        .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Whatever arrives — 1 to 17 requests over 1 to 4 of the pool's
+    /// keys in any interleaving, some with a flipped bit, a wrong length
+    /// or `s >= n` — element `i` of the batch is exactly
+    /// `verify_prehashed(reqs[i])`, and a bad element fails alone.
+    #[test]
+    fn any_key_batch_matches_scalar_elementwise(
+        n in 1usize..=POOL_MSGS,
+        first_key in 0usize..5,
+        key_count in 1usize..=4,
+        pick in proptest::collection::vec(0usize..4, POOL_MSGS),
+        corrupt in proptest::collection::vec(0u8..6, POOL_MSGS),
+        flip in proptest::collection::vec(any::<u8>(), POOL_MSGS),
+    ) {
+        let pool = key_pool();
+        let key_of = |i: usize| &pool[(first_key + pick[i] % key_count) % pool.len()];
+        let sigs: Vec<Vec<u8>> = (0..n)
+            .map(|i| {
+                let mut sig = key_of(i).sigs[i].clone();
+                match corrupt[i] {
+                    1 => {
+                        let idx = flip[i] as usize % sig.len();
+                        sig[idx] ^= 0x01; // bad signature, right length
+                    }
+                    2 => sig.truncate(sig.len() / 2), // wrong length
+                    3 => sig.fill(0xff),              // s >= n
+                    _ => {}
+                }
+                sig
+            })
+            .collect();
+        let reqs: Vec<pkcs1::VerifyRequest<'_>> = (0..n)
+            .map(|i| pkcs1::VerifyRequest {
+                key: &key_of(i).public,
+                digest: tlc_crypto::sha256::digest(&pool_msg(i)),
+                signature: &sigs[i],
+            })
+            .collect();
+        let batched = pkcs1::verify_batch(&reqs);
+        prop_assert_eq!(batched.len(), n);
+        for (i, req) in reqs.iter().enumerate() {
+            let scalar = pkcs1::verify_prehashed(req.key, &req.digest, req.signature);
+            prop_assert_eq!(&batched[i], &scalar, "element {}", i);
+            let untouched = !(1..=3).contains(&corrupt[i]);
+            prop_assert_eq!(batched[i].is_ok(), untouched && key_of(i).verifies, "element {}", i);
+        }
+    }
+}
