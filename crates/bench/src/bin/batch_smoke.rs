@@ -1,7 +1,8 @@
 //! CI smoke check for the batched verification plane: bounded iteration
 //! counts, no criterion baselines. Exercises the interleaved-lane RSA
 //! batch path, checks the batched results bit-for-bit against the scalar
-//! path, and prints the measured speedups. Exits nonzero on any mismatch.
+//! path, and prints the measured speedups; checks the CRT private-key
+//! operation against plain exponentiation. Exits nonzero on any mismatch.
 
 use std::time::Instant;
 use tlc_core::messages::{Nonce, PocMsg, NONCE_LEN};
@@ -11,7 +12,7 @@ use tlc_core::strategy::{Knowledge, OptimalStrategy, Role};
 use tlc_core::verify::service::VerifierService;
 use tlc_core::verify::{verify_poc, verify_poc_batch};
 use tlc_crypto::pkcs1::{self, VerifyRequest};
-use tlc_crypto::{sha256, KeyPair};
+use tlc_crypto::{sha256, BigUint, KeyPair};
 
 /// Signature-level check: `verify_batch` vs scalar `verify_prehashed`,
 /// returning (scalar ns/op, batch ns/op at batch size 128).
@@ -188,15 +189,28 @@ fn service_level() -> f64 {
     total as f64 / t0.elapsed().as_secs_f64()
 }
 
+/// Private-key check: the CRT operation — whichever kernel this host
+/// routes it to — against plain `c^d mod n`, over rotating messages.
+fn sign_level(kp: &KeyPair) {
+    for i in 0..64u64 {
+        let c = BigUint::from_bytes_be(&sha256::digest(&i.to_be_bytes()));
+        let key = &kp.private;
+        let (crt, plain) = (key.raw_decrypt(&c), key.raw_decrypt_no_crt(&c));
+        assert_eq!(crt, plain, "CRT/plain divergence at message {i}");
+    }
+}
+
 fn main() {
     // Which paths this runner exercises: the checks below hold on every
     // kernel, but only the ones named here were actually run.
     let probe = KeyPair::generate_for_seed(1024, 0x57_0CE).expect("keygen");
+    let sign_kernel = probe.private.sign_kernel();
     println!(
-        "kernels: batch {}, sha256 {}",
+        "kernels: sign {sign_kernel}, batch {}, sha256 {}",
         probe.public.mont_ctx().map_or("none", |c| c.batch_kernel()),
         sha256::kernel()
     );
+    sign_level(&probe);
 
     let (scalar_ns, batch_ns) = signature_level(8);
     println!(

@@ -17,11 +17,14 @@
 //! true cost, and the mean is reported alongside for comparison with the
 //! pre-optimization baseline, which was recorded as a plain mean.
 //!
-//! Signing is timed over a rotating set of distinct messages. Timing one
-//! fixed message lets the branch predictor learn the whole
-//! exponentiation (its branches follow the message representative) and
-//! reads ~20% low against what a negotiator pays, where every message
-//! is new; that figure is kept as `rsa1024_sign_fixed_msg_ns`.
+//! Signing is timed over a rotating set of distinct messages. On the
+//! scalar sliding-window kernel, timing one fixed message lets the
+//! branch predictor learn the whole exponentiation (its branches follow
+//! the message representative) and reads ~20% low against what a
+//! negotiator pays, where every message is new; that figure is kept as
+//! `rsa1024_sign_fixed_msg_ns`. The IFMA signing lanes run one operation
+//! sequence whatever the message, so there the two rows read alike;
+//! `sign_kernel` says which kernel the file was recorded on.
 
 use std::time::Instant;
 use tlc_bench::distinct_messages;
@@ -151,6 +154,7 @@ fn main() {
     // 3 is nine signatures: a full 8-lane call and a one-signature tail).
     // The same 64 proofs are cycled, so every batch carries real,
     // distinct signatures.
+    let sign_kernel = kp.private.sign_kernel();
     let batch_kernel = MontgomeryCtx::new(&ek.public.n).batch_kernel();
     let sha256_kernel = sha256::kernel();
     let mut batch_rows = Vec::new();
@@ -217,6 +221,7 @@ fn main() {
     );
     println!("  \"single_thread_pocs_per_hour\": {single_thread_pocs_per_hour:.0},");
     println!("  \"paper_pocs_per_hour\": 230000,");
+    println!("  \"sign_kernel\": \"{sign_kernel}\",");
     println!("  \"batch_kernel\": \"{batch_kernel}\",");
     println!("  \"sha256_kernel\": \"{sha256_kernel}\",");
     println!("  \"poc_verify_batched\": {{");

@@ -61,12 +61,13 @@ fn bench_crypto_reports_fresh_and_fixed_message_signing() {
 
 #[test]
 fn bench_crypto_names_its_kernels_and_the_one_poc_batch() {
-    // Every verify row depends on which kernels ran (IFMA lanes against
-    // interleaved scalar, SHA-NI against portable), and `batch_1` — one
+    // Every sign and verify row depends on which kernels ran (IFMA lanes
+    // against scalar, SHA-NI against portable), and `batch_1` — one
     // PoC's chain, the depth-1 verdict path — is the row the any-key
     // lanes exist for.
     let text = repo_file("BENCH_crypto.json");
     for row in [
+        "\"sign_kernel\":",
         "\"batch_kernel\":",
         "\"sha256_kernel\":",
         "\"batch_1\":",

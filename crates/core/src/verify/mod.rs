@@ -12,7 +12,7 @@
 
 use crate::messages::{self, MessageError, Nonce, PocDigests, PocMsg};
 use crate::plan::{charge_for, DataPlan, UsagePair};
-use std::collections::{HashSet, VecDeque};
+use std::hash::{BuildHasher, RandomState};
 use tlc_crypto::rng::RngSource;
 use tlc_crypto::{seal, CryptoError, PrivateKey, PublicKey};
 
@@ -183,50 +183,142 @@ pub fn unseal_poc(sealed: &[u8], verifier_key: &PrivateKey) -> Result<PocMsg, Me
 
 /// Default retention window of the replay cache: one charging cycle per
 /// hour for over a century for a single relationship, while bounding a
-/// long-running service at ~32 MiB of nonces per relationship.
+/// long-running service at 40 MiB per relationship once the window is
+/// full (32 MiB of nonce pairs plus an 8 MiB index over them).
 pub const DEFAULT_REPLAY_CAPACITY: usize = 1 << 20;
+
+/// Marks a free slot of [`ReplayWindow`]'s index.
+const NO_POS: u32 = u32::MAX;
+
+/// Slots in a new window's index (a power of two).
+const MIN_INDEX_SLOTS: usize = 8;
 
 /// The seen-nonce cache behind replay rejection: the `(edge, operator)`
 /// nonce pairs of accepted proofs, bounded — once `capacity` pairs are
 /// held, each insert evicts the *oldest* (deterministic FIFO).
+///
+/// Every pair is stored once, in `ring`; membership goes through an
+/// open-addressing table of ring positions (linear probing, at most half
+/// full, backward-shift deletion), so a held pair costs 32 bytes plus
+/// 8–16 of index.
 pub(crate) struct ReplayWindow {
-    seen: HashSet<(Nonce, Nonce)>,
-    /// Insertion order of `seen`, for FIFO eviction.
-    order: VecDeque<(Nonce, Nonce)>,
+    /// Held pairs; insertion order until full, then a ring whose oldest
+    /// pair sits at `head`.
+    ring: Vec<(Nonce, Nonce)>,
+    /// Once full: the position the next insert overwrites.
+    head: usize,
+    /// Ring position of the pair hashed to each slot, or [`NO_POS`].
+    /// Length is a power of two and at least `2 * ring.len()`.
+    index: Vec<u32>,
+    /// Keyed per window, so a peer choosing nonces cannot aim them at
+    /// one probe sequence.
+    hasher: RandomState,
     capacity: usize,
 }
 
 impl ReplayWindow {
     pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay cache needs at least one slot");
+        assert!(
+            capacity < NO_POS as usize,
+            "replay cache positions are indexed as u32"
+        );
         ReplayWindow {
-            seen: HashSet::new(),
-            order: VecDeque::new(),
+            ring: Vec::new(),
+            head: 0,
+            index: vec![NO_POS; MIN_INDEX_SLOTS],
+            hasher: RandomState::new(),
             capacity,
         }
     }
 
     pub(crate) fn contains(&self, poc: &PocMsg) -> bool {
-        self.seen.contains(&(poc.nonce_e, poc.nonce_o))
-    }
-
-    pub(crate) fn insert(&mut self, poc: &PocMsg) {
         let key = (poc.nonce_e, poc.nonce_o);
-        if self.order.len() == self.capacity {
-            if let Some(oldest) = self.order.pop_front() {
-                self.seen.remove(&oldest);
+        let mut slot = self.home_slot(&key);
+        loop {
+            match self.index[slot] {
+                NO_POS => return false,
+                pos if self.ring[pos as usize] == key => return true,
+                _ => slot = self.next_slot(slot),
             }
         }
-        self.seen.insert(key);
-        self.order.push_back(key);
+    }
+
+    /// Records an accepted proof's pair; callers have just seen
+    /// [`contains`](Self::contains) deny it.
+    pub(crate) fn insert(&mut self, poc: &PocMsg) {
+        let key = (poc.nonce_e, poc.nonce_o);
+        let pos = if self.ring.len() < self.capacity {
+            self.ring.push(key);
+            self.ring.len() - 1
+        } else {
+            let pos = self.head;
+            self.unindex(pos);
+            self.ring[pos] = key;
+            self.head = (pos + 1) % self.capacity;
+            pos
+        };
+        if 2 * self.ring.len() > self.index.len() {
+            self.index = vec![NO_POS; 2 * self.index.len()];
+            (0..self.ring.len()).for_each(|pos| self.index_pos(pos));
+        } else {
+            self.index_pos(pos);
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.order.len()
+        self.ring.len()
     }
 
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// The slot a pair's probe sequence starts at.
+    fn home_slot(&self, key: &(Nonce, Nonce)) -> usize {
+        self.hasher.hash_one(key) as usize & (self.index.len() - 1)
+    }
+
+    fn next_slot(&self, slot: usize) -> usize {
+        (slot + 1) & (self.index.len() - 1)
+    }
+
+    /// Enters ring position `pos` into the first free slot of its pair's
+    /// probe sequence (one exists: the index is at most half full).
+    fn index_pos(&mut self, pos: usize) {
+        let mut slot = self.home_slot(&self.ring[pos]);
+        while self.index[slot] != NO_POS {
+            slot = self.next_slot(slot);
+        }
+        self.index[slot] = pos as u32;
+    }
+
+    /// Removes ring position `pos` from the index, then closes the gap:
+    /// each later entry of the run moves back into the hole unless that
+    /// would put it before its own home slot, so no probe sequence ever
+    /// crosses a free slot it did not cross when the entry went in.
+    fn unindex(&mut self, pos: usize) {
+        let mask = self.index.len() - 1;
+        let mut hole = self.home_slot(&self.ring[pos]);
+        while self.index[hole] != pos as u32 {
+            if self.index[hole] == NO_POS {
+                debug_assert!(false, "held position {pos} missing from the index");
+                return;
+            }
+            hole = self.next_slot(hole);
+        }
+        let mut slot = self.next_slot(hole);
+        while self.index[slot] != NO_POS {
+            let home = self.home_slot(&self.ring[self.index[slot] as usize]);
+            // Cyclic distances back from `slot`: the entry may move iff
+            // its home is at or before the hole.
+            if (slot.wrapping_sub(home) & mask) >= (slot.wrapping_sub(hole) & mask) {
+                self.index[hole] = self.index[slot];
+                hole = slot;
+            }
+            slot = self.next_slot(slot);
+        }
+        self.index[hole] = NO_POS;
     }
 }
 
@@ -730,6 +822,165 @@ mod tests {
         let mut v_batch = primed();
         assert_eq!(v_batch.verify_batch(&batch), want);
         assert_eq!(v_batch.replay_window_len(), v_seq.replay_window_len());
+    }
+
+    /// The window [`ReplayWindow`] replaced — every pair held twice, in a
+    /// set and in a queue — kept as the oracle for its semantics.
+    struct ModelWindow {
+        seen: std::collections::HashSet<(Nonce, Nonce)>,
+        order: std::collections::VecDeque<(Nonce, Nonce)>,
+        capacity: usize,
+    }
+
+    impl ModelWindow {
+        fn contains(&self, poc: &PocMsg) -> bool {
+            self.seen.contains(&(poc.nonce_e, poc.nonce_o))
+        }
+
+        /// Returns the pair this insert evicted.
+        fn insert(&mut self, poc: &PocMsg) -> Option<(Nonce, Nonce)> {
+            let key = (poc.nonce_e, poc.nonce_o);
+            let mut evicted = None;
+            if self.order.len() == self.capacity {
+                evicted = self.order.pop_front();
+                if let Some(oldest) = &evicted {
+                    self.seen.remove(oldest);
+                }
+            }
+            self.seen.insert(key);
+            self.order.push_back(key);
+            evicted
+        }
+    }
+
+    /// A proof that is nothing but nonce pair number `id` (no signatures:
+    /// the window reads only the clear nonces). Ids `2k` and `2k + 1`
+    /// share their edge nonce.
+    fn pair(id: u64) -> PocMsg {
+        let plan = DataPlan::paper_default();
+        let (role, seq, usage, signature) = (Role::Edge, 1, 0, Vec::new());
+        let mut nonce_e = [0u8; 16];
+        nonce_e[4..12].copy_from_slice(&(id / 2).to_be_bytes());
+        PocMsg {
+            role,
+            plan,
+            charge: 0,
+            cda: crate::messages::CdaMsg {
+                role,
+                plan,
+                seq,
+                nonce: nonce_e,
+                usage,
+                peer_cdr: crate::messages::CdrMsg {
+                    role,
+                    plan,
+                    seq,
+                    nonce: nonce_e,
+                    usage,
+                    signature: signature.clone(),
+                },
+                signature: signature.clone(),
+            },
+            nonce_e,
+            nonce_o: [(id % 2) as u8; 16],
+            signature,
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn replay_window_matches_the_set_and_queue_it_replaced(
+            steps in proptest::collection::vec(proptest::prelude::any::<u64>(), 1200..1600),
+        ) {
+            for capacity in [1usize, 2, 3, 7, 8, 64] {
+                let mut window = ReplayWindow::new(capacity);
+                let mut model = ModelWindow {
+                    seen: Default::default(),
+                    order: Default::default(),
+                    capacity,
+                };
+                // Ids handed out so far; `evicted` are those pushed out.
+                let mut fresh = 0u64;
+                let mut evicted: Vec<(Nonce, Nonce)> = Vec::new();
+                let of = |(nonce_e, nonce_o): (Nonce, Nonce)| PocMsg {
+                    nonce_e,
+                    nonce_o,
+                    ..pair(0)
+                };
+                for &step in &steps {
+                    let pick = (step >> 8) as usize;
+                    let poc = match step % 4 {
+                        2 if !model.order.is_empty() => of(model.order[pick % model.order.len()]),
+                        3 if !evicted.is_empty() => of(evicted[pick % evicted.len()]),
+                        _ => {
+                            fresh += 1;
+                            pair(fresh)
+                        }
+                    };
+                    let held = model.contains(&poc);
+                    proptest::prop_assert_eq!(window.contains(&poc), held);
+                    // As the verifiers do: only a pair just denied goes in.
+                    if !held && step & 0x30 != 0 {
+                        window.insert(&poc);
+                        let out = model.insert(&poc);
+                        // Eviction order: exactly the model's oldest left,
+                        // and its new oldest and newest are held.
+                        let ends = model.order.front().into_iter().chain(model.order.back());
+                        for probe in out.iter().chain(ends) {
+                            let probe = of(*probe);
+                            proptest::prop_assert_eq!(
+                                window.contains(&probe),
+                                model.contains(&probe)
+                            );
+                        }
+                        evicted.extend(out);
+                    }
+                    proptest::prop_assert_eq!(window.len(), model.order.len());
+                    proptest::prop_assert!(window.index.len() >= 2 * window.len());
+                }
+                for id in 1..=fresh {
+                    let poc = pair(id);
+                    let (got, want) = (window.contains(&poc), model.contains(&poc));
+                    proptest::prop_assert_eq!(got, want, "id {}", id);
+                }
+                // Long enough to mean something: the ring wrapped several
+                // times and the index outgrew its first allocation.
+                proptest::prop_assert!(fresh as usize > 4 * capacity);
+                let grown = (2 * capacity).next_power_of_two().max(MIN_INDEX_SLOTS);
+                proptest::prop_assert_eq!(window.index.len(), grown);
+            }
+        }
+    }
+
+    #[test]
+    fn eviction_shifts_a_probe_run_back_across_the_index_wrap() {
+        // Three pairs whose probe sequences all start at the last slot of
+        // the 8-slot index fill slots 7, 0 and 1. Evicting the first must
+        // move the other two back — one of them from slot 0 to slot 7 —
+        // or their lookups would stop at the freed slot.
+        let mut window = ReplayWindow::new(3);
+        let last = MIN_INDEX_SLOTS - 1;
+        fn homed(w: &ReplayWindow, slot: usize) -> impl Iterator<Item = PocMsg> + '_ {
+            (1..)
+                .map(pair)
+                .filter(move |p| w.home_slot(&(p.nonce_e, p.nonce_o)) == slot)
+        }
+        let run: Vec<PocMsg> = homed(&window, last).take(3).collect();
+        let elsewhere = homed(&window, 3).next().unwrap();
+        run.iter().for_each(|p| window.insert(p));
+        let slots = |w: &ReplayWindow| [w.index[last], w.index[0], w.index[1], w.index[2]];
+        assert_eq!(slots(&window), [0, 1, 2, NO_POS]);
+
+        window.insert(&elsewhere);
+        assert_eq!(slots(&window), [1, 2, NO_POS, NO_POS]);
+        assert_eq!(
+            window.index[3], 0,
+            "the newcomer took the evicted ring position"
+        );
+        assert!(!window.contains(&run[0]));
+        assert!(window.contains(&run[1]) && window.contains(&run[2]));
+        assert!(window.contains(&elsewhere));
+        assert_eq!(window.len(), 3);
     }
 
     #[test]

@@ -1,45 +1,66 @@
-//! Multi-lane `base^65537 mod n` for 1024-bit moduli using AVX-512 IFMA
-//! (`vpmadd52{lo,hi}uq`), one key per lane.
+//! Multi-lane modular exponentiation on AVX-512 IFMA
+//! (`vpmadd52{lo,hi}uq`), one modulus per lane: `base^65537 mod n` for
+//! 1024-bit moduli (signature verification, up to eight keys per call)
+//! and `base^exp mod p` for a pair of 512-bit moduli (the two CRT halves
+//! of one RSA-1024 private-key operation).
 //!
 //! This is the multi-buffer RSA technique from Gueron & Krasnov's
 //! vectorized modular arithmetic line of work: operands are recoded into
-//! radix-2^52 (20 digits for a 1024-bit modulus), independent
-//! exponentiations ride in the 64-bit elements of a vector, and every
-//! digit-by-digit product uses the 52-bit fused multiply-add
+//! radix-2^52 (20 digits for a 1024-bit modulus, 10 for a 512-bit one),
+//! independent exponentiations ride in the 64-bit elements of a vector,
+//! and every digit-by-digit product uses the 52-bit fused multiply-add
 //! instructions. The almost-Montgomery multiplication (AMM) step keeps
 //! per-digit accumulators in redundant (unnormalized) 64-bit containers
 //! so no carry propagates inside the hot loop; one short vectorized
 //! carry-propagation pass renormalizes per AMM.
 //!
 //! Every lane carries its own modulus: the modulus digits, `R² mod n`
-//! and `k0` are gathered per lane from each key's [`IfmaCtx1024`], so a
-//! call serves whatever signatures arrived, in arrival order, whichever
-//! keys they are under. One kernel body is instantiated at two widths —
-//! 8 lanes of a 512-bit vector and 4 lanes of a 256-bit one (`avx512vl`)
-//! — and [`modpow_f4`] picks by live count: a lone 512-bit call drops
-//! the core into a lower frequency licence that the scalar code around
-//! it then pays for, so up to four lanes are both cheaper and kinder to
-//! their neighbours on 256-bit vectors (DESIGN §8.1 has the
-//! measurements).
+//! and `k0` are gathered per lane from each modulus's [`IfmaCtx`], so a
+//! verification call serves whatever signatures arrived, in arrival
+//! order, whichever keys they are under, and a signing call holds `p` in
+//! one lane and `q` in the other. One kernel body (`lane_kernels!`) is
+//! instantiated three times — 8 lanes of a 512-bit vector and 4 lanes of
+//! a 256-bit one (`avx512vl`) at 20 digits, 2 lanes of a 128-bit one at
+//! 10 — and each instantiation is closed by the ladder it serves.
 //!
-//! The exponent is fixed at F4: into Montgomery form, sixteen dedicated
-//! squarings (cross products computed once and doubled), and one AMM by
-//! the *plain* base, which multiplies and leaves Montgomery form at once.
-//! Values travel the chain in the almost-reduced range `[0, 2M)` (valid
-//! because `R = 2^1040 > 4M` for a 1024-bit `M`); only the last step
-//! fully reduces, so results are bit-for-bit the canonical
-//! `base^65537 mod M` the scalar kernels produce.
+//! **Verification** (`f4_ladder!`, [`modpow_f4`]) picks its width by
+//! live count: a lone 512-bit call drops the core into a lower frequency
+//! licence that the scalar code around it then pays for, so up to four
+//! lanes are both cheaper and kinder to their neighbours on 256-bit
+//! vectors (DESIGN §8.1 has the measurements). The exponent is fixed at
+//! F4: into Montgomery form, sixteen dedicated squarings (cross products
+//! computed once and doubled), and one AMM by the *plain* base, which
+//! multiplies and leaves Montgomery form at once.
 //!
-//! Everything here is runtime-gated: an [`IfmaCtx1024`] exists only on a
-//! CPU with AVX-512 IFMA, and `crate::montgomery::modpow_f4_lanes` routes
-//! here only lanes that hold one. On other architectures this module
-//! compiles to a stub that never yields a context.
+//! **Signing** (`crt_ladder!`, `modpow_crt`) takes an exponent per lane
+//! as well: a 32-entry table of powers per lane, then 103 fixed 5-bit
+//! windows of five squarings and one table multiplication each — the
+//! zero window included, so the instruction sequence is the same for
+//! every exponent, though the table entries read are not. It stays on
+//! 128-bit vectors and squares with the plain AMM; both are measured
+//! choices (DESIGN §8.2), not omissions.
+//!
+//! Values travel a chain in the almost-reduced range `[0, 2M)` (valid
+//! because `R > 4M`: `2^1040` for a 1024-bit `M`, `2^520` for a 512-bit
+//! one); only the last step fully reduces, so results are bit-for-bit
+//! the canonical powers the scalar kernels produce.
+//!
+//! Everything here is runtime-gated: an [`IfmaCtx`] exists only on a CPU
+//! with the features its kernel is compiled for, `crate::montgomery`
+//! routes to [`modpow_f4`] only lanes that hold one, and
+//! `PrivateKey::raw_decrypt` takes the signing lanes only when both
+//! primes do. On other architectures this module compiles to a stub that
+//! never yields a context.
 
 #[cfg(target_arch = "x86_64")]
-pub use imp::{available, modpow_f4, vl_available, IfmaCtx1024};
+pub(crate) use imp::modpow_crt;
+#[cfg(target_arch = "x86_64")]
+pub use imp::{available, modpow_f4, vl_available, IfmaCtx};
 
 #[cfg(not(target_arch = "x86_64"))]
-pub use stub::{available, modpow_f4, vl_available, IfmaCtx1024};
+pub(crate) use stub::modpow_crt;
+#[cfg(not(target_arch = "x86_64"))]
+pub use stub::{available, modpow_f4, vl_available, IfmaCtx};
 
 /// Most exponentiations carried per kernel call (one per 64-bit element
 /// of a 512-bit vector).
@@ -48,12 +69,34 @@ pub const IFMA_LANES: usize = 8;
 /// Live lanes at or below which a call runs on 256-bit vectors.
 pub const NARROW_LANES: usize = 4;
 
+/// Exponentiations carried by the signing ladder: the two CRT halves of
+/// one private-key operation, one per 64-bit element of a 128-bit vector.
+pub(crate) const CRT_LANES: usize = 2;
+
 /// Radix-2^52 digits in a 1024-bit operand (`ceil(1040 / 52)`).
 pub const DIGITS: usize = 20;
 
+/// Radix-2^52 digits in a 512-bit operand — an RSA-1024 CRT prime
+/// (`R = 2^520`).
+pub(crate) const HALF_DIGITS: usize = 10;
+
+/// Lane constants for a 1024-bit modulus (the verification lanes).
+pub type IfmaCtx1024 = IfmaCtx<DIGITS>;
+
+/// Lane constants for a 512-bit modulus (the signing lanes).
+pub(crate) type IfmaCtx512 = IfmaCtx<HALF_DIGITS>;
+
+/// One exponentiation of the signing ladder: the prime's constants, a
+/// base below the prime and an exponent of at most 512 bits.
+pub(crate) type ExpLane<'a> = (
+    &'a IfmaCtx512,
+    &'a crate::bigint::BigUint,
+    &'a crate::bigint::BigUint,
+);
+
 #[cfg(target_arch = "x86_64")]
 mod imp {
-    use super::{DIGITS, IFMA_LANES, NARROW_LANES};
+    use super::{ExpLane, CRT_LANES, DIGITS, HALF_DIGITS, IFMA_LANES, NARROW_LANES};
     use crate::bigint::BigUint;
 
     const MASK52: u64 = (1u64 << 52) - 1;
@@ -64,32 +107,34 @@ mod imp {
             && std::arch::is_x86_feature_detected!("avx512ifma")
     }
 
-    /// True when the running CPU can also execute them on 256-bit vectors.
+    /// True when the running CPU can also execute them on 256- and
+    /// 128-bit vectors.
     pub fn vl_available() -> bool {
         available() && std::arch::is_x86_feature_detected!("avx512vl")
     }
 
-    /// Per-modulus constants for the radix-2^52 lanes, derived once per
-    /// key (cached inside `MontgomeryCtx`). Holding one is the proof that
-    /// the CPU has AVX-512F + IFMA: [`IfmaCtx1024::new`] is the only
-    /// constructor and yields `None` elsewhere.
-    pub struct IfmaCtx1024 {
+    /// Per-modulus constants for the radix-2^52 lanes at `D` digits,
+    /// derived once per modulus (cached inside `MontgomeryCtx`). Holding
+    /// one is the proof that the CPU has the features its kernel is
+    /// compiled for: the `new` of each width is the only constructor and
+    /// yields `None` elsewhere.
+    pub struct IfmaCtx<const D: usize> {
         /// Modulus in radix-2^52.
-        m: [u64; DIGITS],
-        /// `2^(2·52·DIGITS) mod m` in radix-2^52: the Montgomery-entry
-        /// constant for `R = 2^1040`.
-        r2: [u64; DIGITS],
+        m: [u64; D],
+        /// `2^(2·52·D) mod m` in radix-2^52: the Montgomery-entry
+        /// constant for `R = 2^(52·D)`.
+        r2: [u64; D],
         /// `-m^{-1} mod 2^52`.
         k0: u64,
     }
 
-    /// One exponentiation: the key's constants and a base below its
+    /// One F4 exponentiation: the key's constants and a base below its
     /// modulus.
-    pub type Lane<'a> = (&'a IfmaCtx1024, &'a BigUint);
+    pub type Lane<'a> = (&'a IfmaCtx<DIGITS>, &'a BigUint);
 
     /// Slices a little-endian u64 limb array into radix-2^52 digits.
-    fn to_digits52(limbs: &[u64]) -> [u64; DIGITS] {
-        let mut out = [0u64; DIGITS];
+    fn to_digits52<const D: usize>(limbs: &[u64]) -> [u64; D] {
+        let mut out = [0u64; D];
         for (d, digit) in out.iter_mut().enumerate() {
             let bit = 52 * d;
             let idx = bit / 64;
@@ -104,8 +149,8 @@ mod imp {
     }
 
     /// Reassembles radix-2^52 digits into a normalized `BigUint`.
-    fn from_digits52(digits: &[u64; DIGITS]) -> BigUint {
-        let mut limbs = vec![0u64; (52 * DIGITS).div_ceil(64)];
+    fn from_digits52<const D: usize>(digits: &[u64; D]) -> BigUint {
+        let mut limbs = vec![0u64; (52 * D).div_ceil(64)];
         for (d, &digit) in digits.iter().enumerate() {
             let bit = 52 * d;
             let idx = bit / 64;
@@ -123,7 +168,7 @@ mod imp {
 
     /// `v -= m` when `v >= m`, on normalized radix-2^52 digits: the exact
     /// reduction of an almost-reduced (`< 2m`) value.
-    fn reduce_once(v: &mut [u64; DIGITS], m: &[u64; DIGITS]) {
+    fn reduce_once<const D: usize>(v: &mut [u64; D], m: &[u64; D]) {
         if v.iter().rev().lt(m.iter().rev()) {
             return;
         }
@@ -136,22 +181,36 @@ mod imp {
         debug_assert_eq!(borrow, 0);
     }
 
-    impl IfmaCtx1024 {
-        /// Builds the constants for an odd 16-limb (1024-bit) modulus, or
-        /// `None` when the CPU lacks AVX-512 IFMA. `n_prime64` is
-        /// `-modulus^{-1} mod 2^64` from the scalar Montgomery context;
-        /// its low 52 bits are the radix-2^52 reduction factor.
-        pub fn new(modulus: &BigUint, n_prime64: u64) -> Option<Self> {
-            debug_assert_eq!(modulus.limbs.len(), 16);
-            if !available() {
-                return None;
-            }
-            let r2 = BigUint::one().shl(2 * 52 * DIGITS).rem(modulus);
-            Some(IfmaCtx1024 {
+    impl<const D: usize> IfmaCtx<D> {
+        /// The constants for an odd modulus below `2^(52·D - 8)`.
+        /// `n_prime64` is `-modulus^{-1} mod 2^64` from the scalar
+        /// Montgomery context; its low 52 bits are the radix-2^52
+        /// reduction factor.
+        fn derive(modulus: &BigUint, n_prime64: u64) -> Self {
+            let r2 = BigUint::one().shl(2 * 52 * D).rem(modulus);
+            IfmaCtx {
                 m: to_digits52(&modulus.limbs),
                 r2: to_digits52(&r2.limbs),
                 k0: n_prime64 & MASK52,
-            })
+            }
+        }
+    }
+
+    impl IfmaCtx<DIGITS> {
+        /// Builds the constants for an odd 16-limb (1024-bit) modulus, or
+        /// `None` when the CPU lacks AVX-512 IFMA.
+        pub fn new(modulus: &BigUint, n_prime64: u64) -> Option<Self> {
+            debug_assert_eq!(modulus.limbs.len(), 16);
+            available().then(|| Self::derive(modulus, n_prime64))
+        }
+    }
+
+    impl IfmaCtx<HALF_DIGITS> {
+        /// Builds the constants for an odd 8-limb (512-bit) modulus, or
+        /// `None` when the CPU lacks AVX-512 IFMA on 128-bit vectors.
+        pub(crate) fn new(modulus: &BigUint, n_prime64: u64) -> Option<Self> {
+            debug_assert_eq!(modulus.limbs.len(), 8);
+            vl_available().then(|| Self::derive(modulus, n_prime64))
         }
     }
 
@@ -173,9 +232,42 @@ mod imp {
         }
     }
 
+    /// Computes `base^exp mod m` for both lanes in one kernel call, each
+    /// lane under its own 512-bit modulus and its own exponent — the two
+    /// CRT halves of an RSA-1024 private-key operation. Results are
+    /// bit-for-bit `MontgomeryCtx::modpow`'s.
+    pub(crate) fn modpow_crt(lanes: &[ExpLane<'_>; CRT_LANES]) -> [BigUint; CRT_LANES] {
+        // SAFETY: every lane holds an `IfmaCtx512`, which only exists
+        // after `vl_available()` confirmed AVX-512F + IFMA + VL, the
+        // features the 128-bit body is compiled for.
+        unsafe { w128::modpow_crt(lanes) }
+    }
+
+    /// Exponent bits consumed per step of the signing ladder.
+    const WINDOW_BITS: usize = 5;
+
+    /// Powers held per lane: one for every value of a window.
+    const TABLE: usize = 1 << WINDOW_BITS;
+
+    /// Windows in the signing ladder: enough for any exponent below a
+    /// 512-bit modulus, walked in full whatever the exponents' lengths.
+    const WINDOWS: usize = 512usize.div_ceil(WINDOW_BITS);
+
+    /// Window `w` (bits `5w..5w + 5`) of a little-endian exponent.
+    fn window(exp: &BigUint, w: usize) -> usize {
+        let bit = WINDOW_BITS * w;
+        let idx = bit / 64;
+        let off = bit % 64;
+        let mut v = exp.limbs.get(idx).copied().unwrap_or(0) >> off;
+        if off > 64 - WINDOW_BITS {
+            v |= exp.limbs.get(idx + 1).copied().unwrap_or(0) << (64 - off);
+        }
+        v as usize % TABLE
+    }
+
     /// `$t[K] = $column::<K>($args..)` for each of the `2 * DIGITS` columns
-    /// of a square, in order — the compile-time loop `sqr` needs for its
-    /// column bounds to be constants.
+    /// of a 20-digit square, in order — the compile-time loop `sqr` needs
+    /// for its column bounds to be constants.
     macro_rules! each_square_column {
         ($t:ident, $column:ident, $($arg:expr),*) => {
             each_square_column!(@ $t, $column, ($($arg),*),
@@ -187,23 +279,26 @@ mod imp {
         };
     }
 
-    /// The kernel body at one vector width: `$lanes` 64-bit elements of
-    /// `$vec`, compiled for `$features`.
+    /// The kernel body at one vector width and operand size: `$lanes`
+    /// 64-bit elements of `$vec`, `$digits` radix-2^52 digits, compiled
+    /// for `$features`, closed by the exponentiation `$ladder` that
+    /// instantiation serves.
     macro_rules! lane_kernels {
         (
-            $width:ident, $vec:ident, $lanes:expr, $features:literal,
+            $width:ident, $vec:ident, $lanes:expr, $digits:expr, $features:literal,
             $setzero:ident, $set1:ident, $add:ident, $and:ident, $srli:ident,
-            $madd_lo:ident, $madd_hi:ident
+            $madd_lo:ident, $madd_hi:ident, $ladder:ident
         ) => {
             pub(super) mod $width {
-                use super::{from_digits52, reduce_once, to_digits52, Lane, MASK52};
+                use super::{from_digits52, reduce_once, to_digits52, MASK52};
                 use crate::bigint::BigUint;
-                use crate::ifma::DIGITS;
                 use core::arch::x86_64::{
                     $add, $and, $madd_hi, $madd_lo, $set1, $setzero, $srli, $vec,
                 };
 
                 pub(super) const LANES: usize = $lanes;
+
+                pub(super) const DIGITS: usize = $digits;
 
                 /// One digit (or constant) of every lane.
                 pub(super) type V = $vec;
@@ -281,8 +376,8 @@ mod imp {
                         *slot = $and(v, mask);
                         carry = $srli::<52>(v);
                     }
-                    // The value is < 2m < 2^1040, so nothing carries out
-                    // of the top digit.
+                    // The value is < 2m < 2^(52·DIGITS), so nothing
+                    // carries out of the top digit.
                     debug_assert_eq!(lanes_of(carry), [0u64; LANES]);
                     out
                 }
@@ -311,94 +406,168 @@ mod imp {
                     normalize(&r)
                 }
 
-                /// Column `K` of the 40-column square `a²`: every cross
-                /// product `a_i·a_j` (`i < j`, `i + j == K`) computed
-                /// once and the column doubled, plus the diagonal
-                /// `a_{K/2}²` — its low half on even columns, its high
-                /// half on odd ones. `hi_below` carries the high halves
-                /// of the cross products from column `K - 1` in and this
-                /// column's out. `K` is a constant so the pair loop
-                /// unrolls into straight-line code.
-                #[inline]
-                #[target_feature(enable = $features)]
-                fn square_column<const K: usize>(a: &Digits, hi_below: &mut V) -> V {
-                    // Both chains start from zero so that no column waits
-                    // for the one below it.
-                    let mut lo = $setzero();
-                    let mut hi = $setzero();
-                    for i in K.saturating_sub(DIGITS - 1)..K.div_ceil(2) {
-                        lo = $madd_lo(lo, a[i], a[K - i]);
-                        hi = $madd_hi(hi, a[i], a[K - i]);
-                    }
-                    let cross = $add(lo, *hi_below);
-                    *hi_below = hi;
-                    let doubled = $add(cross, cross);
-                    let d = a[K / 2];
-                    if K % 2 == 0 {
-                        $madd_lo(doubled, d, d)
-                    } else {
-                        $madd_hi(doubled, d, d)
-                    }
+                $ladder!($features, $setzero, $add, $madd_lo, $madd_hi);
+            }
+        };
+    }
+
+    /// The verification ladder on top of a 20-digit kernel body: a
+    /// dedicated squaring and `base^65537`.
+    macro_rules! f4_ladder {
+        ($features:literal, $setzero:ident, $add:ident, $madd_lo:ident, $madd_hi:ident) => {
+            /// Column `K` of the 40-column square `a²`: every cross
+            /// product `a_i·a_j` (`i < j`, `i + j == K`) computed
+            /// once and the column doubled, plus the diagonal
+            /// `a_{K/2}²` — its low half on even columns, its high
+            /// half on odd ones. `hi_below` carries the high halves
+            /// of the cross products from column `K - 1` in and this
+            /// column's out. `K` is a constant so the pair loop
+            /// unrolls into straight-line code.
+            #[inline]
+            #[target_feature(enable = $features)]
+            fn square_column<const K: usize>(a: &Digits, hi_below: &mut V) -> V {
+                // Both chains start from zero so that no column waits
+                // for the one below it.
+                let mut lo = $setzero();
+                let mut hi = $setzero();
+                for i in K.saturating_sub(DIGITS - 1)..K.div_ceil(2) {
+                    lo = $madd_lo(lo, a[i], a[K - i]);
+                    hi = $madd_hi(hi, a[i], a[K - i]);
+                }
+                let cross = $add(lo, *hi_below);
+                *hi_below = hi;
+                let doubled = $add(cross, cross);
+                let d = a[K / 2];
+                if K % 2 == 0 {
+                    $madd_lo(doubled, d, d)
+                } else {
+                    $madd_hi(doubled, d, d)
+                }
+            }
+
+            /// `AMM(a, a)` with about three quarters of the
+            /// multiplies: the 40-column square is product-scanned
+            /// ([`square_column`]), then the `DIGITS` reduction
+            /// rounds slide over the columns. Same contract and —
+            /// `R⁻¹`-multiples being unique — the same digits as
+            /// `amm(a, a, ..)`.
+            ///
+            /// A column takes at most 10 low and 10 high halves of
+            /// cross products (doubled: `< 40·2^52`), one diagonal
+            /// half, and 40 halves plus a carry from the reduction,
+            /// so containers stay below 2^60.
+            #[target_feature(enable = $features)]
+            pub(super) fn sqr(a: &Digits, m: &Digits, k0: V) -> Digits {
+                let zero = $setzero();
+                let mut t = [zero; 2 * DIGITS + 1];
+                let mut hi_below = zero;
+                each_square_column!(t, square_column, a, &mut hi_below);
+                let mut r: [V; DIGITS + 1] = core::array::from_fn(|j| t[j]);
+                for i in 0..DIGITS {
+                    r = reduce_round(&r, m, k0, t[i + DIGITS + 1]);
+                }
+                normalize(&r)
+            }
+
+            /// `base^65537 mod n` for `lanes.len()` (1..=LANES)
+            /// lanes; see [`super::modpow_f4`].
+            #[target_feature(enable = $features)]
+            pub(super) fn modpow_f4(lanes: &[super::Lane<'_>]) -> Vec<BigUint> {
+                debug_assert!((1..=LANES).contains(&lanes.len()));
+                // Dead lanes repeat lane 0: valid operands whose
+                // results are never read.
+                let lane = |l: usize| lanes.get(l).unwrap_or(&lanes[0]);
+                let bases: [[u64; DIGITS]; LANES] =
+                    core::array::from_fn(|l| to_digits52(&lane(l).1.limbs));
+                let a = gather(|l| &bases[l]);
+                let m = gather(|l| &lane(l).0.m);
+                let r2 = gather(|l| &lane(l).0.r2);
+                let k0 = vec_of(core::array::from_fn(|l| lane(l).0.k0));
+
+                // Into Montgomery form, 16 squarings, and the last
+                // multiply by the plain base: a·R · a^65536·R · R⁻¹…
+                // leaves a^65537 itself, almost reduced.
+                let mut acc = amm(&a, &r2, &m, k0);
+                for _ in 0..16 {
+                    acc = sqr(&acc, &m, k0);
+                }
+                let plain = amm(&acc, &a, &m, k0);
+
+                lanes
+                    .iter()
+                    .enumerate()
+                    .map(|(l, (ctx, _))| {
+                        let mut digits = scatter(&plain, l);
+                        reduce_once(&mut digits, &ctx.m);
+                        from_digits52(&digits)
+                    })
+                    .collect()
+            }
+        };
+    }
+
+    /// The signing ladder on top of a kernel body: `base^exp` with a
+    /// modulus and an exponent per lane, by fixed windows. Squarings are
+    /// `amm(a, a)`: at 10 digits on 128-bit vectors a call is bound by
+    /// the serial chain through its reduction rounds, which `amm`
+    /// overlaps with the next row's multiplies and a product-scanned
+    /// `sqr` cannot (DESIGN §8.2 has the measurement).
+    macro_rules! crt_ladder {
+        ($features:literal, $setzero:ident, $add:ident, $madd_lo:ident, $madd_hi:ident) => {
+            use super::{window, TABLE, WINDOWS, WINDOW_BITS};
+
+            /// The table entry each lane's window names, lane by lane.
+            /// Entries are addressed directly: which ones a lane reads
+            /// depends on its exponent (see the posture note in
+            /// `montgomery.rs`).
+            #[inline]
+            fn select(table: &[Digits; TABLE], idx: [usize; LANES]) -> Digits {
+                core::array::from_fn(|d| {
+                    vec_of(core::array::from_fn(|l| lanes_of(table[idx[l]][d])[l]))
+                })
+            }
+
+            /// `base^exp mod m` per lane; see [`super::modpow_crt`].
+            /// Every call runs the same `amm` sequence — the table,
+            /// then five squarings and one multiplication per window,
+            /// zero windows included — whatever the exponents are.
+            #[target_feature(enable = $features)]
+            pub(super) fn modpow_crt(lanes: &[super::ExpLane<'_>; LANES]) -> [BigUint; LANES] {
+                debug_assert!(lanes
+                    .iter()
+                    .all(|(_, _, exp)| exp.bit_len() <= WINDOWS * WINDOW_BITS));
+                let bases: [[u64; DIGITS]; LANES] =
+                    core::array::from_fn(|l| to_digits52(&lanes[l].1.limbs));
+                let a = gather(|l| &bases[l]);
+                let m = gather(|l| &lanes[l].0.m);
+                let r2 = gather(|l| &lanes[l].0.r2);
+                let k0 = vec_of(core::array::from_fn(|l| lanes[l].0.k0));
+                let mut one = [$setzero(); DIGITS];
+                one[0] = vec_of([1; LANES]);
+
+                // table[i] = base^i in Montgomery form: R, a·R, a²·R, …
+                let mut table = [one; TABLE];
+                table[0] = amm(&r2, &one, &m, k0);
+                table[1] = amm(&a, &r2, &m, k0);
+                for i in 2..TABLE {
+                    table[i] = amm(&table[i - 1], &table[1], &m, k0);
                 }
 
-                /// `AMM(a, a)` with about three quarters of the
-                /// multiplies: the 40-column square is product-scanned
-                /// ([`square_column`]), then the `DIGITS` reduction
-                /// rounds slide over the columns. Same contract and —
-                /// `R⁻¹`-multiples being unique — the same digits as
-                /// `amm(a, a, ..)`.
-                ///
-                /// A column takes at most 10 low and 10 high halves of
-                /// cross products (doubled: `< 40·2^52`), one diagonal
-                /// half, and 40 halves plus a carry from the reduction,
-                /// so containers stay below 2^60.
-                #[target_feature(enable = $features)]
-                pub(super) fn sqr(a: &Digits, m: &Digits, k0: V) -> Digits {
-                    let zero = $setzero();
-                    let mut t = [zero; 2 * DIGITS + 1];
-                    let mut hi_below = zero;
-                    each_square_column!(t, square_column, a, &mut hi_below);
-                    let mut r: [V; DIGITS + 1] = core::array::from_fn(|j| t[j]);
-                    for i in 0..DIGITS {
-                        r = reduce_round(&r, m, k0, t[i + DIGITS + 1]);
+                let digits = |w: usize| core::array::from_fn(|l| window(lanes[l].2, w));
+                let mut acc = select(&table, digits(WINDOWS - 1));
+                for w in (0..WINDOWS - 1).rev() {
+                    for _ in 0..WINDOW_BITS {
+                        acc = amm(&acc, &acc, &m, k0);
                     }
-                    normalize(&r)
+                    acc = amm(&acc, &select(&table, digits(w)), &m, k0);
                 }
-
-                /// `base^65537 mod n` for `lanes.len()` (1..=LANES)
-                /// lanes; see [`super::modpow_f4`].
-                #[target_feature(enable = $features)]
-                pub(super) fn modpow_f4(lanes: &[Lane<'_>]) -> Vec<BigUint> {
-                    debug_assert!((1..=LANES).contains(&lanes.len()));
-                    // Dead lanes repeat lane 0: valid operands whose
-                    // results are never read.
-                    let lane = |l: usize| lanes.get(l).unwrap_or(&lanes[0]);
-                    let bases: [[u64; DIGITS]; LANES] =
-                        core::array::from_fn(|l| to_digits52(&lane(l).1.limbs));
-                    let a = gather(|l| &bases[l]);
-                    let m = gather(|l| &lane(l).0.m);
-                    let r2 = gather(|l| &lane(l).0.r2);
-                    let k0 = vec_of(core::array::from_fn(|l| lane(l).0.k0));
-
-                    // Into Montgomery form, 16 squarings, and the last
-                    // multiply by the plain base: a·R · a^65536·R · R⁻¹…
-                    // leaves a^65537 itself, almost reduced.
-                    let mut acc = amm(&a, &r2, &m, k0);
-                    for _ in 0..16 {
-                        acc = sqr(&acc, &m, k0);
-                    }
-                    let plain = amm(&acc, &a, &m, k0);
-
-                    lanes
-                        .iter()
-                        .enumerate()
-                        .map(|(l, (ctx, _))| {
-                            let mut digits = scatter(&plain, l);
-                            reduce_once(&mut digits, &ctx.m);
-                            from_digits52(&digits)
-                        })
-                        .collect()
-                }
+                // Out of Montgomery form, then the one exact reduction.
+                let plain = amm(&acc, &one, &m, k0);
+                core::array::from_fn(|l| {
+                    let mut digits = scatter(&plain, l);
+                    reduce_once(&mut digits, &lanes[l].0.m);
+                    from_digits52(&digits)
+                })
             }
         };
     }
@@ -407,6 +576,7 @@ mod imp {
         w512,
         __m512i,
         crate::ifma::IFMA_LANES,
+        crate::ifma::DIGITS,
         "avx512f,avx512ifma",
         _mm512_setzero_si512,
         _mm512_set1_epi64,
@@ -414,13 +584,15 @@ mod imp {
         _mm512_and_si512,
         _mm512_srli_epi64,
         _mm512_madd52lo_epu64,
-        _mm512_madd52hi_epu64
+        _mm512_madd52hi_epu64,
+        f4_ladder
     );
 
     lane_kernels!(
         w256,
         __m256i,
         crate::ifma::NARROW_LANES,
+        crate::ifma::DIGITS,
         "avx512f,avx512ifma,avx512vl",
         _mm256_setzero_si256,
         _mm256_set1_epi64x,
@@ -428,7 +600,24 @@ mod imp {
         _mm256_and_si256,
         _mm256_srli_epi64,
         _mm256_madd52lo_epu64,
-        _mm256_madd52hi_epu64
+        _mm256_madd52hi_epu64,
+        f4_ladder
+    );
+
+    lane_kernels!(
+        w128,
+        __m128i,
+        crate::ifma::CRT_LANES,
+        crate::ifma::HALF_DIGITS,
+        "avx512f,avx512ifma,avx512vl",
+        _mm_setzero_si128,
+        _mm_set1_epi64x,
+        _mm_add_epi64,
+        _mm_and_si128,
+        _mm_srli_epi64,
+        _mm_madd52lo_epu64,
+        _mm_madd52hi_epu64,
+        crt_ladder
     );
 
     #[cfg(test)]
@@ -569,11 +758,146 @@ mod imp {
 
         width_tests!(w512, crate::ifma::available(), "avx512f + avx512ifma");
         width_tests!(w256, crate::ifma::vl_available(), "avx512ifma + avx512vl");
+
+        /// The signing lanes: two 512-bit moduli, 10 digits, 128-bit
+        /// vectors.
+        mod w128 {
+            use super::super::w128::{amm, gather, modpow_crt, scatter, vec_of, DIGITS, LANES};
+            use super::super::{from_digits52, reduce_once, to_digits52};
+            use super::pseudo;
+            use crate::bigint::BigUint;
+            use crate::montgomery::MontgomeryCtx;
+
+            fn skip() -> bool {
+                let have = crate::ifma::vl_available();
+                if !have {
+                    eprintln!("skipping: this CPU lacks avx512ifma + avx512vl");
+                }
+                !have
+            }
+
+            /// Two distinct odd moduli of exactly 512 bits, one per lane.
+            fn moduli() -> [(BigUint, MontgomeryCtx); LANES] {
+                core::array::from_fn(|l| {
+                    let mut m = pseudo(40 + l as u64).shr(512);
+                    m.limbs[0] |= 1;
+                    assert_eq!(m.bit_len(), 512);
+                    let ctx = MontgomeryCtx::new(&m);
+                    (m, ctx)
+                })
+            }
+
+            #[test]
+            fn amm_matches_bigint_arithmetic_under_two_moduli() {
+                if skip() {
+                    return;
+                }
+                let keys = moduli();
+                let ifma = keys
+                    .each_ref()
+                    .map(|(_, c)| c.ifma_crt_ctx().expect("ifma"));
+                let m = gather(|l| &ifma[l].m);
+                let k0 = vec_of(ifma.map(|c| c.k0));
+                let one = BigUint::one();
+                // R⁻¹ mod m per lane, R = 2^(52·DIGITS).
+                let r_inv = keys.each_ref().map(|(modulus, _)| {
+                    let r = one.shl(52 * DIGITS).rem(modulus);
+                    r.modinv(modulus).expect("odd modulus")
+                });
+                // 0, 1, m - 1, the almost-reduced 2m - 1, then random
+                // values below 2m; the lanes walk the list out of step.
+                let operand = |l: usize, i: usize| {
+                    let modulus = &keys[l].0;
+                    match i % 7 {
+                        0 => BigUint::zero(),
+                        1 => one.clone(),
+                        2 => modulus.sub(&one),
+                        3 => modulus.shl(1).sub(&one),
+                        _ => pseudo(1000 * l as u64 + i as u64).rem(&modulus.shl(1)),
+                    }
+                };
+                for i in 0..7 {
+                    for j in 0..7 {
+                        let a: [BigUint; LANES] = core::array::from_fn(|l| operand(l, i + l));
+                        let b: [BigUint; LANES] = core::array::from_fn(|l| operand(l, j + 3 * l));
+                        let a52 = a.each_ref().map(|v| to_digits52::<DIGITS>(&v.limbs));
+                        let b52 = b.each_ref().map(|v| to_digits52::<DIGITS>(&v.limbs));
+                        let product = unsafe {
+                            // SAFETY: `skip()` confirmed the features the
+                            // kernel is compiled for.
+                            amm(&gather(|l| &a52[l]), &gather(|l| &b52[l]), &m, k0)
+                        };
+                        for l in 0..LANES {
+                            let modulus = &keys[l].0;
+                            let mut got = scatter(&product, l);
+                            let almost = from_digits52(&got);
+                            assert!(
+                                almost.cmp_to(&modulus.shl(1)).is_lt(),
+                                "({i}, {j}) lane {l}"
+                            );
+                            reduce_once(&mut got, &ifma[l].m);
+                            let want = a[l].mul(&b[l]).rem(modulus).mul_mod(&r_inv[l], modulus);
+                            assert_eq!(from_digits52(&got), want, "({i}, {j}) lane {l}");
+                        }
+                    }
+                }
+            }
+
+            #[test]
+            fn ladder_matches_scalar_modpow_with_an_exponent_per_lane() {
+                if skip() {
+                    return;
+                }
+                let keys = moduli();
+                let one = BigUint::one();
+                // Lengths the two lanes never share: 512 and 509 bits,
+                // 17 bits, 1, and 0 (whose power is 1).
+                let exponents = [
+                    pseudo(71).shr(512),
+                    pseudo(72).shr(515),
+                    BigUint::from_u64(0x1_2345),
+                    one.clone(),
+                    BigUint::zero(),
+                ];
+                assert_eq!(exponents[0].bit_len(), 512);
+                assert_eq!(exponents[1].bit_len(), 509);
+                for (e, _) in exponents.iter().enumerate() {
+                    for b in 0..4 {
+                        let exps: [&BigUint; LANES] =
+                            core::array::from_fn(|l| &exponents[(e + l) % exponents.len()]);
+                        let bases: [BigUint; LANES] = core::array::from_fn(|l| {
+                            let modulus = &keys[l].0;
+                            match (b + l) % 4 {
+                                0 => BigUint::zero(),
+                                1 => one.clone(),
+                                2 => modulus.sub(&one),
+                                _ => pseudo(90 + (4 * e + b) as u64).rem(modulus),
+                            }
+                        });
+                        let lanes = core::array::from_fn(|l| {
+                            (keys[l].1.ifma_crt_ctx().expect("ifma"), &bases[l], exps[l])
+                        });
+                        let got = unsafe {
+                            // SAFETY: `skip()` confirmed the features.
+                            modpow_crt(&lanes)
+                        };
+                        for l in 0..LANES {
+                            assert_eq!(
+                                got[l],
+                                keys[l].1.modpow(&bases[l], exps[l]),
+                                "exponent {e} base {b} lane {l}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
 mod stub {
+    use super::{ExpLane, CRT_LANES, DIGITS};
     use crate::bigint::BigUint;
 
     /// IFMA is an x86-64 extension; never available elsewhere.
@@ -587,9 +911,9 @@ mod stub {
     }
 
     /// Uninhabited on non-x86-64 targets.
-    pub enum IfmaCtx1024 {}
+    pub enum IfmaCtx<const D: usize> {}
 
-    impl IfmaCtx1024 {
+    impl<const D: usize> IfmaCtx<D> {
         /// Never yields a context here.
         pub fn new(_modulus: &BigUint, _n_prime64: u64) -> Option<Self> {
             None
@@ -597,7 +921,12 @@ mod stub {
     }
 
     /// No lane can exist, so there is nothing to compute.
-    pub fn modpow_f4(lanes: &[(&IfmaCtx1024, &BigUint)]) -> Vec<BigUint> {
+    pub fn modpow_f4(lanes: &[(&IfmaCtx<DIGITS>, &BigUint)]) -> Vec<BigUint> {
         lanes.iter().map(|(ctx, _)| match **ctx {}).collect()
+    }
+
+    /// As [`modpow_f4`].
+    pub(crate) fn modpow_crt(lanes: &[ExpLane<'_>; CRT_LANES]) -> [BigUint; CRT_LANES] {
+        match *lanes[0].0 {}
     }
 }

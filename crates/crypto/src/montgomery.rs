@@ -53,6 +53,42 @@
 //! hardened ladder (fixed-window with masked table access, branchless
 //! final subtraction, constant-trip carry loops); see DESIGN.md §8 for
 //! the deployment note.
+//!
+//! **Private-key operations on the IFMA signing lanes**
+//! ([`crate::ifma`], taken by `PrivateKey::raw_decrypt` when both CRT
+//! primes are 8 limbs and the CPU has AVX-512 IFMA + VL) change part of
+//! this and only part:
+//!
+//! * *What changed.* The sequence of operations no longer follows the
+//!   exponent's bits: a fixed 5-bit window, 103 windows whatever `dp`
+//!   and `dq` are, five squarings and one table multiplication in every
+//!   window, the zero window included, and no data-dependent branch
+//!   inside a multiplication (carries stay in redundant containers).
+//! * *What did not.* The table entry a window multiplies by is fetched
+//!   by direct index, so the *addresses* read still follow the exponent
+//!   (a cache-timing observer's view); a masked select over all 32
+//!   entries was measured at +6–10 µs on a ~54 µs signature and is
+//!   recorded in DESIGN.md §8.2, not taken. Reading a window branches on
+//!   the exponent's limb count. The closing exact reduction
+//!   (`reduce_once`) is a compare-and-subtract on the result, and the two
+//!   `rem`s before the ladder and Garner's recombination after it are the
+//!   same variable-time `BigUint` code as ever.
+//! * *Secrets in memory.* The 5 KB table of `c^i mod p` / `c^i mod q`
+//!   lives on the stack for the duration of the call and is not scrubbed
+//!   afterwards, exactly as the scalar path's heap-allocated table is
+//!   not. The lane constants cached in this context hold `p` or `q` in
+//!   radix 2^52; like [`MontgomeryCtx`] itself they implement no `Debug`
+//!   and are not scrubbed on drop (the cell is shared by every clone of
+//!   the key).
+//! * *Fault check.* `raw_decrypt` re-encrypts its result under the public
+//!   key and compares with the input (the Bellcore/Lenstra CRT-fault
+//!   check) under `debug_assert!` only — every test-profile signature is
+//!   cross-checked against the public-key path, release builds pay
+//!   nothing. A deployment would make it unconditional: one scalar F4
+//!   `modpow`, ~6.5 µs.
+//!
+//! On every other host or key shape signing runs the scalar
+//! sliding-window code above, to which the first list applies unchanged.
 
 use crate::bigint::BigUint;
 use std::cmp::Ordering;
@@ -79,6 +115,9 @@ pub struct MontgomeryCtx {
     /// Lazily-built constants for the AVX-512 IFMA batch path (1024-bit
     /// moduli on capable CPUs only; `None` once probed elsewhere).
     ifma: std::sync::OnceLock<Option<crate::ifma::IfmaCtx1024>>,
+    /// The same for the IFMA signing lanes (512-bit moduli — RSA-1024's
+    /// CRT primes — on CPUs that run IFMA on 128-bit vectors).
+    ifma_crt: std::sync::OnceLock<Option<crate::ifma::IfmaCtx512>>,
 }
 
 impl MontgomeryCtx {
@@ -109,6 +148,7 @@ impl MontgomeryCtx {
             n_prime,
             r2,
             ifma: std::sync::OnceLock::new(),
+            ifma_crt: std::sync::OnceLock::new(),
         }
     }
 
@@ -120,6 +160,19 @@ impl MontgomeryCtx {
             .get_or_init(|| {
                 (self.k() == 16)
                     .then(|| crate::ifma::IfmaCtx1024::new(&self.modulus(), self.n_prime))
+                    .flatten()
+            })
+            .as_ref()
+    }
+
+    /// The radix-2^52 constants of the signing lanes for this modulus,
+    /// built on first use; `None` when the modulus is not exactly 8 limbs
+    /// or the CPU lacks AVX-512 IFMA + VL.
+    pub(crate) fn ifma_crt_ctx(&self) -> Option<&crate::ifma::IfmaCtx512> {
+        self.ifma_crt
+            .get_or_init(|| {
+                (self.k() == 8)
+                    .then(|| crate::ifma::IfmaCtx512::new(&self.modulus(), self.n_prime))
                     .flatten()
             })
             .as_ref()

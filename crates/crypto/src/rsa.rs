@@ -6,7 +6,12 @@
 //! [`crate::pkcs1`].
 //!
 //! Private-key operations use the CRT (Garner recombination) for the usual
-//! ~4x speedup, which matters for the Fig. 17 cost benchmarks.
+//! ~4x speedup, which matters for the Fig. 17 cost benchmarks. For an
+//! RSA-1024 key on a CPU with AVX-512 IFMA + VL the two half-size
+//! exponentiations run as the two lanes of one vector ladder
+//! ([`crate::ifma`]) for another ~2x; any other key or host runs them as
+//! two scalar `modpow`s. [`PrivateKey::sign_kernel`] names the route, the
+//! results are the same bytes.
 
 use crate::bigint::BigUint;
 use crate::error::CryptoError;
@@ -222,18 +227,50 @@ impl PrivateKey {
         self.q_ctx.get_or_init(|| MontgomeryCtx::new(&self.q))
     }
 
-    /// Raw private-key operation `c^d mod n` via CRT.
+    /// The signing lanes' constants for both primes: `Some` exactly when
+    /// `p` and `q` are 8 limbs each and the CPU runs AVX-512 IFMA on
+    /// 128-bit vectors — the one rule that routes a private-key operation.
+    fn crt_lanes(&self) -> Option<[&crate::ifma::IfmaCtx512; 2]> {
+        Some([self.p_ctx().ifma_crt_ctx()?, self.q_ctx().ifma_crt_ctx()?])
+    }
+
+    /// Human-readable name of the kernel this key's private-key
+    /// operations run on, on this host (for benchmark reports).
+    pub fn sign_kernel(&self) -> &'static str {
+        match self.crt_lanes() {
+            Some(_) => "avx512-ifma-crt-2x128",
+            None => "scalar-sliding-window",
+        }
+    }
+
+    /// Raw private-key operation `c^d mod n` via CRT: both half-size
+    /// exponentiations as the two lanes of one IFMA ladder
+    /// ([`crate::ifma`]) where [`Self::sign_kernel`] says so, otherwise
+    /// one scalar sliding-window `modpow` each. Same result either way.
     pub fn raw_decrypt(&self, c: &BigUint) -> Result<BigUint, CryptoError> {
         if c.cmp_to(&self.public.n) != std::cmp::Ordering::Less {
             return Err(CryptoError::MessageTooLarge);
         }
         // Garner: m1 = c^dp mod p, m2 = c^dq mod q,
         // h = qinv * (m1 - m2) mod p, m = m2 + h*q.
-        let m1 = c.rem(&self.p).modpow_with_ctx(&self.dp, self.p_ctx());
-        let m2 = c.rem(&self.q).modpow_with_ctx(&self.dq, self.q_ctx());
+        let (cp, cq) = (c.rem(&self.p), c.rem(&self.q));
+        let [m1, m2] = match self.crt_lanes() {
+            Some([p, q]) => crate::ifma::modpow_crt(&[(p, &cp, &self.dp), (q, &cq, &self.dq)]),
+            None => [
+                cp.modpow_with_ctx(&self.dp, self.p_ctx()),
+                cq.modpow_with_ctx(&self.dq, self.q_ctx()),
+            ],
+        };
         let diff = m1.sub_mod(&m2.rem(&self.p), &self.p);
         let h = self.qinv.mul_mod(&diff, &self.p);
-        Ok(m2.add(&h.mul(&self.q)))
+        let m = m2.add(&h.mul(&self.q));
+        // The Bellcore/Lenstra check: a fault in either half would hand a
+        // factor of `n` to whoever sees one deterministic signature.
+        debug_assert!(
+            self.public.raw_encrypt(&m).as_ref() == Ok(c),
+            "CRT recombination does not invert under the public key"
+        );
+        Ok(m)
     }
 }
 

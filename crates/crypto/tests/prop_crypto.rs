@@ -175,6 +175,74 @@ proptest! {
     }
 }
 
+/// A key pair with the primes keygen drew for it. `PrivateKey` keeps
+/// them to itself, so the seeded stream is replayed through
+/// `generate_prime` until a pair multiplies to the modulus.
+struct Factored {
+    kp: KeyPair,
+    p: BigUint,
+    q: BigUint,
+}
+
+/// Two RSA-1024 keys (the IFMA signing lanes where the CPU has them) and
+/// an RSA-512 key (always the scalar route).
+fn factored_keys() -> &'static [Factored] {
+    use std::sync::OnceLock;
+    use tlc_crypto::DeterministicRng;
+    static KEYS: OnceLock<Vec<Factored>> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        [(1024usize, 0xC47u64), (1024, 0xC48), (512, 0xC49)]
+            .into_iter()
+            .map(|(bits, seed)| {
+                let kp = KeyPair::generate(bits, &mut DeterministicRng::from_seed(seed)).unwrap();
+                let mut rng = DeterministicRng::from_seed(seed);
+                loop {
+                    let p = tlc_crypto::prime::generate_prime(bits / 2, &mut rng);
+                    let q = tlc_crypto::prime::generate_prime(bits / 2, &mut rng);
+                    if p.mul(&q) == kp.public.n {
+                        break Factored { kp, p, q };
+                    }
+                }
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The CRT private-key operation — both halves through one IFMA
+    /// ladder, or two scalar `modpow`s — is `c^d mod n` for random `c`
+    /// and for the inputs a half-size ladder could get wrong alone: 0, 1,
+    /// `n - 1`, and multiples of one prime, whose CRT half is zero.
+    #[test]
+    fn crt_private_op_matches_plain_exponentiation(
+        key in 0usize..3,
+        bytes in proptest::collection::vec(any::<u8>(), 1..=128),
+        k in 1u64..=u64::MAX,
+    ) {
+        let Factored { kp, p, q } = &factored_keys()[key];
+        let n = &kp.public.n;
+        let k = BigUint::from_u64(k);
+        let inputs = [
+            big(&bytes).rem(n),
+            BigUint::zero(),
+            BigUint::one(),
+            n.sub(&BigUint::one()),
+            p.clone(),
+            q.clone(),
+            p.mul(&k),
+            q.mul(&k),
+        ];
+        for c in &inputs {
+            let crt = kp.private.raw_decrypt(c).unwrap();
+            prop_assert_eq!(&crt, &kp.private.raw_decrypt_no_crt(c).unwrap(), "c = {:?}", c);
+        }
+        let sig = pkcs1::sign(&kp.private, &bytes).unwrap();
+        prop_assert!(pkcs1::verify(&kp.public, &bytes, &sig).is_ok());
+    }
+}
+
 proptest! {
     // Each case runs up to two dozen 1024-bit verifications; few cases.
     #![proptest_config(ProptestConfig::with_cases(6))]
