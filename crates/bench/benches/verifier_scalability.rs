@@ -111,15 +111,14 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
-    // Signature-batch-size sensitivity inside the pipelined service
-    // (workers fixed at 2: one hash stage + one signature stage per shard).
+    // Signature-batch-size sensitivity inside the pool (workers fixed
+    // at 2).
     for batch_size in [1usize, 16, 64] {
         g.bench_function(format!("service_2_workers_sigbatch_{batch_size}"), |b| {
             b.iter(|| {
                 let mut svc = VerifierService::with_config(ServiceConfig {
                     workers: 2,
                     batch_size,
-                    ..ServiceConfig::default()
                 });
                 for (e, o, proofs) in &rels {
                     let rel = svc

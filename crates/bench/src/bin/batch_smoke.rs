@@ -159,7 +159,7 @@ fn poc_level(iters: usize) -> (f64, f64) {
     (scalar_ns, batch_ns)
 }
 
-/// Service-level smoke: the pipelined sharded service accepts a batch
+/// Service-level smoke: the sharded service accepts a batch
 /// across relationships and reports every proof exactly once.
 fn service_level() -> f64 {
     let plan = DataPlan::paper_default();

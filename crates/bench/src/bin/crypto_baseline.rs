@@ -232,7 +232,7 @@ fn main() {
         );
     }
     println!("  }},");
-    println!("  \"service_note\": \"worker rows beyond host_cpus measure pipelining over shared cores, not parallel speedup\",");
+    println!("  \"service_note\": \"one thread per worker plus the submitting thread: rows with workers >= host_cpus measure threads sharing cores, not parallel speedup\",");
     println!("  \"service_pocs_per_sec\": {{");
     for (i, (w, per_sec)) in scaling.iter().enumerate() {
         let comma = if i + 1 == scaling.len() { "" } else { "," };

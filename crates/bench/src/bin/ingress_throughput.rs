@@ -166,10 +166,7 @@ fn conformance_bench(metrics: bool) {
     // ── Over TCP ────────────────────────────────────────────────────────
     let server = IngressServer::bind(
         ("127.0.0.1", 0),
-        ServiceConfig {
-            workers,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
         IngressConfig::default(),
     )
     .expect("bind");
@@ -276,16 +273,8 @@ fn c100k_bench(conns: usize, max_shards: usize, duration: Duration) {
             max_conns: conns + 1024,
             ..IngressConfig::default()
         };
-        let workers = host_cpus.min(4).max(shards);
-        let server = IngressServer::bind(
-            ("127.0.0.1", 0),
-            ServiceConfig {
-                workers,
-                ..ServiceConfig::default()
-            },
-            config,
-        )
-        .expect("bind");
+        let server =
+            IngressServer::bind(("127.0.0.1", 0), ServiceConfig::default(), config).expect("bind");
         let addr = server.local_addr().expect("addr");
         let handle = server.spawn().expect("spawn ingress");
 

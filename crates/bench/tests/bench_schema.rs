@@ -3,7 +3,7 @@
 //! Every throughput/scaling row in the `BENCH_*.json` reports must
 //! carry the `host_cpus` it was measured on: a "4 workers" or
 //! "8 threads" row without the core count silently passes off
-//! pipelining over shared cores as parallel speedup. The writers in
+//! threads sharing cores as parallel speedup. The writers in
 //! `src/bin/` stamp it per row; this test pins the contract on the
 //! committed artifacts so a writer regression cannot land unnoticed.
 

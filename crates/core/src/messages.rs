@@ -359,8 +359,8 @@ impl PocMsg {
     /// SHA-256 digests of the three signed bodies in the chain (PoC,
     /// embedded CDA, doubly-embedded CDR), with each message encoded
     /// exactly once — the hash half of chain verification, split out so
-    /// a pipelined service can run it on a different thread from the
-    /// RSA half.
+    /// a batching verifier can hash each proof as it arrives and run the
+    /// RSA half over the whole batch.
     pub fn chain_digests(&self) -> PocDigests {
         let mut cdr = self.cda.peer_cdr.body();
         let cdr_digest = sha256::digest(&cdr);

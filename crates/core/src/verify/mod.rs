@@ -18,6 +18,7 @@ use tlc_crypto::{seal, CryptoError, PrivateKey, PublicKey};
 
 pub mod remote;
 pub mod service;
+pub mod stage;
 
 /// Why a PoC failed verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -390,7 +391,7 @@ impl Verifier {
     }
 
     /// [`verify_batch`](Self::verify_batch) over chains hashed elsewhere
-    /// (the pipelined service's hash stage).
+    /// (by [`stage::Stage::submit`], as each proof arrived).
     ///
     /// A proof whose nonce pair is already in the replay window is
     /// `Replayed` whatever its signatures say, so it is left out of the

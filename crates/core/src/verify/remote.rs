@@ -2,31 +2,33 @@
 //!
 //! The paper positions public verification as something a third party —
 //! an MVNO, a regulator, an FCC-style auditor — runs against operator
-//! and vendor claims. [`VerifierService`] shards and batch-pipelines
-//! that verification but is only callable in-process; this module puts
-//! it behind a TCP boundary with explicit framing, backpressure, and
-//! failure semantics:
+//! and vendor claims. [`VerifierService`](crate::verify::service::VerifierService)
+//! batches that verification across cores but is only callable
+//! in-process; this module puts the same batching core
+//! ([`crate::verify::stage`]) behind a TCP boundary with explicit
+//! framing, backpressure, and failure semantics:
 //!
 //! * [`codec`] — payload grammars for every [`FrameKind`]; the byte-
 //!   exact conformance surface pinned by `tests/wire_conformance.rs`,
-//! * [`IngressServer`] — a readiness-driven event loop multiplexing
-//!   many client connections onto the service, pausing reads per
-//!   connection when its in-flight window (or the service's global
-//!   outstanding cap) is exceeded,
+//! * [`IngressServer`] — a readiness-driven, run-to-completion event
+//!   loop multiplexing many client connections onto per-shard
+//!   verification stages, pausing reads per connection when its
+//!   in-flight window is exceeded,
 //! * [`RemoteVerifier`] — a blocking client mirroring the in-process
 //!   API: `register` / `submit` / `submit_batch` / `collect_results`
 //!   with the same typed [`ServiceError`] / [`VerifyError`] surface.
 //!
 //! ## Overload ladder (DESIGN §11)
 //!
-//! Saturation climbs a [`ShedLevel`] ladder instead of flipping one
-//! latch: **Accept** → **DeferReads** (reads pause at
-//! `service_inflight_cap`) → **ShedSubmits** (new submits answered
-//! with a typed BUSY at `shed_submit_watermark`) → **ShedConnections**
-//! (new connections answered BUSY and dropped). Admission inside the
-//! ShedSubmits rung is a deficit-round-robin credit budget across
-//! registered relationships, so one flooding relationship starves its
-//! own lane, not its neighbors. A per-connection misbehavior score
+//! A shard verifies everything one wakeup gathered before it looks at
+//! the kernel again, so its backlog is the work of the gather in
+//! progress and the [`ShedLevel`] ladder is a per-gather work budget:
+//! **Accept** → **ShedSubmits** (new submits answered with a typed BUSY
+//! once the gather holds `shed_submit_watermark` proofs) →
+//! **ShedConnections** (new connections answered BUSY and dropped).
+//! Admission below the ShedSubmits rung is a deficit-round-robin credit
+//! budget across registered relationships, so one flooding relationship
+//! starves its own lane, not its neighbors. A per-connection misbehavior score
 //! (replays, oversize bursts, window abuse) escalates to quarantine
 //! and, past a second threshold, a typed goodbye. Every shed is
 //! answered — overload is never a silent drop — and the client turns
@@ -58,24 +60,25 @@
 //!
 //! The server blocks in `tlc_net::readiness` (epoll on Linux, poll(2)
 //! on other Unix) on `SO_REUSEPORT`-sharded acceptor/event threads,
-//! each owning its slice of the connection table and its own verifier
-//! service pool, reading into pooled buffers that the codec decodes
-//! zero-copy, and woken for verdicts by the service's workers. A shard
-//! tells its service when its submitters go idle
-//! ([`VerifierService::kick`]), so a light-load verdict never waits for
-//! a batch to fill or a deadline to pass. Every shard dispatches into
-//! its own [`IngressCore`]: the shed ladder, DRR lanes, misbehavior
-//! scoring, and every protocol handler.
+//! each owning its slice of the connection table and its own
+//! verification [`Stage`], reading into pooled buffers that the codec
+//! decodes zero-copy. One loop iteration is gather → verify → reply, all
+//! on the shard's thread: nothing is pending when it blocks, so a
+//! light-load verdict costs a verify and two syscalls, and no timer or
+//! second thread exists to get it out. Every shard dispatches into its
+//! own [`IngressCore`]: the shed ladder, DRR lanes, misbehavior scoring,
+//! and every protocol handler.
 //!
 //! No wall-clock time is read anywhere here (tlc-lint's determinism
 //! rule): the loop blocks in the kernel under a fixed wait bound, and
-//! all ordering comes from the sockets and channels.
+//! all ordering comes from the sockets.
 
 use crate::messages::PocMsg;
 use crate::plan::DataPlan;
 use crate::verify::service::{
-    RelationshipId, ServiceConfig, ServiceError, ServiceReport, SubmissionResult, VerifierService,
+    RelationshipId, ServiceConfig, ServiceError, ServiceReport, SubmissionResult,
 };
+use crate::verify::stage::{Registry, Stage};
 use crate::verify::{VerifyError, DEFAULT_REPLAY_CAPACITY};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
@@ -170,18 +173,15 @@ pub struct IngressConfig {
     pub window: u32,
     /// Frame payload cap enforced by the decoder before allocation.
     pub max_payload: u32,
-    /// Global cap: when the service's outstanding count exceeds this,
-    /// every connection's reads pause until verdicts drain.
-    pub service_inflight_cap: usize,
     /// Maximum proofs accepted in one SUBMIT_BATCH frame.
     pub max_batch: u32,
-    /// Outstanding watermark for the [`ShedLevel::ShedSubmits`] rung:
-    /// at or above it, new submits are answered with BUSY instead of
-    /// relayed. Must sit above `service_inflight_cap` for the ladder
-    /// to climb in order.
+    /// Watermark for the [`ShedLevel::ShedSubmits`] rung: once one
+    /// gather has admitted this many proofs, further submits in it are
+    /// answered with BUSY instead of relayed.
     pub shed_submit_watermark: usize,
-    /// Outstanding watermark for [`ShedLevel::ShedConnections`]: at or
-    /// above it, new connections are answered BUSY and dropped.
+    /// Watermark for [`ShedLevel::ShedConnections`]: at or above it,
+    /// connections arriving in the same gather are answered BUSY and
+    /// dropped.
     pub shed_conn_watermark: usize,
     /// Open-connection cap across every shard (accept-queue pressure
     /// proxy); at or above it new connections are shed regardless of
@@ -203,13 +203,14 @@ pub struct IngressConfig {
     pub goodbye_threshold: u32,
     /// Shard-loop iterations a quarantined connection stays paused
     /// before its score decays. The loop waits at most 1 ms per
-    /// iteration while a sentence runs, so this is also the sentence's
-    /// upper bound in milliseconds.
+    /// iteration while a sentence runs, so a sentence lasts at most
+    /// this many milliseconds of waiting plus the verification work of
+    /// the iterations it spans.
     pub quarantine_polls: u32,
-    /// Acceptor/event shards. Each owns a `SO_REUSEPORT` listener, its
-    /// slice of the connection table, and its own verifier service
-    /// pool; where the platform cannot share the address the server
-    /// runs one. Defaults from `TLC_INGRESS_SHARDS`.
+    /// Acceptor/event shards, and so verifier threads: each owns a
+    /// `SO_REUSEPORT` listener, its slice of the connection table, and
+    /// its own verification stage; where the platform cannot share the
+    /// address the server runs one. Defaults from `TLC_INGRESS_SHARDS`.
     pub shards: usize,
 }
 
@@ -218,7 +219,6 @@ impl Default for IngressConfig {
         IngressConfig {
             window: 64,
             max_payload: DEFAULT_MAX_PAYLOAD,
-            service_inflight_cap: 4096,
             max_batch: 1024,
             shed_submit_watermark: 8192,
             shed_conn_watermark: 16384,
@@ -240,9 +240,6 @@ impl Default for IngressConfig {
 pub enum ShedLevel {
     /// Below every watermark: all work admitted.
     Accept,
-    /// Service backlog reached `service_inflight_cap`: every
-    /// connection's reads pause until verdicts drain.
-    DeferReads,
     /// Backlog reached `shed_submit_watermark`: new submits are
     /// answered with BUSY (scope Submit).
     ShedSubmits,
@@ -255,11 +252,14 @@ pub enum ShedLevel {
 /// Ingress-side counters, reported at shutdown and over STATS frames.
 pub type IngressStats = StatsSnapshot;
 
-/// Aggregate report returned by [`IngressServer::run`]: the wrapped
-/// service's report plus ingress counters.
+/// Aggregate report returned by [`IngressServer::run`]: the shards'
+/// verification counters plus ingress counters.
 #[derive(Debug, Clone)]
 pub struct IngressReport {
-    /// The verification pool's own shutdown report.
+    /// Verification counters, one [`ShardStats`] per ingress shard.
+    /// The shards read no clock: `elapsed` and `pocs_per_hour` are zero.
+    ///
+    /// [`ShardStats`]: crate::verify::service::ShardStats
     pub service: ServiceReport,
     /// Ingress counters accumulated over the server's lifetime.
     pub ingress: IngressStats,
@@ -269,9 +269,6 @@ pub struct IngressReport {
     /// outside [`IngressStats`] because the STATS wire snapshot is a
     /// frozen 16-field format.
     pub pool: PoolStats,
-    /// Times a shard loop was woken by its verifier workers' waker
-    /// (coalesced: one wake-up can announce several batches).
-    pub waker_wakeups: u64,
 }
 
 impl IngressReport {
@@ -297,10 +294,7 @@ impl IngressReport {
             ("replayed", self.service.replayed),
             ("unclaimed_results", self.service.unclaimed_results as u64),
             ("batches", self.service.batches),
-            ("deadline_flushes", self.service.deadline_flushes),
             ("idle_flushes", self.service.idle_flushes),
-            ("kicks", self.service.kicks),
-            ("waker_wakeups", self.waker_wakeups),
         ];
         for (name, v) in totals {
             let _ = writeln!(out, "# TYPE tlc_service_{name}_total counter");
@@ -369,38 +363,36 @@ struct Route {
     client_tag: u64,
 }
 
-/// Per-relationship admission lane for deficit-round-robin fairness.
-#[derive(Debug, Default, Clone, Copy)]
-struct Lane {
-    /// Submissions from this relationship inside the service — the
-    /// lane's *deficit*, charged against its next credit share.
-    inflight: u32,
-    /// Admission credits left until the next deal; a submit needs one
-    /// to pass the [`ShedLevel::ShedSubmits`] rung.
-    credits: u32,
-}
-
 /// The protocol and admission engine: the connection table, verdict
 /// routes, DRR lanes, shed ladder, and every frame handler. Each
-/// `SO_REUSEPORT` shard has its own instance (own service pool, own
-/// connection slice), so shed/DRR/misbehavior decisions stay
+/// `SO_REUSEPORT` shard has its own instance (own verification stage,
+/// own connection slice), so shed/DRR/misbehavior decisions stay
 /// shard-local and lock-free; only the open-connection count is
 /// shared.
 struct IngressCore {
-    service: VerifierService,
+    /// Issues this shard's relationship ids, densely from 0.
+    registry: Registry,
+    /// Verifies what a gather admitted; flushed by the shard loop
+    /// before it blocks, so empty whenever the loop waits.
+    stage: Stage,
+    next_tag: u64,
     config: IngressConfig,
     conns: Vec<Conn>,
     /// conn id -> current index in `conns`, kept exact across removals
     /// so routing a verdict costs one lookup, not a table scan.
     index: HashMap<u64, usize>,
-    /// service tag -> originating connection + the tag it used.
+    /// stage tag -> originating connection + the tag it used. One
+    /// entry per admitted proof whose verdict has not been pumped: its
+    /// size is the shard's backlog.
     routes: HashMap<u64, Route>,
-    /// raw relationship id -> its admission lane.
-    lanes: HashMap<u64, Lane>,
-    /// Lane deal order (registration order); `rr_cursor` rotates the
-    /// start so remainder quanta spread fairly.
-    lane_order: Vec<u64>,
+    /// Per-relationship admission lanes for deficit-round-robin
+    /// fairness, indexed by raw relationship id: the credits left until
+    /// the next deal. A submit needs one to be admitted.
+    credits: Vec<u32>,
+    /// Rotates the deal's start so remainder quanta spread fairly.
     rr_cursor: usize,
+    /// Credits were dealt in the current loop iteration.
+    dealt: bool,
     next_conn: u64,
     /// Connections open across every shard of this server, checked
     /// against `max_conns` at admission. A bare count: it publishes no
@@ -414,16 +406,18 @@ struct IngressCore {
 }
 
 impl IngressCore {
-    fn new(service: VerifierService, config: IngressConfig, open: Arc<AtomicUsize>) -> IngressCore {
+    fn new(stage: Stage, config: IngressConfig, open: Arc<AtomicUsize>) -> IngressCore {
         IngressCore {
-            service,
+            registry: Registry::default(),
+            stage,
+            next_tag: 0,
             config,
             conns: Vec::new(),
             index: HashMap::new(),
             routes: HashMap::new(),
-            lanes: HashMap::new(),
-            lane_order: Vec::new(),
+            credits: Vec::new(),
             rr_cursor: 0,
+            dealt: false,
             next_conn: 0,
             open,
             stats: IngressStats::default(),
@@ -432,12 +426,13 @@ impl IngressCore {
     }
 }
 
-/// TCP front-end for a [`VerifierService`].
+/// TCP front-end for PoC verification.
 ///
 /// [`run`](Self::run) drives one readiness-driven thread per shard,
-/// each owning a disjoint slice of the connections and its own service
-/// pool, so no locking is needed anywhere. Use [`spawn`](Self::spawn)
-/// to run it on a background thread with a stop handle.
+/// each owning a disjoint slice of the connections and its own
+/// verification stage, so no locking is needed anywhere. Use
+/// [`spawn`](Self::spawn) to run it on a background thread with a stop
+/// handle.
 pub struct IngressServer {
     /// One per bound listener; never empty.
     shards: Vec<event_loop::Shard>,
@@ -445,7 +440,13 @@ pub struct IngressServer {
 
 impl IngressServer {
     /// Binds the listeners and builds one shard — readiness registry,
-    /// waker, freshly spawned service — per listener.
+    /// buffer pool, verification stage — per listener.
+    ///
+    /// Of `service_config` only `batch_size` is read: verification runs
+    /// on the shard threads, so the server scales across cores by
+    /// `config.shards` and `workers` means nothing here. (The parameter
+    /// keeps its type until the benchmark harness, which passes one,
+    /// can change with it — ROADMAP IOU list.)
     ///
     /// The address is bound with `SO_REUSEPORT` where the platform
     /// allows, once per configured shard; where it doesn't, or an
@@ -483,16 +484,11 @@ impl IngressServer {
                 listeners.push(only);
             }
         }
-        // The worker budget is split across the shards' service pools
-        // so total worker threads stay comparable.
-        let mut per_shard = service_config;
-        if listeners.len() > 1 {
-            per_shard.workers = service_config.workers.div_ceil(listeners.len()).max(1);
-        }
         let open = Arc::new(AtomicUsize::new(0));
         let mut shards = Vec::with_capacity(listeners.len());
         for listener in listeners {
-            match event_loop::Shard::new(listener, per_shard, config, Arc::clone(&open)) {
+            let stage = Stage::new(shards.len(), service_config.batch_size);
+            match event_loop::Shard::new(listener, stage, config, Arc::clone(&open)) {
                 Ok(shard) => shards.push(shard),
                 Err(e) if shards.is_empty() => return Err(e),
                 Err(_) => break,
@@ -509,8 +505,8 @@ impl IngressServer {
         }
     }
 
-    /// Runs every shard's loop until `stop` is set, then tears the
-    /// services down and returns the combined report. Open sessions
+    /// Runs every shard's loop until `stop` is set, then returns the
+    /// combined report. Open sessions
     /// receive an ERROR/Shutdown frame (best-effort) before their
     /// sockets drop.
     pub fn run(self, stop: &AtomicBool) -> IngressReport {
@@ -531,8 +527,8 @@ impl IngressServer {
 
 impl IngressCore {
     /// Teardown: a best-effort shutdown notice to every open session,
-    /// then the service drained and joined.
-    fn into_report(mut self, pool: PoolStats, waker_wakeups: u64) -> IngressReport {
+    /// then the stage's final counters.
+    fn into_report(mut self, pool: PoolStats) -> IngressReport {
         let bye = Fault::Shutdown.to_frame();
         for conn in &mut self.conns {
             if conn.phase == Phase::Ready {
@@ -540,12 +536,19 @@ impl IngressCore {
                 let _ = conn.driver.flush();
             }
         }
+        let (shard, unclaimed) = self.stage.finish();
         IngressReport {
-            service: self.service.finish(),
+            service: ServiceReport::from_shards(vec![shard], 0, unclaimed.len(), Duration::ZERO),
             ingress: self.stats,
             pool,
-            waker_wakeups,
         }
+    }
+
+    /// Proofs admitted whose verdicts have not been pumped yet. The
+    /// loop pumps before it blocks, so this is the work of the gather
+    /// in progress.
+    fn outstanding(&self) -> usize {
+        self.routes.len()
     }
 
     /// Accepts every connection currently pending on `listener` and
@@ -565,18 +568,16 @@ impl IngressCore {
         admitted
     }
 
-    /// Current rung of the overload ladder, from the service backlog.
+    /// Current rung of the overload ladder, from the shard's backlog.
     /// (`max_conns` is a separate accept-time check — a full but
     /// healthy connection table sheds new arrivals without touching
     /// admission for the sessions already in.)
     fn shed_level(&self) -> ShedLevel {
-        let backlog = self.service.outstanding();
+        let backlog = self.outstanding();
         if backlog >= self.config.shed_conn_watermark {
             ShedLevel::ShedConnections
         } else if backlog >= self.config.shed_submit_watermark {
             ShedLevel::ShedSubmits
-        } else if backlog >= self.config.service_inflight_cap {
-            ShedLevel::DeferReads
         } else {
             ShedLevel::Accept
         }
@@ -742,7 +743,7 @@ impl IngressCore {
     /// conservation law `home + visited + vendor == charged` and
     /// answers with a SETTLE_VERDICT (DESIGN §14). The audit is
     /// stateless — a split either conserves the charged volume or it
-    /// does not — so it costs no crypto and never touches the service.
+    /// does not — so it costs no crypto and never touches the stage.
     fn handle_settle(&mut self, i: usize, payload: &[u8]) {
         let settle = match SettleMsg::decode(payload) {
             Ok(s) => s,
@@ -769,79 +770,66 @@ impl IngressCore {
         // Capacity 0 means "server default", mirroring window 0 in
         // HELLO. This is also hardening: the in-process API asserts a
         // positive replay capacity, and wire input must never be able
-        // to trip an assert inside a worker shard.
+        // to trip an assert on the shard's thread.
         let capacity = if reg.capacity == 0 {
             DEFAULT_REPLAY_CAPACITY
         } else {
             reg.capacity as usize
         };
-        match self.service.register_with_capacity(
-            reg.plan,
-            reg.edge_key,
-            reg.operator_key,
-            capacity,
-        ) {
-            Ok(rel) => {
-                self.stats.registers += 1;
-                let raw = rel.raw();
-                if !self.lanes.contains_key(&raw) {
-                    // Seed the new lane with one quantum so a client
-                    // pipelining REGISTER+SUBMIT is not shed before
-                    // the next credit deal.
-                    self.lanes.insert(
-                        raw,
-                        Lane {
-                            inflight: 0,
-                            credits: self.config.lane_quantum.max(1),
-                        },
-                    );
-                    self.lane_order.push(raw);
-                }
-                let ack = Registered {
-                    req: reg.req,
-                    rel: raw,
-                };
-                self.send(i, &ack.to_frame());
+        let (plan, edge_key, operator_key) = (reg.plan, reg.edge_key, reg.operator_key);
+        let rel = match self.registry.find(&plan, &edge_key, &operator_key) {
+            Some(rel) => rel,
+            None => {
+                let rel = self.registry.record(plan, &edge_key, &operator_key);
+                self.stage
+                    .register(rel, plan, edge_key, operator_key, capacity);
+                // Ids are issued densely, so the new lane's index is
+                // its id. Seeded with one quantum so a client
+                // pipelining REGISTER+SUBMIT is not shed before the
+                // next credit deal.
+                self.credits.push(self.config.lane_quantum.max(1));
+                rel
             }
-            Err(e) => self.service_fault(i, e),
-        }
+        };
+        self.stats.registers += 1;
+        let ack = Registered {
+            req: reg.req,
+            rel: rel.raw(),
+        };
+        self.send(i, &ack.to_frame());
     }
 
     /// Deals the free admission pool (`shed_submit_watermark` minus the
-    /// service backlog) to relationship lanes, deficit-round-robin:
-    /// whole-quantum shares rotate across lanes, and a lane's unresolved
-    /// in-flight count is charged against its share. One flooding
-    /// relationship therefore exhausts only its own credits — thin lanes
-    /// keep their full share and their submits keep flowing.
+    /// shard's backlog) to relationship lanes, deficit-round-robin:
+    /// whole-quantum shares, the remainder's quanta rotating across
+    /// lanes from deal to deal. One flooding relationship therefore
+    /// exhausts only its own credits — thin lanes keep their full share
+    /// and their submits keep flowing. Dealt once per loop iteration,
+    /// by the first submission that needs a credit: an iteration that
+    /// relays nothing (SETTLE, STATS, an idle tick) deals nothing.
     fn deal_credits(&mut self) {
-        let n = self.lane_order.len();
+        self.dealt = true;
+        let n = self.credits.len();
         if n == 0 {
             return;
         }
         let pool = self
             .config
             .shed_submit_watermark
-            .saturating_sub(self.service.outstanding());
+            .saturating_sub(self.outstanding());
         let quantum = (self.config.lane_quantum.max(1)) as usize;
-        let per_round = quantum.saturating_mul(n);
-        let full_rounds = pool / per_round.max(1);
-        let mut rem = pool % per_round.max(1);
-        let base = full_rounds.saturating_mul(quantum);
-        let mut shares = vec![base; n];
+        let per_round = quantum.saturating_mul(n).max(1);
+        let mut rem = pool % per_round;
+        let clamp = |share: usize| share.min(u32::MAX as usize) as u32;
+        let base = (pool / per_round).saturating_mul(quantum);
+        self.credits.fill(clamp(base));
         self.rr_cursor = (self.rr_cursor + 1) % n;
-        let mut i = self.rr_cursor;
+        let mut k = self.rr_cursor;
         while rem > 0 {
             let give = quantum.min(rem);
-            shares[i] = shares[i].saturating_add(give);
+            self.credits[k] = clamp(base.saturating_add(give));
             rem -= give;
-            i = (i + 1) % n;
-        }
-        for (k, rel) in self.lane_order.iter().enumerate() {
-            if let Some(lane) = self.lanes.get_mut(rel) {
-                lane.credits = shares[k]
-                    .saturating_sub(lane.inflight as usize)
-                    .min(u32::MAX as usize) as u32;
-            }
+            k = (k + 1) % n;
         }
     }
 
@@ -913,7 +901,7 @@ impl IngressCore {
         }
     }
 
-    /// Decodes one PoC and hands it to the service, recording the route
+    /// Decodes one PoC and hands it to the stage, recording the route
     /// for the verdict on the way back.
     fn relay_submission(&mut self, i: usize, rel_raw: u64, client_tag: u64, poc_bytes: &[u8]) {
         let poc = match PocMsg::decode(poc_bytes) {
@@ -923,8 +911,8 @@ impl IngressCore {
             // cannot reach `submit` there either.
             Err(_) => return self.protocol_fault(i, "undecodable PoC payload"),
         };
-        // Admission ladder, checked before the service sees the proof:
-        // quarantine, per-conn verdict debt, the global ShedSubmits
+        // Admission ladder, checked before the stage sees the proof:
+        // quarantine, per-conn verdict debt, the shard's ShedSubmits
         // rung, then the relationship lane's DRR credit.
         if self.conns[i].quarantine > 0 {
             return self.shed_submit(i, rel_raw, client_tag);
@@ -941,70 +929,44 @@ impl IngressCore {
         if self.shed_level() >= ShedLevel::ShedSubmits {
             return self.shed_submit(i, rel_raw, client_tag);
         }
-        if let Some(lane) = self.lanes.get(&rel_raw) {
-            if lane.credits == 0 {
-                return self.shed_submit(i, rel_raw, client_tag);
-            }
+        if !self.dealt {
+            self.deal_credits();
         }
-        let rel = RelationshipId::from_raw(rel_raw);
-        match self.service.submit(rel, poc) {
-            Ok(service_tag) => {
-                self.stats.submissions += 1;
-                self.conns[i].in_flight += 1;
-                if let Some(lane) = self.lanes.get_mut(&rel_raw) {
-                    lane.credits = lane.credits.saturating_sub(1);
-                    lane.inflight = lane.inflight.saturating_add(1);
-                }
-                self.routes.insert(
-                    service_tag,
-                    Route {
-                        conn_id: self.conns[i].id,
-                        client_tag,
-                    },
-                );
-            }
-            Err(e) => self.service_fault(i, e),
-        }
-    }
-
-    /// Relays a [`ServiceError`] as an ERROR frame. Unknown-relationship
-    /// and shard-down errors keep the session open (other relationships
-    /// and shards still work), mirroring the in-process API where these
-    /// are recoverable `Err` returns.
-    fn service_fault(&mut self, i: usize, e: ServiceError) {
-        let fault = match e {
-            ServiceError::ShardDown { shard } => Fault::ShardDown {
-                shard: shard as u32,
-            },
-            ServiceError::ResultsClosed { outstanding } => Fault::ResultsClosed {
-                outstanding: outstanding as u32,
-            },
-            ServiceError::UnknownRelationship(rel) => Fault::UnknownRelationship(rel.raw()),
-            ServiceError::Overloaded { retry_after_ms } => {
-                // The in-process pipeline never sheds today; stay total
-                // and relay any future shed as BUSY, not a fault. The
-                // all-ones tag marks "no specific submission".
-                self.stats.shed_overload += 1;
-                let busy = BusyMsg {
-                    scope: BusyScope::Submit,
-                    retry_after_ms,
-                    rel: 0,
-                    tag: u64::MAX,
-                };
-                self.send(i, &busy.to_frame());
-                return;
-            }
+        let lane = usize::try_from(rel_raw)
+            .ok()
+            .and_then(|k| self.credits.get_mut(k));
+        let Some(credits) = lane else {
+            // No lane: an id this shard never issued. The session stays
+            // open (its other relationships still work), mirroring the
+            // in-process API where this is a recoverable `Err` return.
+            return self.send(i, &Fault::UnknownRelationship(rel_raw).to_frame());
         };
-        self.send(i, &fault.to_frame());
+        if *credits == 0 {
+            return self.shed_submit(i, rel_raw, client_tag);
+        }
+        *credits -= 1;
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        self.stage
+            .submit(RelationshipId::from_raw(rel_raw), tag, poc);
+        self.stats.submissions += 1;
+        self.conns[i].in_flight += 1;
+        self.routes.insert(
+            tag,
+            Route {
+                conn_id: self.conns[i].id,
+                client_tag,
+            },
+        );
     }
 
-    /// Streams ready verdicts back to their connections, recording the
+    /// Streams verified verdicts back to their connections, recording the
     /// id of every connection that had a frame queued (or its phase
     /// changed) so the shard loop can refresh exactly those — flush,
     /// re-arm write interest, reap — without an O(conns) sweep. Ids
     /// may repeat.
     fn pump_verdicts(&mut self, touched: &mut Vec<u64>) {
-        for r in self.service.try_collect_results() {
+        for r in self.stage.take_results() {
             let Some(route) = self.routes.remove(&r.tag) else {
                 // A tag the server never issued cannot come back; stay
                 // total and count it rather than panic.
@@ -1014,11 +976,6 @@ impl IngressCore {
             match r.result {
                 Ok(_) => self.stats.accepted += 1,
                 Err(_) => self.stats.rejected_malformed += 1,
-            }
-            // The service resolved this submission either way: return
-            // the lane's deficit.
-            if let Some(lane) = self.lanes.get_mut(&r.relationship.raw()) {
-                lane.inflight = lane.inflight.saturating_sub(1);
             }
             let Some(&i) = self.index.get(&route.conn_id) else {
                 // Client disconnected mid-batch: the verdict is
@@ -1043,7 +1000,7 @@ impl IngressCore {
             self.send(i, &msg.to_frame());
             if replayed {
                 // Replays feed the misbehavior score: a client cycling
-                // old proofs burns service capacity for guaranteed
+                // old proofs burns verifier capacity for guaranteed
                 // rejections.
                 self.bump_score(i, 1);
             }
@@ -1062,12 +1019,11 @@ impl IngressCore {
         }
     }
 
-    /// Whether connection `i` should have reads paused right now, given
-    /// the (precomputed) global-defer verdict: over its verdict window,
-    /// in quarantine, or ladder-wide backpressure.
-    fn desired_pause(&self, i: usize, global: bool) -> bool {
+    /// Whether connection `i` should have reads paused right now: over
+    /// its verdict window, or in quarantine.
+    fn desired_pause(&self, i: usize) -> bool {
         let conn = &self.conns[i];
-        global || conn.in_flight >= conn.window || conn.quarantine > 0
+        conn.in_flight >= conn.window || conn.quarantine > 0
     }
 
     /// Ticks every active quarantine sentence down by one; at expiry
@@ -1093,7 +1049,7 @@ impl IngressCore {
     fn stats_snapshot(&self) -> IngressStats {
         let mut s = self.stats;
         s.open_connections = self.conns.len() as u64;
-        s.service_outstanding = self.service.outstanding() as u64;
+        s.service_outstanding = self.outstanding() as u64;
         s
     }
 }

@@ -10,10 +10,14 @@
 //!   acceptor/event threads each bind the same address and the kernel
 //!   spreads incoming connections across them. Each shard owns its
 //!   [`IngressCore`] — its slice of the connection table, its DRR
-//!   lanes, its shed ladder, and its own [`VerifierService`] pool — so
-//!   there is no cross-shard locking at all. A connection lives and
-//!   dies on the shard that accepted it, which is what makes
-//!   shard-local relationship ids and misbehavior scores sound.
+//!   lanes, its shed ladder, and its own verification
+//!   [`Stage`](crate::verify::stage::Stage) — so there is no
+//!   cross-shard locking at all. A connection lives and dies on the
+//!   shard that accepted it, which is what makes shard-local
+//!   relationship ids and misbehavior scores sound. It also means a
+//!   relationship's replay window is per *shard*: registered over two
+//!   connections that land on different shards, it has two independent
+//!   windows (DESIGN §12).
 //! * **Pooled zero-copy reads.** Socket bytes land in buffers checked
 //!   out of a bounded [`BufferPool`]; complete frames are parsed in
 //!   place with [`split_frame`] and handed to the protocol core as
@@ -24,35 +28,35 @@
 //!   unboundedly; level-triggered readiness re-reports the socket once
 //!   a buffer frees up.
 //! * **Interest masking as backpressure.** A paused connection (window
-//!   full, quarantined, ladder-wide defer) has its read interest
-//!   masked, so it costs zero wakeups until it resumes.
-//! * **Wake-driven verdicts.** Verdicts come from the service's worker
-//!   threads, not from a socket, so the shard registers a
-//!   [`tlc_net::readiness::Waker`] and installs it as its service's
-//!   notifier: a flushed batch makes `wait` return, and the verdict
-//!   queue is read then and only then — there is no timed poll for it.
-//!   The other half of the same design is the *idle kick*: when the
-//!   loop has relayed submissions and a zero-timeout probe shows no
-//!   more input waiting, it tells the service its submitter went idle
-//!   ([`VerifierService::kick`]) before it blocks, so a light-load
-//!   verdict costs a verify and a few thread hops, not a batch timer.
-//!   A session that submits nothing (SETTLE) pays for neither.
+//!   full, quarantined) has its read interest masked, so it costs zero
+//!   wakeups until it resumes.
+//! * **Run to completion.** One iteration is gather → verify → reply:
+//!   every readable connection is read (at most [`READS_PER_WAKEUP`]
+//!   reads each), every admitted proof goes to the shard's stage —
+//!   which verifies a relationship's batch on the spot when it fills —
+//!   and before the loop looks at the kernel again it verifies whatever
+//!   is still buffered, routes the verdicts and flushes them to their
+//!   sockets. Nothing is ever pending when the loop blocks, so there is
+//!   nothing to time out, wake up for, or hand to another thread; a
+//!   thin relationship's proof never waits for a flooding neighbour's
+//!   batch to fill; and load sizes the batches by itself, because the
+//!   sockets fill while a batch verifies. A session that submits
+//!   nothing (SETTLE) pays for none of it.
 //!
 //! Everything protocol-visible — BUSY semantics, the shed ladder,
 //! quarantine scoring, verdict routing — is [`IngressCore`]'s; this
 //! file only moves bytes and interest.
 
-use super::{
-    IngressConfig, IngressCore, IngressReport, IngressServer, IngressStats, Phase, ShedLevel,
-};
-use crate::verify::service::{ServiceConfig, ServiceReport, VerifierService};
+use super::{IngressConfig, IngressCore, IngressReport, IngressServer, IngressStats, Phase};
+use crate::verify::service::ServiceReport;
+use crate::verify::stage::Stage;
 use std::io;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use tlc_net::bufpool::BufferPool;
-use tlc_net::readiness::{raw_fd, Event, Interest, Readiness, Token, Waker};
+use tlc_net::readiness::{raw_fd, Event, Interest, Readiness, Token};
 use tlc_net::wire::{split_frame, HEADER_LEN};
 
 /// Runs every shard of `server` until `stop`: the first on this
@@ -78,66 +82,24 @@ pub(super) fn run(server: IngressServer, stop: &AtomicBool) -> IngressReport {
 }
 
 /// Merges per-shard reports: ingress counters and pool counters sum;
-/// service shard lists concatenate with re-numbered shard ids;
-/// throughput is recomputed over the longest shard's elapsed time.
+/// the shards' verification counters line up under their shard ids.
 fn merge_reports(parts: Vec<IngressReport>, join_panics: usize) -> IngressReport {
-    let mut service = ServiceReport {
-        shards: Vec::new(),
-        accepted: 0,
-        rejected: 0,
-        replayed: 0,
-        batches: 0,
-        deadline_flushes: 0,
-        idle_flushes: 0,
-        kicks: 0,
-        worker_panics: join_panics,
-        unclaimed_results: 0,
-        elapsed: Duration::ZERO,
-        pocs_per_hour: 0.0,
-    };
+    let mut shards = Vec::with_capacity(parts.len());
+    let mut unclaimed = 0;
     let mut ingress = IngressStats::default();
     let mut pool = tlc_net::PoolStats::default();
-    let mut waker_wakeups = 0;
     for part in parts {
-        let IngressReport {
-            service: sr,
-            ingress: ig,
-            pool: ps,
-            waker_wakeups: woken,
-        } = part;
-        waker_wakeups += woken;
-        let base = service.shards.len();
-        for mut sh in sr.shards {
-            sh.shard += base;
-            service.shards.push(sh);
-        }
-        service.accepted += sr.accepted;
-        service.rejected += sr.rejected;
-        service.replayed += sr.replayed;
-        service.batches += sr.batches;
-        service.deadline_flushes += sr.deadline_flushes;
-        service.idle_flushes += sr.idle_flushes;
-        service.kicks += sr.kicks;
-        service.worker_panics += sr.worker_panics;
-        service.unclaimed_results += sr.unclaimed_results;
-        service.elapsed = service.elapsed.max(sr.elapsed);
-        sum_stats(&mut ingress, &ig);
-        pool.checkouts += ps.checkouts;
-        pool.exhausted += ps.exhausted;
-        pool.recycles += ps.recycles;
+        shards.extend(part.service.shards);
+        unclaimed += part.service.unclaimed_results;
+        sum_stats(&mut ingress, &part.ingress);
+        pool.checkouts += part.pool.checkouts;
+        pool.exhausted += part.pool.exhausted;
+        pool.recycles += part.pool.recycles;
     }
-    let processed = service.accepted + service.rejected;
-    let secs = service.elapsed.as_secs_f64();
-    service.pocs_per_hour = if secs > 0.0 {
-        processed as f64 / secs * 3600.0
-    } else {
-        0.0
-    };
     IngressReport {
-        service,
+        service: ServiceReport::from_shards(shards, join_panics, unclaimed, Duration::ZERO),
         ingress,
         pool,
-        waker_wakeups,
     }
 }
 
@@ -175,7 +137,8 @@ const STOP_CHECK_MS: i32 = 10;
 /// Wait bound while any connection is quarantined. Sentences are
 /// counted in loop iterations (`quarantine_polls`), so bounding the
 /// wait whenever one is running bounds every sentence's wall-clock
-/// length at `quarantine_polls` milliseconds.
+/// length at `quarantine_polls` milliseconds plus the work of the
+/// iterations it spans.
 const QUARANTINE_TICK_MS: i32 = 1;
 
 /// Pause after a failed `wait`: a broken registry would otherwise spin.
@@ -187,49 +150,34 @@ pub(super) struct Shard {
     core: IngressCore,
     pub(super) listener: TcpListener,
     ready: Readiness,
-    /// Fired by the service's signature workers per flushed batch.
-    waker: Waker,
-    wakeups: u64,
     pool: BufferPool,
     /// Ids of connections whose read was deferred because the pool
     /// was empty; re-armed as buffers return.
     deferred: Vec<u64>,
-    /// Last observed global-defer verdict; a transition triggers a
-    /// full interest sweep.
-    prev_global: bool,
 }
 
 impl Shard {
-    /// Builds the registry first — the only step that can fail — so a
-    /// failure leaves no service threads behind.
+    /// A shard verifying on `stage`; fails only if the readiness
+    /// registry cannot be built.
     pub(super) fn new(
         listener: TcpListener,
-        service_config: ServiceConfig,
+        stage: Stage,
         config: IngressConfig,
         open: Arc<AtomicUsize>,
     ) -> io::Result<Shard> {
         let mut ready = Readiness::new()?;
         ready.register(raw_fd(&listener), Token::LISTENER, Interest::READ)?;
-        let waker = Waker::new(&mut ready)?;
-        let mut core = IngressCore::new(VerifierService::with_config(service_config), config, open);
-        // Installed before the first accept, so every batch this
-        // shard ever flushes announces itself.
-        let handle = waker.handle();
-        core.service.set_notifier(Arc::new(move || handle.wake()));
         // One max-size frame per buffer: a full buffer therefore
         // always contains a complete frame or an oversize error, so
         // parsing can never deadlock on "need more room".
         let buf_size = HEADER_LEN + config.max_payload as usize;
         let capacity = (config.max_conns / 4).clamp(64, 512);
         Ok(Shard {
-            core,
+            core: IngressCore::new(stage, config, open),
             listener,
             ready,
-            waker,
-            wakeups: 0,
             pool: BufferPool::new(capacity, buf_size),
             deferred: Vec::new(),
-            prev_global: false,
         })
     }
 
@@ -238,76 +186,61 @@ impl Shard {
         let mut events: Vec<Event> = Vec::new();
         let mut touched: Vec<u64> = Vec::new();
         while !stop.load(Ordering::Relaxed) {
-            self.core.deal_credits();
-            let timeout = if self.core.quarantined > 0 {
-                QUARANTINE_TICK_MS
-            } else {
-                STOP_CHECK_MS
-            };
-            // About to block. If submissions were relayed since the
-            // last kick, look once without blocking: more input
-            // waiting means batches are still filling; none means the
-            // submitters went idle, and the service is told so. A loop
-            // that relayed nothing skips the probe.
-            let probing = self.core.service.kick_due();
-            let first = if probing { 0 } else { timeout };
-            let mut waited = self.ready.wait(&mut events, first);
-            if probing && matches!(waited, Ok(0)) {
-                self.core.service.kick();
-                waited = self.ready.wait(&mut events, timeout);
-            }
-            if waited.is_err() {
-                std::thread::sleep(BROKEN_REGISTRY_BACKOFF);
-                continue;
-            }
-            let mut woken = false;
-            for ev in events.iter().copied() {
-                match ev.token {
-                    Token::LISTENER => self.accept_ready(),
-                    Token::WAKER => woken = true,
-                    _ => self.conn_event(ev),
-                }
-            }
-
-            // Verdict completions, read only when the workers said so
-            // (drain first: see `Waker::drain`). Refresh exactly the
-            // connections that got frames queued or windows freed.
-            if woken {
-                self.wakeups += 1;
-                self.waker.drain();
-                self.core.pump_verdicts(&mut touched);
-                self.refresh_all(&mut touched);
-            }
-
-            // Quarantine sentences tick per loop iteration; the wait
-            // above is bounded while any is running.
-            if self.core.quarantined > 0 {
-                self.core.tick_quarantines(&mut touched);
-                self.refresh_all(&mut touched);
-            }
-
-            // Ladder transitions pause/resume the whole table.
-            let global = self.core.shed_level() >= ShedLevel::DeferReads;
-            if global != self.prev_global {
-                self.prev_global = global;
-                self.sweep_all();
-            }
-
-            // Buffers came back: wake the starved readers.
-            if !self.deferred.is_empty() && self.pool.available() > 0 {
-                touched.append(&mut self.deferred);
-                for &id in &touched {
-                    if let Some(&i) = self.core.index.get(&id) {
-                        self.core.conns[i].deferred = false;
-                    }
-                }
-                self.refresh_all(&mut touched);
-            }
+            self.turn(&mut events, &mut touched);
         }
         // Buffers still held at shutdown are intentionally *not*
         // recycles: stats are taken before they drop.
         let pool_stats = self.pool.stats();
-        self.core.into_report(pool_stats, self.wakeups)
+        self.core.into_report(pool_stats)
+    }
+
+    /// One iteration: gather → verify → reply. Blocks until a socket is
+    /// ready (or the wait bound passes) and returns with nothing
+    /// pending: every proof the wakeup admitted has its verdict queued
+    /// and flushed towards its socket. `events` and `touched` are
+    /// scratch, empty between calls.
+    fn turn(&mut self, events: &mut Vec<Event>, touched: &mut Vec<u64>) {
+        let timeout = if self.core.quarantined > 0 {
+            QUARANTINE_TICK_MS
+        } else {
+            STOP_CHECK_MS
+        };
+        if self.ready.wait(events, timeout).is_err() {
+            std::thread::sleep(BROKEN_REGISTRY_BACKOFF);
+            return;
+        }
+        // Gather. Full batches verify as they fill.
+        self.core.dealt = false;
+        for ev in events.iter().copied() {
+            match ev.token {
+                Token::LISTENER => self.accept_ready(),
+                _ => self.conn_event(ev),
+            }
+        }
+
+        // Verify what is left, then reply: refresh exactly the
+        // connections that got frames queued or windows freed.
+        self.core.stage.flush();
+        self.core.pump_verdicts(touched);
+        self.refresh_all(touched);
+
+        // Quarantine sentences tick per loop iteration; the wait
+        // above is bounded while any is running.
+        if self.core.quarantined > 0 {
+            self.core.tick_quarantines(touched);
+            self.refresh_all(touched);
+        }
+
+        // Buffers came back: wake the starved readers.
+        if !self.deferred.is_empty() && self.pool.available() > 0 {
+            touched.append(&mut self.deferred);
+            for &id in touched.iter() {
+                if let Some(&i) = self.core.index.get(&id) {
+                    self.core.conns[i].deferred = false;
+                }
+            }
+            self.refresh_all(touched);
+        }
     }
 
     /// Refreshes every connection in `ids`, leaving it empty.
@@ -449,7 +382,7 @@ impl Shard {
             self.remove_at(i);
             return;
         }
-        let want_pause = self.core.desired_pause(i, self.prev_global);
+        let want_pause = self.core.desired_pause(i);
         let conn = &mut self.core.conns[i];
         if want_pause {
             if !conn.driver.paused() {
@@ -471,16 +404,6 @@ impl Shard {
         }
     }
 
-    /// Re-derives pause state and interest for every connection —
-    /// used on global-defer transitions. Iterates by id snapshot
-    /// because refresh can remove entries.
-    fn sweep_all(&mut self) {
-        let ids: Vec<u64> = self.core.conns.iter().map(|c| c.id).collect();
-        for id in ids {
-            self.refresh_id(id);
-        }
-    }
-
     /// Removes connection at index `i`: deregisters the fd and hands
     /// the table slot (and any pooled buffer) back.
     fn remove_at(&mut self, i: usize) {
@@ -494,24 +417,119 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::DataPlan;
+    use crate::roaming::{RoamingAgreement, Serving};
+    use crate::verify::remote::codec::{
+        Hello, Register, SettleMsg, Submit, MAGIC, PROTOCOL_VERSION,
+    };
+    use crate::verify::stage::tests::negotiate;
+    use std::io::{Read, Write};
     use std::net::TcpStream;
+    use tlc_crypto::KeyPair;
+    use tlc_net::wire::Frame;
+
+    fn shard_on_loopback() -> (Shard, std::net::SocketAddr) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let open = Arc::new(AtomicUsize::new(0));
+        let shard = Shard::new(listener, Stage::new(0, 32), IngressConfig::default(), open);
+        (shard.unwrap(), addr)
+    }
+
+    /// Writes `frames` in one burst, then turns the loop until the
+    /// iteration that answers: replies are flushed by the iteration
+    /// that read the request, so on return the shard's state is what
+    /// that iteration left.
+    fn turn_until_reply(shard: &mut Shard, client: &mut TcpStream, frames: &[Frame]) {
+        let bytes: Vec<u8> = frames.iter().flat_map(|f| f.encode().unwrap()).collect();
+        client.write_all(&bytes).unwrap();
+        let (mut events, mut touched) = (Vec::new(), Vec::new());
+        let mut buf = [0u8; 4096];
+        for _ in 0..500 {
+            shard.turn(&mut events, &mut touched);
+            match client.read(&mut buf) {
+                Ok(0) => panic!("server closed the session"),
+                Ok(_) => return,
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            }
+        }
+        panic!("no reply in 500 iterations");
+    }
+
+    /// Credits are dealt by the first submission of an iteration that
+    /// needs one, once: an iteration that only settles deals nothing
+    /// (the cursor that rotates with every deal stays put), and one that
+    /// relays two submissions deals once.
+    #[test]
+    fn a_settle_only_iteration_deals_no_credits() {
+        let (mut shard, addr) = shard_on_loopback();
+        let mut client = TcpStream::connect(addr).unwrap();
+        client.set_nodelay(true).unwrap();
+        client.set_nonblocking(true).unwrap();
+        let plan = DataPlan::paper_default();
+        let keys: Vec<KeyPair> = (0..4)
+            .map(|k| KeyPair::generate_for_seed(1024, 7980 + k).unwrap())
+            .collect();
+        let hello = Hello {
+            magic: MAGIC,
+            version: PROTOCOL_VERSION,
+            window: 0,
+        };
+        // Two lanes, so the deal's rotating cursor has somewhere to go.
+        let mut session = vec![hello.to_frame()];
+        for (req, pair) in keys.chunks(2).enumerate() {
+            let register = Register {
+                req: req as u32,
+                capacity: 0,
+                plan,
+                edge_key: pair[0].public.clone(),
+                operator_key: pair[1].public.clone(),
+            };
+            session.push(register.to_frame());
+        }
+        turn_until_reply(&mut shard, &mut client, &session);
+        assert_eq!(shard.core.credits.len(), 2);
+        assert!(!shard.core.dealt, "REGISTER needs no credit");
+        let cursor = shard.core.rr_cursor;
+
+        let charged = 1_000_000;
+        let settle = SettleMsg {
+            rel: 0,
+            tag: 0,
+            serving: Serving::Visited,
+            charged,
+            split: RoamingAgreement::paper_default().split_volume(charged, Serving::Visited),
+        };
+        turn_until_reply(&mut shard, &mut client, &[settle.to_frame()]);
+        assert!(!shard.core.dealt, "a SETTLE-only iteration dealt credits");
+        assert_eq!(shard.core.rr_cursor, cursor);
+
+        let submits: Vec<Frame> = (0..2u8)
+            .map(|k| {
+                let poc = negotiate(&keys[0], &keys[1], plan, 2 * k + 1, 2 * k + 2);
+                Submit {
+                    rel: 0,
+                    tag: 1 + k as u64,
+                    poc: poc.encode(),
+                }
+                .to_frame()
+            })
+            .collect();
+        turn_until_reply(&mut shard, &mut client, &submits);
+        assert!(shard.core.dealt);
+        assert_eq!(shard.core.rr_cursor, (cursor + 1) % 2, "one deal, not two");
+        assert_eq!(shard.core.stats.verdicts, 2);
+        assert_eq!(shard.core.outstanding(), 0, "nothing pending after a turn");
+    }
 
     /// One connection of an accept batch that the registry refuses is
     /// removed (reordering the table) without disturbing the rest of
     /// the batch: the others still resolve and are registered.
     #[test]
     fn refused_registration_leaves_the_rest_of_the_batch_watched() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let open = Arc::new(AtomicUsize::new(0));
-        let mut shard = Shard::new(
-            listener,
-            ServiceConfig::default(),
-            IngressConfig::default(),
-            Arc::clone(&open),
-        )
-        .unwrap();
+        let (mut shard, addr) = shard_on_loopback();
+        let open = Arc::clone(&shard.core.open);
 
         let clients: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
         let mut ids = Vec::new();

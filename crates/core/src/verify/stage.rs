@@ -1,0 +1,397 @@
+//! The batching core of PoC verification: one thread's worth of
+//! relationships, their [`Verifier`]s and their pending batches.
+//!
+//! A [`Stage`] is a plain value with no thread, queue or clock of its
+//! own. [`Stage::submit`] hashes a proof's chain
+//! ([`PocMsg::chain_digests`]) and buffers it under its relationship; a
+//! relationship's batch is verified on the spot when it reaches the
+//! batch size, and [`Stage::flush`] verifies whatever is still buffered
+//! — per relationship, in ascending id order, through the same
+//! [`Verifier::verify_batch_prehashed`]. The replay window is walked
+//! sequentially inside a batch and batches of one relationship are
+//! verified in submission order, so the verdicts are exactly those of
+//! sequential [`Verifier::verify`] calls however the flushes fall
+//! (`tests/prop_stage.rs`).
+//!
+//! Both callers own their stages outright: an ingress shard
+//! ([`super::remote`]) submits what one wakeup gathered and flushes
+//! before it blocks again; a [`super::service::VerifierService`] worker
+//! thread submits what its queue holds and flushes when the queue runs
+//! dry. Neither shares a stage, so a relationship's replay window is
+//! never locked — and never visible to another stage.
+
+use super::{Verdict, Verifier, VerifyError};
+use crate::messages::{PocDigests, PocMsg};
+use crate::plan::DataPlan;
+use std::collections::{BTreeMap, HashMap};
+use tlc_crypto::encoding::key_fingerprint;
+use tlc_crypto::PublicKey;
+
+/// Opaque handle to a registered relationship, issued by a
+/// [`Registry`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct RelationshipId(u64);
+
+impl RelationshipId {
+    /// The pool worker a relationship is pinned to, given the worker
+    /// count.
+    pub(crate) fn shard(self, workers: usize) -> usize {
+        (self.0 % workers as u64) as usize
+    }
+
+    /// The raw id, for the network ingress that must name relationships
+    /// on the wire. Not part of the public API: only `verify::remote`
+    /// serializes ids.
+    pub(crate) fn raw(self) -> u64 {
+        self.0
+    }
+
+    /// Rebuilds an id decoded from the wire. The caller (the ingress
+    /// server) is responsible for only reconstructing ids it previously
+    /// issued; [`Registry::knows`] re-checks range regardless.
+    pub(crate) fn from_raw(raw: u64) -> RelationshipId {
+        RelationshipId(raw)
+    }
+}
+
+/// Issues [`RelationshipId`]s and deduplicates registrations: the same
+/// `(plan, edge key, operator key)` triple always maps to the same id,
+/// and therefore to one stage and one replay window. Two handles to one
+/// relationship can never end up with independent windows behind one
+/// registry.
+#[derive(Default)]
+pub struct Registry {
+    /// Key fingerprints -> candidate (plan, id) pairs.
+    by_keys: HashMap<(u64, u64), Vec<(DataPlan, RelationshipId)>>,
+    issued: u64,
+}
+
+impl Registry {
+    /// The id already issued for this triple, if any.
+    pub fn find(
+        &self,
+        plan: &DataPlan,
+        edge_key: &PublicKey,
+        operator_key: &PublicKey,
+    ) -> Option<RelationshipId> {
+        let keys = (key_fingerprint(edge_key), key_fingerprint(operator_key));
+        let bucket = self.by_keys.get(&keys)?;
+        bucket.iter().find(|(p, _)| p == plan).map(|(_, rel)| *rel)
+    }
+
+    /// The id the next [`record`](Self::record) will issue. Split from
+    /// it so a caller whose hand-over can fail (a pool worker that hung
+    /// up) records only registrations a stage will actually see.
+    pub fn next_id(&self) -> RelationshipId {
+        RelationshipId(self.issued)
+    }
+
+    /// Issues [`next_id`](Self::next_id) to a triple
+    /// [`find`](Self::find) did not know.
+    pub fn record(
+        &mut self,
+        plan: DataPlan,
+        edge_key: &PublicKey,
+        operator_key: &PublicKey,
+    ) -> RelationshipId {
+        let rel = self.next_id();
+        let keys = (key_fingerprint(edge_key), key_fingerprint(operator_key));
+        self.by_keys.entry(keys).or_default().push((plan, rel));
+        self.issued += 1;
+        rel
+    }
+
+    /// Whether `rel` was issued by this registry.
+    pub fn knows(&self, rel: RelationshipId) -> bool {
+        rel.0 < self.issued
+    }
+}
+
+/// Outcome of one submitted proof.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SubmissionResult {
+    /// The relationship the proof was submitted under.
+    pub relationship: RelationshipId,
+    /// The submitter's tag for the proof, for correlation.
+    pub tag: u64,
+    /// The shard (stage) that processed the proof.
+    pub shard: usize,
+    /// Verdict or rejection.
+    pub result: Result<Verdict, VerifyError>,
+}
+
+/// Counters for one stage, reported at shutdown.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Shard index: the pool worker's, or the ingress shard's.
+    pub shard: usize,
+    /// Relationships registered on this shard.
+    pub relationships: usize,
+    /// Proofs accepted.
+    pub accepted: u64,
+    /// Proofs rejected for any reason (includes replays).
+    pub rejected: u64,
+    /// Rejections that were replays specifically.
+    pub replayed: u64,
+    /// Signature batches verified (including partial flushes).
+    pub batches: u64,
+    /// Always 0: no batch waits for a clock any more. The field stays
+    /// until the benchmark harness stops naming it (ROADMAP IOU list).
+    pub deadline_flushes: u64,
+    /// Partial batches verified by [`Stage::flush`]: the submitter had
+    /// nothing more to add before they filled.
+    pub idle_flushes: u64,
+}
+
+/// One relationship's proofs awaiting a signature batch, in submission
+/// order: the submitter's tag, the proof, its chain digests.
+type PendingBatch = Vec<(u64, PocMsg, PocDigests)>;
+
+/// The batching core; see the [module docs](self).
+pub struct Stage {
+    batch_size: usize,
+    verifiers: HashMap<RelationshipId, Verifier>,
+    /// Ordered, so a flush walks relationships by ascending id.
+    pending: BTreeMap<RelationshipId, PendingBatch>,
+    /// Verified, not yet taken.
+    results: Vec<SubmissionResult>,
+    stats: ShardStats,
+}
+
+impl Stage {
+    /// An empty stage reporting as shard `shard`, verifying a
+    /// relationship's batch as soon as it holds `batch_size` proofs (at
+    /// least one).
+    pub fn new(shard: usize, batch_size: usize) -> Stage {
+        Stage {
+            batch_size: batch_size.max(1),
+            verifiers: HashMap::new(),
+            pending: BTreeMap::new(),
+            results: Vec::new(),
+            stats: ShardStats {
+                shard,
+                ..ShardStats::default()
+            },
+        }
+    }
+
+    /// Starts verifying for `rel` with a replay window of `capacity`
+    /// nonce pairs. Registering an id again changes nothing.
+    pub fn register(
+        &mut self,
+        rel: RelationshipId,
+        plan: DataPlan,
+        edge_key: PublicKey,
+        operator_key: PublicKey,
+        capacity: usize,
+    ) {
+        self.verifiers
+            .entry(rel)
+            .or_insert_with(|| Verifier::with_capacity(plan, edge_key, operator_key, capacity));
+    }
+
+    /// Hashes `poc`'s chain and buffers it under `rel`; verifies the
+    /// relationship's batch if that fills it. Chain digests are pure
+    /// functions of the proof bytes, so computing them before the
+    /// replay check cannot change any verdict.
+    pub fn submit(&mut self, rel: RelationshipId, tag: u64, poc: PocMsg) {
+        let digests = poc.chain_digests();
+        let batch = self.pending.entry(rel).or_default();
+        batch.push((tag, poc, digests));
+        if batch.len() >= self.batch_size {
+            if let Some(batch) = self.pending.remove(&rel) {
+                self.verify(rel, batch);
+            }
+        }
+    }
+
+    /// Verifies every buffered proof, relationship by relationship in
+    /// ascending id order. Afterwards nothing is pending.
+    pub fn flush(&mut self) {
+        while let Some((rel, batch)) = self.pending.pop_first() {
+            self.stats.idle_flushes += 1;
+            self.verify(rel, batch);
+        }
+    }
+
+    /// Results verified since the last call: per relationship in
+    /// submission order, relationships interleaved in flush order.
+    pub fn take_results(&mut self) -> Vec<SubmissionResult> {
+        std::mem::take(&mut self.results)
+    }
+
+    /// Flushes, then hands back the final counters and whatever results
+    /// were never taken.
+    pub fn finish(mut self) -> (ShardStats, Vec<SubmissionResult>) {
+        self.flush();
+        self.stats.relationships = self.verifiers.len();
+        (self.stats, self.results)
+    }
+
+    /// Verifies one batch and queues its results in submission order.
+    fn verify(&mut self, rel: RelationshipId, batch: PendingBatch) {
+        let verdicts = match self.verifiers.get_mut(&rel) {
+            Some(verifier) => {
+                let items: Vec<(&PocMsg, &PocDigests)> =
+                    batch.iter().map(|(_, p, d)| (p, d)).collect();
+                self.stats.batches += 1;
+                verifier.verify_batch_prehashed(&items)
+            }
+            // Both callers register before they submit, so this is a
+            // caller bug; surface it as per-proof rejections rather
+            // than taking the thread down.
+            None => vec![Err(VerifyError::Unregistered); batch.len()],
+        };
+        for ((tag, ..), result) in batch.into_iter().zip(verdicts) {
+            match &result {
+                Ok(_) => self.stats.accepted += 1,
+                Err(VerifyError::Replayed) => {
+                    self.stats.rejected += 1;
+                    self.stats.replayed += 1;
+                }
+                Err(_) => self.stats.rejected += 1,
+            }
+            self.results.push(SubmissionResult {
+                relationship: rel,
+                tag,
+                shard: self.stats.shard,
+                result,
+            });
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::protocol::{run_negotiation, Endpoint};
+    use crate::strategy::{Knowledge, OptimalStrategy, Role};
+    use tlc_crypto::KeyPair;
+
+    /// One negotiated proof between `edge` and `op` under the given
+    /// nonce bytes (shared with the pool's tests).
+    pub(crate) fn negotiate(
+        edge: &KeyPair,
+        op: &KeyPair,
+        plan: DataPlan,
+        ne: u8,
+        no: u8,
+    ) -> PocMsg {
+        let mut e = Endpoint::new(
+            Role::Edge,
+            plan,
+            Knowledge {
+                role: Role::Edge,
+                own_truth: 1000,
+                inferred_peer_truth: 800,
+            },
+            Box::new(OptimalStrategy),
+            edge.private.clone(),
+            op.public.clone(),
+            [ne; 16],
+            32,
+        );
+        let mut o = Endpoint::new(
+            Role::Operator,
+            plan,
+            Knowledge {
+                role: Role::Operator,
+                own_truth: 800,
+                inferred_peer_truth: 1000,
+            },
+            Box::new(OptimalStrategy),
+            op.private.clone(),
+            edge.public.clone(),
+            [no; 16],
+            32,
+        );
+        run_negotiation(&mut o, &mut e).unwrap().0
+    }
+
+    /// A stage at `batch_size` with `n` relationships registered, and
+    /// `per_rel` proofs for each.
+    fn stage_with(
+        batch_size: usize,
+        n: u64,
+        per_rel: u8,
+    ) -> (Stage, Vec<RelationshipId>, Vec<Vec<PocMsg>>) {
+        let plan = DataPlan::paper_default();
+        let mut registry = Registry::default();
+        let mut stage = Stage::new(5, batch_size);
+        let (mut rels, mut pocs) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            let edge = KeyPair::generate_for_seed(1024, 7950 + i * 2).unwrap();
+            let op = KeyPair::generate_for_seed(1024, 7951 + i * 2).unwrap();
+            let rel = registry.record(plan, &edge.public, &op.public);
+            assert_eq!(registry.find(&plan, &edge.public, &op.public), Some(rel));
+            stage.register(rel, plan, edge.public.clone(), op.public.clone(), 64);
+            rels.push(rel);
+            pocs.push(
+                (0..per_rel)
+                    .map(|j| negotiate(&edge, &op, plan, 32 * i as u8 + 2 * j + 1, 2 * j + 2))
+                    .collect(),
+            );
+        }
+        (stage, rels, pocs)
+    }
+
+    #[test]
+    fn a_batch_verifies_at_the_submit_that_fills_it() {
+        let (mut stage, rels, pocs) = stage_with(4, 1, 8);
+        for (tag, poc) in pocs[0].iter().enumerate() {
+            stage.submit(rels[0], tag as u64, poc.clone());
+            // Nothing before the fill, the whole batch at it.
+            let want = if tag % 4 == 3 { 4 } else { 0 };
+            assert_eq!(stage.take_results().len(), want, "after submit {tag}");
+        }
+        let (stats, rest) = stage.finish();
+        assert!(rest.is_empty());
+        assert_eq!(
+            (stats.accepted, stats.batches, stats.idle_flushes),
+            (8, 2, 0)
+        );
+        assert_eq!((stats.shard, stats.relationships), (5, 1));
+    }
+
+    #[test]
+    fn flush_walks_relationships_in_ascending_id_order() {
+        let (mut stage, rels, pocs) = stage_with(4, 3, 2);
+        // Submitted 2, 0, 1, 2, 0, 1: flushed 0, 0, 1, 1, 2, 2.
+        for (tag, r) in [2, 0, 1, 2, 0, 1].into_iter().enumerate() {
+            stage.submit(rels[r], tag as u64, pocs[r][tag / 3].clone());
+        }
+        assert!(stage.take_results().is_empty());
+        stage.flush();
+        let got: Vec<(RelationshipId, u64)> = stage
+            .take_results()
+            .iter()
+            .map(|r| {
+                assert!(r.result.is_ok(), "{r:?}");
+                (r.relationship, r.tag)
+            })
+            .collect();
+        let want = [(0, 1), (0, 4), (1, 2), (1, 5), (2, 0), (2, 3)].map(|(r, t)| (rels[r], t));
+        assert_eq!(got, want);
+        // Nothing pending: a second flush verifies nothing.
+        stage.flush();
+        let (stats, rest) = stage.finish();
+        assert!(rest.is_empty());
+        assert_eq!((stats.batches, stats.idle_flushes), (3, 3));
+    }
+
+    #[test]
+    fn an_unregistered_relationship_is_rejected_per_proof() {
+        let (mut stage, _, pocs) = stage_with(2, 1, 2);
+        let stranger = RelationshipId::from_raw(9);
+        for (tag, poc) in pocs[0].iter().enumerate() {
+            stage.submit(stranger, tag as u64, poc.clone());
+        }
+        let results = stage.take_results();
+        assert_eq!(results.len(), 2);
+        assert!(results
+            .iter()
+            .all(|r| r.result == Err(VerifyError::Unregistered)));
+        let (stats, _) = stage.finish();
+        assert_eq!((stats.rejected, stats.batches), (2, 0));
+    }
+}

@@ -1,0 +1,196 @@
+//! Flush policy is invisible in the verdicts (DESIGN §8.1).
+//!
+//! Whatever mix of size-triggered batches and flushes cuts a
+//! relationship's submissions into batches, the batching core
+//! ([`Stage`]) must return exactly what one sequential [`Verifier`]
+//! would: the same verdict for every proof — replays of earlier proofs
+//! included — in per-relationship submission order. The stage has no
+//! thread and no clock, so the property is checked on it directly, many
+//! cases fast; one smaller run drives the same property through the
+//! threaded pool, where the scheduler picks the flush points.
+
+use proptest::prelude::*;
+use std::collections::HashMap;
+use std::sync::OnceLock;
+use tlc_core::messages::{PocMsg, NONCE_LEN};
+use tlc_core::plan::DataPlan;
+use tlc_core::protocol::{run_negotiation, Endpoint};
+use tlc_core::strategy::{Knowledge, OptimalStrategy, Role};
+use tlc_core::verify::service::{RelationshipId, ServiceConfig, SubmissionResult, VerifierService};
+use tlc_core::verify::stage::{Registry, Stage};
+use tlc_core::verify::{Verdict, Verifier, VerifyError};
+use tlc_crypto::KeyPair;
+
+const RELS: usize = 3;
+const POCS_PER_REL: usize = 4;
+
+struct Relationship {
+    edge: KeyPair,
+    op: KeyPair,
+    /// A small pool, so arbitrary picks repeat and replays occur.
+    pocs: Vec<PocMsg>,
+}
+
+fn negotiate(edge: &KeyPair, op: &KeyPair, plan: DataPlan, nonce: u8) -> PocMsg {
+    let endpoint = |role, own, peer, key: &KeyPair, other: &KeyPair, n| {
+        Endpoint::new(
+            role,
+            plan,
+            Knowledge {
+                role,
+                own_truth: own,
+                inferred_peer_truth: peer,
+            },
+            Box::new(OptimalStrategy),
+            key.private.clone(),
+            other.public.clone(),
+            [n; NONCE_LEN],
+            32,
+        )
+    };
+    let mut e = endpoint(Role::Edge, 1000, 800, edge, op, nonce);
+    let mut o = endpoint(Role::Operator, 800, 1000, op, edge, nonce.wrapping_add(1));
+    run_negotiation(&mut o, &mut e).unwrap().0
+}
+
+/// Keys and proofs are expensive and pure data: made once.
+fn corpus() -> &'static Vec<Relationship> {
+    static CORPUS: OnceLock<Vec<Relationship>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let plan = DataPlan::paper_default();
+        (0..RELS as u64)
+            .map(|r| {
+                let edge = KeyPair::generate_for_seed(1024, 61_000 + 2 * r).unwrap();
+                let op = KeyPair::generate_for_seed(1024, 61_001 + 2 * r).unwrap();
+                let pocs = (0..POCS_PER_REL as u8)
+                    .map(|k| negotiate(&edge, &op, plan, 32 * r as u8 + 2 * k + 1))
+                    .collect();
+                Relationship { edge, op, pocs }
+            })
+            .collect()
+    })
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Submit { rel: usize, poc: usize },
+    Flush,
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    let op = (0u8..4, 0usize..RELS, 0usize..POCS_PER_REL).prop_map(|(kind, rel, poc)| {
+        if kind == 0 {
+            Op::Flush
+        } else {
+            Op::Submit { rel, poc }
+        }
+    });
+    proptest::collection::vec(op, 1..40)
+}
+
+type Outcome = Result<Verdict, VerifyError>;
+type PerRelationship = HashMap<RelationshipId, Vec<(u64, Outcome)>>;
+
+/// One sequential `Verifier` per relationship: the oracle.
+fn oracles() -> Vec<Verifier> {
+    let plan = DataPlan::paper_default();
+    corpus()
+        .iter()
+        .map(|r| Verifier::new(plan, r.edge.public.clone(), r.op.public.clone()))
+        .collect()
+}
+
+fn grouped(results: impl IntoIterator<Item = SubmissionResult>) -> PerRelationship {
+    let mut got = PerRelationship::new();
+    for r in results {
+        got.entry(r.relationship)
+            .or_default()
+            .push((r.tag, r.result));
+    }
+    got
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn prop_any_submit_flush_interleaving_matches_sequential_verify(
+        ops in arb_ops(),
+        batch_size in 1usize..5,
+    ) {
+        let plan = DataPlan::paper_default();
+        let corpus = corpus();
+        let mut registry = Registry::default();
+        let mut stage = Stage::new(0, batch_size);
+        let mut rels = Vec::new();
+        for r in corpus {
+            let rel = registry.record(plan, &r.edge.public, &r.op.public);
+            stage.register(rel, plan, r.edge.public.clone(), r.op.public.clone(), 1 << 10);
+            rels.push(rel);
+        }
+        let mut oracles = oracles();
+
+        let mut want = PerRelationship::new();
+        let mut got = Vec::new();
+        for (tag, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Flush => stage.flush(),
+                Op::Submit { rel, poc } => {
+                    let proof = &corpus[rel].pocs[poc];
+                    stage.submit(rels[rel], tag as u64, proof.clone());
+                    want.entry(rels[rel]).or_default().push((tag as u64, oracles[rel].verify(proof)));
+                }
+            }
+            // Taking results at arbitrary points must not disturb them.
+            if tag % 3 == 0 {
+                got.extend(stage.take_results());
+            }
+        }
+        let submitted: u64 = want.values().map(|v| v.len() as u64).sum();
+        let (stats, rest) = stage.finish();
+        got.extend(rest);
+        prop_assert_eq!(grouped(got), want);
+        prop_assert_eq!(stats.accepted + stats.rejected, submitted);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The same property where worker threads own the stages and flush
+    /// whenever their queues happen to run dry: one worker (every
+    /// relationship on one stage) and three (one each).
+    #[test]
+    fn prop_pool_matches_sequential_verify(ops in arb_ops(), batch_size in 1usize..5) {
+        let plan = DataPlan::paper_default();
+        let corpus = corpus();
+        for workers in [1, 3] {
+            let mut svc = VerifierService::with_config(ServiceConfig { workers, batch_size });
+            let mut rels = Vec::new();
+            for r in corpus {
+                rels.push(svc.register(plan, r.edge.public.clone(), r.op.public.clone()).unwrap());
+            }
+            let mut oracles = oracles();
+
+            let mut want = PerRelationship::new();
+            let mut got = Vec::new();
+            for op in &ops {
+                match *op {
+                    // The pool has no flush to call; collecting waits
+                    // for everything submitted so far instead.
+                    Op::Flush => got.extend(svc.collect_results().unwrap()),
+                    Op::Submit { rel, poc } => {
+                        let proof = &corpus[rel].pocs[poc];
+                        let tag = svc.submit(rels[rel], proof.clone()).unwrap();
+                        want.entry(rels[rel]).or_default().push((tag, oracles[rel].verify(proof)));
+                    }
+                }
+            }
+            got.extend(svc.collect_results().unwrap());
+            prop_assert_eq!(grouped(got), want);
+            let report = svc.finish();
+            prop_assert_eq!(report.worker_panics, 0);
+            prop_assert_eq!(report.unclaimed_results, 0);
+        }
+    }
+}

@@ -16,15 +16,19 @@
 //!   buffers recycle, and the report shows the deferrals;
 //! * a framing violation poisons only its own connection — the typed
 //!   `ERROR`/`Protocol` close, with neighbours unaffected;
-//! * a light-load verdict is driven by the idle kick and the workers'
-//!   waker, never by a timer — and a session that submits nothing
-//!   causes neither.
+//! * the loop runs to completion: a depth-1 verdict is flushed by the
+//!   iteration that read it (no timer, no second thread), a session
+//!   that submits nothing flushes nothing, a thin relationship is not
+//!   starved behind a flooding one, the same proof on two connections
+//!   is accepted once, and a frame longer than one wakeup's reads still
+//!   yields every verdict in order.
 //!
 //! Tests construct `IngressConfig { shards, .. }` directly so they hold
 //! regardless of the environment's `TLC_INGRESS_SHARDS`.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 use tlc_core::messages::{PocMsg, NONCE_LEN};
 use tlc_core::plan::DataPlan;
@@ -38,6 +42,7 @@ use tlc_core::verify::remote::{
     BackoffConfig, IngressConfig, IngressHandle, IngressServer, RemoteError, RemoteVerifier,
 };
 use tlc_core::verify::service::{ServiceConfig, ServiceError, SubmissionResult, VerifierService};
+use tlc_core::verify::VerifyError;
 use tlc_crypto::KeyPair;
 use tlc_net::wire::{FrameDecoder, FrameKind, DEFAULT_MAX_PAYLOAD};
 
@@ -110,20 +115,9 @@ fn material(idx: u64, n: usize) -> Material {
 }
 
 fn spawn_server(shards: usize, ingress: IngressConfig) -> IngressHandle {
-    spawn_with_service(ServiceConfig::default(), shards, ingress)
-}
-
-fn spawn_with_service(
-    service: ServiceConfig,
-    shards: usize,
-    ingress: IngressConfig,
-) -> IngressHandle {
     IngressServer::bind(
         ("127.0.0.1", 0),
-        ServiceConfig {
-            workers: 2,
-            ..service
-        },
+        ServiceConfig::default(),
         IngressConfig { shards, ..ingress },
     )
     .unwrap()
@@ -424,24 +418,17 @@ fn framing_violation_poisons_only_its_connection() {
 }
 
 // ---------------------------------------------------------------------
-// Wake-driven verdict path: idle kick in, waker out, no timers
+// Run to completion: what one wakeup gathered is verified before the next
 // ---------------------------------------------------------------------
 
-/// Depth-1 submit→verdict with a flush deadline that never comes: each
-/// proof is a partial batch only the server's idle kick can flush, and
-/// only the workers' waker can announce. A server that leaned on a
-/// timer for either hangs here.
+/// Depth-1 submit→verdict: each proof is a partial batch (one of 32)
+/// that nothing but the end of its own loop iteration flushes — there
+/// is no timer and no other thread. A server that waited for the batch
+/// to fill hangs here.
 #[test]
 fn depth_one_verdicts_need_no_timer() {
     let m = material(40, 3);
-    let handle = spawn_with_service(
-        ServiceConfig {
-            flush_deadline: Duration::from_secs(600),
-            ..ServiceConfig::default()
-        },
-        1,
-        IngressConfig::default(),
-    );
+    let handle = spawn_server(1, IngressConfig::default());
     let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
     let rel = client
         .register(m.plan, m.edge.public.clone(), m.op.public.clone())
@@ -459,18 +446,15 @@ fn depth_one_verdicts_need_no_timer() {
     let n = m.pocs.len() as u64;
     let svc = &report.service;
     assert_eq!((svc.batches, svc.idle_flushes), (n, n));
-    assert_eq!((svc.kicks, svc.deadline_flushes), (n, 0));
-    assert_eq!(report.waker_wakeups, n);
     let text = report.to_prometheus();
     assert!(text.contains(&format!("tlc_service_idle_flushes_total {n}\n")));
-    assert!(text.contains(&format!("tlc_service_waker_wakeups_total {n}\n")));
 }
 
-/// A session that only settles relays no submission, so the loop never
-/// probes, never kicks, and is never woken by a worker: the bypass
-/// workloads pay nothing for the verdict path.
+/// A session that only settles relays no submission, so no iteration
+/// of the loop has anything to verify: the bypass workloads pay
+/// nothing for the verdict path.
 #[test]
-fn settle_only_session_causes_no_kick_or_wake() {
+fn settle_only_session_verifies_nothing() {
     let m = material(41, 0);
     let agreement = RoamingAgreement::paper_default();
     let handle = spawn_server(1, IngressConfig::default());
@@ -490,6 +474,146 @@ fn settle_only_session_causes_no_kick_or_wake() {
 
     let report = handle.shutdown().unwrap();
     let svc = &report.service;
-    assert_eq!((svc.kicks, svc.idle_flushes, svc.batches), (0, 0, 0));
-    assert_eq!(report.waker_wakeups, 0);
+    assert_eq!((svc.idle_flushes, svc.batches), (0, 0));
+}
+
+/// Connection A keeps relationship 1's window full for as long as
+/// connection B needs to complete 32 depth-1 verdicts on relationship
+/// 2. No clock in the assertion: A floods *until B is done*, so a
+/// server that made B's lone proof wait for a batch to fill, or for
+/// A's input to pause, hangs here.
+#[test]
+fn thin_relationship_is_not_starved_by_a_flood() {
+    const ROUNDS: usize = 32;
+    let flood = material(42, 8);
+    let thin = material(43, ROUNDS);
+    // The flood cycles a small pool, so most of it is replays; keep the
+    // misbehavior ladder out of the way.
+    let handle = spawn_server(
+        1,
+        IngressConfig {
+            quarantine_threshold: u32::MAX,
+            goodbye_threshold: u32::MAX,
+            ..IngressConfig::default()
+        },
+    );
+    let addr = handle.addr();
+    let done = AtomicBool::new(false);
+
+    let flooded = std::thread::scope(|scope| {
+        let flooder = scope.spawn(|| {
+            let mut a = RemoteVerifier::connect(addr, 0).unwrap();
+            let rel = a
+                .register(
+                    flood.plan,
+                    flood.edge.public.clone(),
+                    flood.op.public.clone(),
+                )
+                .unwrap();
+            let mut sent = 0u64;
+            // `submit` blocks on a full window, so A always has its
+            // whole window in flight.
+            for poc in flood.pocs.iter().cycle() {
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
+                a.submit(rel, poc).unwrap();
+                sent += 1;
+            }
+            a.collect_results().unwrap();
+            a.goodbye().unwrap();
+            sent
+        });
+
+        let mut b = RemoteVerifier::connect(addr, 0).unwrap();
+        let rel = b
+            .register(thin.plan, thin.edge.public.clone(), thin.op.public.clone())
+            .unwrap();
+        for poc in &thin.pocs {
+            let tag = b.submit(rel, poc).unwrap();
+            let results = b.collect_results().unwrap();
+            assert_eq!(results.len(), 1);
+            assert_eq!(results[0].tag, tag);
+            assert!(results[0].result.is_ok(), "{:?}", results[0]);
+        }
+        done.store(true, Ordering::SeqCst);
+        b.goodbye().unwrap();
+        flooder.join().unwrap()
+    });
+
+    let report = handle.shutdown().unwrap();
+    assert_eq!(report.ingress.submissions, flooded + ROUNDS as u64);
+    assert_eq!(report.ingress.verdicts, flooded + ROUNDS as u64);
+    assert_eq!(report.ingress.shed_overload, 0);
+}
+
+/// The same proof submitted on two connections back to back: both
+/// registrations resolve to one relationship and one replay window, so
+/// exactly one submission is accepted and the other is `Replayed` —
+/// whether the two land in one gather (and one batch) or in two.
+#[test]
+fn one_proof_on_two_connections_is_accepted_once() {
+    let m = material(44, 1);
+    let handle = spawn_server(1, IngressConfig::default());
+    let mut clients: Vec<RemoteVerifier> = (0..2)
+        .map(|_| RemoteVerifier::connect(handle.addr(), 0).unwrap())
+        .collect();
+    let rels: Vec<_> = clients
+        .iter_mut()
+        .map(|c| {
+            c.register(m.plan, m.edge.public.clone(), m.op.public.clone())
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(rels[0], rels[1], "one relationship, one id");
+    for (c, rel) in clients.iter_mut().zip(&rels) {
+        c.submit(*rel, &m.pocs[0]).unwrap();
+    }
+    let mut outcomes = Vec::new();
+    for mut c in clients {
+        outcomes.extend(c.collect_results().unwrap().into_iter().map(|r| r.result));
+        c.goodbye().unwrap();
+    }
+    assert_eq!(outcomes.len(), 2);
+    assert_eq!(outcomes.iter().filter(|r| r.is_ok()).count(), 1);
+    assert!(outcomes.contains(&Err(VerifyError::Replayed)));
+
+    let report = handle.shutdown().unwrap();
+    let svc = &report.service;
+    assert_eq!((svc.accepted, svc.rejected, svc.replayed), (1, 1, 1));
+}
+
+/// One SUBMIT_BATCH frame longer than a wakeup's read budget for its
+/// connection (4 reads × 8 KiB): the frame completes on a later wakeup
+/// and every verdict still comes back, in submission order.
+#[test]
+fn a_frame_longer_than_one_wakeup_yields_every_verdict_in_order() {
+    const N: usize = 64;
+    let m = material(45, N);
+    let frame_bytes: usize = m.pocs.iter().map(|p| p.encode().len() + 4).sum();
+    assert!(frame_bytes > 32 * 1024, "{frame_bytes} B fits one wakeup");
+    let handle = spawn_server(1, IngressConfig::default());
+    let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
+    assert!(
+        client.window() as usize >= N,
+        "the batch must stay one frame"
+    );
+    let rel = client
+        .register(m.plan, m.edge.public.clone(), m.op.public.clone())
+        .unwrap();
+    assert_eq!(client.submit_batch(rel, &m.pocs).unwrap(), (0, N));
+    let results = client.collect_results().unwrap();
+    let tags: Vec<u64> = results.iter().map(|r| r.tag).collect();
+    assert_eq!(tags, (0..N as u64).collect::<Vec<_>>());
+    assert!(results.iter().all(|r| r.result.is_ok()));
+    client.goodbye().unwrap();
+
+    let report = handle.shutdown().unwrap();
+    assert_eq!(report.service.accepted, N as u64);
+    // 64 proofs of one relationship: two size-triggered batches of 32,
+    // nothing left for the end of the gather.
+    assert_eq!(
+        (report.service.batches, report.service.idle_flushes),
+        (2, 0)
+    );
 }

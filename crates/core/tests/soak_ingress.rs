@@ -274,7 +274,6 @@ fn batch_submission_respects_window_and_completes() {
         ServiceConfig {
             workers: 1,
             batch_size: 2,
-            ..ServiceConfig::default()
         },
         IngressConfig {
             window: 2,

@@ -377,7 +377,6 @@ fn shed_submits_draw_busy_and_retry_to_completion() {
     let handle = spawn_server(
         IngressConfig {
             window: 8,
-            service_inflight_cap: 2,
             shed_submit_watermark: 4,
             retry_after_ms: 2,
             ..IngressConfig::default()
@@ -605,9 +604,9 @@ fn mid_batch_death_accounts_every_orphan() {
     // The whole session is pipelined into the listener's backlog and
     // the socket dropped before the server thread exists, so the death
     // precedes every verdict by construction. (Against a running server
-    // it is a race the client used to win only by the batch timer's
-    // 2 ms; a kicked batch of five is verified sooner than a preempted
-    // client gets to close.) The first relationship a server issues is 0.
+    // it is a race the client loses: a batch of five is verified sooner
+    // than a preempted client gets to close.) The first relationship a
+    // server issues is 0.
     let server = IngressServer::bind(
         ("127.0.0.1", 0),
         ServiceConfig::default(),

@@ -26,8 +26,8 @@ fn emsa_encode(message: &[u8], em_len: usize) -> Result<Vec<u8>, CryptoError> {
 }
 
 /// EMSA-PKCS1-v1_5 encoding of an already-computed SHA-256 digest — the
-/// second half of [`emsa_encode`], split out so pipelined verifiers can
-/// hash in one stage and encode/compare in another.
+/// second half of [`emsa_encode`], split out so batching verifiers can
+/// hash each message as it arrives and encode/compare per batch.
 fn emsa_encode_digest(
     digest: &[u8; sha256::DIGEST_LEN],
     em_len: usize,

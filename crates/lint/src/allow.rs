@@ -7,10 +7,10 @@
 //! ```
 //!
 //! `item` is the innermost enclosing named item the lint reports, or
-//! `*` to cover a whole file (used for modules whose purpose is the
-//! exempted behaviour, e.g. the deadline machinery in
-//! `verify::service`). Keying on item names instead of line numbers
-//! keeps entries stable across reformatting.
+//! `*` to cover a whole file (for a module whose purpose is the
+//! exempted behaviour; `LINT_ALLOW` holds no such entry today). Keying
+//! on item names instead of line numbers keeps entries stable across
+//! reformatting.
 //!
 //! The list is *checked*: an entry that suppresses nothing is itself a
 //! lint error, so stale exemptions cannot accumulate.

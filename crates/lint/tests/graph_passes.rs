@@ -144,3 +144,47 @@ fn charge_audit_is_scoped_to_charge_paths() {
         "{findings:?}"
     );
 }
+
+/// Batch verification runs on the ingress shard's own thread, so a
+/// panic in it costs the shard, not a pool worker. The transitive
+/// no-panic pass protects only what the call graph resolves; pin that
+/// the real graph walks from the shard loop into
+/// `Verifier::verify_batch_prehashed`.
+#[test]
+fn shard_loop_reaches_batch_verification_in_the_real_call_graph() {
+    use tlc_lint::graph::CallGraph;
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/lint has a workspace root two levels up");
+    let ws = tlc_lint::Workspace::load(root).expect("workspace scan");
+    let graph = CallGraph::build(&ws.files);
+    let is = |id: usize, ty: &str, path: &str| {
+        graph.fns[id].impl_type.as_deref() == Some(ty) && graph.fn_path(id).ends_with(path)
+    };
+    let mut frontier: Vec<usize> = graph
+        .fns_named("run")
+        .iter()
+        .copied()
+        .filter(|&id| is(id, "Shard", "verify/remote/event_loop.rs"))
+        .collect();
+    assert_eq!(frontier.len(), 1, "Shard::run moved or was renamed");
+    let mut seen = vec![false; graph.fns.len()];
+    while let Some(id) = frontier.pop() {
+        if std::mem::replace(&mut seen[id], true) {
+            continue;
+        }
+        frontier.extend(
+            graph.calls[id]
+                .iter()
+                .flat_map(|c| c.callees.iter().copied()),
+        );
+    }
+    assert!(
+        graph
+            .fns_named("verify_batch_prehashed")
+            .iter()
+            .any(|&id| seen[id] && is(id, "Verifier", "verify/mod.rs")),
+        "no resolved call chain from Shard::run to Verifier::verify_batch_prehashed"
+    );
+}

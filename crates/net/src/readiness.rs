@@ -10,9 +10,6 @@
 //!   (level-triggered, the semantics the buffer-pool deferral relies
 //!   on) with a portable **poll(2)** fallback so macOS and CI-generic
 //!   targets still build and run,
-//! * [`Waker`] — a coalescing cross-thread wake-up for a thread blocked
-//!   in [`Readiness::wait`], so results produced by worker threads need
-//!   no timed poll to be noticed,
 //! * [`bind_reuseport`] — a `SO_REUSEPORT` TCP listener factory, so N
 //!   acceptor shards can bind the same address and let the kernel
 //!   spread incoming connections across them,
@@ -35,10 +32,6 @@ use std::net::TcpListener;
 use std::net::{SocketAddr, SocketAddrV4};
 #[cfg(unix)]
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 #[cfg(not(unix))]
 /// Raw file descriptor stand-in so the API type-checks off Unix.
@@ -64,8 +57,6 @@ pub struct Token(pub u64);
 impl Token {
     /// Conventional token for the shard's listener socket.
     pub const LISTENER: Token = Token(u64::MAX);
-    /// Reserved token a [`Waker`] registers its read end under.
-    pub const WAKER: Token = Token(u64::MAX - 1);
 }
 
 /// Which readiness classes a registration asks to be woken for.
@@ -610,100 +601,6 @@ impl Readiness {
     }
 }
 
-/// Wakes a thread blocked in [`Readiness::wait`] from any other thread.
-///
-/// A socket pair whose read end is registered under [`Token::WAKER`]:
-/// [`WakeHandle::wake`] makes it readable, the waiting thread sees the
-/// token and calls [`drain`](Self::drain). Works on both backends, and
-/// needs no `unsafe` — the pair is `std`'s.
-///
-/// Wake-ups coalesce: between one `drain` and the next, any number of
-/// `wake` calls cost one byte and one write. The protocol that makes
-/// this lossless is "publish, then wake" on the producer side and
-/// "drain, then look" on the consumer side — a `wake` that finds the
-/// flag already set wrote nothing, but then the consumer has not yet
-/// cleared it, and clears it *before* it looks.
-pub struct Waker {
-    #[cfg(unix)]
-    rx: UnixStream,
-    shared: Arc<WakeShared>,
-}
-
-struct WakeShared {
-    #[cfg(unix)]
-    tx: UnixStream,
-    /// A byte is in flight (or about to be) and not yet drained.
-    armed: AtomicBool,
-}
-
-/// The producer side of a [`Waker`]; clone one per producer thread.
-#[derive(Clone)]
-pub struct WakeHandle(Arc<WakeShared>);
-
-impl Waker {
-    /// Opens the pair and registers its read end with `ready`. Off
-    /// Unix there is no registry to wake, and this fails like
-    /// [`Readiness::new`].
-    pub fn new(ready: &mut Readiness) -> io::Result<Waker> {
-        #[cfg(unix)]
-        {
-            let (rx, tx) = UnixStream::pair()?;
-            rx.set_nonblocking(true)?;
-            tx.set_nonblocking(true)?;
-            ready.register(rx.as_raw_fd(), Token::WAKER, Interest::READ)?;
-            let armed = AtomicBool::new(false);
-            Ok(Waker {
-                rx,
-                shared: Arc::new(WakeShared { tx, armed }),
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = ready;
-            Err(io::Error::new(io::ErrorKind::Unsupported, "no backend"))
-        }
-    }
-
-    /// A handle producers fire.
-    pub fn handle(&self) -> WakeHandle {
-        WakeHandle(Arc::clone(&self.shared))
-    }
-
-    /// Consumes the pending wake-up. Call on every [`Token::WAKER`]
-    /// event, *before* looking at whatever the producers publish: the
-    /// flag is cleared only after the bytes are gone, so a later `wake`
-    /// always writes a fresh byte and an earlier one is covered by the
-    /// look that follows.
-    pub fn drain(&mut self) {
-        #[cfg(unix)]
-        {
-            use std::io::Read;
-            let mut sink = [0u8; 64];
-            // Non-blocking: stops at WouldBlock (drained), EOF or error.
-            while matches!(self.rx.read(&mut sink), Ok(n) if n > 0) {}
-        }
-        self.shared.armed.store(false, Ordering::SeqCst);
-    }
-}
-
-impl WakeHandle {
-    /// Makes the waiter's next (or current) [`Readiness::wait`] return
-    /// with [`Token::WAKER`]. Publish first, then call this. Never
-    /// blocks; a failed write means the waiter is gone.
-    pub fn wake(&self) {
-        // SeqCst pairs with the store in `drain`: either this swap sees
-        // the cleared flag and writes, or it precedes the clear and the
-        // waiter's look after the clear sees what was published.
-        if !self.0.armed.swap(true, Ordering::SeqCst) {
-            #[cfg(unix)]
-            {
-                use std::io::Write;
-                let _ = (&self.0.tx).write(&[1]);
-            }
-        }
-    }
-}
-
 /// Binds a TCP listener with `SO_REUSEPORT` (and `SO_REUSEADDR`) set
 /// *before* bind, so several acceptor shards can share one address and
 /// the kernel load-balances incoming connections across them. IPv4
@@ -931,40 +828,6 @@ mod tests {
             r.deregister(server.as_raw_fd()).unwrap();
             r.wait(&mut events, 10).unwrap();
             assert!(events.is_empty(), "{backend:?}: deregistered fd reported");
-        }
-    }
-
-    #[test]
-    fn waker_wakes_a_blocked_wait_and_coalesces() {
-        for backend in backends() {
-            let mut r = Readiness::with_backend(backend).unwrap();
-            let mut waker = Waker::new(&mut r).unwrap();
-            let mut events = Vec::new();
-            r.wait(&mut events, 10).unwrap();
-            assert!(events.is_empty(), "{backend:?}: woke unprompted");
-
-            // Fired from another thread while this one blocks; many
-            // wakes before a drain surface as one readable event.
-            let handle = waker.handle();
-            let t = std::thread::spawn(move || {
-                for _ in 0..100 {
-                    handle.wake();
-                }
-            });
-            r.wait(&mut events, 5_000).unwrap();
-            assert!(
-                events.iter().any(|e| e.token == Token::WAKER && e.readable),
-                "{backend:?}: waker never reported"
-            );
-            t.join().unwrap();
-            waker.drain();
-            r.wait(&mut events, 10).unwrap();
-            assert!(events.is_empty(), "{backend:?}: drained waker still set");
-
-            // Re-armed by the drain: the next wake is a fresh event.
-            waker.handle().wake();
-            r.wait(&mut events, 5_000).unwrap();
-            assert!(events.iter().any(|e| e.token == Token::WAKER));
         }
     }
 

@@ -90,28 +90,20 @@ fn nonce(id: u64, cycle: u64, side: u8) -> [u8; NONCE_LEN] {
     n
 }
 
-/// `--serve [addr]`: expose the sharded service on a TCP listener and
-/// verify whatever remote peers submit, until killed.
+/// `--serve [addr]`: expose verification on a TCP listener and verify
+/// whatever remote peers submit, until killed. Verification runs on
+/// the server's shard threads (`TLC_INGRESS_SHARDS`, default 1).
 fn serve(addr: &str) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let server = IngressServer::bind(
-        addr,
-        ServiceConfig {
-            workers,
-            ..ServiceConfig::default()
-        },
-        IngressConfig::default(),
-    )
-    .expect("bind ingress listener");
+    let config = IngressConfig::default();
+    let server =
+        IngressServer::bind(addr, ServiceConfig::default(), config).expect("bind ingress listener");
     println!(
-        "verifier listening on {} ({} shard workers); Ctrl-C to stop",
+        "verifier listening on {} ({} shards); Ctrl-C to stop",
         server
             .local_addr()
             .map(|a| a.to_string())
             .unwrap_or_else(|_| addr.to_string()),
-        workers
+        config.shards
     );
     // The example has no signal handling; the process runs until killed.
     let stop = AtomicBool::new(false);
@@ -257,7 +249,7 @@ fn main() {
     assert_eq!(report.accepted as usize, accepted);
 
     // ── Rejection paths ─────────────────────────────────────────────────
-    // All four flow through the same sharded pipeline as acceptances.
+    // All four flow through the same sharded pool as acceptances.
     println!("\nrejection paths:");
     let victim = &rels[0];
     let mut svc = VerifierService::new(2);
