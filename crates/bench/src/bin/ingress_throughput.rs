@@ -10,7 +10,7 @@
 //! # C100K mode
 //!
 //! With `--conns N` the binary switches to the connection-scale bench
-//! behind DESIGN.md §12: a child process (its own fd budget) holds `N`
+//! behind DESIGN.md §10: a child process (its own fd budget) holds `N`
 //! idle handshaken connections against the server, the full table is
 //! soaked idle for `--duration` seconds, then a foreground client
 //! measures PoCs/sec over the pre-generated proof set — sweeping shard

@@ -11,7 +11,6 @@
 //! ```text
 //! twin_scale                       # full sweep: 10k, 100k, 1M sessions
 //! twin_scale --tiers 10000         # CI smoke tier
-//! twin_scale --backend heap        # cross-check the legacy scheduler
 //! ```
 //!
 //! Exits nonzero if any tier leaks a stale event, under-populates, or
@@ -20,7 +19,6 @@
 use std::time::Instant;
 use tlc_sim::experiments::twin::tier_config;
 use tlc_sim::twin::{run_twin, NullSink};
-use tlc_sim::wheel::WheelBackend;
 
 /// Absolute drift in the aggregate gap ratio tolerated between the
 /// smallest tier and any larger one.
@@ -72,30 +70,17 @@ fn main() {
     let seed: u64 = arg_value(&args, "--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or(0x7717);
-    let backend = match arg_value(&args, "--backend").as_deref() {
-        Some("wheel") => WheelBackend::Wheel,
-        Some("heap") => WheelBackend::Heap,
-        Some(other) => {
-            eprintln!("unknown --backend {other} (want wheel|heap)");
-            std::process::exit(2);
-        }
-        None => WheelBackend::from_env(),
-    };
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_twin.json".to_string());
 
     let host_cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!(
-        "twin_scale: backend={} seed={seed:#x} host_cpus={host_cpus} tiers={tiers:?}",
-        backend.name()
-    );
+    println!("twin_scale: seed={seed:#x} host_cpus={host_cpus} tiers={tiers:?}");
 
     let mut runs: Vec<TierRun> = Vec::new();
     let mut failures = 0u32;
     for &sessions in &tiers {
-        let mut cfg = tier_config(sessions, seed);
-        cfg.backend = backend;
+        let cfg = tier_config(sessions, seed);
         let start = Instant::now();
         let r = run_twin(&cfg, &mut NullSink);
         let elapsed = start.elapsed().as_secs_f64();
@@ -157,7 +142,7 @@ fn main() {
         }
     }
 
-    write_json(&out_path, backend, seed, host_cpus, &runs);
+    write_json(&out_path, seed, host_cpus, &runs);
     if failures > 0 {
         eprintln!("twin_scale: {failures} check(s) failed");
         std::process::exit(1);
@@ -166,12 +151,11 @@ fn main() {
 
 /// Writes the tier sweep as JSON (hand-rolled, like the other bench
 /// bins: the report shape is the contract, not a serde schema).
-fn write_json(path: &str, backend: WheelBackend, seed: u64, host_cpus: usize, runs: &[TierRun]) {
+fn write_json(path: &str, seed: u64, host_cpus: usize, runs: &[TierRun]) {
     let base = runs.first();
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"twin_scale\",\n");
-    out.push_str(&format!("  \"backend\": \"{}\",\n", backend.name()));
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     out.push_str("  \"tiers\": [\n");

@@ -18,7 +18,7 @@
 //!   API: `register` / `submit` / `submit_batch` / `collect_results`
 //!   with the same typed [`ServiceError`] / [`VerifyError`] surface.
 //!
-//! ## Overload ladder (DESIGN §11)
+//! ## Overload ladder (DESIGN §10)
 //!
 //! A shard verifies everything one wakeup gathered before it looks at
 //! the kernel again, so its backlog is the work of the gather in
@@ -56,7 +56,7 @@
 //! `ChargeMismatch` operands) so a tampered PoC rejected over TCP is
 //! indistinguishable from one rejected in-process.
 //!
-//! ## Server loop (DESIGN §12)
+//! ## Server loop (DESIGN §10)
 //!
 //! The server blocks in `tlc_net::readiness` (epoll on Linux, poll(2)
 //! on other Unix) on `SO_REUSEPORT`-sharded acceptor/event threads,
@@ -90,7 +90,7 @@ use tlc_net::bufpool::{PoolStats, PooledBuf};
 use tlc_net::ingress::ConnDriver;
 use tlc_net::readiness::Interest;
 use tlc_net::rng::SimRng;
-use tlc_net::wire::{Frame, FrameDecoder, FrameKind, WireError, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
+use tlc_net::wire::{encode_with, Frame, FrameDecoder, FrameKind, WireError, DEFAULT_MAX_PAYLOAD};
 
 pub mod codec;
 mod event_loop;
@@ -1672,13 +1672,7 @@ impl<S: Read + Write> RemoteVerifier<S> {
         put: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), RemoteError> {
         self.tx.clear();
-        self.tx.extend_from_slice(&[kind.as_u8(), 0, 0, 0, 0]);
-        put(&mut self.tx);
-        let len = u32::try_from(self.tx.len() - HEADER_LEN).map_err(|_| WireError::Oversize {
-            len: u32::MAX,
-            max: u32::MAX,
-        })?;
-        self.tx[1..HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+        encode_with(kind, &mut self.tx, put)?;
         self.stream
             .write_all(&self.tx)
             .map_err(|e| RemoteError::Io(e.kind()))

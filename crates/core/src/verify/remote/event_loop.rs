@@ -1,5 +1,5 @@
 //! The ingress event loop: readiness-driven, one thread per shard
-//! (DESIGN.md §12).
+//! (DESIGN.md §10).
 //!
 //! A shard blocks in the kernel ([`tlc_net::readiness::Readiness`]:
 //! epoll on Linux, poll(2) elsewhere) and touches only sockets with
@@ -17,7 +17,7 @@
 //!   relationship ids and misbehavior scores sound. It also means a
 //!   relationship's replay window is per *shard*: registered over two
 //!   connections that land on different shards, it has two independent
-//!   windows (DESIGN §12).
+//!   windows (DESIGN §10).
 //! * **Pooled zero-copy reads.** Socket bytes land in buffers checked
 //!   out of a bounded [`BufferPool`]; complete frames are parsed in
 //!   place with [`split_frame`] and handed to the protocol core as

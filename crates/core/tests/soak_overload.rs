@@ -2,7 +2,7 @@
 //!
 //! Where `soak_ingress` proves the happy path matches the in-process
 //! service bit-for-bit, this suite drives the server through its
-//! admission ladder (DESIGN §11) and asserts the robustness pins:
+//! admission ladder (DESIGN §10) and asserts the robustness pins:
 //!
 //! * overload is never a silent drop — every shed submission draws a
 //!   typed BUSY, and server shed counters reconcile with what clients

@@ -1,4 +1,4 @@
-//! Bounded, recycled read-buffer pool for the ingress (DESIGN.md §12).
+//! Bounded, recycled read-buffer pool for the ingress (DESIGN.md §10).
 //!
 //! Copying every frame payload into a fresh `Vec` before decode would
 //! be per-frame allocator churn on the hottest path in the system. The
@@ -13,7 +13,7 @@
 //! buffer is checked out the loop *defers* reads (masks readable
 //! interest; level-triggered readiness re-reports the socket once a
 //! buffer frees) instead of allocating unboundedly — the same
-//! philosophy as the §11 shed ladder, applied to memory.
+//! philosophy as the §10 shed ladder, applied to memory.
 //!
 //! [`PooledBuf`] returns its storage on drop. A buffer that held a
 //! partial frame keeps its tail bytes attached to the connection until

@@ -15,7 +15,6 @@
 //! makes every run exactly reproducible.
 //!
 //! * [`time`] — microsecond-resolution virtual clock,
-//! * [`event`] — deterministic event queue (FIFO tie-break),
 //! * [`rng`] — xoshiro256++ with labelled stream splitting,
 //! * [`packet`] — size/QCI/flow-tagged packets (no payloads; counting bytes
 //!   is the object of study),
@@ -49,7 +48,6 @@
 pub mod bufpool;
 pub mod channel;
 pub mod chaos;
-pub mod event;
 pub mod fair;
 pub mod ingress;
 pub mod link;
@@ -67,7 +65,6 @@ pub mod wire;
 pub use bufpool::{BufferPool, PoolStats, PooledBuf};
 pub use channel::{ChannelStats, FaultSpec, FaultyChannel};
 pub use chaos::{plan_roles, ChaosRole, ChaosSpec, ChaosStats, ChaosStream};
-pub use event::EventQueue;
 pub use fair::{FairQueue, DRR_QUANTUM};
 pub use ingress::{ConnDriver, ConnStats, DriverError};
 pub use link::{Link, LinkParams, LinkStats};
@@ -83,6 +80,6 @@ pub use rng::SimRng;
 pub use stats::{ByteCounter, UsageSeries};
 pub use time::{SimDuration, SimTime};
 pub use wire::{
-    split_frame, Frame, FrameDecoder, FrameKind, FrameRef, WireError, DEFAULT_MAX_PAYLOAD,
-    HEADER_LEN,
+    encode_with, split_frame, Frame, FrameDecoder, FrameKind, FrameRef, WireError,
+    DEFAULT_MAX_PAYLOAD, HEADER_LEN,
 };

@@ -1,4 +1,4 @@
-//! OS readiness notification for the verifier ingress (DESIGN.md §12).
+//! OS readiness notification for the verifier ingress (DESIGN.md §10).
 //!
 //! A carrier front door holds hundreds of thousands of mostly-idle
 //! peers, so the ingress loop in `tlc-core::verify::remote` blocks in

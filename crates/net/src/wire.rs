@@ -160,15 +160,8 @@ impl Frame {
     /// Serialises the frame, appending to `out`. Fails (without writing)
     /// if the payload cannot be length-prefixed in a `u32`.
     pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), WireError> {
-        let len = u32::try_from(self.payload.len()).map_err(|_| WireError::Oversize {
-            len: u32::MAX,
-            max: u32::MAX,
-        })?;
-        out.reserve(HEADER_LEN + self.payload.len());
-        out.push(self.kind.as_u8());
-        out.extend_from_slice(&len.to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        Ok(())
+        out.reserve(self.wire_len());
+        encode_with(self.kind, out, |out| out.extend_from_slice(&self.payload))
     }
 
     /// Serialises the frame to a fresh buffer.
@@ -176,6 +169,45 @@ impl Frame {
         let mut out = Vec::with_capacity(self.wire_len());
         self.encode_into(&mut out)?;
         Ok(out)
+    }
+}
+
+/// Appends one frame to `out` whose payload `put` writes in place
+/// behind the envelope header — the one place the five header bytes
+/// are written. `put` may only append. If what it appended cannot be
+/// length-prefixed in a `u32`, `out` is cut back to the length it had
+/// on entry and nothing of the frame remains.
+pub fn encode_with(
+    kind: FrameKind,
+    out: &mut Vec<u8>,
+    put: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
+    encode_capped(kind, u32::MAX, out, put)
+}
+
+/// [`encode_with`] against an explicit payload cap (the unit tests
+/// cannot append 4 GiB to watch `u32::MAX` refuse it).
+fn encode_capped(
+    kind: FrameKind,
+    max: u32,
+    out: &mut Vec<u8>,
+    put: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), WireError> {
+    let start = out.len();
+    out.extend_from_slice(&[kind.as_u8(), 0, 0, 0, 0]);
+    put(out);
+    let body = start + HEADER_LEN;
+    let n = out.len().saturating_sub(body);
+    let len = u32::try_from(n).unwrap_or(u32::MAX);
+    match out.get_mut(start + 1..body) {
+        Some(field) if n as u64 <= u64::from(max) => {
+            field.copy_from_slice(&len.to_be_bytes());
+            Ok(())
+        }
+        _ => {
+            out.truncate(start);
+            Err(WireError::Oversize { len, max })
+        }
     }
 }
 
@@ -427,6 +459,27 @@ mod tests {
         assert_eq!(d.next_frame(), Some(f));
         assert_eq!(d.next_frame(), None);
         assert_eq!(d.partial_bytes(), 0);
+    }
+
+    #[test]
+    fn oversize_put_leaves_out_as_it_found_it() {
+        let mut out = vec![0xAA, 0xBB];
+        let nine = |out: &mut Vec<u8>| out.extend_from_slice(&[7; 9]);
+        assert_eq!(
+            encode_capped(FrameKind::Submit, 8, &mut out, nine),
+            Err(WireError::Oversize { len: 9, max: 8 })
+        );
+        assert_eq!(out, [0xAA, 0xBB]);
+        // One byte less fits, behind whatever `out` already held.
+        encode_capped(FrameKind::Submit, 8, &mut out, |out| {
+            out.extend_from_slice(&[7; 8])
+        })
+        .unwrap();
+        assert_eq!(out[..2], [0xAA, 0xBB]);
+        assert_eq!(
+            out[2..],
+            Frame::new(FrameKind::Submit, vec![7; 8]).encode().unwrap()
+        );
     }
 
     #[test]

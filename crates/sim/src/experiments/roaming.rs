@@ -11,7 +11,6 @@
 
 use super::RunScale;
 use crate::twin::{run_twin, NullSink, RoamingTwinConfig, TwinConfig, TwinReport};
-use crate::wheel::WheelBackend;
 use serde::Serialize;
 use tlc_net::time::SimDuration;
 
@@ -74,11 +73,8 @@ fn row(scenario: &'static str, r: &TwinReport) -> RoamingRow {
 fn base_config(scale: RunScale, seed: u64) -> TwinConfig {
     let mut cfg = TwinConfig::smoke(seed);
     cfg.roaming = Some(RoamingTwinConfig::paper_default());
-    // Honor the CI matrix knobs the twin experiment honors: scheduler
-    // backend (TLC_TWIN_SCHED) and worker threads (TLC_TWIN_THREADS).
-    // Neither may change a single settled byte — the conformance
-    // suite pins the digest across both axes.
-    cfg.backend = WheelBackend::from_env();
+    // Worker threads (TLC_TWIN_THREADS) may not change a single
+    // settled byte: CI runs the pack at 1 and 2 and diffs the output.
     if let Ok(t) = std::env::var("TLC_TWIN_THREADS") {
         if let Ok(t) = t.parse::<usize>() {
             cfg.threads = t.clamp(1, 64);

@@ -9,7 +9,6 @@
 
 use super::RunScale;
 use crate::twin::{run_twin, NullSink, TwinConfig};
-use crate::wheel::WheelBackend;
 use serde::Serialize;
 use tlc_net::time::SimDuration;
 
@@ -47,7 +46,6 @@ pub fn tier_config(sessions: usize, seed: u64) -> TwinConfig {
     // Churn proportional to population: ~1% of the population arriving
     // (and, with 2-minute lifetimes, leaving) per second, per shard.
     cfg.churn.arrivals_per_sec = sessions as f64 * 0.01 / cfg.shards as f64;
-    cfg.backend = WheelBackend::from_env();
     // Capacity shaped so the cell runs warm but not collapsed.
     cfg.cell_capacity_bytes_per_epoch = (sessions as u64) * 200_000;
     cfg

@@ -51,4 +51,4 @@ pub use twin::{
     run_twin, NullSink, RoamingSweep, RoamingTwinConfig, Settled, SettlementSink, TwinConfig,
     TwinReport,
 };
-pub use wheel::{Scheduler, Token, WheelBackend};
+pub use wheel::{Scheduler, Token};

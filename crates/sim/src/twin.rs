@@ -21,11 +21,9 @@
 //! shards' offered-load deltas **in shard-index order** into the
 //! shared cell-congestion level used by the next epoch. Nothing a
 //! shard computes depends on any other shard within an epoch, so the
-//! run is byte-identical at any thread count — and, because both
-//! scheduler backends fire in `(tick, seq)` order, identical across
-//! [`WheelBackend::Wheel`] and [`WheelBackend::Heap`] too. The
-//! equivalence suite (`tests/twin_equiv.rs`) pins both axes with a
-//! digest over every counter that matters.
+//! run is byte-identical at any thread count. The equivalence suite
+//! (`tests/twin_equiv.rs`) pins that, and the event order itself, with
+//! a digest over every counter that matters.
 //!
 //! # Closed loop
 //!
@@ -38,7 +36,7 @@
 use crate::arena::{Arena, SessionId};
 use crate::par::par_map_mut;
 use crate::soa::{ChargeColumns, ChargeRow, GapSweep};
-use crate::wheel::{Scheduler, Token, WheelBackend};
+use crate::wheel::{Scheduler, Token};
 use tlc_core::plan::{DataPlan, UsagePair};
 use tlc_core::roaming::{reconcile_bonded, LinkCdr, RoamingAgreement, Segment, Serving};
 use tlc_net::packet::Direction;
@@ -71,8 +69,6 @@ pub struct TwinConfig {
     pub tick: SimDuration,
     /// Epoch (barrier) length for cross-shard congestion coupling.
     pub epoch: SimDuration,
-    /// Scheduler backend (equivalence axis; see `wheel`).
-    pub backend: WheelBackend,
     /// Plan priced at settlement.
     pub plan: DataPlan,
     /// Fraction of settled cycles forwarded to the sink with full
@@ -128,7 +124,6 @@ impl TwinConfig {
             cycle: SimDuration::from_secs(2),
             tick: SimDuration::from_millis(500),
             epoch: SimDuration::from_secs(1),
-            backend: WheelBackend::Wheel,
             plan: DataPlan::paper_default(),
             sample_rate: 0.0,
             cell_capacity_bytes_per_epoch: u64::MAX,
@@ -212,9 +207,8 @@ pub struct TwinReport {
     /// Three-party settlement aggregates (all zero when roaming is
     /// disabled).
     pub roaming: RoamingSweep,
-    /// Order-sensitive digest of the run: byte-identical runs — any
-    /// thread count, either scheduler backend — produce the same
-    /// value.
+    /// Order-sensitive digest of the run: byte-identical runs — at
+    /// any thread count — produce the same value.
     pub digest: u64,
 }
 
@@ -332,7 +326,6 @@ struct Session {
     cycle_tok: Token,
     handover_tok: Token,
     op_handover_tok: Token,
-    teardown_tok: Token,
     /// Operator currently carrying the session's traffic (always
     /// `Home` unless the roaming plane flips it).
     serving: Serving,
@@ -343,7 +336,12 @@ struct Session {
     rng: SimRng,
 }
 
-/// Per-shard twin state.
+/// Per-shard twin state. Shards sit side by side in a `Vec` and are
+/// run by different threads, each writing its own counters and
+/// scheduler words on every event; the alignment keeps a shard's first
+/// and last cache lines (in prefetch pairs) from being a neighbour's
+/// too, so the twin's speed does not move with the size of a field.
+#[repr(align(128))]
 struct Shard {
     index: usize,
     sched: Scheduler<Event>,
@@ -386,7 +384,7 @@ impl Shard {
         let label = |what: &str| format!("twin/shard{index}/{what}");
         Shard {
             index,
-            sched: Scheduler::with_capacity(cfg.backend, 1024),
+            sched: Scheduler::with_capacity(1024),
             arena: Arena::with_capacity(1024),
             cols: ChargeColumns::with_capacity(1024),
             cols_visited: ChargeColumns::new(),
@@ -427,7 +425,6 @@ impl Shard {
             cycle_tok: Token::NONE,
             handover_tok: Token::NONE,
             op_handover_tok: Token::NONE,
-            teardown_tok: Token::NONE,
             serving: Serving::Home,
             bonded: false,
             rng,
@@ -478,8 +475,8 @@ impl Shard {
         }
         let tick_tok = self.sched.schedule(now_us + 1 + phase, Event::Tick(id));
         let cycle_tok = self.sched.schedule(now_us + cycle_us, Event::CycleEnd(id));
-        let teardown_tok = self
-            .sched
+        // No token kept: nothing ever cancels a teardown.
+        self.sched
             .schedule(now_us + lifetime.as_micros().max(1), Event::Teardown(id));
         let handover_tok = match ho_gap {
             Some(gap) => self
@@ -496,20 +493,28 @@ impl Shard {
         if let Some(s) = self.arena.get_mut(id) {
             s.tick_tok = tick_tok;
             s.cycle_tok = cycle_tok;
-            s.teardown_tok = teardown_tok;
             s.handover_tok = handover_tok;
             s.op_handover_tok = op_handover_tok;
         }
     }
 
-    /// Settles the session's current cycle and restarts the row.
+    /// Settles the session's current cycle and restarts the row. With
+    /// a roaming plane the cycle is the sum of the per-operator rows,
+    /// and on top of the gap sweep each operator's segment is priced
+    /// through the three-party agreement and a bonded device's per-link
+    /// CDRs are reconciled. Without one, the visited bank is never
+    /// read or written (it was never grown).
     fn settle(&mut self, id: SessionId, now_us: u64, cause: SettleCause) {
-        if self.roaming.is_some() {
-            self.settle_roaming(id, now_us, cause);
-            return;
-        }
         let row = id.index as usize;
-        let r = self.cols.row(row);
+        let rh = self.cols.row(row);
+        let three_party = self
+            .roaming
+            .as_ref()
+            .map(|rc| (rc.agreement, self.cols_visited.row(row)));
+        let r = match &three_party {
+            Some((_, rv)) => combine_rows(&rh, rv),
+            None => rh,
+        };
         if r.sent > 0 || r.gateway > 0 {
             let settlement = settle_twin_row(&r, &self.plan);
             let sampled = self.sample_rate > 0.0 && self.sample_rng.chance(self.sample_rate);
@@ -528,75 +533,36 @@ impl Shard {
                 legacy_gap: settlement.legacy_gap(),
                 tlc_gap: settlement.tlc_gap(),
             });
-            self.outbox.push(Settled {
-                shard: self.index,
-                row: id.index,
-                at_us: now_us,
-                cause,
-                settlement,
-                sampled,
-            });
-        }
-        self.cols.clear_row(row);
-        self.cols.start_cycle(row, now_us);
-    }
-
-    /// Roaming-plane settlement: combine the per-operator rows for the
-    /// gap sweep, price each operator's segment through the three-party
-    /// agreement, and reconcile bonded devices' per-link CDRs.
-    fn settle_roaming(&mut self, id: SessionId, now_us: u64, cause: SettleCause) {
-        let Some(rc) = self.roaming.as_ref() else {
-            return;
-        };
-        let agreement = rc.agreement;
-        let row = id.index as usize;
-        let rh = self.cols.row(row);
-        let rv = self.cols_visited.row(row);
-        let combined = combine_rows(&rh, &rv);
-        if combined.sent > 0 || combined.gateway > 0 {
-            let settlement = settle_twin_row(&combined, &self.plan);
-            let sampled = self.sample_rate > 0.0 && self.sample_rng.chance(self.sample_rate);
-            self.settled_n += 1;
-            if sampled {
-                self.sampled_n += 1;
-            }
-            self.sweep.merge(&GapSweep {
-                active_rows: 1,
-                total_sent: combined.sent,
-                total_delivered: combined.delivered,
-                total_gateway: combined.gateway,
-                intended: settlement.intended,
-                legacy_gap: settlement.legacy_gap(),
-                tlc_gap: settlement.tlc_gap(),
-            });
-            // One segment per operator that carried traffic, priced on
-            // the honest measured pair (edge reads exactly, operator
-            // view trails by that operator's monitor lag).
-            let mut segments: Vec<Segment> = Vec::with_capacity(2);
-            for (serving, r) in [(Serving::Home, &rh), (Serving::Visited, &rv)] {
-                if r.sent > 0 || r.gateway > 0 {
-                    segments.push(Segment {
-                        serving,
-                        claims: UsagePair {
-                            edge: r.sent,
-                            operator: r.delivered.saturating_sub(r.monitor_lag),
-                        },
-                    });
+            if let Some((agreement, rv)) = &three_party {
+                // One segment per operator that carried traffic, priced on
+                // the honest measured pair (edge reads exactly, operator
+                // view trails by that operator's monitor lag).
+                let mut segments: Vec<Segment> = Vec::with_capacity(2);
+                for (serving, part) in [(Serving::Home, &rh), (Serving::Visited, rv)] {
+                    if part.sent > 0 || part.gateway > 0 {
+                        segments.push(Segment {
+                            serving,
+                            claims: UsagePair {
+                                edge: part.sent,
+                                operator: part.delivered.saturating_sub(part.monitor_lag),
+                            },
+                        });
+                    }
+                }
+                let rs = agreement.settle(&segments);
+                self.rsweep.cycles_settled = self.rsweep.cycles_settled.saturating_add(1);
+                self.rsweep.charged = self.rsweep.charged.saturating_add(rs.charged);
+                self.rsweep.home = self.rsweep.home.saturating_add(rs.split.home);
+                self.rsweep.visited = self.rsweep.visited.saturating_add(rs.split.visited);
+                self.rsweep.vendor = self.rsweep.vendor.saturating_add(rs.split.vendor);
+                if self.arena.get(id).map(|s| s.bonded).unwrap_or(false) && r.sent > 0 {
+                    let links = bonded_links(&r);
+                    let rec = reconcile_bonded(&links, self.plan.loss_weight);
+                    self.rsweep.bonded_cycles = self.rsweep.bonded_cycles.saturating_add(1);
+                    self.rsweep.bonded_link_charged =
+                        self.rsweep.bonded_link_charged.saturating_add(rec.charged);
                 }
             }
-            let rs = agreement.settle(&segments);
-            self.rsweep.cycles_settled = self.rsweep.cycles_settled.saturating_add(1);
-            self.rsweep.charged = self.rsweep.charged.saturating_add(rs.charged);
-            self.rsweep.home = self.rsweep.home.saturating_add(rs.split.home);
-            self.rsweep.visited = self.rsweep.visited.saturating_add(rs.split.visited);
-            self.rsweep.vendor = self.rsweep.vendor.saturating_add(rs.split.vendor);
-            if self.arena.get(id).map(|s| s.bonded).unwrap_or(false) && combined.sent > 0 {
-                let links = bonded_links(&combined);
-                let rec = reconcile_bonded(&links, self.plan.loss_weight);
-                self.rsweep.bonded_cycles = self.rsweep.bonded_cycles.saturating_add(1);
-                self.rsweep.bonded_link_charged =
-                    self.rsweep.bonded_link_charged.saturating_add(rec.charged);
-            }
             self.outbox.push(Settled {
                 shard: self.index,
                 row: id.index,
@@ -608,8 +574,10 @@ impl Shard {
         }
         self.cols.clear_row(row);
         self.cols.start_cycle(row, now_us);
-        self.cols_visited.clear_row(row);
-        self.cols_visited.start_cycle(row, now_us);
+        if three_party.is_some() {
+            self.cols_visited.clear_row(row);
+            self.cols_visited.start_cycle(row, now_us);
+        }
     }
 
     /// Runs one accounting tick for a live session.
@@ -738,9 +706,6 @@ impl Shard {
         self.sched.cancel(s.cycle_tok);
         self.sched.cancel(s.handover_tok);
         self.sched.cancel(s.op_handover_tok);
-        // teardown_tok is the event being fired; cancelling is a no-op
-        // but harmless on the heap backend's tombstone path.
-        self.sched.cancel(s.teardown_tok);
         self.cols.clear_row(id.index as usize);
         if self.roaming.is_some() {
             self.cols_visited.clear_row(id.index as usize);
@@ -947,17 +912,14 @@ mod tests {
         assert_eq!(ra.sweep, rb.sweep);
     }
 
+    /// The heap this name compares against is frozen: `small(3)` ran
+    /// on the wheel and on a binary-heap scheduler in the last commit
+    /// that had both (this test, at PR 18's tree), and this is the
+    /// digest they agreed on. It folds `events_fired` and the sweep.
     #[test]
     fn wheel_and_heap_backends_are_byte_identical() {
-        let mut a = small(3);
-        a.backend = WheelBackend::Wheel;
-        let mut b = small(3);
-        b.backend = WheelBackend::Heap;
-        let ra = run_twin(&a, &mut NullSink);
-        let rb = run_twin(&b, &mut NullSink);
-        assert_eq!(ra.digest, rb.digest, "scheduler backend changed the run");
-        assert_eq!(ra.events_fired, rb.events_fired);
-        assert_eq!(ra.sweep, rb.sweep);
+        let r = run_twin(&small(3), &mut NullSink);
+        assert_eq!(r.digest, 0xb5a1_00ff_a6c3_b09b, "event order changed");
     }
 
     #[test]
@@ -1031,22 +993,20 @@ mod tests {
         assert!(r.roaming.bonded_link_charged > 0);
     }
 
+    /// Thread axis live, backend axis frozen the same way: the digest
+    /// is what `roaming_cfg(8)` produced on the wheel at 1 thread and on
+    /// the heap at 4 in the last commit that had both.
     #[test]
     fn roaming_twin_is_backend_and_thread_invariant() {
-        let mut wheel1 = roaming_cfg(8);
-        wheel1.backend = WheelBackend::Wheel;
-        wheel1.threads = 1;
-        let mut heap4 = roaming_cfg(8);
-        heap4.backend = WheelBackend::Heap;
-        heap4.threads = 4;
-        let ra = run_twin(&wheel1, &mut NullSink);
-        let rb = run_twin(&heap4, &mut NullSink);
-        assert_eq!(
-            ra.digest, rb.digest,
-            "backend/threads changed a roaming run"
-        );
-        assert_eq!(ra.roaming, rb.roaming);
-        assert_eq!(ra.sweep, rb.sweep);
+        for threads in [1usize, 4] {
+            let mut cfg = roaming_cfg(8);
+            cfg.threads = threads;
+            let r = run_twin(&cfg, &mut NullSink);
+            assert_eq!(
+                r.digest, 0x9e77_4f17_c46f_3815,
+                "{threads} threads changed a roaming run"
+            );
+        }
     }
 
     #[test]

@@ -1,60 +1,28 @@
 //! Hierarchical timer wheel — the event scheduler behind the
 //! million-session digital twin (DESIGN §13).
 //!
-//! The legacy experiment driver walks a `BinaryHeap` of boxed events:
-//! O(log n) per schedule/pop and a pointer chase per entry. At twin
-//! scale (millions of outstanding timers, constant churn) that heap is
-//! the bottleneck, so [`Scheduler`] replaces it with a fixed-hierarchy
-//! timer wheel: 4 levels × 256 slots covering 2³² ticks, O(1)
-//! schedule and O(1) cancel, entries stored in a slab with an
-//! intrusive doubly-linked free/slot list — no per-event allocation
-//! after warm-up.
+//! At twin scale (millions of outstanding timers, constant churn) a
+//! binary heap's O(log n) per schedule/pop is the bottleneck, so
+//! [`Scheduler`] is a fixed-hierarchy timer wheel: 4 levels × 256
+//! slots covering 2³² ticks, O(1) schedule and O(1) cancel, entries
+//! stored in a slab with an intrusive doubly-linked free/slot list —
+//! no per-event allocation after warm-up.
 //!
-//! **Determinism / equivalence.** Events fire in `(tick, seq)` order,
-//! where `seq` is the global schedule sequence number: a slot's
-//! entries are sorted by `seq` when the slot expires (slots are tiny,
-//! so the sort amortises to nothing). The legacy heap backend orders
-//! by the same key, so both backends produce *byte-identical* event
-//! streams for equal seeds — `TwinConfig::scheduler` (or
-//! `TLC_TWIN_SCHED=heap|wheel`) flips between them, and the
-//! `twin_equiv` suite pins the equivalence.
+//! **Determinism.** Events fire in `(tick, seq)` order, where `seq` is
+//! the global schedule sequence number: a slot's entries are sorted by
+//! `seq` when the slot expires (slots are tiny, so the sort amortises
+//! to nothing). That order is the whole contract, and the reference
+//! for it lives in test code: `tests/support/sched_model.rs` is an
+//! ordered map keyed `(tick, seq)` that shares no line with this
+//! module, and every random op stream must fire, cancel and count
+//! identically on both.
 //!
 //! Tokens are generational: a [`Token`] returned by
 //! [`Scheduler::schedule`] is invalidated by cancel/fire, and a stale
 //! token (slot reused by a later event) can never cancel the new
 //! occupant.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
-
-/// Which event-queue implementation backs a [`Scheduler`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WheelBackend {
-    /// The hierarchical timer wheel (default; O(1) schedule/cancel).
-    Wheel,
-    /// The legacy binary-heap scheduler, kept for conformance testing.
-    Heap,
-}
-
-impl WheelBackend {
-    /// Backend from the `TLC_TWIN_SCHED` environment variable
-    /// (`wheel` / `heap`), defaulting to the wheel.
-    pub fn from_env() -> Self {
-        match std::env::var("TLC_TWIN_SCHED").as_deref() {
-            Ok("heap") => WheelBackend::Heap,
-            _ => WheelBackend::Wheel,
-        }
-    }
-
-    /// Stable name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WheelBackend::Wheel => "wheel",
-            WheelBackend::Heap => "heap",
-        }
-    }
-}
 
 /// Handle to a scheduled event; generational, so stale handles are
 /// harmless (cancel of an already-fired/cancelled event is a no-op).
@@ -92,8 +60,6 @@ enum Loc {
     Due,
     /// Parked beyond the wheel horizon.
     Overflow,
-    /// Owned by the heap backend.
-    Heap,
 }
 
 struct Entry<T> {
@@ -106,11 +72,9 @@ struct Entry<T> {
     payload: Option<T>,
 }
 
-/// The sharded-twin event scheduler: timer wheel by default, legacy
-/// heap behind [`WheelBackend::Heap`]. Payloads are `Copy` so firing
+/// The sharded-twin event scheduler. Payloads are `Copy` so firing
 /// never allocates.
 pub struct Scheduler<T: Copy> {
-    backend: WheelBackend,
     entries: Vec<Entry<T>>,
     free_head: u32,
     /// Global schedule counter: the deterministic tiebreak for events
@@ -131,15 +95,19 @@ pub struct Scheduler<T: Copy> {
     overflow: Vec<(u32, u32)>,
     /// Fired-but-unpopped entries, ascending `seq`.
     due: VecDeque<(u32, u32)>,
-    heap: BinaryHeap<Reverse<(u64, u64, u32, u32)>>,
     live: usize,
+}
+
+impl<T: Copy> Default for Scheduler<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T: Copy> Scheduler<T> {
     /// A scheduler starting at tick 0.
-    pub fn new(backend: WheelBackend) -> Self {
+    pub fn new() -> Self {
         Scheduler {
-            backend,
             entries: Vec::new(),
             free_head: NIL,
             seq: 0,
@@ -148,18 +116,14 @@ impl<T: Copy> Scheduler<T> {
             bits: vec![[0u64; 4]; LEVELS],
             overflow: Vec::new(),
             due: VecDeque::new(),
-            heap: BinaryHeap::new(),
             live: 0,
         }
     }
 
     /// Pre-sizes the slab for `n` outstanding events.
-    pub fn with_capacity(backend: WheelBackend, n: usize) -> Self {
-        let mut s = Self::new(backend);
+    pub fn with_capacity(n: usize) -> Self {
+        let mut s = Self::new();
         s.entries.reserve(n);
-        if backend == WheelBackend::Heap {
-            s.heap.reserve(n);
-        }
         s
     }
 
@@ -178,12 +142,7 @@ impl<T: Copy> Scheduler<T> {
         self.cursor
     }
 
-    /// The backend in use.
-    pub fn backend(&self) -> WheelBackend {
-        self.backend
-    }
-
-    fn alloc(&mut self, tick: u64, payload: T) -> (u32, u32, u64) {
+    fn alloc(&mut self, tick: u64, payload: T) -> (u32, u32) {
         let seq = self.seq;
         self.seq += 1;
         let idx = if self.free_head != NIL {
@@ -211,7 +170,7 @@ impl<T: Copy> Scheduler<T> {
             idx
         };
         let gen = self.entries.get(idx as usize).map_or(0, |e| e.gen);
-        (idx, gen, seq)
+        (idx, gen)
     }
 
     fn release(&mut self, idx: u32) {
@@ -230,39 +189,31 @@ impl<T: Copy> Scheduler<T> {
 
     /// Schedules `payload` to fire at absolute `tick` (clamped to the
     /// present: ticks at or before `now()` fire on the next pop).
-    /// O(1) for both backends.
+    /// O(1).
     pub fn schedule(&mut self, tick: u64, payload: T) -> Token {
         let tick = tick.max(self.cursor);
-        let (idx, gen, seq) = self.alloc(tick, payload);
+        let (idx, gen) = self.alloc(tick, payload);
         self.live += 1;
-        match self.backend {
-            WheelBackend::Heap => {
-                if let Some(e) = self.entries.get_mut(idx as usize) {
-                    e.loc = Loc::Heap;
-                }
-                self.heap.push(Reverse((tick, seq, idx, gen)));
-            }
-            WheelBackend::Wheel => self.wheel_insert(idx),
-        }
+        self.wheel_insert(idx);
         Token { idx, gen }
     }
 
     /// Cancels a scheduled event; `true` if it was still pending.
-    /// O(1) (heap cancels are lazy: the tombstone pops and is skipped).
+    /// O(1).
     pub fn cancel(&mut self, token: Token) -> bool {
         let Some(e) = self.entries.get(token.idx as usize) else {
             return false;
         };
-        if e.gen != token.gen || e.loc == Loc::Free {
+        if e.gen != token.gen {
             return false;
         }
         match e.loc {
+            Loc::Free => return false,
             Loc::Slot(level, slot) => {
                 self.unlink(token.idx, level as usize, slot as usize);
             }
-            // Due/Overflow/Heap entries are skipped lazily by gen check.
-            Loc::Due | Loc::Overflow | Loc::Heap => {}
-            Loc::Free => return false,
+            // Due/Overflow entries are skipped lazily by gen check.
+            Loc::Due | Loc::Overflow => {}
         }
         self.release(token.idx);
         self.live -= 1;
@@ -272,75 +223,45 @@ impl<T: Copy> Scheduler<T> {
     /// Pops the next event with `tick <= horizon`, advancing scheduler
     /// time to its tick. Returns `(tick, seq, payload)`.
     pub fn pop_next(&mut self, horizon: u64) -> Option<(u64, u64, T)> {
-        match self.backend {
-            WheelBackend::Heap => self.heap_pop(horizon),
-            WheelBackend::Wheel => self.wheel_pop(horizon),
+        loop {
+            while let Some(&(idx, gen)) = self.due.front() {
+                if !self.token_live(idx, gen, Loc::Due) {
+                    self.due.pop_front();
+                    continue;
+                }
+                let tick = self.entries.get(idx as usize).map_or(0, |e| e.tick);
+                if tick > horizon {
+                    // Shouldn't happen (due entries are at the cursor),
+                    // but keep the contract anyway.
+                    return None;
+                }
+                self.due.pop_front();
+                let (seq, payload) = match self.entries.get_mut(idx as usize) {
+                    Some(e) => (e.seq, e.payload.take()),
+                    None => (0, None),
+                };
+                self.release(idx);
+                self.live -= 1;
+                if let Some(p) = payload {
+                    return Some((tick, seq, p));
+                }
+                continue;
+            }
+            let bound = self.next_bound()?;
+            if bound > horizon {
+                return None;
+            }
+            self.advance_to(bound);
         }
     }
 
-    /// The tick of the earliest outstanding event, if any (exact for
-    /// both backends; the wheel resolves cascades as needed).
-    pub fn peek_tick(&mut self) -> Option<u64> {
-        match self.backend {
-            WheelBackend::Heap => loop {
-                let &Reverse((tick, _, idx, gen)) = self.heap.peek()?;
-                if self.token_live(idx, gen, Loc::Heap) {
-                    return Some(tick);
-                }
-                self.heap.pop();
-            },
-            WheelBackend::Wheel => {
-                // Resolve lazily: fire nothing, but cascade until the
-                // earliest entry reaches level 0 or the due queue.
-                loop {
-                    if let Some(&(idx, gen)) = self.due.front() {
-                        if self.token_live(idx, gen, Loc::Due) {
-                            return self.entries.get(idx as usize).map(|e| e.tick);
-                        }
-                        self.due.pop_front();
-                        continue;
-                    }
-                    let bound = self.next_bound()?;
-                    if self.exact_at(bound) {
-                        return Some(bound);
-                    }
-                    self.advance_to(bound);
-                }
-            }
-        }
-    }
+    // ── Internals ──────────────────────────────────────────────────────
 
     fn token_live(&self, idx: u32, gen: u32, want: Loc) -> bool {
         self.entries
             .get(idx as usize)
             .is_some_and(|e| e.gen == gen && e.loc == want)
     }
-
-    fn heap_pop(&mut self, horizon: u64) -> Option<(u64, u64, T)> {
-        loop {
-            let &Reverse((tick, seq, idx, gen)) = self.heap.peek()?;
-            if !self.token_live(idx, gen, Loc::Heap) {
-                self.heap.pop();
-                continue;
-            }
-            if tick > horizon {
-                return None;
-            }
-            self.heap.pop();
-            self.cursor = self.cursor.max(tick);
-            let payload = self
-                .entries
-                .get_mut(idx as usize)
-                .and_then(|e| e.payload.take());
-            self.release(idx);
-            self.live -= 1;
-            if let Some(p) = payload {
-                return Some((tick, seq, p));
-            }
-        }
-    }
-
-    // ── Wheel internals ────────────────────────────────────────────────
 
     fn set_bit(&mut self, level: usize, slot: usize) {
         if let Some(words) = self.bits.get_mut(level) {
@@ -498,28 +419,6 @@ impl<T: Copy> Scheduler<T> {
         best
     }
 
-    /// Whether `tick` is an exact level-0 hit (vs a cascade bound).
-    fn exact_at(&self, tick: u64) -> bool {
-        let slot = (tick & SLOT_MASK) as usize;
-        let occupied = self
-            .bits
-            .first()
-            .is_some_and(|w| w[slot >> 6] & (1u64 << (slot & 63)) != 0);
-        occupied
-            && tick - self.cursor < 256
-            && self.heads.first().is_some_and(|h| {
-                let mut cur = h[slot];
-                while cur != NIL {
-                    match self.entries.get(cur as usize) {
-                        Some(e) if e.tick == tick => return true,
-                        Some(e) => cur = e.next,
-                        None => break,
-                    }
-                }
-                false
-            })
-    }
-
     /// Jumps the cursor to `tick`, cascading higher-level slots at the
     /// landing position and firing the level-0 slot into `due`.
     fn advance_to(&mut self, tick: u64) {
@@ -614,57 +513,15 @@ impl<T: Copy> Scheduler<T> {
             self.due.push_back((idx, gen));
         }
     }
-
-    fn wheel_pop(&mut self, horizon: u64) -> Option<(u64, u64, T)> {
-        loop {
-            while let Some(&(idx, gen)) = self.due.front() {
-                if !self.token_live(idx, gen, Loc::Due) {
-                    self.due.pop_front();
-                    continue;
-                }
-                let tick = self.entries.get(idx as usize).map_or(0, |e| e.tick);
-                if tick > horizon {
-                    // Shouldn't happen (due entries are at the cursor),
-                    // but keep the contract anyway.
-                    return None;
-                }
-                self.due.pop_front();
-                let (seq, payload) = match self.entries.get_mut(idx as usize) {
-                    Some(e) => (e.seq, e.payload.take()),
-                    None => (0, None),
-                };
-                self.release(idx);
-                self.live -= 1;
-                if let Some(p) = payload {
-                    return Some((tick, seq, p));
-                }
-                continue;
-            }
-            let bound = self.next_bound()?;
-            if bound > horizon {
-                return None;
-            }
-            self.advance_to(bound);
-        }
-    }
 }
+
+#[cfg(test)]
+#[path = "../tests/support/sched_model.rs"]
+mod sched_model;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Tiny deterministic generator for the model test (no SimRng dep
-    /// cycle worries, and test-local).
-    struct Lcg(u64);
-    impl Lcg {
-        fn next(&mut self) -> u64 {
-            self.0 = self
-                .0
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            self.0 >> 16
-        }
-    }
 
     fn drain(s: &mut Scheduler<u64>, horizon: u64) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
@@ -676,39 +533,34 @@ mod tests {
 
     #[test]
     fn fires_in_tick_then_seq_order() {
-        for backend in [WheelBackend::Wheel, WheelBackend::Heap] {
-            let mut s = Scheduler::new(backend);
-            s.schedule(10, 1u64);
-            s.schedule(5, 2);
-            s.schedule(10, 3);
-            s.schedule(5, 4);
-            let got = drain(&mut s, u64::MAX);
-            assert_eq!(got, vec![(5, 2), (5, 4), (10, 1), (10, 3)], "{backend:?}");
-            assert!(s.is_empty());
-        }
+        let mut s = Scheduler::new();
+        s.schedule(10, 1u64);
+        s.schedule(5, 2);
+        s.schedule(10, 3);
+        s.schedule(5, 4);
+        let got = drain(&mut s, u64::MAX);
+        assert_eq!(got, vec![(5, 2), (5, 4), (10, 1), (10, 3)]);
+        assert!(s.is_empty());
     }
 
     #[test]
     fn cancel_prevents_fire_and_stale_token_is_noop() {
-        for backend in [WheelBackend::Wheel, WheelBackend::Heap] {
-            let mut s = Scheduler::new(backend);
-            let a = s.schedule(7, 1u64);
-            let b = s.schedule(8, 2);
-            assert!(s.cancel(a));
-            assert!(!s.cancel(a), "double cancel must be a no-op");
-            // Slot reuse: the new event takes a's slab slot with a new
-            // generation; the stale token must not cancel it.
-            let c = s.schedule(9, 3);
-            assert!(!s.cancel(a));
-            let got = drain(&mut s, u64::MAX);
-            assert_eq!(got, vec![(8, 2), (9, 3)], "{backend:?}");
-            let _ = (b, c);
-        }
+        let mut s = Scheduler::new();
+        let a = s.schedule(7, 1u64);
+        s.schedule(8, 2);
+        assert!(s.cancel(a));
+        assert!(!s.cancel(a), "double cancel must be a no-op");
+        // Slot reuse: the new event takes a's slab slot with a new
+        // generation; the stale token must not cancel it.
+        s.schedule(9, 3);
+        assert!(!s.cancel(a));
+        let got = drain(&mut s, u64::MAX);
+        assert_eq!(got, vec![(8, 2), (9, 3)]);
     }
 
     #[test]
     fn horizon_bounds_popping() {
-        let mut s = Scheduler::new(WheelBackend::Wheel);
+        let mut s = Scheduler::new();
         s.schedule(100, 1u64);
         s.schedule(300, 2);
         assert_eq!(s.pop_next(99), None);
@@ -719,7 +571,7 @@ mod tests {
 
     #[test]
     fn far_events_cascade_correctly() {
-        let mut s = Scheduler::new(WheelBackend::Wheel);
+        let mut s = Scheduler::new();
         // One event per level, plus one beyond the wheel horizon.
         let ticks = [3u64, 700, 70_000, 20_000_000, HORIZON + 17];
         for (i, &t) in ticks.iter().enumerate() {
@@ -736,7 +588,7 @@ mod tests {
 
     #[test]
     fn schedule_in_past_fires_now() {
-        let mut s = Scheduler::new(WheelBackend::Wheel);
+        let mut s = Scheduler::new();
         s.schedule(50, 1u64);
         assert_eq!(s.pop_next(u64::MAX), Some((50, 0, 1)));
         // Cursor is now 50; earlier tick clamps to the cursor.
@@ -745,72 +597,15 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop() {
-        for backend in [WheelBackend::Wheel, WheelBackend::Heap] {
-            let mut s = Scheduler::new(backend);
-            s.schedule(90_000, 1u64);
-            s.schedule(40, 2);
-            assert_eq!(s.peek_tick(), Some(40), "{backend:?}");
-            assert_eq!(s.pop_next(u64::MAX), Some((40, 1, 2)));
-            assert_eq!(s.peek_tick(), Some(90_000));
-        }
-    }
-
-    #[test]
-    fn wheel_matches_heap_model_under_random_ops() {
-        // 4 seeds × 3000 mixed schedule/cancel/pop operations: the two
-        // backends must produce identical (tick, payload) streams.
+    fn wheel_matches_model_under_random_ops() {
         for seed in 1..=4u64 {
-            let mut rng_a = Lcg(seed);
-            let mut rng_b = Lcg(seed);
-            let mut wheel = Scheduler::new(WheelBackend::Wheel);
-            let mut heap = Scheduler::new(WheelBackend::Heap);
-            let run = |s: &mut Scheduler<u64>, rng: &mut Lcg| -> Vec<(u64, u64)> {
-                let mut fired = Vec::new();
-                let mut tokens: Vec<Token> = Vec::new();
-                let mut now = 0u64;
-                for op in 0..3000u64 {
-                    match rng.next() % 10 {
-                        0..=5 => {
-                            // Mixed horizons: near, mid, far, overflow.
-                            let delta = match rng.next() % 8 {
-                                0 => rng.next() % 16,
-                                1..=4 => rng.next() % 300,
-                                5 => rng.next() % 70_000,
-                                6 => rng.next() % 20_000_000,
-                                _ => HORIZON + rng.next() % 1000,
-                            };
-                            tokens.push(s.schedule(now + delta, op));
-                        }
-                        6..=7 => {
-                            if !tokens.is_empty() {
-                                let i = (rng.next() as usize) % tokens.len();
-                                s.cancel(tokens[i]);
-                            }
-                        }
-                        _ => {
-                            now += rng.next() % 500;
-                            while let Some((t, _, p)) = s.pop_next(now) {
-                                fired.push((t, p));
-                            }
-                        }
-                    }
-                }
-                while let Some((t, _, p)) = s.pop_next(u64::MAX) {
-                    fired.push((t, p));
-                }
-                fired
-            };
-            let a = run(&mut wheel, &mut rng_a);
-            let b = run(&mut heap, &mut rng_b);
-            assert_eq!(a, b, "wheel/heap diverged at seed {seed}");
-            assert!(wheel.is_empty() && heap.is_empty());
+            sched_model::wheel_matches_model(seed, 3000);
         }
     }
 
     #[test]
     fn slab_reuses_slots_without_growth() {
-        let mut s = Scheduler::new(WheelBackend::Wheel);
+        let mut s = Scheduler::new();
         for round in 0..100u64 {
             for k in 0..64u64 {
                 s.schedule(round * 10 + k % 7, k);

@@ -13,7 +13,8 @@
 //!    volume under any loss/reorder schedule, with the reconciled
 //!    charge equal to the exact sum of per-link charges.
 //! 3. **Equivalence axes** — roaming-enabled runs digest identically
-//!    across wheel/heap backends and any thread count.
+//!    at any thread count, and to the values the wheel and a
+//!    binary-heap scheduler agreed on in the last commit that had both.
 
 use proptest::prelude::*;
 use tlc_core::plan::{charge_for, DataPlan, LossWeight, UsagePair};
@@ -22,7 +23,6 @@ use tlc_core::roaming::{
 };
 use tlc_net::time::SimDuration;
 use tlc_sim::twin::{run_twin, NullSink, RoamingSweep, RoamingTwinConfig, TwinConfig};
-use tlc_sim::wheel::WheelBackend;
 
 fn roaming_cfg(seed: u64) -> TwinConfig {
     let mut cfg = TwinConfig::smoke(seed);
@@ -66,28 +66,64 @@ const GOLDEN_SWEEP: RoamingSweep = RoamingSweep {
 };
 
 /// Both equivalence axes at once, with the conservation law asserted
-/// at every point of the matrix.
+/// at every point. The thread axis is live; the backend axis is the
+/// constant: `roaming_cfg(77)` digested to this on the wheel and on a
+/// binary-heap scheduler (1, 2 and 4 threads each) in the last commit
+/// that had both.
 #[test]
 fn backends_and_threads_agree_on_settlement() {
-    let reference = run_twin(&roaming_cfg(77), &mut NullSink);
-    for backend in [WheelBackend::Wheel, WheelBackend::Heap] {
-        for threads in [1usize, 2, 4] {
-            let mut cfg = roaming_cfg(77);
-            cfg.backend = backend;
-            cfg.threads = threads;
-            let r = run_twin(&cfg, &mut NullSink);
-            assert_eq!(r.digest, reference.digest, "{backend:?} × {threads}");
-            assert_eq!(r.roaming, reference.roaming, "{backend:?} × {threads}");
-            assert_eq!(
-                r.roaming
-                    .home
-                    .saturating_add(r.roaming.visited)
-                    .saturating_add(r.roaming.vendor),
-                r.roaming.charged,
-                "{backend:?} × {threads} leaked settlement bytes"
-            );
-        }
+    for threads in [1usize, 2, 4] {
+        let mut cfg = roaming_cfg(77);
+        cfg.threads = threads;
+        let r = run_twin(&cfg, &mut NullSink);
+        assert_eq!(r.digest, 0x44f0_19e1_e4cc_95ce, "{threads} threads");
+        assert_eq!(
+            r.roaming
+                .home
+                .saturating_add(r.roaming.visited)
+                .saturating_add(r.roaming.vendor),
+            r.roaming.charged,
+            "{threads} threads leaked settlement bytes"
+        );
     }
+    for (seed, sessions, shards, roamer_pct, bonded_pct, digest) in HEAP_AGREED_RUNS {
+        let cfg = small_roaming_cfg(seed, sessions, shards, roamer_pct, bonded_pct);
+        assert_eq!(run_twin(&cfg, &mut NullSink).digest, digest, "seed {seed}");
+    }
+}
+
+/// The eight cases `prop_roaming_twin_conserves_across_axes` drew when
+/// it still had a backend leg, with the digest both schedulers
+/// produced: `(seed, sessions, shards, roamer_pct, bonded_pct, digest)`.
+const HEAP_AGREED_RUNS: [(u64, usize, usize, u32, u32, u64); 8] = [
+    (266, 102, 2, 7, 0, 0xe2dc_512d_46c4_dea7),
+    (39, 72, 2, 5, 6, 0x34fc_a4ed_2912_064e),
+    (87, 70, 1, 0, 7, 0x682f_600f_aec1_95e4),
+    (120, 130, 3, 0, 8, 0x5269_3df8_be65_a214),
+    (208, 136, 3, 8, 9, 0xe0d6_73c8_5edc_8368),
+    (55, 100, 2, 5, 10, 0x1dc0_27b8_6a5d_6fb8),
+    (256, 63, 1, 7, 10, 0x319a_9d3e_f006_6849),
+    (353, 115, 2, 7, 8, 0xe190_d843_d328_029f),
+];
+
+fn small_roaming_cfg(
+    seed: u64,
+    sessions: usize,
+    shards: usize,
+    roamer_pct: u32,
+    bonded_pct: u32,
+) -> TwinConfig {
+    let mut cfg = TwinConfig::smoke(seed);
+    cfg.initial_sessions = sessions;
+    cfg.shards = shards;
+    cfg.duration = SimDuration::from_secs(4);
+    cfg.roaming = Some(RoamingTwinConfig {
+        agreement: RoamingAgreement::paper_default(),
+        roamer_fraction: roamer_pct as f64 / 10.0,
+        bonded_fraction: bonded_pct as f64 / 10.0,
+        operator_handover_gap: SimDuration::from_millis(1_100),
+    });
+    cfg
 }
 
 /// Strategy: a reduced-rational share in [0, 1].
@@ -232,8 +268,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Twin-level conservation and equivalence: random small roaming
-    /// configurations conserve exactly and digest identically across
-    /// both backends and a multi-threaded run.
+    /// configurations conserve exactly and digest identically in a
+    /// multi-threaded run.
     #[test]
     fn prop_roaming_twin_conserves_across_axes(
         seed in 1u64..500,
@@ -243,16 +279,7 @@ proptest! {
         bonded_pct in 0u32..=10,
         threads in 2usize..5,
     ) {
-        let mut cfg = TwinConfig::smoke(seed);
-        cfg.initial_sessions = sessions;
-        cfg.shards = shards;
-        cfg.duration = SimDuration::from_secs(4);
-        cfg.roaming = Some(RoamingTwinConfig {
-            agreement: RoamingAgreement::paper_default(),
-            roamer_fraction: roamer_pct as f64 / 10.0,
-            bonded_fraction: bonded_pct as f64 / 10.0,
-            operator_handover_gap: SimDuration::from_millis(1_100),
-        });
+        let cfg = small_roaming_cfg(seed, sessions, shards, roamer_pct, bonded_pct);
         let reference = run_twin(&cfg, &mut NullSink);
         prop_assert_eq!(reference.stale_events, 0);
         prop_assert_eq!(
@@ -261,12 +288,6 @@ proptest! {
                 .saturating_add(reference.roaming.vendor),
             reference.roaming.charged
         );
-
-        let mut heap = cfg.clone();
-        heap.backend = WheelBackend::Heap;
-        let rh = run_twin(&heap, &mut NullSink);
-        prop_assert_eq!(rh.digest, reference.digest);
-        prop_assert_eq!(rh.roaming, reference.roaming);
 
         let mut mt = cfg.clone();
         mt.threads = threads;

@@ -1,0 +1,114 @@
+//! Reference model for `tlc_sim::wheel::Scheduler`, and the random-op
+//! differential that holds the wheel to it. Included by path from
+//! `wheel::tests` and `tests/twin_equiv.rs`; the including module
+//! brings `Scheduler` and `Token` into scope.
+//!
+//! The model is the scheduler's contract written the slow, obvious
+//! way: an ordered map keyed `(tick, seq)`. A handle *is* that key,
+//! and keys are never reused, so there is no slab, free list or
+//! generation to get wrong — the machinery the wheel's `schedule`,
+//! `cancel` and `pop_next` all stand on, and which a reference built
+//! on the same slab could not see fail.
+
+use super::{Scheduler, Token};
+use std::collections::BTreeMap;
+
+/// What a scheduler must do: fire in `(tick, seq)` order, cancel at
+/// most once, count what is pending.
+#[derive(Default)]
+pub struct ModelScheduler<T> {
+    pending: BTreeMap<(u64, u64), T>,
+    seq: u64,
+}
+
+impl<T> ModelScheduler<T> {
+    pub fn schedule(&mut self, tick: u64, payload: T) -> (u64, u64) {
+        let key = (tick, self.seq);
+        self.seq += 1;
+        self.pending.insert(key, payload);
+        key
+    }
+
+    pub fn cancel(&mut self, handle: (u64, u64)) -> bool {
+        self.pending.remove(&handle).is_some()
+    }
+
+    pub fn pop_next(&mut self, horizon: u64) -> Option<(u64, u64, T)> {
+        let entry = self.pending.first_entry()?;
+        let (tick, seq) = *entry.key();
+        (tick <= horizon).then(|| (tick, seq, entry.remove()))
+    }
+
+    pub fn len(&self) -> usize {
+        self.pending.len()
+    }
+}
+
+/// Drives a wheel and the model through the same `ops` random
+/// operations and asserts they agree on everything observable: each
+/// fired `(tick, seq, payload)`, each `cancel`'s return value (the
+/// handle drawn may be pending, fired or already cancelled, so stale
+/// tokens against reused slots are the common case), and `len()`
+/// after every op. Deltas span every wheel level and, at ≥ 2³², the
+/// overflow list; one advance in eight jumps far enough to re-admit
+/// overflow entries mid-stream.
+pub fn wheel_matches_model(seed: u64, ops: usize) {
+    let mut wheel: Scheduler<u64> = Scheduler::new();
+    let mut model: ModelScheduler<u64> = ModelScheduler::default();
+    let mut handles: Vec<(Token, (u64, u64))> = Vec::new();
+    let mut x = seed;
+    let mut rng = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 16
+    };
+    let drain = |wheel: &mut Scheduler<u64>, model: &mut ModelScheduler<u64>, horizon: u64| loop {
+        let fired = wheel.pop_next(horizon);
+        assert_eq!(
+            fired,
+            model.pop_next(horizon),
+            "seed {seed}: pop to {horizon}"
+        );
+        if fired.is_none() {
+            break;
+        }
+    };
+    let mut now = 0u64;
+    for op in 0..ops as u64 {
+        match rng() % 10 {
+            0..=5 => {
+                let delta = match rng() % 8 {
+                    0 => rng() % 16,
+                    1..=3 => rng() % 4096,
+                    4 => rng() % 70_000,
+                    5 => rng() % 20_000_000,
+                    6 => rng() % 400_000_000,
+                    _ => (1u64 << 32) + rng() % 4096,
+                };
+                let tick = now + delta;
+                handles.push((wheel.schedule(tick, op), model.schedule(tick, op)));
+            }
+            6..=7 => {
+                if !handles.is_empty() {
+                    let (token, handle) = handles[(rng() as usize) % handles.len()];
+                    assert_eq!(
+                        wheel.cancel(token),
+                        model.cancel(handle),
+                        "seed {seed}: cancel at op {op}"
+                    );
+                }
+            }
+            _ => {
+                now += match rng() % 8 {
+                    0 => rng() % (1u64 << 33),
+                    _ => rng() % 3000,
+                };
+                drain(&mut wheel, &mut model, now);
+            }
+        }
+        assert_eq!(wheel.len(), model.len(), "seed {seed}: len after op {op}");
+    }
+    drain(&mut wheel, &mut model, u64::MAX);
+    assert!(wheel.is_empty() && model.len() == 0, "seed {seed}");
+}

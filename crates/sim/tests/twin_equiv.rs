@@ -2,10 +2,12 @@
 //!
 //! Three contracts, pinned hard:
 //!
-//! 1. **Backend equivalence** — the hierarchical timer wheel and the
-//!    legacy binary-heap scheduler produce byte-identical runs (same
-//!    digest, same gap sweep, same event count) for equal seeds, both
-//!    on random scheduler op streams and through whole twin runs.
+//! 1. **Event order** — the timer wheel fires, cancels and counts
+//!    exactly as an ordered map keyed `(tick, seq)` does on random op
+//!    streams (`support/sched_model.rs`, which shares no code with
+//!    it), and whole twin runs digest to the values the wheel and a
+//!    binary-heap scheduler agreed on in the last commit that had
+//!    both (`HEAP_AGREED_RUNS`).
 //! 2. **Thread invariance** — the epoch-barrier loop yields the same
 //!    digest at any worker thread count (shard count is a model
 //!    parameter; thread count must never be).
@@ -19,8 +21,11 @@ use tlc_net::time::SimDuration;
 use tlc_sim::twin::{
     run_twin, NullSink, RoamingTwinConfig, SettleCause, Settled, SettlementSink, TwinConfig,
 };
-use tlc_sim::wheel::{Scheduler, Token, WheelBackend};
+use tlc_sim::wheel::{Scheduler, Token};
 use tlc_sim::{Arena, GapSweep};
+
+#[path = "support/sched_model.rs"]
+mod sched_model;
 
 fn base(seed: u64) -> TwinConfig {
     let mut cfg = TwinConfig::smoke(seed);
@@ -79,45 +84,72 @@ fn roaming_golden_digest_is_pinned() {
 
 const ROAMING_GOLDEN_DIGEST: u64 = 0x74a1_54a2_1fe8_5c31;
 
-/// Backend and thread invariance for a roaming-enabled run, against
-/// the pinned golden (wheel↔heap byte-identical, 1/2/8 threads).
+/// Thread invariance for a roaming-enabled run, against the pinned
+/// golden — which both schedulers produced while there were two, so
+/// the backend axis is held by the constant.
 #[test]
 fn roaming_run_is_backend_and_thread_invariant() {
-    for backend in [WheelBackend::Wheel, WheelBackend::Heap] {
-        for threads in [1usize, 2, 8] {
-            let mut cfg = roaming_base(2024);
-            cfg.backend = backend;
-            cfg.threads = threads;
-            let r = run_twin(&cfg, &mut NullSink);
-            assert_eq!(
-                r.digest, ROAMING_GOLDEN_DIGEST,
-                "{backend:?} × {threads} threads diverged"
-            );
-            assert_eq!(
-                r.roaming
-                    .home
-                    .saturating_add(r.roaming.visited)
-                    .saturating_add(r.roaming.vendor),
-                r.roaming.charged,
-                "{backend:?} × {threads} threads broke conservation"
-            );
-        }
+    for threads in [1usize, 2, 8] {
+        let mut cfg = roaming_base(2024);
+        cfg.threads = threads;
+        let r = run_twin(&cfg, &mut NullSink);
+        assert_eq!(
+            r.digest, ROAMING_GOLDEN_DIGEST,
+            "{threads} threads diverged"
+        );
+        assert_eq!(
+            r.roaming
+                .home
+                .saturating_add(r.roaming.visited)
+                .saturating_add(r.roaming.vendor),
+            r.roaming.charged,
+            "{threads} threads broke conservation"
+        );
     }
 }
 
+/// The heap's half of this comparison is frozen. Each row is a run the
+/// last two-scheduler commit executed on the wheel *and* on a
+/// binary-heap scheduler and found byte-identical; the digest (which
+/// folds `events_fired`, `handovers` and the whole gap sweep) is what
+/// they agreed on. Rows 1–3 are `base(seed)` as this test always ran
+/// it; the other sixteen are the cases `prop_twin_threads_invariant`
+/// drew when it still had a backend leg. `(seed, shards, sessions,
+/// seconds, digest)`.
+const HEAP_AGREED_RUNS: [(u64, usize, usize, u64, u64); 19] = [
+    (7, 4, 300, 8, 0x236e_ebdc_8f74_8ee0),
+    (8, 4, 300, 8, 0xb1f5_8ddb_3471_c9d9),
+    (9, 4, 300, 8, 0xd695_aa08_5ebc_592d),
+    (187, 4, 59, 4, 0x4a3a_9645_1f02_416d),
+    (567, 1, 81, 4, 0xd700_5b83_6d05_f0a8),
+    (733, 3, 63, 4, 0x6606_b431_e25f_bef7),
+    (916, 3, 40, 4, 0x031d_9204_a5f7_93e7),
+    (654, 1, 30, 4, 0xf582_8c54_5e01_0f05),
+    (578, 3, 51, 4, 0x9651_adfb_8c87_5797),
+    (329, 2, 97, 4, 0xbcce_05d9_2963_375e),
+    (395, 4, 78, 4, 0x468a_9c44_d3ec_eef1),
+    (796, 1, 36, 4, 0x3545_d9b4_80b3_4d7f),
+    (329, 3, 83, 4, 0x353f_a91a_48de_e6c8),
+    (656, 1, 32, 4, 0x2741_c26d_9414_ec7f),
+    (967, 4, 102, 4, 0x1106_a097_92f7_1168),
+    (687, 4, 43, 4, 0x9bbd_dc26_8e31_1914),
+    (373, 2, 91, 4, 0x6029_c607_592e_3687),
+    (635, 4, 104, 4, 0x9bd9_bc9b_8569_921a),
+    (624, 4, 54, 4, 0x2f43_18ee_318e_649d),
+];
+
 #[test]
 fn wheel_and_heap_runs_are_byte_identical() {
-    for seed in [7u64, 8, 9] {
-        let mut w = base(seed);
-        w.backend = WheelBackend::Wheel;
-        let mut h = base(seed);
-        h.backend = WheelBackend::Heap;
-        let rw = run_twin(&w, &mut NullSink);
-        let rh = run_twin(&h, &mut NullSink);
-        assert_eq!(rw.digest, rh.digest, "seed {seed}");
-        assert_eq!(rw.events_fired, rh.events_fired, "seed {seed}");
-        assert_eq!(rw.sweep, rh.sweep, "seed {seed}");
-        assert_eq!(rw.handovers, rh.handovers, "seed {seed}");
+    for (seed, shards, sessions, secs, digest) in HEAP_AGREED_RUNS {
+        let mut cfg = TwinConfig::smoke(seed);
+        cfg.shards = shards;
+        cfg.initial_sessions = sessions;
+        cfg.duration = SimDuration::from_secs(secs);
+        let r = run_twin(&cfg, &mut NullSink);
+        assert_eq!(
+            r.digest, digest,
+            "seed {seed}, {shards} shards, {sessions} sessions"
+        );
     }
 }
 
@@ -224,7 +256,7 @@ fn stale_ids_and_tokens_cannot_alias_reused_slots() {
     assert_eq!(arena.get(a), None, "stale id resolved after reuse");
     assert_eq!(arena.get(b), Some(&"second"));
 
-    let mut sched: Scheduler<u32> = Scheduler::new(WheelBackend::Wheel);
+    let mut sched: Scheduler<u32> = Scheduler::new();
     let t1 = sched.schedule(10, 1);
     assert!(sched.cancel(t1));
     let t2 = sched.schedule(10, 2);
@@ -237,62 +269,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized scheduler conformance: any interleaving of
-    /// schedule/cancel/pop must fire identically on both backends.
+    /// schedule/cancel/pop must fire, cancel and count on the wheel as
+    /// it does on the model.
     #[test]
-    fn prop_wheel_matches_heap(
+    fn prop_wheel_matches_model(
         seed in 1u64..5000,
         ops in 50usize..400,
     ) {
-        let run = |backend: WheelBackend| -> Vec<(u64, u64)> {
-            let mut s: Scheduler<u64> = Scheduler::new(backend);
-            let mut fired = Vec::new();
-            let mut tokens: Vec<Token> = Vec::new();
-            let mut x = seed;
-            let mut rng = move || {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                x >> 16
-            };
-            let mut now = 0u64;
-            for op in 0..ops as u64 {
-                match rng() % 8 {
-                    0..=4 => {
-                        let delta = match rng() % 6 {
-                            0 => rng() % 16,
-                            1..=2 => rng() % 4096,
-                            3 => rng() % 1_000_000,
-                            4 => rng() % 400_000_000,
-                            _ => (1u64 << 32) + rng() % 4096,
-                        };
-                        tokens.push(s.schedule(now + delta, op));
-                    }
-                    5 => {
-                        if !tokens.is_empty() {
-                            let i = (rng() as usize) % tokens.len();
-                            s.cancel(tokens[i]);
-                        }
-                    }
-                    _ => {
-                        now += rng() % 3000;
-                        while let Some((t, _, p)) = s.pop_next(now) {
-                            fired.push((t, p));
-                        }
-                    }
-                }
-            }
-            while let Some((t, _, p)) = s.pop_next(u64::MAX) {
-                fired.push((t, p));
-            }
-            fired
-        };
-        let w = run(WheelBackend::Wheel);
-        let h = run(WheelBackend::Heap);
-        prop_assert_eq!(w, h);
+        sched_model::wheel_matches_model(seed, ops);
     }
 
     /// Randomized twin invariance: small random configurations must
-    /// digest identically across backends and thread counts.
+    /// digest identically at any thread count. (What these
+    /// configurations digest *to* is `HEAP_AGREED_RUNS`' business.)
     #[test]
-    fn prop_twin_backend_and_threads_invariant(
+    fn prop_twin_threads_invariant(
         seed in 1u64..1000,
         shards in 1usize..5,
         sessions in 20usize..120,
@@ -303,12 +294,7 @@ proptest! {
         cfg.initial_sessions = sessions;
         cfg.duration = SimDuration::from_secs(4);
         cfg.threads = 1;
-        cfg.backend = WheelBackend::Wheel;
         let reference = run_twin(&cfg, &mut NullSink);
-
-        let mut heap = cfg.clone();
-        heap.backend = WheelBackend::Heap;
-        prop_assert_eq!(run_twin(&heap, &mut NullSink).digest, reference.digest);
 
         let mut mt = cfg.clone();
         mt.threads = threads;

@@ -2,8 +2,7 @@
 //! and its sampled settlements run the *real* TLC machinery — signed
 //! negotiation to a PoC, then submission through the verifier — so the
 //! analytic pricing in `sim::soa`/`sim::measure` is checked against
-//! the protocol it models, end to end. This closes the DESIGN §11
-//! "soak against the digital-twin load generator once it exists" item.
+//! the protocol it models, end to end.
 //!
 //! Two loops:
 //!   * in-process: settlements feed a [`VerifierService`] directly;
