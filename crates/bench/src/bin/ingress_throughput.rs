@@ -24,6 +24,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
+use tlc_bench::{arg_value, reject_unknown_flags};
 use tlc_core::messages::{PocMsg, NONCE_LEN};
 use tlc_core::plan::DataPlan;
 use tlc_core::protocol::{run_negotiation, Endpoint};
@@ -93,16 +94,8 @@ fn build_rel(id: u64, cycles: usize) -> Rel {
     }
 }
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-
     // Hidden child mode: hold idle connections and report.
     if let Some(addr) = arg_value(&args, "--hold") {
         let n: usize = arg_value(&args, "--hold-count")
@@ -112,6 +105,7 @@ fn main() {
         return;
     }
 
+    reject_unknown_flags(&args, &["--metrics", "--conns", "--shards", "--duration"]);
     let metrics = args.iter().any(|a| a == "--metrics");
 
     if let Some(conns) = arg_value(&args, "--conns").and_then(|v| v.parse::<usize>().ok()) {

@@ -17,6 +17,7 @@
 //! drifts its gap ratio more than `GAP_DRIFT_TOL` from the first tier.
 
 use std::time::Instant;
+use tlc_bench::{arg_value, reject_unknown_flags};
 use tlc_sim::experiments::twin::tier_config;
 use tlc_sim::twin::{run_twin, NullSink};
 
@@ -51,15 +52,9 @@ impl TierRun {
     }
 }
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    reject_unknown_flags(&args, &["--tiers", "--seed", "--out"]);
     let tiers: Vec<usize> = arg_value(&args, "--tiers")
         .map(|v| {
             v.split(',')

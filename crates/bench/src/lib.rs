@@ -17,3 +17,22 @@ pub fn distinct_messages(n: usize, len: usize) -> Vec<Vec<u8>> {
         })
         .collect()
 }
+
+/// The value following `--name` on the command line, if any.
+pub fn arg_value(args: &[String], name: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == name)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// Exits with status 2 and a usage line if `args` holds a `--flag`
+/// that is not in `known`: a stale or mistyped flag must not silently
+/// measure the default configuration.
+pub fn reject_unknown_flags(args: &[String], known: &[&str]) {
+    let stranger = |a: &&String| a.starts_with("--") && !known.contains(&a.as_str());
+    if let Some(flag) = args.iter().find(stranger) {
+        eprintln!("unknown flag `{flag}`; usage: [{}]", known.join("] ["));
+        std::process::exit(2);
+    }
+}

@@ -1,0 +1,643 @@
+//! The blocking client for the verifier ingress: [`RemoteVerifier`]
+//! mirrors the in-process `VerifierService` API over one TCP session
+//! and turns the server's typed BUSY into seeded-jitter backoff
+//! (DESIGN §10 "Client"). It shares nothing with the server but the
+//! [`codec`].
+
+use super::codec::{
+    self, BusyMsg, BusyScope, Fault, Hello, HelloAck, Register, Registered, SettleMsg,
+    SettleResult, SettleVerdictMsg, StatsSnapshot, VerdictMsg, MAGIC, PROTOCOL_VERSION,
+};
+use super::{IngressStats, RemoteError};
+use crate::messages::PocMsg;
+use crate::plan::DataPlan;
+use crate::verify::service::{RelationshipId, ServiceError, SubmissionResult};
+use crate::verify::DEFAULT_REPLAY_CAPACITY;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::{self, Read, Write};
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
+use tlc_net::rng::SimRng;
+use tlc_net::wire::{encode_with, Frame, FrameDecoder, FrameKind, DEFAULT_MAX_PAYLOAD};
+
+/// Read chunk for the blocking client.
+const CLIENT_READ_CHUNK: usize = 8 * 1024;
+
+/// Retry policy for overload (BUSY) handling in [`RemoteVerifier`]:
+/// capped exponential backoff with jitter from a seeded RNG, per
+/// tlc-lint's determinism rule (no ambient randomness).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BackoffConfig {
+    /// First retry delay; doubles per attempt up to `cap`.
+    pub base: Duration,
+    /// Ceiling on any single delay.
+    pub cap: Duration,
+    /// Sheds tolerated per submission (or per connection attempt)
+    /// before [`ServiceError::Overloaded`] surfaces to the caller.
+    pub max_attempts: u32,
+    /// Seed for the jitter RNG.
+    pub seed: u64,
+}
+
+impl Default for BackoffConfig {
+    fn default() -> Self {
+        BackoffConfig {
+            base: Duration::from_millis(5),
+            cap: Duration::from_millis(500),
+            max_attempts: 10,
+            seed: 0x7E1C_0FF5,
+        }
+    }
+}
+
+/// Delay before retry number `attempt`: uniform in `[d/2, d]` where
+/// `d = min(cap, base << attempt)`, floored at the server's
+/// retry-after hint (itself capped). Half the delay is deterministic
+/// spacing, half is jitter so a fleet of shed clients decorrelates.
+fn backoff_delay(rng: &mut SimRng, cfg: &BackoffConfig, attempt: u32, hint_ms: u32) -> Duration {
+    let base = cfg.base.max(Duration::from_micros(100));
+    let cap = cfg.cap.max(base);
+    let capped = base.saturating_mul(1u32 << attempt.min(16)).min(cap);
+    let half = capped / 2;
+    let jitter_ns = half.as_nanos().min(u64::MAX as u128) as u64;
+    let jitter = Duration::from_nanos(rng.next_below(jitter_ns.saturating_add(1)));
+    let hint = Duration::from_millis(hint_ms as u64).min(cap);
+    (half + jitter).max(hint)
+}
+
+/// A submission awaiting its verdict, kept so a BUSY shed can be
+/// retried transparently with the same tag.
+struct Pending {
+    rel: u64,
+    tag: u64,
+    poc: Vec<u8>,
+    attempts: u32,
+}
+
+/// Blocking client mirroring the in-process [`VerifierService`] API.
+/// One instance is one session; it is not `Sync` — run one per thread
+/// (the soak test does exactly that). Generic over the transport so
+/// chaos tests can interpose a fault-injecting stream; `connect`
+/// produces the ordinary `TcpStream`-backed client.
+///
+/// Server sheds are handled transparently: a BUSY (scope Submit)
+/// moves that submission to a retry queue and it is re-sent — with
+/// its original tag — after capped, jittered backoff. Only when a
+/// submission exhausts [`BackoffConfig::max_attempts`] does
+/// [`ServiceError::Overloaded`] reach the caller. Shed-and-retried
+/// submissions re-enter at retry time, so per-relationship
+/// submission order is preserved only among never-shed proofs.
+pub struct RemoteVerifier<S = TcpStream> {
+    stream: S,
+    decoder: FrameDecoder,
+    /// The outgoing frame under construction, reused across sends.
+    tx: Vec<u8>,
+    /// Window granted by the server; `submit` drains verdicts once this
+    /// many submissions are outstanding.
+    window: u32,
+    /// Max frame payload the server accepts; batches are chunked to it.
+    max_payload: u32,
+    outstanding: usize,
+    next_tag: u64,
+    /// Verdicts read while waiting for some other frame.
+    ready: VecDeque<SubmissionResult>,
+    /// Relationships the server has confirmed, for the client-side
+    /// `UnknownRelationship` mirror of the in-process API.
+    rels: HashSet<u64>,
+    next_req: u32,
+    /// Submissions awaiting verdicts (bounded by the window), so a
+    /// BUSY shed can be retried without the caller resubmitting.
+    pending: HashMap<u64, Pending>,
+    /// Shed submissions queued for backoff-and-retry.
+    shed_q: VecDeque<Pending>,
+    backoff: BackoffConfig,
+    rng: SimRng,
+    shed_notices: u64,
+    retries: u64,
+    /// Latest retry-after hint from the server, milliseconds.
+    retry_hint_ms: u32,
+}
+
+impl RemoteVerifier {
+    /// Connects and performs the HELLO handshake with the default
+    /// overload policy. `window_hint` of 0 accepts the server's
+    /// default window.
+    pub fn connect(
+        addr: impl ToSocketAddrs,
+        window_hint: u32,
+    ) -> Result<RemoteVerifier, RemoteError> {
+        Self::connect_with(addr, window_hint, BackoffConfig::default())
+    }
+
+    /// [`connect`](Self::connect) with an explicit overload policy. A
+    /// BUSY (scope Connection) answer — the server's ShedConnections
+    /// rung — is retried with backoff up to `backoff.max_attempts`
+    /// times before [`ServiceError::Overloaded`] surfaces.
+    pub fn connect_with(
+        addr: impl ToSocketAddrs,
+        window_hint: u32,
+        backoff: BackoffConfig,
+    ) -> Result<RemoteVerifier, RemoteError> {
+        let mut rng = SimRng::new(backoff.seed).split("connect-jitter");
+        let mut attempt = 0u32;
+        loop {
+            let stream = TcpStream::connect(&addr).map_err(|e| RemoteError::Io(e.kind()))?;
+            let _ = stream.set_nodelay(true);
+            match RemoteVerifier::handshake(stream, window_hint, backoff) {
+                Err(RemoteError::Service(ServiceError::Overloaded { retry_after_ms }))
+                    if attempt < backoff.max_attempts =>
+                {
+                    std::thread::sleep(backoff_delay(&mut rng, &backoff, attempt, retry_after_ms));
+                    attempt += 1;
+                }
+                other => return other,
+            }
+        }
+    }
+}
+
+impl<S: Read + Write> RemoteVerifier<S> {
+    /// Performs the HELLO handshake over an already-connected
+    /// transport. A BUSY answer here means the server shed the whole
+    /// connection; it surfaces as [`ServiceError::Overloaded`] (this
+    /// entry point does not retry — [`RemoteVerifier::connect_with`]
+    /// wraps it with reconnection backoff).
+    pub fn handshake(
+        stream: S,
+        window_hint: u32,
+        backoff: BackoffConfig,
+    ) -> Result<RemoteVerifier<S>, RemoteError> {
+        let mut client = RemoteVerifier {
+            stream,
+            decoder: FrameDecoder::new(DEFAULT_MAX_PAYLOAD),
+            tx: Vec::new(),
+            window: 1,
+            max_payload: DEFAULT_MAX_PAYLOAD,
+            outstanding: 0,
+            next_tag: 0,
+            ready: VecDeque::new(),
+            rels: HashSet::new(),
+            next_req: 0,
+            pending: HashMap::new(),
+            shed_q: VecDeque::new(),
+            backoff,
+            rng: SimRng::new(backoff.seed).split("retry-jitter"),
+            shed_notices: 0,
+            retries: 0,
+            retry_hint_ms: 0,
+        };
+        let hello = Hello {
+            magic: MAGIC,
+            version: PROTOCOL_VERSION,
+            window: window_hint,
+        };
+        client.send_frame(&hello.to_frame())?;
+        let frame = client.read_non_verdict()?;
+        if frame.kind != FrameKind::HelloAck {
+            return Err(RemoteError::Protocol("expected HELLO_ACK"));
+        }
+        let ack = HelloAck::decode(&frame.payload).map_err(RemoteError::Protocol)?;
+        if ack.version != PROTOCOL_VERSION {
+            return Err(RemoteError::BadVersion {
+                server: ack.version,
+            });
+        }
+        client.window = ack.window.max(1);
+        client.max_payload = ack.max_payload;
+        Ok(client)
+    }
+
+    /// Registers a relationship with the default replay window;
+    /// idempotent for the same `(plan, keys)` triple, like the
+    /// in-process API.
+    pub fn register(
+        &mut self,
+        plan: DataPlan,
+        edge_key: tlc_crypto::PublicKey,
+        operator_key: tlc_crypto::PublicKey,
+    ) -> Result<RelationshipId, RemoteError> {
+        self.register_with_capacity(plan, edge_key, operator_key, DEFAULT_REPLAY_CAPACITY)
+    }
+
+    /// [`register`](Self::register) with an explicit replay-cache bound.
+    pub fn register_with_capacity(
+        &mut self,
+        plan: DataPlan,
+        edge_key: tlc_crypto::PublicKey,
+        operator_key: tlc_crypto::PublicKey,
+        capacity: usize,
+    ) -> Result<RelationshipId, RemoteError> {
+        let req = self.next_req;
+        self.next_req = self.next_req.wrapping_add(1);
+        let msg = Register {
+            req,
+            capacity: capacity as u64,
+            plan,
+            edge_key,
+            operator_key,
+        };
+        self.send_frame(&msg.to_frame())?;
+        let frame = self.read_non_verdict()?;
+        if frame.kind != FrameKind::Registered {
+            return Err(RemoteError::Protocol("expected REGISTERED"));
+        }
+        let ack = Registered::decode(&frame.payload).map_err(RemoteError::Protocol)?;
+        if ack.req != req {
+            return Err(RemoteError::Protocol("REGISTERED for a different request"));
+        }
+        self.rels.insert(ack.rel);
+        Ok(RelationshipId::from_raw(ack.rel))
+    }
+
+    /// Submits one proof; returns its tag, exactly like the in-process
+    /// `submit`. Blocks draining verdicts when the window is full, and
+    /// retries any previously shed submissions first.
+    pub fn submit(&mut self, rel: RelationshipId, poc: &PocMsg) -> Result<u64, RemoteError> {
+        if !self.rels.contains(&rel.raw()) {
+            return Err(RemoteError::Service(ServiceError::UnknownRelationship(rel)));
+        }
+        self.drain_sheds()?;
+        while self.outstanding >= self.window as usize {
+            self.pull_verdict()?;
+        }
+        let tag = self.next_tag;
+        let p = Pending {
+            rel: rel.raw(),
+            tag,
+            poc: poc.encode(),
+            attempts: 0,
+        };
+        self.send_submit(&p)?;
+        self.next_tag += 1;
+        self.outstanding += 1;
+        self.pending.insert(tag, p);
+        Ok(tag)
+    }
+
+    /// Submits a batch under one relationship; returns `(first_tag,
+    /// count)`. Chunked to respect both the server's frame payload cap
+    /// and the per-connection verdict window — a batch wider than the
+    /// window is split, so this client never has more than a window of
+    /// proofs unanswered and never meets the server's debt cap.
+    pub fn submit_batch<'a>(
+        &mut self,
+        rel: RelationshipId,
+        pocs: impl IntoIterator<Item = &'a PocMsg>,
+    ) -> Result<(u64, usize), RemoteError> {
+        if !self.rels.contains(&rel.raw()) {
+            return Err(RemoteError::Service(ServiceError::UnknownRelationship(rel)));
+        }
+        let first = self.next_tag;
+        let mut count = 0usize;
+        let mut chunk: Vec<Vec<u8>> = Vec::new();
+        let mut chunk_bytes = 0usize;
+        // Stay well under the payload cap: the batch header plus
+        // per-item length prefixes ride along.
+        let budget = (self.max_payload as usize).saturating_sub(1024);
+        let max_items = (self.window as usize).max(1);
+        for poc in pocs {
+            let bytes = poc.encode();
+            if !chunk.is_empty()
+                && (chunk_bytes + bytes.len() + 4 > budget || chunk.len() >= max_items)
+            {
+                self.send_batch_chunk(rel, &mut chunk, &mut chunk_bytes, &mut count)?;
+            }
+            chunk_bytes += bytes.len() + 4;
+            chunk.push(bytes);
+        }
+        if !chunk.is_empty() {
+            self.send_batch_chunk(rel, &mut chunk, &mut chunk_bytes, &mut count)?;
+        }
+        Ok((first, count))
+    }
+
+    fn send_batch_chunk(
+        &mut self,
+        rel: RelationshipId,
+        chunk: &mut Vec<Vec<u8>>,
+        chunk_bytes: &mut usize,
+        count: &mut usize,
+    ) -> Result<(), RemoteError> {
+        self.drain_sheds()?;
+        // Drain until the whole chunk fits in the window, not merely
+        // until one slot opens: the window is this client's pipelining
+        // budget, and the server sheds and scores submits that run
+        // `debt_factor` windows past it.
+        let n = chunk.len();
+        while self.outstanding > 0 && self.outstanding + n > self.window as usize {
+            self.pull_verdict()?;
+        }
+        let first = self.next_tag;
+        self.send_payload(FrameKind::SubmitBatch, |out| {
+            codec::put_submit_batch(out, rel.raw(), first, chunk)
+        })?;
+        for (k, poc) in chunk.drain(..).enumerate() {
+            let tag = first.wrapping_add(k as u64);
+            self.pending.insert(
+                tag,
+                Pending {
+                    rel: rel.raw(),
+                    tag,
+                    poc,
+                    attempts: 0,
+                },
+            );
+        }
+        self.next_tag += n as u64;
+        self.outstanding += n;
+        *count += n;
+        *chunk_bytes = 0;
+        Ok(())
+    }
+
+    /// Blocks until every submitted proof has a verdict and returns
+    /// them (per relationship, in submission order — the service's own
+    /// guarantee, preserved by the ordered byte stream; shed-and-
+    /// retried proofs re-enter at retry time, so under overload only
+    /// never-shed proofs keep that order).
+    ///
+    /// If the server goes away first, the same
+    /// [`ServiceError::ResultsClosed`] the in-process API raises is
+    /// returned, carrying the number of results lost.
+    pub fn collect_results(&mut self) -> Result<Vec<SubmissionResult>, RemoteError> {
+        let mut out = Vec::with_capacity(self.outstanding + self.ready.len());
+        while let Some(r) = self.ready.pop_front() {
+            out.push(r);
+        }
+        while self.outstanding > 0 || !self.shed_q.is_empty() {
+            self.drain_sheds()?;
+            if self.outstanding == 0 {
+                continue;
+            }
+            match self.pull_verdict() {
+                Ok(()) => {
+                    while let Some(r) = self.ready.pop_front() {
+                        out.push(r);
+                    }
+                }
+                Err(RemoteError::Io(io::ErrorKind::UnexpectedEof))
+                | Err(RemoteError::ServerShutdown) => {
+                    let outstanding = self.outstanding;
+                    self.outstanding = 0;
+                    return Err(RemoteError::Service(ServiceError::ResultsClosed {
+                        outstanding,
+                    }));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(out)
+    }
+
+    /// Verdicts received so far without blocking for the rest.
+    pub fn take_ready(&mut self) -> Vec<SubmissionResult> {
+        self.ready.drain(..).collect()
+    }
+
+    /// Submissions awaiting verdicts.
+    pub fn outstanding(&self) -> usize {
+        self.outstanding
+    }
+
+    /// The in-flight window granted by the server.
+    pub fn window(&self) -> u32 {
+        self.window
+    }
+
+    /// BUSY (scope Submit) notices received from the server.
+    pub fn shed_notices(&self) -> u64 {
+        self.shed_notices
+    }
+
+    /// Transparent re-submissions performed after sheds.
+    pub fn retries(&self) -> u64 {
+        self.retries
+    }
+
+    /// Shed submissions still queued for retry.
+    pub fn shed_pending(&self) -> usize {
+        self.shed_q.len()
+    }
+
+    /// Shared access to the underlying transport (chaos tests read
+    /// fault-injection stats through this).
+    pub fn stream(&self) -> &S {
+        &self.stream
+    }
+
+    /// Requests the server's ingress counters.
+    pub fn stats(&mut self) -> Result<IngressStats, RemoteError> {
+        self.send_frame(&Frame::new(FrameKind::StatsReq, Vec::new()))?;
+        let frame = self.read_non_verdict()?;
+        if frame.kind != FrameKind::Stats {
+            return Err(RemoteError::Protocol("expected STATS"));
+        }
+        StatsSnapshot::decode(&frame.payload).map_err(RemoteError::Protocol)
+    }
+
+    /// Submits a three-party roaming settlement record for the
+    /// server's conservation audit and returns its verdict. Verdicts
+    /// and sheds arriving while waiting are absorbed as usual.
+    pub fn settle(
+        &mut self,
+        rel: RelationshipId,
+        serving: crate::roaming::Serving,
+        charged: u64,
+        split: crate::roaming::SettlementSplit,
+    ) -> Result<SettleResult, RemoteError> {
+        if !self.rels.contains(&rel.raw()) {
+            return Err(RemoteError::Service(ServiceError::UnknownRelationship(rel)));
+        }
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        let msg = SettleMsg {
+            rel: rel.raw(),
+            tag,
+            serving,
+            charged,
+            split,
+        };
+        self.send_frame(&msg.to_frame())?;
+        let frame = self.read_non_verdict()?;
+        if frame.kind != FrameKind::SettleVerdict {
+            return Err(RemoteError::Protocol("expected SETTLE_VERDICT"));
+        }
+        let v = SettleVerdictMsg::decode(&frame.payload).map_err(RemoteError::Protocol)?;
+        if v.tag != tag {
+            return Err(RemoteError::Protocol(
+                "SETTLE_VERDICT for a different request",
+            ));
+        }
+        Ok(v.result)
+    }
+
+    /// Ends the session: the server streams any remaining verdicts
+    /// (returned here), acks, and closes. Consumes the client. Shed
+    /// submissions are retried first so nothing is silently dropped.
+    pub fn goodbye(mut self) -> Result<Vec<SubmissionResult>, RemoteError> {
+        self.drain_sheds()?;
+        self.send_frame(&Frame::new(FrameKind::Goodbye, Vec::new()))?;
+        let frame = self.read_non_verdict()?;
+        if frame.kind != FrameKind::GoodbyeAck {
+            return Err(RemoteError::Protocol("expected GOODBYE_ACK"));
+        }
+        self.outstanding = 0;
+        Ok(self.ready.drain(..).collect())
+    }
+
+    /// Reads frames until one that is not a VERDICT or BUSY arrives;
+    /// verdicts encountered on the way are buffered (and count against
+    /// `outstanding`), sheds are queued for retry. ERROR frames become
+    /// typed errors.
+    fn read_non_verdict(&mut self) -> Result<Frame, RemoteError> {
+        loop {
+            let frame = self.read_frame()?;
+            match frame.kind {
+                FrameKind::Verdict => self.absorb_verdict(&frame.payload)?,
+                FrameKind::Busy => self.absorb_busy(&frame.payload)?,
+                FrameKind::Error => return Err(self.map_fault(&frame.payload)),
+                _ => return Ok(frame),
+            }
+        }
+    }
+
+    /// Reads exactly one VERDICT into the ready buffer (ERRORs
+    /// mapped). A BUSY also counts as progress: it frees a window
+    /// slot by moving the shed submission to the retry queue.
+    fn pull_verdict(&mut self) -> Result<(), RemoteError> {
+        let frame = self.read_frame()?;
+        match frame.kind {
+            FrameKind::Verdict => self.absorb_verdict(&frame.payload),
+            FrameKind::Busy => self.absorb_busy(&frame.payload),
+            FrameKind::Error => Err(self.map_fault(&frame.payload)),
+            _ => Err(RemoteError::Protocol("expected VERDICT")),
+        }
+    }
+
+    fn absorb_verdict(&mut self, payload: &[u8]) -> Result<(), RemoteError> {
+        let v = VerdictMsg::decode(payload).map_err(RemoteError::Protocol)?;
+        self.outstanding = self.outstanding.saturating_sub(1);
+        self.pending.remove(&v.tag);
+        self.ready.push_back(SubmissionResult {
+            relationship: RelationshipId::from_raw(v.rel),
+            tag: v.tag,
+            shard: v.shard as usize,
+            result: v.result,
+        });
+        Ok(())
+    }
+
+    /// Handles a BUSY frame: a Submit-scope shed moves that submission
+    /// to the retry queue (typed, never silent); a Connection-scope
+    /// shed is the server refusing this whole session, surfaced as
+    /// [`ServiceError::Overloaded`].
+    fn absorb_busy(&mut self, payload: &[u8]) -> Result<(), RemoteError> {
+        let busy = BusyMsg::decode(payload).map_err(RemoteError::Protocol)?;
+        self.retry_hint_ms = busy.retry_after_ms;
+        match busy.scope {
+            BusyScope::Submit => {
+                self.shed_notices += 1;
+                if let Some(p) = self.pending.remove(&busy.tag) {
+                    self.outstanding = self.outstanding.saturating_sub(1);
+                    self.shed_q.push_back(p);
+                }
+                Ok(())
+            }
+            BusyScope::Connection => Err(RemoteError::Service(ServiceError::Overloaded {
+                retry_after_ms: busy.retry_after_ms,
+            })),
+        }
+    }
+
+    /// Re-sends shed submissions after capped, jittered backoff,
+    /// reusing each one's original tag so caller-side correlation
+    /// holds. Surfaces [`ServiceError::Overloaded`] once a submission
+    /// exhausts its retry budget (the submission stays queued, so a
+    /// later call can still try again).
+    fn drain_sheds(&mut self) -> Result<(), RemoteError> {
+        while let Some(mut p) = self.shed_q.pop_front() {
+            if p.attempts >= self.backoff.max_attempts {
+                let hint = self.retry_hint_ms;
+                self.shed_q.push_front(p);
+                return Err(RemoteError::Service(ServiceError::Overloaded {
+                    retry_after_ms: hint,
+                }));
+            }
+            let delay = backoff_delay(&mut self.rng, &self.backoff, p.attempts, self.retry_hint_ms);
+            std::thread::sleep(delay);
+            p.attempts += 1;
+            self.retries += 1;
+            while self.outstanding >= self.window as usize {
+                self.pull_verdict()?;
+            }
+            self.send_submit(&p)?;
+            self.outstanding += 1;
+            self.pending.insert(p.tag, p);
+        }
+        Ok(())
+    }
+
+    fn map_fault(&self, payload: &[u8]) -> RemoteError {
+        match Fault::decode(payload) {
+            Ok(Fault::ShardDown { shard }) => RemoteError::Service(ServiceError::ShardDown {
+                shard: shard as usize,
+            }),
+            Ok(Fault::ResultsClosed { outstanding }) => {
+                RemoteError::Service(ServiceError::ResultsClosed {
+                    outstanding: outstanding as usize,
+                })
+            }
+            Ok(Fault::UnknownRelationship(rel)) => RemoteError::Service(
+                ServiceError::UnknownRelationship(RelationshipId::from_raw(rel)),
+            ),
+            Ok(Fault::BadVersion { server }) => RemoteError::BadVersion { server },
+            Ok(Fault::Protocol(detail)) => RemoteError::Protocol(detail),
+            Ok(Fault::Shutdown) => RemoteError::ServerShutdown,
+            Err(detail) => RemoteError::Protocol(detail),
+        }
+    }
+
+    fn send_frame(&mut self, frame: &Frame) -> Result<(), RemoteError> {
+        self.send_payload(frame.kind, |out| out.extend_from_slice(&frame.payload))
+    }
+
+    /// (Re-)sends one submission from the bytes kept for its retry.
+    fn send_submit(&mut self, p: &Pending) -> Result<(), RemoteError> {
+        self.send_payload(FrameKind::Submit, |out| {
+            codec::put_submit(out, p.rel, p.tag, &p.poc)
+        })
+    }
+
+    /// Sends one frame whose payload `put` writes in place behind the
+    /// envelope header, so PoC bytes are copied once: into the buffer
+    /// handed to `write_all`.
+    fn send_payload(
+        &mut self,
+        kind: FrameKind,
+        put: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), RemoteError> {
+        self.tx.clear();
+        encode_with(kind, &mut self.tx, put)?;
+        self.stream
+            .write_all(&self.tx)
+            .map_err(|e| RemoteError::Io(e.kind()))
+    }
+
+    fn read_frame(&mut self) -> Result<Frame, RemoteError> {
+        loop {
+            if let Some(f) = self.decoder.next_frame() {
+                return Ok(f);
+            }
+            if let Some(e) = self.decoder.poisoned() {
+                return Err(RemoteError::Wire(e));
+            }
+            let mut buf = [0u8; CLIENT_READ_CHUNK];
+            match self.stream.read(&mut buf) {
+                Ok(0) => return Err(RemoteError::Io(io::ErrorKind::UnexpectedEof)),
+                Ok(n) => self.decoder.push(&buf[..n])?,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(RemoteError::Io(e.kind())),
+            }
+        }
+    }
+}

@@ -13,7 +13,7 @@
 //! A second acquisition inside a live extent yields an order edge
 //! `held → acquired`. Calls inside a live extent add edges from the
 //! held lock to everything the callee (transitively) acquires, so an
-//! order split across `event_loop.rs` and `service.rs` is still seen.
+//! order split across `server.rs` and `service.rs` is still seen.
 //! A cycle in the resulting lock graph is a potential deadlock and is
 //! reported once, with one representative acquisition site per edge.
 //!

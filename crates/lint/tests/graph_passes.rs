@@ -166,7 +166,7 @@ fn shard_loop_reaches_batch_verification_in_the_real_call_graph() {
         .fns_named("run")
         .iter()
         .copied()
-        .filter(|&id| is(id, "Shard", "verify/remote/event_loop.rs"))
+        .filter(|&id| is(id, "Shard", "verify/remote/server.rs"))
         .collect();
     assert_eq!(frontier.len(), 1, "Shard::run moved or was renamed");
     let mut seen = vec![false; graph.fns.len()];

@@ -7,8 +7,8 @@
 //! [`split_frame`](crate::wire::split_frame), stages outbound frames in
 //! a write buffer that drains as the peer accepts bytes, and exposes an
 //! explicit *pause* switch — the backpressure primitive the ingress
-//! server flips when a connection's in-flight window or the
-//! verification pipeline is full. While paused the driver stops
+//! server flips while a connection is quarantined or is not draining
+//! the replies already queued for it. While paused the driver stops
 //! *reading*, so the kernel receive buffer fills and TCP flow control
 //! pushes back on the submitting client; no frame is ever dropped.
 //!

@@ -9,16 +9,17 @@
 //! ```
 //!
 //! This module owns the *envelope* only — the fifteen frame kinds, their
-//! tag bytes, and a streaming decoder with a hard payload cap enforced
-//! **before** any payload allocation. Payload grammars (what the bytes of
+//! tag bytes, and one framing grammar ([`split_frame`]) with a hard
+//! payload cap enforced from the header alone. Payload grammars (what the bytes of
 //! a `REGISTER` or `VERDICT` mean) belong to the protocol layer in
 //! `tlc-core::verify::remote`, which keeps this crate free of any
 //! dependency on the charging types.
 //!
 //! Decoding is adversary-facing (the ingress listens on a public socket),
-//! so the decoder never panics, never allocates more than
-//! [`FrameDecoder::max_payload`] + [`HEADER_LEN`] bytes for a partial
-//! frame, and turns every malformed input into a typed [`WireError`].
+//! so the decoder never panics, never holds more than
+//! [`FrameDecoder::max_payload`] + [`HEADER_LEN`] bytes of a partial
+//! frame between calls, and turns every malformed input into a typed
+//! [`WireError`].
 //! After an error the decoder is *poisoned*: the byte stream has lost
 //! framing and cannot be resynchronised, so the connection must be torn
 //! down.
@@ -211,30 +212,20 @@ fn encode_capped(
     }
 }
 
-/// Decoder state for the frame currently being assembled.
-enum Partial {
-    /// Collecting the 5 header bytes.
-    Header { buf: [u8; HEADER_LEN], have: usize },
-    /// Header accepted; collecting `need` more payload bytes.
-    Payload {
-        kind: FrameKind,
-        payload: Vec<u8>,
-        need: usize,
-    },
-}
-
 /// A streaming frame decoder: feed it byte chunks of any size (including
-/// frames split across reads), pop completed frames.
+/// frames split across reads), pop completed frames. It is a buffer
+/// over [`split_frame`], so there is one framing grammar.
 ///
-/// Memory is bounded by construction: the partial frame holds at most
-/// `HEADER_LEN + max_payload` bytes, and the payload buffer is only
-/// allocated *after* the length prefix has been checked against the cap.
+/// Memory is bounded by construction: between calls the buffer holds
+/// less than one frame (at most `HEADER_LEN + max_payload` bytes);
+/// during a call, that plus the caller's chunk.
 /// Completed frames queue in arrival order until drained with
 /// [`next_frame`](Self::next_frame); callers bound that queue by bounding
-/// how many bytes they feed per poll (see `ingress::ConnDriver`).
+/// how many bytes they feed per call.
 pub struct FrameDecoder {
     max_payload: u32,
-    partial: Partial,
+    /// Bytes received that do not yet make a frame.
+    buf: Vec<u8>,
     done: VecDeque<Frame>,
     poison: Option<WireError>,
 }
@@ -244,10 +235,7 @@ impl FrameDecoder {
     pub fn new(max_payload: u32) -> FrameDecoder {
         FrameDecoder {
             max_payload,
-            partial: Partial::Header {
-                buf: [0; HEADER_LEN],
-                have: 0,
-            },
+            buf: Vec::new(),
             done: VecDeque::new(),
             poison: None,
         }
@@ -261,10 +249,7 @@ impl FrameDecoder {
     /// Bytes currently buffered for the in-progress frame (header +
     /// partial payload). Always ≤ `HEADER_LEN + max_payload`.
     pub fn partial_bytes(&self) -> usize {
-        match &self.partial {
-            Partial::Header { have, .. } => *have,
-            Partial::Payload { payload, .. } => HEADER_LEN + payload.len(),
-        }
+        self.buf.len()
     }
 
     /// Completed frames awaiting [`next_frame`](Self::next_frame).
@@ -284,91 +269,32 @@ impl FrameDecoder {
     }
 
     /// Consumes a chunk of stream bytes. On a framing violation the
-    /// decoder poisons itself and every subsequent call returns the same
-    /// error; the connection should be closed.
-    pub fn push(&mut self, mut bytes: &[u8]) -> Result<(), WireError> {
+    /// decoder poisons itself (dropping the bytes it can no longer
+    /// frame) and every subsequent call returns the same error; the
+    /// connection should be closed.
+    pub fn push(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         if let Some(e) = self.poison {
             return Err(e);
         }
-        while !bytes.is_empty() {
-            // Header findings are copied out of the borrow so the poison
-            // path below can re-borrow `self`.
-            let mut header: Option<[u8; HEADER_LEN]> = None;
-            let mut bad_kind: Option<u8> = None;
-            match &mut self.partial {
-                Partial::Header { buf, have } => {
-                    let take = (HEADER_LEN - *have).min(bytes.len());
-                    buf[*have..*have + take].copy_from_slice(&bytes[..take]);
-                    *have += take;
-                    bytes = &bytes[take..];
-                    // Fail fast: the kind byte is checked the moment it
-                    // arrives, before waiting for a length word.
-                    if *have >= 1 && FrameKind::from_u8(buf[0]).is_none() {
-                        bad_kind = Some(buf[0]);
-                    } else if *have < HEADER_LEN {
-                        break;
-                    } else {
-                        header = Some(*buf);
-                    }
+        self.buf.extend_from_slice(bytes);
+        let mut off = 0;
+        loop {
+            match split_frame(&self.buf[off..], self.max_payload) {
+                Ok(Some((view, used))) => {
+                    self.done.push_back(view.to_owned());
+                    off += used;
                 }
-                Partial::Payload {
-                    kind,
-                    payload,
-                    need,
-                } => {
-                    let take = (*need).min(bytes.len());
-                    payload.extend_from_slice(&bytes[..take]);
-                    *need -= take;
-                    bytes = &bytes[take..];
-                    if *need == 0 {
-                        let frame = Frame::new(*kind, std::mem::take(payload));
-                        self.done.push_back(frame);
-                        self.partial = Partial::Header {
-                            buf: [0; HEADER_LEN],
-                            have: 0,
-                        };
-                    }
+                Ok(None) => {
+                    self.buf.drain(..off);
+                    return Ok(());
                 }
-            }
-            if let Some(b) = bad_kind {
-                return self.poison_with(WireError::UnknownKind(b));
-            }
-            if let Some(buf) = header {
-                let kind = match FrameKind::from_u8(buf[0]) {
-                    Some(k) => k,
-                    // Unreachable: the eager check above rejected bad
-                    // kind bytes, but stay total rather than panic.
-                    None => return self.poison_with(WireError::UnknownKind(buf[0])),
-                };
-                let len = u32::from_be_bytes([buf[1], buf[2], buf[3], buf[4]]);
-                if len > self.max_payload {
-                    return self.poison_with(WireError::Oversize {
-                        len,
-                        max: self.max_payload,
-                    });
-                }
-                if len == 0 {
-                    self.done.push_back(Frame::new(kind, Vec::new()));
-                    self.partial = Partial::Header {
-                        buf: [0; HEADER_LEN],
-                        have: 0,
-                    };
-                } else {
-                    // The cap check above bounds this allocation.
-                    self.partial = Partial::Payload {
-                        kind,
-                        payload: Vec::with_capacity(len as usize),
-                        need: len as usize,
-                    };
+                Err(e) => {
+                    self.poison = Some(e);
+                    self.buf.clear();
+                    return Err(e);
                 }
             }
         }
-        Ok(())
-    }
-
-    fn poison_with(&mut self, e: WireError) -> Result<(), WireError> {
-        self.poison = Some(e);
-        Err(e)
     }
 }
 
@@ -397,11 +323,11 @@ impl FrameRef<'_> {
 /// * `Ok(Some((frame, consumed)))` — a complete frame; `consumed` bytes
 ///   (header + payload) belong to it and the caller advances past them.
 /// * `Ok(None)` — `buf` holds only a partial frame; read more bytes.
-/// * `Err(_)` — framing violation. Decision points match
-///   [`FrameDecoder::push`] byte-for-byte: a bad kind byte is rejected
-///   the moment it is visible (even with the length word missing), an
-///   over-cap length is rejected from the 5-byte header alone. The
-///   equivalence is property-tested in `tests/prop_wire.rs`.
+/// * `Err(_)` — framing violation: a bad kind byte is rejected the
+///   moment it is visible (even with the length word missing), an
+///   over-cap length from the 5-byte header alone.
+///   [`FrameDecoder::push`] decides with this function, chunk by chunk;
+///   `tests/prop_wire.rs` checks the two agree however a stream is cut.
 pub fn split_frame(
     buf: &[u8],
     max_payload: u32,

@@ -137,11 +137,6 @@ impl<T: Copy> Scheduler<T> {
         self.live == 0
     }
 
-    /// Current scheduler time (the tick of the last fired event batch).
-    pub fn now(&self) -> u64 {
-        self.cursor
-    }
-
     fn alloc(&mut self, tick: u64, payload: T) -> (u32, u32) {
         let seq = self.seq;
         self.seq += 1;
