@@ -1,7 +1,7 @@
 //! CI smoke check for the batched verification plane: bounded iteration
-//! counts, no criterion baselines. Exercises the interleaved-lane RSA
-//! batch path, checks the batched results bit-for-bit against the scalar
-//! path, and prints the measured speedups; checks the CRT private-key
+//! counts, no criterion baselines. Exercises the batched RSA verification
+//! path, checks the batched results bit-for-bit against the scalar path,
+//! and prints the measured speedups; checks the CRT private-key
 //! operation against plain exponentiation. Exits nonzero on any mismatch.
 
 use std::time::Instant;
@@ -217,7 +217,13 @@ fn main() {
         "signature level: scalar {scalar_ns:.0} ns/verify, batched {batch_ns:.0} ns/verify, speedup {:.2}x",
         scalar_ns / batch_ns
     );
-    assert!(batch_ns < scalar_ns, "batched path must not be slower");
+    // Without the IFMA lanes a batch is the scalar path per signature:
+    // the two sides run the same code and only the results are compared.
+    let lanes = tlc_crypto::ifma::available();
+    assert!(
+        !lanes || batch_ns < scalar_ns,
+        "batched path must not be slower"
+    );
 
     let (poc_scalar_ns, poc_batch_ns) = poc_level(4);
     println!(
@@ -225,7 +231,7 @@ fn main() {
         poc_scalar_ns / poc_batch_ns
     );
     assert!(
-        poc_batch_ns < poc_scalar_ns,
+        !lanes || poc_batch_ns < poc_scalar_ns,
         "batched PoC path must not be slower"
     );
 

@@ -249,6 +249,37 @@ macro_rules! flat_kind {
     };
 }
 
+/// A [`flat_kind!`] payload whose every field is a `u64` count: the one
+/// field list also names the counts and sums them, so a field added to
+/// the grammar cannot be missing from a merge or a rendering.
+macro_rules! flat_counts {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident, $truncated:literal {
+            $($(#[$fmeta:meta])* pub $field:ident: u64,)+
+        }
+    ) => {
+        flat_kind! {
+            $(#[$meta])*
+            pub struct $name, $truncated {
+                $($(#[$fmeta])* pub $field: u64,)+
+            }
+        }
+
+        impl $name {
+            /// Every count under its field name, in wire order.
+            pub(crate) fn named(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($field), self.$field),)+].into_iter()
+            }
+
+            /// Adds `other`'s counts to this one's, field by field.
+            pub(crate) fn add(&mut self, other: &$name) {
+                $(self.$field += other.$field;)+
+            }
+        }
+    };
+}
+
 /// Appends a `u32`-length-prefixed byte string (a key or a PoC).
 fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
     put_u32(out, bytes.len() as u32);
@@ -636,7 +667,7 @@ fn get_crypto_error(r: &mut Reader<'_>) -> Result<CryptoError, &'static str> {
     })
 }
 
-flat_kind! {
+flat_counts! {
     /// STATS payload: ingress counters. Also the type the server reports
     /// at shutdown (`IngressReport::ingress`).
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -693,33 +724,13 @@ impl StatsSnapshot {
     /// values (`open_connections`, `service_outstanding`) are gauges.
     pub fn to_prometheus(&self, out: &mut String) {
         use std::fmt::Write as _;
-        let counters = [
-            ("connections_total", self.connections),
-            ("connections_closed_total", self.connections_closed),
-            ("registers_total", self.registers),
-            ("submissions_total", self.submissions),
-            ("verdicts_total", self.verdicts),
-            ("accepted_total", self.accepted),
-            ("rejected_malformed_total", self.rejected_malformed),
-            ("orphaned_verdicts_total", self.orphaned_verdicts),
-            ("protocol_errors_total", self.protocol_errors),
-            ("pauses_total", self.pauses),
-            ("shed_overload_total", self.shed_overload),
-            ("shed_connections_total", self.shed_connections),
-            ("quarantines_total", self.quarantines),
-            ("misbehavior_closes_total", self.misbehavior_closes),
-        ];
-        for (name, v) in counters {
-            let _ = writeln!(out, "# TYPE tlc_ingress_{name} counter");
-            let _ = writeln!(out, "tlc_ingress_{name} {v}");
-        }
-        let gauges = [
-            ("open_connections", self.open_connections),
-            ("service_outstanding", self.service_outstanding),
-        ];
-        for (name, v) in gauges {
-            let _ = writeln!(out, "# TYPE tlc_ingress_{name} gauge");
-            let _ = writeln!(out, "tlc_ingress_{name} {v}");
+        const GAUGES: [&str; 2] = ["open_connections", "service_outstanding"];
+        // The counters, then the gauges, each in wire order.
+        for (gauge, suffix, kind) in [(false, "_total", "counter"), (true, "", "gauge")] {
+            for (name, v) in self.named().filter(|(n, _)| GAUGES.contains(n) == gauge) {
+                let _ = writeln!(out, "# TYPE tlc_ingress_{name}{suffix} {kind}");
+                let _ = writeln!(out, "tlc_ingress_{name}{suffix} {v}");
+            }
         }
     }
 }

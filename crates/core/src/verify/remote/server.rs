@@ -3,12 +3,19 @@
 //!
 //! [`IngressServer::bind`] opens one `SO_REUSEPORT` listener per
 //! configured shard and the kernel spreads connections across them. A
-//! [`Shard`] owns everything its thread touches — listener, readiness
-//! registry, buffer pool, connection table, relationship registry, DRR
-//! lanes, counters and its own verification [`Stage`] — so nothing is
-//! locked; only the open-connection count is shared. A connection
-//! lives and dies on the shard that accepted it, and so does a
-//! relationship's replay window.
+//! [`Shard`] owns what its thread touches — listener, readiness
+//! registry, buffer pool, connection table, DRR lanes, counters and its
+//! own verification [`Stage`]. A connection lives and dies on the shard
+//! that accepted it. A relationship does not: the server has one
+//! [`Relationships`] table, every shard's stage verifies under it, and
+//! a triple registered on any connection of any shard is one id, one
+//! verifier, one replay window — a proof presented twice is accepted
+//! once wherever the kernel put the two connections. So two things are
+//! shared between shards: the open-connection count (a bare atomic) and
+//! the table, whose lock order `verify::stage` states — the table's
+//! lock for a lookup or a REGISTER, released, then one relationship's
+//! lock per batch. A shard waits on another only while both judge
+//! batches of the same relationship.
 //!
 //! One [`Shard::turn`] is gather → verify → reply. It blocks in
 //! `tlc_net::readiness` and touches only sockets with something to
@@ -34,7 +41,7 @@ use super::codec::{
 };
 use crate::messages::PocMsg;
 use crate::verify::service::{RelationshipId, ServiceConfig, ServiceReport};
-use crate::verify::stage::{Registry, Stage};
+use crate::verify::stage::{Relationships, Stage};
 use crate::verify::{VerifyError, DEFAULT_REPLAY_CAPACITY};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -100,7 +107,10 @@ pub struct IngressConfig {
     /// Acceptor/event shards, and so verifier threads: each owns a
     /// `SO_REUSEPORT` listener, its slice of the connection table, and
     /// its own verification stage; where the platform cannot share the
-    /// address the server runs one. Defaults from `TLC_INGRESS_SHARDS`.
+    /// address the server runs one. The count changes how many threads
+    /// verify and nothing a client can observe: relationship ids,
+    /// replay windows and verdicts are the server's, whichever shard a
+    /// connection lands on. Defaults from `TLC_INGRESS_SHARDS`.
     pub shards: usize,
 }
 
@@ -214,7 +224,9 @@ fn merge_reports(parts: Vec<IngressReport>, join_panics: usize) -> IngressReport
     for part in parts {
         shards.extend(part.service.shards);
         unclaimed += part.service.unclaimed_results;
-        sum_stats(&mut ingress, &part.ingress);
+        // The two gauges are zero in a shard's final report, so
+        // summing is right for them too.
+        ingress.add(&part.ingress);
         pool.checkouts += part.pool.checkouts;
         pool.exhausted += part.pool.exhausted;
         pool.recycles += part.pool.recycles;
@@ -226,35 +238,13 @@ fn merge_reports(parts: Vec<IngressReport>, join_panics: usize) -> IngressReport
     }
 }
 
-/// Sums every counter of the frozen 16-field stats snapshot. The two
-/// gauges (`open_connections`, `service_outstanding`) are zero in
-/// per-shard final reports, so summing is correct for them too.
-fn sum_stats(acc: &mut IngressStats, s: &IngressStats) {
-    acc.connections += s.connections;
-    acc.connections_closed += s.connections_closed;
-    acc.open_connections += s.open_connections;
-    acc.registers += s.registers;
-    acc.submissions += s.submissions;
-    acc.verdicts += s.verdicts;
-    acc.accepted += s.accepted;
-    acc.rejected_malformed += s.rejected_malformed;
-    acc.orphaned_verdicts += s.orphaned_verdicts;
-    acc.protocol_errors += s.protocol_errors;
-    acc.pauses += s.pauses;
-    acc.service_outstanding += s.service_outstanding;
-    acc.shed_overload += s.shed_overload;
-    acc.shed_connections += s.shed_connections;
-    acc.quarantines += s.quarantines;
-    acc.misbehavior_closes += s.misbehavior_closes;
-}
-
 /// TCP front-end for PoC verification.
 ///
 /// [`run`](Self::run) drives one readiness-driven thread per shard,
 /// each owning a disjoint slice of the connections and its own
-/// verification stage, so no locking is needed anywhere. Use
-/// [`spawn`](Self::spawn) to run it on a background thread with a stop
-/// handle.
+/// verification stage over the server's one table of relationships.
+/// Use [`spawn`](Self::spawn) to run it on a background thread with a
+/// stop handle.
 pub struct IngressServer {
     /// One per bound listener; never empty.
     shards: Vec<Shard>,
@@ -307,9 +297,11 @@ impl IngressServer {
             }
         }
         let open = Arc::new(AtomicUsize::new(0));
+        let relationships = Arc::new(Relationships::default());
         let mut shards = Vec::with_capacity(listeners.len());
         for listener in listeners {
-            let stage = Stage::new(shards.len(), service_config.batch_size);
+            let batch_size = service_config.batch_size;
+            let stage = Stage::new(shards.len(), batch_size, Arc::clone(&relationships));
             match Shard::new(listener, stage, config, Arc::clone(&open)) {
                 Ok(shard) => shards.push(shard),
                 Err(e) if shards.is_empty() => return Err(e),
@@ -526,10 +518,9 @@ fn deal(pool: usize, quantum: usize, credits: &mut [u32], cursor: usize) {
     }
 }
 
-/// One shard: everything one event thread touches. The admission
-/// ladder, the frame handlers and [`turn`](Self::turn) are its
-/// methods, so shed/DRR/misbehavior decisions stay shard-local and
-/// lock-free.
+/// One shard: what one event thread touches. The admission ladder,
+/// the frame handlers and [`turn`](Self::turn) are its methods, so
+/// shed/DRR/misbehavior decisions stay shard-local and lock-free.
 struct Shard {
     listener: TcpListener,
     ready: Readiness,
@@ -558,10 +549,9 @@ struct Shard {
     /// loop skip quarantine ticking entirely in the (typical) case of
     /// zero quarantined peers.
     quarantined: usize,
-    /// Issues this shard's relationship ids, densely from 0.
-    registry: Registry,
-    /// Verifies what a gather admitted; flushed before the loop blocks,
-    /// so empty whenever it waits.
+    /// Verifies what a gather admitted, under the server's table of
+    /// relationships; flushed before the loop blocks, so empty whenever
+    /// it waits.
     stage: Stage,
     /// One entry per proof admitted in this turn; its position is the
     /// tag the stage knows the proof by, and its length the shard's
@@ -569,7 +559,8 @@ struct Shard {
     routes: Vec<Route>,
     /// Per-relationship admission lanes for deficit-round-robin
     /// fairness, indexed by raw relationship id: the credits left until
-    /// the next deal. A submit needs one to be admitted.
+    /// the next deal. A submit needs one to be admitted. Grown to cover
+    /// an id when this shard first meets it ([`lane`](Self::lane)).
     credits: Vec<u32>,
     /// Rotates the deal's start so remainder quanta spread fairly.
     rr_cursor: usize,
@@ -609,7 +600,6 @@ impl Shard {
             open,
             deferred: Vec::new(),
             quarantined: 0,
-            registry: Registry::default(),
             stage,
             routes: Vec::new(),
             credits: Vec::new(),
@@ -1064,27 +1054,29 @@ impl Shard {
         } else {
             reg.capacity as usize
         };
-        let (plan, edge_key, operator_key) = (reg.plan, reg.edge_key, reg.operator_key);
-        let rel = match self.registry.find(&plan, &edge_key, &operator_key) {
-            Some(rel) => rel,
-            None => {
-                let rel = self.registry.record(plan, &edge_key, &operator_key);
-                self.stage
-                    .register(rel, plan, edge_key, operator_key, capacity);
-                // Ids are issued densely, so the new lane's index is
-                // its id. Seeded with one quantum so a client
-                // pipelining REGISTER+SUBMIT is not shed before the
-                // next credit deal.
-                self.credits.push(self.config.lane_quantum.max(1));
-                rel
-            }
-        };
+        let table = self.stage.relationships();
+        let rel = table.register(reg.plan, reg.edge_key, reg.operator_key, capacity);
+        // Seeds the lane now, whichever shard issued the id first.
+        self.lane(rel.raw());
         self.stats.registers += 1;
         let ack = Registered {
             req: reg.req,
             rel: rel.raw(),
         };
         conn.send(&ack.to_frame());
+    }
+
+    /// The admission lane of relationship `rel_raw`, if the server has
+    /// issued that id. Ids are dense, so the lanes grow to the highest
+    /// one met — issued here or by another shard — each new lane seeded
+    /// with one quantum so a client pipelining REGISTER+SUBMIT is not
+    /// shed before the next credit deal.
+    fn lane(&mut self, rel_raw: u64) -> Option<&mut u32> {
+        let k = usize::try_from(rel_raw).ok()?;
+        if k >= self.credits.len() && rel_raw < self.stage.relationships().issued() {
+            self.credits.resize(k + 1, self.config.lane_quantum.max(1));
+        }
+        self.credits.get_mut(k)
     }
 
     /// Deals the free admission pool (`shed_submit_watermark` minus the
@@ -1208,13 +1200,11 @@ impl Shard {
         if !self.dealt {
             self.deal_credits();
         }
-        let lane = usize::try_from(rel_raw)
-            .ok()
-            .and_then(|k| self.credits.get_mut(k));
-        let Some(credits) = lane else {
-            // No lane: an id this shard never issued. The session stays
-            // open (its other relationships still work), mirroring the
-            // in-process API where this is a recoverable `Err` return.
+        let Some(credits) = self.lane(rel_raw) else {
+            // No lane: an id this server never issued. The session
+            // stays open (its other relationships still work),
+            // mirroring the in-process API where this is a recoverable
+            // `Err` return.
             return conn.send(&Fault::UnknownRelationship(rel_raw).to_frame());
         };
         if *credits == 0 {
@@ -1327,7 +1317,8 @@ mod tests {
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
         let open = Arc::new(AtomicUsize::new(0));
-        let shard = Shard::new(listener, Stage::new(0, 32), IngressConfig::default(), open);
+        let stage = Stage::new(0, 32, Arc::default());
+        let shard = Shard::new(listener, stage, IngressConfig::default(), open);
         (shard.unwrap(), addr)
     }
 
@@ -1583,10 +1574,9 @@ mod tests {
         assert_eq!(live(&shard)[0].driver.outbox_bytes(), 0);
     }
 
-    /// Every field of the STATS snapshot survives a multi-shard merge:
-    /// the 16 names are spelled out in the codec's field list, in
-    /// `sum_stats` and in `to_prometheus`, and one missing from the
-    /// second would vanish from every report with more than one shard.
+    /// Every field of the STATS snapshot survives a multi-shard merge
+    /// (the sum and the Prometheus names derive from the codec's one
+    /// field list; this pins that they keep doing so).
     #[test]
     fn every_stats_field_is_summed_across_shards() {
         let payload = |scale: u64| -> Vec<u8> {

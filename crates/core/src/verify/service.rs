@@ -5,11 +5,12 @@
 //! edge↔operator relationships at once. This module is the in-process,
 //! multi-core front of the batching core in [`super::stage`]:
 //!
-//! * **relationship-sharded state** — every relationship is pinned to
-//!   exactly one worker thread, which owns its [`Stage`] — and so every
-//!   pinned relationship's `Verifier` and replay window — outright:
-//!   nothing is shared or locked. Replay detection stays exact because a
-//!   given relationship's proofs all land on the same worker;
+//! * **one table of relationships** — the pool owns one
+//!   [`Relationships`] table, which every worker's [`Stage`] verifies
+//!   under: a relationship has one `Verifier` and one replay window
+//!   whichever worker judges it. Each relationship is pinned to one
+//!   worker all the same, so its results come back in submission order
+//!   and its verifier's lock (taken once per batch) is never contended;
 //! * **one queue per worker** — a worker drains a plain
 //!   [`std::sync::mpsc`] queue into its stage, hashing and verifying on
 //!   the same thread. A relationship's batch is verified when it reaches
@@ -21,20 +22,19 @@
 //!   `Verifier::verify` calls.
 //!
 //! Registering the same `(plan, edge key, operator key)` relationship
-//! twice yields the same [`RelationshipId`] — the registry deduplicates,
-//! which is what makes worker-local replay caches sound (two handles to
-//! one relationship cannot end up on different workers with independent
-//! caches).
+//! twice yields the same [`RelationshipId`]: the table matches a triple
+//! on its keys, so two handles to one relationship are one window.
 //!
 //! The TCP ingress ([`super::remote`]) does not use this pool: each of
-//! its shards owns a [`Stage`] directly and scales across cores by
-//! shard count.
+//! its shards owns a [`Stage`] directly, over a table of the server's
+//! own, and scales across cores by shard count.
 
-use super::stage::{Registry, Stage};
+use super::stage::{Relationships, Stage};
 use super::DEFAULT_REPLAY_CAPACITY;
 use crate::messages::PocMsg;
 use crate::plan::DataPlan;
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tlc_crypto::PublicKey;
@@ -119,20 +119,11 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Work items sent to a worker.
-enum Job {
-    Register {
-        rel: RelationshipId,
-        plan: DataPlan,
-        edge_key: PublicKey,
-        operator_key: PublicKey,
-        capacity: usize,
-    },
-    Verify {
-        rel: RelationshipId,
-        tag: u64,
-        poc: PocMsg,
-    },
+/// One proof on its way to its relationship's worker.
+struct Job {
+    rel: RelationshipId,
+    tag: u64,
+    poc: PocMsg,
 }
 
 /// Aggregate report returned by [`VerifierService::finish`].
@@ -215,7 +206,7 @@ pub struct VerifierService {
     result_rx: Receiver<Vec<SubmissionResult>>,
     /// A worker's final counters are its thread's return value.
     handles: Vec<JoinHandle<ShardStats>>,
-    registry: Registry,
+    relationships: Arc<Relationships>,
     next_tag: u64,
     outstanding: usize,
     first_submit: Option<Instant>,
@@ -237,6 +228,7 @@ impl VerifierService {
             workers: config.workers.max(1),
             batch_size: config.batch_size.max(1),
         };
+        let relationships = Arc::new(Relationships::default());
         let (result_tx, result_rx) = mpsc::channel();
         let mut job_txs = Vec::with_capacity(config.workers);
         let mut handles = Vec::with_capacity(config.workers);
@@ -244,7 +236,7 @@ impl VerifierService {
             let (job_tx, job_rx) = mpsc::channel();
             job_txs.push(job_tx);
             let result_tx = result_tx.clone();
-            let stage = Stage::new(shard, config.batch_size);
+            let stage = Stage::new(shard, config.batch_size, Arc::clone(&relationships));
             handles.push(std::thread::spawn(move || worker(stage, job_rx, result_tx)));
         }
         VerifierService {
@@ -252,7 +244,7 @@ impl VerifierService {
             job_txs,
             result_rx,
             handles,
-            registry: Registry::default(),
+            relationships,
             next_tag: 0,
             outstanding: 0,
             first_submit: None,
@@ -279,8 +271,8 @@ impl VerifierService {
     ///
     /// Idempotent: the same `(plan, edge key, operator key)` triple maps
     /// to the same id (and therefore the same worker and replay cache).
-    /// Fails with [`ServiceError::ShardDown`] when the pinned worker is
-    /// gone.
+    /// Registration involves no worker and cannot fail; a dead worker
+    /// shows at [`submit`](Self::submit).
     pub fn register(
         &mut self,
         plan: DataPlan,
@@ -298,36 +290,21 @@ impl VerifierService {
         operator_key: PublicKey,
         capacity: usize,
     ) -> Result<RelationshipId, ServiceError> {
-        if let Some(rel) = self.registry.find(&plan, &edge_key, &operator_key) {
-            return Ok(rel);
-        }
-        let rel = self.registry.next_id();
-        let shard = rel.shard(self.config.workers);
-        let job = Job::Register {
-            rel,
-            plan,
-            edge_key: edge_key.clone(),
-            operator_key: operator_key.clone(),
-            capacity,
-        };
-        self.job_txs[shard]
-            .send(job)
-            .map_err(|_| ServiceError::ShardDown { shard })?;
-        // Only a registration the worker will actually see is recorded;
-        // a failed send must not burn the id or poison the dedup map.
-        Ok(self.registry.record(plan, &edge_key, &operator_key))
+        Ok(self
+            .relationships
+            .register(plan, edge_key, operator_key, capacity))
     }
 
     /// Submits one proof for verification on its relationship's worker.
     /// Returns a tag to correlate with the [`SubmissionResult`].
     pub fn submit(&mut self, rel: RelationshipId, poc: PocMsg) -> Result<u64, ServiceError> {
-        if !self.registry.knows(rel) {
+        if rel.raw() >= self.relationships.issued() {
             return Err(ServiceError::UnknownRelationship(rel));
         }
         let shard = rel.shard(self.config.workers);
         let tag = self.next_tag;
         self.job_txs[shard]
-            .send(Job::Verify { rel, tag, poc })
+            .send(Job { rel, tag, poc })
             .map_err(|_| ServiceError::ShardDown { shard })?;
         self.next_tag += 1;
         self.first_submit.get_or_insert_with(throughput_epoch);
@@ -456,19 +433,8 @@ fn worker(
                 }
             }
         };
-        match job {
-            Job::Register {
-                rel,
-                plan,
-                edge_key,
-                operator_key,
-                capacity,
-            } => stage.register(rel, plan, edge_key, operator_key, capacity),
-            Job::Verify { rel, tag, poc } => {
-                stage.submit(rel, tag, poc);
-                deliver(stage.take_results());
-            }
-        }
+        stage.submit(job.rel, job.tag, job.poc);
+        deliver(stage.take_results());
     }
     let (stats, rest) = stage.finish();
     deliver(rest);

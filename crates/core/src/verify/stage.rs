@@ -1,5 +1,13 @@
-//! The batching core of PoC verification: one thread's worth of
-//! relationships, their [`Verifier`]s and their pending batches.
+//! The batching core of PoC verification, and the table of
+//! relationships every core of one server verifies under.
+//!
+//! A [`Relationships`] table is a relationship's one home: it issues
+//! the [`RelationshipId`] for a `(plan, edge key, operator key)` triple
+//! and owns the one [`Verifier`] — and so the one replay window — that
+//! triple is judged by, however many stages, threads or connections
+//! present proofs under it. An ingress server makes one table for all
+//! its shards, a [`super::service::VerifierService`] one for all its
+//! workers.
 //!
 //! A [`Stage`] is a plain value with no thread, queue or clock of its
 //! own. [`Stage::submit`] hashes a proof's chain
@@ -15,20 +23,26 @@
 //!
 //! Both callers own their stages outright: an ingress shard
 //! ([`super::remote`]) submits what one wakeup gathered and flushes
-//! before it blocks again; a [`super::service::VerifierService`] worker
-//! thread submits what its queue holds and flushes when the queue runs
-//! dry. Neither shares a stage, so a relationship's replay window is
-//! never locked — and never visible to another stage.
+//! before it blocks again; a pool worker submits what its queue holds
+//! and flushes when the queue runs dry. What stages share is the table.
+//! Two locks, never held together: the table's own (a lookup or a
+//! registration, then released) and, after it, the relationship's
+//! verifier's, taken **once per batch** and held while the batch is
+//! judged. The second is contended only while one relationship is live
+//! on two stages at once; then its batches are judged one after the
+//! other, each against the window the last one left, which is what
+//! makes a proof presented on both accepted once.
 
 use super::{Verdict, Verifier, VerifyError};
-use crate::messages::{PocDigests, PocMsg};
+use crate::messages::{MessageError, PocDigests, PocMsg};
 use crate::plan::DataPlan;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, Mutex, PoisonError};
 use tlc_crypto::encoding::key_fingerprint;
-use tlc_crypto::PublicKey;
+use tlc_crypto::{CryptoError, PublicKey};
 
 /// Opaque handle to a registered relationship, issued by a
-/// [`Registry`].
+/// [`Relationships`] table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RelationshipId(u64);
 
@@ -46,64 +60,99 @@ impl RelationshipId {
         self.0
     }
 
-    /// Rebuilds an id decoded from the wire. The caller (the ingress
-    /// server) is responsible for only reconstructing ids it previously
-    /// issued; [`Registry::knows`] re-checks range regardless.
+    /// Rebuilds an id decoded from the wire. Nothing is assumed of it:
+    /// a table answers for the ids it issued and no others.
     pub(crate) fn from_raw(raw: u64) -> RelationshipId {
         RelationshipId(raw)
     }
 }
 
-/// Issues [`RelationshipId`]s and deduplicates registrations: the same
-/// `(plan, edge key, operator key)` triple always maps to the same id,
-/// and therefore to one stage and one replay window. Two handles to one
-/// relationship can never end up with independent windows behind one
-/// registry.
-#[derive(Default)]
-pub struct Registry {
-    /// Key fingerprints -> candidate (plan, id) pairs.
-    by_keys: HashMap<(u64, u64), Vec<(DataPlan, RelationshipId)>>,
-    issued: u64,
+/// One relationship: the triple it was registered under, and the one
+/// verifier that judges it.
+struct Entry {
+    plan: DataPlan,
+    edge_key: PublicKey,
+    operator_key: PublicKey,
+    verifier: Mutex<Verifier>,
 }
 
-impl Registry {
-    /// The id already issued for this triple, if any.
-    pub fn find(
+#[derive(Default)]
+struct Table {
+    /// Key fingerprints -> the ids registered under keys that have
+    /// them. A bucket narrows the search; the keys decide.
+    by_keys: HashMap<(u64, u64), Vec<RelationshipId>>,
+    /// Indexed by raw id: ids are dense from 0.
+    entries: Vec<Arc<Entry>>,
+}
+
+/// The relationships of one server or pool; see the
+/// [module docs](self).
+#[derive(Default)]
+pub struct Relationships {
+    table: Mutex<Table>,
+}
+
+impl Relationships {
+    /// The id of this `(plan, edge key, operator key)` triple, issuing
+    /// the next one (dense from 0) if the triple is new. The first
+    /// registration's `capacity` — nonce pairs its replay window holds
+    /// — stands; a later one's is ignored.
+    pub fn register(
         &self,
-        plan: &DataPlan,
-        edge_key: &PublicKey,
-        operator_key: &PublicKey,
-    ) -> Option<RelationshipId> {
-        let keys = (key_fingerprint(edge_key), key_fingerprint(operator_key));
-        let bucket = self.by_keys.get(&keys)?;
-        bucket.iter().find(|(p, _)| p == plan).map(|(_, rel)| *rel)
-    }
-
-    /// The id the next [`record`](Self::record) will issue. Split from
-    /// it so a caller whose hand-over can fail (a pool worker that hung
-    /// up) records only registrations a stage will actually see.
-    pub fn next_id(&self) -> RelationshipId {
-        RelationshipId(self.issued)
-    }
-
-    /// Issues [`next_id`](Self::next_id) to a triple
-    /// [`find`](Self::find) did not know.
-    pub fn record(
-        &mut self,
         plan: DataPlan,
-        edge_key: &PublicKey,
-        operator_key: &PublicKey,
+        edge_key: PublicKey,
+        operator_key: PublicKey,
+        capacity: usize,
     ) -> RelationshipId {
-        let rel = self.next_id();
-        let keys = (key_fingerprint(edge_key), key_fingerprint(operator_key));
-        self.by_keys.entry(keys).or_default().push((plan, rel));
-        self.issued += 1;
+        let bucket = (key_fingerprint(&edge_key), key_fingerprint(&operator_key));
+        self.register_in(bucket, plan, edge_key, operator_key, capacity)
+    }
+
+    /// [`register`](Self::register) under a given bucket.
+    fn register_in(
+        &self,
+        bucket: (u64, u64),
+        plan: DataPlan,
+        edge_key: PublicKey,
+        operator_key: PublicKey,
+        capacity: usize,
+    ) -> RelationshipId {
+        // Poison is passed over: the table changes only in the two
+        // pushes that end this function, and neither can unwind.
+        let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut held = table.by_keys.get(&bucket).into_iter().flatten().copied();
+        let found = held.find(|rel| {
+            table.entries.get(rel.0 as usize).is_some_and(|e| {
+                e.plan == plan && e.edge_key == edge_key && e.operator_key == operator_key
+            })
+        });
+        if let Some(rel) = found {
+            return rel;
+        }
+        let rel = RelationshipId(table.entries.len() as u64);
+        let verifier =
+            Verifier::with_capacity(plan, edge_key.clone(), operator_key.clone(), capacity);
+        table.entries.push(Arc::new(Entry {
+            plan,
+            edge_key,
+            operator_key,
+            verifier: Mutex::new(verifier),
+        }));
+        table.by_keys.entry(bucket).or_default().push(rel);
         rel
     }
 
-    /// Whether `rel` was issued by this registry.
-    pub fn knows(&self, rel: RelationshipId) -> bool {
-        rel.0 < self.issued
+    /// Relationships registered so far: the ids issued are `0..issued()`.
+    pub fn issued(&self) -> u64 {
+        let table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+        table.entries.len() as u64
+    }
+
+    /// The entry `rel` names, if this table issued it. The table's lock
+    /// is released on return, before the caller takes the entry's.
+    fn entry(&self, rel: RelationshipId) -> Option<Arc<Entry>> {
+        let table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+        table.entries.get(usize::try_from(rel.0).ok()?).cloned()
     }
 }
 
@@ -125,7 +174,7 @@ pub struct SubmissionResult {
 pub struct ShardStats {
     /// Shard index: the pool worker's, or the ingress shard's.
     pub shard: usize,
-    /// Relationships registered on this shard.
+    /// Relationships this shard verified at least one batch under.
     pub relationships: usize,
     /// Proofs accepted.
     pub accepted: u64,
@@ -150,7 +199,9 @@ type PendingBatch = Vec<(u64, PocMsg, PocDigests)>;
 /// The batching core; see the [module docs](self).
 pub struct Stage {
     batch_size: usize,
-    verifiers: HashMap<RelationshipId, Verifier>,
+    relationships: Arc<Relationships>,
+    /// Relationships a batch was verified under, for the report.
+    served: BTreeSet<RelationshipId>,
     /// Ordered, so a flush walks relationships by ascending id.
     pending: BTreeMap<RelationshipId, PendingBatch>,
     /// Verified, not yet taken.
@@ -159,13 +210,14 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// An empty stage reporting as shard `shard`, verifying a
-    /// relationship's batch as soon as it holds `batch_size` proofs (at
-    /// least one).
-    pub fn new(shard: usize, batch_size: usize) -> Stage {
+    /// An empty stage reporting as shard `shard`, verifying under the
+    /// relationships of `relationships`, a relationship's batch as soon
+    /// as it holds `batch_size` proofs (at least one).
+    pub fn new(shard: usize, batch_size: usize, relationships: Arc<Relationships>) -> Stage {
         Stage {
             batch_size: batch_size.max(1),
-            verifiers: HashMap::new(),
+            relationships,
+            served: BTreeSet::new(),
             pending: BTreeMap::new(),
             results: Vec::new(),
             stats: ShardStats {
@@ -175,19 +227,9 @@ impl Stage {
         }
     }
 
-    /// Starts verifying for `rel` with a replay window of `capacity`
-    /// nonce pairs. Registering an id again changes nothing.
-    pub fn register(
-        &mut self,
-        rel: RelationshipId,
-        plan: DataPlan,
-        edge_key: PublicKey,
-        operator_key: PublicKey,
-        capacity: usize,
-    ) {
-        self.verifiers
-            .entry(rel)
-            .or_insert_with(|| Verifier::with_capacity(plan, edge_key, operator_key, capacity));
+    /// The table this stage verifies under.
+    pub fn relationships(&self) -> &Relationships {
+        &self.relationships
     }
 
     /// Hashes `poc`'s chain and buffers it under `rel`; verifies the
@@ -224,23 +266,32 @@ impl Stage {
     /// were never taken.
     pub fn finish(mut self) -> (ShardStats, Vec<SubmissionResult>) {
         self.flush();
-        self.stats.relationships = self.verifiers.len();
+        self.stats.relationships = self.served.len();
         (self.stats, self.results)
     }
 
-    /// Verifies one batch and queues its results in submission order.
+    /// Verifies one batch under its relationship's lock and queues its
+    /// results in submission order.
     fn verify(&mut self, rel: RelationshipId, batch: PendingBatch) {
-        let verdicts = match self.verifiers.get_mut(&rel) {
-            Some(verifier) => {
-                let items: Vec<(&PocMsg, &PocDigests)> =
-                    batch.iter().map(|(_, p, d)| (p, d)).collect();
-                self.stats.batches += 1;
-                verifier.verify_batch_prehashed(&items)
-            }
-            // Both callers register before they submit, so this is a
-            // caller bug; surface it as per-proof rejections rather
+        let items: Vec<(&PocMsg, &PocDigests)> = batch.iter().map(|(_, p, d)| (p, d)).collect();
+        let all = |e: VerifyError| vec![Err(e); items.len()];
+        let verdicts = match self.relationships.entry(rel) {
+            Some(entry) => match entry.verifier.lock() {
+                Ok(mut verifier) => {
+                    self.stats.batches += 1;
+                    self.served.insert(rel);
+                    verifier.verify_batch_prehashed(&items)
+                }
+                // A thread died judging a batch of this relationship
+                // and may have left its window torn: nothing more is
+                // accepted under it.
+                Err(_) => all(VerifyError::Signature(MessageError::Crypto(
+                    CryptoError::Internal,
+                ))),
+            },
+            // An id the table never issued: per-proof rejections rather
             // than taking the thread down.
-            None => vec![Err(VerifyError::Unregistered); batch.len()],
+            None => all(VerifyError::Unregistered),
         };
         for ((tag, ..), result) in batch.into_iter().zip(verdicts) {
             match &result {
@@ -316,15 +367,15 @@ pub(crate) mod tests {
         per_rel: u8,
     ) -> (Stage, Vec<RelationshipId>, Vec<Vec<PocMsg>>) {
         let plan = DataPlan::paper_default();
-        let mut registry = Registry::default();
-        let mut stage = Stage::new(5, batch_size);
+        let table = Arc::new(Relationships::default());
+        let stage = Stage::new(5, batch_size, Arc::clone(&table));
         let (mut rels, mut pocs) = (Vec::new(), Vec::new());
         for i in 0..n {
             let edge = KeyPair::generate_for_seed(1024, 7950 + i * 2).unwrap();
             let op = KeyPair::generate_for_seed(1024, 7951 + i * 2).unwrap();
-            let rel = registry.record(plan, &edge.public, &op.public);
-            assert_eq!(registry.find(&plan, &edge.public, &op.public), Some(rel));
-            stage.register(rel, plan, edge.public.clone(), op.public.clone(), 64);
+            let register = || table.register(plan, edge.public.clone(), op.public.clone(), 64);
+            let rel = register();
+            assert_eq!((rel, register()), (RelationshipId(i), rel));
             rels.push(rel);
             pocs.push(
                 (0..per_rel)
@@ -333,6 +384,24 @@ pub(crate) mod tests {
             );
         }
         (stage, rels, pocs)
+    }
+
+    /// A fingerprint is 8 bytes of a hash, so two key pairs can share
+    /// a bucket; they are still two relationships. The collision is
+    /// staged by naming the bucket.
+    #[test]
+    fn a_triple_is_matched_on_its_keys_not_its_bucket() {
+        let plan = DataPlan::paper_default();
+        let table = Relationships::default();
+        let keys: Vec<PublicKey> = (7940..7943)
+            .map(|seed| KeyPair::generate_for_seed(1024, seed).unwrap().public)
+            .collect();
+        let register = |edge: usize, op: usize| {
+            table.register_in((0, 0), plan, keys[edge].clone(), keys[op].clone(), 64)
+        };
+        let ids = [(0, 1), (2, 1), (0, 2), (0, 1), (2, 1)].map(|(e, o)| register(e, o));
+        assert_eq!(ids.map(RelationshipId::raw), [0, 1, 2, 0, 1]);
+        assert_eq!(table.issued(), 3);
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p tlc-core --test loom_service
 //! ```
 //!
-//! One model is left, because one cross-thread protocol is left: the
-//! real [`VerifierService`] torn down with a partial batch still
-//! buffered — `finish()` closing the workers' queues races the workers
-//! draining them, and must still flush and account every proof. (The
-//! ingress shares nothing across threads: each shard verifies on its
-//! own thread, so it has nothing to model.)
+//! Two cross-thread protocols exist, so two models: the real
+//! [`VerifierService`] torn down with a partial batch still buffered —
+//! `finish()` closing the workers' queues races the workers draining
+//! them, and must still flush and account every proof — and two
+//! [`Stage`]s on two threads (two ingress shards) judging one
+//! relationship's proofs under one [`Relationships`] table, where each
+//! proof must be accepted by exactly one of them.
 //!
 //! `loom::model` re-runs the body under perturbed schedules
 //! (`LOOM_ITERS` controls how many), so the assertions hold across
@@ -18,12 +19,14 @@
 
 #![cfg(loom)]
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use tlc_core::plan::DataPlan;
 use tlc_core::protocol::{run_negotiation, Endpoint};
 use tlc_core::strategy::{Knowledge, OptimalStrategy, Role};
 use tlc_core::verify::service::{ServiceConfig, VerifierService};
+use tlc_core::verify::stage::{Relationships, Stage};
+use tlc_core::verify::VerifyError;
 use tlc_core::PocMsg;
 use tlc_crypto::KeyPair;
 
@@ -97,5 +100,48 @@ fn service_finish_flushes_partial_batches() {
             (pocs.len() as u64, 0, pocs.len()),
             "shutdown must flush the partial batch, dropping nothing"
         );
+    });
+}
+
+#[test]
+fn two_stages_over_one_table_accept_each_proof_once() {
+    let (plan, edge, op, pocs) = proof_corpus();
+    loom::model(move || {
+        let table = Arc::new(Relationships::default());
+        // Batch size 2 of 3 proofs: one batch fills at a submit, one is
+        // flushed, so the two threads meet at the relationship's lock
+        // with batches cut differently from run to run.
+        let threads: Vec<_> = (0..2)
+            .map(|shard| {
+                let table = Arc::clone(&table);
+                loom::thread::spawn(move || {
+                    // Both register, as two connections would: one id.
+                    let rel = table.register(*plan, edge.public.clone(), op.public.clone(), 64);
+                    let mut stage = Stage::new(shard, 2, table);
+                    for (tag, poc) in pocs.iter().enumerate() {
+                        stage.submit(rel, tag as u64, poc.clone());
+                        loom::thread::explore();
+                    }
+                    (rel, stage.finish())
+                })
+            })
+            .collect();
+        let done: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+        assert_eq!(done[0].0, done[1].0, "one triple, one id");
+        assert_eq!(table.issued(), 1);
+        for tag in 0..pocs.len() as u64 {
+            let verdicts: Vec<_> = done
+                .iter()
+                .flat_map(|(_, (_, results))| results.iter().filter(|r| r.tag == tag))
+                .map(|r| &r.result)
+                .collect();
+            assert_eq!(verdicts.len(), 2);
+            assert_eq!(verdicts.iter().filter(|v| v.is_ok()).count(), 1);
+            assert!(verdicts.contains(&&Err(VerifyError::Replayed)));
+        }
+        let (accepted, replayed) = done.iter().fold((0, 0), |(a, r), (_, (stats, _))| {
+            (a + stats.accepted, r + stats.replayed)
+        });
+        assert_eq!((accepted, replayed), (pocs.len() as u64, pocs.len() as u64));
     });
 }

@@ -6,18 +6,21 @@
 //! would: the same verdict for every proof — replays of earlier proofs
 //! included — in per-relationship submission order. The stage has no
 //! thread and no clock, so the property is checked on it directly, many
-//! cases fast; one smaller run drives the same property through the
-//! threaded pool, where the scheduler picks the flush points.
+//! cases fast — on one stage, and on two stages presenting one
+//! relationship's proofs to one table, where the sequential verifier is
+//! fed in the order the batches were judged; one smaller run drives the
+//! same property through the threaded pool, where the scheduler picks
+//! the flush points.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock};
 use tlc_core::messages::{PocMsg, NONCE_LEN};
 use tlc_core::plan::DataPlan;
 use tlc_core::protocol::{run_negotiation, Endpoint};
 use tlc_core::strategy::{Knowledge, OptimalStrategy, Role};
 use tlc_core::verify::service::{RelationshipId, ServiceConfig, SubmissionResult, VerifierService};
-use tlc_core::verify::stage::{Registry, Stage};
+use tlc_core::verify::stage::{Relationships, Stage};
 use tlc_core::verify::{Verdict, Verifier, VerifyError};
 use tlc_crypto::KeyPair;
 
@@ -120,14 +123,12 @@ proptest! {
     ) {
         let plan = DataPlan::paper_default();
         let corpus = corpus();
-        let mut registry = Registry::default();
-        let mut stage = Stage::new(0, batch_size);
-        let mut rels = Vec::new();
-        for r in corpus {
-            let rel = registry.record(plan, &r.edge.public, &r.op.public);
-            stage.register(rel, plan, r.edge.public.clone(), r.op.public.clone(), 1 << 10);
-            rels.push(rel);
-        }
+        let table = Arc::new(Relationships::default());
+        let mut stage = Stage::new(0, batch_size, Arc::clone(&table));
+        let rels: Vec<RelationshipId> = corpus
+            .iter()
+            .map(|r| table.register(plan, r.edge.public.clone(), r.op.public.clone(), 1 << 10))
+            .collect();
         let mut oracles = oracles();
 
         let mut want = PerRelationship::new();
@@ -151,6 +152,50 @@ proptest! {
         got.extend(rest);
         prop_assert_eq!(grouped(got), want);
         prop_assert_eq!(stats.accepted + stats.rejected, submitted);
+    }
+
+    /// One relationship live on two stages over one table (two ingress
+    /// shards holding a connection each): its verdicts are one
+    /// sequential verifier's over the order the batches were judged in,
+    /// so a proof is accepted once, whichever stage judges it first.
+    #[test]
+    fn prop_two_stages_over_one_table_match_one_sequential_verifier(
+        ops in proptest::collection::vec((0usize..2, 0u8..4, 0usize..POCS_PER_REL), 1..40),
+        batch_size in 1usize..5,
+    ) {
+        let plan = DataPlan::paper_default();
+        let r = &corpus()[0];
+        let table = Arc::new(Relationships::default());
+        let rel = table.register(plan, r.edge.public.clone(), r.op.public.clone(), 1 << 10);
+        let mut stages = [0, 1].map(|shard| Stage::new(shard, batch_size, Arc::clone(&table)));
+
+        // Results are taken after every step, so `got` is in judging order.
+        let mut got = Vec::new();
+        let mut distinct = HashSet::new();
+        for (tag, &(s, kind, poc)) in ops.iter().enumerate() {
+            if kind == 0 {
+                stages[s].flush();
+            } else {
+                stages[s].submit(rel, tag as u64, r.pocs[poc].clone());
+                distinct.insert(poc);
+            }
+            got.extend(stages[s].take_results());
+        }
+        let mut accepted = 0;
+        for stage in stages {
+            let (stats, rest) = stage.finish();
+            accepted += stats.accepted;
+            got.extend(rest);
+        }
+
+        let mut oracle = Verifier::new(plan, r.edge.public.clone(), r.op.public.clone());
+        for result in &got {
+            let (s, _, poc) = ops[result.tag as usize];
+            prop_assert_eq!(result.shard, s);
+            prop_assert_eq!(&result.result, &oracle.verify(&r.pocs[poc]));
+        }
+        prop_assert_eq!(got.len(), ops.iter().filter(|op| op.1 != 0).count());
+        prop_assert_eq!(accepted, distinct.len() as u64);
     }
 }
 

@@ -550,37 +550,70 @@ fn thin_relationship_is_not_starved_by_a_flood() {
 /// The same proof submitted on two connections back to back: both
 /// registrations resolve to one relationship and one replay window, so
 /// exactly one submission is accepted and the other is `Replayed` —
-/// whether the two land in one gather (and one batch) or in two.
+/// whether the two land in one gather (and one batch) or in two, and,
+/// on a two-shard server, with the two connections on different shards.
+/// Which shard the kernel gave a connection is read off a warm-up
+/// verdict; connections are opened until one is held per shard.
 #[test]
 fn one_proof_on_two_connections_is_accepted_once() {
-    let m = material(44, 1);
-    let handle = spawn_server(1, IngressConfig::default());
-    let mut clients: Vec<RemoteVerifier> = (0..2)
-        .map(|_| RemoteVerifier::connect(handle.addr(), 0).unwrap())
-        .collect();
-    let rels: Vec<_> = clients
-        .iter_mut()
-        .map(|c| {
-            c.register(m.plan, m.edge.public.clone(), m.op.public.clone())
-                .unwrap()
-        })
-        .collect();
-    assert_eq!(rels[0], rels[1], "one relationship, one id");
-    for (c, rel) in clients.iter_mut().zip(&rels) {
-        c.submit(*rel, &m.pocs[0]).unwrap();
-    }
-    let mut outcomes = Vec::new();
-    for mut c in clients {
-        outcomes.extend(c.collect_results().unwrap().into_iter().map(|r| r.result));
-        c.goodbye().unwrap();
-    }
-    assert_eq!(outcomes.len(), 2);
-    assert_eq!(outcomes.iter().filter(|r| r.is_ok()).count(), 1);
-    assert!(outcomes.contains(&Err(VerifyError::Replayed)));
+    const TRIES: usize = 24;
+    let m = material(44, 1 + TRIES);
+    let (twice, mut warmups) = (&m.pocs[0], m.pocs[1..].iter());
+    for shards in [1, 2] {
+        let handle = spawn_server(shards, IngressConfig::default());
+        let mut clients: Vec<(RemoteVerifier, usize)> = Vec::new();
+        let mut rels = Vec::new();
+        let mut warmed = 0;
+        while clients.len() < 2 {
+            let warmup = warmups
+                .next()
+                .expect("every connection landed on one shard");
+            let mut c = RemoteVerifier::connect(handle.addr(), 0).unwrap();
+            let rel = c
+                .register(m.plan, m.edge.public.clone(), m.op.public.clone())
+                .unwrap();
+            rels.push(rel);
+            c.submit(rel, warmup).unwrap();
+            let verdict = c.collect_results().unwrap().pop().unwrap();
+            assert!(verdict.result.is_ok(), "warm-up: {:?}", verdict.result);
+            warmed += 1;
+            if shards == 1 || clients.iter().all(|(_, held)| *held != verdict.shard) {
+                clients.push((c, verdict.shard));
+            } else {
+                c.goodbye().unwrap();
+            }
+        }
+        assert!(rels.iter().all(|r| *r == rels[0]), "one id: {rels:?}");
 
-    let report = handle.shutdown().unwrap();
-    let svc = &report.service;
-    assert_eq!((svc.accepted, svc.rejected, svc.replayed), (1, 1, 1));
+        for (c, _) in &mut clients {
+            c.submit(rels[0], twice).unwrap();
+        }
+        let mut outcomes = Vec::new();
+        for (mut c, _) in clients {
+            outcomes.extend(c.collect_results().unwrap().into_iter().map(|r| r.result));
+            c.goodbye().unwrap();
+        }
+        assert_eq!(outcomes.len(), 2);
+        assert_eq!(
+            outcomes.iter().filter(|r| r.is_ok()).count(),
+            1,
+            "{shards} shards: {outcomes:?}"
+        );
+        assert!(outcomes.contains(&Err(VerifyError::Replayed)));
+
+        let report = handle.shutdown().unwrap();
+        let (svc, wire) = (&report.service, &report.ingress);
+        assert_eq!(
+            (svc.accepted, svc.rejected, svc.replayed),
+            (warmed + 1, 1, 1)
+        );
+        assert_eq!(
+            (wire.accepted, wire.rejected_malformed, wire.registers),
+            (warmed + 1, 1, warmed)
+        );
+        assert_eq!(svc.shards.len(), shards);
+        assert!(svc.shards.iter().all(|s| s.accepted + s.rejected > 0));
+    }
 }
 
 /// One SUBMIT_BATCH frame longer than a wakeup's read budget for its

@@ -22,15 +22,11 @@
 //! at most one table multiplication), so the squaring kernel carries most
 //! of the sign/verify hot path.
 //!
-//! For verification workloads, [`MontgomeryCtx::modpow_batch`] runs up to
-//! [`MontgomeryCtx::BATCH_LANES`] independent exponentiations in lockstep
-//! through interleaved variants of the fixed-width kernels: every inner
-//! step issues one multiply-accumulate per lane, and the lanes' carry
-//! chains are independent, so an out-of-order core overlaps their
-//! latencies instead of stalling on a single dependent chain. On an
-//! AVX-512 IFMA host the RSA-1024 verification case (`e = 65537`) goes
-//! to the vector lanes of [`crate::ifma`] instead, which take a
-//! different modulus in every lane (`modpow_f4_lanes`).
+//! For verification workloads, [`MontgomeryCtx::modpow_batch`] takes
+//! many bases at once: on an AVX-512 IFMA host the RSA-1024 verification
+//! case (`e = 65537`) goes to the vector lanes of [`crate::ifma`], which
+//! take a different modulus in every lane (`modpow_f4_lanes`); anywhere
+//! else it is [`MontgomeryCtx::modpow`] per base.
 //!
 //! # Constant-time posture (ROADMAP audit)
 //!
@@ -184,7 +180,7 @@ impl MontgomeryCtx {
         match (self.ifma_ctx(), crate::ifma::vl_available()) {
             (Some(_), true) => "avx512-ifma-any-key-8x512+4x256",
             (Some(_), false) => "avx512-ifma-any-key-8x512",
-            (None, _) => "interleaved-scalar",
+            (None, _) => "scalar-per-base",
         }
     }
 
@@ -599,286 +595,28 @@ impl MontgomeryCtx {
         self.to_plain(&acc)
     }
 
-    /// Number of independent exponentiations interleaved per kernel call
-    /// by [`Self::modpow_batch`]. Each lane carries its own accumulator
-    /// and carry chains through the shared limb loops, so the superscalar
-    /// core overlaps the lanes' multiply latencies.
-    pub const BATCH_LANES: usize = 2;
-
     /// Computes `base^exp mod n` for every element of `bases`, bit-for-bit
     /// identical to calling [`Self::modpow`] per element.
     ///
-    /// Short exponents (the RSA verification case) at the fixed RSA
-    /// widths batch through the fastest kernel the host offers: the
-    /// IFMA lanes of [`modpow_f4_lanes`] for `e = 65537` under a 1024-bit
-    /// modulus on capable CPUs, otherwise [`Self::BATCH_LANES`]-way
-    /// interleaved scalar kernels. Every other shape falls back to the
-    /// scalar path, so callers never need to special-case batch size or
+    /// The RSA-1024 verification case (`e = 65537` under a 1024-bit
+    /// modulus) goes to the IFMA lanes of [`modpow_f4_lanes`] on capable
+    /// CPUs; every other shape, and every other host, is the scalar path
+    /// per base, so callers never need to special-case batch size or
     /// modulus width.
     pub fn modpow_batch(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
-        let bits = exp.bit_len();
-        let batchable = bases.len() >= 2 && (1..=SMALL_EXP_BITS).contains(&bits);
-        match (batchable, self.k()) {
-            (true, 8) => self.modpow_batch_fixed::<8>(bases, exp),
-            (true, 16) if exp.limbs == [F4] && self.ifma_ctx().is_some() => {
-                let modulus = self.modulus();
-                let reduced: Vec<BigUint> = bases
-                    .iter()
-                    .map(|b| match b.cmp_to(&modulus) {
-                        Ordering::Less => b.clone(),
-                        _ => b.rem(&modulus),
-                    })
-                    .collect();
-                let lanes: Vec<(&MontgomeryCtx, &BigUint)> =
-                    reduced.iter().map(|b| (self, b)).collect();
-                modpow_f4_lanes(&lanes)
-            }
-            (true, 16) => self.modpow_batch_fixed::<16>(bases, exp),
-            _ => bases.iter().map(|b| self.modpow(b, exp)).collect(),
+        if bases.len() < 2 || exp.limbs != [F4] || self.ifma_ctx().is_none() {
+            return bases.iter().map(|b| self.modpow(b, exp)).collect();
         }
-    }
-
-    fn modpow_batch_fixed<const K: usize>(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
-        const L: usize = MontgomeryCtx::BATCH_LANES;
-        let mut out = Vec::with_capacity(bases.len());
-        let mut chunks = bases.chunks_exact(L);
-        for chunk in &mut chunks {
-            self.modpow_lanes::<K, L>(chunk, exp, &mut out);
-        }
-        let rem = chunks.remainder();
-        if rem.len() >= 2 {
-            let (pair, rest) = rem.split_at(2);
-            self.modpow_lanes::<K, 2>(pair, exp, &mut out);
-            out.extend(rest.iter().map(|b| self.modpow(b, exp)));
-        } else {
-            out.extend(rem.iter().map(|b| self.modpow(b, exp)));
-        }
-        out
-    }
-
-    /// `L`-lane left-to-right binary exponentiation: the lane analogue of
-    /// the short-exponent path in [`Self::modpow`], pushing one result per
-    /// base onto `out`.
-    fn modpow_lanes<const K: usize, const L: usize>(
-        &self,
-        bases: &[BigUint],
-        exp: &BigUint,
-        out: &mut Vec<BigUint>,
-    ) {
-        debug_assert_eq!(bases.len(), L);
-        debug_assert_eq!(self.k(), K);
         let modulus = self.modulus();
-        let bits = exp.bit_len();
-        debug_assert!((1..=SMALL_EXP_BITS).contains(&bits));
-
-        let r2: &[u64; K] = self.r2.as_slice().try_into().expect("r2 width");
-        let mut base_p = [[0u64; K]; L];
-        let mut r2s = [[0u64; K]; L];
-        for l in 0..L {
-            let reduced = if bases[l].cmp_to(&modulus) == Ordering::Less {
-                bases[l].clone()
-            } else {
-                bases[l].rem(&modulus)
-            };
-            for (dst, src) in base_p[l].iter_mut().zip(reduced.limbs.iter()) {
-                *dst = *src;
-            }
-            r2s[l] = *r2;
-        }
-
-        let mut base_m = [[0u64; K]; L];
-        self.mont_mul_fixed_lanes::<K, L>(&base_p, &r2s, &mut base_m);
-        let mut acc = base_m;
-        let mut tmp = [[0u64; K]; L];
-        for i in (0..bits - 1).rev() {
-            self.mont_sqr_fixed_lanes::<K, L>(&acc, &mut tmp);
-            std::mem::swap(&mut acc, &mut tmp);
-            if exp.bit(i) {
-                self.mont_mul_fixed_lanes::<K, L>(&acc, &base_m, &mut tmp);
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-        }
-        let mut ones = [[0u64; K]; L];
-        for lane in ones.iter_mut() {
-            lane[0] = 1;
-        }
-        self.mont_mul_fixed_lanes::<K, L>(&acc, &ones, &mut tmp);
-        for lane in tmp.iter() {
-            let mut v = BigUint {
-                limbs: lane.to_vec(),
-            };
-            normalize(&mut v);
-            out.push(v);
-        }
-    }
-
-    /// `L`-lane FIOS multiplication: per lane, arithmetic identical to
-    /// [`Self::mont_mul_fixed`], but the lane loop sits innermost so each
-    /// (i, j) step issues `2·L` independent limb multiplications across
-    /// `2·L` independent carry chains.
-    fn mont_mul_fixed_lanes<const K: usize, const L: usize>(
-        &self,
-        a: &[[u64; K]; L],
-        b: &[[u64; K]; L],
-        out: &mut [[u64; K]; L],
-    ) {
-        let n: &[u64; K] = self.n.as_slice().try_into().expect("modulus width");
-        let mut t = [[0u64; K]; L];
-        let mut t_hi = [0u64; L];
-        // `i` walks the FIOS rounds; the per-lane inner loops index with
-        // `l`, so an iterator over `a` would invert the loop nest.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..K {
-            let mut ai = [0u128; L];
-            let mut m = [0u128; L];
-            let mut c1 = [0u128; L];
-            let mut c2 = [0u128; L];
-            for l in 0..L {
-                ai[l] = a[l][i] as u128;
-                let cur = t[l][0] as u128 + ai[l] * b[l][0] as u128;
-                c1[l] = cur >> 64;
-                m[l] = (cur as u64).wrapping_mul(self.n_prime) as u128;
-                // The low limb of t + ai*b + m*n is zero by construction.
-                c2[l] = (cur as u64 as u128 + m[l] * n[0] as u128) >> 64;
-            }
-            for j in 1..K {
-                for l in 0..L {
-                    let cur = t[l][j] as u128 + ai[l] * b[l][j] as u128 + c1[l];
-                    c1[l] = cur >> 64;
-                    let cur2 = cur as u64 as u128 + m[l] * n[j] as u128 + c2[l];
-                    t[l][j - 1] = cur2 as u64;
-                    c2[l] = cur2 >> 64;
-                }
-            }
-            for l in 0..L {
-                let cur = t_hi[l] as u128 + c1[l] + c2[l];
-                t[l][K - 1] = cur as u64;
-                t_hi[l] = (cur >> 64) as u64;
-            }
-        }
-        for l in 0..L {
-            out[l].copy_from_slice(&t[l]);
-            if t_hi[l] != 0 || cmp_limbs(&out[l], &self.n) != Ordering::Less {
-                sub_limbs_in_place(&mut out[l], &self.n);
-            }
-        }
-    }
-
-    /// `L`-lane squaring: per lane, arithmetic identical to
-    /// [`Self::mont_sqr_fixed`]. The multiplication-heavy phases (cross
-    /// products, two-row REDC) interleave the lanes; the carry-chain-bound
-    /// phases (doubling shift, diagonal insertion, carry tails) run per
-    /// lane, where interleaving buys nothing.
-    fn mont_sqr_fixed_lanes<const K: usize, const L: usize>(
-        &self,
-        a: &[[u64; K]; L],
-        out: &mut [[u64; K]; L],
-    ) {
-        const { assert!(K <= MAX_FIXED_LIMBS) };
-        let n: &[u64; K] = self.n.as_slice().try_into().expect("modulus width");
-        let mut t = [[0u64; 2 * MAX_FIXED_LIMBS + 1]; L];
-
-        // Off-diagonal cross products a[i] * a[j] for i < j, all lanes
-        // advancing through the same (i, j) schedule.
-        for i in 0..K {
-            let mut ai = [0u128; L];
-            let mut carry = [0u128; L];
-            for l in 0..L {
-                ai[l] = a[l][i] as u128;
-            }
-            for j in (i + 1)..K {
-                for l in 0..L {
-                    let cur = t[l][i + j] as u128 + ai[l] * a[l][j] as u128 + carry[l];
-                    t[l][i + j] = cur as u64;
-                    carry[l] = cur >> 64;
-                }
-            }
-            for l in 0..L {
-                t[l][i + K] = carry[l] as u64;
-            }
-        }
-
-        for l in 0..L {
-            let t = &mut t[l];
-            let a = &a[l];
-
-            // Double the cross products (one whole-array 1-bit shift).
-            let mut top = 0u64;
-            for limb in t[..2 * K].iter_mut() {
-                let new_top = *limb >> 63;
-                *limb = (*limb << 1) | top;
-                top = new_top;
-            }
-            debug_assert_eq!(top, 0, "doubled cross products fit in 2K limbs");
-
-            // Add the diagonal squares a[i]^2 at position 2i.
-            let mut carry = 0u64;
-            for i in 0..K {
-                let sq = a[i] as u128 * a[i] as u128;
-                let (lo, hi) = (sq as u64, (sq >> 64) as u64);
-                let (s0, c0) = t[2 * i].overflowing_add(lo);
-                let (s0, c0b) = s0.overflowing_add(carry);
-                t[2 * i] = s0;
-                let mid = c0 as u64 + c0b as u64;
-                let (s1, c1) = t[2 * i + 1].overflowing_add(hi);
-                let (s1, c1b) = s1.overflowing_add(mid);
-                t[2 * i + 1] = s1;
-                carry = c1 as u64 + c1b as u64;
-            }
-            debug_assert_eq!(carry, 0, "a^2 fits in 2K limbs");
-        }
-
-        // Two-row separated REDC across all lanes: 2·L independent
-        // multiplications per inner step.
-        const { assert!(K.is_multiple_of(2)) };
-        for i in (0..K).step_by(2) {
-            let mut m0 = [0u128; L];
-            let mut m1 = [0u128; L];
-            let mut c0 = [0u128; L];
-            let mut c1 = [0u128; L];
-            for l in 0..L {
-                m0[l] = t[l][i].wrapping_mul(self.n_prime) as u128;
-                let cur = t[l][i] as u128 + m0[l] * n[0] as u128;
-                c0[l] = cur >> 64;
-                let cur = t[l][i + 1] as u128 + m0[l] * n[1] as u128 + c0[l];
-                t[l][i + 1] = cur as u64;
-                c0[l] = cur >> 64;
-                m1[l] = t[l][i + 1].wrapping_mul(self.n_prime) as u128;
-                let cur = t[l][i + 1] as u128 + m1[l] * n[0] as u128;
-                c1[l] = cur >> 64;
-            }
-            for j in 2..K {
-                for l in 0..L {
-                    let cur = t[l][i + j] as u128 + m0[l] * n[j] as u128 + c0[l];
-                    c0[l] = cur >> 64;
-                    let cur2 = cur as u64 as u128 + m1[l] * n[j - 1] as u128 + c1[l];
-                    t[l][i + j] = cur2 as u64;
-                    c1[l] = cur2 >> 64;
-                }
-            }
-            for l in 0..L {
-                // Both rows' final terms land at position i+K; split the
-                // additions as in the single-lane kernel to avoid u128
-                // overflow.
-                let cur = t[l][i + K] as u128 + m1[l] * n[K - 1] as u128 + c0[l];
-                let cur2 = cur as u64 as u128 + c1[l];
-                t[l][i + K] = cur2 as u64;
-                let mut carry = (cur >> 64) + (cur2 >> 64);
-                let mut idx = i + K + 1;
-                while carry != 0 {
-                    let cur = t[l][idx] as u128 + carry;
-                    t[l][idx] = cur as u64;
-                    carry = cur >> 64;
-                    idx += 1;
-                }
-            }
-        }
-        for l in 0..L {
-            out[l].copy_from_slice(&t[l][K..2 * K]);
-            if t[l][2 * K] != 0 || cmp_limbs(&out[l], &self.n) != Ordering::Less {
-                sub_limbs_in_place(&mut out[l], &self.n);
-            }
-        }
+        let reduced: Vec<BigUint> = bases
+            .iter()
+            .map(|b| match b.cmp_to(&modulus) {
+                Ordering::Less => b.clone(),
+                _ => b.rem(&modulus),
+            })
+            .collect();
+        let lanes: Vec<(&MontgomeryCtx, &BigUint)> = reduced.iter().map(|b| (self, b)).collect();
+        modpow_f4_lanes(&lanes)
     }
 }
 

@@ -107,8 +107,8 @@ fn finish_verify(
 pub struct VerifyRequest<'a> {
     /// Signer's public key. On an IFMA host, requests under 1024-bit
     /// F4 keys share kernel calls whatever their keys; other requests
-    /// sharing a key (by `(n, e)` value) are exponentiated together
-    /// through the interleaved lane kernels.
+    /// sharing a key (by `(n, e)` value) go to that key's
+    /// `modpow_batch` together.
     pub key: &'a PublicKey,
     /// SHA-256 digest of the signed message.
     pub digest: [u8; sha256::DIGEST_LEN],
