@@ -1,5 +1,5 @@
 //! CI smoke check for the batched verification plane: bounded iteration
-//! counts, no criterion baselines. Exercises the batched RSA verification
+//! counts, no stored baselines. Exercises the batched RSA verification
 //! path, checks the batched results bit-for-bit against the scalar path,
 //! and prints the measured speedups; checks the CRT private-key
 //! operation against plain exponentiation. Exits nonzero on any mismatch.

@@ -2,7 +2,7 @@
 //! through a real socket against the in-process service on the same
 //! proof set, and checks the verdict sequences agree bit-for-bit.
 //! Exits nonzero on any divergence. Bounded iteration counts, no
-//! criterion baselines; scale with `TLC_BENCH_POCS` (proofs per
+//! stored baselines; scale with `TLC_BENCH_POCS` (proofs per
 //! relationship, default 40). Pass `--metrics` to dump the final
 //! ingress report in Prometheus text exposition format after the
 //! summary lines (for scraping CI runs into dashboards).

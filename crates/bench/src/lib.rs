@@ -1,5 +1,5 @@
-//! Helpers shared by the bench crate's targets; the benches and
-//! report writers themselves live in `benches/` and `src/bin/`.
+//! Helpers shared by the bench crate's report writers, which live in
+//! `src/bin/`.
 
 #![forbid(unsafe_code)]
 

@@ -1046,13 +1046,15 @@ impl Shard {
             Err(detail) => return self.protocol_fault(conn, detail),
         };
         // Capacity 0 means "server default", mirroring window 0 in
-        // HELLO. This is also hardening: the in-process API asserts a
-        // positive replay capacity, and wire input must never be able
-        // to trip an assert on the shard's thread.
-        let capacity = if reg.capacity == 0 {
-            DEFAULT_REPLAY_CAPACITY
-        } else {
-            reg.capacity as usize
+        // HELLO, and so does anything above the default. This is also
+        // hardening: the in-process API asserts a replay capacity that
+        // is positive and fits the window's `u32` index, and wire input
+        // must never be able to trip an assert on the shard's thread
+        // (the window grows as it fills, so the ceiling costs a client
+        // that never reaches it nothing).
+        let capacity = match usize::try_from(reg.capacity) {
+            Ok(n) if (1..=DEFAULT_REPLAY_CAPACITY).contains(&n) => n,
+            _ => DEFAULT_REPLAY_CAPACITY,
         };
         let table = self.stage.relationships();
         let rel = table.register(reg.plan, reg.edge_key, reg.operator_key, capacity);
@@ -1343,15 +1345,14 @@ mod tests {
         window: 0,
     };
 
-    fn register(req: u32, edge: &KeyPair, op: &KeyPair) -> Frame {
-        let register = Register {
+    fn register(req: u32, edge: &KeyPair, op: &KeyPair) -> Register {
+        Register {
             req,
             capacity: 0,
             plan: DataPlan::paper_default(),
             edge_key: edge.public.clone(),
             operator_key: op.public.clone(),
-        };
-        register.to_frame()
+        }
     }
 
     /// `k` distinct proofs between `edge` and `op`, one SUBMIT each
@@ -1372,19 +1373,48 @@ mod tests {
     /// Writes `frames` in one burst, then turns the loop until the
     /// iteration that answers: replies are flushed by the iteration
     /// that read the request, so on return the shard's state is what
-    /// that iteration left.
-    fn turn_until_reply(shard: &mut Shard, client: &mut TcpStream, frames: &[Frame]) {
+    /// that iteration left. Returns the kinds of the frames it flushed.
+    fn turn_until_reply(
+        shard: &mut Shard,
+        client: &mut TcpStream,
+        frames: &[Frame],
+    ) -> Vec<FrameKind> {
         client.write_all(&wire(frames)).unwrap();
+        let mut decoder = FrameDecoder::new(DEFAULT_MAX_PAYLOAD);
         let mut buf = [0u8; 4096];
         for _ in 0..500 {
             shard.turn();
             match client.read(&mut buf) {
                 Ok(0) => panic!("server closed the session"),
-                Ok(_) => return,
+                Ok(n) => {
+                    decoder.push(&buf[..n]).unwrap();
+                    let replies = std::iter::from_fn(|| decoder.next_frame());
+                    return replies.map(|f| f.kind).collect();
+                }
                 Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
             }
         }
         panic!("no reply in 500 iterations");
+    }
+
+    /// REGISTER's capacity is the peer's to choose, all 64 bits of it;
+    /// one the replay window cannot index is the server's default, not
+    /// an assert on the shard's thread with the table's lock held.
+    #[test]
+    fn an_absurd_replay_capacity_is_clamped_not_asserted() {
+        let (mut shard, addr) = shard_on_loopback();
+        let mut client = connect(addr);
+        let (edge, op) = (keys(7970), keys(7971));
+        let register = Register {
+            capacity: u64::MAX,
+            ..register(0, &edge, &op)
+        };
+        let session = [HELLO.to_frame(), register.to_frame()];
+        let replies = turn_until_reply(&mut shard, &mut client, &session);
+        assert_eq!(replies, [FrameKind::HelloAck, FrameKind::Registered]);
+        let stats_req = Frame::new(FrameKind::StatsReq, Vec::new());
+        let replies = turn_until_reply(&mut shard, &mut client, &[stats_req]);
+        assert_eq!(replies, [FrameKind::Stats], "the shard outlived it");
     }
 
     /// Credits are dealt by the first submission of an iteration that
@@ -1399,7 +1429,7 @@ mod tests {
         // Two lanes, so the deal's rotating cursor has somewhere to go.
         let mut session = vec![HELLO.to_frame()];
         for (req, pair) in keys.chunks(2).enumerate() {
-            session.push(register(req as u32, &pair[0], &pair[1]));
+            session.push(register(req as u32, &pair[0], &pair[1]).to_frame());
         }
         turn_until_reply(&mut shard, &mut client, &session);
         assert_eq!(shard.credits.len(), 2);
@@ -1473,7 +1503,7 @@ mod tests {
         const K: u8 = 3;
         let (mut shard, addr) = shard_on_loopback();
         let (edge, op) = (keys(7990), keys(7991));
-        let mut session = vec![HELLO.to_frame(), register(0, &edge, &op)];
+        let mut session = vec![HELLO.to_frame(), register(0, &edge, &op).to_frame()];
         session.extend(submits(&edge, &op, K));
 
         let mut a = TcpStream::connect(addr).unwrap();

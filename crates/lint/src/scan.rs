@@ -20,7 +20,7 @@ pub enum FileKind {
     Src,
     /// Integration tests (`tests/` directories).
     Tests,
-    /// Criterion benches (`benches/` directories).
+    /// Bench targets (`benches/` directories).
     Benches,
     /// Examples (`examples/` directories).
     Examples,

@@ -2,9 +2,8 @@
 //!
 //! ```text
 //! tlc eval [--full]                 regenerate every paper table/figure
-//! tlc experiment <name> [--full]    one experiment (fig03..fig18, table2,
-//!                                   dataset, generic, ablation, mobility,
-//!                                   roaming, strawman, twin)
+//! tlc experiment <name> [--full]    one experiment; without a name, lists
+//!                                   them (`tlc_sim::experiments::EXPERIMENTS`)
 //! tlc negotiate --sent B --received B [--c F] [--strategy optimal|honest|random]
 //!               [--loss P] [--dup P] [--reorder P] [--seed N]
 //!                                   price one cycle, print the PoC (hex);
@@ -34,25 +33,22 @@ use tlc_net::channel::{FaultSpec, FaultyChannel};
 use tlc_net::loss::{LossModel, NoLoss, UniformLoss};
 use tlc_net::rng::SimRng;
 use tlc_net::time::{SimDuration, SimTime};
-use tlc_sim::experiments::{
-    ablation, dataset, fig03, fig04, fig12, fig13, fig14, fig15, fig16, fig17, fig18, generic,
-    mobility, roaming, robustness, strawman, sweep, table2, twin, RunScale,
-};
+use tlc_sim::experiments::{self, Experiment, RunContext, RunScale, EXPERIMENTS};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     };
     let Some(known) = known_flags(cmd) else {
-        eprintln!("unknown command `{cmd}`\n{USAGE}");
+        eprintln!("unknown command `{cmd}`\n{}", usage());
         return ExitCode::FAILURE;
     };
     let flags = match parse_flags(&args[1..], known) {
         Ok(flags) => flags,
         Err(flag) => {
-            eprintln!("unknown flag `--{flag}` for `tlc {cmd}`\n{USAGE}");
+            eprintln!("unknown flag `--{flag}` for `tlc {cmd}`\n{}", usage());
             return ExitCode::FAILURE;
         }
     };
@@ -62,13 +58,17 @@ fn main() -> ExitCode {
         RunScale::Quick
     };
     match cmd.as_str() {
-        "eval" => eval(scale),
+        "eval" => return run_rows(EXPERIMENTS, scale),
         "experiment" => {
             let Some(name) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                eprintln!("usage: tlc experiment <name> [--full]");
+                eprintln!("usage: tlc experiment <name> [--full]\n{}", listing());
                 return ExitCode::FAILURE;
             };
-            return experiment(name, scale);
+            let Some(row) = experiments::find(name) else {
+                eprintln!("unknown experiment `{name}`; there are:\n{}", listing());
+                return ExitCode::FAILURE;
+            };
+            return run_rows(std::slice::from_ref(row), scale);
         }
         "negotiate" => return negotiate_cmd(&flags),
         "verify" => return verify_cmd(&flags),
@@ -100,13 +100,28 @@ fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
     })
 }
 
-const USAGE: &str = "usage: tlc <eval|experiment|negotiate|verify|keygen> [flags]\n\
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    format!(
+        "usage: tlc <eval|experiment|negotiate|verify|keygen> [flags]\n\
   tlc eval [--full]\n\
-  tlc experiment <fig03|fig04|fig12|fig13|fig14|fig15|fig16|fig17|fig18|table2|dataset|generic|ablation|mobility|roaming|robustness|strawman|twin> [--full]\n\
+  tlc experiment <{}> [--full]\n\
   tlc negotiate --sent BYTES --received BYTES [--c 0.5] [--strategy optimal|honest|random]\n\
                 [--loss 0.2] [--dup 0.05] [--reorder 0.05] [--seed N]   (lossy control plane)\n\
   tlc verify --poc HEX [--c 0.5]\n\
-  tlc keygen --seed N";
+  tlc keygen --seed N",
+        names.join("|")
+    )
+}
+
+/// One line per experiment: its name and what it regenerates.
+fn listing() -> String {
+    let lines: Vec<String> = EXPERIMENTS
+        .iter()
+        .map(|e| format!("  {:<11} {}", e.name, e.label))
+        .collect();
+    lines.join("\n")
+}
 
 /// Collects `--key value` / bare `--key` pairs. A key outside `known`
 /// is returned as the error: a typo'd `--los 0.2` must not silently run
@@ -146,74 +161,19 @@ fn flag_f64(flags: &HashMap<String, String>, key: &str) -> Option<f64> {
     flags.get(key).and_then(|v| v.parse().ok())
 }
 
-fn eval(scale: RunScale) {
-    fig03::print(&fig03::run(scale));
-    let (rows, summary) = fig04::run(scale);
-    fig04::print(&rows, &summary);
-    let samples = sweep::congestion_sweep(scale);
-    dataset::print(&dataset::from_samples(&samples));
-    fig12::print(&mut fig12::from_samples(&samples));
-    table2::print(&table2::from_samples(&samples));
-    fig13::print(&fig13::from_samples(&samples));
-    fig14::print(&fig14::run(scale));
-    fig15::print(&mut fig15::from_samples(&samples));
-    let rtt = fig16::run_rtt(scale);
-    fig16::print(&rtt, &fig16::rounds_from_samples(&samples));
-    match fig17::run(5) {
-        Ok(r) => fig17::print(&r),
-        Err(e) => eprintln!("fig17 skipped: negotiation failed: {e}"),
-    }
-    fig18::print(&mut fig18::run(scale));
-    generic::print(&generic::run(scale));
-    ablation::print(&ablation::run(scale));
-    mobility::print(&mobility::run(scale));
-    strawman::print(&strawman::run(scale));
-    robustness::print(&robustness::run(scale));
-    twin::print(&twin::run(scale));
-    roaming::print(&roaming::run(scale));
-}
-
-fn experiment(name: &str, scale: RunScale) -> ExitCode {
-    match name {
-        "fig03" => fig03::print(&fig03::run(scale)),
-        "fig04" => {
-            let (rows, summary) = fig04::run(scale);
-            fig04::print(&rows, &summary);
-        }
-        "fig12" => fig12::print(&mut fig12::run(scale)),
-        "fig13" => fig13::print(&fig13::run(scale)),
-        "fig14" => fig14::print(&fig14::run(scale)),
-        "fig15" => fig15::print(&mut fig15::run(scale)),
-        "fig16" => {
-            let samples = sweep::congestion_sweep(scale);
-            fig16::print(
-                &fig16::run_rtt(scale),
-                &fig16::rounds_from_samples(&samples),
-            );
-        }
-        "fig17" => match fig17::run(10) {
-            Ok(r) => fig17::print(&r),
-            Err(e) => {
-                eprintln!("fig17 failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        "fig18" => fig18::print(&mut fig18::run(scale)),
-        "table2" => table2::print(&table2::run(scale)),
-        "dataset" => dataset::print(&dataset::from_samples(&sweep::congestion_sweep(scale))),
-        "generic" => generic::print(&generic::run(scale)),
-        "ablation" => ablation::print(&ablation::run(scale)),
-        "mobility" => mobility::print(&mobility::run(scale)),
-        "robustness" => robustness::print(&robustness::run(scale)),
-        "strawman" => strawman::print(&strawman::run(scale)),
-        "twin" => twin::print(&twin::run(scale)),
-        "roaming" => roaming::print(&roaming::run(scale)),
-        other => {
-            eprintln!("unknown experiment `{other}`");
-            return ExitCode::FAILURE;
+/// Runs `rows` in order over one context, so the congestion sweep is
+/// simulated once however many of them read it. A row that fails is
+/// reported and the rest still run.
+fn run_rows(rows: &[Experiment], scale: RunScale) -> ExitCode {
+    let cx = RunContext::new(scale);
+    let mut code = ExitCode::SUCCESS;
+    for e in rows {
+        if let Err(err) = (e.run)(&cx) {
+            eprintln!("{} failed: {err}", e.name);
+            code = ExitCode::FAILURE;
         }
     }
-    ExitCode::SUCCESS
+    code
 }
 
 fn plan_from(flags: &HashMap<String, String>) -> DataPlan {

@@ -1,8 +1,7 @@
 //! Fig. 12 — CDFs of the per-hour charging gap for each application under
 //! legacy 4G/5G, TLC-random, and TLC-optimal (c = 0.5).
 
-use super::sweep::{congestion_sweep, SweepSample};
-use super::RunScale;
+use super::sweep::SweepSample;
 use crate::metrics::{bytes_to_mb_per_hr, Cdf};
 use crate::scenario::{AppKind, ALL_APPS};
 
@@ -55,12 +54,7 @@ pub struct Fig12Curve {
     pub cdf: Cdf,
 }
 
-/// Regenerates the figure from a congestion sweep.
-pub fn run(scale: RunScale) -> Vec<Fig12Curve> {
-    from_samples(&congestion_sweep(scale))
-}
-
-/// Builds the curves from precomputed sweep samples.
+/// Builds the curves from a congestion sweep's samples.
 pub fn from_samples(samples: &[SweepSample]) -> Vec<Fig12Curve> {
     let mut out = Vec::new();
     for app in ALL_APPS {
@@ -99,6 +93,7 @@ pub fn print(curves: &mut [Fig12Curve]) {
 mod tests {
     use super::*;
     use crate::experiments::sweep::sweep_over;
+    use crate::experiments::RunScale;
 
     #[test]
     fn tlc_optimal_dominates_legacy() {

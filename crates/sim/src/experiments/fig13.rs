@@ -6,8 +6,7 @@
 //! subfigure shows QCI=7 shielding even the legacy scheme.
 
 use super::fig12::SCHEMES;
-use super::sweep::{congestion_sweep, SweepSample};
-use super::RunScale;
+use super::sweep::SweepSample;
 use crate::scenario::ALL_APPS;
 use serde::Serialize;
 
@@ -24,12 +23,7 @@ pub struct Fig13Row {
     pub gap_ratio: f64,
 }
 
-/// Regenerates the figure from a congestion sweep.
-pub fn run(scale: RunScale) -> Vec<Fig13Row> {
-    from_samples(&congestion_sweep(scale))
-}
-
-/// Builds the rows from precomputed samples.
+/// Builds the rows from a congestion sweep's samples.
 pub fn from_samples(samples: &[SweepSample]) -> Vec<Fig13Row> {
     let mut rows = Vec::new();
     for app in ALL_APPS {
@@ -88,6 +82,7 @@ pub fn print(rows: &[Fig13Row]) {
 mod tests {
     use super::*;
     use crate::experiments::sweep::sweep_over;
+    use crate::experiments::RunScale;
     use crate::scenario::AppKind;
 
     #[test]

@@ -6,15 +6,14 @@
 //! c = 1 the legacy downlink billing *is* the plan-intended charge and
 //! the remaining reduction comes from measurement differences only.
 
-use super::sweep::{sweep_over, SweepSample};
-use super::RunScale;
+use super::sweep::SweepSample;
 use crate::metrics::Cdf;
-use crate::scenario::AppKind;
 use tlc_core::legacy::gap_reduction;
 use tlc_core::plan::LossWeight;
+use tlc_net::packet::Direction;
 
 /// The plan weights of the figure.
-pub const C_VALUES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
+const C_VALUES: [f64; 5] = [0.0, 0.25, 0.5, 0.75, 1.0];
 
 /// One curve: the reduction distribution at a plan weight.
 pub struct Fig15Curve {
@@ -24,25 +23,18 @@ pub struct Fig15Curve {
     pub cdf: Cdf,
 }
 
-/// Regenerates the figure. Uses downlink apps (where legacy billing sits
-/// before the loss, the paper's dominant case) across congestion levels.
-pub fn run(scale: RunScale) -> Vec<Fig15Curve> {
-    let samples = sweep_over(
-        scale,
-        &[AppKind::Vr, AppKind::Gaming],
-        super::sweep::background_levels(scale),
-    );
-    from_samples(&samples)
-}
-
-/// Re-prices precomputed samples at each plan weight.
+/// Re-prices a congestion sweep's downlink rounds at each plan weight.
+/// The figure is about downlink apps (where legacy billing sits before
+/// the loss, the paper's dominant case); uplink rounds are skipped
+/// here, so every caller may hand over the whole sweep.
 pub fn from_samples(samples: &[SweepSample]) -> Vec<Fig15Curve> {
+    let downlink = |s: &&SweepSample| s.app.direction() == Direction::Downlink;
     C_VALUES
         .iter()
         .map(|&c| {
             let w = LossWeight::from_f64(c);
             let mut cdf = Cdf::new();
-            for s in samples {
+            for s in samples.iter().filter(downlink) {
                 let cmp = s.reprice(w);
                 let legacy_gap = cmp.gap(cmp.legacy.charge);
                 let tlc_gap = cmp.gap(cmp.tlc_optimal.charge);
@@ -82,6 +74,23 @@ pub fn print(curves: &mut [Fig15Curve]) {
 mod tests {
     use super::*;
     use crate::experiments::sweep::sweep_over;
+    use crate::experiments::RunScale;
+    use crate::scenario::AppKind;
+
+    #[test]
+    fn uplink_rounds_do_not_move_the_curves() {
+        // `tlc eval` hands over the whole sweep, webcams included; the
+        // figure must be the one the downlink rounds alone give.
+        let curves = |samples: &[SweepSample]| -> Vec<Vec<(f64, f64)>> {
+            let mut curves = from_samples(samples);
+            curves.iter_mut().map(|cu| cu.cdf.points()).collect()
+        };
+        let mut samples = sweep_over(RunScale::Quick, &[AppKind::Vr], &[150.0]);
+        let alone = curves(&samples);
+        assert!(alone.iter().any(|points| !points.is_empty()));
+        samples.extend(sweep_over(RunScale::Quick, &[AppKind::WebcamUdp], &[150.0]));
+        assert_eq!(curves(&samples), alone);
+    }
 
     #[test]
     fn smaller_c_means_more_reduction() {

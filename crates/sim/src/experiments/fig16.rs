@@ -9,7 +9,7 @@
 //! round (Theorem 4); TLC-random needs a few.
 
 use super::devices::{DeviceProfile, EDGE_DEVICES};
-use super::sweep::{congestion_sweep, SweepSample};
+use super::sweep::SweepSample;
 use super::RunScale;
 
 use serde::Serialize;
@@ -125,12 +125,7 @@ pub fn run_rtt(scale: RunScale) -> Vec<Fig16aRow> {
         .collect()
 }
 
-/// Regenerates Fig. 16b from a congestion sweep.
-pub fn run_rounds(scale: RunScale) -> Vec<Fig16bRow> {
-    rounds_from_samples(&congestion_sweep(scale))
-}
-
-/// Computes Fig. 16b rows from precomputed samples.
+/// Computes Fig. 16b rows from a congestion sweep's samples.
 pub fn rounds_from_samples(samples: &[SweepSample]) -> Vec<Fig16bRow> {
     let mut rows = Vec::new();
     let mut apps: Vec<_> = samples.iter().map(|s| s.app).collect();

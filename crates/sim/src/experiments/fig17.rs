@@ -8,6 +8,7 @@
 //! paper attributes 54.9% of negotiation to crypto, 45.1% to the RTT).
 
 use super::devices::{DeviceProfile, ALL_DEVICES, EDGE_DEVICES, Z840};
+use super::RunScale;
 use serde::Serialize;
 use std::time::Instant;
 use tlc_core::messages::NONCE_LEN;
@@ -119,6 +120,14 @@ fn negotiate_once(
     let t0 = Instant::now();
     let (poc, _) = run_negotiation(&mut o, &mut e)?;
     Ok((poc, t0.elapsed().as_secs_f64() * 1e3))
+}
+
+/// Timed repetitions to average at each scale.
+pub fn reps(scale: RunScale) -> usize {
+    match scale {
+        RunScale::Quick => 10,
+        RunScale::Full => 50,
+    }
 }
 
 /// Runs the measurement. `reps` controls how many timed repetitions to

@@ -52,11 +52,6 @@ pub fn background_levels(scale: RunScale) -> &'static [f64] {
     }
 }
 
-/// Runs the full congestion sweep at the given scale.
-pub fn congestion_sweep(scale: RunScale) -> Vec<SweepSample> {
-    sweep_over(scale, &ALL_APPS, background_levels(scale))
-}
-
 /// The (app, background, seed) cross product of a sweep, in the
 /// canonical (sequential) order. Seeds are a pure function of the point,
 /// so the parallel and sequential runners price identical rounds.

@@ -4,8 +4,7 @@
 //! ε = Δ/x̂ for legacy 4G/5G, TLC-optimal, and TLC-random.
 
 use super::fig12::{Scheme, SCHEMES};
-use super::sweep::{congestion_sweep, SweepSample};
-use super::RunScale;
+use super::sweep::SweepSample;
 use crate::metrics::bytes_to_mb_per_hr;
 use crate::scenario::ALL_APPS;
 use serde::Serialize;
@@ -34,12 +33,7 @@ pub struct Table2Row {
     pub tlc_random: SchemeCell,
 }
 
-/// Regenerates the table from a congestion sweep.
-pub fn run(scale: RunScale) -> Vec<Table2Row> {
-    from_samples(&congestion_sweep(scale))
-}
-
-/// Builds the table rows from precomputed samples.
+/// Builds the table rows from a congestion sweep's samples.
 pub fn from_samples(samples: &[SweepSample]) -> Vec<Table2Row> {
     ALL_APPS
         .iter()
@@ -105,6 +99,7 @@ pub fn print(rows: &[Table2Row]) {
 mod tests {
     use super::*;
     use crate::experiments::sweep::sweep_over;
+    use crate::experiments::RunScale;
     use crate::scenario::AppKind;
 
     #[test]

@@ -60,3 +60,24 @@ fn valid_flags_still_run() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).starts_with("VALID"));
 }
+
+#[test]
+fn unknown_experiment_is_rejected_with_the_tables_names() {
+    let out = tlc(&["experiment", "nosuch"]);
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "nothing may be printed as a result");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let mut lines = err.lines();
+    let first = lines.next().unwrap_or_default();
+    assert!(first.contains("unknown experiment `nosuch`"), "{err}");
+    // One indented line per row, name first: exactly the table, in order.
+    let listed: Vec<&str> = lines.filter_map(|l| l.split_whitespace().next()).collect();
+    let table: Vec<&str> = tlc_sim::experiments::EXPERIMENTS
+        .iter()
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(listed, table, "{err}");
+    // The usage text names the same rows, from the same table.
+    let usage = String::from_utf8_lossy(&tlc(&[]).stderr).into_owned();
+    assert!(usage.contains(&format!("<{}>", table.join("|"))), "{usage}");
+}
