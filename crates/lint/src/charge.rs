@@ -10,9 +10,9 @@
 //! clamped form (or an explicit `LINT_ALLOW charge-arith` entry).
 //!
 //! A "charging counter" operand is any identifier in
-//! [`COUNTER_FIELDS`] — the fields of `ChargeRow`/`ChargeColumns`/
-//! `GapSweep`, the gateway/monitor `ByteCounter` fields, and the
-//! `UsageSeries` bucket store — whether it appears as a field access
+//! [`COUNTER_FIELDS`] — the fields of `ChargeRow`/`GapSweep`, the
+//! gateway/monitor `ByteCounter` fields, and the `UsageSeries` bucket
+//! store — whether it appears as a field access
 //! (`out.total_sent`), a column index (`self.sent[i]`), or a local
 //! derived binding of the same name (`delivered`). Float math
 //! (ratios, Mbps conversions) never aborts or wraps and is exempt,
@@ -26,7 +26,7 @@ use syn::TokenKind;
 
 /// Field / binding names that hold charging counters.
 pub const COUNTER_FIELDS: &[&str] = &[
-    // ChargeRow / ChargeColumns
+    // ChargeRow
     "sent",
     "delivered",
     "gateway",

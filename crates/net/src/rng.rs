@@ -5,6 +5,8 @@
 //! these, split from a master seed, so experiments are exactly reproducible
 //! and independent components do not perturb each other's streams.
 
+use std::fmt;
+
 /// A xoshiro256++ pseudo-random generator.
 #[derive(Clone, Debug)]
 pub struct SimRng {
@@ -32,12 +34,28 @@ impl SimRng {
     /// Streams for different labels are decorrelated even under the same
     /// master seed, so adding a component never shifts another's draws.
     pub fn split(&self, label: &str) -> SimRng {
-        let mut h = 0xcbf29ce484222325u64; // FNV-1a
-        for b in label.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
+        self.split_fmt(format_args!("{label}"))
+    }
+
+    /// [`SimRng::split`] for a label that is formatted, hashing the
+    /// bytes as they are written: the same stream as `split(&format!(..))`
+    /// without the `String` (the twin splits one stream per session).
+    pub fn split_fmt(&self, label: fmt::Arguments<'_>) -> SimRng {
+        struct Fnv1a(u64);
+        impl fmt::Write for Fnv1a {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                for b in s.bytes() {
+                    self.0 ^= b as u64;
+                    self.0 = self.0.wrapping_mul(0x100000001b3);
+                }
+                Ok(())
+            }
         }
-        SimRng::new(self.s[0] ^ h.rotate_left(17))
+        let mut h = Fnv1a(0xcbf29ce484222325);
+        // The adapter never errs, and a `Display` that does has
+        // nothing further to write: hash what arrived.
+        let _ = fmt::Write::write_fmt(&mut h, label);
+        SimRng::new(self.s[0] ^ h.0.rotate_left(17))
     }
 
     /// Next raw 64-bit value.
@@ -131,6 +149,16 @@ mod tests {
         let mut a = SimRng::new(1);
         let mut b = SimRng::new(2);
         assert_ne!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn split_fmt_hashes_the_bytes_split_would() {
+        let master = SimRng::new(42);
+        let mut formatted = master.split_fmt(format_args!("a{}/b{}", 3, 41));
+        let mut plain = master.split("a3/b41");
+        for _ in 0..8 {
+            assert_eq!(formatted.next_u64(), plain.next_u64());
+        }
     }
 
     #[test]

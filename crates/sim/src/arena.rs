@@ -3,8 +3,8 @@
 //! A million concurrent sessions with constant churn must not mean a
 //! million boxed allocations plus free-list fragmentation: sessions
 //! live in one contiguous slab, keyed by a dense [`SessionId`] whose
-//! index doubles as the row index into the struct-of-arrays charging
-//! counters (`sim::soa`). Teardown pushes the slot onto a free list;
+//! index doubles as the row index into the visited operator's counter
+//! bank (`sim::soa`). Teardown pushes the slot onto a free list;
 //! the next arrival reuses it — churn is slot reuse, not allocation.
 //!
 //! Ids are **generational**: every reuse bumps the slot's generation,
@@ -17,7 +17,7 @@
 /// Dense generational handle to an arena slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SessionId {
-    /// Slot index; also the row index into the SoA counter columns.
+    /// Slot index; also the row index into the visited counter bank.
     pub index: u32,
     /// Slot generation at allocation time.
     pub generation: u32,
@@ -31,16 +31,21 @@ impl SessionId {
     };
 }
 
-enum Slot<T> {
+enum State<T> {
     Occupied(T),
     /// Free; holds the next free slot index (`u32::MAX` = end).
     Free(u32),
 }
 
+/// A slot carries its own generation, so resolving an id is one load.
+struct Slot<T> {
+    generation: u32,
+    state: State<T>,
+}
+
 /// Generational slab arena.
 pub struct Arena<T> {
     slots: Vec<Slot<T>>,
-    gens: Vec<u32>,
     free_head: u32,
     live: usize,
 }
@@ -52,7 +57,6 @@ impl<T> Arena<T> {
     pub fn new() -> Self {
         Arena {
             slots: Vec::new(),
-            gens: Vec::new(),
             free_head: NIL,
             live: 0,
         }
@@ -62,7 +66,6 @@ impl<T> Arena<T> {
     pub fn with_capacity(n: usize) -> Self {
         let mut a = Self::new();
         a.slots.reserve(n);
-        a.gens.reserve(n);
         a
     }
 
@@ -76,8 +79,8 @@ impl<T> Arena<T> {
         self.live == 0
     }
 
-    /// Total slots ever allocated (live + free); the SoA columns are
-    /// sized to this.
+    /// Total slots ever allocated (live + free); the visited-operator
+    /// counter bank is sized to this.
     pub fn slot_count(&self) -> usize {
         self.slots.len()
     }
@@ -85,23 +88,23 @@ impl<T> Arena<T> {
     /// Inserts a session, reusing a free slot when one exists.
     pub fn insert(&mut self, value: T) -> SessionId {
         self.live += 1;
-        if self.free_head != NIL {
-            let index = self.free_head;
-            let i = index as usize;
-            if let Some(slot) = self.slots.get_mut(i) {
-                if let Slot::Free(next) = *slot {
-                    self.free_head = next;
-                }
-                *slot = Slot::Occupied(value);
+        let index = self.free_head;
+        if let Some(slot) = self.slots.get_mut(index as usize) {
+            if let State::Free(next) = slot.state {
+                self.free_head = next;
             }
-            let generation = self.gens.get(i).copied().unwrap_or(0);
-            return SessionId { index, generation };
+            slot.state = State::Occupied(value);
+            return SessionId {
+                index,
+                generation: slot.generation,
+            };
         }
-        let index = self.slots.len() as u32;
-        self.slots.push(Slot::Occupied(value));
-        self.gens.push(0);
+        self.slots.push(Slot {
+            generation: 0,
+            state: State::Occupied(value),
+        });
         SessionId {
-            index,
+            index: (self.slots.len() - 1) as u32,
             generation: 0,
         }
     }
@@ -109,47 +112,40 @@ impl<T> Arena<T> {
     /// Removes the session behind `id`. `None` if the id is stale
     /// (generation mismatch) or the slot is already free.
     pub fn remove(&mut self, id: SessionId) -> Option<T> {
-        let i = id.index as usize;
-        if self.gens.get(i).copied() != Some(id.generation) {
+        let slot = self.slots.get_mut(id.index as usize)?;
+        if slot.generation != id.generation || matches!(slot.state, State::Free(_)) {
             return None;
         }
-        let slot = self.slots.get_mut(i)?;
-        if matches!(slot, Slot::Free(_)) {
-            return None;
-        }
-        let old = std::mem::replace(slot, Slot::Free(self.free_head));
+        let old = std::mem::replace(&mut slot.state, State::Free(self.free_head));
         self.free_head = id.index;
-        if let Some(g) = self.gens.get_mut(i) {
-            // Wrapping keeps removal panic-free; ids only match on
-            // exact generation equality, so wrapping cannot revive a
-            // stale handle.
-            *g = g.wrapping_add(1);
-        }
+        // Wrapping keeps removal panic-free; ids only match on exact
+        // generation equality, so wrapping cannot revive a stale handle.
+        slot.generation = slot.generation.wrapping_add(1);
         self.live -= 1;
         match old {
-            Slot::Occupied(v) => Some(v),
-            Slot::Free(_) => None,
+            State::Occupied(v) => Some(v),
+            State::Free(_) => None,
         }
     }
 
     /// Shared access; `None` for stale ids.
     pub fn get(&self, id: SessionId) -> Option<&T> {
-        if self.gens.get(id.index as usize).copied() != Some(id.generation) {
-            return None;
-        }
         match self.slots.get(id.index as usize) {
-            Some(Slot::Occupied(v)) => Some(v),
+            Some(Slot {
+                generation,
+                state: State::Occupied(v),
+            }) if *generation == id.generation => Some(v),
             _ => None,
         }
     }
 
     /// Mutable access; `None` for stale ids.
     pub fn get_mut(&mut self, id: SessionId) -> Option<&mut T> {
-        if self.gens.get(id.index as usize).copied() != Some(id.generation) {
-            return None;
-        }
         match self.slots.get_mut(id.index as usize) {
-            Some(Slot::Occupied(v)) => Some(v),
+            Some(Slot {
+                generation,
+                state: State::Occupied(v),
+            }) if *generation == id.generation => Some(v),
             _ => None,
         }
     }
@@ -164,16 +160,22 @@ impl<T> Arena<T> {
         self.slots
             .iter()
             .enumerate()
-            .filter_map(move |(i, slot)| match slot {
-                Slot::Occupied(v) => Some((
+            .filter_map(|(i, slot)| match &slot.state {
+                State::Occupied(v) => Some((
                     SessionId {
                         index: i as u32,
-                        generation: self.gens.get(i).copied().unwrap_or(0),
+                        generation: slot.generation,
                     },
                     v,
                 )),
-                Slot::Free(_) => None,
+                State::Free(_) => None,
             })
+    }
+
+    /// Bytes one slot occupies (the twin pins its session row with it).
+    #[cfg(test)]
+    pub(crate) fn slot_bytes() -> usize {
+        std::mem::size_of::<Slot<T>>()
     }
 }
 

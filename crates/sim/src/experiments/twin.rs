@@ -31,6 +31,11 @@ pub struct TwinRow {
     pub legacy_ratio: f64,
     /// Aggregate TLC gap ratio ε.
     pub tlc_ratio: f64,
+    /// Times the wheels re-placed an item a level down, per event
+    /// fired: the cascade work one event costs at this population.
+    pub moves_per_event: f64,
+    /// Bytes of item storage the wheels' chunk pools grew to.
+    pub pool_bytes: u64,
 }
 
 /// Twin configuration for a population tier.
@@ -66,6 +71,8 @@ pub fn run_tier(sessions: usize, seed: u64) -> TwinRow {
         cycles_per_sec: r.cycles_settled as f64 / elapsed,
         legacy_ratio: r.sweep.legacy_gap_ratio(),
         tlc_ratio: r.sweep.tlc_gap_ratio(),
+        moves_per_event: r.sched.moves as f64 / r.events_fired.max(1) as f64,
+        pool_bytes: r.sched.pool_bytes,
     }
 }
 
@@ -82,12 +89,21 @@ pub fn run(scale: RunScale) -> Vec<TwinRow> {
 pub fn print(rows: &[TwinRow]) {
     println!("Extension — digital-twin population sweep (gap accuracy vs scale)");
     println!(
-        "{:>10} {:>10} {:>12} {:>10} {:>12} {:>10} {:>9} {:>8}",
-        "sessions", "created", "events", "cycles", "events/s", "cycles/s", "legacy ε", "TLC ε"
+        "{:>10} {:>10} {:>12} {:>10} {:>12} {:>10} {:>9} {:>8} {:>9} {:>9}",
+        "sessions",
+        "created",
+        "events",
+        "cycles",
+        "events/s",
+        "cycles/s",
+        "legacy ε",
+        "TLC ε",
+        "moves/ev",
+        "pool MiB"
     );
     for r in rows {
         println!(
-            "{:>10} {:>10} {:>12} {:>10} {:>12.0} {:>10.0} {:>8.2}% {:>7.3}%",
+            "{:>10} {:>10} {:>12} {:>10} {:>12.0} {:>10.0} {:>8.2}% {:>7.3}% {:>9.2} {:>9.1}",
             r.sessions,
             r.sessions_created,
             r.events,
@@ -96,6 +112,8 @@ pub fn print(rows: &[TwinRow]) {
             r.cycles_per_sec,
             r.legacy_ratio * 100.0,
             r.tlc_ratio * 100.0,
+            r.moves_per_event,
+            r.pool_bytes as f64 / (1u64 << 20) as f64,
         );
     }
 }

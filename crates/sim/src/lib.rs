@@ -18,8 +18,9 @@
 //!   instances over classified traffic,
 //! * [`wheel`] / [`arena`] / [`soa`] / [`twin`] — the million-session
 //!   charging digital twin (DESIGN §13): hierarchical timer wheel with
-//!   O(1) schedule/cancel, generational session slab, struct-of-arrays
-//!   charging counters, and the sharded epoch-barrier run loop.
+//!   O(1) schedule/cancel, generational session slab, the charging
+//!   counters each session carries, and the sharded epoch-barrier run
+//!   loop.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,9 +47,9 @@ pub use scenario::{
     build_radio, run_scenario, AppKind, RadioSpec, ScenarioConfig, ScenarioResult, ALL_APPS,
     APP_FLOW, BG_FLOW,
 };
-pub use soa::{ChargeColumns, ChargeRow, GapSweep};
+pub use soa::{ChargeRow, GapSweep};
 pub use twin::{
     run_twin, NullSink, RoamingSweep, RoamingTwinConfig, Settled, SettlementSink, TwinConfig,
     TwinReport,
 };
-pub use wheel::{Scheduler, Token};
+pub use wheel::{SchedStats, Scheduler, Token};

@@ -1,22 +1,20 @@
-//! Struct-of-arrays charging counters for the digital twin
-//! (DESIGN §13).
+//! Per-session charging counters for the digital twin (DESIGN §13).
 //!
-//! Per-session charging state — what the edge sent, what the
+//! A session's charging state — what the edge sent, what the
 //! operator's gateway metered, what the device/modem actually got,
 //! loss tallies, the operator's monitor lag, and the cycle boundary —
-//! lives in parallel `Vec<u64>` columns indexed by the session's
-//! arena slot ([`crate::arena::SessionId::index`]). The hot
-//! gap-accounting sweep ([`ChargeColumns::sweep`]) is then a
-//! cache-linear pass over plain arrays: no pointer chasing, no
-//! per-session struct padding, one branch per row.
+//! is one [`ChargeRow`], and the home operator's row sits inside the
+//! twin's session record: the accounting tick that has fetched the
+//! session for its profile and RNG finds its counters on the next
+//! cache line, not in eight parallel columns a cache miss apart (the
+//! struct-of-arrays layout this module is named for). The visited
+//! operator's rows, touched only by roamers, are a plain `Vec` of the
+//! same type indexed by arena slot.
 //!
-//! Freed rows are zeroed at teardown, so sweeps run unconditionally
-//! over every slot — a dead row contributes nothing — and slot reuse
-//! starts from a clean row by construction.
+//! A row is zeroed by [`ChargeRow::start_cycle`] at admit and at every
+//! settlement, so slot reuse starts from a clean row by construction.
 
-use tlc_core::plan::{charge_for, LossWeight, UsagePair};
-
-/// One session's charging columns, read out as a row (settlement path).
+/// One session's charging counters for the open cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChargeRow {
     /// Bytes the edge sent this cycle (x̂_e side of the truth pair).
@@ -38,20 +36,53 @@ pub struct ChargeRow {
     pub cycle_start_us: u64,
 }
 
-/// The SoA charging-counter bank.
-#[derive(Default)]
-pub struct ChargeColumns {
-    sent: Vec<u64>,
-    delivered: Vec<u64>,
-    gateway: Vec<u64>,
-    lost_air: Vec<u64>,
-    lost_congestion: Vec<u64>,
-    lost_handover: Vec<u64>,
-    monitor_lag: Vec<u64>,
-    cycle_start_us: Vec<u64>,
+impl ChargeRow {
+    /// Clears the counters, stamps a fresh cycle start, and returns
+    /// the cycle that just closed.
+    pub fn start_cycle(&mut self, now_us: u64) -> ChargeRow {
+        let fresh = ChargeRow {
+            cycle_start_us: now_us,
+            ..ChargeRow::default()
+        };
+        std::mem::replace(self, fresh)
+    }
+
+    /// Accrues one accounting tick: the edge sent `sent` bytes, of
+    /// which `air`/`congestion` bytes were lost before the charged
+    /// far vantage. `gateway_before_loss` says whether the gateway
+    /// meter sits upstream of the loss (downlink: it bills everything
+    /// sent) or downstream (uplink: it bills what survived).
+    pub fn accrue(&mut self, sent: u64, air: u64, congestion: u64, gateway_before_loss: bool) {
+        let lost = air.saturating_add(congestion).min(sent);
+        let delivered = sent.saturating_sub(lost);
+        let gateway = if gateway_before_loss { sent } else { delivered };
+        self.sent = self.sent.saturating_add(sent);
+        self.delivered = self.delivered.saturating_add(delivered);
+        self.gateway = self.gateway.saturating_add(gateway);
+        self.lost_air = self.lost_air.saturating_add(air.min(sent));
+        self.lost_congestion = self
+            .lost_congestion
+            .saturating_add(congestion.min(sent.saturating_sub(air)));
+    }
+
+    /// Charges a handover flush: `bytes` already counted as delivered
+    /// are clawed back into mobility loss (they were buffered in the
+    /// cell and dropped by the handover before reaching the device).
+    pub fn handover_flush(&mut self, bytes: u64) -> u64 {
+        let clawed = bytes.min(self.delivered);
+        self.delivered = self.delivered.saturating_sub(clawed);
+        self.lost_handover = self.lost_handover.saturating_add(clawed);
+        clawed
+    }
+
+    /// Sets the operator's monitor lag (bytes its measured view trails
+    /// the delivered truth).
+    pub fn set_monitor_lag(&mut self, lag: u64) {
+        self.monitor_lag = lag.min(self.delivered);
+    }
 }
 
-/// Aggregate of one cache-linear gap sweep over the live columns.
+/// Aggregate gap accounting over settled cycles.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct GapSweep {
     /// Rows with any counted traffic.
@@ -103,230 +134,34 @@ impl GapSweep {
     }
 }
 
-impl ChargeColumns {
-    /// Empty bank.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pre-sizes every column for `n` rows.
-    pub fn with_capacity(n: usize) -> Self {
-        let mut c = Self::new();
-        c.sent.reserve(n);
-        c.delivered.reserve(n);
-        c.gateway.reserve(n);
-        c.lost_air.reserve(n);
-        c.lost_congestion.reserve(n);
-        c.lost_handover.reserve(n);
-        c.monitor_lag.reserve(n);
-        c.cycle_start_us.reserve(n);
-        c
-    }
-
-    /// Number of rows (== arena slot count).
-    pub fn rows(&self) -> usize {
-        self.sent.len()
-    }
-
-    /// Grows the bank (zero-filled) so `row` is addressable.
-    pub fn ensure_row(&mut self, row: usize) {
-        if row >= self.sent.len() {
-            let n = row + 1;
-            self.sent.resize(n, 0);
-            self.delivered.resize(n, 0);
-            self.gateway.resize(n, 0);
-            self.lost_air.resize(n, 0);
-            self.lost_congestion.resize(n, 0);
-            self.lost_handover.resize(n, 0);
-            self.monitor_lag.resize(n, 0);
-            self.cycle_start_us.resize(n, 0);
-        }
-    }
-
-    /// Zeroes a row (teardown, or cycle rollover via
-    /// [`ChargeColumns::start_cycle`]).
-    pub fn clear_row(&mut self, row: usize) {
-        let set = |v: &mut Vec<u64>| {
-            if let Some(x) = v.get_mut(row) {
-                *x = 0;
-            }
-        };
-        set(&mut self.sent);
-        set(&mut self.delivered);
-        set(&mut self.gateway);
-        set(&mut self.lost_air);
-        set(&mut self.lost_congestion);
-        set(&mut self.lost_handover);
-        set(&mut self.monitor_lag);
-        set(&mut self.cycle_start_us);
-    }
-
-    /// Clears the row's counters and stamps a fresh cycle start.
-    pub fn start_cycle(&mut self, row: usize, now_us: u64) {
-        self.clear_row(row);
-        if let Some(x) = self.cycle_start_us.get_mut(row) {
-            *x = now_us;
-        }
-    }
-
-    /// Cycle start of a row, µs.
-    pub fn cycle_start_us(&self, row: usize) -> u64 {
-        self.cycle_start_us.get(row).copied().unwrap_or(0)
-    }
-
-    /// Accrues one accounting tick: the edge sent `sent` bytes, of
-    /// which `air`/`congestion` bytes were lost before the charged
-    /// far vantage. `gateway_before_loss` says whether the gateway
-    /// meter sits upstream of the loss (downlink: it bills everything
-    /// sent) or downstream (uplink: it bills what survived).
-    pub fn accrue(
-        &mut self,
-        row: usize,
-        sent: u64,
-        air: u64,
-        congestion: u64,
-        gateway_before_loss: bool,
-    ) {
-        let lost = air.saturating_add(congestion).min(sent);
-        let delivered = sent.saturating_sub(lost);
-        let add = |v: &mut Vec<u64>, d: u64| {
-            if let Some(x) = v.get_mut(row) {
-                *x = x.saturating_add(d);
-            }
-        };
-        add(&mut self.sent, sent);
-        add(&mut self.delivered, delivered);
-        add(
-            &mut self.gateway,
-            if gateway_before_loss { sent } else { delivered },
-        );
-        add(&mut self.lost_air, air.min(sent));
-        add(
-            &mut self.lost_congestion,
-            congestion.min(sent.saturating_sub(air)),
-        );
-    }
-
-    /// Charges a handover flush: `bytes` already counted as delivered
-    /// are clawed back into mobility loss (they were buffered in the
-    /// cell and dropped by the handover before reaching the device).
-    pub fn handover_flush(&mut self, row: usize, bytes: u64) -> u64 {
-        let Some(d) = self.delivered.get_mut(row) else {
-            return 0;
-        };
-        let clawed = bytes.min(*d);
-        *d = d.saturating_sub(clawed);
-        if let Some(x) = self.lost_handover.get_mut(row) {
-            *x = x.saturating_add(clawed);
-        }
-        clawed
-    }
-
-    /// Sets the operator's monitor lag for a row (bytes its measured
-    /// view trails the delivered truth).
-    pub fn set_monitor_lag(&mut self, row: usize, lag: u64) {
-        let delivered = self.delivered.get(row).copied().unwrap_or(0);
-        if let Some(x) = self.monitor_lag.get_mut(row) {
-            *x = lag.min(delivered);
-        }
-    }
-
-    /// Reads a row out (settlement path).
-    pub fn row(&self, row: usize) -> ChargeRow {
-        let g = |v: &[u64]| v.get(row).copied().unwrap_or(0);
-        ChargeRow {
-            sent: g(&self.sent),
-            delivered: g(&self.delivered),
-            gateway: g(&self.gateway),
-            lost_air: g(&self.lost_air),
-            lost_congestion: g(&self.lost_congestion),
-            lost_handover: g(&self.lost_handover),
-            monitor_lag: g(&self.monitor_lag),
-            cycle_start_us: g(&self.cycle_start_us),
-        }
-    }
-
-    /// The cache-linear gap-accounting sweep: one pass over the
-    /// columns, pricing every active row under legacy and TLC-honest
-    /// charging at loss weight `w`. Dead rows are all-zero and skip in
-    /// one branch.
-    pub fn sweep(&self, w: LossWeight) -> GapSweep {
-        let mut out = GapSweep::default();
-        let n = self.sent.len();
-        for i in 0..n {
-            let sent = self.sent[i];
-            if sent == 0 {
-                continue;
-            }
-            let delivered = self.delivered[i];
-            let gateway = self.gateway[i];
-            let lag = self.monitor_lag[i];
-            let (intended, legacy_gap, tlc_gap) = price_row(sent, delivered, gateway, lag, w);
-            out.merge(&GapSweep {
-                active_rows: 1,
-                total_sent: sent,
-                total_delivered: delivered,
-                total_gateway: gateway,
-                intended,
-                legacy_gap,
-                tlc_gap,
-            });
-        }
-        out
-    }
-}
-
-/// Prices one row: returns `(intended, legacy_gap, tlc_gap)`.
-///
-/// * intended x̂ = x̂_o + c·(x̂_e − x̂_o) over the truth pair,
-/// * legacy bills the gateway meter,
-/// * TLC-honest bills Eq. 1 over the *measured* pair — the edge reads
-///   exactly, the operator's view trails by `monitor_lag`.
-pub fn price_row(
-    sent: u64,
-    delivered: u64,
-    gateway: u64,
-    monitor_lag: u64,
-    w: LossWeight,
-) -> (u64, u64, u64) {
-    let intended = charge_for(
-        UsagePair {
-            edge: sent,
-            operator: delivered,
-        },
-        w,
-    );
-    let legacy_gap = gateway.abs_diff(intended);
-    let tlc = charge_for(
-        UsagePair {
-            edge: sent,
-            operator: delivered.saturating_sub(monitor_lag),
-        },
-        w,
-    );
-    let tlc_gap = tlc.abs_diff(intended);
-    (intended, legacy_gap, tlc_gap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::settle_twin_row;
+    use tlc_core::plan::DataPlan;
 
-    fn w() -> LossWeight {
-        LossWeight::half()
+    /// Prices `row` at the paper's plan (c = 0.5), as the twin's settle
+    /// path does, into a one-cycle sweep.
+    fn sweep(row: &ChargeRow) -> GapSweep {
+        let s = settle_twin_row(row, &DataPlan::paper_default());
+        GapSweep {
+            active_rows: 1,
+            total_sent: row.sent,
+            total_delivered: row.delivered,
+            total_gateway: row.gateway,
+            intended: s.intended,
+            legacy_gap: s.legacy_gap(),
+            tlc_gap: s.tlc_gap(),
+        }
     }
 
     #[test]
     fn accrue_uplink_vs_downlink_gateway_placement() {
-        let mut c = ChargeColumns::new();
-        c.ensure_row(0);
-        c.ensure_row(1);
+        let (mut ul, mut dl) = (ChargeRow::default(), ChargeRow::default());
         // Uplink: gateway meters after loss.
-        c.accrue(0, 1000, 60, 40, false);
+        ul.accrue(1000, 60, 40, false);
         // Downlink: gateway meters before loss.
-        c.accrue(1, 1000, 60, 40, true);
-        let ul = c.row(0);
-        let dl = c.row(1);
+        dl.accrue(1000, 60, 40, true);
         assert_eq!(ul.delivered, 900);
         assert_eq!(ul.gateway, 900, "uplink gateway bills survivors");
         assert_eq!(dl.delivered, 900);
@@ -336,10 +171,9 @@ mod tests {
 
     #[test]
     fn sweep_prices_gap_between_vantages() {
-        let mut c = ChargeColumns::new();
-        c.ensure_row(0);
-        c.accrue(0, 1000, 0, 200, true); // DL: sent 1000, delivered 800
-        let s = c.sweep(w());
+        let mut r = ChargeRow::default();
+        r.accrue(1000, 0, 200, true); // DL: sent 1000, delivered 800
+        let s = sweep(&r);
         // intended = 800 + 0.5·200 = 900; legacy bills 1000 → gap 100.
         assert_eq!(s.intended, 900);
         assert_eq!(s.legacy_gap, 100);
@@ -349,11 +183,10 @@ mod tests {
 
     #[test]
     fn monitor_lag_moves_tlc_but_less_than_legacy() {
-        let mut c = ChargeColumns::new();
-        c.ensure_row(0);
-        c.accrue(0, 1000, 0, 200, true);
-        c.set_monitor_lag(0, 80);
-        let s = c.sweep(w());
+        let mut r = ChargeRow::default();
+        r.accrue(1000, 0, 200, true);
+        r.set_monitor_lag(80);
+        let s = sweep(&r);
         // Measured pair (1000, 720) → TLC 860 vs intended 900.
         assert_eq!(s.tlc_gap, 40);
         assert!(s.tlc_gap < s.legacy_gap);
@@ -361,33 +194,30 @@ mod tests {
 
     #[test]
     fn handover_flush_claws_back_delivered() {
-        let mut c = ChargeColumns::new();
-        c.ensure_row(0);
-        c.accrue(0, 1000, 0, 0, true);
-        let clawed = c.handover_flush(0, 300);
-        assert_eq!(clawed, 300);
-        let r = c.row(0);
+        let mut r = ChargeRow::default();
+        r.accrue(1000, 0, 0, true);
+        assert_eq!(r.handover_flush(300), 300);
         assert_eq!(r.delivered, 700);
         assert_eq!(r.lost_handover, 300);
         assert_eq!(r.gateway, 1000, "gateway already billed the flushed bytes");
         // Flush can never exceed what was delivered.
-        assert_eq!(c.handover_flush(0, 10_000), 700);
+        assert_eq!(r.handover_flush(10_000), 700);
     }
 
     #[test]
-    fn cleared_rows_vanish_from_sweep() {
-        let mut c = ChargeColumns::new();
-        c.ensure_row(3);
-        c.accrue(1, 500, 0, 0, true);
-        c.accrue(3, 700, 0, 100, true);
-        assert_eq!(c.sweep(w()).active_rows, 2);
-        c.clear_row(3);
-        let s = c.sweep(w());
-        assert_eq!(s.active_rows, 1);
-        assert_eq!(s.total_sent, 500);
-        // Reused row starts clean.
-        c.start_cycle(3, 42);
-        assert_eq!(c.row(3).sent, 0);
-        assert_eq!(c.cycle_start_us(3), 42);
+    fn start_cycle_leaves_nothing_of_the_last_one() {
+        let mut r = ChargeRow::default();
+        r.accrue(700, 0, 100, true);
+        r.handover_flush(50);
+        r.set_monitor_lag(9);
+        let closed = r;
+        assert_eq!(r.start_cycle(42), closed);
+        assert_eq!(
+            r,
+            ChargeRow {
+                cycle_start_us: 42,
+                ..ChargeRow::default()
+            }
+        );
     }
 }

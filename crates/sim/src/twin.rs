@@ -4,8 +4,8 @@
 //! session at full fidelity; this module prices *populations*. Each
 //! twin session is a rate/loss abstraction of a §7.1 application
 //! ([`tlc_workloads::churn::SessionProfile`]) living in a generational
-//! slab ([`crate::arena`]), with its charging counters in
-//! struct-of-arrays columns ([`crate::soa`]) and its future — ticks,
+//! slab ([`crate::arena`]), with its charging counters beside it in
+//! the same record ([`crate::soa::ChargeRow`]) and its future — ticks,
 //! cycle ends, handovers, teardown — parked in a hierarchical timer
 //! wheel ([`crate::wheel`]). Schedule and cancel are O(1), so a
 //! churning population of a million sessions costs per-event constant
@@ -14,7 +14,7 @@
 //! # Sharding and determinism
 //!
 //! Sessions are pinned to shards round-robin at arrival; each shard
-//! owns its scheduler, arena, counter columns, and RNG streams (split
+//! owns its scheduler, arena, visited-operator rows, and RNG streams (split
 //! from the twin seed by shard index). Time advances in fixed
 //! **epochs**: every shard runs its wheel to the epoch boundary in
 //! parallel ([`crate::par::par_map_mut`]), then a barrier merges the
@@ -35,8 +35,8 @@
 
 use crate::arena::{Arena, SessionId};
 use crate::par::par_map_mut;
-use crate::soa::{ChargeColumns, ChargeRow, GapSweep};
-use crate::wheel::{Scheduler, Token};
+use crate::soa::{ChargeRow, GapSweep};
+use crate::wheel::{SchedStats, Scheduler, Token};
 use tlc_core::plan::{DataPlan, UsagePair};
 use tlc_core::roaming::{reconcile_bonded, LinkCdr, RoamingAgreement, Segment, Serving};
 use tlc_net::packet::Direction;
@@ -210,6 +210,10 @@ pub struct TwinReport {
     /// Order-sensitive digest of the run: byte-identical runs — at
     /// any thread count — produce the same value.
     pub digest: u64,
+    /// What the schedulers did beyond firing events (cascade moves,
+    /// dead items dropped, pool size), summed in shard order. Not in
+    /// the digest: it describes the scheduler, not the run.
+    pub sched: SchedStats,
 }
 
 /// Aggregate three-party settlement accounting over every settled
@@ -334,6 +338,26 @@ struct Session {
     /// Per-session loss stream, split off the shard stream at admit
     /// time so event interleaving can't perturb other sessions.
     rng: SimRng,
+    /// Charging counters for the bytes the *home* operator carried:
+    /// here, not in a bank beside the arena, because every tick that
+    /// touches them has just loaded this record.
+    row: ChargeRow,
+}
+
+impl Session {
+    /// The row `serving`'s bytes accrue on: the session's own for the
+    /// home operator, the shard's bank for the visited one.
+    fn row_for<'a>(
+        &'a mut self,
+        serving: Serving,
+        visited: &'a mut [ChargeRow],
+        id: SessionId,
+    ) -> Option<&'a mut ChargeRow> {
+        match serving {
+            Serving::Home => Some(&mut self.row),
+            Serving::Visited => visited.get_mut(id.index as usize),
+        }
+    }
 }
 
 /// Per-shard twin state. Shards sit side by side in a `Vec` and are
@@ -346,10 +370,9 @@ struct Shard {
     index: usize,
     sched: Scheduler<Event>,
     arena: Arena<Session>,
-    cols: ChargeColumns,
-    /// Per-operator counter shard: bytes carried while the *visited*
-    /// operator served. Unused (never grown) when roaming is off.
-    cols_visited: ChargeColumns,
+    /// Bytes carried while the *visited* operator served, by arena
+    /// slot. Unused (never grown) when roaming is off.
+    rows_visited: Vec<ChargeRow>,
     churn: ChurnGen,
     /// Congestion-loss fraction for the current epoch, set at the
     /// barrier from the *previous* epoch's global offered load.
@@ -381,17 +404,16 @@ struct Shard {
 impl Shard {
     fn new(cfg: &TwinConfig, index: usize) -> Self {
         let root = SimRng::new(cfg.seed);
-        let label = |what: &str| format!("twin/shard{index}/{what}");
+        let label = |what: &str| root.split_fmt(format_args!("twin/shard{index}/{what}"));
         Shard {
             index,
             sched: Scheduler::with_capacity(1024),
             arena: Arena::with_capacity(1024),
-            cols: ChargeColumns::with_capacity(1024),
-            cols_visited: ChargeColumns::new(),
-            churn: ChurnGen::new(cfg.churn, root.split(&label("churn"))),
+            rows_visited: Vec::new(),
+            churn: ChurnGen::new(cfg.churn, label("churn")),
             congestion: 0.0,
             offered: 0,
-            sample_rng: root.split(&label("sample")),
+            sample_rng: label("sample"),
             plan: cfg.plan,
             cycle: cfg.cycle,
             tick: cfg.tick,
@@ -418,7 +440,9 @@ impl Shard {
         let rng = self
             .churn
             .rng()
-            .split(&format!("twin/shard{shard}/session{n}"));
+            .split_fmt(format_args!("twin/shard{shard}/session{n}"));
+        let mut row = ChargeRow::default();
+        row.start_cycle(now_us);
         let id = self.arena.insert(Session {
             profile,
             tick_tok: Token::NONE,
@@ -428,15 +452,18 @@ impl Shard {
             serving: Serving::Home,
             bonded: false,
             rng,
+            row,
         });
         self.created += 1;
         self.peak_slots = self.peak_slots.max(self.arena.slot_count() as u64);
-        let row = id.index as usize;
-        self.cols.ensure_row(row);
-        self.cols.start_cycle(row, now_us);
         if self.roaming.is_some() {
-            self.cols_visited.ensure_row(row);
-            self.cols_visited.start_cycle(row, now_us);
+            let slots = self.arena.slot_count();
+            if self.rows_visited.len() < slots {
+                self.rows_visited.resize(slots, ChargeRow::default());
+            }
+            if let Some(rv) = self.rows_visited.get_mut(id.index as usize) {
+                rv.start_cycle(now_us);
+            }
         }
 
         // Stagger the first tick by a per-session phase so a million
@@ -505,12 +532,16 @@ impl Shard {
     /// CDRs are reconciled. Without one, the visited bank is never
     /// read or written (it was never grown).
     fn settle(&mut self, id: SessionId, now_us: u64, cause: SettleCause) {
-        let row = id.index as usize;
-        let rh = self.cols.row(row);
-        let three_party = self
-            .roaming
-            .as_ref()
-            .map(|rc| (rc.agreement, self.cols_visited.row(row)));
+        let Some(s) = self.arena.get_mut(id) else {
+            return;
+        };
+        let bonded = s.bonded;
+        let rh = s.row.start_cycle(now_us);
+        let three_party = self.roaming.as_ref().map(|rc| {
+            let rv = self.rows_visited.get_mut(id.index as usize);
+            let rv = rv.map(|rv| rv.start_cycle(now_us)).unwrap_or_default();
+            (rc.agreement, rv)
+        });
         let r = match &three_party {
             Some((_, rv)) => combine_rows(&rh, rv),
             None => rh,
@@ -555,7 +586,7 @@ impl Shard {
                 self.rsweep.home = self.rsweep.home.saturating_add(rs.split.home);
                 self.rsweep.visited = self.rsweep.visited.saturating_add(rs.split.visited);
                 self.rsweep.vendor = self.rsweep.vendor.saturating_add(rs.split.vendor);
-                if self.arena.get(id).map(|s| s.bonded).unwrap_or(false) && r.sent > 0 {
+                if bonded && r.sent > 0 {
                     let links = bonded_links(&r);
                     let rec = reconcile_bonded(&links, self.plan.loss_weight);
                     self.rsweep.bonded_cycles = self.rsweep.bonded_cycles.saturating_add(1);
@@ -572,12 +603,6 @@ impl Shard {
                 sampled,
             });
         }
-        self.cols.clear_row(row);
-        self.cols.start_cycle(row, now_us);
-        if three_party.is_some() {
-            self.cols_visited.clear_row(row);
-            self.cols_visited.start_cycle(row, now_us);
-        }
     }
 
     /// Runs one accounting tick for a live session.
@@ -589,7 +614,6 @@ impl Shard {
             return;
         };
         let p = s.profile;
-        let serving = s.serving;
         // Mean bytes per tick, jittered ±p.jitter around the mean.
         let mean = p.rate_bps as f64 / 8.0 * (tick_us as f64 / 1e6);
         let jit = s.rng.range_f64(1.0 - p.jitter, 1.0 + p.jitter);
@@ -610,50 +634,37 @@ impl Shard {
         // bytes (RRC COUNTER CHECK cadence), refreshed every tick.
         let delivered_rate = sent.saturating_sub(air).saturating_sub(congested);
         let lag = (delivered_rate as f64 * s.rng.range_f64(0.0, 0.05)) as u64;
-        let row = id.index as usize;
         self.offered = self.offered.saturating_add(sent);
+        s.tick_tok = self.sched.schedule(now_us + tick_us, Event::Tick(id));
         // Counters accrue on whichever operator currently serves; with
-        // roaming off that is always `cols` (the home bank).
-        let cols = match serving {
-            Serving::Home => &mut self.cols,
-            Serving::Visited => &mut self.cols_visited,
-        };
-        cols.accrue(row, sent, air, congested, gw_before);
-        cols.set_monitor_lag(row, lag);
-        let tok = self.sched.schedule(now_us + tick_us, Event::Tick(id));
-        if let Some(s) = self.arena.get_mut(id) {
-            s.tick_tok = tok;
+        // roaming off that is always the session's own (home) row.
+        if let Some(row) = s.row_for(s.serving, &mut self.rows_visited, id) {
+            row.accrue(sent, air, congested, gw_before);
+            row.set_monitor_lag(lag);
         }
     }
 
     /// Executes a handover: claw back in-flight bytes, reschedule.
     fn run_handover(&mut self, id: SessionId, now_us: u64) {
         let tick_us = self.tick.as_micros().max(1);
-        let (flush, gap, serving) = {
-            let Some(s) = self.arena.get_mut(id) else {
-                self.stale += 1;
-                return;
-            };
-            // The cell flushes up to ~half a tick of in-flight bytes.
-            let rate = s.profile.rate_bps as f64 / 8.0 * (tick_us as f64 / 1e6);
-            let flush = (rate * s.rng.range_f64(0.1, 0.5)) as u64;
-            (flush, self.churn.next_handover_gap(), s.serving)
+        let Some(s) = self.arena.get_mut(id) else {
+            self.stale += 1;
+            return;
         };
+        // The cell flushes up to ~half a tick of in-flight bytes.
+        let rate = s.profile.rate_bps as f64 / 8.0 * (tick_us as f64 / 1e6);
+        let flush = (rate * s.rng.range_f64(0.1, 0.5)) as u64;
+        let gap = self.churn.next_handover_gap();
         self.handovers += 1;
-        let cols = match serving {
-            Serving::Home => &mut self.cols,
-            Serving::Visited => &mut self.cols_visited,
-        };
-        cols.handover_flush(id.index as usize, flush);
-        let tok = match gap {
+        if let Some(row) = s.row_for(s.serving, &mut self.rows_visited, id) {
+            row.handover_flush(flush);
+        }
+        s.handover_tok = match gap {
             Some(g) => self
                 .sched
                 .schedule(now_us + g.as_micros().max(1), Event::Handover(id)),
             None => Token::NONE,
         };
-        if let Some(s) = self.arena.get_mut(id) {
-            s.handover_tok = tok;
-        }
     }
 
     /// Hands a roamer over between operators: flush in-flight bytes on
@@ -666,32 +677,25 @@ impl Shard {
         };
         let base_gap_us = rc.operator_handover_gap.as_micros().max(1);
         let tick_us = self.tick.as_micros().max(1);
-        let (flush, leaving, gap_us) = {
-            let Some(s) = self.arena.get_mut(id) else {
-                self.stale += 1;
-                return;
-            };
-            let rate = s.profile.rate_bps as f64 / 8.0 * (tick_us as f64 / 1e6);
-            let flush = (rate * s.rng.range_f64(0.1, 0.5)) as u64;
-            let leaving = s.serving;
-            s.serving = match leaving {
-                Serving::Home => Serving::Visited,
-                Serving::Visited => Serving::Home,
-            };
-            (flush, leaving, base_gap_us + s.rng.next_below(base_gap_us))
+        let Some(s) = self.arena.get_mut(id) else {
+            self.stale += 1;
+            return;
         };
+        let rate = s.profile.rate_bps as f64 / 8.0 * (tick_us as f64 / 1e6);
+        let flush = (rate * s.rng.range_f64(0.1, 0.5)) as u64;
+        let leaving = s.serving;
+        s.serving = match leaving {
+            Serving::Home => Serving::Visited,
+            Serving::Visited => Serving::Home,
+        };
+        let gap_us = base_gap_us + s.rng.next_below(base_gap_us);
         self.rsweep.operator_handovers = self.rsweep.operator_handovers.saturating_add(1);
-        let cols = match leaving {
-            Serving::Home => &mut self.cols,
-            Serving::Visited => &mut self.cols_visited,
-        };
-        cols.handover_flush(id.index as usize, flush);
-        let tok = self
+        if let Some(row) = s.row_for(leaving, &mut self.rows_visited, id) {
+            row.handover_flush(flush);
+        }
+        s.op_handover_tok = self
             .sched
             .schedule(now_us + gap_us, Event::OperatorHandover(id));
-        if let Some(s) = self.arena.get_mut(id) {
-            s.op_handover_tok = tok;
-        }
     }
 
     /// Tears a session down: settle the partial cycle, cancel every
@@ -706,10 +710,6 @@ impl Shard {
         self.sched.cancel(s.cycle_tok);
         self.sched.cancel(s.handover_tok);
         self.sched.cancel(s.op_handover_tok);
-        self.cols.clear_row(id.index as usize);
-        if self.roaming.is_some() {
-            self.cols_visited.clear_row(id.index as usize);
-        }
         self.retired += 1;
     }
 
@@ -870,6 +870,7 @@ pub fn run_twin(cfg: &TwinConfig, sink: &mut dyn SettlementSink) -> TwinReport {
         report.cycles_sampled += sh.sampled_n;
         report.sweep.merge(&sh.sweep);
         report.roaming.merge(&sh.rsweep);
+        report.sched.merge(&sh.sched.stats());
         report.peak_shard_slots = report.peak_shard_slots.max(sh.peak_slots);
         report.final_concurrent += sh.arena.len() as u64;
     }
@@ -888,6 +889,18 @@ mod tests {
         cfg.initial_sessions = 200;
         cfg.duration = SimDuration::from_secs(6);
         cfg
+    }
+
+    /// A twin tier's memory is mostly this: 250 k sessions × the slot.
+    /// It is 176 bytes (104 of session, 64 of counters, the generation
+    /// and its padding). `#[repr(align(64))]` on the row was measured:
+    /// it pads the slot to 256 bytes and `twin_churn`'s peak RSS from
+    /// 137 to 163 MiB for no speed, so a field or an attribute that
+    /// crosses 192 has to show what it buys.
+    #[test]
+    fn session_slot_stays_within_three_cache_lines() {
+        let bytes = Arena::<Session>::slot_bytes();
+        assert!(bytes <= 192, "arena slot for Session is {bytes} bytes");
     }
 
     #[test]

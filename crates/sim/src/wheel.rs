@@ -4,25 +4,31 @@
 //! At twin scale (millions of outstanding timers, constant churn) a
 //! binary heap's O(log n) per schedule/pop is the bottleneck, so
 //! [`Scheduler`] is a fixed-hierarchy timer wheel: 4 levels × 256
-//! slots covering 2³² ticks, O(1) schedule and O(1) cancel, entries
-//! stored in a slab with an intrusive doubly-linked free/slot list —
-//! no per-event allocation after warm-up.
+//! slots covering 2³² ticks, O(1) schedule and O(1) cancel. A pending
+//! event is a plain `Copy` item appended to its slot's tail
+//! *chunk* — a fixed-capacity run of items drawn from one pool per
+//! scheduler and handed back when the slot is drained — so moving an
+//! event down a level is a sequential read and an append, never a
+//! pointer chase, and nothing is allocated per event after warm-up.
+//!
+//! **Cancel is a generation bump.** A [`Token`] names a row of the
+//! handle table and the generation the row had when the event was
+//! scheduled; cancel and fire both bump the row, so an item whose
+//! generation no longer matches is dead and is dropped the next time
+//! its slot is drained. Dead items are counted, and when they
+//! outnumber the live ones every slot is purged once, so cancelling
+//! without ever advancing cannot grow the pool.
 //!
 //! **Determinism.** Events fire in `(tick, seq)` order, where `seq` is
-//! the global schedule sequence number: a slot's entries are sorted by
-//! `seq` when the slot expires (slots are tiny, so the sort amortises
-//! to nothing). That order is the whole contract, and the reference
-//! for it lives in test code: `tests/support/sched_model.rs` is an
-//! ordered map keyed `(tick, seq)` that shares no line with this
-//! module, and every random op stream must fire, cancel and count
-//! identically on both.
-//!
-//! Tokens are generational: a [`Token`] returned by
-//! [`Scheduler::schedule`] is invalidated by cancel/fire, and a stale
-//! token (slot reused by a later event) can never cancel the new
-//! occupant.
+//! the global schedule sequence number: the items that fire at one
+//! tick are sorted by `seq` when the cursor lands on it (they are few,
+//! so the sort amortises to nothing). That order is the whole
+//! contract, and the reference for it lives in test code:
+//! `tests/support/sched_model.rs` is an ordered map keyed `(tick, seq)`
+//! that shares no line with this module, and every random op stream
+//! must fire, cancel and count identically on both.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
 
 /// Handle to a scheduled event; generational, so stale handles are
 /// harmless (cancel of an already-fired/cancelled event is a no-op).
@@ -48,54 +54,132 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 /// overflow list until the cursor gets close enough.
 const HORIZON: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 const NIL: u32 = u32::MAX;
+/// Items per pool chunk. A slot's tail chunk is half empty on
+/// average, so 1024 slots × 16 × 40 B bounds the slack near 0.6 MiB a
+/// scheduler; 16 to 128 measured alike, 32 a shade ahead on both speed
+/// and memory. One growable `Vec` per slot was a few percent faster
+/// and a third heavier in resident memory (ROADMAP, *Measured and
+/// closed*).
+const CHUNK: usize = 32;
+/// Dead items tolerated on top of the live count before a purge.
+const PURGE_FLOOR: usize = 64;
 
-/// Where an entry currently lives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Loc {
-    /// On the free list.
-    Free,
-    /// Linked into `level`'s `slot` list.
-    Slot(u8, u16),
-    /// Pushed to the due queue (fired, not yet popped).
-    Due,
-    /// Parked beyond the wheel horizon.
-    Overflow,
-}
-
-struct Entry<T> {
+/// A pending event, wherever it is parked.
+#[derive(Clone, Copy)]
+struct Item<T> {
     tick: u64,
     seq: u64,
+    /// Row of the handle table, and the generation that row must still
+    /// hold for this item to be live.
+    handle: u32,
     gen: u32,
+    payload: T,
+}
+
+/// One wheel slot: a chain of pool chunks, all full but the tail.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
+
+/// One pool buffer: up to `CHUNK` items (allocated once, at that
+/// capacity), and the link to the next chunk of its slot's chain or of
+/// the free list.
+struct Chunk<T> {
+    items: Vec<Item<T>>,
     next: u32,
-    prev: u32,
-    loc: Loc,
-    payload: Option<T>,
+}
+
+/// The chunk pool. It never shrinks: a chunk a drained slot hands back
+/// is the next one an append takes.
+struct Pool<T> {
+    chunks: Vec<Chunk<T>>,
+    free: u32,
+}
+
+impl<T: Copy> Pool<T> {
+    /// A chunk off the free list, or a newly allocated one.
+    fn take(&mut self) -> u32 {
+        let c = self.free;
+        if let Some(ch) = self.chunks.get_mut(c as usize) {
+            self.free = std::mem::replace(&mut ch.next, NIL);
+            return c;
+        }
+        self.chunks.push(Chunk {
+            items: Vec::with_capacity(CHUNK),
+            next: NIL,
+        });
+        (self.chunks.len() - 1) as u32
+    }
+
+    /// Puts chunk `c` on the free list, with its buffer, emptied.
+    fn give(&mut self, c: u32, mut items: Vec<Item<T>>) {
+        items.clear();
+        if let Some(ch) = self.chunks.get_mut(c as usize) {
+            ch.items = items;
+            ch.next = self.free;
+            self.free = c;
+        }
+    }
+}
+
+/// What the scheduler did beyond its contract: the work the cascade
+/// and lazy cancel cost, for attributing a slow-down at scale.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Items re-placed a level down (or in from the overflow list).
+    pub moves: u64,
+    /// Cancelled items dropped when their slot was drained or purged.
+    pub dead_dropped: u64,
+    /// Chunks the pool grew to (it never shrinks, so this is the peak).
+    pub pool_chunks: u64,
+    /// Bytes of item storage those chunks hold.
+    pub pool_bytes: u64,
+}
+
+impl SchedStats {
+    /// Folds another scheduler's stats (shard merge, in shard order).
+    pub fn merge(&mut self, other: &SchedStats) {
+        self.moves = self.moves.saturating_add(other.moves);
+        self.dead_dropped = self.dead_dropped.saturating_add(other.dead_dropped);
+        self.pool_chunks = self.pool_chunks.saturating_add(other.pool_chunks);
+        self.pool_bytes = self.pool_bytes.saturating_add(other.pool_bytes);
+    }
 }
 
 /// The sharded-twin event scheduler. Payloads are `Copy` so firing
 /// never allocates.
 pub struct Scheduler<T: Copy> {
-    entries: Vec<Entry<T>>,
-    free_head: u32,
+    /// The handle table: current generation of every handle issued.
+    gens: Vec<u32>,
+    /// Handles whose event fired or was cancelled, reused LIFO.
+    free_handles: Vec<u32>,
+    pool: Pool<T>,
+    /// `slots[level << SLOT_BITS | slot]`.
+    slots: Vec<Slot>,
+    /// Slot-occupancy bitmaps, 256 bits per level.
+    bits: Vec<[u64; 4]>,
+    /// Items scheduled ≥ `HORIZON` ticks ahead.
+    overflow: Vec<Item<T>>,
+    /// Fired-but-unpopped items, *descending* `seq`: the next one to
+    /// pop is the last. Refilled only when empty.
+    fired: Vec<Item<T>>,
     /// Global schedule counter: the deterministic tiebreak for events
     /// at the same tick.
     seq: u64,
     /// Current wheel time (last fired tick).
     cursor: u64,
-    /// Intrusive list heads, `heads[level][slot]`.
-    heads: Vec<[u32; SLOTS]>,
-    /// Slot-occupancy bitmaps, 256 bits per level.
-    bits: Vec<[u64; 4]>,
-    /// Entries scheduled ≥ `HORIZON` ticks ahead, as `(idx, gen)`:
-    /// cancelling one releases its slab slot immediately, and the slot
-    /// can be reused by a *new* overflow event before the stale list
-    /// element is swept — the generation tells the copies apart (a
-    /// bare index would re-admit the same entry twice and corrupt the
-    /// intrusive slot list).
-    overflow: Vec<(u32, u32)>,
-    /// Fired-but-unpopped entries, ascending `seq`.
-    due: VecDeque<(u32, u32)>,
     live: usize,
+    /// Cancelled items still parked in a slot, `overflow` or `fired`.
+    dead: usize,
+    moves: u64,
+    dead_dropped: u64,
 }
 
 impl<T: Copy> Default for Scheduler<T> {
@@ -108,22 +192,30 @@ impl<T: Copy> Scheduler<T> {
     /// A scheduler starting at tick 0.
     pub fn new() -> Self {
         Scheduler {
-            entries: Vec::new(),
-            free_head: NIL,
-            seq: 0,
-            cursor: 0,
-            heads: vec![[NIL; SLOTS]; LEVELS],
+            gens: Vec::new(),
+            free_handles: Vec::new(),
+            pool: Pool {
+                chunks: Vec::new(),
+                free: NIL,
+            },
+            slots: vec![EMPTY; LEVELS * SLOTS],
             bits: vec![[0u64; 4]; LEVELS],
             overflow: Vec::new(),
-            due: VecDeque::new(),
+            fired: Vec::new(),
+            seq: 0,
+            cursor: 0,
             live: 0,
+            dead: 0,
+            moves: 0,
+            dead_dropped: 0,
         }
     }
 
-    /// Pre-sizes the slab for `n` outstanding events.
+    /// Pre-sizes the handle table and the pool for `n` outstanding events.
     pub fn with_capacity(n: usize) -> Self {
         let mut s = Self::new();
-        s.entries.reserve(n);
+        s.gens.reserve(n);
+        s.pool.chunks.reserve(n / CHUNK);
         s
     }
 
@@ -137,48 +229,14 @@ impl<T: Copy> Scheduler<T> {
         self.live == 0
     }
 
-    fn alloc(&mut self, tick: u64, payload: T) -> (u32, u32) {
-        let seq = self.seq;
-        self.seq += 1;
-        let idx = if self.free_head != NIL {
-            let idx = self.free_head;
-            if let Some(e) = self.entries.get_mut(idx as usize) {
-                self.free_head = e.next;
-                e.tick = tick;
-                e.seq = seq;
-                e.next = NIL;
-                e.prev = NIL;
-                e.payload = Some(payload);
-            }
-            idx
-        } else {
-            let idx = self.entries.len() as u32;
-            self.entries.push(Entry {
-                tick,
-                seq,
-                gen: 0,
-                next: NIL,
-                prev: NIL,
-                loc: Loc::Free,
-                payload: Some(payload),
-            });
-            idx
-        };
-        let gen = self.entries.get(idx as usize).map_or(0, |e| e.gen);
-        (idx, gen)
-    }
-
-    fn release(&mut self, idx: u32) {
-        if let Some(e) = self.entries.get_mut(idx as usize) {
-            e.loc = Loc::Free;
-            e.payload = None;
-            // Wrapping add keeps release panic-free; a token only
-            // matches when both idx and gen agree, so even a wrapped
-            // generation cannot resurrect a stale handle by accident.
-            e.gen = e.gen.wrapping_add(1);
-            e.prev = NIL;
-            e.next = self.free_head;
-            self.free_head = idx;
+    /// Cascade, lazy-cancel and pool counters so far.
+    pub fn stats(&self) -> SchedStats {
+        let chunks = self.pool.chunks.len();
+        SchedStats {
+            moves: self.moves,
+            dead_dropped: self.dead_dropped,
+            pool_chunks: chunks as u64,
+            pool_bytes: (chunks * CHUNK * std::mem::size_of::<Item<T>>()) as u64,
         }
     }
 
@@ -187,31 +245,35 @@ impl<T: Copy> Scheduler<T> {
     /// O(1).
     pub fn schedule(&mut self, tick: u64, payload: T) -> Token {
         let tick = tick.max(self.cursor);
-        let (idx, gen) = self.alloc(tick, payload);
+        let seq = self.seq;
+        self.seq += 1;
+        let idx = self.free_handles.pop().unwrap_or_else(|| {
+            self.gens.push(0);
+            (self.gens.len() - 1) as u32
+        });
+        let gen = self.gens.get(idx as usize).copied().unwrap_or(0);
         self.live += 1;
-        self.wheel_insert(idx);
+        self.place(Item {
+            tick,
+            seq,
+            handle: idx,
+            gen,
+            payload,
+        });
         Token { idx, gen }
     }
 
     /// Cancels a scheduled event; `true` if it was still pending.
-    /// O(1).
+    /// O(1) amortised: the item stays parked, dead, until its slot is
+    /// drained or the dead outnumber the live and everything is purged.
     pub fn cancel(&mut self, token: Token) -> bool {
-        let Some(e) = self.entries.get(token.idx as usize) else {
-            return false;
-        };
-        if e.gen != token.gen {
+        if !self.retire(token.idx, token.gen) {
             return false;
         }
-        match e.loc {
-            Loc::Free => return false,
-            Loc::Slot(level, slot) => {
-                self.unlink(token.idx, level as usize, slot as usize);
-            }
-            // Due/Overflow entries are skipped lazily by gen check.
-            Loc::Due | Loc::Overflow => {}
+        self.dead += 1;
+        if self.dead > self.live + PURGE_FLOOR {
+            self.purge();
         }
-        self.release(token.idx);
-        self.live -= 1;
         true
     }
 
@@ -219,28 +281,17 @@ impl<T: Copy> Scheduler<T> {
     /// time to its tick. Returns `(tick, seq, payload)`.
     pub fn pop_next(&mut self, horizon: u64) -> Option<(u64, u64, T)> {
         loop {
-            while let Some(&(idx, gen)) = self.due.front() {
-                if !self.token_live(idx, gen, Loc::Due) {
-                    self.due.pop_front();
-                    continue;
-                }
-                let tick = self.entries.get(idx as usize).map_or(0, |e| e.tick);
-                if tick > horizon {
-                    // Shouldn't happen (due entries are at the cursor),
-                    // but keep the contract anyway.
+            while let Some(&it) = self.fired.last() {
+                // Fired items sit at the cursor, which a caller may
+                // have run past an earlier horizon; keep the contract.
+                if it.tick > horizon {
                     return None;
                 }
-                self.due.pop_front();
-                let (seq, payload) = match self.entries.get_mut(idx as usize) {
-                    Some(e) => (e.seq, e.payload.take()),
-                    None => (0, None),
-                };
-                self.release(idx);
-                self.live -= 1;
-                if let Some(p) = payload {
-                    return Some((tick, seq, p));
+                self.fired.pop();
+                if self.retire(it.handle, it.gen) {
+                    return Some((it.tick, it.seq, it.payload));
                 }
-                continue;
+                self.bury(1);
             }
             let bound = self.next_bound()?;
             if bound > horizon {
@@ -252,10 +303,28 @@ impl<T: Copy> Scheduler<T> {
 
     // ── Internals ──────────────────────────────────────────────────────
 
-    fn token_live(&self, idx: u32, gen: u32, want: Loc) -> bool {
-        self.entries
-            .get(idx as usize)
-            .is_some_and(|e| e.gen == gen && e.loc == want)
+    fn is_live(&self, it: &Item<T>) -> bool {
+        self.gens.get(it.handle as usize) == Some(&it.gen)
+    }
+
+    /// Ends the event behind `(idx, gen)` if it is still pending: bumps
+    /// the generation (a token only matches on exact equality, so a
+    /// wrapped generation cannot resurrect a stale handle by accident)
+    /// and frees the handle. The one exit for fire and cancel.
+    fn retire(&mut self, idx: u32, gen: u32) -> bool {
+        match self.gens.get_mut(idx as usize) {
+            Some(g) if *g == gen => *g = gen.wrapping_add(1),
+            _ => return false,
+        }
+        self.free_handles.push(idx);
+        self.live -= 1;
+        true
+    }
+
+    /// Accounts for `n` dead items dropped from wherever they parked.
+    fn bury(&mut self, n: usize) {
+        self.dead -= n;
+        self.dead_dropped += n as u64;
     }
 
     fn set_bit(&mut self, level: usize, slot: usize) {
@@ -268,6 +337,12 @@ impl<T: Copy> Scheduler<T> {
         if let Some(words) = self.bits.get_mut(level) {
             words[slot >> 6] &= !(1u64 << (slot & 63));
         }
+    }
+
+    fn occupied(&self, level: usize, slot: usize) -> bool {
+        self.bits
+            .get(level)
+            .is_some_and(|w| w[slot >> 6] & (1u64 << (slot & 63)) != 0)
     }
 
     /// First occupied slot at `level` whose offset from `from` is in
@@ -298,215 +373,168 @@ impl<T: Copy> Scheduler<T> {
         None
     }
 
-    fn wheel_insert(&mut self, idx: u32) {
-        let (tick, delta) = match self.entries.get(idx as usize) {
-            Some(e) => (e.tick, e.tick.saturating_sub(self.cursor)),
-            None => return,
-        };
-        if delta >= HORIZON {
-            let mut gen = 0;
-            if let Some(e) = self.entries.get_mut(idx as usize) {
-                e.loc = Loc::Overflow;
-                gen = e.gen;
-            }
-            self.overflow.push((idx, gen));
-            return;
-        }
-        // Smallest level whose span covers the delta.
-        let level = match delta {
+    /// The cursor's slot position at `level`.
+    fn pos(&self, level: usize) -> usize {
+        ((self.cursor >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize
+    }
+
+    /// Parks `item` where its distance from the cursor says: the
+    /// smallest level whose span covers it, or the overflow list.
+    fn place(&mut self, item: Item<T>) {
+        let level = match item.tick.saturating_sub(self.cursor) {
             0..=0xFF => 0usize,
             0x100..=0xFFFF => 1,
             0x1_0000..=0xFF_FFFF => 2,
-            _ => 3,
+            0x100_0000..=0xFFFF_FFFF => 3,
+            _ => return self.overflow.push(item),
         };
-        let slot = ((tick >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-        let head = self.heads.get(level).map_or(NIL, |h| h[slot]);
-        if let Some(e) = self.entries.get_mut(idx as usize) {
-            e.loc = Loc::Slot(level as u8, slot as u16);
-            e.prev = NIL;
-            e.next = head;
-        }
-        if head != NIL {
-            if let Some(h) = self.entries.get_mut(head as usize) {
-                h.prev = idx;
+        let slot = ((item.tick >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
+        self.append(level, slot, item);
+    }
+
+    /// Appends to the slot's tail chunk, chaining a new one when full.
+    fn append(&mut self, level: usize, slot: usize, item: Item<T>) {
+        let Some(s) = self.slots.get_mut(level << SLOT_BITS | slot) else {
+            return;
+        };
+        let chunks = &self.pool.chunks;
+        if chunks
+            .get(s.tail as usize)
+            .is_none_or(|t| t.items.len() == CHUNK)
+        {
+            let c = self.pool.take();
+            match self.pool.chunks.get_mut(s.tail as usize) {
+                Some(t) => t.next = c,
+                None => s.head = c,
             }
+            s.tail = c;
         }
-        if let Some(hs) = self.heads.get_mut(level) {
-            hs[slot] = idx;
+        if let Some(t) = self.pool.chunks.get_mut(s.tail as usize) {
+            t.items.push(item);
         }
         self.set_bit(level, slot);
     }
 
-    fn unlink(&mut self, idx: u32, level: usize, slot: usize) {
-        let (prev, next) = match self.entries.get(idx as usize) {
-            Some(e) => (e.prev, e.next),
-            None => return,
+    /// Empties `level`/`slot`: each live item goes to `f` in the order
+    /// it was appended, each dead one is dropped, and each chunk
+    /// returns to the pool as soon as it is read — so a cascade refills
+    /// the chunks it has just emptied. The slot is detached first, so
+    /// `f` may append to it again.
+    fn drain_slot(&mut self, level: usize, slot: usize, mut f: impl FnMut(&mut Self, Item<T>)) {
+        let Some(s) = self.slots.get_mut(level << SLOT_BITS | slot) else {
+            return;
         };
-        if prev != NIL {
-            if let Some(p) = self.entries.get_mut(prev as usize) {
-                p.next = next;
+        let mut c = std::mem::replace(s, EMPTY).head;
+        self.clear_bit(level, slot);
+        while let Some(ch) = self.pool.chunks.get_mut(c as usize) {
+            // The buffer is out of the pool while `f` appends elsewhere.
+            let (items, next) = (std::mem::take(&mut ch.items), ch.next);
+            for &it in &items {
+                if self.is_live(&it) {
+                    f(self, it);
+                } else {
+                    self.bury(1);
+                }
             }
-        } else if let Some(hs) = self.heads.get_mut(level) {
-            hs[slot] = next;
-        }
-        if next != NIL {
-            if let Some(n) = self.entries.get_mut(next as usize) {
-                n.prev = prev;
-            }
-        }
-        if self.heads.get(level).map_or(NIL, |h| h[slot]) == NIL {
-            self.clear_bit(level, slot);
+            self.pool.give(c, items);
+            c = next;
         }
     }
 
-    /// Detaches and returns every entry index in `level`/`slot`.
-    fn drain_slot(&mut self, level: usize, slot: usize, out: &mut Vec<u32>) {
-        let mut cur = self.heads.get(level).map_or(NIL, |h| h[slot]);
-        if let Some(hs) = self.heads.get_mut(level) {
-            hs[slot] = NIL;
+    /// Drops every dead item, wherever it is parked, and returns the
+    /// chunks that empties to the pool. Run when the dead outnumber the
+    /// live, so its cost is covered by the cancels that led to it.
+    fn purge(&mut self) {
+        for level in 0..LEVELS {
+            for slot in 0..SLOTS {
+                if self.occupied(level, slot) {
+                    self.drain_slot(level, slot, |s, it| s.append(level, slot, it));
+                }
+            }
         }
-        self.clear_bit(level, slot);
-        while cur != NIL {
-            let next = self.entries.get(cur as usize).map_or(NIL, |e| e.next);
-            out.push(cur);
-            cur = next;
-        }
+        let gens = &self.gens;
+        let before = self.overflow.len() + self.fired.len();
+        let live = |it: &Item<T>| gens.get(it.handle as usize) == Some(&it.gen);
+        self.overflow.retain(live);
+        self.fired.retain(live);
+        self.bury(before - self.overflow.len() - self.fired.len());
+        debug_assert_eq!(self.dead, 0, "purge missed a parked dead item");
     }
 
     /// Lower bound on the next event's tick, across levels + overflow.
     /// Exact for level 0; slot-base bound for higher levels.
-    fn next_bound(&mut self) -> Option<u64> {
+    fn next_bound(&self) -> Option<u64> {
         let mut best: Option<u64> = None;
         let mut upd = |t: u64| {
             if best.is_none_or(|b| t < b) {
                 best = Some(t);
             }
         };
-        let pos0 = (self.cursor & SLOT_MASK) as usize;
-        if let Some(off) = self.next_slot_offset(0, pos0) {
+        if let Some(off) = self.next_slot_offset(0, self.pos(0)) {
             // Level-0 slots hold exact ticks; offset 0 = the cursor's
             // own slot (possible right after a jump, before firing).
             upd(self.cursor + off as u64);
         }
         for level in 1..LEVELS {
-            let shift = SLOT_BITS * level as u32;
-            let span = 1u64 << shift;
-            let pos = ((self.cursor >> shift) & SLOT_MASK) as usize;
+            let span = 1u64 << (SLOT_BITS * level as u32);
             // Scan strictly-ahead slots: the cursor's own slot at a
             // higher level holds entries a full window wrap away, so
             // it is due *last*, not first. Scanning from `pos + 1`
             // makes the first occupied slot the genuinely nearest one,
             // with `off + 1 == 256` (only `pos` occupied) landing the
             // full-wrap bound as the natural limit of the formula.
-            let from = (pos + 1) & (SLOTS - 1);
+            let from = (self.pos(level) + 1) & (SLOTS - 1);
             if let Some(off) = self.next_slot_offset(level, from) {
                 let aligned = self.cursor & !(span - 1);
                 upd(aligned + span * (off as u64 + 1));
             }
         }
-        for &(idx, gen) in &self.overflow {
-            if let Some(e) = self.entries.get(idx as usize) {
-                if e.gen == gen && e.loc == Loc::Overflow {
-                    upd(e.tick);
-                }
+        for it in &self.overflow {
+            if self.is_live(it) {
+                upd(it.tick);
             }
         }
         best
     }
 
-    /// Jumps the cursor to `tick`, cascading higher-level slots at the
-    /// landing position and firing the level-0 slot into `due`.
+    /// Jumps the cursor to `tick`: re-admits overflow items now inside
+    /// the horizon, then drains the landing slot of every level,
+    /// top-down, so items due now collect in `fired` and the rest
+    /// settle one level nearer. Only called with `fired` empty.
     fn advance_to(&mut self, tick: u64) {
         self.cursor = tick;
-
-        // Re-admit overflow entries that now fit the wheel horizon.
-        if !self.overflow.is_empty() {
-            let mut near: Vec<u32> = Vec::new();
-            let cursor = self.cursor;
-            let entries = &self.entries;
-            self.overflow
-                .retain(|&(idx, gen)| match entries.get(idx as usize) {
-                    Some(e) if e.gen == gen && e.loc == Loc::Overflow => {
-                        if e.tick.saturating_sub(cursor) < HORIZON {
-                            near.push(idx);
-                            false
-                        } else {
-                            true
-                        }
-                    }
-                    _ => false, // cancelled or stale copy of a reused slot
-                });
-            for idx in near {
-                self.wheel_insert(idx);
-            }
-        }
-
-        // Cascade the landing slot of each higher level, top-down, so
-        // entries settle into their final level-0 slots.
-        let mut moved: Vec<u32> = Vec::new();
-        for level in (1..LEVELS).rev() {
-            let pos = ((self.cursor >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-            let occupied = self
-                .bits
-                .get(level)
-                .is_some_and(|w| w[pos >> 6] & (1u64 << (pos & 63)) != 0);
-            if occupied {
-                self.drain_slot(level, pos, &mut moved);
-            }
-        }
-        let mut fired: Vec<(u64, u32, u32)> = Vec::new();
-        for idx in moved.drain(..) {
-            let (tick_e, gen) = match self.entries.get(idx as usize) {
-                Some(e) => (e.tick, e.gen),
-                None => continue,
-            };
-            if tick_e <= self.cursor {
-                if let Some(e) = self.entries.get_mut(idx as usize) {
-                    e.loc = Loc::Due;
-                }
-                fired.push((
-                    self.entries.get(idx as usize).map_or(0, |e| e.seq),
-                    idx,
-                    gen,
-                ));
+        let mut i = 0;
+        while let Some(&it) = self.overflow.get(i) {
+            if !self.is_live(&it) {
+                self.overflow.swap_remove(i);
+                self.bury(1);
+            } else if it.tick.saturating_sub(tick) < HORIZON {
+                self.overflow.swap_remove(i);
+                self.moves += 1;
+                self.place(it);
             } else {
-                self.wheel_insert(idx);
+                i += 1;
             }
         }
-
-        // Fire the level-0 slot at the cursor (all entries in it share
-        // the cursor's tick — see the module docs).
-        let pos0 = (self.cursor & SLOT_MASK) as usize;
-        let occupied0 = self
-            .bits
-            .first()
-            .is_some_and(|w| w[pos0 >> 6] & (1u64 << (pos0 & 63)) != 0);
-        if occupied0 {
-            let mut slot_entries: Vec<u32> = Vec::new();
-            self.drain_slot(0, pos0, &mut slot_entries);
-            for idx in slot_entries {
-                let (tick_e, seq, gen) = match self.entries.get(idx as usize) {
-                    Some(e) => (e.tick, e.seq, e.gen),
-                    None => continue,
-                };
-                if tick_e == self.cursor {
-                    if let Some(e) = self.entries.get_mut(idx as usize) {
-                        e.loc = Loc::Due;
+        for level in (0..LEVELS).rev() {
+            let pos = self.pos(level);
+            if self.occupied(level, pos) {
+                // A level-0 slot holds one tick, the cursor's; a higher
+                // slot also holds later ones (and, a full window ahead,
+                // ones that go straight back into it).
+                self.drain_slot(level, pos, |s, it| {
+                    if it.tick <= s.cursor {
+                        s.fired.push(it);
+                    } else {
+                        s.moves += 1;
+                        s.place(it);
                     }
-                    fired.push((seq, idx, gen));
-                } else {
-                    // A same-slot entry one window ahead (inserted
-                    // before the cursor wrapped): put it back.
-                    self.wheel_insert(idx);
-                }
+                });
             }
         }
-
-        // Deterministic same-tick ordering: ascending schedule seq.
-        fired.sort_unstable_by_key(|&(seq, _, _)| seq);
-        for (_, idx, gen) in fired {
-            self.due.push_back((idx, gen));
-        }
+        // Deterministic same-tick ordering: ascending schedule seq,
+        // popped from the back.
+        self.fired.sort_unstable_by_key(|it| Reverse(it.seq));
     }
 }
 
@@ -545,7 +573,7 @@ mod tests {
         s.schedule(8, 2);
         assert!(s.cancel(a));
         assert!(!s.cancel(a), "double cancel must be a no-op");
-        // Slot reuse: the new event takes a's slab slot with a new
+        // Handle reuse: the new event takes a's handle with a new
         // generation; the stale token must not cancel it.
         s.schedule(9, 3);
         assert!(!s.cancel(a));
@@ -599,7 +627,7 @@ mod tests {
     }
 
     #[test]
-    fn slab_reuses_slots_without_growth() {
+    fn handles_and_chunks_are_reused_without_growth() {
         let mut s = Scheduler::new();
         for round in 0..100u64 {
             for k in 0..64u64 {
@@ -608,9 +636,82 @@ mod tests {
             while s.pop_next((round + 1) * 10).is_some() {}
         }
         assert!(
-            s.entries.len() <= 128,
-            "slab grew to {} despite churn",
-            s.entries.len()
+            s.gens.len() <= 128,
+            "handle table grew to {} despite churn",
+            s.gens.len()
         );
+        // 64 events over 7 ticks: a chunk per occupied slot, handed
+        // back when the slot fires.
+        assert!(
+            s.stats().pool_chunks <= 16,
+            "pool grew to {} chunks despite churn",
+            s.stats().pool_chunks
+        );
+    }
+
+    /// More than two chunks' worth of events at one tick, scheduled
+    /// from far enough back that they wait a level up, and as many
+    /// again scheduled straight into the level-0 slot *before* the
+    /// first lot cascades in behind them: neither chunk boundaries nor
+    /// arrival order may show in the firing order.
+    #[test]
+    fn same_tick_burst_across_a_cascade_fires_in_seq_order() {
+        let mut s = Scheduler::new();
+        let n = (2 * CHUNK + CHUNK / 2) as u64;
+        for k in 0..n {
+            s.schedule(5_000, k);
+        }
+        s.schedule(4_800, u64::MAX);
+        assert_eq!(s.pop_next(4_800), Some((4_800, n, u64::MAX)));
+        assert_eq!(s.stats().moves, 1, "only the 4 800 event has moved yet");
+        for k in n..2 * n {
+            s.schedule(5_000, k);
+        }
+        let got = drain(&mut s, u64::MAX);
+        let expect: Vec<(u64, u64)> = (0..2 * n).map(|k| (5_000, k)).collect();
+        assert_eq!(got, expect);
+        assert_eq!(s.stats().moves, 1 + n, "the first burst never cascaded");
+    }
+
+    /// A purge can run mid-burst — a handler cancelling most of what
+    /// fired with it — and must leave the rest of `fired` in order.
+    #[test]
+    fn purge_mid_burst_keeps_the_rest_in_order() {
+        let mut s = Scheduler::new();
+        let toks: Vec<Token> = (0..300u64).map(|k| s.schedule(10, k)).collect();
+        assert_eq!(s.pop_next(10), Some((10, 0, 0)));
+        for t in &toks[1..250] {
+            assert!(s.cancel(*t));
+        }
+        assert!(
+            s.stats().dead_dropped >= 182,
+            "no purge ran: {:?}",
+            s.stats()
+        );
+        let expect: Vec<(u64, u64)> = (250..300).map(|k| (10, k)).collect();
+        assert_eq!(drain(&mut s, u64::MAX), expect);
+    }
+
+    /// Lazy cancel must not leak: with no `pop_next` to drain a slot,
+    /// only the purge stands between this loop and unbounded growth.
+    #[test]
+    fn cancel_without_advance_stays_bounded() {
+        let mut s = Scheduler::new();
+        let keep = s.schedule(9_000_000, 7u64);
+        for k in 0..1_000_000u64 {
+            // Alternate a wheel level and the overflow list.
+            let far = if k % 2 == 0 { 50_000_000 } else { HORIZON + k };
+            let t = s.schedule(far, k);
+            assert!(s.cancel(t));
+        }
+        assert_eq!(s.len(), 1);
+        assert!(s.gens.len() <= 2, "handle table: {}", s.gens.len());
+        assert!(s.overflow.len() <= PURGE_FLOOR + 2);
+        let st = s.stats();
+        assert!(st.pool_chunks <= 4, "pool: {} chunks", st.pool_chunks);
+        assert!(st.dead_dropped >= 1_000_000 - (PURGE_FLOOR as u64 + 2));
+        assert_eq!(s.pop_next(u64::MAX), Some((9_000_000, 0, 7)));
+        assert!(!s.cancel(keep));
+        assert!(s.is_empty());
     }
 }

@@ -5,10 +5,10 @@
 //!
 //! The model is the scheduler's contract written the slow, obvious
 //! way: an ordered map keyed `(tick, seq)`. A handle *is* that key,
-//! and keys are never reused, so there is no slab, free list or
-//! generation to get wrong — the machinery the wheel's `schedule`,
-//! `cancel` and `pop_next` all stand on, and which a reference built
-//! on the same slab could not see fail.
+//! and keys are never reused, so there is no handle table, free list,
+//! generation or chunk pool to get wrong — the machinery the wheel's
+//! `schedule`, `cancel` and `pop_next` all stand on, and which a
+//! reference built on the same parts could not see fail.
 
 use super::{Scheduler, Token};
 use std::collections::BTreeMap;
@@ -48,10 +48,20 @@ impl<T> ModelScheduler<T> {
 /// operations and asserts they agree on everything observable: each
 /// fired `(tick, seq, payload)`, each `cancel`'s return value (the
 /// handle drawn may be pending, fired or already cancelled, so stale
-/// tokens against reused slots are the common case), and `len()`
+/// tokens against reused handles are the common case), and `len()`
 /// after every op. Deltas span every wheel level and, at ≥ 2³², the
 /// overflow list; one advance in eight jumps far enough to re-admit
 /// overflow entries mid-stream.
+///
+/// The stream runs in phases of 64 ops. One schedule in eight is a
+/// *burst*: up to 200 events at one tick — more than any chunk the
+/// wheel might park them in — so the order across chunk boundaries,
+/// and across a cascade that lands a burst behind later arrivals, is
+/// compared event by event. Every fourth phase is *cancel-heavy*: most
+/// ops cancel a run of recently issued handles, as a teardown does, so
+/// cancelled events pile up faster than advances pass over them and
+/// whatever the wheel does with them then (skip, sweep) has to leave
+/// the same events firing.
 pub fn wheel_matches_model(seed: u64, ops: usize) {
     let mut wheel: Scheduler<u64> = Scheduler::new();
     let mut model: ModelScheduler<u64> = ModelScheduler::default();
@@ -76,36 +86,47 @@ pub fn wheel_matches_model(seed: u64, ops: usize) {
     };
     let mut now = 0u64;
     for op in 0..ops as u64 {
-        match rng() % 10 {
-            0..=5 => {
-                let delta = match rng() % 8 {
-                    0 => rng() % 16,
-                    1..=3 => rng() % 4096,
-                    4 => rng() % 70_000,
-                    5 => rng() % 20_000_000,
-                    6 => rng() % 400_000_000,
-                    _ => (1u64 << 32) + rng() % 4096,
-                };
-                let tick = now + delta;
-                handles.push((wheel.schedule(tick, op), model.schedule(tick, op)));
+        let cancel_heavy = (op / 64) % 4 == 3;
+        let (schedule_below, cancel_below) = if cancel_heavy { (2, 9) } else { (6, 8) };
+        let kind = rng() % 10;
+        if kind < schedule_below {
+            let delta = match rng() % 8 {
+                0 => rng() % 16,
+                1..=3 => rng() % 4096,
+                4 => rng() % 70_000,
+                5 => rng() % 20_000_000,
+                6 => rng() % 400_000_000,
+                _ => (1u64 << 32) + rng() % 4096,
+            };
+            let tick = now + delta;
+            let burst = if rng() % 8 == 0 { 1 + rng() % 200 } else { 1 };
+            for k in 0..burst {
+                let payload = op * 1000 + k;
+                handles.push((wheel.schedule(tick, payload), model.schedule(tick, payload)));
             }
-            6..=7 => {
-                if !handles.is_empty() {
-                    let (token, handle) = handles[(rng() as usize) % handles.len()];
-                    assert_eq!(
-                        wheel.cancel(token),
-                        model.cancel(handle),
-                        "seed {seed}: cancel at op {op}"
-                    );
-                }
+        } else if kind < cancel_below {
+            // Anywhere in history, or a run out of the latest handles.
+            let (from, run) = if cancel_heavy {
+                (handles.len().saturating_sub(256), 1 + rng() as usize % 64)
+            } else {
+                (0, 1)
+            };
+            let span = handles.len() - from;
+            let start = from + rng() as usize % span.max(1);
+            for &(token, handle) in handles.iter().skip(start).take(run) {
+                assert_eq!(
+                    wheel.cancel(token),
+                    model.cancel(handle),
+                    "seed {seed}: cancel at op {op}"
+                );
+                assert_eq!(wheel.len(), model.len(), "seed {seed}: len in op {op}");
             }
-            _ => {
-                now += match rng() % 8 {
-                    0 => rng() % (1u64 << 33),
-                    _ => rng() % 3000,
-                };
-                drain(&mut wheel, &mut model, now);
-            }
+        } else {
+            now += match rng() % 8 {
+                0 => rng() % (1u64 << 33),
+                _ => rng() % 3000,
+            };
+            drain(&mut wheel, &mut model, now);
         }
         assert_eq!(wheel.len(), model.len(), "seed {seed}: len after op {op}");
     }
