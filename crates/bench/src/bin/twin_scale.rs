@@ -37,6 +37,9 @@ struct TierRun {
     elapsed_secs: f64,
     legacy_ratio: f64,
     tlc_ratio: f64,
+    /// Wheel items re-placed a level down, per event fired (a count:
+    /// repeats exactly; CI holds the smoke tiers to <= 1.05).
+    moves_per_event: f64,
     digest: u64,
 }
 
@@ -103,12 +106,13 @@ fn main() {
             elapsed_secs: elapsed,
             legacy_ratio: r.sweep.legacy_gap_ratio(),
             tlc_ratio: r.sweep.tlc_gap_ratio(),
+            moves_per_event: r.moves_per_event(),
             digest: r.digest,
         };
         println!(
             "tier {sessions}: peak {} sessions, {} events in {elapsed:.2} s \
              -> {:.0} events/s, {:.0} sessions/s, {:.0} cycles/s, \
-             legacy ε {:.2}% TLC ε {:.3}% (shards {}, threads {})",
+             legacy ε {:.2}% TLC ε {:.3}%, {:.2} moves/event (shards {}, threads {})",
             run.peak_concurrent,
             run.events,
             run.events_per_sec(),
@@ -116,6 +120,7 @@ fn main() {
             run.cycles_per_sec(),
             run.legacy_ratio * 100.0,
             run.tlc_ratio * 100.0,
+            run.moves_per_event,
             run.shards,
             run.threads,
         );
@@ -164,7 +169,8 @@ fn write_json(path: &str, seed: u64, host_cpus: usize, runs: &[TierRun]) {
              \"elapsed_secs\": {:.3}, \"sessions_per_sec\": {:.1}, \
              \"events_per_sec\": {:.1}, \"cycles_per_sec\": {:.1}, \
              \"legacy_gap_ratio\": {:.6}, \"tlc_gap_ratio\": {:.6}, \
-             \"gap_drift_vs_base\": {:.6}, \"digest\": {}}}{}\n",
+             \"gap_drift_vs_base\": {:.6}, \"moves_per_event\": {:.4}, \
+             \"digest\": {}}}{}\n",
             r.sessions,
             r.shards,
             r.threads,
@@ -180,6 +186,7 @@ fn write_json(path: &str, seed: u64, host_cpus: usize, runs: &[TierRun]) {
             r.legacy_ratio,
             r.tlc_ratio,
             drift,
+            r.moves_per_event,
             r.digest,
             if k + 1 == runs.len() { "" } else { "," },
         ));

@@ -34,6 +34,11 @@ pub struct TwinRow {
     /// Times the wheels re-placed an item a level down, per event
     /// fired: the cascade work one event costs at this population.
     pub moves_per_event: f64,
+    /// Level-0 slots the wheels folded into a pending run.
+    pub merges: u64,
+    /// Fewest and most events one shard fired in one epoch: what the
+    /// other shards wait for at each barrier.
+    pub shard_epoch_events: (u64, u64),
     /// Bytes of item storage the wheels' chunk pools grew to.
     pub pool_bytes: u64,
 }
@@ -71,7 +76,9 @@ pub fn run_tier(sessions: usize, seed: u64) -> TwinRow {
         cycles_per_sec: r.cycles_settled as f64 / elapsed,
         legacy_ratio: r.sweep.legacy_gap_ratio(),
         tlc_ratio: r.sweep.tlc_gap_ratio(),
-        moves_per_event: r.sched.moves as f64 / r.events_fired.max(1) as f64,
+        moves_per_event: r.moves_per_event(),
+        merges: r.sched.merges,
+        shard_epoch_events: (r.shard_epoch_events_min, r.shard_epoch_events_max),
         pool_bytes: r.sched.pool_bytes,
     }
 }
@@ -89,7 +96,7 @@ pub fn run(scale: RunScale) -> Vec<TwinRow> {
 pub fn print(rows: &[TwinRow]) {
     println!("Extension — digital-twin population sweep (gap accuracy vs scale)");
     println!(
-        "{:>10} {:>10} {:>12} {:>10} {:>12} {:>10} {:>9} {:>8} {:>9} {:>9}",
+        "{:>10} {:>10} {:>12} {:>10} {:>12} {:>10} {:>9} {:>8} {:>9} {:>8} {:>17} {:>9}",
         "sessions",
         "created",
         "events",
@@ -99,11 +106,13 @@ pub fn print(rows: &[TwinRow]) {
         "legacy ε",
         "TLC ε",
         "moves/ev",
+        "merges",
+        "shard ev/epoch",
         "pool MiB"
     );
     for r in rows {
         println!(
-            "{:>10} {:>10} {:>12} {:>10} {:>12.0} {:>10.0} {:>8.2}% {:>7.3}% {:>9.2} {:>9.1}",
+            "{:>10} {:>10} {:>12} {:>10} {:>12.0} {:>10.0} {:>8.2}% {:>7.3}% {:>9.2} {:>8} {:>17} {:>9.1}",
             r.sessions,
             r.sessions_created,
             r.events,
@@ -113,6 +122,8 @@ pub fn print(rows: &[TwinRow]) {
             r.legacy_ratio * 100.0,
             r.tlc_ratio * 100.0,
             r.moves_per_event,
+            r.merges,
+            format!("{}..{}", r.shard_epoch_events.0, r.shard_epoch_events.1),
             r.pool_bytes as f64 / (1u64 << 20) as f64,
         );
     }

@@ -214,6 +214,13 @@ pub struct TwinReport {
     /// dead items dropped, pool size), summed in shard order. Not in
     /// the digest: it describes the scheduler, not the run.
     pub sched: SchedStats,
+    /// Most and fewest events any one shard fired in any one epoch.
+    /// Every epoch ends at a barrier, so the busiest shard sets its
+    /// length and the gap between these is time the others wait.
+    /// Counts, and like `sched` not in the digest.
+    pub shard_epoch_events_max: u64,
+    /// See [`shard_epoch_events_max`](Self::shard_epoch_events_max).
+    pub shard_epoch_events_min: u64,
 }
 
 /// Aggregate three-party settlement accounting over every settled
@@ -264,6 +271,12 @@ impl RoamingSweep {
 }
 
 impl TwinReport {
+    /// Wheel items re-placed a level down per event fired: the cascade
+    /// work one event costs (a count; repeats exactly).
+    pub fn moves_per_event(&self) -> f64 {
+        self.sched.moves as f64 / self.events_fired.max(1) as f64
+    }
+
     fn finish(&mut self) {
         // FNV-1a over the counters the equivalence contract covers.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -318,6 +331,20 @@ enum Event {
     OperatorHandover(SessionId),
     /// Tear the session down.
     Teardown(SessionId),
+}
+
+impl Event {
+    /// The session the event's handler will run against.
+    fn session(&self) -> Option<SessionId> {
+        match *self {
+            Event::Arrival => None,
+            Event::Tick(id)
+            | Event::CycleEnd(id)
+            | Event::Handover(id)
+            | Event::OperatorHandover(id)
+            | Event::Teardown(id) => Some(id),
+        }
+    }
 }
 
 /// One live twin session.
@@ -389,6 +416,8 @@ struct Shard {
     created: u64,
     retired: u64,
     fired: u64,
+    /// Fewest and most events this shard fired in one epoch.
+    epoch_fired: (u64, u64),
     stale: u64,
     handovers: u64,
     settled_n: u64,
@@ -421,6 +450,7 @@ impl Shard {
             created: 0,
             retired: 0,
             fired: 0,
+            epoch_fired: (u64::MAX, 0),
             stale: 0,
             handovers: 0,
             settled_n: 0,
@@ -713,10 +743,32 @@ impl Shard {
         self.retired += 1;
     }
 
+    /// Starts loading the session `ev` is for: one word from every
+    /// cache line of its row (the generation check in `get` covers the
+    /// last). The wheel names events up to 256 µs before they fire, a
+    /// dozen or more at a time, so at a population whose rows have
+    /// outgrown the cache those misses overlap one another instead of
+    /// each handler waiting out its own.
+    fn touch(arena: &Arena<Session>, ev: &Event) {
+        if let Some(s) = ev.session().and_then(|id| arena.get(id)) {
+            let words = (
+                s.row.sent,
+                s.row.cycle_start_us,
+                s.tick_tok,
+                s.profile.rate_bps,
+            );
+            std::hint::black_box(words);
+        }
+    }
+
     /// Runs this shard's wheel up to (not including) `epoch_end_us`.
     fn run_epoch(&mut self, epoch_end_us: u64) {
         self.offered = 0;
-        while let Some((tick, _seq, ev)) = self.sched.pop_next(epoch_end_us) {
+        let fired_before = self.fired;
+        while let Some((tick, _seq, ev)) = self
+            .sched
+            .pop_next_near(epoch_end_us, |ev| Self::touch(&self.arena, ev))
+        {
             self.fired += 1;
             match ev {
                 Event::Arrival => {
@@ -744,6 +796,8 @@ impl Shard {
                 Event::Teardown(id) => self.run_teardown(id, tick),
             }
         }
+        let n = self.fired - fired_before;
+        self.epoch_fired = (self.epoch_fired.0.min(n), self.epoch_fired.1.max(n));
     }
 
     /// Settles every still-open cycle at run end.
@@ -860,6 +914,7 @@ pub fn run_twin(cfg: &TwinConfig, sink: &mut dyn SettlementSink) -> TwinReport {
         }
     }
 
+    let mut epoch_fired_min = u64::MAX;
     for sh in &state {
         report.sessions_created += sh.created;
         report.sessions_retired += sh.retired;
@@ -872,9 +927,13 @@ pub fn run_twin(cfg: &TwinConfig, sink: &mut dyn SettlementSink) -> TwinReport {
         report.roaming.merge(&sh.rsweep);
         report.sched.merge(&sh.sched.stats());
         report.peak_shard_slots = report.peak_shard_slots.max(sh.peak_slots);
+        report.shard_epoch_events_max = report.shard_epoch_events_max.max(sh.epoch_fired.1);
+        epoch_fired_min = epoch_fired_min.min(sh.epoch_fired.0);
         report.final_concurrent += sh.arena.len() as u64;
     }
     report.peak_concurrent = peak;
+    // No epoch ran: there is no fewest; report 0 beside the 0 most.
+    report.shard_epoch_events_min = epoch_fired_min.min(report.shard_epoch_events_max);
     report.roaming_enabled = cfg.roaming.is_some();
     report.finish();
     report
@@ -923,6 +982,26 @@ mod tests {
         let rb = run_twin(&b, &mut NullSink);
         assert_eq!(ra.digest, rb.digest, "threads changed the run");
         assert_eq!(ra.sweep, rb.sweep);
+    }
+
+    /// The skew counts are counts: they bracket the mean over the
+    /// run's (shard, epoch) cells and do not move with the thread count.
+    #[test]
+    fn shard_skew_brackets_the_mean_at_any_thread_count() {
+        let mut a = small(2);
+        a.threads = 1;
+        let mut b = small(2);
+        b.threads = 4;
+        let ra = run_twin(&a, &mut NullSink);
+        let rb = run_twin(&b, &mut NullSink);
+        let (lo, hi) = (ra.shard_epoch_events_min, ra.shard_epoch_events_max);
+        assert_eq!(
+            (lo, hi),
+            (rb.shard_epoch_events_min, rb.shard_epoch_events_max)
+        );
+        let cells = a.shards as u64 * 6; // one-second epochs over 6 s
+        assert!(0 < lo && lo * cells <= ra.events_fired, "min {lo}");
+        assert!(ra.events_fired <= hi * cells, "max {hi}");
     }
 
     /// The heap this name compares against is frozen: `small(3)` ran

@@ -19,10 +19,17 @@
 //! outnumber the live ones every slot is purged once, so cancelling
 //! without ever advancing cannot grow the pool.
 //!
+//! **The bottom of the wheel is a sorted run.** When the cursor lands
+//! on a slot of level 1 or higher, every item due within the next 256
+//! ticks goes straight into one scratch, sorted `(tick, seq)`, and
+//! `pop_next` walks that *run*, moving the cursor item by item. Level 0
+//! holds only what was scheduled fewer than 256 ticks ahead, and one of
+//! its slots is folded into the run when its tick comes up — so an
+//! event scheduled far ahead is re-placed once per level above 1 and
+//! never hops through a level-0 slot of its own.
+//!
 //! **Determinism.** Events fire in `(tick, seq)` order, where `seq` is
-//! the global schedule sequence number: the items that fire at one
-//! tick are sorted by `seq` when the cursor lands on it (they are few,
-//! so the sort amortises to nothing). That order is the whole
+//! the global schedule sequence number. That order is the whole
 //! contract, and the reference for it lives in test code:
 //! `tests/support/sched_model.rs` is an ordered map keyed `(tick, seq)`
 //! that shares no line with this module, and every random op stream
@@ -137,6 +144,8 @@ pub struct SchedStats {
     pub moves: u64,
     /// Cancelled items dropped when their slot was drained or purged.
     pub dead_dropped: u64,
+    /// Level-0 slots folded into a pending run.
+    pub merges: u64,
     /// Chunks the pool grew to (it never shrinks, so this is the peak).
     pub pool_chunks: u64,
     /// Bytes of item storage those chunks hold.
@@ -148,6 +157,7 @@ impl SchedStats {
     pub fn merge(&mut self, other: &SchedStats) {
         self.moves = self.moves.saturating_add(other.moves);
         self.dead_dropped = self.dead_dropped.saturating_add(other.dead_dropped);
+        self.merges = self.merges.saturating_add(other.merges);
         self.pool_chunks = self.pool_chunks.saturating_add(other.pool_chunks);
         self.pool_bytes = self.pool_bytes.saturating_add(other.pool_bytes);
     }
@@ -167,8 +177,9 @@ pub struct Scheduler<T: Copy> {
     bits: Vec<[u64; 4]>,
     /// Items scheduled ≥ `HORIZON` ticks ahead.
     overflow: Vec<Item<T>>,
-    /// Fired-but-unpopped items, *descending* `seq`: the next one to
-    /// pop is the last. Refilled only when empty.
+    /// The run: items due within 256 ticks of the cursor's last jump,
+    /// *descending* `(tick, seq)`, so the next one to pop is the last.
+    /// Rebuilt by `advance_to` only when empty.
     fired: Vec<Item<T>>,
     /// Global schedule counter: the deterministic tiebreak for events
     /// at the same tick.
@@ -180,6 +191,7 @@ pub struct Scheduler<T: Copy> {
     dead: usize,
     moves: u64,
     dead_dropped: u64,
+    merges: u64,
 }
 
 impl<T: Copy> Default for Scheduler<T> {
@@ -208,6 +220,7 @@ impl<T: Copy> Scheduler<T> {
             dead: 0,
             moves: 0,
             dead_dropped: 0,
+            merges: 0,
         }
     }
 
@@ -235,6 +248,7 @@ impl<T: Copy> Scheduler<T> {
         SchedStats {
             moves: self.moves,
             dead_dropped: self.dead_dropped,
+            merges: self.merges,
             pool_chunks: chunks as u64,
             pool_bytes: (chunks * CHUNK * std::mem::size_of::<Item<T>>()) as u64,
         }
@@ -280,15 +294,36 @@ impl<T: Copy> Scheduler<T> {
     /// Pops the next event with `tick <= horizon`, advancing scheduler
     /// time to its tick. Returns `(tick, seq, payload)`.
     pub fn pop_next(&mut self, horizon: u64) -> Option<(u64, u64, T)> {
+        self.pop_next_near(horizon, |_| {})
+    }
+
+    /// [`pop_next`](Self::pop_next), telling the caller what fires soon:
+    /// `near` sees each payload as a cursor jump puts it in the run —
+    /// up to 256 ticks before it is returned, unless cancelled first —
+    /// so the caller can start loading what handling it will need.
+    pub fn pop_next_near(
+        &mut self,
+        horizon: u64,
+        mut near: impl FnMut(&T),
+    ) -> Option<(u64, u64, T)> {
         loop {
             while let Some(&it) = self.fired.last() {
-                // Fired items sit at the cursor, which a caller may
-                // have run past an earlier horizon; keep the contract.
+                // A level-0 slot due no later than the run's next item
+                // fires first, or with it in `seq` order.
+                if let Some(off) = self.next_slot_offset(0, self.pos(0)) {
+                    let tick = self.cursor + off as u64;
+                    if tick <= it.tick {
+                        self.fold(tick);
+                        continue;
+                    }
+                }
+                // The run may reach past an earlier call's horizon.
                 if it.tick > horizon {
                     return None;
                 }
                 self.fired.pop();
                 if self.retire(it.handle, it.gen) {
+                    self.cursor = it.tick;
                     return Some((it.tick, it.seq, it.payload));
                 }
                 self.bury(1);
@@ -297,7 +332,7 @@ impl<T: Copy> Scheduler<T> {
             if bound > horizon {
                 return None;
             }
-            self.advance_to(bound);
+            self.advance_to(bound, &mut near);
         }
     }
 
@@ -499,9 +534,10 @@ impl<T: Copy> Scheduler<T> {
 
     /// Jumps the cursor to `tick`: re-admits overflow items now inside
     /// the horizon, then drains the landing slot of every level,
-    /// top-down, so items due now collect in `fired` and the rest
-    /// settle one level nearer. Only called with `fired` empty.
-    fn advance_to(&mut self, tick: u64) {
+    /// top-down, so items due within 256 ticks collect in `fired` (each
+    /// shown to `near`) and the rest settle one level nearer. Only
+    /// called with `fired` empty.
+    fn advance_to(&mut self, tick: u64, near: &mut impl FnMut(&T)) {
         self.cursor = tick;
         let mut i = 0;
         while let Some(&it) = self.overflow.get(i) {
@@ -519,11 +555,14 @@ impl<T: Copy> Scheduler<T> {
         for level in (0..LEVELS).rev() {
             let pos = self.pos(level);
             if self.occupied(level, pos) {
-                // A level-0 slot holds one tick, the cursor's; a higher
-                // slot also holds later ones (and, a full window ahead,
-                // ones that go straight back into it).
+                // A level-0 slot holds one tick, the cursor's. A higher
+                // slot the cursor has just entered holds the ticks of
+                // its span: the first 256 are the run, the rest settle
+                // a level down. One it was already in holds only ticks
+                // a full window ahead, which go straight back into it.
                 self.drain_slot(level, pos, |s, it| {
-                    if it.tick <= s.cursor {
+                    if it.tick.saturating_sub(s.cursor) < SLOTS as u64 {
+                        near(&it.payload);
                         s.fired.push(it);
                     } else {
                         s.moves += 1;
@@ -532,9 +571,21 @@ impl<T: Copy> Scheduler<T> {
                 });
             }
         }
-        // Deterministic same-tick ordering: ascending schedule seq,
-        // popped from the back.
-        self.fired.sort_unstable_by_key(|it| Reverse(it.seq));
+        // Popped from the back: ascending tick, then schedule seq.
+        self.fired
+            .sort_unstable_by_key(|it| Reverse((it.tick, it.seq)));
+    }
+
+    /// Folds the level-0 slot holding `tick`, which no item of the run
+    /// precedes, into the run. Only the run's tail can share that tick,
+    /// so only the tail is re-sorted.
+    fn fold(&mut self, tick: u64) {
+        self.drain_slot(0, (tick & SLOT_MASK) as usize, |s, it| s.fired.push(it));
+        let tail = self.fired.partition_point(|it| it.tick > tick);
+        if let Some(same_tick) = self.fired.get_mut(tail..) {
+            same_tick.sort_unstable_by_key(|it| Reverse(it.seq));
+        }
+        self.merges += 1;
     }
 }
 
@@ -622,7 +673,8 @@ mod tests {
     #[test]
     fn wheel_matches_model_under_random_ops() {
         for seed in 1..=4u64 {
-            sched_model::wheel_matches_model(seed, 3000);
+            let merges = sched_model::wheel_matches_model(seed, 3000);
+            assert!(merges > 100, "seed {seed}: only {merges} merges");
         }
     }
 
@@ -663,14 +715,116 @@ mod tests {
         }
         s.schedule(4_800, u64::MAX);
         assert_eq!(s.pop_next(4_800), Some((4_800, n, u64::MAX)));
-        assert_eq!(s.stats().moves, 1, "only the 4 800 event has moved yet");
+        // The 4 800 event left its level-1 slot straight for the run.
+        assert_eq!(s.stats().moves, 0, "nothing has been re-placed yet");
         for k in n..2 * n {
             s.schedule(5_000, k);
         }
         let got = drain(&mut s, u64::MAX);
         let expect: Vec<(u64, u64)> = (0..2 * n).map(|k| (5_000, k)).collect();
         assert_eq!(got, expect);
-        assert_eq!(s.stats().moves, 1 + n, "the first burst never cascaded");
+        // The first burst went from level 1 into the run, and the
+        // second was folded in from its level-0 slot: neither re-placed.
+        assert_eq!(s.stats().moves, 0, "a burst was re-placed");
+    }
+
+    /// A schedule fewer than 256 ticks ahead parks in level 0 and must
+    /// come out merged with the run in `(tick, seq)` order, whether it
+    /// was parked before the cascade that built the run or after, and
+    /// whether its tick is before, at, between or after the run's.
+    /// (Payloads are the schedule seqs.)
+    #[test]
+    fn a_near_schedule_behind_a_pending_run_merges_in_tick_seq_order() {
+        let mut s = Scheduler::new();
+        for (seq, tick) in [1_030, 1_100, 1_100, 1_200, 900].into_iter().enumerate() {
+            s.schedule(tick, seq as u64);
+        }
+        assert_eq!(s.pop_next(900), Some((900, 4, 4)));
+        // Parked in level 0 *before* the cascade, at a tick the run
+        // will also hold: arrival order must not show.
+        s.schedule(1_100, 5);
+        // Builds the run (1 030, 1 100 × 2, 1 200) and stops at its head.
+        assert_eq!(s.pop_next(1_029), None);
+        s.schedule(1_025, 6); // before every run item
+        s.schedule(1_030, 7); // at the run's next tick
+        s.schedule(1_100, 8); // at a run tick level 0 already holds
+        s.schedule(1_150, 9); // between two run ticks
+        s.schedule(1_250, 10); // after the run's last, still level 0
+        s.schedule(1_300, 11); // next level-1 slot
+        let expect = vec![
+            (1_025, 6),
+            (1_030, 0),
+            (1_030, 7),
+            (1_100, 1),
+            (1_100, 2),
+            (1_100, 5),
+            (1_100, 8),
+            (1_150, 9),
+            (1_200, 3),
+            (1_250, 10),
+            (1_300, 11),
+        ];
+        assert_eq!(drain(&mut s, u64::MAX), expect);
+        let st = s.stats();
+        // 1 025, 1 030, 1 100 and 1 150; 1 250 outlived the run.
+        assert_eq!(st.merges, 4, "one fold per level-0 tick behind the run");
+        assert_eq!(st.moves, 0);
+    }
+
+    /// A run outlives the `pop_next` that built it: the horizon stops
+    /// the walk, and schedule, cancel and purge all find the run where
+    /// they left it.
+    #[test]
+    fn a_run_left_at_a_horizon_survives_schedule_cancel_and_purge() {
+        let mut s = Scheduler::new();
+        let toks: Vec<Token> = (0..100u64).map(|k| s.schedule(1_000 + k, k)).collect();
+        assert_eq!(s.pop_next(1_000), Some((1_000, 0, 0)));
+        assert_eq!(s.pop_next(1_000), None, "the run's next is 1 001");
+        assert_eq!(s.len(), 99);
+        // One run item cancelled: buried when the walk reaches it.
+        assert!(s.cancel(toks[1]));
+        assert_eq!(s.stats().dead_dropped, 0);
+        assert_eq!(s.pop_next(1_002), Some((1_002, 2, 2)));
+        assert_eq!(s.stats().dead_dropped, 1);
+        // Time moved with the walk: the past is clamped to 1 002, not
+        // to 768 where the cursor last jumped.
+        s.schedule(7, 2_000);
+        assert_eq!(s.pop_next(1_002), Some((1_002, 100, 2_000)));
+        // A schedule behind the run, then enough cancels for a purge.
+        s.schedule(1_003, 1_000);
+        for t in &toks[10..95] {
+            assert!(s.cancel(*t));
+        }
+        assert!(s.stats().dead_dropped >= 80, "no purge: {:?}", s.stats());
+        let mut expect: Vec<(u64, u64)> = vec![(1_003, 3), (1_003, 1_000)];
+        expect.extend((4..10).chain(95..100).map(|k| (1_000 + k, k)));
+        assert_eq!(drain(&mut s, u64::MAX), expect);
+        assert!(s.is_empty());
+    }
+
+    /// The twin's shape: every timer re-arms far ahead when it fires.
+    /// Each event is re-placed once (level 2 to level 1) and then goes
+    /// into a run, not through a level-0 slot of its own.
+    #[test]
+    fn a_periodic_population_moves_once_per_event() {
+        const PERIOD: u64 = 1_000_000;
+        let mut s = Scheduler::new();
+        for k in 0..10_000u64 {
+            s.schedule(k * 100, k);
+        }
+        let mut fired = 0u64;
+        while let Some((tick, _, k)) = s.pop_next(10 * PERIOD - 1) {
+            assert_eq!(tick % PERIOD, k * 100);
+            s.schedule(tick + PERIOD, k);
+            fired += 1;
+        }
+        assert_eq!(fired, 100_000);
+        let ratio = s.stats().moves as f64 / fired as f64;
+        assert!(
+            (0.98..=1.02).contains(&ratio),
+            "{ratio} moves per event ({:?})",
+            s.stats()
+        );
     }
 
     /// A purge can run mid-burst — a handler cancelling most of what

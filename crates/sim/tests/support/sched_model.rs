@@ -62,7 +62,16 @@ impl<T> ModelScheduler<T> {
 /// cancelled events pile up faster than advances pass over them and
 /// whatever the wheel does with them then (skip, sweep) has to leave
 /// the same events firing.
-pub fn wheel_matches_model(seed: u64, ops: usize) {
+///
+/// One advance in four runs *handler-style*: each event popped
+/// schedules up to three more at its own tick + {0, 1, < 256, ≈ 10⁶}
+/// before the next pop, as a twin handler re-arms its timer, so
+/// schedules land between pops — behind whatever the wheel has already
+/// pulled out for firing — and the merge is compared event by event. A
+/// budget per drain keeps the offspring from outbreeding the horizon.
+/// Returns how many level-0 slots the wheel merged into a pending run,
+/// so a caller can check that path was taken.
+pub fn wheel_matches_model(seed: u64, ops: usize) -> u64 {
     let mut wheel: Scheduler<u64> = Scheduler::new();
     let mut model: ModelScheduler<u64> = ModelScheduler::default();
     let mut handles: Vec<(Token, (u64, u64))> = Vec::new();
@@ -126,10 +135,34 @@ pub fn wheel_matches_model(seed: u64, ops: usize) {
                 0 => rng() % (1u64 << 33),
                 _ => rng() % 3000,
             };
+            let mut budget = if rng() % 4 == 0 { 48 } else { 0 };
+            while budget > 0 {
+                let fired = wheel.pop_next(now);
+                assert_eq!(
+                    fired,
+                    model.pop_next(now),
+                    "seed {seed}: handler pop to {now}"
+                );
+                let Some((tick, _, _)) = fired else { break };
+                for _ in 0..(rng() % 4).min(budget) {
+                    let at = tick
+                        + match rng() % 4 {
+                            0 => 0,
+                            1 => 1,
+                            2 => rng() % 256,
+                            _ => 1_000_000 + rng() % 4096,
+                        };
+                    budget -= 1;
+                    let payload = op * 1000 + 500 + budget;
+                    handles.push((wheel.schedule(at, payload), model.schedule(at, payload)));
+                }
+                assert_eq!(wheel.len(), model.len(), "seed {seed}: len in op {op}");
+            }
             drain(&mut wheel, &mut model, now);
         }
         assert_eq!(wheel.len(), model.len(), "seed {seed}: len after op {op}");
     }
     drain(&mut wheel, &mut model, u64::MAX);
     assert!(wheel.is_empty() && model.len() == 0, "seed {seed}");
+    wheel.stats().merges
 }
