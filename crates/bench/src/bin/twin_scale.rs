@@ -40,6 +40,9 @@ struct TierRun {
     /// Wheel items re-placed a level down, per event fired (a count:
     /// repeats exactly; CI holds the smoke tiers to <= 1.05).
     moves_per_event: f64,
+    /// Events that came due for a torn-down session and were dropped
+    /// (a count, outside the digest).
+    dead_events: u64,
     digest: u64,
 }
 
@@ -107,12 +110,14 @@ fn main() {
             legacy_ratio: r.sweep.legacy_gap_ratio(),
             tlc_ratio: r.sweep.tlc_gap_ratio(),
             moves_per_event: r.moves_per_event(),
+            dead_events: r.dead_events,
             digest: r.digest,
         };
         println!(
             "tier {sessions}: peak {} sessions, {} events in {elapsed:.2} s \
              -> {:.0} events/s, {:.0} sessions/s, {:.0} cycles/s, \
-             legacy ε {:.2}% TLC ε {:.3}%, {:.2} moves/event (shards {}, threads {})",
+             legacy ε {:.2}% TLC ε {:.3}%, {:.2} moves/event, {} dead events \
+             (shards {}, threads {})",
             run.peak_concurrent,
             run.events,
             run.events_per_sec(),
@@ -121,6 +126,7 @@ fn main() {
             run.legacy_ratio * 100.0,
             run.tlc_ratio * 100.0,
             run.moves_per_event,
+            run.dead_events,
             run.shards,
             run.threads,
         );
@@ -170,7 +176,7 @@ fn write_json(path: &str, seed: u64, host_cpus: usize, runs: &[TierRun]) {
              \"events_per_sec\": {:.1}, \"cycles_per_sec\": {:.1}, \
              \"legacy_gap_ratio\": {:.6}, \"tlc_gap_ratio\": {:.6}, \
              \"gap_drift_vs_base\": {:.6}, \"moves_per_event\": {:.4}, \
-             \"digest\": {}}}{}\n",
+             \"dead_events\": {}, \"digest\": {}}}{}\n",
             r.sessions,
             r.shards,
             r.threads,
@@ -187,6 +193,7 @@ fn write_json(path: &str, seed: u64, host_cpus: usize, runs: &[TierRun]) {
             r.tlc_ratio,
             drift,
             r.moves_per_event,
+            r.dead_events,
             r.digest,
             if k + 1 == runs.len() { "" } else { "," },
         ));

@@ -177,6 +177,19 @@ impl<T> Arena<T> {
     pub(crate) fn slot_bytes() -> usize {
         std::mem::size_of::<Slot<T>>()
     }
+
+    /// Where in a slot its value and its generation start, in bytes
+    /// (the twin lays its row touch out by them).
+    #[cfg(test)]
+    pub(crate) fn slot_offsets() -> (usize, usize) {
+        // A state exactly as big as its value starts with the value
+        // (`Free` lives in a niche of it).
+        assert_eq!(std::mem::size_of::<State<T>>(), std::mem::size_of::<T>());
+        (
+            std::mem::offset_of!(Slot<T>, state),
+            std::mem::offset_of!(Slot<T>, generation),
+        )
+    }
 }
 
 impl<T> Default for Arena<T> {

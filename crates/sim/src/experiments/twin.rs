@@ -34,6 +34,8 @@ pub struct TwinRow {
     /// Times the wheels re-placed an item a level down, per event
     /// fired: the cascade work one event costs at this population.
     pub moves_per_event: f64,
+    /// Events that came due for a torn-down session and were dropped.
+    pub dead_events: u64,
     /// Level-0 slots the wheels folded into a pending run.
     pub merges: u64,
     /// Fewest and most events one shard fired in one epoch: what the
@@ -77,6 +79,7 @@ pub fn run_tier(sessions: usize, seed: u64) -> TwinRow {
         legacy_ratio: r.sweep.legacy_gap_ratio(),
         tlc_ratio: r.sweep.tlc_gap_ratio(),
         moves_per_event: r.moves_per_event(),
+        dead_events: r.dead_events,
         merges: r.sched.merges,
         shard_epoch_events: (r.shard_epoch_events_min, r.shard_epoch_events_max),
         pool_bytes: r.sched.pool_bytes,
@@ -96,7 +99,7 @@ pub fn run(scale: RunScale) -> Vec<TwinRow> {
 pub fn print(rows: &[TwinRow]) {
     println!("Extension — digital-twin population sweep (gap accuracy vs scale)");
     println!(
-        "{:>10} {:>10} {:>12} {:>10} {:>12} {:>10} {:>9} {:>8} {:>9} {:>8} {:>17} {:>9}",
+        "{:>10} {:>10} {:>12} {:>10} {:>12} {:>10} {:>9} {:>8} {:>9} {:>9} {:>8} {:>17} {:>9}",
         "sessions",
         "created",
         "events",
@@ -106,13 +109,14 @@ pub fn print(rows: &[TwinRow]) {
         "legacy ε",
         "TLC ε",
         "moves/ev",
+        "dead ev",
         "merges",
         "shard ev/epoch",
         "pool MiB"
     );
     for r in rows {
         println!(
-            "{:>10} {:>10} {:>12} {:>10} {:>12.0} {:>10.0} {:>8.2}% {:>7.3}% {:>9.2} {:>8} {:>17} {:>9.1}",
+            "{:>10} {:>10} {:>12} {:>10} {:>12.0} {:>10.0} {:>8.2}% {:>7.3}% {:>9.2} {:>9} {:>8} {:>17} {:>9.1}",
             r.sessions,
             r.sessions_created,
             r.events,
@@ -122,6 +126,7 @@ pub fn print(rows: &[TwinRow]) {
             r.legacy_ratio * 100.0,
             r.tlc_ratio * 100.0,
             r.moves_per_event,
+            r.dead_events,
             r.merges,
             format!("{}..{}", r.shard_epoch_events.0, r.shard_epoch_events.1),
             r.pool_bytes as f64 / (1u64 << 20) as f64,

@@ -52,4 +52,4 @@ pub use twin::{
     run_twin, NullSink, RoamingSweep, RoamingTwinConfig, Settled, SettlementSink, TwinConfig,
     TwinReport,
 };
-pub use wheel::{SchedStats, Scheduler, Token};
+pub use wheel::{SchedStats, Scheduler};

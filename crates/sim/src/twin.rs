@@ -7,9 +7,11 @@
 //! slab ([`crate::arena`]), with its charging counters beside it in
 //! the same record ([`crate::soa::ChargeRow`]) and its future — ticks,
 //! cycle ends, handovers, teardown — parked in a hierarchical timer
-//! wheel ([`crate::wheel`]). Schedule and cancel are O(1), so a
-//! churning population of a million sessions costs per-event constant
-//! work instead of a million-entry binary-heap reshuffle.
+//! wheel ([`crate::wheel`]). Scheduling is O(1), so a churning
+//! population of a million sessions costs per-event constant work
+//! instead of a million-entry binary-heap reshuffle, and nothing is
+//! cancelled: an event whose session has been torn down is dropped
+//! when it comes due, because its id no longer resolves in the arena.
 //!
 //! # Sharding and determinism
 //!
@@ -36,7 +38,7 @@
 use crate::arena::{Arena, SessionId};
 use crate::par::par_map_mut;
 use crate::soa::{ChargeRow, GapSweep};
-use crate::wheel::{SchedStats, Scheduler, Token};
+use crate::wheel::{SchedStats, Scheduler};
 use tlc_core::plan::{DataPlan, UsagePair};
 use tlc_core::roaming::{reconcile_bonded, LinkCdr, RoamingAgreement, Segment, Serving};
 use tlc_net::packet::Direction;
@@ -187,9 +189,13 @@ pub struct TwinReport {
     pub final_concurrent: u64,
     /// Wheel events fired (ticks + cycles + handovers + arrivals + teardowns).
     pub events_fired: u64,
-    /// Events that dereferenced a stale [`SessionId`] (cancelled
-    /// late; must stay 0 — teardown cancels its tokens eagerly).
+    /// Events a handler ran against a stale [`SessionId`]. Must stay 0:
+    /// a torn-down session's events are dropped before dispatch.
     pub stale_events: u64,
+    /// Events that came due for a session already torn down, dropped
+    /// unhandled and not in `events_fired`. A count outside the digest,
+    /// like `sched`.
+    pub dead_events: u64,
     /// Handovers executed.
     pub handovers: u64,
     /// Cycles settled (including partial teardown/run-end cycles).
@@ -211,8 +217,8 @@ pub struct TwinReport {
     /// any thread count — produce the same value.
     pub digest: u64,
     /// What the schedulers did beyond firing events (cascade moves,
-    /// dead items dropped, pool size), summed in shard order. Not in
-    /// the digest: it describes the scheduler, not the run.
+    /// merges, pool size), summed in shard order. Not in the digest: it
+    /// describes the scheduler, not the run.
     pub sched: SchedStats,
     /// Most and fewest events any one shard fired in any one epoch.
     /// Every epoch ends at a barrier, so the busiest shard sets its
@@ -347,16 +353,11 @@ impl Event {
     }
 }
 
-/// One live twin session.
+/// One live twin session. Its pending events hold its [`SessionId`],
+/// and nothing else: once the slot's generation moves on, they are
+/// dead wherever they are parked.
 struct Session {
     profile: SessionProfile,
-    /// Pending wheel tokens, cancelled eagerly at teardown so slot
-    /// reuse never races a stale event (the generation check in
-    /// [`Arena`] is the backstop, not the mechanism).
-    tick_tok: Token,
-    cycle_tok: Token,
-    handover_tok: Token,
-    op_handover_tok: Token,
     /// Operator currently carrying the session's traffic (always
     /// `Home` unless the roaming plane flips it).
     serving: Serving,
@@ -419,6 +420,7 @@ struct Shard {
     /// Fewest and most events this shard fired in one epoch.
     epoch_fired: (u64, u64),
     stale: u64,
+    dead: u64,
     handovers: u64,
     settled_n: u64,
     sampled_n: u64,
@@ -452,6 +454,7 @@ impl Shard {
             fired: 0,
             epoch_fired: (u64::MAX, 0),
             stale: 0,
+            dead: 0,
             handovers: 0,
             settled_n: 0,
             sampled_n: 0,
@@ -475,10 +478,6 @@ impl Shard {
         row.start_cycle(now_us);
         let id = self.arena.insert(Session {
             profile,
-            tick_tok: Token::NONE,
-            cycle_tok: Token::NONE,
-            handover_tok: Token::NONE,
-            op_handover_tok: Token::NONE,
             serving: Serving::Home,
             bonded: false,
             rng,
@@ -530,28 +529,17 @@ impl Shard {
         if self.arena.get(id).map(|s| s.bonded).unwrap_or(false) {
             self.rsweep.bonded_admitted = self.rsweep.bonded_admitted.saturating_add(1);
         }
-        let tick_tok = self.sched.schedule(now_us + 1 + phase, Event::Tick(id));
-        let cycle_tok = self.sched.schedule(now_us + cycle_us, Event::CycleEnd(id));
-        // No token kept: nothing ever cancels a teardown.
+        self.sched.schedule(now_us + 1 + phase, Event::Tick(id));
+        self.sched.schedule(now_us + cycle_us, Event::CycleEnd(id));
         self.sched
             .schedule(now_us + lifetime.as_micros().max(1), Event::Teardown(id));
-        let handover_tok = match ho_gap {
-            Some(gap) => self
-                .sched
-                .schedule(now_us + gap.as_micros().max(1), Event::Handover(id)),
-            None => Token::NONE,
-        };
-        let op_handover_tok = match op_ho_in {
-            Some(gap) => self
-                .sched
-                .schedule(now_us + gap, Event::OperatorHandover(id)),
-            None => Token::NONE,
-        };
-        if let Some(s) = self.arena.get_mut(id) {
-            s.tick_tok = tick_tok;
-            s.cycle_tok = cycle_tok;
-            s.handover_tok = handover_tok;
-            s.op_handover_tok = op_handover_tok;
+        if let Some(gap) = ho_gap {
+            self.sched
+                .schedule(now_us + gap.as_micros().max(1), Event::Handover(id));
+        }
+        if let Some(gap) = op_ho_in {
+            self.sched
+                .schedule(now_us + gap, Event::OperatorHandover(id));
         }
     }
 
@@ -665,7 +653,7 @@ impl Shard {
         let delivered_rate = sent.saturating_sub(air).saturating_sub(congested);
         let lag = (delivered_rate as f64 * s.rng.range_f64(0.0, 0.05)) as u64;
         self.offered = self.offered.saturating_add(sent);
-        s.tick_tok = self.sched.schedule(now_us + tick_us, Event::Tick(id));
+        self.sched.schedule(now_us + tick_us, Event::Tick(id));
         // Counters accrue on whichever operator currently serves; with
         // roaming off that is always the session's own (home) row.
         if let Some(row) = s.row_for(s.serving, &mut self.rows_visited, id) {
@@ -689,12 +677,10 @@ impl Shard {
         if let Some(row) = s.row_for(s.serving, &mut self.rows_visited, id) {
             row.handover_flush(flush);
         }
-        s.handover_tok = match gap {
-            Some(g) => self
-                .sched
-                .schedule(now_us + g.as_micros().max(1), Event::Handover(id)),
-            None => Token::NONE,
-        };
+        if let Some(g) = gap {
+            self.sched
+                .schedule(now_us + g.as_micros().max(1), Event::Handover(id));
+        }
     }
 
     /// Hands a roamer over between operators: flush in-flight bytes on
@@ -723,40 +709,33 @@ impl Shard {
         if let Some(row) = s.row_for(leaving, &mut self.rows_visited, id) {
             row.handover_flush(flush);
         }
-        s.op_handover_tok = self
-            .sched
+        self.sched
             .schedule(now_us + gap_us, Event::OperatorHandover(id));
     }
 
-    /// Tears a session down: settle the partial cycle, cancel every
-    /// pending token, free the slot (O(1) throughout).
+    /// Tears a session down: settle the partial cycle and free the
+    /// slot. Freeing it bumps the slot's generation, which is what
+    /// kills the session's still-parked events.
     fn run_teardown(&mut self, id: SessionId, now_us: u64) {
         self.settle(id, now_us, SettleCause::Teardown);
-        let Some(s) = self.arena.remove(id) else {
+        if self.arena.remove(id).is_none() {
             self.stale += 1;
             return;
-        };
-        self.sched.cancel(s.tick_tok);
-        self.sched.cancel(s.cycle_tok);
-        self.sched.cancel(s.handover_tok);
-        self.sched.cancel(s.op_handover_tok);
+        }
         self.retired += 1;
     }
 
-    /// Starts loading the session `ev` is for: one word from every
-    /// cache line of its row (the generation check in `get` covers the
-    /// last). The wheel names events up to 256 µs before they fire, a
-    /// dozen or more at a time, so at a population whose rows have
-    /// outgrown the cache those misses overlap one another instead of
-    /// each handler waiting out its own.
+    /// Starts loading the session `ev` is for: a word from every cache
+    /// line of its arena slot, wherever in a line the slot starts (the
+    /// generation check in `get` is one of them; the layout test
+    /// `touch_loads_a_word_in_every_line_of_the_slot` picks the rest).
+    /// The wheel names events up to 256 µs before they fire, a dozen or
+    /// more at a time, so at a population whose rows have outgrown the
+    /// cache those misses overlap one another instead of each handler
+    /// waiting out its own.
     fn touch(arena: &Arena<Session>, ev: &Event) {
         if let Some(s) = ev.session().and_then(|id| arena.get(id)) {
-            let words = (
-                s.row.sent,
-                s.row.cycle_start_us,
-                s.tick_tok,
-                s.profile.rate_bps,
-            );
+            let words = (s.row.sent, s.row.cycle_start_us, s.profile.rate_bps);
             std::hint::black_box(words);
         }
     }
@@ -769,6 +748,12 @@ impl Shard {
             .sched
             .pop_next_near(epoch_end_us, |ev| Self::touch(&self.arena, ev))
         {
+            // Teardown left the session's other events parked; they
+            // are dead now that its id no longer resolves.
+            if ev.session().is_some_and(|id| !self.arena.contains(id)) {
+                self.dead += 1;
+                continue;
+            }
             self.fired += 1;
             match ev {
                 Event::Arrival => {
@@ -780,16 +765,9 @@ impl Shard {
                 }
                 Event::Tick(id) => self.run_tick(id, tick),
                 Event::CycleEnd(id) => {
-                    if self.arena.contains(id) {
-                        self.settle(id, tick, SettleCause::CycleEnd);
-                        let cycle_us = self.cycle.as_micros().max(1);
-                        let tok = self.sched.schedule(tick + cycle_us, Event::CycleEnd(id));
-                        if let Some(s) = self.arena.get_mut(id) {
-                            s.cycle_tok = tok;
-                        }
-                    } else {
-                        self.stale += 1;
-                    }
+                    self.settle(id, tick, SettleCause::CycleEnd);
+                    let cycle_us = self.cycle.as_micros().max(1);
+                    self.sched.schedule(tick + cycle_us, Event::CycleEnd(id));
                 }
                 Event::Handover(id) => self.run_handover(id, tick),
                 Event::OperatorHandover(id) => self.run_operator_handover(id, tick),
@@ -920,6 +898,7 @@ pub fn run_twin(cfg: &TwinConfig, sink: &mut dyn SettlementSink) -> TwinReport {
         report.sessions_retired += sh.retired;
         report.events_fired += sh.fired;
         report.stale_events += sh.stale;
+        report.dead_events += sh.dead;
         report.handovers += sh.handovers;
         report.cycles_settled += sh.settled_n;
         report.cycles_sampled += sh.sampled_n;
@@ -951,15 +930,42 @@ mod tests {
     }
 
     /// A twin tier's memory is mostly this: 250 k sessions × the slot.
-    /// It is 176 bytes (104 of session, 64 of counters, the generation
+    /// It is 144 bytes (72 of session, 64 of counters, the generation
     /// and its padding). `#[repr(align(64))]` on the row was measured:
     /// it pads the slot to 256 bytes and `twin_churn`'s peak RSS from
     /// 137 to 163 MiB for no speed, so a field or an attribute that
-    /// crosses 192 has to show what it buys.
+    /// grows it has to show what it buys.
     #[test]
     fn session_slot_stays_within_three_cache_lines() {
         let bytes = Arena::<Session>::slot_bytes();
-        assert!(bytes <= 192, "arena slot for Session is {bytes} bytes");
+        assert!(bytes <= 144, "arena slot for Session is {bytes} bytes");
+    }
+
+    /// Slots sit 144 bytes apart in a 16-byte-aligned buffer, so one
+    /// starts 0, 16, 32 or 48 bytes into a cache line and spans three
+    /// lines from any of them. `Shard::touch`'s words and `get`'s
+    /// generation check must land a load in each.
+    #[test]
+    fn touch_loads_a_word_in_every_line_of_the_slot() {
+        use std::collections::BTreeSet;
+        use std::mem::offset_of;
+        let (value, generation) = Arena::<Session>::slot_offsets();
+        let touched = [
+            offset_of!(Session, row.sent),
+            offset_of!(Session, row.cycle_start_us),
+            offset_of!(Session, profile.rate_bps),
+        ];
+        let mut loads = vec![generation];
+        loads.extend(touched.iter().map(|o| value + o));
+        let bytes = Arena::<Session>::slot_bytes();
+        for start in [0, 16, 32, 48] {
+            let hit: BTreeSet<usize> = loads.iter().map(|o| (start + o) / 64).collect();
+            let spanned: BTreeSet<usize> = (start / 64..=(start + bytes - 1) / 64).collect();
+            assert_eq!(
+                hit, spanned,
+                "slot {start} B into a line, loads at {loads:?}"
+            );
+        }
     }
 
     #[test]
@@ -968,7 +974,7 @@ mod tests {
         assert!(r.sessions_created >= 200);
         assert!(r.cycles_settled > 0, "no cycles settled");
         assert!(r.events_fired > 0);
-        assert_eq!(r.stale_events, 0, "teardown must cancel its tokens");
+        assert_eq!(r.stale_events, 0, "an event reached a torn-down session");
         assert!(r.sweep.intended > 0);
     }
 
@@ -1111,6 +1117,67 @@ mod tests {
         assert_eq!(ra.digest, rb.digest);
         assert!(!ra.roaming_enabled);
         assert_eq!(ra.roaming, RoamingSweep::default());
+    }
+
+    /// A slot freed and taken again while its old occupant's tick,
+    /// cycle end and handover are still parked: they come due for an id
+    /// the arena no longer resolves, and are dropped and counted — not
+    /// fired, not stale, and not run against the new occupant's row.
+    #[test]
+    fn a_reused_slot_drops_its_old_occupants_events() {
+        let mut cfg = small(10);
+        cfg.churn.handovers_per_minute = 60.0;
+        let mut sh = Shard::new(&cfg, 0);
+        let profile = sh.churn.draw_profile();
+        sh.admit(0, profile, SimDuration::from_secs(1));
+        sh.run_epoch(1_000_000); // its ticks, then its teardown at 1 s
+        assert_eq!(sh.retired, 1);
+        // The next admission takes the slot. Its own events are an hour
+        // out, so anything reaching its row before then is not its own.
+        const LATER: u64 = 3_600_000_000;
+        sh.admit(LATER, profile, SimDuration::from_secs(60));
+        let new = SessionId {
+            index: 0,
+            generation: 1,
+        };
+        let row = sh.arena.get(new).map(|s| s.row);
+        assert!(row.is_some(), "the slot was not reused");
+        let fired = sh.fired;
+        sh.run_epoch(LATER - 1);
+        // The old tick, cycle end (2 s) and handover (capped at 20 s).
+        assert_eq!(sh.dead, 3);
+        assert_eq!((sh.fired, sh.stale), (fired, 0));
+        assert_eq!(sh.arena.get(new).map(|s| s.row), row);
+    }
+
+    /// The same at run scale: lifetimes around a second against 3 s
+    /// cycles and a handover a second, so most teardowns leave events
+    /// behind. Each run's digest is the one the parent commit produced
+    /// when teardown cancelled those events instead.
+    #[test]
+    fn churn_heavy_runs_drop_dead_events_as_cancel_did() {
+        for (roaming, digest) in [
+            (false, 0x6c40_59f6_29ff_15c8),
+            (true, 0xc8de_6d23_986e_493a),
+        ] {
+            let mut cfg = small(12);
+            cfg.duration = SimDuration::from_secs(8);
+            cfg.cycle = SimDuration::from_secs(3);
+            cfg.churn.mean_lifetime = SimDuration::from_secs(1);
+            cfg.churn.handovers_per_minute = 60.0;
+            if roaming {
+                cfg.roaming = Some(RoamingTwinConfig::paper_default());
+            }
+            let r = run_twin(&cfg, &mut NullSink);
+            assert_eq!(r.digest, digest, "roaming {roaming}");
+            assert_eq!(r.stale_events, 0);
+            assert!(
+                r.dead_events > r.sessions_retired,
+                "roaming {roaming}: {} dead events for {} teardowns",
+                r.dead_events,
+                r.sessions_retired
+            );
+        }
     }
 
     #[test]

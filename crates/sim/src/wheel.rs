@@ -4,20 +4,17 @@
 //! At twin scale (millions of outstanding timers, constant churn) a
 //! binary heap's O(log n) per schedule/pop is the bottleneck, so
 //! [`Scheduler`] is a fixed-hierarchy timer wheel: 4 levels × 256
-//! slots covering 2³² ticks, O(1) schedule and O(1) cancel. A pending
-//! event is a plain `Copy` item appended to its slot's tail
-//! *chunk* — a fixed-capacity run of items drawn from one pool per
-//! scheduler and handed back when the slot is drained — so moving an
-//! event down a level is a sequential read and an append, never a
-//! pointer chase, and nothing is allocated per event after warm-up.
+//! slots covering 2³² ticks, O(1) schedule. A pending event is a plain
+//! `Copy` item appended to its slot's tail *chunk* — a fixed-capacity
+//! run of items drawn from one pool per scheduler and handed back when
+//! the slot is drained — so moving an event down a level is a
+//! sequential read and an append, never a pointer chase, and nothing is
+//! allocated per event after warm-up.
 //!
-//! **Cancel is a generation bump.** A [`Token`] names a row of the
-//! handle table and the generation the row had when the event was
-//! scheduled; cancel and fire both bump the row, so an item whose
-//! generation no longer matches is dead and is dropped the next time
-//! its slot is drained. Dead items are counted, and when they
-//! outnumber the live ones every slot is purged once, so cancelling
-//! without ever advancing cannot grow the pool.
+//! **There is no cancel.** Every scheduled item fires. Whether an event
+//! is still wanted is the caller's question, answered when it comes
+//! due: the twin drops an event whose session's arena generation has
+//! moved on (DESIGN §13), so the wheel keeps no handle table of its own.
 //!
 //! **The bottom of the wheel is a sorted run.** When the cursor lands
 //! on a slot of level 1 or higher, every item due within the next 256
@@ -33,25 +30,9 @@
 //! contract, and the reference for it lives in test code:
 //! `tests/support/sched_model.rs` is an ordered map keyed `(tick, seq)`
 //! that shares no line with this module, and every random op stream
-//! must fire, cancel and count identically on both.
+//! must fire and count identically on both.
 
 use std::cmp::Reverse;
-
-/// Handle to a scheduled event; generational, so stale handles are
-/// harmless (cancel of an already-fired/cancelled event is a no-op).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Token {
-    idx: u32,
-    gen: u32,
-}
-
-impl Token {
-    /// A token that never refers to a live event.
-    pub const NONE: Token = Token {
-        idx: u32::MAX,
-        gen: u32::MAX,
-    };
-}
 
 const LEVELS: usize = 4;
 const SLOT_BITS: u32 = 8;
@@ -62,24 +43,18 @@ const SLOT_MASK: u64 = (SLOTS - 1) as u64;
 const HORIZON: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 const NIL: u32 = u32::MAX;
 /// Items per pool chunk. A slot's tail chunk is half empty on
-/// average, so 1024 slots × 16 × 40 B bounds the slack near 0.6 MiB a
+/// average, so 1024 slots × 16 × 32 B bounds the slack near 0.5 MiB a
 /// scheduler; 16 to 128 measured alike, 32 a shade ahead on both speed
 /// and memory. One growable `Vec` per slot was a few percent faster
 /// and a third heavier in resident memory (ROADMAP, *Measured and
 /// closed*).
 const CHUNK: usize = 32;
-/// Dead items tolerated on top of the live count before a purge.
-const PURGE_FLOOR: usize = 64;
 
 /// A pending event, wherever it is parked.
 #[derive(Clone, Copy)]
 struct Item<T> {
     tick: u64,
     seq: u64,
-    /// Row of the handle table, and the generation that row must still
-    /// hold for this item to be live.
-    handle: u32,
-    gen: u32,
     payload: T,
 }
 
@@ -137,13 +112,11 @@ impl<T: Copy> Pool<T> {
 }
 
 /// What the scheduler did beyond its contract: the work the cascade
-/// and lazy cancel cost, for attributing a slow-down at scale.
+/// cost, for attributing a slow-down at scale.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Items re-placed a level down (or in from the overflow list).
     pub moves: u64,
-    /// Cancelled items dropped when their slot was drained or purged.
-    pub dead_dropped: u64,
     /// Level-0 slots folded into a pending run.
     pub merges: u64,
     /// Chunks the pool grew to (it never shrinks, so this is the peak).
@@ -156,7 +129,6 @@ impl SchedStats {
     /// Folds another scheduler's stats (shard merge, in shard order).
     pub fn merge(&mut self, other: &SchedStats) {
         self.moves = self.moves.saturating_add(other.moves);
-        self.dead_dropped = self.dead_dropped.saturating_add(other.dead_dropped);
         self.merges = self.merges.saturating_add(other.merges);
         self.pool_chunks = self.pool_chunks.saturating_add(other.pool_chunks);
         self.pool_bytes = self.pool_bytes.saturating_add(other.pool_bytes);
@@ -166,10 +138,6 @@ impl SchedStats {
 /// The sharded-twin event scheduler. Payloads are `Copy` so firing
 /// never allocates.
 pub struct Scheduler<T: Copy> {
-    /// The handle table: current generation of every handle issued.
-    gens: Vec<u32>,
-    /// Handles whose event fired or was cancelled, reused LIFO.
-    free_handles: Vec<u32>,
     pool: Pool<T>,
     /// `slots[level << SLOT_BITS | slot]`.
     slots: Vec<Slot>,
@@ -187,10 +155,7 @@ pub struct Scheduler<T: Copy> {
     /// Current wheel time (last fired tick).
     cursor: u64,
     live: usize,
-    /// Cancelled items still parked in a slot, `overflow` or `fired`.
-    dead: usize,
     moves: u64,
-    dead_dropped: u64,
     merges: u64,
 }
 
@@ -204,8 +169,6 @@ impl<T: Copy> Scheduler<T> {
     /// A scheduler starting at tick 0.
     pub fn new() -> Self {
         Scheduler {
-            gens: Vec::new(),
-            free_handles: Vec::new(),
             pool: Pool {
                 chunks: Vec::new(),
                 free: NIL,
@@ -217,17 +180,14 @@ impl<T: Copy> Scheduler<T> {
             seq: 0,
             cursor: 0,
             live: 0,
-            dead: 0,
             moves: 0,
-            dead_dropped: 0,
             merges: 0,
         }
     }
 
-    /// Pre-sizes the handle table and the pool for `n` outstanding events.
+    /// Pre-sizes the pool for `n` outstanding events.
     pub fn with_capacity(n: usize) -> Self {
         let mut s = Self::new();
-        s.gens.reserve(n);
         s.pool.chunks.reserve(n / CHUNK);
         s
     }
@@ -242,12 +202,11 @@ impl<T: Copy> Scheduler<T> {
         self.live == 0
     }
 
-    /// Cascade, lazy-cancel and pool counters so far.
+    /// Cascade and pool counters so far.
     pub fn stats(&self) -> SchedStats {
         let chunks = self.pool.chunks.len();
         SchedStats {
             moves: self.moves,
-            dead_dropped: self.dead_dropped,
             merges: self.merges,
             pool_chunks: chunks as u64,
             pool_bytes: (chunks * CHUNK * std::mem::size_of::<Item<T>>()) as u64,
@@ -257,38 +216,12 @@ impl<T: Copy> Scheduler<T> {
     /// Schedules `payload` to fire at absolute `tick` (clamped to the
     /// present: ticks at or before `now()` fire on the next pop).
     /// O(1).
-    pub fn schedule(&mut self, tick: u64, payload: T) -> Token {
+    pub fn schedule(&mut self, tick: u64, payload: T) {
         let tick = tick.max(self.cursor);
         let seq = self.seq;
         self.seq += 1;
-        let idx = self.free_handles.pop().unwrap_or_else(|| {
-            self.gens.push(0);
-            (self.gens.len() - 1) as u32
-        });
-        let gen = self.gens.get(idx as usize).copied().unwrap_or(0);
         self.live += 1;
-        self.place(Item {
-            tick,
-            seq,
-            handle: idx,
-            gen,
-            payload,
-        });
-        Token { idx, gen }
-    }
-
-    /// Cancels a scheduled event; `true` if it was still pending.
-    /// O(1) amortised: the item stays parked, dead, until its slot is
-    /// drained or the dead outnumber the live and everything is purged.
-    pub fn cancel(&mut self, token: Token) -> bool {
-        if !self.retire(token.idx, token.gen) {
-            return false;
-        }
-        self.dead += 1;
-        if self.dead > self.live + PURGE_FLOOR {
-            self.purge();
-        }
-        true
+        self.place(Item { tick, seq, payload });
     }
 
     /// Pops the next event with `tick <= horizon`, advancing scheduler
@@ -299,15 +232,15 @@ impl<T: Copy> Scheduler<T> {
 
     /// [`pop_next`](Self::pop_next), telling the caller what fires soon:
     /// `near` sees each payload as a cursor jump puts it in the run —
-    /// up to 256 ticks before it is returned, unless cancelled first —
-    /// so the caller can start loading what handling it will need.
+    /// up to 256 ticks before it is returned — so the caller can start
+    /// loading what handling it will need.
     pub fn pop_next_near(
         &mut self,
         horizon: u64,
         mut near: impl FnMut(&T),
     ) -> Option<(u64, u64, T)> {
         loop {
-            while let Some(&it) = self.fired.last() {
+            if let Some(&it) = self.fired.last() {
                 // A level-0 slot due no later than the run's next item
                 // fires first, or with it in `seq` order.
                 if let Some(off) = self.next_slot_offset(0, self.pos(0)) {
@@ -322,11 +255,9 @@ impl<T: Copy> Scheduler<T> {
                     return None;
                 }
                 self.fired.pop();
-                if self.retire(it.handle, it.gen) {
-                    self.cursor = it.tick;
-                    return Some((it.tick, it.seq, it.payload));
-                }
-                self.bury(1);
+                self.live -= 1;
+                self.cursor = it.tick;
+                return Some((it.tick, it.seq, it.payload));
             }
             let bound = self.next_bound()?;
             if bound > horizon {
@@ -337,30 +268,6 @@ impl<T: Copy> Scheduler<T> {
     }
 
     // ── Internals ──────────────────────────────────────────────────────
-
-    fn is_live(&self, it: &Item<T>) -> bool {
-        self.gens.get(it.handle as usize) == Some(&it.gen)
-    }
-
-    /// Ends the event behind `(idx, gen)` if it is still pending: bumps
-    /// the generation (a token only matches on exact equality, so a
-    /// wrapped generation cannot resurrect a stale handle by accident)
-    /// and frees the handle. The one exit for fire and cancel.
-    fn retire(&mut self, idx: u32, gen: u32) -> bool {
-        match self.gens.get_mut(idx as usize) {
-            Some(g) if *g == gen => *g = gen.wrapping_add(1),
-            _ => return false,
-        }
-        self.free_handles.push(idx);
-        self.live -= 1;
-        true
-    }
-
-    /// Accounts for `n` dead items dropped from wherever they parked.
-    fn bury(&mut self, n: usize) {
-        self.dead -= n;
-        self.dead_dropped += n as u64;
-    }
 
     fn set_bit(&mut self, level: usize, slot: usize) {
         if let Some(words) = self.bits.get_mut(level) {
@@ -450,9 +357,9 @@ impl<T: Copy> Scheduler<T> {
         self.set_bit(level, slot);
     }
 
-    /// Empties `level`/`slot`: each live item goes to `f` in the order
-    /// it was appended, each dead one is dropped, and each chunk
-    /// returns to the pool as soon as it is read — so a cascade refills
+    /// Empties `level`/`slot`: each item goes to `f` in the order it
+    /// was appended, and each chunk returns to the pool as soon as it
+    /// is read — so a cascade refills
     /// the chunks it has just emptied. The slot is detached first, so
     /// `f` may append to it again.
     fn drain_slot(&mut self, level: usize, slot: usize, mut f: impl FnMut(&mut Self, Item<T>)) {
@@ -465,35 +372,11 @@ impl<T: Copy> Scheduler<T> {
             // The buffer is out of the pool while `f` appends elsewhere.
             let (items, next) = (std::mem::take(&mut ch.items), ch.next);
             for &it in &items {
-                if self.is_live(&it) {
-                    f(self, it);
-                } else {
-                    self.bury(1);
-                }
+                f(self, it);
             }
             self.pool.give(c, items);
             c = next;
         }
-    }
-
-    /// Drops every dead item, wherever it is parked, and returns the
-    /// chunks that empties to the pool. Run when the dead outnumber the
-    /// live, so its cost is covered by the cancels that led to it.
-    fn purge(&mut self) {
-        for level in 0..LEVELS {
-            for slot in 0..SLOTS {
-                if self.occupied(level, slot) {
-                    self.drain_slot(level, slot, |s, it| s.append(level, slot, it));
-                }
-            }
-        }
-        let gens = &self.gens;
-        let before = self.overflow.len() + self.fired.len();
-        let live = |it: &Item<T>| gens.get(it.handle as usize) == Some(&it.gen);
-        self.overflow.retain(live);
-        self.fired.retain(live);
-        self.bury(before - self.overflow.len() - self.fired.len());
-        debug_assert_eq!(self.dead, 0, "purge missed a parked dead item");
     }
 
     /// Lower bound on the next event's tick, across levels + overflow.
@@ -525,9 +408,7 @@ impl<T: Copy> Scheduler<T> {
             }
         }
         for it in &self.overflow {
-            if self.is_live(it) {
-                upd(it.tick);
-            }
+            upd(it.tick);
         }
         best
     }
@@ -541,10 +422,7 @@ impl<T: Copy> Scheduler<T> {
         self.cursor = tick;
         let mut i = 0;
         while let Some(&it) = self.overflow.get(i) {
-            if !self.is_live(&it) {
-                self.overflow.swap_remove(i);
-                self.bury(1);
-            } else if it.tick.saturating_sub(tick) < HORIZON {
+            if it.tick.saturating_sub(tick) < HORIZON {
                 self.overflow.swap_remove(i);
                 self.moves += 1;
                 self.place(it);
@@ -618,21 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prevents_fire_and_stale_token_is_noop() {
-        let mut s = Scheduler::new();
-        let a = s.schedule(7, 1u64);
-        s.schedule(8, 2);
-        assert!(s.cancel(a));
-        assert!(!s.cancel(a), "double cancel must be a no-op");
-        // Handle reuse: the new event takes a's handle with a new
-        // generation; the stale token must not cancel it.
-        s.schedule(9, 3);
-        assert!(!s.cancel(a));
-        let got = drain(&mut s, u64::MAX);
-        assert_eq!(got, vec![(8, 2), (9, 3)]);
-    }
-
-    #[test]
     fn horizon_bounds_popping() {
         let mut s = Scheduler::new();
         s.schedule(100, 1u64);
@@ -687,11 +550,6 @@ mod tests {
             }
             while s.pop_next((round + 1) * 10).is_some() {}
         }
-        assert!(
-            s.gens.len() <= 128,
-            "handle table grew to {} despite churn",
-            s.gens.len()
-        );
         // 64 events over 7 ticks: a chunk per occupied slot, handed
         // back when the slot fires.
         assert!(
@@ -772,32 +630,27 @@ mod tests {
     }
 
     /// A run outlives the `pop_next` that built it: the horizon stops
-    /// the walk, and schedule, cancel and purge all find the run where
-    /// they left it.
+    /// the walk, and a schedule — in the past, or behind the run —
+    /// finds the run where it was left.
     #[test]
-    fn a_run_left_at_a_horizon_survives_schedule_cancel_and_purge() {
+    fn a_run_left_at_a_horizon_survives_a_schedule_and_clamps_the_past() {
         let mut s = Scheduler::new();
-        let toks: Vec<Token> = (0..100u64).map(|k| s.schedule(1_000 + k, k)).collect();
+        for k in 0..100u64 {
+            s.schedule(1_000 + k, k);
+        }
         assert_eq!(s.pop_next(1_000), Some((1_000, 0, 0)));
         assert_eq!(s.pop_next(1_000), None, "the run's next is 1 001");
         assert_eq!(s.len(), 99);
-        // One run item cancelled: buried when the walk reaches it.
-        assert!(s.cancel(toks[1]));
-        assert_eq!(s.stats().dead_dropped, 0);
+        assert_eq!(s.pop_next(1_002), Some((1_001, 1, 1)));
         assert_eq!(s.pop_next(1_002), Some((1_002, 2, 2)));
-        assert_eq!(s.stats().dead_dropped, 1);
         // Time moved with the walk: the past is clamped to 1 002, not
         // to 768 where the cursor last jumped.
         s.schedule(7, 2_000);
         assert_eq!(s.pop_next(1_002), Some((1_002, 100, 2_000)));
-        // A schedule behind the run, then enough cancels for a purge.
+        // A schedule behind the run merges into it.
         s.schedule(1_003, 1_000);
-        for t in &toks[10..95] {
-            assert!(s.cancel(*t));
-        }
-        assert!(s.stats().dead_dropped >= 80, "no purge: {:?}", s.stats());
         let mut expect: Vec<(u64, u64)> = vec![(1_003, 3), (1_003, 1_000)];
-        expect.extend((4..10).chain(95..100).map(|k| (1_000 + k, k)));
+        expect.extend((4..100).map(|k| (1_000 + k, k)));
         assert_eq!(drain(&mut s, u64::MAX), expect);
         assert!(s.is_empty());
     }
@@ -825,47 +678,5 @@ mod tests {
             "{ratio} moves per event ({:?})",
             s.stats()
         );
-    }
-
-    /// A purge can run mid-burst — a handler cancelling most of what
-    /// fired with it — and must leave the rest of `fired` in order.
-    #[test]
-    fn purge_mid_burst_keeps_the_rest_in_order() {
-        let mut s = Scheduler::new();
-        let toks: Vec<Token> = (0..300u64).map(|k| s.schedule(10, k)).collect();
-        assert_eq!(s.pop_next(10), Some((10, 0, 0)));
-        for t in &toks[1..250] {
-            assert!(s.cancel(*t));
-        }
-        assert!(
-            s.stats().dead_dropped >= 182,
-            "no purge ran: {:?}",
-            s.stats()
-        );
-        let expect: Vec<(u64, u64)> = (250..300).map(|k| (10, k)).collect();
-        assert_eq!(drain(&mut s, u64::MAX), expect);
-    }
-
-    /// Lazy cancel must not leak: with no `pop_next` to drain a slot,
-    /// only the purge stands between this loop and unbounded growth.
-    #[test]
-    fn cancel_without_advance_stays_bounded() {
-        let mut s = Scheduler::new();
-        let keep = s.schedule(9_000_000, 7u64);
-        for k in 0..1_000_000u64 {
-            // Alternate a wheel level and the overflow list.
-            let far = if k % 2 == 0 { 50_000_000 } else { HORIZON + k };
-            let t = s.schedule(far, k);
-            assert!(s.cancel(t));
-        }
-        assert_eq!(s.len(), 1);
-        assert!(s.gens.len() <= 2, "handle table: {}", s.gens.len());
-        assert!(s.overflow.len() <= PURGE_FLOOR + 2);
-        let st = s.stats();
-        assert!(st.pool_chunks <= 4, "pool: {} chunks", st.pool_chunks);
-        assert!(st.dead_dropped >= 1_000_000 - (PURGE_FLOOR as u64 + 2));
-        assert_eq!(s.pop_next(u64::MAX), Some((9_000_000, 0, 7)));
-        assert!(!s.cancel(keep));
-        assert!(s.is_empty());
     }
 }

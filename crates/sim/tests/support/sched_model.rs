@@ -1,17 +1,23 @@
 //! Reference model for `tlc_sim::wheel::Scheduler`, and the random-op
 //! differential that holds the wheel to it. Included by path from
 //! `wheel::tests` and `tests/twin_equiv.rs`; the including module
-//! brings `Scheduler` and `Token` into scope.
+//! brings `Scheduler` into scope.
 //!
 //! The model is the scheduler's contract written the slow, obvious
 //! way: an ordered map keyed `(tick, seq)`. A handle *is* that key,
-//! and keys are never reused, so there is no handle table, free list,
-//! generation or chunk pool to get wrong — the machinery the wheel's
-//! `schedule`, `cancel` and `pop_next` all stand on, and which a
-//! reference built on the same parts could not see fail.
+//! and keys are never reused, so there is no level, run, cascade or
+//! chunk pool to get wrong — the machinery the wheel's `schedule` and
+//! `pop_next` stand on, and which a reference built on the same parts
+//! could not see fail.
+//!
+//! The model cancels; the wheel does not. The differential holds the
+//! wheel to the model's cancel the way the twin does: the harness
+//! keeps the cancelled payloads in a dead set, and a wheel pop that
+//! returns one of them is skipped (the twin's arena generation plays
+//! that set's part).
 
-use super::{Scheduler, Token};
-use std::collections::BTreeMap;
+use super::Scheduler;
+use std::collections::{BTreeMap, HashSet};
 
 /// What a scheduler must do: fire in `(tick, seq)` order, cancel at
 /// most once, count what is pending.
@@ -46,10 +52,11 @@ impl<T> ModelScheduler<T> {
 
 /// Drives a wheel and the model through the same `ops` random
 /// operations and asserts they agree on everything observable: each
-/// fired `(tick, seq, payload)`, each `cancel`'s return value (the
-/// handle drawn may be pending, fired or already cancelled, so stale
-/// tokens against reused handles are the common case), and `len()`
-/// after every op. Deltas span every wheel level and, at ≥ 2³², the
+/// fired `(tick, seq, payload)` once the wheel's dead pops are skipped,
+/// and `len()` after every op — the wheel's counting its dead but
+/// still parked items on top of the model's. A cancel drawn may name
+/// an event that is pending, fired or already cancelled; only the
+/// first kind joins the dead set. Deltas span every wheel level and, at ≥ 2³², the
 /// overflow list; one advance in eight jumps far enough to re-admit
 /// overflow entries mid-stream.
 ///
@@ -59,9 +66,9 @@ impl<T> ModelScheduler<T> {
 /// and across a cascade that lands a burst behind later arrivals, is
 /// compared event by event. Every fourth phase is *cancel-heavy*: most
 /// ops cancel a run of recently issued handles, as a teardown does, so
-/// cancelled events pile up faster than advances pass over them and
-/// whatever the wheel does with them then (skip, sweep) has to leave
-/// the same events firing.
+/// cancelled events pile up faster than advances pass over them, and
+/// the wheel carries them through every cascade and fold to the pop
+/// that skips them without moving the events around them.
 ///
 /// One advance in four runs *handler-style*: each event popped
 /// schedules up to three more at its own tick + {0, 1, < 256, ≈ 10⁶}
@@ -74,7 +81,10 @@ impl<T> ModelScheduler<T> {
 pub fn wheel_matches_model(seed: u64, ops: usize) -> u64 {
     let mut wheel: Scheduler<u64> = Scheduler::new();
     let mut model: ModelScheduler<u64> = ModelScheduler::default();
-    let mut handles: Vec<(Token, (u64, u64))> = Vec::new();
+    // Each schedule's payload (unique across the stream) and model key.
+    let mut handles: Vec<(u64, (u64, u64))> = Vec::new();
+    // Payloads cancelled on the model while parked in the wheel.
+    let mut dead: HashSet<u64> = HashSet::new();
     let mut x = seed;
     let mut rng = move || {
         x = x
@@ -82,8 +92,18 @@ pub fn wheel_matches_model(seed: u64, ops: usize) -> u64 {
             .wrapping_add(1442695040888963407);
         x >> 16
     };
-    let drain = |wheel: &mut Scheduler<u64>, model: &mut ModelScheduler<u64>, horizon: u64| loop {
-        let fired = wheel.pop_next(horizon);
+    // The wheel's next live pop: dead ones leave the set as they go.
+    let pop = |wheel: &mut Scheduler<u64>, dead: &mut HashSet<u64>, horizon: u64| loop {
+        match wheel.pop_next(horizon) {
+            Some((_, _, p)) if dead.remove(&p) => {}
+            fired => return fired,
+        }
+    };
+    let drain = |wheel: &mut Scheduler<u64>,
+                 dead: &mut HashSet<u64>,
+                 model: &mut ModelScheduler<u64>,
+                 horizon: u64| loop {
+        let fired = pop(wheel, dead, horizon);
         assert_eq!(
             fired,
             model.pop_next(horizon),
@@ -111,7 +131,8 @@ pub fn wheel_matches_model(seed: u64, ops: usize) -> u64 {
             let burst = if rng() % 8 == 0 { 1 + rng() % 200 } else { 1 };
             for k in 0..burst {
                 let payload = op * 1000 + k;
-                handles.push((wheel.schedule(tick, payload), model.schedule(tick, payload)));
+                wheel.schedule(tick, payload);
+                handles.push((payload, model.schedule(tick, payload)));
             }
         } else if kind < cancel_below {
             // Anywhere in history, or a run out of the latest handles.
@@ -122,13 +143,15 @@ pub fn wheel_matches_model(seed: u64, ops: usize) -> u64 {
             };
             let span = handles.len() - from;
             let start = from + rng() as usize % span.max(1);
-            for &(token, handle) in handles.iter().skip(start).take(run) {
+            for &(payload, handle) in handles.iter().skip(start).take(run) {
+                if model.cancel(handle) {
+                    dead.insert(payload);
+                }
                 assert_eq!(
-                    wheel.cancel(token),
-                    model.cancel(handle),
-                    "seed {seed}: cancel at op {op}"
+                    wheel.len(),
+                    model.len() + dead.len(),
+                    "seed {seed}: len in op {op}"
                 );
-                assert_eq!(wheel.len(), model.len(), "seed {seed}: len in op {op}");
             }
         } else {
             now += match rng() % 8 {
@@ -137,7 +160,7 @@ pub fn wheel_matches_model(seed: u64, ops: usize) -> u64 {
             };
             let mut budget = if rng() % 4 == 0 { 48 } else { 0 };
             while budget > 0 {
-                let fired = wheel.pop_next(now);
+                let fired = pop(&mut wheel, &mut dead, now);
                 assert_eq!(
                     fired,
                     model.pop_next(now),
@@ -154,15 +177,27 @@ pub fn wheel_matches_model(seed: u64, ops: usize) -> u64 {
                         };
                     budget -= 1;
                     let payload = op * 1000 + 500 + budget;
-                    handles.push((wheel.schedule(at, payload), model.schedule(at, payload)));
+                    wheel.schedule(at, payload);
+                    handles.push((payload, model.schedule(at, payload)));
                 }
-                assert_eq!(wheel.len(), model.len(), "seed {seed}: len in op {op}");
+                assert_eq!(
+                    wheel.len(),
+                    model.len() + dead.len(),
+                    "seed {seed}: len in op {op}"
+                );
             }
-            drain(&mut wheel, &mut model, now);
+            drain(&mut wheel, &mut dead, &mut model, now);
         }
-        assert_eq!(wheel.len(), model.len(), "seed {seed}: len after op {op}");
+        assert_eq!(
+            wheel.len(),
+            model.len() + dead.len(),
+            "seed {seed}: len after op {op}"
+        );
     }
-    drain(&mut wheel, &mut model, u64::MAX);
-    assert!(wheel.is_empty() && model.len() == 0, "seed {seed}");
+    drain(&mut wheel, &mut dead, &mut model, u64::MAX);
+    assert!(
+        wheel.is_empty() && model.len() == 0 && dead.is_empty(),
+        "seed {seed}"
+    );
     wheel.stats().merges
 }

@@ -2,10 +2,11 @@
 //!
 //! Three contracts, pinned hard:
 //!
-//! 1. **Event order** — the timer wheel fires, cancels and counts
-//!    exactly as an ordered map keyed `(tick, seq)` does on random op
-//!    streams (`support/sched_model.rs`, which shares no code with
-//!    it), and whole twin runs digest to the values the wheel and a
+//! 1. **Event order** — the timer wheel fires and counts exactly as an
+//!    ordered map keyed `(tick, seq)` does on random op streams, the
+//!    map's cancels played on the wheel as the twin plays them: skipped
+//!    when they come due (`support/sched_model.rs`, which shares no
+//!    code with it), and whole twin runs digest to the values the wheel and a
 //!    binary-heap scheduler agreed on in the last commit that had
 //!    both (`HEAP_AGREED_RUNS`).
 //! 2. **Thread invariance** — the epoch-barrier loop yields the same
@@ -21,7 +22,7 @@ use tlc_net::time::SimDuration;
 use tlc_sim::twin::{
     run_twin, NullSink, RoamingTwinConfig, SettleCause, Settled, SettlementSink, TwinConfig,
 };
-use tlc_sim::wheel::{Scheduler, Token};
+use tlc_sim::wheel::Scheduler;
 use tlc_sim::{Arena, GapSweep};
 
 #[path = "support/sched_model.rs"]
@@ -243,8 +244,8 @@ fn handover_crossing_cycle_boundary_does_not_double_count() {
 
 /// Slot reuse safety at the data-structure level: a stale `SessionId`
 /// (torn down, slot reused by a later arrival) must dereference to
-/// `None`, and a stale wheel token must not cancel the slot's new
-/// occupant.
+/// `None`. That check is the only thing between a torn-down session's
+/// parked events and the slot's new occupant.
 #[test]
 fn stale_ids_and_tokens_cannot_alias_reused_slots() {
     let mut arena: Arena<&'static str> = Arena::new();
@@ -255,22 +256,15 @@ fn stale_ids_and_tokens_cannot_alias_reused_slots() {
     assert_ne!(b.generation, a.generation);
     assert_eq!(arena.get(a), None, "stale id resolved after reuse");
     assert_eq!(arena.get(b), Some(&"second"));
-
-    let mut sched: Scheduler<u32> = Scheduler::new();
-    let t1 = sched.schedule(10, 1);
-    assert!(sched.cancel(t1));
-    let t2 = sched.schedule(10, 2);
-    assert!(!sched.cancel(t1), "stale token cancelled the reused slot");
-    assert_eq!(sched.pop_next(u64::MAX), Some((10, 1, 2)));
-    let _: Token = t2;
+    assert!(!arena.contains(a) && arena.contains(b));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized scheduler conformance: any interleaving of
-    /// schedule/cancel/pop must fire, cancel and count on the wheel as
-    /// it does on the model.
+    /// schedule/cancel/pop must fire and count on the wheel, its dead
+    /// pops skipped, as it does on the model.
     #[test]
     fn prop_wheel_matches_model(
         seed in 1u64..5000,
