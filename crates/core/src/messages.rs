@@ -234,12 +234,7 @@ pub struct CdaMsg {
 
 impl CdaMsg {
     fn body(&self) -> Vec<u8> {
-        self.body_with(&self.peer_cdr.encode())
-    }
-
-    /// Canonical body given the already-encoded embedded CDR, so batch
-    /// chain hashing can encode each message in the chain exactly once.
-    fn body_with(&self, peer_encoded: &[u8]) -> Vec<u8> {
+        let peer_encoded = self.peer_cdr.encode();
         let mut b = Vec::with_capacity(64 + peer_encoded.len() + self.signature.len());
         b.push(MsgType::Cda as u8);
         put_role(&mut b, self.role);
@@ -247,7 +242,7 @@ impl CdaMsg {
         put_u64(&mut b, self.seq);
         b.extend_from_slice(&self.nonce);
         put_u64(&mut b, self.usage);
-        put_prefixed(&mut b, peer_encoded);
+        put_prefixed(&mut b, &peer_encoded);
         b
     }
 
@@ -342,38 +337,42 @@ pub struct PocMsg {
 
 impl PocMsg {
     fn body(&self) -> Vec<u8> {
-        self.body_with(&self.cda.encode())
-    }
-
-    /// Canonical body given the already-encoded embedded CDA.
-    fn body_with(&self, cda_encoded: &[u8]) -> Vec<u8> {
+        let cda_encoded = self.cda.encode();
         let mut b = Vec::with_capacity(96 + cda_encoded.len() + self.signature.len());
         b.push(MsgType::Poc as u8);
         put_role(&mut b, self.role);
         put_plan(&mut b, &self.plan);
         put_u64(&mut b, self.charge);
-        put_prefixed(&mut b, cda_encoded);
+        put_prefixed(&mut b, &cda_encoded);
         b
     }
 
     /// SHA-256 digests of the three signed bodies in the chain (PoC,
-    /// embedded CDA, doubly-embedded CDR), with each message encoded
-    /// exactly once — the hash half of chain verification, split out so
-    /// a batching verifier can hash each proof as it arrives and run the
-    /// RSA half over the whole batch.
+    /// embedded CDA, doubly-embedded CDR) — the hash half of chain
+    /// verification, split out so a batching verifier can hash each
+    /// proof as it arrives and run the RSA half over the whole batch.
+    /// The bodies are the [`signed_spans`] of the proof's encoding, the
+    /// same slices [`decode_hashed`](Self::decode_hashed) hashes in
+    /// received bytes. A value with a part too long for its `u16`
+    /// prefix has no encoding that decodes; its digests are all zero,
+    /// which no signer produced.
     pub fn chain_digests(&self) -> PocDigests {
-        let mut cdr = self.cda.peer_cdr.body();
-        let cdr_digest = sha256::digest(&cdr);
-        put_prefixed(&mut cdr, &self.cda.peer_cdr.signature);
-        let mut cda = self.cda.body_with(&cdr);
-        let cda_digest = sha256::digest(&cda);
-        put_prefixed(&mut cda, &self.cda.signature);
-        let poc_body = self.body_with(&cda);
-        PocDigests {
-            poc: sha256::digest(&poc_body),
-            cda: cda_digest,
-            cdr: cdr_digest,
-        }
+        digests_of(&self.encode()).unwrap_or(PocDigests {
+            poc: [0; sha256::DIGEST_LEN],
+            cda: [0; sha256::DIGEST_LEN],
+            cdr: [0; sha256::DIGEST_LEN],
+        })
+    }
+
+    /// [`decode`](Self::decode), and the chain digests hashed straight
+    /// out of `data`: no re-encoding. Decoding is canonical (the one
+    /// encoding of the value is `data` itself — `prop_codec`), so these
+    /// are the decoded value's [`chain_digests`](Self::chain_digests).
+    pub fn decode_hashed(data: &[u8]) -> Result<(Self, PocDigests), MessageError> {
+        let poc = Self::decode(data)?;
+        // Cannot fail once `decode` has walked the same prefixes.
+        let digests = digests_of(data).ok_or(MessageError::Malformed("truncated embedded CDA"))?;
+        Ok((poc, digests))
     }
 
     /// Builds and signs a PoC finalizing `cda`.
@@ -522,8 +521,53 @@ impl PocMsg {
     }
 }
 
+/// Bytes every signed body starts with: type tag, role, plan.
+const SIGNED_HEAD: usize = 2 + PLAN_LEN;
+/// What [`put_plan`] writes: start, end, loss weight.
+const PLAN_LEN: usize = 8 + 8 + 4;
+/// A CDR's whole body, and a CDA's up to its embedded CDR: the head,
+/// then seq, nonce, usage.
+const CLAIM_HEAD: usize = SIGNED_HEAD + 8 + NONCE_LEN + 8;
+/// A PoC's body up to its embedded CDA: the head, then the charge.
+const POC_HEAD: usize = SIGNED_HEAD + 8;
+
+/// The three signed bodies inside a PoC's encoding, as slices of it:
+/// the PoC's, the embedded CDA's and the doubly-embedded CDR's. This
+/// is the one place that says which bytes are signed (the `body`
+/// builders write them); every read is a checked cursor step, so
+/// arbitrary bytes yield `None` or three slices, never a panic. Only
+/// the prefixes are read — the walk does not validate what `decode`
+/// does.
+fn signed_spans(poc: &[u8]) -> Option<[&[u8]; 3]> {
+    let (poc_body, cda) = embedding(poc, POC_HEAD)?;
+    let (cda_body, cdr) = embedding(cda, CLAIM_HEAD)?;
+    let cdr_body = Reader::new(cdr).take(CLAIM_HEAD)?;
+    Some([poc_body, cda_body, cdr_body])
+}
+
+/// A body that is `head` bytes and then one [`put_prefixed`] message,
+/// read from the front of `msg`: the body, and the message it embeds.
+fn embedding(msg: &[u8], head: usize) -> Option<(&[u8], &[u8])> {
+    let mut r = Reader::new(msg);
+    r.take(head)?;
+    let len = usize::from(r.u16()?);
+    let inner = r.take(len)?;
+    let body = Reader::new(msg).take(head + 2 + len)?;
+    Some((body, inner))
+}
+
+/// The chain digests of a PoC encoding: its [`signed_spans`], hashed.
+fn digests_of(poc: &[u8]) -> Option<PocDigests> {
+    let [poc, cda, cdr] = signed_spans(poc)?;
+    Some(PocDigests {
+        poc: sha256::digest(poc),
+        cda: sha256::digest(cda),
+        cdr: sha256::digest(cdr),
+    })
+}
+
 /// SHA-256 digests of the three signed bodies inside one PoC chain,
-/// produced by [`PocMsg::chain_digests`].
+/// produced by [`PocMsg::chain_digests`] or [`PocMsg::decode_hashed`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PocDigests {
     /// Digest of the PoC's own signed body.
@@ -782,6 +826,33 @@ mod tests {
         assert_eq!(d.poc, sha256::digest(&poc.body()));
         assert_eq!(d.cda, sha256::digest(&poc.cda.body()));
         assert_eq!(d.cdr, sha256::digest(&poc.cda.peer_cdr.body()));
+        // The received bytes hash to the same digests without a re-encode.
+        assert_eq!(PocMsg::decode_hashed(&poc.encode()), Ok((poc, d)));
+    }
+
+    /// The span walk reads only through the checked cursor, so no input
+    /// panics it: not a cut of a PoC encoding, nor one whose length
+    /// prefixes are overwritten with the extremes. The spans end with
+    /// the embedded CDA, so a cut after it finds the same three.
+    #[test]
+    fn signed_spans_are_total() {
+        let (edge, op) = keys();
+        let (_, _, poc) = build_chain(&edge, &op);
+        let bytes = poc.encode();
+        let whole = signed_spans(&bytes).expect("an encoding has spans");
+        let body_end = whole[0].len();
+        for cut in 0..bytes.len() {
+            let spans = signed_spans(&bytes[..cut]);
+            assert_eq!(spans.is_some(), cut >= body_end, "cut {cut}");
+            assert!(spans.is_none_or(|s| s == whole), "cut {cut}");
+        }
+        for at in [POC_HEAD, POC_HEAD + 1, POC_HEAD + 2 + CLAIM_HEAD] {
+            for byte in [0x00, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[at] = byte;
+                let _ = signed_spans(&bad);
+            }
+        }
     }
 
     #[test]

@@ -275,10 +275,12 @@ impl<S: Read + Write> RemoteVerifier<S> {
     }
 
     /// Submits a batch under one relationship; returns `(first_tag,
-    /// count)`. Chunked to respect both the server's frame payload cap
-    /// and the per-connection verdict window — a batch wider than the
-    /// window is split, so this client never has more than a window of
-    /// proofs unanswered and never meets the server's debt cap.
+    /// count)`. Cut into frames that respect the server's payload cap
+    /// and hold at most half the granted window, so one frame is judged
+    /// while the next is on the wire; a frame waits only until the
+    /// window has room for it. This client therefore never has more
+    /// than a window of proofs unanswered and never meets the server's
+    /// debt cap.
     pub fn submit_batch<'a>(
         &mut self,
         rel: RelationshipId,
@@ -294,7 +296,7 @@ impl<S: Read + Write> RemoteVerifier<S> {
         // Stay well under the payload cap: the batch header plus
         // per-item length prefixes ride along.
         let budget = (self.max_payload as usize).saturating_sub(1024);
-        let max_items = (self.window as usize).max(1);
+        let max_items = (self.window as usize / 2).max(1);
         for poc in pocs {
             let bytes = poc.encode();
             if !chunk.is_empty()
@@ -322,7 +324,8 @@ impl<S: Read + Write> RemoteVerifier<S> {
         // Drain until the whole chunk fits in the window, not merely
         // until one slot opens: the window is this client's pipelining
         // budget, and the server sheds and scores submits that run
-        // `debt_factor` windows past it.
+        // `debt_factor` windows past it. A half-window chunk fits
+        // while the chunk before it is still unanswered.
         let n = chunk.len();
         while self.outstanding > 0 && self.outstanding + n > self.window as usize {
             self.pull_verdict()?;
@@ -638,6 +641,126 @@ impl<S: Read + Write> RemoteVerifier<S> {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(RemoteError::Io(e.kind())),
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::verify::remote::codec::SubmitBatchRef;
+    use crate::verify::stage::tests::negotiate;
+    use crate::verify::VerifyError;
+    use tlc_crypto::KeyPair;
+
+    /// The server's side of one session, in memory. It grants `window`,
+    /// answers REGISTER, and holds every proof's verdict until the client
+    /// blocks in a read, then releases one: the client is always exactly
+    /// as far ahead as it lets itself be. It records the widest
+    /// SUBMIT_BATCH and the most proofs ever unanswered.
+    struct Peer {
+        window: u32,
+        inbound: FrameDecoder,
+        outbound: VecDeque<u8>,
+        unanswered: VecDeque<(u64, u64)>,
+        widest: usize,
+        most_unanswered: usize,
+    }
+
+    impl Peer {
+        fn reply(&mut self, frame: Frame) {
+            self.outbound.extend(frame.encode().unwrap());
+        }
+    }
+
+    impl Write for Peer {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.inbound.push(buf).unwrap();
+            while let Some(f) = self.inbound.next_frame() {
+                match f.kind {
+                    FrameKind::Hello => self.reply(
+                        HelloAck {
+                            version: PROTOCOL_VERSION,
+                            window: self.window,
+                            max_payload: DEFAULT_MAX_PAYLOAD,
+                        }
+                        .to_frame(),
+                    ),
+                    FrameKind::Register => {
+                        let req = Register::decode(&f.payload).unwrap().req;
+                        self.reply(Registered { req, rel: 0 }.to_frame());
+                    }
+                    FrameKind::SubmitBatch => {
+                        let batch = SubmitBatchRef::decode(&f.payload).unwrap();
+                        let tags = (0..batch.pocs.len() as u64).map(|k| batch.first_tag + k);
+                        self.unanswered.extend(tags.map(|tag| (batch.rel, tag)));
+                        self.widest = self.widest.max(batch.pocs.len());
+                        self.most_unanswered = self.most_unanswered.max(self.unanswered.len());
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Peer {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.outbound.is_empty() {
+                let (rel, tag) = self
+                    .unanswered
+                    .pop_front()
+                    .expect("a read with nothing due");
+                let verdict = VerdictMsg {
+                    rel,
+                    tag,
+                    shard: 0,
+                    result: Err(VerifyError::Unregistered),
+                };
+                self.reply(verdict.to_frame());
+            }
+            let n = buf.len().min(self.outbound.len());
+            for (dst, src) in buf.iter_mut().zip(self.outbound.drain(..n)) {
+                *dst = src;
+            }
+            Ok(n)
+        }
+    }
+
+    /// A batch many windows wide goes out in frames of at most half the
+    /// window — so a second frame can be on the wire while the first is
+    /// judged — and never puts more than a window of proofs in flight.
+    #[test]
+    fn a_batch_goes_out_in_half_window_frames_within_the_window() {
+        let keys = |seed| KeyPair::generate_for_seed(1024, seed).unwrap();
+        let (edge, op) = (keys(7960), keys(7961));
+        let plan = DataPlan::paper_default();
+        let poc = negotiate(&edge, &op, plan, 1, 2);
+        for window in [1, 2, 7, 64] {
+            let peer = Peer {
+                window,
+                inbound: FrameDecoder::new(DEFAULT_MAX_PAYLOAD),
+                outbound: VecDeque::new(),
+                unanswered: VecDeque::new(),
+                widest: 0,
+                most_unanswered: 0,
+            };
+            let mut client = RemoteVerifier::handshake(peer, 0, BackoffConfig::default()).unwrap();
+            let rel = client
+                .register(plan, edge.public.clone(), op.public.clone())
+                .unwrap();
+            let n = 5 * window as usize + 3;
+            let sent = client.submit_batch(rel, std::iter::repeat_n(&poc, n));
+            assert_eq!(sent.unwrap(), (0, n));
+            assert_eq!(client.collect_results().unwrap().len(), n);
+            let peer = client.stream();
+            let half = (window as usize / 2).max(1);
+            assert_eq!(peer.widest, half, "window {window}");
+            assert!(peer.most_unanswered <= window as usize, "window {window}");
         }
     }
 }

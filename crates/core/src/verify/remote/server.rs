@@ -20,13 +20,15 @@
 //! One [`Shard::turn`] is gather → verify → reply. It blocks in
 //! `tlc_net::readiness` and touches only sockets with something to
 //! say: each readable connection is read into a pooled buffer (at most
-//! [`READS_PER_WAKEUP`] reads; an empty pool *defers* the read rather
-//! than allocate) and parsed in place with [`split_frame`]; every
-//! admitted proof goes to the stage, which verifies a relationship's
-//! batch on the spot when it fills; then whatever is still buffered is
-//! verified, the verdicts are routed and flushed, and only then does
-//! the loop look at the kernel again. Nothing is pending when it
-//! blocks, so there is nothing to time out or hand to another thread.
+//! [`READS_PER_WAKEUP`] reads, fewer once one comes up short; an empty
+//! pool *defers* the read rather than allocate) and parsed in place
+//! with [`split_frame`]; every admitted proof goes to the stage, which
+//! verifies a relationship's batch on the spot when it fills, and that
+//! batch's verdicts are routed and written before the next frame is
+//! parsed; then whatever is still buffered is verified, its verdicts
+//! are routed and flushed, and only then does the loop look at the
+//! kernel again. Nothing is pending when it blocks, so there is
+//! nothing to time out or hand to another thread.
 //! A connection that is quarantined, or is not draining the replies
 //! queued for it, has its read interest masked and costs no wakeups.
 //!
@@ -40,7 +42,7 @@ use super::codec::{
     PROTOCOL_VERSION,
 };
 use crate::messages::PocMsg;
-use crate::verify::service::{RelationshipId, ServiceConfig, ServiceReport};
+use crate::verify::service::{RelationshipId, ServiceConfig, ServiceReport, SubmissionResult};
 use crate::verify::stage::{Relationships, Stage};
 use crate::verify::{VerifyError, DEFAULT_REPLAY_CAPACITY};
 use std::io::{self, Write};
@@ -553,9 +555,9 @@ struct Shard {
     /// relationships; flushed before the loop blocks, so empty whenever
     /// it waits.
     stage: Stage,
-    /// One entry per proof admitted in this turn; its position is the
-    /// tag the stage knows the proof by, and its length the shard's
-    /// backlog. Cleared once the turn's verdicts are pumped.
+    /// One entry per proof admitted in this turn, answered or not; its
+    /// position is the tag the stage knows the proof by, and its length
+    /// the shard's backlog. Cleared once per turn, after the reply.
     routes: Vec<Route>,
     /// Per-relationship admission lanes for deficit-round-robin
     /// fairness, indexed by raw relationship id: the credits left until
@@ -661,10 +663,13 @@ impl Shard {
 
     /// The second half of a turn: verify what the gather left buffered,
     /// route every verdict, and refresh exactly the connections that
-    /// got frames queued.
+    /// got frames queued. The turn's routes go here, and with them the
+    /// backlog the shed ladder reads.
     fn reply(&mut self) {
         self.stage.flush();
-        self.pump_verdicts();
+        let results = self.stage.take_results();
+        self.pump_verdicts(results, None);
+        self.routes.clear();
         self.refresh_touched();
 
         // Quarantine sentences tick per loop iteration; the wait is
@@ -716,9 +721,10 @@ impl Shard {
         self.stats.connections_closed += 1;
     }
 
-    /// Proofs admitted whose verdicts have not been pumped yet. The
-    /// loop pumps before it blocks, so this is the work of the gather
-    /// in progress.
+    /// Proofs admitted in the gather in progress, including those whose
+    /// batch was already judged and answered mid-gather: the turn's
+    /// work, which the shed ladder budgets. Zero whenever the loop
+    /// blocks.
     fn outstanding(&self) -> usize {
         self.routes.len()
     }
@@ -830,7 +836,7 @@ impl Shard {
             return;
         };
         if ev.readable || ev.closed {
-            self.read_conn(&mut conn);
+            self.read_conn(&mut conn, ev.closed);
         }
         // Writable (outbox draining), closed, or post-read state
         // changes all funnel through one refresh.
@@ -838,8 +844,10 @@ impl Shard {
     }
 
     /// Reads and processes inbound bytes for `conn`, zero-copy out of
-    /// a pooled buffer.
-    fn read_conn(&mut self, conn: &mut Conn) {
+    /// a pooled buffer. `hangup`: the kernel reported the peer closed,
+    /// so a read after a short one meets EOF rather than `WouldBlock`
+    /// and is worth making — the connection is reaped this wakeup.
+    fn read_conn(&mut self, conn: &mut Conn, hangup: bool) {
         if conn.phase == Phase::Closed || conn.driver.paused() {
             return;
         }
@@ -855,9 +863,12 @@ impl Shard {
         };
         for _ in 0..READS_PER_WAKEUP {
             match conn.driver.read_step(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => {
-                    if self.parse_frames(conn, &mut buf) {
+                Ok(step) if step.bytes == 0 => break,
+                // A short read drained the socket: a further read would
+                // only return `WouldBlock`, and anything arriving later
+                // is reported again (level-triggered).
+                Ok(step) => {
+                    if self.parse_frames(conn, &mut buf) || (step.short && !hangup) {
                         break;
                     }
                 }
@@ -874,7 +885,8 @@ impl Shard {
     }
 
     /// Parses every complete frame out of `buf` in place and handles
-    /// each as a borrowed view. Returns true when the connection
+    /// each as a borrowed view, answering any batch a frame filled
+    /// before parsing the next. Returns true when the connection
     /// closed (fault or handler decision) and reading should stop.
     fn parse_frames(&mut self, conn: &mut Conn, buf: &mut Vec<u8>) -> bool {
         let mut off = 0;
@@ -884,6 +896,7 @@ impl Shard {
                 Ok(Some((view, used))) => {
                     self.handle_frame(conn, view.kind, view.payload);
                     off += used;
+                    self.stream_verdicts(conn);
                 }
                 Ok(None) => break,
                 Err(_) => {
@@ -1167,8 +1180,9 @@ impl Shard {
         }
     }
 
-    /// Decodes one PoC and hands it to the stage, recording the route
-    /// for the verdict on the way back.
+    /// Decodes one PoC, hashes its signed spans out of the received
+    /// bytes, and hands both to the stage, recording the route for the
+    /// verdict on the way back.
     fn relay_submission(
         &mut self,
         conn: &mut Conn,
@@ -1176,8 +1190,8 @@ impl Shard {
         client_tag: u64,
         poc_bytes: &[u8],
     ) {
-        let poc = match PocMsg::decode(poc_bytes) {
-            Ok(p) => p,
+        let (poc, digests) = match PocMsg::decode_hashed(poc_bytes) {
+            Ok(hashed) => hashed,
             // An undecodable PoC is a client bug, not a verdict: the
             // in-process API takes `PocMsg` values, so decode failures
             // cannot reach `submit` there either.
@@ -1219,17 +1233,36 @@ impl Shard {
             client_tag,
         });
         self.stage
-            .submit(RelationshipId::from_raw(rel_raw), tag, poc);
+            .submit(RelationshipId::from_raw(rel_raw), tag, poc, digests);
         self.stats.submissions += 1;
         conn.in_flight += 1;
     }
 
-    /// Streams the turn's verdicts back to their connections, noting
-    /// every connection that had one queued so the reply phase can
-    /// refresh exactly those — flush, re-arm write interest, reap —
-    /// without an O(conns) sweep. Afterwards no route is left.
-    fn pump_verdicts(&mut self) {
-        for r in self.stage.take_results() {
+    /// Mid-gather: the frame just handled made the stage judge a batch.
+    /// Its verdicts are routed and written now, before the next frame
+    /// is parsed, so the client refills its window while the shard
+    /// reads on. `conn` is the connection being read, out of its slot;
+    /// its own refresh follows the read.
+    fn stream_verdicts(&mut self, conn: &mut Conn) {
+        let results = self.stage.take_results();
+        if results.is_empty() {
+            return;
+        }
+        self.pump_verdicts(results, Some(conn));
+        if conn.driver.flush().is_err() {
+            conn.phase = Phase::Closed;
+        }
+        self.refresh_touched();
+    }
+
+    /// Routes verdicts back to their connections, noting every
+    /// connection that had one queued so the caller can refresh
+    /// exactly those — flush, re-arm write interest, reap — without an
+    /// O(conns) sweep. A verdict for `held`, the connection the gather
+    /// holds out of its slot, is queued on it directly. Routes stay
+    /// until the turn ends.
+    fn pump_verdicts(&mut self, results: Vec<SubmissionResult>, mut held: Option<&mut Conn>) {
+        for r in results {
             let route = usize::try_from(r.tag)
                 .ok()
                 .and_then(|tag| self.routes.get(tag));
@@ -1243,39 +1276,47 @@ impl Shard {
                 Ok(_) => self.stats.accepted += 1,
                 Err(_) => self.stats.rejected_malformed += 1,
             }
-            let Some(mut conn) = self.take(conn) else {
-                // Client disconnected mid-batch: the verdict is
-                // discarded deterministically and counted.
-                self.stats.orphaned_verdicts += 1;
-                continue;
-            };
-            conn.in_flight = conn.in_flight.saturating_sub(1);
-            self.touched.push(conn.token);
-            if conn.phase == Phase::Closed {
-                self.stats.orphaned_verdicts += 1;
-            } else {
-                let replayed = matches!(r.result, Err(VerifyError::Replayed));
-                let msg = VerdictMsg {
-                    rel: r.relationship.raw(),
-                    tag: client_tag,
-                    shard: r.shard as u32,
-                    result: r.result,
-                };
-                self.stats.verdicts += 1;
-                conn.send(&msg.to_frame());
-                if replayed {
-                    // Replays feed the misbehavior score: a client
-                    // cycling old proofs burns verifier capacity for
-                    // guaranteed rejections.
-                    self.bump_score(&mut conn, 1);
-                }
-                if conn.phase != Phase::Closed {
-                    conn.maybe_finish_goodbye();
-                }
+            match held.as_deref_mut() {
+                Some(held) if held.token == conn => self.answer(held, client_tag, r),
+                _ => match self.take(conn) {
+                    Some(mut conn) => {
+                        self.answer(&mut conn, client_tag, r);
+                        self.put(conn);
+                    }
+                    // Client disconnected mid-batch: the verdict is
+                    // discarded deterministically and counted.
+                    None => self.stats.orphaned_verdicts += 1,
+                },
             }
-            self.put(conn);
         }
-        self.routes.clear();
+    }
+
+    /// Queues one verdict on the connection that submitted the proof,
+    /// under the tag that connection knows it by.
+    fn answer(&mut self, conn: &mut Conn, client_tag: u64, r: SubmissionResult) {
+        conn.in_flight = conn.in_flight.saturating_sub(1);
+        self.touched.push(conn.token);
+        if conn.phase == Phase::Closed {
+            self.stats.orphaned_verdicts += 1;
+            return;
+        }
+        let replayed = matches!(r.result, Err(VerifyError::Replayed));
+        let msg = VerdictMsg {
+            rel: r.relationship.raw(),
+            tag: client_tag,
+            shard: r.shard as u32,
+            result: r.result,
+        };
+        self.stats.verdicts += 1;
+        conn.send(&msg.to_frame());
+        if replayed {
+            // Replays feed the misbehavior score: a client cycling old
+            // proofs burns verifier capacity for guaranteed rejections.
+            self.bump_score(conn, 1);
+        }
+        if conn.phase != Phase::Closed {
+            conn.maybe_finish_goodbye();
+        }
     }
 
     /// Ticks every active quarantine sentence down by one; at expiry
@@ -1308,19 +1349,24 @@ mod tests {
     use super::*;
     use crate::plan::DataPlan;
     use crate::roaming::{RoamingAgreement, Serving};
-    use crate::verify::remote::codec::Submit;
+    use crate::verify::remote::codec::{Submit, SubmitBatch};
     use crate::verify::stage::tests::negotiate;
     use std::io::Read;
     use tlc_crypto::KeyPair;
     use tlc_net::wire::FrameDecoder;
 
     fn shard_on_loopback() -> (Shard, SocketAddr) {
+        shard_with(IngressConfig::default())
+    }
+
+    /// A shard verifying batches of 32.
+    fn shard_with(config: IngressConfig) -> (Shard, SocketAddr) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
         let open = Arc::new(AtomicUsize::new(0));
         let stage = Stage::new(0, 32, Arc::default());
-        let shard = Shard::new(listener, stage, IngressConfig::default(), open);
+        let shard = Shard::new(listener, stage, config, open);
         (shard.unwrap(), addr)
     }
 
@@ -1355,15 +1401,54 @@ mod tests {
         }
     }
 
+    /// `k` distinct proofs between `edge` and `op`, encoded.
+    fn proofs(edge: &KeyPair, op: &KeyPair, k: u8) -> Vec<Vec<u8>> {
+        let plan = DataPlan::paper_default();
+        (0..k)
+            .map(|i| negotiate(edge, op, plan, 2 * i + 1, 2 * i + 2).encode())
+            .collect()
+    }
+
     /// `k` distinct proofs between `edge` and `op`, one SUBMIT each
     /// under relationship 0, tagged from 1.
     fn submits(edge: &KeyPair, op: &KeyPair, k: u8) -> Vec<Frame> {
-        let submit = |i: u8| Submit {
+        let submit = |(i, poc)| Submit {
             rel: 0,
             tag: 1 + i as u64,
-            poc: negotiate(edge, op, DataPlan::paper_default(), 2 * i + 1, 2 * i + 2).encode(),
+            poc,
         };
-        (0..k).map(|i| submit(i).to_frame()).collect()
+        let proofs = proofs(edge, op, k).into_iter().enumerate();
+        proofs.map(|p| submit(p).to_frame()).collect()
+    }
+
+    /// A connection's first and only event of a gather, as epoll
+    /// reports bytes waiting.
+    fn readable(token: Token) -> Event {
+        Event {
+            token,
+            readable: true,
+            writable: false,
+            closed: false,
+        }
+    }
+
+    /// The kinds of every frame the client can read right now.
+    fn read_now(client: &mut TcpStream) -> Vec<FrameKind> {
+        let mut decoder = FrameDecoder::new(DEFAULT_MAX_PAYLOAD);
+        let mut buf = vec![0u8; 64 * 1024];
+        loop {
+            match client.read(&mut buf) {
+                Ok(0) => panic!("server closed the session"),
+                Ok(n) => decoder.push(&buf[..n]).unwrap(),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::WouldBlock);
+                    break;
+                }
+            }
+        }
+        std::iter::from_fn(|| decoder.next_frame())
+            .map(|f| f.kind)
+            .collect()
     }
 
     fn live(shard: &Shard) -> Vec<&Conn> {
@@ -1513,11 +1598,12 @@ mod tests {
         drop(a);
         let _b = TcpStream::connect(addr).unwrap();
 
+        // What epoll reports for a peer that wrote and hung up.
         shard.conn_event(Event {
             token: token_a,
             readable: true,
             writable: false,
-            closed: false,
+            closed: true,
         });
         assert!(live(&shard).is_empty(), "A's read did not reap it");
         assert_eq!(shard.outstanding(), K as usize, "proofs staged");
@@ -1537,6 +1623,97 @@ mod tests {
         assert_eq!(
             (b.driver.outbox_bytes(), b.driver.stats().frames_tx),
             (0, 0)
+        );
+    }
+
+    /// A frame that fills a batch is answered before the next frame is
+    /// read: with one whole one-batch SUBMIT_BATCH and half of a second
+    /// on the socket, the first batch's verdicts are readable on the
+    /// client as soon as the gather has read — before the turn's
+    /// reply. The turn is driven half by half so the test can look in
+    /// between.
+    #[test]
+    fn a_judged_batch_is_answered_before_the_next_frame_is_read() {
+        let (mut shard, addr) = shard_on_loopback();
+        let mut client = connect(addr);
+        let (edge, op) = (keys(7992), keys(7993));
+        let session = [HELLO.to_frame(), register(0, &edge, &op).to_frame()];
+        turn_until_reply(&mut shard, &mut client, &session);
+        let token = live(&shard)[0].token;
+
+        let pocs = proofs(&edge, &op, 32);
+        let batch = |first_tag| SubmitBatch {
+            rel: 0,
+            first_tag,
+            pocs: pocs.clone(),
+        };
+        let first = wire(&[batch(0).to_frame()]);
+        let second = wire(&[batch(32).to_frame()]);
+        client
+            .write_all(&[&first[..], &second[..second.len() / 2]].concat())
+            .unwrap();
+
+        shard.conn_event(readable(token));
+        assert_eq!(read_now(&mut client), [FrameKind::Verdict; 32]);
+        assert_eq!(shard.stats.verdicts, 32);
+        assert_eq!(
+            shard.outstanding(),
+            32,
+            "answered, and still the turn's work"
+        );
+        assert!(live(&shard)[0].buf.is_some(), "half a frame kept");
+
+        shard.reply();
+        assert_eq!(read_now(&mut client), [], "nothing left to answer");
+        assert_eq!(shard.outstanding(), 0);
+    }
+
+    /// The shed ladder budgets every proof a gather admitted, answered
+    /// or not: after a full batch has been judged and answered
+    /// mid-gather, the shard is still at `ShedSubmits`, and a submit in
+    /// the same gather draws BUSY.
+    #[test]
+    fn proofs_answered_mid_gather_still_count_toward_the_shed_watermark() {
+        let (mut shard, addr) = shard_with(IngressConfig {
+            shed_submit_watermark: 32,
+            ..IngressConfig::default()
+        });
+        let mut client = connect(addr);
+        let (edge, op) = (keys(7994), keys(7995));
+        let session = [HELLO.to_frame(), register(0, &edge, &op).to_frame()];
+        turn_until_reply(&mut shard, &mut client, &session);
+        let token = live(&shard)[0].token;
+
+        let mut pocs = proofs(&edge, &op, 33);
+        let last = Submit {
+            rel: 0,
+            tag: 32,
+            poc: pocs.pop().unwrap(),
+        };
+        let batch = SubmitBatch {
+            rel: 0,
+            first_tag: 0,
+            pocs,
+        };
+        client
+            .write_all(&wire(&[batch.to_frame(), last.to_frame()]))
+            .unwrap();
+
+        shard.conn_event(readable(token));
+        let mut want = vec![FrameKind::Verdict; 32];
+        want.push(FrameKind::Busy);
+        assert_eq!(read_now(&mut client), want);
+        assert_eq!(shard.shed_level(), ShedLevel::ShedSubmits);
+        assert_eq!(
+            (shard.stats.submissions, shard.stats.shed_overload),
+            (32, 1)
+        );
+
+        shard.reply();
+        assert_eq!(
+            shard.shed_level(),
+            ShedLevel::Accept,
+            "a new turn, a new budget"
         );
     }
 

@@ -433,7 +433,8 @@ fn worker(
                 }
             }
         };
-        stage.submit(job.rel, job.tag, job.poc);
+        let digests = job.poc.chain_digests();
+        stage.submit(job.rel, job.tag, job.poc, digests);
         deliver(stage.take_results());
     }
     let (stats, rest) = stage.finish();

@@ -10,8 +10,10 @@
 //! workers.
 //!
 //! A [`Stage`] is a plain value with no thread, queue or clock of its
-//! own. [`Stage::submit`] hashes a proof's chain
-//! ([`PocMsg::chain_digests`]) and buffers it under its relationship; a
+//! own. [`Stage::submit`] buffers a proof and its chain digests under
+//! its relationship — an ingress shard hashes the bytes it received
+//! ([`PocMsg::decode_hashed`]), a pool worker the value
+//! ([`PocMsg::chain_digests`]), and both hash the same spans; a
 //! relationship's batch is verified on the spot when it reaches the
 //! batch size, and [`Stage::flush`] verifies whatever is still buffered
 //! — per relationship, in ascending id order, through the same
@@ -22,8 +24,9 @@
 //! (`tests/prop_stage.rs`).
 //!
 //! Both callers own their stages outright: an ingress shard
-//! ([`super::remote`]) submits what one wakeup gathered and flushes
-//! before it blocks again; a pool worker submits what its queue holds
+//! ([`super::remote`]) submits what one wakeup gathered, answers each
+//! batch as soon as it is judged, and flushes before it blocks again;
+//! a pool worker submits what its queue holds
 //! and flushes when the queue runs dry. What stages share is the table.
 //! Two locks, never held together: the table's own (a lookup or a
 //! registration, then released) and, after it, the relationship's
@@ -232,12 +235,13 @@ impl Stage {
         &self.relationships
     }
 
-    /// Hashes `poc`'s chain and buffers it under `rel`; verifies the
+    /// Buffers `poc` under `rel` with its chain digests — the caller
+    /// hashed them, from the bytes it received ([`PocMsg::decode_hashed`])
+    /// or from the value ([`PocMsg::chain_digests`]); verifies the
     /// relationship's batch if that fills it. Chain digests are pure
     /// functions of the proof bytes, so computing them before the
     /// replay check cannot change any verdict.
-    pub fn submit(&mut self, rel: RelationshipId, tag: u64, poc: PocMsg) {
-        let digests = poc.chain_digests();
+    pub fn submit(&mut self, rel: RelationshipId, tag: u64, poc: PocMsg, digests: PocDigests) {
         let batch = self.pending.entry(rel).or_default();
         batch.push((tag, poc, digests));
         if batch.len() >= self.batch_size {
@@ -408,7 +412,7 @@ pub(crate) mod tests {
     fn a_batch_verifies_at_the_submit_that_fills_it() {
         let (mut stage, rels, pocs) = stage_with(4, 1, 8);
         for (tag, poc) in pocs[0].iter().enumerate() {
-            stage.submit(rels[0], tag as u64, poc.clone());
+            stage.submit(rels[0], tag as u64, poc.clone(), poc.chain_digests());
             // Nothing before the fill, the whole batch at it.
             let want = if tag % 4 == 3 { 4 } else { 0 };
             assert_eq!(stage.take_results().len(), want, "after submit {tag}");
@@ -427,7 +431,8 @@ pub(crate) mod tests {
         let (mut stage, rels, pocs) = stage_with(4, 3, 2);
         // Submitted 2, 0, 1, 2, 0, 1: flushed 0, 0, 1, 1, 2, 2.
         for (tag, r) in [2, 0, 1, 2, 0, 1].into_iter().enumerate() {
-            stage.submit(rels[r], tag as u64, pocs[r][tag / 3].clone());
+            let poc = &pocs[r][tag / 3];
+            stage.submit(rels[r], tag as u64, poc.clone(), poc.chain_digests());
         }
         assert!(stage.take_results().is_empty());
         stage.flush();
@@ -453,7 +458,7 @@ pub(crate) mod tests {
         let (mut stage, _, pocs) = stage_with(2, 1, 2);
         let stranger = RelationshipId::from_raw(9);
         for (tag, poc) in pocs[0].iter().enumerate() {
-            stage.submit(stranger, tag as u64, poc.clone());
+            stage.submit(stranger, tag as u64, poc.clone(), poc.chain_digests());
         }
         let results = stage.take_results();
         assert_eq!(results.len(), 2);

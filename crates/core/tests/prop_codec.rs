@@ -321,4 +321,35 @@ proptest! {
             prop_assert_eq!((k.recode)(&long), Err(k.long), "{}", k.name);
         }
     }
+
+    /// The law a verifier hashing received bytes rests on: a PoC
+    /// encoding that decodes is the one encoding of its value, and its
+    /// signed spans hash to that value's chain digests — so a shard
+    /// (hashing what it read) and the in-process service (hashing the
+    /// value) judge the same proof alike. Over a valid encoding, the
+    /// same with one byte overwritten, every proper prefix, and one
+    /// byte too long; `decode_hashed` accepts exactly what `decode`
+    /// does.
+    #[test]
+    fn received_poc_bytes_hash_to_their_values_chain_digests(seed in any::<u64>()) {
+        let mut s = Soup { seed, out: Vec::new() };
+        s.poc();
+        let valid = std::mem::take(&mut s.out);
+        let mut mutated = valid.clone();
+        let at = s.below(valid.len() as u64) as usize;
+        mutated[at] = if s.below(2) == 0 { s.below(9) as u8 } else { s.word() as u8 };
+        let long = [&valid[..], &[s.word() as u8]].concat();
+        let cuts = (0..valid.len()).map(|cut| valid[..cut].to_vec());
+        let cases = [valid.clone(), mutated, long].into_iter().chain(cuts);
+
+        prop_assert!(PocMsg::decode_hashed(&valid).is_ok(), "{valid:02x?}");
+        for b in cases {
+            let hashed = PocMsg::decode_hashed(&b);
+            prop_assert_eq!(hashed.is_ok(), PocMsg::decode(&b).is_ok(), "{:02x?}", b);
+            if let Ok((poc, digests)) = hashed {
+                prop_assert_eq!(&poc.encode(), &b);
+                prop_assert_eq!(digests, poc.chain_digests());
+            }
+        }
+    }
 }

@@ -138,7 +138,7 @@ proptest! {
                 Op::Flush => stage.flush(),
                 Op::Submit { rel, poc } => {
                     let proof = &corpus[rel].pocs[poc];
-                    stage.submit(rels[rel], tag as u64, proof.clone());
+                    stage.submit(rels[rel], tag as u64, proof.clone(), proof.chain_digests());
                     want.entry(rels[rel]).or_default().push((tag as u64, oracles[rel].verify(proof)));
                 }
             }
@@ -176,7 +176,9 @@ proptest! {
             if kind == 0 {
                 stages[s].flush();
             } else {
-                stages[s].submit(rel, tag as u64, r.pocs[poc].clone());
+                // Hashed as a shard hashes: out of the bytes received.
+                let (proof, digests) = PocMsg::decode_hashed(&r.pocs[poc].encode()).unwrap();
+                stages[s].submit(rel, tag as u64, proof, digests);
                 distinct.insert(poc);
             }
             got.extend(stages[s].take_results());

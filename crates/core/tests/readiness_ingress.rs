@@ -616,25 +616,58 @@ fn one_proof_on_two_connections_is_accepted_once() {
     }
 }
 
+/// A transport that remembers the longest buffer it was asked to
+/// write: the client hands each frame to one `write_all`, so this is
+/// the widest frame it sent.
+struct WidestWrite {
+    inner: TcpStream,
+    widest: usize,
+}
+
+impl Read for WidestWrite {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl Write for WidestWrite {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.widest = self.widest.max(buf.len());
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
 /// One SUBMIT_BATCH frame longer than a wakeup's read budget for its
 /// connection (4 reads × 8 KiB): the frame completes on a later wakeup
-/// and every verdict still comes back, in submission order.
+/// and every verdict still comes back, in submission order. The client
+/// cuts frames at half its window, so the server grants 128 to keep 64
+/// proofs in one frame, and the test checks that premise on the wire.
 #[test]
 fn a_frame_longer_than_one_wakeup_yields_every_verdict_in_order() {
     const N: usize = 64;
     let m = material(45, N);
-    let frame_bytes: usize = m.pocs.iter().map(|p| p.encode().len() + 4).sum();
-    assert!(frame_bytes > 32 * 1024, "{frame_bytes} B fits one wakeup");
-    let handle = spawn_server(1, IngressConfig::default());
-    let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
-    assert!(
-        client.window() as usize >= N,
-        "the batch must stay one frame"
-    );
+    let ingress = IngressConfig {
+        window: 128,
+        ..IngressConfig::default()
+    };
+    let handle = spawn_server(1, ingress);
+    let inner = TcpStream::connect(handle.addr()).unwrap();
+    inner.set_nodelay(true).unwrap();
+    let transport = WidestWrite { inner, widest: 0 };
+    let mut client = RemoteVerifier::handshake(transport, 0, BackoffConfig::default()).unwrap();
     let rel = client
         .register(m.plan, m.edge.public.clone(), m.op.public.clone())
         .unwrap();
     assert_eq!(client.submit_batch(rel, &m.pocs).unwrap(), (0, N));
+    let widest = client.stream().widest;
+    assert!(
+        widest > 32 * 1024,
+        "widest frame {widest} B fits one wakeup"
+    );
     let results = client.collect_results().unwrap();
     let tags: Vec<u64> = results.iter().map(|r| r.tag).collect();
     assert_eq!(tags, (0..N as u64).collect::<Vec<_>>());

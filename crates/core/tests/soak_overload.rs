@@ -368,15 +368,16 @@ fn abusive_client_cannot_starve_the_well_behaved() {
 // The ShedSubmits rung: deterministic sheds, transparent recovery.
 // ---------------------------------------------------------------------
 
-/// With the shed watermark at half the client's window, one batch of
-/// `window` proofs deterministically sheds its tail. The typed client
-/// retries behind capped backoff and still completes the full batch —
-/// and the server's shed counter equals the client's BUSY count.
+/// With the shed watermark at half of one frame, one batch of 8 proofs
+/// (one frame: the client cuts frames at half its window of 16)
+/// deterministically sheds its tail. The typed client retries behind
+/// capped backoff and still completes the full batch — and the
+/// server's shed counter equals the client's BUSY count.
 #[test]
 fn shed_submits_draw_busy_and_retry_to_completion() {
     let handle = spawn_server(
         IngressConfig {
-            window: 8,
+            window: 16,
             shed_submit_watermark: 4,
             retry_after_ms: 2,
             ..IngressConfig::default()
@@ -399,9 +400,9 @@ fn shed_submits_draw_busy_and_retry_to_completion() {
             r.result
         );
     }
-    // Relaying a window-8 batch against a watermark of 4 must shed: the
-    // service cannot resolve 1024-bit proofs in the microseconds the
-    // relay loop takes.
+    // Relaying an 8-proof frame against a watermark of 4 must shed: one
+    // gather reads the whole frame, and the watermark budgets the
+    // gather.
     assert!(client.shed_notices() >= 4, "expected the batch tail shed");
     assert!(client.retries() >= client.shed_notices());
     assert_eq!(client.shed_pending(), 0);

@@ -51,6 +51,19 @@ pub struct ConnStats {
     pub pauses: u64,
 }
 
+/// What one [`ConnDriver::read_step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadStep {
+    /// Bytes appended to the buffer.
+    pub bytes: usize,
+    /// The stream returned less than there was room for: it had nothing
+    /// more just then, so another read would only meet `WouldBlock`.
+    /// Readiness is level-triggered, so bytes arriving later are
+    /// reported again. False when nothing was asked for (paused, a
+    /// full buffer).
+    pub short: bool,
+}
+
 /// Read chunk size per `read` call. Small enough to keep per-wakeup work
 /// bounded, large enough to drain a window of verdict-sized frames.
 const READ_CHUNK: usize = 8 * 1024;
@@ -167,36 +180,45 @@ impl<S: Read + Write> ConnDriver<S> {
     /// buffers are sized to hold any legal frame, so a full buffer
     /// means a complete frame is parseable or the peer is over-cap).
     ///
-    /// Returns the bytes appended. `Ok(0)` is either `WouldBlock`
-    /// (kernel has nothing), a paused driver, or EOF — distinguish the
-    /// last with [`at_eof`](Self::at_eof).
-    pub fn read_step(&mut self, buf: &mut Vec<u8>) -> Result<usize, DriverError> {
+    /// Returns the bytes appended and whether the read came up short.
+    /// Zero bytes is either `WouldBlock` (kernel has nothing), a paused
+    /// driver, a full buffer, or EOF — distinguish the last with
+    /// [`at_eof`](Self::at_eof).
+    pub fn read_step(&mut self, buf: &mut Vec<u8>) -> Result<ReadStep, DriverError> {
+        let asked_nothing = ReadStep {
+            bytes: 0,
+            short: false,
+        };
         if self.paused || self.eof {
-            return Ok(0);
+            return Ok(asked_nothing);
         }
         let start = buf.len();
         let room = buf.capacity().saturating_sub(start).min(READ_CHUNK);
         if room == 0 {
-            return Ok(0);
+            return Ok(asked_nothing);
         }
         // Zero-fill the landing zone so the read target is initialised;
         // an 8 KiB memset is noise next to the syscall it precedes.
         buf.resize(start + room, 0);
+        let got = |bytes: usize| ReadStep {
+            bytes,
+            short: bytes < room,
+        };
         loop {
             match self.stream.read(&mut buf[start..]) {
                 Ok(0) => {
                     buf.truncate(start);
                     self.eof = true;
-                    return Ok(0);
+                    return Ok(got(0));
                 }
                 Ok(n) => {
                     buf.truncate(start + n);
                     self.stats.bytes_rx += n as u64;
-                    return Ok(n);
+                    return Ok(got(n));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     buf.truncate(start);
-                    return Ok(0);
+                    return Ok(got(0));
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
@@ -273,7 +295,7 @@ mod tests {
         buf: &mut Vec<u8>,
         max_payload: u32,
     ) -> Result<Vec<Frame>, WireError> {
-        while d.read_step(buf).unwrap() > 0 {}
+        while d.read_step(buf).unwrap().bytes > 0 {}
         let mut frames = Vec::new();
         let mut off = 0;
         while let Some((view, used)) = split_frame(&buf[off..], max_payload)? {
@@ -351,31 +373,70 @@ mod tests {
         let mut d = ConnDriver::new(s);
         let mut buf = Vec::with_capacity(64);
         let n = d.read_step(&mut buf).unwrap();
-        assert_eq!(n, f.wire_len());
+        assert_eq!(n.bytes, f.wire_len());
         assert_eq!(buf.len(), f.wire_len());
         let (view, used) = split_frame(&buf, 1024).unwrap().expect("frame");
         assert_eq!(view.to_owned(), f);
         assert_eq!(used, buf.len());
 
         // Nothing pending: WouldBlock maps to 0 without EOF.
-        assert_eq!(d.read_step(&mut buf).unwrap(), 0);
+        assert_eq!(d.read_step(&mut buf).unwrap().bytes, 0);
         assert!(!d.at_eof());
 
-        // A full buffer reads nothing (caller must parse/compact first).
+        // A full buffer asks for nothing (caller must parse/compact first).
         let mut full = Vec::with_capacity(4);
         full.extend_from_slice(&[0; 4]);
-        assert_eq!(d.read_step(&mut full).unwrap(), 0);
+        let nothing = ReadStep {
+            bytes: 0,
+            short: false,
+        };
+        assert_eq!(d.read_step(&mut full).unwrap(), nothing);
 
         // Paused driver reads nothing.
         d.pause();
         let mut spare = Vec::with_capacity(16);
-        assert_eq!(d.read_step(&mut spare).unwrap(), 0);
+        assert_eq!(d.read_step(&mut spare).unwrap(), nothing);
 
         // EOF is latched and distinguishable.
         d.resume();
         d.stream_mut_for_tests().closed = true;
-        assert_eq!(d.read_step(&mut spare).unwrap(), 0);
+        assert_eq!(d.read_step(&mut spare).unwrap().bytes, 0);
         assert!(d.at_eof());
+    }
+
+    /// A read that returns less than it asked for says so, and the
+    /// bytes that arrive after it are read by the next wakeup's step:
+    /// stopping at a short read loses nothing.
+    #[test]
+    fn a_short_read_is_reported_and_the_rest_is_read_next_wakeup() {
+        let f = Frame::new(FrameKind::Submit, vec![3; 40]).encode().unwrap();
+        let mut s = MemStream::new();
+        s.rx.push_back(f[..10].to_vec());
+        let mut d = ConnDriver::new(s);
+        let mut buf = Vec::with_capacity(64);
+        let first = d.read_step(&mut buf).unwrap();
+        assert_eq!(
+            first,
+            ReadStep {
+                bytes: 10,
+                short: true
+            }
+        );
+        assert!(matches!(split_frame(&buf, 1024), Ok(None)), "half a frame");
+
+        // More bytes arrive; level-triggered readiness reports them and
+        // the next wakeup's first read takes the rest.
+        d.stream_mut_for_tests().rx.push_back(f[10..].to_vec());
+        let next = d.read_step(&mut buf).unwrap();
+        assert_eq!((next.bytes, next.short), (f.len() - 10, true));
+        assert_eq!(buf, f);
+
+        // A read that fills the room it was given is not short: more
+        // may be waiting.
+        d.stream_mut_for_tests().rx.push_back(vec![0; 64]);
+        let mut exact = Vec::with_capacity(16);
+        let full = d.read_step(&mut exact).unwrap();
+        assert_eq!((full.bytes, full.short), (exact.capacity(), false));
     }
 
     #[test]
