@@ -159,8 +159,9 @@ fn poc_level(iters: usize) -> (f64, f64) {
     (scalar_ns, batch_ns)
 }
 
-/// Service-level smoke: the sharded service accepts a batch
-/// across relationships and reports every proof exactly once.
+/// Service-level smoke: the in-process service accepts a batch
+/// across relationships on this thread and reports every proof exactly
+/// once.
 fn service_level() -> f64 {
     let plan = DataPlan::paper_default();
     let rels: Vec<(KeyPair, KeyPair, Vec<PocMsg>)> = (0..2u64)
@@ -173,7 +174,7 @@ fn service_level() -> f64 {
         .collect();
     let total: usize = rels.iter().map(|(_, _, p)| p.len()).sum();
     let t0 = Instant::now();
-    let mut svc = VerifierService::new(2);
+    let mut svc = VerifierService::new();
     for (e, o, proofs) in &rels {
         let rel = svc
             .register(plan, e.public.clone(), o.public.clone())
@@ -236,5 +237,5 @@ fn main() {
     );
 
     let per_sec = service_level();
-    println!("service level: 2 workers, 32 proofs -> {per_sec:.0} PoCs/sec submit->drain");
+    println!("service level: one stage, 32 proofs -> {per_sec:.0} PoCs/sec submit->drain");
 }

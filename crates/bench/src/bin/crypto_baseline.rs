@@ -1,6 +1,6 @@
 //! Emits the committed `BENCH_crypto.json` perf numbers: single-thread
 //! RSA-1024 sign/verify latency, full-PoC verification cost, and
-//! multi-worker throughput through the sharded
+//! throughput through the in-process
 //! [`tlc_core::verify::service::VerifierService`] against the paper's
 //! 230K PoCs/hour figure (§5.3.4).
 //!
@@ -168,9 +168,9 @@ fn main() {
         batch_rows.push((batch, per_poc_ns, poc_verify_ns / per_poc_ns));
     }
 
-    // Multi-worker scaling through the sharded verification service:
-    // 4 relationships × 16 proofs, full lifecycle (spawn, register,
-    // submit, drain, join) per repetition, best of 5 repetitions.
+    // Throughput through the in-process verification service: 4
+    // relationships × 16 proofs, full lifecycle (register, submit,
+    // drain, finish) per repetition, best of 5 repetitions.
     let rels: Vec<(KeyPair, KeyPair, Vec<PocMsg>)> = (0..4u64)
         .map(|i| {
             let e = KeyPair::generate_for_seed(1024, 300 + i * 2).expect("keygen");
@@ -180,26 +180,23 @@ fn main() {
         })
         .collect();
     let total: usize = rels.iter().map(|(_, _, p)| p.len()).sum();
-    let mut scaling = Vec::new();
-    for workers in [1usize, 2, 4] {
-        let best_secs = (0..5)
-            .map(|_| {
-                let t0 = Instant::now();
-                let mut svc = VerifierService::new(workers);
-                for (e, o, proofs) in &rels {
-                    let rel = svc
-                        .register(plan, e.public.clone(), o.public.clone())
-                        .unwrap();
-                    svc.submit_batch(rel, proofs.iter().cloned()).unwrap();
-                }
-                let results = svc.collect_results().unwrap();
-                assert!(results.iter().all(|r| r.result.is_ok()));
-                svc.finish();
-                t0.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min);
-        scaling.push((workers, total as f64 / best_secs));
-    }
+    let best_secs = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            let mut svc = VerifierService::new();
+            for (e, o, proofs) in &rels {
+                let rel = svc
+                    .register(plan, e.public.clone(), o.public.clone())
+                    .unwrap();
+                svc.submit_batch(rel, proofs.iter().cloned()).unwrap();
+            }
+            let results = svc.collect_results().unwrap();
+            assert!(results.iter().all(|r| r.result.is_ok()));
+            svc.finish();
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    let service_per_sec = total as f64 / best_secs;
 
     println!("{{");
     println!("  \"host_cpus\": {host_cpus},");
@@ -232,14 +229,9 @@ fn main() {
         );
     }
     println!("  }},");
-    println!("  \"service_note\": \"one thread per worker plus the submitting thread: rows with workers >= host_cpus measure threads sharing cores, not parallel speedup\",");
-    println!("  \"service_pocs_per_sec\": {{");
-    for (i, (w, per_sec)) in scaling.iter().enumerate() {
-        let comma = if i + 1 == scaling.len() { "" } else { "," };
-        println!(
-            "    \"{w}_workers\": {{ \"pocs_per_sec\": {per_sec:.0}, \"host_cpus\": {host_cpus} }}{comma}"
-        );
-    }
-    println!("  }}");
+    println!("  \"service_note\": \"the in-process service is one batching stage on the submitting thread, hashing and verifying as it submits: one core whatever host_cpus says; an ingress server scales across cores by shard count\",");
+    println!(
+        "  \"service_pocs_per_sec\": {{ \"pocs_per_sec\": {service_per_sec:.0}, \"host_cpus\": {host_cpus} }}"
+    );
     println!("}}");
 }

@@ -133,17 +133,14 @@ fn conformance_bench(metrics: bool) {
         .and_then(|v| v.parse().ok())
         .filter(|n| *n > 0)
         .unwrap_or(40);
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(2);
     let plan = DataPlan::paper_default();
 
     println!("building {RELATIONSHIPS} relationships × {cycles} cycles…");
     let rels: Vec<Rel> = (0..RELATIONSHIPS).map(|id| build_rel(id, cycles)).collect();
     let total = RELATIONSHIPS as usize * cycles;
 
-    // ── In-process baseline ─────────────────────────────────────────────
-    let mut svc = VerifierService::new(workers);
+    // ── In-process baseline (one stage on this thread) ──────────────────
+    let mut svc = VerifierService::new();
     let start = Instant::now();
     for r in &rels {
         let rel = svc

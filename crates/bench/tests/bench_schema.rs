@@ -1,7 +1,7 @@
 //! Schema honesty checks for the committed bench reports.
 //!
 //! Every throughput/scaling row in the `BENCH_*.json` reports must
-//! carry the `host_cpus` it was measured on: a "4 workers" or
+//! carry the `host_cpus` it was measured on: a "4 shards" or
 //! "8 threads" row without the core count silently passes off
 //! threads sharing cores as parallel speedup. The writers in
 //! `src/bin/` stamp it per row; this test pins the contract on the
@@ -40,8 +40,8 @@ fn bench_crypto_rows_record_host_cpus() {
         text.contains("\"host_cpus\""),
         "BENCH_crypto.json has no top-level host_cpus"
     );
-    // The multi-worker service rows are where the honesty gap bites.
-    assert_rows_stamped("BENCH_crypto.json", &text, "_workers\":");
+    // The in-process service row: one thread, whatever the host has.
+    assert_rows_stamped("BENCH_crypto.json", &text, "\"service_pocs_per_sec\":");
 }
 
 #[test]

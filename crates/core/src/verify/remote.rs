@@ -3,10 +3,10 @@
 //! The paper positions public verification as something a third party —
 //! an MVNO, a regulator, an FCC-style auditor — runs against operator
 //! and vendor claims. [`VerifierService`](crate::verify::service::VerifierService)
-//! batches that verification across cores but is only callable
-//! in-process; this module puts the same batching core
-//! ([`crate::verify::stage`]) behind a TCP boundary with explicit
-//! framing, backpressure, and failure semantics:
+//! batches that verification on its caller's thread and is only
+//! callable in-process; this module puts the same batching core
+//! ([`crate::verify::stage`]) behind a TCP boundary, one stage per shard
+//! thread, with explicit framing, backpressure, and failure semantics:
 //!
 //! * [`codec`] — payload grammars for every
 //!   [`FrameKind`](tlc_net::wire::FrameKind); the byte-exact

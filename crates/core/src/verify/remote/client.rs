@@ -1,8 +1,9 @@
 //! The blocking client for the verifier ingress: [`RemoteVerifier`]
-//! mirrors the in-process `VerifierService` API over one TCP session
-//! and turns the server's typed BUSY into seeded-jitter backoff
-//! (DESIGN §10 "Client"). It shares nothing with the server but the
-//! [`codec`].
+//! mirrors the in-process `VerifierService` API (one stage on its
+//! caller's thread) over one TCP session, with the server's shard
+//! threads judging on the far side, and turns the server's typed BUSY
+//! into seeded-jitter backoff (DESIGN §10 "Client"). It shares nothing
+//! with the server but the [`codec`].
 
 use super::codec::{
     self, BusyMsg, BusyScope, Fault, Hello, HelloAck, Register, Registered, SettleMsg,
@@ -359,9 +360,8 @@ impl<S: Read + Write> RemoteVerifier<S> {
     /// retried proofs re-enter at retry time, so under overload only
     /// never-shed proofs keep that order).
     ///
-    /// If the server goes away first, the same
-    /// [`ServiceError::ResultsClosed`] the in-process API raises is
-    /// returned, carrying the number of results lost.
+    /// If the server goes away first, [`ServiceError::ResultsClosed`]
+    /// is returned, carrying the number of results lost.
     pub fn collect_results(&mut self) -> Result<Vec<SubmissionResult>, RemoteError> {
         let mut out = Vec::with_capacity(self.outstanding + self.ready.len());
         while let Some(r) = self.ready.pop_front() {

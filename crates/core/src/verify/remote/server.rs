@@ -159,7 +159,6 @@ pub type IngressStats = StatsSnapshot;
 #[derive(Debug, Clone)]
 pub struct IngressReport {
     /// Verification counters, one [`ShardStats`] per ingress shard.
-    /// The shards read no clock: `elapsed` and `pocs_per_hour` are zero.
     ///
     /// [`ShardStats`]: crate::verify::service::ShardStats
     pub service: ServiceReport,
@@ -234,7 +233,7 @@ fn merge_reports(parts: Vec<IngressReport>, join_panics: usize) -> IngressReport
         pool.recycles += part.pool.recycles;
     }
     IngressReport {
-        service: ServiceReport::from_shards(shards, join_panics, unclaimed, Duration::ZERO),
+        service: ServiceReport::from_shards(shards, join_panics, unclaimed),
         ingress,
         pool,
     }
@@ -626,7 +625,7 @@ impl Shard {
         }
         let (shard, unclaimed) = self.stage.finish();
         IngressReport {
-            service: ServiceReport::from_shards(vec![shard], 0, unclaimed.len(), Duration::ZERO),
+            service: ServiceReport::from_shards(vec![shard], 0, unclaimed.len()),
             ingress: self.stats,
             // Taken while the connections still hold their buffers:
             // those are intentionally *not* recycles.
@@ -1791,7 +1790,7 @@ mod tests {
             fields.flat_map(u64::to_be_bytes).collect()
         };
         let part = || IngressReport {
-            service: ServiceReport::from_shards(Vec::new(), 0, 0, Duration::ZERO),
+            service: ServiceReport::from_shards(Vec::new(), 0, 0),
             ingress: IngressStats::decode(&payload(1)).unwrap(),
             pool: PoolStats::default(),
         };

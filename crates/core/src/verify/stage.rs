@@ -6,13 +6,13 @@
 //! and owns the one [`Verifier`] — and so the one replay window — that
 //! triple is judged by, however many stages, threads or connections
 //! present proofs under it. An ingress server makes one table for all
-//! its shards, a [`super::service::VerifierService`] one for all its
-//! workers.
+//! its shards, a [`super::service::VerifierService`] one for its one
+//! stage.
 //!
 //! A [`Stage`] is a plain value with no thread, queue or clock of its
 //! own. [`Stage::submit`] buffers a proof and its chain digests under
 //! its relationship — an ingress shard hashes the bytes it received
-//! ([`PocMsg::decode_hashed`]), a pool worker the value
+//! ([`PocMsg::decode_hashed`]), the in-process service the value
 //! ([`PocMsg::chain_digests`]), and both hash the same spans; a
 //! relationship's batch is verified on the spot when it reaches the
 //! batch size, and [`Stage::flush`] verifies whatever is still buffered
@@ -26,8 +26,9 @@
 //! Both callers own their stages outright: an ingress shard
 //! ([`super::remote`]) submits what one wakeup gathered, answers each
 //! batch as soon as it is judged, and flushes before it blocks again;
-//! a pool worker submits what its queue holds
-//! and flushes when the queue runs dry. What stages share is the table.
+//! the in-process service ([`super::service`]) submits on its caller's
+//! thread and flushes when the caller collects. What stages share is
+//! the table.
 //! Two locks, never held together: the table's own (a lookup or a
 //! registration, then released) and, after it, the relationship's
 //! verifier's, taken **once per batch** and held while the batch is
@@ -50,12 +51,6 @@ use tlc_crypto::{CryptoError, PublicKey};
 pub struct RelationshipId(u64);
 
 impl RelationshipId {
-    /// The pool worker a relationship is pinned to, given the worker
-    /// count.
-    pub(crate) fn shard(self, workers: usize) -> usize {
-        (self.0 % workers as u64) as usize
-    }
-
     /// The raw id, for the network ingress that must name relationships
     /// on the wire. Not part of the public API: only `verify::remote`
     /// serializes ids.
@@ -88,7 +83,7 @@ struct Table {
     entries: Vec<Arc<Entry>>,
 }
 
-/// The relationships of one server or pool; see the
+/// The relationships of one server or service; see the
 /// [module docs](self).
 #[derive(Default)]
 pub struct Relationships {
@@ -175,7 +170,7 @@ pub struct SubmissionResult {
 /// Counters for one stage, reported at shutdown.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Shard index: the pool worker's, or the ingress shard's.
+    /// Shard index: the ingress shard's, or 0 in-process.
     pub shard: usize,
     /// Relationships this shard verified at least one batch under.
     pub relationships: usize,
@@ -324,7 +319,7 @@ pub(crate) mod tests {
     use tlc_crypto::KeyPair;
 
     /// One negotiated proof between `edge` and `op` under the given
-    /// nonce bytes (shared with the pool's tests).
+    /// nonce bytes (shared with the service's tests).
     pub(crate) fn negotiate(
         edge: &KeyPair,
         op: &KeyPair,

@@ -1,17 +1,15 @@
-//! Concurrency model for the verification pool, compiled only under
+//! Concurrency model for the verification plane, compiled only under
 //! `RUSTFLAGS="--cfg loom"`:
 //!
 //! ```sh
 //! RUSTFLAGS="--cfg loom" cargo test -p tlc-core --test loom_service
 //! ```
 //!
-//! Two cross-thread protocols exist, so two models: the real
-//! [`VerifierService`] torn down with a partial batch still buffered —
-//! `finish()` closing the workers' queues races the workers draining
-//! them, and must still flush and account every proof — and two
-//! [`Stage`]s on two threads (two ingress shards) judging one
-//! relationship's proofs under one [`Relationships`] table, where each
-//! proof must be accepted by exactly one of them.
+//! One cross-thread protocol is left, so one model: two [`Stage`]s on
+//! two threads (two ingress shards) judging one relationship's proofs
+//! under one [`Relationships`] table, where each proof must be accepted
+//! by exactly one of them. (The in-process `VerifierService` is one
+//! stage on its caller's thread and has no protocol to model.)
 //!
 //! `loom::model` re-runs the body under perturbed schedules
 //! (`LOOM_ITERS` controls how many), so the assertions hold across
@@ -24,7 +22,6 @@ use std::sync::{Arc, OnceLock};
 use tlc_core::plan::DataPlan;
 use tlc_core::protocol::{run_negotiation, Endpoint};
 use tlc_core::strategy::{Knowledge, OptimalStrategy, Role};
-use tlc_core::verify::service::{ServiceConfig, VerifierService};
 use tlc_core::verify::stage::{Relationships, Stage};
 use tlc_core::verify::VerifyError;
 use tlc_core::PocMsg;
@@ -73,34 +70,6 @@ fn proof_corpus() -> &'static (DataPlan, KeyPair, KeyPair, Vec<PocMsg>) {
             .collect();
         (plan, edge, op, pocs)
     })
-}
-
-#[test]
-fn service_finish_flushes_partial_batches() {
-    let (plan, edge, op, pocs) = proof_corpus();
-    loom::model(move || {
-        // Batch size far above the submission count: no batch ever
-        // fills, so every proof is verified by a worker that found its
-        // queue dry or disconnected — and `finish` disconnects it while
-        // the submissions may still be sitting in it.
-        let mut svc = VerifierService::with_config(ServiceConfig {
-            workers: 2,
-            batch_size: 64,
-        });
-        let rel = svc
-            .register(*plan, edge.public.clone(), op.public.clone())
-            .unwrap();
-        for poc in pocs {
-            svc.submit(rel, poc.clone()).unwrap();
-        }
-        let report = svc.finish();
-        assert_eq!(report.worker_panics, 0);
-        assert_eq!(
-            (report.accepted, report.rejected, report.unclaimed_results),
-            (pocs.len() as u64, 0, pocs.len()),
-            "shutdown must flush the partial batch, dropping nothing"
-        );
-    });
 }
 
 #[test]

@@ -9,8 +9,8 @@
 //! cases fast — on one stage, and on two stages presenting one
 //! relationship's proofs to one table, where the sequential verifier is
 //! fed in the order the batches were judged; one smaller run drives the
-//! same property through the threaded pool, where the scheduler picks
-//! the flush points.
+//! same property through the in-process `VerifierService`, whose
+//! `collect_results` is the flush.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -204,40 +204,37 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The same property where worker threads own the stages and flush
-    /// whenever their queues happen to run dry: one worker (every
-    /// relationship on one stage) and three (one each).
+    /// The same property through the service's API: it hashes the
+    /// value, tags the proof itself, and flushes when its caller
+    /// collects.
     #[test]
-    fn prop_pool_matches_sequential_verify(ops in arb_ops(), batch_size in 1usize..5) {
+    fn prop_service_matches_sequential_verify(ops in arb_ops(), batch_size in 1usize..5) {
         let plan = DataPlan::paper_default();
         let corpus = corpus();
-        for workers in [1, 3] {
-            let mut svc = VerifierService::with_config(ServiceConfig { workers, batch_size });
-            let mut rels = Vec::new();
-            for r in corpus {
-                rels.push(svc.register(plan, r.edge.public.clone(), r.op.public.clone()).unwrap());
-            }
-            let mut oracles = oracles();
+        let mut svc = VerifierService::with_config(ServiceConfig {
+            batch_size,
+            ..ServiceConfig::default()
+        });
+        let mut rels = Vec::new();
+        for r in corpus {
+            rels.push(svc.register(plan, r.edge.public.clone(), r.op.public.clone()).unwrap());
+        }
+        let mut oracles = oracles();
 
-            let mut want = PerRelationship::new();
-            let mut got = Vec::new();
-            for op in &ops {
-                match *op {
-                    // The pool has no flush to call; collecting waits
-                    // for everything submitted so far instead.
-                    Op::Flush => got.extend(svc.collect_results().unwrap()),
-                    Op::Submit { rel, poc } => {
-                        let proof = &corpus[rel].pocs[poc];
-                        let tag = svc.submit(rels[rel], proof.clone()).unwrap();
-                        want.entry(rels[rel]).or_default().push((tag, oracles[rel].verify(proof)));
-                    }
+        let mut want = PerRelationship::new();
+        let mut got = Vec::new();
+        for op in &ops {
+            match *op {
+                Op::Flush => got.extend(svc.collect_results().unwrap()),
+                Op::Submit { rel, poc } => {
+                    let proof = &corpus[rel].pocs[poc];
+                    let tag = svc.submit(rels[rel], proof.clone()).unwrap();
+                    want.entry(rels[rel]).or_default().push((tag, oracles[rel].verify(proof)));
                 }
             }
-            got.extend(svc.collect_results().unwrap());
-            prop_assert_eq!(grouped(got), want);
-            let report = svc.finish();
-            prop_assert_eq!(report.worker_panics, 0);
-            prop_assert_eq!(report.unclaimed_results, 0);
         }
+        got.extend(svc.collect_results().unwrap());
+        prop_assert_eq!(grouped(got), want);
+        prop_assert_eq!(svc.finish().unclaimed_results, 0);
     }
 }

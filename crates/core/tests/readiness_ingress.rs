@@ -151,7 +151,7 @@ fn ingress_matches_in_process_verdicts() {
     let stranger = material(1, 1);
     let bad = &stranger.pocs[0];
 
-    let mut svc = VerifierService::new(2);
+    let mut svc = VerifierService::new();
     let rel = svc
         .register(m.plan, m.edge.public.clone(), m.op.public.clone())
         .unwrap();

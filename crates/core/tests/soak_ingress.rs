@@ -96,12 +96,8 @@ type TaggedVerdicts = Vec<(u64, Result<Verdict, VerifyError>)>;
 /// ordered verdict sequences.
 fn in_process_reference(
     material: &HashMap<(usize, usize), RelMaterial>,
-    workers: usize,
 ) -> HashMap<(usize, usize), VerdictSeq> {
-    let mut svc = VerifierService::with_config(ServiceConfig {
-        workers,
-        ..ServiceConfig::default()
-    });
+    let mut svc = VerifierService::new();
     let mut rel_ids = HashMap::new();
     let mut keys: Vec<&(usize, usize)> = material.keys().collect();
     keys.sort();
@@ -144,7 +140,6 @@ fn in_process_reference(
 #[test]
 fn soak_remote_matches_in_process_bit_for_bit() {
     let n_clients = sessions();
-    let workers = 2;
 
     // Generate all material up front (keygen + negotiation dominate).
     let mut material = HashMap::new();
@@ -153,14 +148,11 @@ fn soak_remote_matches_in_process_bit_for_bit() {
             material.insert((c, r), build_material(c, r));
         }
     }
-    let reference = in_process_reference(&material, workers);
+    let reference = in_process_reference(&material);
 
     let server = IngressServer::bind(
         ("127.0.0.1", 0),
-        ServiceConfig {
-            workers,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
         IngressConfig {
             // A tight window exercises the backpressure path under load.
             window: 4,
@@ -272,8 +264,8 @@ fn batch_submission_respects_window_and_completes() {
     let server = IngressServer::bind(
         ("127.0.0.1", 0),
         ServiceConfig {
-            workers: 1,
             batch_size: 2,
+            ..ServiceConfig::default()
         },
         IngressConfig {
             window: 2,

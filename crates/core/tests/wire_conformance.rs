@@ -366,7 +366,7 @@ fn remote_verdicts_match_in_process_bit_for_bit() {
     let pocs = [valid, tampered, replay];
 
     // In-process reference run.
-    let mut svc = VerifierService::new(1);
+    let mut svc = VerifierService::new();
     let rel = svc
         .register(plan, edge.public.clone(), op.public.clone())
         .unwrap();
@@ -380,10 +380,7 @@ fn remote_verdicts_match_in_process_bit_for_bit() {
     // Same proofs over a real socket.
     let server = IngressServer::bind(
         ("127.0.0.1", 0),
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
         IngressConfig::default(),
     )
     .unwrap();
@@ -427,10 +424,7 @@ fn unknown_relationship_is_mirrored_client_side() {
 
     let server = IngressServer::bind(
         ("127.0.0.1", 0),
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
         IngressConfig::default(),
     )
     .unwrap();
@@ -465,10 +459,7 @@ fn non_hello_opening_is_rejected() {
 
     let server = IngressServer::bind(
         ("127.0.0.1", 0),
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
         IngressConfig::default(),
     )
     .unwrap();
@@ -512,10 +503,7 @@ fn shutdown_accounts_for_unclaimed_results() {
     let op = KeyPair::generate_for_seed(1024, 9301).unwrap();
     let server = IngressServer::bind(
         ("127.0.0.1", 0),
-        ServiceConfig {
-            workers: 1,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
         IngressConfig::default(),
     )
     .unwrap();

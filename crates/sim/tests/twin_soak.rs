@@ -122,7 +122,7 @@ impl SettlementSink for ServiceSink<'_> {
 #[test]
 fn twin_settlements_negotiate_and_verify_in_process() {
     let parties = Parties::generate(1);
-    let mut svc = VerifierService::new(2);
+    let mut svc = VerifierService::new();
     let rel = svc
         .register(
             parties.plan,
@@ -187,10 +187,7 @@ fn twin_soaks_the_tcp_ingress_closed_loop() {
     let parties = Parties::generate(2);
     let server = IngressServer::bind(
         ("127.0.0.1", 0),
-        ServiceConfig {
-            workers: 2,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
         IngressConfig::default(),
     )
     .expect("bind ingress");

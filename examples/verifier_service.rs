@@ -2,11 +2,10 @@
 //!
 //! The paper sizes verification throughput at 230K PoCs/hour on one HP
 //! Z840. This example builds a batch of proofs from many edge-operator
-//! pairs, then feeds them through [`tlc_core::verify::service`] — the
-//! sharded worker pool that pins each relationship (and its replay
-//! cache) to exactly one thread — measuring throughput and
-//! demonstrating the rejection paths: replays, forgeries, plan
-//! mismatches, and charge tampering.
+//! pairs, then feeds them through [`tlc_core::verify::service`] — one
+//! batching stage on this thread, one replay window per relationship —
+//! measuring throughput and demonstrating the rejection paths: replays,
+//! forgeries, plan mismatches, and charge tampering.
 //!
 //! ```sh
 //! cargo run --release --example verifier_service
@@ -22,6 +21,7 @@
 //! ```
 
 use std::sync::atomic::AtomicBool;
+use std::time::Instant;
 use tlc_core::messages::{PocMsg, NONCE_LEN};
 use tlc_core::plan::DataPlan;
 use tlc_core::protocol::{run_negotiation, Endpoint};
@@ -200,13 +200,12 @@ fn main() {
         .map(|id| build_relationship(id as u64, cycles))
         .collect();
 
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let mut svc = VerifierService::new(workers);
+    let mut svc = VerifierService::new();
 
     // Register every relationship, then batch-submit its proofs plus one
-    // replay — the shard-local replay cache must reject exactly that one.
+    // replay — the relationship's replay window must reject exactly that
+    // one.
+    let t0 = Instant::now();
     let mut total = 0usize;
     let mut handles = Vec::with_capacity(rels.len());
     for r in &rels {
@@ -218,13 +217,8 @@ fn main() {
         total += count + 1;
         handles.push(rel);
     }
-    println!(
-        "verifying {} proofs on {} shard workers…",
-        total,
-        svc.workers()
-    );
-
     let results = svc.collect_results().unwrap();
+    let secs = t0.elapsed().as_secs_f64();
     let accepted = results.iter().filter(|r| r.result.is_ok()).count();
     let replayed = results
         .iter()
@@ -232,11 +226,12 @@ fn main() {
         .count();
     let report = svc.finish();
     println!(
-        "  accepted {}, rejected {} replays in {:.2} s -> {:.0} verifications/hour",
+        "verified {} proofs: accepted {}, rejected {} replays in {:.3} s -> {:.0} verifications/hour",
+        total,
         accepted,
         replayed,
-        report.elapsed.as_secs_f64(),
-        report.pocs_per_hour,
+        secs,
+        total as f64 * 3600.0 / secs,
     );
     for s in &report.shards {
         println!(
@@ -249,10 +244,10 @@ fn main() {
     assert_eq!(report.accepted as usize, accepted);
 
     // ── Rejection paths ─────────────────────────────────────────────────
-    // All four flow through the same sharded pool as acceptances.
+    // All four flow through the same service as acceptances.
     println!("\nrejection paths:");
     let victim = &rels[0];
-    let mut svc = VerifierService::new(2);
+    let mut svc = VerifierService::new();
     let rel = svc
         .register(plan, victim.edge_pub.clone(), victim.op_pub.clone())
         .unwrap();
