@@ -22,8 +22,9 @@
 //!   fallback to the legacy charge,
 //! * [`verify`] — Algorithm 2 public verification with replay defence,
 //! * [`roaming`] — three-party (home/visited/vendor) roaming settlement
-//!   with exact conservation, bonded multi-link CDR reconciliation, and
-//!   cross-operator replay scoping,
+//!   with exact conservation and bonded multi-link CDR reconciliation
+//!   (replay across operators is the relationship table's, in
+//!   [`verify::stage`]),
 //! * [`legacy`] — the legacy 4G/5G baseline and the gap metrics
 //!   (Δ, ε, µ) used throughout the evaluation,
 //! * [`game`] — numeric minimax/maximin machinery behind Theorems 2–4 and
@@ -78,9 +79,7 @@ pub use cancellation::{
 pub use messages::{CdaMsg, CdrMsg, MessageError, Nonce, PocMsg, NONCE_LEN};
 pub use plan::{charge_for, intended_charge, ChargingCycle, DataPlan, LossWeight, UsagePair};
 pub use protocol::{run_negotiation, Endpoint, Message, ProtocolError, State};
-pub use roaming::{
-    reconcile_bonded, LinkCdr, RoamingAgreement, RoamingVerifier, Segment, Serving, SettlementSplit,
-};
+pub use roaming::{reconcile_bonded, LinkCdr, RoamingAgreement, Segment, Serving, SettlementSplit};
 pub use session::{
     run_session_pair, FallbackReason, PairReport, Session, SessionConfig, SessionOutcome,
     SessionStats,

@@ -42,19 +42,17 @@
 //! `Σ per-link charge == bonded charge` under any loss/reorder
 //! schedule.
 //!
-//! ## Cross-operator replay scope
+//! ## Replay across home and visited
 //!
-//! A proof-of-charging settled through the home relationship must not
-//! be creditable again through the visited relationship.
-//! [`RoamingVerifier`] wraps both per-relationship [`Verifier`]s behind
-//! one shared seen-nonce window, and — like the in-process verifier —
-//! checks replay *before* crypto, so a cross-operator resubmission is
-//! rejected as [`VerifyError::Replayed`] rather than merely failing its
-//! signature check.
+//! This module verifies nothing. A proof's signatures bind it to one
+//! `(plan, edge key, operator key)` triple, and a
+//! [`Relationships`](crate::verify::stage::Relationships) table holds
+//! one replay window per triple. So a proof settled under the home
+//! relationship is accepted at most once there, and through the
+//! visited relationship it fails its signature check at any age
+//! (`tests/prop_stage.rs`).
 
-use crate::messages::PocMsg;
 use crate::plan::{charge_for, DataPlan, LossWeight, UsagePair};
-use crate::verify::{ReplayWindow, Verdict, Verifier, VerifyError, DEFAULT_REPLAY_CAPACITY};
 
 /// Which operator served a segment of the cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -275,78 +273,6 @@ pub fn bonded_volume(links: &[LinkCdr]) -> u64 {
         v = v.saturating_add(l.claims.edge);
     }
     v
-}
-
-/// Replay-scoped verification across a roaming pair: one shared
-/// seen-nonce window over both per-relationship [`Verifier`]s, so a
-/// proof settled with either operator cannot be re-credited through
-/// the other. The shared window is the same FIFO-bounded type as each
-/// relationship's own cache.
-pub struct RoamingVerifier {
-    home: Verifier,
-    visited: Verifier,
-    window: ReplayWindow,
-    cross_rejected: u64,
-}
-
-impl RoamingVerifier {
-    /// Wraps the two relationship verifiers with the
-    /// [default replay window](DEFAULT_REPLAY_CAPACITY).
-    pub fn new(home: Verifier, visited: Verifier) -> Self {
-        Self::with_capacity(home, visited, DEFAULT_REPLAY_CAPACITY)
-    }
-
-    /// Wraps the two relationship verifiers with a shared replay
-    /// window retaining at most `capacity` accepted nonce pairs.
-    pub fn with_capacity(home: Verifier, visited: Verifier, capacity: usize) -> Self {
-        RoamingVerifier {
-            home,
-            visited,
-            window: ReplayWindow::new(capacity),
-            cross_rejected: 0,
-        }
-    }
-
-    /// Verifies one proof through the named relationship, enforcing
-    /// nonce freshness across *both* relationships. The shared replay
-    /// check runs before any cryptography — mirroring
-    /// [`Verifier::verify`] — so a cross-operator resubmission yields
-    /// [`VerifyError::Replayed`], not a signature failure.
-    pub fn verify(&mut self, serving: Serving, poc: &PocMsg) -> Result<Verdict, VerifyError> {
-        if self.window.contains(poc) {
-            self.cross_rejected = self.cross_rejected.saturating_add(1);
-            return Err(VerifyError::Replayed);
-        }
-        let judged = match serving {
-            Serving::Home => self.home.verify(poc),
-            Serving::Visited => self.visited.verify(poc),
-        };
-        if judged.is_ok() {
-            self.window.insert(poc);
-        }
-        judged
-    }
-
-    /// The home relationship's verifier.
-    pub fn home(&self) -> &Verifier {
-        &self.home
-    }
-
-    /// The visited relationship's verifier.
-    pub fn visited(&self) -> &Verifier {
-        &self.visited
-    }
-
-    /// Proofs rejected by the *shared* window (replays that the
-    /// per-relationship caches alone would have missed or misreported).
-    pub fn cross_rejected(&self) -> u64 {
-        self.cross_rejected
-    }
-
-    /// Nonce pairs currently retained in the shared window.
-    pub fn replay_window_len(&self) -> usize {
-        self.window.len()
-    }
 }
 
 #[cfg(test)]

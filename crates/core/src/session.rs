@@ -230,7 +230,7 @@ impl Session {
             if let Some(poc) = self.endpoint.proof() {
                 self.outcome = Some(SessionOutcome::Proof(Box::new(poc.clone())));
             } else {
-                self.fall_back(FallbackReason::RetryBudgetExhausted);
+                self.outcome = Some(self.fall_back(FallbackReason::RetryBudgetExhausted));
             }
             self.next_timeout = None;
             return;
@@ -295,7 +295,7 @@ impl Session {
                 self.next_timeout = None;
             }
             Err(e) => {
-                self.fall_back(FallbackReason::PeerMisbehavior(e));
+                self.outcome = Some(self.fall_back(FallbackReason::PeerMisbehavior(e)));
             }
         }
     }
@@ -341,11 +341,12 @@ impl Session {
         self.tx_queue.push_back(frame);
     }
 
-    fn fall_back(&mut self, reason: FallbackReason) {
-        let charge = self.fallback_charge();
-        self.outcome = Some(SessionOutcome::Fallback { reason, charge });
+    /// Stops the ARQ and returns the legacy-charge outcome for `reason`.
+    fn fall_back(&mut self, reason: FallbackReason) -> SessionOutcome {
         self.next_timeout = None;
         self.outstanding = false;
+        let charge = self.fallback_charge();
+        SessionOutcome::Fallback { reason, charge }
     }
 
     /// The legacy 4G/5G charge this party settles on if negotiation is
@@ -362,12 +363,20 @@ impl Session {
 
     /// Forces the fallback outcome (cycle deadline / peer gave up).
     pub fn abandon(&mut self) {
-        if self.outcome.is_none() {
-            if let Some(poc) = self.endpoint.proof() {
-                self.outcome = Some(SessionOutcome::Proof(Box::new(poc.clone())));
-            } else {
-                self.fall_back(FallbackReason::Abandoned);
-            }
+        let outcome = self.take_outcome();
+        self.outcome = Some(outcome);
+    }
+
+    /// Hands over the outcome. A session without one settles on what
+    /// [`abandon`](Self::abandon) sets: the proof if the endpoint holds
+    /// one, else the legacy fallback.
+    fn take_outcome(&mut self) -> SessionOutcome {
+        if let Some(outcome) = self.outcome.take() {
+            return outcome;
+        }
+        match self.endpoint.proof() {
+            Some(poc) => SessionOutcome::Proof(Box::new(poc.clone())),
+            None => self.fall_back(FallbackReason::Abandoned),
         }
     }
 
@@ -609,8 +618,8 @@ pub fn run_session_pair(
     let i_stats = initiator.stats();
     let r_stats = responder.stats();
     Ok(PairReport {
-        initiator: initiator.outcome.take().expect("loop exits with outcome"),
-        responder: responder.outcome.take().expect("loop exits with outcome"),
+        initiator: initiator.take_outcome(),
+        responder: responder.take_outcome(),
         elapsed: now.since(start_at),
         frames_sent: i_stats.frames_sent + r_stats.frames_sent,
         retransmits: i_stats.retransmits + r_stats.retransmits,

@@ -40,9 +40,7 @@ pub enum VerifyError {
     },
     /// This PoC's nonce pair was already presented (replay).
     Replayed,
-    /// The proof reached a verification shard that holds no verifier
-    /// for its relationship (service-internal protocol violation;
-    /// surfaced as a rejection instead of a worker panic).
+    /// The proof was submitted under an id the table never issued.
     Unregistered,
 }
 
@@ -202,7 +200,7 @@ const MIN_INDEX_SLOTS: usize = 8;
 /// open-addressing table of ring positions (linear probing, at most half
 /// full, backward-shift deletion), so a held pair costs 32 bytes plus
 /// 8–16 of index.
-pub(crate) struct ReplayWindow {
+struct ReplayWindow {
     /// Held pairs; insertion order until full, then a ring whose oldest
     /// pair sits at `head`.
     ring: Vec<(Nonce, Nonce)>,
@@ -218,7 +216,7 @@ pub(crate) struct ReplayWindow {
 }
 
 impl ReplayWindow {
-    pub(crate) fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "replay cache needs at least one slot");
         assert!(
             capacity < NO_POS as usize,
@@ -233,7 +231,7 @@ impl ReplayWindow {
         }
     }
 
-    pub(crate) fn contains(&self, poc: &PocMsg) -> bool {
+    fn contains(&self, poc: &PocMsg) -> bool {
         let key = (poc.nonce_e, poc.nonce_o);
         let mut slot = self.home_slot(&key);
         loop {
@@ -247,7 +245,7 @@ impl ReplayWindow {
 
     /// Records an accepted proof's pair; callers have just seen
     /// [`contains`](Self::contains) deny it.
-    pub(crate) fn insert(&mut self, poc: &PocMsg) {
+    fn insert(&mut self, poc: &PocMsg) {
         let key = (poc.nonce_e, poc.nonce_o);
         let pos = if self.ring.len() < self.capacity {
             self.ring.push(key);
@@ -267,11 +265,11 @@ impl ReplayWindow {
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.ring.len()
     }
 
-    pub(crate) fn capacity(&self) -> usize {
+    fn capacity(&self) -> usize {
         self.capacity
     }
 

@@ -7,7 +7,11 @@
 //! triple is judged by, however many stages, threads or connections
 //! present proofs under it. An ingress server makes one table for all
 //! its shards, a [`super::service::VerifierService`] one for its one
-//! stage.
+//! stage. A proof's signatures bind it to one triple, so the whole
+//! table accepts it at most once, and only under that triple's id;
+//! under any other id — a roaming vendor's visited relationship, say,
+//! for a proof made with its home operator — it fails its signature
+//! check at any age (`tests/prop_stage.rs`).
 //!
 //! A [`Stage`] is a plain value with no thread, queue or clock of its
 //! own. [`Stage::submit`] buffers a proof and its chain digests under

@@ -11,6 +11,12 @@
 //! fed in the order the batches were judged; one smaller run drives the
 //! same property through the in-process `VerifierService`, whose
 //! `collect_results` is the flush.
+//!
+//! Proofs are also presented under relationships they were not made in.
+//! Relationships 0 and 1 share an edge key — a roaming vendor's home and
+//! visited relationships (DESIGN §14) — so the table must accept every
+//! distinct proof at most once, and only under its own relationship: a
+//! cross-operator resubmission fails its signatures however old it is.
 
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -57,37 +63,52 @@ fn negotiate(edge: &KeyPair, op: &KeyPair, plan: DataPlan, nonce: u8) -> PocMsg 
 }
 
 /// Keys and proofs are expensive and pure data: made once.
+/// Relationships 0 and 1 share an edge key: one vendor's home and
+/// visited relationships.
 fn corpus() -> &'static Vec<Relationship> {
     static CORPUS: OnceLock<Vec<Relationship>> = OnceLock::new();
     CORPUS.get_or_init(|| {
         let plan = DataPlan::paper_default();
-        (0..RELS as u64)
-            .map(|r| {
-                let edge = KeyPair::generate_for_seed(1024, 61_000 + 2 * r).unwrap();
-                let op = KeyPair::generate_for_seed(1024, 61_001 + 2 * r).unwrap();
-                let pocs = (0..POCS_PER_REL as u8)
-                    .map(|k| negotiate(&edge, &op, plan, 32 * r as u8 + 2 * k + 1))
-                    .collect();
-                Relationship { edge, op, pocs }
-            })
-            .collect()
+        let mut corpus: Vec<Relationship> = Vec::with_capacity(RELS);
+        for r in 0..RELS as u64 {
+            let edge = if r == 1 {
+                corpus[0].edge.clone()
+            } else {
+                KeyPair::generate_for_seed(1024, 61_000 + 2 * r).unwrap()
+            };
+            let op = KeyPair::generate_for_seed(1024, 61_001 + 2 * r).unwrap();
+            let pocs = (0..POCS_PER_REL as u8)
+                .map(|k| negotiate(&edge, &op, plan, 32 * r as u8 + 2 * k + 1))
+                .collect();
+            corpus.push(Relationship { edge, op, pocs });
+        }
+        corpus
     })
 }
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Submit { rel: usize, poc: usize },
+    /// Proof `poc` made in relationship `rel`, presented under `under`.
+    Submit {
+        rel: usize,
+        poc: usize,
+        under: usize,
+    },
     Flush,
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    let op = (0u8..4, 0usize..RELS, 0usize..POCS_PER_REL).prop_map(|(kind, rel, poc)| {
-        if kind == 0 {
-            Op::Flush
-        } else {
-            Op::Submit { rel, poc }
-        }
-    });
+    // `under` is the proof's own relationship on two draws in three.
+    let op = (0u8..4, 0usize..RELS, 0usize..POCS_PER_REL, 0usize..2 * RELS).prop_map(
+        |(kind, rel, poc, under)| {
+            if kind == 0 {
+                Op::Flush
+            } else {
+                let under = if under < RELS { under } else { rel };
+                Op::Submit { rel, poc, under }
+            }
+        },
+    );
     proptest::collection::vec(op, 1..40)
 }
 
@@ -113,6 +134,26 @@ fn grouped(results: impl IntoIterator<Item = SubmissionResult>) -> PerRelationsh
     got
 }
 
+/// Every distinct proof is accepted at most once in the whole table,
+/// and only under the relationship it was made in. `made_in` maps a
+/// submission's tag to its proof's `(rel, poc)`.
+fn assert_accepted_once_under_own(
+    got: &PerRelationship,
+    rels: &[RelationshipId],
+    made_in: &HashMap<u64, (usize, usize)>,
+) {
+    let mut accepted = HashSet::new();
+    for (under, results) in got {
+        for (tag, result) in results {
+            if result.is_ok() {
+                let (rel, poc) = made_in[tag];
+                prop_assert_eq!(*under, rels[rel], "tag {} accepted under another id", tag);
+                prop_assert!(accepted.insert((rel, poc)), "tag {} accepted twice", tag);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -133,13 +174,15 @@ proptest! {
 
         let mut want = PerRelationship::new();
         let mut got = Vec::new();
+        let mut made_in = HashMap::new();
         for (tag, op) in ops.iter().enumerate() {
             match *op {
                 Op::Flush => stage.flush(),
-                Op::Submit { rel, poc } => {
+                Op::Submit { rel, poc, under } => {
                     let proof = &corpus[rel].pocs[poc];
-                    stage.submit(rels[rel], tag as u64, proof.clone(), proof.chain_digests());
-                    want.entry(rels[rel]).or_default().push((tag as u64, oracles[rel].verify(proof)));
+                    stage.submit(rels[under], tag as u64, proof.clone(), proof.chain_digests());
+                    made_in.insert(tag as u64, (rel, poc));
+                    want.entry(rels[under]).or_default().push((tag as u64, oracles[under].verify(proof)));
                 }
             }
             // Taking results at arbitrary points must not disturb them.
@@ -150,7 +193,9 @@ proptest! {
         let submitted: u64 = want.values().map(|v| v.len() as u64).sum();
         let (stats, rest) = stage.finish();
         got.extend(rest);
-        prop_assert_eq!(grouped(got), want);
+        let got = grouped(got);
+        assert_accepted_once_under_own(&got, &rels, &made_in);
+        prop_assert_eq!(got, want);
         prop_assert_eq!(stats.accepted + stats.rejected, submitted);
     }
 
@@ -223,18 +268,22 @@ proptest! {
 
         let mut want = PerRelationship::new();
         let mut got = Vec::new();
+        let mut made_in = HashMap::new();
         for op in &ops {
             match *op {
                 Op::Flush => got.extend(svc.collect_results().unwrap()),
-                Op::Submit { rel, poc } => {
+                Op::Submit { rel, poc, under } => {
                     let proof = &corpus[rel].pocs[poc];
-                    let tag = svc.submit(rels[rel], proof.clone()).unwrap();
-                    want.entry(rels[rel]).or_default().push((tag, oracles[rel].verify(proof)));
+                    let tag = svc.submit(rels[under], proof.clone()).unwrap();
+                    made_in.insert(tag, (rel, poc));
+                    want.entry(rels[under]).or_default().push((tag, oracles[under].verify(proof)));
                 }
             }
         }
         got.extend(svc.collect_results().unwrap());
-        prop_assert_eq!(grouped(got), want);
+        let got = grouped(got);
+        assert_accepted_once_under_own(&got, &rels, &made_in);
+        prop_assert_eq!(got, want);
         prop_assert_eq!(svc.finish().unclaimed_results, 0);
     }
 }
