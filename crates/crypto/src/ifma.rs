@@ -47,10 +47,12 @@
 //!
 //! Everything here is runtime-gated: an [`IfmaCtx`] exists only on a CPU
 //! with the features its kernel is compiled for, `crate::montgomery`
-//! routes to [`modpow_f4`] only lanes that hold one, and
-//! `PrivateKey::raw_decrypt` takes the signing lanes only when both
-//! primes do. On other architectures this module compiles to a stub that
-//! never yields a context.
+//! routes to [`modpow_f4`] only lanes that hold one, and to the signing
+//! ladder only through `montgomery::modpow_pair`, when both moduli do.
+//! That router is the ladder's one caller, for two users: the CRT halves
+//! of `PrivateKey::raw_decrypt`, and the Miller–Rabin witnesses of
+//! `prime::generate_prime`, two to a pass. On other architectures this
+//! module compiles to a stub that never yields a context.
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use imp::modpow_crt;

@@ -50,6 +50,12 @@
 //! final subtraction, constant-trip carry loops); see DESIGN.md §8 for
 //! the deployment note.
 //!
+//! [`modpow_pair`] is the one route to the IFMA signing ladder: two
+//! exponentiations under 512-bit moduli ride one ladder pass on a CPU
+//! with AVX-512 IFMA + VL, and are two scalar `modpow`s anywhere else.
+//! `PrivateKey::raw_decrypt` sends its CRT halves through it, and
+//! `prime::generate_prime` its Miller–Rabin witnesses, two at a time.
+//!
 //! **Private-key operations on the IFMA signing lanes**
 //! ([`crate::ifma`], taken by `PrivateKey::raw_decrypt` when both CRT
 //! primes are 8 limbs and the CPU has AVX-512 IFMA + VL) change part of
@@ -650,6 +656,34 @@ pub(crate) fn modpow_f4_lanes(lanes: &[(&MontgomeryCtx, &BigUint)]) -> Vec<BigUi
         }
     }
     out
+}
+
+/// Whether [`modpow_pair`] runs exponentiations under these two moduli
+/// on the IFMA signing ladder: both 512-bit, on a CPU with AVX-512 IFMA
+/// + VL.
+pub(crate) fn pair_rides_ladder(a: &MontgomeryCtx, b: &MontgomeryCtx) -> bool {
+    a.ifma_crt_ctx().is_some() && b.ifma_crt_ctx().is_some()
+}
+
+/// Computes `base^exp mod n` for two `(context, base, exp)` lanes, each
+/// under its own modulus and exponent, bit-for-bit `modpow_with_ctx` per
+/// lane: one pass of the IFMA signing ladder where [`pair_rides_ladder`]
+/// says so, two scalar exponentiations otherwise. The one route to that
+/// ladder, for the CRT halves of `PrivateKey::raw_decrypt` and the
+/// witnesses of the prime search alike. Each base is below its modulus,
+/// each exponent at most 512 bits.
+///
+/// Public only so the crate's equivalence tests can reach it.
+#[doc(hidden)]
+pub fn modpow_pair(lanes: [(&MontgomeryCtx, &BigUint, &BigUint); 2]) -> [BigUint; 2] {
+    for (ctx, base, exp) in lanes {
+        debug_assert!(base.cmp_to(&ctx.modulus()).is_lt() && exp.bit_len() <= 512);
+    }
+    let [(p, a, a_exp), (q, b, b_exp)] = lanes;
+    match (p.ifma_crt_ctx(), q.ifma_crt_ctx()) {
+        (Some(p), Some(q)) => crate::ifma::modpow_crt(&[(p, a, a_exp), (q, b, b_exp)]),
+        _ => lanes.map(|(ctx, base, exp)| base.modpow_with_ctx(exp, ctx)),
+    }
 }
 
 fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {

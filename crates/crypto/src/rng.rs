@@ -6,7 +6,7 @@
 //! The construction is HMAC-DRBG-flavoured: a SHA-256 HMAC chain over a
 //! counter, reseedable from caller-provided entropy.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacSha256};
 use crate::sha256::DIGEST_LEN;
 
 /// A source of (pseudo)random bytes.
@@ -39,9 +39,14 @@ pub trait RngSource {
 }
 
 /// HMAC-chain deterministic generator.
+///
+/// `Clone` snapshots the stream: a clone draws exactly the bytes the
+/// original would have drawn next.
 #[derive(Clone)]
 pub struct DeterministicRng {
     key: [u8; DIGEST_LEN],
+    /// HMAC keyed with `key`, cloned for every block.
+    mac: HmacSha256,
     counter: u64,
     /// Unconsumed bytes from the last block.
     buffer: [u8; DIGEST_LEN],
@@ -56,8 +61,10 @@ impl DeterministicRng {
 
     /// Creates a generator from arbitrary seed material.
     pub fn from_seed_bytes(seed: &[u8]) -> Self {
+        let key = hmac_sha256(b"tlc-drbg-init", seed);
         DeterministicRng {
-            key: hmac_sha256(b"tlc-drbg-init", seed),
+            key,
+            mac: HmacSha256::new(&key),
             counter: 0,
             buffer: [0u8; DIGEST_LEN],
             buffered: 0,
@@ -70,11 +77,14 @@ impl DeterministicRng {
         material.extend_from_slice(&self.key);
         material.extend_from_slice(entropy);
         self.key = hmac_sha256(b"tlc-drbg-reseed", &material);
+        self.mac = HmacSha256::new(&self.key);
         self.buffered = 0;
     }
 
     fn refill(&mut self) {
-        self.buffer = hmac_sha256(&self.key, &self.counter.to_be_bytes());
+        let mut mac = self.mac.clone();
+        mac.update(&self.counter.to_be_bytes());
+        self.buffer = mac.finalize();
         self.counter += 1;
         self.buffered = DIGEST_LEN;
     }
@@ -131,6 +141,34 @@ mod tests {
         b.fill(&mut p2);
         assert_eq!(&one[..10], &p1);
         assert_eq!(&one[10..], &p2);
+    }
+
+    #[test]
+    fn blocks_are_the_hmac_chain_over_the_counter() {
+        // The kept keyed state yields HMAC(key, counter) bytes, before
+        // and after a reseed.
+        let key = hmac_sha256(b"tlc-drbg-init", &11u64.to_be_bytes());
+        let mut r = DeterministicRng::from_seed(11);
+        let mut blocks = [0u8; 2 * DIGEST_LEN];
+        r.fill(&mut blocks);
+        assert_eq!(blocks[..DIGEST_LEN], hmac_sha256(&key, &0u64.to_be_bytes()));
+        assert_eq!(blocks[DIGEST_LEN..], hmac_sha256(&key, &1u64.to_be_bytes()));
+        r.reseed(b"extra");
+        let key = hmac_sha256(b"tlc-drbg-reseed", &[key.as_slice(), b"extra"].concat());
+        let mut block = [0u8; DIGEST_LEN];
+        r.fill(&mut block);
+        assert_eq!(block, hmac_sha256(&key, &2u64.to_be_bytes()));
+    }
+
+    #[test]
+    fn a_clone_draws_what_the_original_draws_next() {
+        let mut a = DeterministicRng::from_seed(13);
+        a.next_u64();
+        let mut b = a.clone();
+        let (mut ba, mut bb) = ([0u8; 77], [0u8; 77]);
+        a.fill(&mut ba);
+        b.fill(&mut bb);
+        assert_eq!(ba, bb);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::bigint::BigUint;
 use crate::error::CryptoError;
-use crate::montgomery::MontgomeryCtx;
+use crate::montgomery::{modpow_pair, pair_rides_ladder, MontgomeryCtx};
 use crate::prime::generate_prime;
 use crate::rng::RngSource;
 use std::sync::{Arc, OnceLock};
@@ -227,26 +227,21 @@ impl PrivateKey {
         self.q_ctx.get_or_init(|| MontgomeryCtx::new(&self.q))
     }
 
-    /// The signing lanes' constants for both primes: `Some` exactly when
-    /// `p` and `q` are 8 limbs each and the CPU runs AVX-512 IFMA on
-    /// 128-bit vectors — the one rule that routes a private-key operation.
-    fn crt_lanes(&self) -> Option<[&crate::ifma::IfmaCtx512; 2]> {
-        Some([self.p_ctx().ifma_crt_ctx()?, self.q_ctx().ifma_crt_ctx()?])
-    }
-
     /// Human-readable name of the kernel this key's private-key
     /// operations run on, on this host (for benchmark reports).
     pub fn sign_kernel(&self) -> &'static str {
-        match self.crt_lanes() {
-            Some(_) => "avx512-ifma-crt-2x128",
-            None => "scalar-sliding-window",
+        if pair_rides_ladder(self.p_ctx(), self.q_ctx()) {
+            "avx512-ifma-crt-2x128"
+        } else {
+            "scalar-sliding-window"
         }
     }
 
     /// Raw private-key operation `c^d mod n` via CRT: both half-size
-    /// exponentiations as the two lanes of one IFMA ladder
-    /// ([`crate::ifma`]) where [`Self::sign_kernel`] says so, otherwise
-    /// one scalar sliding-window `modpow` each. Same result either way.
+    /// exponentiations through [`modpow_pair`] — the two lanes of one
+    /// IFMA ladder ([`crate::ifma`]) where [`Self::sign_kernel`] says so,
+    /// otherwise one scalar sliding-window `modpow` each. Same result
+    /// either way.
     pub fn raw_decrypt(&self, c: &BigUint) -> Result<BigUint, CryptoError> {
         if c.cmp_to(&self.public.n) != std::cmp::Ordering::Less {
             return Err(CryptoError::MessageTooLarge);
@@ -254,13 +249,7 @@ impl PrivateKey {
         // Garner: m1 = c^dp mod p, m2 = c^dq mod q,
         // h = qinv * (m1 - m2) mod p, m = m2 + h*q.
         let (cp, cq) = (c.rem(&self.p), c.rem(&self.q));
-        let [m1, m2] = match self.crt_lanes() {
-            Some([p, q]) => crate::ifma::modpow_crt(&[(p, &cp, &self.dp), (q, &cq, &self.dq)]),
-            None => [
-                cp.modpow_with_ctx(&self.dp, self.p_ctx()),
-                cq.modpow_with_ctx(&self.dq, self.q_ctx()),
-            ],
-        };
+        let [m1, m2] = modpow_pair([(self.p_ctx(), &cp, &self.dp), (self.q_ctx(), &cq, &self.dq)]);
         let diff = m1.sub_mod(&m2.rem(&self.p), &self.p);
         let h = self.qinv.mul_mod(&diff, &self.p);
         let m = m2.add(&h.mul(&self.q));
@@ -278,7 +267,13 @@ impl KeyPair {
     /// Generates an RSA key pair with a modulus of `bits` bits.
     ///
     /// `bits` must be even and at least 512 (the paper uses 1024).
-    pub fn generate(bits: usize, rng: &mut dyn RngSource) -> Result<KeyPair, CryptoError> {
+    /// `rng` must be `Clone` because the prime search snapshots it (see
+    /// [`generate_prime`]); the key and where `rng` is left are those of
+    /// the sequential search.
+    pub fn generate<R: RngSource + Clone>(
+        bits: usize,
+        rng: &mut R,
+    ) -> Result<KeyPair, CryptoError> {
         if bits < 512 || !bits.is_multiple_of(2) {
             return Err(CryptoError::InvalidKeySize(bits));
         }
@@ -429,6 +424,40 @@ mod tests {
         assert_eq!(a.public, b.public);
         let c = KeyPair::generate_for_seed(512, 100).unwrap();
         assert_ne!(a.public, c.public);
+    }
+
+    /// Seeded keys are a pure function of the seed, and must stay the
+    /// same bytes whatever route the prime search takes: 7 is the
+    /// ledger's seed, 9100 and 9101 the wire-conformance keys. The ids
+    /// come from the sequential search, so they check the paired one.
+    #[test]
+    fn seeded_keys_are_golden() {
+        for (bits, seed, key_id) in [
+            (1024, 7, 0x1afa_5b46_0b9f_52d4),
+            (1024, 9100, 0x119c_47e4_e846_6753),
+            (1024, 9101, 0xe957_cd3d_1657_dea4),
+            (1024, 41, 0x7aef_7c32_ec1a_e419),
+            (1024, 0xF00D, 0xed7d_a673_71f6_a878),
+            (512, 99, 0x987c_5a17_fc67_e58d),
+            (512, 0x512, 0x2182_a2b6_061e_02cb),
+        ] {
+            let kp = KeyPair::generate_for_seed(bits, seed).unwrap();
+            assert_eq!(kp.private.key_id(), key_id, "{bits}-bit key, seed {seed}");
+        }
+    }
+
+    /// ... and leave the caller's stream where the sequential search did.
+    #[test]
+    fn keygen_leaves_the_stream_where_it_was_golden() {
+        for (bits, key_id, next) in [
+            (1024, 0x0b0c_ddc1_4803_1832, 0xa23e_0bde_01b3_786e),
+            (512, 0xe6b5_e162_1cf4_d3b7, 0xbb6d_ad89_d2ba_4e2b),
+        ] {
+            let mut rng = DeterministicRng::from_seed(0x5eed);
+            let kp = KeyPair::generate(bits, &mut rng).unwrap();
+            assert_eq!(kp.private.key_id(), key_id, "{bits}-bit key");
+            assert_eq!(rng.next_u64(), next, "{bits}-bit key");
+        }
     }
 
     #[test]

@@ -138,6 +138,85 @@ proptest! {
     }
 }
 
+/// An odd modulus of exactly 512 bits from 64 random bytes.
+fn odd_512(bytes: &[u8]) -> BigUint {
+    let mut m = big(bytes);
+    m.set_bit(511);
+    m.set_bit(0);
+    m
+}
+
+/// The parent loop `prime::generate_prime` must reproduce draw for draw:
+/// draw a candidate, `is_probable_prime`, repeat. `bits` is a multiple
+/// of 8, so a drawn candidate needs no trimming.
+fn sequential_prime(bits: usize, rng: &mut tlc_crypto::DeterministicRng) -> BigUint {
+    loop {
+        let mut buf = vec![0u8; bits / 8];
+        tlc_crypto::RngSource::fill(rng, &mut buf);
+        let mut candidate = big(&buf);
+        candidate.set_bit(bits - 1);
+        candidate.set_bit(bits - 2);
+        candidate.set_bit(0);
+        if tlc_crypto::prime::is_probable_prime(&candidate, rng) {
+            return candidate;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `modpow_pair` — the IFMA signing ladder where the CPU has it, two
+    /// scalar exponentiations elsewhere — is `modpow_with_ctx` per lane:
+    /// under two random odd 512-bit moduli with random bases and
+    /// exponents, and with both lanes under one modulus as the prime
+    /// search's rounds 2–30 run them, at bases 2 and n − 2 and the
+    /// Miller–Rabin exponent `d`.
+    #[test]
+    fn modpow_pair_matches_modpow_with_ctx(
+        moduli in proptest::collection::vec(any::<u8>(), 128),
+        bases in proptest::collection::vec(any::<u8>(), 128),
+        exps in proptest::collection::vec(any::<u8>(), 128),
+    ) {
+        use tlc_crypto::montgomery::{modpow_pair, MontgomeryCtx};
+        let (m, n) = (odd_512(&moduli[..64]), odd_512(&moduli[64..]));
+        let (m_ctx, n_ctx) = (MontgomeryCtx::new(&m), MontgomeryCtx::new(&n));
+        let (a, b) = (big(&bases[..64]).rem(&m), big(&bases[64..]).rem(&n));
+        let (e, f) = (big(&exps[..64]), big(&exps[64..]));
+        let got = modpow_pair([(&m_ctx, &a, &e), (&n_ctx, &b, &f)]);
+        prop_assert_eq!(&got[0], &a.modpow_with_ctx(&e, &m_ctx));
+        prop_assert_eq!(&got[1], &b.modpow_with_ctx(&f, &n_ctx));
+
+        let m_minus_1 = m.sub(&BigUint::one());
+        let mut d = m_minus_1.clone();
+        while !d.bit(0) {
+            d = d.shr(1);
+        }
+        let (two, m_minus_2) = (BigUint::from_u64(2), m_minus_1.sub(&BigUint::one()));
+        for (x, y) in [(&two, &m_minus_2), (&m_minus_2, &a), (&a, &two)] {
+            let got = modpow_pair([(&m_ctx, x, &d), (&m_ctx, y, &d)]);
+            prop_assert_eq!(&got[0], &x.modpow_with_ctx(&d, &m_ctx));
+            prop_assert_eq!(&got[1], &y.modpow_with_ctx(&d, &m_ctx));
+        }
+    }
+
+    /// `generate_prime` is the sequential search bit for bit — the same
+    /// prime, and the stream left where the search leaves it — on the
+    /// scalar route (128 and 256 bits) and, on a CPU with the signing
+    /// ladder, the paired route (512 bits).
+    #[test]
+    fn generate_prime_matches_the_sequential_search(seed in any::<u64>()) {
+        use tlc_crypto::{DeterministicRng, RngSource};
+        for bits in [128usize, 256, 512] {
+            let mut paired = DeterministicRng::from_seed(seed);
+            let mut sequential = paired.clone();
+            let p = tlc_crypto::prime::generate_prime(bits, &mut paired);
+            prop_assert_eq!(&p, &sequential_prime(bits, &mut sequential), "{} bits", bits);
+            prop_assert_eq!(paired.next_u64(), sequential.next_u64(), "{} bits", bits);
+        }
+    }
+}
+
 /// Fixed key pair cache for the signature properties (generation is the
 /// expensive part; the properties vary messages and batch shapes).
 fn cached_keys() -> &'static (KeyPair, KeyPair) {
