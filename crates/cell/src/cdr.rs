@@ -12,7 +12,6 @@
 //! </chargingRecord>
 //! ```
 
-use serde::{Deserialize, Serialize};
 use tlc_net::time::SimTime;
 
 /// Wire size of a binary legacy LTE CDR, per the paper's Fig. 17 table
@@ -20,7 +19,7 @@ use tlc_net::time::SimTime;
 pub const LEGACY_CDR_WIRE_BYTES: usize = 34;
 
 /// An International Mobile Subscriber Identity.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct Imsi(pub u64);
 
 impl Imsi {
@@ -36,7 +35,7 @@ impl Imsi {
 }
 
 /// One gateway charging record for one subscriber over one period.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChargingDataRecord {
     /// Subscriber the record covers.
     pub served_imsi: Imsi,
@@ -92,33 +91,6 @@ impl ChargingDataRecord {
             self.datavolume_downlink,
         )
     }
-
-    /// Parses the XML form produced by [`Self::to_xml`]. Returns `None`
-    /// on any structural mismatch.
-    pub fn from_xml(xml: &str) -> Option<ChargingDataRecord> {
-        fn field<'a>(xml: &'a str, tag: &str) -> Option<&'a str> {
-            let open = format!("<{tag}>");
-            let close = format!("</{tag}>");
-            let start = xml.find(&open)? + open.len();
-            let end = xml[start..].find(&close)? + start;
-            Some(&xml[start..end])
-        }
-        let imsi_hex: String = field(xml, "servedIMSI")?
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .join("");
-        let imsi = u64::from_str_radix(&imsi_hex, 16).ok()?;
-        Some(ChargingDataRecord {
-            served_imsi: Imsi(imsi),
-            gateway_address: field(xml, "gatewayAddress")?.to_string(),
-            charging_id: field(xml, "chargingID")?.parse().ok()?,
-            sequence_number: field(xml, "SequenceNumber")?.parse().ok()?,
-            time_of_first_usage: SimTime::from_secs(field(xml, "timeOfFirstUsage")?.parse().ok()?),
-            time_of_last_usage: SimTime::from_secs(field(xml, "timeOfLastUsage")?.parse().ok()?),
-            datavolume_uplink: field(xml, "datavolumeUplink")?.parse().ok()?,
-            datavolume_downlink: field(xml, "datavolumeDownlink")?.parse().ok()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -169,23 +141,6 @@ mod tests {
         }
         assert!(xml.contains("274841"));
         assert!(xml.contains("33604032"));
-    }
-
-    #[test]
-    fn xml_roundtrip() {
-        let r = record();
-        let parsed = ChargingDataRecord::from_xml(&r.to_xml()).unwrap();
-        assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn malformed_xml_rejected() {
-        assert!(ChargingDataRecord::from_xml("<chargingRecord></chargingRecord>").is_none());
-        assert!(ChargingDataRecord::from_xml("").is_none());
-        let broken = record()
-            .to_xml()
-            .replace("datavolumeUplink>274841", "datavolumeUplink>xx");
-        assert!(ChargingDataRecord::from_xml(&broken).is_none());
     }
 
     #[test]

@@ -18,16 +18,6 @@ pub struct SkewedClock {
 }
 
 impl SkewedClock {
-    /// A perfectly synchronized clock.
-    pub fn perfect() -> Self {
-        SkewedClock { offset_us: 0 }
-    }
-
-    /// A clock with a fixed offset (positive = runs ahead of true time).
-    pub fn with_offset_us(offset_us: i64) -> Self {
-        SkewedClock { offset_us }
-    }
-
     /// Draws a residual-NTP-sync offset: zero-mean normal with the given
     /// standard deviation in milliseconds. Public NTP over cellular
     /// backhaul typically leaves tens-of-ms residuals; the paper's worst
@@ -47,12 +37,6 @@ impl SkewedClock {
         let t = local.as_micros() as i64 - self.offset_us;
         SimTime(t.max(0) as u64)
     }
-
-    /// The local reading shown at true instant `truth`.
-    pub fn local_time_of(&self, truth: SimTime) -> SimTime {
-        let t = truth.as_micros() as i64 + self.offset_us;
-        SimTime(t.max(0) as u64)
-    }
 }
 
 #[cfg(test)]
@@ -61,16 +45,15 @@ mod tests {
 
     #[test]
     fn perfect_clock_is_identity() {
-        let c = SkewedClock::perfect();
+        let c = SkewedClock { offset_us: 0 };
         let t = SimTime::from_secs(100);
         assert_eq!(c.true_time_of(t), t);
-        assert_eq!(c.local_time_of(t), t);
     }
 
     #[test]
     fn ahead_clock_fires_early() {
         // +50 ms offset: the clock shows "cycle end" 50 ms before true end.
-        let c = SkewedClock::with_offset_us(50_000);
+        let c = SkewedClock { offset_us: 50_000 };
         let cycle_end_local = SimTime::from_secs(3600);
         assert_eq!(
             c.true_time_of(cycle_end_local),
@@ -80,7 +63,7 @@ mod tests {
 
     #[test]
     fn behind_clock_fires_late() {
-        let c = SkewedClock::with_offset_us(-50_000);
+        let c = SkewedClock { offset_us: -50_000 };
         assert_eq!(
             c.true_time_of(SimTime::from_secs(1)),
             SimTime::from_micros(1_050_000)
@@ -88,16 +71,10 @@ mod tests {
     }
 
     #[test]
-    fn conversions_are_inverse() {
-        let c = SkewedClock::with_offset_us(123_456);
-        let t = SimTime::from_secs(10);
-        assert_eq!(c.true_time_of(c.local_time_of(t)), t);
-        assert_eq!(c.local_time_of(c.true_time_of(t)), t);
-    }
-
-    #[test]
     fn saturates_at_epoch() {
-        let c = SkewedClock::with_offset_us(5_000_000);
+        let c = SkewedClock {
+            offset_us: 5_000_000,
+        };
         assert_eq!(c.true_time_of(SimTime::from_secs(1)), SimTime::ZERO);
     }
 

@@ -1,52 +1,16 @@
 //! Counting vantage points along the charging pipeline.
 //!
 //! The charging gap is, by definition, a disagreement between byte counters
-//! placed at different points of the same datapath. This module names those
-//! points and couples each to a cumulative counter plus a time series, so
-//! any vantage can be read both "in total" and "as of instant t" (needed
-//! for clock-skew effects and Fig. 4-style timelines).
+//! placed at different points of the same datapath. A [`CountingPoint`]
+//! couples a cumulative counter with a time series, so any vantage can be
+//! read both "in total" and "as of instant t" (needed for clock-skew
+//! effects).
 
-use serde::{Deserialize, Serialize};
 use tlc_net::stats::{ByteCounter, UsageSeries};
 use tlc_net::time::{SimDuration, SimTime};
 
-/// Where along the pipeline a counter sits.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub enum Vantage {
-    /// Device application's sent bytes (uplink `x̂_e`): Android
-    /// `TrafficStats` / in-app counting.
-    DeviceAppSent,
-    /// Device application's received bytes (edge's view of downlink
-    /// delivery).
-    DeviceAppReceived,
-    /// Hardware modem's received downlink bytes — the tamper-resilient
-    /// source behind RRC COUNTER CHECK.
-    ModemReceived,
-    /// Gateway-metered uplink bytes (operator's legacy uplink CDR and
-    /// TLC's uplink `x̂_o`).
-    GatewayUplink,
-    /// Gateway-metered downlink bytes at ingress from the server
-    /// (operator's *legacy* downlink CDR — counted before radio loss).
-    GatewayDownlink,
-    /// Edge server's sent bytes (downlink `x̂_e`): `/proc/net` monitor.
-    ServerSent,
-    /// Edge server's received uplink bytes.
-    ServerReceived,
-}
-
-/// All vantages, for iteration in reports.
-pub const ALL_VANTAGES: [Vantage; 7] = [
-    Vantage::DeviceAppSent,
-    Vantage::DeviceAppReceived,
-    Vantage::ModemReceived,
-    Vantage::GatewayUplink,
-    Vantage::GatewayDownlink,
-    Vantage::ServerSent,
-    Vantage::ServerReceived,
-];
-
 /// A counter plus its history at one vantage.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CountingPoint {
     counter: ByteCounter,
     series: UsageSeries,
@@ -93,11 +57,6 @@ impl CountingPoint {
     pub fn bytes_until(&self, t: SimTime) -> u64 {
         self.series.cumulative_until(t)
     }
-
-    /// The underlying history, for timeline plots.
-    pub fn series(&self) -> &UsageSeries {
-        &self.series
-    }
 }
 
 #[cfg(test)]
@@ -120,14 +79,5 @@ mod tests {
         let mut p = CountingPoint::new();
         p.record(SimTime::from_secs(5), 100);
         assert_eq!(p.bytes_until(SimTime::ZERO), 0);
-    }
-
-    #[test]
-    fn vantage_list_is_exhaustive_and_distinct() {
-        let mut seen = std::collections::HashSet::new();
-        for v in ALL_VANTAGES {
-            assert!(seen.insert(v), "duplicate vantage {v:?}");
-        }
-        assert_eq!(seen.len(), 7);
     }
 }

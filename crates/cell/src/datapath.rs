@@ -25,7 +25,7 @@ use tlc_net::fair::FairQueue;
 use tlc_net::link::{Link, LinkParams};
 use tlc_net::loss::{GilbertElliott, RssDrivenLoss};
 use tlc_net::packet::{FlowId, Packet};
-use tlc_net::queue::{Discipline, PacketQueue, QueueStats};
+use tlc_net::queue::{Discipline, PacketQueue};
 use tlc_net::radio::{RadioTimeline, RLF_DETACH};
 use tlc_net::rng::SimRng;
 use tlc_net::time::{SimDuration, SimTime};
@@ -167,13 +167,6 @@ impl RadioQueue {
         match self {
             RadioQueue::Classic(q) => q.flush(),
             RadioQueue::Fair(q) => q.flush(),
-        }
-    }
-
-    fn stats(&self) -> QueueStats {
-        match self {
-            RadioQueue::Classic(q) => q.stats(),
-            RadioQueue::Fair(q) => q.stats(),
         }
     }
 }
@@ -592,11 +585,6 @@ impl Datapath {
         self.flows.get(&flow)
     }
 
-    /// All flows seen so far.
-    pub fn flows(&self) -> impl Iterator<Item = (&FlowId, &FlowCounters)> {
-        self.flows.iter()
-    }
-
     /// The RRC monitor (operator's COUNTER-CHECK history).
     pub fn rrc(&self) -> &RrcMonitor {
         &self.rrc
@@ -605,11 +593,6 @@ impl Datapath {
     /// Drop accounting.
     pub fn drops(&self) -> DropStats {
         self.drops
-    }
-
-    /// Queue counters for the (uplink, downlink) radio buffers.
-    pub fn radio_queue_stats(&self) -> (QueueStats, QueueStats) {
-        (self.ul_radio.queue.stats(), self.dl_radio.queue.stats())
     }
 
     /// The radio channel in use.

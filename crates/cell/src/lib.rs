@@ -13,8 +13,6 @@
 //!   backing TLC's tamper-resilient downlink records,
 //! * [`monitor`] — the §5.4 monitor taxonomy (user-space API vs rooted
 //!   system monitor vs RRC counter check) and edge tamper policies,
-//! * [`ofcs`] — the offline charging system: tariffs, quotas, and the
-//!   paper's "throttle to 128 Kbps after 15 GB" policy actions,
 //! * [`clock`] — NTP-residual clock skew between edge and core, the cause
 //!   of the paper's Fig. 18 CDR errors.
 
@@ -26,13 +24,11 @@ pub mod clock;
 pub mod counters;
 pub mod datapath;
 pub mod monitor;
-pub mod ofcs;
 pub mod rrc;
 
 pub use cdr::{ChargingDataRecord, Imsi, LEGACY_CDR_WIRE_BYTES};
 pub use clock::SkewedClock;
-pub use counters::{CountingPoint, Vantage, ALL_VANTAGES};
+pub use counters::CountingPoint;
 pub use datapath::{Datapath, DatapathConfig, DropStats, FlowCounters};
 pub use monitor::{operator_downlink_report, MonitorKind, MonitorReport, TamperPolicy};
-pub use ofcs::{Bill, Ofcs, OveragePolicy, Tariff};
 pub use rrc::{CounterCheck, RrcMonitor, DEFAULT_INACTIVITY};

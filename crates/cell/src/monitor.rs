@@ -13,10 +13,8 @@
 //! Here a [`MonitorKind`] selects the source, and a [`TamperPolicy`]
 //! models what a selfish edge does to sources it can reach.
 
-use serde::{Deserialize, Serialize};
-
 /// Which mechanism backs a downlink usage report.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MonitorKind {
     /// Strawman 1: user-space app reading OS counters. Tamperable.
     UserSpaceApi,
@@ -48,7 +46,7 @@ impl MonitorKind {
 }
 
 /// What a party does to a counter it controls before reporting it.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum TamperPolicy {
     /// Report the truth.
     Honest,
@@ -78,7 +76,7 @@ impl TamperPolicy {
 }
 
 /// A downlink usage report assembled by the operator from a monitor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MonitorReport {
     /// Source mechanism.
     pub kind: MonitorKind,

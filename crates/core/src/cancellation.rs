@@ -12,10 +12,9 @@
 
 use crate::plan::{charge_for, DataPlan, UsagePair};
 use crate::strategy::{Decision, Knowledge, Strategy};
-use serde::{Deserialize, Serialize};
 
 /// Claim bounds carried across rounds (Algorithm 1 line 1/12).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Bounds {
     /// Lower bound `x_L` (inclusive).
     pub lo: u64,
@@ -52,7 +51,7 @@ impl Bounds {
 }
 
 /// One round of the negotiation transcript.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RoundRecord {
     /// 1-based round number.
     pub round: u32,
@@ -69,7 +68,7 @@ pub struct RoundRecord {
 }
 
 /// Successful negotiation result.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NegotiationOutcome {
     /// The negotiated charging volume `x`.
     pub charge: u64,
@@ -82,7 +81,7 @@ pub struct NegotiationOutcome {
 }
 
 /// Negotiation failure.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NegotiationError {
     /// No convergence within the round cap — a party is misbehaving
     /// (§5.1: neither side benefits, but a buggy peer can stall).

@@ -7,11 +7,8 @@
 //! *anything* — the paper's point that legacy selfish charging is
 //! unbounded.
 
-use crate::plan::UsagePair;
-use serde::{Deserialize, Serialize};
-
 /// How the legacy operator sets the bill.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LegacyOperator {
     /// Bills exactly the gateway meter (the paper's "(Honest) legacy
     /// 4G/5G" baseline).
@@ -63,26 +60,6 @@ pub fn gap_reduction(legacy_gap: u64, tlc_gap: u64) -> f64 {
     (legacy_gap as f64 - tlc_gap as f64) / legacy_gap as f64
 }
 
-/// What the legacy operator's gateway meters for a (sent, received) truth
-/// pair, per direction. Uplink: the gateway sits after the radio, so it
-/// meters what was received. Downlink: the gateway sits before the radio,
-/// so it meters what was sent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LinkDirection {
-    /// Device → server.
-    Uplink,
-    /// Server → device.
-    Downlink,
-}
-
-/// The gateway-metered volume for a ground-truth usage pair.
-pub fn gateway_meter(truth: UsagePair, dir: LinkDirection) -> u64 {
-    match dir {
-        LinkDirection::Uplink => truth.operator, // received at the gateway
-        LinkDirection::Downlink => truth.edge,   // counted at ingress, pre-loss
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,17 +95,5 @@ mod tests {
         assert!((gap_reduction(100, 20) - 0.8).abs() < 1e-12);
         assert_eq!(gap_reduction(0, 0), 0.0);
         assert!(gap_reduction(10, 20) < 0.0); // TLC worse -> negative
-    }
-
-    #[test]
-    fn gateway_meter_direction_asymmetry() {
-        let truth = UsagePair {
-            edge: 1000,
-            operator: 800,
-        };
-        // Uplink: gateway only sees what survived the radio.
-        assert_eq!(gateway_meter(truth, LinkDirection::Uplink), 800);
-        // Downlink: gateway charges before the radio loses data.
-        assert_eq!(gateway_meter(truth, LinkDirection::Downlink), 1000);
     }
 }

@@ -633,18 +633,6 @@ thread_local! {
         const { std::cell::Cell::new(0) };
 }
 
-/// Batch chain verification that hashes and verifies in one call; see
-/// [`verify_chains_batch_prehashed`] for the equivalence guarantee.
-pub fn verify_chains_batch(
-    pocs: &[&PocMsg],
-    edge_key: &PublicKey,
-    operator_key: &PublicKey,
-) -> Vec<Result<(), MessageError>> {
-    let digests: Vec<PocDigests> = pocs.iter().map(|p| p.chain_digests()).collect();
-    let items: Vec<(&PocMsg, &PocDigests)> = pocs.iter().copied().zip(digests.iter()).collect();
-    verify_chains_batch_prehashed(&items, edge_key, operator_key)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -920,7 +908,9 @@ mod tests {
         .unwrap();
 
         let pocs = [&good, &bad_poc_sig, &bad_cda_sig, &bad_cdr_sig, &confused];
-        let batch = verify_chains_batch(&pocs, &edge.public, &op.public);
+        let digests: Vec<PocDigests> = pocs.iter().map(|p| p.chain_digests()).collect();
+        let items: Vec<(&PocMsg, &PocDigests)> = pocs.iter().copied().zip(&digests).collect();
+        let batch = verify_chains_batch_prehashed(&items, &edge.public, &op.public);
         assert_eq!(batch.len(), pocs.len());
         for (i, poc) in pocs.iter().enumerate() {
             let sequential = poc.verify_chain(&edge.public, &op.public);

@@ -12,14 +12,12 @@
 //! With honest reports `(x̂_e, x̂_o)` this is the plan-intended charge
 //! `x̂ = x̂_o + c·(x̂_e − x̂_o)` of Eq. (1).
 
-use serde::{Deserialize, Serialize};
-
 /// The lost-data charging weight `c`, constrained to `[0, 1]`.
 ///
 /// `c = 0` charges only received data; `c = 1` charges all sent data.
 /// Internally a rational `numer/denom` so charging arithmetic is exact in
 /// integers (no float drift in billing).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LossWeight {
     numer: u32,
     denom: u32,
@@ -45,8 +43,6 @@ impl LossWeight {
 
     /// `c = 0`: charge only received data.
     pub const ZERO: LossWeight = LossWeight { numer: 0, denom: 1 };
-    /// `c = 1`: charge all sent data.
-    pub const ONE: LossWeight = LossWeight { numer: 1, denom: 1 };
 
     /// The paper's default evaluation setting, `c = 0.5`.
     pub fn half() -> Self {
@@ -86,7 +82,7 @@ fn gcd(mut a: u32, mut b: u32) -> u32 {
 }
 
 /// A charging cycle `T = (T_start, T_end)` in seconds of simulation time.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
 pub struct ChargingCycle {
     /// Cycle start (inclusive), seconds.
     pub start_secs: u64,
@@ -104,11 +100,6 @@ impl ChargingCycle {
         }
     }
 
-    /// Cycle length in seconds.
-    pub fn duration_secs(&self) -> u64 {
-        self.end_secs - self.start_secs
-    }
-
     /// The paper's evaluation cycle: one hour starting at t=0.
     pub fn one_hour() -> Self {
         ChargingCycle::new(0, 3600)
@@ -116,7 +107,7 @@ impl ChargingCycle {
 }
 
 /// The agreed data plan shared by the operator and the edge app vendor.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DataPlan {
     /// Lost-data charging weight `c`.
     pub loss_weight: LossWeight,
@@ -136,7 +127,7 @@ impl DataPlan {
 
 /// A pair of usage claims: edge-sent (`x_e`) and operator/receiver
 /// (`x_o`), in bytes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct UsagePair {
     /// The edge app vendor's claim (data its sender transmitted).
     pub edge: u64,
@@ -168,7 +159,7 @@ mod tests {
     #[test]
     fn loss_weight_bounds() {
         assert_eq!(LossWeight::ZERO.as_f64(), 0.0);
-        assert_eq!(LossWeight::ONE.as_f64(), 1.0);
+        assert_eq!(LossWeight::new(1, 1).as_f64(), 1.0);
         assert_eq!(LossWeight::half().as_f64(), 0.5);
         assert!((LossWeight::from_f64(0.25).as_f64() - 0.25).abs() < 1e-9);
     }
@@ -188,7 +179,7 @@ mod tests {
     #[test]
     fn scale_is_exact_at_extremes() {
         assert_eq!(LossWeight::ZERO.scale(1_000_000), 0);
-        assert_eq!(LossWeight::ONE.scale(1_000_000), 1_000_000);
+        assert_eq!(LossWeight::new(1, 1).scale(1_000_000), 1_000_000);
         assert_eq!(LossWeight::half().scale(1000), 500);
         assert_eq!(LossWeight::half().scale(1001), 501); // round half up
     }
@@ -270,7 +261,7 @@ mod tests {
     #[test]
     fn cycle_validations() {
         let t = ChargingCycle::one_hour();
-        assert_eq!(t.duration_secs(), 3600);
+        assert_eq!((t.start_secs, t.end_secs), (0, 3600));
     }
 
     #[test]

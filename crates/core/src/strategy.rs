@@ -18,11 +18,10 @@
 //!   which stall or abort but never extract a better price.
 
 use crate::cancellation::Bounds;
-use serde::{Deserialize, Serialize};
 use tlc_net::rng::SimRng;
 
 /// Which side of the negotiation a party is.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Role {
     /// The edge application vendor (pays; wants a smaller `x`).
     Edge,
@@ -31,7 +30,7 @@ pub enum Role {
 }
 
 /// What a party knows entering the negotiation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Knowledge {
     /// This party's role.
     pub role: Role,
@@ -56,7 +55,7 @@ impl Knowledge {
 }
 
 /// A party's accept/reject decision (Algorithm 1 line 6).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Decision {
     /// Accept the peer's claim; negotiation can conclude.
     Accept,
@@ -160,12 +159,6 @@ impl RandomSelfishStrategy {
     /// Default reach of 0.5.
     pub fn new(rng: SimRng) -> Self {
         RandomSelfishStrategy { rng, reach: 0.5 }
-    }
-
-    /// Custom reach.
-    pub fn with_reach(rng: SimRng, reach: f64) -> Self {
-        assert!(reach >= 0.0 && reach.is_finite());
-        RandomSelfishStrategy { rng, reach }
     }
 }
 

@@ -13,8 +13,7 @@
 use crate::messages::{self, MessageError, Nonce, PocDigests, PocMsg};
 use crate::plan::{charge_for, DataPlan, UsagePair};
 use std::hash::{BuildHasher, RandomState};
-use tlc_crypto::rng::RngSource;
-use tlc_crypto::{seal, CryptoError, PrivateKey, PublicKey};
+use tlc_crypto::{CryptoError, PublicKey};
 
 pub mod remote;
 pub mod service;
@@ -56,7 +55,7 @@ impl std::fmt::Display for VerifyError {
             }
             VerifyError::Replayed => write!(f, "proof already presented (replay)"),
             VerifyError::Unregistered => {
-                write!(f, "relationship not registered on the verifying shard")
+                write!(f, "relationship not registered with the verifier")
             }
         }
     }
@@ -159,25 +158,6 @@ pub fn verify_poc_batch(
     let digests: Vec<PocDigests> = pocs.iter().map(|p| p.chain_digests()).collect();
     let items: Vec<(&PocMsg, &PocDigests)> = pocs.iter().copied().zip(digests.iter()).collect();
     verify_poc_batch_prehashed(&items, plan, edge_key, operator_key)
-}
-
-/// Seals a PoC for confidential submission to a specific verifier
-/// (§5.3.4: parties may not want their charging records public). Only
-/// the verifier's private key opens it.
-pub fn seal_poc(
-    poc: &PocMsg,
-    verifier_key: &PublicKey,
-    rng: &mut dyn RngSource,
-) -> Result<Vec<u8>, MessageError> {
-    seal::seal(verifier_key, &poc.encode(), rng).map_err(MessageError::Crypto)
-}
-
-/// Opens a sealed submission with the verifier's private key and parses
-/// the PoC (authenticity of the *seal* is checked here; the PoC's own
-/// signature chain is checked by [`verify_poc`]).
-pub fn unseal_poc(sealed: &[u8], verifier_key: &PrivateKey) -> Result<PocMsg, MessageError> {
-    let bytes = seal::open(verifier_key, sealed).map_err(MessageError::Crypto)?;
-    PocMsg::decode(&bytes)
 }
 
 /// Default retention window of the replay cache: one charging cycle per
@@ -980,22 +960,6 @@ mod tests {
         assert!(window.contains(&run[1]) && window.contains(&run[2]));
         assert!(window.contains(&elsewhere));
         assert_eq!(window.len(), 3);
-    }
-
-    #[test]
-    fn sealed_submission_roundtrip() {
-        use tlc_crypto::DeterministicRng;
-        let f = negotiate_proof(1000, 800);
-        let verifier_keys = tlc_crypto::KeyPair::generate_for_seed(1024, 0xFCC).unwrap();
-        let mut rng = DeterministicRng::from_seed(9);
-        let sealed = seal_poc(&f.poc, &verifier_keys.public, &mut rng).unwrap();
-        // An eavesdropper (or the wrong verifier) cannot read the records.
-        let wrong = tlc_crypto::KeyPair::generate_for_seed(1024, 0xBAD).unwrap();
-        assert!(unseal_poc(&sealed, &wrong.private).is_err());
-        // The intended verifier opens and verifies as usual.
-        let poc = unseal_poc(&sealed, &verifier_keys.private).unwrap();
-        assert_eq!(poc, f.poc);
-        verify_poc(&poc, &f.plan, &f.edge.public, &f.op.public).unwrap();
     }
 
     #[test]

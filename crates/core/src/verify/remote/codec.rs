@@ -106,7 +106,9 @@ pub const MALFORMED_STRINGS: &[&str] = &[
 pub const MALFORMED_FALLBACK: &str = "unrecognized malformed detail";
 
 /// Known [`CryptoError::Encoding`] detail strings, in interning order.
-/// Append-only: indexes are wire format.
+/// Append-only: indexes are wire format. No code produces entries 0–5
+/// ("EME header" through "session key length"); they hold their slots
+/// so that every later index keeps naming the same string.
 pub const ENCODING_STRINGS: &[&str] = &[
     "EME header",
     "EME padding too short",

@@ -14,7 +14,8 @@ use tlc_core::protocol::{run_negotiation, Endpoint};
 use tlc_core::strategy::{Knowledge, OptimalStrategy, Role};
 use tlc_core::verify::remote::codec::{
     Fault, Hello, HelloAck, Register, Registered, StatsSnapshot, Submit, SubmitBatch,
-    SubmitBatchRef, SubmitRef, VerdictMsg, MAGIC, PROTOCOL_VERSION,
+    SubmitBatchRef, SubmitRef, VerdictMsg, ENCODING_STRINGS, MAGIC, MALFORMED_STRINGS,
+    PROTOCOL_STRINGS, PROTOCOL_VERSION,
 };
 use tlc_core::verify::remote::{IngressConfig, IngressServer, RemoteVerifier};
 use tlc_core::verify::service::{ServiceConfig, VerifierService};
@@ -314,6 +315,97 @@ fn fault_payload_golden() {
         vec![4, 0, 2]
     );
     assert_eq!(Fault::Shutdown.to_frame().payload, vec![5]);
+}
+
+/// The detail-string tables as pinned at protocol v3. A string travels
+/// as its index, so a table may grow at its end but never drop,
+/// reorder or reword an entry, even one that no code produces.
+const PINNED_MALFORMED: &[&str] = &[
+    "CDA role matches finalizer",
+    "embedded CDR role mismatch",
+    "invalid plan fields",
+    "missing role",
+    "not a CDA",
+    "not a CDR",
+    "not a PoC",
+    "trailing bytes after CDA",
+    "trailing bytes after CDR",
+    "trailing bytes after PoC",
+    "truncated CDA seq",
+    "truncated CDA usage",
+    "truncated CDR seq",
+    "truncated CDR usage",
+    "truncated PoC charge",
+    "truncated embedded CDA header",
+    "truncated embedded CDA",
+    "truncated embedded CDR header",
+    "truncated embedded CDR",
+    "truncated nonce",
+    "truncated plan",
+    "truncated signature header",
+    "truncated signature",
+    "unknown role",
+];
+
+const PINNED_ENCODING: &[&str] = &[
+    "EME header",
+    "EME padding too short",
+    "EME separator",
+    "RSA block length",
+    "sealed blob too short",
+    "session key length",
+    "trailing bytes after public key",
+    "trailing bytes inside public key",
+    "truncated TLV header",
+    "truncated TLV value",
+    "unexpected TLV tag",
+    "zero modulus or exponent",
+];
+
+const PINNED_PROTOCOL: &[&str] = &[
+    "framing violation",
+    "expected HELLO",
+    "bad magic",
+    "unexpected frame kind",
+    "undecodable PoC payload",
+    "batch exceeds server limit",
+    "truncated HELLO",
+    "truncated HELLO_ACK",
+    "truncated REGISTER",
+    "bad key in REGISTER",
+    "truncated REGISTERED",
+    "truncated SUBMIT",
+    "truncated SUBMIT_BATCH",
+    "truncated VERDICT",
+    "unknown verdict code",
+    "unknown signature sub-code",
+    "unknown crypto code",
+    "truncated STATS",
+    "truncated ERROR",
+    "unknown error code",
+    "bad plan in REGISTER",
+    "misbehavior limit exceeded",
+    "truncated BUSY",
+    "unknown BUSY scope",
+    "truncated SETTLE",
+    "unknown serving code",
+    "truncated SETTLE_VERDICT",
+    "unknown settlement result",
+    "settlement split mismatch",
+];
+
+#[test]
+fn string_tables_only_grow_at_the_end() {
+    for (name, table, pinned) in [
+        ("MALFORMED_STRINGS", MALFORMED_STRINGS, PINNED_MALFORMED),
+        ("ENCODING_STRINGS", ENCODING_STRINGS, PINNED_ENCODING),
+        ("PROTOCOL_STRINGS", PROTOCOL_STRINGS, PINNED_PROTOCOL),
+    ] {
+        assert!(
+            table.starts_with(pinned),
+            "{name} no longer starts with its pinned entries: an index changed meaning"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -40,17 +40,6 @@ impl BigUint {
         }
     }
 
-    /// Builds a value from a 128-bit word.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        let mut out = BigUint {
-            limbs: vec![lo, hi],
-        };
-        out.normalize();
-        out
-    }
-
     /// Parses a big-endian byte string (as used by RSA wire formats).
     pub fn from_bytes_be(bytes: &[u8]) -> Self {
         let mut limbs = Vec::with_capacity(bytes.len() / 8 + 1);
@@ -233,24 +222,6 @@ impl BigUint {
         out
     }
 
-    /// Multiplication by a single 64-bit word.
-    pub fn mul_u64(&self, m: u64) -> BigUint {
-        if m == 0 || self.is_zero() {
-            return BigUint::zero();
-        }
-        let mut limbs = Vec::with_capacity(self.limbs.len() + 1);
-        let mut carry = 0u128;
-        for &a in &self.limbs {
-            let cur = a as u128 * m as u128 + carry;
-            limbs.push(cur as u64);
-            carry = cur >> 64;
-        }
-        if carry != 0 {
-            limbs.push(carry as u64);
-        }
-        BigUint { limbs }
-    }
-
     /// Left shift by `bits`.
     pub fn shl(&self, bits: usize) -> BigUint {
         if self.is_zero() {
@@ -396,16 +367,6 @@ impl BigUint {
     /// Remainder `self mod m`.
     pub fn rem(&self, m: &BigUint) -> BigUint {
         self.div_rem(m).1
-    }
-
-    /// Modular addition of values already reduced mod `m`.
-    pub fn add_mod(&self, other: &BigUint, m: &BigUint) -> BigUint {
-        let s = self.add(other);
-        if s.cmp_to(m) == Ordering::Less {
-            s
-        } else {
-            s.sub(m)
-        }
     }
 
     /// Modular subtraction of values already reduced mod `m`.
@@ -733,7 +694,7 @@ mod tests {
     use super::*;
 
     fn big(v: u128) -> BigUint {
-        BigUint::from_u128(v)
+        BigUint::from_bytes_be(&v.to_be_bytes())
     }
 
     #[test]
@@ -809,12 +770,6 @@ mod tests {
         let b = big(0x1234_5678_9abc_def0);
         let expect = 0xdead_beef_cafe_babe_u128 * 0x1234_5678_9abc_def0_u128;
         assert_eq!(a.mul(&b), big(expect));
-    }
-
-    #[test]
-    fn mul_u64_matches_mul() {
-        let a = BigUint::from_bytes_be(&[0xab; 20]);
-        assert_eq!(a.mul_u64(12345), a.mul(&big(12345)));
     }
 
     #[test]

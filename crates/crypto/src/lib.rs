@@ -16,8 +16,6 @@
 //! * [`rsa`] — key generation (CRT private keys) and raw RSA,
 //! * [`pkcs1`] — RSASSA-PKCS1-v1_5 with SHA-256 (aka `SHA256withRSA`),
 //! * [`rng`] — deterministic, seedable byte source so simulations reproduce,
-//! * [`seal`] — hybrid public-key sealing for confidential PoC submission
-//!   to a chosen verifier (§5.3.4's privacy concern),
 //! * [`encoding`] — stable wire form for public keys.
 //!
 //! ## Example
@@ -52,7 +50,6 @@ pub mod pkcs1;
 pub mod prime;
 pub mod rng;
 pub mod rsa;
-pub mod seal;
 pub mod sha256;
 
 pub use bigint::BigUint;

@@ -718,7 +718,7 @@ mod tests {
     use super::*;
 
     fn big(v: u128) -> BigUint {
-        BigUint::from_u128(v)
+        BigUint::from_bytes_be(&v.to_be_bytes())
     }
 
     #[test]

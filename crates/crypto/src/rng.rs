@@ -4,7 +4,7 @@
 //! explicitly. This keeps every experiment in the reproduction fully
 //! deterministic, mirroring the discrete-event simulator's design.
 //! The construction is HMAC-DRBG-flavoured: a SHA-256 HMAC chain over a
-//! counter, reseedable from caller-provided entropy.
+//! counter.
 
 use crate::hmac::{hmac_sha256, HmacSha256};
 use crate::sha256::DIGEST_LEN;
@@ -44,8 +44,7 @@ pub trait RngSource {
 /// original would have drawn next.
 #[derive(Clone)]
 pub struct DeterministicRng {
-    key: [u8; DIGEST_LEN],
-    /// HMAC keyed with `key`, cloned for every block.
+    /// HMAC keyed with the seed-derived key, cloned for every block.
     mac: HmacSha256,
     counter: u64,
     /// Unconsumed bytes from the last block.
@@ -63,22 +62,11 @@ impl DeterministicRng {
     pub fn from_seed_bytes(seed: &[u8]) -> Self {
         let key = hmac_sha256(b"tlc-drbg-init", seed);
         DeterministicRng {
-            key,
             mac: HmacSha256::new(&key),
             counter: 0,
             buffer: [0u8; DIGEST_LEN],
             buffered: 0,
         }
-    }
-
-    /// Mixes additional entropy into the state.
-    pub fn reseed(&mut self, entropy: &[u8]) {
-        let mut material = Vec::with_capacity(DIGEST_LEN + entropy.len());
-        material.extend_from_slice(&self.key);
-        material.extend_from_slice(entropy);
-        self.key = hmac_sha256(b"tlc-drbg-reseed", &material);
-        self.mac = HmacSha256::new(&self.key);
-        self.buffered = 0;
     }
 
     fn refill(&mut self) {
@@ -145,19 +133,13 @@ mod tests {
 
     #[test]
     fn blocks_are_the_hmac_chain_over_the_counter() {
-        // The kept keyed state yields HMAC(key, counter) bytes, before
-        // and after a reseed.
+        // The kept keyed state yields HMAC(key, counter) bytes.
         let key = hmac_sha256(b"tlc-drbg-init", &11u64.to_be_bytes());
         let mut r = DeterministicRng::from_seed(11);
         let mut blocks = [0u8; 2 * DIGEST_LEN];
         r.fill(&mut blocks);
         assert_eq!(blocks[..DIGEST_LEN], hmac_sha256(&key, &0u64.to_be_bytes()));
         assert_eq!(blocks[DIGEST_LEN..], hmac_sha256(&key, &1u64.to_be_bytes()));
-        r.reseed(b"extra");
-        let key = hmac_sha256(b"tlc-drbg-reseed", &[key.as_slice(), b"extra"].concat());
-        let mut block = [0u8; DIGEST_LEN];
-        r.fill(&mut block);
-        assert_eq!(block, hmac_sha256(&key, &2u64.to_be_bytes()));
     }
 
     #[test]
@@ -169,14 +151,6 @@ mod tests {
         a.fill(&mut ba);
         b.fill(&mut bb);
         assert_eq!(ba, bb);
-    }
-
-    #[test]
-    fn reseed_changes_stream() {
-        let mut a = DeterministicRng::from_seed(9);
-        let mut b = DeterministicRng::from_seed(9);
-        b.reseed(b"extra");
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

@@ -23,9 +23,6 @@ use std::sync::{Arc, OnceLock};
 /// The public exponent used throughout (F4).
 pub const PUBLIC_EXPONENT: u64 = 65537;
 
-/// Default modulus size matching the paper's RSA-1024.
-pub const DEFAULT_MODULUS_BITS: usize = 1024;
-
 /// An RSA public key `(n, e)`.
 ///
 /// Carries a lazily-built, shared [`MontgomeryCtx`] for `n`, so the REDC

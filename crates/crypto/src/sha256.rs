@@ -281,17 +281,6 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
-/// One-shot SHA-256 over the concatenation of `parts`, without
-/// materializing the concatenated buffer. Equivalent to
-/// `digest(parts.concat())`.
-pub fn digest_parts(parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
-    let mut h = Sha256::new();
-    for part in parts {
-        h.update(part);
-    }
-    h.finalize()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,18 +334,6 @@ mod tests {
             }
             assert_eq!(h.finalize(), digest(&data), "chunk {chunk_size}");
         }
-    }
-
-    #[test]
-    fn digest_parts_matches_concat() {
-        let a: Vec<u8> = (0..200u8).collect();
-        let b = vec![0x5au8; 77];
-        let c = b"tail";
-        let mut concat = a.clone();
-        concat.extend_from_slice(&b);
-        concat.extend_from_slice(c);
-        assert_eq!(digest_parts(&[&a, &b, c]), digest(&concat));
-        assert_eq!(digest_parts(&[]), digest(b""));
     }
 
     /// Every kernel this CPU can run, with a notice for the one it

@@ -219,11 +219,6 @@ impl FaultyChannel {
         out
     }
 
-    /// Frames still in flight.
-    pub fn in_flight_len(&self) -> usize {
-        self.in_flight.len()
-    }
-
     /// Everything the channel did so far.
     pub fn stats(&self) -> ChannelStats {
         self.stats

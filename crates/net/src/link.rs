@@ -39,17 +39,6 @@ impl LinkParams {
             discipline: Discipline::Fifo,
         }
     }
-
-    /// An LTE radio bearer: tens of Mbps, ~10 ms air latency, and a
-    /// QCI-priority queue (where the paper's congestion gaps originate).
-    pub fn lte_radio(rate_bps: u64) -> Self {
-        LinkParams {
-            rate_bps,
-            latency: SimDuration::from_millis(10),
-            queue_capacity_bytes: 512 * 1024,
-            discipline: Discipline::QciPriority,
-        }
-    }
 }
 
 /// Delivery counters.
@@ -154,12 +143,6 @@ impl Link {
     /// True when no packet is queued, in service, or in flight.
     pub fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.in_service.is_none() && self.in_flight.is_empty()
-    }
-
-    /// Drops all queued (not yet serialized) packets; models a bearer
-    /// teardown. In-flight packets still deliver.
-    pub fn flush_queue(&mut self) -> Vec<Packet> {
-        self.queue.flush()
     }
 
     /// Queue counters (drops live here).
@@ -306,18 +289,6 @@ mod tests {
             .collect();
         // QCI 7 (id 2) jumps ahead of the queued QCI 9 (id 1).
         assert_eq!(ids, vec![0, 2, 1]);
-    }
-
-    #[test]
-    fn flush_queue_drops_queued_only() {
-        let mut link = Link::new(params(8_000, 0, 1 << 20));
-        link.enqueue(SimTime::ZERO, pkt(0, 800)); // in service
-        link.enqueue(SimTime::ZERO, pkt(1, 800)); // queued
-        let flushed = link.flush_queue();
-        assert_eq!(flushed.len(), 1);
-        assert_eq!(flushed[0].id, 1);
-        // The in-service packet still delivers.
-        assert_eq!(link.poll(SimTime::from_secs(10)).len(), 1);
     }
 
     #[test]

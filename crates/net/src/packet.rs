@@ -6,10 +6,9 @@
 //! vantage points.)
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Uplink (device → server) or downlink (server → device).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Direction {
     /// Device → base station → gateway → server.
     Uplink,
@@ -29,7 +28,7 @@ impl Direction {
 
 /// LTE QoS Class Identifier. The paper's gaming scenario uses QCI 7
 /// (interactive gaming, 100 ms budget) against QCI 9 background traffic.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Qci(pub u8);
 
 impl Qci {
@@ -64,11 +63,11 @@ impl Qci {
 }
 
 /// Identifies an application flow (one edge app on one device).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct FlowId(pub u32);
 
 /// A simulated packet.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Packet {
     /// Unique per-simulation sequence number.
     pub id: u64,

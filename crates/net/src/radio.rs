@@ -15,10 +15,9 @@
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One constant-signal span of the timeline.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RadioSegment {
     /// Segment start (inclusive).
     pub start: SimTime,
@@ -60,7 +59,7 @@ pub const NO_SERVICE_THRESHOLD_DBM: f64 = -110.0;
 pub const RLF_DETACH: SimDuration = SimDuration(5_000_000);
 
 /// The realised radio channel for one device over one experiment.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RadioTimeline {
     segments: Vec<RadioSegment>,
     duration: SimTime,
@@ -189,22 +188,6 @@ impl RadioTimeline {
             return None;
         }
         Some(self.segment_at(t).end)
-    }
-
-    /// If the device is disconnected at `t`, returns the instant service
-    /// resumes (or the timeline end).
-    pub fn reconnect_time(&self, t: SimTime) -> Option<SimTime> {
-        if self.connected_at(t) {
-            return None;
-        }
-        let mut idx = self.segments.partition_point(|s| s.end <= t);
-        while idx < self.segments.len() {
-            if self.segments[idx].rss_dbm >= NO_SERVICE_THRESHOLD_DBM {
-                return Some(self.segments[idx].start);
-            }
-            idx += 1;
-        }
-        Some(self.duration)
     }
 
     /// Exact disconnectivity ratio η = t_disconn / t_total.
@@ -393,23 +376,6 @@ mod tests {
             &mut rng,
         );
         assert_eq!(tl.disconnectivity_ratio(), 0.0);
-    }
-
-    #[test]
-    fn reconnect_time_finds_next_service() {
-        let mut rng = SimRng::new(6);
-        let tl = RadioTimeline::intermittent(
-            SimDuration::from_secs(300),
-            -90.0,
-            0.2,
-            SimDuration::from_secs(2),
-            &mut rng,
-        );
-        let (start, end) = tl.outage_intervals()[0];
-        let mid = SimTime((start.0 + end.0) / 2);
-        assert_eq!(tl.reconnect_time(mid), Some(end));
-        // During service there is nothing to reconnect to.
-        assert_eq!(tl.reconnect_time(SimTime::ZERO), None);
     }
 
     #[test]

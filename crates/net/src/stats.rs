@@ -6,10 +6,9 @@
 //! [`UsageSeries`].
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A monotone packet/byte counter.
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
 pub struct ByteCounter {
     /// Total packets observed.
     pub packets: u64,
@@ -40,7 +39,7 @@ impl ByteCounter {
 }
 
 /// Per-bucket byte usage over time (the 1 Hz usage log of the paper).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UsageSeries {
     bucket: SimDuration,
     /// bytes[i] covers [i*bucket, (i+1)*bucket).
@@ -94,16 +93,6 @@ impl UsageSeries {
         let total: u64 = self.buckets.iter().take(n).sum();
         let secs = self.bucket.as_secs_f64() * n as f64;
         total as f64 * 8.0 / 1e6 / secs
-    }
-
-    /// Rate in Mbps for bucket `i`.
-    pub fn bucket_rate_mbps(&self, i: usize) -> f64 {
-        self.bucket_bytes(i) as f64 * 8.0 / 1e6 / self.bucket.as_secs_f64()
-    }
-
-    /// Bucket width.
-    pub fn bucket_width(&self) -> SimDuration {
-        self.bucket
     }
 
     /// Cumulative bytes recorded before instant `t`, pro-rating the bucket
@@ -177,7 +166,6 @@ mod tests {
             s.record(SimTime::from_secs(i), 125_000);
         }
         assert!((s.mean_rate_mbps(8) - 1.0).abs() < 1e-9);
-        assert!((s.bucket_rate_mbps(0) - 1.0).abs() < 1e-9);
         assert_eq!(s.mean_rate_mbps(0), 0.0);
     }
 

@@ -4,16 +4,15 @@
 //! microsecond resolution — fine enough for sub-millisecond radio events,
 //! coarse enough that an hour-long charging cycle fits comfortably in `u64`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// An instant on the simulation clock (microseconds since simulation start).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time in microseconds.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {
@@ -97,11 +96,6 @@ impl SimDuration {
         self.0
     }
 
-    /// As whole milliseconds (truncating).
-    pub fn as_millis(&self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Time to serialize `bytes` at `rate_bps` bits/second.
     ///
     /// Rounds up so a nonzero payload never serializes in zero time.
@@ -109,12 +103,6 @@ impl SimDuration {
         assert!(rate_bps > 0, "link rate must be positive");
         let bits = bytes * 8;
         SimDuration((bits * 1_000_000).div_ceil(rate_bps))
-    }
-
-    /// Scalar multiplication.
-    pub fn mul_f64(&self, k: f64) -> Self {
-        assert!(k >= 0.0 && k.is_finite());
-        SimDuration((self.0 as f64 * k).round() as u64)
     }
 }
 
@@ -185,7 +173,7 @@ mod tests {
     fn arithmetic() {
         let t = SimTime::from_secs(10) + SimDuration::from_millis(500);
         assert_eq!(t.as_micros(), 10_500_000);
-        assert_eq!((t - SimTime::from_secs(10)).as_millis(), 500);
+        assert_eq!(t - SimTime::from_secs(10), SimDuration::from_millis(500));
     }
 
     #[test]
@@ -221,15 +209,6 @@ mod tests {
             SimDuration::from_millis(500)
         );
         assert_eq!(SimDuration::from_secs_f64(0.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn mul_f64_scales() {
-        assert_eq!(
-            SimDuration::from_secs(2).mul_f64(1.5),
-            SimDuration::from_secs(3)
-        );
-        assert_eq!(SimDuration::from_secs(2).mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -252,11 +252,6 @@ impl FrameDecoder {
         self.buf.len()
     }
 
-    /// Completed frames awaiting [`next_frame`](Self::next_frame).
-    pub fn pending_frames(&self) -> usize {
-        self.done.len()
-    }
-
     /// The error that poisoned this decoder, if any. Frames completed
     /// before the poisoning byte remain poppable.
     pub fn poisoned(&self) -> Option<WireError> {
@@ -428,9 +423,9 @@ mod tests {
         bytes.extend(b.encode().unwrap());
         let mut d = FrameDecoder::new(16);
         d.push(&bytes).unwrap();
-        assert_eq!(d.pending_frames(), 2);
         assert_eq!(d.next_frame(), Some(a));
         assert_eq!(d.next_frame(), Some(b));
+        assert_eq!(d.next_frame(), None);
     }
 
     #[test]

@@ -16,11 +16,10 @@ use super::sweep::rrc_period_for;
 use super::RunScale;
 use crate::measure::{compare_schemes, cycle_records};
 use crate::scenario::{run_scenario, AppKind, ScenarioConfig};
-use serde::Serialize;
 use tlc_core::plan::DataPlan;
 
 /// One ablation cell.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AblationRow {
     /// Application.
     pub app: &'static str,

@@ -8,10 +8,9 @@
 use super::sweep::SweepSample;
 use crate::metrics::bytes_to_mb;
 use crate::scenario::AppKind;
-use serde::Serialize;
 
 /// One application family's dataset row.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DatasetRow {
     /// Application family (the paper groups both webcams together).
     pub family: &'static str,

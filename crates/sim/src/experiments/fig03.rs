@@ -10,14 +10,13 @@ use super::sweep::run_one;
 use super::RunScale;
 use crate::metrics::bytes_to_mb_per_hr;
 use crate::scenario::AppKind;
-use serde::Serialize;
 use tlc_core::plan::DataPlan;
 
 /// Applications shown in Fig. 3.
 pub const FIG03_APPS: [AppKind; 3] = [AppKind::WebcamRtsp, AppKind::WebcamUdp, AppKind::Vr];
 
 /// One point of the figure.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig03Row {
     /// Application name.
     pub app: &'static str,

@@ -8,11 +8,10 @@
 
 use super::RunScale;
 use crate::scenario::{run_scenario, AppKind, RadioSpec, ScenarioConfig};
-use serde::{Deserialize, Serialize};
 use tlc_net::time::{SimDuration, SimTime};
 
 /// One 1-second sample of the three stacked series.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig04Row {
     /// Seconds since the start.
     pub t_secs: u64,
@@ -30,7 +29,7 @@ pub struct Fig04Row {
 
 /// Summary of the run (the paper quotes mean outage 1.93 s, 10.6 MB gap
 /// in 300 s).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig04Summary {
     /// Realised disconnectivity ratio η.
     pub eta: f64,

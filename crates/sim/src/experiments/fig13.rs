@@ -8,10 +8,9 @@
 use super::fig12::SCHEMES;
 use super::sweep::SweepSample;
 use crate::scenario::ALL_APPS;
-use serde::Serialize;
 
 /// One point: mean gap ratio for (app, scheme, background level).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig13Row {
     /// Application name.
     pub app: &'static str,

@@ -10,11 +10,10 @@ use super::sweep::rrc_period_for;
 use super::RunScale;
 use crate::measure::{compare_schemes, cycle_records};
 use crate::scenario::{run_scenario, AppKind, RadioSpec, ScenarioConfig};
-use serde::Serialize;
 use tlc_core::plan::DataPlan;
 
 /// One point: mean gap ratio at a disconnectivity level.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig14Row {
     /// Target η (%).
     pub eta_pct: f64,

@@ -12,7 +12,6 @@ use super::devices::{DeviceProfile, EDGE_DEVICES};
 use super::sweep::SweepSample;
 use super::RunScale;
 
-use serde::Serialize;
 use tlc_cell::datapath::{Datapath, DatapathConfig};
 use tlc_net::packet::{Direction, FlowId, Packet, PacketIdAlloc, Qci};
 use tlc_net::radio::RadioTimeline;
@@ -20,7 +19,7 @@ use tlc_net::rng::SimRng;
 use tlc_net::time::{SimDuration, SimTime};
 
 /// One device's RTT distribution with/without TLC.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig16aRow {
     /// Device name.
     pub device: &'static str,
@@ -31,7 +30,7 @@ pub struct Fig16aRow {
 }
 
 /// One application's mean negotiation rounds per strategy.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig16bRow {
     /// Application name.
     pub app: &'static str,

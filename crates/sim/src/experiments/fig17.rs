@@ -9,7 +9,6 @@
 
 use super::devices::{DeviceProfile, ALL_DEVICES, EDGE_DEVICES, Z840};
 use super::RunScale;
-use serde::Serialize;
 use std::time::Instant;
 use tlc_core::messages::NONCE_LEN;
 use tlc_core::plan::DataPlan;
@@ -24,7 +23,7 @@ use tlc_crypto::KeyPair;
 pub const BATCH_MEASURE_SIZE: usize = 32;
 
 /// Message-size table (the bottom of Fig. 17).
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MessageSizes {
     /// Legacy binary LTE CDR (from the paper, for comparison).
     pub legacy_cdr: usize,
@@ -39,7 +38,7 @@ pub struct MessageSizes {
 }
 
 /// Timing results for one device.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Fig17Row {
     /// Device name.
     pub device: &'static str,
@@ -50,7 +49,7 @@ pub struct Fig17Row {
 }
 
 /// Full figure output.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Fig17Report {
     /// Per-device timings.
     pub rows: Vec<Fig17Row>,

@@ -10,12 +10,11 @@
 use super::sweep::run_one;
 use super::RunScale;
 use crate::scenario::AppKind;
-use serde::{Deserialize, Serialize};
 use tlc_core::game::generic_downlink_overcharge_bound;
 use tlc_core::plan::{charge_for, DataPlan, LossWeight, UsagePair};
 
 /// One internet-loss configuration's outcome.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct GenericRow {
     /// Internet-side loss rate between server and core.
     pub internet_loss: f64,

@@ -11,11 +11,10 @@ use super::sweep::rrc_period_for;
 use super::RunScale;
 use crate::measure::{compare_schemes, cycle_records};
 use crate::scenario::{run_scenario, AppKind, ScenarioConfig};
-use serde::Serialize;
 use tlc_core::plan::DataPlan;
 
 /// One mobility level's outcome.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MobilityRow {
     /// Handover rate, events/minute.
     pub handovers_per_minute: f64,

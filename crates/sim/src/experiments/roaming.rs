@@ -11,11 +11,10 @@
 
 use super::RunScale;
 use crate::twin::{run_twin, NullSink, RoamingTwinConfig, TwinConfig, TwinReport};
-use serde::Serialize;
 use tlc_net::time::SimDuration;
 
 /// One roaming scenario's outcome.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RoamingRow {
     /// Scenario name.
     pub scenario: &'static str,

@@ -13,7 +13,6 @@
 //! fallback, never a hang.
 
 use super::RunScale;
-use serde::Serialize;
 use tlc_core::messages::NONCE_LEN;
 use tlc_core::plan::DataPlan;
 use tlc_core::protocol::Endpoint;
@@ -34,7 +33,7 @@ pub const DUPLICATE_P: f64 = 0.05;
 pub const REORDER_P: f64 = 0.05;
 
 /// One loss point of the sweep.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct RobustnessRow {
     /// Control-channel loss rate, percent.
     pub loss_pct: u32,
@@ -174,7 +173,7 @@ pub fn run(scale: RunScale) -> Vec<RobustnessRow> {
     })
 }
 
-/// Prints the sweep as a table plus one JSON row per loss point.
+/// Prints the sweep as a table, one row per loss point.
 pub fn print(rows: &[RobustnessRow]) {
     println!("Control-plane robustness — negotiation vs signaling loss");
     println!(
@@ -201,9 +200,6 @@ pub fn print(rows: &[RobustnessRow]) {
             r.retransmits
         );
     }
-    for r in rows {
-        println!("{}", serde_json::to_string(r).expect("row serializes"));
-    }
 }
 
 #[cfg(test)]
@@ -223,23 +219,5 @@ mod tests {
             assert!(r.mean_latency_ms >= clean.mean_latency_ms - 1e-9);
             assert_eq!(r.sessions, r.converged + r.fallbacks);
         }
-    }
-
-    #[test]
-    fn rows_serialize_to_json() {
-        let row = RobustnessRow {
-            loss_pct: 20,
-            sessions: 10,
-            converged: 9,
-            fallbacks: 1,
-            convergence_rate: 0.9,
-            mean_latency_ms: 42.0,
-            p95_latency_ms: 99.0,
-            mean_frames: 3.4,
-            retransmits: 7,
-        };
-        let json = serde_json::to_string(&row).unwrap();
-        assert!(json.contains("\"loss_pct\":20"), "{json}");
-        assert!(json.contains("\"convergence_rate\":0.9"), "{json}");
     }
 }

@@ -17,14 +17,13 @@ use super::sweep::rrc_period_for;
 use super::RunScale;
 use crate::measure::cycle_records;
 use crate::scenario::{run_scenario, AppKind, ScenarioConfig};
-use serde::Serialize;
 use tlc_cell::monitor::{operator_downlink_report, MonitorKind, TamperPolicy};
 use tlc_core::cancellation::{negotiate, DEFAULT_MAX_ROUNDS};
 use tlc_core::plan::{intended_charge, DataPlan};
 use tlc_core::strategy::OptimalStrategy;
 
 /// One (monitor, tamper) cell.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct StrawmanRow {
     /// Monitor mechanism.
     pub monitor: &'static str,

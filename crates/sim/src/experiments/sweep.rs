@@ -155,7 +155,7 @@ mod tests {
             &DataPlan::paper_default(),
         );
         let c0 = s.reprice(LossWeight::ZERO);
-        let c1 = s.reprice(LossWeight::ONE);
+        let c1 = s.reprice(LossWeight::new(1, 1));
         // With loss present, intended charge grows with c.
         assert!(c1.intended > c0.intended);
     }
@@ -173,7 +173,7 @@ mod tests {
     fn parallel_sweep_is_byte_identical_to_sequential() {
         // Force real multi-threading (the host may report 1 CPU) and
         // check the parallel runner reproduces the sequential twin
-        // exactly, down to the serialized experiment JSON.
+        // exactly, down to the printed experiment rows.
         let apps = [AppKind::Gaming];
         let bgs = [150.0];
         let plan = DataPlan::paper_default();
@@ -193,9 +193,9 @@ mod tests {
         let rows_par = crate::experiments::fig13::from_samples(&par);
         let rows_seq = crate::experiments::fig13::from_samples(&seq);
         assert_eq!(
-            serde_json::to_string(&rows_par).unwrap(),
-            serde_json::to_string(&rows_seq).unwrap(),
-            "experiment JSON must be byte-identical"
+            format!("{rows_par:?}"),
+            format!("{rows_seq:?}"),
+            "experiment rows must be byte-identical"
         );
     }
 

@@ -7,10 +7,9 @@ use super::fig12::{Scheme, SCHEMES};
 use super::sweep::SweepSample;
 use crate::metrics::bytes_to_mb_per_hr;
 use crate::scenario::ALL_APPS;
-use serde::Serialize;
 
 /// One scheme's averaged cell of the table.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SchemeCell {
     /// Mean absolute gap Δ, MB/hr.
     pub delta_mb_per_hr: f64,
@@ -19,7 +18,7 @@ pub struct SchemeCell {
 }
 
 /// One application row of the table.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Table2Row {
     /// Application name.
     pub app: &'static str,

@@ -9,11 +9,10 @@
 
 use super::RunScale;
 use crate::twin::{run_twin, NullSink, TwinConfig};
-use serde::Serialize;
 use tlc_net::time::SimDuration;
 
 /// One population tier's outcome.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TwinRow {
     /// Target concurrent population.
     pub sessions: u64,

@@ -3,10 +3,8 @@
 //! The paper reports gaps as MB/hr, ratios as percentages, and most
 //! figures as CDFs over repeated experiment rounds.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical distribution over f64 samples.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Cdf {
     samples: Vec<f64>,
     sorted: bool,
@@ -93,16 +91,6 @@ impl Cdf {
         self.samples.last().copied().unwrap_or(0.0)
     }
 
-    /// Fraction of samples ≤ `x`.
-    pub fn fraction_below(&mut self, x: f64) -> f64 {
-        self.sort();
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let n = self.samples.partition_point(|&s| s <= x);
-        n as f64 / self.samples.len() as f64
-    }
-
     /// `(value, cumulative fraction)` points for plotting, at each sample.
     pub fn points(&mut self) -> Vec<(f64, f64)> {
         self.sort();
@@ -143,14 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn fraction_below() {
-        let mut c = Cdf::from_samples(vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(c.fraction_below(2.5), 0.5);
-        assert_eq!(c.fraction_below(0.0), 0.0);
-        assert_eq!(c.fraction_below(4.0), 1.0);
-    }
-
-    #[test]
     fn push_then_query() {
         let mut c = Cdf::new();
         for v in [3.0, 1.0, 2.0] {
@@ -169,7 +149,6 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.mean(), 0.0);
         assert_eq!(c.median(), 0.0);
-        assert_eq!(c.fraction_below(10.0), 0.0);
         assert!(c.points().is_empty());
     }
 

@@ -8,7 +8,6 @@
 //! that stream from a seeded [`SimRng`] — same seed, same population,
 //! regardless of how many shards or threads consume it.
 
-use crate::traffic::Workload;
 use tlc_net::packet::Direction;
 use tlc_net::rng::SimRng;
 use tlc_net::time::SimDuration;
@@ -85,20 +84,6 @@ impl SessionProfile {
         ProfileKind::Vr,
         ProfileKind::Gaming,
     ];
-
-    /// Builds the matching per-packet generator at `duration` length —
-    /// the bridge back to the packet-level scenario driver when a twin
-    /// session needs full-fidelity replay.
-    pub fn packet_workload(&self, duration: SimDuration, rng: SimRng) -> Box<dyn Workload> {
-        match self.kind {
-            ProfileKind::WebcamRtsp => Box::new(crate::webcam::WebcamStream::rtsp(duration, rng)),
-            ProfileKind::WebcamUdp => Box::new(crate::webcam::WebcamStream::udp(duration, rng)),
-            ProfileKind::Vr => Box::new(crate::vr::VrStream::vridge(duration, rng)),
-            ProfileKind::Gaming => {
-                Box::new(crate::gaming::GamingStream::king_of_glory(duration, rng))
-            }
-        }
-    }
 }
 
 /// Workload-mix weights (relative, not normalised) plus churn shape.

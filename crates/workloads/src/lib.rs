@@ -25,7 +25,6 @@
 pub mod background;
 pub mod churn;
 pub mod gaming;
-pub mod retransmit;
 pub mod trace;
 pub mod traffic;
 pub mod vr;
@@ -34,7 +33,6 @@ pub mod webcam;
 pub use background::BackgroundTraffic;
 pub use churn::{Arrival, ChurnConfig, ChurnGen, ProfileKind, SessionProfile};
 pub use gaming::{GamingParams, GamingStream};
-pub use retransmit::RetransmittingSource;
 pub use trace::{PacketTrace, TraceRecord, TraceReplayer};
 pub use traffic::{packetize, Emission, Workload};
 pub use vr::{VrParams, VrStream};

@@ -2,17 +2,15 @@
 //!
 //! The paper replays tcpdump captures (VRidge over operational LTE, a
 //! 1-hour King of Glory session) through `tcprelay`. This module is the
-//! equivalent machinery: capture any [`Workload`] into a [`PacketTrace`],
-//! serialize it (JSON lines), and replay it later — optionally rescaled
-//! in time or truncated — as a new workload.
+//! equivalent machinery: capture any [`Workload`] into a [`PacketTrace`]
+//! and replay it — optionally rescaled in time — as a new workload.
 
 use crate::traffic::{Emission, Workload};
-use serde::{Deserialize, Serialize};
 use tlc_net::packet::{Direction, Qci};
 use tlc_net::time::{SimDuration, SimTime};
 
 /// One captured packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Emission time, microseconds from trace start.
     pub t_us: u64,
@@ -23,7 +21,7 @@ pub struct TraceRecord {
 }
 
 /// A recorded packet trace with its flow metadata.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PacketTrace {
     /// Workload name the trace was captured from.
     pub name: String,
@@ -73,27 +71,9 @@ impl PacketTrace {
         self.total_bytes() as f64 * 8.0 / 1e6 / d
     }
 
-    /// Serializes as JSON (one trace per document).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serializes")
-    }
-
-    /// Parses a trace serialized by [`Self::to_json`].
-    pub fn from_json(s: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// A replaying workload over this trace (like `tcprelay`).
-    pub fn replayer(&self) -> TraceReplayer<'_> {
-        TraceReplayer {
-            trace: self,
-            idx: 0,
-            time_scale: 1.0,
-        }
-    }
-
-    /// A replayer with timestamps scaled by `time_scale` (> 1 slows the
-    /// trace down, < 1 speeds it up — `tcprelay --multiplier`).
+    /// A replaying workload over this trace (like `tcprelay`), with
+    /// timestamps scaled by `time_scale`: 1 replays as recorded, > 1 slows
+    /// the trace down, < 1 speeds it up (`tcprelay --multiplier`).
     pub fn replayer_scaled(&self, time_scale: f64) -> TraceReplayer<'_> {
         assert!(time_scale > 0.0 && time_scale.is_finite());
         TraceReplayer {
@@ -163,7 +143,7 @@ mod tests {
     fn replay_is_faithful() {
         let t = sample_trace();
         let mut w2 = GamingStream::king_of_glory(SimDuration::from_secs(10), SimRng::new(1));
-        let mut replayed = t.replayer();
+        let mut replayed = t.replayer_scaled(1.0);
         while let Some(orig) = w2.next() {
             let rep = replayed.next().expect("same length");
             assert_eq!(rep, orig);
@@ -172,17 +152,10 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let t = sample_trace();
-        let parsed = PacketTrace::from_json(&t.to_json()).unwrap();
-        assert_eq!(parsed, t);
-    }
-
-    #[test]
     fn scaled_replay_stretches_time() {
         let t = sample_trace();
         let orig: Vec<_> = std::iter::from_fn({
-            let mut r = t.replayer();
+            let mut r = t.replayer_scaled(1.0);
             move || r.next()
         })
         .collect();

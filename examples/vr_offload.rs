@@ -61,11 +61,6 @@ fn main() {
         trace.mean_rate_mbps(),
         trace.duration().as_secs_f64()
     );
-    let json = trace.to_json();
-    println!("  serialized to {} bytes of JSON", json.len());
-    let restored = PacketTrace::from_json(&json).expect("parse");
-    assert_eq!(restored, trace);
-
     // Replay at half speed (tcprelay --multiplier 0.5 equivalent).
     let slow = trace.replayer_scaled(2.0);
     let mut n = 0usize;
