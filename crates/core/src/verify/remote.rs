@@ -31,7 +31,8 @@
 //! Admission below the ShedSubmits rung is a deficit-round-robin credit
 //! budget across registered relationships, so one flooding relationship
 //! starves its own lane, not its neighbors. A per-connection misbehavior score
-//! (replays, oversize bursts, window abuse) escalates to quarantine
+//! (rejected proofs by the RSA checks they cost, replays, oversize
+//! bursts, window abuse) escalates to quarantine
 //! and, past a second threshold, a typed goodbye. Every shed is
 //! answered — overload is never a silent drop — and the client turns
 //! BUSY into seeded-jitter capped exponential backoff, surfacing

@@ -44,7 +44,7 @@ use super::codec::{
 use crate::messages::PocMsg;
 use crate::verify::service::{RelationshipId, ServiceConfig, ServiceReport, SubmissionResult};
 use crate::verify::stage::{Relationships, Stage};
-use crate::verify::{VerifyError, DEFAULT_REPLAY_CAPACITY};
+use crate::verify::{Verdict, VerifyError, DEFAULT_REPLAY_CAPACITY};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -431,7 +431,8 @@ struct Conn {
     window: u32,
     /// Peer sent GOODBYE: drain in-flight verdicts, ack, close.
     goodbye: bool,
-    /// Misbehavior score: replays, oversize bursts, window abuse.
+    /// Misbehavior score: rejected proofs (by what they cost), oversize
+    /// bursts, window abuse.
     /// Crossing `quarantine_threshold` quarantines the connection;
     /// crossing `goodbye_threshold` closes it with a typed fault.
     score: u32,
@@ -516,6 +517,26 @@ fn deal(pool: usize, quantum: usize, credits: &mut [u32], cursor: usize) {
         credits[k] = clamp(base.saturating_add(give));
         rem -= give;
         k = (k + 1) % n;
+    }
+}
+
+/// Misbehavior points a verdict scores against the connection that
+/// sent the proof: what rejecting it cost. A proof that reached the
+/// signature batch cost three RSA checks and scores three, whichever
+/// check then failed; a replay, caught by one window lookup, scores
+/// one. An accepted proof scores nothing, and neither does an unknown
+/// relationship id, which costs one table lookup.
+fn cost(result: &Result<Verdict, VerifyError>) -> u32 {
+    match result {
+        Err(
+            VerifyError::Signature(_)
+            | VerifyError::PlanMismatch
+            | VerifyError::NonceMismatch
+            | VerifyError::SequenceMismatch
+            | VerifyError::ChargeMismatch { .. },
+        ) => 3,
+        Err(VerifyError::Replayed) => 1,
+        Ok(_) | Err(VerifyError::Unregistered) => 0,
     }
 }
 
@@ -1299,7 +1320,7 @@ impl Shard {
             self.stats.orphaned_verdicts += 1;
             return;
         }
-        let replayed = matches!(r.result, Err(VerifyError::Replayed));
+        let points = cost(&r.result);
         let msg = VerdictMsg {
             rel: r.relationship.raw(),
             tag: client_tag,
@@ -1308,10 +1329,8 @@ impl Shard {
         };
         self.stats.verdicts += 1;
         conn.send(&msg.to_frame());
-        if replayed {
-            // Replays feed the misbehavior score: a client cycling old
-            // proofs burns verifier capacity for guaranteed rejections.
-            self.bump_score(conn, 1);
+        if points > 0 {
+            self.bump_score(conn, points);
         }
         if conn.phase != Phase::Closed {
             conn.maybe_finish_goodbye();
@@ -1499,6 +1518,59 @@ mod tests {
         let stats_req = Frame::new(FrameKind::StatsReq, Vec::new());
         let replies = turn_until_reply(&mut shard, &mut client, &[stats_req]);
         assert_eq!(replies, [FrameKind::Stats], "the shard outlived it");
+    }
+
+    /// A rejected proof scores what it cost. One that reached the
+    /// signature batch is three RSA checks and scores three, so at the
+    /// default threshold (32) a connection presenting such proofs is
+    /// quarantined by its 11th and not before — whether it forges
+    /// signatures or presents one relationship's valid proofs under
+    /// another.
+    #[test]
+    fn rejected_proofs_score_their_cost_and_quarantine_by_the_eleventh() {
+        let (mut shard, addr) = shard_on_loopback();
+        let mut client = connect(addr);
+        let keys: Vec<KeyPair> = (7990..7994).map(keys).collect();
+        let session = [
+            HELLO.to_frame(),
+            register(0, &keys[0], &keys[1]).to_frame(),
+            register(1, &keys[2], &keys[3]).to_frame(),
+        ];
+        let replies = turn_until_reply(&mut shard, &mut client, &session);
+        assert_eq!(replies.len(), 3, "{replies:?}");
+
+        // Relationship 0's proofs, one signature bit flipped in each.
+        let plan = DataPlan::paper_default();
+        let forged = (0..6u8).map(|i| {
+            let mut poc = negotiate(&keys[0], &keys[1], plan, 2 * i + 1, 2 * i + 2);
+            let last = poc.signature.len() - 1;
+            poc.signature[last] ^= 1;
+            (0, poc.encode())
+        });
+        // Relationship 0's valid proofs, presented under relationship 1.
+        let crossed = proofs(&keys[0], &keys[1], 5)
+            .into_iter()
+            .map(|poc| (1, poc));
+        let mut frames: Vec<Frame> = forged
+            .chain(crossed)
+            .enumerate()
+            .map(|(i, (rel, poc))| {
+                let tag = 1 + i as u64;
+                Submit { rel, tag, poc }.to_frame()
+            })
+            .collect();
+        let eleventh = frames.remove(5);
+
+        turn_until_reply(&mut shard, &mut client, &frames);
+        assert_eq!(shard.stats.verdicts, 10);
+        assert_eq!(live(&shard)[0].score, 30, "three points a rejection");
+        assert_eq!(shard.stats.quarantines, 0, "10 rejections: not yet");
+
+        turn_until_reply(&mut shard, &mut client, &[eleventh]);
+        assert_eq!(shard.stats.verdicts, 11);
+        assert_eq!(live(&shard)[0].score, 33);
+        assert!(live(&shard)[0].quarantine > 0, "the 11th quarantines");
+        assert_eq!(shard.stats.quarantines, 1);
     }
 
     /// Credits are dealt by the first submission of an iteration that

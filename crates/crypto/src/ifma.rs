@@ -18,10 +18,10 @@
 //! and `k0` are gathered per lane from each modulus's [`IfmaCtx`], so a
 //! verification call serves whatever signatures arrived, in arrival
 //! order, whichever keys they are under, and a signing call holds `p` in
-//! one lane and `q` in the other. One kernel body (`lane_kernels!`) is
-//! instantiated three times — 8 lanes of a 512-bit vector and 4 lanes of
-//! a 256-bit one (`avx512vl`) at 20 digits, 2 lanes of a 128-bit one at
-//! 10 — and each instantiation is closed by the ladder it serves.
+//! two lanes and `q` in the other two. One kernel body (`lane_kernels!`)
+//! is instantiated three times — 8 lanes of a 512-bit vector and 4 lanes
+//! of a 256-bit one (`avx512vl`) at 20 digits, 4 lanes of a 256-bit one
+//! at 10 — and each instantiation is closed by the ladder it serves.
 //!
 //! **Verification** (`f4_ladder!`, [`modpow_f4`]) picks its width by
 //! live count: a lone 512-bit call drops the core into a lower frequency
@@ -32,13 +32,25 @@
 //! computed once and doubled), and one AMM by the *plain* base, which
 //! multiplies and leaves Montgomery form at once.
 //!
-//! **Signing** (`crt_ladder!`, `modpow_crt`) takes an exponent per lane
-//! as well: a 32-entry table of powers per lane, then 103 fixed 5-bit
-//! windows of five squarings and one table multiplication each — the
-//! zero window included, so the instruction sequence is the same for
-//! every exponent, though the table entries read are not. It stays on
-//! 128-bit vectors and squares with the plain AMM; both are measured
-//! choices (DESIGN §8.2), not omissions.
+//! **Signing** (`mont_ladder!`, `modpow_crt`) takes an exponent per CRT
+//! half as well, and walks it on a Montgomery ladder (Montgomery 1987;
+//! Joye & Yen, CHES 2002): the pair `(R0, R1)` with `R1 = R0·c`, and per
+//! exponent bit `b` the product `R0·R1` and the square `R_b²`, which are
+//! independent. Lanes `[p·mul, p·sqr, q·mul, q·sqr]` make both halves'
+//! product and square in one 256-bit AMM, so a signature is one entry
+//! call, 512 steps and one exit call: 514 AMMs in sequence. Each step
+//! swaps each half's two lanes (`vpshufd`) and picks its operands with
+//! masked blends, the masks being arithmetic on the two exponent bits.
+//! No table, and the plain AMM for the square — both measured choices
+//! (DESIGN §8.2).
+//!
+//! *Posture.* The sequence of AMMs, the loads and the branches of the
+//! ladder are the same for every exponent: no branch and no address
+//! follows a bit. Still variable-time around it: copying the exponent
+//! into the ladder's fixed 512 bits (its limb count), the final
+//! `reduce_once` (a compare-and-subtract on the result), and, in
+//! `rsa::raw_decrypt`, the two `rem`s before the ladder and Garner's
+//! recombination after it (`montgomery.rs`, "Constant-time posture").
 //!
 //! Values travel a chain in the almost-reduced range `[0, 2M)` (valid
 //! because `R > 4M`: `2^1040` for a 1024-bit `M`, `2^520` for a 512-bit
@@ -72,8 +84,12 @@ pub const IFMA_LANES: usize = 8;
 pub const NARROW_LANES: usize = 4;
 
 /// Exponentiations carried by the signing ladder: the two CRT halves of
-/// one private-key operation, one per 64-bit element of a 128-bit vector.
+/// one private-key operation.
 pub(crate) const CRT_LANES: usize = 2;
+
+/// Lanes of the signing ladder: a product and a square per CRT half, one
+/// per 64-bit element of a 256-bit vector.
+pub(crate) const LADDER_LANES: usize = 2 * CRT_LANES;
 
 /// Radix-2^52 digits in a 1024-bit operand (`ceil(1040 / 52)`).
 pub const DIGITS: usize = 20;
@@ -109,8 +125,8 @@ mod imp {
             && std::arch::is_x86_feature_detected!("avx512ifma")
     }
 
-    /// True when the running CPU can also execute them on 256- and
-    /// 128-bit vectors.
+    /// True when the running CPU can also execute them on 256-bit
+    /// vectors.
     pub fn vl_available() -> bool {
         available() && std::arch::is_x86_feature_detected!("avx512vl")
     }
@@ -209,7 +225,7 @@ mod imp {
 
     impl IfmaCtx<HALF_DIGITS> {
         /// Builds the constants for an odd 8-limb (512-bit) modulus, or
-        /// `None` when the CPU lacks AVX-512 IFMA on 128-bit vectors.
+        /// `None` when the CPU lacks AVX-512 IFMA on 256-bit vectors.
         pub(crate) fn new(modulus: &BigUint, n_prime64: u64) -> Option<Self> {
             debug_assert_eq!(modulus.limbs.len(), 8);
             vl_available().then(|| Self::derive(modulus, n_prime64))
@@ -241,30 +257,8 @@ mod imp {
     pub(crate) fn modpow_crt(lanes: &[ExpLane<'_>; CRT_LANES]) -> [BigUint; CRT_LANES] {
         // SAFETY: every lane holds an `IfmaCtx512`, which only exists
         // after `vl_available()` confirmed AVX-512F + IFMA + VL, the
-        // features the 128-bit body is compiled for.
-        unsafe { w128::modpow_crt(lanes) }
-    }
-
-    /// Exponent bits consumed per step of the signing ladder.
-    const WINDOW_BITS: usize = 5;
-
-    /// Powers held per lane: one for every value of a window.
-    const TABLE: usize = 1 << WINDOW_BITS;
-
-    /// Windows in the signing ladder: enough for any exponent below a
-    /// 512-bit modulus, walked in full whatever the exponents' lengths.
-    const WINDOWS: usize = 512usize.div_ceil(WINDOW_BITS);
-
-    /// Window `w` (bits `5w..5w + 5`) of a little-endian exponent.
-    fn window(exp: &BigUint, w: usize) -> usize {
-        let bit = WINDOW_BITS * w;
-        let idx = bit / 64;
-        let off = bit % 64;
-        let mut v = exp.limbs.get(idx).copied().unwrap_or(0) >> off;
-        if off > 64 - WINDOW_BITS {
-            v |= exp.limbs.get(idx + 1).copied().unwrap_or(0) << (64 - off);
-        }
-        v as usize % TABLE
+        // features the 256-bit body is compiled for.
+        unsafe { pair256::modpow_crt(lanes) }
     }
 
     /// `$t[K] = $column::<K>($args..)` for each of the `2 * DIGITS` columns
@@ -508,66 +502,94 @@ mod imp {
         };
     }
 
-    /// The signing ladder on top of a kernel body: `base^exp` with a
-    /// modulus and an exponent per lane, by fixed windows. Squarings are
-    /// `amm(a, a)`: at 10 digits on 128-bit vectors a call is bound by
-    /// the serial chain through its reduction rounds, which `amm`
-    /// overlaps with the next row's multiplies and a product-scanned
-    /// `sqr` cannot (DESIGN §8.2 has the measurement).
-    macro_rules! crt_ladder {
+    /// The signing ladder on top of a 256-bit kernel body: a Montgomery
+    /// ladder with a modulus and an exponent per CRT half. Lanes
+    /// `2h, 2h + 1` hold half `h`'s pair `(R0, R1)` (`R1 = R0·c` all the
+    /// way down), so one `amm` per exponent bit makes both halves' product
+    /// `R0·R1` and square `R_b²` at once.
+    macro_rules! mont_ladder {
         ($features:literal, $setzero:ident, $add:ident, $madd_lo:ident, $madd_hi:ident) => {
-            use super::{window, TABLE, WINDOWS, WINDOW_BITS};
+            use core::arch::x86_64::{_mm256_mask_blend_epi64, _mm256_shuffle_epi32};
 
-            /// The table entry each lane's window names, lane by lane.
-            /// Entries are addressed directly: which ones a lane reads
-            /// depends on its exponent (see the posture note in
-            /// `montgomery.rs`).
+            /// Exponent bits walked per call, top first: enough for any
+            /// exponent below a 512-bit modulus, whatever its length.
+            const BITS: usize = 512;
+
+            /// Lanes `l` with bit `l` of `mask` set from `b`, the rest
+            /// from `a`.
             #[inline]
-            fn select(table: &[Digits; TABLE], idx: [usize; LANES]) -> Digits {
-                core::array::from_fn(|d| {
-                    vec_of(core::array::from_fn(|l| lanes_of(table[idx[l]][d])[l]))
-                })
+            #[target_feature(enable = $features)]
+            fn blend(mask: u8, a: &Digits, b: &Digits) -> Digits {
+                core::array::from_fn(|d| _mm256_mask_blend_epi64(mask, a[d], b[d]))
             }
 
-            /// `base^exp mod m` per lane; see [`super::modpow_crt`].
-            /// Every call runs the same `amm` sequence — the table,
-            /// then five squarings and one multiplication per window,
-            /// zero windows included — whatever the exponents are.
+            /// Each half's two lanes exchanged.
+            #[inline]
             #[target_feature(enable = $features)]
-            pub(super) fn modpow_crt(lanes: &[super::ExpLane<'_>; LANES]) -> [BigUint; LANES] {
-                debug_assert!(lanes
-                    .iter()
-                    .all(|(_, _, exp)| exp.bit_len() <= WINDOWS * WINDOW_BITS));
-                let bases: [[u64; DIGITS]; LANES] =
-                    core::array::from_fn(|l| to_digits52(&lanes[l].1.limbs));
-                let a = gather(|l| &bases[l]);
-                let m = gather(|l| &lanes[l].0.m);
-                let r2 = gather(|l| &lanes[l].0.r2);
-                let k0 = vec_of(core::array::from_fn(|l| lanes[l].0.k0));
+            fn swap(a: &Digits) -> Digits {
+                core::array::from_fn(|d| _mm256_shuffle_epi32::<0x4E>(a[d]))
+            }
+
+            /// Bit `i` of each half's exponent, as the mask bit of that
+            /// half's second lane.
+            #[inline]
+            fn odd_lanes(exps: &[[u64; BITS / 64]; 2], i: usize) -> u8 {
+                let bit = |e: &[u64; BITS / 64]| ((e[i / 64] >> (i % 64)) & 1) as u8;
+                (bit(&exps[0]) << 1) | (bit(&exps[1]) << 3)
+            }
+
+            /// `base^exp mod m` per CRT half; see [`super::modpow_crt`].
+            /// Every call runs the same 514 `amm`s and the same loads,
+            /// whatever the exponents are: the masks are arithmetic on
+            /// the bits, and no branch or address follows them.
+            #[target_feature(enable = $features)]
+            pub(super) fn modpow_crt(
+                lanes: &[super::ExpLane<'_>; super::CRT_LANES],
+            ) -> [BigUint; super::CRT_LANES] {
+                debug_assert!(lanes.iter().all(|(_, _, exp)| exp.bit_len() <= BITS));
+                let half = |l: usize| &lanes[l / 2];
+                let bases = lanes
+                    .each_ref()
+                    .map(|(_, base, _)| to_digits52(&base.limbs));
+                let exps: [[u64; BITS / 64]; 2] = lanes.each_ref().map(|(_, _, exp)| {
+                    core::array::from_fn(|i| exp.limbs.get(i).copied().unwrap_or(0))
+                });
+                let a = gather(|l| &bases[l / 2]);
+                let m = gather(|l| &half(l).0.m);
+                let r2 = gather(|l| &half(l).0.r2);
+                let k0 = vec_of(core::array::from_fn(|l| half(l).0.k0));
                 let mut one = [$setzero(); DIGITS];
                 one[0] = vec_of([1; LANES]);
 
-                // table[i] = base^i in Montgomery form: R, a·R, a²·R, …
-                let mut table = [one; TABLE];
-                table[0] = amm(&r2, &one, &m, k0);
-                table[1] = amm(&a, &r2, &m, k0);
-                for i in 2..TABLE {
-                    table[i] = amm(&table[i - 1], &table[1], &m, k0);
+                // Into Montgomery form in one call: R0 = 1·R = AMM(R², 1)
+                // and R1 = c·R = AMM(c, R²). The state holds
+                // (R_{1-b}, R_b) for the bit b last walked: (R0, R1)
+                // as if it were a 1.
+                const EVEN: u8 = 0b0101;
+                const ODD: u8 = 0b1010;
+                let mut state = amm(&blend(ODD, &r2, &a), &blend(ODD, &one, &r2), &m, k0);
+                let mut last = ODD;
+                for i in (0..BITS).rev() {
+                    // Bit b: R_{1-b} = R0·R1 in the even lane (the state's
+                    // two lanes, in either order), R_b = R_b² in the odd
+                    // one — the odd lane of the state when b repeats the
+                    // last bit, the even lane when it flips.
+                    let bits = odd_lanes(&exps, i);
+                    let flip = bits ^ last;
+                    let swapped = swap(&state);
+                    let x = blend(flip, &state, &swapped);
+                    let y = blend(flip | EVEN, &state, &swapped);
+                    state = amm(&x, &y, &m, k0);
+                    last = bits;
                 }
-
-                let digits = |w: usize| core::array::from_fn(|l| window(lanes[l].2, w));
-                let mut acc = select(&table, digits(WINDOWS - 1));
-                for w in (0..WINDOWS - 1).rev() {
-                    for _ in 0..WINDOW_BITS {
-                        acc = amm(&acc, &acc, &m, k0);
-                    }
-                    acc = amm(&acc, &select(&table, digits(w)), &m, k0);
-                }
-                // Out of Montgomery form, then the one exact reduction.
-                let plain = amm(&acc, &one, &m, k0);
-                core::array::from_fn(|l| {
-                    let mut digits = scatter(&plain, l);
-                    reduce_once(&mut digits, &lanes[l].0.m);
+                // R0 is the odd lane after a final 0 bit and the even one
+                // after a 1: move it to the even lane, leave Montgomery
+                // form, then the one exact reduction.
+                let r0 = blend((!last & ODD) >> 1, &state, &swap(&state));
+                let plain = amm(&r0, &one, &m, k0);
+                core::array::from_fn(|h| {
+                    let mut digits = scatter(&plain, 2 * h);
+                    reduce_once(&mut digits, &lanes[h].0.m);
                     from_digits52(&digits)
                 })
             }
@@ -607,19 +629,19 @@ mod imp {
     );
 
     lane_kernels!(
-        w128,
-        __m128i,
-        crate::ifma::CRT_LANES,
+        pair256,
+        __m256i,
+        crate::ifma::LADDER_LANES,
         crate::ifma::HALF_DIGITS,
         "avx512f,avx512ifma,avx512vl",
-        _mm_setzero_si128,
-        _mm_set1_epi64x,
-        _mm_add_epi64,
-        _mm_and_si128,
-        _mm_srli_epi64,
-        _mm_madd52lo_epu64,
-        _mm_madd52hi_epu64,
-        crt_ladder
+        _mm256_setzero_si256,
+        _mm256_set1_epi64x,
+        _mm256_add_epi64,
+        _mm256_and_si256,
+        _mm256_srli_epi64,
+        _mm256_madd52lo_epu64,
+        _mm256_madd52hi_epu64,
+        mont_ladder
     );
 
     #[cfg(test)]
@@ -761,11 +783,11 @@ mod imp {
         width_tests!(w512, crate::ifma::available(), "avx512f + avx512ifma");
         width_tests!(w256, crate::ifma::vl_available(), "avx512ifma + avx512vl");
 
-        /// The signing lanes: two 512-bit moduli, 10 digits, 128-bit
-        /// vectors.
-        mod w128 {
-            use super::super::w128::{amm, gather, modpow_crt, scatter, vec_of, DIGITS, LANES};
-            use super::super::{from_digits52, reduce_once, to_digits52};
+        /// The signing lanes: two 512-bit moduli, 10 digits, a product
+        /// and a square per modulus on a 256-bit vector.
+        mod pair256 {
+            use super::super::pair256::{amm, gather, modpow_crt, scatter, vec_of, DIGITS, LANES};
+            use super::super::{from_digits52, reduce_once, to_digits52, CRT_LANES};
             use super::pseudo;
             use crate::bigint::BigUint;
             use crate::montgomery::MontgomeryCtx;
@@ -778,10 +800,11 @@ mod imp {
                 !have
             }
 
-            /// Two distinct odd moduli of exactly 512 bits, one per lane.
-            fn moduli() -> [(BigUint, MontgomeryCtx); LANES] {
-                core::array::from_fn(|l| {
-                    let mut m = pseudo(40 + l as u64).shr(512);
+            /// Two distinct odd moduli of exactly 512 bits, one per CRT
+            /// half.
+            fn moduli() -> [(BigUint, MontgomeryCtx); CRT_LANES] {
+                core::array::from_fn(|h| {
+                    let mut m = pseudo(40 + h as u64).shr(512);
                     m.limbs[0] |= 1;
                     assert_eq!(m.bit_len(), 512);
                     let ctx = MontgomeryCtx::new(&m);
@@ -795,28 +818,27 @@ mod imp {
                     return;
                 }
                 let keys = moduli();
+                // Lanes 2h and 2h + 1 are under modulus h.
+                let modulus = |l: usize| &keys[l / 2].0;
                 let ifma = keys
                     .each_ref()
                     .map(|(_, c)| c.ifma_crt_ctx().expect("ifma"));
-                let m = gather(|l| &ifma[l].m);
-                let k0 = vec_of(ifma.map(|c| c.k0));
+                let m = gather(|l| &ifma[l / 2].m);
+                let k0 = vec_of(core::array::from_fn(|l| ifma[l / 2].k0));
                 let one = BigUint::one();
                 // R⁻¹ mod m per lane, R = 2^(52·DIGITS).
-                let r_inv = keys.each_ref().map(|(modulus, _)| {
-                    let r = one.shl(52 * DIGITS).rem(modulus);
-                    r.modinv(modulus).expect("odd modulus")
+                let r_inv: [BigUint; LANES] = core::array::from_fn(|l| {
+                    let r = one.shl(52 * DIGITS).rem(modulus(l));
+                    r.modinv(modulus(l)).expect("odd modulus")
                 });
                 // 0, 1, m - 1, the almost-reduced 2m - 1, then random
                 // values below 2m; the lanes walk the list out of step.
-                let operand = |l: usize, i: usize| {
-                    let modulus = &keys[l].0;
-                    match i % 7 {
-                        0 => BigUint::zero(),
-                        1 => one.clone(),
-                        2 => modulus.sub(&one),
-                        3 => modulus.shl(1).sub(&one),
-                        _ => pseudo(1000 * l as u64 + i as u64).rem(&modulus.shl(1)),
-                    }
+                let operand = |l: usize, i: usize| match i % 7 {
+                    0 => BigUint::zero(),
+                    1 => one.clone(),
+                    2 => modulus(l).sub(&one),
+                    3 => modulus(l).shl(1).sub(&one),
+                    _ => pseudo(1000 * l as u64 + i as u64).rem(&modulus(l).shl(1)),
                 };
                 for i in 0..7 {
                     for j in 0..7 {
@@ -830,14 +852,14 @@ mod imp {
                             amm(&gather(|l| &a52[l]), &gather(|l| &b52[l]), &m, k0)
                         };
                         for l in 0..LANES {
-                            let modulus = &keys[l].0;
+                            let modulus = modulus(l);
                             let mut got = scatter(&product, l);
                             let almost = from_digits52(&got);
                             assert!(
                                 almost.cmp_to(&modulus.shl(1)).is_lt(),
                                 "({i}, {j}) lane {l}"
                             );
-                            reduce_once(&mut got, &ifma[l].m);
+                            reduce_once(&mut got, &ifma[l / 2].m);
                             let want = a[l].mul(&b[l]).rem(modulus).mul_mod(&r_inv[l], modulus);
                             assert_eq!(from_digits52(&got), want, "({i}, {j}) lane {l}");
                         }
@@ -852,43 +874,57 @@ mod imp {
                 }
                 let keys = moduli();
                 let one = BigUint::one();
-                // Lengths the two lanes never share: 512 and 509 bits,
-                // 17 bits, 1, and 0 (whose power is 1).
+                // The ladder walks all 512 bits whatever the length, so
+                // the edges are lengths: 0 (whose power is 1), 1, 2, the
+                // top bit alone, every bit set, a 512-bit pattern under
+                // a run of 380 leading zeros, and random 512-, 509- and
+                // 17-bit values. Paired by rotation, the two halves never
+                // share a length.
                 let exponents = [
-                    pseudo(71).shr(512),
-                    pseudo(72).shr(515),
-                    BigUint::from_u64(0x1_2345),
-                    one.clone(),
                     BigUint::zero(),
+                    one.clone(),
+                    BigUint::from_u64(2),
+                    one.shl(511),
+                    pseudo(70).shr(892),
+                    one.shl(512).sub(&one),
+                    pseudo(72).shr(515),
+                    pseudo(71).shr(512),
+                    BigUint::from_u64(0x1_2345),
                 ];
-                assert_eq!(exponents[0].bit_len(), 512);
-                assert_eq!(exponents[1].bit_len(), 509);
+                let lengths = exponents.each_ref().map(BigUint::bit_len);
+                assert_eq!(lengths, [0, 1, 2, 512, 132, 512, 509, 512, 17]);
+                // Both halves under one modulus too: the prime search runs
+                // a candidate's later rounds that way.
+                let pairs = [[0, 1], [0, 0]];
                 for (e, _) in exponents.iter().enumerate() {
                     for b in 0..4 {
-                        let exps: [&BigUint; LANES] =
-                            core::array::from_fn(|l| &exponents[(e + l) % exponents.len()]);
-                        let bases: [BigUint; LANES] = core::array::from_fn(|l| {
-                            let modulus = &keys[l].0;
-                            match (b + l) % 4 {
-                                0 => BigUint::zero(),
-                                1 => one.clone(),
-                                2 => modulus.sub(&one),
-                                _ => pseudo(90 + (4 * e + b) as u64).rem(modulus),
+                        for halves in pairs {
+                            let exps: [&BigUint; CRT_LANES] =
+                                core::array::from_fn(|h| &exponents[(e + h) % exponents.len()]);
+                            let modulus = |h: usize| &keys[halves[h]];
+                            // 0, 1, m - 1, then a random base below m.
+                            let bases: [BigUint; CRT_LANES] =
+                                core::array::from_fn(|h| match (b + h) % 4 {
+                                    0 => BigUint::zero(),
+                                    1 => one.clone(),
+                                    2 => modulus(h).0.sub(&one),
+                                    _ => pseudo(90 + (4 * e + b) as u64).rem(&modulus(h).0),
+                                });
+                            let lanes = core::array::from_fn(|h| {
+                                let ctx = modulus(h).1.ifma_crt_ctx().expect("ifma");
+                                (ctx, &bases[h], exps[h])
+                            });
+                            let got = unsafe {
+                                // SAFETY: `skip()` confirmed the features.
+                                modpow_crt(&lanes)
+                            };
+                            for h in 0..CRT_LANES {
+                                assert_eq!(
+                                    got[h],
+                                    modulus(h).1.modpow(&bases[h], exps[h]),
+                                    "exponent {e} base {b} moduli {halves:?} half {h}"
+                                );
                             }
-                        });
-                        let lanes = core::array::from_fn(|l| {
-                            (keys[l].1.ifma_crt_ctx().expect("ifma"), &bases[l], exps[l])
-                        });
-                        let got = unsafe {
-                            // SAFETY: `skip()` confirmed the features.
-                            modpow_crt(&lanes)
-                        };
-                        for l in 0..LANES {
-                            assert_eq!(
-                                got[l],
-                                keys[l].1.modpow(&bases[l], exps[l]),
-                                "exponent {e} base {b} lane {l}"
-                            );
                         }
                     }
                 }

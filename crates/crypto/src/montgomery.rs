@@ -61,27 +61,25 @@
 //! primes are 8 limbs and the CPU has AVX-512 IFMA + VL) change part of
 //! this and only part:
 //!
-//! * *What changed.* The sequence of operations no longer follows the
-//!   exponent's bits: a fixed 5-bit window, 103 windows whatever `dp`
-//!   and `dq` are, five squarings and one table multiplication in every
-//!   window, the zero window included, and no data-dependent branch
-//!   inside a multiplication (carries stay in redundant containers).
-//! * *What did not.* The table entry a window multiplies by is fetched
-//!   by direct index, so the *addresses* read still follow the exponent
-//!   (a cache-timing observer's view); a masked select over all 32
-//!   entries was measured at +6–10 µs on a ~54 µs signature and is
-//!   recorded in DESIGN.md §8.2, not taken. Reading a window branches on
-//!   the exponent's limb count. The closing exact reduction
+//! * *What changed.* Neither the sequence of operations nor the
+//!   addresses read follow the exponent's bits: a Montgomery ladder
+//!   walks all 512 bits whatever `dp` and `dq` are, one AMM per bit for
+//!   both halves, and picks each step's operands from registers with
+//!   masked blends whose masks are arithmetic on the bits — no table, no
+//!   branch on a bit, no data-dependent branch inside a multiplication
+//!   (carries stay in redundant containers).
+//! * *What did not.* Copying each exponent into the ladder's fixed 512
+//!   bits runs over its limb count. The closing exact reduction
 //!   (`reduce_once`) is a compare-and-subtract on the result, and the two
 //!   `rem`s before the ladder and Garner's recombination after it are the
 //!   same variable-time `BigUint` code as ever.
-//! * *Secrets in memory.* The 5 KB table of `c^i mod p` / `c^i mod q`
-//!   lives on the stack for the duration of the call and is not scrubbed
-//!   afterwards, exactly as the scalar path's heap-allocated table is
-//!   not. The lane constants cached in this context hold `p` or `q` in
-//!   radix 2^52; like [`MontgomeryCtx`] itself they implement no `Debug`
-//!   and are not scrubbed on drop (the cell is shared by every clone of
-//!   the key).
+//! * *Secrets in memory.* The ladder's state (`c^k mod p`, `c^(k+1)`
+//!   and the same for `q`) and the exponent copies live on the stack
+//!   for the duration of the call and are not scrubbed afterwards,
+//!   exactly as the scalar path's heap-allocated table is not. The lane
+//!   constants cached in this context hold `p` or `q` in radix 2^52;
+//!   like [`MontgomeryCtx`] itself they implement no `Debug` and are not
+//!   scrubbed on drop (the cell is shared by every clone of the key).
 //! * *Fault check.* `raw_decrypt` re-encrypts its result under the public
 //!   key and compares with the input (the Bellcore/Lenstra CRT-fault
 //!   check) under `debug_assert!` only — every test-profile signature is
@@ -118,7 +116,7 @@ pub struct MontgomeryCtx {
     /// moduli on capable CPUs only; `None` once probed elsewhere).
     ifma: std::sync::OnceLock<Option<crate::ifma::IfmaCtx1024>>,
     /// The same for the IFMA signing lanes (512-bit moduli — RSA-1024's
-    /// CRT primes — on CPUs that run IFMA on 128-bit vectors).
+    /// CRT primes — on CPUs that run IFMA on 256-bit vectors).
     ifma_crt: std::sync::OnceLock<Option<crate::ifma::IfmaCtx512>>,
 }
 

@@ -8,7 +8,7 @@
 //! Private-key operations use the CRT (Garner recombination) for the usual
 //! ~4x speedup, which matters for the Fig. 17 cost benchmarks. For an
 //! RSA-1024 key on a CPU with AVX-512 IFMA + VL the two half-size
-//! exponentiations run as the two lanes of one vector ladder
+//! exponentiations run together on one vector Montgomery ladder
 //! ([`crate::ifma`]) for another ~2x; any other key or host runs them as
 //! two scalar `modpow`s. [`PrivateKey::sign_kernel`] names the route, the
 //! results are the same bytes.
@@ -228,15 +228,15 @@ impl PrivateKey {
     /// operations run on, on this host (for benchmark reports).
     pub fn sign_kernel(&self) -> &'static str {
         if pair_rides_ladder(self.p_ctx(), self.q_ctx()) {
-            "avx512-ifma-crt-2x128"
+            "avx512-ifma-ladder-4x256"
         } else {
             "scalar-sliding-window"
         }
     }
 
     /// Raw private-key operation `c^d mod n` via CRT: both half-size
-    /// exponentiations through [`modpow_pair`] — the two lanes of one
-    /// IFMA ladder ([`crate::ifma`]) where [`Self::sign_kernel`] says so,
+    /// exponentiations through [`modpow_pair`] — one pass of the IFMA
+    /// Montgomery ladder ([`crate::ifma`]) where [`Self::sign_kernel`] says so,
     /// otherwise one scalar sliding-window `modpow` each. Same result
     /// either way.
     pub fn raw_decrypt(&self, c: &BigUint) -> Result<BigUint, CryptoError> {

@@ -200,6 +200,33 @@ proptest! {
         }
     }
 
+    /// `modpow_pair` is `modpow_with_ctx` per lane when the two
+    /// exponents differ only in bit 511, where the ladder starts: the
+    /// lanes take different operands at the first step and the same at
+    /// every later one, so a lane that read the other's state would
+    /// show. Both orders, under two moduli and under one.
+    #[test]
+    fn modpow_pair_lanes_whose_exponents_differ_only_in_the_top_bit(
+        moduli in proptest::collection::vec(any::<u8>(), 128),
+        bases in proptest::collection::vec(any::<u8>(), 128),
+        exp in proptest::collection::vec(any::<u8>(), 64),
+    ) {
+        use tlc_crypto::montgomery::{modpow_pair, MontgomeryCtx};
+        let (m, n) = (odd_512(&moduli[..64]), odd_512(&moduli[64..]));
+        let (m_ctx, n_ctx) = (MontgomeryCtx::new(&m), MontgomeryCtx::new(&n));
+        let top = BigUint::one().shl(511);
+        let low = big(&exp).rem(&top);
+        let high = low.add(&top);
+        for (q, q_ctx) in [(&n, &n_ctx), (&m, &m_ctx)] {
+            let (a, b) = (big(&bases[..64]).rem(&m), big(&bases[64..]).rem(q));
+            for (e, f) in [(&low, &high), (&high, &low)] {
+                let got = modpow_pair([(&m_ctx, &a, e), (q_ctx, &b, f)]);
+                prop_assert_eq!(&got[0], &a.modpow_with_ctx(e, &m_ctx));
+                prop_assert_eq!(&got[1], &b.modpow_with_ctx(f, q_ctx));
+            }
+        }
+    }
+
     /// `generate_prime` is the sequential search bit for bit — the same
     /// prime, and the stream left where the search leaves it — on the
     /// scalar route (128 and 256 bits) and, on a CPU with the signing
