@@ -201,17 +201,40 @@ fn sign_level(kp: &KeyPair) {
     }
 }
 
+/// Batch-hash check: `digest_many` over a 96-message batch shaped like
+/// 32 PoCs' signed spans (a PoC body, a CDA body and a CDR body each)
+/// against `digest` per message.
+fn hash_level() {
+    let data: Vec<u8> = (0..2048u32).map(|i| (i * 7 + 1) as u8).collect();
+    let msgs: Vec<&[u8]> = (0..96)
+        .map(|i| {
+            let len = [434, 240, 54][i % 3] + i % 5;
+            &data[i..i + len]
+        })
+        .collect();
+    let many = sha256::digest_many(&msgs);
+    for (i, (got, msg)) in many.iter().zip(&msgs).enumerate() {
+        assert_eq!(
+            *got,
+            sha256::digest(msg),
+            "digest_many/digest divergence at {i}"
+        );
+    }
+}
+
 fn main() {
     // Which paths this runner exercises: the checks below hold on every
     // kernel, but only the ones named here were actually run.
     let probe = KeyPair::generate_for_seed(1024, 0x57_0CE).expect("keygen");
     let sign_kernel = probe.private.sign_kernel();
     println!(
-        "kernels: sign {sign_kernel}, batch {}, sha256 {}",
+        "kernels: sign {sign_kernel}, batch {}, sha256 {}, batch sha256 {}",
         probe.public.mont_ctx().map_or("none", |c| c.batch_kernel()),
-        sha256::kernel()
+        sha256::kernel(),
+        sha256::batch_kernel()
     );
     sign_level(&probe);
+    hash_level();
 
     let (scalar_ns, batch_ns) = signature_level(8);
     println!(

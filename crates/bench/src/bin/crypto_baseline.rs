@@ -151,12 +151,13 @@ fn main() {
     // Batch-size sensitivity: per-PoC cost of the batched verification
     // entry point at 1/3/8/32/128 proofs per call (1 is the depth-1
     // verdict path, one PoC's chain: three signatures under two keys;
-    // 3 is nine signatures: a full 8-lane call and a one-signature tail).
+    // 3 is nine signatures: a full 8-lane call and a one-lane tail).
     // The same 64 proofs are cycled, so every batch carries real,
     // distinct signatures.
     let sign_kernel = kp.private.sign_kernel();
     let batch_kernel = MontgomeryCtx::new(&ek.public.n).batch_kernel();
     let sha256_kernel = sha256::kernel();
+    let sha256_batch_kernel = sha256::batch_kernel();
     let mut batch_rows = Vec::new();
     for batch in [1usize, 3, 8, 32, 128] {
         let refs: Vec<&PocMsg> = (0..batch).map(|i| &proofs[i % proofs.len()]).collect();
@@ -221,6 +222,7 @@ fn main() {
     println!("  \"sign_kernel\": \"{sign_kernel}\",");
     println!("  \"batch_kernel\": \"{batch_kernel}\",");
     println!("  \"sha256_kernel\": \"{sha256_kernel}\",");
+    println!("  \"sha256_batch_kernel\": \"{sha256_batch_kernel}\",");
     println!("  \"poc_verify_batched\": {{");
     for (i, (batch, ns, speedup)) in batch_rows.iter().enumerate() {
         let comma = if i + 1 == batch_rows.len() { "" } else { "," };
@@ -229,7 +231,7 @@ fn main() {
         );
     }
     println!("  }},");
-    println!("  \"service_note\": \"the in-process service is one batching stage on the submitting thread, hashing and verifying as it submits: one core whatever host_cpus says; an ingress server scales across cores by shard count\",");
+    println!("  \"service_note\": \"the in-process service is one batching stage on the submitting thread, hashing and verifying each batch as it fills: one core whatever host_cpus says; an ingress server scales across cores by shard count\",");
     println!(
         "  \"service_pocs_per_sec\": {{ \"pocs_per_sec\": {service_per_sec:.0}, \"host_cpus\": {host_cpus} }}"
     );

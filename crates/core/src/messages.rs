@@ -129,6 +129,20 @@ fn get_signature(r: &mut Reader<'_>) -> Result<Vec<u8>, MessageError> {
     get_prefixed(r, "truncated signature header", "truncated signature").map(<[u8]>::to_vec)
 }
 
+/// Checks one signature over `body` as a batch of one: on an IFMA host
+/// it rides the verification lanes like a batch's.
+fn verify_one(key: &PublicKey, body: &[u8], signature: &[u8]) -> Result<(), MessageError> {
+    let req = pkcs1::VerifyRequest {
+        key,
+        digest: sha256::digest(body),
+        signature,
+    };
+    pkcs1::verify_batch(&[req])
+        .pop()
+        .unwrap_or(Err(CryptoError::Internal))?;
+    Ok(())
+}
+
 /// A signed Charging Data Record.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CdrMsg {
@@ -182,8 +196,7 @@ impl CdrMsg {
 
     /// Verifies the signature against the sender's public key.
     pub fn verify(&self, key: &PublicKey) -> Result<(), MessageError> {
-        pkcs1::verify(key, &self.body(), &self.signature)?;
-        Ok(())
+        verify_one(key, &self.body(), &self.signature)
     }
 
     /// Serializes to wire bytes.
@@ -273,8 +286,7 @@ impl CdaMsg {
     /// embedded CDR is byte-equal to one the caller signed itself;
     /// anyone else wants [`CdaMsg::verify`].
     pub(crate) fn verify_outer(&self, sender_key: &PublicKey) -> Result<(), MessageError> {
-        pkcs1::verify(sender_key, &self.body(), &self.signature)?;
-        Ok(())
+        verify_one(sender_key, &self.body(), &self.signature)
     }
 
     /// Verifies the CDA signature *and* the embedded CDR's signature.
@@ -349,30 +361,20 @@ impl PocMsg {
 
     /// SHA-256 digests of the three signed bodies in the chain (PoC,
     /// embedded CDA, doubly-embedded CDR) — the hash half of chain
-    /// verification, split out so a batching verifier can hash each
-    /// proof as it arrives and run the RSA half over the whole batch.
-    /// The bodies are the [`signed_spans`] of the proof's encoding, the
-    /// same slices [`decode_hashed`](Self::decode_hashed) hashes in
-    /// received bytes. A value with a part too long for its `u16`
-    /// prefix has no encoding that decodes; its digests are all zero,
-    /// which no signer produced.
+    /// verification, split out so a batching verifier can run the RSA
+    /// half over a whole batch. The bodies are the [`signed_spans`] of
+    /// the proof's encoding, the slices [`chain_digests_many`] hashes a
+    /// batch at a time; one proof's three go straight to the
+    /// single-stream kernel.
     pub fn chain_digests(&self) -> PocDigests {
-        digests_of(&self.encode()).unwrap_or(PocDigests {
-            poc: [0; sha256::DIGEST_LEN],
-            cda: [0; sha256::DIGEST_LEN],
-            cdr: [0; sha256::DIGEST_LEN],
-        })
-    }
-
-    /// [`decode`](Self::decode), and the chain digests hashed straight
-    /// out of `data`: no re-encoding. Decoding is canonical (the one
-    /// encoding of the value is `data` itself — `prop_codec`), so these
-    /// are the decoded value's [`chain_digests`](Self::chain_digests).
-    pub fn decode_hashed(data: &[u8]) -> Result<(Self, PocDigests), MessageError> {
-        let poc = Self::decode(data)?;
-        // Cannot fail once `decode` has walked the same prefixes.
-        let digests = digests_of(data).ok_or(MessageError::Malformed("truncated embedded CDA"))?;
-        Ok((poc, digests))
+        match signed_spans(&self.encode()) {
+            Some([poc, cda, cdr]) => PocDigests {
+                poc: sha256::digest(poc),
+                cda: sha256::digest(cda),
+                cdr: sha256::digest(cdr),
+            },
+            None => UNSIGNABLE,
+        }
     }
 
     /// Builds and signs a PoC finalizing `cda`.
@@ -433,7 +435,7 @@ impl PocMsg {
         operator_key: &PublicKey,
     ) -> Result<(), MessageError> {
         let (finalizer_key, _) = self.chain_keys(edge_key, operator_key);
-        pkcs1::verify(finalizer_key, &self.body(), &self.signature)?;
+        verify_one(finalizer_key, &self.body(), &self.signature)?;
         self.role_coherence()
     }
 
@@ -556,18 +558,41 @@ fn embedding(msg: &[u8], head: usize) -> Option<(&[u8], &[u8])> {
     Some((body, inner))
 }
 
-/// The chain digests of a PoC encoding: its [`signed_spans`], hashed.
-fn digests_of(poc: &[u8]) -> Option<PocDigests> {
-    let [poc, cda, cdr] = signed_spans(poc)?;
-    Some(PocDigests {
-        poc: sha256::digest(poc),
-        cda: sha256::digest(cda),
-        cdr: sha256::digest(cdr),
-    })
+/// The chain digests of an encoding without [`signed_spans`]: a value
+/// with a part too long for its `u16` prefix has no encoding that
+/// decodes. All zero, which no signer produced.
+const UNSIGNABLE: PocDigests = PocDigests {
+    poc: [0; sha256::DIGEST_LEN],
+    cda: [0; sha256::DIGEST_LEN],
+    cdr: [0; sha256::DIGEST_LEN],
+};
+
+/// The chain digests of each PoC encoding: its [`signed_spans`], the 3·N
+/// of them hashed in one [`sha256::digest_many`] call. A verifier hashes
+/// a batch's received bytes this way — decoding is canonical (the one
+/// encoding of a decoded value is the bytes it came from, `prop_codec`),
+/// so these are the decoded values' [`PocMsg::chain_digests`] — and an
+/// in-process caller its values' encodings.
+pub fn chain_digests_many(encodings: &[&[u8]]) -> Vec<PocDigests> {
+    let spans: Vec<Option<[&[u8]; 3]>> = encodings.iter().map(|e| signed_spans(e)).collect();
+    let flat: Vec<&[u8]> = spans.iter().flatten().flatten().copied().collect();
+    let mut digests = sha256::digest_many(&flat).into_iter();
+    let mut next = || digests.next().unwrap_or([0; sha256::DIGEST_LEN]);
+    spans
+        .iter()
+        .map(|spans| match spans {
+            Some(_) => PocDigests {
+                poc: next(),
+                cda: next(),
+                cdr: next(),
+            },
+            None => UNSIGNABLE,
+        })
+        .collect()
 }
 
 /// SHA-256 digests of the three signed bodies inside one PoC chain,
-/// produced by [`PocMsg::chain_digests`] or [`PocMsg::decode_hashed`].
+/// produced by [`chain_digests_many`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PocDigests {
     /// Digest of the PoC's own signed body.
@@ -815,7 +840,7 @@ mod tests {
         assert_eq!(d.cda, sha256::digest(&poc.cda.body()));
         assert_eq!(d.cdr, sha256::digest(&poc.cda.peer_cdr.body()));
         // The received bytes hash to the same digests without a re-encode.
-        assert_eq!(PocMsg::decode_hashed(&poc.encode()), Ok((poc, d)));
+        assert_eq!(chain_digests_many(&[&poc.encode()]), [d]);
     }
 
     /// The span walk reads only through the checked cursor, so no input

@@ -148,16 +148,25 @@ pub fn verify_poc_batch_prehashed(
         .collect()
 }
 
-/// [`verify_poc_batch_prehashed`] that hashes the chains itself.
+/// [`verify_poc_batch_prehashed`] that hashes the chains itself, all
+/// of them in one [`messages::chain_digests_many`] call.
 pub fn verify_poc_batch(
     pocs: &[&PocMsg],
     plan: &DataPlan,
     edge_key: &PublicKey,
     operator_key: &PublicKey,
 ) -> Vec<Result<Verdict, VerifyError>> {
-    let digests: Vec<PocDigests> = pocs.iter().map(|p| p.chain_digests()).collect();
+    let digests = batch_digests(pocs);
     let items: Vec<(&PocMsg, &PocDigests)> = pocs.iter().copied().zip(digests.iter()).collect();
     verify_poc_batch_prehashed(&items, plan, edge_key, operator_key)
+}
+
+/// The chain digests of `pocs`, from their encodings, in one
+/// [`messages::chain_digests_many`] call.
+fn batch_digests(pocs: &[&PocMsg]) -> Vec<PocDigests> {
+    let encodings: Vec<Vec<u8>> = pocs.iter().map(|p| p.encode()).collect();
+    let views: Vec<&[u8]> = encodings.iter().map(Vec::as_slice).collect();
+    messages::chain_digests_many(&views)
 }
 
 /// Default retention window of the replay cache: one charging cycle per
@@ -363,13 +372,14 @@ impl Verifier {
     /// accepted (the crypto verdicts themselves are stateless, so
     /// computing them up front does not change any outcome).
     pub fn verify_batch(&mut self, pocs: &[&PocMsg]) -> Vec<Result<Verdict, VerifyError>> {
-        let digests: Vec<PocDigests> = pocs.iter().map(|p| p.chain_digests()).collect();
+        let digests = batch_digests(pocs);
         let items: Vec<(&PocMsg, &PocDigests)> = pocs.iter().copied().zip(digests.iter()).collect();
         self.verify_batch_prehashed(&items)
     }
 
     /// [`verify_batch`](Self::verify_batch) over chains hashed elsewhere
-    /// (by [`stage::Stage::submit`], as each proof arrived).
+    /// (by [`stage::Stage`], from the batch's bytes, before it takes this
+    /// verifier's lock).
     ///
     /// A proof whose nonce pair is already in the replay window is
     /// `Replayed` whatever its signatures say, so it is left out of the

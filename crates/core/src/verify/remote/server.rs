@@ -1200,9 +1200,10 @@ impl Shard {
         }
     }
 
-    /// Decodes one PoC, hashes its signed spans out of the received
-    /// bytes, and hands both to the stage, recording the route for the
-    /// verdict on the way back.
+    /// Decodes one PoC and hands it to the stage with the bytes it was
+    /// decoded from, recording the route for the verdict on the way
+    /// back. Nothing is hashed here: the stage hashes a whole batch's
+    /// received bytes when it judges the batch.
     fn relay_submission(
         &mut self,
         conn: &mut Conn,
@@ -1210,8 +1211,8 @@ impl Shard {
         client_tag: u64,
         poc_bytes: &[u8],
     ) {
-        let (poc, digests) = match PocMsg::decode_hashed(poc_bytes) {
-            Ok(hashed) => hashed,
+        let poc = match PocMsg::decode(poc_bytes) {
+            Ok(poc) => poc,
             // An undecodable PoC is a client bug, not a verdict: the
             // in-process API takes `PocMsg` values, so decode failures
             // cannot reach `submit` there either.
@@ -1253,7 +1254,7 @@ impl Shard {
             client_tag,
         });
         self.stage
-            .submit(RelationshipId::from_raw(rel_raw), tag, poc, digests);
+            .submit(RelationshipId::from_raw(rel_raw), tag, poc, poc_bytes);
         self.stats.submissions += 1;
         conn.in_flight += 1;
     }

@@ -7,9 +7,10 @@
 //! [`Stage`] over a [`Relationships`] table of its own, with no thread,
 //! queue or clock:
 //!
-//! * [`submit`](VerifierService::submit) checks the id, hashes the proof
-//!   ([`PocMsg::chain_digests`]) and hands it to the stage; a
-//!   relationship's batch is verified at the submit that brings it to
+//! * [`submit`](VerifierService::submit) checks the id and hands the
+//!   proof to the stage with its encoding ([`PocMsg::encode`]), which
+//!   the stage hashes with the rest of the batch; a relationship's
+//!   batch is verified at the submit that brings it to
 //!   [`ServiceConfig::batch_size`];
 //! * [`collect_results`](VerifierService::collect_results) verifies
 //!   whatever is still buffered and returns every result not yet taken
@@ -253,8 +254,8 @@ impl VerifierService {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.outstanding += 1;
-        let digests = poc.chain_digests();
-        self.stage.submit(rel, tag, poc, digests);
+        let encoding = poc.encode();
+        self.stage.submit(rel, tag, poc, &encoding);
         Ok(tag)
     }
 

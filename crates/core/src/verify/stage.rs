@@ -14,14 +14,18 @@
 //! check at any age (`tests/prop_stage.rs`).
 //!
 //! A [`Stage`] is a plain value with no thread, queue or clock of its
-//! own. [`Stage::submit`] buffers a proof and its chain digests under
-//! its relationship — an ingress shard hashes the bytes it received
-//! ([`PocMsg::decode_hashed`]), the in-process service the value
-//! ([`PocMsg::chain_digests`]), and both hash the same spans; a
-//! relationship's batch is verified on the spot when it reaches the
-//! batch size, and [`Stage::flush`] verifies whatever is still buffered
-//! — per relationship, in ascending id order, through the same
-//! [`Verifier::verify_batch_prehashed`]. The replay window is walked
+//! own. [`Stage::submit`] buffers a proof and its encoding under its
+//! relationship — an ingress shard passes the bytes it received and
+//! decoded, the in-process service the value's own encoding — one
+//! buffer of bytes per pending batch. A relationship's batch is
+//! verified on the spot when it reaches the batch size, and
+//! [`Stage::flush`] verifies whatever is still buffered — per
+//! relationship, in ascending id order. Either way the batch's chain
+//! digests are hashed then, the 3·N signed spans of its bytes in one
+//! [`chain_digests_many`] call, before the relationship's lock is
+//! taken; then the same [`Verifier::verify_batch_prehashed`]. Nothing
+//! is hashed at arrival, so a proof shed or rejected before its batch
+//! costs no hash. The replay window is walked
 //! sequentially inside a batch and batches of one relationship are
 //! verified in submission order, so the verdicts are exactly those of
 //! sequential [`Verifier::verify`] calls however the flushes fall
@@ -42,9 +46,10 @@
 //! makes a proof presented on both accepted once.
 
 use super::{Verdict, Verifier, VerifyError};
-use crate::messages::{MessageError, PocDigests, PocMsg};
+use crate::messages::{chain_digests_many, MessageError, PocDigests, PocMsg};
 use crate::plan::DataPlan;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 use tlc_crypto::encoding::key_fingerprint;
 use tlc_crypto::{CryptoError, PublicKey};
@@ -194,9 +199,15 @@ pub struct ShardStats {
     pub idle_flushes: u64,
 }
 
-/// One relationship's proofs awaiting a signature batch, in submission
-/// order: the submitter's tag, the proof, its chain digests.
-type PendingBatch = Vec<(u64, PocMsg, PocDigests)>;
+/// One relationship's proofs awaiting a signature batch.
+#[derive(Default)]
+struct PendingBatch {
+    /// In submission order: the submitter's tag, the proof, and where
+    /// its encoding sits in `bytes`.
+    proofs: Vec<(u64, PocMsg, Range<usize>)>,
+    /// The proofs' encodings, back to back.
+    bytes: Vec<u8>,
+}
 
 /// The batching core; see the [module docs](self).
 pub struct Stage {
@@ -234,16 +245,17 @@ impl Stage {
         &self.relationships
     }
 
-    /// Buffers `poc` under `rel` with its chain digests — the caller
-    /// hashed them, from the bytes it received ([`PocMsg::decode_hashed`])
-    /// or from the value ([`PocMsg::chain_digests`]); verifies the
-    /// relationship's batch if that fills it. Chain digests are pure
-    /// functions of the proof bytes, so computing them before the
-    /// replay check cannot change any verdict.
-    pub fn submit(&mut self, rel: RelationshipId, tag: u64, poc: PocMsg, digests: PocDigests) {
+    /// Buffers `poc` under `rel` with `encoding`, its one encoding —
+    /// the bytes the caller received and decoded it from, or
+    /// `poc.encode()` — and verifies the relationship's batch if that
+    /// fills it. The signatures are checked over the digests of
+    /// `encoding`'s signed spans.
+    pub fn submit(&mut self, rel: RelationshipId, tag: u64, poc: PocMsg, encoding: &[u8]) {
         let batch = self.pending.entry(rel).or_default();
-        batch.push((tag, poc, digests));
-        if batch.len() >= self.batch_size {
+        let at = batch.bytes.len();
+        batch.bytes.extend_from_slice(encoding);
+        batch.proofs.push((tag, poc, at..batch.bytes.len()));
+        if batch.proofs.len() >= self.batch_size {
             if let Some(batch) = self.pending.remove(&rel) {
                 self.verify(rel, batch);
             }
@@ -273,30 +285,46 @@ impl Stage {
         (self.stats, self.results)
     }
 
-    /// Verifies one batch under its relationship's lock and queues its
-    /// results in submission order.
+    /// Hashes one batch, verifies it under its relationship's lock and
+    /// queues its results in submission order.
     fn verify(&mut self, rel: RelationshipId, batch: PendingBatch) {
-        let items: Vec<(&PocMsg, &PocDigests)> = batch.iter().map(|(_, p, d)| (p, d)).collect();
-        let all = |e: VerifyError| vec![Err(e); items.len()];
+        let all = |e: VerifyError| vec![Err(e); batch.proofs.len()];
         let verdicts = match self.relationships.entry(rel) {
-            Some(entry) => match entry.verifier.lock() {
-                Ok(mut verifier) => {
-                    self.stats.batches += 1;
-                    self.served.insert(rel);
-                    verifier.verify_batch_prehashed(&items)
+            Some(entry) => {
+                // Hashed before the lock: a relationship live on two
+                // stages waits for the other's RSA batch, never for its
+                // hashing.
+                let encodings: Vec<&[u8]> = batch
+                    .proofs
+                    .iter()
+                    .map(|(.., at)| batch.bytes.get(at.clone()).unwrap_or_default())
+                    .collect();
+                let digests = chain_digests_many(&encodings);
+                let items: Vec<(&PocMsg, &PocDigests)> = batch
+                    .proofs
+                    .iter()
+                    .map(|(_, p, _)| p)
+                    .zip(&digests)
+                    .collect();
+                match entry.verifier.lock() {
+                    Ok(mut verifier) => {
+                        self.stats.batches += 1;
+                        self.served.insert(rel);
+                        verifier.verify_batch_prehashed(&items)
+                    }
+                    // A thread died judging a batch of this relationship
+                    // and may have left its window torn: nothing more is
+                    // accepted under it.
+                    Err(_) => all(VerifyError::Signature(MessageError::Crypto(
+                        CryptoError::Internal,
+                    ))),
                 }
-                // A thread died judging a batch of this relationship
-                // and may have left its window torn: nothing more is
-                // accepted under it.
-                Err(_) => all(VerifyError::Signature(MessageError::Crypto(
-                    CryptoError::Internal,
-                ))),
-            },
+            }
             // An id the table never issued: per-proof rejections rather
             // than taking the thread down.
             None => all(VerifyError::Unregistered),
         };
-        for ((tag, ..), result) in batch.into_iter().zip(verdicts) {
+        for ((tag, ..), result) in batch.proofs.into_iter().zip(verdicts) {
             match &result {
                 Ok(_) => self.stats.accepted += 1,
                 Err(VerifyError::Replayed) => {
@@ -411,7 +439,7 @@ pub(crate) mod tests {
     fn a_batch_verifies_at_the_submit_that_fills_it() {
         let (mut stage, rels, pocs) = stage_with(4, 1, 8);
         for (tag, poc) in pocs[0].iter().enumerate() {
-            stage.submit(rels[0], tag as u64, poc.clone(), poc.chain_digests());
+            stage.submit(rels[0], tag as u64, poc.clone(), &poc.encode());
             // Nothing before the fill, the whole batch at it.
             let want = if tag % 4 == 3 { 4 } else { 0 };
             assert_eq!(stage.take_results().len(), want, "after submit {tag}");
@@ -431,7 +459,7 @@ pub(crate) mod tests {
         // Submitted 2, 0, 1, 2, 0, 1: flushed 0, 0, 1, 1, 2, 2.
         for (tag, r) in [2, 0, 1, 2, 0, 1].into_iter().enumerate() {
             let poc = &pocs[r][tag / 3];
-            stage.submit(rels[r], tag as u64, poc.clone(), poc.chain_digests());
+            stage.submit(rels[r], tag as u64, poc.clone(), &poc.encode());
         }
         assert!(stage.take_results().is_empty());
         stage.flush();
@@ -457,7 +485,7 @@ pub(crate) mod tests {
         let (mut stage, _, pocs) = stage_with(2, 1, 2);
         let stranger = RelationshipId::from_raw(9);
         for (tag, poc) in pocs[0].iter().enumerate() {
-            stage.submit(stranger, tag as u64, poc.clone(), poc.chain_digests());
+            stage.submit(stranger, tag as u64, poc.clone(), &poc.encode());
         }
         let results = stage.take_results();
         assert_eq!(results.len(), 2);

@@ -88,7 +88,7 @@ fn two_stages_over_one_table_accept_each_proof_once() {
                     let rel = table.register(*plan, edge.public.clone(), op.public.clone(), 64);
                     let mut stage = Stage::new(shard, 2, table);
                     for (tag, poc) in pocs.iter().enumerate() {
-                        stage.submit(rel, tag as u64, poc.clone(), poc.chain_digests());
+                        stage.submit(rel, tag as u64, poc.clone(), &poc.encode());
                         loom::thread::explore();
                     }
                     (rel, stage.finish())

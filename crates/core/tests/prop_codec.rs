@@ -6,7 +6,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tlc_core::messages::{CdaMsg, CdrMsg, MessageError, PocMsg};
+use tlc_core::messages::{chain_digests_many, CdaMsg, CdrMsg, MessageError, PocMsg};
 use tlc_core::verify::remote::codec::*;
 use tlc_net::wire::FrameKind;
 
@@ -328,8 +328,8 @@ proptest! {
     /// (hashing what it read) and the in-process service (hashing the
     /// value) judge the same proof alike. Over a valid encoding, the
     /// same with one byte overwritten, every proper prefix, and one
-    /// byte too long; `decode_hashed` accepts exactly what `decode`
-    /// does.
+    /// byte too long, the decodable ones hashed together in one
+    /// `chain_digests_many` call, as a stage hashes a batch.
     #[test]
     fn received_poc_bytes_hash_to_their_values_chain_digests(seed in any::<u64>()) {
         let mut s = Soup { seed, out: Vec::new() };
@@ -342,14 +342,17 @@ proptest! {
         let cuts = (0..valid.len()).map(|cut| valid[..cut].to_vec());
         let cases = [valid.clone(), mutated, long].into_iter().chain(cuts);
 
-        prop_assert!(PocMsg::decode_hashed(&valid).is_ok(), "{valid:02x?}");
+        prop_assert!(PocMsg::decode(&valid).is_ok(), "{valid:02x?}");
+        let mut received = Vec::new();
+        let mut values = Vec::new();
         for b in cases {
-            let hashed = PocMsg::decode_hashed(&b);
-            prop_assert_eq!(hashed.is_ok(), PocMsg::decode(&b).is_ok(), "{:02x?}", b);
-            if let Ok((poc, digests)) = hashed {
+            if let Ok(poc) = PocMsg::decode(&b) {
                 prop_assert_eq!(&poc.encode(), &b);
-                prop_assert_eq!(digests, poc.chain_digests());
+                values.push(poc.chain_digests());
+                received.push(b);
             }
         }
+        let views: Vec<&[u8]> = received.iter().map(Vec::as_slice).collect();
+        prop_assert_eq!(chain_digests_many(&views), values);
     }
 }

@@ -180,7 +180,7 @@ proptest! {
                 Op::Flush => stage.flush(),
                 Op::Submit { rel, poc, under } => {
                     let proof = &corpus[rel].pocs[poc];
-                    stage.submit(rels[under], tag as u64, proof.clone(), proof.chain_digests());
+                    stage.submit(rels[under], tag as u64, proof.clone(), &proof.encode());
                     made_in.insert(tag as u64, (rel, poc));
                     want.entry(rels[under]).or_default().push((tag as u64, oracles[under].verify(proof)));
                 }
@@ -221,9 +221,11 @@ proptest! {
             if kind == 0 {
                 stages[s].flush();
             } else {
-                // Hashed as a shard hashes: out of the bytes received.
-                let (proof, digests) = PocMsg::decode_hashed(&r.pocs[poc].encode()).unwrap();
-                stages[s].submit(rel, tag as u64, proof, digests);
+                // Submitted as a shard submits: the bytes received, and
+                // the value decoded from them.
+                let bytes = r.pocs[poc].encode();
+                let proof = PocMsg::decode(&bytes).unwrap();
+                stages[s].submit(rel, tag as u64, proof, &bytes);
                 distinct.insert(poc);
             }
             got.extend(stages[s].take_results());

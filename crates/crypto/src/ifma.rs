@@ -23,14 +23,17 @@
 //! of a 256-bit one (`avx512vl`) at 20 digits, 4 lanes of a 256-bit one
 //! at 10 — and each instantiation is closed by the ladder it serves.
 //!
-//! **Verification** (`f4_ladder!`, [`modpow_f4`]) picks its width by
+//! **Verification** (`f4_ladder!`, `modpow_f4`) picks its width by
 //! live count: a lone 512-bit call drops the core into a lower frequency
 //! licence that the scalar code around it then pays for, so up to four
 //! lanes are both cheaper and kinder to their neighbours on 256-bit
-//! vectors (DESIGN §8.1 has the measurements). The exponent is fixed at
+//! vectors, one lane included (DESIGN §8.1). The exponent is fixed at
 //! F4: into Montgomery form, sixteen dedicated squarings (cross products
 //! computed once and doubled), and one AMM by the *plain* base, which
-//! multiplies and leaves Montgomery form at once.
+//! multiplies and leaves Montgomery form at once. Bases come in and
+//! exact results go out as radix-2^52 digits (`Digits`), so a caller
+//! that reads a signature's bytes straight into digits
+//! (`digits_from_be`) and compares in digits holds no big integer.
 //!
 //! **Signing** (`mont_ladder!`, `modpow_crt`) takes an exponent per CRT
 //! half as well, and walks it on a Montgomery ladder (Montgomery 1987;
@@ -59,7 +62,7 @@
 //!
 //! Everything here is runtime-gated: an [`IfmaCtx`] exists only on a CPU
 //! with the features its kernel is compiled for, `crate::montgomery`
-//! routes to [`modpow_f4`] only lanes that hold one, and to the signing
+//! routes to `modpow_f4` only lanes that hold one, and to the signing
 //! ladder only through `montgomery::modpow_pair`, when both moduli do.
 //! That router is the ladder's one caller, for two users: the CRT halves
 //! of `PrivateKey::raw_decrypt`, and the Miller–Rabin witnesses of
@@ -67,14 +70,14 @@
 //! module compiles to a stub that never yields a context.
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use imp::modpow_crt;
+pub use imp::{available, vl_available, IfmaCtx};
 #[cfg(target_arch = "x86_64")]
-pub use imp::{available, modpow_f4, vl_available, IfmaCtx};
+pub(crate) use imp::{modpow_crt, modpow_f4};
 
 #[cfg(not(target_arch = "x86_64"))]
-pub(crate) use stub::modpow_crt;
+pub use stub::{available, vl_available, IfmaCtx};
 #[cfg(not(target_arch = "x86_64"))]
-pub use stub::{available, modpow_f4, vl_available, IfmaCtx};
+pub(crate) use stub::{modpow_crt, modpow_f4};
 
 /// Most exponentiations carried per kernel call (one per 64-bit element
 /// of a 512-bit vector).
@@ -104,6 +107,84 @@ pub type IfmaCtx1024 = IfmaCtx<DIGITS>;
 /// Lane constants for a 512-bit modulus (the signing lanes).
 pub(crate) type IfmaCtx512 = IfmaCtx<HALF_DIGITS>;
 
+/// A 1024-bit value in radix-2^52, least significant digit first: what
+/// the verification lanes read and write.
+pub(crate) type Digits = [u64; DIGITS];
+
+/// One F4 exponentiation: the key's constants and a base below its
+/// modulus.
+pub(crate) type F4Lane<'a> = (&'a IfmaCtx1024, Digits);
+
+/// Mask of one radix-2^52 digit.
+const MASK52: u64 = (1u64 << 52) - 1;
+
+/// Slices a little-endian u64 limb array into radix-2^52 digits.
+pub(crate) const fn to_digits52<const D: usize>(limbs: &[u64]) -> [u64; D] {
+    const fn limb(limbs: &[u64], i: usize) -> u64 {
+        if i < limbs.len() {
+            limbs[i]
+        } else {
+            0
+        }
+    }
+    let mut out = [0u64; D];
+    let mut d = 0;
+    while d < D {
+        let (idx, off) = (52 * d / 64, 52 * d % 64);
+        let mut v = limb(limbs, idx) >> off;
+        if off > 12 {
+            v |= limb(limbs, idx + 1) << (64 - off);
+        }
+        out[d] = v & MASK52;
+        d += 1;
+    }
+    out
+}
+
+/// Reassembles radix-2^52 digits into a normalized `BigUint`.
+pub(crate) fn from_digits52<const D: usize>(digits: &[u64; D]) -> crate::bigint::BigUint {
+    let mut limbs = vec![0u64; (52 * D).div_ceil(64)];
+    for (d, &digit) in digits.iter().enumerate() {
+        let bit = 52 * d;
+        let idx = bit / 64;
+        let off = bit % 64;
+        limbs[idx] |= digit << off;
+        if off > 12 {
+            limbs[idx + 1] |= digit >> (64 - off);
+        }
+    }
+    while limbs.last() == Some(&0) {
+        limbs.pop();
+    }
+    crate::bigint::BigUint { limbs }
+}
+
+/// The big-endian integer `bytes` — whole 8-byte limbs, at most 128
+/// bytes: a 1024-bit signature or EM, or a SHA-256 digest — in
+/// radix-2^52 digits, read straight from the bytes a limb at a time.
+pub(crate) const fn digits_from_be(bytes: &[u8]) -> Digits {
+    let n = bytes.len();
+    assert!(n <= 128 && n.is_multiple_of(8));
+    let mut limbs = [0u64; 16];
+    let mut i = 0;
+    while 8 * i < n {
+        // Limb i is the eight bytes ending 8i bytes from the end.
+        let b = n - 8 * (i + 1);
+        limbs[i] = u64::from_be_bytes([
+            bytes[b],
+            bytes[b + 1],
+            bytes[b + 2],
+            bytes[b + 3],
+            bytes[b + 4],
+            bytes[b + 5],
+            bytes[b + 6],
+            bytes[b + 7],
+        ]);
+        i += 1;
+    }
+    to_digits52(&limbs)
+}
+
 /// One exponentiation of the signing ladder: the prime's constants, a
 /// base below the prime and an exponent of at most 512 bits.
 pub(crate) type ExpLane<'a> = (
@@ -114,10 +195,11 @@ pub(crate) type ExpLane<'a> = (
 
 #[cfg(target_arch = "x86_64")]
 mod imp {
-    use super::{ExpLane, CRT_LANES, DIGITS, HALF_DIGITS, IFMA_LANES, NARROW_LANES};
+    use super::{
+        from_digits52, to_digits52, ExpLane, F4Lane, CRT_LANES, DIGITS, HALF_DIGITS, IFMA_LANES,
+        MASK52, NARROW_LANES,
+    };
     use crate::bigint::BigUint;
-
-    const MASK52: u64 = (1u64 << 52) - 1;
 
     /// True when the running CPU can execute the 512-bit IFMA kernels.
     pub fn available() -> bool {
@@ -146,44 +228,6 @@ mod imp {
         k0: u64,
     }
 
-    /// One F4 exponentiation: the key's constants and a base below its
-    /// modulus.
-    pub type Lane<'a> = (&'a IfmaCtx<DIGITS>, &'a BigUint);
-
-    /// Slices a little-endian u64 limb array into radix-2^52 digits.
-    fn to_digits52<const D: usize>(limbs: &[u64]) -> [u64; D] {
-        let mut out = [0u64; D];
-        for (d, digit) in out.iter_mut().enumerate() {
-            let bit = 52 * d;
-            let idx = bit / 64;
-            let off = bit % 64;
-            let mut v = limbs.get(idx).copied().unwrap_or(0) >> off;
-            if off > 12 {
-                v |= limbs.get(idx + 1).copied().unwrap_or(0) << (64 - off);
-            }
-            *digit = v & MASK52;
-        }
-        out
-    }
-
-    /// Reassembles radix-2^52 digits into a normalized `BigUint`.
-    fn from_digits52<const D: usize>(digits: &[u64; D]) -> BigUint {
-        let mut limbs = vec![0u64; (52 * D).div_ceil(64)];
-        for (d, &digit) in digits.iter().enumerate() {
-            let bit = 52 * d;
-            let idx = bit / 64;
-            let off = bit % 64;
-            limbs[idx] |= digit << off;
-            if off > 12 {
-                limbs[idx + 1] |= digit >> (64 - off);
-            }
-        }
-        while limbs.last() == Some(&0) {
-            limbs.pop();
-        }
-        BigUint { limbs }
-    }
-
     /// `v -= m` when `v >= m`, on normalized radix-2^52 digits: the exact
     /// reduction of an almost-reduced (`< 2m`) value.
     fn reduce_once<const D: usize>(v: &mut [u64; D], m: &[u64; D]) {
@@ -200,6 +244,11 @@ mod imp {
     }
 
     impl<const D: usize> IfmaCtx<D> {
+        /// The modulus in radix-2^52.
+        pub(crate) fn modulus_digits(&self) -> &[u64; D] {
+            &self.m
+        }
+
         /// The constants for an odd modulus below `2^(52·D - 8)`.
         /// `n_prime64` is `-modulus^{-1} mod 2^64` from the scalar
         /// Montgomery context; its low 52 bits are the radix-2^52
@@ -233,20 +282,21 @@ mod imp {
     }
 
     /// Computes `base^65537 mod n` for 1 to [`IFMA_LANES`] lanes in one
-    /// kernel call, each lane under its own key, results in lane order:
-    /// on 256-bit vectors for up to [`NARROW_LANES`] lanes where the CPU
-    /// has `avx512vl`, on 512-bit vectors otherwise. Lanes past the live
-    /// count compute on a copy of lane 0 and are dropped.
-    pub fn modpow_f4(lanes: &[Lane<'_>]) -> Vec<BigUint> {
-        debug_assert!((1..=IFMA_LANES).contains(&lanes.len()));
+    /// kernel call, each lane under its own key, and writes the exact
+    /// results to `out` in lane order: on 256-bit vectors for up to
+    /// [`NARROW_LANES`] lanes where the CPU has `avx512vl`, on 512-bit
+    /// vectors otherwise. Lanes past the live count compute on a copy of
+    /// lane 0 and are dropped.
+    pub(crate) fn modpow_f4(lanes: &[F4Lane<'_>], out: &mut [[u64; DIGITS]]) {
+        debug_assert!((1..=IFMA_LANES).contains(&lanes.len()) && out.len() == lanes.len());
         if lanes.len() <= NARROW_LANES && vl_available() {
             // SAFETY: `vl_available()` just confirmed AVX-512F + IFMA +
             // VL, the features the 256-bit body is compiled for.
-            unsafe { w256::modpow_f4(lanes) }
+            unsafe { w256::modpow_f4(lanes, out) }
         } else {
             // SAFETY: every lane holds an `IfmaCtx1024`, which only
             // exists after `available()` confirmed AVX-512F + IFMA.
-            unsafe { w512::modpow_f4(lanes) }
+            unsafe { w512::modpow_f4(lanes, out) }
         }
     }
 
@@ -286,8 +336,7 @@ mod imp {
             $madd_lo:ident, $madd_hi:ident, $ladder:ident
         ) => {
             pub(super) mod $width {
-                use super::{from_digits52, reduce_once, to_digits52, MASK52};
-                use crate::bigint::BigUint;
+                use super::{reduce_once, MASK52};
                 use core::arch::x86_64::{
                     $add, $and, $madd_hi, $madd_lo, $set1, $setzero, $srli, $vec,
                 };
@@ -468,14 +517,12 @@ mod imp {
             /// `base^65537 mod n` for `lanes.len()` (1..=LANES)
             /// lanes; see [`super::modpow_f4`].
             #[target_feature(enable = $features)]
-            pub(super) fn modpow_f4(lanes: &[super::Lane<'_>]) -> Vec<BigUint> {
+            pub(super) fn modpow_f4(lanes: &[super::F4Lane<'_>], out: &mut [[u64; DIGITS]]) {
                 debug_assert!((1..=LANES).contains(&lanes.len()));
                 // Dead lanes repeat lane 0: valid operands whose
                 // results are never read.
                 let lane = |l: usize| lanes.get(l).unwrap_or(&lanes[0]);
-                let bases: [[u64; DIGITS]; LANES] =
-                    core::array::from_fn(|l| to_digits52(&lane(l).1.limbs));
-                let a = gather(|l| &bases[l]);
+                let a = gather(|l| &lane(l).1);
                 let m = gather(|l| &lane(l).0.m);
                 let r2 = gather(|l| &lane(l).0.r2);
                 let k0 = vec_of(core::array::from_fn(|l| lane(l).0.k0));
@@ -489,15 +536,10 @@ mod imp {
                 }
                 let plain = amm(&acc, &a, &m, k0);
 
-                lanes
-                    .iter()
-                    .enumerate()
-                    .map(|(l, (ctx, _))| {
-                        let mut digits = scatter(&plain, l);
-                        reduce_once(&mut digits, &ctx.m);
-                        from_digits52(&digits)
-                    })
-                    .collect()
+                for (l, (slot, (ctx, _))) in out.iter_mut().zip(lanes).enumerate() {
+                    *slot = scatter(&plain, l);
+                    reduce_once(slot, &ctx.m);
+                }
             }
         };
     }
@@ -509,6 +551,8 @@ mod imp {
     /// `R0·R1` and square `R_b²` at once.
     macro_rules! mont_ladder {
         ($features:literal, $setzero:ident, $add:ident, $madd_lo:ident, $madd_hi:ident) => {
+            use super::{from_digits52, to_digits52};
+            use crate::bigint::BigUint;
             use core::arch::x86_64::{_mm256_mask_blend_epi64, _mm256_shuffle_epi32};
 
             /// Exponent bits walked per call, top first: enough for any
@@ -682,7 +726,7 @@ mod imp {
                     use super::super::$width::{
                         amm, gather, modpow_f4, scatter, sqr, vec_of, LANES,
                     };
-                    use super::super::{to_digits52, DIGITS};
+                    use super::super::{from_digits52, to_digits52, DIGITS};
                     use super::{moduli, pseudo};
                     use crate::bigint::BigUint;
 
@@ -758,18 +802,21 @@ mod imp {
                             // lane 0 (which dead lanes copy) varies.
                             let lanes: Vec<_> = (0..live)
                                 .map(|l| (l + live) % keys.len())
-                                .map(|k| (keys[k].1.ifma_ctx().expect("ifma"), &bases[k]))
+                                .map(|k| {
+                                    let ctx = keys[k].1.ifma_ctx().expect("ifma");
+                                    (ctx, to_digits52(&bases[k].limbs))
+                                })
                                 .collect();
-                            let got = unsafe {
-                                // SAFETY: `skip()` confirmed the features.
-                                modpow_f4(&lanes)
-                            };
                             // Dead lanes never reach the results.
-                            assert_eq!(got.len(), live);
+                            let mut got = vec![[0u64; DIGITS]; live];
+                            unsafe {
+                                // SAFETY: `skip()` confirmed the features.
+                                modpow_f4(&lanes, &mut got)
+                            };
                             for (l, g) in got.iter().enumerate() {
                                 let k = (l + live) % keys.len();
                                 assert_eq!(
-                                    *g,
+                                    from_digits52(g),
                                     keys[k].1.modpow(&bases[k], &f4),
                                     "live {live} lane {l}"
                                 );
@@ -935,7 +982,7 @@ mod imp {
 
 #[cfg(not(target_arch = "x86_64"))]
 mod stub {
-    use super::{ExpLane, CRT_LANES, DIGITS};
+    use super::{ExpLane, F4Lane, CRT_LANES, DIGITS};
     use crate::bigint::BigUint;
 
     /// IFMA is an x86-64 extension; never available elsewhere.
@@ -956,11 +1003,18 @@ mod stub {
         pub fn new(_modulus: &BigUint, _n_prime64: u64) -> Option<Self> {
             None
         }
+
+        /// Unreachable: no context exists.
+        pub(crate) fn modulus_digits(&self) -> &[u64; D] {
+            match *self {}
+        }
     }
 
     /// No lane can exist, so there is nothing to compute.
-    pub fn modpow_f4(lanes: &[(&IfmaCtx<DIGITS>, &BigUint)]) -> Vec<BigUint> {
-        lanes.iter().map(|(ctx, _)| match **ctx {}).collect()
+    pub(crate) fn modpow_f4(lanes: &[F4Lane<'_>], _out: &mut [[u64; DIGITS]]) {
+        for (ctx, _) in lanes {
+            match **ctx {}
+        }
     }
 
     /// As [`modpow_f4`].

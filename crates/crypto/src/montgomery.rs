@@ -91,6 +91,7 @@
 //! sliding-window code above, to which the first list applies unchanged.
 
 use crate::bigint::BigUint;
+use crate::ifma::{from_digits52, to_digits52, Digits, F4Lane, DIGITS, IFMA_LANES};
 use std::cmp::Ordering;
 
 /// Exponents at or below this bit length use left-to-right binary
@@ -608,19 +609,24 @@ impl MontgomeryCtx {
     /// per base, so callers never need to special-case batch size or
     /// modulus width.
     pub fn modpow_batch(&self, bases: &[BigUint], exp: &BigUint) -> Vec<BigUint> {
-        if bases.len() < 2 || exp.limbs != [F4] || self.ifma_ctx().is_none() {
-            return bases.iter().map(|b| self.modpow(b, exp)).collect();
-        }
+        let ifma = match self.ifma_ctx() {
+            Some(ifma) if exp.limbs == [F4] => ifma,
+            _ => return bases.iter().map(|b| self.modpow(b, exp)).collect(),
+        };
         let modulus = self.modulus();
-        let reduced: Vec<BigUint> = bases
+        let lanes: Vec<F4Lane<'_>> = bases
             .iter()
-            .map(|b| match b.cmp_to(&modulus) {
-                Ordering::Less => b.clone(),
-                _ => b.rem(&modulus),
+            .map(|b| {
+                let reduced = match b.cmp_to(&modulus) {
+                    Ordering::Less => to_digits52(&b.limbs),
+                    _ => to_digits52(&b.rem(&modulus).limbs),
+                };
+                (ifma, reduced)
             })
             .collect();
-        let lanes: Vec<(&MontgomeryCtx, &BigUint)> = reduced.iter().map(|b| (self, b)).collect();
-        modpow_f4_lanes(&lanes)
+        let mut out = vec![[0; DIGITS]; lanes.len()];
+        modpow_f4_lanes(&lanes, &mut out);
+        out.iter().map(from_digits52).collect()
     }
 }
 
@@ -628,32 +634,18 @@ impl MontgomeryCtx {
 pub(crate) const F4: u64 = 65_537;
 
 /// Computes `base^65537 mod n` per lane, every lane under its own
-/// modulus, bit-for-bit identical to [`MontgomeryCtx::modpow`] per lane.
-/// Each base must be below its modulus.
+/// modulus, and writes the exact results to `out` in radix-2^52 digits:
+/// bit-for-bit [`MontgomeryCtx::modpow`] per lane. Each base must be
+/// below its modulus.
 ///
-/// Lanes fill kernel calls in the order given, [`IFMA_LANES`] to a call.
-/// A call left with a single lane runs the scalar kernel instead — one
-/// scalar exponentiation is cheaper than a vector call with one live
-/// lane — and so does a call holding a context without IFMA constants
-/// ([`MontgomeryCtx::ifma_ctx`]).
-///
-/// [`IFMA_LANES`]: crate::ifma::IFMA_LANES
-pub(crate) fn modpow_f4_lanes(lanes: &[(&MontgomeryCtx, &BigUint)]) -> Vec<BigUint> {
-    let mut out = Vec::with_capacity(lanes.len());
-    for call in lanes.chunks(crate::ifma::IFMA_LANES) {
-        let vector: Option<Vec<_>> = call
-            .iter()
-            .map(|(ctx, base)| Some((ctx.ifma_ctx()?, *base)))
-            .collect();
-        match vector {
-            Some(call) if call.len() > 1 => out.extend(crate::ifma::modpow_f4(&call)),
-            _ => {
-                let f4 = BigUint::from_u64(F4);
-                out.extend(call.iter().map(|(ctx, base)| ctx.modpow(base, &f4)));
-            }
-        }
+/// Lanes fill kernel calls in the order given, [`IFMA_LANES`] to a call;
+/// the last call takes whatever is left, one lane included (a one-lane
+/// 256-bit call is cheaper than the scalar exponentiation).
+pub(crate) fn modpow_f4_lanes(lanes: &[F4Lane<'_>], out: &mut [Digits]) {
+    debug_assert_eq!(lanes.len(), out.len());
+    for (call, out) in lanes.chunks(IFMA_LANES).zip(out.chunks_mut(IFMA_LANES)) {
+        crate::ifma::modpow_f4(call, out);
     }
-    out
 }
 
 /// Whether [`modpow_pair`] runs exponentiations under these two moduli
@@ -843,11 +835,10 @@ mod tests {
             let m = odd_modulus(limbs);
             let ctx = MontgomeryCtx::new(&m);
             assert_eq!(ctx.k(), limbs);
-            // Lengths covering the interleaved-scalar kernels' 2-lane
-            // chunks and scalar tail and, at 16 limbs on an IFMA host,
-            // every dispatch of `modpow_f4_lanes`: scalar at 1, one
-            // 256-bit call at 2-4, one 512-bit call at 5-8, and a full
-            // call plus a scalar tail at 9.
+            // Lengths covering, at 16 limbs on an IFMA host, every
+            // dispatch of `modpow_f4_lanes`: one 256-bit call at 1-4,
+            // one 512-bit call at 5-8, and a full call plus a one-lane
+            // 256-bit call at 9.
             for len in [0usize, 1, 2, 3, 4, 5, 6, 7, 9] {
                 let bases: Vec<BigUint> = (0..len).map(|i| pseudo_base(&m, i as u64 + 1)).collect();
                 let batch = ctx.modpow_batch(&bases, &e);

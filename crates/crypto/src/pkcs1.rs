@@ -9,7 +9,8 @@
 
 use crate::bigint::BigUint;
 use crate::error::CryptoError;
-use crate::montgomery::{self, MontgomeryCtx};
+use crate::ifma::{self, Digits, F4Lane, IfmaCtx1024};
+use crate::montgomery;
 use crate::rsa::{PrivateKey, PublicKey};
 use crate::sha256;
 
@@ -116,17 +117,65 @@ pub struct VerifyRequest<'a> {
     pub signature: &'a [u8],
 }
 
-/// The key's Montgomery context when its signatures can ride the
-/// any-key IFMA lanes: odd 1024-bit `n`, `e = 65537`, capable CPU.
-fn lane_ctx(key: &PublicKey) -> Option<&MontgomeryCtx> {
-    let ctx = key.mont_ctx()?;
-    (key.e.limbs == [montgomery::F4] && ctx.ifma_ctx().is_some()).then_some(ctx)
+/// Bytes of a lane key's modulus, and so of its signatures and EMs.
+const LANE_LEN: usize = 128;
+
+/// The key's lane constants when its signatures can ride the any-key
+/// IFMA lanes: odd 1024-bit `n`, `e = 65537`, capable CPU.
+fn lane_ctx(key: &PublicKey) -> Option<&IfmaCtx1024> {
+    if key.e.limbs != [montgomery::F4] || key.modulus_len() != LANE_LEN {
+        return None;
+    }
+    key.mont_ctx()?.ifma_ctx()
+}
+
+/// A lane key's EM with the digest bytes left zero — `00 01 FF…FF 00`
+/// and the DigestInfo prefix — in radix-2^52 digits. The digest is the
+/// EM's low 256 bits, so the whole EM is this OR the digest's digits.
+const LANE_EM_HEAD: Digits = ifma::digits_from_be(&lane_em_head());
+
+const fn lane_em_head() -> [u8; LANE_LEN] {
+    let mut em = [0u8; LANE_LEN];
+    em[1] = 0x01;
+    let prefix_at = LANE_LEN - sha256::DIGEST_LEN - SHA256_DIGEST_INFO_PREFIX.len();
+    let mut i = 2;
+    while i < prefix_at - 1 {
+        em[i] = 0xff;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < SHA256_DIGEST_INFO_PREFIX.len() {
+        em[prefix_at + i] = SHA256_DIGEST_INFO_PREFIX[i];
+        i += 1;
+    }
+    em
+}
+
+/// [`finish_verify`] in the lanes' digits: the expected EM is built from
+/// [`LANE_EM_HEAD`] and the digest, and compared with the kernel's exact
+/// `s^e mod n` in constant time.
+fn finish_lane(m: &Digits, digest: &[u8; sha256::DIGEST_LEN]) -> Result<(), CryptoError> {
+    let digest = ifma::digits_from_be(digest);
+    let diff = m
+        .iter()
+        .zip(LANE_EM_HEAD.iter().zip(&digest))
+        .fold(0, |acc, (m, (head, d))| acc | (m ^ (head | d)));
+    if diff == 0 {
+        Ok(())
+    } else {
+        Err(CryptoError::BadSignature)
+    }
 }
 
 /// Verifies a batch of signatures through the widest kernel each request
 /// can use: the any-key IFMA lanes in request order where the key and
 /// the host allow, otherwise per key, amortizing the key's Montgomery
 /// context and interleaving independent modpows.
+///
+/// A lane request holds no heap value of its own: its signature bytes
+/// go straight into radix-2^52 digits, `s ≥ n` is decided on those, and
+/// the kernel's exact result is compared with the expected EM in
+/// digits (`finish_lane`).
 ///
 /// Result `i` is exactly what
 /// `verify_prehashed(reqs[i].key, &reqs[i].digest, reqs[i].signature)`
@@ -136,11 +185,13 @@ pub fn verify_batch(reqs: &[VerifyRequest<'_>]) -> Vec<Result<(), CryptoError>> 
     // Default-deny: an element keeps this only if no kernel reports on it.
     let mut results = vec![Err(CryptoError::Internal); reqs.len()];
 
-    // Requests that pass the scalar path's structural checks, as
-    // (request index, s): lane-capable ones in request order, the rest
-    // grouped by key. Batches are small (tens of requests over a handful
-    // of keys), so a linear scan beats hashing the moduli.
-    let mut lanes: Vec<(usize, &MontgomeryCtx, BigUint)> = Vec::new();
+    // Requests that pass the scalar path's structural checks: lane ones
+    // in request order (their indexes in `lane_of`), the rest grouped
+    // by key as (key, request indexes, s). Batches are small (tens of
+    // requests over a handful of keys), so a linear scan beats hashing
+    // the moduli.
+    let mut lane_of: Vec<usize> = Vec::with_capacity(reqs.len());
+    let mut lanes: Vec<F4Lane<'_>> = Vec::with_capacity(reqs.len());
     let mut groups: Vec<(&PublicKey, Vec<usize>, Vec<BigUint>)> = Vec::new();
     for (i, req) in reqs.iter().enumerate() {
         let k = req.key.modulus_len();
@@ -151,14 +202,20 @@ pub fn verify_batch(reqs: &[VerifyRequest<'_>]) -> Vec<Result<(), CryptoError>> 
             });
             continue;
         }
-        let s = BigUint::from_bytes_be(req.signature);
         // The scalar path rejects s >= n before exponentiating.
-        if s.cmp_to(&req.key.n) != std::cmp::Ordering::Less {
-            results[i] = Err(CryptoError::MessageTooLarge);
+        if let Some(ifma) = lane_ctx(req.key) {
+            let s = ifma::digits_from_be(req.signature);
+            if s.iter().rev().ge(ifma.modulus_digits().iter().rev()) {
+                results[i] = Err(CryptoError::MessageTooLarge);
+                continue;
+            }
+            lane_of.push(i);
+            lanes.push((ifma, s));
             continue;
         }
-        if let Some(ctx) = lane_ctx(req.key) {
-            lanes.push((i, ctx, s));
+        let s = BigUint::from_bytes_be(req.signature);
+        if s.cmp_to(&req.key.n) != std::cmp::Ordering::Less {
+            results[i] = Err(CryptoError::MessageTooLarge);
             continue;
         }
         match groups.iter_mut().find(|(key, ..)| *key == req.key) {
@@ -170,13 +227,10 @@ pub fn verify_batch(reqs: &[VerifyRequest<'_>]) -> Vec<Result<(), CryptoError>> 
         }
     }
 
-    let mut finish = |i: usize, m: &BigUint| {
-        results[i] = finish_verify(m, &reqs[i].digest, reqs[i].key.modulus_len());
-    };
-    let lane_inputs: Vec<_> = lanes.iter().map(|(_, ctx, s)| (*ctx, s)).collect();
-    let ms = montgomery::modpow_f4_lanes(&lane_inputs);
-    for ((i, ..), m) in lanes.iter().zip(&ms) {
-        finish(*i, m);
+    let mut exact = vec![[0; ifma::DIGITS]; lanes.len()];
+    montgomery::modpow_f4_lanes(&lanes, &mut exact);
+    for (&i, m) in lane_of.iter().zip(&exact) {
+        results[i] = finish_lane(m, &reqs[i].digest);
     }
     for (key, members, bases) in &groups {
         let ms: Vec<BigUint> = match key.mont_ctx() {
@@ -184,8 +238,8 @@ pub fn verify_batch(reqs: &[VerifyRequest<'_>]) -> Vec<Result<(), CryptoError>> 
             // Even/zero modulus: mirror `raw_encrypt`'s schoolbook fallback.
             None => bases.iter().map(|s| s.modpow(&key.e, &key.n)).collect(),
         };
-        for (i, m) in members.iter().zip(&ms) {
-            finish(*i, m);
+        for (&i, m) in members.iter().zip(&ms) {
+            results[i] = finish_verify(m, &reqs[i].digest, key.modulus_len());
         }
     }
     results
@@ -325,9 +379,17 @@ mod tests {
         let kp = kp();
         let good_msg = b"ok".to_vec();
         let good_sig = sign(&kp.private, &good_msg).unwrap();
-        // s >= n: an all-0xff "signature" of the right length.
+        // s >= n: an all-0xff "signature" of the right length, and n
+        // itself, the first value too large; n - 1 is in range.
         let too_large = vec![0xffu8; 128];
         let short = vec![0u8; 64];
+        let n = kp.public.n.to_bytes_be_padded(128).unwrap();
+        let n_less_one = kp
+            .public
+            .n
+            .sub(&BigUint::one())
+            .to_bytes_be_padded(128)
+            .unwrap();
         let reqs = vec![
             VerifyRequest {
                 key: &kp.public,
@@ -344,6 +406,16 @@ mod tests {
                 digest: sha256::digest(b"y"),
                 signature: &short,
             },
+            VerifyRequest {
+                key: &kp.public,
+                digest: sha256::digest(b"z"),
+                signature: &n,
+            },
+            VerifyRequest {
+                key: &kp.public,
+                digest: sha256::digest(b"z"),
+                signature: &n_less_one,
+            },
         ];
         let batch = verify_batch(&reqs);
         assert_eq!(batch[0], Ok(()));
@@ -355,6 +427,8 @@ mod tests {
                 got: 64
             })
         );
+        assert_eq!(batch[3], Err(CryptoError::MessageTooLarge));
+        assert_eq!(batch[4], Err(CryptoError::BadSignature));
         for (i, r) in batch.iter().enumerate() {
             assert_eq!(
                 *r,
@@ -367,6 +441,22 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         assert!(verify_batch(&[]).is_empty());
+    }
+
+    /// The lanes' expected EM is the byte encoding's, digit for digit.
+    #[test]
+    fn lane_em_digits_are_the_em_bytes_digits() {
+        for seed in [0u8, 0x5a, 0xff] {
+            let digest = [seed; sha256::DIGEST_LEN];
+            let em = emsa_encode_digest(&digest, LANE_LEN).unwrap();
+            let d = ifma::digits_from_be(&digest);
+            let built: Digits = core::array::from_fn(|i| LANE_EM_HEAD[i] | d[i]);
+            assert_eq!(built, ifma::digits_from_be(&em), "digest {seed:#x}");
+            assert_eq!(finish_lane(&built, &digest), Ok(()));
+            let mut off = built;
+            off[19] ^= 1;
+            assert_eq!(finish_lane(&off, &digest), Err(CryptoError::BadSignature));
+        }
     }
 
     #[test]

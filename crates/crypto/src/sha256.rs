@@ -281,6 +281,299 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
     h.finalize()
 }
 
+/// [`digest`] on the portable rounds whatever the CPU: the oracle every
+/// fast kernel is held to. Public only so the crate's equivalence tests
+/// can reach it.
+#[doc(hidden)]
+pub fn digest_portable(data: &[u8]) -> [u8; DIGEST_LEN] {
+    let mut h = Sha256::with_kernel(Kernel::Portable);
+    h.update(data);
+    h.finalize()
+}
+
+/// Messages one [`Wide`] call carries: one per 32-bit element of a
+/// 512-bit vector.
+const WIDE_LANES: usize = 16;
+
+/// Same-length calls with fewer messages than this go to the
+/// single-stream kernel instead. A wide call costs the same whatever its
+/// live count: on a 2-vCPU AVX-512 + SHA-NI Xeon, 3.0 / 1.8 / 0.68 µs at
+/// 7 / 4 / 1 blocks, against 0.43 / 0.27 / 0.12 µs per message on
+/// SHA-NI, so it pays from six or seven messages up.
+const MIN_WIDE: usize = 7;
+
+/// Blocks SHA-256 compresses for a message of `len` bytes: the data, the
+/// `0x80` byte and the 8-byte length, rounded up.
+fn padded_blocks(len: usize) -> usize {
+    (len + 8) / BLOCK_LEN + 1
+}
+
+/// The 16-lane kernel, once the CPU probe said yes: holding one is what
+/// makes calling the `#[target_feature]` code sound. Off x86-64 there is
+/// none to hold.
+#[derive(Clone, Copy)]
+struct Wide(WideProof);
+
+#[cfg(target_arch = "x86_64")]
+type WideProof = ();
+#[cfg(not(target_arch = "x86_64"))]
+type WideProof = core::convert::Infallible;
+
+impl Wide {
+    fn detect() -> Option<Wide> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+        {
+            return Some(Wide(()));
+        }
+        None
+    }
+
+    /// Digests of 1 to [`WIDE_LANES`] messages of `blocks` padded blocks
+    /// each, in one pass of the rounds over all of them.
+    fn digests(self, msgs: &[&[u8]], blocks: usize) -> [[u8; DIGEST_LEN]; WIDE_LANES] {
+        debug_assert!((1..=WIDE_LANES).contains(&msgs.len()));
+        debug_assert!(msgs.iter().all(|m| padded_blocks(m.len()) == blocks));
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: a `Wide` exists only after `detect` found AVX-512F
+            // and BW on this CPU, the features `x16` is compiled for.
+            unsafe { x16::digests(msgs, blocks) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        match self.0 {}
+    }
+}
+
+/// Name of the kernel [`digest_many`] hashes a batch on, on this host
+/// (for benchmark reports): the 16-lane one where the CPU has it, else
+/// the single-stream [`kernel`].
+pub fn batch_kernel() -> &'static str {
+    match Wide::detect() {
+        Some(_) => "avx512-16x",
+        None => kernel(),
+    }
+}
+
+/// SHA-256 of every message: exactly `msgs.iter().map(|m| digest(m))`.
+///
+/// On a CPU with AVX-512F + BW, messages of one padded length (in
+/// blocks) are hashed sixteen to a call, one message per lane; a call
+/// that would carry fewer than `MIN_WIDE` goes to the single-stream
+/// kernel, as does every message of a smaller set and every message on
+/// any other host.
+pub fn digest_many(msgs: &[&[u8]]) -> Vec<[u8; DIGEST_LEN]> {
+    let wide = match Wide::detect() {
+        Some(wide) if msgs.len() >= MIN_WIDE => wide,
+        _ => return msgs.iter().map(|m| digest(m)).collect(),
+    };
+    let mut out = vec![[0u8; DIGEST_LEN]; msgs.len()];
+    let mut order: Vec<usize> = (0..msgs.len()).collect();
+    order.sort_by_key(|&i| padded_blocks(msgs[i].len()));
+    for group in
+        order.chunk_by(|&a, &b| padded_blocks(msgs[a].len()) == padded_blocks(msgs[b].len()))
+    {
+        for call in group.chunks(WIDE_LANES) {
+            if call.len() < MIN_WIDE {
+                for &i in call {
+                    out[i] = digest(msgs[i]);
+                }
+                continue;
+            }
+            let lanes: Vec<&[u8]> = call.iter().map(|&i| msgs[i]).collect();
+            let digests = wide.digests(&lanes, padded_blocks(lanes[0].len()));
+            for (&i, d) in call.iter().zip(digests) {
+                out[i] = d;
+            }
+        }
+    }
+    out
+}
+
+/// The FIPS 180-4 rounds on sixteen messages at once, one per 32-bit
+/// lane of a 512-bit vector: rotations are `vprord`, the three-input
+/// boolean functions one `vpternlogd` each. Every lane walks the same
+/// number of blocks; each lane's last one or two, which hold its tail,
+/// the `0x80` byte and its bit length, are built in a buffer of its
+/// own, and the rest are read in place.
+#[cfg(target_arch = "x86_64")]
+mod x16 {
+    use super::{BLOCK_LEN, DIGEST_LEN, H0, K, WIDE_LANES};
+    use core::arch::x86_64::{
+        __m512i, _mm512_add_epi32, _mm512_loadu_si512, _mm512_ror_epi32, _mm512_set1_epi32,
+        _mm512_set_epi64, _mm512_shuffle_epi8, _mm512_shuffle_i32x4, _mm512_srli_epi32,
+        _mm512_storeu_si512, _mm512_ternarylogic_epi32, _mm512_unpackhi_epi32,
+        _mm512_unpackhi_epi64, _mm512_unpacklo_epi32, _mm512_unpacklo_epi64,
+    };
+
+    /// `vpternlogd` truth tables: `a ^ b ^ c`, `a ? b : c`, majority.
+    const XOR3: i32 = 0x96;
+    const CHOOSE: i32 = 0xCA;
+    const MAJORITY: i32 = 0xE8;
+
+    /// Digests of `msgs` (1..=16 messages of `blocks` padded blocks each),
+    /// in lane order; lanes past the live count hash a copy of lane 0
+    /// and are dropped by the caller.
+    #[target_feature(enable = "avx512f,avx512bw")]
+    pub(super) fn digests(msgs: &[&[u8]], blocks: usize) -> [[u8; DIGEST_LEN]; WIDE_LANES] {
+        let lane = |l: usize| msgs.get(l).copied().unwrap_or(msgs[0]);
+        // The last one or two blocks of every lane, padded: the first
+        // `in_place` blocks are whole data blocks read from the message.
+        let in_place = blocks.saturating_sub(2);
+        let tail_len = (blocks - in_place) * BLOCK_LEN;
+        let mut tails = [[0u8; 2 * BLOCK_LEN]; WIDE_LANES];
+        for (l, tail) in tails.iter_mut().enumerate() {
+            let msg = lane(l);
+            let rest = &msg[in_place * BLOCK_LEN..];
+            tail[..rest.len()].copy_from_slice(rest);
+            tail[rest.len()] = 0x80;
+            let bit_len = (msg.len() as u64).wrapping_mul(8);
+            tail[tail_len - 8..tail_len].copy_from_slice(&bit_len.to_be_bytes());
+        }
+
+        let mut state = H0.map(|h| _mm512_set1_epi32(h as i32));
+        for b in 0..blocks {
+            let rows: [__m512i; WIDE_LANES] = core::array::from_fn(|l| {
+                let block: &[u8] = if b < in_place {
+                    &lane(l)[b * BLOCK_LEN..(b + 1) * BLOCK_LEN]
+                } else {
+                    &tails[l][(b - in_place) * BLOCK_LEN..(b - in_place + 1) * BLOCK_LEN]
+                };
+                // SAFETY: `block` is 64 bytes, one 512-bit load; `loadu`
+                // needs no alignment.
+                unsafe { _mm512_loadu_si512(block.as_ptr().cast()) }
+            });
+            compress(&mut state, &transpose(rows));
+        }
+
+        let mut words = [[0u32; WIDE_LANES]; 8];
+        for (row, v) in words.iter_mut().zip(state) {
+            // SAFETY: a row is 16 u32s, one 512-bit store; `storeu`
+            // needs no alignment.
+            unsafe { _mm512_storeu_si512(row.as_mut_ptr().cast(), v) };
+        }
+        core::array::from_fn(|l| {
+            let mut out = [0u8; DIGEST_LEN];
+            for (chunk, row) in out.chunks_exact_mut(4).zip(&words) {
+                chunk.copy_from_slice(&row[l].to_be_bytes());
+            }
+            out
+        })
+    }
+
+    /// Sixteen blocks, one per row, to sixteen big-endian schedule
+    /// words, one per lane: word `t` of the result holds word `t` of
+    /// every row. Bytes are swapped within each word first, then a
+    /// 16 × 16 transpose of 32-bit words in four interleaving steps.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn transpose(rows: [__m512i; WIDE_LANES]) -> [__m512i; WIDE_LANES] {
+        let byte_swap = _mm512_set_epi64(
+            0x0c0d_0e0f_0809_0a0b,
+            0x0405_0607_0001_0203,
+            0x0c0d_0e0f_0809_0a0b,
+            0x0405_0607_0001_0203,
+            0x0c0d_0e0f_0809_0a0b,
+            0x0405_0607_0001_0203,
+            0x0c0d_0e0f_0809_0a0b,
+            0x0405_0607_0001_0203,
+        );
+        let r = rows.map(|row| _mm512_shuffle_epi8(row, byte_swap));
+        // Pairs of rows, word by word within each 128-bit lane.
+        let t: [__m512i; 16] = core::array::from_fn(|i| {
+            let (a, b) = (r[i & !1], r[i | 1]);
+            if i % 2 == 0 {
+                _mm512_unpacklo_epi32(a, b)
+            } else {
+                _mm512_unpackhi_epi32(a, b)
+            }
+        });
+        // Fours of rows: u[4k + m] holds, in 128-bit lane q, word
+        // 4q + m of rows 4k..4k + 4.
+        let u: [__m512i; 16] = core::array::from_fn(|i| {
+            let (k, m) = (i / 4, i % 4);
+            let (a, b) = (t[4 * k + m / 2], t[4 * k + 2 + m / 2]);
+            if m % 2 == 0 {
+                _mm512_unpacklo_epi64(a, b)
+            } else {
+                _mm512_unpackhi_epi64(a, b)
+            }
+        });
+        // A 4 × 4 transpose of 128-bit lanes across u[m], u[4 + m],
+        // u[8 + m] and u[12 + m] puts word 4q + m of all sixteen rows
+        // in one vector.
+        let mut out = u;
+        for m in 0..4 {
+            let (a, b, c, d) = (u[m], u[4 + m], u[8 + m], u[12 + m]);
+            let ab_lo = _mm512_shuffle_i32x4::<0x44>(a, b);
+            let ab_hi = _mm512_shuffle_i32x4::<0xEE>(a, b);
+            let cd_lo = _mm512_shuffle_i32x4::<0x44>(c, d);
+            let cd_hi = _mm512_shuffle_i32x4::<0xEE>(c, d);
+            out[m] = _mm512_shuffle_i32x4::<0x88>(ab_lo, cd_lo);
+            out[4 + m] = _mm512_shuffle_i32x4::<0xDD>(ab_lo, cd_lo);
+            out[8 + m] = _mm512_shuffle_i32x4::<0x88>(ab_hi, cd_hi);
+            out[12 + m] = _mm512_shuffle_i32x4::<0xDD>(ab_hi, cd_hi);
+        }
+        out
+    }
+
+    /// One block of every lane into the state.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    fn compress(state: &mut [__m512i; 8], block: &[__m512i; WIDE_LANES]) {
+        let xor3 = |a, b, c| _mm512_ternarylogic_epi32::<XOR3>(a, b, c);
+        let mut w = *block;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            if i >= 16 {
+                // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16]
+                let (w15, w2) = (w[(i + 1) % 16], w[(i + 14) % 16]);
+                let s0 = xor3(
+                    _mm512_ror_epi32::<7>(w15),
+                    _mm512_ror_epi32::<18>(w15),
+                    _mm512_srli_epi32::<3>(w15),
+                );
+                let s1 = xor3(
+                    _mm512_ror_epi32::<17>(w2),
+                    _mm512_ror_epi32::<19>(w2),
+                    _mm512_srli_epi32::<10>(w2),
+                );
+                w[i % 16] = _mm512_add_epi32(
+                    _mm512_add_epi32(w[i % 16], s0),
+                    _mm512_add_epi32(w[(i + 9) % 16], s1),
+                );
+            }
+            let s1 = xor3(
+                _mm512_ror_epi32::<6>(e),
+                _mm512_ror_epi32::<11>(e),
+                _mm512_ror_epi32::<25>(e),
+            );
+            let ch = _mm512_ternarylogic_epi32::<CHOOSE>(e, f, g);
+            let kw = _mm512_add_epi32(_mm512_set1_epi32(K[i] as i32), w[i % 16]);
+            let t1 = _mm512_add_epi32(_mm512_add_epi32(h, s1), _mm512_add_epi32(ch, kw));
+            let s0 = xor3(
+                _mm512_ror_epi32::<2>(a),
+                _mm512_ror_epi32::<13>(a),
+                _mm512_ror_epi32::<22>(a),
+            );
+            let maj = _mm512_ternarylogic_epi32::<MAJORITY>(a, b, c);
+            let t2 = _mm512_add_epi32(s0, maj);
+            h = g;
+            g = f;
+            f = e;
+            e = _mm512_add_epi32(d, t1);
+            d = c;
+            c = b;
+            b = a;
+            a = _mm512_add_epi32(t1, t2);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = _mm512_add_epi32(*s, v);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,6 +693,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The 16-lane kernel at every live count, on every padded length a
+    /// PoC's spans take and the padding edges around them, each lane
+    /// against the portable rounds. Lanes of one call share a padded
+    /// length but not a length: the first lane takes the shortest of its
+    /// range, the last the longest, and the others spread over it and
+    /// move between rotations, so one lane's tail block is another's
+    /// data and every lane meets both.
+    #[test]
+    fn wide_kernel_matches_portable_at_every_live_count() {
+        let Some(wide) = Wide::detect() else {
+            eprintln!("skipping the 16-lane kernel: this CPU lacks avx512f + avx512bw");
+            return;
+        };
+        let data: Vec<u8> = (0..2000u32).map(|i| (i * 31 + 7) as u8).collect();
+        for blocks in [1usize, 2, 3, 4, 7, 8] {
+            let (lo, hi) = ((64 * blocks).saturating_sub(72), 64 * blocks - 9);
+            for live in 1..=WIDE_LANES {
+                for rotation in 0..4 {
+                    let msgs: Vec<&[u8]> = (0..live)
+                        .map(|l| {
+                            let len = match l {
+                                0 => lo,
+                                _ if l + 1 == live => hi,
+                                _ => lo + (37 * l + 11 * rotation) % (hi - lo + 1),
+                            };
+                            &data[l..l + len]
+                        })
+                        .collect();
+                    let got = wide.digests(&msgs, blocks);
+                    for (l, msg) in msgs.iter().enumerate() {
+                        assert_eq!(padded_blocks(msg.len()), blocks);
+                        assert_eq!(
+                            got[l],
+                            digest_on(Kernel::Portable, &[msg]),
+                            "blocks {blocks} live {live} rotation {rotation} lane {l}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digest_many_matches_digest_across_groups_and_call_sizes() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 13 + 1) as u8).collect();
+        // One group too small for a wide call, one that fills a call and
+        // spills a remainder below `MIN_WIDE`, one of two full calls, and
+        // every length of the padding edges in between.
+        let mut lens: Vec<usize> = vec![54, 55, 56, 63, 64, 119, 120];
+        lens.extend((0..20).map(|i| 380 + i));
+        lens.extend(std::iter::repeat_n(240, 32));
+        lens.extend(0..3);
+        let msgs: Vec<&[u8]> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &n)| &data[i % 7..i % 7 + n])
+            .collect();
+        let want: Vec<_> = msgs.iter().map(|m| digest(m)).collect();
+        assert_eq!(digest_many(&msgs), want);
+        assert!(digest_many(&[]).is_empty());
     }
 
     #[test]

@@ -503,3 +503,46 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `digest_many` is `digest` per message, and both are the portable
+    /// rounds: 0–40 messages of 0–300 bytes with the padding edges (55,
+    /// 56, 63, 64, 119, 120) forced in, as a mixed set whose messages
+    /// fall in several padded lengths or as one group sharing the first
+    /// message's padded length, so a set can fill several 16-lane calls
+    /// and leave a remainder for the single-stream kernel.
+    #[test]
+    fn digest_many_matches_digest(
+        lens in proptest::collection::vec(0usize..301, 0..41),
+        forced in proptest::collection::vec(0usize..6, 0..8),
+        one_group in any::<bool>(),
+        seed in any::<u8>(),
+    ) {
+        use tlc_crypto::sha256;
+        const EDGES: [usize; 6] = [55, 56, 63, 64, 119, 120];
+        let mut lens = lens;
+        lens.extend(forced.iter().map(|&e| EDGES[e]));
+        if one_group && !lens.is_empty() {
+            // The lengths that pad to as many blocks as the first.
+            let blocks = (lens[0] + 8) / 64 + 1;
+            let (lo, hi) = ((64 * blocks).saturating_sub(72), 64 * blocks - 9);
+            for len in lens.iter_mut() {
+                *len = lo + *len % (hi - lo + 1);
+            }
+        }
+        let data: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| (0..len).map(|j| (j as u8).wrapping_mul(31) ^ seed ^ i as u8).collect())
+            .collect();
+        let msgs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+        let got = sha256::digest_many(&msgs);
+        prop_assert_eq!(got.len(), msgs.len());
+        for (i, msg) in msgs.iter().enumerate() {
+            prop_assert_eq!(got[i], sha256::digest(msg), "message {} of {}", i, msgs.len());
+            prop_assert_eq!(got[i], sha256::digest_portable(msg), "message {} of {}", i, msgs.len());
+        }
+    }
+}
