@@ -47,11 +47,6 @@ impl CountingPoint {
         self.counter.bytes
     }
 
-    /// Total packets observed.
-    pub fn packets(&self) -> u64 {
-        self.counter.packets
-    }
-
     /// Bytes observed strictly before `t` (pro-rated within a bucket) —
     /// what a reader whose clock says "cycle end" at true time `t` sees.
     pub fn bytes_until(&self, t: SimTime) -> u64 {
@@ -69,7 +64,6 @@ mod tests {
         p.record(SimTime::from_secs(1), 500);
         p.record(SimTime::from_secs(2), 700);
         assert_eq!(p.bytes(), 1200);
-        assert_eq!(p.packets(), 2);
         assert_eq!(p.bytes_until(SimTime::from_millis(1500)), 500);
         assert_eq!(p.bytes_until(SimTime::from_secs(10)), 1200);
     }

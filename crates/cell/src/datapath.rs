@@ -595,11 +595,6 @@ impl Datapath {
         self.drops
     }
 
-    /// The radio channel in use.
-    pub fn radio(&self) -> &RadioTimeline {
-        &self.radio
-    }
-
     /// Configuration in use.
     pub fn config(&self) -> &DatapathConfig {
         &self.cfg

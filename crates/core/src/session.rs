@@ -301,7 +301,8 @@ impl Session {
     }
 
     fn on_ack(&mut self, seq: u64) {
-        if self.outstanding && seq + 1 == self.send_seq {
+        // `seq` is the peer's: `u64::MAX` must not overflow.
+        if self.outstanding && seq.checked_add(1) == Some(self.send_seq) {
             self.acked();
             self.next_timeout = None;
             if self.endpoint.state() == State::Done {
@@ -706,6 +707,29 @@ mod tests {
             SimDuration::from_secs(120),
         )
         .unwrap()
+    }
+
+    /// An ACK is peer input: one naming `u64::MAX`, checksum intact,
+    /// acknowledges nothing and leaves the outstanding frame armed.
+    #[test]
+    fn an_ack_for_the_last_sequence_number_is_ignored() {
+        let (_, op) = setup(
+            Box::new(OptimalStrategy),
+            Box::new(OptimalStrategy),
+            1000,
+            800,
+        );
+        let mut session = Session::new(op, SessionConfig::default());
+        let t0 = SimTime::from_millis(0);
+        session.start(t0).unwrap();
+        let deadline = session.poll_timeout();
+        assert!(deadline.is_some());
+
+        session.on_datagram(t0, &encode_frame(KIND_ACK, u64::MAX, &[]));
+        assert_eq!(session.stats.corrupt_rx, 0, "a well-formed frame");
+        assert!(session.outstanding);
+        assert_eq!(session.poll_timeout(), deadline);
+        assert!(session.outcome.is_none());
     }
 
     #[test]

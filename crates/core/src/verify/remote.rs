@@ -24,10 +24,12 @@
 //!
 //! A shard verifies everything one wakeup gathered before it looks at
 //! the kernel again, so its backlog is the work of the gather in
-//! progress and the [`ShedLevel`] ladder is a per-gather work budget:
+//! progress and the ladder is a per-gather work budget with two rungs:
 //! **Accept** → **ShedSubmits** (new submits answered with a typed BUSY
-//! once the gather holds `shed_submit_watermark` proofs) →
-//! **ShedConnections** (new connections answered BUSY and dropped).
+//! once the gather holds `shed_submit_watermark` proofs). A gather's
+//! backlog never grows past that budget, so connections are shed by
+//! `max_conns` alone: a new one past the open-connection cap is
+//! answered BUSY and dropped.
 //! Admission below the ShedSubmits rung is a deficit-round-robin credit
 //! budget across registered relationships, so one flooding relationship
 //! starves its own lane, not its neighbors. A per-connection misbehavior score
@@ -74,9 +76,7 @@ pub mod codec;
 mod server;
 
 pub use client::{BackoffConfig, RemoteVerifier};
-pub use server::{
-    IngressConfig, IngressHandle, IngressReport, IngressServer, IngressStats, ShedLevel,
-};
+pub use server::{IngressConfig, IngressHandle, IngressReport, IngressServer, IngressStats};
 
 use codec::PROTOCOL_VERSION;
 

@@ -131,9 +131,10 @@ impl RemoteVerifier {
     }
 
     /// [`connect`](Self::connect) with an explicit overload policy. A
-    /// BUSY (scope Connection) answer — the server's ShedConnections
-    /// rung — is retried with backoff up to `backoff.max_attempts`
-    /// times before [`ServiceError::Overloaded`] surfaces.
+    /// BUSY (scope Connection) answer — the server is at `max_conns`
+    /// open connections — is retried with backoff up to
+    /// `backoff.max_attempts` times before [`ServiceError::Overloaded`]
+    /// surfaces.
     pub fn connect_with(
         addr: impl ToSocketAddrs,
         window_hint: u32,
@@ -217,22 +218,11 @@ impl<S: Read + Write> RemoteVerifier<S> {
         edge_key: tlc_crypto::PublicKey,
         operator_key: tlc_crypto::PublicKey,
     ) -> Result<RelationshipId, RemoteError> {
-        self.register_with_capacity(plan, edge_key, operator_key, DEFAULT_REPLAY_CAPACITY)
-    }
-
-    /// [`register`](Self::register) with an explicit replay-cache bound.
-    pub fn register_with_capacity(
-        &mut self,
-        plan: DataPlan,
-        edge_key: tlc_crypto::PublicKey,
-        operator_key: tlc_crypto::PublicKey,
-        capacity: usize,
-    ) -> Result<RelationshipId, RemoteError> {
         let req = self.next_req;
         self.next_req = self.next_req.wrapping_add(1);
         let msg = Register {
             req,
-            capacity: capacity as u64,
+            capacity: DEFAULT_REPLAY_CAPACITY as u64,
             plan,
             edge_key,
             operator_key,

@@ -74,17 +74,13 @@ pub struct IngressConfig {
     pub max_payload: u32,
     /// Maximum proofs accepted in one SUBMIT_BATCH frame.
     pub max_batch: u32,
-    /// Watermark for the [`ShedLevel::ShedSubmits`] rung: once one
-    /// gather has admitted this many proofs, further submits in it are
-    /// answered with BUSY instead of relayed.
+    /// Per-gather submit budget: once one gather has admitted this
+    /// many proofs, further submits in it are answered with BUSY
+    /// instead of relayed.
     pub shed_submit_watermark: usize,
-    /// Watermark for [`ShedLevel::ShedConnections`]: at or above it,
-    /// connections arriving in the same gather are answered BUSY and
-    /// dropped.
-    pub shed_conn_watermark: usize,
     /// Open-connection cap across every shard (accept-queue pressure
-    /// proxy); at or above it new connections are shed regardless of
-    /// backlog.
+    /// proxy); at or above it new connections are answered with BUSY
+    /// and dropped.
     pub max_conns: usize,
     /// Base retry-after hint carried in BUSY frames, milliseconds.
     pub retry_after_ms: u32,
@@ -123,7 +119,6 @@ impl Default for IngressConfig {
             max_payload: DEFAULT_MAX_PAYLOAD,
             max_batch: 1024,
             shed_submit_watermark: 8192,
-            shed_conn_watermark: 16384,
             max_conns: 1024,
             retry_after_ms: 50,
             lane_quantum: 64,
@@ -134,21 +129,6 @@ impl Default for IngressConfig {
             shards: shards_from_env(),
         }
     }
-}
-
-/// Rungs of the overload ladder, from healthy to hardest shedding.
-/// Ordered: a higher rung implies every lower rung's behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ShedLevel {
-    /// Below every watermark: all work admitted.
-    Accept,
-    /// Backlog reached `shed_submit_watermark`: new submits are
-    /// answered with BUSY (scope Submit).
-    ShedSubmits,
-    /// Backlog reached `shed_conn_watermark` (or `max_conns` open):
-    /// new connections are answered with BUSY (scope Connection) and
-    /// dropped.
-    ShedConnections,
 }
 
 /// Ingress-side counters, reported at shutdown and over STATS frames.
@@ -761,19 +741,10 @@ impl Shard {
         }
     }
 
-    /// Current rung of the overload ladder, from the shard's backlog.
-    /// (`max_conns` is a separate accept-time check — a full but
-    /// healthy connection table sheds new arrivals without touching
-    /// admission for the sessions already in.)
-    fn shed_level(&self) -> ShedLevel {
-        let backlog = self.outstanding();
-        if backlog >= self.config.shed_conn_watermark {
-            ShedLevel::ShedConnections
-        } else if backlog >= self.config.shed_submit_watermark {
-            ShedLevel::ShedSubmits
-        } else {
-            ShedLevel::Accept
-        }
+    /// Whether this gather has spent its submit budget: every further
+    /// submit in it draws BUSY.
+    fn shedding_submits(&self) -> bool {
+        self.outstanding() >= self.config.shed_submit_watermark
     }
 
     /// Admits one freshly accepted stream — a slot, a token, read
@@ -784,19 +755,18 @@ impl Shard {
         let cap = self.config.max_conns.clamp(1, u32::MAX as usize);
         // The slot is claimed in the same step that checks the cap, so
         // shards admitting at once cannot overshoot it together.
-        let claimed = self.shed_level() < ShedLevel::ShedConnections
-            && self
-                .open
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                    (n < cap).then_some(n + 1)
-                })
-                .is_ok();
+        let claimed = self
+            .open
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cap).then_some(n + 1)
+            })
+            .is_ok();
         if !claimed {
-            // ShedConnections rung: answer with a typed BUSY (blocking
-            // write of one tiny frame) and drop, rather than resetting
-            // the peer with no explanation. The longer hint reflects
-            // that a whole-connection shed signals deeper trouble than
-            // a single shed submit.
+            // A full table: answer with a typed BUSY (blocking write of
+            // one tiny frame) and drop, rather than resetting the peer
+            // with no explanation. The longer hint reflects that a
+            // whole-connection shed signals deeper trouble than a
+            // single shed submit.
             self.stats.shed_connections += 1;
             let busy = BusyMsg {
                 scope: BusyScope::Connection,
@@ -1219,8 +1189,8 @@ impl Shard {
             Err(_) => return self.protocol_fault(conn, "undecodable PoC payload"),
         };
         // Admission ladder, checked before the stage sees the proof:
-        // quarantine, per-conn verdict debt, the shard's ShedSubmits
-        // rung, then the relationship lane's DRR credit.
+        // quarantine, per-conn verdict debt, the gather's submit
+        // budget, then the relationship lane's DRR credit.
         if conn.quarantine > 0 {
             return self.shed_submit(conn, rel_raw, client_tag);
         }
@@ -1231,7 +1201,7 @@ impl Shard {
             self.shed_submit(conn, rel_raw, client_tag);
             return self.bump_score(conn, 1);
         }
-        if self.shed_level() >= ShedLevel::ShedSubmits {
+        if self.shedding_submits() {
             return self.shed_submit(conn, rel_raw, client_tag);
         }
         if !self.dealt {
@@ -1740,10 +1710,10 @@ mod tests {
         assert_eq!(shard.outstanding(), 0);
     }
 
-    /// The shed ladder budgets every proof a gather admitted, answered
+    /// The submit budget counts every proof a gather admitted, answered
     /// or not: after a full batch has been judged and answered
-    /// mid-gather, the shard is still at `ShedSubmits`, and a submit in
-    /// the same gather draws BUSY.
+    /// mid-gather, the budget is still spent, and a submit in the same
+    /// gather draws BUSY.
     #[test]
     fn proofs_answered_mid_gather_still_count_toward_the_shed_watermark() {
         let (mut shard, addr) = shard_with(IngressConfig {
@@ -1775,18 +1745,75 @@ mod tests {
         let mut want = vec![FrameKind::Verdict; 32];
         want.push(FrameKind::Busy);
         assert_eq!(read_now(&mut client), want);
-        assert_eq!(shard.shed_level(), ShedLevel::ShedSubmits);
+        assert!(shard.shedding_submits());
         assert_eq!(
             (shard.stats.submissions, shard.stats.shed_overload),
             (32, 1)
         );
 
         shard.reply();
+        assert!(!shard.shedding_submits(), "a new turn, a new budget");
+    }
+
+    /// The backlog a gather builds stops at the submit budget, however
+    /// wide the frame that brings it: a 200-proof SUBMIT_BATCH against
+    /// a budget of 32 leaves exactly 32 routes and 168 BUSY answers.
+    /// So no gather's backlog outgrows `shed_submit_watermark`, and a
+    /// connection arriving mid-gather is turned away only by
+    /// `max_conns`.
+    #[test]
+    fn a_gather_backlog_stops_at_the_submit_budget() {
+        const WIDE: usize = 200;
+        let (mut shard, addr) = shard_with(IngressConfig {
+            shed_submit_watermark: 32,
+            ..IngressConfig::default()
+        });
+        let mut client = connect(addr);
+        let (edge, op) = (keys(7996), keys(7997));
+        let session = [HELLO.to_frame(), register(0, &edge, &op).to_frame()];
+        turn_until_reply(&mut shard, &mut client, &session);
+        let token = live(&shard)[0].token;
+
+        // Proofs past the budget never reach the stage, so 32 distinct
+        // ones repeated fill the frame.
+        let distinct = proofs(&edge, &op, 32);
+        let pocs = distinct.iter().cycle().take(WIDE).cloned().collect();
+        let bytes = wire(&[SubmitBatch {
+            rel: 0,
+            first_tag: 0,
+            pocs,
+        }
+        .to_frame()]);
+        // The frame is wider than one wakeup's reads: feed it and turn
+        // the gather's reads until every proof is admitted or shed,
+        // without ending the gather.
+        let (mut sent, mut replies) = (0, Vec::new());
+        for _ in 0..10_000 {
+            if shard.stats.submissions + shard.stats.shed_overload == WIDE as u64 {
+                break;
+            }
+            match client.write(&bytes[sent..]) {
+                Ok(n) => sent += n,
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::WouldBlock),
+            }
+            shard.conn_event(readable(token));
+            replies.extend(read_now(&mut client));
+        }
+        replies.extend(read_now(&mut client));
+        assert_eq!(shard.outstanding(), 32);
         assert_eq!(
-            shard.shed_level(),
-            ShedLevel::Accept,
-            "a new turn, a new budget"
+            (shard.stats.submissions, shard.stats.shed_overload),
+            (32, WIDE as u64 - 32)
         );
+        let busy = replies.iter().filter(|&&k| k == FrameKind::Busy).count();
+        assert_eq!((replies.len(), busy), (WIDE, WIDE - 32));
+
+        let _late = connect(addr);
+        shard.accept_ready();
+        assert_eq!(live(&shard).len(), 2, "admitted mid-gather");
+        assert_eq!(shard.stats.shed_connections, 0);
+        shard.reply();
+        assert_eq!(shard.outstanding(), 0);
     }
 
     /// A peer that keeps asking and never reads its answers stops

@@ -227,21 +227,12 @@ impl VerifierService {
         edge_key: PublicKey,
         operator_key: PublicKey,
     ) -> Result<RelationshipId, ServiceError> {
-        self.register_with_capacity(plan, edge_key, operator_key, DEFAULT_REPLAY_CAPACITY)
-    }
-
-    /// [`register`](Self::register) with an explicit replay-cache bound.
-    pub fn register_with_capacity(
-        &mut self,
-        plan: DataPlan,
-        edge_key: PublicKey,
-        operator_key: PublicKey,
-        capacity: usize,
-    ) -> Result<RelationshipId, ServiceError> {
-        Ok(self
-            .stage
-            .relationships()
-            .register(plan, edge_key, operator_key, capacity))
+        Ok(self.stage.relationships().register(
+            plan,
+            edge_key,
+            operator_key,
+            DEFAULT_REPLAY_CAPACITY,
+        ))
     }
 
     /// Submits one proof under `rel`, verifying its relationship's batch

@@ -281,7 +281,6 @@ fn pool_exhaustion_defers_reads_without_losing_connections() {
         1,
         IngressConfig {
             max_conns: 128,
-            shed_conn_watermark: usize::MAX,
             ..IngressConfig::default()
         },
     );

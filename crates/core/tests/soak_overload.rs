@@ -418,7 +418,7 @@ fn shed_submits_draw_busy_and_retry_to_completion() {
 }
 
 // ---------------------------------------------------------------------
-// The ShedConnections rung.
+// The connection cap.
 // ---------------------------------------------------------------------
 
 /// At the connection cap, a new arrival draws BUSY (scope Connection),

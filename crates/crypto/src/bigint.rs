@@ -195,29 +195,31 @@ impl BigUint {
         Ordering::Equal
     }
 
-    /// Multiplication: schoolbook below [`KARATSUBA_THRESHOLD`] limbs,
-    /// Karatsuba recursion above it.
+    /// Schoolbook multiplication. On the signing and keygen paths at
+    /// RSA-1024 the narrower operand is at most 8 limbs, below any
+    /// width where a subquadratic split pays.
     pub fn mul(&self, other: &BigUint) -> BigUint {
         if self.is_zero() || other.is_zero() {
             return BigUint::zero();
         }
-        let mut out = BigUint {
-            limbs: mul_limbs(&self.limbs, &other.limbs),
-        };
-        out.normalize();
-        out
-    }
-
-    /// Schoolbook multiplication, exposed for cross-checking the Karatsuba
-    /// path in property tests. Prefer [`BigUint::mul`].
-    #[doc(hidden)]
-    pub fn mul_schoolbook(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() || other.is_zero() {
-            return BigUint::zero();
+        let (a, b) = (&self.limbs, &other.limbs);
+        let mut limbs = vec![0u64; a.len() + b.len()];
+        for (i, &ai) in a.iter().enumerate() {
+            let mut carry = 0u128;
+            for (j, &bj) in b.iter().enumerate() {
+                let cur = limbs[i + j] as u128 + ai as u128 * bj as u128 + carry;
+                limbs[i + j] = cur as u64;
+                carry = cur >> 64;
+            }
+            let mut k = i + b.len();
+            while carry != 0 {
+                let cur = limbs[k] as u128 + carry;
+                limbs[k] = cur as u64;
+                carry = cur >> 64;
+                k += 1;
+            }
         }
-        let mut out = BigUint {
-            limbs: schoolbook_limbs(&self.limbs, &other.limbs),
-        };
+        let mut out = BigUint { limbs };
         out.normalize();
         out
     }
@@ -504,125 +506,6 @@ impl BigUint {
             mag
         })
     }
-}
-
-/// Operands whose shorter side has at least this many limbs multiply via
-/// Karatsuba; anything smaller uses schoolbook. 16 limbs = 1024 bits, so
-/// RSA-1024's CRT halves (8 limbs) stay on the schoolbook fast path while
-/// double-width products (e.g. RSA-2048 material, `R^2` setup for large
-/// moduli) split recursively.
-pub const KARATSUBA_THRESHOLD: usize = 16;
-
-/// Dispatches between schoolbook and Karatsuba on raw limb slices.
-/// Returns `a.len() + b.len()` limbs, possibly with trailing zeros.
-fn mul_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
-    if a.len().min(b.len()) < KARATSUBA_THRESHOLD {
-        return schoolbook_limbs(a, b);
-    }
-    karatsuba_limbs(a, b)
-}
-
-/// Schoolbook product on raw limb slices (`a.len() + b.len()` limbs out).
-fn schoolbook_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut limbs = vec![0u64; a.len() + b.len()];
-    for (i, &ai) in a.iter().enumerate() {
-        let mut carry = 0u128;
-        for (j, &bj) in b.iter().enumerate() {
-            let cur = limbs[i + j] as u128 + ai as u128 * bj as u128 + carry;
-            limbs[i + j] = cur as u64;
-            carry = cur >> 64;
-        }
-        let mut k = i + b.len();
-        while carry != 0 {
-            let cur = limbs[k] as u128 + carry;
-            limbs[k] = cur as u64;
-            carry = cur >> 64;
-            k += 1;
-        }
-    }
-    limbs
-}
-
-/// Karatsuba: split both operands at `m` limbs and recurse —
-/// `a·b = z2·2^(128m) + (z1 - z2 - z0)·2^(64m) + z0` with three
-/// half-size products instead of four.
-fn karatsuba_limbs(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let m = a.len().max(b.len()).div_ceil(2);
-    let (a0, a1) = a.split_at(m.min(a.len()));
-    let (b0, b1) = b.split_at(m.min(b.len()));
-
-    let z0 = mul_limbs(a0, b0);
-    let z2 = mul_limbs(a1, b1);
-    let sa = add_limb_slices(a0, a1);
-    let sb = add_limb_slices(b0, b1);
-    let mut z1 = mul_limbs(&sa, &sb);
-    // z1 = (a0+a1)(b0+b1) - z0 - z2 >= 0 by construction.
-    sub_limb_slices_in_place(&mut z1, &z0);
-    sub_limb_slices_in_place(&mut z1, &z2);
-
-    let mut out = vec![0u64; a.len() + b.len()];
-    add_shifted_in_place(&mut out, &z0, 0);
-    add_shifted_in_place(&mut out, &z1, m);
-    add_shifted_in_place(&mut out, &z2, 2 * m);
-    out
-}
-
-/// `a + b` on limb slices (result has `max(len) + 1` limbs at most).
-fn add_limb_slices(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let (longer, shorter) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(longer.len() + 1);
-    let mut carry = 0u64;
-    for (i, &l) in longer.iter().enumerate() {
-        let s = shorter.get(i).copied().unwrap_or(0);
-        let (s1, c1) = l.overflowing_add(s);
-        let (s2, c2) = s1.overflowing_add(carry);
-        out.push(s2);
-        carry = c1 as u64 + c2 as u64;
-    }
-    if carry != 0 {
-        out.push(carry);
-    }
-    out
-}
-
-/// `a -= b` on limb vectors; `b` may be shorter (missing limbs are zero).
-/// Panics in debug builds on underflow — callers guarantee `a >= b`.
-fn sub_limb_slices_in_place(a: &mut [u64], b: &[u64]) {
-    let mut borrow = 0u64;
-    for (i, av) in a.iter_mut().enumerate() {
-        let bv = b.get(i).copied().unwrap_or(0);
-        let (d1, b1) = av.overflowing_sub(bv);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        *av = d2;
-        borrow = b1 as u64 + b2 as u64;
-    }
-    debug_assert_eq!(borrow, 0, "Karatsuba middle term underflow");
-}
-
-/// `acc += v << (64 * shift)`; `acc` is wide enough by construction.
-fn add_shifted_in_place(acc: &mut [u64], v: &[u64], shift: usize) {
-    let mut carry = 0u64;
-    let mut i = shift;
-    for &limb in v {
-        // Trailing zero limbs in v may extend past acc's width; they
-        // carry no value, so stop once the carry is spent.
-        if i >= acc.len() {
-            debug_assert!(limb == 0 && carry == 0);
-            return;
-        }
-        let (s1, c1) = acc[i].overflowing_add(limb);
-        let (s2, c2) = s1.overflowing_add(carry);
-        acc[i] = s2;
-        carry = c1 as u64 + c2 as u64;
-        i += 1;
-    }
-    while carry != 0 && i < acc.len() {
-        let (s, c) = acc[i].overflowing_add(carry);
-        acc[i] = s;
-        carry = c as u64;
-        i += 1;
-    }
-    debug_assert_eq!(carry, 0);
 }
 
 /// Signed subtraction on (sign, magnitude) pairs: `a - b`.

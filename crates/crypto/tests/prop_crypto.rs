@@ -97,15 +97,21 @@ proptest! {
         prop_assert_eq!(v.shl(bits).shr(bits), v);
     }
 
-    /// Karatsuba agrees with schoolbook on operands straddling the
-    /// 16-limb threshold (12..40 limbs ≈ 96..320 bytes), including the
-    /// uneven-split and trailing-zero-limb corners.
+    /// Wide products (12..40 limbs ≈ 96..320 bytes a side, uneven
+    /// widths and trailing zero limbs included) divide back exactly
+    /// and commute: `mul` against Knuth division, which shares no code
+    /// with it.
     #[test]
-    fn karatsuba_matches_schoolbook(a in proptest::collection::vec(any::<u8>(), 96..320),
-                                    b in proptest::collection::vec(any::<u8>(), 96..320)) {
+    fn wide_products_divide_back_and_commute(a in proptest::collection::vec(any::<u8>(), 96..320),
+                                             b in proptest::collection::vec(any::<u8>(), 96..320)) {
         let a = big(&a);
         let b = big(&b);
-        prop_assert_eq!(a.mul(&b), a.mul_schoolbook(&b));
+        prop_assume!(!b.is_zero());
+        let ab = a.mul(&b);
+        prop_assert_eq!(&ab, &b.mul(&a));
+        let (q, r) = ab.div_rem(&b);
+        prop_assert_eq!(q, a);
+        prop_assert!(r.is_zero());
     }
 }
 

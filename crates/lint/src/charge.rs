@@ -19,7 +19,6 @@
 //! as is `abs_diff`/`saturating_*`/`checked_*` method arithmetic —
 //! those never lex as raw operator tokens in the first place.
 
-use crate::nopanic::is_unchecked_arith_at;
 use crate::rules::Finding;
 use crate::scan::ScannedFile;
 use syn::TokenKind;
@@ -201,4 +200,101 @@ pub fn check_file(file: &ScannedFile) -> Vec<Finding> {
         }
     }
     out
+}
+
+fn is_keyword(s: &str) -> bool {
+    matches!(
+        s,
+        "if" | "else"
+            | "match"
+            | "return"
+            | "in"
+            | "as"
+            | "mut"
+            | "ref"
+            | "move"
+            | "break"
+            | "continue"
+            | "loop"
+            | "while"
+            | "for"
+            | "let"
+            | "fn"
+            | "where"
+            | "impl"
+            | "dyn"
+            | "unsafe"
+            | "const"
+            | "static"
+            | "type"
+            | "use"
+            | "pub"
+            | "crate"
+            | "super"
+            | "self"
+            | "Self"
+    )
+}
+
+/// Float-looking operand text: a literal with a decimal point or float
+/// suffix, or the `f32`/`f64` type idents that end an `as` cast.
+fn float_like(text: &str) -> bool {
+    text == "f32"
+        || text == "f64"
+        || (text.chars().next().is_some_and(|c| c.is_ascii_digit())
+            && (text.contains('.') || text.ends_with("f32") || text.ends_with("f64")))
+}
+
+/// True when the token at `si` is a binary `+`, `-` or `*` (or the
+/// operator half of `+=`, `-=`, `*=`) between integer-looking
+/// operands. Dereferences, unary minus, `->`, references and
+/// float-typed math do not qualify.
+fn is_unchecked_arith_at(file: &ScannedFile, si: usize) -> bool {
+    let t = file.sig_tok(si);
+    let op = match t.text.chars().next() {
+        Some(c @ ('+' | '-' | '*')) => c,
+        _ => return false,
+    };
+    if t.kind != TokenKind::Punct || si == 0 || si + 1 >= file.sig.len() {
+        return false;
+    }
+    let next = file.sig_tok(si + 1);
+    // `->` is a return arrow, not subtraction.
+    if op == '-' && next.is_punct('>') {
+        return false;
+    }
+    let prev = file.sig_tok(si - 1);
+    // Binary position: the left neighbour must be an operand end.
+    let prev_is_operand = match prev.kind {
+        TokenKind::Ident => !is_keyword(&prev.text),
+        TokenKind::Literal => true,
+        TokenKind::Punct => prev.is_punct(')') || prev.is_punct(']'),
+        _ => false,
+    };
+    if !prev_is_operand {
+        return false;
+    }
+    // Right neighbour: operand start — ident, literal, `(`, `*deref`,
+    // `&ref`, unary `-`, or `=` (compound assignment).
+    let next_is_operand = match next.kind {
+        TokenKind::Ident => !is_keyword(&next.text) || next.text == "self",
+        TokenKind::Literal => true,
+        TokenKind::Punct => {
+            next.is_punct('(')
+                || next.is_punct('*')
+                || next.is_punct('&')
+                || next.is_punct('-')
+                || next.is_punct('=')
+        }
+        _ => false,
+    };
+    if !next_is_operand {
+        return false;
+    }
+    // Float math never aborts; skip when either neighbour is visibly
+    // float (`x as f64 * rate`, `0.5 * y`).
+    if float_like(&prev.text) || float_like(&next.text) {
+        return false;
+    }
+    true
 }

@@ -119,6 +119,22 @@ impl<'w> CallGraph<'w> {
                     .push(id);
             }
         }
+        // `type Alias = Type<…>;` — `Alias::f(` resolves in `impl Type`.
+        for file in files {
+            for si in 0..file.sig.len().saturating_sub(3) {
+                let [kw, alias, eq, ty] = [0, 1, 2, 3].map(|k| file.sig_tok(si + k));
+                if kw.is_ident("type") && eq.is_punct('=') && ty.kind == TokenKind::Ident {
+                    let aliased: Vec<_> = by_impl
+                        .iter()
+                        .filter(|((t, _), _)| *t == ty.text)
+                        .map(|((_, f), ids)| ((alias.text.clone(), f.clone()), ids.clone()))
+                        .collect();
+                    for (key, ids) in aliased {
+                        by_impl.entry(key).or_insert(ids);
+                    }
+                }
+            }
+        }
         let mut calls: Vec<Vec<Call>> = vec![Vec::new(); fns.len()];
         for (fi, file) in files.iter().enumerate() {
             extract_calls(file, &fn_of[fi], &mut calls);
@@ -313,10 +329,17 @@ fn extract_items(file: &ScannedFile, file_idx: usize, fns: &mut Vec<FnNode>) -> 
                                 _ => None,
                             })
                             .collect();
-                        let impl_type = stack.iter().rev().find_map(|(s, _)| match s {
-                            Scope::Impl(ty) => Some(ty.clone()),
-                            _ => None,
-                        });
+                        // A `fn` item inside a method body is a free
+                        // fn, whatever `impl` encloses the method.
+                        let impl_type = stack
+                            .iter()
+                            .rev()
+                            .find_map(|(s, _)| match s {
+                                Scope::Impl(ty) => Some(Some(ty.clone())),
+                                Scope::Fn(_) => Some(None),
+                                Scope::Mod(_) | Scope::Other => None,
+                            })
+                            .flatten();
                         let (body_open, is_method) = fn_signature(file, si + 1);
                         let id = fns.len();
                         fns.push(FnNode {
@@ -433,6 +456,8 @@ fn fn_signature(file: &ScannedFile, name_si: usize) -> (Option<usize>, bool) {
     let sig = &file.sig;
     let mut angle = 0usize;
     let mut paren = 0usize;
+    // `[T; N]` in a parameter or return type: its `;` ends nothing.
+    let mut bracket = 0usize;
     let mut is_method = false;
     let mut seen_params = false;
     let mut i = name_si;
@@ -464,9 +489,13 @@ fn fn_signature(file: &ScannedFile, name_si: usize) -> (Option<usize>, bool) {
             paren += 1;
         } else if t.is_punct(')') {
             paren = paren.saturating_sub(1);
+        } else if t.is_punct('[') {
+            bracket += 1;
+        } else if t.is_punct(']') {
+            bracket = bracket.saturating_sub(1);
         } else if t.is_punct('{') && paren == 0 && angle == 0 {
             return (Some(i), is_method);
-        } else if t.is_punct(';') && paren == 0 && angle == 0 {
+        } else if t.is_punct(';') && paren == 0 && angle == 0 && bracket == 0 {
             return (None, is_method);
         }
         i += 1;
@@ -477,19 +506,16 @@ fn fn_signature(file: &ScannedFile, name_si: usize) -> (Option<usize>, bool) {
 /// Extracts call sites from one file, attributing each to its innermost
 /// enclosing function.
 fn extract_calls(file: &ScannedFile, fn_of: &[Option<usize>], calls: &mut [Vec<Call>]) {
-    let sig = &file.sig;
     for (si, owner) in fn_of.iter().enumerate() {
         let Some(owner) = *owner else { continue };
         let t = file.sig_tok(si);
         if t.kind != TokenKind::Ident || NON_CALL_KEYWORDS.contains(&t.text.as_str()) {
             continue;
         }
-        // Callee name must be directly followed by `(`; `name!(…)` is a
-        // macro, `name::(` impossible, `name {` a struct literal.
-        if !sig
-            .get(si + 1)
-            .is_some_and(|&r| file.tokens[r].is_punct('('))
-        {
+        // Callee name must be followed by `(`, directly or past a
+        // turbofish (`name::<8>(`); `name!(…)` is a macro, `name {` a
+        // struct literal.
+        if !opens_call(file, si + 1) {
             continue;
         }
         // A definition (`fn name(`) is not a call.
@@ -528,6 +554,30 @@ fn extract_calls(file: &ScannedFile, fn_of: &[Option<usize>], calls: &mut [Vec<C
             callees: Vec::new(),
         });
     }
+}
+
+/// Whether the call's argument list opens at significant position
+/// `si`: a `(`, or a turbofish `::<…>` and then a `(`.
+fn opens_call(file: &ScannedFile, si: usize) -> bool {
+    let punct = |i: usize, c: char| file.sig.get(i).is_some_and(|&r| file.tokens[r].is_punct(c));
+    if punct(si, '(') {
+        return true;
+    }
+    if !(punct(si, ':') && punct(si + 1, ':') && punct(si + 2, '<')) {
+        return false;
+    }
+    let mut angle = 0usize;
+    for i in si + 2..file.sig.len() {
+        if punct(i, '<') {
+            angle += 1;
+        } else if punct(i, '>') {
+            angle -= 1;
+            if angle == 0 {
+                return punct(i + 1, '(');
+            }
+        }
+    }
+    false
 }
 
 #[cfg(test)]
@@ -584,6 +634,42 @@ mod tests {
     }
 
     #[test]
+    fn a_type_alias_resolves_to_its_impl() {
+        let (fns, calls) = graph_of(&[(
+            "crates/x/src/lib.rs",
+            "pub type Ctx1024 = Ctx<20>;\nimpl<const D: usize> Ctx<D> { fn new() {} }\nfn user() { Ctx1024::new(); }\n",
+        )]);
+        let new = fns.iter().position(|f| f.name == "new").unwrap();
+        let user = fns.iter().position(|f| f.name == "user").unwrap();
+        assert_eq!(calls[user][0].callees, vec![new]);
+    }
+
+    #[test]
+    fn a_turbofish_call_is_a_call() {
+        let (fns, calls) = graph_of(&[(
+            "crates/x/src/lib.rs",
+            "impl C {\n  fn mul(&self) { self.fixed::<8>(); Self::fixed::<16>(); }\n  fn fixed<const K: usize>(&self) {}\n}\n",
+        )]);
+        let mul = fns.iter().position(|f| f.name == "mul").unwrap();
+        let fixed = fns.iter().position(|f| f.name == "fixed").unwrap();
+        let callees: Vec<&Vec<usize>> = calls[mul].iter().map(|c| &c.callees).collect();
+        assert_eq!(callees, [&vec![fixed], &vec![fixed]]);
+    }
+
+    #[test]
+    fn a_fn_nested_in_a_method_is_free_and_resolves() {
+        let (fns, calls) = graph_of(&[(
+            "crates/x/src/lib.rs",
+            "impl S {\n  fn decode(&self) {\n    fn get_key() {}\n    get_key();\n  }\n}\n",
+        )]);
+        let key = fns.iter().position(|f| f.name == "get_key").unwrap();
+        assert!(fns[key].impl_type.is_none());
+        let decode = fns.iter().position(|f| f.name == "decode").unwrap();
+        let site = calls[decode].iter().find(|c| c.name == "get_key").unwrap();
+        assert_eq!(site.callees, vec![key]);
+    }
+
+    #[test]
     fn resolution_prefers_impl_then_module_and_skips_externals() {
         let (fns, calls) = graph_of(&[
             (
@@ -627,9 +713,13 @@ mod tests {
     fn trait_signatures_have_no_body_and_generic_sigs_find_theirs() {
         let (fns, _) = graph_of(&[(
             "crates/x/src/lib.rs",
-            "trait T { fn sig(&self); fn dflt(&self) { work() } }\nfn generic<V: Into<Vec<u8>>>(v: V) -> Vec<u8> { v.into() }\nfn work() {}\n",
+            "trait T { fn sig(&self); fn dflt(&self) { work() } }\nfn generic<V: Into<Vec<u8>>>(v: V) -> Vec<u8> { v.into() }\nfn work() {}\nfn arrays(a: [u8; 4]) -> [u64; 2] { work() }\n",
         )]);
         assert!(find_fn(&fns, "sig").body.is_none());
+        assert!(
+            find_fn(&fns, "arrays").body.is_some(),
+            "`;` inside `[T; N]`"
+        );
         assert!(find_fn(&fns, "dflt").body.is_some());
         assert_eq!(find_fn(&fns, "dflt").impl_type.as_deref(), Some("T"));
         assert!(find_fn(&fns, "generic").body.is_some());

@@ -47,8 +47,8 @@
 
 pub mod allow;
 pub mod charge;
+pub mod github;
 pub mod graph;
-pub mod json;
 pub mod locks;
 pub mod nopanic;
 pub mod rules;
@@ -109,16 +109,6 @@ pub const CHARGE_PATHS: &[&str] = &[
     "crates/core/src/legacy.rs",
     "crates/core/src/roaming.rs",
 ];
-
-/// Options for a workspace check.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CheckOptions {
-    /// Also propagate data-dependent panic sources (indexing and
-    /// unchecked integer arithmetic) in the transitive no-panic pass.
-    /// Off by default: the crypto limb kernels index by invariant in
-    /// every loop, so this mode is a periodic audit, not a gate.
-    pub strict_panics: bool,
-}
 
 /// Every source file of the workspace, read and lexed exactly once.
 /// The per-file rules, the crate-manifest checks, and the
@@ -184,7 +174,7 @@ impl Workspace {
     /// site excused under `no-panic` must not re-surface via every
     /// caller); the allowlist is still applied to the *returned*
     /// findings by the caller.
-    pub fn check(&self, allow: &[allow::AllowEntry], opts: CheckOptions) -> Vec<Finding> {
+    pub fn check(&self, allow: &[allow::AllowEntry]) -> Vec<Finding> {
         let mut findings = self.parse_errors.clone();
         for file in &self.files {
             for rule in rules_for(file, NO_PANIC_PATHS) {
@@ -192,12 +182,7 @@ impl Workspace {
             }
         }
         let graph = graph::CallGraph::build(&self.files);
-        findings.extend(nopanic::check(
-            &graph,
-            NO_PANIC_PATHS,
-            allow,
-            opts.strict_panics,
-        ));
+        findings.extend(nopanic::check(&graph, NO_PANIC_PATHS, allow));
         findings.extend(locks::check(&graph));
         for file in &self.files {
             if file.kind == FileKind::Src && CHARGE_PATHS.contains(&file.rel_path.as_str()) {
@@ -356,7 +341,7 @@ fn rel_path(root: &Path, path: &Path) -> String {
 /// a *different* fixture file).
 pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
     let ws = Workspace::from_sources(sources);
-    let mut findings = ws.check(&[], CheckOptions::default());
+    let mut findings = ws.check(&[]);
     sort_findings(&mut findings);
     findings
 }
@@ -420,15 +405,6 @@ fn sort_findings(findings: &mut [Finding]) {
 /// allowlist at `allow_path` (pass the default [`ALLOWLIST_FILE`] under
 /// `root` unless overridden).
 pub fn run_check(root: &Path, allow_path: &Path) -> std::io::Result<Report> {
-    run_check_opts(root, allow_path, CheckOptions::default())
-}
-
-/// [`run_check`] with explicit [`CheckOptions`].
-pub fn run_check_opts(
-    root: &Path,
-    allow_path: &Path,
-    opts: CheckOptions,
-) -> std::io::Result<Report> {
     let ws = Workspace::load(root)?;
     let files_scanned = ws.files.len() + ws.parse_errors.len();
 
@@ -440,7 +416,7 @@ pub fn run_check_opts(
         Err(_) => (Vec::new(), Vec::new()),
     };
 
-    let mut findings = ws.check(&entries, opts);
+    let mut findings = ws.check(&entries);
     findings.extend(manifest_findings(&ws));
 
     let mut findings = allow::apply(&allow_rel, &entries, findings);

@@ -1,16 +1,12 @@
 //! `tlc-lint` CLI.
 //!
 //! ```text
-//! cargo run -p tlc-lint -- check [--root DIR] [--allowlist FILE]
-//!                                [--json] [--github] [--strict-panics]
+//! cargo run -p tlc-lint -- check [--root DIR] [--allowlist FILE] [--github]
 //! cargo run -p tlc-lint -- rules
 //! ```
 //!
-//! `--json` prints one machine-readable JSON object; `--github`
-//! additionally emits GitHub Actions `::error` annotations so findings
-//! land inline on the PR diff; `--strict-panics` also propagates
-//! indexing / unchecked-arithmetic panic sources through the call
-//! graph (audit mode, not a gate — see DESIGN §9.1).
+//! `--github` additionally emits GitHub Actions `::error` annotations
+//! so findings land inline on the PR diff.
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
@@ -20,9 +16,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: tlc-lint <check [--root DIR] [--allowlist FILE] [--json] [--github] [--strict-panics] | rules>"
-    );
+    eprintln!("usage: tlc-lint <check [--root DIR] [--allowlist FILE] [--github] | rules>");
     ExitCode::from(2)
 }
 
@@ -38,9 +32,7 @@ fn main() -> ExitCode {
         Some("check") => {
             let mut root: Option<PathBuf> = None;
             let mut allowlist: Option<PathBuf> = None;
-            let mut json = false;
             let mut github = false;
-            let mut opts = tlc_lint::CheckOptions::default();
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
@@ -52,9 +44,7 @@ fn main() -> ExitCode {
                         Some(v) => allowlist = Some(PathBuf::from(v)),
                         None => return usage(),
                     },
-                    "--json" => json = true,
                     "--github" => github = true,
-                    "--strict-panics" => opts.strict_panics = true,
                     _ => return usage(),
                 }
             }
@@ -70,35 +60,27 @@ fn main() -> ExitCode {
                 }
             };
             let allow_path = allowlist.unwrap_or_else(|| root.join(tlc_lint::ALLOWLIST_FILE));
-            match tlc_lint::run_check_opts(&root, &allow_path, opts) {
+            match tlc_lint::run_check(&root, &allow_path) {
                 Ok(report) => {
-                    if json {
-                        println!("{}", tlc_lint::json::report_json(&report));
-                    } else {
-                        for f in &report.findings {
-                            println!("{f}");
-                        }
+                    for f in &report.findings {
+                        println!("{f}");
                     }
                     if github && !report.is_clean() {
-                        println!("{}", tlc_lint::json::github_annotations(&report));
+                        println!("{}", tlc_lint::github::github_annotations(&report));
                     }
                     if report.is_clean() {
-                        if !json {
-                            println!(
-                                "tlc-lint: clean ({} files, {} rules)",
-                                report.files_scanned,
-                                tlc_lint::rules::RULES.len()
-                            );
-                        }
+                        println!(
+                            "tlc-lint: clean ({} files, {} rules)",
+                            report.files_scanned,
+                            tlc_lint::rules::RULES.len()
+                        );
                         ExitCode::SUCCESS
                     } else {
-                        if !json {
-                            println!(
-                                "tlc-lint: {} finding(s) across {} files",
-                                report.findings.len(),
-                                report.files_scanned
-                            );
-                        }
+                        println!(
+                            "tlc-lint: {} finding(s) across {} files",
+                            report.findings.len(),
+                            report.files_scanned
+                        );
                         ExitCode::FAILURE
                     }
                 }

@@ -8,17 +8,12 @@
 //! function defined in a `NO_PANIC_PATHS` file is checked to arbitrary
 //! depth; a finding names the offending call chain.
 //!
-//! Source categories:
-//!
-//! * **abort-certain** — `panic!`/`unreachable!`/`todo!`/
-//!   `unimplemented!` and `.unwrap()`/`.expect()`. Propagated always.
-//! * **data-dependent** — slice/array indexing and unchecked
-//!   `+ - *` on integer-looking operands. These panic only for some
-//!   inputs, and the crypto limb kernels index-by-invariant in every
-//!   loop, so propagating them drowns the signal; they are collected
-//!   but only propagated under `--strict-panics` (the charge-arith
-//!   pass audits the sites where a wrap is a charging bug). See
-//!   DESIGN §9.1 for the envelope.
+//! Sources: `panic!`/`unreachable!`/`todo!`/`unimplemented!` and
+//! `.unwrap()`/`.expect()` — sites that abort whatever the input.
+//! Indexing and unchecked arithmetic panic only for some inputs and
+//! are not propagated (the crypto limb kernels index by invariant in
+//! every loop); the charge-arith pass audits the sites where a wrap is
+//! a charging bug. See DESIGN §9.1 for the envelope.
 //!
 //! Suppression: a local site inside function `f` of file `p` that an
 //! allowlist entry `no-panic p f` (or `*`) covers is treated as clean
@@ -34,38 +29,14 @@ use syn::TokenKind;
 /// Macros whose expansion aborts.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
-/// How a local site can panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PanicCat {
-    /// `panic!` / `unreachable!` / `todo!` / `unimplemented!`.
-    Macro,
-    /// `.unwrap()` / `.expect(…)`.
-    UnwrapExpect,
-    /// `x[i]` slice/array indexing.
-    Index,
-    /// Unchecked `+ - *` on integer-looking operands.
-    Arith,
-}
-
-impl PanicCat {
-    fn propagated(self, strict: bool) -> bool {
-        match self {
-            PanicCat::Macro | PanicCat::UnwrapExpect => true,
-            PanicCat::Index | PanicCat::Arith => strict,
-        }
-    }
-}
-
 /// One may-panic site inside a function body.
 #[derive(Debug, Clone)]
 pub struct PanicSite {
-    /// Which source category.
-    pub cat: PanicCat,
     /// 1-based line / column.
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Short description (`.unwrap()`, `panic!`, `x[i]`, `+`).
+    /// Short description (`.unwrap()`, `panic!`).
     pub desc: String,
 }
 
@@ -75,120 +46,6 @@ pub struct PanicSite {
 enum Cause {
     Local(PanicSite),
     Via { callee: usize },
-}
-
-/// True when the significant token at `si` is a slice/array index
-/// opening bracket (`x[…`, `foo()[…`, `a[i][j]`). Attribute brackets
-/// (`#[…]`) and array literals (`= […]`, `([…])`) do not qualify:
-/// their `[` never follows an operand.
-pub fn is_index_at(file: &ScannedFile, si: usize) -> bool {
-    let t = file.sig_tok(si);
-    if !t.is_punct('[') || si == 0 {
-        return false;
-    }
-    let prev = file.sig_tok(si - 1);
-    match prev.kind {
-        TokenKind::Ident => !is_keyword(&prev.text),
-        TokenKind::Punct => prev.is_punct(')') || prev.is_punct(']'),
-        _ => false,
-    }
-}
-
-fn is_keyword(s: &str) -> bool {
-    matches!(
-        s,
-        "if" | "else"
-            | "match"
-            | "return"
-            | "in"
-            | "as"
-            | "mut"
-            | "ref"
-            | "move"
-            | "break"
-            | "continue"
-            | "loop"
-            | "while"
-            | "for"
-            | "let"
-            | "fn"
-            | "where"
-            | "impl"
-            | "dyn"
-            | "unsafe"
-            | "const"
-            | "static"
-            | "type"
-            | "use"
-            | "pub"
-            | "crate"
-            | "super"
-            | "self"
-            | "Self"
-    )
-}
-
-/// Float-looking operand text: a literal with a decimal point or float
-/// suffix, or the `f32`/`f64` type idents that end an `as` cast.
-fn float_like(text: &str) -> bool {
-    text == "f32"
-        || text == "f64"
-        || (text.chars().next().is_some_and(|c| c.is_ascii_digit())
-            && (text.contains('.') || text.ends_with("f32") || text.ends_with("f64")))
-}
-
-/// True when the token at `si` is a binary `+`, `-` or `*` (or the
-/// operator half of `+=`, `-=`, `*=`) between integer-looking
-/// operands. Dereferences, unary minus, `->`, references and
-/// float-typed math do not qualify.
-pub fn is_unchecked_arith_at(file: &ScannedFile, si: usize) -> bool {
-    let t = file.sig_tok(si);
-    let op = match t.text.chars().next() {
-        Some(c @ ('+' | '-' | '*')) => c,
-        _ => return false,
-    };
-    if t.kind != TokenKind::Punct || si == 0 || si + 1 >= file.sig.len() {
-        return false;
-    }
-    let next = file.sig_tok(si + 1);
-    // `->` is a return arrow, not subtraction.
-    if op == '-' && next.is_punct('>') {
-        return false;
-    }
-    let prev = file.sig_tok(si - 1);
-    // Binary position: the left neighbour must be an operand end.
-    let prev_is_operand = match prev.kind {
-        TokenKind::Ident => !is_keyword(&prev.text),
-        TokenKind::Literal => true,
-        TokenKind::Punct => prev.is_punct(')') || prev.is_punct(']'),
-        _ => false,
-    };
-    if !prev_is_operand {
-        return false;
-    }
-    // Right neighbour: operand start — ident, literal, `(`, `*deref`,
-    // `&ref`, unary `-`, or `=` (compound assignment).
-    let next_is_operand = match next.kind {
-        TokenKind::Ident => !is_keyword(&next.text) || next.text == "self",
-        TokenKind::Literal => true,
-        TokenKind::Punct => {
-            next.is_punct('(')
-                || next.is_punct('*')
-                || next.is_punct('&')
-                || next.is_punct('-')
-                || next.is_punct('=')
-        }
-        _ => false,
-    };
-    if !next_is_operand {
-        return false;
-    }
-    // Float math never aborts; skip when either neighbour is visibly
-    // float (`x as f64 * rate`, `0.5 * y`).
-    if float_like(&prev.text) || float_like(&next.text) {
-        return false;
-    }
-    true
 }
 
 /// Collects the local may-panic sites of one function body, honouring
@@ -206,7 +63,6 @@ pub fn local_panic_sites(file: &ScannedFile, body: (usize, usize)) -> Vec<PanicS
             let prev_dot = si > 0 && file.sig_tok(si - 1).is_punct('.');
             if PANIC_MACROS.contains(&t.text.as_str()) && next.is_some_and(|n| n.is_punct('!')) {
                 out.push(PanicSite {
-                    cat: PanicCat::Macro,
                     line: t.line,
                     col: t.col,
                     desc: format!("{}!", t.text),
@@ -216,26 +72,11 @@ pub fn local_panic_sites(file: &ScannedFile, body: (usize, usize)) -> Vec<PanicS
                 && next.is_some_and(|n| n.is_punct('('))
             {
                 out.push(PanicSite {
-                    cat: PanicCat::UnwrapExpect,
                     line: t.line,
                     col: t.col,
                     desc: format!(".{}()", t.text),
                 });
             }
-        } else if is_index_at(file, si) {
-            out.push(PanicSite {
-                cat: PanicCat::Index,
-                line: t.line,
-                col: t.col,
-                desc: "indexing".to_string(),
-            });
-        } else if is_unchecked_arith_at(file, si) {
-            out.push(PanicSite {
-                cat: PanicCat::Arith,
-                line: t.line,
-                col: t.col,
-                desc: format!("unchecked `{}`", t.text),
-            });
         }
     }
     out
@@ -254,12 +95,7 @@ fn site_allowed(allow: &[AllowEntry], path: &str, fn_name: &str, enclosing: &str
 
 /// Runs the pass: findings for every `NO_PANIC_PATHS` function whose
 /// call chain reaches a panic site outside itself.
-pub fn check(
-    graph: &CallGraph<'_>,
-    roots_under: &[&str],
-    allow: &[AllowEntry],
-    strict: bool,
-) -> Vec<Finding> {
+pub fn check(graph: &CallGraph<'_>, roots_under: &[&str], allow: &[AllowEntry]) -> Vec<Finding> {
     let n = graph.fns.len();
     let is_root: Vec<bool> = (0..n)
         .map(|id| {
@@ -279,13 +115,10 @@ pub fn check(
             }
             let file = &graph.files[f.file];
             let body = f.body?;
-            local_panic_sites(file, body)
-                .into_iter()
-                .filter(|s| s.cat.propagated(strict))
-                .find(|s| {
-                    let enclosing = site_item(file, body, s);
-                    !site_allowed(allow, &file.rel_path, &f.name, &enclosing)
-                })
+            local_panic_sites(file, body).into_iter().find(|s| {
+                let enclosing = site_item(file, body, s);
+                !site_allowed(allow, &file.rel_path, &f.name, &enclosing)
+            })
         })
         .collect();
 

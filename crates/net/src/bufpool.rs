@@ -79,11 +79,6 @@ impl BufferPool {
         }
     }
 
-    /// Byte size of each buffer.
-    pub fn buf_size(&self) -> usize {
-        self.shared.buf_size
-    }
-
     /// Total buffers this pool will ever hand out concurrently.
     pub fn capacity(&self) -> usize {
         self.shared.capacity

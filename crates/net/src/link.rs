@@ -154,11 +154,6 @@ impl Link {
     pub fn stats(&self) -> LinkStats {
         self.stats
     }
-
-    /// Configured parameters.
-    pub fn params(&self) -> &LinkParams {
-        &self.params
-    }
 }
 
 #[cfg(test)]

@@ -70,11 +70,6 @@ impl UsageSeries {
         self.buckets.iter().sum()
     }
 
-    /// Bytes in bucket `i` (0 outside the recorded range).
-    pub fn bucket_bytes(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-
     /// Number of buckets recorded so far.
     pub fn len(&self) -> usize {
         self.buckets.len()
@@ -151,9 +146,11 @@ mod tests {
         s.record(SimTime::from_millis(100), 500);
         s.record(SimTime::from_millis(900), 500);
         s.record(SimTime::from_millis(1000), 250); // next bucket
-        assert_eq!(s.bucket_bytes(0), 1000);
-        assert_eq!(s.bucket_bytes(1), 250);
-        assert_eq!(s.bucket_bytes(2), 0);
+                                                   // Whole buckets: 1000 B in the first second, 250 in the next,
+                                                   // nothing after.
+        assert_eq!(s.cumulative_until(SimTime::from_secs(1)), 1000);
+        assert_eq!(s.cumulative_until(SimTime::from_secs(2)), 1250);
+        assert_eq!(s.cumulative_until(SimTime::from_secs(3)), 1250);
         assert_eq!(s.total(), 1250);
         assert_eq!(s.len(), 2);
     }
@@ -186,6 +183,6 @@ mod tests {
         let s = UsageSeries::new(SimDuration::from_secs(1));
         assert!(s.is_empty());
         assert_eq!(s.total(), 0);
-        assert_eq!(s.bucket_bytes(10), 0);
+        assert_eq!(s.cumulative_until(SimTime::from_secs(10)), 0);
     }
 }

@@ -54,11 +54,6 @@ impl SimTime {
     pub fn since(&self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction of a duration.
-    pub fn checked_sub(&self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_sub(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {

@@ -16,8 +16,8 @@
 //! dependency on the charging types.
 //!
 //! Decoding is adversary-facing (the ingress listens on a public socket),
-//! so the decoder never panics, never holds more than
-//! [`FrameDecoder::max_payload`] + [`HEADER_LEN`] bytes of a partial
+//! so the decoder never panics, never holds more than [`HEADER_LEN`]
+//! plus its payload cap in bytes of a partial
 //! frame between calls, and turns every malformed input into a typed
 //! [`WireError`].
 //! After an error the decoder is *poisoned*: the byte stream has lost
@@ -239,11 +239,6 @@ impl FrameDecoder {
             done: VecDeque::new(),
             poison: None,
         }
-    }
-
-    /// The payload cap this decoder enforces.
-    pub fn max_payload(&self) -> u32 {
-        self.max_payload
     }
 
     /// Bytes currently buffered for the in-progress frame (header +

@@ -16,16 +16,6 @@ impl Cdf {
         Self::default()
     }
 
-    /// From a sample vector.
-    pub fn from_samples(samples: Vec<f64>) -> Self {
-        let mut c = Cdf {
-            samples,
-            sorted: false,
-        };
-        c.sort();
-        c
-    }
-
     /// Adds a sample.
     pub fn push(&mut self, v: f64) {
         assert!(v.is_finite(), "CDF samples must be finite");
@@ -74,11 +64,6 @@ impl Cdf {
         self.samples[idx]
     }
 
-    /// Median.
-    pub fn median(&mut self) -> f64 {
-        self.quantile(0.5)
-    }
-
     /// Minimum sample (0 for empty).
     pub fn min(&mut self) -> f64 {
         self.sort();
@@ -120,8 +105,11 @@ mod tests {
 
     #[test]
     fn quantiles_of_known_distribution() {
-        let mut c = Cdf::from_samples((1..=100).map(|i| i as f64).collect());
-        assert_eq!(c.median(), 50.0);
+        let mut c = Cdf::new();
+        for i in 1..=100 {
+            c.push(i as f64);
+        }
+        assert_eq!(c.quantile(0.5), 50.0);
         assert_eq!(c.quantile(0.95), 95.0);
         assert_eq!(c.quantile(1.0), 100.0);
         assert_eq!(c.quantile(0.0), 1.0);
@@ -137,7 +125,7 @@ mod tests {
             c.push(v);
         }
         assert_eq!(c.len(), 3);
-        assert_eq!(c.median(), 2.0);
+        assert_eq!(c.quantile(0.5), 2.0);
         let pts = c.points();
         assert_eq!(pts[0], (1.0, 1.0 / 3.0));
         assert_eq!(pts[2], (3.0, 1.0));
@@ -148,7 +136,7 @@ mod tests {
         let mut c = Cdf::new();
         assert!(c.is_empty());
         assert_eq!(c.mean(), 0.0);
-        assert_eq!(c.median(), 0.0);
+        assert_eq!(c.quantile(0.5), 0.0);
         assert!(c.points().is_empty());
     }
 

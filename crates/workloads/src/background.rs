@@ -70,10 +70,6 @@ impl Workload for BackgroundTraffic {
     fn name(&self) -> &'static str {
         "iperf UDP background"
     }
-
-    fn nominal_rate_mbps(&self) -> f64 {
-        self.rate_bps as f64 / 1e6
-    }
 }
 
 #[cfg(test)]

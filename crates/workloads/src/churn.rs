@@ -111,16 +111,6 @@ impl ChurnConfig {
             handovers_per_minute: 0.5,
         }
     }
-
-    /// Disables churn (arrivals only from the initial population).
-    pub fn none() -> Self {
-        ChurnConfig {
-            arrivals_per_sec: 0.0,
-            mean_lifetime: SimDuration::from_secs(3600),
-            mix: [3, 3, 1, 5],
-            handovers_per_minute: 0.0,
-        }
-    }
 }
 
 /// One generated arrival.
@@ -267,7 +257,12 @@ mod tests {
 
     #[test]
     fn churn_off_yields_no_arrivals() {
-        let mut g = ChurnGen::new(ChurnConfig::none(), SimRng::new(1));
+        let off = ChurnConfig {
+            arrivals_per_sec: 0.0,
+            handovers_per_minute: 0.0,
+            ..ChurnConfig::mixed()
+        };
+        let mut g = ChurnGen::new(off, SimRng::new(1));
         assert!(g.next_arrival().is_none());
         assert!(g.next_handover_gap().is_none());
     }

@@ -99,10 +99,6 @@ impl Workload for GamingStream {
     fn name(&self) -> &'static str {
         "Gaming w/ QCI=7"
     }
-
-    fn nominal_rate_mbps(&self) -> f64 {
-        0.02
-    }
 }
 
 #[cfg(test)]

@@ -113,10 +113,6 @@ impl Workload for TraceReplayer<'_> {
     fn name(&self) -> &'static str {
         "trace replay"
     }
-
-    fn nominal_rate_mbps(&self) -> f64 {
-        self.trace.mean_rate_mbps()
-    }
 }
 
 #[cfg(test)]

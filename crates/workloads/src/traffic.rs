@@ -33,9 +33,6 @@ pub trait Workload {
 
     /// Human-readable name, as used in the paper's tables.
     fn name(&self) -> &'static str;
-
-    /// The advertised mean bitrate in Mbps (paper Table 2's column 1).
-    fn nominal_rate_mbps(&self) -> f64;
 }
 
 /// Splits an application frame of `frame_bytes` into MTU-sized packets.

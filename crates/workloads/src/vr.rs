@@ -126,10 +126,6 @@ impl Workload for VrStream {
     fn name(&self) -> &'static str {
         "VRidge (GVSP)"
     }
-
-    fn nominal_rate_mbps(&self) -> f64 {
-        self.params.bitrate_bps as f64 / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -186,6 +182,6 @@ mod tests {
         let w = VrStream::vridge(SimDuration::from_secs(1), SimRng::new(1));
         assert_eq!(w.direction(), Direction::Downlink);
         assert_eq!(w.qci(), Qci::DEFAULT);
-        assert!((w.nominal_rate_mbps() - 9.0).abs() < 1e-9);
+        assert_eq!(w.params.bitrate_bps, 9_000_000);
     }
 }

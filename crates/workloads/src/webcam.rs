@@ -157,10 +157,6 @@ impl Workload for WebcamStream {
     fn name(&self) -> &'static str {
         self.name
     }
-
-    fn nominal_rate_mbps(&self) -> f64 {
-        self.params.bitrate_bps as f64 / 1e6
-    }
 }
 
 #[cfg(test)]
