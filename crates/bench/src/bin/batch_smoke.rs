@@ -1,7 +1,7 @@
 //! CI smoke check for the batched verification plane: bounded iteration
 //! counts, no stored baselines. Exercises the batched RSA verification
-//! path, checks the batched results bit-for-bit against the scalar path,
-//! and prints the measured speedups; checks the CRT private-key
+//! path, checks the batched results bit-for-bit against one check at a
+//! time and against the scalar path, and prints the measured speedups; checks the CRT private-key
 //! operation against plain exponentiation. Exits nonzero on any mismatch.
 
 use std::time::Instant;
@@ -14,8 +14,10 @@ use tlc_core::verify::{verify_poc, verify_poc_batch};
 use tlc_crypto::pkcs1::{self, VerifyRequest};
 use tlc_crypto::{sha256, BigUint, KeyPair};
 
-/// Signature-level check: `verify_batch` vs scalar `verify_prehashed`,
-/// returning (scalar ns/op, batch ns/op at batch size 128).
+/// Signature-level check: `verify_batch` vs `verify_prehashed` one
+/// signature at a time (the one-lane kernel on an IFMA + VL host, scalar
+/// elsewhere), returning (one-at-a-time ns/op, batch ns/op at batch size
+/// 128).
 fn signature_level(iters: usize) -> (f64, f64) {
     let kp = KeyPair::generate_for_seed(1024, 0x57_0CE).expect("keygen");
     let msgs: Vec<Vec<u8>> = (0..128usize)
@@ -35,8 +37,8 @@ fn signature_level(iters: usize) -> (f64, f64) {
         })
         .collect();
 
-    // Correctness before speed: batched == scalar on every element,
-    // including a corrupted one.
+    // Correctness before speed: batched == alone == scalar on every
+    // element, including a corrupted one.
     let mut bad_sig = sigs[5].clone();
     bad_sig[17] ^= 0x08;
     let mut check_reqs: Vec<VerifyRequest<'_>> = msgs
@@ -51,11 +53,17 @@ fn signature_level(iters: usize) -> (f64, f64) {
     check_reqs[5].signature = &bad_sig;
     let batch = pkcs1::verify_batch(&check_reqs);
     for (i, r) in batch.iter().enumerate() {
-        let scalar = pkcs1::verify_prehashed(
+        let alone = pkcs1::verify_prehashed(
             check_reqs[i].key,
             &check_reqs[i].digest,
             check_reqs[i].signature,
         );
+        let scalar = pkcs1::verify_prehashed_scalar(
+            check_reqs[i].key,
+            &check_reqs[i].digest,
+            check_reqs[i].signature,
+        );
+        assert_eq!(*r, alone, "batch/alone divergence at element {i}");
         assert_eq!(*r, scalar, "batch/scalar divergence at element {i}");
     }
     assert!(batch[5].is_err(), "corrupted signature must fail");
@@ -67,7 +75,7 @@ fn signature_level(iters: usize) -> (f64, f64) {
             pkcs1::verify_prehashed(r.key, &r.digest, r.signature).expect("valid");
         }
     }
-    let scalar_ns = t0.elapsed().as_nanos() as f64 / (iters * reqs.len()) as f64;
+    let alone_ns = t0.elapsed().as_nanos() as f64 / (iters * reqs.len()) as f64;
 
     let t0 = Instant::now();
     for _ in 0..iters {
@@ -75,7 +83,7 @@ fn signature_level(iters: usize) -> (f64, f64) {
         assert!(out.iter().all(|r| r.is_ok()));
     }
     let batch_ns = t0.elapsed().as_nanos() as f64 / (iters * reqs.len()) as f64;
-    (scalar_ns, batch_ns)
+    (alone_ns, batch_ns)
 }
 
 fn negotiate(n: usize, ek: &KeyPair, ok: &KeyPair, plan: &DataPlan) -> Vec<PocMsg> {
@@ -227,25 +235,27 @@ fn main() {
     // kernel, but only the ones named here were actually run.
     let probe = KeyPair::generate_for_seed(1024, 0x57_0CE).expect("keygen");
     let sign_kernel = probe.private.sign_kernel();
+    let ctx = probe.public.mont_ctx();
     println!(
-        "kernels: sign {sign_kernel}, batch {}, sha256 {}, batch sha256 {}",
-        probe.public.mont_ctx().map_or("none", |c| c.batch_kernel()),
+        "kernels: sign {sign_kernel}, batch {}, lone check {}, sha256 {}, batch sha256 {}",
+        ctx.map_or("none", |c| c.batch_kernel()),
+        ctx.map_or("none", |c| c.lone_kernel()),
         sha256::kernel(),
         sha256::batch_kernel()
     );
     sign_level(&probe);
     hash_level();
 
-    let (scalar_ns, batch_ns) = signature_level(8);
+    let (alone_ns, batch_ns) = signature_level(8);
     println!(
-        "signature level: scalar {scalar_ns:.0} ns/verify, batched {batch_ns:.0} ns/verify, speedup {:.2}x",
-        scalar_ns / batch_ns
+        "signature level: one at a time {alone_ns:.0} ns/verify, batched {batch_ns:.0} ns/verify, speedup {:.2}x",
+        alone_ns / batch_ns
     );
     // Without the IFMA lanes a batch is the scalar path per signature:
     // the two sides run the same code and only the results are compared.
     let lanes = tlc_crypto::ifma::available();
     assert!(
-        !lanes || batch_ns < scalar_ns,
+        !lanes || batch_ns < alone_ns,
         "batched path must not be slower"
     );
 

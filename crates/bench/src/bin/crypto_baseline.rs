@@ -24,7 +24,9 @@
 //! negotiator pays, where every message is new; that figure is kept as
 //! `rsa1024_sign_fixed_msg_ns`. The IFMA signing lanes run one operation
 //! sequence whatever the message, so there the two rows read alike;
-//! `sign_kernel` says which kernel the file was recorded on.
+//! `sign_kernel` says which kernel the file was recorded on. The verify
+//! row is one `pkcs1::verify`, a lone check: `lone_kernel` names its
+//! kernel.
 
 use std::time::Instant;
 use tlc_bench::distinct_messages;
@@ -156,6 +158,7 @@ fn main() {
     // distinct signatures.
     let sign_kernel = kp.private.sign_kernel();
     let batch_kernel = MontgomeryCtx::new(&ek.public.n).batch_kernel();
+    let lone_kernel = MontgomeryCtx::new(&ek.public.n).lone_kernel();
     let sha256_kernel = sha256::kernel();
     let sha256_batch_kernel = sha256::batch_kernel();
     let mut batch_rows = Vec::new();
@@ -221,6 +224,7 @@ fn main() {
     println!("  \"paper_pocs_per_hour\": 230000,");
     println!("  \"sign_kernel\": \"{sign_kernel}\",");
     println!("  \"batch_kernel\": \"{batch_kernel}\",");
+    println!("  \"lone_kernel\": \"{lone_kernel}\",");
     println!("  \"sha256_kernel\": \"{sha256_kernel}\",");
     println!("  \"sha256_batch_kernel\": \"{sha256_batch_kernel}\",");
     println!("  \"poc_verify_batched\": {{");

@@ -129,17 +129,10 @@ fn get_signature(r: &mut Reader<'_>) -> Result<Vec<u8>, MessageError> {
     get_prefixed(r, "truncated signature header", "truncated signature").map(<[u8]>::to_vec)
 }
 
-/// Checks one signature over `body` as a batch of one: on an IFMA host
-/// it rides the verification lanes like a batch's.
+/// Checks one signature over `body`: on an IFMA host, one one-lane
+/// kernel call on the signature's digits.
 fn verify_one(key: &PublicKey, body: &[u8], signature: &[u8]) -> Result<(), MessageError> {
-    let req = pkcs1::VerifyRequest {
-        key,
-        digest: sha256::digest(body),
-        signature,
-    };
-    pkcs1::verify_batch(&[req])
-        .pop()
-        .unwrap_or(Err(CryptoError::Internal))?;
+    pkcs1::verify_prehashed(key, &sha256::digest(body), signature)?;
     Ok(())
 }
 

@@ -30,14 +30,23 @@
 //!
 //! # Constant-time posture (ROADMAP audit)
 //!
-//! These kernels are **deliberately not constant time**:
+//! What still varies with secret data depends on the route a private-key
+//! operation takes.
+//!
+//! **The scalar route** — every key on a host without AVX-512 IFMA + VL,
+//! and every key that is not RSA-1024 anywhere — is **deliberately not
+//! constant time**:
 //!
 //! * the final REDC step uses a *conditional* subtraction
 //!   (`if t >= n { t -= n }`) whose branch depends on intermediate values;
 //! * the short-exponent binary ladder and the sliding-window scan in
-//!   [`MontgomeryCtx::modpow`] branch on exponent bits;
+//!   [`MontgomeryCtx::modpow`] branch on exponent bits, and the window
+//!   table is indexed by them;
 //! * the carry-propagation tails in the separated-REDC squaring path run
-//!   a data-dependent number of iterations.
+//!   a data-dependent number of iterations;
+//! * `PrivateKey::raw_decrypt`'s two `rem`s before the exponentiations
+//!   and Garner's recombination after them are variable-time `BigUint`
+//!   code.
 //!
 //! This is an explicit non-goal for this reproduction, not an oversight.
 //! Private-key operations execute inside the charging parties' own
@@ -50,45 +59,47 @@
 //! final subtraction, constant-trip carry loops); see DESIGN.md §8 for
 //! the deployment note.
 //!
-//! [`modpow_pair`] is the one route to the IFMA signing ladder: two
-//! exponentiations under 512-bit moduli ride one ladder pass on a CPU
-//! with AVX-512 IFMA + VL, and are two scalar `modpow`s anywhere else.
-//! `PrivateKey::raw_decrypt` sends its CRT halves through it, and
-//! `prime::generate_prime` its Miller–Rabin witnesses, two at a time.
+//! **The IFMA signing route** ([`crate::ifma`]; an RSA-1024 key on a CPU
+//! with AVX-512 IFMA + VL) is one kernel call per signature, from the
+//! EM's radix-2^52 digits to the signature's:
 //!
-//! **Private-key operations on the IFMA signing lanes**
-//! ([`crate::ifma`], taken by `PrivateKey::raw_decrypt` when both CRT
-//! primes are 8 limbs and the CPU has AVX-512 IFMA + VL) change part of
-//! this and only part:
-//!
-//! * *What changed.* Neither the sequence of operations nor the
-//!   addresses read follow the exponent's bits: a Montgomery ladder
-//!   walks all 512 bits whatever `dp` and `dq` are, one AMM per bit for
-//!   both halves, and picks each step's operands from registers with
-//!   masked blends whose masks are arithmetic on the bits — no table, no
-//!   branch on a bit, no data-dependent branch inside a multiplication
-//!   (carries stay in redundant containers).
-//! * *What did not.* Copying each exponent into the ladder's fixed 512
-//!   bits runs over its limb count. The closing exact reduction
-//!   (`reduce_once`) is a compare-and-subtract on the result, and the two
-//!   `rem`s before the ladder and Garner's recombination after it are the
-//!   same variable-time `BigUint` code as ever.
+//! * *Per signature, nothing in the source branches on or addresses by
+//!   secret data.* The CRT split is fixed shifts and masks; a Montgomery
+//!   ladder walks all 512 bits whatever `dp` and `dq` are, one AMM per
+//!   bit for both halves, picking each step's operands from registers
+//!   with masked blends whose masks are arithmetic on the bits — no
+//!   table, no branch on a bit, no data-dependent branch inside a
+//!   multiplication (carries stay in redundant containers); the exact
+//!   reductions are mask-selects; Garner's difference and product are
+//!   fixed loops of arithmetic; and `dp`, `dq` sit in fixed 512-bit
+//!   arrays, so no signature copies an exponent over its limb count.
+//!   (The source, not the silicon: a compiler could still emit a branch,
+//!   which is why DESIGN §8.2 records the objdump of the row loops.)
+//! * *What still varies.* Building the key's cached ladder constants
+//!   (`ifma::CrtKey`, once per key: `BigUint` `rem`s over `p`, `q` and
+//!   `qinv`), and, in debug builds only, the fault check below. The
+//!   prime search's pairs ([`modpow_pair`]) copy each `BigUint`
+//!   exponent over its limb count and leave the ladder as `BigUint`s.
 //! * *Secrets in memory.* The ladder's state (`c^k mod p`, `c^(k+1)`
-//!   and the same for `q`) and the exponent copies live on the stack
-//!   for the duration of the call and are not scrubbed afterwards,
-//!   exactly as the scalar path's heap-allocated table is not. The lane
-//!   constants cached in this context hold `p` or `q` in radix 2^52;
-//!   like [`MontgomeryCtx`] itself they implement no `Debug` and are not
-//!   scrubbed on drop (the cell is shared by every clone of the key).
-//! * *Fault check.* `raw_decrypt` re-encrypts its result under the public
-//!   key and compares with the input (the Bellcore/Lenstra CRT-fault
-//!   check) under `debug_assert!` only — every test-profile signature is
-//!   cross-checked against the public-key path, release builds pay
-//!   nothing. A deployment would make it unconditional: one scalar F4
-//!   `modpow`, ~6.5 µs.
+//!   and the same for `q`) lives on the stack for the duration of the
+//!   call and is not scrubbed afterwards, exactly as the scalar path's
+//!   heap-allocated table is not. The key's cached `CrtKey` (`p`, `q`,
+//!   `dp`, `dq`, `qinv·R mod p` in radix 2^52) is scrubbed when the last
+//!   clone of the key drops; the lane constants cached in a
+//!   [`MontgomeryCtx`] (its modulus in radix 2^52 — `p` or `q` for a
+//!   prime's context) are not. Neither implements `Debug`.
+//! * *Fault check.* The private-key operation re-encrypts its result
+//!   under the public key and compares with the input (the
+//!   Bellcore/Lenstra CRT-fault check) under `debug_assert!` only — every
+//!   test-profile signature is cross-checked against the public-key
+//!   path, release builds pay nothing. A deployment would make it
+//!   unconditional: one F4 check, ~4 µs on the one-lane kernel.
 //!
-//! On every other host or key shape signing runs the scalar
-//! sliding-window code above, to which the first list applies unchanged.
+//! [`modpow_pair`] is the router for pairs of exponentiations under two
+//! 512-bit moduli: one pass of the IFMA signing ladder on a CPU with
+//! AVX-512 IFMA + VL, two scalar `modpow`s anywhere else.
+//! `prime::generate_prime` sends its Miller–Rabin witnesses through it,
+//! two at a time.
 
 use crate::bigint::BigUint;
 use crate::ifma::{from_digits52, to_digits52, Digits, F4Lane, DIGITS, IFMA_LANES};
@@ -184,6 +195,16 @@ impl MontgomeryCtx {
     pub fn batch_kernel(&self) -> &'static str {
         match (self.ifma_ctx(), crate::ifma::vl_available()) {
             (Some(_), true) => "avx512-ifma-any-key-8x512+4x256",
+            (Some(_), false) => "avx512-ifma-any-key-8x512",
+            (None, _) => "scalar-per-base",
+        }
+    }
+
+    /// Human-readable name of the kernel a lone F4 exponentiation under
+    /// this modulus — one signature checked alone — runs on, on this host.
+    pub fn lone_kernel(&self) -> &'static str {
+        match (self.ifma_ctx(), crate::ifma::vl_available()) {
+            (Some(_), true) => "avx512-ifma-one-lane-5x256",
             (Some(_), false) => "avx512-ifma-any-key-8x512",
             (None, _) => "scalar-per-base",
         }
@@ -639,8 +660,10 @@ pub(crate) const F4: u64 = 65_537;
 /// below its modulus.
 ///
 /// Lanes fill kernel calls in the order given, [`IFMA_LANES`] to a call;
-/// the last call takes whatever is left, one lane included (a one-lane
-/// 256-bit call is cheaper than the scalar exponentiation).
+/// the last call takes whatever is left. `ifma::modpow_f4` picks each
+/// call's kernel by its live count: one lane is the one-lane kernel (its
+/// digits across five 256-bit vectors), two to four the 256-bit lanes,
+/// five to eight the 512-bit lanes (DESIGN §8.1's dispatch table).
 pub(crate) fn modpow_f4_lanes(lanes: &[F4Lane<'_>], out: &mut [Digits]) {
     debug_assert_eq!(lanes.len(), out.len());
     for (call, out) in lanes.chunks(IFMA_LANES).zip(out.chunks_mut(IFMA_LANES)) {
@@ -658,10 +681,10 @@ pub(crate) fn pair_rides_ladder(a: &MontgomeryCtx, b: &MontgomeryCtx) -> bool {
 /// Computes `base^exp mod n` for two `(context, base, exp)` lanes, each
 /// under its own modulus and exponent, bit-for-bit `modpow_with_ctx` per
 /// lane: one pass of the IFMA signing ladder where [`pair_rides_ladder`]
-/// says so, two scalar exponentiations otherwise. The one route to that
-/// ladder, for the CRT halves of `PrivateKey::raw_decrypt` and the
-/// witnesses of the prime search alike. Each base is below its modulus,
-/// each exponent at most 512 bits.
+/// says so, two scalar exponentiations otherwise. The route to that
+/// ladder for `BigUint` operands, which the prime search's witnesses
+/// take (a signature enters it on digits, from `PrivateKey`). Each base
+/// is below its modulus, each exponent at most 512 bits.
 ///
 /// Public only so the crate's equivalence tests can reach it.
 #[doc(hidden)]

@@ -21,14 +21,8 @@ const SHA256_DIGEST_INFO_PREFIX: [u8; 19] = [
     0x00, 0x04, 0x20,
 ];
 
-/// EMSA-PKCS1-v1_5 encoding of a SHA-256 digest into `em_len` bytes.
-fn emsa_encode(message: &[u8], em_len: usize) -> Result<Vec<u8>, CryptoError> {
-    emsa_encode_digest(&sha256::digest(message), em_len)
-}
-
-/// EMSA-PKCS1-v1_5 encoding of an already-computed SHA-256 digest — the
-/// second half of [`emsa_encode`], split out so batching verifiers can
-/// hash each message as it arrives and encode/compare per batch.
+/// EMSA-PKCS1-v1_5 encoding of a message's SHA-256 digest into `em_len`
+/// bytes.
 fn emsa_encode_digest(
     digest: &[u8; sha256::DIGEST_LEN],
     em_len: usize,
@@ -51,10 +45,21 @@ fn emsa_encode_digest(
 
 /// Signs `message` with RSASSA-PKCS1-v1_5/SHA-256.
 ///
-/// The returned signature is exactly `modulus_len` bytes.
+/// The returned signature is exactly `modulus_len` bytes. Under an
+/// RSA-1024 key whose private-key operations run on the IFMA lanes
+/// ([`PrivateKey::sign_kernel`]), no big integer is made: the EM is
+/// `LANE_EM_HEAD` and the digest's digits, the private-key operation
+/// one kernel call on them, and the signature bytes are written straight
+/// from its digits.
 pub fn sign(key: &PrivateKey, message: &[u8]) -> Result<Vec<u8>, CryptoError> {
     let k = key.public.modulus_len();
-    let em = emsa_encode(message, k)?;
+    let digest = sha256::digest(message);
+    if k == LANE_LEN {
+        if let Some(s) = key.raw_decrypt_digits(&lane_em(&digest)) {
+            return Ok(ifma::be_from_digits(&s).to_vec());
+        }
+    }
+    let em = emsa_encode_digest(&digest, k)?;
     let m = BigUint::from_bytes_be(&em);
     let s = key.raw_decrypt(&m)?;
     s.to_bytes_be_padded(k).ok_or(CryptoError::Internal)
@@ -70,8 +75,32 @@ pub fn verify(key: &PublicKey, message: &[u8], signature: &[u8]) -> Result<(), C
 
 /// Verifies a signature over a message whose SHA-256 digest the caller has
 /// already computed. `verify(key, msg, sig)` is exactly
-/// `verify_prehashed(key, &sha256::digest(msg), sig)`.
+/// `verify_prehashed(key, &sha256::digest(msg), sig)`, and the result is
+/// exactly that of the same request's element in [`verify_batch`].
+///
+/// Under a lane key (1024-bit, `e = 65537`) on an IFMA host the check
+/// holds no heap value: it is one one-lane kernel call on the
+/// signature's digits, compared in digits (`finish_lane`).
 pub fn verify_prehashed(
+    key: &PublicKey,
+    digest: &[u8; sha256::DIGEST_LEN],
+    signature: &[u8],
+) -> Result<(), CryptoError> {
+    match lane_ctx(key) {
+        Some(ctx) if signature.len() == LANE_LEN => {
+            let mut m = [[0; ifma::DIGITS]];
+            ifma::modpow_f4(&[(ctx, lane_base(ctx, signature)?)], &mut m);
+            finish_lane(&m[0], digest)
+        }
+        _ => verify_prehashed_scalar(key, digest, signature),
+    }
+}
+
+/// [`verify_prehashed`] on the scalar route whatever the key and host:
+/// `s^e mod n` by `BigUint` exponentiation, compared in bytes. Tests
+/// check every IFMA kernel's verdict against this one.
+#[doc(hidden)]
+pub fn verify_prehashed_scalar(
     key: &PublicKey,
     digest: &[u8; sha256::DIGEST_LEN],
     signature: &[u8],
@@ -151,15 +180,30 @@ const fn lane_em_head() -> [u8; LANE_LEN] {
     em
 }
 
+/// A lane key's EM for `digest`, in radix-2^52 digits.
+fn lane_em(digest: &[u8; sha256::DIGEST_LEN]) -> Digits {
+    let digest = ifma::digits_from_be(digest);
+    core::array::from_fn(|i| LANE_EM_HEAD[i] | digest[i])
+}
+
+/// A lane key's signature bytes (of the right length) as the kernel's
+/// base, or the scalar path's error when `s >= n`.
+fn lane_base(ctx: &IfmaCtx1024, signature: &[u8]) -> Result<Digits, CryptoError> {
+    let s = ifma::digits_from_be(signature);
+    if s.iter().rev().ge(ctx.modulus_digits().iter().rev()) {
+        return Err(CryptoError::MessageTooLarge);
+    }
+    Ok(s)
+}
+
 /// [`finish_verify`] in the lanes' digits: the expected EM is built from
 /// [`LANE_EM_HEAD`] and the digest, and compared with the kernel's exact
 /// `s^e mod n` in constant time.
 fn finish_lane(m: &Digits, digest: &[u8; sha256::DIGEST_LEN]) -> Result<(), CryptoError> {
-    let digest = ifma::digits_from_be(digest);
     let diff = m
         .iter()
-        .zip(LANE_EM_HEAD.iter().zip(&digest))
-        .fold(0, |acc, (m, (head, d))| acc | (m ^ (head | d)));
+        .zip(&lane_em(digest))
+        .fold(0, |acc, (m, em)| acc | (m ^ em));
     if diff == 0 {
         Ok(())
     } else {
@@ -203,14 +247,14 @@ pub fn verify_batch(reqs: &[VerifyRequest<'_>]) -> Vec<Result<(), CryptoError>> 
             continue;
         }
         // The scalar path rejects s >= n before exponentiating.
-        if let Some(ifma) = lane_ctx(req.key) {
-            let s = ifma::digits_from_be(req.signature);
-            if s.iter().rev().ge(ifma.modulus_digits().iter().rev()) {
-                results[i] = Err(CryptoError::MessageTooLarge);
-                continue;
+        if let Some(ctx) = lane_ctx(req.key) {
+            match lane_base(ctx, req.signature) {
+                Ok(s) => {
+                    lane_of.push(i);
+                    lanes.push((ctx, s));
+                }
+                Err(e) => results[i] = Err(e),
             }
-            lane_of.push(i);
-            lanes.push((ifma, s));
             continue;
         }
         let s = BigUint::from_bytes_be(req.signature);
@@ -334,7 +378,7 @@ mod tests {
         // 512-bit keys are big enough (64 >= 32+19+11=62); use the check
         // indirectly by encoding into a tiny em_len.
         assert!(matches!(
-            emsa_encode(b"x", 40),
+            emsa_encode_digest(&sha256::digest(b"x"), 40),
             Err(CryptoError::KeyTooSmallForDigest)
         ));
     }
@@ -364,8 +408,9 @@ mod tests {
             .collect();
         let batch = verify_batch(&reqs);
         for (i, r) in batch.iter().enumerate() {
-            let scalar = verify_prehashed(reqs[i].key, &reqs[i].digest, reqs[i].signature);
-            assert_eq!(*r, scalar, "element {i}");
+            let (key, digest, sig) = (reqs[i].key, &reqs[i].digest, reqs[i].signature);
+            assert_eq!(*r, verify_prehashed_scalar(key, digest, sig), "element {i}");
+            assert_eq!(*r, verify_prehashed(key, digest, sig), "element {i}");
             if i == 3 {
                 assert_eq!(*r, Err(CryptoError::BadSignature));
             } else {
@@ -430,11 +475,9 @@ mod tests {
         assert_eq!(batch[3], Err(CryptoError::MessageTooLarge));
         assert_eq!(batch[4], Err(CryptoError::BadSignature));
         for (i, r) in batch.iter().enumerate() {
-            assert_eq!(
-                *r,
-                verify_prehashed(reqs[i].key, &reqs[i].digest, reqs[i].signature),
-                "element {i}"
-            );
+            let (key, digest, sig) = (reqs[i].key, &reqs[i].digest, reqs[i].signature);
+            assert_eq!(*r, verify_prehashed_scalar(key, digest, sig), "element {i}");
+            assert_eq!(*r, verify_prehashed(key, digest, sig), "element {i}");
         }
     }
 
@@ -461,7 +504,7 @@ mod tests {
 
     #[test]
     fn em_structure_is_canonical() {
-        let em = emsa_encode(b"abc", 128).unwrap();
+        let em = emsa_encode_digest(&sha256::digest(b"abc"), 128).unwrap();
         assert_eq!(em[0], 0x00);
         assert_eq!(em[1], 0x01);
         let sep = em.iter().skip(2).position(|&b| b == 0x00).unwrap() + 2;

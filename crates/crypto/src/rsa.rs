@@ -7,15 +7,18 @@
 //!
 //! Private-key operations use the CRT (Garner recombination) for the usual
 //! ~4x speedup, which matters for the Fig. 17 cost benchmarks. For an
-//! RSA-1024 key on a CPU with AVX-512 IFMA + VL the two half-size
-//! exponentiations run together on one vector Montgomery ladder
-//! ([`crate::ifma`]) for another ~2x; any other key or host runs them as
-//! two scalar `modpow`s. [`PrivateKey::sign_kernel`] names the route, the
-//! results are the same bytes.
+//! RSA-1024 key on a CPU with AVX-512 IFMA + VL the whole operation is
+//! one kernel call on radix-2^52 digits ([`crate::ifma`]): the CRT split,
+//! both half-size exponentiations on one vector Montgomery ladder, and
+//! Garner's recombination, for another ~2x; any other key or host runs
+//! two scalar `modpow`s and recombines in `BigUint`s.
+//! [`PrivateKey::sign_kernel`] names the route, the results are the same
+//! bytes.
 
 use crate::bigint::BigUint;
 use crate::error::CryptoError;
-use crate::montgomery::{modpow_pair, pair_rides_ladder, MontgomeryCtx};
+use crate::ifma::{self, CrtKey, Digits};
+use crate::montgomery::MontgomeryCtx;
 use crate::prime::generate_prime;
 use crate::rng::RngSource;
 use std::sync::{Arc, OnceLock};
@@ -83,6 +86,9 @@ pub struct PrivateKey {
     p_ctx: Arc<OnceLock<MontgomeryCtx>>,
     /// Cached Montgomery context for `q`.
     q_ctx: Arc<OnceLock<MontgomeryCtx>>,
+    /// Cached constants of the IFMA signing ladder for this key (`None`
+    /// once probed where it cannot run).
+    crt_key: Arc<OnceLock<Option<CrtKey>>>,
 }
 
 impl std::fmt::Debug for PrivateKey {
@@ -117,7 +123,8 @@ impl Drop for PrivateKey {
         // temporaries inside an exponentiation are *not* covered, nor
         // are the per-prime Montgomery contexts (their cells are
         // shared via `Arc` with every clone, so scrubbing them here
-        // could corrupt a live sibling).
+        // could corrupt a live sibling). The ladder constants in
+        // `crt_key` scrub themselves when the last clone drops.
         for secret in [
             &mut self.d,
             &mut self.p,
@@ -224,39 +231,69 @@ impl PrivateKey {
         self.q_ctx.get_or_init(|| MontgomeryCtx::new(&self.q))
     }
 
+    /// The IFMA signing ladder's constants for this key, built on first
+    /// use; `None` unless both primes are 512-bit and the CPU has AVX-512
+    /// IFMA + VL.
+    fn crt_key(&self) -> Option<&CrtKey> {
+        self.crt_key
+            .get_or_init(|| {
+                CrtKey::new(
+                    [self.p_ctx(), self.q_ctx()],
+                    [&self.dp, &self.dq],
+                    &self.qinv,
+                )
+            })
+            .as_ref()
+    }
+
     /// Human-readable name of the kernel this key's private-key
     /// operations run on, on this host (for benchmark reports).
     pub fn sign_kernel(&self) -> &'static str {
-        if pair_rides_ladder(self.p_ctx(), self.q_ctx()) {
+        if self.crt_key().is_some() {
             "avx512-ifma-ladder-4x256"
         } else {
             "scalar-sliding-window"
         }
     }
 
-    /// Raw private-key operation `c^d mod n` via CRT: both half-size
-    /// exponentiations through [`modpow_pair`] — one pass of the IFMA
-    /// Montgomery ladder ([`crate::ifma`]) where [`Self::sign_kernel`] says so,
-    /// otherwise one scalar sliding-window `modpow` each. Same result
-    /// either way.
+    /// `c^d mod n` for `c < n` in radix-2^52 digits, as one IFMA kernel
+    /// call (see [`Self::raw_decrypt`]); `None` when this key's
+    /// private-key operations run on the scalar route.
+    pub(crate) fn raw_decrypt_digits(&self, c: &Digits) -> Option<Digits> {
+        let s = ifma::private_op(self.crt_key()?, c);
+        debug_assert!(self.inverts(&ifma::from_digits52(&s), &ifma::from_digits52(c)));
+        Some(s)
+    }
+
+    /// Raw private-key operation `c^d mod n` via CRT: one IFMA kernel call
+    /// on digits where [`Self::sign_kernel`] says so; otherwise
+    /// `c mod p` and `c mod q`, one scalar sliding-window `modpow` each,
+    /// and Garner's recombination in `BigUint`s. Same result either way.
     pub fn raw_decrypt(&self, c: &BigUint) -> Result<BigUint, CryptoError> {
         if c.cmp_to(&self.public.n) != std::cmp::Ordering::Less {
             return Err(CryptoError::MessageTooLarge);
         }
+        if let Some(s) = self.raw_decrypt_digits(&ifma::to_digits52(&c.limbs)) {
+            return Ok(ifma::from_digits52(&s));
+        }
         // Garner: m1 = c^dp mod p, m2 = c^dq mod q,
         // h = qinv * (m1 - m2) mod p, m = m2 + h*q.
         let (cp, cq) = (c.rem(&self.p), c.rem(&self.q));
-        let [m1, m2] = modpow_pair([(self.p_ctx(), &cp, &self.dp), (self.q_ctx(), &cq, &self.dq)]);
+        let m1 = cp.modpow_with_ctx(&self.dp, self.p_ctx());
+        let m2 = cq.modpow_with_ctx(&self.dq, self.q_ctx());
         let diff = m1.sub_mod(&m2.rem(&self.p), &self.p);
         let h = self.qinv.mul_mod(&diff, &self.p);
         let m = m2.add(&h.mul(&self.q));
-        // The Bellcore/Lenstra check: a fault in either half would hand a
-        // factor of `n` to whoever sees one deterministic signature.
-        debug_assert!(
-            self.public.raw_encrypt(&m).as_ref() == Ok(c),
-            "CRT recombination does not invert under the public key"
-        );
+        debug_assert!(self.inverts(&m, c));
         Ok(m)
+    }
+
+    /// The Bellcore/Lenstra check, run on every private-key operation of
+    /// a debug build: `m` re-encrypts to `c`. A fault in either CRT half
+    /// would hand a factor of `n` to whoever sees one deterministic
+    /// signature.
+    fn inverts(&self, m: &BigUint, c: &BigUint) -> bool {
+        self.public.raw_encrypt(m).as_ref() == Ok(c)
     }
 }
 
@@ -315,6 +352,7 @@ impl KeyPair {
                     qinv,
                     p_ctx: Arc::default(),
                     q_ctx: Arc::default(),
+                    crt_key: Arc::default(),
                 },
             });
         }

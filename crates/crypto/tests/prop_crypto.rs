@@ -323,8 +323,8 @@ fn factored_keys() -> &'static [Factored] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The CRT private-key operation — both halves through one IFMA
-    /// ladder, or two scalar `modpow`s — is `c^d mod n` for random `c`
+    /// The CRT private-key operation — one IFMA kernel call on digits,
+    /// or two scalar `modpow`s — is `c^d mod n` for random `c`
     /// and for the inputs a half-size ladder could get wrong alone: 0, 1,
     /// `n - 1`, and multiples of one prime, whose CRT half is zero.
     #[test]
@@ -360,7 +360,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Batched verification is element-for-element identical to calling
-    /// the sequential verifier on each request, across random batch
+    /// the sequential verifier, and its scalar route, on each request,
+    /// across random batch
     /// sizes, corrupted/truncated signatures, and batches mixing two
     /// keys (so the lane kernels see multi-key grouping).
     #[test]
@@ -401,7 +402,9 @@ proptest! {
         prop_assert_eq!(batched.len(), n);
         for (i, req) in reqs.iter().enumerate() {
             let sequential = pkcs1::verify_prehashed(req.key, &req.digest, req.signature);
+            let scalar = pkcs1::verify_prehashed_scalar(req.key, &req.digest, req.signature);
             prop_assert_eq!(&batched[i], &sequential, "element {}", i);
+            prop_assert_eq!(&batched[i], &scalar, "element {}", i);
             if corrupt[i] == 0 {
                 prop_assert!(batched[i].is_ok(), "untouched element {} rejected", i);
             } else {
@@ -465,7 +468,8 @@ proptest! {
     /// Whatever arrives — 1 to 17 requests over 1 to 4 of the pool's
     /// keys in any interleaving, some with a flipped bit, a wrong length
     /// or `s >= n` — element `i` of the batch is exactly
-    /// `verify_prehashed(reqs[i])`, and a bad element fails alone.
+    /// `verify_prehashed(reqs[i])` and its scalar route
+    /// `verify_prehashed_scalar(reqs[i])`, and a bad element fails alone.
     #[test]
     fn any_key_batch_matches_scalar_elementwise(
         n in 1usize..=POOL_MSGS,
@@ -502,7 +506,9 @@ proptest! {
         let batched = pkcs1::verify_batch(&reqs);
         prop_assert_eq!(batched.len(), n);
         for (i, req) in reqs.iter().enumerate() {
-            let scalar = pkcs1::verify_prehashed(req.key, &req.digest, req.signature);
+            let alone = pkcs1::verify_prehashed(req.key, &req.digest, req.signature);
+            let scalar = pkcs1::verify_prehashed_scalar(req.key, &req.digest, req.signature);
+            prop_assert_eq!(&batched[i], &alone, "element {}", i);
             prop_assert_eq!(&batched[i], &scalar, "element {}", i);
             let untouched = !(1..=3).contains(&corrupt[i]);
             prop_assert_eq!(batched[i].is_ok(), untouched && key_of(i).verifies, "element {}", i);
@@ -550,5 +556,181 @@ proptest! {
             prop_assert_eq!(got[i], sha256::digest(msg), "message {} of {}", i, msgs.len());
             prop_assert_eq!(got[i], sha256::digest_portable(msg), "message {} of {}", i, msgs.len());
         }
+    }
+}
+
+/// The kernels this host runs, printed first by CI's crypto step: a
+/// runner without AVX-512 IFMA shows as a scalar-only pass, not a silent
+/// one.
+#[test]
+fn kernels_on_this_host() {
+    let kp = &cached_keys().0;
+    let ctx = kp.public.mont_ctx().expect("odd modulus");
+    eprintln!(
+        "kernels: sign {}, batch {}, lone check {}",
+        kp.private.sign_kernel(),
+        ctx.batch_kernel(),
+        ctx.lone_kernel()
+    );
+}
+
+/// The CRT private-key operation as the scalar route computes it, from
+/// the factors alone: `d` from Carmichael's `λ` as keygen derives it,
+/// one scalar `modpow` per half, Garner in `BigUint`s.
+fn scalar_crt(f: &Factored, c: &BigUint) -> BigUint {
+    use tlc_crypto::montgomery::MontgomeryCtx;
+    let Factored { kp, p, q } = f;
+    let one = BigUint::one();
+    let (p1, q1) = (p.sub(&one), q.sub(&one));
+    let lambda = p1.mul(&q1).div_rem(&p1.gcd(&q1)).0;
+    let d = kp.public.e.modinv(&lambda).expect("e is a unit mod lambda");
+    let m1 = c
+        .rem(p)
+        .modpow_with_ctx(&d.rem(&p1), &MontgomeryCtx::new(p));
+    let m2 = c
+        .rem(q)
+        .modpow_with_ctx(&d.rem(&q1), &MontgomeryCtx::new(q));
+    let qinv = q.modinv(p).expect("distinct primes");
+    let h = qinv.mul_mod(&m1.sub_mod(&m2.rem(p), p), p);
+    m2.add(&h.mul(q))
+}
+
+/// The EMSA-PKCS1-v1_5 encoding of `digest` for a 1024-bit key.
+fn em_1024(digest: &[u8; 32]) -> BigUint {
+    const PREFIX: [u8; 19] = [
+        0x30, 0x31, 0x30, 0x0d, 0x06, 0x09, 0x60, 0x86, 0x48, 0x01, 0x65, 0x03, 0x04, 0x02, 0x01,
+        0x05, 0x00, 0x04, 0x20,
+    ];
+    let mut em = vec![0x00, 0x01];
+    em.resize(128 - PREFIX.len() - digest.len() - 1, 0xff);
+    em.push(0x00);
+    em.extend_from_slice(&PREFIX);
+    em.extend_from_slice(digest);
+    big(&em)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One signature as one kernel call (`pkcs1::sign`, and
+    /// `raw_decrypt` on an IFMA host) is the scalar CRT route and
+    /// `raw_decrypt_no_crt`: on the EM of a random message under the
+    /// seeded RSA-1024 keys, and on the inputs its split and Garner step
+    /// could get wrong — 0, 1, p, q, n − 1, multiples of p, and inputs
+    /// whose halves come out `m1 < m2` and `m1 > m2` (powers of
+    /// `s = k·p + 1` and `s = k·q + 1`), and `m2 > m1 + p` under the key
+    /// whose `q` is the larger prime.
+    #[test]
+    fn one_call_private_op_is_the_scalar_crt(
+        key in 0usize..2,
+        msg in proptest::collection::vec(any::<u8>(), 0..200),
+        k in 1u64..=u64::MAX,
+    ) {
+        let f = &factored_keys()[key];
+        let Factored { kp, p, q } = f;
+        let n = &kp.public.n;
+        let digest = tlc_crypto::sha256::digest(&msg);
+        let em = em_1024(&digest);
+        let sig = pkcs1::sign(&kp.private, &msg).unwrap();
+        prop_assert_eq!(big(&sig), scalar_crt(f, &em));
+        prop_assert_eq!(sig.len(), 128);
+
+        let k = BigUint::from_u64(k);
+        let one = BigUint::one();
+        let below_p = p.mul(&k).add(&one).rem(n);
+        let below_q = q.mul(&k).add(&one).rem(n);
+        // s ≡ 1 mod p and s ≡ q − 1 mod q: under a key with q > p the
+        // halves come out m2 > m1 + p, Garner's widest difference.
+        let qinv = q.modinv(p).expect("distinct primes");
+        let far = q.sub(&one).add(&q.mul(&qinv.mul_mod(&one.sub_mod(&q.sub(&one).rem(p), p), p)));
+        let inputs = [
+            em,
+            BigUint::zero(),
+            one.clone(),
+            p.clone(),
+            q.clone(),
+            n.sub(&one),
+            p.mul(&k).rem(n),
+            p.mul(&BigUint::from_u64(2)),
+            kp.public.raw_encrypt(&below_p).unwrap(),
+            kp.public.raw_encrypt(&below_q).unwrap(),
+            kp.public.raw_encrypt(&far).unwrap(),
+        ];
+        for c in &inputs {
+            let got = kp.private.raw_decrypt(c).unwrap();
+            prop_assert_eq!(&got, &scalar_crt(f, c), "c = {:?}", c);
+            prop_assert_eq!(&got, &kp.private.raw_decrypt_no_crt(c).unwrap(), "c = {:?}", c);
+        }
+        prop_assert_eq!(kp.private.raw_decrypt(&inputs[8]).unwrap(), below_p);
+        prop_assert_eq!(kp.private.raw_decrypt(&inputs[9]).unwrap(), below_q);
+        prop_assert_eq!(kp.private.raw_decrypt(&inputs[10]).unwrap(), far);
+    }
+
+    /// A lone F4 exponentiation (the one-lane kernel on an IFMA host) is
+    /// the same base's result in a batch of 2–4 (the 256-bit lanes) and
+    /// of 5–8 (the 512-bit lanes), and the scalar `modpow`: on random
+    /// bases, 0, 1, n − 1, and `2^1024 − 1` (reduced first, as every
+    /// base at or above `n` is).
+    #[test]
+    fn lone_f4_is_the_lane_kernels(
+        key in 0usize..2,
+        bytes in proptest::collection::vec(any::<u8>(), 128),
+        wide in 2usize..=8,
+    ) {
+        let kp = &factored_keys()[key].kp;
+        let n = &kp.public.n;
+        let ctx = kp.public.mont_ctx().expect("odd modulus");
+        let f4 = BigUint::from_u64(65_537);
+        let one = BigUint::one();
+        let filler = big(&bytes).rem(n);
+        for base in [big(&bytes).rem(n), BigUint::zero(), one.clone(), n.sub(&one), one.shl(1024).sub(&one)] {
+            let alone = ctx.modpow_batch(std::slice::from_ref(&base), &f4);
+            let mut batch = vec![filler.clone(); wide];
+            batch[wide / 2] = base.clone();
+            let in_batch = ctx.modpow_batch(&batch, &f4);
+            prop_assert_eq!(&alone[0], &in_batch[wide / 2], "base {:?}, batch of {}", base, wide);
+            prop_assert_eq!(&alone[0], &ctx.modpow(&base, &f4), "base {:?}", base);
+        }
+    }
+
+    /// `verify_prehashed` — the one-lane check on an IFMA host — is the
+    /// matching element of `verify_batch`, whether the request is alone
+    /// or among others, and the scalar verdict (`s ≥ n` rejected, else
+    /// `s^e mod n` by scalar `modpow` compared with the EM): on valid,
+    /// tampered, `s ≥ n` (all ones, and `n` itself) and wrong-length
+    /// signatures.
+    #[test]
+    fn verify_prehashed_is_its_batch_element(
+        msg in proptest::collection::vec(any::<u8>(), 0..100),
+        flip in any::<u8>(),
+        kind in 0u8..5,
+    ) {
+        let (ka, kb) = cached_keys();
+        let digest = tlc_crypto::sha256::digest(&msg);
+        let mut sig = pkcs1::sign(&ka.private, &msg).unwrap();
+        match kind {
+            1 => sig[flip as usize % 128] ^= 1 << (flip % 8),
+            2 => sig.fill(0xff),
+            3 => sig = ka.public.n.to_bytes_be_padded(128).unwrap(),
+            4 => sig.truncate(flip as usize % 128),
+            _ => {}
+        }
+        let other = pkcs1::sign(&kb.private, &msg).unwrap();
+        let req = |key, signature| pkcs1::VerifyRequest { key, digest, signature };
+        let alone = pkcs1::verify_prehashed(&ka.public, &digest, &sig);
+        prop_assert_eq!(&alone, &pkcs1::verify_batch(&[req(&ka.public, &sig)])[0]);
+        let among = pkcs1::verify_batch(&[req(&kb.public, &other), req(&ka.public, &sig), req(&kb.public, &other)]);
+        prop_assert_eq!(&alone, &among[1]);
+        prop_assert_eq!(&among[0], &Ok(()));
+        let scalar = if sig.len() != 128 {
+            Err(tlc_crypto::CryptoError::SignatureLength { expected: 128, got: sig.len() })
+        } else if big(&sig).cmp_to(&ka.public.n).is_ge() {
+            Err(tlc_crypto::CryptoError::MessageTooLarge)
+        } else {
+            let m = big(&sig).modpow_with_ctx(&ka.public.e, ka.public.mont_ctx().unwrap());
+            if m == em_1024(&digest) { Ok(()) } else { Err(tlc_crypto::CryptoError::BadSignature) }
+        };
+        prop_assert_eq!(&alone, &scalar);
+        prop_assert_eq!(alone.is_ok(), kind == 0);
     }
 }
