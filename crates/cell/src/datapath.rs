@@ -30,6 +30,9 @@ use tlc_net::radio::{RadioTimeline, RLF_DETACH};
 use tlc_net::rng::SimRng;
 use tlc_net::time::{SimDuration, SimTime};
 
+/// One-way air latency.
+const RADIO_LATENCY: SimDuration = SimDuration::from_millis(10);
+
 /// Static datapath configuration.
 #[derive(Clone, Debug)]
 pub struct DatapathConfig {
@@ -37,14 +40,10 @@ pub struct DatapathConfig {
     pub ul_capacity_bps: u64,
     /// Downlink air-interface capacity in bits/second.
     pub dl_capacity_bps: u64,
-    /// One-way air latency.
-    pub radio_latency: SimDuration,
     /// Device-side uplink buffer.
     pub device_buffer_bytes: u64,
     /// Base-station downlink buffer (per device).
     pub bs_buffer_bytes: u64,
-    /// Backhaul (small cell ↔ core/server) link parameters.
-    pub backhaul: LinkParams,
     /// Residual air-interface loss as a function of signal strength.
     pub rss_loss: RssDrivenLoss,
     /// Optional bursty (Gilbert–Elliott) fading loss layered on top of
@@ -74,10 +73,8 @@ impl Default for DatapathConfig {
             // 100-160 Mbps background sweep saturates the cell (Fig. 3).
             ul_capacity_bps: 75_000_000,
             dl_capacity_bps: 110_000_000,
-            radio_latency: SimDuration::from_millis(10),
             device_buffer_bytes: 512 * 1024,
             bs_buffer_bytes: 1024 * 1024,
-            backhaul: LinkParams::gigabit_backhaul(),
             rss_loss: RssDrivenLoss::paper_default(),
             bursty_fading: None,
             rrc_inactivity: crate::rrc::DEFAULT_INACTIVITY,
@@ -349,20 +346,20 @@ impl Datapath {
         Datapath {
             ul_radio: RadioLink::new(
                 cfg.ul_capacity_bps,
-                cfg.radio_latency,
+                RADIO_LATENCY,
                 cfg.device_buffer_bytes,
                 cfg.fair_queueing,
                 cfg.enforce_sla_delay_budget,
             ),
             dl_radio: RadioLink::new(
                 cfg.dl_capacity_bps,
-                cfg.radio_latency,
+                RADIO_LATENCY,
                 cfg.bs_buffer_bytes,
                 cfg.fair_queueing,
                 cfg.enforce_sla_delay_budget,
             ),
-            ul_backhaul: Link::new(cfg.backhaul),
-            dl_backhaul: Link::new(cfg.backhaul),
+            ul_backhaul: Link::new(LinkParams::gigabit_backhaul()),
+            dl_backhaul: Link::new(LinkParams::gigabit_backhaul()),
             rrc: RrcMonitor::new(cfg.rrc_inactivity).with_periodic(cfg.rrc_periodic_check),
             cfg,
             radio,

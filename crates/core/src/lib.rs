@@ -81,8 +81,7 @@ pub use plan::{charge_for, intended_charge, ChargingCycle, DataPlan, LossWeight,
 pub use protocol::{run_negotiation, Endpoint, Message, ProtocolError, State};
 pub use roaming::{reconcile_bonded, LinkCdr, RoamingAgreement, Segment, Serving, SettlementSplit};
 pub use session::{
-    run_session_pair, FallbackReason, PairReport, Session, SessionConfig, SessionOutcome,
-    SessionStats,
+    run_session_pair, FallbackReason, PairReport, Session, SessionOutcome, SessionStats,
 };
 pub use strategy::{
     BoundViolatorStrategy, Decision, HonestStrategy, InsistStrategy, Knowledge, OptimalStrategy,

@@ -154,6 +154,9 @@ pub struct Endpoint {
     /// standing claim has not been signed: it went out inside a CDA, or
     /// nothing has been sent yet.
     last_sent_cdr: Option<CdrMsg>,
+    /// The CDA we last sent, until a CDR supersedes it. A PoC that embeds
+    /// it carries a signature we made over a CDR we already checked.
+    last_sent_cda: Option<CdaMsg>,
     /// Our standing claim for the round in progress.
     last_own_claim: Option<u64>,
     /// The peer claim our standing claim was paired against (set once we
@@ -162,36 +165,6 @@ pub struct Endpoint {
     last_peer_claim: Option<u64>,
     completed: Option<PocMsg>,
     stats: EndpointStats,
-    /// The last message consumed and the reply it produced. An exact
-    /// re-delivery (retransmission on a lossy control channel) re-emits
-    /// the cached reply instead of erroring — without advancing state or
-    /// overhead counters, so retries are free on the protocol ledger.
-    last_rx: LastRx,
-}
-
-/// Retransmission cache for [`Endpoint::handle`].
-///
-/// The proof-bearing paths are stored *symbolically* against
-/// [`Endpoint::completed`] rather than as owned copies, so accepting a
-/// CDA or consuming a PoC never clones the (large, signature-laden)
-/// proof a second time just to arm the duplicate-delivery cache. The
-/// owned clones are re-derived only on an actual retransmission, which
-/// is the rare path.
-// One cache lives inline per endpoint (as the old tuple field did);
-// boxing the `Msg` variant would put a heap hop on every non-completion
-// `handle` call to save bytes that were always resident anyway.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug)]
-enum LastRx {
-    /// Nothing consumed yet.
-    None,
-    /// Ordinary cached `(message, reply)` pair.
-    Msg(Message, Option<Message>),
-    /// Last consumed message was the CDA now embedded in `completed`;
-    /// the reply owed on retransmission is the stored PoC itself.
-    AcceptedCda,
-    /// Last consumed message was the stored PoC; no reply owed.
-    ConsumedPoc,
 }
 
 impl Endpoint {
@@ -221,11 +194,11 @@ impl Endpoint {
             round: 0,
             max_rounds,
             last_sent_cdr: None,
+            last_sent_cda: None,
             last_own_claim: None,
             last_peer_claim: None,
             completed: None,
             stats: EndpointStats::default(),
-            last_rx: LastRx::None,
         }
     }
 
@@ -265,6 +238,7 @@ impl Endpoint {
         self.stats.signatures_made += 1;
         self.note_sent(cdr.encode().len());
         self.last_sent_cdr = Some(cdr.clone());
+        self.last_sent_cda = None;
         self.last_own_claim = Some(claim);
         self.last_peer_claim = None;
         Ok(cdr)
@@ -301,42 +275,14 @@ impl Endpoint {
     ///
     /// `Ok(None)` means the negotiation just completed on our side with no
     /// further message owed (only happens on receiving a valid PoC).
+    /// Every message is consumed as new: re-deliveries and stale frames
+    /// are [`Session`](crate::session::Session)'s to filter.
     pub fn handle(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
-        // Idempotent duplicate consumption: an exact re-delivery of the
-        // last message (a retransmission) re-emits the previous reply
-        // without re-running the state machine.
-        match &self.last_rx {
-            LastRx::Msg(seen, reply) if seen == msg => return Ok(reply.clone()),
-            LastRx::AcceptedCda => {
-                if let (Message::Cda(cda), Some(poc)) = (msg, &self.completed) {
-                    if poc.cda == *cda {
-                        return Ok(Some(Message::Poc(poc.clone())));
-                    }
-                }
-            }
-            LastRx::ConsumedPoc => {
-                if let (Message::Poc(rx), Some(poc)) = (msg, &self.completed) {
-                    if rx == poc {
-                        return Ok(None);
-                    }
-                }
-            }
-            _ => {}
-        }
-        let reply = match msg {
+        match msg {
             Message::Cdr(cdr) => self.on_cdr(cdr),
             Message::Cda(cda) => self.on_cda(cda),
             Message::Poc(poc) => self.on_poc(poc),
-        }?;
-        self.last_rx = match (msg, &reply) {
-            // The completion paths just stored the proof in `completed`;
-            // arm the cache by reference instead of cloning the PoC (and
-            // its three signatures) all over again.
-            (Message::Cda(_), Some(Message::Poc(_))) => LastRx::AcceptedCda,
-            (Message::Poc(_), None) => LastRx::ConsumedPoc,
-            _ => LastRx::Msg(msg.clone(), reply.clone()),
-        };
-        Ok(reply)
+        }
     }
 
     fn on_cdr(&mut self, cdr: &CdrMsg) -> Result<Option<Message>, ProtocolError> {
@@ -383,6 +329,7 @@ impl Endpoint {
             )?;
             self.stats.signatures_made += 1;
             self.note_sent(cda.encode().len());
+            self.last_sent_cda = Some(cda.clone());
             self.state = State::SentCda;
             Ok(Some(Message::Cda(cda)))
         } else {
@@ -472,14 +419,10 @@ impl Endpoint {
             Role::Edge => (&self.own_key.public, &self.peer_key),
             Role::Operator => (&self.peer_key, &self.own_key.public),
         };
-        // A PoC built on the CDA we sent (still held by the
-        // retransmission cache) embeds a signature we made over a CDR
-        // that already passed `on_cdr`: only the PoC's own signature is
-        // new. Any other CDA gets the full chain.
-        let on_our_cda = matches!(
-            &self.last_rx,
-            LastRx::Msg(_, Some(Message::Cda(sent))) if *sent == poc.cda
-        );
+        // A PoC built on the CDA we sent embeds a signature we made over
+        // a CDR that already passed `on_cdr`: only the PoC's own
+        // signature is new. Any other CDA gets the full chain.
+        let on_our_cda = self.last_sent_cda.as_ref() == Some(&poc.cda);
         if on_our_cda {
             poc.verify_outer(edge_key, op_key)?;
             self.stats.signatures_checked += 1;
@@ -555,11 +498,11 @@ impl Endpoint {
             bounds: self.bounds,
             round: self.round,
             last_sent_cdr: self.last_sent_cdr.clone(),
+            last_sent_cda: self.last_sent_cda.clone(),
             last_own_claim: self.last_own_claim,
             last_peer_claim: self.last_peer_claim,
             completed: self.completed.clone(),
             stats: self.stats,
-            last_rx: self.last_rx.clone(),
         }
     }
 
@@ -591,11 +534,11 @@ impl Endpoint {
             round: snapshot.round,
             max_rounds,
             last_sent_cdr: snapshot.last_sent_cdr,
+            last_sent_cda: snapshot.last_sent_cda,
             last_own_claim: snapshot.last_own_claim,
             last_peer_claim: snapshot.last_peer_claim,
             completed: snapshot.completed,
             stats: snapshot.stats,
-            last_rx: snapshot.last_rx,
         }
     }
 }
@@ -610,11 +553,11 @@ pub struct EndpointSnapshot {
     bounds: Bounds,
     round: u32,
     last_sent_cdr: Option<CdrMsg>,
+    last_sent_cda: Option<CdaMsg>,
     last_own_claim: Option<u64>,
     last_peer_claim: Option<u64>,
     completed: Option<PocMsg>,
     stats: EndpointStats,
-    last_rx: LastRx,
 }
 
 /// Runs a full negotiation between two endpoints in memory, shuttling
@@ -735,38 +678,6 @@ mod tests {
         assert_eq!(edge.state(), State::Done);
         assert_eq!(op.state(), State::Done);
         // Both stored the same proof.
-        assert_eq!(edge.proof().unwrap(), op.proof().unwrap());
-    }
-
-    #[test]
-    fn duplicate_deliveries_are_idempotent() {
-        let (mut edge, mut op) = setup(
-            Box::new(OptimalStrategy),
-            Box::new(OptimalStrategy),
-            1000,
-            800,
-        );
-        let cdr = op.initiate().unwrap();
-        let cda = edge.handle(&cdr).unwrap().unwrap();
-        // Retransmitted CDR: the edge re-emits the same CDA without
-        // advancing state or counters.
-        let stats_before = edge.stats();
-        let cda_again = edge.handle(&cdr).unwrap().unwrap();
-        assert_eq!(cda, cda_again);
-        assert_eq!(edge.stats().msgs_sent, stats_before.msgs_sent);
-        assert_eq!(edge.stats().signatures_made, stats_before.signatures_made);
-        assert_eq!(edge.state(), State::SentCda);
-
-        let poc = op.handle(&cda).unwrap().unwrap();
-        // Retransmitted CDA: the operator re-emits the identical PoC.
-        let poc_again = op.handle(&cda).unwrap().unwrap();
-        assert_eq!(poc, poc_again);
-        assert_eq!(op.state(), State::Done);
-
-        // Retransmitted PoC: the edge stays Done and still owes nothing.
-        assert!(edge.handle(&poc).unwrap().is_none());
-        assert!(edge.handle(&poc).unwrap().is_none());
-        assert_eq!(edge.state(), State::Done);
         assert_eq!(edge.proof().unwrap(), op.proof().unwrap());
     }
 
@@ -1252,11 +1163,14 @@ mod tests {
         assert_ne!(old_cda, new_cda);
         // A PoC over the CDA of the rejected round: every signature in it
         // is genuine, so it is judged — as it always was — by the full
-        // chain, and accepted.
-        let before = edge.stats().signatures_checked;
-        assert!(matches!(edge.handle(&poc_over(&old_cda)), Ok(None)));
-        assert_eq!(edge.state(), State::Done);
-        assert_eq!(edge.stats().signatures_checked, before + 3);
+        // chain, and accepted. An endpoint restored from a snapshot
+        // remembers which CDA it sent and judges it the same way.
+        let mut edge2 = crash(&edge, Box::new(OptimalStrategy));
+        assert_eq!(
+            deliver_to_both(&mut edge, &mut edge2, &poc_over(&old_cda)),
+            3
+        );
+        assert_eq!(edge2.state(), State::Done);
     }
 
     /// "Crashes" `ep`: a new endpoint from its snapshot plus the

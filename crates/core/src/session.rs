@@ -11,8 +11,8 @@
 //!   number; stale and future frames are filtered before they can confuse
 //!   the protocol machine,
 //! * **idempotent duplicate handling** — a retransmitted peer frame
-//!   re-elicits our previous reply (and the endpoint itself re-emits
-//!   cached replies, see [`Endpoint::handle`]),
+//!   re-elicits our previous frame and never reaches the endpoint, so
+//!   [`Endpoint::handle`] sees each peer message once, in order,
 //! * **retransmission** — stop-and-wait with deadline timers and capped
 //!   exponential backoff (negotiation is strictly alternating, so one
 //!   outstanding frame is always enough),
@@ -50,29 +50,14 @@ const KIND_CDA: u8 = 2;
 const KIND_POC: u8 = 3;
 const KIND_ACK: u8 = 4;
 
-/// Retransmission policy for a [`Session`].
-#[derive(Clone, Copy, Debug)]
-pub struct SessionConfig {
-    /// First retransmission deadline.
-    pub initial_rto: SimDuration,
-    /// Backoff cap: the RTO doubles per retry up to this.
-    pub max_rto: SimDuration,
-    /// Retransmissions allowed per outstanding frame before the session
-    /// gives up and falls back to the legacy charge.
-    pub retry_budget: u32,
-}
-
-impl Default for SessionConfig {
-    /// 200 ms initial RTO (a cellular-edge RTT plus signing time),
-    /// capped at 3.2 s, 8 retries — ~12 s of trying before fallback.
-    fn default() -> Self {
-        SessionConfig {
-            initial_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_millis(3_200),
-            retry_budget: 8,
-        }
-    }
-}
+/// First retransmission deadline: a cellular-edge RTT plus signing time.
+const INITIAL_RTO: SimDuration = SimDuration::from_millis(200);
+/// Backoff cap: the RTO doubles per retry up to this.
+const MAX_RTO: SimDuration = SimDuration::from_millis(3_200);
+/// Retransmissions allowed per outstanding frame before the session
+/// gives up and falls back to the legacy charge — with the RTOs above,
+/// ~12 s of trying.
+const RETRY_BUDGET: u32 = 8;
 
 /// Why a session abandoned negotiation and fell back to legacy charging.
 #[derive(Debug)]
@@ -149,7 +134,6 @@ pub struct SessionSnapshot {
 /// stop-and-wait ARQ over the virtual clock.
 pub struct Session {
     endpoint: Endpoint,
-    config: SessionConfig,
     /// Sequence number of the next frame we originate.
     send_seq: u64,
     /// Sequence number we expect from the peer next.
@@ -170,17 +154,16 @@ pub struct Session {
 }
 
 impl Session {
-    /// Wraps an endpoint in a session with the given ARQ policy.
-    pub fn new(endpoint: Endpoint, config: SessionConfig) -> Self {
+    /// Wraps an endpoint in a session.
+    pub fn new(endpoint: Endpoint) -> Self {
         Session {
             endpoint,
-            config,
             send_seq: 0,
             recv_next: 0,
             last_frame: None,
             outstanding: false,
             retries: 0,
-            rto: config.initial_rto,
+            rto: INITIAL_RTO,
             next_timeout: None,
             started: false,
             tx_queue: VecDeque::new(),
@@ -223,7 +206,7 @@ impl Session {
         if now < deadline || !self.outstanding {
             return;
         }
-        if self.retries >= self.config.retry_budget {
+        if self.retries >= RETRY_BUDGET {
             // Out of retries. If we already hold a completed proof (only
             // the final delivery confirmation is missing), the signed PoC
             // is still our receipt; otherwise degrade to legacy charging.
@@ -242,7 +225,7 @@ impl Session {
         self.tx_queue.push_back(frame);
         self.stats.retransmits += 1;
         self.retries += 1;
-        self.rto = cap(self.rto + self.rto, self.config.max_rto);
+        self.rto = (self.rto + self.rto).min(MAX_RTO);
         self.next_timeout = Some(now + self.rto);
     }
 
@@ -316,7 +299,7 @@ impl Session {
     fn acked(&mut self) {
         self.outstanding = false;
         self.retries = 0;
-        self.rto = self.config.initial_rto;
+        self.rto = INITIAL_RTO;
     }
 
     fn send_message(&mut self, now: SimTime, msg: &Message) {
@@ -325,7 +308,7 @@ impl Session {
         self.last_frame = Some(frame.clone());
         self.outstanding = true;
         self.retries = 0;
-        self.rto = self.config.initial_rto;
+        self.rto = INITIAL_RTO;
         self.next_timeout = Some(now + self.rto);
         self.stats.frames_sent += 1;
         self.tx_queue.push_back(frame);
@@ -412,21 +395,15 @@ impl Session {
     /// (see [`Endpoint::restore`]). The outstanding frame, if any, is
     /// re-queued immediately and its timer re-armed, so recovery resumes
     /// the retransmission loop where the crash interrupted it.
-    pub fn restore(
-        snapshot: SessionSnapshot,
-        endpoint: Endpoint,
-        config: SessionConfig,
-        now: SimTime,
-    ) -> Self {
+    pub fn restore(snapshot: SessionSnapshot, endpoint: Endpoint, now: SimTime) -> Self {
         let mut s = Session {
             endpoint,
-            config,
             send_seq: snapshot.send_seq,
             recv_next: snapshot.recv_next,
             last_frame: snapshot.last_frame,
             outstanding: snapshot.outstanding,
             retries: 0,
-            rto: config.initial_rto,
+            rto: INITIAL_RTO,
             next_timeout: None,
             started: snapshot.started,
             tx_queue: VecDeque::new(),
@@ -446,14 +423,6 @@ impl Session {
     /// [`Endpoint::restore`]).
     pub fn endpoint_snapshot(snapshot: &SessionSnapshot) -> EndpointSnapshot {
         snapshot.endpoint.clone()
-    }
-}
-
-fn cap(d: SimDuration, max: SimDuration) -> SimDuration {
-    if d.as_micros() > max.as_micros() {
-        max
-    } else {
-        d
     }
 }
 
@@ -693,8 +662,8 @@ mod tests {
             1000,
             800,
         );
-        let mut initiator = Session::new(op, SessionConfig::default());
-        let mut responder = Session::new(edge, SessionConfig::default());
+        let mut initiator = Session::new(op);
+        let mut responder = Session::new(edge);
         let mut rng = SimRng::new(seed);
         let mut fwd = channel(loss, spec.clone(), rng.next_u64());
         let mut back = channel(loss, spec, rng.next_u64());
@@ -719,7 +688,7 @@ mod tests {
             1000,
             800,
         );
-        let mut session = Session::new(op, SessionConfig::default());
+        let mut session = Session::new(op);
         let t0 = SimTime::from_millis(0);
         session.start(t0).unwrap();
         let deadline = session.poll_timeout();
@@ -781,8 +750,8 @@ mod tests {
             1000,
             800,
         );
-        let mut initiator = Session::new(op, SessionConfig::default());
-        let mut responder = Session::new(edge, SessionConfig::default());
+        let mut initiator = Session::new(op);
+        let mut responder = Session::new(edge);
         let mut fwd = channel(0.0, FaultSpec::clean(), 1);
         let mut back = channel(0.0, FaultSpec::clean(), 2);
         let report = run_session_pair(
@@ -817,8 +786,8 @@ mod tests {
             1000,
             800,
         );
-        let mut op_sess = Session::new(op, SessionConfig::default());
-        let mut edge_sess = Session::new(edge, SessionConfig::default());
+        let mut op_sess = Session::new(op);
+        let mut edge_sess = Session::new(edge);
         let now = SimTime::from_millis(0);
 
         op_sess.start(now).unwrap();
@@ -847,8 +816,7 @@ mod tests {
             op_keys.public.clone(),
             32,
         );
-        let mut edge_sess =
-            Session::restore(snap, restored_endpoint, SessionConfig::default(), now);
+        let mut edge_sess = Session::restore(snap, restored_endpoint, now);
 
         let cda = edge_sess
             .poll_transmit()
@@ -862,6 +830,47 @@ mod tests {
         assert!(edge_sess.outcome().unwrap().is_proof());
         assert!(op_sess.outcome().unwrap().is_proof());
         assert_eq!(op_sess.outcome().unwrap().charge(), 900);
+    }
+
+    /// The session is the only duplicate filter: a duplicated in-order
+    /// frame re-elicits our last frame, a stale one is dropped, and
+    /// neither reaches the endpoint.
+    #[test]
+    fn duplicate_and_stale_frames_never_reach_the_endpoint() {
+        let (edge, op) = setup(
+            Box::new(OptimalStrategy),
+            Box::new(OptimalStrategy),
+            1000,
+            800,
+        );
+        let mut op_sess = Session::new(op);
+        let mut edge_sess = Session::new(edge);
+        let now = SimTime::from_millis(0);
+        let work = |s: &Session| {
+            let st = s.endpoint().stats();
+            (st.msgs_sent, st.signatures_made, st.signatures_checked)
+        };
+
+        op_sess.start(now).unwrap();
+        let cdr = op_sess.poll_transmit().unwrap();
+        edge_sess.on_datagram(now, &cdr);
+        let cda = edge_sess.poll_transmit().unwrap();
+        let before = work(&edge_sess);
+        edge_sess.on_datagram(now, &cdr);
+        assert_eq!(edge_sess.poll_transmit(), Some(cda.clone()));
+        assert_eq!(edge_sess.stats().duplicates_rx, 1);
+        assert_eq!(work(&edge_sess), before);
+
+        op_sess.on_datagram(now, &cda);
+        let poc = op_sess.poll_transmit().unwrap();
+        edge_sess.on_datagram(now, &poc);
+        assert!(edge_sess.poll_transmit().is_some(), "the PoC is acked");
+        let before = work(&edge_sess);
+        edge_sess.on_datagram(now, &cdr);
+        assert_eq!(edge_sess.poll_transmit(), None);
+        assert_eq!(edge_sess.stats().out_of_order_rx, 1);
+        assert_eq!(work(&edge_sess), before);
+        assert!(edge_sess.outcome().unwrap().is_proof());
     }
 
     #[test]

@@ -84,9 +84,6 @@ pub struct IngressConfig {
     pub max_conns: usize,
     /// Base retry-after hint carried in BUSY frames, milliseconds.
     pub retry_after_ms: u32,
-    /// Deficit-round-robin quantum: admission credits dealt to each
-    /// relationship lane per round while capacity is scarce.
-    pub lane_quantum: u32,
     /// Multiplier on a connection's granted window giving its verdict
     /// debt cap; submits beyond it are shed and scored as misbehavior.
     pub debt_factor: u32,
@@ -121,7 +118,6 @@ impl Default for IngressConfig {
             shed_submit_watermark: 8192,
             max_conns: 1024,
             retry_after_ms: 50,
-            lane_quantum: 64,
             debt_factor: 4,
             quarantine_threshold: 32,
             goodbye_threshold: 128,
@@ -360,6 +356,11 @@ impl IngressHandle {
     }
 }
 
+/// Deficit-round-robin quantum: admission credits dealt to each
+/// relationship lane per round while capacity is scarce, and the
+/// credits a new lane starts with.
+const LANE_QUANTUM: u32 = 64;
+
 /// Socket reads per connection per wakeup. Bounds how long one
 /// chatty peer can hold the loop; level-triggered readiness
 /// re-reports whatever is left.
@@ -479,13 +480,13 @@ fn slot_of(token: Token) -> usize {
 /// Deals `pool` admission credits across `credits`' lanes,
 /// deficit-round-robin: every lane gets the same whole number of
 /// `quantum`s, and the remainder goes out a quantum at a time (the last
-/// one possibly short) to the lanes from `cursor` on.
+/// one possibly short) to the lanes from `cursor` on. `quantum` is at
+/// least 1.
 fn deal(pool: usize, quantum: usize, credits: &mut [u32], cursor: usize) {
     let n = credits.len();
     if n == 0 {
         return;
     }
-    let quantum = quantum.max(1);
     let per_round = quantum.saturating_mul(n);
     let clamp = |share: usize| share.min(u32::MAX as usize) as u32;
     let base = (pool / per_round).saturating_mul(quantum);
@@ -1079,7 +1080,7 @@ impl Shard {
     fn lane(&mut self, rel_raw: u64) -> Option<&mut u32> {
         let k = usize::try_from(rel_raw).ok()?;
         if k >= self.credits.len() && rel_raw < self.stage.relationships().issued() {
-            self.credits.resize(k + 1, self.config.lane_quantum.max(1));
+            self.credits.resize(k + 1, LANE_QUANTUM);
         }
         self.credits.get_mut(k)
     }
@@ -1101,7 +1102,7 @@ impl Shard {
         self.rr_cursor = (self.rr_cursor + 1) % self.credits.len().max(1);
         deal(
             pool,
-            self.config.lane_quantum as usize,
+            LANE_QUANTUM as usize,
             &mut self.credits,
             self.rr_cursor,
         );

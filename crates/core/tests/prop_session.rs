@@ -10,9 +10,7 @@ use std::sync::OnceLock;
 use tlc_core::cancellation::Bounds;
 use tlc_core::plan::{intended_charge, DataPlan, UsagePair};
 use tlc_core::protocol::Endpoint;
-use tlc_core::session::{
-    run_session_pair, FallbackReason, PairReport, Session, SessionConfig, SessionOutcome,
-};
+use tlc_core::session::{run_session_pair, FallbackReason, PairReport, Session, SessionOutcome};
 use tlc_core::strategy::{
     Decision, HonestStrategy, Knowledge, OptimalStrategy, Role, Strategy as TlcStrategy,
 };
@@ -118,8 +116,8 @@ fn run_faulty_session(
         [0x00; 16],
         32,
     );
-    let mut initiator = Session::new(op, SessionConfig::default());
-    let mut responder = Session::new(edge, SessionConfig::default());
+    let mut initiator = Session::new(op);
+    let mut responder = Session::new(edge);
     let mut rng = SimRng::new(seed);
     let mut fwd = channel(loss, spec, rng.next_u64());
     let mut back = channel(loss, spec, rng.next_u64());

@@ -6,7 +6,7 @@
 
 use tlc_core::plan::DataPlan;
 use tlc_core::protocol::Endpoint;
-use tlc_core::session::{run_session_pair, Session, SessionConfig, SessionOutcome};
+use tlc_core::session::{run_session_pair, Session, SessionOutcome};
 use tlc_core::strategy::{HonestStrategy, Knowledge, OptimalStrategy, Role};
 use tlc_crypto::KeyPair;
 use tlc_net::channel::{FaultSpec, FaultyChannel};
@@ -59,8 +59,8 @@ fn thousand_sessions_at_20pct_loss_all_terminate() {
             [(i % 251) as u8 ^ 0xFF; 16],
             32,
         );
-        let mut initiator = Session::new(op, SessionConfig::default());
-        let mut responder = Session::new(edge, SessionConfig::default());
+        let mut initiator = Session::new(op);
+        let mut responder = Session::new(edge);
         let mut fwd = FaultyChannel::new(
             spec.clone(),
             Box::new(UniformLoss::new(LOSS)),

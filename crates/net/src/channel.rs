@@ -18,6 +18,13 @@ use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// One-way propagation delay applied to every frame.
+pub const BASE_DELAY: SimDuration = SimDuration::from_millis(10);
+/// Extra delay applied to reordered frames: it exceeds
+/// `BASE_DELAY + jitter` at the default jitter, so a reordered frame
+/// lands after frames sent later.
+pub const REORDER_DELAY: SimDuration = SimDuration::from_millis(80);
+
 /// Fault probabilities and delay parameters for a [`FaultyChannel`].
 #[derive(Clone, Debug)]
 pub struct FaultSpec {
@@ -28,13 +35,9 @@ pub struct FaultSpec {
     pub reorder: f64,
     /// Probability a delivered frame has one byte flipped in flight.
     pub corrupt: f64,
-    /// One-way propagation delay applied to every frame.
-    pub base_delay: SimDuration,
-    /// Uniform random extra delay in `[0, jitter]` per frame.
+    /// Uniform random extra delay in `[0, jitter]` per frame, on top of
+    /// [`BASE_DELAY`].
     pub jitter: SimDuration,
-    /// Extra delay applied to reordered frames (should exceed
-    /// `base_delay + jitter` to actually invert arrival order).
-    pub reorder_delay: SimDuration,
     /// Hard outage windows: frames sent while `start <= now < end` are
     /// silently dropped (radio partition / RLF detach).
     pub partitions: Vec<(SimTime, SimTime)>,
@@ -47,9 +50,7 @@ impl Default for FaultSpec {
             duplicate: 0.0,
             reorder: 0.0,
             corrupt: 0.0,
-            base_delay: SimDuration::from_millis(10),
             jitter: SimDuration::from_millis(2),
-            reorder_delay: SimDuration::from_millis(80),
             partitions: Vec::new(),
         }
     }
@@ -150,9 +151,9 @@ impl FaultyChannel {
             return;
         }
 
-        let mut delay = self.spec.base_delay + self.jitter_sample();
+        let mut delay = BASE_DELAY + self.jitter_sample();
         if self.spec.reorder > 0.0 && self.rng.chance(self.spec.reorder) {
-            delay = delay + self.spec.reorder_delay;
+            delay = delay + REORDER_DELAY;
             self.stats.reordered += 1;
         }
 
@@ -166,7 +167,7 @@ impl FaultyChannel {
 
         if self.spec.duplicate > 0.0 && self.rng.chance(self.spec.duplicate) {
             self.stats.duplicated += 1;
-            let dup_delay = self.spec.base_delay + self.jitter_sample();
+            let dup_delay = BASE_DELAY + self.jitter_sample();
             self.schedule(now + dup_delay, frame);
         }
     }

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use tlc_core::messages::{PocMsg, NONCE_LEN};
 use tlc_core::plan::{DataPlan, LossWeight};
 use tlc_core::protocol::{run_negotiation, Endpoint};
-use tlc_core::session::{run_session_pair, Session, SessionConfig, SessionOutcome};
+use tlc_core::session::{run_session_pair, Session, SessionOutcome};
 use tlc_core::strategy::{
     HonestStrategy, Knowledge, OptimalStrategy, RandomSelfishStrategy, Role, Strategy,
 };
@@ -286,8 +286,8 @@ fn negotiate_faulty(flags: &HashMap<String, String>, edge: Endpoint, op: Endpoin
     };
     let mut fwd = mk(&mut rng);
     let mut back = mk(&mut rng);
-    let mut initiator = Session::new(op, SessionConfig::default());
-    let mut responder = Session::new(edge, SessionConfig::default());
+    let mut initiator = Session::new(op);
+    let mut responder = Session::new(edge);
     let report = match run_session_pair(
         &mut initiator,
         &mut responder,

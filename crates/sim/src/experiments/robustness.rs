@@ -16,7 +16,7 @@ use super::RunScale;
 use tlc_core::messages::NONCE_LEN;
 use tlc_core::plan::DataPlan;
 use tlc_core::protocol::Endpoint;
-use tlc_core::session::{run_session_pair, Session, SessionConfig};
+use tlc_core::session::{run_session_pair, Session};
 use tlc_core::strategy::{Knowledge, OptimalStrategy, Role};
 use tlc_crypto::KeyPair;
 use tlc_net::channel::{FaultSpec, FaultyChannel};
@@ -98,8 +98,8 @@ fn run_one(
         nonce_o,
         32,
     );
-    let mut initiator = Session::new(op, SessionConfig::default());
-    let mut responder = Session::new(edge, SessionConfig::default());
+    let mut initiator = Session::new(op);
+    let mut responder = Session::new(edge);
     let mut rng = SimRng::new(seed);
     let mk = |rng: &mut SimRng| -> FaultyChannel {
         let model: Box<dyn tlc_net::loss::LossModel> = if loss == 0.0 {
