@@ -12,6 +12,15 @@
 //! land where the paper's Fig. 17 table puts them (199 B CDR / 398 B CDA /
 //! 796 B PoC with RSA-1024).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::plan::DataPlan;
 use crate::strategy::Role;
 use tlc_crypto::encoding::{put_u16, put_u32, put_u64, Reader};

@@ -13,6 +13,15 @@
 //! [`Endpoint::handle`] and it produces the response, updating the
 //! Algorithm-1 bounds as rounds proceed.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::cancellation::Bounds;
 use crate::messages::{CdaMsg, CdrMsg, MessageError, Nonce, PocMsg};
 use crate::plan::{charge_for, DataPlan, UsagePair};
@@ -563,6 +572,7 @@ pub struct EndpointSnapshot {
 /// Runs a full negotiation between two endpoints in memory, shuttling
 /// messages until both complete. Returns the PoC and the number of
 /// messages exchanged.
+#[expect(clippy::expect_used, reason = "loop exits only after outcome is Some")]
 pub fn run_negotiation(
     initiator: &mut Endpoint,
     responder: &mut Endpoint,
@@ -1276,14 +1286,11 @@ mod tests {
             800,
         );
         // Operator initiates with a *different* plan by tampering the CDR.
-        let msg = op.initiate().unwrap();
-        let tampered = match msg {
-            Message::Cdr(mut cdr) => {
-                cdr.plan.cycle = crate::plan::ChargingCycle::new(0, 7200);
-                Message::Cdr(cdr)
-            }
-            _ => unreachable!(),
+        let Message::Cdr(mut cdr) = op.initiate().unwrap() else {
+            panic!("the initiator opens with a CDR");
         };
+        cdr.plan.cycle = crate::plan::ChargingCycle::new(0, 7200);
+        let tampered = Message::Cdr(cdr);
         // Signature no longer matches the body (plan is signed).
         assert!(edge.handle(&tampered).is_err());
     }

@@ -52,6 +52,15 @@
 //! visited relationship it fails its signature check at any age
 //! (`tests/prop_stage.rs`).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::plan::{charge_for, DataPlan, LossWeight, UsagePair};
 
 /// Which operator served a segment of the cycle.

@@ -11,7 +11,8 @@
 //!   number; stale and future frames are filtered before they can confuse
 //!   the protocol machine,
 //! * **idempotent duplicate handling** — a retransmitted peer frame
-//!   re-elicits our previous frame and never reaches the endpoint, so
+//!   re-elicits our previous frame and is neither parsed nor handed to
+//!   the endpoint, so
 //!   [`Endpoint::handle`] sees each peer message once, in order,
 //! * **retransmission** — stop-and-wait with deadline timers and capped
 //!   exponential backoff (negotiation is strictly alternating, so one
@@ -29,6 +30,15 @@
 //! [`SimTime`] clock, exactly like the rest of the simulation substrate
 //! (DESIGN.md §7.1). [`run_session_pair`] is the canonical pump, wiring
 //! two sessions through a pair of [`FaultyChannel`]s.
+
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::legacy::{legacy_charge, LegacyOperator};
 use crate::messages::{CdaMsg, CdrMsg, PocMsg};
@@ -195,6 +205,10 @@ impl Session {
     /// Fires the retransmission timer if due: re-queues the outstanding
     /// frame with doubled (capped) RTO, or falls back to the legacy
     /// charge once the retry budget is spent.
+    #[expect(
+        clippy::expect_used,
+        reason = "timer only armed while a message is in flight"
+    )]
     pub fn handle_timeout(&mut self, now: SimTime) {
         if self.outcome.is_some() {
             self.next_timeout = None;
@@ -230,6 +244,10 @@ impl Session {
     }
 
     /// Consumes one datagram from the channel.
+    #[expect(
+        clippy::expect_used,
+        reason = "the endpoint consumed the PoC, so it holds the proof"
+    )]
     pub fn on_datagram(&mut self, now: SimTime, bytes: &[u8]) {
         if self.outcome.is_some() && !matches!(self.outcome, Some(SessionOutcome::Proof(_))) {
             // A fallen-back session no longer speaks TLC this cycle.
@@ -243,10 +261,6 @@ impl Session {
             self.on_ack(seq);
             return;
         }
-        let Some(msg) = decode_message(kind, &payload) else {
-            self.stats.corrupt_rx += 1;
-            return;
-        };
         if seq.checked_add(1) == Some(self.recv_next) {
             // Exact duplicate of the frame we last consumed: the peer
             // missed our reply — re-elicit it without touching timers.
@@ -260,6 +274,11 @@ impl Session {
             self.stats.out_of_order_rx += 1;
             return;
         }
+        // Only an in-order frame is parsed.
+        let Some(msg) = decode_message(kind, &payload) else {
+            self.stats.corrupt_rx += 1;
+            return;
+        };
 
         // In-order frame: the peer necessarily received our previous
         // frame (strict alternation), so it is implicitly acknowledged.
@@ -395,6 +414,10 @@ impl Session {
     /// (see [`Endpoint::restore`]). The outstanding frame, if any, is
     /// re-queued immediately and its timer re-armed, so recovery resumes
     /// the retransmission loop where the crash interrupted it.
+    #[expect(
+        clippy::expect_used,
+        reason = "snapshot was produced by the same serializer"
+    )]
     pub fn restore(snapshot: SessionSnapshot, endpoint: Endpoint, now: SimTime) -> Self {
         let mut s = Session {
             endpoint,
@@ -834,7 +857,7 @@ mod tests {
 
     /// The session is the only duplicate filter: a duplicated in-order
     /// frame re-elicits our last frame, a stale one is dropped, and
-    /// neither reaches the endpoint.
+    /// neither is parsed or reaches the endpoint.
     #[test]
     fn duplicate_and_stale_frames_never_reach_the_endpoint() {
         let (edge, op) = setup(
@@ -859,6 +882,14 @@ mod tests {
         edge_sess.on_datagram(now, &cdr);
         assert_eq!(edge_sess.poll_transmit(), Some(cda.clone()));
         assert_eq!(edge_sess.stats().duplicates_rx, 1);
+        assert_eq!(work(&edge_sess), before);
+        // A duplicate's seq decides before its payload is parsed: a
+        // well-checksummed frame with an unparseable body is a duplicate.
+        let cdr_seq = u64::from_be_bytes(cdr[4..12].try_into().unwrap());
+        edge_sess.on_datagram(now, &encode_frame(KIND_CDR, cdr_seq, b"not a CDR"));
+        assert_eq!(edge_sess.poll_transmit(), Some(cda.clone()));
+        assert_eq!(edge_sess.stats().duplicates_rx, 2);
+        assert_eq!(edge_sess.stats().corrupt_rx, 0);
         assert_eq!(work(&edge_sess), before);
 
         op_sess.on_datagram(now, &cda);

@@ -24,30 +24,27 @@ use tlc_net::wire::{encode_with, Frame, FrameDecoder, FrameKind, DEFAULT_MAX_PAY
 /// Read chunk for the blocking client.
 const CLIENT_READ_CHUNK: usize = 8 * 1024;
 
+/// First retry delay; doubles per attempt up to [`BACKOFF_CAP`].
+const BACKOFF_BASE: Duration = Duration::from_millis(5);
+/// Ceiling on any single retry delay.
+const BACKOFF_CAP: Duration = Duration::from_millis(500);
+/// Seed for the jitter RNG: seeded, never ambient, so a rerun retries
+/// on the same schedule.
+const BACKOFF_SEED: u64 = 0x7E1C_0FF5;
+
 /// Retry policy for overload (BUSY) handling in [`RemoteVerifier`]:
-/// capped exponential backoff with jitter from a seeded RNG, per
-/// tlc-lint's determinism rule (no ambient randomness).
+/// capped exponential backoff ([`BACKOFF_BASE`] doubling to
+/// [`BACKOFF_CAP`]) with jitter from a seeded RNG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffConfig {
-    /// First retry delay; doubles per attempt up to `cap`.
-    pub base: Duration,
-    /// Ceiling on any single delay.
-    pub cap: Duration,
     /// Sheds tolerated per submission (or per connection attempt)
     /// before [`ServiceError::Overloaded`] surfaces to the caller.
     pub max_attempts: u32,
-    /// Seed for the jitter RNG.
-    pub seed: u64,
 }
 
 impl Default for BackoffConfig {
     fn default() -> Self {
-        BackoffConfig {
-            base: Duration::from_millis(5),
-            cap: Duration::from_millis(500),
-            max_attempts: 10,
-            seed: 0x7E1C_0FF5,
-        }
+        BackoffConfig { max_attempts: 10 }
     }
 }
 
@@ -55,14 +52,14 @@ impl Default for BackoffConfig {
 /// `d = min(cap, base << attempt)`, floored at the server's
 /// retry-after hint (itself capped). Half the delay is deterministic
 /// spacing, half is jitter so a fleet of shed clients decorrelates.
-fn backoff_delay(rng: &mut SimRng, cfg: &BackoffConfig, attempt: u32, hint_ms: u32) -> Duration {
-    let base = cfg.base.max(Duration::from_micros(100));
-    let cap = cfg.cap.max(base);
-    let capped = base.saturating_mul(1u32 << attempt.min(16)).min(cap);
+fn backoff_delay(rng: &mut SimRng, attempt: u32, hint_ms: u32) -> Duration {
+    let capped = BACKOFF_BASE
+        .saturating_mul(1u32 << attempt.min(16))
+        .min(BACKOFF_CAP);
     let half = capped / 2;
     let jitter_ns = half.as_nanos().min(u64::MAX as u128) as u64;
     let jitter = Duration::from_nanos(rng.next_below(jitter_ns.saturating_add(1)));
-    let hint = Duration::from_millis(hint_ms as u64).min(cap);
+    let hint = Duration::from_millis(hint_ms as u64).min(BACKOFF_CAP);
     (half + jitter).max(hint)
 }
 
@@ -140,7 +137,7 @@ impl RemoteVerifier {
         window_hint: u32,
         backoff: BackoffConfig,
     ) -> Result<RemoteVerifier, RemoteError> {
-        let mut rng = SimRng::new(backoff.seed).split("connect-jitter");
+        let mut rng = SimRng::new(BACKOFF_SEED).split("connect-jitter");
         let mut attempt = 0u32;
         loop {
             let stream = TcpStream::connect(&addr).map_err(|e| RemoteError::Io(e.kind()))?;
@@ -149,7 +146,7 @@ impl RemoteVerifier {
                 Err(RemoteError::Service(ServiceError::Overloaded { retry_after_ms }))
                     if attempt < backoff.max_attempts =>
                 {
-                    std::thread::sleep(backoff_delay(&mut rng, &backoff, attempt, retry_after_ms));
+                    std::thread::sleep(backoff_delay(&mut rng, attempt, retry_after_ms));
                     attempt += 1;
                 }
                 other => return other,
@@ -183,7 +180,7 @@ impl<S: Read + Write> RemoteVerifier<S> {
             pending: HashMap::new(),
             shed_q: VecDeque::new(),
             backoff,
-            rng: SimRng::new(backoff.seed).split("retry-jitter"),
+            rng: SimRng::new(BACKOFF_SEED).split("retry-jitter"),
             shed_notices: 0,
             retries: 0,
             retry_hint_ms: 0,
@@ -556,7 +553,7 @@ impl<S: Read + Write> RemoteVerifier<S> {
                     retry_after_ms: hint,
                 }));
             }
-            let delay = backoff_delay(&mut self.rng, &self.backoff, p.attempts, self.retry_hint_ms);
+            let delay = backoff_delay(&mut self.rng, p.attempts, self.retry_hint_ms);
             std::thread::sleep(delay);
             p.attempts += 1;
             self.retries += 1;

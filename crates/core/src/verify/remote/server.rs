@@ -32,9 +32,9 @@
 //! A connection that is quarantined, or is not draining the replies
 //! queued for it, has its read interest masked and costs no wakeups.
 //!
-//! No wall-clock time is read anywhere here (tlc-lint's determinism
-//! rule): the loop blocks in the kernel under a fixed wait bound, and
-//! all ordering comes from the sockets.
+//! No wall-clock time is read anywhere here (clippy's
+//! `disallowed_methods`): the loop blocks in the kernel under a fixed
+//! wait bound, and all ordering comes from the sockets.
 
 use super::codec::{
     BusyMsg, BusyScope, Fault, Hello, HelloAck, Register, Registered, SettleMsg, SettleResult,

@@ -38,8 +38,8 @@ pub use super::stage::{RelationshipId, ShardStats, SubmissionResult};
 
 /// Failures surfaced by the service API, in-process or over TCP.
 ///
-/// Typed rather than `expect`ed — tlc-lint's `no-panic` rule forbids
-/// that in protocol paths — so a caller can handle them (re-register
+/// Typed rather than `expect`ed — `verify/` denies clippy's
+/// `expect_used` — so a caller can handle them (re-register
 /// elsewhere, drain, report). The remote client returns each one as the
 /// in-process call would; the wire's `Fault` mirrors `ShardDown` and
 /// `ResultsClosed`.

@@ -246,10 +246,7 @@ fn max_conns_caps_the_server_not_each_shard() {
             ..IngressConfig::default()
         },
     );
-    let no_retry = BackoffConfig {
-        max_attempts: 0,
-        ..BackoffConfig::default()
-    };
+    let no_retry = BackoffConfig { max_attempts: 0 };
     let incumbent = RemoteVerifier::connect_with(handle.addr(), 0, no_retry).unwrap();
     for k in 0..7 {
         match RemoteVerifier::connect_with(handle.addr(), 0, no_retry) {

@@ -457,15 +457,7 @@ fn connection_shed_is_typed_and_recoverable() {
     // Incumbent leaves; the reconnect loop gets in within its budget.
     incumbent.collect_results().unwrap();
     incumbent.goodbye().unwrap();
-    let late = RemoteVerifier::connect_with(
-        addr,
-        0,
-        BackoffConfig {
-            max_attempts: 50,
-            ..BackoffConfig::default()
-        },
-    )
-    .unwrap();
+    let late = RemoteVerifier::connect_with(addr, 0, BackoffConfig { max_attempts: 50 }).unwrap();
     drop(late);
     let report = handle.shutdown().unwrap();
     assert!(report.ingress.shed_connections >= 1);

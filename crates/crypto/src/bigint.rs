@@ -57,6 +57,10 @@ impl BigUint {
     }
 
     /// Serializes to a minimal big-endian byte string (empty for zero).
+    #[expect(
+        clippy::expect_used,
+        reason = "length computed from the same limbs two lines up"
+    )]
     pub fn to_bytes_be(&self) -> Vec<u8> {
         if self.is_zero() {
             return Vec::new();
@@ -273,6 +277,7 @@ impl BigUint {
     /// Quotient and remainder via Knuth Algorithm D.
     ///
     /// Panics if `divisor` is zero.
+    #[expect(clippy::expect_used, reason = "divisor checked non-zero at fn entry")]
     pub fn div_rem(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         assert!(!divisor.is_zero(), "division by zero");
         match self.cmp_to(divisor) {
@@ -549,6 +554,7 @@ impl fmt::Debug for BigUint {
 }
 
 impl fmt::Display for BigUint {
+    #[expect(clippy::expect_used, reason = "Display cannot return a custom error")]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Decimal via repeated division; fine for test/debug output sizes.
         if self.is_zero() {

@@ -134,6 +134,7 @@ pub fn decode_public_key(data: &[u8]) -> Result<PublicKey, CryptoError> {
 
 /// A stable short fingerprint of a public key (first 8 bytes of SHA-256 of
 /// its encoding), used to identify parties in logs and PoC stores.
+#[expect(clippy::expect_used, reason = "SHA-256 output is always 32 bytes")]
 pub fn key_fingerprint(key: &PublicKey) -> u64 {
     let digest = crate::sha256::digest(&encode_public_key(key));
     u64::from_be_bytes(digest[..8].try_into().expect("8 bytes"))

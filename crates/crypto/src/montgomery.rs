@@ -246,6 +246,7 @@ impl MontgomeryCtx {
     /// inner step issues two independent limb multiplications, and the
     /// intermediate never grows past `K` limbs plus a carry (the running
     /// value stays below `2n` throughout).
+    #[expect(clippy::expect_used, reason = "ctx fixes limb width at construction")]
     fn mont_mul_fixed<const K: usize>(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
         let a: &[u64; K] = a.try_into().expect("operand width");
         let b: &[u64; K] = b.try_into().expect("operand width");
@@ -338,6 +339,7 @@ impl MontgomeryCtx {
     /// Fixed-width squaring kernel: same cross-product symmetry as the
     /// generic path, with compile-time loop bounds and a stack scratch
     /// buffer (sized for the largest fixed width).
+    #[expect(clippy::expect_used, reason = "ctx fixes limb width at construction")]
     fn mont_sqr_fixed<const K: usize>(&self, a: &[u64], out: &mut [u64]) {
         const { assert!(K <= MAX_FIXED_LIMBS) };
         let a: &[u64; K] = a.try_into().expect("operand width");

@@ -7,7 +7,7 @@
 //! raw `+ - *` / `+= -= *=` and every narrowing `as` cast whose
 //! operand is a charging counter inside the charge-accounting files
 //! ([`crate::CHARGE_PATHS`]) and requires a checked / saturating /
-//! clamped form (or an explicit `LINT_ALLOW charge-arith` entry).
+//! clamped form.
 //!
 //! A "charging counter" operand is any identifier in
 //! [`COUNTER_FIELDS`] — the fields of `ChargeRow`/`GapSweep`, the

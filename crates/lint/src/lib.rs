@@ -1,51 +1,44 @@
 //! # tlc-lint
 //!
 //! The workspace static-analysis plane for the TLC reproduction: a
-//! purpose-built linter that machine-checks the repo-specific
-//! invariants TLC's trust story rests on (§5.3 public verifiability
-//! means the verification code itself must be auditable).
+//! purpose-built linter for the repo-specific invariants TLC's trust
+//! story rests on (§5.3 public verifiability means the verification
+//! code itself must be auditable) that no rustc or clippy lint checks.
+//! Clippy runs the rest (DESIGN §9): `undocumented_unsafe_blocks`, the
+//! `unwrap_used`/`expect_used`/`panic` family on the no-panic files, and
+//! `disallowed_methods` on wall-clock reads (root `clippy.toml`).
 //!
-//! Five per-file rules, all token-sequence based (see [`rules`]):
+//! Two per-file rules, both token-sequence based (see [`rules`]):
 //!
-//! 1. **safety-comment** — every `unsafe` block/fn carries an adjacent
-//!    `// SAFETY:` comment,
-//! 2. **unsafe-scope** — `unsafe` only inside `tlc-crypto`, and every
-//!    other crate declares `#![forbid(unsafe_code)]` (tlc-crypto itself
-//!    must `#![deny(unsafe_op_in_unsafe_fn)]`),
-//! 3. **no-panic** — no `unwrap`/`expect`/`panic!` in non-test code of
-//!    the tlc-core protocol paths and tlc-crypto,
-//! 4. **secret-hygiene** — `PrivateKey`/CRT material never reaches
-//!    `#[derive(Debug)]` or `format!`-family macro arguments,
-//! 5. **determinism** — no `Instant::now`/`SystemTime::now`/ambient RNG
-//!    outside allowlisted modules (protects the byte-identical parallel
-//!    sweep guarantee of `tlc_sim::par`).
+//! 1. **unsafe-scope** — `unsafe` only inside `tlc-crypto` and tlc-net's
+//!    readiness shim, and every other crate declares
+//!    `#![forbid(unsafe_code)]` (tlc-crypto itself must
+//!    `#![deny(unsafe_op_in_unsafe_fn)]`),
+//! 2. **secret-hygiene** — `PrivateKey`/CRT material never reaches
+//!    `#[derive(Debug)]` or `format!`-family macro arguments.
 //!
 //! Plus three *interprocedural* passes over the workspace call graph
 //! ([`graph`], DESIGN §9.1):
 //!
-//! 6. **transitive-no-panic** ([`nopanic`]) — may-panic propagated
-//!    backwards through resolved call edges, so a protocol root that
-//!    reaches `unwrap` five helpers deep is caught with the chain
-//!    named,
-//! 7. **lock-order** ([`locks`]) — held-lock sets propagated along
+//! 3. **transitive-no-panic** ([`nopanic`]) — may-panic propagated
+//!    backwards through resolved call edges, so a function in a
+//!    no-panic file that reaches `unwrap` five helpers deep outside
+//!    that scope is caught with the chain named,
+//! 4. **lock-order** ([`locks`]) — held-lock sets propagated along
 //!    call edges; a cycle in the lock graph (potential deadlock) is
 //!    reported with one site per edge,
-//! 8. **charge-arith** ([`charge`]) — every raw `+ - *` / `+= -= *=`
+//! 5. **charge-arith** ([`charge`]) — every raw `+ - *` / `+= -= *=`
 //!    and narrowing cast on a charging counter in the accounting files
-//!    must be saturating/checked, or carry an allowlist entry.
+//!    must be saturating/checked.
 //!
 //! Every `.rs` file is read and lexed exactly once per check
 //! ([`Workspace`]); the per-file rules, the crate-manifest checks, and
-//! the call-graph passes all share the same token streams.
-//!
-//! Grandfathered / invariant-true sites live in the checked allowlist
-//! `LINT_ALLOW` at the workspace root ([`allow`]); stale entries are
-//! themselves errors. Run with `cargo run -p tlc-lint -- check`.
+//! the call-graph passes all share the same token streams. Run with
+//! `cargo run -p tlc-lint -- check`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod allow;
 pub mod charge;
 pub mod github;
 pub mod graph;
@@ -60,28 +53,6 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use syn::{Token, TokenKind};
 
-/// Modules that count as "protocol paths" for the no-panic rule (plus
-/// the whole of tlc-crypto): the code a third-party verifier must be
-/// able to trust not to fall over on adversarial input. The ingress
-/// framing and connection driver qualify — they parse bytes straight
-/// off the network.
-pub const NO_PANIC_PATHS: &[&str] = &[
-    "crates/crypto/src/",
-    "crates/core/src/messages.rs",
-    "crates/core/src/protocol.rs",
-    "crates/core/src/roaming.rs",
-    "crates/core/src/session.rs",
-    "crates/core/src/verify/",
-    "crates/net/src/wire.rs",
-    "crates/net/src/ingress.rs",
-    "crates/net/src/chaos.rs",
-    "crates/net/src/readiness.rs",
-    "crates/net/src/bufpool.rs",
-    "crates/sim/src/wheel.rs",
-    "crates/sim/src/arena.rs",
-    "crates/sim/src/soa.rs",
-];
-
 /// Crates that must carry `#![forbid(unsafe_code)]` in `src/lib.rs`.
 /// tlc-net is the deliberate exception: its readiness syscall shim is
 /// the one sanctioned `unsafe` module outside tlc-crypto, so the crate
@@ -91,11 +62,9 @@ pub const FORBID_UNSAFE_CRATES: &[&str] = &["core", "sim", "workloads", "cell", 
 
 /// The one file outside tlc-crypto permitted to contain `unsafe`
 /// tokens: the epoll/`SO_REUSEPORT` syscall shim. Its blocks still owe
-/// `// SAFETY:` audits (the safety-comment rule applies everywhere).
+/// `// SAFETY:` audits (clippy's `undocumented_unsafe_blocks`, denied
+/// on the module in tlc-net's `lib.rs`).
 pub const UNSAFE_EXEMPT_FILES: &[&str] = &["crates/net/src/readiness.rs"];
-
-/// Default allowlist file name at the workspace root.
-pub const ALLOWLIST_FILE: &str = "LINT_ALLOW";
 
 /// Files holding charging-counter accounting: the scope of the
 /// `charge-arith` audit (DESIGN §9.1). These are the places where a
@@ -170,19 +139,15 @@ impl Workspace {
     }
 
     /// Runs the per-file rules and the three interprocedural passes.
-    /// `allow` feeds the transitive pass's site suppression (a local
-    /// site excused under `no-panic` must not re-surface via every
-    /// caller); the allowlist is still applied to the *returned*
-    /// findings by the caller.
-    pub fn check(&self, allow: &[allow::AllowEntry]) -> Vec<Finding> {
+    pub fn check(&self) -> Vec<Finding> {
         let mut findings = self.parse_errors.clone();
         for file in &self.files {
-            for rule in rules_for(file, NO_PANIC_PATHS) {
+            for rule in rules_for(file) {
                 findings.extend(rule(file));
             }
         }
         let graph = graph::CallGraph::build(&self.files);
-        findings.extend(nopanic::check(&graph, NO_PANIC_PATHS, allow));
+        findings.extend(nopanic::check(&graph));
         findings.extend(locks::check(&graph));
         for file in &self.files {
             if file.kind == FileKind::Src && CHARGE_PATHS.contains(&file.rel_path.as_str()) {
@@ -196,8 +161,7 @@ impl Workspace {
 /// Outcome of a workspace check.
 #[derive(Debug)]
 pub struct Report {
-    /// Surviving findings (allowlist already applied), sorted by path
-    /// then line.
+    /// Findings, sorted by path then line.
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
@@ -246,38 +210,30 @@ pub fn scan_attr(file: &ScannedFile, si: usize) -> Option<(Vec<String>, usize)> 
     None
 }
 
+/// The identifier lists of a file's inner attributes (`#![…]`), which
+/// precede its first item.
+pub fn inner_attrs(file: &ScannedFile) -> Vec<Vec<String>> {
+    let mut attrs = Vec::new();
+    let mut si = 0usize;
+    while si + 1 < file.sig.len()
+        && file.sig_tok(si).is_punct('#')
+        && file.sig_tok(si + 1).is_punct('!')
+    {
+        let Some((idents, after)) = scan_attr(file, si) else {
+            break;
+        };
+        attrs.push(idents);
+        si = after;
+    }
+    attrs
+}
+
 /// Whether a file declares an inner attribute whose identifier list is
 /// exactly `want` (e.g. `["forbid", "unsafe_code"]`).
 pub fn has_inner_attr(file: &ScannedFile, want: &[&str]) -> bool {
-    let mut si = 0usize;
-    while si < file.sig.len() {
-        let t = file.sig_tok(si);
-        if t.is_punct('#')
-            && file
-                .sig
-                .get(si + 1)
-                .is_some_and(|&r| file.tokens[r].is_punct('!'))
-        {
-            if let Some((idents, after)) = scan_attr(file, si) {
-                if idents.iter().map(String::as_str).eq(want.iter().copied()) {
-                    return true;
-                }
-                si = after;
-                continue;
-            }
-        }
-        // Inner attributes only appear before items; stop at the first
-        // non-attribute significant token for speed.
-        if !t.is_punct('#') && !t.is_punct('!') && !t.is_punct('[') {
-            // Keep scanning: doc comments are insignificant, but an
-            // inner attr can follow outer doc text only at file top.
-            if si > 64 {
-                return false;
-            }
-        }
-        si += 1;
-    }
-    false
+    inner_attrs(file)
+        .iter()
+        .any(|idents| idents.iter().map(String::as_str).eq(want.iter().copied()))
 }
 
 /// Lints a single in-memory source file under its workspace-relative
@@ -286,7 +242,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     match ScannedFile::parse(rel_path, src) {
         Ok(file) => {
             let mut out = Vec::new();
-            for rule in rules_for(&file, NO_PANIC_PATHS) {
+            for rule in rules_for(&file) {
                 out.extend(rule(&file));
             }
             out
@@ -335,13 +291,13 @@ fn rel_path(root: &Path, path: &Path) -> String {
 }
 
 /// Lints a set of in-memory source files as one mini-workspace: the
-/// per-file rules plus the three interprocedural passes, no allowlist,
-/// no crate-manifest checks. This is what the cross-file fixture tests
-/// drive (e.g. a `NO_PANIC_PATHS` root reaching a panicking helper in
-/// a *different* fixture file).
+/// per-file rules plus the three interprocedural passes, no
+/// crate-manifest checks. This is what the cross-file fixture tests
+/// drive (e.g. a no-panic root reaching a panicking helper in a
+/// *different* fixture file).
 pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
     let ws = Workspace::from_sources(sources);
-    let mut findings = ws.check(&[]);
+    let mut findings = ws.check();
     sort_findings(&mut findings);
     findings
 }
@@ -401,26 +357,12 @@ fn sort_findings(findings: &mut [Finding]) {
     });
 }
 
-/// Runs the full workspace check rooted at `root`, applying the
-/// allowlist at `allow_path` (pass the default [`ALLOWLIST_FILE`] under
-/// `root` unless overridden).
-pub fn run_check(root: &Path, allow_path: &Path) -> std::io::Result<Report> {
+/// Runs the full workspace check rooted at `root`.
+pub fn run_check(root: &Path) -> std::io::Result<Report> {
     let ws = Workspace::load(root)?;
     let files_scanned = ws.files.len() + ws.parse_errors.len();
-
-    // Allowlist entries are parsed up front: the transitive no-panic
-    // pass needs them to treat excused local sites as clean.
-    let allow_rel = rel_path(root, allow_path);
-    let (entries, mut allow_errs) = match fs::read_to_string(allow_path) {
-        Ok(text) => allow::parse(&allow_rel, &text),
-        Err(_) => (Vec::new(), Vec::new()),
-    };
-
-    let mut findings = ws.check(&entries);
+    let mut findings = ws.check();
     findings.extend(manifest_findings(&ws));
-
-    let mut findings = allow::apply(&allow_rel, &entries, findings);
-    findings.append(&mut allow_errs);
     sort_findings(&mut findings);
     Ok(Report {
         findings,

@@ -1,7 +1,7 @@
 //! `tlc-lint` CLI.
 //!
 //! ```text
-//! cargo run -p tlc-lint -- check [--root DIR] [--allowlist FILE] [--github]
+//! cargo run -p tlc-lint -- check [--root DIR] [--github]
 //! cargo run -p tlc-lint -- rules
 //! ```
 //!
@@ -16,7 +16,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: tlc-lint <check [--root DIR] [--allowlist FILE] [--github] | rules>");
+    eprintln!("usage: tlc-lint <check [--root DIR] [--github] | rules>");
     ExitCode::from(2)
 }
 
@@ -31,17 +31,12 @@ fn main() -> ExitCode {
         }
         Some("check") => {
             let mut root: Option<PathBuf> = None;
-            let mut allowlist: Option<PathBuf> = None;
             let mut github = false;
             let mut it = args[1..].iter();
             while let Some(arg) = it.next() {
                 match arg.as_str() {
                     "--root" => match it.next() {
                         Some(v) => root = Some(PathBuf::from(v)),
-                        None => return usage(),
-                    },
-                    "--allowlist" => match it.next() {
-                        Some(v) => allowlist = Some(PathBuf::from(v)),
                         None => return usage(),
                     },
                     "--github" => github = true,
@@ -59,8 +54,7 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            let allow_path = allowlist.unwrap_or_else(|| root.join(tlc_lint::ALLOWLIST_FILE));
-            match tlc_lint::run_check(&root, &allow_path) {
+            match tlc_lint::run_check(&root) {
                 Ok(report) => {
                     for f in &report.findings {
                         println!("{f}");

@@ -1,30 +1,32 @@
 //! Interprocedural pass: transitive no-panic over the call graph.
 //!
-//! The v1 `no-panic` rule matches panic tokens *inside* the protocol
-//! files ([`crate::NO_PANIC_PATHS`]). This pass closes the hole v1
-//! cannot see: a protocol function calling a helper two (or twenty)
-//! hops away that panics. May-panic facts are computed per function
-//! and propagated backwards along resolved call edges, so every
-//! function defined in a `NO_PANIC_PATHS` file is checked to arbitrary
-//! depth; a finding names the offending call chain.
+//! Clippy denies `unwrap`/`expect`/`panic!` inside the no-panic files:
+//! each carries `#![deny(clippy::unwrap_used, …)]`, itself or in a
+//! parent module file (tlc-crypto at crate level). Clippy sees one
+//! function at a time, so a no-panic function calling a helper two (or
+//! twenty) hops away, outside that scope, that panics is invisible to
+//! it. This pass closes that hole: may-panic facts are computed per
+//! function and propagated backwards along resolved call edges, so
+//! every function in a no-panic file is checked to arbitrary depth; a
+//! finding names the offending call chain.
 //!
 //! Sources: `panic!`/`unreachable!`/`todo!`/`unimplemented!` and
-//! `.unwrap()`/`.expect()` — sites that abort whatever the input.
+//! `.unwrap()`/`.expect()` — sites that abort whatever the input — in
+//! non-test code outside the scope. Sites inside it are clippy's, and
+//! an `#[expect]` there excuses them without re-flagging every caller.
 //! Indexing and unchecked arithmetic panic only for some inputs and
 //! are not propagated (the crypto limb kernels index by invariant in
 //! every loop); the charge-arith pass audits the sites where a wrap is
 //! a charging bug. See DESIGN §9.1 for the envelope.
-//!
-//! Suppression: a local site inside function `f` of file `p` that an
-//! allowlist entry `no-panic p f` (or `*`) covers is treated as clean
-//! *before* propagation — callers of an invariant-true `expect` are
-//! not re-flagged, which is what keeps `LINT_ALLOW` tight.
 
-use crate::allow::AllowEntry;
 use crate::graph::CallGraph;
 use crate::rules::Finding;
-use crate::scan::ScannedFile;
+use crate::scan::{FileKind, ScannedFile};
 use syn::TokenKind;
+
+/// The clippy lint whose inner `#![deny]` puts a file, and every module
+/// file under it, in no-panic scope.
+const SCOPE_LINT: &str = "unwrap_used";
 
 /// Macros whose expansion aborts.
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
@@ -82,43 +84,74 @@ pub fn local_panic_sites(file: &ScannedFile, body: (usize, usize)) -> Vec<PanicS
     out
 }
 
-/// Whether an allowlist entry suppresses a local panic site inside
-/// `fn_name` of `path` (matched under the v1 `no-panic` rule or this
-/// pass's `transitive-no-panic`).
-fn site_allowed(allow: &[AllowEntry], path: &str, fn_name: &str, enclosing: &str) -> bool {
-    allow.iter().any(|e| {
-        (e.rule == "no-panic" || e.rule == "transitive-no-panic")
-            && e.path == path
-            && (e.item == "*" || e.item == fn_name || e.item == enclosing)
+/// Whether `file` carries the no-panic `#![deny]` itself.
+fn denies_panics(file: &ScannedFile) -> bool {
+    crate::inner_attrs(file).iter().any(|idents| {
+        idents.first().is_some_and(|a| a == "deny") && idents.iter().any(|i| i == SCOPE_LINT)
     })
 }
 
-/// Runs the pass: findings for every `NO_PANIC_PATHS` function whose
-/// call chain reaches a panic site outside itself.
-pub fn check(graph: &CallGraph<'_>, roots_under: &[&str], allow: &[AllowEntry]) -> Vec<Finding> {
-    let n = graph.fns.len();
-    let is_root: Vec<bool> = (0..n)
-        .map(|id| {
-            let path = graph.fn_path(id);
-            roots_under.iter().any(|p| path.starts_with(p))
-                && !graph.fns[id].is_test
-                && graph.files[graph.fns[id].file].kind == crate::scan::FileKind::Src
+/// A `src/` file and the module files that enclose it, innermost
+/// first: for `crates/core/src/verify/remote/server.rs`, the file,
+/// `verify/remote.rs` (or `verify/remote/mod.rs`), `verify/mod.rs` (or
+/// `verify.rs`), then `lib.rs`. A `src/bin/` target is a crate of its
+/// own.
+fn enclosing_module_files(rel: &str) -> Vec<String> {
+    let mut out = vec![rel.to_string()];
+    let Some(at) = rel.find("/src/") else {
+        return out;
+    };
+    let (src, module) = rel.split_at(at + "/src/".len());
+    let mut parts: Vec<&str> = module.trim_end_matches(".rs").split('/').collect();
+    if parts.last() == Some(&"mod") {
+        parts.pop();
+    }
+    if parts.first() == Some(&"bin") || matches!(parts[..], ["lib" | "main"]) {
+        return out;
+    }
+    for k in (1..parts.len()).rev() {
+        let dir = parts[..k].join("/");
+        out.push(format!("{src}{dir}.rs"));
+        out.push(format!("{src}{dir}/mod.rs"));
+    }
+    out.push(format!("{src}lib.rs"));
+    out
+}
+
+/// Runs the pass: findings for every function in a no-panic file whose
+/// call chain reaches a panic site outside that scope.
+pub fn check(graph: &CallGraph<'_>) -> Vec<Finding> {
+    let denying: Vec<&str> = graph
+        .files
+        .iter()
+        .filter(|f| denies_panics(f))
+        .map(|f| f.rel_path.as_str())
+        .collect();
+    let scoped: Vec<bool> = graph
+        .files
+        .iter()
+        .map(|file| {
+            file.kind == FileKind::Src
+                && enclosing_module_files(&file.rel_path)
+                    .iter()
+                    .any(|rel| denying.contains(&rel.as_str()))
         })
         .collect();
+    let n = graph.fns.len();
+    let is_root: Vec<bool> = (0..n)
+        .map(|id| scoped[graph.fns[id].file] && !graph.fns[id].is_test)
+        .collect();
 
-    // Unsuppressed, propagation-eligible local cause per function.
+    // Propagation-eligible local cause per function: the first site of
+    // a non-test function outside the scope.
     let local: Vec<Option<PanicSite>> = (0..n)
         .map(|id| {
             let f = &graph.fns[id];
-            if f.is_test || graph.files[f.file].kind != crate::scan::FileKind::Src {
+            let file = &graph.files[f.file];
+            if f.is_test || file.kind != FileKind::Src || scoped[f.file] {
                 return None;
             }
-            let file = &graph.files[f.file];
-            let body = f.body?;
-            local_panic_sites(file, body).into_iter().find(|s| {
-                let enclosing = site_item(file, body, s);
-                !site_allowed(allow, &file.rel_path, &f.name, &enclosing)
-            })
+            local_panic_sites(file, f.body?).into_iter().next()
         })
         .collect();
 
@@ -134,11 +167,11 @@ pub fn check(graph: &CallGraph<'_>, roots_under: &[&str], allow: &[AllowEntry]) 
     let mut findings = Vec::new();
     for root in (0..n).filter(|&id| is_root[id]) {
         for call in &graph.calls[root] {
-            // Local sites are v1's domain; this pass reports reaches
-            // *through calls* only.
+            // Local sites are clippy's domain; this pass reports
+            // reaches *through calls* only.
             let Some(&callee) = call.callees.iter().find(|&&c| {
                 !is_root[c]
-                    && graph.files[graph.fns[c].file].kind == crate::scan::FileKind::Src
+                    && graph.files[graph.fns[c].file].kind == FileKind::Src
                     && cause_of(&memo, c).is_some()
             }) else {
                 continue;
@@ -185,9 +218,7 @@ fn may_panic(
     if cause.is_none() {
         'calls: for call in &graph.calls[id] {
             for &callee in &call.callees {
-                if is_root[callee]
-                    || graph.files[graph.fns[callee].file].kind != crate::scan::FileKind::Src
-                {
+                if is_root[callee] || graph.files[graph.fns[callee].file].kind != FileKind::Src {
                     // Root fns are an opaque boundary (reported at that
                     // root); test/bench-file fns are bogus resolutions.
                     continue;
@@ -203,17 +234,6 @@ fn may_panic(
     let hit = cause.is_some();
     memo[id] = Some(cause);
     hit
-}
-
-/// Innermost named item at a panic site (what v1 findings key on).
-fn site_item(file: &ScannedFile, body: (usize, usize), site: &PanicSite) -> String {
-    for si in body.0..=body.1.min(file.sig.len().saturating_sub(1)) {
-        let t = file.sig_tok(si);
-        if t.line == site.line && t.col == site.col {
-            return file.sig_item(si).to_string();
-        }
-    }
-    String::new()
 }
 
 /// `root -> a -> b: .unwrap() at crates/x.rs:12` chain message.

@@ -1,16 +1,16 @@
-//! The five per-file repo-specific lint rules.
+//! The two per-file repo-specific lint rules.
 //!
 //! Every rule here is a pure function from a [`ScannedFile`] to
 //! findings; the workspace runner in `lib.rs` decides which files each
-//! rule sees and layers the allowlist on top. Rules match *token
-//! sequences* (via [`ScannedFile::sig`]), never raw text, so code
-//! inside strings, comments, or doc examples can not trip them.
+//! rule sees. Rules match *token sequences* (via [`ScannedFile::sig`]),
+//! never raw text, so code inside strings, comments, or doc examples
+//! can not trip them.
 //!
 //! The three interprocedural passes (`transitive-no-panic`,
 //! `lock-order`, `charge-arith`) live in their own modules
 //! ([`crate::nopanic`], [`crate::locks`], [`crate::charge`]) because
 //! they see the whole workspace call graph, not one file; their rule
-//! ids are registered in [`RULES`] so the allowlist covers them.
+//! ids are listed in [`RULES`] too.
 
 use crate::scan::{FileKind, ScannedFile};
 use syn::TokenKind;
@@ -18,10 +18,9 @@ use syn::TokenKind;
 /// One rule violation at a source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule identifier (`safety-comment`, `unsafe-scope`, `no-panic`,
-    /// `secret-hygiene`, `determinism`, `transitive-no-panic`,
-    /// `lock-order`, `charge-arith`, or the meta rules `parse` and
-    /// `allowlist`).
+    /// Rule identifier (`unsafe-scope`, `secret-hygiene`,
+    /// `transitive-no-panic`, `lock-order`, `charge-arith`, or the meta
+    /// rule `parse`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -29,7 +28,7 @@ pub struct Finding {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-    /// Innermost enclosing named item (allowlist key; may be empty).
+    /// Innermost enclosing named item (may be empty).
     pub item: String,
     /// Human-readable description.
     pub message: String,
@@ -48,28 +47,16 @@ impl std::fmt::Display for Finding {
 /// Rule ids, in report order.
 pub const RULES: &[(&str, &str)] = &[
     (
-        "safety-comment",
-        "every `unsafe` block or fn carries an adjacent `// SAFETY:` (or `# Safety` doc) comment",
-    ),
-    (
         "unsafe-scope",
         "`unsafe` is confined to tlc-crypto plus tlc-net's readiness syscall shim; every other crate must `#![forbid(unsafe_code)]` (tlc-net: `#![deny(unsafe_code)]`)",
-    ),
-    (
-        "no-panic",
-        "no unwrap/expect/panic!/unreachable!/todo! in non-test tlc-crypto or tlc-core protocol paths",
     ),
     (
         "secret-hygiene",
         "PrivateKey/CRT material never reaches #[derive(Debug)] or format!-family macro arguments",
     ),
     (
-        "determinism",
-        "no wall-clock (Instant/SystemTime::now) or ambient randomness outside allowlisted modules",
-    ),
-    (
         "transitive-no-panic",
-        "no call chain from a NO_PANIC_PATHS root reaches unwrap/expect/panic! anywhere in the workspace (call-graph propagation)",
+        "no call chain from a file under `#![deny(clippy::unwrap_used, …)]` reaches unwrap/expect/panic! outside that scope (call-graph propagation)",
     ),
     (
         "lock-order",
@@ -99,115 +86,6 @@ fn finding(
     }
 }
 
-/// Rule `safety-comment`: each `unsafe` block / `unsafe fn` must have a
-/// `SAFETY`-bearing comment adjacent: either the nearest comment walking
-/// backwards over attributes, or the first token just inside the block.
-pub fn safety_comment(file: &ScannedFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for si in 0..file.sig.len() {
-        let t = file.sig_tok(si);
-        if !(t.kind == TokenKind::Ident && t.text == "unsafe") {
-            continue;
-        }
-        let next = match file.sig.get(si + 1).map(|&r| &file.tokens[r]) {
-            Some(n) => n,
-            None => continue,
-        };
-        let form = if next.is_punct('{') {
-            "unsafe block"
-        } else if next.is_ident("fn") {
-            "unsafe fn"
-        } else {
-            // `unsafe impl` / `unsafe trait` / `unsafe extern` carry
-            // their obligations at the use sites; out of scope here.
-            continue;
-        };
-        if has_adjacent_safety_comment(file, si) {
-            continue;
-        }
-        out.push(finding(
-            "safety-comment",
-            file,
-            si,
-            file.sig_item(si),
-            format!("{form} without an adjacent `// SAFETY:` comment"),
-        ));
-    }
-    out
-}
-
-fn comment_is_safety(text: &str) -> bool {
-    text.contains("SAFETY") || text.contains("# Safety")
-}
-
-fn has_adjacent_safety_comment(file: &ScannedFile, si: usize) -> bool {
-    // Forward: `unsafe { // SAFETY: … }` — first raw token after the
-    // opening brace.
-    let unsafe_raw = file.sig[si];
-    if let Some(&brace_raw) = file.sig.get(si + 1) {
-        if file.tokens[brace_raw].is_punct('{') {
-            if let Some(tok) = file.tokens.get(brace_raw + 1) {
-                if !tok.is_significant() && comment_is_safety(&tok.text) {
-                    return true;
-                }
-            }
-        }
-    }
-    // Backward: skip comments (checking each) and whole attributes;
-    // stop at the first other significant token.
-    let mut raw = unsafe_raw;
-    loop {
-        if raw == 0 {
-            return false;
-        }
-        raw -= 1;
-        let tok = &file.tokens[raw];
-        if !tok.is_significant() {
-            if comment_is_safety(&tok.text) {
-                return true;
-            }
-            continue; // earlier lines of a comment stack
-        }
-        if tok.is_punct(']') {
-            // Skip the attribute: …`#` `[` … `]`.
-            let mut depth = 1usize;
-            while raw > 0 && depth > 0 {
-                raw -= 1;
-                let t = &file.tokens[raw];
-                if t.is_punct(']') {
-                    depth += 1;
-                } else if t.is_punct('[') {
-                    depth -= 1;
-                }
-            }
-            // Consume `!` and `#` if present.
-            while raw > 0 {
-                let t = &file.tokens[raw - 1];
-                if t.is_punct('#') || t.is_punct('!') {
-                    raw -= 1;
-                    if file.tokens[raw].is_punct('#') {
-                        break;
-                    }
-                } else {
-                    break;
-                }
-            }
-            continue;
-        }
-        // Keywords that legally sit between a comment and the `unsafe`
-        // token itself (`pub unsafe fn`, `pub(crate) unsafe fn`, …).
-        if tok.kind == TokenKind::Ident
-            && matches!(tok.text.as_str(), "pub" | "crate" | "const" | "extern")
-        {
-            continue;
-        }
-        if tok.is_punct('(') || tok.is_punct(')') {
-            continue; // pub(crate)
-        }
-        return false;
-    }
-}
-
 /// Rule `unsafe-scope`: any `unsafe` token outside `crates/crypto/`
 /// or the allow-listed readiness syscall shim
 /// ([`crate::UNSAFE_EXEMPT_FILES`]). (The crate-manifest half —
@@ -231,48 +109,6 @@ pub fn unsafe_scope(file: &ScannedFile) -> Vec<Finding> {
                 file.sig_item(si),
                 "`unsafe` outside tlc-crypto".to_string(),
             ));
-        }
-    }
-    out
-}
-
-/// Macros whose expansion panics.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Rule `no-panic` for one in-scope file: `.unwrap()` / `.expect(…)`
-/// method calls and panicking macros in non-test code.
-pub fn no_panic(file: &ScannedFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for si in 0..file.sig.len() {
-        if file.sig_in_test(si) {
-            continue;
-        }
-        let t = file.sig_tok(si);
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let prev_dot = si > 0 && file.sig_tok(si - 1).is_punct('.');
-        let next = file.sig.get(si + 1).map(|&r| &file.tokens[r]);
-        match t.text.as_str() {
-            "unwrap" | "expect" if prev_dot && next.is_some_and(|n| n.is_punct('(')) => {
-                out.push(finding(
-                    "no-panic",
-                    file,
-                    si,
-                    file.sig_item(si),
-                    format!(".{}() in a protocol/crypto path", t.text),
-                ));
-            }
-            m if PANIC_MACROS.contains(&m) && next.is_some_and(|n| n.is_punct('!')) => {
-                out.push(finding(
-                    "no-panic",
-                    file,
-                    si,
-                    file.sig_item(si),
-                    format!("{m}! in a protocol/crypto path"),
-                ));
-            }
-            _ => {}
         }
     }
     out
@@ -465,88 +301,12 @@ fn struct_body_mentions(file: &ScannedFile, name_si: usize, needle: &str) -> boo
     false
 }
 
-/// Nondeterminism sources: `Type::method` pairs and bare identifiers.
-const TIME_PATHS: &[(&str, &str)] = &[("Instant", "now"), ("SystemTime", "now")];
-const RNG_IDENTS: &[&str] = &["thread_rng", "OsRng", "from_entropy"];
-
-/// Rule `determinism`: wall-clock reads and ambient (OS-seeded)
-/// randomness in non-test source code. Byte-identical parallel sweeps
-/// (`tlc_sim::par`) depend on nothing in a result row deriving from
-/// either.
-pub fn determinism(file: &ScannedFile) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for si in 0..file.sig.len() {
-        if file.sig_in_test(si) {
-            continue;
-        }
-        let t = file.sig_tok(si);
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let path_call = |offset: usize, want: &str| -> bool {
-            file.sig
-                .get(si + offset)
-                .is_some_and(|&r| file.tokens[r].is_punct(':'))
-                && file
-                    .sig
-                    .get(si + offset + 1)
-                    .is_some_and(|&r| file.tokens[r].is_punct(':'))
-                && file
-                    .sig
-                    .get(si + offset + 2)
-                    .is_some_and(|&r| file.tokens[r].is_ident(want))
-        };
-        for &(ty, method) in TIME_PATHS {
-            if t.text == ty && path_call(1, method) {
-                out.push(finding(
-                    "determinism",
-                    file,
-                    si,
-                    file.sig_item(si),
-                    format!("{ty}::{method} breaks deterministic replay"),
-                ));
-            }
-        }
-        if RNG_IDENTS.contains(&t.text.as_str()) {
-            out.push(finding(
-                "determinism",
-                file,
-                si,
-                file.sig_item(si),
-                format!(
-                    "`{}` is OS-seeded randomness; use the seeded RngSource",
-                    t.text
-                ),
-            ));
-        }
-        if t.text == "rand" && path_call(1, "random") {
-            out.push(finding(
-                "determinism",
-                file,
-                si,
-                file.sig_item(si),
-                "rand::random draws from ambient entropy".to_string(),
-            ));
-        }
-    }
-    out
-}
-
-/// Which rules run on a file of this kind/path. Scope decisions live
-/// here so `lib.rs` and the fixture tests agree exactly.
-pub fn rules_for(
-    file: &ScannedFile,
-    no_panic_paths: &[&str],
-) -> Vec<fn(&ScannedFile) -> Vec<Finding>> {
-    let mut rules: Vec<fn(&ScannedFile) -> Vec<Finding>> = vec![safety_comment, unsafe_scope];
+/// Which rules run on a file of this kind. Scope decisions live here
+/// so `lib.rs` and the fixture tests agree exactly.
+pub fn rules_for(file: &ScannedFile) -> Vec<fn(&ScannedFile) -> Vec<Finding>> {
+    let mut rules: Vec<fn(&ScannedFile) -> Vec<Finding>> = vec![unsafe_scope];
     if file.kind == FileKind::Src {
-        if no_panic_paths.iter().any(|p| file.rel_path.starts_with(p)) {
-            rules.push(no_panic);
-        }
         rules.push(secret_hygiene);
-        if !file.rel_path.starts_with("crates/bench/") {
-            rules.push(determinism);
-        }
     }
     rules
 }

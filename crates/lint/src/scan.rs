@@ -8,8 +8,8 @@
 //!   functions, which the production-code rules skip, and
 //! * an **enclosing-item map** — the innermost named `fn` / `struct` /
 //!   `enum` / `trait` / `mod` each token sits in, which is what
-//!   allowlist entries key on (names are stable under reformatting;
-//!   line numbers are not).
+//!   findings name (names are stable under reformatting; line numbers
+//!   are not).
 
 use syn::{File, Token, TokenKind};
 

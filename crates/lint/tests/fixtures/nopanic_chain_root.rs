@@ -1,7 +1,9 @@
 //! Fixture: a no-panic root that reaches a panic only via a two-hop
-//! call chain. This file itself contains no panic token, so the v1
-//! per-file `no-panic` rule sees nothing here; only the transitive
-//! pass can connect it to `helper_deep`'s `.expect()`.
+//! call chain. This file itself contains no panic token, so clippy's
+//! `unwrap_used` sees nothing here; only the transitive pass can
+//! connect it to `helper_deep`'s `.expect()`.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use super::fixture_helper::helper_mid;
 

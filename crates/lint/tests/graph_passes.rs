@@ -1,11 +1,14 @@
 //! Fixture tests for the three interprocedural passes (DESIGN §9.1):
 //! transitive no-panic propagation, lock-order cycle detection, and
-//! the charge-arithmetic audit. Each test also pins down what the v1
-//! per-file rules could *not* see, so the value of the call-graph
-//! layer stays demonstrated, not assumed.
+//! the charge-arithmetic audit. Each test also pins down what a
+//! per-file lint (clippy's `unwrap_used`, which sees one function's own
+//! sites) could *not* see, so the value of the call-graph layer stays
+//! demonstrated, not assumed.
 
+use tlc_lint::graph::CallGraph;
+use tlc_lint::nopanic::local_panic_sites;
 use tlc_lint::rules::Finding;
-use tlc_lint::{lint_source, lint_sources};
+use tlc_lint::{lint_sources, Workspace};
 
 fn by_rule<'a>(findings: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
     findings.iter().filter(|f| f.rule == rule).collect()
@@ -13,12 +16,17 @@ fn by_rule<'a>(findings: &'a [Finding], rule: &str) -> Vec<&'a Finding> {
 
 #[test]
 fn two_hop_panic_chain_is_invisible_to_the_per_file_rule() {
-    // The root file contains no panic token at all, so the v1
-    // direct-token `no-panic` rule must find nothing in it — the panic
-    // lives two calls away in a file outside the no-panic scope.
+    // The root file contains no panic site of its own, so clippy's
+    // per-function lints have nothing to flag in it — the panic lives
+    // two calls away in a file outside the no-panic scope.
     let root = include_str!("fixtures/nopanic_chain_root.rs");
-    let findings = lint_source("crates/core/src/verify/fixture_root.rs", root);
-    assert!(findings.is_empty(), "{findings:?}");
+    let ws = Workspace::from_sources(&[("crates/core/src/verify/fixture_root.rs", root)]);
+    let graph = CallGraph::build(&ws.files);
+    assert!(!graph.fns.is_empty());
+    for f in &graph.fns {
+        let body = f.body.expect("fixture fns have bodies");
+        assert!(local_panic_sites(&ws.files[f.file], body).is_empty());
+    }
 }
 
 #[test]
@@ -47,9 +55,28 @@ fn two_hop_panic_chain_is_caught_transitively_with_the_chain_named() {
         "panic site file not named: {}",
         f.message
     );
-    // Nothing else fires: the helper file is outside the per-file
-    // no-panic scope by design.
+    // Nothing else fires: the helper file is outside the no-panic
+    // scope by design.
     assert_eq!(findings.len(), 1, "{findings:?}");
+
+    // Without its own `#![deny]`, the root is still in scope when
+    // `verify/mod.rs` carries it...
+    let root = root.replace("#![deny", "// #![deny");
+    let verify_mod = "#![deny(clippy::unwrap_used)]\n";
+    let findings = lint_sources(&[
+        ("crates/core/src/verify/mod.rs", verify_mod),
+        ("crates/core/src/verify/fixture_root.rs", &root),
+        ("crates/core/src/fixture_helper.rs", helper),
+    ]);
+    assert_eq!(by_rule(&findings, "transitive-no-panic").len(), 1);
+    // ...and with the helper in scope too, its `.expect()` is clippy's
+    // to flag (or to see excused by an `#[expect]`), not the pass's.
+    let findings = lint_sources(&[
+        ("crates/core/src/verify/mod.rs", verify_mod),
+        ("crates/core/src/verify/fixture_root.rs", &root),
+        ("crates/core/src/verify/fixture_helper.rs", helper),
+    ]);
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]

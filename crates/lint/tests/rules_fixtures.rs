@@ -4,7 +4,7 @@
 
 use std::path::Path;
 use tlc_lint::rules::Finding;
-use tlc_lint::{lint_source, run_check, ALLOWLIST_FILE};
+use tlc_lint::{lint_source, run_check};
 
 fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
     let mut rules: Vec<&'static str> = findings.iter().map(|f| f.rule).collect();
@@ -14,43 +14,12 @@ fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
 }
 
 #[test]
-fn missing_safety_comment_is_flagged() {
-    let src = include_str!("fixtures/missing_safety.rs");
-    let findings = lint_source("crates/crypto/src/fixture.rs", src);
-    assert_eq!(rules_of(&findings), ["safety-comment"], "{findings:?}");
-    // One per unjustified unsafe site: the block in `peek`, the
-    // `unsafe fn poke` itself, and the block inside it.
-    assert_eq!(findings.len(), 3, "{findings:?}");
-    assert!(findings.iter().all(|f| f.line > 0 && f.col > 0));
-}
-
-#[test]
-fn safety_comments_satisfy_the_rule() {
-    let src = include_str!("fixtures/commented_safety.rs");
-    let findings = lint_source("crates/crypto/src/fixture.rs", src);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
 fn unsafe_outside_crypto_is_flagged_even_with_safety_comment() {
     let src = include_str!("fixtures/unsafe_outside_crypto.rs");
     let findings = lint_source("crates/core/src/fixture.rs", src);
     assert_eq!(rules_of(&findings), ["unsafe-scope"], "{findings:?}");
     // The same source inside tlc-crypto is fine.
     assert!(lint_source("crates/crypto/src/fixture.rs", src).is_empty());
-}
-
-#[test]
-fn panics_in_protocol_paths_are_flagged_but_not_in_tests() {
-    let src = include_str!("fixtures/panic_in_protocol.rs");
-    let findings = lint_source("crates/core/src/verify/fixture.rs", src);
-    assert_eq!(rules_of(&findings), ["no-panic"], "{findings:?}");
-    // unwrap + panic! + expect in `decode`; the test-module unwrap and
-    // the string/comment mentions must not count.
-    assert_eq!(findings.len(), 3, "{findings:?}");
-    assert!(findings.iter().all(|f| f.item == "decode"), "{findings:?}");
-    // Outside the no-panic scope the same file is fine.
-    assert!(lint_source("crates/sim/src/fixture.rs", src).is_empty());
 }
 
 #[test]
@@ -69,17 +38,6 @@ fn secrets_in_format_macros_are_flagged() {
 }
 
 #[test]
-fn ambient_time_and_rng_are_flagged() {
-    let src = include_str!("fixtures/nondeterminism.rs");
-    let findings = lint_source("crates/sim/src/fixture.rs", src);
-    assert_eq!(rules_of(&findings), ["determinism"], "{findings:?}");
-    assert!(
-        findings.len() >= 3,
-        "Instant::now, SystemTime::now, thread_rng: {findings:?}"
-    );
-}
-
-#[test]
 fn clean_fixture_passes_every_rule() {
     let src = include_str!("fixtures/clean.rs");
     let findings = lint_source("crates/crypto/src/fixture.rs", src);
@@ -93,25 +51,13 @@ fn bad_corpus_fails_as_a_whole() {
     // yields at least one finding.
     for (name, src) in [
         (
-            "missing_safety.rs",
-            include_str!("fixtures/missing_safety.rs"),
-        ),
-        (
             "unsafe_outside_crypto.rs",
             include_str!("fixtures/unsafe_outside_crypto.rs"),
-        ),
-        (
-            "panic_in_protocol.rs",
-            include_str!("fixtures/panic_in_protocol.rs"),
         ),
         ("secret_debug.rs", include_str!("fixtures/secret_debug.rs")),
         (
             "secret_format.rs",
             include_str!("fixtures/secret_format.rs"),
-        ),
-        (
-            "nondeterminism.rs",
-            include_str!("fixtures/nondeterminism.rs"),
         ),
     ] {
         let findings = lint_source(&format!("crates/core/src/verify/{name}"), src);
@@ -120,13 +66,13 @@ fn bad_corpus_fails_as_a_whole() {
 }
 
 #[test]
-fn workspace_is_clean_under_the_checked_allowlist() {
+fn workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("crates/lint has a workspace root two levels up")
         .to_path_buf();
-    let report = run_check(&root, &root.join(ALLOWLIST_FILE)).expect("workspace scan");
+    let report = run_check(&root).expect("workspace scan");
     assert!(
         report.is_clean(),
         "workspace lint findings:\n{}",

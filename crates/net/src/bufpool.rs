@@ -21,6 +21,15 @@
 //! the wire's max frame (header + max payload), so a single pooled
 //! buffer always suffices to reassemble any legal frame.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::sync::{Arc, Mutex};
 
 /// Counters exported into the ingress report (non-wire fields).

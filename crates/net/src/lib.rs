@@ -56,6 +56,7 @@ pub mod packet;
 pub mod queue;
 pub mod radio;
 #[allow(unsafe_code)]
+#[deny(clippy::undocumented_unsafe_blocks)]
 pub mod readiness;
 pub mod rng;
 pub mod stats;

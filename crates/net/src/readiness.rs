@@ -26,6 +26,15 @@
 //! [`io::ErrorKind::Unsupported`], which the ingress server hands back
 //! from `bind`.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::io;
 use std::net::TcpListener;
 #[cfg(unix)]

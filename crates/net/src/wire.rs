@@ -24,6 +24,15 @@
 //! framing and cannot be resynchronised, so the connection must be torn
 //! down.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::collections::VecDeque;
 
 /// Bytes in a frame header: 1 kind byte + 4 length bytes.

@@ -81,6 +81,10 @@ pub struct Fig17Report {
 /// Propagates [`ProtocolError`] instead of panicking: a non-converging
 /// negotiation (misconfigured strategies, exhausted rounds) surfaces as an
 /// error the caller can report.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "fig 17 measures wall-clock negotiation latency"
+)]
 fn negotiate_once(
     edge: &KeyPair,
     op: &KeyPair,
@@ -132,6 +136,10 @@ pub fn reps(scale: RunScale) -> usize {
 /// average (the paper negotiates per experiment round).
 ///
 /// Errors if any negotiation fails to converge rather than panicking.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "fig 17 measures wall-clock verification throughput"
+)]
 pub fn run(reps: usize) -> Result<Fig17Report, ProtocolError> {
     let edge = KeyPair::generate_for_seed(1024, 0xF17E).expect("keygen");
     let op = KeyPair::generate_for_seed(1024, 0xF170).expect("keygen");

@@ -63,6 +63,10 @@ pub fn tier_config(sessions: usize, seed: u64) -> TwinConfig {
 }
 
 /// Runs one tier and times it.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "twin tier sweep reports wall-clock throughput"
+)]
 pub fn run_tier(sessions: usize, seed: u64) -> TwinRow {
     let cfg = tier_config(sessions, seed);
     let start = std::time::Instant::now();

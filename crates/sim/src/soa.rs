@@ -14,6 +14,15 @@
 //! A row is zeroed by [`ChargeRow::start_cycle`] at admit and at every
 //! settlement, so slot reuse starts from a clean row by construction.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// One session's charging counters for the open cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChargeRow {

@@ -171,6 +171,10 @@ fn connect(addr: &str) {
     client.goodbye().expect("clean goodbye");
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the example reports its wall-clock throughput"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
