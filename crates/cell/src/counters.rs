@@ -6,6 +6,12 @@
 //! read both "in total" and "as of instant t" (needed for clock-skew
 //! effects).
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
+)]
+
 use tlc_net::stats::{ByteCounter, UsageSeries};
 use tlc_net::time::{SimDuration, SimTime};
 

@@ -7,6 +7,12 @@
 //! *anything* — the paper's point that legacy selfish charging is
 //! unbounded.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
+)]
+
 /// How the legacy operator sets the bill.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LegacyOperator {
@@ -27,6 +33,10 @@ pub enum LegacyOperator {
 }
 
 /// Computes the legacy bill from the gateway meter.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a selfish bill is a non-negative f64 rounded to u64 by `as`, which saturates"
+)]
 pub fn legacy_charge(gateway_metered: u64, operator: LegacyOperator) -> u64 {
     match operator {
         LegacyOperator::Honest => gateway_metered,

@@ -78,7 +78,7 @@ pub use cancellation::{
 };
 pub use messages::{CdaMsg, CdrMsg, MessageError, Nonce, PocMsg, NONCE_LEN};
 pub use plan::{charge_for, intended_charge, ChargingCycle, DataPlan, LossWeight, UsagePair};
-pub use protocol::{run_negotiation, Endpoint, Message, ProtocolError, State};
+pub use protocol::{run_negotiation, Endpoint, Handled, Message, ProtocolError, State};
 pub use roaming::{reconcile_bonded, LinkCdr, RoamingAgreement, Segment, Serving, SettlementSplit};
 pub use session::{
     run_session_pair, FallbackReason, PairReport, Session, SessionOutcome, SessionStats,

@@ -18,7 +18,10 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
 )]
 
 use crate::plan::DataPlan;
@@ -97,6 +100,10 @@ fn get_role(r: &mut Reader<'_>) -> Result<Role, MessageError> {
     }
 }
 
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "a loss weight is in [0, 1], so its rounded 1e-4 count is in [0, 10 000]"
+)]
 pub(crate) fn put_plan(buf: &mut Vec<u8>, plan: &DataPlan) {
     put_u64(buf, plan.cycle.start_secs);
     put_u64(buf, plan.cycle.end_secs);
@@ -120,7 +127,7 @@ pub(crate) fn get_plan(r: &mut Reader<'_>) -> Result<DataPlan, MessageError> {
 /// Appends a `u16`-length-prefixed byte string: a signature or an
 /// embedded message.
 fn put_prefixed(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u16(buf, bytes.len() as u16);
+    put_u16(buf, u16::try_from(bytes.len()).unwrap_or(u16::MAX));
     buf.extend_from_slice(bytes);
 }
 
@@ -165,7 +172,7 @@ pub struct CdrMsg {
 impl CdrMsg {
     fn body(&self) -> Vec<u8> {
         // Room for the signature `encode` appends: one allocation either way.
-        let mut b = Vec::with_capacity(64 + self.signature.len());
+        let mut b = Vec::with_capacity(self.signature.len().saturating_add(64));
         b.push(MsgType::Cdr as u8);
         put_role(&mut b, self.role);
         put_plan(&mut b, &self.plan);
@@ -250,7 +257,12 @@ pub struct CdaMsg {
 impl CdaMsg {
     fn body(&self) -> Vec<u8> {
         let peer_encoded = self.peer_cdr.encode();
-        let mut b = Vec::with_capacity(64 + peer_encoded.len() + self.signature.len());
+        let mut b = Vec::with_capacity(
+            peer_encoded
+                .len()
+                .saturating_add(self.signature.len())
+                .saturating_add(64),
+        );
         b.push(MsgType::Cda as u8);
         put_role(&mut b, self.role);
         put_plan(&mut b, &self.plan);
@@ -352,7 +364,12 @@ pub struct PocMsg {
 impl PocMsg {
     fn body(&self) -> Vec<u8> {
         let cda_encoded = self.cda.encode();
-        let mut b = Vec::with_capacity(96 + cda_encoded.len() + self.signature.len());
+        let mut b = Vec::with_capacity(
+            cda_encoded
+                .len()
+                .saturating_add(self.signature.len())
+                .saturating_add(96),
+        );
         b.push(MsgType::Poc as u8);
         put_role(&mut b, self.role);
         put_plan(&mut b, &self.plan);
@@ -556,7 +573,7 @@ fn embedding(msg: &[u8], head: usize) -> Option<(&[u8], &[u8])> {
     r.take(head)?;
     let len = usize::from(r.u16()?);
     let inner = r.take(len)?;
-    let body = Reader::new(msg).take(head + 2 + len)?;
+    let body = Reader::new(msg).take(head.checked_add(2)?.checked_add(len)?)?;
     Some((body, inner))
 }
 
@@ -616,7 +633,7 @@ pub fn verify_chains_batch_prehashed(
     edge_key: &PublicKey,
     operator_key: &PublicKey,
 ) -> Vec<Result<(), MessageError>> {
-    let mut reqs = Vec::with_capacity(items.len() * 3);
+    let mut reqs = Vec::with_capacity(items.len().saturating_mul(3));
     for (poc, d) in items {
         let (finalizer_key, other_key) = poc.chain_keys(edge_key, operator_key);
         reqs.push(pkcs1::VerifyRequest {
@@ -636,7 +653,7 @@ pub fn verify_chains_batch_prehashed(
         });
     }
     #[cfg(test)]
-    SIGNATURES_HANDED_DOWN.with(|n| n.set(n.get() + reqs.len()));
+    SIGNATURES_HANDED_DOWN.with(|n| n.set(n.get().saturating_add(reqs.len())));
     let verdicts = pkcs1::verify_batch(&reqs);
     items
         .iter()

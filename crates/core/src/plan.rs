@@ -12,6 +12,14 @@
 //! With honest reports `(x̂_e, x̂_o)` this is the plan-intended charge
 //! `x̂ = x̂_o + c·(x̂_e − x̂_o)` of Eq. (1).
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
+)]
+
+use std::num::NonZeroU32;
+
 /// The lost-data charging weight `c`, constrained to `[0, 1]`.
 ///
 /// `c = 0` charges only received data; `c = 1` charges all sent data.
@@ -26,6 +34,10 @@ pub struct LossWeight {
 impl LossWeight {
     /// Builds a weight `numer/denom`; panics unless `0 ≤ numer ≤ denom`
     /// and `denom > 0`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "denom > 0 is asserted, so its gcd with numer is at least 1"
+    )]
     pub fn new(numer: u32, denom: u32) -> Self {
         assert!(denom > 0, "denominator must be positive");
         assert!(numer <= denom, "loss weight must be <= 1");
@@ -50,6 +62,10 @@ impl LossWeight {
     }
 
     /// Builds from a float in `[0, 1]` with 1/10000 resolution.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "c is asserted in [0, 1], so the rounded product is in [0, 10 000]"
+    )]
     pub fn from_f64(c: f64) -> Self {
         assert!((0.0..=1.0).contains(&c), "loss weight must be in [0,1]");
         LossWeight::new((c * 10_000.0).round() as u32, 10_000)
@@ -61,6 +77,11 @@ impl LossWeight {
     }
 
     /// Exact `c·v` with round-half-up in integer arithmetic.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "u64 × u32 fits u128, denom > 0, and numer ≤ denom keeps the quotient ≤ v"
+    )]
     pub fn scale(&self, v: u64) -> u64 {
         ((v as u128 * self.numer as u128 + (self.denom / 2) as u128) / self.denom as u128) as u64
     }
@@ -69,14 +90,19 @@ impl LossWeight {
     /// so the *remainder* side of a split can be assigned exactly
     /// (`v − scale_floor(v)`), making three-party conservation hold by
     /// construction instead of by rounding luck.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "u64 × u32 fits u128, denom > 0, and numer ≤ denom keeps the quotient ≤ v"
+    )]
     pub fn scale_floor(&self, v: u64) -> u64 {
         ((v as u128 * self.numer as u128) / self.denom as u128) as u64
     }
 }
 
 fn gcd(mut a: u32, mut b: u32) -> u32 {
-    while b != 0 {
-        (a, b) = (b, a % b);
+    while let Some(nz) = NonZeroU32::new(b) {
+        (a, b) = (b, a % nz);
     }
     a
 }
@@ -143,7 +169,7 @@ pub struct UsagePair {
 pub fn charge_for(claims: UsagePair, c: LossWeight) -> u64 {
     let lo = claims.edge.min(claims.operator);
     let hi = claims.edge.max(claims.operator);
-    lo + c.scale(hi - lo)
+    lo.saturating_add(c.scale(hi.abs_diff(lo)))
 }
 
 /// The plan-intended ("ground truth") charge `x̂` of Eq. (1), from the

@@ -109,6 +109,16 @@ pub enum Message {
     Poc(PocMsg),
 }
 
+/// What consuming one message leaves an endpoint with.
+#[derive(Debug, PartialEq)]
+pub enum Handled {
+    /// The message owed in reply.
+    Reply(Message),
+    /// A valid PoC completed the negotiation on this side; nothing more
+    /// is owed, and this is the proof.
+    Done(PocMsg),
+}
+
 impl Message {
     /// Wire encoding of whichever variant this is.
     pub fn encode(&self) -> Vec<u8> {
@@ -280,21 +290,19 @@ impl Endpoint {
         Ok(())
     }
 
-    /// Consumes an incoming message and produces the reply, if any.
-    ///
-    /// `Ok(None)` means the negotiation just completed on our side with no
-    /// further message owed (only happens on receiving a valid PoC).
+    /// Consumes an incoming message and produces the reply, or the proof
+    /// when a valid PoC completes the negotiation on our side.
     /// Every message is consumed as new: re-deliveries and stale frames
     /// are [`Session`](crate::session::Session)'s to filter.
-    pub fn handle(&mut self, msg: &Message) -> Result<Option<Message>, ProtocolError> {
+    pub fn handle(&mut self, msg: &Message) -> Result<Handled, ProtocolError> {
         match msg {
-            Message::Cdr(cdr) => self.on_cdr(cdr),
-            Message::Cda(cda) => self.on_cda(cda),
-            Message::Poc(poc) => self.on_poc(poc),
+            Message::Cdr(cdr) => self.on_cdr(cdr).map(Handled::Reply),
+            Message::Cda(cda) => self.on_cda(cda).map(Handled::Reply),
+            Message::Poc(poc) => self.on_poc(poc).map(Handled::Done),
         }
     }
 
-    fn on_cdr(&mut self, cdr: &CdrMsg) -> Result<Option<Message>, ProtocolError> {
+    fn on_cdr(&mut self, cdr: &CdrMsg) -> Result<Message, ProtocolError> {
         cdr.verify(&self.peer_key)?;
         self.stats.signatures_checked += 1;
         self.check_plan(&cdr.plan)?;
@@ -340,7 +348,7 @@ impl Endpoint {
             self.note_sent(cda.encode().len());
             self.last_sent_cda = Some(cda.clone());
             self.state = State::SentCda;
-            Ok(Some(Message::Cda(cda)))
+            Ok(Message::Cda(cda))
         } else {
             // Implicit reject. If our claim for this round was never
             // transmitted, the counter-CDR carrying it is our rejection;
@@ -354,11 +362,11 @@ impl Endpoint {
                 _ => self.make_cdr()?,
             };
             self.state = State::SentCdr;
-            Ok(Some(Message::Cdr(reply)))
+            Ok(Message::Cdr(reply))
         }
     }
 
-    fn on_cda(&mut self, cda: &CdaMsg) -> Result<Option<Message>, ProtocolError> {
+    fn on_cda(&mut self, cda: &CdaMsg) -> Result<Message, ProtocolError> {
         if self.state != State::SentCdr {
             return Err(ProtocolError::UnexpectedMessage("CDA without pending CDR"));
         }
@@ -411,16 +419,16 @@ impl Endpoint {
             self.note_sent(poc.encode().len());
             self.completed = Some(poc.clone());
             self.state = State::Done;
-            Ok(Some(Message::Poc(poc)))
+            Ok(Message::Poc(poc))
         } else {
             self.bounds = self.bounds.tighten(own_claim, cda.usage);
             let reclaim = self.make_cdr()?;
             self.state = State::SentCdr;
-            Ok(Some(Message::Cdr(reclaim)))
+            Ok(Message::Cdr(reclaim))
         }
     }
 
-    fn on_poc(&mut self, poc: &PocMsg) -> Result<Option<Message>, ProtocolError> {
+    fn on_poc(&mut self, poc: &PocMsg) -> Result<PocMsg, ProtocolError> {
         if self.state != State::SentCda {
             return Err(ProtocolError::UnexpectedMessage("PoC without pending CDA"));
         }
@@ -456,7 +464,7 @@ impl Endpoint {
         }
         self.completed = Some(poc.clone());
         self.state = State::Done;
-        Ok(None)
+        Ok(poc.clone())
     }
 
     /// The stored PoC once the negotiation completed.
@@ -572,7 +580,6 @@ pub struct EndpointSnapshot {
 /// Runs a full negotiation between two endpoints in memory, shuttling
 /// messages until both complete. Returns the PoC and the number of
 /// messages exchanged.
-#[expect(clippy::expect_used, reason = "loop exits only after outcome is Some")]
 pub fn run_negotiation(
     initiator: &mut Endpoint,
     responder: &mut Endpoint,
@@ -584,29 +591,22 @@ pub fn run_negotiation(
     let cap = initiator.max_rounds * 2 + 2;
     let mut turn_responder = true;
     while msgs <= cap {
-        let reply = if turn_responder {
+        let handled = if turn_responder {
             responder.handle(&msg)?
         } else {
             initiator.handle(&msg)?
         };
-        match reply {
-            Some(next) => {
+        match handled {
+            Handled::Reply(next) => {
                 msg = next;
                 msgs += 1;
                 turn_responder = !turn_responder;
             }
-            None => {
-                // Receiver consumed a PoC: both sides are done.
-                let poc = initiator
-                    .proof()
-                    .or(responder.proof())
-                    .expect("completion implies a stored proof")
-                    .clone();
-                return Ok((poc, msgs));
-            }
+            // Receiver consumed a PoC: both sides are done.
+            Handled::Done(poc) => return Ok((poc, msgs)),
         }
         // If the last reply was a PoC, the *sender* is done and the
-        // receiver will consume it next iteration, returning None.
+        // receiver will consume it next iteration.
     }
     Err(ProtocolError::Stalled {
         rounds: initiator.rounds().max(responder.rounds()),
@@ -700,7 +700,7 @@ mod tests {
             800,
         );
         let cdr = op.initiate().unwrap();
-        let cda = edge.handle(&cdr).unwrap().unwrap();
+        let cda = reply(edge.handle(&cdr));
 
         // Operator "crashes" after sending its CDR and restarts from the
         // checkpoint; the restored endpoint finishes the negotiation.
@@ -723,8 +723,8 @@ mod tests {
             32,
         );
         assert_eq!(op2.state(), State::SentCdr);
-        let poc = op2.handle(&cda).unwrap().unwrap();
-        assert!(edge.handle(&poc).unwrap().is_none());
+        let poc = reply(op2.handle(&cda));
+        assert!(matches!(edge.handle(&poc), Ok(Handled::Done(_))));
         assert_eq!(edge.proof().unwrap().charge, 900);
     }
 
@@ -879,15 +879,15 @@ mod tests {
         );
         let m1 = op.initiate().unwrap();
         assert!(matches!(m1, Message::Cdr(_)));
-        let m2 = edge.handle(&m1).unwrap().unwrap();
+        let m2 = reply(edge.handle(&m1));
         assert!(matches!(m2, Message::Cda(_)), "edge accepts with CDA");
-        let m3 = op.handle(&m2).unwrap().unwrap();
+        let m3 = reply(op.handle(&m2));
         assert!(matches!(m3, Message::Cdr(_)), "operator rejects by re-CDR");
-        let m4 = edge.handle(&m3).unwrap().unwrap();
+        let m4 = reply(edge.handle(&m3));
         assert!(matches!(m4, Message::Cda(_)), "edge re-accepts");
-        let m5 = op.handle(&m4).unwrap().unwrap();
+        let m5 = reply(op.handle(&m4));
         assert!(matches!(m5, Message::Poc(_)), "operator finalizes");
-        assert!(edge.handle(&m5).unwrap().is_none());
+        assert!(matches!(edge.handle(&m5), Ok(Handled::Done(_))));
         assert_eq!(edge.state(), State::Done);
         assert_eq!(op.state(), State::Done);
         let poc = op.proof().unwrap();
@@ -910,16 +910,16 @@ mod tests {
             800,
         );
         let m1 = op.initiate().unwrap();
-        let m2 = edge.handle(&m1).unwrap().unwrap();
+        let m2 = reply(edge.handle(&m1));
         assert!(matches!(m2, Message::Cdr(_)), "edge rejects by counter-CDR");
-        let m3 = op.handle(&m2).unwrap().unwrap();
+        let m3 = reply(op.handle(&m2));
         assert!(
             matches!(m3, Message::Cda(_)),
             "operator accepts the counterclaim"
         );
-        let m4 = edge.handle(&m3).unwrap().unwrap();
+        let m4 = reply(edge.handle(&m3));
         assert!(matches!(m4, Message::Poc(_)), "edge finalizes");
-        assert!(op.handle(&m4).unwrap().is_none());
+        assert!(matches!(op.handle(&m4), Ok(Handled::Done(_))));
         let poc = edge.proof().unwrap();
         assert!(
             (800..=1000).contains(&poc.charge),
@@ -943,11 +943,11 @@ mod tests {
                 &mut *initiator
             };
             match rx.handle(wire.last().unwrap()) {
-                Ok(Some(reply)) => {
+                Ok(Handled::Reply(reply)) => {
                     wire.push(reply);
                     to_responder = !to_responder;
                 }
-                Ok(None) | Err(_) => return wire,
+                Ok(Handled::Done(_)) | Err(_) => return wire,
             }
         }
     }
@@ -1035,7 +1035,15 @@ mod tests {
         assert_eq!(digest, WIRE_DIGEST);
     }
 
-    fn bad_signature(r: Result<Option<Message>, ProtocolError>) -> bool {
+    /// The reply `handle` owed, or a panic if it errored or completed.
+    fn reply(handled: Result<Handled, ProtocolError>) -> Message {
+        match handled.unwrap() {
+            Handled::Reply(msg) => msg,
+            Handled::Done(_) => panic!("expected a reply, the negotiation completed"),
+        }
+    }
+
+    fn bad_signature(r: Result<Handled, ProtocolError>) -> bool {
         matches!(r, Err(ProtocolError::Message(MessageError::BadSignature)))
     }
 
@@ -1049,7 +1057,7 @@ mod tests {
             800,
         );
         let cdr = op.initiate().unwrap();
-        let Some(Message::Cda(cda)) = edge.handle(&cdr).unwrap() else {
+        let Ok(Handled::Reply(Message::Cda(cda))) = edge.handle(&cdr) else {
             panic!("edge accepts with a CDA");
         };
         // One bit of the echoed CDR's signature flipped in flight: the
@@ -1080,7 +1088,7 @@ mod tests {
         // Neither attempt moved the state machine: the real CDA completes.
         assert!(matches!(
             op.handle(&Message::Cda(cda)),
-            Ok(Some(Message::Poc(_)))
+            Ok(Handled::Reply(Message::Poc(_)))
         ));
     }
 
@@ -1091,8 +1099,8 @@ mod tests {
         let Message::Cdr(first) = op.initiate().unwrap() else {
             panic!("initiate sends a CDR");
         };
-        let cda = edge.handle(&Message::Cdr(first.clone())).unwrap().unwrap();
-        let second = op.handle(&cda).unwrap().unwrap();
+        let cda = reply(edge.handle(&Message::Cdr(first.clone())));
+        let second = reply(op.handle(&cda));
         assert!(matches!(second, Message::Cdr(_)), "operator re-claims");
         // The edge accepts the *first* CDR again (under a new claim, so
         // this is no retransmission of its first CDA): both signatures
@@ -1149,7 +1157,7 @@ mod tests {
             800,
         );
         let cdr = op.initiate().unwrap();
-        let Some(Message::Cda(mut cda)) = edge.handle(&cdr).unwrap() else {
+        let Ok(Handled::Reply(Message::Cda(mut cda))) = edge.handle(&cdr) else {
             panic!("edge accepts with a CDA");
         };
         // The operator finalizes over a CDA whose signature it damaged;
@@ -1163,11 +1171,11 @@ mod tests {
     fn poc_on_an_older_signed_cda_keeps_the_full_chain_verdict() {
         let (mut edge, mut op) = setup(Box::new(OptimalStrategy), grumpy(1), 1000, 800);
         let m1 = op.initiate().unwrap();
-        let Some(Message::Cda(old_cda)) = edge.handle(&m1).unwrap() else {
+        let Ok(Handled::Reply(Message::Cda(old_cda))) = edge.handle(&m1) else {
             panic!("edge accepts with a CDA");
         };
-        let m3 = op.handle(&Message::Cda(old_cda.clone())).unwrap().unwrap();
-        let Some(Message::Cda(new_cda)) = edge.handle(&m3).unwrap() else {
+        let m3 = reply(op.handle(&Message::Cda(old_cda.clone())));
+        let Ok(Handled::Reply(Message::Cda(new_cda))) = edge.handle(&m3) else {
             panic!("edge re-accepts with a CDA");
         };
         assert_ne!(old_cda, new_cda);
@@ -1206,11 +1214,9 @@ mod tests {
             live.stats().signatures_checked,
             restored.stats().signatures_checked,
         );
-        let a = live.handle(msg).unwrap();
-        let b = restored.handle(msg).unwrap();
         assert_eq!(
-            a.as_ref().map(Message::encode),
-            b.as_ref().map(Message::encode),
+            live.handle(msg).unwrap(),
+            restored.handle(msg).unwrap(),
             "restored reply differs from the un-crashed run"
         );
         assert_eq!(live.state(), restored.state());
@@ -1229,20 +1235,20 @@ mod tests {
             800,
         );
         let cdr = op.initiate().unwrap();
-        let cda = edge.handle(&cdr).unwrap().unwrap();
+        let cda = reply(edge.handle(&cdr));
         assert_eq!(edge.state(), State::SentCda);
         assert!(edge.last_sent_cdr.is_none(), "claim made, CDR unsigned");
         let mut edge2 = crash(&edge, Box::new(OptimalStrategy));
-        let poc = op.handle(&cda).unwrap().unwrap();
+        let poc = reply(op.handle(&cda));
         assert_eq!(deliver_to_both(&mut edge, &mut edge2, &poc), 1);
         assert_eq!(edge2.proof(), op.proof());
 
         // (ii) The peer rejects: its counter-CDR arrives after the crash.
         let (mut edge, mut op) = setup(Box::new(OptimalStrategy), grumpy(1), 1000, 800);
         let cdr = op.initiate().unwrap();
-        let cda = edge.handle(&cdr).unwrap().unwrap();
+        let cda = reply(edge.handle(&cdr));
         let mut edge2 = crash(&edge, Box::new(OptimalStrategy));
-        let counter = op.handle(&cda).unwrap().unwrap();
+        let counter = reply(op.handle(&cda));
         assert!(matches!(counter, Message::Cdr(_)));
         assert_eq!(deliver_to_both(&mut edge, &mut edge2, &counter), 1);
         assert_eq!(edge2.stats().signatures_made, edge2.stats().msgs_sent);
@@ -1259,19 +1265,19 @@ mod tests {
         );
         let cdr = op.initiate().unwrap();
         let mut op2 = crash(&op, Box::new(OptimalStrategy));
-        let cda = edge.handle(&cdr).unwrap().unwrap();
+        let cda = reply(edge.handle(&cdr));
         assert_eq!(deliver_to_both(&mut op, &mut op2, &cda), 1);
         assert_eq!(op2.proof(), op.proof());
-        assert!(edge
-            .handle(&Message::Poc(op2.proof().unwrap().clone()))
-            .unwrap()
-            .is_none());
+        assert!(matches!(
+            edge.handle(&Message::Poc(op2.proof().unwrap().clone())),
+            Ok(Handled::Done(_))
+        ));
 
         // (ii) The peer rejects with a counter-CDR.
         let (mut edge, mut op) = setup(grumpy(1), Box::new(OptimalStrategy), 1000, 800);
         let cdr = op.initiate().unwrap();
         let mut op2 = crash(&op, Box::new(OptimalStrategy));
-        let counter = edge.handle(&cdr).unwrap().unwrap();
+        let counter = reply(edge.handle(&cdr));
         assert!(matches!(counter, Message::Cdr(_)));
         assert_eq!(deliver_to_both(&mut op, &mut op2, &counter), 1);
         assert_eq!(op2.stats().signatures_made, op2.stats().msgs_sent);

@@ -58,7 +58,10 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
 )]
 
 use crate::plan::{charge_for, DataPlan, LossWeight, UsagePair};

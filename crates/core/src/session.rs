@@ -37,12 +37,15 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
 )]
 
 use crate::legacy::{legacy_charge, LegacyOperator};
 use crate::messages::{CdaMsg, CdrMsg, PocMsg};
-use crate::protocol::{Endpoint, EndpointSnapshot, Message, ProtocolError, State};
+use crate::protocol::{Endpoint, EndpointSnapshot, Handled, Message, ProtocolError, State};
 use crate::strategy::Role;
 use std::collections::VecDeque;
 use tlc_net::channel::FaultyChannel;
@@ -136,7 +139,7 @@ pub struct SessionSnapshot {
     send_seq: u64,
     recv_next: u64,
     last_frame: Option<Vec<u8>>,
-    outstanding: bool,
+    in_flight: Option<Vec<u8>>,
     started: bool,
 }
 
@@ -148,12 +151,13 @@ pub struct Session {
     send_seq: u64,
     /// Sequence number we expect from the peer next.
     recv_next: u64,
-    /// Encoded copy of the last frame we sent (retransmission and
-    /// duplicate-elicited re-emission).
+    /// Encoded copy of the last frame we sent, ack included
+    /// (duplicate-elicited re-emission).
     last_frame: Option<Vec<u8>>,
-    /// True while `last_frame` awaits acknowledgement (implicit — the
-    /// peer's next in-order frame — or explicit for the final PoC).
-    outstanding: bool,
+    /// The frame awaiting acknowledgement (implicit — the peer's next
+    /// in-order frame — or explicit for the final PoC), which the timer
+    /// retransmits.
+    in_flight: Option<Vec<u8>>,
     retries: u32,
     rto: SimDuration,
     next_timeout: Option<SimTime>,
@@ -171,7 +175,7 @@ impl Session {
             send_seq: 0,
             recv_next: 0,
             last_frame: None,
-            outstanding: false,
+            in_flight: None,
             retries: 0,
             rto: INITIAL_RTO,
             next_timeout: None,
@@ -205,10 +209,6 @@ impl Session {
     /// Fires the retransmission timer if due: re-queues the outstanding
     /// frame with doubled (capped) RTO, or falls back to the legacy
     /// charge once the retry budget is spent.
-    #[expect(
-        clippy::expect_used,
-        reason = "timer only armed while a message is in flight"
-    )]
     pub fn handle_timeout(&mut self, now: SimTime) {
         if self.outcome.is_some() {
             self.next_timeout = None;
@@ -217,7 +217,10 @@ impl Session {
         let Some(deadline) = self.next_timeout else {
             return;
         };
-        if now < deadline || !self.outstanding {
+        let Some(frame) = self.in_flight.as_ref() else {
+            return;
+        };
+        if now < deadline {
             return;
         }
         if self.retries >= RETRY_BUDGET {
@@ -232,29 +235,21 @@ impl Session {
             self.next_timeout = None;
             return;
         }
-        let frame = self
-            .last_frame
-            .clone()
-            .expect("outstanding implies a frame");
-        self.tx_queue.push_back(frame);
-        self.stats.retransmits += 1;
-        self.retries += 1;
-        self.rto = (self.rto + self.rto).min(MAX_RTO);
-        self.next_timeout = Some(now + self.rto);
+        self.tx_queue.push_back(frame.clone());
+        self.stats.retransmits = self.stats.retransmits.saturating_add(1);
+        self.retries = self.retries.saturating_add(1);
+        self.rto = SimDuration::from_micros(self.rto.as_micros().saturating_mul(2)).min(MAX_RTO);
+        self.next_timeout = Some(now.saturating_add(self.rto));
     }
 
     /// Consumes one datagram from the channel.
-    #[expect(
-        clippy::expect_used,
-        reason = "the endpoint consumed the PoC, so it holds the proof"
-    )]
     pub fn on_datagram(&mut self, now: SimTime, bytes: &[u8]) {
         if self.outcome.is_some() && !matches!(self.outcome, Some(SessionOutcome::Proof(_))) {
             // A fallen-back session no longer speaks TLC this cycle.
             return;
         }
         let Some((kind, seq, payload)) = decode_frame(bytes) else {
-            self.stats.corrupt_rx += 1;
+            self.stats.corrupt_rx = self.stats.corrupt_rx.saturating_add(1);
             return;
         };
         if kind == KIND_ACK {
@@ -264,19 +259,19 @@ impl Session {
         if seq.checked_add(1) == Some(self.recv_next) {
             // Exact duplicate of the frame we last consumed: the peer
             // missed our reply — re-elicit it without touching timers.
-            self.stats.duplicates_rx += 1;
+            self.stats.duplicates_rx = self.stats.duplicates_rx.saturating_add(1);
             if let Some(frame) = self.last_frame.clone() {
                 self.tx_queue.push_back(frame);
             }
             return;
         }
         if seq != self.recv_next {
-            self.stats.out_of_order_rx += 1;
+            self.stats.out_of_order_rx = self.stats.out_of_order_rx.saturating_add(1);
             return;
         }
         // Only an in-order frame is parsed.
         let Some(msg) = decode_message(kind, &payload) else {
-            self.stats.corrupt_rx += 1;
+            self.stats.corrupt_rx = self.stats.corrupt_rx.saturating_add(1);
             return;
         };
 
@@ -284,15 +279,14 @@ impl Session {
         // frame (strict alternation), so it is implicitly acknowledged.
         self.acked();
         match self.endpoint.handle(&msg) {
-            Ok(Some(reply)) => {
-                self.recv_next += 1;
+            Ok(Handled::Reply(reply)) => {
+                self.recv_next = self.recv_next.saturating_add(1);
                 self.send_message(now, &reply);
             }
-            Ok(None) => {
+            Ok(Handled::Done(poc)) => {
                 // Consumed the PoC: confirm delivery and finish.
-                self.recv_next += 1;
+                self.recv_next = self.recv_next.saturating_add(1);
                 self.send_ack(seq);
-                let poc = self.endpoint.proof().expect("PoC consumed").clone();
                 self.outcome = Some(SessionOutcome::Proof(Box::new(poc)));
                 self.next_timeout = None;
             }
@@ -304,7 +298,7 @@ impl Session {
 
     fn on_ack(&mut self, seq: u64) {
         // `seq` is the peer's: `u64::MAX` must not overflow.
-        if self.outstanding && seq.checked_add(1) == Some(self.send_seq) {
+        if self.in_flight.is_some() && seq.checked_add(1) == Some(self.send_seq) {
             self.acked();
             self.next_timeout = None;
             if self.endpoint.state() == State::Done {
@@ -316,20 +310,20 @@ impl Session {
     }
 
     fn acked(&mut self) {
-        self.outstanding = false;
+        self.in_flight = None;
         self.retries = 0;
         self.rto = INITIAL_RTO;
     }
 
     fn send_message(&mut self, now: SimTime, msg: &Message) {
         let frame = encode_message_frame(self.send_seq, msg);
-        self.send_seq += 1;
+        self.send_seq = self.send_seq.saturating_add(1);
         self.last_frame = Some(frame.clone());
-        self.outstanding = true;
+        self.in_flight = Some(frame.clone());
         self.retries = 0;
         self.rto = INITIAL_RTO;
-        self.next_timeout = Some(now + self.rto);
-        self.stats.frames_sent += 1;
+        self.next_timeout = Some(now.saturating_add(self.rto));
+        self.stats.frames_sent = self.stats.frames_sent.saturating_add(1);
         self.tx_queue.push_back(frame);
     }
 
@@ -338,16 +332,16 @@ impl Session {
         // Stored for duplicate-elicited re-acking; acks are never
         // timer-retransmitted (the peer's retries drive them).
         self.last_frame = Some(frame.clone());
-        self.outstanding = false;
+        self.in_flight = None;
         self.next_timeout = None;
-        self.stats.acks_sent += 1;
+        self.stats.acks_sent = self.stats.acks_sent.saturating_add(1);
         self.tx_queue.push_back(frame);
     }
 
     /// Stops the ARQ and returns the legacy-charge outcome for `reason`.
     fn fall_back(&mut self, reason: FallbackReason) -> SessionOutcome {
         self.next_timeout = None;
-        self.outstanding = false;
+        self.in_flight = None;
         let charge = self.fallback_charge();
         SessionOutcome::Fallback { reason, charge }
     }
@@ -405,7 +399,7 @@ impl Session {
             send_seq: self.send_seq,
             recv_next: self.recv_next,
             last_frame: self.last_frame.clone(),
-            outstanding: self.outstanding,
+            in_flight: self.in_flight.clone(),
             started: self.started,
         }
     }
@@ -414,17 +408,13 @@ impl Session {
     /// (see [`Endpoint::restore`]). The outstanding frame, if any, is
     /// re-queued immediately and its timer re-armed, so recovery resumes
     /// the retransmission loop where the crash interrupted it.
-    #[expect(
-        clippy::expect_used,
-        reason = "snapshot was produced by the same serializer"
-    )]
     pub fn restore(snapshot: SessionSnapshot, endpoint: Endpoint, now: SimTime) -> Self {
         let mut s = Session {
             endpoint,
             send_seq: snapshot.send_seq,
             recv_next: snapshot.recv_next,
             last_frame: snapshot.last_frame,
-            outstanding: snapshot.outstanding,
+            in_flight: snapshot.in_flight,
             retries: 0,
             rto: INITIAL_RTO,
             next_timeout: None,
@@ -433,11 +423,10 @@ impl Session {
             outcome: None,
             stats: SessionStats::default(),
         };
-        if s.outstanding {
-            let frame = s.last_frame.clone().expect("outstanding implies a frame");
-            s.tx_queue.push_back(frame);
-            s.stats.retransmits += 1;
-            s.next_timeout = Some(now + s.rto);
+        if let Some(frame) = &s.in_flight {
+            s.tx_queue.push_back(frame.clone());
+            s.stats.retransmits = s.stats.retransmits.saturating_add(1);
+            s.next_timeout = Some(now.saturating_add(s.rto));
         }
         s
     }
@@ -461,12 +450,16 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 fn encode_frame(kind: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len() + FRAME_TRAILER);
+    let mut out = Vec::with_capacity(payload.len().saturating_add(FRAME_HEADER + FRAME_TRAILER));
     out.extend_from_slice(b"TL");
     out.push(FRAME_VERSION);
     out.push(kind);
     out.extend_from_slice(&seq.to_be_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(
+        &u32::try_from(payload.len())
+            .unwrap_or(u32::MAX)
+            .to_be_bytes(),
+    );
     out.extend_from_slice(payload);
     let sum = fnv64(&out);
     out.extend_from_slice(&sum.to_be_bytes());
@@ -494,15 +487,14 @@ fn decode_frame(bytes: &[u8]) -> Option<(u8, u64, Vec<u8>)> {
     let kind = bytes[3];
     let seq = u64::from_be_bytes(bytes[4..12].try_into().ok()?);
     let len = u32::from_be_bytes(bytes[12..16].try_into().ok()?) as usize;
-    if bytes.len() != FRAME_HEADER + len + FRAME_TRAILER {
+    if FRAME_HEADER.checked_add(len)?.checked_add(FRAME_TRAILER)? != bytes.len() {
         return None;
     }
-    let body = &bytes[..FRAME_HEADER + len];
-    let sum = u64::from_be_bytes(bytes[FRAME_HEADER + len..].try_into().ok()?);
-    if fnv64(body) != sum {
+    let (body, sum) = bytes.split_last_chunk::<FRAME_TRAILER>()?;
+    if fnv64(body) != u64::from_be_bytes(*sum) {
         return None;
     }
-    Some((kind, seq, bytes[FRAME_HEADER..FRAME_HEADER + len].to_vec()))
+    Some((kind, seq, body[FRAME_HEADER..].to_vec()))
 }
 
 fn decode_message(kind: u8, payload: &[u8]) -> Option<Message> {
@@ -561,7 +553,7 @@ pub fn run_session_pair(
     deadline: SimDuration,
 ) -> Result<PairReport, ProtocolError> {
     let mut now = start_at;
-    let hard_stop = start_at + deadline;
+    let hard_stop = start_at.saturating_add(deadline);
     initiator.start(now)?;
     loop {
         while let Some(frame) = initiator.poll_transmit() {
@@ -614,8 +606,8 @@ pub fn run_session_pair(
         initiator: initiator.take_outcome(),
         responder: responder.take_outcome(),
         elapsed: now.since(start_at),
-        frames_sent: i_stats.frames_sent + r_stats.frames_sent,
-        retransmits: i_stats.retransmits + r_stats.retransmits,
+        frames_sent: i_stats.frames_sent.saturating_add(r_stats.frames_sent),
+        retransmits: i_stats.retransmits.saturating_add(r_stats.retransmits),
     })
 }
 
@@ -702,7 +694,9 @@ mod tests {
     }
 
     /// An ACK is peer input: one naming `u64::MAX`, checksum intact,
-    /// acknowledges nothing and leaves the outstanding frame armed.
+    /// acknowledges nothing and leaves the outstanding frame armed. A
+    /// length word of `u32::MAX` is peer input too: that frame is
+    /// malformed, and dropped.
     #[test]
     fn an_ack_for_the_last_sequence_number_is_ignored() {
         let (_, op) = setup(
@@ -719,9 +713,15 @@ mod tests {
 
         session.on_datagram(t0, &encode_frame(KIND_ACK, u64::MAX, &[]));
         assert_eq!(session.stats.corrupt_rx, 0, "a well-formed frame");
-        assert!(session.outstanding);
+        assert!(session.in_flight.is_some());
         assert_eq!(session.poll_timeout(), deadline);
         assert!(session.outcome.is_none());
+
+        let mut frame = encode_frame(KIND_CDA, 0, &[]);
+        frame[12..16].copy_from_slice(&u32::MAX.to_be_bytes());
+        session.on_datagram(t0, &frame);
+        assert_eq!(session.stats.corrupt_rx, 1);
+        assert!(session.in_flight.is_some());
     }
 
     #[test]

@@ -53,6 +53,12 @@
 //! failing, so old clients keep working when a server learns new
 //! detail strings.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
+)]
+
 use crate::messages::{get_plan, put_plan, MessageError};
 use crate::plan::DataPlan;
 use crate::roaming::{Serving, SettlementSplit};
@@ -168,7 +174,7 @@ fn intern(table: &[&str], s: &str) -> u16 {
     table
         .iter()
         .position(|t| *t == s)
-        .map(|i| i as u16)
+        .and_then(|i| u16::try_from(i).ok())
         .unwrap_or(u16::MAX)
 }
 
@@ -276,7 +282,7 @@ macro_rules! flat_counts {
 
             /// Adds `other`'s counts to this one's, field by field.
             pub(crate) fn add(&mut self, other: &$name) {
-                $(self.$field += other.$field;)+
+                $(self.$field = self.$field.saturating_add(other.$field);)+
             }
         }
     };
@@ -284,7 +290,7 @@ macro_rules! flat_counts {
 
 /// Appends a `u32`-length-prefixed byte string (a key or a PoC).
 fn put_blob(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
+    put_u32(out, u32::try_from(bytes.len()).unwrap_or(u32::MAX));
     out.extend_from_slice(bytes);
 }
 
@@ -342,7 +348,7 @@ impl Register {
     pub fn to_frame(&self) -> Frame {
         let ek = encode_public_key(&self.edge_key);
         let ok = encode_public_key(&self.operator_key);
-        let mut b = Vec::with_capacity(40 + ek.len() + ok.len());
+        let mut b = Vec::with_capacity(ek.len().saturating_add(ok.len()).saturating_add(40));
         put_u32(&mut b, self.req);
         put_u64(&mut b, self.capacity);
         put_plan(&mut b, &self.plan);
@@ -405,7 +411,7 @@ impl Submit {
 /// client writes the PoC bytes it keeps for retries straight through
 /// this, without building a [`Submit`].
 pub(super) fn put_submit(out: &mut Vec<u8>, rel: u64, tag: u64, poc: &[u8]) {
-    out.reserve(20 + poc.len());
+    out.reserve(poc.len().saturating_add(20));
     put_u64(out, rel);
     put_u64(out, tag);
     put_blob(out, poc);
@@ -463,10 +469,14 @@ impl SubmitBatch {
 /// Appends a SUBMIT_BATCH payload — what [`SubmitBatchRef::decode`]
 /// reads back; the client's counterpart of [`put_submit`].
 pub(super) fn put_submit_batch(out: &mut Vec<u8>, rel: u64, first_tag: u64, pocs: &[Vec<u8>]) {
-    out.reserve(20 + pocs.iter().map(|p| 4 + p.len()).sum::<usize>());
+    out.reserve(
+        pocs.iter()
+            .map(|p| p.len().saturating_add(4))
+            .fold(20, usize::saturating_add),
+    );
     put_u64(out, rel);
     put_u64(out, first_tag);
-    put_u32(out, pocs.len() as u32);
+    put_u32(out, u32::try_from(pocs.len()).unwrap_or(u32::MAX));
     for poc in pocs {
         put_blob(out, poc);
     }
@@ -649,14 +659,20 @@ fn put_crypto_error(b: &mut Vec<u8>, c: &CryptoError) {
     }
 }
 
+/// A size sent as a `u64`, saturated to this host's `usize`.
+fn get_size(r: &mut Reader<'_>) -> Result<usize, &'static str> {
+    let size = r.u64().ok_or(VERDICT_CUT)?;
+    Ok(usize::try_from(size).unwrap_or(usize::MAX))
+}
+
 fn get_crypto_error(r: &mut Reader<'_>) -> Result<CryptoError, &'static str> {
     Ok(match r.u8().ok_or(VERDICT_CUT)? {
         0 => CryptoError::MessageTooLarge,
-        1 => CryptoError::InvalidKeySize(r.u64().ok_or(VERDICT_CUT)? as usize),
+        1 => CryptoError::InvalidKeySize(get_size(r)?),
         2 => CryptoError::KeyTooSmallForDigest,
         3 => CryptoError::SignatureLength {
-            expected: r.u64().ok_or(VERDICT_CUT)? as usize,
-            got: r.u64().ok_or(VERDICT_CUT)? as usize,
+            expected: get_size(r)?,
+            got: get_size(r)?,
         },
         4 => CryptoError::BadSignature,
         5 => CryptoError::Encoding(resolve(

@@ -36,6 +36,12 @@
 //! `disallowed_methods`): the loop blocks in the kernel under a fixed
 //! wait bound, and all ordering comes from the sockets.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
+)]
+
 use super::codec::{
     BusyMsg, BusyScope, Fault, Hello, HelloAck, Register, Registered, SettleMsg, SettleResult,
     SettleVerdictMsg, StatsSnapshot, SubmitBatchRef, SubmitRef, VerdictMsg, MAGIC,
@@ -47,6 +53,7 @@ use crate::verify::stage::{Relationships, Stage};
 use crate::verify::{Verdict, VerifyError, DEFAULT_REPLAY_CAPACITY};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -195,18 +202,18 @@ impl IngressReport {
 /// the shards' verification counters line up under their shard ids.
 fn merge_reports(parts: Vec<IngressReport>, join_panics: usize) -> IngressReport {
     let mut shards = Vec::with_capacity(parts.len());
-    let mut unclaimed = 0;
+    let mut unclaimed = 0usize;
     let mut ingress = IngressStats::default();
     let mut pool = PoolStats::default();
     for part in parts {
         shards.extend(part.service.shards);
-        unclaimed += part.service.unclaimed_results;
+        unclaimed = unclaimed.saturating_add(part.service.unclaimed_results);
         // The two gauges are zero in a shard's final report, so
         // summing is right for them too.
         ingress.add(&part.ingress);
-        pool.checkouts += part.pool.checkouts;
-        pool.exhausted += part.pool.exhausted;
-        pool.recycles += part.pool.recycles;
+        pool.checkouts = pool.checkouts.saturating_add(part.pool.checkouts);
+        pool.exhausted = pool.exhausted.saturating_add(part.pool.exhausted);
+        pool.recycles = pool.recycles.saturating_add(part.pool.recycles);
     }
     IngressReport {
         service: ServiceReport::from_shards(shards, join_panics, unclaimed),
@@ -304,7 +311,7 @@ impl IngressServer {
         let mut shards = self.shards.into_iter();
         let first = shards.next();
         let mut parts = Vec::new();
-        let mut join_panics = 0;
+        let mut join_panics = 0usize;
         std::thread::scope(|s| {
             let handles: Vec<_> = shards
                 .map(|shard| s.spawn(move || shard.run(stop)))
@@ -313,7 +320,7 @@ impl IngressServer {
             for h in handles {
                 match h.join() {
                     Ok(part) => parts.push(part),
-                    Err(_) => join_panics += 1,
+                    Err(_) => join_panics = join_panics.saturating_add(1),
                 }
             }
         });
@@ -474,7 +481,7 @@ struct Route {
 }
 
 fn slot_of(token: Token) -> usize {
-    (token.0 & u64::from(u32::MAX)) as usize
+    usize::try_from(token.0 & u64::from(u32::MAX)).unwrap_or(usize::MAX)
 }
 
 /// Deals `pool` admission credits across `credits`' lanes,
@@ -482,13 +489,17 @@ fn slot_of(token: Token) -> usize {
 /// `quantum`s, and the remainder goes out a quantum at a time (the last
 /// one possibly short) to the lanes from `cursor` on. `quantum` is at
 /// least 1.
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "divides by quantum·n ≥ 1 and by n > 0, takes `give ≤ rem` from `rem`, and keeps k < n"
+)]
 fn deal(pool: usize, quantum: usize, credits: &mut [u32], cursor: usize) {
     let n = credits.len();
     if n == 0 {
         return;
     }
     let per_round = quantum.saturating_mul(n);
-    let clamp = |share: usize| share.min(u32::MAX as usize) as u32;
+    let clamp = |share: usize| u32::try_from(share).unwrap_or(u32::MAX);
     let base = (pool / per_round).saturating_mul(quantum);
     credits.fill(clamp(base));
     let mut rem = pool % per_round;
@@ -590,7 +601,7 @@ impl Shard {
         // One max-size frame per buffer: a full buffer therefore
         // always contains a complete frame or an oversize error, so
         // parsing can never deadlock on "need more room".
-        let buf_size = HEADER_LEN + config.max_payload as usize;
+        let buf_size = HEADER_LEN.saturating_add(config.max_payload as usize);
         let capacity = (config.max_conns / 4).clamp(64, 512);
         Ok(Shard {
             listener,
@@ -717,9 +728,9 @@ impl Shard {
         self.free.push(slot_of(conn.token));
         self.open.fetch_sub(1, Ordering::Relaxed);
         if conn.quarantine > 0 {
-            self.quarantined -= 1;
+            self.quarantined = self.quarantined.saturating_sub(1);
         }
-        self.stats.connections_closed += 1;
+        self.stats.connections_closed = self.stats.connections_closed.saturating_add(1);
     }
 
     /// Proofs admitted in the gather in progress, including those whose
@@ -759,7 +770,7 @@ impl Shard {
         let claimed = self
             .open
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < cap).then_some(n + 1)
+                (n < cap).then_some(n.saturating_add(1))
             })
             .is_ok();
         if !claimed {
@@ -768,7 +779,7 @@ impl Shard {
             // with no explanation. The longer hint reflects that a
             // whole-connection shed signals deeper trouble than a
             // single shed submit.
-            self.stats.shed_connections += 1;
+            self.stats.shed_connections = self.stats.shed_connections.saturating_add(1);
             let busy = BusyMsg {
                 scope: BusyScope::Connection,
                 retry_after_ms: self.config.retry_after_ms.saturating_mul(4),
@@ -785,14 +796,14 @@ impl Shard {
         // rejected outright and counted — never admitted half-broken.
         if stream.set_nonblocking(true).is_err() {
             self.open.fetch_sub(1, Ordering::Relaxed);
-            self.stats.rejected_malformed += 1;
+            self.stats.rejected_malformed = self.stats.rejected_malformed.saturating_add(1);
             return;
         }
         // Low latency is best-effort; failure leaves default options.
         let _ = stream.set_nodelay(true);
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
-            self.slots.len() - 1
+            self.slots.len().saturating_sub(1)
         });
         let token = Token(u64::from(self.generation) << 32 | slot as u64);
         self.generation = self.generation.wrapping_add(1);
@@ -810,7 +821,7 @@ impl Shard {
             armed: Interest::READ,
             deferred: false,
         });
-        self.stats.connections += 1;
+        self.stats.connections = self.stats.connections.saturating_add(1);
         if self.ready.register(fd, token, Interest::READ).is_ok() {
             self.put(conn);
         } else {
@@ -886,7 +897,7 @@ impl Shard {
             match split_frame(&buf[off..], self.config.max_payload) {
                 Ok(Some((view, used))) => {
                     self.handle_frame(conn, view.kind, view.payload);
-                    off += used;
+                    off = off.saturating_add(used);
                     self.stream_verdicts(conn);
                 }
                 Ok(None) => break,
@@ -932,7 +943,7 @@ impl Shard {
         let want_pause = conn.quarantine > 0 || outbox > conn.outbox_high_water();
         if want_pause {
             if !conn.driver.paused() {
-                self.stats.pauses += 1;
+                self.stats.pauses = self.stats.pauses.saturating_add(1);
             }
             conn.driver.pause();
         } else if !closed {
@@ -964,7 +975,7 @@ impl Shard {
 
     /// Counts a protocol violation and closes with a typed fault.
     fn protocol_fault(&mut self, conn: &mut Conn, detail: &'static str) {
-        self.stats.protocol_errors += 1;
+        self.stats.protocol_errors = self.stats.protocol_errors.saturating_add(1);
         conn.close_with(Fault::Protocol(detail));
     }
 
@@ -999,7 +1010,7 @@ impl Shard {
             return self.protocol_fault(conn, "bad magic");
         }
         if hello.version != PROTOCOL_VERSION {
-            self.stats.protocol_errors += 1;
+            self.stats.protocol_errors = self.stats.protocol_errors.saturating_add(1);
             return conn.close_with(Fault::BadVersion {
                 server: PROTOCOL_VERSION,
             });
@@ -1064,7 +1075,7 @@ impl Shard {
         let rel = table.register(reg.plan, reg.edge_key, reg.operator_key, capacity);
         // Seeds the lane now, whichever shard issued the id first.
         self.lane(rel.raw());
-        self.stats.registers += 1;
+        self.stats.registers = self.stats.registers.saturating_add(1);
         let ack = Registered {
             req: reg.req,
             rel: rel.raw(),
@@ -1080,7 +1091,7 @@ impl Shard {
     fn lane(&mut self, rel_raw: u64) -> Option<&mut u32> {
         let k = usize::try_from(rel_raw).ok()?;
         if k >= self.credits.len() && rel_raw < self.stage.relationships().issued() {
-            self.credits.resize(k + 1, LANE_QUANTUM);
+            self.credits.resize(k.saturating_add(1), LANE_QUANTUM);
         }
         self.credits.get_mut(k)
     }
@@ -1099,7 +1110,8 @@ impl Shard {
             .config
             .shed_submit_watermark
             .saturating_sub(self.outstanding());
-        self.rr_cursor = (self.rr_cursor + 1) % self.credits.len().max(1);
+        self.rr_cursor = NonZeroUsize::new(self.credits.len())
+            .map_or(0, |n| self.rr_cursor.saturating_add(1) % n);
         deal(
             pool,
             LANE_QUANTUM as usize,
@@ -1113,7 +1125,7 @@ impl Shard {
     /// never reached the stage (or its replay window), so the client
     /// can resubmit it verbatim after the delay.
     fn shed_submit(&mut self, conn: &mut Conn, rel: u64, tag: u64) {
-        self.stats.shed_overload += 1;
+        self.stats.shed_overload = self.stats.shed_overload.saturating_add(1);
         let busy = BusyMsg {
             scope: BusyScope::Submit,
             retry_after_ms: self.config.retry_after_ms,
@@ -1130,12 +1142,12 @@ impl Shard {
         let goodbye_at = self.config.goodbye_threshold.max(1);
         conn.score = conn.score.saturating_add(points);
         if conn.score >= goodbye_at {
-            self.stats.misbehavior_closes += 1;
+            self.stats.misbehavior_closes = self.stats.misbehavior_closes.saturating_add(1);
             conn.close_with(Fault::Protocol("misbehavior limit exceeded"));
         } else if conn.score >= quarantine_at && conn.quarantine == 0 {
             conn.quarantine = self.config.quarantine_polls.max(1);
-            self.stats.quarantines += 1;
-            self.quarantined += 1;
+            self.stats.quarantines = self.stats.quarantines.saturating_add(1);
+            self.quarantined = self.quarantined.saturating_add(1);
         }
     }
 
@@ -1159,7 +1171,7 @@ impl Shard {
             // An oversize burst is misbehavior, not a framing fault:
             // answer with a typed error, score it, and let escalation
             // (quarantine, then goodbye) close repeat offenders.
-            self.stats.protocol_errors += 1;
+            self.stats.protocol_errors = self.stats.protocol_errors.saturating_add(1);
             conn.send(&Fault::Protocol("batch exceeds server limit").to_frame());
             return self.bump_score(conn, 8);
         }
@@ -1218,7 +1230,7 @@ impl Shard {
         if *credits == 0 {
             return self.shed_submit(conn, rel_raw, client_tag);
         }
-        *credits -= 1;
+        *credits = credits.saturating_sub(1);
         let tag = self.routes.len() as u64;
         self.routes.push(Route {
             conn: conn.token,
@@ -1226,8 +1238,8 @@ impl Shard {
         });
         self.stage
             .submit(RelationshipId::from_raw(rel_raw), tag, poc, poc_bytes);
-        self.stats.submissions += 1;
-        conn.in_flight += 1;
+        self.stats.submissions = self.stats.submissions.saturating_add(1);
+        conn.in_flight = conn.in_flight.saturating_add(1);
     }
 
     /// Mid-gather: the frame just handled made the stage judge a batch.
@@ -1261,12 +1273,14 @@ impl Shard {
             let Some(&Route { conn, client_tag }) = route else {
                 // A tag the server never issued cannot come back; stay
                 // total and count it rather than panic.
-                self.stats.orphaned_verdicts += 1;
+                self.stats.orphaned_verdicts = self.stats.orphaned_verdicts.saturating_add(1);
                 continue;
             };
             match r.result {
-                Ok(_) => self.stats.accepted += 1,
-                Err(_) => self.stats.rejected_malformed += 1,
+                Ok(_) => self.stats.accepted = self.stats.accepted.saturating_add(1),
+                Err(_) => {
+                    self.stats.rejected_malformed = self.stats.rejected_malformed.saturating_add(1)
+                }
             }
             match held.as_deref_mut() {
                 Some(held) if held.token == conn => self.answer(held, client_tag, r),
@@ -1277,7 +1291,10 @@ impl Shard {
                     }
                     // Client disconnected mid-batch: the verdict is
                     // discarded deterministically and counted.
-                    None => self.stats.orphaned_verdicts += 1,
+                    None => {
+                        self.stats.orphaned_verdicts =
+                            self.stats.orphaned_verdicts.saturating_add(1)
+                    }
                 },
             }
         }
@@ -1289,17 +1306,17 @@ impl Shard {
         conn.in_flight = conn.in_flight.saturating_sub(1);
         self.touched.push(conn.token);
         if conn.phase == Phase::Closed {
-            self.stats.orphaned_verdicts += 1;
+            self.stats.orphaned_verdicts = self.stats.orphaned_verdicts.saturating_add(1);
             return;
         }
         let points = cost(&r.result);
         let msg = VerdictMsg {
             rel: r.relationship.raw(),
             tag: client_tag,
-            shard: r.shard as u32,
+            shard: u32::try_from(r.shard).unwrap_or(u32::MAX),
             result: r.result,
         };
-        self.stats.verdicts += 1;
+        self.stats.verdicts = self.stats.verdicts.saturating_add(1);
         conn.send(&msg.to_frame());
         if points > 0 {
             self.bump_score(conn, points);
@@ -1316,10 +1333,10 @@ impl Shard {
     fn tick_quarantines(&mut self) {
         for conn in self.slots.iter_mut().flatten() {
             if conn.quarantine > 0 {
-                conn.quarantine -= 1;
+                conn.quarantine = conn.quarantine.saturating_sub(1);
                 if conn.quarantine == 0 {
                     conn.score /= 2;
-                    self.quarantined -= 1;
+                    self.quarantined = self.quarantined.saturating_sub(1);
                     self.touched.push(conn.token);
                 }
             }
@@ -1328,13 +1345,18 @@ impl Shard {
 
     fn stats_snapshot(&self) -> IngressStats {
         let mut s = self.stats;
-        s.open_connections = (self.slots.len() - self.free.len()) as u64;
+        s.open_connections = self.slots.len().saturating_sub(self.free.len()) as u64;
         s.service_outstanding = self.outstanding() as u64;
         s
     }
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "test counts and sizes are small fixed values; the test profile checks overflow"
+)]
 mod tests {
     use super::*;
     use crate::plan::DataPlan;

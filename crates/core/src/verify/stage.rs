@@ -45,6 +45,12 @@
 //! other, each against the window the last one left, which is what
 //! makes a proof presented on both accepted once.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
+)]
+
 use super::{Verdict, Verifier, VerifyError};
 use crate::messages::{chain_digests_many, MessageError, PocDigests, PocMsg};
 use crate::plan::DataPlan;
@@ -129,9 +135,12 @@ impl Relationships {
         let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
         let mut held = table.by_keys.get(&bucket).into_iter().flatten().copied();
         let found = held.find(|rel| {
-            table.entries.get(rel.0 as usize).is_some_and(|e| {
-                e.plan == plan && e.edge_key == edge_key && e.operator_key == operator_key
-            })
+            usize::try_from(rel.0)
+                .ok()
+                .and_then(|i| table.entries.get(i))
+                .is_some_and(|e| {
+                    e.plan == plan && e.edge_key == edge_key && e.operator_key == operator_key
+                })
         });
         if let Some(rel) = found {
             return rel;
@@ -266,7 +275,7 @@ impl Stage {
     /// ascending id order. Afterwards nothing is pending.
     pub fn flush(&mut self) {
         while let Some((rel, batch)) = self.pending.pop_first() {
-            self.stats.idle_flushes += 1;
+            self.stats.idle_flushes = self.stats.idle_flushes.saturating_add(1);
             self.verify(rel, batch);
         }
     }
@@ -308,7 +317,7 @@ impl Stage {
                     .collect();
                 match entry.verifier.lock() {
                     Ok(mut verifier) => {
-                        self.stats.batches += 1;
+                        self.stats.batches = self.stats.batches.saturating_add(1);
                         self.served.insert(rel);
                         verifier.verify_batch_prehashed(&items)
                     }
@@ -326,12 +335,12 @@ impl Stage {
         };
         for ((tag, ..), result) in batch.proofs.into_iter().zip(verdicts) {
             match &result {
-                Ok(_) => self.stats.accepted += 1,
+                Ok(_) => self.stats.accepted = self.stats.accepted.saturating_add(1),
                 Err(VerifyError::Replayed) => {
-                    self.stats.rejected += 1;
-                    self.stats.replayed += 1;
+                    self.stats.rejected = self.stats.rejected.saturating_add(1);
+                    self.stats.replayed = self.stats.replayed.saturating_add(1);
                 }
-                Err(_) => self.stats.rejected += 1,
+                Err(_) => self.stats.rejected = self.stats.rejected.saturating_add(1),
             }
             self.results.push(SubmissionResult {
                 relationship: rel,
@@ -344,6 +353,11 @@ impl Stage {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    reason = "test seeds and counts are small fixed values; the test profile checks overflow"
+)]
 pub(crate) mod tests {
     use super::*;
     use crate::protocol::{run_negotiation, Endpoint};

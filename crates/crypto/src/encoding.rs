@@ -10,6 +10,12 @@
 //! the `put_*` helpers, so a length check and the read it protects are one
 //! call.
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
+)]
+
 use crate::bigint::BigUint;
 use crate::error::CryptoError;
 use crate::rsa::PublicKey;
@@ -87,7 +93,7 @@ const TAG_INTEGER: u8 = 0x02;
 /// Appends one TLV field.
 pub fn put_field(out: &mut Vec<u8>, tag: u8, value: &[u8]) {
     out.push(tag);
-    put_u32(out, value.len() as u32);
+    put_u32(out, u32::try_from(value.len()).unwrap_or(u32::MAX));
     out.extend_from_slice(value);
 }
 
@@ -109,7 +115,7 @@ pub fn encode_public_key(key: &PublicKey) -> Vec<u8> {
     let mut inner = Vec::new();
     put_field(&mut inner, TAG_INTEGER, &key.n.to_bytes_be());
     put_field(&mut inner, TAG_INTEGER, &key.e.to_bytes_be());
-    let mut out = Vec::with_capacity(5 + inner.len());
+    let mut out = Vec::with_capacity(inner.len().saturating_add(5));
     put_field(&mut out, TAG_PUBLIC_KEY, &inner);
     out
 }

@@ -43,12 +43,12 @@ mod tests {
     fn report() -> Report {
         Report {
             findings: vec![Finding {
-                rule: "charge-arith",
+                rule: "lock-order",
                 path: "crates/sim/src/soa.rs".to_string(),
                 line: 99,
                 col: 13,
                 item: "merge".to_string(),
-                message: "unchecked `+=` on \"total_sent\"\nsecond line".to_string(),
+                message: "lock \"a\" then \"b\"\nsecond line".to_string(),
             }],
             files_scanned: 143,
         }

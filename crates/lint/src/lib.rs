@@ -5,8 +5,10 @@
 //! story rests on (§5.3 public verifiability means the verification
 //! code itself must be auditable) that no rustc or clippy lint checks.
 //! Clippy runs the rest (DESIGN §9): `undocumented_unsafe_blocks`, the
-//! `unwrap_used`/`expect_used`/`panic` family on the no-panic files, and
-//! `disallowed_methods` on wall-clock reads (root `clippy.toml`).
+//! `unwrap_used`/`expect_used`/`panic` family on the no-panic files,
+//! `disallowed_methods` on wall-clock reads (root `clippy.toml`), and
+//! `arithmetic_side_effects` with the narrowing-cast lints on the
+//! charging and peer-facing files.
 //!
 //! Two per-file rules, both token-sequence based (see [`rules`]):
 //!
@@ -17,7 +19,7 @@
 //! 2. **secret-hygiene** — `PrivateKey`/CRT material never reaches
 //!    `#[derive(Debug)]` or `format!`-family macro arguments.
 //!
-//! Plus three *interprocedural* passes over the workspace call graph
+//! Plus two *interprocedural* passes over the workspace call graph
 //! ([`graph`], DESIGN §9.1):
 //!
 //! 3. **transitive-no-panic** ([`nopanic`]) — may-panic propagated
@@ -26,10 +28,7 @@
 //!    that scope is caught with the chain named,
 //! 4. **lock-order** ([`locks`]) — held-lock sets propagated along
 //!    call edges; a cycle in the lock graph (potential deadlock) is
-//!    reported with one site per edge,
-//! 5. **charge-arith** ([`charge`]) — every raw `+ - *` / `+= -= *=`
-//!    and narrowing cast on a charging counter in the accounting files
-//!    must be saturating/checked.
+//!    reported with one site per edge.
 //!
 //! Every `.rs` file is read and lexed exactly once per check
 //! ([`Workspace`]); the per-file rules, the crate-manifest checks, and
@@ -39,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod charge;
 pub mod github;
 pub mod graph;
 pub mod locks;
@@ -48,7 +46,7 @@ pub mod rules;
 pub mod scan;
 
 use rules::{rules_for, Finding};
-use scan::{FileKind, ScannedFile};
+use scan::ScannedFile;
 use std::fs;
 use std::path::{Path, PathBuf};
 use syn::{Token, TokenKind};
@@ -65,19 +63,6 @@ pub const FORBID_UNSAFE_CRATES: &[&str] = &["core", "sim", "workloads", "cell", 
 /// `// SAFETY:` audits (clippy's `undocumented_unsafe_blocks`, denied
 /// on the module in tlc-net's `lib.rs`).
 pub const UNSAFE_EXEMPT_FILES: &[&str] = &["crates/net/src/readiness.rs"];
-
-/// Files holding charging-counter accounting: the scope of the
-/// `charge-arith` audit (DESIGN §9.1). These are the places where a
-/// silent integer wrap *is* a charging bug.
-pub const CHARGE_PATHS: &[&str] = &[
-    "crates/sim/src/soa.rs",
-    "crates/sim/src/twin.rs",
-    "crates/net/src/stats.rs",
-    "crates/cell/src/counters.rs",
-    "crates/core/src/plan.rs",
-    "crates/core/src/legacy.rs",
-    "crates/core/src/roaming.rs",
-];
 
 /// Every source file of the workspace, read and lexed exactly once.
 /// The per-file rules, the crate-manifest checks, and the
@@ -138,7 +123,7 @@ impl Workspace {
         self.files.iter().find(|f| f.rel_path == rel)
     }
 
-    /// Runs the per-file rules and the three interprocedural passes.
+    /// Runs the per-file rules and the two interprocedural passes.
     pub fn check(&self) -> Vec<Finding> {
         let mut findings = self.parse_errors.clone();
         for file in &self.files {
@@ -149,11 +134,6 @@ impl Workspace {
         let graph = graph::CallGraph::build(&self.files);
         findings.extend(nopanic::check(&graph));
         findings.extend(locks::check(&graph));
-        for file in &self.files {
-            if file.kind == FileKind::Src && CHARGE_PATHS.contains(&file.rel_path.as_str()) {
-                findings.extend(charge::check_file(file));
-            }
-        }
         findings
     }
 }
@@ -291,7 +271,7 @@ fn rel_path(root: &Path, path: &Path) -> String {
 }
 
 /// Lints a set of in-memory source files as one mini-workspace: the
-/// per-file rules plus the three interprocedural passes, no
+/// per-file rules plus the two interprocedural passes, no
 /// crate-manifest checks. This is what the cross-file fixture tests
 /// drive (e.g. a no-panic root reaching a panicking helper in a
 /// *different* fixture file).

@@ -16,8 +16,9 @@
 //! an `#[expect]` there excuses them without re-flagging every caller.
 //! Indexing and unchecked arithmetic panic only for some inputs and
 //! are not propagated (the crypto limb kernels index by invariant in
-//! every loop); the charge-arith pass audits the sites where a wrap is
-//! a charging bug. See DESIGN §9.1 for the envelope.
+//! every loop); clippy's `arithmetic_side_effects`, denied on the
+//! charging and peer-facing files, covers the sites where a wrap is a
+//! charging bug or a remote panic. See DESIGN §9.1 for the envelope.
 
 use crate::graph::CallGraph;
 use crate::rules::Finding;

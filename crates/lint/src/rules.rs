@@ -6,9 +6,9 @@
 //! never raw text, so code inside strings, comments, or doc examples
 //! can not trip them.
 //!
-//! The three interprocedural passes (`transitive-no-panic`,
-//! `lock-order`, `charge-arith`) live in their own modules
-//! ([`crate::nopanic`], [`crate::locks`], [`crate::charge`]) because
+//! The two interprocedural passes (`transitive-no-panic`,
+//! `lock-order`) live in their own modules
+//! ([`crate::nopanic`], [`crate::locks`]) because
 //! they see the whole workspace call graph, not one file; their rule
 //! ids are listed in [`RULES`] too.
 
@@ -19,7 +19,7 @@ use syn::TokenKind;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule identifier (`unsafe-scope`, `secret-hygiene`,
-    /// `transitive-no-panic`, `lock-order`, `charge-arith`, or the meta
+    /// `transitive-no-panic`, `lock-order`, or the meta
     /// rule `parse`).
     pub rule: &'static str,
     /// Workspace-relative path.
@@ -61,10 +61,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "lock-order",
         "the workspace lock graph (Mutex/RwLock acquisition order, propagated along call edges) is cycle-free",
-    ),
-    (
-        "charge-arith",
-        "arithmetic on charging counters in the accounting files is saturating/checked; a silent wrap is a charging bug",
     ),
 ];
 

@@ -1,6 +1,6 @@
-//! Fixture tests for the three interprocedural passes (DESIGN §9.1):
-//! transitive no-panic propagation, lock-order cycle detection, and
-//! the charge-arithmetic audit. Each test also pins down what a
+//! Fixture tests for the two interprocedural passes (DESIGN §9.1):
+//! transitive no-panic propagation and lock-order cycle detection.
+//! Each test also pins down what a
 //! per-file lint (clippy's `unwrap_used`, which sees one function's own
 //! sites) could *not* see, so the value of the call-graph layer stays
 //! demonstrated, not assumed.
@@ -135,41 +135,6 @@ impl Shared {
 "#;
     let findings = lint_sources(&[("crates/net/src/fixture_locks.rs", src)]);
     assert!(by_rule(&findings, "lock-order").is_empty(), "{findings:?}");
-}
-
-#[test]
-fn unchecked_arithmetic_on_charge_counters_is_flagged() {
-    // The fixture poses as a CHARGE_PATHS file; its raw `+=` and its
-    // narrowing `as u32` must both fire, while the saturating form in
-    // `record_ok` stays clean.
-    let src = include_str!("fixtures/charge_overflow.rs");
-    let findings = lint_sources(&[("crates/sim/src/soa.rs", src)]);
-    let hits = by_rule(&findings, "charge-arith");
-    assert_eq!(hits.len(), 2, "{findings:?}");
-    assert_eq!(hits[0].item, "record");
-    assert!(
-        hits[0].message.contains("`+=`") && hits[0].message.contains("sent"),
-        "{}",
-        hits[0].message
-    );
-    assert_eq!(hits[1].item, "lossy");
-    assert!(hits[1].message.contains("u32"), "{}", hits[1].message);
-    assert!(
-        !findings.iter().any(|f| f.item == "record_ok"),
-        "saturating form must not fire: {findings:?}"
-    );
-}
-
-#[test]
-fn charge_audit_is_scoped_to_charge_paths() {
-    // The same source outside CHARGE_PATHS is not audited: raw `+=`
-    // on a non-charging struct is ordinary arithmetic.
-    let src = include_str!("fixtures/charge_overflow.rs");
-    let findings = lint_sources(&[("crates/net/src/fixture_counters.rs", src)]);
-    assert!(
-        by_rule(&findings, "charge-arith").is_empty(),
-        "{findings:?}"
-    );
 }
 
 /// Batch verification runs on the ingress shard's own thread, so a

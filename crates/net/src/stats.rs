@@ -5,6 +5,12 @@
 //! the paper records ("we record the data usage ... every 1s") is a
 //! [`UsageSeries`].
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
+)]
+
 use crate::time::{SimDuration, SimTime};
 
 /// A monotone packet/byte counter.
@@ -57,10 +63,14 @@ impl UsageSeries {
     }
 
     /// Adds `bytes` at instant `t`.
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "divides by the bucket width, which `new` asserts is non-zero"
+    )]
     pub fn record(&mut self, t: SimTime, bytes: u64) {
-        let idx = (t.as_micros() / self.bucket.as_micros()) as usize;
+        let idx = usize::try_from(t.as_micros() / self.bucket.as_micros()).unwrap_or(usize::MAX);
         if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
+            self.buckets.resize(idx.saturating_add(1), 0);
         }
         self.buckets[idx] = self.buckets[idx].saturating_add(bytes);
     }
@@ -93,9 +103,14 @@ impl UsageSeries {
     /// Cumulative bytes recorded before instant `t`, pro-rating the bucket
     /// containing `t`. This is how a reader with a skewed clock sees a
     /// counter "at cycle end".
+    #[expect(
+        clippy::arithmetic_side_effects,
+        clippy::cast_possible_truncation,
+        reason = "the bucket width is non-zero (asserted in `new`), a u64 × u64 product fits u128, and `frac_us < bw` keeps the pro-rated share below its bucket's u64"
+    )]
     pub fn cumulative_until(&self, t: SimTime) -> u64 {
         let bw = self.bucket.as_micros();
-        let idx = (t.as_micros() / bw) as usize;
+        let idx = usize::try_from(t.as_micros() / bw).unwrap_or(usize::MAX);
         let whole: u64 = self.buckets.iter().take(idx.min(self.buckets.len())).sum();
         let frac_us = t.as_micros() % bw;
         let partial = if idx < self.buckets.len() && frac_us > 0 {
@@ -103,7 +118,7 @@ impl UsageSeries {
         } else {
             0
         };
-        whole + partial
+        whole.saturating_add(partial)
     }
 }
 

@@ -49,6 +49,12 @@ impl SimTime {
         self.0
     }
 
+    /// The instant `d` after this one, saturating at the end of the
+    /// clock rather than overflowing.
+    pub fn saturating_add(self, d: SimDuration) -> SimTime {
+        SimTime(self.0.saturating_add(d.0))
+    }
+
     /// Duration elapsed since `earlier`; saturates at zero if `earlier`
     /// is in the future.
     pub fn since(&self, earlier: SimTime) -> SimDuration {

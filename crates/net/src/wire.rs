@@ -30,7 +30,10 @@
     clippy::panic,
     clippy::unreachable,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
 )]
 
 use std::collections::VecDeque;
@@ -164,7 +167,7 @@ impl Frame {
 
     /// Encoded size on the wire.
     pub fn wire_len(&self) -> usize {
-        HEADER_LEN + self.payload.len()
+        HEADER_LEN.saturating_add(self.payload.len())
     }
 
     /// Serialises the frame, appending to `out`. Fails (without writing)
@@ -205,11 +208,11 @@ fn encode_capped(
 ) -> Result<(), WireError> {
     let start = out.len();
     out.extend_from_slice(&[kind.as_u8(), 0, 0, 0, 0]);
+    let body = out.len();
     put(out);
-    let body = start + HEADER_LEN;
     let n = out.len().saturating_sub(body);
     let len = u32::try_from(n).unwrap_or(u32::MAX);
-    match out.get_mut(start + 1..body) {
+    match out.get_mut(start.saturating_add(1)..body) {
         Some(field) if n as u64 <= u64::from(max) => {
             field.copy_from_slice(&len.to_be_bytes());
             Ok(())
@@ -281,7 +284,7 @@ impl FrameDecoder {
             match split_frame(&self.buf[off..], self.max_payload) {
                 Ok(Some((view, used))) => {
                     self.done.push_back(view.to_owned());
-                    off += used;
+                    off = off.saturating_add(used);
                 }
                 Ok(None) => {
                     self.buf.drain(..off);
@@ -347,7 +350,12 @@ pub fn split_frame(
             max: max_payload,
         });
     }
-    let total = HEADER_LEN + len as usize;
+    let Some(total) = HEADER_LEN.checked_add(len as usize) else {
+        return Err(WireError::Oversize {
+            len,
+            max: max_payload,
+        });
+    };
     if buf.len() < total {
         return Ok(None);
     }
@@ -479,6 +487,10 @@ mod tests {
             split_frame(&hdr, 8),
             Err(WireError::Oversize { len: 9, max: 8 })
         );
+        // The largest length word under the largest cap: more bytes to
+        // come, not an overflowing frame end.
+        let hdr = [FrameKind::Submit.as_u8(), 0xFF, 0xFF, 0xFF, 0xFF];
+        assert_eq!(split_frame(&hdr, u32::MAX).unwrap(), None);
 
         // Empty and zero-length cases.
         assert_eq!(split_frame(&[], 8).unwrap(), None);

@@ -35,6 +35,12 @@
 //! negotiation to a PoC, submission to the verifier service or the
 //! TCP ingress — against twin-generated load (`tests/twin_soak.rs`).
 
+#![deny(
+    clippy::arithmetic_side_effects,
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap
+)]
+
 use crate::arena::{Arena, SessionId};
 use crate::par::par_map_mut;
 use crate::soa::{ChargeRow, GapSweep};
@@ -483,7 +489,7 @@ impl Shard {
             rng,
             row,
         });
-        self.created += 1;
+        self.created = self.created.saturating_add(1);
         self.peak_slots = self.peak_slots.max(self.arena.slot_count() as u64);
         if self.roaming.is_some() {
             let slots = self.arena.slot_count();
@@ -514,7 +520,7 @@ impl Shard {
                     s.bonded = s.rng.chance(rc.bonded_fraction);
                     if roamer {
                         let gap_us = rc.operator_handover_gap.as_micros().max(1);
-                        Some(gap_us + s.rng.next_below(gap_us))
+                        Some(gap_us.saturating_add(s.rng.next_below(gap_us)))
                     } else {
                         None
                     }
@@ -529,17 +535,25 @@ impl Shard {
         if self.arena.get(id).map(|s| s.bonded).unwrap_or(false) {
             self.rsweep.bonded_admitted = self.rsweep.bonded_admitted.saturating_add(1);
         }
-        self.sched.schedule(now_us + 1 + phase, Event::Tick(id));
-        self.sched.schedule(now_us + cycle_us, Event::CycleEnd(id));
+        self.sched.schedule(
+            now_us.saturating_add(1).saturating_add(phase),
+            Event::Tick(id),
+        );
         self.sched
-            .schedule(now_us + lifetime.as_micros().max(1), Event::Teardown(id));
+            .schedule(now_us.saturating_add(cycle_us), Event::CycleEnd(id));
+        self.sched.schedule(
+            now_us.saturating_add(lifetime.as_micros().max(1)),
+            Event::Teardown(id),
+        );
         if let Some(gap) = ho_gap {
-            self.sched
-                .schedule(now_us + gap.as_micros().max(1), Event::Handover(id));
+            self.sched.schedule(
+                now_us.saturating_add(gap.as_micros().max(1)),
+                Event::Handover(id),
+            );
         }
         if let Some(gap) = op_ho_in {
             self.sched
-                .schedule(now_us + gap, Event::OperatorHandover(id));
+                .schedule(now_us.saturating_add(gap), Event::OperatorHandover(id));
         }
     }
 
@@ -567,11 +581,11 @@ impl Shard {
         if r.sent > 0 || r.gateway > 0 {
             let settlement = settle_twin_row(&r, &self.plan);
             let sampled = self.sample_rate > 0.0 && self.sample_rng.chance(self.sample_rate);
-            self.settled_n += 1;
+            self.settled_n = self.settled_n.saturating_add(1);
             if sampled {
-                self.sampled_n += 1;
+                self.sampled_n = self.sampled_n.saturating_add(1);
             }
-            // Saturating fold (charge-arith): a wrapped tally here would
+            // Saturating fold: a wrapped tally here would
             // misstate the very gap the twin exists to measure.
             self.sweep.merge(&GapSweep {
                 active_rows: 1,
@@ -624,11 +638,15 @@ impl Shard {
     }
 
     /// Runs one accounting tick for a live session.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an f64 byte draw to u64 by `as`: truncates the fraction and saturates, the rounding the digests pin"
+    )]
     fn run_tick(&mut self, id: SessionId, now_us: u64) {
         let tick_us = self.tick.as_micros().max(1);
         let congestion = self.congestion;
         let Some(s) = self.arena.get_mut(id) else {
-            self.stale += 1;
+            self.stale = self.stale.saturating_add(1);
             return;
         };
         let p = s.profile;
@@ -653,7 +671,8 @@ impl Shard {
         let delivered_rate = sent.saturating_sub(air).saturating_sub(congested);
         let lag = (delivered_rate as f64 * s.rng.range_f64(0.0, 0.05)) as u64;
         self.offered = self.offered.saturating_add(sent);
-        self.sched.schedule(now_us + tick_us, Event::Tick(id));
+        self.sched
+            .schedule(now_us.saturating_add(tick_us), Event::Tick(id));
         // Counters accrue on whichever operator currently serves; with
         // roaming off that is always the session's own (home) row.
         if let Some(row) = s.row_for(s.serving, &mut self.rows_visited, id) {
@@ -663,38 +682,48 @@ impl Shard {
     }
 
     /// Executes a handover: claw back in-flight bytes, reschedule.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an f64 byte draw to u64 by `as`: truncates the fraction and saturates, the rounding the digests pin"
+    )]
     fn run_handover(&mut self, id: SessionId, now_us: u64) {
         let tick_us = self.tick.as_micros().max(1);
         let Some(s) = self.arena.get_mut(id) else {
-            self.stale += 1;
+            self.stale = self.stale.saturating_add(1);
             return;
         };
         // The cell flushes up to ~half a tick of in-flight bytes.
         let rate = s.profile.rate_bps as f64 / 8.0 * (tick_us as f64 / 1e6);
         let flush = (rate * s.rng.range_f64(0.1, 0.5)) as u64;
         let gap = self.churn.next_handover_gap();
-        self.handovers += 1;
+        self.handovers = self.handovers.saturating_add(1);
         if let Some(row) = s.row_for(s.serving, &mut self.rows_visited, id) {
             row.handover_flush(flush);
         }
         if let Some(g) = gap {
-            self.sched
-                .schedule(now_us + g.as_micros().max(1), Event::Handover(id));
+            self.sched.schedule(
+                now_us.saturating_add(g.as_micros().max(1)),
+                Event::Handover(id),
+            );
         }
     }
 
     /// Hands a roamer over between operators: flush in-flight bytes on
     /// the operator being left (same link-layer mobility loss as an
     /// intra-operator handover), flip the serving side, reschedule.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an f64 byte draw to u64 by `as`: truncates the fraction and saturates, the rounding the digests pin"
+    )]
     fn run_operator_handover(&mut self, id: SessionId, now_us: u64) {
         let Some(rc) = self.roaming.as_ref() else {
-            self.stale += 1;
+            self.stale = self.stale.saturating_add(1);
             return;
         };
         let base_gap_us = rc.operator_handover_gap.as_micros().max(1);
         let tick_us = self.tick.as_micros().max(1);
         let Some(s) = self.arena.get_mut(id) else {
-            self.stale += 1;
+            self.stale = self.stale.saturating_add(1);
             return;
         };
         let rate = s.profile.rate_bps as f64 / 8.0 * (tick_us as f64 / 1e6);
@@ -704,13 +733,13 @@ impl Shard {
             Serving::Home => Serving::Visited,
             Serving::Visited => Serving::Home,
         };
-        let gap_us = base_gap_us + s.rng.next_below(base_gap_us);
+        let gap_us = base_gap_us.saturating_add(s.rng.next_below(base_gap_us));
         self.rsweep.operator_handovers = self.rsweep.operator_handovers.saturating_add(1);
         if let Some(row) = s.row_for(leaving, &mut self.rows_visited, id) {
             row.handover_flush(flush);
         }
         self.sched
-            .schedule(now_us + gap_us, Event::OperatorHandover(id));
+            .schedule(now_us.saturating_add(gap_us), Event::OperatorHandover(id));
     }
 
     /// Tears a session down: settle the partial cycle and free the
@@ -719,10 +748,10 @@ impl Shard {
     fn run_teardown(&mut self, id: SessionId, now_us: u64) {
         self.settle(id, now_us, SettleCause::Teardown);
         if self.arena.remove(id).is_none() {
-            self.stale += 1;
+            self.stale = self.stale.saturating_add(1);
             return;
         }
-        self.retired += 1;
+        self.retired = self.retired.saturating_add(1);
     }
 
     /// Starts loading the session `ev` is for: a word from every cache
@@ -751,30 +780,32 @@ impl Shard {
             // Teardown left the session's other events parked; they
             // are dead now that its id no longer resolves.
             if ev.session().is_some_and(|id| !self.arena.contains(id)) {
-                self.dead += 1;
+                self.dead = self.dead.saturating_add(1);
                 continue;
             }
-            self.fired += 1;
+            self.fired = self.fired.saturating_add(1);
             match ev {
                 Event::Arrival => {
                     if let Some(a) = self.churn.next_arrival() {
                         self.admit(tick, a.profile, a.lifetime);
                         let gap = a.inter_arrival.as_micros().max(1);
-                        self.sched.schedule(tick + gap, Event::Arrival);
+                        self.sched
+                            .schedule(tick.saturating_add(gap), Event::Arrival);
                     }
                 }
                 Event::Tick(id) => self.run_tick(id, tick),
                 Event::CycleEnd(id) => {
                     self.settle(id, tick, SettleCause::CycleEnd);
                     let cycle_us = self.cycle.as_micros().max(1);
-                    self.sched.schedule(tick + cycle_us, Event::CycleEnd(id));
+                    self.sched
+                        .schedule(tick.saturating_add(cycle_us), Event::CycleEnd(id));
                 }
                 Event::Handover(id) => self.run_handover(id, tick),
                 Event::OperatorHandover(id) => self.run_operator_handover(id, tick),
                 Event::Teardown(id) => self.run_teardown(id, tick),
             }
         }
-        let n = self.fired - fired_before;
+        let n = self.fired.saturating_sub(fired_before);
         self.epoch_fired = (self.epoch_fired.0.min(n), self.epoch_fired.1.max(n));
     }
 
@@ -839,11 +870,7 @@ pub fn run_twin(cfg: &TwinConfig, sink: &mut dyn SettlementSink) -> TwinReport {
 
     // Initial population, round-robin so every shard starts balanced.
     for (i, shard) in state.iter_mut().enumerate() {
-        let mut n = cfg.initial_sessions / shards;
-        if i < cfg.initial_sessions % shards {
-            n += 1;
-        }
-        for _ in 0..n {
+        for _ in (i..cfg.initial_sessions).step_by(shards) {
             let profile = shard.churn.draw_profile();
             let lifetime = shard.churn.draw_lifetime();
             shard.admit(0, profile, lifetime);
@@ -862,7 +889,7 @@ pub fn run_twin(cfg: &TwinConfig, sink: &mut dyn SettlementSink) -> TwinReport {
     let mut peak: u64 = state.iter().map(|s| s.arena.len() as u64).sum();
     let mut now = 0u64;
     while now < end_us {
-        let next = (now + epoch_us).min(end_us);
+        let next = now.saturating_add(epoch_us).min(end_us);
         // Parallel phase: each shard runs its own wheel to the epoch
         // boundary. Results (offered load) return in shard order.
         let offered: Vec<u64> = par_map_mut(cfg.threads.max(1), &mut state, |_, sh| {
@@ -894,21 +921,23 @@ pub fn run_twin(cfg: &TwinConfig, sink: &mut dyn SettlementSink) -> TwinReport {
 
     let mut epoch_fired_min = u64::MAX;
     for sh in &state {
-        report.sessions_created += sh.created;
-        report.sessions_retired += sh.retired;
-        report.events_fired += sh.fired;
-        report.stale_events += sh.stale;
-        report.dead_events += sh.dead;
-        report.handovers += sh.handovers;
-        report.cycles_settled += sh.settled_n;
-        report.cycles_sampled += sh.sampled_n;
+        report.sessions_created = report.sessions_created.saturating_add(sh.created);
+        report.sessions_retired = report.sessions_retired.saturating_add(sh.retired);
+        report.events_fired = report.events_fired.saturating_add(sh.fired);
+        report.stale_events = report.stale_events.saturating_add(sh.stale);
+        report.dead_events = report.dead_events.saturating_add(sh.dead);
+        report.handovers = report.handovers.saturating_add(sh.handovers);
+        report.cycles_settled = report.cycles_settled.saturating_add(sh.settled_n);
+        report.cycles_sampled = report.cycles_sampled.saturating_add(sh.sampled_n);
         report.sweep.merge(&sh.sweep);
         report.roaming.merge(&sh.rsweep);
         report.sched.merge(&sh.sched.stats());
         report.peak_shard_slots = report.peak_shard_slots.max(sh.peak_slots);
         report.shard_epoch_events_max = report.shard_epoch_events_max.max(sh.epoch_fired.1);
         epoch_fired_min = epoch_fired_min.min(sh.epoch_fired.0);
-        report.final_concurrent += sh.arena.len() as u64;
+        report.final_concurrent = report
+            .final_concurrent
+            .saturating_add(sh.arena.len() as u64);
     }
     report.peak_concurrent = peak;
     // No epoch ran: there is no fewest; report 0 beside the 0 most.
@@ -919,6 +948,10 @@ pub fn run_twin(cfg: &TwinConfig, sink: &mut dyn SettlementSink) -> TwinReport {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::arithmetic_side_effects,
+    reason = "test arithmetic on small fixed values; the test profile checks overflow"
+)]
 mod tests {
     use super::*;
 
