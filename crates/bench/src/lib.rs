@@ -1,8 +1,6 @@
 //! Helpers shared by the bench crate's report writers, which live in
 //! `src/bin/`.
 
-#![forbid(unsafe_code)]
-
 /// `n` messages of `len` bytes, no two alike (`len` ≥ 8).
 ///
 /// Signing is timed over a rotating set of these: one fixed message

@@ -16,7 +16,14 @@
 //! * [`clock`] — NTP-residual clock skew between edge and core, the cause
 //!   of the paper's Fig. 18 CDR errors.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod cdr;

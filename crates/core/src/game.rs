@@ -51,8 +51,7 @@ impl ClaimSpace {
                     c,
                 )
             })
-            .max()
-            .expect("grid is nonempty")
+            .fold(0, u64::max)
     }
 
     /// The edge's worst-case (minimal) charge against a fixed operator
@@ -68,24 +67,21 @@ impl ClaimSpace {
                     c,
                 )
             })
-            .min()
-            .expect("grid is nonempty")
+            .fold(u64::MAX, u64::min)
     }
 
     /// The edge's minimax value: `min_{x_e} max_{x_o} x` over the grid.
     pub fn minimax(&self, c: LossWeight) -> u64 {
         self.grid(32)
             .map(|xe| self.worst_case_for_edge(xe, c))
-            .min()
-            .expect("grid is nonempty")
+            .fold(u64::MAX, u64::min)
     }
 
     /// The operator's maximin value: `max_{x_o} min_{x_e} x`.
     pub fn maximin(&self, c: LossWeight) -> u64 {
         self.grid(32)
             .map(|xo| self.worst_case_for_operator(xo, c))
-            .max()
-            .expect("grid is nonempty")
+            .fold(0, u64::max)
     }
 
     /// An evenly spaced sample of the admissible claim range, always

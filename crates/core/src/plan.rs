@@ -34,15 +34,25 @@ pub struct LossWeight {
 impl LossWeight {
     /// Builds a weight `numer/denom`; panics unless `0 ≤ numer ≤ denom`
     /// and `denom > 0`.
-    #[expect(
-        clippy::arithmetic_side_effects,
-        reason = "denom > 0 is asserted, so its gcd with numer is at least 1"
-    )]
     pub fn new(numer: u32, denom: u32) -> Self {
         assert!(denom > 0, "denominator must be positive");
         assert!(numer <= denom, "loss weight must be <= 1");
-        // Canonical (reduced) form so equal weights compare equal
-        // regardless of how they were written (1/2 == 5000/10000).
+        LossWeight::reduced(numer, denom)
+    }
+
+    /// [`Self::new`] for a weight a peer sent: `None` where `new` would
+    /// panic.
+    pub fn try_new(numer: u32, denom: u32) -> Option<Self> {
+        (denom > 0 && numer <= denom).then(|| LossWeight::reduced(numer, denom))
+    }
+
+    /// Canonical (reduced) form so equal weights compare equal
+    /// regardless of how they were written (1/2 == 5000/10000).
+    #[expect(
+        clippy::arithmetic_side_effects,
+        reason = "numer > 0 past the early return, so its gcd with denom is at least 1"
+    )]
+    fn reduced(numer: u32, denom: u32) -> Self {
         if numer == 0 {
             return LossWeight { numer: 0, denom: 1 };
         }
@@ -124,6 +134,15 @@ impl ChargingCycle {
             start_secs,
             end_secs,
         }
+    }
+
+    /// [`Self::new`] for a cycle a peer sent: `None` where `new` would
+    /// panic.
+    pub fn try_new(start_secs: u64, end_secs: u64) -> Option<Self> {
+        (end_secs > start_secs).then_some(ChargingCycle {
+            start_secs,
+            end_secs,
+        })
     }
 
     /// The paper's evaluation cycle: one hour starting at t=0.

@@ -13,15 +13,6 @@
 //! [`Endpoint::handle`] and it produces the response, updating the
 //! Algorithm-1 bounds as rounds proceed.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
-
 use crate::cancellation::Bounds;
 use crate::messages::{CdaMsg, CdrMsg, MessageError, Nonce, PocMsg};
 use crate::plan::{charge_for, DataPlan, UsagePair};

@@ -10,15 +10,6 @@
 //! 4. that the charged volume replays Algorithm 1's pricing of the
 //!    embedded claims.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
-
 use crate::messages::{self, MessageError, Nonce, PocDigests, PocMsg};
 use crate::plan::{charge_for, DataPlan, UsagePair};
 use std::hash::{BuildHasher, RandomState};

@@ -71,17 +71,17 @@ pub struct PrivateKey {
     /// Matching public key.
     pub public: PublicKey,
     /// Private exponent.
-    d: BigUint,
+    d: Secret,
     /// First prime factor.
-    p: BigUint,
+    p: Secret,
     /// Second prime factor.
-    q: BigUint,
+    q: Secret,
     /// `d mod (p-1)`.
-    dp: BigUint,
+    dp: Secret,
     /// `d mod (q-1)`.
-    dq: BigUint,
+    dq: Secret,
     /// `q^-1 mod p`.
-    qinv: BigUint,
+    qinv: Secret,
     /// Cached Montgomery context for `p`.
     p_ctx: Arc<OnceLock<MontgomeryCtx>>,
     /// Cached Montgomery context for `q`.
@@ -94,8 +94,8 @@ pub struct PrivateKey {
 impl std::fmt::Debug for PrivateKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Never print private material: key id (public fingerprint)
-        // and modulus size only. Enforced by tlc-lint's secret-hygiene
-        // rule.
+        // and modulus size only. A derived `Debug` does not compile:
+        // `Secret` has none.
         f.debug_struct("PrivateKey")
             .field("key_id", &format_args!("{:#018x}", self.key_id()))
             .field("modulus_bits", &self.public.n.bit_len())
@@ -114,32 +114,27 @@ impl std::fmt::Display for PrivateKey {
     }
 }
 
-impl Drop for PrivateKey {
+/// One number of private-key material. It implements neither `Debug`
+/// nor `Display`, so no formatting path can print it, and it scrubs its
+/// limbs when it drops.
+///
+/// The scrub is best effort: volatile writes keep the stores from being
+/// elided as dead before the buffer returns to the allocator. Transient
+/// `BigUint` temporaries inside an exponentiation are *not* covered,
+/// nor are the per-prime Montgomery contexts (their cells are shared
+/// via `Arc` with every clone of the key). The ladder constants in
+/// `crt_key` scrub themselves when the last clone drops.
+#[derive(Clone)]
+struct Secret(BigUint);
+
+impl Drop for Secret {
     fn drop(&mut self) {
-        // Best-effort scrubbing of long-lived secret material: the CRT
-        // limbs and the private exponent are overwritten before the
-        // buffers return to the allocator. Volatile writes keep the
-        // stores from being elided as dead. Transient `BigUint`
-        // temporaries inside an exponentiation are *not* covered, nor
-        // are the per-prime Montgomery contexts (their cells are
-        // shared via `Arc` with every clone, so scrubbing them here
-        // could corrupt a live sibling). The ladder constants in
-        // `crt_key` scrub themselves when the last clone drops.
-        for secret in [
-            &mut self.d,
-            &mut self.p,
-            &mut self.q,
-            &mut self.dp,
-            &mut self.dq,
-            &mut self.qinv,
-        ] {
-            for limb in secret.limbs.iter_mut() {
-                // SAFETY: `limb` is a valid, aligned, exclusive
-                // reference into a live Vec<u64>; writing 0 through it
-                // is an ordinary store made volatile only to survive
-                // dead-store elimination.
-                unsafe { core::ptr::write_volatile(limb, 0) };
-            }
+        for limb in self.0.limbs.iter_mut() {
+            // SAFETY: `limb` is a valid, aligned, exclusive reference
+            // into a live Vec<u64>; writing 0 through it is an ordinary
+            // store made volatile only to survive dead-store
+            // elimination.
+            unsafe { core::ptr::write_volatile(limb, 0) };
         }
     }
 }
@@ -216,19 +211,19 @@ impl PrivateKey {
             return Err(CryptoError::MessageTooLarge);
         }
         match self.public.mont_ctx() {
-            Some(ctx) => Ok(c.modpow_with_ctx(&self.d, ctx)),
-            None => Ok(c.modpow(&self.d, &self.public.n)),
+            Some(ctx) => Ok(c.modpow_with_ctx(&self.d.0, ctx)),
+            None => Ok(c.modpow(&self.d.0, &self.public.n)),
         }
     }
 
     /// Cached Montgomery context for prime `p` (primes are always odd).
     fn p_ctx(&self) -> &MontgomeryCtx {
-        self.p_ctx.get_or_init(|| MontgomeryCtx::new(&self.p))
+        self.p_ctx.get_or_init(|| MontgomeryCtx::new(&self.p.0))
     }
 
     /// Cached Montgomery context for prime `q`.
     fn q_ctx(&self) -> &MontgomeryCtx {
-        self.q_ctx.get_or_init(|| MontgomeryCtx::new(&self.q))
+        self.q_ctx.get_or_init(|| MontgomeryCtx::new(&self.q.0))
     }
 
     /// The IFMA signing ladder's constants for this key, built on first
@@ -239,8 +234,8 @@ impl PrivateKey {
             .get_or_init(|| {
                 CrtKey::new(
                     [self.p_ctx(), self.q_ctx()],
-                    [&self.dp, &self.dq],
-                    &self.qinv,
+                    [&self.dp.0, &self.dq.0],
+                    &self.qinv.0,
                 )
             })
             .as_ref()
@@ -278,12 +273,12 @@ impl PrivateKey {
         }
         // Garner: m1 = c^dp mod p, m2 = c^dq mod q,
         // h = qinv * (m1 - m2) mod p, m = m2 + h*q.
-        let (cp, cq) = (c.rem(&self.p), c.rem(&self.q));
-        let m1 = cp.modpow_with_ctx(&self.dp, self.p_ctx());
-        let m2 = cq.modpow_with_ctx(&self.dq, self.q_ctx());
-        let diff = m1.sub_mod(&m2.rem(&self.p), &self.p);
-        let h = self.qinv.mul_mod(&diff, &self.p);
-        let m = m2.add(&h.mul(&self.q));
+        let (cp, cq) = (c.rem(&self.p.0), c.rem(&self.q.0));
+        let m1 = cp.modpow_with_ctx(&self.dp.0, self.p_ctx());
+        let m2 = cq.modpow_with_ctx(&self.dq.0, self.q_ctx());
+        let diff = m1.sub_mod(&m2.rem(&self.p.0), &self.p.0);
+        let h = self.qinv.0.mul_mod(&diff, &self.p.0);
+        let m = m2.add(&h.mul(&self.q.0));
         debug_assert!(self.inverts(&m, c));
         Ok(m)
     }
@@ -344,12 +339,12 @@ impl KeyPair {
                 public: public.clone(),
                 private: PrivateKey {
                     public,
-                    d,
-                    p,
-                    q,
-                    dp,
-                    dq,
-                    qinv,
+                    d: Secret(d),
+                    p: Secret(p),
+                    q: Secret(q),
+                    dp: Secret(dp),
+                    dq: Secret(dq),
+                    qinv: Secret(qinv),
                     p_ctx: Arc::default(),
                     q_ctx: Arc::default(),
                     crt_key: Arc::default(),

@@ -38,7 +38,7 @@ pub fn github_annotations(report: &Report) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::Finding;
+    use crate::Finding;
 
     fn report() -> Report {
         Report {

@@ -1,72 +1,79 @@
 //! # tlc-lint
 //!
-//! The workspace static-analysis plane for the TLC reproduction: a
-//! purpose-built linter for the repo-specific invariants TLC's trust
-//! story rests on (§5.3 public verifiability means the verification
-//! code itself must be auditable) that no rustc or clippy lint checks.
-//! Clippy runs the rest (DESIGN §9): `undocumented_unsafe_blocks`, the
-//! `unwrap_used`/`expect_used`/`panic` family on the no-panic files,
-//! `disallowed_methods` on wall-clock reads (root `clippy.toml`), and
-//! `arithmetic_side_effects` with the narrowing-cast lints on the
-//! charging and peer-facing files.
+//! The one workspace check no rustc or clippy lint can state: a
+//! potential deadlock. The verifier is public (§5.3), so its code must
+//! be auditable; everything else that audit leans on is a compiler
+//! check (DESIGN §9): `unsafe_code` in each crate's `[lints.rust]`,
+//! clippy's `undocumented_unsafe_blocks`, the no-panic family denied
+//! at every library crate's root, `disallowed_methods` on wall-clock
+//! reads (root `clippy.toml`), `arithmetic_side_effects` with the
+//! narrowing-cast lints on the charging and peer-facing files, and a
+//! `Secret` type with no `Debug` for the RSA private limbs.
 //!
-//! Two per-file rules, both token-sequence based (see [`rules`]):
+//! One rule, interprocedural over the workspace call graph ([`graph`],
+//! DESIGN §9.1):
 //!
-//! 1. **unsafe-scope** — `unsafe` only inside `tlc-crypto` and tlc-net's
-//!    readiness shim, and every other crate declares
-//!    `#![forbid(unsafe_code)]` (tlc-crypto itself must
-//!    `#![deny(unsafe_op_in_unsafe_fn)]`),
-//! 2. **secret-hygiene** — `PrivateKey`/CRT material never reaches
-//!    `#[derive(Debug)]` or `format!`-family macro arguments.
-//!
-//! Plus two *interprocedural* passes over the workspace call graph
-//! ([`graph`], DESIGN §9.1):
-//!
-//! 3. **transitive-no-panic** ([`nopanic`]) — may-panic propagated
-//!    backwards through resolved call edges, so a function in a
-//!    no-panic file that reaches `unwrap` five helpers deep outside
-//!    that scope is caught with the chain named,
-//! 4. **lock-order** ([`locks`]) — held-lock sets propagated along
-//!    call edges; a cycle in the lock graph (potential deadlock) is
-//!    reported with one site per edge.
+//! * **lock-order** ([`locks`]) — held-lock sets propagated along call
+//!   edges; a cycle in the lock graph (potential deadlock) is reported
+//!   with one site per edge.
 //!
 //! Every `.rs` file is read and lexed exactly once per check
-//! ([`Workspace`]); the per-file rules, the crate-manifest checks, and
-//! the call-graph passes all share the same token streams. Run with
-//! `cargo run -p tlc-lint -- check`.
+//! ([`Workspace`]). Run with `cargo run -p tlc-lint -- check`.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod github;
 pub mod graph;
 pub mod locks;
-pub mod nopanic;
-pub mod rules;
 pub mod scan;
 
-use rules::{rules_for, Finding};
 use scan::ScannedFile;
 use std::fs;
 use std::path::{Path, PathBuf};
-use syn::{Token, TokenKind};
 
-/// Crates that must carry `#![forbid(unsafe_code)]` in `src/lib.rs`.
-/// tlc-net is the deliberate exception: its readiness syscall shim is
-/// the one sanctioned `unsafe` module outside tlc-crypto, so the crate
-/// carries `#![deny(unsafe_code)]` with a module-scoped allow instead
-/// (checked separately below).
-pub const FORBID_UNSAFE_CRATES: &[&str] = &["core", "sim", "workloads", "cell", "bench", "lint"];
+/// One rule violation at a source position.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Finding {
+    /// Rule identifier (`lock-order`, or the meta rule `parse`).
+    pub rule: &'static str,
+    /// Workspace-relative path.
+    pub path: String,
+    /// 1-based line.
+    pub line: u32,
+    /// 1-based column.
+    pub col: u32,
+    /// Innermost enclosing named item (may be empty).
+    pub item: String,
+    /// Human-readable description.
+    pub message: String,
+}
 
-/// The one file outside tlc-crypto permitted to contain `unsafe`
-/// tokens: the epoll/`SO_REUSEPORT` syscall shim. Its blocks still owe
-/// `// SAFETY:` audits (clippy's `undocumented_unsafe_blocks`, denied
-/// on the module in tlc-net's `lib.rs`).
-pub const UNSAFE_EXEMPT_FILES: &[&str] = &["crates/net/src/readiness.rs"];
+impl std::fmt::Display for Finding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}:{}:{}: [{}] {}",
+            self.path, self.line, self.col, self.rule, self.message
+        )
+    }
+}
 
-/// Every source file of the workspace, read and lexed exactly once.
-/// The per-file rules, the crate-manifest checks, and the
-/// interprocedural passes all borrow the same [`ScannedFile`]s.
+/// Rule ids, in report order.
+pub const RULES: &[(&str, &str)] = &[(
+    "lock-order",
+    "the workspace lock graph (Mutex/RwLock acquisition order, propagated along call edges) is cycle-free",
+)];
+
+/// Every source file of the workspace, read and lexed exactly once;
+/// the call graph borrows the same [`ScannedFile`]s.
 pub struct Workspace {
     /// Scanned files, sorted by workspace-relative path.
     pub files: Vec<ScannedFile>,
@@ -118,22 +125,10 @@ impl Workspace {
         }
     }
 
-    /// The scanned file at a workspace-relative path, if present.
-    pub fn file(&self, rel: &str) -> Option<&ScannedFile> {
-        self.files.iter().find(|f| f.rel_path == rel)
-    }
-
-    /// Runs the per-file rules and the two interprocedural passes.
+    /// Runs the lock-order pass over the workspace call graph.
     pub fn check(&self) -> Vec<Finding> {
         let mut findings = self.parse_errors.clone();
-        for file in &self.files {
-            for rule in rules_for(file) {
-                findings.extend(rule(file));
-            }
-        }
-        let graph = graph::CallGraph::build(&self.files);
-        findings.extend(nopanic::check(&graph));
-        findings.extend(locks::check(&graph));
+        findings.extend(locks::check(&graph::CallGraph::build(&self.files)));
         findings
     }
 }
@@ -151,90 +146,6 @@ impl Report {
     /// Clean means zero findings.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
-    }
-}
-
-/// Shared attribute scanner used by rules: if significant position `si`
-/// starts an attribute (`#…[…]`), returns its identifiers and the
-/// significant position just past the closing bracket.
-pub fn scan_attr(file: &ScannedFile, si: usize) -> Option<(Vec<String>, usize)> {
-    let tokens = &file.tokens;
-    let sig = &file.sig;
-    let mut i = si;
-    if !tokens[*sig.get(i)?].is_punct('#') {
-        return None;
-    }
-    i += 1;
-    if tokens.get(*sig.get(i)?).is_some_and(|t| t.is_punct('!')) {
-        i += 1;
-    }
-    if !tokens.get(*sig.get(i)?).is_some_and(|t| t.is_punct('[')) {
-        return None;
-    }
-    let mut depth = 0usize;
-    let mut idents = Vec::new();
-    while i < sig.len() {
-        let t: &Token = &tokens[sig[i]];
-        if t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct(']') {
-            depth -= 1;
-            if depth == 0 {
-                return Some((idents, i + 1));
-            }
-        } else if t.kind == TokenKind::Ident {
-            idents.push(t.text.clone());
-        }
-        i += 1;
-    }
-    None
-}
-
-/// The identifier lists of a file's inner attributes (`#![…]`), which
-/// precede its first item.
-pub fn inner_attrs(file: &ScannedFile) -> Vec<Vec<String>> {
-    let mut attrs = Vec::new();
-    let mut si = 0usize;
-    while si + 1 < file.sig.len()
-        && file.sig_tok(si).is_punct('#')
-        && file.sig_tok(si + 1).is_punct('!')
-    {
-        let Some((idents, after)) = scan_attr(file, si) else {
-            break;
-        };
-        attrs.push(idents);
-        si = after;
-    }
-    attrs
-}
-
-/// Whether a file declares an inner attribute whose identifier list is
-/// exactly `want` (e.g. `["forbid", "unsafe_code"]`).
-pub fn has_inner_attr(file: &ScannedFile, want: &[&str]) -> bool {
-    inner_attrs(file)
-        .iter()
-        .any(|idents| idents.iter().map(String::as_str).eq(want.iter().copied()))
-}
-
-/// Lints a single in-memory source file under its workspace-relative
-/// path (what the fixture tests drive).
-pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    match ScannedFile::parse(rel_path, src) {
-        Ok(file) => {
-            let mut out = Vec::new();
-            for rule in rules_for(&file) {
-                out.extend(rule(&file));
-            }
-            out
-        }
-        Err(e) => vec![Finding {
-            rule: "parse",
-            path: rel_path.to_string(),
-            line: e.line,
-            col: 1,
-            item: String::new(),
-            message: format!("lexer error: {}", e.message),
-        }],
     }
 }
 
@@ -270,64 +181,12 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Lints a set of in-memory source files as one mini-workspace: the
-/// per-file rules plus the two interprocedural passes, no
-/// crate-manifest checks. This is what the cross-file fixture tests
-/// drive (e.g. a no-panic root reaching a panicking helper in a
-/// *different* fixture file).
+/// Lints a set of in-memory source files as one mini-workspace (what
+/// the fixture tests drive).
 pub fn lint_sources(sources: &[(&str, &str)]) -> Vec<Finding> {
     let ws = Workspace::from_sources(sources);
     let mut findings = ws.check();
     sort_findings(&mut findings);
-    findings
-}
-
-/// The crate-manifest half of the unsafe-scope rule, evaluated over the
-/// already-scanned workspace (no file is re-read).
-fn manifest_findings(ws: &Workspace) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let has = |rel: &str, want: &[&str]| ws.file(rel).is_some_and(|f| has_inner_attr(f, want));
-    for krate in FORBID_UNSAFE_CRATES {
-        let rel = format!("crates/{krate}/src/lib.rs");
-        if !has(&rel, &["forbid", "unsafe_code"]) {
-            findings.push(Finding {
-                rule: "unsafe-scope",
-                path: rel,
-                line: 1,
-                col: 1,
-                item: String::new(),
-                message: format!("crate tlc-{krate} must declare #![forbid(unsafe_code)]"),
-            });
-        }
-    }
-    if !has(
-        "crates/crypto/src/lib.rs",
-        &["deny", "unsafe_op_in_unsafe_fn"],
-    ) {
-        findings.push(Finding {
-            rule: "unsafe-scope",
-            path: "crates/crypto/src/lib.rs".to_string(),
-            line: 1,
-            col: 1,
-            item: String::new(),
-            message: "tlc-crypto must declare #![deny(unsafe_op_in_unsafe_fn)]".to_string(),
-        });
-    }
-    // tlc-net: `deny` (not `forbid`) so the readiness shim can be
-    // allow-listed per-module — but the deny must stay, or unsafe
-    // could creep into any module unnoticed.
-    if !has("crates/net/src/lib.rs", &["deny", "unsafe_code"]) {
-        findings.push(Finding {
-            rule: "unsafe-scope",
-            path: "crates/net/src/lib.rs".to_string(),
-            line: 1,
-            col: 1,
-            item: String::new(),
-            message:
-                "tlc-net must declare #![deny(unsafe_code)] (readiness shim is the only allowed module)"
-                    .to_string(),
-        });
-    }
     findings
 }
 
@@ -342,7 +201,6 @@ pub fn run_check(root: &Path) -> std::io::Result<Report> {
     let ws = Workspace::load(root)?;
     let files_scanned = ws.files.len() + ws.parse_errors.len();
     let mut findings = ws.check();
-    findings.extend(manifest_findings(&ws));
     sort_findings(&mut findings);
     Ok(Report {
         findings,

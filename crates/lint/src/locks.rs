@@ -24,8 +24,8 @@
 //! conservative in the direction of reporting, never of missing.
 
 use crate::graph::CallGraph;
-use crate::rules::Finding;
 use crate::scan::ScannedFile;
+use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 use syn::TokenKind;
 

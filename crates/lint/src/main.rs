@@ -10,8 +10,6 @@
 //!
 //! Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 
-#![forbid(unsafe_code)]
-
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -24,7 +22,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("rules") => {
-            for (rule, doc) in tlc_lint::rules::RULES {
+            for (rule, doc) in tlc_lint::RULES {
                 println!("{rule:16} {doc}");
             }
             ExitCode::SUCCESS
@@ -66,7 +64,7 @@ fn main() -> ExitCode {
                         println!(
                             "tlc-lint: clean ({} files, {} rules)",
                             report.files_scanned,
-                            tlc_lint::rules::RULES.len()
+                            tlc_lint::RULES.len()
                         );
                         ExitCode::SUCCESS
                     } else {

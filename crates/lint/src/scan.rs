@@ -1,15 +1,13 @@
-//! Token-stream prepass shared by every rule.
+//! Token-stream prepass shared by the call graph and the lock pass.
 //!
 //! `syn` (the vendored lexer) gives us exact tokens with spans and
-//! preserved comments; this module layers the two pieces of context the
-//! rules need on top of that stream:
+//! preserved comments; this module layers two pieces of context on top
+//! of that stream:
 //!
 //! * a **test mask** — tokens inside `#[cfg(test)]` items or `#[test]`
-//!   functions, which the production-code rules skip, and
+//!   functions, which the lock pass skips, and
 //! * an **enclosing-item map** — the innermost named `fn` / `struct` /
-//!   `enum` / `trait` / `mod` each token sits in, which is what
-//!   findings name (names are stable under reformatting; line numbers
-//!   are not).
+//!   `enum` / `trait` / `mod` each token sits in.
 
 use syn::{File, Token, TokenKind};
 
@@ -26,7 +24,7 @@ pub enum FileKind {
     Examples,
 }
 
-/// A lexed file plus the per-token context the rules consume.
+/// A lexed file plus its per-token context.
 pub struct ScannedFile {
     /// Workspace-relative path with `/` separators.
     pub rel_path: String,
@@ -47,7 +45,7 @@ pub struct ScannedFile {
 const NAMED_ITEMS: &[&str] = &["fn", "struct", "enum", "trait", "mod", "union"];
 
 impl ScannedFile {
-    /// Lexes `src` and computes the rule context. `rel_path` decides
+    /// Lexes `src` and computes its context. `rel_path` decides
     /// the [`FileKind`].
     pub fn parse(rel_path: &str, src: &str) -> Result<ScannedFile, syn::Error> {
         let File { tokens } = syn::parse_file(src)?;
@@ -69,11 +67,6 @@ impl ScannedFile {
     /// The significant token at significant-position `si`.
     pub fn sig_tok(&self, si: usize) -> &Token {
         &self.tokens[self.sig[si]]
-    }
-
-    /// Enclosing item name of the significant token at position `si`.
-    pub fn sig_item(&self, si: usize) -> &str {
-        &self.item_of[self.sig[si]]
     }
 
     /// Whether the significant token at position `si` is in test code.

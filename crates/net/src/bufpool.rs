@@ -21,16 +21,7 @@
 //! the wire's max frame (header + max payload), so a single pooled
 //! buffer always suffices to reassemble any legal frame.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
-
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Counters exported into the ingress report (non-wire fields).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -44,11 +35,32 @@ pub struct PoolStats {
     pub recycles: u64,
 }
 
+impl PoolStats {
+    /// Buffers checked out and not yet returned.
+    fn outstanding(&self) -> usize {
+        (self.checkouts - self.recycles) as usize
+    }
+}
+
+/// The free list and the counters, behind one lock: a checkout or a
+/// return takes it once.
+struct State {
+    free: Vec<Vec<u8>>,
+    stats: PoolStats,
+}
+
 struct Shared {
-    free: Mutex<Vec<Vec<u8>>>,
-    stats: Mutex<PoolStats>,
+    state: Mutex<State>,
     buf_size: usize,
     capacity: usize,
+}
+
+impl Shared {
+    /// The pool state; a panic elsewhere while it was held leaves it
+    /// consistent (every update is one push, pop or counter bump).
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A fixed-capacity pool of equally sized byte buffers.
@@ -80,8 +92,10 @@ impl BufferPool {
     pub fn new(capacity: usize, buf_size: usize) -> BufferPool {
         BufferPool {
             shared: Arc::new(Shared {
-                free: Mutex::new(Vec::new()),
-                stats: Mutex::new(PoolStats::default()),
+                state: Mutex::new(State {
+                    free: Vec::new(),
+                    stats: PoolStats::default(),
+                }),
                 buf_size,
                 capacity: capacity.max(1),
             }),
@@ -96,8 +110,7 @@ impl BufferPool {
     /// Buffers that could be checked out right now (free-listed plus
     /// not-yet-minted headroom).
     pub fn available(&self) -> usize {
-        let stats = self.stats();
-        let outstanding = (stats.checkouts - stats.recycles) as usize;
+        let outstanding = self.stats().outstanding();
         self.shared.capacity.saturating_sub(outstanding)
     }
 
@@ -105,49 +118,27 @@ impl BufferPool {
     /// in flight (the caller should defer — never allocate around the
     /// pool). The returned buffer is empty with `buf_size` capacity.
     pub fn checkout(&self) -> Option<PooledBuf> {
-        let mut free = match self.shared.free.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        let buf = if let Some(mut b) = free.pop() {
+        let mut state = self.shared.state();
+        let data = if let Some(mut b) = state.free.pop() {
             b.clear();
-            Some(b)
+            b
+        } else if state.stats.outstanding() < self.shared.capacity {
+            Vec::with_capacity(self.shared.buf_size)
         } else {
-            let stats = self.stats();
-            let outstanding = (stats.checkouts - stats.recycles) as usize;
-            if outstanding < self.shared.capacity {
-                Some(Vec::with_capacity(self.shared.buf_size))
-            } else {
-                None
-            }
+            state.stats.exhausted += 1;
+            return None;
         };
-        drop(free);
-        let mut stats = match self.shared.stats.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        match buf {
-            Some(data) => {
-                stats.checkouts += 1;
-                drop(stats);
-                Some(PooledBuf {
-                    data,
-                    pool: self.shared.clone(),
-                })
-            }
-            None => {
-                stats.exhausted += 1;
-                None
-            }
-        }
+        state.stats.checkouts += 1;
+        drop(state);
+        Some(PooledBuf {
+            data,
+            pool: self.shared.clone(),
+        })
     }
 
     /// Snapshot of the pool counters.
     pub fn stats(&self) -> PoolStats {
-        match self.shared.stats.lock() {
-            Ok(g) => *g,
-            Err(p) => *p.into_inner(),
-        }
+        self.shared.state().stats
     }
 }
 
@@ -185,28 +176,14 @@ impl std::ops::DerefMut for PooledBuf {
 impl Drop for PooledBuf {
     fn drop(&mut self) {
         let data = std::mem::take(&mut self.data);
+        let mut state = self.pool.state();
+        state.stats.recycles += 1;
         // Oversized (grew past buf_size) buffers are not recycled —
         // recycling them would let one hostile burst permanently
         // inflate the arena. The pool mints a fresh one instead.
-        if data.capacity() > self.pool.buf_size * 2 {
-            let mut stats = match self.pool.stats.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            stats.recycles += 1;
-            return;
+        if data.capacity() <= self.pool.buf_size * 2 {
+            state.free.push(data);
         }
-        let mut free = match self.pool.free.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        free.push(data);
-        drop(free);
-        let mut stats = match self.pool.stats.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        stats.recycles += 1;
     }
 }
 

@@ -23,15 +23,6 @@
 //! [`ChaosRole`] names them so a fault *plan* can assign every client
 //! a role deterministically via [`plan_roles`].
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
-
 use crate::rng::SimRng;
 use std::io::{self, Read, Write};
 

@@ -16,15 +16,6 @@
 //! `WouldBlock` from the stream simply ends the current read, which is
 //! what lets one thread drive many connections.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
-
 use crate::wire::{Frame, WireError};
 use std::io::{self, Read, Write};
 

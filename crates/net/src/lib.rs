@@ -39,10 +39,14 @@
 //! * [`bufpool`] — bounded recycled read-buffer pool backing zero-copy
 //!   frame decode.
 
-// `deny` rather than `forbid`: the readiness syscall shim is the single
-// sanctioned exception (allow-listed below and pinned by tlc-lint's
-// unsafe-scope rule); forbid cannot be overridden per-module.
-#![deny(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod bufpool;
@@ -55,6 +59,8 @@ pub mod loss;
 pub mod packet;
 pub mod queue;
 pub mod radio;
+// The one module allowed `unsafe`: the manifest denies it rather than
+// forbidding it, because forbid cannot be overridden per module.
 #[allow(unsafe_code)]
 #[deny(clippy::undocumented_unsafe_blocks)]
 pub mod readiness;

@@ -36,6 +36,10 @@ pub struct AblationRow {
 }
 
 /// Runs the ablation for the two uplink webcams and VR under load.
+#[expect(
+    clippy::expect_used,
+    reason = "in-process pricing has no faulty peer: every scheme converges within the round cap"
+)]
 pub fn run(scale: RunScale) -> Vec<AblationRow> {
     let plan = DataPlan::paper_default();
     let mut rows = Vec::new();

@@ -36,6 +36,10 @@ pub fn eta_levels(scale: RunScale) -> Vec<f64> {
 /// Regenerates the figure. The η levels fan out across the sweep thread
 /// pool; each level's rounds stay sequential, so its three rows are
 /// byte-identical to the single-threaded runner's.
+#[expect(
+    clippy::expect_used,
+    reason = "in-process pricing has no faulty peer: every scheme converges within the round cap"
+)]
 pub fn run(scale: RunScale) -> Vec<Fig14Row> {
     let plan = DataPlan::paper_default();
     let levels = eta_levels(scale);

@@ -140,9 +140,14 @@ pub fn reps(scale: RunScale) -> usize {
     clippy::disallowed_methods,
     reason = "fig 17 measures wall-clock verification throughput"
 )]
+#[expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "the proofs were just negotiated under these keys, and the in-process service cannot fail"
+)]
 pub fn run(reps: usize) -> Result<Fig17Report, ProtocolError> {
-    let edge = KeyPair::generate_for_seed(1024, 0xF17E).expect("keygen");
-    let op = KeyPair::generate_for_seed(1024, 0xF170).expect("keygen");
+    let edge = KeyPair::generate_for_seed(1024, 0xF17E)?;
+    let op = KeyPair::generate_for_seed(1024, 0xF170)?;
     let plan = DataPlan::paper_default();
 
     // Warm-up + timed negotiations on this host. Every proof carries a

@@ -57,6 +57,10 @@ pub struct RobustnessRow {
 
 /// Runs one negotiation session over faulty channels and reports
 /// `(converged, latency, frames, retransmits)`.
+#[expect(
+    clippy::expect_used,
+    reason = "a fresh optimal endpoint always initiates"
+)]
 fn run_one(
     edge_keys: &KeyPair,
     op_keys: &KeyPair,
@@ -132,6 +136,7 @@ fn run_one(
 /// (Quick: 20, Full: 200). Loss points fan out across the sweep thread
 /// pool; each point's sessions stay sequential with per-session seeds,
 /// so every row is byte-identical to a single-threaded run.
+#[expect(clippy::expect_used, reason = "keys from fixed seeds always generate")]
 pub fn run(scale: RunScale) -> Vec<RobustnessRow> {
     let sessions = match scale {
         RunScale::Quick => 20u64,
@@ -156,7 +161,7 @@ pub fn run(scale: RunScale) -> Vec<RobustnessRow> {
             frames += f;
             retransmits += r;
         }
-        latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        latencies_ms.sort_by(f64::total_cmp);
         let mean = latencies_ms.iter().sum::<f64>() / sessions as f64;
         let p95_idx = ((sessions as f64 * 0.95).ceil() as usize).min(latencies_ms.len()) - 1;
         RobustnessRow {

@@ -46,6 +46,10 @@ fn monitor_name(kind: MonitorKind) -> &'static str {
 }
 
 /// Runs the comparison on one clean downlink VR cycle.
+#[expect(
+    clippy::expect_used,
+    reason = "in-process pricing has no faulty peer: every scheme converges within the round cap"
+)]
 pub fn run(scale: RunScale) -> Vec<StrawmanRow> {
     let plan = DataPlan::paper_default();
     let mut cfg = ScenarioConfig::new(AppKind::Vr, 0x57AA, scale.cycle());

@@ -76,6 +76,10 @@ impl MultiOperatorOutcome {
 /// carries an independent instance of the application stream (its share
 /// of the classified traffic), over its own cell conditions, with its
 /// own plan — and TLC negotiates per operator.
+#[expect(
+    clippy::expect_used,
+    reason = "in-process pricing has no faulty peer: every scheme converges within the round cap"
+)]
 pub fn run_multi_operator(
     app: AppKind,
     cycle: SimDuration,

@@ -36,6 +36,10 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 
 /// [`par_map`] with an explicit thread count. `threads <= 1` runs the
 /// plain sequential loop (no pool, no overhead).
+#[expect(
+    clippy::expect_used,
+    reason = "re-raises a worker's panic on the caller's thread"
+)]
 pub fn par_map_threads<T: Sync, R: Send>(
     threads: usize,
     items: &[T],
@@ -81,6 +85,10 @@ pub fn par_map_threads<T: Sync, R: Send>(
 /// own state, the output is byte-identical at any thread count —
 /// `threads = 1` runs the plain sequential loop the equivalence tests
 /// compare against.
+#[expect(
+    clippy::expect_used,
+    reason = "re-raises a worker's panic on the caller's thread"
+)]
 pub fn par_map_mut<T: Send, R: Send>(
     threads: usize,
     items: &mut [T],

@@ -32,15 +32,6 @@
 //! that shares no line with this module, and every random op stream
 //! must fire and count identically on both.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented
-)]
-
 use std::cmp::Reverse;
 
 const LEVELS: usize = 4;
