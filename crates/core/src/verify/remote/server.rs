@@ -1071,8 +1071,9 @@ impl Shard {
             Ok(n) if (1..=DEFAULT_REPLAY_CAPACITY).contains(&n) => n,
             _ => DEFAULT_REPLAY_CAPACITY,
         };
-        let table = self.stage.relationships();
-        let rel = table.register(reg.plan, reg.edge_key, reg.operator_key, capacity);
+        let rel = self
+            .stage
+            .register(reg.plan, reg.edge_key, reg.operator_key, capacity);
         // Seeds the lane now, whichever shard issued the id first.
         self.lane(rel.raw());
         self.stats.registers = self.stats.registers.saturating_add(1);
@@ -1090,7 +1091,7 @@ impl Shard {
     /// shed before the next credit deal.
     fn lane(&mut self, rel_raw: u64) -> Option<&mut u32> {
         let k = usize::try_from(rel_raw).ok()?;
-        if k >= self.credits.len() && rel_raw < self.stage.relationships().issued() {
+        if k >= self.credits.len() && rel_raw < self.stage.issued() {
             self.credits.resize(k.saturating_add(1), LANE_QUANTUM);
         }
         self.credits.get_mut(k)

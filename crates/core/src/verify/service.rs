@@ -227,19 +227,16 @@ impl VerifierService {
         edge_key: PublicKey,
         operator_key: PublicKey,
     ) -> Result<RelationshipId, ServiceError> {
-        Ok(self.stage.relationships().register(
-            plan,
-            edge_key,
-            operator_key,
-            DEFAULT_REPLAY_CAPACITY,
-        ))
+        Ok(self
+            .stage
+            .register(plan, edge_key, operator_key, DEFAULT_REPLAY_CAPACITY))
     }
 
     /// Submits one proof under `rel`, verifying its relationship's batch
     /// if this proof fills it. Returns a tag to correlate with the
     /// [`SubmissionResult`].
     pub fn submit(&mut self, rel: RelationshipId, poc: PocMsg) -> Result<u64, ServiceError> {
-        if rel.raw() >= self.stage.relationships().issued() {
+        if rel.raw() >= self.stage.issued() {
             return Err(ServiceError::UnknownRelationship(rel));
         }
         let tag = self.next_tag;

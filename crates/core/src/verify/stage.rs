@@ -37,6 +37,7 @@
 //! the in-process service ([`super::service`]) submits on its caller's
 //! thread and flushes when the caller collects. What stages share is
 //! the table.
+//!
 //! Two locks, never held together: the table's own (a lookup or a
 //! registration, then released) and, after it, the relationship's
 //! verifier's, taken **once per batch** and held while the batch is
@@ -44,6 +45,12 @@
 //! on two stages at once; then its batches are judged one after the
 //! other, each against the window the last one left, which is what
 //! makes a proof presented on both accepted once.
+//!
+//! "Never together" is a type. Both are `Ordered` mutexes, whose one
+//! `lock` borrows a `NoLockHeld` token mutably for as long as the
+//! guard lives, and each stage holds the only token it can lend, made
+//! in [`Stage::new`]. A second lock under the first is then a second
+//! mutable borrow of one token: E0499, not a deadlock.
 
 #![deny(
     clippy::arithmetic_side_effects,
@@ -54,11 +61,42 @@
 use super::{Verdict, Verifier, VerifyError};
 use crate::messages::{chain_digests_many, MessageError, PocDigests, PocMsg};
 use crate::plan::DataPlan;
+use ordered::Ordered;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, MutexGuard, PoisonError};
 use tlc_crypto::encoding::key_fingerprint;
 use tlc_crypto::{CryptoError, PublicKey};
+
+/// Lent to every lock this module takes, and borrowed by its guard:
+/// while a stage holds one lock it has no token left to take another.
+/// Zero-sized, and built in one place, [`Stage::new`].
+struct NoLockHeld(());
+
+mod ordered {
+    use super::NoLockHeld;
+    use std::sync::{LockResult, Mutex, MutexGuard};
+
+    /// A mutex that locks only against the caller's [`NoLockHeld`].
+    /// The `Mutex` is out of the parent module's reach, so nothing
+    /// there can lock it without the token.
+    #[derive(Default)]
+    pub(super) struct Ordered<T>(Mutex<T>);
+
+    impl<T> Ordered<T> {
+        pub(super) fn new(value: T) -> Ordered<T> {
+            Ordered(Mutex::new(value))
+        }
+
+        /// The guard borrows `held` for as long as it lives.
+        pub(super) fn lock<'a>(
+            &'a self,
+            _held: &'a mut NoLockHeld,
+        ) -> LockResult<MutexGuard<'a, T>> {
+            self.0.lock()
+        }
+    }
+}
 
 /// Opaque handle to a registered relationship, issued by a
 /// [`Relationships`] table.
@@ -86,7 +124,7 @@ struct Entry {
     plan: DataPlan,
     edge_key: PublicKey,
     operator_key: PublicKey,
-    verifier: Mutex<Verifier>,
+    verifier: Ordered<Verifier>,
 }
 
 #[derive(Default)]
@@ -102,39 +140,32 @@ struct Table {
 /// [module docs](self).
 #[derive(Default)]
 pub struct Relationships {
-    table: Mutex<Table>,
+    table: Ordered<Table>,
 }
 
 impl Relationships {
-    /// The id of this `(plan, edge key, operator key)` triple, issuing
-    /// the next one (dense from 0) if the triple is new. The first
-    /// registration's `capacity` — nonce pairs its replay window holds
-    /// — stands; a later one's is ignored.
-    pub fn register(
-        &self,
-        plan: DataPlan,
-        edge_key: PublicKey,
-        operator_key: PublicKey,
-        capacity: usize,
-    ) -> RelationshipId {
-        let bucket = (key_fingerprint(&edge_key), key_fingerprint(&operator_key));
-        self.register_in(bucket, plan, edge_key, operator_key, capacity)
+    /// The table, for as long as the guard borrows `held`. Poison is
+    /// passed over: the table changes only in the two pushes that end
+    /// [`register_in`](Self::register_in), and neither can unwind.
+    fn table<'a>(&'a self, held: &'a mut NoLockHeld) -> MutexGuard<'a, Table> {
+        self.table
+            .lock(held)
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// [`register`](Self::register) under a given bucket.
+    /// [`Stage::register`] under a given bucket.
     fn register_in(
         &self,
+        held: &mut NoLockHeld,
         bucket: (u64, u64),
         plan: DataPlan,
         edge_key: PublicKey,
         operator_key: PublicKey,
         capacity: usize,
     ) -> RelationshipId {
-        // Poison is passed over: the table changes only in the two
-        // pushes that end this function, and neither can unwind.
-        let mut table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut held = table.by_keys.get(&bucket).into_iter().flatten().copied();
-        let found = held.find(|rel| {
+        let mut table = self.table(held);
+        let mut ids = table.by_keys.get(&bucket).into_iter().flatten().copied();
+        let found = ids.find(|rel| {
             usize::try_from(rel.0)
                 .ok()
                 .and_then(|i| table.entries.get(i))
@@ -152,22 +183,21 @@ impl Relationships {
             plan,
             edge_key,
             operator_key,
-            verifier: Mutex::new(verifier),
+            verifier: Ordered::new(verifier),
         }));
         table.by_keys.entry(bucket).or_default().push(rel);
         rel
     }
 
     /// Relationships registered so far: the ids issued are `0..issued()`.
-    pub fn issued(&self) -> u64 {
-        let table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
-        table.entries.len() as u64
+    fn issued(&self, held: &mut NoLockHeld) -> u64 {
+        self.table(held).entries.len() as u64
     }
 
     /// The entry `rel` names, if this table issued it. The table's lock
     /// is released on return, before the caller takes the entry's.
-    fn entry(&self, rel: RelationshipId) -> Option<Arc<Entry>> {
-        let table = self.table.lock().unwrap_or_else(PoisonError::into_inner);
+    fn entry(&self, held: &mut NoLockHeld, rel: RelationshipId) -> Option<Arc<Entry>> {
+        let table = self.table(held);
         table.entries.get(usize::try_from(rel.0).ok()?).cloned()
     }
 }
@@ -229,6 +259,8 @@ pub struct Stage {
     /// Verified, not yet taken.
     results: Vec<SubmissionResult>,
     stats: ShardStats,
+    /// Lent to each lock taken, and back when its guard drops.
+    no_lock: NoLockHeld,
 }
 
 impl Stage {
@@ -246,12 +278,36 @@ impl Stage {
                 shard,
                 ..ShardStats::default()
             },
+            no_lock: NoLockHeld(()),
         }
     }
 
-    /// The table this stage verifies under.
-    pub fn relationships(&self) -> &Relationships {
-        &self.relationships
+    /// The id of this `(plan, edge key, operator key)` triple in the
+    /// stage's table, issuing the next one (dense from 0) if the triple
+    /// is new. The first registration's `capacity` — nonce pairs its
+    /// replay window holds — stands; a later one's is ignored.
+    pub fn register(
+        &mut self,
+        plan: DataPlan,
+        edge_key: PublicKey,
+        operator_key: PublicKey,
+        capacity: usize,
+    ) -> RelationshipId {
+        let bucket = (key_fingerprint(&edge_key), key_fingerprint(&operator_key));
+        self.relationships.register_in(
+            &mut self.no_lock,
+            bucket,
+            plan,
+            edge_key,
+            operator_key,
+            capacity,
+        )
+    }
+
+    /// Relationships registered in the stage's table so far: the ids
+    /// issued are `0..issued()`.
+    pub fn issued(&mut self) -> u64 {
+        self.relationships.issued(&mut self.no_lock)
     }
 
     /// Buffers `poc` under `rel` with `encoding`, its one encoding —
@@ -298,7 +354,7 @@ impl Stage {
     /// queues its results in submission order.
     fn verify(&mut self, rel: RelationshipId, batch: PendingBatch) {
         let all = |e: VerifyError| vec![Err(e); batch.proofs.len()];
-        let verdicts = match self.relationships.entry(rel) {
+        let verdicts = match self.relationships.entry(&mut self.no_lock, rel) {
             Some(entry) => {
                 // Hashed before the lock: a relationship live on two
                 // stages waits for the other's RSA batch, never for its
@@ -315,7 +371,7 @@ impl Stage {
                     .map(|(_, p, _)| p)
                     .zip(&digests)
                     .collect();
-                match entry.verifier.lock() {
+                match entry.verifier.lock(&mut self.no_lock) {
                     Ok(mut verifier) => {
                         self.stats.batches = self.stats.batches.saturating_add(1);
                         self.served.insert(rel);
@@ -412,13 +468,12 @@ pub(crate) mod tests {
         per_rel: u8,
     ) -> (Stage, Vec<RelationshipId>, Vec<Vec<PocMsg>>) {
         let plan = DataPlan::paper_default();
-        let table = Arc::new(Relationships::default());
-        let stage = Stage::new(5, batch_size, Arc::clone(&table));
+        let mut stage = Stage::new(5, batch_size, Arc::default());
         let (mut rels, mut pocs) = (Vec::new(), Vec::new());
         for i in 0..n {
             let edge = KeyPair::generate_for_seed(1024, 7950 + i * 2).unwrap();
             let op = KeyPair::generate_for_seed(1024, 7951 + i * 2).unwrap();
-            let register = || table.register(plan, edge.public.clone(), op.public.clone(), 64);
+            let mut register = || stage.register(plan, edge.public.clone(), op.public.clone(), 64);
             let rel = register();
             assert_eq!((rel, register()), (RelationshipId(i), rel));
             rels.push(rel);
@@ -437,16 +492,20 @@ pub(crate) mod tests {
     #[test]
     fn a_triple_is_matched_on_its_keys_not_its_bucket() {
         let plan = DataPlan::paper_default();
-        let table = Relationships::default();
+        let mut stage = Stage::new(0, 1, Arc::default());
         let keys: Vec<PublicKey> = (7940..7943)
             .map(|seed| KeyPair::generate_for_seed(1024, seed).unwrap().public)
             .collect();
-        let register = |edge: usize, op: usize| {
-            table.register_in((0, 0), plan, keys[edge].clone(), keys[op].clone(), 64)
+        let mut register = |edge: usize, op: usize| {
+            let (edge, op) = (keys[edge].clone(), keys[op].clone());
+            let held = &mut stage.no_lock;
+            stage
+                .relationships
+                .register_in(held, (0, 0), plan, edge, op, 64)
         };
         let ids = [(0, 1), (2, 1), (0, 2), (0, 1), (2, 1)].map(|(e, o)| register(e, o));
         assert_eq!(ids.map(RelationshipId::raw), [0, 1, 2, 0, 1]);
-        assert_eq!(table.issued(), 3);
+        assert_eq!(stage.issued(), 3);
     }
 
     #[test]

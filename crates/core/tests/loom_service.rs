@@ -85,8 +85,8 @@ fn two_stages_over_one_table_accept_each_proof_once() {
                 let table = Arc::clone(&table);
                 loom::thread::spawn(move || {
                     // Both register, as two connections would: one id.
-                    let rel = table.register(*plan, edge.public.clone(), op.public.clone(), 64);
                     let mut stage = Stage::new(shard, 2, table);
+                    let rel = stage.register(*plan, edge.public.clone(), op.public.clone(), 64);
                     for (tag, poc) in pocs.iter().enumerate() {
                         stage.submit(rel, tag as u64, poc.clone(), &poc.encode());
                         loom::thread::explore();
@@ -97,7 +97,7 @@ fn two_stages_over_one_table_accept_each_proof_once() {
             .collect();
         let done: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
         assert_eq!(done[0].0, done[1].0, "one triple, one id");
-        assert_eq!(table.issued(), 1);
+        assert_eq!(Stage::new(2, 2, table).issued(), 1);
         for tag in 0..pocs.len() as u64 {
             let verdicts: Vec<_> = done
                 .iter()

@@ -164,11 +164,10 @@ proptest! {
     ) {
         let plan = DataPlan::paper_default();
         let corpus = corpus();
-        let table = Arc::new(Relationships::default());
-        let mut stage = Stage::new(0, batch_size, Arc::clone(&table));
+        let mut stage = Stage::new(0, batch_size, Arc::default());
         let rels: Vec<RelationshipId> = corpus
             .iter()
-            .map(|r| table.register(plan, r.edge.public.clone(), r.op.public.clone(), 1 << 10))
+            .map(|r| stage.register(plan, r.edge.public.clone(), r.op.public.clone(), 1 << 10))
             .collect();
         let mut oracles = oracles();
 
@@ -211,8 +210,8 @@ proptest! {
         let plan = DataPlan::paper_default();
         let r = &corpus()[0];
         let table = Arc::new(Relationships::default());
-        let rel = table.register(plan, r.edge.public.clone(), r.op.public.clone(), 1 << 10);
         let mut stages = [0, 1].map(|shard| Stage::new(shard, batch_size, Arc::clone(&table)));
+        let rel = stages[0].register(plan, r.edge.public.clone(), r.op.public.clone(), 1 << 10);
 
         // Results are taken after every step, so `got` is in judging order.
         let mut got = Vec::new();
