@@ -372,7 +372,7 @@ impl PocMsg {
     /// SHA-256 digests of the three signed bodies in the chain (PoC,
     /// embedded CDA, doubly-embedded CDR) — the hash half of chain
     /// verification, split out so a batching verifier can run the RSA
-    /// half over a whole batch. The bodies are the [`signed_spans`] of
+    /// half over a whole batch. The bodies are the `signed_spans` of
     /// the proof's encoding, the slices [`chain_digests_many`] hashes a
     /// batch at a time; one proof's three go straight to the
     /// single-stream kernel.
@@ -577,7 +577,7 @@ const UNSIGNABLE: PocDigests = PocDigests {
     cdr: [0; sha256::DIGEST_LEN],
 };
 
-/// The chain digests of each PoC encoding: its [`signed_spans`], the 3·N
+/// The chain digests of each PoC encoding: its `signed_spans`, the 3·N
 /// of them hashed in one [`sha256::digest_many`] call. A verifier hashes
 /// a batch's received bytes this way — decoding is canonical (the one
 /// encoding of a decoded value is the bytes it came from, `prop_codec`),

@@ -710,10 +710,12 @@ mod tests {
         let c = negotiate_with_nonces(&plan, &edge, &op, 5, 6);
         let mut tampered = negotiate_with_nonces(&plan, &edge, &op, 7, 8);
         tampered.charge += 1; // breaks the (signed) charge
+        let mut flipped = negotiate_with_nonces(&plan, &edge, &op, 9, 10);
+        flipped.signature[9] ^= 0x40; // breaks the signature, not the body
 
         // `a` duplicated after acceptance → Replayed; `tampered`
         // duplicated after rejection → judged on its own (Signature).
-        let batch = [&a, &b, &a, &tampered, &c, &tampered];
+        let batch = [&a, &b, &a, &tampered, &c, &tampered, &flipped];
 
         let mut v_batch = Verifier::new(plan, edge.public.clone(), op.public.clone());
         let got = v_batch.verify_batch(&batch);
@@ -728,6 +730,7 @@ mod tests {
         assert_eq!(got[2], Err(VerifyError::Replayed));
         assert!(matches!(got[3], Err(VerifyError::Signature(_))));
         assert!(matches!(got[5], Err(VerifyError::Signature(_))));
+        assert!(matches!(got[6], Err(VerifyError::Signature(_))));
     }
 
     #[test]

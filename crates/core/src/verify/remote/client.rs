@@ -33,8 +33,8 @@ const BACKOFF_CAP: Duration = Duration::from_millis(500);
 const BACKOFF_SEED: u64 = 0x7E1C_0FF5;
 
 /// Retry policy for overload (BUSY) handling in [`RemoteVerifier`]:
-/// capped exponential backoff ([`BACKOFF_BASE`] doubling to
-/// [`BACKOFF_CAP`]) with jitter from a seeded RNG.
+/// capped exponential backoff (`BACKOFF_BASE` doubling to
+/// `BACKOFF_CAP`) with jitter from a seeded RNG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffConfig {
     /// Sheds tolerated per submission (or per connection attempt)
@@ -72,7 +72,8 @@ struct Pending {
     attempts: u32,
 }
 
-/// Blocking client mirroring the in-process [`VerifierService`] API.
+/// Blocking client mirroring the in-process
+/// [`VerifierService`](crate::verify::service::VerifierService) API.
 /// One instance is one session; it is not `Sync` — run one per thread
 /// (the soak test does exactly that). Generic over the transport so
 /// chaos tests can interpose a fault-injecting stream; `connect`

@@ -158,7 +158,7 @@ pub struct IngressReport {
 impl IngressReport {
     /// Renders every ingress counter plus the service totals and
     /// per-shard breakdown in Prometheus text exposition format
-    /// (`ingress_throughput --metrics` prints this).
+    /// (`readiness_ingress` reads its service counters from it).
     pub fn to_prometheus(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();

@@ -10,6 +10,8 @@
 //!   connection table slice each) accounts every submission across
 //!   concurrent clients, and the merged report reconciles;
 //! * `max_conns` caps the server, not each shard;
+//! * a table full of idle handshaken connections does not block a
+//!   working one;
 //! * buffer-pool exhaustion defers reads instead of allocating
 //!   unboundedly or dropping connections: with more partial frames in
 //!   flight than pooled buffers, every connection still completes once
@@ -261,6 +263,69 @@ fn max_conns_caps_the_server_not_each_shard() {
     assert_eq!(report.ingress.shed_connections, 7);
 }
 
+/// Reads `stream` until its first frame, which must be a HELLO_ACK.
+fn expect_hello_ack(stream: &mut TcpStream) {
+    let mut decoder = FrameDecoder::new(DEFAULT_MAX_PAYLOAD);
+    let ack = loop {
+        if let Some(f) = decoder.next_frame() {
+            break f;
+        }
+        let mut buf = [0u8; 256];
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "server closed a handshaking connection");
+        decoder.push(&buf[..n]).unwrap();
+    };
+    assert_eq!(ack.kind, FrameKind::HelloAck);
+    HelloAck::decode(&ack.payload).unwrap();
+}
+
+/// One blocking connect and HELLO/HELLO_ACK exchange, on this thread.
+fn handshake(addr: std::net::SocketAddr) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let hello = Hello {
+        magic: MAGIC,
+        version: PROTOCOL_VERSION,
+        window: 0,
+    };
+    stream
+        .write_all(&hello.to_frame().encode().unwrap())
+        .unwrap();
+    expect_hello_ack(&mut stream);
+    stream
+}
+
+/// A two-shard server holding `HELD` idle handshaken connections still
+/// verifies one client's batch, every verdict `Ok`. The connections are
+/// opened one after another on this thread, and both ends of all of
+/// them stay under the default soft limit of 1 024 descriptors, with
+/// room for this suite's other tests.
+#[test]
+fn held_idle_connections_do_not_block_a_working_one() {
+    const HELD: usize = 256;
+    let m = material(46, 8);
+    let handle = spawn_server(2, IngressConfig::default());
+    let held: Vec<TcpStream> = (0..HELD).map(|_| handshake(handle.addr())).collect();
+
+    let mut client = RemoteVerifier::connect(handle.addr(), 0).unwrap();
+    let rel = client
+        .register(m.plan, m.edge.public.clone(), m.op.public.clone())
+        .unwrap();
+    assert_eq!(
+        client.submit_batch(rel, &m.pocs).unwrap(),
+        (0, m.pocs.len())
+    );
+    let results = client.collect_results().unwrap();
+    assert_eq!(results.len(), m.pocs.len());
+    for r in &results {
+        assert!(r.result.is_ok(), "verdict beside held connections: {r:?}");
+    }
+    client.goodbye().unwrap();
+    drop(held);
+
+    let report = handle.shutdown().unwrap();
+    assert!(report.ingress.connections > HELD as u64);
+}
+
 // ---------------------------------------------------------------------
 // Pool exhaustion: defer reads, never drop or balloon
 // ---------------------------------------------------------------------
@@ -309,18 +374,7 @@ fn pool_exhaustion_defers_reads_without_losing_connections() {
     }
     // Every connection — deferred or not — must complete its HELLO.
     for s in &mut streams {
-        let mut decoder = FrameDecoder::new(DEFAULT_MAX_PAYLOAD);
-        let ack = loop {
-            if let Some(f) = decoder.next_frame() {
-                break f;
-            }
-            let mut buf = [0u8; 256];
-            let n = s.read(&mut buf).unwrap();
-            assert!(n > 0, "server closed a deferred connection");
-            decoder.push(&buf[..n]).unwrap();
-        };
-        assert_eq!(ack.kind, FrameKind::HelloAck);
-        HelloAck::decode(&ack.payload).unwrap();
+        expect_hello_ack(s);
     }
     drop(streams);
 

@@ -522,7 +522,7 @@ impl MontgomeryCtx {
 
     /// Computes `base^exp mod n`.
     ///
-    /// Short exponents (≤ [`SMALL_EXP_BITS`] bits, e.g. the RSA public
+    /// Short exponents (≤ `SMALL_EXP_BITS` bits, e.g. the RSA public
     /// exponent 65537) take a left-to-right binary path that skips the
     /// window table entirely; longer exponents use sliding-window
     /// exponentiation over a table of odd powers, with the squaring
@@ -627,7 +627,7 @@ impl MontgomeryCtx {
     /// identical to calling [`Self::modpow`] per element.
     ///
     /// The RSA-1024 verification case (`e = 65537` under a 1024-bit
-    /// modulus) goes to the IFMA lanes of [`modpow_f4_lanes`] on capable
+    /// modulus) goes to the IFMA lanes of `modpow_f4_lanes` on capable
     /// CPUs; every other shape, and every other host, is the scalar path
     /// per base, so callers never need to special-case batch size or
     /// modulus width.

@@ -560,17 +560,19 @@ proptest! {
 }
 
 /// The kernels this host runs, printed first by CI's crypto step: a
-/// runner without AVX-512 IFMA shows as a scalar-only pass, not a silent
-/// one.
+/// runner without AVX-512 IFMA or SHA-NI shows as a scalar-only or
+/// portable pass, not a silent one.
 #[test]
 fn kernels_on_this_host() {
     let kp = &cached_keys().0;
     let ctx = kp.public.mont_ctx().expect("odd modulus");
     eprintln!(
-        "kernels: sign {}, batch {}, lone check {}",
+        "kernels: sign {}, batch {}, lone check {}, sha256 {}, batch sha256 {}",
         kp.private.sign_kernel(),
         ctx.batch_kernel(),
-        ctx.lone_kernel()
+        ctx.lone_kernel(),
+        tlc_crypto::sha256::kernel(),
+        tlc_crypto::sha256::batch_kernel()
     );
 }
 

@@ -175,7 +175,7 @@ impl<S: Read + Write> ConnDriver<S> {
     }
 
     /// One raw read appended to `buf`, which the ingress loop parses in
-    /// place with [`crate::wire::split_frame`]. At most [`READ_CHUNK`]
+    /// place with [`crate::wire::split_frame`]. At most `READ_CHUNK`
     /// bytes per call, never growing `buf` past its capacity (pooled
     /// buffers are sized to hold any legal frame, so a full buffer
     /// means a complete frame is parseable or the peer is over-cap).

@@ -8,7 +8,8 @@
 //!    when they come due (`support/sched_model.rs`, which shares no
 //!    code with it), and whole twin runs digest to the values the wheel and a
 //!    binary-heap scheduler agreed on in the last commit that had
-//!    both (`HEAP_AGREED_RUNS`).
+//!    both (`HEAP_AGREED_RUNS`), and the 10k–1M tiers of `tlc
+//!    experiment twin` repeat their pinned digests.
 //! 2. **Thread invariance** — the epoch-barrier loop yields the same
 //!    digest at any worker thread count (shard count is a model
 //!    parameter; thread count must never be).
@@ -19,6 +20,7 @@
 
 use proptest::prelude::*;
 use tlc_net::time::SimDuration;
+use tlc_sim::experiments::twin::tier_config;
 use tlc_sim::twin::{
     run_twin, NullSink, RoamingTwinConfig, SettleCause, Settled, SettlementSink, TwinConfig,
 };
@@ -105,6 +107,50 @@ fn roaming_run_is_backend_and_thread_invariant() {
                 .saturating_add(r.roaming.vendor),
             r.roaming.charged,
             "{threads} threads broke conservation"
+        );
+    }
+}
+
+/// The population tiers `tlc experiment twin` runs, at its seed. Counts
+/// and digests repeat exactly on any host and at any thread count, so a
+/// scheduler that reorders events only above unit-test scale moves a
+/// digest here. Moves per event is a count too: a timer re-armed a
+/// second ahead is re-placed once (level 2 -> 1) and then fires out of
+/// a run; ~2.0 means every event hops through level 0 again. The legacy
+/// gap is a property of the traffic mix, so it may not drift with the
+/// population.
+#[test]
+fn scale_tiers_repeat_their_digests() {
+    // (sessions, sessions created, events fired, digest)
+    const TIERS: [(usize, u64, u64, u64); 3] = [
+        (10_000, 11_007, 123_044, 899_750_857_210_492_540),
+        (100_000, 110_161, 1_229_676, 9_945_135_583_102_735_509),
+        (1_000_000, 1_100_184, 12_281_414, 989_188_244_906_735_623),
+    ];
+    let mut base_gap = None;
+    for (sessions, created, events, digest) in TIERS {
+        let r = run_twin(&tier_config(sessions, 0x7717), &mut NullSink);
+        assert_eq!(
+            (r.sessions_created, r.events_fired, r.digest),
+            (created, events, digest),
+            "tier {sessions}: event order, RNG draws, or pricing changed"
+        );
+        assert_eq!(r.stale_events, 0, "tier {sessions}");
+        assert!(
+            r.peak_concurrent >= sessions as u64,
+            "tier {sessions}: peak {} never reached the target",
+            r.peak_concurrent
+        );
+        assert!(
+            r.moves_per_event() <= 1.05,
+            "tier {sessions}: {} moves per event",
+            r.moves_per_event()
+        );
+        let gap = r.sweep.legacy_gap_ratio();
+        let base = *base_gap.get_or_insert(gap);
+        assert!(
+            (gap - base).abs() <= 0.02,
+            "tier {sessions}: legacy gap ratio {gap} drifted from {base}"
         );
     }
 }
