@@ -28,7 +28,7 @@
 //! No async runtime, no threads: callers pump [`Session::poll_transmit`],
 //! [`Session::on_datagram`], and [`Session::handle_timeout`] against a
 //! [`SimTime`] clock, exactly like the rest of the simulation substrate
-//! (DESIGN.md §7.1). [`run_session_pair`] is the canonical pump, wiring
+//! (DESIGN §7 item 1). [`run_session_pair`] is the canonical pump, wiring
 //! two sessions through a pair of [`FaultyChannel`]s.
 
 #![deny(

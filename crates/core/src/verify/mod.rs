@@ -9,6 +9,50 @@
 //! 3. nonce and sequence coherence (replay resistance),
 //! 4. that the charged volume replays Algorithm 1's pricing of the
 //!    embedded claims.
+//!
+//! The third-party verifier made none of the signatures and saw none of
+//! the messages, so unlike a negotiating endpoint it checks all three,
+//! always.
+//!
+//! **One chain-verify path.** [`PocMsg::verify_chain`] — stateless
+//! [`verify_poc`], [`Verifier::verify`], and the endpoint's full-chain
+//! fallback — is [`messages::verify_chains_batch_prehashed`] over a
+//! batch of one, so a single proof's three signatures share one kernel
+//! call and the PoC → role-coherence → CDA → CDR precedence lives in one
+//! function.
+//! That function flattens a batch of proofs into 3·N signature requests
+//! for one [`tlc_crypto::pkcs1::verify_batch`] call and replays the role
+//! checks and error precedence per item after the crypto returns.
+//! [`Verifier::verify_batch`] and [`verify_poc_batch`] hash their
+//! batches through [`messages::chain_digests_many`] (see [`stage`] for
+//! why hashing waits for the batch).
+//!
+//! **Replay-cache equivalence.** [`Verifier::verify_batch_prehashed`]
+//! leaves out of the RSA batch every proof whose nonce pair is already
+//! in the replay window when the batch arrives (it is `Replayed`
+//! whatever its signatures say: a replay flood buys a hash lookup per
+//! proof, not three signature checks), precomputes the crypto verdicts
+//! of the rest (stateless, so order-independent), then walks the batch
+//! sequentially against the window: seen-check per item,
+//! insert-on-accept with FIFO eviction. This is exactly the sequential
+//! [`Verifier::verify`] loop — including within-batch duplicates, where
+//! a duplicate after an accepted copy reports `Replayed` but one after a
+//! rejected copy reports its own verdict, and including the corner
+//! where an accept earlier in the batch evicts a held pair from a full
+//! window, whose proof is then judged on the spot as the sequential walk
+//! would. `replayed_proofs_stay_out_of_the_rsa_batch` counts the
+//! signatures handed to the RSA batch, not time.
+//!
+//! The window (`ReplayWindow`) holds each nonce pair once: a ring in
+//! insertion order, whose FIFO eviction overwrites the oldest slot, plus
+//! an open-addressing index of `u32` ring positions (power-of-two size,
+//! at most half full, linear probing with backward-shift deletion, keyed
+//! by a per-window `RandomState` so a peer choosing nonces cannot aim
+//! them at one probe sequence) — 32 MiB of pairs and 8 MiB of index at
+//! the [default capacity](DEFAULT_REPLAY_CAPACITY) of 2^20. A model
+//! proptest holds it to a `HashSet` + `VecDeque` pair: identical
+//! `contains` answers, `len` and eviction order over arbitrary
+//! interleavings at capacities 1–64.
 
 use crate::messages::{self, MessageError, Nonce, PocDigests, PocMsg};
 use crate::plan::{charge_for, DataPlan, UsagePair};

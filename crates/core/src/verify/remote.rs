@@ -20,7 +20,18 @@
 //!   `collect_results` with the same typed [`ServiceError`] /
 //!   [`VerifyError`](crate::verify::VerifyError) surface.
 //!
-//! ## Overload ladder (DESIGN §10)
+//! The split keeps anything protocol-shaped out of `tlc-net` and
+//! anything socket-shaped out of this crate's verification core:
+//! [`tlc_net::wire`] owns the frame envelope,
+//! [`tlc_net::readiness`] the syscalls, [`tlc_net::bufpool`] the read
+//! buffers and [`tlc_net::ingress::ConnDriver`] one connection's
+//! non-blocking reads and writes; [`codec`] states each payload grammar
+//! once on one checked cursor, trailing bytes rejected. ERROR frames
+//! carry interned string indexes, so a tampered PoC rejected over TCP
+//! yields the *same* typed [`VerifyError`](crate::verify::VerifyError),
+//! `&'static str` detail included, that the in-process service returns.
+//!
+//! ## Overload ladder
 //!
 //! A shard verifies everything one wakeup gathered before it looks at
 //! the kernel again, so its backlog is the work of the gather in
@@ -39,6 +50,44 @@
 //! answered — overload is never a silent drop — and the client turns
 //! BUSY into seeded-jitter capped exponential backoff, surfacing
 //! [`ServiceError::Overloaded`] only when the retry budget is spent.
+//!
+//! | rung | trigger (proofs admitted in this gather) | behavior |
+//! |---|---|---|
+//! | `Accept` | below [`shed_submit_watermark`](IngressConfig::shed_submit_watermark) | all work admitted |
+//! | `ShedSubmits` | ≥ `shed_submit_watermark` | further submits answered `BUSY(Submit)`, not relayed |
+//!
+//! A BUSY frame is `scope:u8 | retry_after_ms:u32 | rel:u64 | tag:u64`,
+//! so a client can tell "rejected" from "lost" without a timeout. A
+//! backlog is the proofs admitted in this gather, answered mid-gather
+//! or not, and it grows only after the `ShedSubmits` check, so it never
+//! passes the watermark and there is no backlog rung for connections:
+//! a popular-but-healthy server does not shed the sessions already in.
+//! A shed submission never reached the stage, and so never touched the
+//! replay window, which is what makes the client's verbatim retry safe.
+//!
+//! ## Proof obligations
+//!
+//! Envelope and payloads: `golden_frames`, `prop_wire` (garbage,
+//! truncation and chunking never panic and keep buffering bounded),
+//! `wire_conformance`, `prop_codec`. The loop (`readiness_ingress`):
+//! equivalence with the in-process service, multi-shard accounting, the
+//! server-wide connection cap, exhaustion-defers-not-drops,
+//! decode-poisoning isolation, depth-1 verdicts with no timer
+//! (`batches == idle_flushes == n`), a thin relationship completing 32
+//! depth-1 verdicts while a neighbour floods *until it is done* (no
+//! clock in the assertion — a starved verdict hangs the test), one proof
+//! on two connections accepted exactly once, a SUBMIT_BATCH longer than
+//! one wakeup's reads answered in order, and 256 idle handshaken
+//! connections held on a two-shard server while one client's batch is
+//! verified. The shard's and the client's own unit tests turn their
+//! loops by hand (see `server` and `client`). Overload
+//! (`soak_overload`, three pinned seeds in CI): [`tlc_net::chaos`]
+//! wraps any `Read + Write` with seeded faults (slow-loris dribble,
+//! reset mid-frame), and the suite checks exact shed/orphan/unclaimed
+//! accounting under stalled readers and mid-batch death, typed recovery
+//! across a server restart, and identical write-side traces when a seed
+//! is replayed. `soak_ingress` and `soak_overload` run with one shard
+//! and with two, and under ThreadSanitizer.
 //!
 //! ## Session shape
 //!
@@ -64,7 +113,7 @@
 //! ## Server and client
 //!
 //! `server` is one struct per shard thread and one loop whose
-//! iteration is gather → verify → reply (its module docs, DESIGN §10);
+//! iteration is gather → verify → reply (its module docs);
 //! `client` shares nothing with it but the [`codec`].
 
 use crate::verify::service::ServiceError;

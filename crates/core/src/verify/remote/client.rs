@@ -2,8 +2,27 @@
 //! mirrors the in-process `VerifierService` API (one stage on its
 //! caller's thread) over one TCP session, with the server's shard
 //! threads judging on the far side, and turns the server's typed BUSY
-//! into seeded-jitter backoff (DESIGN §10 "Client"). It shares nothing
-//! with the server but the [`codec`].
+//! into seeded-jitter backoff. It shares nothing with the server but
+//! the [`codec`].
+//!
+//! It keeps every in-flight submission's bytes until its verdict lands.
+//! [`RemoteVerifier::submit_batch`] cuts frames of at most half the
+//! granted window (and under the payload cap), and sends one as soon as
+//! the window has room for it: one frame is judged while the next is on
+//! the wire, and never more than a window is unanswered. (A frame as wide
+//! as the window would make a bulk session stop-and-wait: the next frame
+//! could not leave until every verdict of the last was back.) A
+//! `BUSY(Submit)` moves the submission to a retry queue; retries re-send
+//! under the *original* tag after capped exponential backoff with
+//! seeded jitter ([`BackoffConfig`], floored at the server's
+//! `retry_after_ms`), so caller-side correlation survives shedding.
+//! `BUSY(Connection)` surfaces as [`ServiceError::Overloaded`], and
+//! [`RemoteVerifier::connect_with`] wraps the handshake in the same
+//! backoff. Retry exhaustion returns `Overloaded` with the submission
+//! still queued. The unit tests check, against an in-memory peer that
+//! answers only when the client blocks, that a batch many windows wide
+//! goes out in frames of at most `max(window / 2, 1)` with never more
+//! than a window unanswered.
 
 use super::codec::{
     self, BusyMsg, BusyScope, Fault, Hello, HelloAck, Register, Registered, SettleMsg,

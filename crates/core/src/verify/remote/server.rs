@@ -1,5 +1,5 @@
 //! The verifier's TCP server: one run-to-completion loop per shard,
-//! one struct per loop (DESIGN.md §10 has the narrative).
+//! one struct per loop.
 //!
 //! [`IngressServer::bind`] opens one `SO_REUSEPORT` listener per
 //! configured shard and the kernel spreads connections across them. A
@@ -34,7 +34,122 @@
 //!
 //! No wall-clock time is read anywhere here (clippy's
 //! `disallowed_methods`): the loop blocks in the kernel under a fixed
-//! wait bound, and all ordering comes from the sockets.
+//! wait bound ([`STOP_CHECK_MS`] so the `stop` flag is noticed,
+//! [`QUARANTINE_TICK_MS`] while any connection is quarantined), and all
+//! ordering comes from the sockets.
+//!
+//! # Threads
+//!
+//! A server has exactly [`IngressConfig::shards`] threads (or
+//! `TLC_INGRESS_SHARDS`), and `shards` is how it scales across cores —
+//! where there are cores to scale across: on a 2-vCPU VM two threads get
+//! one CPU's worth of work, which is why a second shard and a worker
+//! pool behind a shard both measured worse there (CHANGES.md; ROADMAP's
+//! closed list). Neither reading says what they do on a host with free
+//! cores. An address that cannot be shared, or an
+//! extra shard that cannot be built, shrinks the count; failing to
+//! build the first is [`IngressServer::bind`]'s error. `bind` takes a
+//! [`ServiceConfig`] because the benchmark passes one, and reads only
+//! its `batch_size`.
+//!
+//! A shard's connection table is a slab whose slot index is the low half
+//! of a connection's readiness token and whose high half is a
+//! generation ([`slot_of`]), so a verdict finds its connection by
+//! indexing and a stale token is one compare. The routes of the turn in
+//! progress are a `Vec` whose position is the stage tag, cleared once,
+//! in [`Shard::reply`]. A shard grows its DRR lanes to any id the server
+//! has issued the first time it meets it. Shutdown sums the 16 frozen
+//! [`IngressStats`] counters (the sum and the Prometheus names derive
+//! from the codec's one field list) and lines the shards' stage
+//! counters up by shard id.
+//!
+//! *Replay windows are per server.* REGISTER the same triple over two
+//! connections and both get the same id whichever shards they landed
+//! on, and a proof submitted on both draws one accept and one
+//! `Replayed`. So [`IngressConfig::shards`] sets how many threads
+//! verify and nothing a client can observe; `UnknownRelationship` means
+//! this *server* never issued the id. (Handing the connection to a
+//! relationship's home shard at REGISTER was the alternative; it needs
+//! a cross-thread wake, which run-to-completion deleted, and a
+//! connection may register many relationships.)
+//!
+//! # One turn
+//!
+//! A read that returns less than it asked for ends the connection's
+//! reads for this wakeup, since the next would only meet `WouldBlock`
+//! and readiness is level-triggered — unless the peer hung up, when the
+//! next read is the EOF that reaps it. When a frame makes the stage
+//! judge a batch, the connection being read is held out of its slot, so
+//! routing serves it directly, and the client refills its window while
+//! the shard reads on. Flushing the stage before blocking means proofs
+//! of one relationship that arrived on different connections in the
+//! same gather share a batch. So a depth-1 verdict costs one
+//! `epoll_wait`, one read, one ~6 µs verify and one write; a thin
+//! relationship's lone proof never waits for a flooding neighbour's
+//! batch to fill; under load batches size themselves, because the
+//! sockets fill while a batch verifies; and a bulk client and its shard
+//! work at once rather than in turns. A frame longer than one wakeup's
+//! reads completes on a later wakeup. Not put behind a shard, both
+//! measured (CHANGES.md): an idle probe before the flush
+//! (flushing every iteration cannot starve a thin relationship behind a
+//! flooding one) and a worker pool.
+//!
+//! # Buffers and backpressure
+//!
+//! Reads land in [`BufferPool`] buffers sized `HEADER_LEN +
+//! max_payload`, so a full buffer always holds a complete frame or a
+//! typed oversize violation; a partial frame keeps its buffer across
+//! wakeups; a decode error poisons and clears the buffer first. Three
+//! things mask a connection's read interest, and a masked connection
+//! costs no wakeups: a quarantine sentence, an empty pool (the read is
+//! *deferred*, counted in `tlc_ingress_bufpool_exhausted_total`, never
+//! allocated for), and an outbox the peer is not draining — more unsent
+//! reply bytes than one maximum frame plus its window of the largest
+//! VERDICT ([`Conn::outbox_high_water`]). Write interest is armed while
+//! the outbox is non-empty, so the writable event that follows the
+//! peer's next read re-derives the pause and reads resume as it drains;
+//! a peer that never reads is never read, and what the server holds for
+//! it stays within one gather of that mark (counted in `pauses`). The
+//! in-flight window negotiated at HELLO is the *client's* pipelining
+//! budget: every admitted proof is answered before the loop blocks, so
+//! the server enforces it only through the debt cap; a client that
+//! keeps to its window never reaches the outbox mark. Writes never
+//! block the loop. Verdicts for a connection that died are counted:
+//! `orphaned + streamed + unclaimed == submissions`.
+//!
+//! # Fairness and misbehaviour
+//!
+//! Each registered relationship gets a DRR lane: a credit counter
+//! indexed by its dense id. The free admission pool
+//! (`shed_submit_watermark − backlog`) is dealt across lanes ([`deal`])
+//! in quanta of [`LANE_QUANTUM`] credits (a new lane starts with one
+//! quantum), rotating the remainder cursor once per iteration, by the
+//! first submission that needs a credit, so an iteration that relays
+//! nothing (SETTLE, STATS, an idle tick) deals nothing. A submit spends
+//! one credit of its own lane, so a flooding relationship starves only
+//! itself (`soak_overload`: one abusive client, well-behaved goodput
+//! still 100 % of demand).
+//!
+//! Protocol-legal-but-hostile behaviour accumulates a per-connection
+//! score: submits past the verdict-debt cap (`window × debt_factor`)
+//! and replayed proofs score 1, an oversize batch 8, and a proof
+//! rejected after it reached the signature batch 3 — one per RSA check
+//! it cost, whichever check then failed ([`cost`]). So at the default
+//! threshold of 32 the 11th such proof quarantines its connection: reads
+//! paused and submits shed for `quarantine_polls` iterations, the score
+//! halving at expiry so a reformed client recovers. At
+//! `goodbye_threshold` the server sends a typed `ERROR/Protocol` and
+//! closes.
+//!
+//! The unit tests below turn the loop by hand: one credit deal per turn
+//! and none for a SETTLE-only one, a refused registration inside an
+//! accept batch, a dead connection's verdicts orphaned when its slot
+//! already has a new tenant, a judged batch's verdicts readable on the
+//! client before the turn's reply (with half the next frame still
+//! unread), proofs answered mid-gather still counted toward the
+//! watermark, a peer that never reads paused within one gather of the
+//! outbox mark and then answered in full, all 16 STATS fields summed
+//! across shards, and the DRR deal as a pure function.
 
 #![deny(
     clippy::arithmetic_side_effects,

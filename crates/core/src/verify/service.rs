@@ -25,7 +25,17 @@
 //!
 //! The TCP ingress ([`super::remote`]) drives the same core: each of its
 //! shards owns a [`Stage`] over a table of the server's own, and scales
-//! across cores by shard count.
+//! across cores by shard count. A caller that wants more cores runs an
+//! ingress server with more shards; one that wants a rate times its own
+//! run. The service is what Fig. 17's in-process row,
+//! `examples/verifier_service.rs`, `tests/twin_soak.rs` and the
+//! benchmark's service drive call.
+//!
+//! [`ShardStats`] counts `batches` and `idle_flushes` (partial batches
+//! verified by a flush: at depth 1 every batch is one); size-triggered
+//! batches are the remainder, and `deadline_flushes` reads 0 until the
+//! benchmark stops naming it. Results nobody collected before
+//! [`finish`](VerifierService::finish) are counted as unclaimed.
 
 use super::stage::{Relationships, Stage};
 use super::DEFAULT_REPLAY_CAPACITY;

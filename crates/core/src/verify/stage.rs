@@ -31,6 +31,21 @@
 //! sequential [`Verifier::verify`] calls however the flushes fall
 //! (`tests/prop_stage.rs`).
 //!
+//! *Why hashing waits for the batch.* A PoC's three signed bodies are
+//! prefixes of its encoding and of the encodings it embeds, and one
+//! function in [`crate::messages`] names them as slices of the bytes
+//! (checked cursor steps only, so it cannot panic). Hashing the 3·N
+//! spans of a batch in one call fills the 16-lane kernel of
+//! [`tlc_crypto::sha256::digest_many`]; hashing them before the
+//! relationship's lock means a relationship live on two stages waits
+//! for the other's signatures, never for its hashing. Decoding is
+//! canonical (`prop_codec`), so the bytes a shard received and the
+//! value's encoding give one proof the same digests. A batch of one
+//! pays nothing for the batch path: `digest_many` goes single-stream
+//! below its break-even, as [`PocMsg::chain_digests`] does for one proof.
+//! Clippy's `disallowed_methods` holds this file to no clock with no
+//! allowance.
+//!
 //! Both callers own their stages outright: an ingress shard
 //! ([`super::remote`]) submits what one wakeup gathered, answers each
 //! batch as soon as it is judged, and flushes before it blocks again;
@@ -38,19 +53,48 @@
 //! thread and flushes when the caller collects. What stages share is
 //! the table.
 //!
+//! A triple is found through a bucket keyed by its two 64-bit key
+//! fingerprints and *matched on the keys*: two key pairs whose
+//! fingerprints collide are two relationships. Ids are dense from 0,
+//! and the first registrant's replay capacity stands.
+//!
+//! # Lock order
+//!
 //! Two locks, never held together: the table's own (a lookup or a
 //! registration, then released) and, after it, the relationship's
-//! verifier's, taken **once per batch** and held while the batch is
-//! judged. The second is contended only while one relationship is live
-//! on two stages at once; then its batches are judged one after the
-//! other, each against the window the last one left, which is what
-//! makes a proof presented on both accepted once.
+//! verifier's, taken **once per batch** (never per proof) and held
+//! while the batch is judged. The second is contended only while one
+//! relationship is live on two stages at once; then its batches are
+//! judged one after the other, each against the window the last one
+//! left, which is what makes a proof presented on both accepted once. A
+//! verifier whose lock is poisoned (a thread died judging under it)
+//! accepts nothing more.
 //!
 //! "Never together" is a type. Both are `Ordered` mutexes, whose one
 //! `lock` borrows a `NoLockHeld` token mutably for as long as the
 //! guard lives, and each stage holds the only token it can lend, made
 //! in [`Stage::new`]. A second lock under the first is then a second
-//! mutable borrow of one token: E0499, not a deadlock.
+//! mutable borrow of one token: E0499, not a deadlock. Borrowck cannot
+//! count tokens, so CI's `lint-clean` job checks that the token is
+//! built in `Stage::new` and nowhere else. A stage never reaches
+//! another stage, so two stages on two threads each take one lock at a
+//! time. The workspace's third lock, the buffer pool's in
+//! [`tlc_net::bufpool`], needs no token: tlc-net cannot name tlc-core, so
+//! nothing under it takes a stage lock, and no stage critical section
+//! checks a pooled buffer out or drops one. The lock graph has no edge
+//! and so no cycle.
+//!
+//! Dynamic companions: `tests/loom_service.rs` (built only under
+//! `RUSTFLAGS="--cfg loom"`; `LOOM_ITERS` scales the schedule count)
+//! models the one cross-thread protocol the plane has left, two stages
+//! on two threads judging one relationship under one table; CI runs the
+//! `verify::service` tests under ThreadSanitizer, and Miri over the
+//! scalar crypto kernels. `tests/prop_stage.rs` holds the verdicts to
+//! one sequential [`Verifier`] per relationship over any interleaving of
+//! submits and flushes: 256 cases on one stage, 256 with one
+//! relationship on two stages over one table (the oracle fed in judging
+//! order: each proof accepted once, whichever stage judges it first),
+//! and 8 through the [`super::service::VerifierService`] API.
 
 #![deny(
     clippy::arithmetic_side_effects,

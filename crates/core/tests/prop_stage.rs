@@ -1,4 +1,4 @@
-//! Flush policy is invisible in the verdicts (DESIGN §8.1).
+//! Flush policy is invisible in the verdicts (`tlc_core::verify::stage`).
 //!
 //! Whatever mix of size-triggered batches and flushes cuts a
 //! relationship's submissions into batches, the batching core

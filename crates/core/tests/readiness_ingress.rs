@@ -1,5 +1,5 @@
 //! Equivalence and resource-bound tests for the readiness
-//! (epoll/`SO_REUSEPORT`) ingress, DESIGN §10.
+//! (epoll/`SO_REUSEPORT`) ingress, `tlc_core::verify::remote`.
 //!
 //! `wire_conformance` and `soak_overload` pin the protocol; this suite
 //! pins the properties of the server loop itself:

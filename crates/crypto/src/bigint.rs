@@ -9,6 +9,12 @@
 //! division, bit shifts, binary GCD, modular inversion via the extended
 //! Euclidean algorithm, and modular exponentiation (Montgomery-accelerated
 //! for odd moduli in [`crate::montgomery`]).
+//!
+//! [`BigUint::mul`] is schoolbook, and nothing subquadratic: at RSA-1024
+//! the narrower operand of every signing and keygen product is at most 8
+//! limbs (CRT recombination, `p·q`, `(p−1)(q−1)`, the Miller–Rabin
+//! squaring), where a Karatsuba split only adds copies. `prop_crypto`
+//! multiplies 12–40-limb operands and divides them back.
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -27,7 +27,8 @@
 //! live count: a lone 512-bit call drops the core into a lower frequency
 //! licence that the scalar code around it then pays for, so up to four
 //! lanes are both cheaper and kinder to their neighbours on 256-bit
-//! vectors (DESIGN §8.1). The exponent is fixed at F4: into Montgomery
+//! vectors; there is no scalar route for an F4 key on an IFMA host. The
+//! exponent is fixed at F4: into Montgomery
 //! form, sixteen dedicated squarings (cross products computed once and
 //! doubled), and one AMM by the *plain* base, which multiplies and
 //! leaves Montgomery form at once. Bases come in and exact results go
@@ -48,7 +49,7 @@
 //! square in one 256-bit AMM. Each step swaps each half's two lanes
 //! (`vpshufd`) and picks its operands with masked blends, the masks
 //! being arithmetic on the two exponent bits. No table, and the plain
-//! AMM for the square — both measured choices (DESIGN §8.2). A
+//! AMM for the square — both measured choices (CHANGES.md). A
 //! signature is one kernel call on digits: the CRT split of `c` as
 //! `AMM(c_lo, R²) + AMM(c_hi, 2^512·R² mod p)` per half (one AMM for
 //! both halves, against constants cached per key in a `CrtKey`), 512
@@ -239,6 +240,86 @@ pub(crate) type ExpLane<'a> = (
 
 #[cfg(target_arch = "x86_64")]
 mod imp {
+    //! The kernels, on x86-64.
+    //!
+    //! **One kernel body, three instantiations.** `lane_kernels!` takes the
+    //! vector type, lane count and digit count as parameters: [`w512`] (8
+    //! lanes of `__m512i`, 20 digits) and [`w256`] (4 lanes of `__m256i`, 20
+    //! digits) are closed by `f4_ladder!`, [`pair256`] (4 lanes of
+    //! `__m256i`, 10 digits) by `mont_ladder!`. The same
+    //! [`normalize`](pair256::normalize) / [`amm`](pair256::amm) text
+    //! serves all three. Verification is 18 kernel calls per F4 —
+    //! into Montgomery form, sixteen squarings, one AMM by the plain base —
+    //! and its squaring product-scans the 40-column square with each cross
+    //! product computed once (~1 240 IFMA against ~1 620 for a
+    //! multiplication). [`x1`] is the lone check's kernel. The kernel
+    //! tests hold the squaring to the multiplication digit for digit and
+    //! the 18-step ladder to `modpow` at every live count, at both widths,
+    //! and print a skip notice on a CPU without the feature.
+    //!
+    //! **The shared `amm` row.** A row is `4·DIGITS` multiply-adds and one
+    //! add: 40 IFMA at 10 digits, with no `lo(m_0·y)` (see `amm`'s doc for
+    //! why the carry `⌈u / 2^52⌉` replaces it). High halves in containers of
+    //! their own, added at the shift, with `y = lo(r_0·k0) +
+    //! lo(lo(a_0·k0)·b_i)`, would cost the 10-digit row 42 IFMA plus ten
+    //! `vpaddq` and ten zeroing `vpxor`, and those take issue slots and
+    //! ports the multiplies need: that row read 1.10–1.15× slower on a
+    //! loaded host (ROADMAP, *Measured and closed*). [`x1`] does use that
+    //! layout: its row is bound by its chain (`y` → the `m·y` halves → the
+    //! next digit 0 → `y`, ~14 cycles), not by its 20 multiplies. `tests::amm_containers_stay_below_2_59_even_at_the_worst_case`
+    //! runs a 128-bit model of the row beside every `amm` (20-digit lanes,
+    //! one-lane kernel, 10-digit lanes) on `m = 2^k − 1` times operands
+    //! `2m − 1` and `4m − 1` in all four pairings — the ladder's first step
+    //! can square an `R1` near `4p` — and on random operands below `4m`,
+    //! checks the kernels digit for digit against it, checks `⌈u / 2^52⌉`
+    //! against the carry `lo(m_0·y)` would give, bounds its largest
+    //! container (~2^57) below 2^59 and holds every result below `2m`.
+    //!
+    //! **The signing ladder's step.** [`pair256`]'s lanes are `[p·mul, p·sqr,
+    //! q·mul, q·sqr]`; each half's two lanes hold `(R_{1−b}, R_b)` for the bit
+    //! `b` walked last, exactly as `amm` left them. For the next bit,
+    //! `vpshufd 0x4E` swaps the two 64-bit lanes of each 128-bit half; the
+    //! mul lane multiplies the state's two lanes — `R0·R1` in either order,
+    //! since an AMM's reduction multiple is the unique `−ab·m⁻¹ mod R` and so
+    //! `amm(a, b) == amm(b, a)` digit for digit — by blending the swapped
+    //! copy into the second operand only; the sqr lane squares `R_b`, the
+    //! state's own sqr lane when `b` repeats the last bit and the swapped one
+    //! when it flips. `vpblendmq` does both picks under masks `flip = bits ^
+    //! last` and `flip | 0b0101`, so no branch and no address depends on a
+    //! bit. Squarings are `amm(a, a)`, not `f4_ladder!`'s product-scanned
+    //! `sqr`: the square lanes share each call with the product lanes, and a
+    //! vector instruction does the same work in every lane. Four
+    //! independent products per step is all there is at 256 bits;
+    //! 128-bit vectors would leave half of each IFMA idle.
+    //!
+    //! **A signature is one call** ([`private_op`]): the CRT split of `c` as
+    //! `AMM(c_lo, R²) + AMM(c_hi, 2^512·R² mod p)` per half (one AMM for both
+    //! halves, one swap-add and one carry pass: a sum below `4p` that becomes
+    //! `R1`, with `R mod p` as `R0`), 512 steps, one exit AMM by 1 and
+    //! [`reduce_once`] per half, then Garner ([`garner`]): `h = AMM(m1 + 2p
+    //! − m2, qinv·R mod p)` made exact (`m2 < q < 2p`, so the difference is in
+    //! `(0, 3p)`) and `s = m2 + h·q` as a 10×10 plain product in 128-bit
+    //! columns. That is 515 sequential `amm` calls and no big integer
+    //! between the digest and the signature; [`modpow_crt`] walks the same
+    //! ladder from `BigUint` operands (entry is one `amm`, `[R², c] × [1, R²]`,
+    //! so 514 calls). The sequence is the same for every key, message and
+    //! exponent length. `tests::pair256` walks exponents 0, 1, 2, 2^511,
+    //! 2^512 − 1 and random ones over bases 0, 1, m − 1, both halves under
+    //! one modulus too; writing back the wrong lane fails it.
+    //!
+    //! **Read the code, not only the clock**, after touching this module: a
+    //! spill or a `memmove` in a row loop costs tens of percent and passes
+    //! every test. `a[10] + m[10] + r[10]` is 30 of the 32 `ymm` registers
+    //! AVX-512VL provides, so a constant or two is read from memory. In the
+    //! release binary (`objdump -d`) `pair256::walk`, where `amm` is
+    //! inlined at both sites, has a step row loop of 57 instructions — 40
+    //! `vpmadd52`, three loads (`b_i`, `k0`, the `2^52 − 1` of the carry),
+    //! no store and no `call` — and the exit AMM's is 60 with five loads;
+    //! [`x1::modpow_f4`]'s row loops are 49 instructions, 22 `vpmadd52`
+    //! and one load; the [`w512::modpow_f4`] / [`w256::modpow_f4`] loops
+    //! have no `call` to `memmove`/`memcpy`. `walk` and [`private_op`]
+    //! branch only on loop counters, and [`reduce_once`] not at all.
+
     use super::{
         from_digits52, to_digits52, ExpLane, F4Lane, CRT_LANES, DIGITS, EXP_LIMBS, HALF_DIGITS,
         IFMA_LANES, MASK52, NARROW_LANES,

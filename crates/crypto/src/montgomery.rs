@@ -10,17 +10,33 @@
 //!
 //! Two dedicated compute kernels back [`MontgomeryCtx::modpow`]:
 //!
-//! * [`mont_mul_to`](MontgomeryCtx) — CIOS (coarsely integrated operand
-//!   scanning) multiplication into caller-provided buffers, so the
-//!   exponentiation loop performs no heap allocation per operation;
-//! * [`mont_sqr_to`](MontgomeryCtx) — a squaring kernel that exploits the
-//!   symmetry of the cross products (`a_i·a_j == a_j·a_i`), computing the
-//!   full square with roughly half the limb multiplications and then
-//!   reducing it in a separate SOS (separated operand scanning) pass.
+//! * `mont_mul_to` — CIOS (coarsely integrated operand scanning)
+//!   multiplication into caller-provided buffers, so the exponentiation
+//!   loop performs no heap allocation per operation;
+//! * `mont_sqr_to` — a squaring kernel that exploits the symmetry of the
+//!   cross products (`a_i·a_j == a_j·a_i`), computing the full square
+//!   with roughly half the limb multiplications and then reducing it in
+//!   a separate SOS (separated operand scanning) pass.
 //!
-//! Squarings dominate fixed-window exponentiation (four per window versus
-//! at most one table multiplication), so the squaring kernel carries most
-//! of the sign/verify hot path.
+//! Both dispatch 8- and 16-limb moduli (RSA-1024's CRT primes and full
+//! modulus) to const-generic kernels (`mont_mul_fixed::<K>`,
+//! `mont_sqr_fixed::<K>`) whose loops LLVM fully unrolls; other widths
+//! keep the generic slice path. The fixed multiplier is a finely
+//! integrated (FIOS) product and reduction in one pass; the fixed
+//! squarer computes only the upper cross-product triangle, doubles it
+//! with one shift, adds the diagonal, then runs a two-row interleaved
+//! REDC so two independent multiplies are in flight per iteration.
+//! `squaring_kernel_matches_mul_kernel` and the `modpow_ctx_paths_agree`
+//! proptest pin every path to the reference.
+//!
+//! [`MontgomeryCtx::modpow`] takes a plain left-to-right binary path for
+//! short exponents (`e = 65537` skips the window table entirely) and
+//! sliding windows over a table of odd powers otherwise (`w = 5` above
+//! 160-bit exponents, 4 below). Squarings dominate that walk, so the
+//! squaring kernel carries most of the scalar sign/verify path. This is
+//! the scalar route: an RSA-1024 private-key operation on an AVX-512
+//! IFMA + VL host takes the Montgomery ladder of [`crate::ifma`]
+//! instead (see [`crate::rsa`]'s dispatch table).
 //!
 //! For verification workloads, [`MontgomeryCtx::modpow_batch`] takes
 //! many bases at once: on an AVX-512 IFMA host the RSA-1024 verification
@@ -56,8 +72,7 @@
 //! canonical message bytes), where data-dependent timing reveals nothing
 //! secret. A deployment signing with real subscriber keys would need a
 //! hardened ladder (fixed-window with masked table access, branchless
-//! final subtraction, constant-trip carry loops); see DESIGN.md §8 for
-//! the deployment note.
+//! final subtraction, constant-trip carry loops) on this route.
 //!
 //! **The IFMA signing route** ([`crate::ifma`]; an RSA-1024 key on a CPU
 //! with AVX-512 IFMA + VL) is one kernel call per signature, from the
@@ -74,7 +89,8 @@
 //!   fixed loops of arithmetic; and `dp`, `dq` sit in fixed 512-bit
 //!   arrays, so no signature copies an exponent over its limb count.
 //!   (The source, not the silicon: a compiler could still emit a branch,
-//!   which is why DESIGN §8.2 records the objdump of the row loops.)
+//!   which is why [`crate::ifma`]'s docs record the objdump of the row
+//!   loops.)
 //! * *What still varies.* Building the key's cached ladder constants
 //!   (`ifma::CrtKey`, once per key: `BigUint` `rem`s over `p`, `q` and
 //!   `qinv`), and, in debug builds only, the fault check below. The
@@ -97,9 +113,11 @@
 //!
 //! [`modpow_pair`] is the router for pairs of exponentiations under two
 //! 512-bit moduli: one pass of the IFMA signing ladder on a CPU with
-//! AVX-512 IFMA + VL, two scalar `modpow`s anywhere else.
-//! `prime::generate_prime` sends its Miller–Rabin witnesses through it,
-//! two at a time.
+//! AVX-512 IFMA + VL, two scalar `modpow`s anywhere else
+//! (`pair_rides_ladder` is its rule). [`crate::prime::generate_prime`]
+//! sends its Miller–Rabin witnesses through it, two at a time.
+//! It is one of the signing ladder's two entries, each with one caller
+//! ([`crate::ifma`] names both); CI's lint job pins that.
 
 use crate::bigint::BigUint;
 use crate::ifma::{from_digits52, to_digits52, Digits, F4Lane, DIGITS, IFMA_LANES};
@@ -665,7 +683,8 @@ pub(crate) const F4: u64 = 65_537;
 /// the last call takes whatever is left. `ifma::modpow_f4` picks each
 /// call's kernel by its live count: one lane is the one-lane kernel (its
 /// digits across five 256-bit vectors), two to four the 256-bit lanes,
-/// five to eight the 512-bit lanes (DESIGN §8.1's dispatch table).
+/// five to eight the 512-bit lanes ([`crate::pkcs1::verify_batch`]'s
+/// dispatch table).
 pub(crate) fn modpow_f4_lanes(lanes: &[F4Lane<'_>], out: &mut [Digits]) {
     debug_assert_eq!(lanes.len(), out.len());
     for (call, out) in lanes.chunks(IFMA_LANES).zip(out.chunks_mut(IFMA_LANES)) {

@@ -6,6 +6,77 @@
 //! Both [`sign`] and [`verify`] go through the key's raw RSA operations,
 //! which reuse the per-key cached [`crate::montgomery::MontgomeryCtx`]
 //! (see [`crate::rsa`]) — no REDC constants are recomputed per signature.
+//! On the IFMA signing route [`sign`] builds the EM in radix-2^52 digits
+//! (`LANE_EM_HEAD | digest digits`) and hands its 20 digits to one
+//! kernel call, and `ifma::be_from_digits` writes the 128 signature
+//! bytes.
+//!
+//! # Batched verification: filled with whatever arrives
+//!
+//! [`verify_batch`] decides the structural failures per request
+//! (`SignatureLength`, then `s ≥ n` → `MessageTooLarge`) and then picks a
+//! kernel from three things it can observe — how many live requests
+//! there are, the shape of each request's key, and the CPU — with no
+//! knob, env var, cargo feature or config field:
+//!
+//! | live requests | key shape | host | kernel |
+//! |---|---|---|---|
+//! | any | `n` even or zero | any | per key, schoolbook `BigUint::modpow` (what `raw_encrypt` does) |
+//! | any | odd `n`, but not (1024-bit and `e = 65537`) | any | per key, [`MontgomeryCtx::modpow_batch`](crate::montgomery::MontgomeryCtx::modpow_batch), scalar `modpow` per base |
+//! | any | odd 1024-bit `n`, `e = 65537` | no AVX-512 IFMA | same per-key path |
+//! | 1 | odd 1024-bit `n`, `e = 65537` | IFMA + `avx512vl` | one **one-lane** call: the lane's 20 digits across five 256-bit vectors (`lone_kernel` `avx512-ifma-one-lane-5x256`) |
+//! | 2–4 | 〃 | IFMA + `avx512vl` | one **256-bit** call, 4 lanes |
+//! | 1–4 | 〃 | IFMA, no `avx512vl` | one 512-bit call, 8 lanes |
+//! | 5–8 | 〃 | IFMA | one **512-bit** call, 8 lanes |
+//! | > 8 | 〃 | IFMA | chunks of 8 in request order, the last chunk by the rows above |
+//!
+//! The IFMA rows are [`crate::ifma`]'s any-key lanes: every lane carries
+//! its own modulus, so requests ride in request order whatever their
+//! keys, and one PoC's three signatures under two keys are one call
+//! instead of three scalar exponentiations. There is no scalar row for
+//! an F4 key on an IFMA host. A lone check — each of a negotiation's
+//! three (`CdrMsg::verify`, both `verify_outer`s) goes through
+//! [`verify_prehashed`] — takes a lane key's request straight to the
+//! one-lane kernel (no `Vec`, no big integer), as a batch of one does.
+//! Two lanes as two one-lane calls cost what one 4-lane call does, so
+//! the route is by live count alone.
+//!
+//! *A digit-domain finish.* A lane request holds no heap value of its
+//! own. Its signature bytes go straight into radix-2^52 digits
+//! (`ifma::digits_from_be`, eight bytes to a limb, then the
+//! limbs cut into digits); `s ≥ n` is decided on those digits against
+//! the modulus digits the key's lane constants already hold; the kernel
+//! writes its exact results into one digit array per batch; and the
+//! expected EM is `LANE_EM_HEAD` — the 128-byte EM `00 01 FF…FF 00 ‖
+//! DigestInfo prefix` with the digest bytes zero, digit-converted at
+//! compile time — OR the digest's digits, since the digest is the EM's
+//! low 256 bits. One OR of XORs over the 20 digits decides, so the
+//! comparison takes the same time whatever the digits. A lane key is
+//! exactly 128 bytes (a 16-limb modulus of fewer bits takes the per-key
+//! path); the per-key path keeps the byte-domain encode-then-compare.
+//! `lane_em_digits_are_the_em_bytes_digits` holds the built EM to the
+//! byte EM's digits.
+//!
+//! *Oracles.* Error precedence (`SignatureLength` → `MessageTooLarge` →
+//! `BadSignature`) matches the sequential verifier exactly.
+//! [`verify_prehashed_scalar`] is [`verify_prehashed`] on the scalar route
+//! whatever the host, and [`crate::rsa::PublicKey::raw_encrypt`] stays
+//! scalar too: they are the oracles. `prop_crypto`'s
+//! `batched_verify_matches_sequential` (random shapes, corrupted and
+//! truncated signatures, two keys) and
+//! `any_key_batch_matches_scalar_elementwise` (1–17 requests over 1–4 of
+//! five keys in any interleaving — two RSA-1024 F4 keys, an RSA-512 key,
+//! a non-F4 exponent, an even modulus — with flipped, mis-sized and
+//! `s ≥ n` signatures) hold every element to both, so on an IFMA host
+//! the lane kernels are still checked against scalar `modpow`, not only
+//! against the one-lane kernel; `batch_structural_errors_match_scalar`
+//! adds `s = n` itself and `s = n − 1`, the two sides of the digit
+//! compare. `prop_crypto`'s `kernels_on_this_host` prints the sign,
+//! batch, lone-check, SHA-256 and batch SHA-256 kernels first in CI's
+//! crypto step, so a log says which paths that runner exercised, and a
+//! runner without IFMA still covers the scalar route. The benchmark's
+//! traced rows time this plane (`crypto.verify_batch32_us_per_sig`) and
+//! its result names the batch kernel (`crypto.batch_kernel`).
 
 use crate::bigint::BigUint;
 use crate::error::CryptoError;

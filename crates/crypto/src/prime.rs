@@ -14,8 +14,33 @@
 //! when the first one settles the candidate, the clone is put back. So
 //! every draw the sequential search would not have made is undone: each
 //! seed yields the same primes, and leaves the stream where the
-//! sequential search leaves it. Elsewhere the search is the sequential
-//! one, one exponentiation at a time.
+//! sequential search leaves it. Elsewhere — candidates not 512-bit
+//! (RSA-512 test keys), or no IFMA + VL — the search is the sequential
+//! one and computes no exponentiation ahead of its turn.
+//!
+//! Every party's key is [`KeyPair::generate_for_seed`](crate::rsa::KeyPair::generate_for_seed) and set-up makes
+//! dozens of them; about 93 % of an RSA-1024 keygen is 512-bit witness
+//! exponentiations `a^d mod n`, the same shape as a CRT half, and a
+//! ladder pass of two costs about what one scalar exponentiation does.
+//! A candidate that passes round 1 runs its other 29 rounds two to a
+//! pass, both lanes under its own modulus, and its last round alone on
+//! the scalar kernel.
+//!
+//! *Why keys are byte-identical.* Every draw and every verdict is the
+//! sequential search's, and the ladder's results are bit for bit
+//! [`BigUint::modpow_with_ctx`]'s (`prop_crypto`'s
+//! `modpow_pair_matches_modpow_with_ctx`). So each seed yields the same
+//! primes, keys and signatures: the `rsa.rs` seeded-key goldens,
+//! `prop_crypto`'s `generate_prime_matches_the_sequential_search` and the
+//! protocol's `WIRE_DIGEST`, which hashes signatures under seeded keys,
+//! pin it. The trial-division table (60 primes, one `div_rem_u64`
+//! per u64-sized product of them) and the 30 rounds stay as they are: a
+//! wider sieve or fewer rounds would change which bytes feed the
+//! witnesses, and so every seeded key.
+//!
+//! Witness bases are uniform in `[2, n − 2]`: `random_below(n − 4) + 2`,
+//! `random_below` being inclusive (a base of `n − 1` passes every odd
+//! `n`).
 
 use crate::bigint::BigUint;
 use crate::montgomery::{modpow_pair, pair_rides_ladder, MontgomeryCtx};

@@ -14,6 +14,51 @@
 //! two scalar `modpow`s and recombines in `BigUint`s.
 //! [`PrivateKey::sign_kernel`] names the route, the results are the same
 //! bytes.
+//!
+//! # Per-key contexts
+//!
+//! A negotiated cycle signs three times and checks three signatures
+//! between the two parties, and a third party checks three more, so RSA
+//! latency is the simulator's hot loop and nothing a key can precompute
+//! is paid per operation. [`PublicKey`] builds one [`MontgomeryCtx`] for
+//! its modulus on first use ([`PublicKey::mont_ctx`]) in an
+//! `Arc<OnceLock<_>>`: clones share the cell itself, so a clone taken
+//! *before* first use — what every negotiator does with its long-term
+//! keys, once per cycle — still finds the context a sibling built.
+//! [`PrivateKey`] caches one context per CRT prime and, beside them, the
+//! signing ladder's constants (an `ifma::CrtKey`: both primes' lane
+//! constants, `2^512·R² mod p` and `R mod p` per prime, `dp` and `dq` as
+//! fixed 512-bit arrays, `qinv·R mod p`), shared by every clone and
+//! scrubbed when the last one drops.
+//!
+//! # Dispatch: one row, nothing to set
+//!
+//! | both primes exactly 8 limbs | CPU has `avx512ifma` + `avx512vl` | a private-key operation runs |
+//! |---|---|---|
+//! | yes | yes | one [`crate::ifma`] kernel call on digits — [`crate::pkcs1::sign`] from the digest, [`PrivateKey::raw_decrypt`] from `c`'s digits (`avx512-ifma-ladder-4x256`) |
+//! | anything else — RSA-512 test keys, non-IFMA hosts, Miri, non-x86-64 | | `c mod p`, `c mod q`, two scalar sliding-window `modpow`s and Garner in `BigUint`s (`scalar-sliding-window`) |
+//!
+//! There is no knob, env var, cargo feature or config field; `pkcs1::sign`,
+//! the protocol endpoints, Fig. 17 and the benchmark's pool set-up all
+//! follow. Signatures are the same bytes on either route: the pinned
+//! protocol transcript digest and the seeded-key goldens below hold on
+//! both, and `prop_crypto`'s `one_call_private_op_is_the_scalar_crt`
+//! holds the call to a scalar CRT recomputed from the factors and to
+//! [`PrivateKey::raw_decrypt_no_crt`] on random EMs and on 0, 1, p, q,
+//! n − 1, multiples of p and both orders of the halves. In test and debug
+//! builds every private-key operation ends by re-encrypting its result
+//! under the public key (`debug_assert!`, the Bellcore/Lenstra CRT-fault
+//! check), so a wrong CRT half or Garner step panics in any test that
+//! signs.
+//!
+//! # Secret limbs
+//!
+//! `d`, `p`, `q`, `dp`, `dq` and `qinv` are each a private `Secret`,
+//! which implements neither `Debug` nor `Display`: `#[derive(Debug)]` on
+//! [`PrivateKey`], or `format!("{:?}", self.dp)`, does not compile, and
+//! its `Drop` zeroes the limbs with volatile stores. `PrivateKey`'s
+//! hand-written `Debug`/`Display` print only the key fingerprint and the
+//! modulus width.
 
 use crate::bigint::BigUint;
 use crate::error::CryptoError;

@@ -5,9 +5,37 @@
 //! one-shot (`digest`) interfaces are provided.
 //!
 //! Blocks are compressed with the SHA extensions (`sha256rnds2`,
-//! `sha256msg1`, `sha256msg2`) where the CPU has them; the portable
-//! rounds are the fallback everywhere else and the oracle the tests hold
-//! the fast path to. [`kernel`] names the one in use.
+//! `sha256msg1`, `sha256msg2`) where the CPU has them (`sha` + `ssse3` +
+//! `sse4.1`); the portable rounds ([`digest_portable`]) are the fallback
+//! everywhere else and the oracle the tests hold the fast path to (every
+//! length 0..=300 × every two-part split, NIST vectors through both).
+//! [`kernel`] names the one in use. [`Sha256::update`] hands all whole
+//! blocks to one kernel call, and [`Sha256::finalize`] writes the
+//! padding in place (one compression, two when the tail passes byte 55)
+//! instead of pushing it a byte at a time.
+//!
+//! # Sixteen digests to a call
+//!
+//! One stream of SHA-NI rounds is latency-bound, and a batch of PoCs
+//! has many independent messages. [`digest_many`] returns exactly
+//! `msgs.iter().map(digest)`; on a CPU with AVX-512F + BW it sorts the
+//! messages by padded length in blocks and hashes sixteen of one length
+//! to a call of the `x16` kernel: one message per 32-bit lane, sixteen
+//! 64-byte rows loaded and byte-swapped (`vpshufb`) then transposed
+//! 16 × 16 in four interleaving steps into the schedule words, the
+//! rotations `vprord`, Σ/σ's three-way XOR, Ch and Maj one `vpternlogd`
+//! each. A call costs the same whatever its live count, so one that
+//! would carry fewer than `MIN_WIDE` messages goes to the single-stream
+//! kernel; `MIN_WIDE` is the measured break-even (7), a `const`, not a
+//! knob. [`batch_kernel`] names the route (`avx512-16x`, else the
+//! single-stream kernel's name). The portable rounds stay the oracle: a
+//! kernel test at 1–16 live lanes on 1, 2, 3, 4, 7 and 8 blocks (the
+//! first lane at the shortest length of its padded length, the last at
+//! the longest, the rest spread over the range and moved between
+//! rotations, so one lane's tail block is another's data), and
+//! `prop_crypto`'s `digest_many_matches_digest` against [`digest`] and
+//! [`digest_portable`] over 0–40 messages, padding edges forced in,
+//! single- and mixed-length sets.
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;

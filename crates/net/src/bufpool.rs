@@ -1,4 +1,5 @@
-//! Bounded, recycled read-buffer pool for the ingress (DESIGN.md §10).
+//! Bounded, recycled read-buffer pool for the verifier ingress
+//! (`tlc_core::verify::remote`).
 //!
 //! Copying every frame payload into a fresh `Vec` before decode would
 //! be per-frame allocator churn on the hottest path in the system. The
@@ -13,7 +14,12 @@
 //! buffer is checked out the loop *defers* reads (masks readable
 //! interest; level-triggered readiness re-reports the socket once a
 //! buffer frees) instead of allocating unboundedly — the same
-//! philosophy as the §10 shed ladder, applied to memory.
+//! philosophy as the ingress's shed ladder, applied to memory.
+//!
+//! The pool's one lock (its shared free list) is a leaf of the
+//! workspace's lock graph: this crate cannot name tlc-core, so nothing
+//! taken under it can be a verification-stage lock, and no stage
+//! critical section checks a buffer out or drops one.
 //!
 //! [`PooledBuf`] returns its storage on drop. A buffer that held a
 //! partial frame keeps its tail bytes attached to the connection until

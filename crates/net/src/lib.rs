@@ -80,8 +80,8 @@ pub use packet::{Direction, FlowId, Packet, PacketIdAlloc, Qci};
 pub use queue::{Discipline, PacketQueue, QueueStats};
 pub use radio::{RadioTimeline, RssWalkParams, NO_SERVICE_THRESHOLD_DBM, RLF_DETACH};
 pub use readiness::{
-    bind_reuseport, raise_nofile_limit, try_bind_reuseport, Event as ReadinessEvent, Interest,
-    Readiness, ReadinessBackend, Token,
+    bind_reuseport, try_bind_reuseport, Event as ReadinessEvent, Interest, Readiness,
+    ReadinessBackend, Token,
 };
 pub use rng::SimRng;
 pub use stats::{ByteCounter, UsageSeries};

@@ -1,4 +1,5 @@
-//! OS readiness notification for the verifier ingress (DESIGN.md §10).
+//! OS readiness notification for the verifier ingress
+//! (`tlc_core::verify::remote`).
 //!
 //! A carrier front door holds hundreds of thousands of mostly-idle
 //! peers, so the ingress loop in `tlc-core::verify::remote` blocks in
@@ -12,9 +13,12 @@
 //!   targets still build and run,
 //! * [`bind_reuseport`] — a `SO_REUSEPORT` TCP listener factory, so N
 //!   acceptor shards can bind the same address and let the kernel
-//!   spread incoming connections across them,
-//! * [`raise_nofile_limit`] — lifts `RLIMIT_NOFILE` toward its hard
-//!   cap so C100K-scale benches can actually hold their sockets.
+//!   spread incoming connections across them, and
+//!   [`try_bind_reuseport`], the probe the server uses to fall back to
+//!   one std listener and one shard where the address cannot be shared.
+//!
+//! The backend is chosen by `cfg`: epoll on Linux, `poll(2)` on other
+//! Unix, and an `Unsupported` error elsewhere.
 //!
 //! This is the **only** module outside `tlc-crypto` allowed to contain
 //! `unsafe` (tlc-net's manifest denies `unsafe_code`): every block is a
@@ -183,19 +187,6 @@ mod sys {
         pub sin_zero: [u8; 8],
     }
 
-    /// `struct rlimit`; `rlim_t` is 64-bit on every 64-bit unix we
-    /// target (and Linux exposes the 64-bit syscall via `getrlimit`).
-    #[repr(C)]
-    pub struct rlimit {
-        pub rlim_cur: u64,
-        pub rlim_max: u64,
-    }
-
-    #[cfg(target_os = "linux")]
-    pub const RLIMIT_NOFILE: c_int = 7;
-    #[cfg(not(target_os = "linux"))]
-    pub const RLIMIT_NOFILE: c_int = 8;
-
     extern "C" {
         pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
         pub fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
@@ -209,8 +200,6 @@ mod sys {
         pub fn bind(fd: c_int, addr: *const c_void, len: u32) -> c_int;
         pub fn listen(fd: c_int, backlog: c_int) -> c_int;
         pub fn close(fd: c_int) -> c_int;
-        pub fn getrlimit(resource: c_int, rlim: *mut rlimit) -> c_int;
-        pub fn setrlimit(resource: c_int, rlim: *const rlimit) -> c_int;
     }
 }
 
@@ -703,47 +692,6 @@ pub fn bind_reuseport(_addr: std::net::SocketAddr) -> io::Result<TcpListener> {
     ))
 }
 
-/// Raises the soft `RLIMIT_NOFILE` toward `want` (capped at the hard
-/// limit) and returns the resulting soft limit. Holding tens of
-/// thousands of sockets needs this; a failure to raise is not fatal —
-/// callers get the old limit back and scale down.
-#[cfg(unix)]
-pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-    let mut lim = sys::rlimit {
-        rlim_cur: 0,
-        rlim_max: 0,
-    };
-    let rc = unsafe {
-        // SAFETY: `lim` is a live, writable rlimit; getrlimit fills it.
-        sys::getrlimit(sys::RLIMIT_NOFILE, &mut lim)
-    };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    if lim.rlim_cur >= want {
-        return Ok(lim.rlim_cur);
-    }
-    let new = sys::rlimit {
-        rlim_cur: want.min(lim.rlim_max),
-        rlim_max: lim.rlim_max,
-    };
-    let rc = unsafe {
-        // SAFETY: `new` is fully initialised and outlives the call;
-        // setrlimit only reads it.
-        sys::setrlimit(sys::RLIMIT_NOFILE, &new)
-    };
-    if rc < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(new.rlim_cur)
-}
-
-/// Stub for non-Unix targets: reports the request as the limit.
-#[cfg(not(unix))]
-pub fn raise_nofile_limit(want: u64) -> io::Result<u64> {
-    Ok(want)
-}
-
 /// Probes which listener mode the platform supports for an address:
 /// `Some(listener)` when a reuseport socket could be bound (sharded
 /// accept works), `None` when the caller should fall back to one std
@@ -883,12 +831,5 @@ mod tests {
             }
         }
         assert!(delivered >= 8, "accepted {delivered}/8");
-    }
-
-    #[test]
-    fn nofile_limit_is_queryable() {
-        // Raising toward the current limit is a no-op that must succeed.
-        let cur = raise_nofile_limit(1).unwrap();
-        assert!(cur >= 1);
     }
 }

@@ -48,7 +48,7 @@ impl ByteCounter {
 #[derive(Clone, Debug)]
 pub struct UsageSeries {
     bucket: SimDuration,
-    /// bytes[i] covers [i*bucket, (i+1)*bucket).
+    /// `buckets[i]` counts the bytes in `[i*bucket, (i+1)*bucket)`.
     buckets: Vec<u64>,
 }
 

@@ -1,4 +1,5 @@
-//! Length-prefixed binary framing for the verifier ingress (DESIGN.md §10).
+//! Length-prefixed binary framing for the verifier ingress
+//! (`tlc_core::verify::remote`).
 //!
 //! The public-verification service (tlc-core's `verify::service`) becomes
 //! network-reachable through a minimal, dependency-free wire protocol:
@@ -22,7 +23,19 @@
 //! [`WireError`].
 //! After an error the decoder is *poisoned*: the byte stream has lost
 //! framing and cannot be resynchronised, so the connection must be torn
-//! down.
+//! down. An unknown kind byte is rejected the moment it arrives, and an
+//! oversize length from the header alone.
+//!
+//! The kind tags (`HELLO = 1` … `SETTLE_VERDICT = 15`) are wire format,
+//! pinned by golden tests. Outbound, [`encode_with`] is the one place
+//! the five header bytes are written: its closure appends the payload
+//! in place behind them, so a PoC is copied once, into the buffer handed
+//! to `write`; [`Frame::encode_into`] and the client both go through it.
+//! Inbound there is one framing grammar: the server parses pooled read
+//! buffers in place with [`split_frame`] (borrowed [`FrameRef`] views),
+//! and the client's [`FrameDecoder`] is a buffer over it — append the
+//! chunk, split frames off the front, keep less than one frame between
+//! calls (`prop_wire` checks the two agree however a stream is cut).
 
 #![deny(
     clippy::arithmetic_side_effects,

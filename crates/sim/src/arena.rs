@@ -1,4 +1,4 @@
-//! Generational slab arena for twin sessions (DESIGN §13).
+//! Generational slab arena for twin sessions ([`crate::twin`]).
 //!
 //! A million concurrent sessions with constant churn must not mean a
 //! million boxed allocations plus free-list fragmentation: sessions
@@ -7,7 +7,8 @@
 //! bank (`sim::soa`). Teardown pushes the slot onto a free list;
 //! the next arrival reuses it — churn is slot reuse, not allocation.
 //!
-//! Ids are **generational**: every reuse bumps the slot's generation,
+//! Ids are **generational**: a slot carries its own generation, so
+//! resolving an id is one load, and every reuse bumps it,
 //! so an event scheduled against a torn-down session (still parked in
 //! the wheel) dereferences to `None` instead of the unrelated session
 //! that inherited the slot. That generation check is what makes

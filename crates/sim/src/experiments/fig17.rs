@@ -316,24 +316,12 @@ mod tests {
     fn sizes_match_paper_scale() {
         let r = run(1).expect("optimal pair converges");
         // Paper: 199 / 398 / 796 / 1393 bytes. Our leaner binary framing
-        // lands below but within 2x on every row, preserving the ratios.
-        assert!(
-            (150..=220).contains(&r.sizes.tlc_cdr),
-            "CDR {}",
-            r.sizes.tlc_cdr
-        );
-        assert!(
-            (300..=440).contains(&r.sizes.tlc_cda),
-            "CDA {}",
-            r.sizes.tlc_cda
-        );
-        assert!(
-            (500..=900).contains(&r.sizes.tlc_poc),
-            "PoC {}",
-            r.sizes.tlc_poc
-        );
-        assert!(r.sizes.tlc_cda > r.sizes.tlc_cdr);
-        assert!(r.sizes.tlc_poc > r.sizes.tlc_cda);
+        // lands below on every row. Under RSA-1024 keys the sizes do not
+        // vary from run to run, so they are pinned exactly: DESIGN,
+        // README and EXPERIMENTS quote these.
+        assert_eq!(r.sizes.tlc_cdr, 184);
+        assert_eq!(r.sizes.tlc_cda, 370);
+        assert_eq!(r.sizes.tlc_poc, 564);
         assert_eq!(r.sizes.legacy_cdr, 34);
     }
 }

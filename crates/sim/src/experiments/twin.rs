@@ -1,5 +1,5 @@
 //! Extension: the million-session digital twin at experiment scale
-//! (DESIGN §13).
+//! ([`crate::twin`]).
 //!
 //! Runs the sharded twin across population tiers and reports the
 //! numbers the paper's operator would care about at fleet scale: the

@@ -17,8 +17,8 @@
 //! * [`multiop`] — the §8 multi-operator extension: per-operator TLC
 //!   instances over classified traffic,
 //! * [`wheel`] / [`arena`] / [`soa`] / [`twin`] — the million-session
-//!   charging digital twin (DESIGN §13): hierarchical timer wheel with
-//!   O(1) schedule/cancel, generational session slab, the charging
+//!   charging digital twin: hierarchical timer wheel with O(1)
+//!   schedule and no cancel, generational session slab, the charging
 //!   counters each session carries, and the sharded epoch-barrier run
 //!   loop.
 

@@ -7,7 +7,11 @@
 //! caller does afterwards (f64 sums, CDF pushes) happens in exactly the
 //! sequence the sequential runner would use — the parallel and
 //! sequential runners therefore produce byte-identical experiment
-//! output for fixed seeds.
+//! output for fixed seeds (asserted down to the printed rows by the
+//! sweep's `parallel_sweep_is_byte_identical_to_sequential`). Clippy's
+//! `disallowed_methods` keeps wall clocks out of every crate for the
+//! same reason. Work is stolen by an atomic index and results restored
+//! to input order.
 //!
 //! Thread count comes from `TLC_SWEEP_THREADS` when set (use `1` to
 //! force sequential execution, e.g. when comparing against the

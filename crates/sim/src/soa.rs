@@ -1,4 +1,4 @@
-//! Per-session charging counters for the digital twin (DESIGN §13).
+//! Per-session charging counters for the digital twin ([`crate::twin`]).
 //!
 //! A session's charging state — what the edge sent, what the
 //! operator's gateway metered, what the device/modem actually got,
@@ -13,6 +13,10 @@
 //!
 //! A row is zeroed by [`ChargeRow::start_cycle`] at admit and at every
 //! settlement, so slot reuse starts from a clean row by construction.
+//! [`ChargeRow::accrue`], [`ChargeRow::handover_flush`],
+//! [`ChargeRow::set_monitor_lag`] and `start_cycle` are used identically
+//! by the session's own row and by the visited operator's bank, which is
+//! never grown without a roaming plane.
 
 #![deny(
     clippy::arithmetic_side_effects,

@@ -1,4 +1,12 @@
-//! Million-session charging digital twin (DESIGN §13).
+//! Million-session charging digital twin.
+//!
+//! One experiment's worth of sessions exercises the protocol; the
+//! paper's operator charges millions concurrently. This module scales
+//! the discrete-event core to that population on one host and closes
+//! the loop into the real machinery: its sampled settlements negotiate
+//! honest↔honest to a signed PoC and clear through the verifier service
+//! — in-process or across the TCP ingress — where the verdict's charge
+//! must equal the twin's analytic TLC charge exactly.
 //!
 //! The packet-level scenario driver (`sim::scenario`) prices one
 //! session at full fidelity; this module prices *populations*. Each
@@ -13,6 +21,18 @@
 //! cancelled: an event whose session has been torn down is dropped
 //! when it comes due, because its id no longer resolves in the arena.
 //!
+//! Such an event is counted in [`TwinReport::dead_events`]. As the
+//! wheel names the events it is about to fire, a shard starts loading
+//! their session rows, so the cache misses of a dozen handlers overlap.
+//! Both mechanisms are documented on the private `Shard`.
+//!
+//! There is one settle path: [`crate::measure::settle_twin_row`] prices
+//! a cycle's row both ways — legacy gateway-metered vs TLC over the
+//! measured pair (Eq. 1) — into a [`GapSweep`], and only under a roaming
+//! plane is that row the sum of the two operators' rows, with the
+//! three-party split on top. Re-summing per-settlement records
+//! reproduces the aggregate bit for bit.
+//!
 //! # Sharding and determinism
 //!
 //! Sessions are pinned to shards round-robin at arrival; each shard
@@ -23,9 +43,16 @@
 //! shards' offered-load deltas **in shard-index order** into the
 //! shared cell-congestion level used by the next epoch. Nothing a
 //! shard computes depends on any other shard within an epoch, so the
-//! run is byte-identical at any thread count. The equivalence suite
-//! (`tests/twin_equiv.rs`) pins that, and the event order itself, with
-//! a digest over every counter that matters.
+//! run is byte-identical at any thread count. Shard count is a *model*
+//! parameter (it shapes RNG streams and cell populations); thread count
+//! must never be. The equivalence suite (`tests/twin_equiv.rs`) pins
+//! that, and the event order itself, with a digest (FNV-1a over the
+//! run's counters and sweep) over every counter that matters.
+//!
+//! [`TwinReport`] also carries, outside the digest, the schedulers'
+//! [`SchedStats`] summed in shard order, `dead_events`, and the fewest
+//! and most events any one shard fired in any one epoch (the skew the
+//! barrier turns into waiting); they are counts, no clock is read.
 //!
 //! # Closed loop
 //!
@@ -34,6 +61,20 @@
 //! usage pair so the sink can run the *real* TLC machinery — signed
 //! negotiation to a PoC, submission to the verifier service or the
 //! TCP ingress — against twin-generated load (`tests/twin_soak.rs`).
+//!
+//! # Proof obligations
+//!
+//! `twin_equiv`: golden digests, wheel vs. model, the heap-agreed runs,
+//! thread invariance, teardown-mid-cycle settles exactly once, handover
+//! across a cycle boundary never double-counts gateway bytes, stale id
+//! safety, and `scale_tiers_repeat_their_digests` pinning the 10k, 100k
+//! and 1M tiers' digests and event counts. The tests below: a reused
+//! slot's old events are dropped, counted, and never reach its new
+//! occupant; churn-heavy runs digest as they did when teardown
+//! cancelled. `twin_soak`: every sampled cycle's negotiated PoC charge
+//! equals the analytic TLC charge and verifies Valid, through the
+//! in-process service and the TCP ingress. Across 10k → 1M sessions the
+//! aggregate gap ratios stay flat (legacy ε 2.63 % vs TLC ε 0.25 %).
 
 #![deny(
     clippy::arithmetic_side_effects,
@@ -399,6 +440,40 @@ impl Session {
 /// scheduler words on every event; the alignment keeps a shard's first
 /// and last cache lines (in prefetch pairs) from being a neighbour's
 /// too, so the twin's speed does not move with the size of a field.
+///
+/// **Liveness: the arena generation decides.** The wheel cannot cancel.
+/// Each session event carries its [`SessionId`], and teardown's
+/// [`Arena::remove`] bumps the slot's generation, so
+/// [`run_epoch`](Self::run_epoch) drops any popped event whose id no
+/// longer resolves ([`Arena::contains`]) before dispatch, leaves it out
+/// of `events_fired`, and counts it in [`TwinReport::dead_events`]. A
+/// session has at most one pending tick, cycle end, handover and
+/// operator handover, all parked under its id when
+/// [`run_teardown`](Self::run_teardown) runs, so dropping them at pop
+/// leaves the live events' `(tick, seq)` order, `events_fired` and every
+/// digest as cancelling them would, and one check answers the question
+/// for every event.
+///
+/// **Touching a row before it fires.** `run_epoch` pops through
+/// [`Scheduler::pop_next_near`], and for each event the wheel names as
+/// it builds a run — up to 256 µs ahead of its firing, ~16 at a time in
+/// a 62 k-session shard — [`touch`](Self::touch) resolves the session
+/// through [`Arena::get`] and loads one word from each cache line of
+/// the slot into `std::hint::black_box`. Those are plain loads nothing
+/// waits on, so a dozen misses overlap in the reorder window, where the
+/// handlers would each have waited out their own three at fire time. A
+/// dead event's touch stops at the generation check: a wasted load,
+/// never a wrong one. Which words it loads is derived, not guessed:
+/// slots sit 144 bytes apart in a 16-byte-aligned buffer, so one starts
+/// 0, 16, 32 or 48 bytes into a line, and
+/// `touch_loads_a_word_in_every_line_of_the_slot` places the touched
+/// fields with `offset_of!` so every line the slot spans gets a load
+/// from each of those starts. It is not a prefetch intrinsic because
+/// this crate forbids `unsafe_code` and `_mm_prefetch` measured the
+/// same. Taking the touch out must not change a digest, only the twin's
+/// speed. The slot is 144 bytes and a unit test holds it there:
+/// aligning the row to a cache line pads it to 256 and costs a fifth of
+/// the twin's memory for no speed (ROADMAP, *Measured and closed*).
 #[repr(align(128))]
 struct Shard {
     index: usize,

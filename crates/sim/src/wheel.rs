@@ -1,5 +1,5 @@
 //! Hierarchical timer wheel — the event scheduler behind the
-//! million-session digital twin (DESIGN §13).
+//! million-session digital twin ([`crate::twin`]).
 //!
 //! At twin scale (millions of outstanding timers, constant churn) a
 //! binary heap's O(log n) per schedule/pop is the bottleneck, so
@@ -9,12 +9,17 @@
 //! run of items drawn from one pool per scheduler and handed back when
 //! the slot is drained — so moving an event down a level is a
 //! sequential read and an append, never a pointer chase, and nothing is
-//! allocated per event after warm-up.
+//! allocated per event after warm-up. A chunk holds 32 items, is
+//! allocated once at that capacity and is handed back as soon as a
+//! drain has read it, so the cascade that empties a slot refills the
+//! chunks it has just freed and the pool never shrinks.
 //!
-//! **There is no cancel.** Every scheduled item fires. Whether an event
-//! is still wanted is the caller's question, answered when it comes
-//! due: the twin drops an event whose session's arena generation has
-//! moved on (DESIGN §13), so the wheel keeps no handle table of its own.
+//! **There is no cancel.** Every scheduled item fires:
+//! [`Scheduler::schedule`] returns nothing. Whether an event is still
+//! wanted is the caller's question, answered when it comes due: the
+//! twin drops an event whose session's arena generation has moved on
+//! ([`crate::arena::Arena::contains`]), so the wheel keeps no handle
+//! table of its own, and CI's lint job greps this file for one.
 //!
 //! **The bottom of the wheel is a sorted run.** When the cursor lands
 //! on a slot of level 1 or higher, every item due within the next 256
@@ -23,14 +28,58 @@
 //! holds only what was scheduled fewer than 256 ticks ahead, and one of
 //! its slots is folded into the run when its tick comes up — so an
 //! event scheduled far ahead is re-placed once per level above 1 and
-//! never hops through a level-0 slot of its own.
+//! never hops through a level-0 slot of its own: a 1 s tick scheduled at
+//! µs resolution is re-placed once, level 2 → 1, and then fires out of a
+//! run. At µs resolution a level-0 slot holds 0–1 events, so a hop
+//! through one would pay for a chunk taken and given back, a bitmap bit
+//! set and cleared, and a bound scan of its own, per event. Before
+//! [`Scheduler::pop_next`] returns the run's next item it looks at level
+//! 0's bitmap, and a slot whose tick is no later than that item's is
+//! *folded* into the run — drained onto the run's tail, and the tail
+//! (the items at that one tick) re-sorted by `seq`. With the run empty
+//! the next jump is bounded by level 0 and the higher levels alike.
+//!
+//! As a jump builds a run, [`Scheduler::pop_next_near`] shows each
+//! payload to its caller (`pop_next` is the same loop with a closure
+//! that does nothing): the scheduler is the one place that knows what
+//! fires in the next 256 ticks, and the twin uses that to start loading
+//! the session rows those events will touch.
+//!
+//! Where an item is parked relative to the cursor is decided in one
+//! place, and two invariants about it carry the design (see `place`).
+//!
+//! [`Scheduler::stats`] reports what the contract does not: items moved
+//! a level down, level-0 slots folded into a pending run, and the pool's
+//! size ([`SchedStats`]). The twin sums them over shards outside its
+//! digest and `tlc experiment twin` prints them per tier;
+//! `twin_equiv`'s `scale_tiers_repeat_their_digests` fails if a tier
+//! reads more than 1.05 moves per event.
 //!
 //! **Determinism.** Events fire in `(tick, seq)` order, where `seq` is
 //! the global schedule sequence number. That order is the whole
 //! contract, and the reference for it lives in test code:
 //! `tests/support/sched_model.rs` is an ordered map keyed `(tick, seq)`
 //! that shares no line with this module, and every random op stream
-//! must fire and count identically on both.
+//! must fire and count identically on both. Sharing nothing is the
+//! point: a second scheduler inside [`Scheduler`], sharing its
+//! bookkeeping, would agree with the wheel about any bug in it. The
+//! model still cancels, so the differential (the tests below and
+//! `twin_equiv`'s `prop_wheel_matches_model`) plays its cancels on the
+//! wheel the way the twin does: a cancelled payload joins a
+//! harness-held dead set, and a wheel pop that returns one is skipped.
+//! Random schedule / cancel / advance streams span every level and the
+//! overflow list, and every fired `(tick, seq, payload)` and, after
+//! every op, `len()` are compared. One schedule in eight is a burst of
+//! up to 200 events at one tick (order across chunk boundaries and
+//! behind a cascade); every fourth 64-op phase cancels runs of recent
+//! handles faster than advances pass over them, so dead items ride
+//! cascades and folds beside live ones; and one advance in four is
+//! handler-style — each popped event schedules up to three more at its
+//! own tick + {0, 1, < 256, ≈ 10⁶} before the next pop — so schedules
+//! land behind a pending run and the fold is compared event by event.
+//! Whole runs are held by digest: the goldens, and `HEAP_AGREED_RUNS` —
+//! runs the wheel and a binary-heap scheduler both executed,
+//! byte-identically, in the last commit that had two.
 
 use std::cmp::Reverse;
 
@@ -322,6 +371,29 @@ impl<T: Copy> Scheduler<T> {
 
     /// Parks `item` where its distance from the cursor says: the
     /// smallest level whose span covers it, or the overflow list.
+    ///
+    /// Two invariants carry the wheel, both about where this puts an
+    /// item relative to the cursor:
+    ///
+    /// * *(a)* a level-0 slot holds exactly one distinct tick (inserts
+    ///   within 256 ticks land at their exact slot, and the cursor —
+    ///   which also moves as the run is walked — never passes an
+    ///   occupied level-0 slot, because the walk folds any slot due no
+    ///   later than the run's next item first), so [`fold`](Self::fold)
+    ///   needs only a `seq` sort of the run's tail. A run holds up to 256
+    ///   ticks and is ordered by `(tick, seq)` outright, which makes
+    ///   arrival order invisible: a direct schedule parked in level 0
+    ///   before a cascade built the run, at a tick the run also holds,
+    ///   fires after the run's items there because its `seq` is higher,
+    ///   not because of where it sat. A run never reaches past the
+    ///   256-aligned block it was built in ([`advance_to`](Self::advance_to)
+    ///   yields run items from a higher slot only when the cursor lands
+    ///   on its base), so no higher slot comes due while one is pending;
+    /// * *(b)* bounds computed from higher levels
+    ///   ([`next_bound`](Self::next_bound)) scan occupied slots strictly
+    ///   *after* the cursor's own position: an entry in the cursor's own
+    ///   higher-level slot is due a full wrap later, and counting it as
+    ///   due-now jumps the cursor past nearer work.
     fn place(&mut self, item: Item<T>) {
         let level = match item.tick.saturating_sub(self.cursor) {
             0..=0xFF => 0usize,
