@@ -18,7 +18,11 @@
 //! * [`RemoteVerifier`] (`client`) — a blocking client mirroring the
 //!   in-process API: `register` / `submit` / `submit_batch` /
 //!   `collect_results` with the same typed [`ServiceError`] /
-//!   [`VerifyError`](crate::verify::VerifyError) surface.
+//!   [`VerifyError`](crate::verify::VerifyError) surface. It buffers
+//!   SUBMIT frames and writes them in one `write_all` once half a
+//!   window is buffered, before it would block on the server, or ahead
+//!   of any other frame it sends: the same bytes in the same order as
+//!   one write per frame, in fewer writes.
 //!
 //! The split keeps anything protocol-shaped out of `tlc-net` and
 //! anything socket-shaped out of this crate's verification core:
@@ -77,9 +81,9 @@
 //! depth-1 verdicts while a neighbour floods *until it is done* (no
 //! clock in the assertion — a starved verdict hangs the test), one proof
 //! on two connections accepted exactly once, a SUBMIT_BATCH longer than
-//! one wakeup's reads answered in order, and 256 idle handshaken
+//! one wakeup's reads answered in order, 256 idle handshaken
 //! connections held on a two-shard server while one client's batch is
-//! verified. The shard's and the client's own unit tests turn their
+//! verified, and 512 single submits written a half window at a time. The shard's and the client's own unit tests turn their
 //! loops by hand (see `server` and `client`). Overload
 //! (`soak_overload`, three pinned seeds in CI): [`tlc_net::chaos`]
 //! wraps any `Read + Write` with seeded faults (slow-loris dribble,

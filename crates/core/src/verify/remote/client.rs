@@ -19,10 +19,34 @@
 //! `BUSY(Connection)` surfaces as [`ServiceError::Overloaded`], and
 //! [`RemoteVerifier::connect_with`] wraps the handshake in the same
 //! backoff. Retry exhaustion returns `Overloaded` with the submission
-//! still queued. The unit tests check, against an in-memory peer that
-//! answers only when the client blocks, that a batch many windows wide
-//! goes out in frames of at most `max(window / 2, 1)` with never more
-//! than a window unanswered.
+//! still queued.
+//!
+//! Writes are coalesced, Nagle-style (RFC 896) but with no timer: the
+//! client knows when it is about to wait. SUBMIT frames, first sends and
+//! BUSY retries alike, are appended to one buffer, which goes out in one
+//! `write_all` at three points:
+//!
+//! * half a window, `max(window / 2, 1)` SUBMITs, is buffered;
+//! * a read syscall is next: the decoder holds no whole frame (a full
+//!   window whose verdicts are already decoded keeps buffering), or a
+//!   backoff sleep is;
+//! * any other frame is sent (HELLO, REGISTER, SUBMIT_BATCH, SETTLE,
+//!   STATS_REQ, GOODBYE): it rides behind the buffered SUBMITs in the
+//!   same write, so the wire keeps call order.
+//!
+//! So a submission is on the wire by the next call that waits on the
+//! server, or once half a window is buffered; a write error surfaces
+//! from whichever call flushed; and a dropped client writes what it
+//! buffers once, ignoring errors, as `std::io::BufWriter` does. The
+//! bytes are the same frames in the same order as one write per frame.
+//! Depth 1 (`submit`, then `collect_results`) is still one write and
+//! one read per proof.
+//!
+//! The unit tests run against an in-memory peer that answers only when
+//! the client blocks and counts its `write` calls. They check that a
+//! batch many windows wide goes out in frames of at most
+//! `max(window / 2, 1)` with never more than a window unanswered, and
+//! each point of the flush rule above.
 
 use super::codec::{
     self, BusyMsg, BusyScope, Fault, Hello, HelloAck, Register, Registered, SettleMsg,
@@ -98,6 +122,12 @@ struct Pending {
 /// chaos tests can interpose a fault-injecting stream; `connect`
 /// produces the ordinary `TcpStream`-backed client.
 ///
+/// A SUBMIT is buffered, not written at once: it is on the wire by the
+/// next call that waits on the server, or once half a window is
+/// buffered (the module docs give the rule). A write error therefore
+/// surfaces from whichever call flushed, and dropping the client
+/// writes what it buffers, once.
+///
 /// Server sheds are handled transparently: a BUSY (scope Submit)
 /// moves that submission to a retry queue and it is re-sent — with
 /// its original tag — after capped, jittered backoff. Only when a
@@ -105,11 +135,14 @@ struct Pending {
 /// [`ServiceError::Overloaded`] reach the caller. Shed-and-retried
 /// submissions re-enter at retry time, so per-relationship
 /// submission order is preserved only among never-shed proofs.
-pub struct RemoteVerifier<S = TcpStream> {
+pub struct RemoteVerifier<S: Write = TcpStream> {
     stream: S,
     decoder: FrameDecoder,
-    /// The outgoing frame under construction, reused across sends.
+    /// Frames encoded but not yet written: SUBMITs wait here until
+    /// [`flush_tx`](Self::flush_tx) hands them to one `write_all`.
     tx: Vec<u8>,
+    /// SUBMIT frames in `tx`; half a window of them is written at once.
+    unsent: usize,
     /// Window granted by the server; `submit` drains verdicts once this
     /// many submissions are outstanding.
     window: u32,
@@ -190,6 +223,7 @@ impl<S: Read + Write> RemoteVerifier<S> {
             stream,
             decoder: FrameDecoder::new(DEFAULT_MAX_PAYLOAD),
             tx: Vec::new(),
+            unsent: 0,
             window: 1,
             max_payload: DEFAULT_MAX_PAYLOAD,
             outstanding: 0,
@@ -259,7 +293,8 @@ impl<S: Read + Write> RemoteVerifier<S> {
 
     /// Submits one proof; returns its tag, exactly like the in-process
     /// `submit`. Blocks draining verdicts when the window is full, and
-    /// retries any previously shed submissions first.
+    /// retries any previously shed submissions first. The frame is
+    /// buffered until half a window is, or until a call waits.
     pub fn submit(&mut self, rel: RelationshipId, poc: &PocMsg) -> Result<u64, RemoteError> {
         if !self.rels.contains(&rel.raw()) {
             return Err(RemoteError::Service(ServiceError::UnknownRelationship(rel)));
@@ -304,7 +339,7 @@ impl<S: Read + Write> RemoteVerifier<S> {
         // Stay well under the payload cap: the batch header plus
         // per-item length prefixes ride along.
         let budget = (self.max_payload as usize).saturating_sub(1024);
-        let max_items = (self.window as usize / 2).max(1);
+        let max_items = self.half_window();
         for poc in pocs {
             let bytes = poc.encode();
             if !chunk.is_empty()
@@ -574,6 +609,9 @@ impl<S: Read + Write> RemoteVerifier<S> {
                 }));
             }
             let delay = backoff_delay(&mut self.rng, p.attempts, self.retry_hint_ms);
+            // The sleep is a wait like a read: nothing buffered sits
+            // through it.
+            self.flush_tx()?;
             std::thread::sleep(delay);
             p.attempts += 1;
             self.retries += 1;
@@ -611,26 +649,35 @@ impl<S: Read + Write> RemoteVerifier<S> {
         self.send_payload(frame.kind, |out| out.extend_from_slice(&frame.payload))
     }
 
-    /// (Re-)sends one submission from the bytes kept for its retry.
+    /// PoCs per `submit_batch` frame, and buffered SUBMITs per write.
+    fn half_window(&self) -> usize {
+        (self.window as usize / 2).max(1)
+    }
+
+    /// (Re-)sends one submission from the bytes kept for its retry. It
+    /// is buffered, and written once half a window is.
     fn send_submit(&mut self, p: &Pending) -> Result<(), RemoteError> {
-        self.send_payload(FrameKind::Submit, |out| {
+        encode_with(FrameKind::Submit, &mut self.tx, |out| {
             codec::put_submit(out, p.rel, p.tag, &p.poc)
-        })
+        })?;
+        self.unsent += 1;
+        if self.unsent < self.half_window() {
+            return Ok(());
+        }
+        self.flush_tx()
     }
 
     /// Sends one frame whose payload `put` writes in place behind the
     /// envelope header, so PoC bytes are copied once: into the buffer
-    /// handed to `write_all`.
+    /// handed to `write_all`. Buffered SUBMITs go ahead of it in the
+    /// same write, so the wire keeps call order.
     fn send_payload(
         &mut self,
         kind: FrameKind,
         put: impl FnOnce(&mut Vec<u8>),
     ) -> Result<(), RemoteError> {
-        self.tx.clear();
         encode_with(kind, &mut self.tx, put)?;
-        self.stream
-            .write_all(&self.tx)
-            .map_err(|e| RemoteError::Io(e.kind()))
+        self.flush_tx()
     }
 
     fn read_frame(&mut self) -> Result<Frame, RemoteError> {
@@ -641,6 +688,10 @@ impl<S: Read + Write> RemoteVerifier<S> {
             if let Some(e) = self.decoder.poisoned() {
                 return Err(RemoteError::Wire(e));
             }
+            // Only here, with no whole frame left to decode, is a read
+            // syscall next: a full window whose verdicts are already
+            // decoded keeps buffering.
+            self.flush_tx()?;
             let mut buf = [0u8; CLIENT_READ_CHUNK];
             match self.stream.read(&mut buf) {
                 Ok(0) => return Err(RemoteError::Io(io::ErrorKind::UnexpectedEof)),
@@ -652,19 +703,45 @@ impl<S: Read + Write> RemoteVerifier<S> {
     }
 }
 
+impl<S: Write> RemoteVerifier<S> {
+    /// Writes every buffered frame in one `write_all`. The buffer is
+    /// emptied even if the write fails: the session is broken then, and
+    /// the error surfaces from whichever call flushed.
+    fn flush_tx(&mut self) -> Result<(), RemoteError> {
+        if self.tx.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.tx);
+        self.tx.clear();
+        self.unsent = 0;
+        written.map_err(|e| RemoteError::Io(e.kind()))
+    }
+}
+
+/// A dropped client writes what it still buffers, once, and ignores a
+/// failure, as `std::io::BufWriter` does: a proof passed to `submit`
+/// reaches the server even if nothing collects its verdict.
+impl<S: Write> Drop for RemoteVerifier<S> {
+    fn drop(&mut self) {
+        let _ = self.flush_tx();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::verify::remote::codec::SubmitBatchRef;
+    use crate::roaming::{Serving, SettlementSplit};
+    use crate::verify::remote::codec::{SubmitBatchRef, SubmitRef};
     use crate::verify::stage::tests::negotiate;
     use crate::verify::VerifyError;
     use tlc_crypto::KeyPair;
 
     /// The server's side of one session, in memory. It grants `window`,
-    /// answers REGISTER, and holds every proof's verdict until the client
-    /// blocks in a read, then releases one: the client is always exactly
-    /// as far ahead as it lets itself be. It records the widest
-    /// SUBMIT_BATCH and the most proofs ever unanswered.
+    /// answers REGISTER, SETTLE, STATS_REQ and GOODBYE, and holds every
+    /// proof's verdict until the client blocks in a read, then releases
+    /// one: the client is always exactly as far ahead as it lets itself
+    /// be. It records the widest SUBMIT_BATCH and the most proofs ever
+    /// unanswered.
     struct Peer {
         window: u32,
         inbound: FrameDecoder,
@@ -704,6 +781,29 @@ mod tests {
                         self.widest = self.widest.max(batch.pocs.len());
                         self.most_unanswered = self.most_unanswered.max(self.unanswered.len());
                     }
+                    FrameKind::Submit => {
+                        let submit = SubmitRef::decode(&f.payload).unwrap();
+                        self.unanswered.push_back((submit.rel, submit.tag));
+                        self.most_unanswered = self.most_unanswered.max(self.unanswered.len());
+                    }
+                    FrameKind::Settle => {
+                        let settle = SettleMsg::decode(&f.payload).unwrap();
+                        let verdict = SettleVerdictMsg {
+                            rel: settle.rel,
+                            tag: settle.tag,
+                            result: SettleResult::Conserved,
+                        };
+                        self.reply(verdict.to_frame());
+                    }
+                    FrameKind::StatsReq => {
+                        self.reply(StatsSnapshot::default().to_frame(FrameKind::Stats));
+                    }
+                    FrameKind::Goodbye => {
+                        while let Some((rel, tag)) = self.unanswered.pop_front() {
+                            self.reply(verdict(rel, tag));
+                        }
+                        self.reply(Frame::new(FrameKind::GoodbyeAck, Vec::new()));
+                    }
                     other => panic!("unexpected {other:?}"),
                 }
             }
@@ -722,13 +822,7 @@ mod tests {
                     .unanswered
                     .pop_front()
                     .expect("a read with nothing due");
-                let verdict = VerdictMsg {
-                    rel,
-                    tag,
-                    shard: 0,
-                    result: Err(VerifyError::Unregistered),
-                };
-                self.reply(verdict.to_frame());
+                self.reply(verdict(rel, tag));
             }
             let n = buf.len().min(self.outbound.len());
             for (dst, src) in buf.iter_mut().zip(self.outbound.drain(..n)) {
@@ -736,6 +830,17 @@ mod tests {
             }
             Ok(n)
         }
+    }
+
+    /// The verdict [`Peer`] gives every proof.
+    fn verdict(rel: u64, tag: u64) -> Frame {
+        VerdictMsg {
+            rel,
+            tag,
+            shard: 0,
+            result: Err(VerifyError::Unregistered),
+        }
+        .to_frame()
     }
 
     /// A batch many windows wide goes out in frames of at most half the
@@ -769,5 +874,292 @@ mod tests {
             assert_eq!(peer.widest, half, "window {window}");
             assert!(peer.most_unanswered <= window as usize, "window {window}");
         }
+    }
+
+    /// A [`Peer`] behind a counter: the client's `read` calls, and the
+    /// frames each `write` call carried, as `(kind, tag)` with tag 0 for
+    /// anything but a SUBMIT. With `burst`, a read that finds nothing
+    /// to send releases every due verdict, as a server that judged a
+    /// whole frame does, not one. The SUBMIT tagged `shed` is answered
+    /// with a BUSY the first time it arrives.
+    struct Counted {
+        peer: Peer,
+        burst: bool,
+        shed: Option<u64>,
+        frames: FrameDecoder,
+        writes: Vec<Vec<(FrameKind, u64)>>,
+        reads: usize,
+    }
+
+    impl Counted {
+        fn new(window: u32) -> Counted {
+            let peer = Peer {
+                window,
+                inbound: FrameDecoder::new(DEFAULT_MAX_PAYLOAD),
+                outbound: VecDeque::new(),
+                unanswered: VecDeque::new(),
+                widest: 0,
+                most_unanswered: 0,
+            };
+            Counted {
+                peer,
+                burst: false,
+                shed: None,
+                frames: FrameDecoder::new(DEFAULT_MAX_PAYLOAD),
+                writes: Vec::new(),
+                reads: 0,
+            }
+        }
+
+        /// The SUBMIT tags the peer received, in order.
+        fn submitted(&self) -> Vec<u64> {
+            let frames = self.writes.iter().flatten();
+            let submits = frames.filter(|(kind, _)| *kind == FrameKind::Submit);
+            submits.map(|&(_, tag)| tag).collect()
+        }
+    }
+
+    impl Write for Counted {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.frames.push(buf).unwrap();
+            let mut carried = Vec::new();
+            while let Some(f) = self.frames.next_frame() {
+                let tag = match f.kind {
+                    FrameKind::Submit => SubmitRef::decode(&f.payload).unwrap().tag,
+                    _ => 0,
+                };
+                carried.push((f.kind, tag));
+            }
+            let n = self.peer.write(buf)?;
+            for &(kind, tag) in &carried {
+                if kind == FrameKind::Submit && self.shed == Some(tag) {
+                    self.shed = None;
+                    let due = &mut self.peer.unanswered;
+                    let rel = due.iter().find(|d| d.1 == tag).unwrap().0;
+                    due.retain(|d| d.1 != tag);
+                    let busy = BusyMsg {
+                        scope: BusyScope::Submit,
+                        retry_after_ms: 0,
+                        rel,
+                        tag,
+                    };
+                    self.peer.reply(busy.to_frame());
+                }
+            }
+            self.writes.push(carried);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Read for Counted {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            if self.burst && self.peer.outbound.is_empty() {
+                while let Some((rel, tag)) = self.peer.unanswered.pop_front() {
+                    self.peer.reply(verdict(rel, tag));
+                }
+            }
+            self.peer.read(buf)
+        }
+    }
+
+    /// Two keys, their plan and one proof under them: the peer judges
+    /// nothing, so one proof serves every submission.
+    struct Material {
+        edge: KeyPair,
+        op: KeyPair,
+        plan: DataPlan,
+        poc: PocMsg,
+    }
+
+    impl Material {
+        fn new() -> Material {
+            let keys = |seed| KeyPair::generate_for_seed(1024, seed).unwrap();
+            let (edge, op) = (keys(7962), keys(7963));
+            let plan = DataPlan::paper_default();
+            let poc = negotiate(&edge, &op, plan, 3, 4);
+            Material {
+                edge,
+                op,
+                plan,
+                poc,
+            }
+        }
+
+        fn register(&self, client: &mut RemoteVerifier<&mut Counted>) -> RelationshipId {
+            let (edge, op) = (self.edge.public.clone(), self.op.public.clone());
+            client.register(self.plan, edge, op).unwrap()
+        }
+    }
+
+    /// A handshaken client over `peer` with one relationship registered.
+    fn session<'p>(
+        peer: &'p mut Counted,
+        m: &Material,
+    ) -> (RemoteVerifier<&'p mut Counted>, RelationshipId) {
+        let mut client = RemoteVerifier::handshake(peer, 0, BackoffConfig::default()).unwrap();
+        let rel = m.register(&mut client);
+        (client, rel)
+    }
+
+    /// Depth 1, the `verify_single` and `settle_rpc` shape: `submit`
+    /// then `collect_results` is one write and one read per proof.
+    #[test]
+    fn depth_one_is_one_write_and_one_read_per_proof() {
+        let m = Material::new();
+        let mut peer = Counted::new(64);
+        let (mut client, rel) = session(&mut peer, &m);
+        for tag in 0..4 {
+            let (writes, reads) = (client.stream().writes.len(), client.stream().reads);
+            assert_eq!(client.submit(rel, &m.poc).unwrap(), tag);
+            let results = client.collect_results().unwrap();
+            assert_eq!(results.iter().map(|r| r.tag).collect::<Vec<_>>(), [tag]);
+            let peer = client.stream();
+            assert_eq!(peer.writes[writes..], [vec![(FrameKind::Submit, tag)]]);
+            assert_eq!(peer.reads, reads + 1);
+        }
+    }
+
+    /// Fewer than half a window of SUBMITs stay buffered until the
+    /// first call that waits on the server, and then go in one write.
+    #[test]
+    fn submits_below_half_a_window_wait_for_a_call_that_waits() {
+        let m = Material::new();
+        let mut peer = Counted::new(64);
+        let (mut client, rel) = session(&mut peer, &m);
+        let writes = client.stream().writes.len();
+        for _ in 0..31 {
+            client.submit(rel, &m.poc).unwrap();
+            assert_eq!(client.stream().writes.len(), writes);
+        }
+        assert_eq!(client.collect_results().unwrap().len(), 31);
+        let peer = client.stream();
+        assert_eq!(peer.writes.len(), writes + 1);
+        assert_eq!(peer.submitted(), (0..31).collect::<Vec<_>>());
+    }
+
+    /// With the window full and its verdicts already decoded, K more
+    /// submits each take a verdict without a read syscall, so they make
+    /// at most ⌈K / (W/2)⌉ writes. A client that flushed whenever it
+    /// entered its read path would write once per submit here.
+    #[test]
+    fn a_full_window_with_verdicts_decoded_writes_once_per_half_window() {
+        const W: usize = 64;
+        let m = Material::new();
+        let mut peer = Counted::new(W as u32);
+        peer.burst = true;
+        let (mut client, rel) = session(&mut peer, &m);
+        for _ in 0..W {
+            client.submit(rel, &m.poc).unwrap();
+        }
+        // The first submit past the window reads the whole window's
+        // verdicts in one read; the rest decode them from the buffer.
+        let (writes, reads) = (client.stream().writes.len(), client.stream().reads);
+        const K: usize = W;
+        for _ in 0..K {
+            client.submit(rel, &m.poc).unwrap();
+        }
+        let peer = client.stream();
+        let made = peer.writes.len() - writes;
+        assert!(made <= K.div_ceil(W / 2), "{made} writes for {K} submits");
+        assert_eq!(peer.reads, reads + 1);
+        assert_eq!(client.collect_results().unwrap().len(), W + K);
+    }
+
+    /// Sends one frame of `kind` through `client`'s own call for it.
+    fn send_one(
+        kind: FrameKind,
+        mut client: RemoteVerifier<&mut Counted>,
+        rel: RelationshipId,
+        m: &Material,
+    ) {
+        match kind {
+            FrameKind::Register => {
+                m.register(&mut client);
+            }
+            FrameKind::Settle => {
+                let got = client.settle(rel, Serving::Home, 0, SettlementSplit::ZERO);
+                assert_eq!(got.unwrap(), SettleResult::Conserved);
+            }
+            FrameKind::StatsReq => {
+                client.stats().unwrap();
+            }
+            FrameKind::SubmitBatch => {
+                assert_eq!(client.submit_batch(rel, [&m.poc]).unwrap(), (3, 1));
+            }
+            _ => assert_eq!(client.goodbye().unwrap().len(), 3),
+        }
+    }
+
+    /// Any other frame goes out behind the buffered SUBMITs in the same
+    /// write, so the wire keeps call order.
+    #[test]
+    fn other_frames_ride_behind_buffered_submits() {
+        let m = Material::new();
+        let kinds = [
+            FrameKind::Register,
+            FrameKind::Settle,
+            FrameKind::StatsReq,
+            FrameKind::SubmitBatch,
+            FrameKind::Goodbye,
+        ];
+        for kind in kinds {
+            let mut peer = Counted::new(64);
+            let (mut client, rel) = session(&mut peer, &m);
+            for _ in 0..3 {
+                client.submit(rel, &m.poc).unwrap();
+            }
+            send_one(kind, client, rel, &m);
+            let last = peer.writes.last().unwrap();
+            let tags = last.iter().map(|f| f.1);
+            assert_eq!(tags.take(3).collect::<Vec<_>>(), [0, 1, 2], "{kind:?}");
+            let carried: Vec<FrameKind> = last.iter().map(|f| f.0).collect();
+            let mut want = vec![FrameKind::Submit; 3];
+            want.push(kind);
+            assert_eq!(carried, want);
+        }
+    }
+
+    /// A BUSY-shed submission is buffered and sent again under its
+    /// original tag.
+    #[test]
+    fn a_shed_submission_is_resent_under_its_tag() {
+        let m = Material::new();
+        let mut peer = Counted::new(64);
+        peer.shed = Some(1);
+        let (mut client, rel) = session(&mut peer, &m);
+        for _ in 0..3 {
+            client.submit(rel, &m.poc).unwrap();
+        }
+        let mut tags: Vec<u64> = client
+            .collect_results()
+            .unwrap()
+            .iter()
+            .map(|r| r.tag)
+            .collect();
+        tags.sort_unstable();
+        assert_eq!(tags, [0, 1, 2]);
+        assert_eq!((client.shed_notices(), client.retries()), (1, 1));
+        drop(client);
+        assert_eq!(peer.submitted(), [0, 1, 2, 1]);
+    }
+
+    /// Dropping the client writes what it had buffered, in one write.
+    #[test]
+    fn a_dropped_client_writes_what_it_buffered() {
+        let m = Material::new();
+        let mut peer = Counted::new(64);
+        let (mut client, rel) = session(&mut peer, &m);
+        for _ in 0..3 {
+            client.submit(rel, &m.poc).unwrap();
+        }
+        let writes = client.stream().writes.len();
+        drop(client);
+        assert_eq!(peer.writes.len(), writes + 1);
+        assert_eq!(peer.submitted(), [0, 1, 2]);
     }
 }

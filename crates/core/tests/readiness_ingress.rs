@@ -23,7 +23,9 @@
 //!   that submits nothing flushes nothing, a thin relationship is not
 //!   starved behind a flooding one, the same proof on two connections
 //!   is accepted once, and a frame longer than one wakeup's reads still
-//!   yields every verdict in order.
+//!   yields every verdict in order;
+//! * a client making single submits writes them half a window at a
+//!   time, or before it reads, not one per proof.
 //!
 //! Tests construct `IngressConfig { shards, .. }` directly so they hold
 //! regardless of the environment's `TLC_INGRESS_SHARDS`.
@@ -732,4 +734,88 @@ fn a_frame_longer_than_one_wakeup_yields_every_verdict_in_order() {
         (report.service.batches, report.service.idle_flushes),
         (2, 0)
     );
+}
+
+/// A transport that counts the client's `write` and `read` calls, as
+/// the ledger's `Tap` counts them around its socket.
+struct Counted {
+    inner: TcpStream,
+    writes: usize,
+    reads: usize,
+}
+
+impl Read for Counted {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        self.inner.read(buf)
+    }
+}
+
+impl Write for Counted {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// The `cycle_e2e` shape: one client at the default window makes N
+/// single `submit`s rotating over four relationships, then collects
+/// once. Every verdict comes back with its tag and charge, and the
+/// client buffers its SUBMITs. Each write is a half window of them,
+/// the flush before a read syscall, or one of the five set-up frames
+/// (HELLO, four REGISTERs), so the writes are at most N/32 + reads + 5
+/// where one write per submit would be N + 5. (The server reads at
+/// most 32 KiB of a connection per wakeup, about 55 SUBMITs, so a
+/// burst of verdicts is about 55 long and each ends with a remainder
+/// flush.)
+#[test]
+fn single_submits_go_out_half_a_window_to_a_write() {
+    const RELS: usize = 4;
+    const EACH: usize = 128;
+    const N: usize = RELS * EACH;
+    let mats: Vec<Material> = (50..50 + RELS as u64).map(|i| material(i, EACH)).collect();
+    let handle = spawn_server(1, IngressConfig::default());
+    let inner = TcpStream::connect(handle.addr()).unwrap();
+    inner.set_nodelay(true).unwrap();
+    let transport = Counted {
+        inner,
+        writes: 0,
+        reads: 0,
+    };
+    let mut client = RemoteVerifier::handshake(transport, 0, BackoffConfig::default()).unwrap();
+    let rels: Vec<_> = mats
+        .iter()
+        .map(|m| {
+            client
+                .register(m.plan, m.edge.public.clone(), m.op.public.clone())
+                .unwrap()
+        })
+        .collect();
+    let mut charges = std::collections::HashMap::new();
+    for k in 0..EACH {
+        for (m, rel) in mats.iter().zip(&rels) {
+            let tag = client.submit(*rel, &m.pocs[k]).unwrap();
+            charges.insert(tag, m.pocs[k].charge);
+        }
+    }
+    let results = client.collect_results().unwrap();
+    let Counted { writes, reads, .. } = *client.stream();
+    assert_eq!(results.len(), N);
+    for r in &results {
+        let charge = charges.remove(&r.tag).expect("one verdict per tag");
+        let got = r.result.as_ref().map(|v| v.charge);
+        assert_eq!(got, Ok(charge), "tag {}", r.tag);
+    }
+    assert!(
+        writes <= N / 32 + reads + 5,
+        "{writes} writes and {reads} reads for {N} submits"
+    );
+    client.goodbye().unwrap();
+
+    let report = handle.shutdown().unwrap();
+    assert_eq!(report.ingress.submissions, N as u64);
 }
