@@ -11,6 +11,18 @@
 //! the verifier both parties' signatures over the final claims. Wire sizes
 //! land where the paper's Fig. 17 table puts them (199 B CDR / 398 B CDA /
 //! 796 B PoC with RSA-1024).
+//!
+//! **The borrowed form and the one parser.** Each message is generic in
+//! how it holds its signatures: `CdrMsg<S = Vec<u8>>`, `CdaMsg<S>` and
+//! `PocMsg<S>` own them by default, and with `S = &[u8]` — a
+//! [`PocView`] — they are slices of the bytes the message was parsed
+//! from, every other field copied out as a plain value. `parse` (on the
+//! borrowed form) is the only parser: `decode` is `parse` and one
+//! `into_owned` copy, so `prop_codec`'s canonical-or-nothing law covers
+//! both forms. Encoding, the chain digests and the signature checks
+//! read either form. A verifier judges views parsed from a batch's
+//! bytes ([`crate::verify::stage`]), so between the socket and the
+//! verdict no proof becomes a heap value.
 
 #![deny(
     clippy::arithmetic_side_effects,
@@ -132,8 +144,8 @@ fn get_prefixed<'a>(
     need(r.take(len as usize), value)
 }
 
-fn get_signature(r: &mut Reader<'_>) -> Result<Vec<u8>, MessageError> {
-    get_prefixed(r, "truncated signature header", "truncated signature").map(<[u8]>::to_vec)
+fn get_signature<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], MessageError> {
+    get_prefixed(r, "truncated signature header", "truncated signature")
 }
 
 /// Checks one signature over `body`: on an IFMA host, one one-lane
@@ -143,9 +155,11 @@ fn verify_one(key: &PublicKey, body: &[u8], signature: &[u8]) -> Result<(), Mess
     Ok(())
 }
 
-/// A signed Charging Data Record.
+/// A signed Charging Data Record. `S` holds the signature: owned by
+/// default, or borrowed from the bytes it was [parsed](CdrMsg::parse)
+/// from.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CdrMsg {
+pub struct CdrMsg<S = Vec<u8>> {
     /// Sender's role.
     pub role: Role,
     /// The data plan the claim is made under.
@@ -157,13 +171,13 @@ pub struct CdrMsg {
     /// Claimed usage in bytes (`x_e` or `x_o`).
     pub usage: u64,
     /// RSA signature over the canonical body.
-    pub signature: Vec<u8>,
+    pub signature: S,
 }
 
-impl CdrMsg {
+impl<S: AsRef<[u8]>> CdrMsg<S> {
     fn body(&self) -> Vec<u8> {
         // Room for the signature `encode` appends: one allocation either way.
-        let mut b = Vec::with_capacity(self.signature.len().saturating_add(64));
+        let mut b = Vec::with_capacity(self.signature.as_ref().len().saturating_add(64));
         b.push(MsgType::Cdr as u8);
         put_role(&mut b, self.role);
         put_plan(&mut b, &self.plan);
@@ -173,6 +187,20 @@ impl CdrMsg {
         b
     }
 
+    /// Verifies the signature against the sender's public key.
+    pub fn verify(&self, key: &PublicKey) -> Result<(), MessageError> {
+        verify_one(key, &self.body(), self.signature.as_ref())
+    }
+
+    /// Serializes to wire bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = self.body();
+        put_prefixed(&mut b, self.signature.as_ref());
+        b
+    }
+}
+
+impl CdrMsg {
     /// Builds and signs a CDR.
     pub fn sign(
         role: Role,
@@ -194,20 +222,17 @@ impl CdrMsg {
         Ok(msg)
     }
 
-    /// Verifies the signature against the sender's public key.
-    pub fn verify(&self, key: &PublicKey) -> Result<(), MessageError> {
-        verify_one(key, &self.body(), &self.signature)
-    }
-
-    /// Serializes to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = self.body();
-        put_prefixed(&mut b, &self.signature);
-        b
-    }
-
-    /// Parses from wire bytes (does not verify the signature).
+    /// Parses from wire bytes (does not verify the signature):
+    /// [`CdrMsg::parse`] and one copy of the signature.
     pub fn decode(data: &[u8]) -> Result<Self, MessageError> {
+        CdrMsg::parse(data).map(CdrMsg::into_owned)
+    }
+}
+
+impl<'a> CdrMsg<&'a [u8]> {
+    /// Parses from wire bytes without copying them: the signature is a
+    /// slice of `data`. Does not verify the signature.
+    pub fn parse(data: &'a [u8]) -> Result<Self, MessageError> {
         let mut r = Reader::new(data);
         if r.u8() != Some(MsgType::Cdr as u8) {
             return Err(MessageError::Malformed("not a CDR"));
@@ -223,12 +248,25 @@ impl CdrMsg {
         need(r.finish(), "trailing bytes after CDR")?;
         Ok(msg)
     }
+
+    /// The owned message: the signature copied out of the parsed bytes.
+    pub fn into_owned(self) -> CdrMsg {
+        CdrMsg {
+            role: self.role,
+            plan: self.plan,
+            seq: self.seq,
+            nonce: self.nonce,
+            usage: self.usage,
+            signature: self.signature.to_vec(),
+        }
+    }
 }
 
 /// A signed Charging Data Acceptance: the sender's own claim plus a copy
-/// of the peer CDR it accepts.
+/// of the peer CDR it accepts. `S` holds the signatures, as in
+/// [`CdrMsg`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CdaMsg {
+pub struct CdaMsg<S = Vec<u8>> {
     /// Sender's role.
     pub role: Role,
     /// The data plan.
@@ -240,18 +278,18 @@ pub struct CdaMsg {
     /// Sender's own claimed usage.
     pub usage: u64,
     /// The peer CDR being accepted (embedded verbatim).
-    pub peer_cdr: CdrMsg,
+    pub peer_cdr: CdrMsg<S>,
     /// RSA signature over the canonical body.
-    pub signature: Vec<u8>,
+    pub signature: S,
 }
 
-impl CdaMsg {
+impl<S: AsRef<[u8]>> CdaMsg<S> {
     fn body(&self) -> Vec<u8> {
         let peer_encoded = self.peer_cdr.encode();
         let mut b = Vec::with_capacity(
             peer_encoded
                 .len()
-                .saturating_add(self.signature.len())
+                .saturating_add(self.signature.as_ref().len())
                 .saturating_add(64),
         );
         b.push(MsgType::Cda as u8);
@@ -264,6 +302,28 @@ impl CdaMsg {
         b
     }
 
+    /// Verifies the CDA's own signature only. Sufficient when the
+    /// embedded CDR is byte-equal to one the caller signed itself;
+    /// anyone else wants [`CdaMsg::verify`].
+    pub(crate) fn verify_outer(&self, sender_key: &PublicKey) -> Result<(), MessageError> {
+        verify_one(sender_key, &self.body(), self.signature.as_ref())
+    }
+
+    /// Verifies the CDA signature *and* the embedded CDR's signature.
+    pub fn verify(&self, sender_key: &PublicKey, peer_key: &PublicKey) -> Result<(), MessageError> {
+        self.verify_outer(sender_key)?;
+        self.peer_cdr.verify(peer_key)
+    }
+
+    /// Serializes to wire bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = self.body();
+        put_prefixed(&mut b, self.signature.as_ref());
+        b
+    }
+}
+
+impl CdaMsg {
     /// Builds and signs a CDA accepting `peer_cdr`.
     pub fn sign(
         role: Role,
@@ -287,28 +347,17 @@ impl CdaMsg {
         Ok(msg)
     }
 
-    /// Verifies the CDA's own signature only. Sufficient when the
-    /// embedded CDR is byte-equal to one the caller signed itself;
-    /// anyone else wants [`CdaMsg::verify`].
-    pub(crate) fn verify_outer(&self, sender_key: &PublicKey) -> Result<(), MessageError> {
-        verify_one(sender_key, &self.body(), &self.signature)
-    }
-
-    /// Verifies the CDA signature *and* the embedded CDR's signature.
-    pub fn verify(&self, sender_key: &PublicKey, peer_key: &PublicKey) -> Result<(), MessageError> {
-        self.verify_outer(sender_key)?;
-        self.peer_cdr.verify(peer_key)
-    }
-
-    /// Serializes to wire bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = self.body();
-        put_prefixed(&mut b, &self.signature);
-        b
-    }
-
-    /// Parses from wire bytes (does not verify signatures).
+    /// Parses from wire bytes (does not verify signatures):
+    /// [`CdaMsg::parse`] and one copy of each signature.
     pub fn decode(data: &[u8]) -> Result<Self, MessageError> {
+        CdaMsg::parse(data).map(CdaMsg::into_owned)
+    }
+}
+
+impl<'a> CdaMsg<&'a [u8]> {
+    /// Parses from wire bytes without copying them: both signatures are
+    /// slices of `data`. Does not verify them.
+    pub fn parse(data: &'a [u8]) -> Result<Self, MessageError> {
         let mut r = Reader::new(data);
         if r.u8() != Some(MsgType::Cda as u8) {
             return Err(MessageError::Malformed("not a CDA"));
@@ -319,7 +368,7 @@ impl CdaMsg {
             seq: need(r.u64(), "truncated CDA seq")?,
             nonce: need(r.array(), "truncated nonce")?,
             usage: need(r.u64(), "truncated CDA usage")?,
-            peer_cdr: CdrMsg::decode(get_prefixed(
+            peer_cdr: CdrMsg::parse(get_prefixed(
                 &mut r,
                 "truncated embedded CDR header",
                 "truncated embedded CDR",
@@ -329,13 +378,28 @@ impl CdaMsg {
         need(r.finish(), "trailing bytes after CDA")?;
         Ok(msg)
     }
+
+    /// The owned message: both signatures copied out of the parsed bytes.
+    pub fn into_owned(self) -> CdaMsg {
+        CdaMsg {
+            role: self.role,
+            plan: self.plan,
+            seq: self.seq,
+            nonce: self.nonce,
+            usage: self.usage,
+            peer_cdr: self.peer_cdr.into_owned(),
+            signature: self.signature.to_vec(),
+        }
+    }
 }
 
 /// A Proof-of-Charging: the finalizer's signature over the plan, the
 /// negotiated volume, and the accepted CDA — which itself carries the
 /// other party's signature. Unforgeable and undeniable by either side.
+/// `S` holds the three signatures, as in [`CdrMsg`]; a [`PocView`]
+/// borrows them from the bytes it was parsed from.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PocMsg {
+pub struct PocMsg<S = Vec<u8>> {
     /// Role of the party that finalized (received the CDA and accepted).
     pub role: Role,
     /// The data plan.
@@ -343,22 +407,26 @@ pub struct PocMsg {
     /// The negotiated charging volume `x`.
     pub charge: u64,
     /// The accepted CDA (embedded verbatim).
-    pub cda: CdaMsg,
+    pub cda: CdaMsg<S>,
     /// Edge nonce, carried in the clear per the paper's construction.
     pub nonce_e: Nonce,
     /// Operator nonce, carried in the clear.
     pub nonce_o: Nonce,
     /// RSA signature over the canonical body.
-    pub signature: Vec<u8>,
+    pub signature: S,
 }
 
-impl PocMsg {
+/// A PoC parsed in place: every field but the signatures copied out of
+/// the bytes, the signatures slices of them ([`PocMsg::parse`]).
+pub type PocView<'a> = PocMsg<&'a [u8]>;
+
+impl<S: AsRef<[u8]>> PocMsg<S> {
     fn body(&self) -> Vec<u8> {
         let cda_encoded = self.cda.encode();
         let mut b = Vec::with_capacity(
             cda_encoded
                 .len()
-                .saturating_add(self.signature.len())
+                .saturating_add(self.signature.as_ref().len())
                 .saturating_add(96),
         );
         b.push(MsgType::Poc as u8);
@@ -385,29 +453,6 @@ impl PocMsg {
             },
             None => UNSIGNABLE,
         }
-    }
-
-    /// Builds and signs a PoC finalizing `cda`.
-    pub fn sign(
-        role: Role,
-        plan: DataPlan,
-        charge: u64,
-        cda: CdaMsg,
-        nonce_e: Nonce,
-        nonce_o: Nonce,
-        key: &PrivateKey,
-    ) -> Result<Self, CryptoError> {
-        let mut msg = PocMsg {
-            role,
-            plan,
-            charge,
-            cda,
-            nonce_e,
-            nonce_o,
-            signature: Vec::new(),
-        };
-        msg.signature = pkcs1::sign(key, &msg.body())?;
-        Ok(msg)
     }
 
     /// `(finalizer, other)` keys as the PoC's role names them.
@@ -445,7 +490,7 @@ impl PocMsg {
         operator_key: &PublicKey,
     ) -> Result<(), MessageError> {
         let (finalizer_key, _) = self.chain_keys(edge_key, operator_key);
-        verify_one(finalizer_key, &self.body(), &self.signature)?;
+        verify_one(finalizer_key, &self.body(), self.signature.as_ref())?;
         self.role_coherence()
     }
 
@@ -467,33 +512,10 @@ impl PocMsg {
     /// Serializes to wire bytes (signed body plus the two clear nonces).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = self.body();
-        put_prefixed(&mut b, &self.signature);
+        put_prefixed(&mut b, self.signature.as_ref());
         b.extend_from_slice(&self.nonce_e);
         b.extend_from_slice(&self.nonce_o);
         b
-    }
-
-    /// Parses from wire bytes (does not verify signatures).
-    pub fn decode(data: &[u8]) -> Result<Self, MessageError> {
-        let mut r = Reader::new(data);
-        if r.u8() != Some(MsgType::Poc as u8) {
-            return Err(MessageError::Malformed("not a PoC"));
-        }
-        let msg = PocMsg {
-            role: get_role(&mut r)?,
-            plan: get_plan(&mut r)?,
-            charge: need(r.u64(), "truncated PoC charge")?,
-            cda: CdaMsg::decode(get_prefixed(
-                &mut r,
-                "truncated embedded CDA header",
-                "truncated embedded CDA",
-            )?)?,
-            signature: get_signature(&mut r)?,
-            nonce_e: need(r.array(), "truncated nonce")?,
-            nonce_o: need(r.array(), "truncated nonce")?,
-        };
-        need(r.finish(), "trailing bytes after PoC")?;
-        Ok(msg)
     }
 
     /// The edge's claimed usage inside this proof.
@@ -529,6 +551,78 @@ impl PocMsg {
             self.cda.nonce
         } else {
             self.cda.peer_cdr.nonce
+        }
+    }
+}
+
+impl PocMsg {
+    /// Builds and signs a PoC finalizing `cda`.
+    pub fn sign(
+        role: Role,
+        plan: DataPlan,
+        charge: u64,
+        cda: CdaMsg,
+        nonce_e: Nonce,
+        nonce_o: Nonce,
+        key: &PrivateKey,
+    ) -> Result<Self, CryptoError> {
+        let mut msg = PocMsg {
+            role,
+            plan,
+            charge,
+            cda,
+            nonce_e,
+            nonce_o,
+            signature: Vec::new(),
+        };
+        msg.signature = pkcs1::sign(key, &msg.body())?;
+        Ok(msg)
+    }
+
+    /// Parses from wire bytes (does not verify signatures):
+    /// [`PocMsg::parse`] and one copy of each signature.
+    pub fn decode(data: &[u8]) -> Result<Self, MessageError> {
+        PocMsg::parse(data).map(PocMsg::into_owned)
+    }
+}
+
+impl<'a> PocView<'a> {
+    /// Parses from wire bytes without copying them: the three signatures
+    /// are slices of `data`. Does not verify them. This is the one PoC
+    /// parser; [`PocMsg::decode`] is it plus a copy.
+    pub fn parse(data: &'a [u8]) -> Result<Self, MessageError> {
+        let mut r = Reader::new(data);
+        if r.u8() != Some(MsgType::Poc as u8) {
+            return Err(MessageError::Malformed("not a PoC"));
+        }
+        let msg = PocMsg {
+            role: get_role(&mut r)?,
+            plan: get_plan(&mut r)?,
+            charge: need(r.u64(), "truncated PoC charge")?,
+            cda: CdaMsg::parse(get_prefixed(
+                &mut r,
+                "truncated embedded CDA header",
+                "truncated embedded CDA",
+            )?)?,
+            signature: get_signature(&mut r)?,
+            nonce_e: need(r.array(), "truncated nonce")?,
+            nonce_o: need(r.array(), "truncated nonce")?,
+        };
+        need(r.finish(), "trailing bytes after PoC")?;
+        Ok(msg)
+    }
+
+    /// The owned proof: the three signatures copied out of the parsed
+    /// bytes.
+    pub fn into_owned(self) -> PocMsg {
+        PocMsg {
+            role: self.role,
+            plan: self.plan,
+            charge: self.charge,
+            cda: self.cda.into_owned(),
+            nonce_e: self.nonce_e,
+            nonce_o: self.nonce_o,
+            signature: self.signature.to_vec(),
         }
     }
 }
@@ -619,8 +713,8 @@ pub struct PocDigests {
 /// and each element's result matches the sequential path bit for bit —
 /// same verdicts, same error precedence (PoC signature, then role
 /// coherence, then CDA signature, then CDR signature).
-pub fn verify_chains_batch_prehashed(
-    items: &[(&PocMsg, &PocDigests)],
+pub fn verify_chains_batch_prehashed<S: AsRef<[u8]>>(
+    items: &[(&PocMsg<S>, &PocDigests)],
     edge_key: &PublicKey,
     operator_key: &PublicKey,
 ) -> Vec<Result<(), MessageError>> {
@@ -630,17 +724,17 @@ pub fn verify_chains_batch_prehashed(
         reqs.push(pkcs1::VerifyRequest {
             key: finalizer_key,
             digest: d.poc,
-            signature: &poc.signature,
+            signature: poc.signature.as_ref(),
         });
         reqs.push(pkcs1::VerifyRequest {
             key: other_key,
             digest: d.cda,
-            signature: &poc.cda.signature,
+            signature: poc.cda.signature.as_ref(),
         });
         reqs.push(pkcs1::VerifyRequest {
             key: finalizer_key,
             digest: d.cdr,
-            signature: &poc.cda.peer_cdr.signature,
+            signature: poc.cda.peer_cdr.signature.as_ref(),
         });
     }
     #[cfg(test)]
@@ -888,6 +982,86 @@ mod tests {
                 let _ = signed_spans(&bad);
             }
         }
+    }
+
+    /// Whether `inner` is a slice of `outer`'s bytes.
+    fn within(outer: &[u8], inner: &[u8]) -> bool {
+        let (o, i) = (outer.as_ptr_range(), inner.as_ptr_range());
+        o.start <= i.start && i.end <= o.end
+    }
+
+    /// `bytes` mutated: each byte flipped, every cut, two extensions,
+    /// and each `u16` length prefix at `prefixes` set to 0, 1, MAX − 1
+    /// and MAX.
+    fn mutations(bytes: &[u8], prefixes: &[usize]) -> Vec<Vec<u8>> {
+        let mut out = vec![bytes.to_vec()];
+        for at in 0..bytes.len() {
+            let mut m = bytes.to_vec();
+            m[at] ^= 0x5A;
+            out.push(m);
+            out.push(bytes[..at].to_vec());
+        }
+        for tail in [&[0u8][..], &[1, 2, 3]] {
+            out.push([bytes, tail].concat());
+        }
+        for &at in prefixes {
+            for len in [0, 1, u16::MAX - 1, u16::MAX] {
+                let mut m = bytes.to_vec();
+                m[at..][..2].copy_from_slice(&len.to_be_bytes());
+                out.push(m);
+            }
+        }
+        out
+    }
+
+    /// The borrowed parse and the owned decode are one parser: over
+    /// mutated CDR, CDA and PoC encodings the parse succeeds exactly
+    /// when the decode does and its owned copy is the decoded value.
+    /// What it parses re-encodes to its input, and its signatures are
+    /// slices of it.
+    #[test]
+    fn the_borrowed_parse_agrees_with_decode() {
+        let (edge, op) = keys();
+        let (cdr, cda, poc) = build_chain(&edge, &op);
+        let (cdr, cda, poc) = (cdr.encode(), cda.encode(), poc.encode());
+        // The prefixes: a CDR's signature; a CDA's embedded CDR, that
+        // CDR's signature and its own; a PoC's embedded CDA, the CDA's
+        // three at their place in it, and its own signature.
+        let in_cda = [CLAIM_HEAD, 2 * CLAIM_HEAD + 2, CLAIM_HEAD + 2 + cdr.len()];
+        let in_poc: Vec<usize> = std::iter::once(POC_HEAD)
+            .chain(in_cda.iter().map(|at| POC_HEAD + 2 + at))
+            .chain([POC_HEAD + 2 + cda.len()])
+            .collect();
+        let mut parsed = [0; 3];
+        for m in mutations(&cdr, &[CLAIM_HEAD]) {
+            let view = CdrMsg::parse(&m);
+            if let Ok(v) = &view {
+                assert!(within(&m, v.signature) && v.encode() == m);
+                parsed[0] += 1;
+            }
+            assert_eq!(view.map(CdrMsg::into_owned), CdrMsg::decode(&m));
+        }
+        for m in mutations(&cda, &in_cda) {
+            let view = CdaMsg::parse(&m);
+            if let Ok(v) = &view {
+                assert!(within(&m, v.signature) && within(&m, v.peer_cdr.signature));
+                assert_eq!(v.encode(), m);
+                parsed[1] += 1;
+            }
+            assert_eq!(view.map(CdaMsg::into_owned), CdaMsg::decode(&m));
+        }
+        for m in mutations(&poc, &in_poc) {
+            let view = PocView::parse(&m);
+            if let Ok(v) = &view {
+                let sigs = [v.signature, v.cda.signature, v.cda.peer_cdr.signature];
+                assert!(sigs.iter().all(|s| within(&m, s)) && v.encode() == m);
+                parsed[2] += 1;
+            }
+            assert_eq!(view.map(PocView::into_owned), PocMsg::decode(&m));
+        }
+        // Flips inside the signatures, usages and nonces still parse;
+        // every cut and extension does not.
+        assert!(parsed.iter().all(|&n| n > 100), "{parsed:?}");
     }
 
     #[test]

@@ -123,7 +123,10 @@ pub struct Verdict {
 /// Algorithm 2 lines 2–9: the cheap non-crypto checks, shared by the
 /// sequential and batched paths (the signature chain — line 1 — is
 /// checked by the caller first).
-fn check_poc_body(poc: &PocMsg, plan: &DataPlan) -> Result<Verdict, VerifyError> {
+fn check_poc_body<S: AsRef<[u8]>>(
+    poc: &PocMsg<S>,
+    plan: &DataPlan,
+) -> Result<Verdict, VerifyError> {
     // Lines 2–4: plan consistency.
     if poc.plan != *plan || poc.cda.plan != *plan || poc.cda.peer_cdr.plan != *plan {
         return Err(VerifyError::PlanMismatch);
@@ -175,8 +178,8 @@ pub fn verify_poc(
 /// Batched Algorithm 2 over pre-hashed chains: all RSA verifications of
 /// the batch run through the multi-lane kernel, and element `i`'s result
 /// equals `verify_poc(items[i].0, ..)` exactly.
-pub fn verify_poc_batch_prehashed(
-    items: &[(&PocMsg, &PocDigests)],
+pub fn verify_poc_batch_prehashed<S: AsRef<[u8]>>(
+    items: &[(&PocMsg<S>, &PocDigests)],
     plan: &DataPlan,
     edge_key: &PublicKey,
     operator_key: &PublicKey,
@@ -264,7 +267,7 @@ impl ReplayWindow {
         }
     }
 
-    fn contains(&self, poc: &PocMsg) -> bool {
+    fn contains<S>(&self, poc: &PocMsg<S>) -> bool {
         let key = (poc.nonce_e, poc.nonce_o);
         let mut slot = self.home_slot(&key);
         loop {
@@ -278,7 +281,7 @@ impl ReplayWindow {
 
     /// Records an accepted proof's pair; callers have just seen
     /// [`contains`](Self::contains) deny it.
-    fn insert(&mut self, poc: &PocMsg) {
+    fn insert<S>(&mut self, poc: &PocMsg<S>) {
         let key = (poc.nonce_e, poc.nonce_o);
         let pos = if self.ring.len() < self.capacity {
             self.ring.push(key);
@@ -429,15 +432,15 @@ impl Verifier {
     /// `Replayed` whatever its signatures say, so it is left out of the
     /// RSA batch: a replay flood buys a hash lookup per proof, not three
     /// signature checks.
-    pub fn verify_batch_prehashed(
+    pub fn verify_batch_prehashed<S: AsRef<[u8]>>(
         &mut self,
-        items: &[(&PocMsg, &PocDigests)],
+        items: &[(&PocMsg<S>, &PocDigests)],
     ) -> Vec<Result<Verdict, VerifyError>> {
         let held: Vec<bool> = items
             .iter()
             .map(|(poc, _)| self.window.contains(poc))
             .collect();
-        let fresh: Vec<(&PocMsg, &PocDigests)> = items
+        let fresh: Vec<(&PocMsg<S>, &PocDigests)> = items
             .iter()
             .zip(&held)
             .filter_map(|(item, held)| (!held).then_some(*item))
@@ -475,9 +478,9 @@ impl Verifier {
     }
 
     /// Applies one stateless verdict to the replay cache and counters.
-    fn commit(
+    fn commit<S>(
         &mut self,
-        poc: &PocMsg,
+        poc: &PocMsg<S>,
         judged: Result<Verdict, VerifyError>,
     ) -> Result<Verdict, VerifyError> {
         match judged {

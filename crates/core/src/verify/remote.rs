@@ -129,7 +129,9 @@ pub mod codec;
 mod server;
 
 pub use client::{BackoffConfig, RemoteVerifier};
-pub use server::{IngressConfig, IngressHandle, IngressReport, IngressServer, IngressStats};
+pub use server::{
+    IngressConfig, IngressHandle, IngressReport, IngressServer, IngressStats, Stopper,
+};
 
 use codec::PROTOCOL_VERSION;
 

@@ -541,10 +541,7 @@ impl VerdictMsg {
     /// Encodes into a VERDICT frame.
     pub fn to_frame(&self) -> Frame {
         let mut b = Vec::with_capacity(64);
-        put_u64(&mut b, self.rel);
-        put_u64(&mut b, self.tag);
-        put_u32(&mut b, self.shard);
-        put_verify_result(&mut b, &self.result);
+        put_verdict(&mut b, self.rel, self.tag, self.shard, &self.result);
         Frame::new(FrameKind::Verdict, b)
     }
 
@@ -560,6 +557,22 @@ impl VerdictMsg {
         r.finish().ok_or(VERDICT_CUT)?;
         Ok(msg)
     }
+}
+
+/// Appends a VERDICT payload — what [`VerdictMsg::decode`] reads back.
+/// The server writes each verdict through this straight into the
+/// connection's outbox, without building a [`VerdictMsg`] frame.
+pub(super) fn put_verdict(
+    out: &mut Vec<u8>,
+    rel: u64,
+    tag: u64,
+    shard: u32,
+    result: &Result<Verdict, VerifyError>,
+) {
+    put_u64(out, rel);
+    put_u64(out, tag);
+    put_u32(out, shard);
+    put_verify_result(out, result);
 }
 
 fn put_verify_result(b: &mut Vec<u8>, result: &Result<Verdict, VerifyError>) {

@@ -33,10 +33,19 @@
 //! queued for it, has its read interest masked and costs no wakeups.
 //!
 //! No wall-clock time is read anywhere here (clippy's
-//! `disallowed_methods`): the loop blocks in the kernel under a fixed
-//! wait bound ([`STOP_CHECK_MS`] so the `stop` flag is noticed,
-//! [`QUARANTINE_TICK_MS`] while any connection is quarantined), and all
-//! ordering comes from the sockets.
+//! `disallowed_methods`): the loop blocks in the kernel with no bound
+//! unless a connection is quarantined ([`QUARANTINE_TICK_MS`] then),
+//! and all ordering comes from the sockets.
+//!
+//! *Shutdown wakes the loop.* Each shard registers a
+//! [`tlc_net::readiness::Waker`] — the read end of a Unix socket pair —
+//! under `Token::WAKER`, beside its listener. [`Stopper::stop`] sets
+//! the server's flag and writes one byte to every shard's waker, so a
+//! loop blocked with nothing to do wakes at once, finishes its turn and
+//! reads the flag; the byte is never read back, so a loop that has not
+//! reached its wait yet returns from it at once. `readiness_ingress`
+//! shuts 40 idle servers down under a 10 s watchdog, since a lost wake
+//! hangs.
 //!
 //! # Threads
 //!
@@ -158,11 +167,11 @@
 )]
 
 use super::codec::{
-    BusyMsg, BusyScope, Fault, Hello, HelloAck, Register, Registered, SettleMsg, SettleResult,
-    SettleVerdictMsg, StatsSnapshot, SubmitBatchRef, SubmitRef, VerdictMsg, MAGIC,
+    put_verdict, BusyMsg, BusyScope, Fault, Hello, HelloAck, Register, Registered, SettleMsg,
+    SettleResult, SettleVerdictMsg, StatsSnapshot, SubmitBatchRef, SubmitRef, MAGIC,
     PROTOCOL_VERSION,
 };
-use crate::messages::PocMsg;
+use crate::messages::PocView;
 use crate::verify::service::{RelationshipId, ServiceConfig, ServiceReport, SubmissionResult};
 use crate::verify::stage::{Relationships, Stage};
 use crate::verify::{Verdict, VerifyError, DEFAULT_REPLAY_CAPACITY};
@@ -174,7 +183,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use tlc_net::bufpool::{BufferPool, PoolStats, PooledBuf};
 use tlc_net::ingress::ConnDriver;
-use tlc_net::readiness::{raw_fd, Event, Interest, Readiness, Token};
+use tlc_net::readiness::{raw_fd, Event, Interest, Readiness, Token, WakeHandle, Waker};
 use tlc_net::wire::{split_frame, Frame, FrameKind, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
 
 fn shards_from_env() -> usize {
@@ -418,11 +427,21 @@ impl IngressServer {
         }
     }
 
-    /// Runs every shard's loop until `stop` is set — the first on this
+    /// What stops this server's loops once it [runs](Self::run): one
+    /// flag, and a handle to each shard's waker.
+    pub fn stopper(&self) -> Stopper {
+        Stopper {
+            stop: AtomicBool::new(false),
+            wakers: self.shards.iter().map(|s| s.waker.handle()).collect(),
+        }
+    }
+
+    /// Runs every shard's loop until `stop`, this server's
+    /// [`stopper`](Self::stopper), is stopped — the first on this
     /// thread, the rest on scoped threads of their own — then returns
     /// the combined report. Open sessions receive an ERROR/Shutdown
     /// frame (best-effort) before their sockets drop.
-    pub fn run(self, stop: &AtomicBool) -> IngressReport {
+    pub fn run(self, stop: &Stopper) -> IngressReport {
         let mut shards = self.shards.into_iter();
         let first = shards.next();
         let mut parts = Vec::new();
@@ -445,19 +464,42 @@ impl IngressServer {
     /// Spawns [`run`](Self::run) on a background thread.
     pub fn spawn(self) -> io::Result<IngressHandle> {
         let addr = self.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
+        let stop = Arc::new(self.stopper());
+        let loops = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
             .name("tlc-ingress".into())
-            .spawn(move || self.run(&flag))?;
+            .spawn(move || self.run(&loops))?;
         Ok(IngressHandle { addr, stop, thread })
+    }
+}
+
+/// Stops one server's shard loops ([`IngressServer::stopper`]): a flag
+/// every loop reads when it wakes, and a handle to each shard's waker,
+/// so a loop blocked with nothing to do wakes at once to read it.
+pub struct Stopper {
+    stop: AtomicBool,
+    wakers: Vec<WakeHandle>,
+}
+
+impl Stopper {
+    /// Asks every loop to return after the turn it is in: sets the flag,
+    /// then wakes each shard.
+    pub fn stop(&self) {
+        // Release pairs with `stopped`'s Acquire. The wake follows the
+        // store, and a loop reads the flag after the wait it ends.
+        self.stop.store(true, Ordering::Release);
+        self.wakers.iter().for_each(WakeHandle::wake);
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
     }
 }
 
 /// Handle to a server spawned with [`IngressServer::spawn`].
 pub struct IngressHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    stop: Arc<Stopper>,
     thread: std::thread::JoinHandle<IngressReport>,
 }
 
@@ -473,7 +515,7 @@ impl IngressHandle {
     /// shard's thread is counted in the report's
     /// `service.worker_panics` and the other shards still report.
     pub fn shutdown(self) -> Option<IngressReport> {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.stop();
         self.thread.join().ok()
     }
 }
@@ -488,9 +530,11 @@ const LANE_QUANTUM: u32 = 64;
 /// re-reports whatever is left.
 const READS_PER_WAKEUP: usize = 4;
 
-/// Longest the loop sleeps with nothing to do: the only thing left
-/// that the kernel cannot wake it for is the `stop` flag.
-const STOP_CHECK_MS: i32 = 10;
+/// How long a turn waits with nothing to do and no quarantine
+/// running: forever (a negative bound), since shutdown wakes the loop
+/// through its waker. The unit tests below turn a shard by hand, often
+/// with nothing ready, and get a bound instead.
+const IDLE_WAIT_MS: i32 = if cfg!(test) { 10 } else { -1 };
 
 /// Wait bound while any connection is quarantined. Sentences are
 /// counted in loop iterations (`quarantine_polls`), so bounding the
@@ -556,7 +600,13 @@ impl Conn {
     /// (payload over the codec's length range — impossible for
     /// protocol-layer frames, but stay total).
     fn send(&mut self, frame: &Frame) {
-        if self.driver.queue(frame).is_err() {
+        self.send_with(frame.kind, |out| out.extend_from_slice(&frame.payload));
+    }
+
+    /// [`send`](Self::send) for a frame whose payload `put` writes
+    /// straight into the outbox.
+    fn send_with(&mut self, kind: FrameKind, put: impl FnOnce(&mut Vec<u8>)) {
+        if self.driver.queue_with(kind, put).is_err() {
             self.phase = Phase::Closed;
         }
     }
@@ -653,6 +703,9 @@ fn cost(result: &Result<Verdict, VerifyError>) -> u32 {
 struct Shard {
     listener: TcpListener,
     ready: Readiness,
+    /// Registered under [`Token::WAKER`]; its handles go to the
+    /// server's [`Stopper`].
+    waker: Waker,
     pool: BufferPool,
     config: IngressConfig,
     /// The connection table, a slab: a connection stays in its slot
@@ -713,6 +766,7 @@ impl Shard {
     ) -> io::Result<Shard> {
         let mut ready = Readiness::new()?;
         ready.register(raw_fd(&listener), Token::LISTENER, Interest::READ)?;
+        let waker = Waker::new(&mut ready)?;
         // One max-size frame per buffer: a full buffer therefore
         // always contains a complete frame or an oversize error, so
         // parsing can never deadlock on "need more room".
@@ -721,6 +775,7 @@ impl Shard {
         Ok(Shard {
             listener,
             ready,
+            waker,
             pool: BufferPool::new(capacity, buf_size),
             config,
             slots: Vec::new(),
@@ -742,8 +797,8 @@ impl Shard {
 
     /// The loop, until `stop`; then a best-effort shutdown notice to
     /// every open session and the shard's final report.
-    fn run(mut self, stop: &AtomicBool) -> IngressReport {
-        while !stop.load(Ordering::Relaxed) {
+    fn run(mut self, stop: &Stopper) -> IngressReport {
+        while !stop.stopped() {
             self.turn();
         }
         for conn in self.slots.iter_mut().flatten() {
@@ -761,15 +816,15 @@ impl Shard {
         }
     }
 
-    /// One iteration: gather → verify → reply. Blocks until a socket is
-    /// ready (or the wait bound passes) and returns with nothing
-    /// pending: every proof the wakeup admitted has its verdict queued
-    /// and flushed towards its socket.
+    /// One iteration: gather → verify → reply. Blocks until a socket or
+    /// the waker is ready (or, while a quarantine runs, its tick
+    /// passes) and returns with nothing pending: every proof the wakeup
+    /// admitted has its verdict queued and flushed towards its socket.
     fn turn(&mut self) {
         let timeout = if self.quarantined > 0 {
             QUARANTINE_TICK_MS
         } else {
-            STOP_CHECK_MS
+            IDLE_WAIT_MS
         };
         let mut events = std::mem::take(&mut self.events);
         if self.ready.wait(&mut events, timeout).is_err() {
@@ -780,6 +835,8 @@ impl Shard {
             for ev in events.iter().copied() {
                 match ev.token {
                     Token::LISTENER => self.accept_ready(),
+                    // Shutdown: `run` reads the flag when the turn ends.
+                    Token::WAKER => {}
                     _ => self.conn_event(ev),
                 }
             }
@@ -878,8 +935,9 @@ impl Shard {
     /// interest — or sheds it with a typed BUSY answer.
     fn admit(&mut self, mut stream: TcpStream) {
         // The table never outgrows the cap, so a slot index always
-        // fits a token's low half and no token is `Token::LISTENER`.
-        let cap = self.config.max_conns.clamp(1, u32::MAX as usize);
+        // fits a token's low half below its two largest values, and no
+        // token is `Token::LISTENER` or `Token::WAKER`.
+        let cap = self.config.max_conns.clamp(1, i32::MAX as usize);
         // The slot is claimed in the same step that checks the cap, so
         // shards admitting at once cannot overshoot it together.
         let claimed = self
@@ -1299,10 +1357,11 @@ impl Shard {
         }
     }
 
-    /// Decodes one PoC and hands it to the stage with the bytes it was
-    /// decoded from, recording the route for the verdict on the way
-    /// back. Nothing is hashed here: the stage hashes a whole batch's
-    /// received bytes when it judges the batch.
+    /// Checks that one PoC parses and hands its bytes to the stage,
+    /// recording the route for the verdict on the way back. The parse
+    /// borrows and copies nothing; the stage copies the bytes and
+    /// parses them again, in place, when it judges the batch. Nothing
+    /// is hashed here: the stage hashes a whole batch's bytes then.
     fn relay_submission(
         &mut self,
         conn: &mut Conn,
@@ -1310,13 +1369,20 @@ impl Shard {
         client_tag: u64,
         poc_bytes: &[u8],
     ) {
-        let poc = match PocMsg::decode(poc_bytes) {
-            Ok(poc) => poc,
+        if PocView::parse(poc_bytes).is_err() {
             // An undecodable PoC is a client bug, not a verdict: the
-            // in-process API takes `PocMsg` values, so decode failures
-            // cannot reach `submit` there either.
-            Err(_) => return self.protocol_fault(conn, "undecodable PoC payload"),
-        };
+            // in-process API takes `PocMsg` values, so parse failures
+            // cannot reach `submit` there either. The fault closes the
+            // session, and a verdict routed to a closed connection is
+            // orphaned, so the proofs it has pending are judged and
+            // answered first.
+            self.stage.flush();
+            self.stream_verdicts(conn);
+            if conn.phase != Phase::Closed {
+                self.protocol_fault(conn, "undecodable PoC payload");
+            }
+            return;
+        }
         // Admission ladder, checked before the stage sees the proof:
         // quarantine, per-conn verdict debt, the gather's submit
         // budget, then the relationship lane's DRR credit.
@@ -1353,7 +1419,7 @@ impl Shard {
             client_tag,
         });
         self.stage
-            .submit(RelationshipId::from_raw(rel_raw), tag, poc, poc_bytes);
+            .submit(RelationshipId::from_raw(rel_raw), tag, poc_bytes);
         self.stats.submissions = self.stats.submissions.saturating_add(1);
         conn.in_flight = conn.in_flight.saturating_add(1);
     }
@@ -1426,14 +1492,11 @@ impl Shard {
             return;
         }
         let points = cost(&r.result);
-        let msg = VerdictMsg {
-            rel: r.relationship.raw(),
-            tag: client_tag,
-            shard: u32::try_from(r.shard).unwrap_or(u32::MAX),
-            result: r.result,
-        };
+        let (rel, shard) = (r.relationship.raw(), u32::try_from(r.shard));
         self.stats.verdicts = self.stats.verdicts.saturating_add(1);
-        conn.send(&msg.to_frame());
+        conn.send_with(FrameKind::Verdict, |out| {
+            put_verdict(out, rel, client_tag, shard.unwrap_or(u32::MAX), &r.result);
+        });
         if points > 0 {
             self.bump_score(conn, points);
         }

@@ -8,10 +8,12 @@
 //! queue or clock:
 //!
 //! * [`submit`](VerifierService::submit) checks the id and hands the
-//!   proof to the stage with its encoding ([`PocMsg::encode`]), which
-//!   the stage hashes with the rest of the batch; a relationship's
-//!   batch is verified at the submit that brings it to
-//!   [`ServiceConfig::batch_size`];
+//!   stage the proof's encoding ([`PocMsg::encode`]), which the stage
+//!   hashes and parses with the rest of the batch — so a value is
+//!   judged as what it encodes, as a third party given its bytes would
+//!   judge it (a loss weight off the wire's 1e-4 grid encodes
+//!   rounded); a relationship's batch is verified at the submit that
+//!   brings it to [`ServiceConfig::batch_size`];
 //! * [`collect_results`](VerifierService::collect_results) verifies
 //!   whatever is still buffered and returns every result not yet taken
 //!   — per relationship in submission order, so the verdicts are exactly
@@ -252,8 +254,7 @@ impl VerifierService {
         let tag = self.next_tag;
         self.next_tag += 1;
         self.outstanding += 1;
-        let encoding = poc.encode();
-        self.stage.submit(rel, tag, poc, &encoding);
+        self.stage.submit(rel, tag, &poc.encode());
         Ok(tag)
     }
 

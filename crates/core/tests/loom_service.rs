@@ -88,7 +88,7 @@ fn two_stages_over_one_table_accept_each_proof_once() {
                     let mut stage = Stage::new(shard, 2, table);
                     let rel = stage.register(*plan, edge.public.clone(), op.public.clone(), 64);
                     for (tag, poc) in pocs.iter().enumerate() {
-                        stage.submit(rel, tag as u64, poc.clone(), &poc.encode());
+                        stage.submit(rel, tag as u64, &poc.encode());
                         loom::thread::explore();
                     }
                     (rel, stage.finish())

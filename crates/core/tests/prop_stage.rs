@@ -179,7 +179,7 @@ proptest! {
                 Op::Flush => stage.flush(),
                 Op::Submit { rel, poc, under } => {
                     let proof = &corpus[rel].pocs[poc];
-                    stage.submit(rels[under], tag as u64, proof.clone(), &proof.encode());
+                    stage.submit(rels[under], tag as u64, &proof.encode());
                     made_in.insert(tag as u64, (rel, poc));
                     want.entry(rels[under]).or_default().push((tag as u64, oracles[under].verify(proof)));
                 }
@@ -220,11 +220,9 @@ proptest! {
             if kind == 0 {
                 stages[s].flush();
             } else {
-                // Submitted as a shard submits: the bytes received, and
-                // the value decoded from them.
+                // Submitted as a shard submits: the bytes received.
                 let bytes = r.pocs[poc].encode();
-                let proof = PocMsg::decode(&bytes).unwrap();
-                stages[s].submit(rel, tag as u64, proof, &bytes);
+                stages[s].submit(rel, tag as u64, &bytes);
                 distinct.insert(poc);
             }
             got.extend(stages[s].take_results());

@@ -25,7 +25,10 @@
 //!   is accepted once, and a frame longer than one wakeup's reads still
 //!   yields every verdict in order;
 //! * a client making single submits writes them half a window at a
-//!   time, or before it reads, not one per proof.
+//!   time, or before it reads, not one per proof;
+//! * a well-framed SUBMIT whose PoC does not parse draws the typed
+//!   fault and no verdict, after the verdicts of the proofs before it;
+//! * shutdown wakes a loop that waits with no timeout.
 //!
 //! Tests construct `IngressConfig { shards, .. }` directly so they hold
 //! regardless of the environment's `TLC_INGRESS_SHARDS`.
@@ -40,7 +43,8 @@ use tlc_core::protocol::{run_negotiation, Endpoint};
 use tlc_core::roaming::{RoamingAgreement, Serving};
 use tlc_core::strategy::{Knowledge, OptimalStrategy, Role};
 use tlc_core::verify::remote::codec::{
-    Fault, Hello, HelloAck, SettleResult, MAGIC, PROTOCOL_VERSION,
+    Fault, Hello, HelloAck, Register, Registered, SettleResult, Submit, VerdictMsg, MAGIC,
+    PROTOCOL_VERSION,
 };
 use tlc_core::verify::remote::{
     BackoffConfig, IngressConfig, IngressHandle, IngressServer, RemoteError, RemoteVerifier,
@@ -818,4 +822,115 @@ fn single_submits_go_out_half_a_window_to_a_write() {
 
     let report = handle.shutdown().unwrap();
     assert_eq!(report.ingress.submissions, N as u64);
+}
+
+// ---------------------------------------------------------------------
+// Admission faults and shutdown
+// ---------------------------------------------------------------------
+
+/// Every frame the server sends on `stream` until it closes it.
+fn frames_until_close(stream: &mut TcpStream) -> Vec<tlc_net::wire::Frame> {
+    let mut decoder = FrameDecoder::new(DEFAULT_MAX_PAYLOAD);
+    let mut buf = [0u8; 4096];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => decoder.push(&buf[..n]).unwrap(),
+        }
+    }
+    std::iter::from_fn(|| decoder.next_frame()).collect()
+}
+
+/// A SUBMIT that frames correctly but carries a PoC one byte short is a
+/// client bug, not a verdict: the session gets the typed
+/// `undecodable PoC payload` fault and no VERDICT for it. The two
+/// proofs written ahead of it in the same write sit in a partial batch
+/// when the fault closes the session, and still get their verdicts,
+/// before the fault; the proof behind it is never read.
+#[test]
+fn an_undecodable_poc_draws_a_typed_fault_after_the_verdicts_before_it() {
+    let handle = spawn_server(1, IngressConfig::default());
+    let m = material(47, 3);
+    let mut s = handshake(handle.addr());
+    s.set_nodelay(true).unwrap();
+    let register = Register {
+        req: 1,
+        capacity: 0,
+        plan: m.plan,
+        edge_key: m.edge.public.clone(),
+        operator_key: m.op.public.clone(),
+    };
+    s.write_all(&register.to_frame().encode().unwrap()).unwrap();
+    let mut decoder = FrameDecoder::new(DEFAULT_MAX_PAYLOAD);
+    let registered = loop {
+        if let Some(f) = decoder.next_frame() {
+            break f;
+        }
+        let mut buf = [0u8; 256];
+        let n = s.read(&mut buf).unwrap();
+        assert!(n > 0, "server closed before REGISTERED");
+        decoder.push(&buf[..n]).unwrap();
+    };
+    assert_eq!(registered.kind, FrameKind::Registered);
+    let rel = Registered::decode(&registered.payload).unwrap().rel;
+
+    let mut short = m.pocs[2].encode();
+    short.pop();
+    assert!(PocMsg::decode(&short).is_err());
+    let submits = [
+        (1, m.pocs[0].encode()),
+        (2, m.pocs[1].encode()),
+        (3, short),
+        (4, m.pocs[2].encode()),
+    ];
+    let wire: Vec<u8> = submits
+        .into_iter()
+        .flat_map(|(tag, poc)| Submit { rel, tag, poc }.to_frame().encode().unwrap())
+        .collect();
+    s.write_all(&wire).unwrap();
+
+    let frames = frames_until_close(&mut s);
+    let kinds: Vec<FrameKind> = frames.iter().map(|f| f.kind).collect();
+    assert_eq!(
+        kinds,
+        [FrameKind::Verdict, FrameKind::Verdict, FrameKind::Error]
+    );
+    for (f, tag) in frames.iter().zip([1, 2]) {
+        let v = VerdictMsg::decode(&f.payload).unwrap();
+        assert_eq!((v.rel, v.tag), (rel, tag));
+        assert!(v.result.is_ok(), "verdict {tag}: {:?}", v.result);
+    }
+    assert_eq!(
+        Fault::decode(&frames[2].payload),
+        Ok(Fault::Protocol("undecodable PoC payload"))
+    );
+
+    let report = handle.shutdown().unwrap();
+    assert_eq!(report.ingress.protocol_errors, 1);
+    assert_eq!(
+        (report.ingress.submissions, report.ingress.verdicts),
+        (2, 2)
+    );
+    assert_eq!(report.ingress.orphaned_verdicts, 0);
+}
+
+/// The shard loops wait with no timeout, so shutdown must wake them:
+/// an idle one-shard and an idle two-shard server, twenty of each, are
+/// spawned and shut down. A lost wake hangs a shutdown, so the work
+/// runs on its own thread under a 10 s watchdog.
+#[test]
+fn shutdown_wakes_idle_shard_loops() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for shards in [1, 2] {
+            for _ in 0..20 {
+                let report = spawn_server(shards, IngressConfig::default()).shutdown();
+                assert!(report.is_some(), "a shard loop panicked");
+            }
+        }
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(10))
+        .expect("40 idle servers shut down within 10 s");
 }

@@ -16,7 +16,7 @@
 //! `WouldBlock` from the stream simply ends the current read, which is
 //! what lets one thread drive many connections.
 
-use crate::wire::{Frame, WireError};
+use crate::wire::{encode_with, Frame, FrameKind, WireError};
 use std::io::{self, Read, Write};
 
 /// Failures surfaced by a connection read or flush: the transport
@@ -140,6 +140,17 @@ impl<S> ConnDriver<S> {
     /// [`flush`](Self::flush). Fails if the payload exceeds the codec's
     /// length-prefix range (never for protocol-layer frames).
     pub fn queue(&mut self, frame: &Frame) -> Result<(), WireError> {
+        self.queue_with(frame.kind, |out| out.extend_from_slice(&frame.payload))
+    }
+
+    /// [`queue`](Self::queue) for a frame whose payload `put` writes
+    /// straight into the outbox behind its header
+    /// ([`encode_with`]), so no payload is built first.
+    pub fn queue_with(
+        &mut self,
+        kind: FrameKind,
+        put: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), WireError> {
         // Compact the buffer once the unsent tail is small relative to
         // the consumed prefix, so long-lived connections don't grow it
         // without bound.
@@ -147,7 +158,7 @@ impl<S> ConnDriver<S> {
             self.out_buf.drain(..self.out_pos);
             self.out_pos = 0;
         }
-        frame.encode_into(&mut self.out_buf)?;
+        encode_with(kind, &mut self.out_buf, put)?;
         self.stats.frames_tx += 1;
         Ok(())
     }

@@ -81,7 +81,7 @@ pub use queue::{Discipline, PacketQueue, QueueStats};
 pub use radio::{RadioTimeline, RssWalkParams, NO_SERVICE_THRESHOLD_DBM, RLF_DETACH};
 pub use readiness::{
     bind_reuseport, try_bind_reuseport, Event as ReadinessEvent, Interest, Readiness,
-    ReadinessBackend, Token,
+    ReadinessBackend, Token, WakeHandle, Waker,
 };
 pub use rng::SimRng;
 pub use stats::{ByteCounter, UsageSeries};

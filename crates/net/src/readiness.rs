@@ -11,6 +11,8 @@
 //!   (level-triggered, the semantics the buffer-pool deferral relies
 //!   on) with a portable **poll(2)** fallback so macOS and CI-generic
 //!   targets still build and run,
+//! * [`Waker`] — a socket pair whose read end a [`Readiness`] watches,
+//!   so another thread can end a wait that has no timeout,
 //! * [`bind_reuseport`] — a `SO_REUSEPORT` TCP listener factory, so N
 //!   acceptor shards can bind the same address and let the kernel
 //!   spread incoming connections across them, and
@@ -61,6 +63,8 @@ pub struct Token(pub u64);
 impl Token {
     /// Conventional token for the shard's listener socket.
     pub const LISTENER: Token = Token(u64::MAX);
+    /// Reserved token a [`Waker`] registers its read end under.
+    pub const WAKER: Token = Token(u64::MAX - 1);
 }
 
 /// Which readiness classes a registration asks to be woken for.
@@ -483,7 +487,8 @@ impl Readiness {
     }
 
     /// Blocks up to `timeout_ms` (0 returns immediately; negative waits
-    /// forever — the ingress never does) and appends ready events to
+    /// forever — the ingress does, with a [`Waker`] registered to end
+    /// the wait) and appends ready events to
     /// `events` (cleared first). Returns the number of events.
     /// `EINTR` surfaces as zero events, like a timeout.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<usize> {
@@ -586,6 +591,68 @@ impl Readiness {
             }
             #[cfg(not(unix))]
             Imp::Unsupported => Err(io::Error::new(io::ErrorKind::Unsupported, "no backend")),
+        }
+    }
+}
+
+/// A socket pair whose read end is registered under [`Token::WAKER`]:
+/// [`WakeHandle::wake`] writes a byte to the other end from any thread,
+/// and the registry's next (or current) [`Readiness::wait`] reports the
+/// token. Nothing reads the byte back, so the token stays readable: a
+/// waker is for a wake-up that ends the waiting loop, such as shutdown.
+pub struct Waker {
+    #[cfg(unix)]
+    _rx: std::os::unix::net::UnixStream,
+    handle: WakeHandle,
+}
+
+/// The sending side of a [`Waker`].
+#[derive(Clone)]
+pub struct WakeHandle {
+    #[cfg(unix)]
+    tx: std::sync::Arc<std::os::unix::net::UnixStream>,
+}
+
+impl Waker {
+    /// Opens the pair and registers its read end with `ready`. Off Unix
+    /// there is no registry to wake, and this fails like
+    /// [`Readiness::new`].
+    pub fn new(ready: &mut Readiness) -> io::Result<Waker> {
+        #[cfg(unix)]
+        {
+            let (rx, tx) = std::os::unix::net::UnixStream::pair()?;
+            rx.set_nonblocking(true)?;
+            tx.set_nonblocking(true)?;
+            ready.register(rx.as_raw_fd(), Token::WAKER, Interest::READ)?;
+            Ok(Waker {
+                _rx: rx,
+                handle: WakeHandle {
+                    tx: std::sync::Arc::new(tx),
+                },
+            })
+        }
+        #[cfg(not(unix))]
+        {
+            let _ = ready;
+            Err(io::Error::new(io::ErrorKind::Unsupported, "no backend"))
+        }
+    }
+
+    /// A handle that wakes this waker's registry.
+    pub fn handle(&self) -> WakeHandle {
+        self.handle.clone()
+    }
+}
+
+impl WakeHandle {
+    /// Makes the registry's wait return with [`Token::WAKER`]. Publish
+    /// what the waiter should see first, then call this. Never blocks:
+    /// a full socket buffer already holds a byte that wakes it.
+    pub fn wake(&self) {
+        #[cfg(unix)]
+        {
+            use std::io::Write;
+            let _ = (&*self.tx).write(&[1]);
         }
     }
 }
@@ -705,6 +772,28 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener as StdListener, TcpStream};
+
+    /// A wait with no timeout returns once another thread wakes it,
+    /// and keeps returning: the byte is never read back.
+    #[test]
+    fn a_waker_ends_an_unbounded_wait() {
+        for backend in backends() {
+            let mut r = Readiness::with_backend(backend).unwrap();
+            let waker = Waker::new(&mut r).unwrap();
+            let mut events = Vec::new();
+            assert_eq!(r.wait(&mut events, 0).unwrap(), 0, "{backend:?}");
+            let handle = waker.handle();
+            let waking = std::thread::spawn(move || handle.wake());
+            for _ in 0..2 {
+                r.wait(&mut events, -1).unwrap();
+                assert!(
+                    events.iter().any(|e| e.token == Token::WAKER && e.readable),
+                    "{backend:?}: {events:?}"
+                );
+            }
+            waking.join().unwrap();
+        }
+    }
 
     fn backends() -> Vec<ReadinessBackend> {
         let mut v = vec![ReadinessBackend::Poll];

@@ -20,7 +20,6 @@
 //! cargo run --release --example verifier_service -- --connect 127.0.0.1:7070
 //! ```
 
-use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 use tlc_core::messages::{PocMsg, NONCE_LEN};
 use tlc_core::plan::DataPlan;
@@ -106,7 +105,7 @@ fn serve(addr: &str) {
         config.shards
     );
     // The example has no signal handling; the process runs until killed.
-    let stop = AtomicBool::new(false);
+    let stop = server.stopper();
     server.run(&stop);
 }
 
